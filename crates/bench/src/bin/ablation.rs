@@ -171,8 +171,10 @@ fn main() {
                     // The owner's return lands mid-computation: give the
                     // grace timer its chance before the next adaptation
                     // point (otherwise the point always wins instantly).
+                    // Slept on the cluster clock, so a virtual one sees
+                    // the master parked and lets the grace period pass.
                     if let Some(g) = grace {
-                        std::thread::sleep(g + Duration::from_millis(60));
+                        sys.clock().sleep(g + Duration::from_millis(60));
                     }
                 }
             },

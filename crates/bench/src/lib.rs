@@ -418,6 +418,8 @@ pub struct RunResult {
 /// `cfg`. `adaptive` toggles the §4.4 switch; `events(sys, iter)` is
 /// called before every iteration to inject adapt events; `verify`
 /// controls whether the (traffic-polluting) verification runs.
+/// Panics if the run met the virtual clock's stall watchdog: its
+/// simulated seconds would then depend on the host.
 pub fn measure(
     kernel: &dyn Kernel,
     cfg: ClusterConfig,
@@ -447,6 +449,11 @@ pub fn measure(
         0.0
     };
     sys.shutdown();
+    assert_eq!(
+        clock.forced_advances(),
+        0,
+        "the virtual clock's stall watchdog fired: a wait was not accounted for (see stderr)"
+    );
     RunResult {
         secs,
         dsm,

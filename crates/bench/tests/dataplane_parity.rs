@@ -80,7 +80,9 @@ fn adaptive_run(dataplane: DataPlaneConfig, ckpt: &std::path::Path) -> (f64, Vec
     // bytes are the canonical final DSM page state.
     sys.checkpoint_now();
     let log = shape(&sys.log().entries());
+    let clock = sys.clock().clone();
     sys.shutdown();
+    assert_eq!(clock.forced_advances(), 0, "a wait escaped the clock");
     let image = std::fs::read(ckpt).expect("checkpoint written");
     (err, log, image)
 }

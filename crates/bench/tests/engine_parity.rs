@@ -99,7 +99,9 @@ fn thread_run(
     let err = kernel.verify(&mut sys, s.iters);
     sys.checkpoint_now();
     let log = shape(&sys.log().entries());
+    let clock = sys.clock().clone();
     sys.shutdown();
+    assert_eq!(clock.forced_advances(), 0, "a wait escaped the clock");
     let image = std::fs::read(ckpt).expect("checkpoint written");
     (err, log, image)
 }

@@ -32,12 +32,12 @@ use nowmp_ckpt::{migration_image_bytes, Checkpoint};
 use nowmp_net::{CostModel, Gpid, HostId, NetModel, Network};
 use nowmp_tmk::system::RegionRunner;
 use nowmp_tmk::{CollectiveConfig, DataPlaneConfig, DsmConfig, DsmSystem, MasterCtl, TmkCtx};
-use nowmp_util::Clock;
+use nowmp_util::{Clock, JoinHandle};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where pages held only by leavers go (§4.2 vs the §7 future-work idea).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,7 +338,7 @@ impl ClusterShared {
     /// Deprecated spelling of [`AdaptHandle::join`].
     #[deprecated(note = "use `adapt().join()`")]
     pub fn request_join(self: &Arc<Self>) -> Result<HostId, AdaptError> {
-        self.join_impl()
+        self.join_impl().map(|(host, _)| host)
     }
 
     /// Deprecated spelling of [`AdaptHandle::leave`] with
@@ -361,8 +361,9 @@ impl ClusterShared {
     /// Join: reserve a free workstation, spawn the process
     /// (asynchronously: the spawn delay and connection setup overlap the
     /// ongoing computation), and let it enter at a later adaptation
-    /// point. Returns the reserved host.
-    fn join_impl(self: &Arc<Self>) -> Result<HostId, AdaptError> {
+    /// point. Returns the reserved host and the spawner thread, which
+    /// yields the new process once it exists.
+    fn join_impl(self: &Arc<Self>) -> Result<(HostId, JoinHandle<Gpid>), AdaptError> {
         let host = self
             .hosts
             .lock()
@@ -370,8 +371,7 @@ impl ClusterShared {
             .ok_or(AdaptError::NoFreeHost)?;
         self.log.push(EventKind::JoinRequested { host });
         let me = Arc::clone(self);
-        std::thread::spawn(move || {
-            let _participant = me.clock.participant();
+        let spawner = self.clock.spawn(format!("join-{host}"), move || {
             // Process creation cost (0.6–0.8 s on the paper's testbed),
             // charged off the critical path.
             me.net.charge_spawn();
@@ -382,8 +382,9 @@ impl ClusterShared {
             let gpid = me.sys.spawn_worker(host, me.master_gpid, hello);
             me.pending_joins.lock().insert(gpid, host);
             me.log.push(EventKind::JoinReady { gpid });
+            gpid
         });
-        Ok(host)
+        Ok((host, spawner))
     }
 
     /// Leave for `gpid` with the given grace period. If the grace
@@ -422,8 +423,7 @@ impl ClusterShared {
         self.pending_leaves.lock().push(Arc::clone(&pending));
         if let Some(alarm) = alarm {
             let me = Arc::clone(self);
-            std::thread::spawn(move || {
-                let _participant = me.clock.participant();
+            self.clock.spawn(format!("grace-{gpid}"), move || {
                 if alarm.wait() && pending.claim_urgent() {
                     me.urgent_migrate(pending.gpid);
                 }
@@ -587,7 +587,7 @@ impl AdaptHandle {
     /// Request a join: reserves the fastest free workstation and spawns
     /// a process toward it; the team grows at a later adaptation point.
     pub fn join(&self) -> Result<HostId, AdaptError> {
-        self.shared.join_impl()
+        self.shared.join_impl().map(|(host, _)| host)
     }
 
     /// Request a leave for the selected member. `grace = None` waits
@@ -859,7 +859,7 @@ impl Cluster {
     /// Deprecated spelling of [`AdaptHandle::join`].
     #[deprecated(note = "use `adapt().join()`")]
     pub fn request_join(&self) -> Result<HostId, AdaptError> {
-        self.shared.join_impl()
+        self.adapt().join()
     }
 
     /// Deprecated spelling of [`Cluster::join_ready`].
@@ -875,27 +875,12 @@ impl Cluster {
     /// was placed on (the host is only *reserved* until the join
     /// commits, so [`ClusterShared::host_of`] cannot resolve it yet).
     pub fn join_ready(&mut self) -> Result<(Gpid, HostId), AdaptError> {
-        let host = self.shared.join_impl()?;
-        // Wait for the spawner thread to register the embryo. The poll
-        // sleeps on the cluster clock: under a virtual clock the master
-        // is then visibly blocked and the spawner's 0.7 s creation
-        // delay advances instantly; the `Instant` bound stays a
-        // real-time deadlock guard.
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let gpid = loop {
-            let found = self
-                .shared
-                .pending_joins
-                .lock()
-                .iter()
-                .find(|(_, h)| **h == host)
-                .map(|(g, _)| *g);
-            if let Some(g) = found {
-                break g;
-            }
-            assert!(Instant::now() < deadline, "spawned worker never appeared");
-            self.shared.clock.sleep(Duration::from_micros(200));
-        };
+        let (host, spawner) = self.shared.join_impl()?;
+        // Joining the spawner is a clock-visible wait: under a virtual
+        // clock the master is blocked, the spawner's 0.7 s creation
+        // delay advances instantly, and the wait costs exactly that
+        // plus the handshake below.
+        let gpid = spawner.join().expect("join spawner panicked");
         self.master.wait_ready(gpid);
         // `wait_ready` consumed the announcement; replay it for the
         // adaptation point.

@@ -73,7 +73,7 @@ impl Schedule {
 
 /// Handle to a running driver thread.
 pub struct Driver {
-    handle: Option<std::thread::JoinHandle<Vec<(Duration, Result<(), crate::AdaptError>)>>>,
+    handle: Option<nowmp_util::JoinHandle<Vec<(Duration, Result<(), crate::AdaptError>)>>>,
 }
 
 impl Driver {
@@ -84,37 +84,35 @@ impl Driver {
     pub fn spawn(shared: Arc<ClusterShared>, schedule: Schedule) -> Self {
         let mut entries = schedule.entries;
         entries.sort_by_key(|(d, _)| *d);
-        let handle = std::thread::Builder::new()
-            .name("nowmp-driver".into())
-            .spawn(move || {
-                let adapt = shared.adapt();
-                let clock = shared.clock().clone();
-                let _participant = clock.participant();
-                let start = clock.now();
-                let mut outcomes = Vec::with_capacity(entries.len());
-                for (at, event) in entries {
-                    let now = clock.elapsed_since(start);
-                    if at > now {
-                        clock.sleep(at - now);
-                    }
-                    let result = match &event {
-                        DriverEvent::Join => adapt.join().map(|_| ()),
-                        DriverEvent::LeaveByPid { pid, grace } => {
-                            adapt.leave(LeaveSel::Pid(*pid), *grace).map(|_| ())
-                        }
-                        DriverEvent::LeaveByGpid { gpid, grace } => {
-                            adapt.leave(LeaveSel::Gpid(*gpid), *grace).map(|_| ())
-                        }
-                        DriverEvent::Checkpoint => {
-                            adapt.checkpoint();
-                            Ok(())
-                        }
-                    };
-                    outcomes.push((clock.elapsed_since(start), result));
+        // On the cluster clock's books from this call on: the schedule's
+        // offsets count from `spawn`, not from the thread's first run.
+        let handle = shared.clock().clone().spawn("nowmp-driver", move || {
+            let adapt = shared.adapt();
+            let clock = shared.clock().clone();
+            let start = clock.now();
+            let mut outcomes = Vec::with_capacity(entries.len());
+            for (at, event) in entries {
+                let now = clock.elapsed_since(start);
+                if at > now {
+                    clock.sleep(at - now);
                 }
-                outcomes
-            })
-            .expect("spawn driver thread");
+                let result = match &event {
+                    DriverEvent::Join => adapt.join().map(|_| ()),
+                    DriverEvent::LeaveByPid { pid, grace } => {
+                        adapt.leave(LeaveSel::Pid(*pid), *grace).map(|_| ())
+                    }
+                    DriverEvent::LeaveByGpid { gpid, grace } => {
+                        adapt.leave(LeaveSel::Gpid(*gpid), *grace).map(|_| ())
+                    }
+                    DriverEvent::Checkpoint => {
+                        adapt.checkpoint();
+                        Ok(())
+                    }
+                };
+                outcomes.push((clock.elapsed_since(start), result));
+            }
+            outcomes
+        });
         Driver {
             handle: Some(handle),
         }

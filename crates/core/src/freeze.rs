@@ -7,13 +7,14 @@
 //! processes stall promptly once a migration begins and resume when it
 //! completes.
 //!
-//! Gated waits are clock-visible ([`nowmp_util::Clock::blocked`]): under
+//! Gated waits are clock-visible ([`nowmp_util::ClockCondvar`]): under
 //! a virtual clock, a frozen cluster is quiescent and the migration's
-//! charged transfer time advances instantly. The gate also counts its
+//! charged transfer time advances instantly; the thaw marks every
+//! waiter it releases runnable. The gate also counts its
 //! waiters, so tests (and diagnostics) can wait for "somebody is
 //! actually blocked here" as a condition instead of sleeping and hoping.
 
-use nowmp_util::Clock;
+use nowmp_util::{Clock, ClockCondvar};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,10 +31,9 @@ struct GateState {
 pub struct Freeze {
     state: Mutex<GateState>,
     /// Wakes gated threads on thaw.
-    cv: Condvar,
+    cv: ClockCondvar,
     /// Wakes observers when the waiter count changes.
     observers: Condvar,
-    clock: Clock,
 }
 
 impl Freeze {
@@ -41,9 +41,8 @@ impl Freeze {
     pub fn new(clock: Clock) -> Arc<Self> {
         Arc::new(Freeze {
             state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
+            cv: ClockCondvar::new(&clock),
             observers: Condvar::new(),
-            clock,
         })
     }
 
@@ -64,7 +63,7 @@ impl Freeze {
         while st.frozen {
             st.waiting += 1;
             self.observers.notify_all();
-            self.clock.blocked(|| self.cv.wait(&mut st));
+            st = self.cv.wait(&self.state, st);
             st.waiting -= 1;
             self.observers.notify_all();
         }
@@ -153,19 +152,16 @@ mod tests {
         let f = Freeze::new(clock.clone());
         f.freeze();
         let f2 = Arc::clone(&f);
-        let clock2 = clock.clone();
-        let t = std::thread::spawn(move || {
-            let _p = clock2.participant();
-            f2.gate();
-        });
+        let t = clock.spawn("gated", move || f2.gate());
         assert!(f.wait_for_waiters(1, Duration::from_secs(5)));
         let wall = Instant::now();
         let t0 = clock.now();
         clock.sleep(Duration::from_secs(7)); // modeled migration stream
         assert_eq!(clock.elapsed_since(t0), Duration::from_secs(7));
-        assert!(wall.elapsed() < Duration::from_millis(300));
+        assert!(wall.elapsed() < Duration::from_millis(200));
         f.thaw();
         t.join().unwrap();
+        assert_eq!(clock.forced_advances(), 0);
     }
 
     #[test]

@@ -257,13 +257,48 @@ fn urgent_leave_via_grace_timer() {
         if std::time::Instant::now() > deadline {
             break false;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // On the cluster clock, so that a virtual one sees the master
+        // parked and lets the grace period pass.
+        c.clock().sleep(Duration::from_millis(10));
     };
     assert!(migrated, "grace timer must trigger migration");
     c.parallel(R_SCALE, &[]);
     assert_eq!(c.nprocs(), 2);
     assert_eq!(read_v(&mut c, n), expect_scaled(n, 1));
     c.shutdown();
+}
+
+/// `join_ready` waits for the spawner thread and the new process's
+/// handshake, nothing else: its simulated cost is the process-creation
+/// delay plus the connection setup, whatever the host's scheduler does
+/// with the spawner thread.
+#[test]
+fn join_ready_costs_spawn_plus_handshake_exactly() {
+    use nowmp_net::{CostModel, NetModel};
+    let took = || {
+        let n = 64;
+        let cfg = ClusterConfig::test(4, 2)
+            .with_net_model(NetModel::paper_1999())
+            .with_cost_model(CostModel::paper_1999())
+            .with_clock(nowmp_util::Clock::new_virtual());
+        let mut c = Cluster::new(cfg, Arc::new(App { n }));
+        c.alloc("v", n as u64, ElemKind::F64);
+        let t0 = c.clock().now();
+        c.join_ready().unwrap();
+        let took = c.clock().elapsed_since(t0);
+        c.parallel(R_FILL, &[]); // commit the join so shutdown reaches it
+        assert_eq!(c.nprocs(), 3);
+        assert_eq!(c.clock().forced_advances(), 0);
+        c.shutdown();
+        took
+    };
+    let (a, b) = (took(), took());
+    assert_eq!(a, b, "two fresh systems must agree bit for bit");
+    let spawn = CostModel::paper_1999().spawn_time();
+    assert!(
+        a > spawn && a < spawn + Duration::from_millis(5),
+        "0.7 s of process creation plus a three-message handshake, got {a:?}"
+    );
 }
 
 #[test]
@@ -337,8 +372,7 @@ fn interior_tree_relay_killed_mid_fork_still_completes() {
     c.alloc("v", n as u64, ElemKind::F64);
     let g = c.team()[4];
     let shared = c.shared();
-    let killer = std::thread::spawn(move || {
-        let _participant = shared.clock().participant();
+    let killer = c.clock().clone().spawn("killer", move || {
         // Lands mid-region on the virtual timeline (the fill fork has
         // barely started moving its first pages by t = 2 ms).
         shared.clock().sleep(Duration::from_millis(2));
@@ -365,7 +399,9 @@ fn interior_tree_relay_killed_mid_fork_still_completes() {
             std::time::Instant::now() < deadline,
             "grace timer never migrated the interior relay"
         );
-        std::thread::sleep(Duration::from_millis(5));
+        // A clock-visible poll: the migration's charged transfer time
+        // passes while the master is parked here.
+        c.clock().sleep(Duration::from_millis(5));
     }
     // Next adaptation point commits the leave; the fork tree compacts
     // to 7 ranks and further forks must still reach everyone.
@@ -403,8 +439,7 @@ fn interior_tree_aggregator_killed_mid_join_still_completes() {
     c.alloc("v", n as u64, ElemKind::F64);
     let g = c.team()[4];
     let shared = c.shared();
-    let killer = std::thread::spawn(move || {
-        let _participant = shared.clock().participant();
+    let killer = c.clock().clone().spawn("killer", move || {
         // Lands in the last ~2 ms of the region, where workers drain
         // their intervals and the reduce tree collects upward.
         shared.clock().sleep(Duration::from_millis(109));
@@ -429,7 +464,7 @@ fn interior_tree_aggregator_killed_mid_join_still_completes() {
             std::time::Instant::now() < deadline,
             "grace timer never migrated the interior aggregator"
         );
-        std::thread::sleep(Duration::from_millis(5));
+        c.clock().sleep(Duration::from_millis(5));
     }
     // Next adaptation point commits the leave; the reduce tree
     // compacts to 7 ranks and further joins must still reach rank 0.

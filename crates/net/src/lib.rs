@@ -36,7 +36,8 @@
 //!   independent of each other, so the link with the most traffic is
 //!   the bottleneck".
 //!
-//! Messages are reliable and in-order (crossbeam channels). The paper's
+//! Messages are reliable and in-order (clock-bound
+//! [`mod@nowmp_util::mailbox`]es over the channel ring). The paper's
 //! UDP transport implements request/reply reliability one layer up; we
 //! collapse that into the simulated transport and document it in
 //! DESIGN.md §10.

@@ -20,7 +20,7 @@ use crate::model::NetModel;
 use crate::stats::{LinkStats, NetStats, StatsSnapshot};
 use crate::{Gpid, HostId};
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use nowmp_util::mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender, RecvTimeoutError};
 use nowmp_util::{Clock, Semaphore, Tick};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -60,7 +60,7 @@ pub struct Packet {
     /// Encoded payload.
     pub payload: Bytes,
     /// Present iff the sender awaits a reply.
-    pub reply: Option<Sender<Packet>>,
+    pub reply: Option<MailboxSender<Packet>>,
     /// Earliest delivery time on the network clock, under emulation.
     deliver_at: Option<Tick>,
 }
@@ -81,7 +81,7 @@ pub struct Replier {
     from: Gpid,
     from_host: Arc<HostRec>,
     to: Gpid,
-    tx: Sender<Packet>,
+    tx: MailboxSender<Packet>,
 }
 
 impl Replier {
@@ -89,9 +89,7 @@ impl Replier {
     /// The reply travels straight to the waiting caller's channel, not
     /// the requester's mailbox.
     pub fn reply(self, payload: Bytes) {
-        let tx = self.tx.clone();
-        self.net
-            .transmit_reply(&self.from_host, self.to, payload, &tx, self.from);
+        self.reply_checked(payload);
     }
 
     /// The gpid that will receive the reply.
@@ -148,7 +146,7 @@ impl HostRec {
 }
 
 struct EndpointRec {
-    tx: Sender<Packet>,
+    tx: MailboxSender<Packet>,
     host: Arc<AtomicU16>,
 }
 
@@ -209,7 +207,7 @@ impl NetInner {
         src_host: &Arc<HostRec>,
         dst: Gpid,
         payload: Bytes,
-        reply: Option<Sender<Packet>>,
+        reply: Option<MailboxSender<Packet>>,
     ) -> bool {
         let bytes = (payload.len() + self.model.header_bytes) as u64;
 
@@ -242,26 +240,13 @@ impl NetInner {
         dst_rec.link_stats.record_in(bytes);
         self.stats.record_msg(bytes);
 
-        self.send_accounted(
-            &tx,
-            Packet {
-                src,
-                payload,
-                reply,
-                deliver_at,
-            },
-        )
-    }
-
-    /// Hand a packet to a channel with in-flight clock accounting,
-    /// undoing the account if the receiver is gone.
-    fn send_accounted(&self, tx: &Sender<Packet>, pkt: Packet) -> bool {
-        self.clock.msg_sent();
-        let ok = tx.send(pkt).is_ok();
-        if !ok {
-            self.clock.msg_received();
-        }
-        ok
+        tx.send(Packet {
+            src,
+            payload,
+            reply,
+            deliver_at,
+        })
+        .is_ok()
     }
 }
 
@@ -328,7 +313,7 @@ impl Network {
             link: Mutex::new(()),
             inbound: Mutex::new(Tick::ZERO),
             link_stats: self.inner.stats.add_link(),
-            cpu: Semaphore::new(cpu_slots),
+            cpu: Semaphore::new(cpu_slots, &self.inner.clock),
         }));
         id
     }
@@ -359,8 +344,7 @@ impl Network {
     /// This is how multiplexing after an urgent leave costs time: two
     /// processes, one CPU.
     pub fn acquire_cpu(&self, host: HostId) -> nowmp_util::sem::Permit {
-        let h = self.inner.host(host);
-        self.inner.clock.blocked(|| h.cpu.acquire())
+        self.inner.host(host).cpu.acquire()
     }
 
     /// Register a new process endpoint on `host`.
@@ -370,7 +354,7 @@ impl Network {
             "register on unknown host {host}"
         );
         let gpid = Gpid(self.inner.next_gpid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mailbox(&self.inner.clock);
         let host_cell = Arc::new(AtomicU16::new(host.0));
         self.inner.endpoints.write().insert(
             gpid.0,
@@ -452,7 +436,7 @@ pub struct Endpoint {
     net: Arc<NetInner>,
     gpid: Gpid,
     host: Arc<AtomicU16>,
-    rx: Receiver<Packet>,
+    rx: MailboxReceiver<Packet>,
 }
 
 /// Default deadline for [`Endpoint::call`]; long enough for any emulated
@@ -508,39 +492,7 @@ impl Endpoint {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes, NetError> {
-        let (tx, rx) = bounded(1);
-        if !self
-            .net
-            .transmit(self.gpid, &self.host_rec(), dst, payload, Some(tx))
-        {
-            return Err(NetError::Unknown(dst));
-        }
-        // The reply wait is clock-visible; the timeout itself stays a
-        // *real-time* deadlock guard under both backends.
-        match self.net.clock.blocked(|| rx.recv_timeout(timeout)) {
-            Ok(pkt) => {
-                self.net.clock.msg_received();
-                if let Some(at) = pkt.deliver_at {
-                    self.net.clock.sleep_until(at);
-                }
-                Ok(pkt.payload)
-            }
-            Err(e) => {
-                // A late reply racing this abandonment may already sit
-                // in the channel (accounted in-flight by the sender);
-                // drain it so the virtual clock's in-flight count does
-                // not leak for the rest of the run.
-                while rx.try_recv().is_ok() {
-                    self.net.clock.msg_received();
-                }
-                match e {
-                    crossbeam_channel::RecvTimeoutError::Timeout => Err(NetError::Timeout(dst)),
-                    crossbeam_channel::RecvTimeoutError::Disconnected => {
-                        Err(NetError::Disconnected(dst))
-                    }
-                }
-            }
-        }
+        self.call_begin(dst, payload)?.wait(timeout)
     }
 
     /// Issue a request without blocking for the answer: the scatter
@@ -550,7 +502,7 @@ impl Endpoint {
     /// makes a multi-peer fault pay the max of the peers' latencies
     /// instead of the sum.
     pub fn call_begin(&self, dst: Gpid, payload: Bytes) -> Result<PendingCall, NetError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = oneshot(&self.net.clock);
         if !self
             .net
             .transmit(self.gpid, &self.host_rec(), dst, payload, Some(tx))
@@ -558,7 +510,7 @@ impl Endpoint {
             return Err(NetError::Unknown(dst));
         }
         Ok(PendingCall {
-            net: Arc::clone(&self.net),
+            clock: self.net.clock.clone(),
             dst,
             rx,
             got: None,
@@ -566,7 +518,6 @@ impl Endpoint {
     }
 
     fn unpack(&self, pkt: Packet) -> Incoming {
-        self.net.clock.msg_received();
         if let Some(at) = pkt.deliver_at {
             self.net.clock.sleep_until(at);
         }
@@ -589,7 +540,7 @@ impl Endpoint {
 
     /// Blocking receive; `Err` means the network shut down.
     pub fn recv(&self) -> Result<Incoming, NetError> {
-        match self.net.clock.blocked(|| self.rx.recv()) {
+        match self.rx.recv() {
             Ok(pkt) => Ok(self.unpack(pkt)),
             Err(_) => Err(NetError::Disconnected(self.gpid)),
         }
@@ -597,12 +548,10 @@ impl Endpoint {
 
     /// Receive with a (real-time) deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Incoming>, NetError> {
-        match self.net.clock.blocked(|| self.rx.recv_timeout(timeout)) {
+        match self.rx.recv_timeout(timeout) {
             Ok(pkt) => Ok(Some(self.unpack(pkt))),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                Err(NetError::Disconnected(self.gpid))
-            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected(self.gpid)),
         }
     }
 
@@ -634,17 +583,14 @@ impl Endpoint {
     }
 }
 
-/// A request in flight, created by [`Endpoint::call_begin`]. Callers
-/// must [`PendingCall::wait`] on it before any synchronization point:
-/// under the virtual clock an unwaited reply is in-flight state, and
-/// while `Drop` drains a reply that already arrived, one still on the
-/// wire when the handle is dropped would stall the simulation.
+/// A request in flight, created by [`Endpoint::call_begin`]. Dropping
+/// it abandons the reply, which then goes nowhere and holds nothing.
 pub struct PendingCall {
-    net: Arc<NetInner>,
+    clock: Clock,
     dst: Gpid,
-    rx: Receiver<Packet>,
+    rx: MailboxReceiver<Packet>,
     /// Reply taken off the channel by [`Self::ready`] but not yet
-    /// claimed by [`Self::wait`] (already `msg_received`-accounted).
+    /// claimed by [`Self::wait`].
     got: Option<Packet>,
 }
 
@@ -666,58 +612,33 @@ impl PendingCall {
     /// Non-blocking: has the reply been *delivered* (arrived on the
     /// wire at or before the clock's current time)? A reply that is
     /// queued but whose modeled delivery time is still in the future
-    /// reports `false` — waiting on it would block — but is taken off
-    /// the channel immediately so it stops pinning the virtual clock's
-    /// in-flight account while the caller computes.
+    /// reports `false` — waiting on it would block.
     pub fn ready(&mut self) -> bool {
         if self.got.is_none() {
-            if let Ok(pkt) = self.rx.try_recv() {
-                self.net.clock.msg_received();
-                self.got = Some(pkt);
-            }
+            self.got = self.rx.try_recv().ok();
         }
         match &self.got {
-            Some(pkt) => pkt.deliver_at.is_none_or(|at| self.net.clock.now() >= at),
+            Some(pkt) => pkt.deliver_at.is_none_or(|at| self.clock.now() >= at),
             None => false,
         }
     }
 
     /// Block for the reply — the gather half of
-    /// [`Endpoint::call_deadline`], with identical clock semantics:
-    /// the wait is clock-visible, the timeout is a real-time deadlock
-    /// guard, and wire delivery time is slept to on arrival.
+    /// [`Endpoint::call_deadline`]: the wait is clock-visible, the
+    /// timeout is a *real-time* deadlock guard under both backends, and
+    /// wire delivery time is slept to on arrival.
     pub fn wait(mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        if let Some(pkt) = self.got.take() {
-            if let Some(at) = pkt.deliver_at {
-                self.net.clock.sleep_until(at);
-            }
-            return Ok(pkt.payload);
+        let pkt = match self.got.take() {
+            Some(pkt) => pkt,
+            None => self.rx.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => NetError::Timeout(self.dst),
+                RecvTimeoutError::Disconnected => NetError::Disconnected(self.dst),
+            })?,
+        };
+        if let Some(at) = pkt.deliver_at {
+            self.clock.sleep_until(at);
         }
-        match self.net.clock.blocked(|| self.rx.recv_timeout(timeout)) {
-            Ok(pkt) => {
-                self.net.clock.msg_received();
-                if let Some(at) = pkt.deliver_at {
-                    self.net.clock.sleep_until(at);
-                }
-                Ok(pkt.payload)
-            }
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout(self.dst)),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                Err(NetError::Disconnected(self.dst))
-            }
-        }
-    }
-}
-
-impl Drop for PendingCall {
-    fn drop(&mut self) {
-        // A reply already sitting in the channel was accounted
-        // in-flight by its sender; receive it here so the virtual
-        // clock's in-flight count does not leak (same drain as the
-        // `call_deadline` timeout path).
-        while self.rx.try_recv().is_ok() {
-            self.net.clock.msg_received();
-        }
+        Ok(pkt.payload)
     }
 }
 
@@ -733,7 +654,7 @@ impl NetInner {
         src_host: &Arc<HostRec>,
         dst: Gpid,
         payload: Bytes,
-        tx: &Sender<Packet>,
+        tx: &MailboxSender<Packet>,
         src: Gpid,
     ) -> bool {
         let bytes = (payload.len() + self.model.header_bytes) as u64;
@@ -761,24 +682,21 @@ impl NetInner {
         }
         src_host.link_stats.record_out(bytes);
         self.stats.record_msg(bytes);
-        self.send_accounted(
-            tx,
-            Packet {
-                src,
-                payload,
-                reply: None,
-                deliver_at,
-            },
-        )
+        tx.send(Packet {
+            src,
+            payload,
+            reply: None,
+            deliver_at,
+        })
+        .is_ok()
     }
 }
 
 impl Replier {
     /// Answer the request; returns `false` if the requester vanished.
     pub fn reply_checked(self, payload: Bytes) -> bool {
-        let tx = self.tx.clone();
         self.net
-            .transmit_reply(&self.from_host, self.to, payload, &tx, self.from)
+            .transmit_reply(&self.from_host, self.to, payload, &self.tx, self.from)
     }
 }
 
@@ -850,15 +768,26 @@ mod tests {
     }
 
     #[test]
-    fn dropped_pending_call_drains_delivered_reply() {
-        let (_net, a, b) = net2();
-        let b_gpid = b.gpid();
-        let p = a.call_begin(b_gpid, Bytes::from_static(b"ping")).unwrap();
+    fn dropped_pending_call_abandons_delivered_reply() {
+        let clock = Clock::new_virtual();
+        let net = Network::with_clock(
+            2,
+            1,
+            NetModel::disabled(),
+            CostModel::disabled(),
+            clock.clone(),
+        );
+        let (a, b) = (net.register(HostId(0)), net.register(HostId(1)));
+        let p = a.call_begin(b.gpid(), Bytes::from_static(b"ping")).unwrap();
         let inc = b.recv().unwrap();
         inc.replier.unwrap().reply(Bytes::from_static(b"pong"));
-        // Dropping without waiting must consume the delivered reply so
-        // in-flight clock accounting stays balanced.
+        // An abandoned reply holds nothing: neither while it sits in
+        // the mailbox nor once the handle is gone does it pin time.
+        clock.sleep(Duration::from_secs(1));
         drop(p);
+        clock.sleep(Duration::from_secs(1));
+        assert_eq!(clock.now(), Tick::ZERO + Duration::from_secs(2));
+        assert_eq!(clock.forced_advances(), 0);
     }
 
     #[test]

@@ -61,11 +61,10 @@ fn sender_time_and_latency_are_exact_on_roundtrip() {
     let a = net.register(HostId(0));
     let b = net.register(HostId(1));
     let b_gpid = b.gpid();
-    let clock2 = clock.clone();
-    let server = std::thread::spawn(move || {
-        // Long-lived simulation thread: register so virtual time holds
-        // still while it runs its (zero-virtual-cost) handler.
-        let _p = clock2.participant();
+    // A simulation thread: on the clock's books from `spawn`, so
+    // virtual time holds still while it runs its (zero-virtual-cost)
+    // handler.
+    let server = clock.spawn("server", move || {
         let inc = b.recv().unwrap();
         inc.replier.unwrap().reply(Bytes::from(vec![0u8; 4]));
     });
@@ -90,9 +89,7 @@ fn delay_paths_are_deterministic_across_runs() {
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         let b_gpid = b.gpid();
-        let clock2 = clock.clone();
-        let server = std::thread::spawn(move || {
-            let _p = clock2.participant();
+        let server = clock.spawn("server", move || {
             for _ in 0..20 {
                 let inc = b.recv().unwrap();
                 inc.replier.unwrap().reply(inc.payload);
@@ -121,16 +118,12 @@ fn paper_scale_delays_cost_no_wall_time() {
     let a = net.register(HostId(0));
     let b = net.register(HostId(1));
     let b_gpid = b.gpid();
-    let clock2 = clock.clone();
-    let server = std::thread::spawn(move || {
-        let _p = clock2.participant();
-        loop {
-            let inc = b.recv().unwrap();
-            if inc.payload.is_empty() {
-                break;
-            }
-            inc.replier.unwrap().reply(Bytes::from(vec![0u8; 1]));
+    let server = clock.spawn("server", move || loop {
+        let inc = b.recv().unwrap();
+        if inc.payload.is_empty() {
+            break;
         }
+        inc.replier.unwrap().reply(Bytes::from(vec![0u8; 1]));
     });
 
     let wall = Instant::now();
@@ -181,8 +174,7 @@ fn relay_hops_occupy_their_own_links_and_overlap() {
     // Relay thread: rank 2 forwards to rank 3 on host 2's link, in
     // parallel with the origin's second send.
     let p = payload.clone();
-    let relay = std::thread::spawn(move || {
-        let _participant = e2.clock().participant();
+    let relay = clock.spawn("relay", move || {
         let inc = e2.recv().unwrap();
         assert_eq!(inc.payload.len(), 4096);
         e2.send(g3, p).unwrap();

@@ -391,3 +391,30 @@ fn slow_host_gates_the_join_under_heterogeneous_speeds() {
     assert!(took < Duration::from_millis(200), "took {took:?}");
     s.shutdown();
 }
+
+/// Shutdown is a chain of clock-visible waits — `Terminate` deliveries,
+/// then thread joins — so under a virtual clock it needs no wall time
+/// to speak of and never meets the stall watchdog.
+#[test]
+fn shutdown_is_prompt_under_the_virtual_clock() {
+    use nowmp_net::{CostModel, NetModel};
+    use nowmp_util::Clock;
+    use std::time::{Duration, Instant};
+
+    let clock = Clock::new_virtual();
+    let cfg = ClusterConfig::test(8, 8)
+        .with_clock(clock.clone())
+        .with_net_model(NetModel::paper_1999())
+        .with_cost_model(CostModel::paper_1999());
+    let mut s = OmpSystem::new(cfg, axpy_program());
+    s.alloc_f64("x", 64);
+    s.parallel("fill", &Params::new().u64(64).build());
+    let wall = Instant::now();
+    s.shutdown();
+    let took = wall.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "shutdown of 8 processes took {took:?}"
+    );
+    assert_eq!(clock.forced_advances(), 0);
+}

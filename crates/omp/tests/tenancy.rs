@@ -160,3 +160,64 @@ fn report_accounts_waits_utilization_and_traffic() {
         assert!(j.traffic.msgs > 0, "a DSM job talks on the wire");
     }
 }
+
+/// A seeded 24-job trace on 32 hosts (the shape of the benchmark's
+/// `tenancy32_trace`: rigid interactive jobs over elastic batch teams,
+/// few long steps, arrivals inside two simulated seconds).
+fn trace24() -> nowmp_omp::jobs::Scheduler {
+    const PER_ITER: Duration = Duration::from_millis(200);
+    let work = || {
+        OmpProgram::new().region("work", |ctx| {
+            let n = ctx.f64vec("data").len() as u64;
+            ctx.for_static(0..n, |_, _| {});
+        })
+    };
+    let base = ClusterConfig::test(32, 1)
+        .with_cost_model(CostModel::disabled().with_region_cost("work", PER_ITER));
+    let mut sched = nowmp_omp::jobs::Scheduler::new(base).with_net_contention(0.02);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = |below: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % below
+    };
+    for i in 0..24u64 {
+        let interactive = i % 5 == 0;
+        let (min, max) = if interactive {
+            (4, 4)
+        } else {
+            [(1, 2), (2, 4), (4, 8)][draw(3) as usize]
+        };
+        let iters = 4 * max as u64;
+        sched.submit(
+            JobSpec::new(format!("job{i}"), work())
+                .with_procs(min, max)
+                .with_priority(if interactive { 5 } else { 1 })
+                .arriving_at(Duration::from_millis(i * 80 + draw(40)))
+                .with_setup(move |sys| sys.alloc_f64("data", iters))
+                .with_steps(1 + draw(3), |sys, _| sys.parallel("work", &[])),
+        );
+    }
+    sched
+}
+
+/// The scheduler's timeline is a function of the trace alone: five
+/// replays in one process — the first one cold, with every thread
+/// stack and allocator arena still to be faulted in — agree bit for
+/// bit, and none of them meets the clock's stall watchdog (which
+/// would panic this debug build).
+#[test]
+fn trace_replays_bit_identically_including_the_cold_run() {
+    let replay = || {
+        let report = trace24().run();
+        assert_eq!(report.jobs.len(), 24);
+        assert!(report.max_concurrency >= 8, "the trace loads the pool");
+        let turnarounds: Vec<Duration> = report.jobs.iter().map(|j| j.turnaround).collect();
+        (report.makespan, report.utilization.to_bits(), turnarounds)
+    };
+    let cold = replay();
+    for rep in 1..5 {
+        assert_eq!(replay(), cold, "replay {rep} diverged from the cold run");
+    }
+}

@@ -92,7 +92,7 @@ pub enum LockWaiter {
     /// Remote requester (reply through the transport).
     Remote(nowmp_net::Replier),
     /// Local application thread (woken through a channel).
-    Local(crossbeam_channel::Sender<Option<Gpid>>),
+    Local(nowmp_util::MailboxSender<Option<Gpid>>),
 }
 
 /// Manager-side state of one lock.
@@ -108,7 +108,7 @@ pub enum LockGrant {
     /// Reply `LockRep { prev }` to this remote waiter.
     Remote(nowmp_net::Replier, Option<Gpid>),
     /// Wake this local waiter with `prev`.
-    Local(crossbeam_channel::Sender<Option<Gpid>>, Option<Gpid>),
+    Local(nowmp_util::MailboxSender<Option<Gpid>>, Option<Gpid>),
 }
 
 /// The complete DSM state of one process.
@@ -1355,7 +1355,7 @@ mod tests {
     #[test]
     fn lock_manager_grant_queue_release() {
         let mut c = core();
-        let (tx1, rx1) = crossbeam_channel::bounded(1);
+        let (tx1, rx1) = nowmp_util::oneshot(&nowmp_util::Clock::real());
         let g = c.lock_acquire(7, Gpid(10), LockWaiter::Local(tx1));
         assert!(
             matches!(g, Some(LockGrant::Local(_, None))),
@@ -1366,7 +1366,7 @@ mod tests {
         }
         assert_eq!(rx1.recv().unwrap(), None);
         // Second acquire queues.
-        let (tx2, rx2) = crossbeam_channel::bounded(1);
+        let (tx2, rx2) = nowmp_util::oneshot(&nowmp_util::Clock::real());
         assert!(c
             .lock_acquire(7, Gpid(11), LockWaiter::Local(tx2))
             .is_none());

@@ -23,8 +23,9 @@ use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
 use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
+use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::wire::{Encoding, Wire};
-use nowmp_util::Clock;
+use nowmp_util::MailboxReceiver;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -32,21 +33,18 @@ use std::time::Duration;
 
 /// Buffered control-message receiver: lets a thread wait for a specific
 /// kind of message while stashing others for later. Waits are visible
-/// on the simulation clock (see [`Clock::blocked`]), and queued control
-/// messages stay accounted as in-flight until taken off the channel.
+/// on the simulation clock the mailbox is bound to.
 pub struct CtrlBuf {
-    rx: crossbeam_channel::Receiver<Ctrl>,
+    rx: MailboxReceiver<Ctrl>,
     backlog: VecDeque<Ctrl>,
-    clock: Clock,
 }
 
 impl CtrlBuf {
-    /// Wrap a control channel; waits are reported to `clock`.
-    pub fn new(rx: crossbeam_channel::Receiver<Ctrl>, clock: Clock) -> Self {
+    /// Wrap a control mailbox.
+    pub fn new(rx: MailboxReceiver<Ctrl>) -> Self {
         CtrlBuf {
             rx,
             backlog: VecDeque::new(),
-            clock,
         }
     }
 
@@ -64,18 +62,15 @@ impl CtrlBuf {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.clock.blocked(|| self.rx.recv_timeout(remaining)) {
+            match self.rx.recv_timeout(remaining) {
                 Ok(c) => {
-                    self.clock.msg_received();
                     if pred(&c) {
                         return Ok(c);
                     }
                     self.backlog.push_back(c);
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    return Err(NetError::Timeout(Gpid(0)));
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => return Err(NetError::Timeout(Gpid(0))),
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(NetError::Disconnected(Gpid(0)));
                 }
             }
@@ -85,7 +80,6 @@ impl CtrlBuf {
     /// Non-blocking: drain every already-delivered message matching `pred`.
     pub fn drain_where(&mut self, mut pred: impl FnMut(&Ctrl) -> bool) -> Vec<Ctrl> {
         while let Ok(c) = self.rx.try_recv() {
-            self.clock.msg_received();
             self.backlog.push_back(c);
         }
         let mut out = Vec::new();
@@ -898,18 +892,13 @@ impl TmkCtx {
         let prev: Option<Gpid> = if mgr_gpid == self.gpid() {
             // We manage this lock: local acquire (may still block while
             // a remote process holds it).
-            let clock = self.endpoint.clock();
-            let (tx, rx) = crossbeam_channel::bounded(1);
+            let (tx, rx) = nowmp_util::oneshot(self.endpoint.clock());
             let grant = self
                 .core
                 .lock()
                 .lock_acquire(lock, self.gpid(), LockWaiter::Local(tx));
-            deliver_grant(grant, clock);
-            let prev = clock
-                .blocked(|| rx.recv_timeout(self.call_timeout))
-                .expect("lock grant lost");
-            clock.msg_received();
-            prev
+            deliver_grant(grant);
+            rx.recv_timeout(self.call_timeout).expect("lock grant lost")
         } else {
             match self.call(
                 mgr_gpid,
@@ -957,7 +946,7 @@ impl TmkCtx {
         let mgr_gpid = self.team.gpid(mgr_pid);
         if mgr_gpid == self.gpid() {
             let grant = self.core.lock().lock_release(lock);
-            deliver_grant(grant, self.endpoint.clock());
+            deliver_grant(grant);
         } else {
             self.endpoint
                 .send(

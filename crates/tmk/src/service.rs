@@ -12,6 +12,7 @@ use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use nowmp_net::{Endpoint, Gpid, Replier};
 use nowmp_util::wire::{Encoding, Wire};
+use nowmp_util::MailboxSender;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -34,19 +35,17 @@ pub struct Ctrl {
 /// keep reply latency for the first request low.
 const SERVICE_BURST: usize = 16;
 
-/// Run the service loop until the endpoint disconnects.
+/// Run the service loop until the endpoint disconnects. A long-lived
+/// simulation thread: start it with [`nowmp_util::Clock::spawn`], so
+/// virtual time holds still while a request is being served.
 ///
 /// Panics on malformed messages or protocol violations — this is a
 /// research system reproduction; loud failure beats silent corruption.
 pub fn service_loop(
     endpoint: Arc<Endpoint>,
     core: Arc<Mutex<ProcCore>>,
-    ctrl_tx: crossbeam_channel::Sender<Ctrl>,
+    ctrl_tx: MailboxSender<Ctrl>,
 ) {
-    // Long-lived simulation thread: register with the clock so virtual
-    // time holds still while a request is being served.
-    let clock = endpoint.clock().clone();
-    let _participant = clock.participant();
     // The page table outlives every epoch; grabbing it once up front
     // lets the steady-state `PageReq` path below serve from a shard
     // lock without ever touching the core mutex.
@@ -58,7 +57,7 @@ pub fn service_loop(
             break;
         }
         for inc in burst.drain(..) {
-            serve_one(inc, &core, &table, &ctrl_tx, &clock);
+            serve_one(inc, &core, &table, &ctrl_tx);
         }
     }
 }
@@ -69,8 +68,7 @@ fn serve_one(
     inc: nowmp_net::Incoming,
     core: &Arc<Mutex<ProcCore>>,
     table: &crate::table::PageTable,
-    ctrl_tx: &crossbeam_channel::Sender<Ctrl>,
-    clock: &nowmp_util::Clock,
+    ctrl_tx: &MailboxSender<Ctrl>,
 ) {
     let msg = match Msg::from_wire(&inc.payload) {
         Ok(m) => m,
@@ -79,20 +77,13 @@ fn serve_one(
     if msg.is_control() {
         // Forward to the application thread; if it has exited (post
         // Terminate), drop silently — late control traffic is
-        // possible during teardown. The hop to the control channel
-        // keeps the message accounted as in-flight.
-        clock.msg_sent();
-        let sent = ctrl_tx
-            .send(Ctrl {
-                msg,
-                raw: inc.payload,
-                src: inc.src,
-                replier: inc.replier,
-            })
-            .is_ok();
-        if !sent {
-            clock.msg_received();
-        }
+        // possible during teardown.
+        let _ = ctrl_tx.send(Ctrl {
+            msg,
+            raw: inc.payload,
+            src: inc.src,
+            replier: inc.replier,
+        });
         return;
     }
     match msg {
@@ -149,7 +140,7 @@ fn serve_one(
                 debug_assert_eq!(epoch, c.epoch(), "LockReq from wrong epoch");
                 c.lock_acquire(lock, inc.src, LockWaiter::Remote(replier))
             };
-            deliver_grant(grant, clock);
+            deliver_grant(grant);
         }
         Msg::LockRelease { epoch, lock } => {
             let grant = {
@@ -157,27 +148,22 @@ fn serve_one(
                 debug_assert_eq!(epoch, c.epoch(), "LockRelease from wrong epoch");
                 c.lock_release(lock)
             };
-            deliver_grant(grant, clock);
+            deliver_grant(grant);
         }
         other => panic!("service thread received non-request message {other:?}"),
     }
 }
 
-/// Dispatch a lock grant decided by the manager state machine. Local
-/// grants travel over a channel, so they are accounted as in-flight on
-/// `clock` until the waiting application thread picks them up.
-pub fn deliver_grant(grant: Option<LockGrant>, clock: &nowmp_util::Clock) {
+/// Dispatch a lock grant decided by the manager state machine.
+pub fn deliver_grant(grant: Option<LockGrant>) {
     match grant {
         None => {}
         Some(LockGrant::Remote(replier, prev)) => {
             replier.reply(Msg::LockRep { prev }.to_bytes());
         }
         Some(LockGrant::Local(tx, prev)) => {
-            // The local application thread is blocked on this channel.
-            clock.msg_sent();
-            if tx.send(prev).is_err() {
-                clock.msg_received();
-            }
+            // The local application thread is parked on this mailbox.
+            let _ = tx.send(prev);
         }
     }
 }
@@ -195,7 +181,7 @@ mod tests {
     ) -> (
         Arc<Endpoint>,
         Arc<Mutex<ProcCore>>,
-        crossbeam_channel::Receiver<Ctrl>,
+        nowmp_util::MailboxReceiver<Ctrl>,
         Gpid,
     ) {
         let ep = Arc::new(net.register(HostId(host)));
@@ -209,11 +195,11 @@ mod tests {
             DsmStats::new_shared(),
             gpid,
         )));
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let (tx, rx) = nowmp_util::mailbox(ep.clock());
         {
-            let ep = Arc::clone(&ep);
-            let core = Arc::clone(&core);
-            std::thread::spawn(move || service_loop(ep, core, tx));
+            let (ep, core) = (Arc::clone(&ep), Arc::clone(&core));
+            net.clock()
+                .spawn(format!("svc-{gpid}"), move || service_loop(ep, core, tx));
         }
         (ep, core, rx, gpid)
     }

@@ -26,6 +26,7 @@ use crate::tree;
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
 use nowmp_util::wire::{Encoding, Wire};
+use nowmp_util::MailboxReceiver;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -66,7 +67,7 @@ pub struct DsmSystem {
     cfg: DsmConfig,
     stats: Arc<DsmStats>,
     runner: Arc<dyn RegionRunner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Mutex<Vec<nowmp_util::JoinHandle<()>>>,
     cores: Mutex<HashMap<Gpid, Arc<Mutex<ProcCore>>>>,
 }
 
@@ -123,17 +124,8 @@ impl DsmSystem {
             gpid,
         )));
         self.cores.lock().insert(gpid, Arc::clone(&core));
-        let (ctrl_tx, ctrl_rx) = crossbeam_channel::unbounded();
-        {
-            let ep = Arc::clone(&endpoint);
-            let core = Arc::clone(&core);
-            let h = std::thread::Builder::new()
-                .name(format!("svc-{gpid}"))
-                .spawn(move || service_loop(ep, core, ctrl_tx))
-                .expect("spawn service thread");
-            self.threads.lock().push(h);
-        }
-        let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx, self.net.clock().clone())));
+        let ctrl_rx = self.spawn_service(&endpoint, &core);
+        let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx)));
         let ctx = TmkCtx::new(
             Arc::clone(&core),
             Arc::clone(&endpoint),
@@ -175,29 +167,37 @@ impl DsmSystem {
             master,
         )));
         self.cores.lock().insert(gpid, Arc::clone(&core));
-        let (ctrl_tx, ctrl_rx) = crossbeam_channel::unbounded();
-        {
-            let ep = Arc::clone(&endpoint);
-            let c = Arc::clone(&core);
-            let h = std::thread::Builder::new()
-                .name(format!("svc-{gpid}"))
-                .spawn(move || service_loop(ep, c, ctrl_tx))
-                .expect("spawn service thread");
-            self.threads.lock().push(h);
-        }
-        {
-            let sys = Arc::clone(self);
-            let ep = Arc::clone(&endpoint);
-            let h = std::thread::Builder::new()
-                .name(format!("app-{gpid}"))
-                .spawn(move || worker_main(sys, ep, core, ctrl_rx, master, hello_to))
-                .expect("spawn worker thread");
-            self.threads.lock().push(h);
-        }
+        let ctrl_rx = self.spawn_service(&endpoint, &core);
+        let sys = Arc::clone(self);
+        let h = self.net.clock().spawn(format!("app-{gpid}"), move || {
+            worker_main(sys, endpoint, core, ctrl_rx, master, hello_to)
+        });
+        self.threads.lock().push(h);
         gpid
     }
 
-    /// Wait for every spawned thread to finish (after shutdown).
+    /// Start a process's service thread; returns the control mailbox it
+    /// forwards to. Like every simulation thread it is on the clock's
+    /// books from this call on, and stays joinable through it.
+    fn spawn_service(
+        &self,
+        endpoint: &Arc<Endpoint>,
+        core: &Arc<Mutex<ProcCore>>,
+    ) -> MailboxReceiver<Ctrl> {
+        let (ctrl_tx, ctrl_rx) = nowmp_util::mailbox(self.net.clock());
+        let (ep, core) = (Arc::clone(endpoint), Arc::clone(core));
+        let h = self
+            .net
+            .clock()
+            .spawn(format!("svc-{}", endpoint.gpid()), move || {
+                service_loop(ep, core, ctrl_tx)
+            });
+        self.threads.lock().push(h);
+        ctrl_rx
+    }
+
+    /// Wait for every spawned thread to finish (after shutdown); the
+    /// wait is visible to the simulation clock.
     pub fn join_threads(&self) {
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for h in handles {
@@ -421,7 +421,7 @@ fn worker_main(
     sys: Arc<DsmSystem>,
     endpoint: Arc<Endpoint>,
     core: Arc<Mutex<ProcCore>>,
-    ctrl_rx: crossbeam_channel::Receiver<Ctrl>,
+    ctrl_rx: MailboxReceiver<Ctrl>,
     master: Gpid,
     hello_to: Vec<Gpid>,
 ) {
@@ -432,8 +432,6 @@ fn worker_main(
     } else {
         Encoding::Runs
     };
-    // Long-lived simulation thread (see `service_loop`).
-    let _clock_participant = endpoint.clock().participant();
     // Connection setup: slaves first, master last (§4.1).
     for peer in &hello_to {
         let _ = endpoint.call_deadline(*peer, Msg::ConnHello { from: gpid }.to_bytes(), timeout);
@@ -443,7 +441,7 @@ fn worker_main(
     // Shared with our `TmkCtx`: tree-mode barrier releases (and the
     // join-reduce collection below) are received off the same buffer
     // the wait loop drains.
-    let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx, endpoint.clock().clone())));
+    let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx)));
     let mut ctx = TmkCtx::new(
         Arc::clone(&core),
         Arc::clone(&endpoint),

@@ -2,42 +2,65 @@
 //!
 //! The network emulation charges the paper's measured delays (63 µs
 //! latencies, 0.7 s process creation, 8.1 MB/s migration streams). With
-//! the [`RealClock`] backend those delays cost wall time (hybrid
-//! sleep + spin, as before). The [`VirtualClock`] backend instead keeps
-//! a *discrete-event* time source shared by every thread of one
-//! simulation: when every participating thread is blocked — sleeping on
-//! the clock, parked in a clock-visible wait, and no message is in
-//! flight — the clock advances instantly to the earliest pending
-//! deadline. Emulated delays then cost zero wall time while preserving
-//! every ratio and ordering the paper reports.
+//! the real backend those delays cost wall time (hybrid sleep + spin).
+//! The virtual backend instead keeps a *discrete-event* time source
+//! shared by every thread of one simulation: virtual time advances to
+//! the earliest pending deadline at the instant, and only when, no
+//! participant can run. Emulated delays then cost zero wall time while
+//! preserving every ratio and ordering the paper reports.
 //!
-//! ## How threads become visible to the virtual clock
+//! ## The books
 //!
-//! * [`Clock::sleep`] / [`Clock::sleep_until`] — the sleeper is blocked
-//!   until its deadline; the deadline is what the clock advances to.
-//! * [`Clock::blocked`] — wraps an *external* wait (a channel `recv`, a
-//!   contended lock) so the clock knows the thread is not running.
-//! * [`Clock::participant`] — registers a long-lived thread (service
-//!   loops, worker application threads, the master). While a registered
-//!   thread is *running*, virtual time holds still, exactly like wall
-//!   time holds still for no one — registration is what keeps a pending
-//!   3 s grace timer from firing while the master is between two forks.
-//! * [`Clock::msg_sent`] / [`Clock::msg_received`] — in-flight message
-//!   accounting: a receiver blocked on an empty mailbox is quiescent,
-//!   but one with a queued message is about to run, so the clock must
-//!   not skip ahead of it.
+//! "Who can run" is a fact the clock keeps under one lock, never a
+//! guess with a timeout. Every participant is in exactly one state —
+//! running, or blocked on a wake channel — and the transition back to
+//! running is written *by the waker, under the lock*, before it unparks
+//! the sleeper (the xv6 `sleep`/`wakeup` discipline):
+//!
+//! * [`Clock::sleep`] / [`Clock::sleep_until`] / [`Alarm::wait`] — the
+//!   waiter blocks on a deadline; the thread whose own blocking makes
+//!   the simulation quiescent advances time and marks every sleeper
+//!   due at the new instant runnable.
+//! * [`Mailbox`](mod@crate::mailbox) — a `send` marks a receiver parked on
+//!   *that mailbox* runnable; a message whose reader waits elsewhere
+//!   holds nothing.
+//! * [`ClockCondvar`] — `notify_*` marks the waiters it wakes runnable
+//!   (CPU-slot semaphores, the migration freeze gate).
+//! * [`Clock::spawn`] / [`JoinHandle::join`] — the child is a running
+//!   participant from the moment the parent calls `spawn`, not from
+//!   whenever the OS first schedules it, and its exit wakes a joiner.
+//! * [`Clock::participant`] — registers an existing thread (the
+//!   master's application thread). While a registered thread runs,
+//!   virtual time holds still, exactly like wall time holds still for
+//!   no one — registration is what keeps a pending 3 s grace timer from
+//!   firing while the master is between two forks. A thread may be
+//!   registered on several clocks at once; its state is kept per clock.
 //!
 //! Threads that never register are invisible while running: the clock
 //! may advance underneath a long computation on such a thread. That is
 //! the intended semantic for harness/test threads — compute costs zero
-//! virtual time — and a 250 ms stall fallback guarantees that even a
-//! mis-accounted wait can only delay, never deadlock, the simulation.
+//! virtual time. Inside any of the waits above they count as transient
+//! participants.
+//!
+//! [`Clock::blocked`] (with [`Clock::msg_sent`] / [`Clock::msg_received`])
+//! remains for waits the clock cannot see into — a foreign barrier, a
+//! plain channel. There the *waiter* does its own accounting after the
+//! fact, so the hand-off is only as exact as the pin the caller holds
+//! around it. No library code uses them.
+//!
+//! A registered thread stuck in a wait the clock cannot see would wedge
+//! the simulation. A watchdog in every deadline wait notices (no
+//! transition in the books for 250 ms of wall time with a deadline
+//! pending), names the unaccounted threads, counts the event in
+//! [`Clock::forced_advances`] and — only in release builds — steps to
+//! the earliest deadline; under `debug_assertions` it panics. Correct
+//! accounting never meets it.
 
-use parking_lot::{Condvar, Mutex};
-use std::cell::Cell;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::timing::precise_sleep;
@@ -88,266 +111,393 @@ impl std::fmt::Display for Tick {
     }
 }
 
-/// Condvar re-check period for virtual sleepers. Short enough that the
-/// (rare) bookkeeping gaps cost microseconds, long enough not to spin.
-const SHORT_WAIT: Duration = Duration::from_micros(200);
-
-/// If a virtual sleeper sees no progress for this long in real time —
-/// a registered participant is stuck in a wait the clock cannot see —
-/// it force-advances to the earliest deadline. Guarantees liveness at
-/// the price of (bounded) wall time; correct accounting never hits it.
+/// The watchdog's patience: a deadline wait that sees no transition in
+/// the clock's books for this long in real time reports a stall (see
+/// the [module docs](self)). It decides nothing on a correct run.
 const STALL_ADVANCE: Duration = Duration::from_millis(250);
 
-/// An in-flight message pins virtual time only this long (real time).
-/// The pin exists for the handoff race — a receiver blocked on the
-/// very channel the message sits in, not yet woken — which resolves in
-/// microseconds. A message parked for longer belongs to a receiver that
-/// is blocked *elsewhere* (e.g. a barrier arrival queued behind the
-/// master's in-progress page fetch) and cannot be consumed until time
-/// moves; holding the clock for it would only buy a stall.
-const INFLIGHT_GRACE: Duration = Duration::from_micros(500);
+/// Ids for clocks, participants and wake channels (one namespace).
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Per-thread view of the virtual clock it is currently interacting
-/// with. One virtual clock per thread at a time; switching clocks
-/// (sequential tests) resets the slate for the new clock.
-#[derive(Clone, Copy)]
-struct ThreadClockTls {
-    clock_id: u64,
-    registered: bool,
-    blocked_depth: u32,
+fn next_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One participant of one virtual clock: a (thread, clock) pair, or a
+/// spawned thread that has not started yet.
+#[derive(Debug)]
+pub(crate) struct Part {
+    /// The wake channel this participant's own sleeps park on.
+    chan: u64,
+    /// For the watchdog's report.
+    name: String,
+    /// Set once the thread exists; a participant only ever parks itself,
+    /// so every waker finds it set.
+    thread: OnceLock<std::thread::Thread>,
+    /// Set by the waker under the clock lock (`Release`); the parked
+    /// thread's `park` loop reads it without the lock (`Acquire`), which
+    /// is what makes everything the waker wrote first — the new `now`,
+    /// the queued message — visible to the thread it woke.
+    woken: AtomicBool,
+    /// Cannot run. Read and written under the clock lock only, which
+    /// orders it (`Relaxed`).
+    blocked: AtomicBool,
+    /// Still counted in `VState::registry`. A plain flag (`Relaxed`):
+    /// cleared when the guard drops, possibly on another thread, and
+    /// then only tells the owner to forget its stale thread-local.
+    registered: AtomicBool,
+}
+
+impl Part {
+    fn new(name: String, registered: bool) -> Arc<Part> {
+        Arc::new(Part {
+            chan: next_id(),
+            name,
+            thread: OnceLock::new(),
+            woken: AtomicBool::new(false),
+            blocked: AtomicBool::new(false),
+            registered: AtomicBool::new(registered),
+        })
+    }
+
+    fn bind_current_thread(&self) {
+        let _ = self.thread.set(std::thread::current());
+    }
 }
 
 thread_local! {
-    static TLS: Cell<ThreadClockTls> = const {
-        Cell::new(ThreadClockTls {
-            clock_id: 0,
-            registered: false,
-            blocked_depth: 0,
-        })
-    };
+    /// This thread's registrations: `(clock id, participant)` per
+    /// virtual clock it is registered on.
+    static REGISTERED: RefCell<Vec<(u64, Arc<Part>)>> = const { RefCell::new(Vec::new()) };
 }
 
-fn tls_for(clock_id: u64) -> ThreadClockTls {
-    let t = TLS.get();
-    if t.clock_id == clock_id {
-        t
-    } else {
-        ThreadClockTls {
-            clock_id,
-            registered: false,
-            blocked_depth: 0,
-        }
-    }
+/// How long a [`VirtualCore::park`] may last in real time.
+#[derive(Clone, Copy)]
+pub(crate) enum Limit {
+    /// Until woken.
+    Forever,
+    /// A real-time deadlock guard: give up at this instant.
+    Until(Instant),
+    /// A wait on virtual time itself: woken when the deadline fires,
+    /// running the stall watchdog meanwhile.
+    Watchdog,
 }
 
-static NEXT_CLOCK_ID: AtomicU64 = AtomicU64::new(1);
+/// Participants made runnable under the lock, to unpark after it.
+pub(crate) type Wake = Vec<Arc<Part>>;
 
-/// Shared state of one virtual time source.
-#[derive(Debug)]
-struct VState {
-    /// Virtual now, in nanoseconds.
-    now: u64,
-    /// Pending deadlines (sleepers + armed alarms), with multiplicity.
-    deadlines: BTreeMap<u64, usize>,
-    /// Threads whose *running* state must hold virtual time still:
-    /// registered participants plus transient ones (sleepers and
-    /// `blocked` scopes of unregistered threads).
-    participants: usize,
-    /// How many of the participants are currently blocked.
-    blocked: usize,
-    /// Messages sent but not yet picked up by their receiver.
-    inflight: usize,
-    /// Real instant of the last change to `inflight` (see
-    /// [`INFLIGHT_GRACE`]).
-    inflight_changed: Instant,
+/// The books of one virtual time source (all under one lock).
+#[derive(Debug, Default)]
+pub(crate) struct VState {
+    /// Pending deadlines, `(tick, arm order) -> wake channel`: sleepers
+    /// (their private channel) and armed alarms.
+    deadlines: BTreeMap<(u64, u64), u64>,
+    /// Arm counter.
+    seq: u64,
+    /// Participants that can run. Time moves only at zero.
+    running: usize,
+    /// Opaque-wait pins ([`Clock::msg_sent`]). Time moves only at zero.
+    pins: usize,
+    /// Who is parked on which wake channel, in arrival order. A flat
+    /// list scanned by channel, like xv6's `wakeup`: it holds at most
+    /// one entry per simulation thread.
+    parked: Vec<(u64, Arc<Part>)>,
+    /// Registered participants, for the watchdog's report.
+    registry: Vec<Arc<Part>>,
+    /// Bumped on every transition; the watchdog's notion of progress.
+    epoch: u64,
 }
 
 impl VState {
-    fn add_deadline(&mut self, t: u64) {
-        *self.deadlines.entry(t).or_insert(0) += 1;
+    /// `me` can no longer run.
+    fn block(&mut self, me: &Part) {
+        let was = me.blocked.swap(true, Ordering::Relaxed);
+        debug_assert!(!was, "clock wait inside a Clock::blocked scope");
+        self.running -= 1;
+        self.epoch += 1;
     }
 
-    fn remove_deadline(&mut self, t: u64) {
-        if let Some(c) = self.deadlines.get_mut(&t) {
-            *c -= 1;
-            if *c == 0 {
-                self.deadlines.remove(&t);
+    /// `me` can run again (by its own account: a timeout, or the end of
+    /// an opaque [`Clock::blocked`] scope).
+    fn unblock(&mut self, me: &Part) {
+        me.blocked.store(false, Ordering::Relaxed);
+        self.running += 1;
+        self.epoch += 1;
+    }
+
+    /// The waker's half of a hand-off: `p` is runnable from this
+    /// instant, before it has been unparked.
+    fn make_runnable(&mut self, p: Arc<Part>, wake: &mut Wake) {
+        self.unblock(&p);
+        p.woken.store(true, Ordering::Release);
+        wake.push(p);
+    }
+
+    /// Wake the longest-parked participant of `chan`, if any.
+    pub(crate) fn wake_one(&mut self, chan: u64, wake: &mut Wake) {
+        if let Some(i) = self.parked.iter().position(|(c, _)| *c == chan) {
+            let (_, p) = self.parked.remove(i);
+            self.make_runnable(p, wake);
+        }
+    }
+
+    /// Wake everyone parked on `chan`.
+    pub(crate) fn wake_all(&mut self, chan: u64, wake: &mut Wake) {
+        let mut i = 0;
+        while i < self.parked.len() {
+            if self.parked[i].0 == chan {
+                let (_, p) = self.parked.remove(i);
+                self.make_runnable(p, wake);
+            } else {
+                i += 1;
             }
         }
     }
 
-    fn earliest(&self) -> Option<u64> {
-        self.deadlines.keys().next().copied()
+    /// Take `me` off the wait list (a wait it is abandoning).
+    fn withdraw(&mut self, me: &Arc<Part>) {
+        self.parked.retain(|(_, p)| !Arc::ptr_eq(p, me));
     }
 
-    /// Every thread the clock can see is blocked.
-    fn runnable_quiescent(&self) -> bool {
-        self.participants > 0 && self.blocked >= self.participants
-    }
-
-    /// Nobody is running and nothing is in flight: the simulation can
-    /// only make progress by moving time forward.
-    fn quiescent(&self) -> bool {
-        self.runnable_quiescent() && self.inflight == 0
-    }
-
-    /// Advance to the earliest pending deadline if quiescent.
-    /// Returns whether `now` moved.
-    fn advance_if_quiescent(&mut self) -> bool {
-        if !self.quiescent() {
-            return false;
-        }
-        match self.earliest() {
-            Some(e) if e > self.now => {
-                self.now = e;
-                true
+    /// Fire every deadline at or before `now`.
+    fn fire_due(&mut self, now: u64, wake: &mut Wake) {
+        while let Some(e) = self.deadlines.first_entry() {
+            if e.key().0 > now {
+                break;
             }
-            _ => false,
+            let chan = e.remove();
+            self.wake_all(chan, wake);
         }
+    }
+
+    /// The quiescence rule: while nobody can run, step to the earliest
+    /// pending deadline and fire it.
+    fn try_advance(&mut self, now: &AtomicU64, wake: &mut Wake) {
+        while self.running == 0 && self.pins == 0 {
+            let Some((&(t, _), _)) = self.deadlines.first_key_value() else {
+                return;
+            };
+            self.step_to(t, now, wake);
+        }
+    }
+
+    /// Raise `now` to `t` (never backwards) and fire what is due.
+    fn step_to(&mut self, t: u64, now: &AtomicU64, wake: &mut Wake) {
+        let t = t.max(now.load(Ordering::Relaxed));
+        now.store(t, Ordering::Release);
+        self.epoch += 1;
+        self.fire_due(t, wake);
+    }
+
+    /// What the watchdog prints: who holds time still.
+    fn stall_report(&self, now: u64) -> String {
+        let unaccounted: Vec<&str> = self
+            .registry
+            .iter()
+            .filter(|p| !p.blocked.load(Ordering::Relaxed))
+            .map(|p| p.name.as_str())
+            .collect();
+        format!(
+            "[nowmp] virtual clock stalled at {}: a deadline is pending but the books have not \
+             changed for {STALL_ADVANCE:?} of wall time; {} participant(s) running, {} opaque pin(s); \
+             registered and not blocked (in a wait the clock cannot see, or computing): {unaccounted:?}",
+            Tick(now),
+            self.running,
+            self.pins,
+        )
     }
 }
 
 #[derive(Debug)]
-struct VirtualCore {
+pub(crate) struct VirtualCore {
     id: u64,
+    /// Virtual now, in nanoseconds. Written under `state`'s lock
+    /// (`Release`) and read without it (`Acquire`): a running
+    /// participant holds time still, so what it reads cannot be stale.
+    now: AtomicU64,
+    /// Times the watchdog reported a stall.
+    forced: AtomicU64,
     state: Mutex<VState>,
-    cv: Condvar,
 }
 
 impl VirtualCore {
     fn new() -> Arc<Self> {
         Arc::new(VirtualCore {
-            id: NEXT_CLOCK_ID.fetch_add(1, Ordering::Relaxed),
-            state: Mutex::new(VState {
-                now: 0,
-                deadlines: BTreeMap::new(),
-                participants: 0,
-                blocked: 0,
-                inflight: 0,
-                inflight_changed: Instant::now(),
-            }),
-            cv: Condvar::new(),
+            id: next_id(),
+            now: AtomicU64::new(0),
+            forced: AtomicU64::new(0),
+            state: Mutex::new(VState::default()),
         })
     }
 
-    /// Enter a blocked scope for the calling thread (outermost only).
-    /// Returns `(marked, transient)` for the matching exit.
-    fn enter_blocked(&self, st: &mut VState) -> (bool, bool) {
-        let mut t = tls_for(self.id);
-        t.blocked_depth += 1;
-        TLS.set(t);
-        if t.blocked_depth > 1 {
-            return (false, false);
-        }
-        let transient = !t.registered;
-        if transient {
-            st.participants += 1;
-        }
-        st.blocked += 1;
-        if st.advance_if_quiescent() {
-            self.cv.notify_all();
-        }
-        (true, transient)
+    fn now(&self) -> u64 {
+        self.now.load(Ordering::Acquire)
     }
 
-    fn exit_blocked(&self, st: &mut VState, marked: bool, transient: bool) {
-        let mut t = tls_for(self.id);
-        t.blocked_depth = t.blocked_depth.saturating_sub(1);
-        TLS.set(t);
-        if !marked {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, VState> {
+        self.state.lock()
+    }
+
+    /// A fresh wake channel.
+    pub(crate) fn new_chan(&self) -> u64 {
+        next_id()
+    }
+
+    /// Change the books under the lock, then unpark whoever the change
+    /// made runnable.
+    pub(crate) fn transition<R>(&self, f: impl FnOnce(&mut VState, &mut Wake) -> R) -> R {
+        let mut wake = Wake::new();
+        let r = f(&mut self.state.lock(), &mut wake);
+        unpark(wake, None);
+        r
+    }
+
+    /// The calling thread's registration on this clock, if it has one.
+    fn registered_here(&self) -> Option<Arc<Part>> {
+        REGISTERED.with(|r| {
+            let mut r = r.borrow_mut();
+            let pos = r.iter().position(|(id, _)| *id == self.id)?;
+            if r[pos].1.registered.load(Ordering::Relaxed) {
+                Some(Arc::clone(&r[pos].1))
+            } else {
+                // The guard was dropped on another thread.
+                r.swap_remove(pos);
+                None
+            }
+        })
+    }
+
+    /// Run a clock-visible wait as the calling thread's participant on
+    /// this clock; an unregistered thread is admitted as a transient
+    /// participant for the duration.
+    pub(crate) fn with_me<R>(&self, wait: impl FnOnce(&Arc<Part>) -> R) -> R {
+        if let Some(me) = self.registered_here() {
+            return wait(&me);
+        }
+        let me = Part::new(String::new(), false);
+        me.bind_current_thread();
+        self.state.lock().running += 1;
+        let r = wait(&me);
+        self.transition(|st, wake| {
+            st.running -= 1;
+            st.epoch += 1;
+            st.try_advance(&self.now, wake);
+        });
+        r
+    }
+
+    /// Block `me` on `chan` until a waker marks it runnable. `unlocked`
+    /// runs once `me` is on the books as parked and the clock lock is
+    /// released (a condition wait drops its mutex there). Returns
+    /// `false` if `limit` ran out first; `me` is running either way.
+    pub(crate) fn park(
+        &self,
+        mut st: MutexGuard<'_, VState>,
+        me: &Arc<Part>,
+        chan: u64,
+        limit: Limit,
+        unlocked: impl FnOnce(),
+    ) -> bool {
+        me.woken.store(false, Ordering::Relaxed);
+        st.parked.push((chan, Arc::clone(me)));
+        let mut wake = Wake::new();
+        st.block(me);
+        st.try_advance(&self.now, &mut wake);
+        let mut seen = st.epoch;
+        drop(st);
+        unlocked();
+        unpark(wake, Some(me));
+        if me.woken.load(Ordering::Acquire) {
+            return true; // our own blocking fired our own deadline
+        }
+        let mut quiet_since = Instant::now();
+        loop {
+            match limit {
+                Limit::Forever => std::thread::park(),
+                Limit::Until(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        let mut st = self.state.lock();
+                        if me.woken.load(Ordering::Acquire) {
+                            return true;
+                        }
+                        st.withdraw(me);
+                        st.unblock(me);
+                        return false;
+                    }
+                    std::thread::park_timeout(left);
+                }
+                Limit::Watchdog => std::thread::park_timeout(STALL_ADVANCE),
+            }
+            if me.woken.load(Ordering::Acquire) {
+                return true;
+            }
+            if matches!(limit, Limit::Watchdog) && quiet_since.elapsed() >= STALL_ADVANCE {
+                let mut wake = Wake::new();
+                let mut st = self.state.lock();
+                let stall = (st.epoch == seen && !me.woken.load(Ordering::Acquire))
+                    .then(|| self.stalled(&mut st, me, &mut wake));
+                seen = st.epoch;
+                drop(st);
+                unpark(wake, Some(me));
+                if let Some(report) = stall {
+                    if cfg!(debug_assertions) {
+                        panic!("{report}");
+                    }
+                    eprintln!("{report}");
+                }
+                if me.woken.load(Ordering::Acquire) {
+                    return true;
+                }
+                quiet_since = Instant::now();
+            }
+        }
+    }
+
+    /// The watchdog found the simulation wedged: count it and say who
+    /// holds time still. Release builds then step to the earliest
+    /// deadline; debug builds take `me` off the books so the caller can
+    /// panic with the report.
+    fn stalled(&self, st: &mut VState, me: &Arc<Part>, wake: &mut Wake) -> String {
+        self.forced.fetch_add(1, Ordering::Relaxed);
+        let report = st.stall_report(self.now());
+        if cfg!(debug_assertions) {
+            st.withdraw(me);
+            st.unblock(me);
+        } else if let Some((&(t, _), _)) = st.deadlines.first_key_value() {
+            st.step_to(t, &self.now, wake);
+        }
+        report
+    }
+
+    /// Block until virtual `now >= deadline`.
+    fn sleep_until(&self, deadline: u64) {
+        if self.now() >= deadline {
             return;
         }
-        st.blocked = st.blocked.saturating_sub(1);
-        if transient {
-            st.participants = st.participants.saturating_sub(1);
-            // The departing transient participant may have been the
-            // last runnable one from the clock's point of view.
-            if st.advance_if_quiescent() {
-                self.cv.notify_all();
+        self.with_me(|me| {
+            let mut st = self.state.lock();
+            if self.now() >= deadline {
+                return;
             }
-        }
+            let key = (deadline, st.seq);
+            st.seq += 1;
+            st.deadlines.insert(key, me.chan);
+            self.park(st, me, me.chan, Limit::Watchdog, || ());
+        });
     }
+}
 
-    /// Block until virtual `now >= deadline` or `cancelled` flips.
-    /// Returns `true` when the deadline was reached. `owns_slot`:
-    /// whether this call should add/remove the deadline entry itself
-    /// (alarms pre-register theirs at creation).
-    fn wait_deadline(
-        &self,
-        deadline: u64,
-        cancelled: Option<&AtomicBool>,
-        owns_slot: bool,
-    ) -> bool {
-        let mut st = self.state.lock();
-        if st.now >= deadline {
-            return true;
+/// Unpark the participants a transition made runnable (`me`, if among
+/// them, is the caller and needs no unpark).
+fn unpark(wake: Wake, me: Option<&Arc<Part>>) {
+    for p in wake {
+        if me.is_some_and(|me| Arc::ptr_eq(me, &p)) {
+            continue;
         }
-        if let Some(c) = cancelled {
-            if c.load(Ordering::Acquire) {
-                return false;
-            }
+        if let Some(t) = p.thread.get() {
+            t.unpark();
         }
-        if owns_slot {
-            st.add_deadline(deadline);
-        }
-        let (marked, transient) = self.enter_blocked(&mut st);
-        let mut seen = st.now;
-        let mut stall = Instant::now();
-        let fired = loop {
-            if st.now >= deadline {
-                break true;
-            }
-            if let Some(c) = cancelled {
-                if c.load(Ordering::Acquire) {
-                    break false;
-                }
-            }
-            if st.advance_if_quiescent() {
-                self.cv.notify_all();
-                continue;
-            }
-            let timed_out = self.cv.wait_for(&mut st, SHORT_WAIT).timed_out();
-            if st.now != seen {
-                seen = st.now;
-                stall = Instant::now();
-                continue;
-            }
-            if !timed_out {
-                continue;
-            }
-            // Everyone is blocked but a message is parked for a
-            // receiver that is blocked elsewhere: after the handoff
-            // grace, the message cannot move until time does.
-            let stale_inflight = st.runnable_quiescent()
-                && st.inflight > 0
-                && st.inflight_changed.elapsed() >= INFLIGHT_GRACE;
-            // Liveness fallback: somebody the clock can see is in a
-            // wait it cannot see. Step to the earliest deadline.
-            if stale_inflight || stall.elapsed() >= STALL_ADVANCE {
-                if let Some(e) = st.earliest() {
-                    if e > st.now {
-                        st.now = e;
-                        self.cv.notify_all();
-                    }
-                }
-                seen = st.now;
-                stall = Instant::now();
-            }
-        };
-        if owns_slot {
-            st.remove_deadline(deadline);
-        }
-        self.exit_blocked(&mut st, marked, transient);
-        fired
-    }
-
-    /// Remove a pre-registered deadline (cancelled alarm) and let any
-    /// quiescent sleepers re-evaluate the earliest deadline.
-    fn release_slot(&self, deadline: u64) {
-        let mut st = self.state.lock();
-        st.remove_deadline(deadline);
-        st.advance_if_quiescent();
-        self.cv.notify_all();
     }
 }
 
@@ -368,8 +518,7 @@ pub struct Clock {
 }
 
 impl Clock {
-    /// A wall-clock backend (the pre-existing hybrid sleep+spin
-    /// behavior). The default everywhere.
+    /// A wall-clock backend (hybrid sleep+spin). The default everywhere.
     pub fn real() -> Clock {
         Clock {
             backend: Backend::Real(Instant::now()),
@@ -401,11 +550,20 @@ impl Clock {
         matches!(self.backend, Backend::Virtual(_))
     }
 
+    /// The virtual backend's books, for the clock-bound wait primitives
+    /// of this crate.
+    pub(crate) fn virtual_core(&self) -> Option<&Arc<VirtualCore>> {
+        match &self.backend {
+            Backend::Real(_) => None,
+            Backend::Virtual(core) => Some(core),
+        }
+    }
+
     /// Current time on this clock's timeline.
     pub fn now(&self) -> Tick {
         match &self.backend {
             Backend::Real(origin) => Tick(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64),
-            Backend::Virtual(core) => Tick(core.state.lock().now),
+            Backend::Virtual(core) => Tick(core.now()),
         }
     }
 
@@ -421,10 +579,7 @@ impl Clock {
         }
         match &self.backend {
             Backend::Real(_) => precise_sleep(d),
-            Backend::Virtual(core) => {
-                let deadline = self.now() + d;
-                core.wait_deadline(deadline.0, None, true);
-            }
+            Backend::Virtual(core) => core.sleep_until((self.now() + d).0),
         }
     }
 
@@ -438,104 +593,167 @@ impl Clock {
                     precise_sleep(target - now);
                 }
             }
-            Backend::Virtual(core) => {
-                core.wait_deadline(deadline.0, None, true);
-            }
+            Backend::Virtual(core) => core.sleep_until(deadline.0),
         }
     }
 
     /// Register the calling thread as a long-lived simulation
     /// participant: while it runs, virtual time holds still. Returns a
-    /// guard; drop it (on the same thread) to deregister. No-op on the
-    /// real backend, and idempotent per thread.
+    /// guard; drop it to deregister. No-op on the real backend, and
+    /// idempotent per (thread, clock) — a thread started by
+    /// [`Clock::spawn`] already is one. A thread may hold registrations
+    /// on several clocks.
     pub fn participant(&self) -> ParticipantGuard {
-        if let Backend::Virtual(core) = &self.backend {
-            let mut t = tls_for(core.id);
-            if !t.registered {
-                t.registered = true;
-                TLS.set(t);
-                core.state.lock().participants += 1;
-                return ParticipantGuard {
-                    core: Some(Arc::clone(core)),
-                };
-            }
+        let Backend::Virtual(core) = &self.backend else {
+            return ParticipantGuard { reg: None };
+        };
+        if core.registered_here().is_some() {
+            return ParticipantGuard { reg: None };
         }
-        ParticipantGuard { core: None }
+        let t = std::thread::current();
+        let name = match t.name() {
+            Some(n) => n.to_owned(),
+            None => format!("{:?}", t.id()),
+        };
+        let guard = ParticipantGuard::admit(core, name, None);
+        guard.bind();
+        guard
     }
 
-    /// Run `f` — an external wait the clock cannot see (channel recv,
-    /// contended lock) — with the calling thread marked blocked, so a
-    /// quiescent simulation can advance past it. No-op wrapper on the
-    /// real backend.
+    /// Start a named thread that is a running participant of this clock
+    /// from this call on — virtual time cannot slip past it between
+    /// `spawn` and the moment the OS first runs it — until `f` returns.
+    /// A plain named thread on the real backend.
+    pub fn spawn<R, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<R>
+    where
+        F: FnOnce() -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        let name = name.into();
+        let builder = std::thread::Builder::new().name(name.clone());
+        let (inner, exit) = match &self.backend {
+            Backend::Real(_) => (builder.spawn(f), None),
+            Backend::Virtual(core) => {
+                let exit = Arc::new(Exit {
+                    chan: core.new_chan(),
+                    done: AtomicBool::new(false),
+                });
+                // Created by the parent, moved into the child.
+                let token = ParticipantGuard::admit(core, name, Some(Arc::clone(&exit)));
+                let inner = builder.spawn(move || {
+                    token.bind();
+                    f()
+                });
+                (inner, Some((Arc::clone(core), exit)))
+            }
+        };
+        JoinHandle {
+            inner: inner.expect("spawn simulation thread"),
+            exit,
+        }
+    }
+
+    /// Run `f` — an external wait the clock cannot see into (a foreign
+    /// barrier, a plain channel) — with the calling thread marked
+    /// blocked, so a quiescent simulation can advance past it. The
+    /// thread accounts for itself only once `f` has returned, so a
+    /// hand-off through `f` is exact only while the waker holds a
+    /// [`Clock::msg_sent`] pin across it. `f` must not wait on this
+    /// clock. No-op wrapper on the real backend.
+    ///
+    /// Kept for waits outside this workspace's primitives (the
+    /// `benchmark/` lanes time it); library code parks on a
+    /// [`Mailbox`](mod@crate::mailbox), a [`ClockCondvar`] or a
+    /// [`JoinHandle`] instead.
     pub fn blocked<R>(&self, f: impl FnOnce() -> R) -> R {
         let Backend::Virtual(core) = &self.backend else {
             return f();
         };
-        let (marked, transient) = {
-            let mut st = core.state.lock();
-            core.enter_blocked(&mut st)
-        };
-        let r = f();
-        {
-            let mut st = core.state.lock();
-            core.exit_blocked(&mut st, marked, transient);
-        }
-        r
+        core.with_me(|me| {
+            core.transition(|st, wake| {
+                st.block(me);
+                st.try_advance(&core.now, wake);
+            });
+            let r = f();
+            core.state.lock().unblock(me);
+            r
+        })
     }
 
-    /// Account one message handed to a channel: the clock must not
-    /// advance past a receiver that has work queued. Pair with
-    /// [`Clock::msg_received`]. No-op on the real backend.
+    /// Pin virtual time: something was handed to a thread inside a
+    /// [`Clock::blocked`] wait and that thread has not accounted for
+    /// itself yet. Pair with [`Clock::msg_received`]; time holds still
+    /// in between, for as long as it takes. No-op on the real backend.
+    ///
+    /// This is the opaque-wait pin only, with zero callers under
+    /// `crates/` (the `benchmark/` lanes time it): a
+    /// [`Mailbox`](mod@crate::mailbox) does the accounting itself and needs
+    /// no pin.
     pub fn msg_sent(&self) {
         if let Backend::Virtual(core) = &self.backend {
             let mut st = core.state.lock();
-            st.inflight += 1;
-            st.inflight_changed = Instant::now();
+            st.pins += 1;
+            st.epoch += 1;
         }
     }
 
-    /// Account one message taken off a channel (see [`Clock::msg_sent`]).
+    /// Release one [`Clock::msg_sent`] pin (same standing: the
+    /// opaque-wait protocol of the `benchmark/` lanes, no callers
+    /// under `crates/`).
     pub fn msg_received(&self) {
         if let Backend::Virtual(core) = &self.backend {
-            let mut st = core.state.lock();
-            st.inflight = st.inflight.saturating_sub(1);
-            st.inflight_changed = Instant::now();
-            if st.advance_if_quiescent() {
-                core.cv.notify_all();
-            }
+            core.transition(|st, wake| {
+                st.pins = st.pins.saturating_sub(1);
+                st.epoch += 1;
+                st.try_advance(&core.now, wake);
+            });
         }
     }
 
-    /// Raise virtual `now` to `target` (never backwards) and wake any
-    /// quiescent sleepers. This is the bridge an *event-driven* engine
+    /// How many times the stall watchdog fired on this clock (see the
+    /// [module docs](self)): zero on any correctly accounted run, and
+    /// always zero on the real backend.
+    pub fn forced_advances(&self) -> u64 {
+        match &self.backend {
+            Backend::Real(_) => 0,
+            Backend::Virtual(core) => core.forced.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Raise virtual `now` to `target` (never backwards) and wake the
+    /// sleepers due by then. This is the bridge an *event-driven* engine
     /// uses: a [`TaskScheduler`] owns the authoritative simulated time
     /// of its hosts, and mirrors it onto the shared clock so that
     /// timestamps taken through [`Clock::now`] (event logs, stopwatch
     /// spans) track engine time. No-op on the real backend.
     pub fn advance_to(&self, target: Tick) {
         if let Backend::Virtual(core) = &self.backend {
-            let mut st = core.state.lock();
-            if target.0 > st.now {
-                st.now = target.0;
-                core.cv.notify_all();
-            }
+            core.transition(|st, wake| {
+                if target.0 > core.now() {
+                    st.step_to(target.0, &core.now, wake);
+                }
+            });
         }
     }
 
     /// Arm a cancellable deadline `after` from now. The alarm's
-    /// deadline is pending from this moment (it holds back virtual
-    /// advance past it) even before anyone waits on it.
+    /// deadline is pending from this moment, before anyone waits on it.
     pub fn alarm(&self, after: Duration) -> Alarm {
         let deadline = self.now() + after;
-        if let Backend::Virtual(core) = &self.backend {
-            core.state.lock().add_deadline(deadline.0);
-        }
+        let slot = self.virtual_core().map(|core| {
+            let chan = core.new_chan();
+            let mut st = core.state.lock();
+            let key = (deadline.0, st.seq);
+            st.seq += 1;
+            st.deadlines.insert(key, chan);
+            (key, chan)
+        });
         Alarm {
             inner: Arc::new(AlarmInner {
                 clock: self.clone(),
                 deadline,
                 cancelled: AtomicBool::new(false),
-                slot_released: AtomicBool::new(false),
+                slot,
                 real: Mutex::new(()),
                 cv: Condvar::new(),
             }),
@@ -549,25 +767,159 @@ impl Default for Clock {
     }
 }
 
-/// Guard from [`Clock::participant`]; deregisters on drop.
+/// What a spawned thread leaves behind for its joiner.
+#[derive(Debug)]
+struct Exit {
+    /// Where a joiner parks.
+    chan: u64,
+    /// Set (under the clock lock) when the thread's registration ends.
+    done: AtomicBool,
+}
+
+/// A registration on a virtual clock, from [`Clock::participant`];
+/// deregisters on drop. [`Clock::spawn`] creates one in the parent and
+/// moves it into the child, which is what makes the child visible from
+/// `spawn` on.
 #[derive(Debug)]
 pub struct ParticipantGuard {
-    core: Option<Arc<VirtualCore>>,
+    reg: Option<(Arc<VirtualCore>, Arc<Part>, Option<Arc<Exit>>)>,
+}
+
+impl ParticipantGuard {
+    /// Put a new running participant on `core`'s books.
+    fn admit(core: &Arc<VirtualCore>, name: String, exit: Option<Arc<Exit>>) -> Self {
+        let part = Part::new(name, true);
+        let mut st = core.state.lock();
+        st.running += 1;
+        st.epoch += 1;
+        st.registry.push(Arc::clone(&part));
+        drop(st);
+        ParticipantGuard {
+            reg: Some((Arc::clone(core), part, exit)),
+        }
+    }
+
+    /// The calling thread is the participant.
+    fn bind(&self) {
+        if let Some((core, part, _)) = &self.reg {
+            part.bind_current_thread();
+            REGISTERED.with(|r| r.borrow_mut().push((core.id, Arc::clone(part))));
+        }
+    }
 }
 
 impl Drop for ParticipantGuard {
     fn drop(&mut self) {
-        if let Some(core) = self.core.take() {
-            let mut t = tls_for(core.id);
-            if t.registered {
-                t.registered = false;
-                TLS.set(t);
+        let Some((core, part, exit)) = self.reg.take() else {
+            return;
+        };
+        part.registered.store(false, Ordering::Relaxed);
+        // Not there when dropped on another thread, or during thread
+        // teardown; `with_me` forgets stale entries.
+        let _ = REGISTERED.try_with(|r| r.borrow_mut().retain(|(_, p)| !Arc::ptr_eq(p, &part)));
+        core.transition(|st, wake| {
+            st.registry.retain(|p| !Arc::ptr_eq(p, &part));
+            if !part.blocked.load(Ordering::Relaxed) {
+                // Saturating: a drop must not panic, whatever the books say.
+                st.running = st.running.saturating_sub(1);
             }
-            let mut st = core.state.lock();
-            st.participants = st.participants.saturating_sub(1);
-            if st.advance_if_quiescent() {
-                core.cv.notify_all();
+            st.epoch += 1;
+            if let Some(exit) = &exit {
+                exit.done.store(true, Ordering::Release);
+                st.wake_all(exit.chan, wake);
             }
+            st.try_advance(&core.now, wake);
+        });
+    }
+}
+
+/// Handle to a thread started by [`Clock::spawn`]. Dropping it detaches
+/// the thread.
+#[derive(Debug)]
+pub struct JoinHandle<R> {
+    inner: std::thread::JoinHandle<R>,
+    exit: Option<(Arc<VirtualCore>, Arc<Exit>)>,
+}
+
+impl<R> JoinHandle<R> {
+    /// Wait for the thread to finish — on the virtual backend a
+    /// clock-visible wait, ended by the thread's own exit — and return
+    /// its result (`Err` carries its panic, as with `std::thread`).
+    pub fn join(self) -> std::thread::Result<R> {
+        if let Some((core, exit)) = &self.exit {
+            core.with_me(|me| loop {
+                let st = core.state.lock();
+                if exit.done.load(Ordering::Acquire) {
+                    break;
+                }
+                core.park(st, me, exit.chan, Limit::Forever, || ());
+            });
+        }
+        self.inner.join()
+    }
+
+    /// Has the thread finished running?
+    pub fn is_finished(&self) -> bool {
+        self.inner.is_finished()
+    }
+}
+
+/// A condition variable whose waits a virtual [`Clock`] can see: the
+/// notifier marks the waiters it wakes runnable. A plain
+/// `parking_lot::Condvar` on the real backend.
+#[derive(Debug)]
+pub struct ClockCondvar {
+    real: Condvar,
+    gate: Option<(Arc<VirtualCore>, u64)>,
+}
+
+impl ClockCondvar {
+    /// A condition variable for waits on `clock`'s simulation.
+    pub fn new(clock: &Clock) -> Self {
+        ClockCondvar {
+            real: Condvar::new(),
+            gate: clock
+                .virtual_core()
+                .map(|core| (Arc::clone(core), core.new_chan())),
+        }
+    }
+
+    /// Release `guard` (of `mutex`), block until notified, re-acquire.
+    /// As with any condition variable, re-check the condition.
+    pub fn wait<'a, T>(
+        &self,
+        mutex: &'a Mutex<T>,
+        mut guard: MutexGuard<'a, T>,
+    ) -> MutexGuard<'a, T> {
+        let Some((core, chan)) = &self.gate else {
+            self.real.wait(&mut guard);
+            return guard;
+        };
+        core.with_me(|me| {
+            // On the books as parked before the mutex is released, so a
+            // notifier that changes the condition next finds us.
+            core.park(core.lock(), me, *chan, Limit::Forever, move || drop(guard));
+        });
+        mutex.lock()
+    }
+
+    /// Wake one waiter.
+    pub fn notify_one(&self) {
+        match &self.gate {
+            None => {
+                self.real.notify_one();
+            }
+            Some((core, chan)) => core.transition(|st, wake| st.wake_one(*chan, wake)),
+        }
+    }
+
+    /// Wake every waiter.
+    pub fn notify_all(&self) {
+        match &self.gate {
+            None => {
+                self.real.notify_all();
+            }
+            Some((core, chan)) => core.transition(|st, wake| st.wake_all(*chan, wake)),
         }
     }
 }
@@ -576,22 +928,18 @@ struct AlarmInner {
     clock: Clock,
     deadline: Tick,
     cancelled: AtomicBool,
-    /// Virtual backend: whoever flips this releases the heap slot.
-    slot_released: AtomicBool,
+    /// Virtual backend: the pending deadline's key and the channel its
+    /// waiters park on.
+    slot: Option<((u64, u64), u64)>,
     real: Mutex<()>,
     cv: Condvar,
 }
 
 impl Drop for AlarmInner {
     fn drop(&mut self) {
-        // An alarm dropped without `wait`/`cancel` must still release
-        // its pre-registered deadline slot: a stale entry at or before
-        // `now` would otherwise pin `earliest()` and wedge every future
-        // virtual advance.
-        if let Backend::Virtual(core) = &self.clock.backend {
-            if !self.slot_released.swap(true, Ordering::AcqRel) {
-                core.release_slot(self.deadline.0);
-            }
+        // An alarm nobody is left to wait on must not be advanced to.
+        if let (Some(core), Some((key, _))) = (self.clock.virtual_core(), self.slot) {
+            core.state.lock().deadlines.remove(&key);
         }
     }
 }
@@ -634,11 +982,17 @@ impl Alarm {
                 }
             }
             Backend::Virtual(core) => {
-                let fired = core.wait_deadline(inner.deadline.0, Some(&inner.cancelled), false);
-                if !inner.slot_released.swap(true, Ordering::AcqRel) {
-                    core.release_slot(inner.deadline.0);
-                }
-                fired
+                let (_, chan) = inner.slot.expect("virtual alarms hold a slot");
+                core.with_me(|me| loop {
+                    let st = core.state.lock();
+                    if inner.cancelled.load(Ordering::Acquire) {
+                        return false;
+                    }
+                    if core.now() >= inner.deadline.0 {
+                        return true;
+                    }
+                    core.park(st, me, chan, Limit::Watchdog, || ());
+                })
             }
         }
     }
@@ -657,11 +1011,11 @@ impl Alarm {
                 inner.cv.notify_all();
             }
             Backend::Virtual(core) => {
-                if !inner.slot_released.swap(true, Ordering::AcqRel) {
-                    core.release_slot(inner.deadline.0);
-                } else {
-                    core.cv.notify_all();
-                }
+                let (key, chan) = inner.slot.expect("virtual alarms hold a slot");
+                core.transition(|st, wake| {
+                    st.deadlines.remove(&key);
+                    st.wake_all(chan, wake);
+                });
             }
         }
     }
@@ -807,6 +1161,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    fn core(c: &Clock) -> &Arc<VirtualCore> {
+        c.virtual_core().expect("a virtual clock")
+    }
+
     #[test]
     fn real_clock_tracks_wall_time() {
         let c = Clock::real();
@@ -855,7 +1213,7 @@ mod tests {
     /// alarm fires at *exactly* its deadline (the 2 ms oversleep
     /// budget holds as equality), a cancelled alarm neither fires nor
     /// drags time forward to its deadline, and a dropped alarm
-    /// releases its pre-registered slot instead of wedging advance.
+    /// withdraws its pending deadline.
     #[test]
     fn virtual_alarm_single_shot_strict() {
         let c = Clock::new_virtual();
@@ -879,12 +1237,13 @@ mod tests {
         assert!(!a.wait(), "cancelled alarm must not fire");
         assert!(a.is_cancelled());
         assert_eq!(c.elapsed_since(t), Duration::ZERO);
-        // Drop without wait/cancel: the slot is released, so a later
-        // sleep past the abandoned deadline still advances.
+        // Drop without wait/cancel: the deadline is withdrawn, so a
+        // later sleep past it lands exactly.
         drop(c.alarm(Duration::from_micros(50)));
         let t = c.now();
         c.sleep(Duration::from_micros(200));
         assert_eq!(c.elapsed_since(t), Duration::from_micros(200));
+        assert!(core(&c).lock().deadlines.is_empty());
     }
 
     #[test]
@@ -901,27 +1260,116 @@ mod tests {
     fn concurrent_virtual_sleepers_wake_in_deadline_order() {
         let c = Clock::new_virtual();
         let order = Arc::new(Mutex::new(Vec::new()));
-        // All sleepers register before any of them sleeps (the barrier
-        // models long-lived simulation threads that exist before the
-        // first deadline); otherwise an early solo sleeper is already a
-        // quiescent simulation and legitimately advances on its own.
-        let barrier = Arc::new(std::sync::Barrier::new(3));
+        // Spawned before any of them sleeps, so all three are on the
+        // books from the start: the earliest sleeper cannot advance on
+        // its own past a sibling that has not run yet.
         let mut handles = Vec::new();
         for (label, ms) in [(2u32, 20u64), (0, 5), (1, 10)] {
-            let c = c.clone();
+            let c2 = c.clone();
             let order = Arc::clone(&order);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                let _p = c.participant();
-                barrier.wait();
-                c.sleep(Duration::from_millis(ms));
-                order.lock().push(label);
+            handles.push(c.spawn(format!("sleeper-{label}"), move || {
+                c2.sleep(Duration::from_millis(ms));
+                order.lock().push((label, c2.now()));
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
+        let ms = |n| Tick::ZERO + Duration::from_millis(n);
+        assert_eq!(*order.lock(), vec![(0, ms(5)), (1, ms(10)), (2, ms(20))]);
+        assert_eq!(c.forced_advances(), 0);
+    }
+
+    /// One thread registered on two virtual clocks is blocked on the
+    /// one it sleeps on and running on the other — the `omp::jobs`
+    /// executor, master of every tenant's clock at once.
+    #[test]
+    fn one_thread_on_two_clocks_sleeps_instantly() {
+        let a = Clock::new_virtual();
+        let b = Clock::new_virtual();
+        let _on_a = a.participant();
+        let _on_b = b.participant();
+        let wall = Instant::now();
+        for i in 1..=100u64 {
+            a.sleep(Duration::from_secs(1));
+            b.sleep(Duration::from_secs(2));
+            assert_eq!(a.now(), Tick::ZERO + Duration::from_secs(i));
+            assert_eq!(b.now(), Tick::ZERO + Duration::from_secs(2 * i));
+        }
+        assert!(
+            wall.elapsed() < STALL_ADVANCE,
+            "200 sleeps took {:?}",
+            wall.elapsed()
+        );
+        assert_eq!(a.forced_advances() + b.forced_advances(), 0);
+    }
+
+    /// A spawned thread pins time from `spawn`, not from whenever the
+    /// OS first runs it: the parent's longer sleep cannot carry the
+    /// clock past the child's earlier deadline.
+    #[test]
+    fn parent_sleeping_after_spawn_cannot_skip_the_child() {
+        for _ in 0..200 {
+            let c = Clock::new_virtual();
+            let _me = c.participant();
+            let c2 = c.clone();
+            let child = c.spawn("child", move || {
+                c2.sleep(Duration::from_millis(1));
+                c2.now()
+            });
+            c.sleep(Duration::from_millis(10));
+            assert_eq!(
+                child.join().unwrap(),
+                Tick::ZERO + Duration::from_millis(1),
+                "the child's sleep started at t = 0"
+            );
+            assert_eq!(c.now(), Tick::ZERO + Duration::from_millis(10));
+            assert_eq!(c.forced_advances(), 0);
+        }
+    }
+
+    #[test]
+    fn join_is_a_clock_visible_wait() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let c2 = c.clone();
+        let child = c.spawn("worker", move || {
+            c2.sleep(Duration::from_secs(5));
+            7
+        });
+        let wall = Instant::now();
+        // Parked in `join`, the parent lets the child's 5 s pass.
+        assert_eq!(child.join().unwrap(), 7);
+        assert_eq!(c.now(), Tick::ZERO + Duration::from_secs(5));
+        assert!(wall.elapsed() < STALL_ADVANCE);
+        assert_eq!(c.forced_advances(), 0);
+        // A panic travels through `join` like `std::thread`'s.
+        let boom = c.spawn("boom", || panic!("expected in this test"));
+        assert!(boom.join().is_err());
+    }
+
+    #[test]
+    fn condvar_waits_are_clock_visible_and_woken_runnable() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let gate = Arc::new((Mutex::new(false), ClockCondvar::new(&c)));
+        let (g2, c2) = (Arc::clone(&gate), c.clone());
+        let waiter = c.spawn("waiter", move || {
+            let mut open = g2.0.lock();
+            while !*open {
+                open = g2.1.wait(&g2.0, open);
+            }
+            c2.now()
+        });
+        // The waiter is parked (or still counted running): either way
+        // this sleep ends at exactly 1 s, and then it *is* parked.
+        c.sleep(Duration::from_secs(1));
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        // Runnable since the notify: our next sleep cannot pass it.
+        c.sleep(Duration::from_secs(1));
+        assert_eq!(waiter.join().unwrap(), Tick::ZERO + Duration::from_secs(1));
+        assert_eq!(c.forced_advances(), 0);
     }
 
     #[test]
@@ -929,15 +1377,14 @@ mod tests {
         let c = Clock::new_virtual();
         let (tx, rx) = crossbeam_channel::bounded::<u64>(1);
         let c2 = c.clone();
-        // A registered receiver parked in a clock-visible wait.
-        let h = std::thread::spawn(move || {
-            let _p = c2.participant();
+        // A participant parked in an opaque wait.
+        let h = c.spawn("opaque-receiver", move || {
             let v = c2.blocked(|| rx.recv().unwrap());
             c2.msg_received();
             v
         });
-        // The sleeper advances instantly because the receiver is
-        // visibly blocked and nothing is in flight.
+        // The sleeper advances instantly once the receiver is visibly
+        // blocked and nothing is pinned.
         let wall = Instant::now();
         let t0 = c.now();
         c.sleep(Duration::from_secs(5));
@@ -946,66 +1393,52 @@ mod tests {
         c.msg_sent();
         tx.send(c.now().as_nanos()).unwrap();
         assert!(h.join().unwrap() >= 5_000_000_000);
+        assert_eq!(c.forced_advances(), 0);
     }
 
     #[test]
-    fn inflight_message_blocks_advance() {
+    fn opaque_pin_holds_time_until_released() {
         let c = Clock::new_virtual();
-        let (tx, rx) = crossbeam_channel::bounded::<()>(1);
-        // One queued, unclaimed message: the clock must not advance.
         c.msg_sent();
-        tx.send(()).unwrap();
         let c2 = c.clone();
-        let h = std::thread::spawn(move || {
-            let _p = c2.participant();
-            c2.blocked(|| ())
-        });
-        h.join().unwrap();
-        {
-            let Backend::Virtual(core) = &c.backend else {
-                unreachable!()
-            };
-            let mut st = core.state.lock();
-            st.add_deadline(1_000);
-            assert!(
-                !st.advance_if_quiescent(),
-                "in-flight message must pin time"
-            );
-            st.remove_deadline(1_000);
-        }
-        rx.recv().unwrap();
+        let sleeper = std::thread::spawn(move || c2.sleep(Duration::from_micros(1)));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(c.now(), Tick::ZERO, "a pin must hold time");
         c.msg_received();
+        sleeper.join().unwrap();
+        assert_eq!(c.now(), Tick::from_nanos(1_000));
+        assert_eq!(c.forced_advances(), 0);
     }
 
+    /// A registered thread in a wait the clock cannot see wedges the
+    /// simulation; the watchdog says which thread.
     #[test]
-    fn registered_running_thread_pins_time_until_stall() {
-        // A registered participant that is running (not blocked) holds
-        // virtual time still; the sleeper only gets released by the
-        // stall fallback. This is the liveness guarantee.
+    fn unaccounted_wait_is_reported_by_name() {
         let c = Clock::new_virtual();
-        let c2 = c.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let ready = Arc::new(AtomicBool::new(false));
-        let ready2 = Arc::clone(&ready);
-        let h = std::thread::spawn(move || {
-            let _p = c2.participant();
-            ready2.store(true, Ordering::Release);
+        let culprit = c.spawn("forgot-to-tell-the-clock", move || {
             while !stop2.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
+                std::thread::sleep(Duration::from_millis(1));
             }
         });
-        // The sleep below must observe a *registered* runner, or it
-        // advances instantly against an empty participant set.
-        while !ready.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        let wall = Instant::now();
-        c.sleep(Duration::from_millis(1));
-        // The 1 ms virtual sleep had to ride the stall fallback.
-        assert!(wall.elapsed() >= STALL_ADVANCE, "{:?}", wall.elapsed());
+        let c2 = c.clone();
+        let sleeper = std::thread::spawn(move || c2.sleep(Duration::from_millis(1)));
+        let outcome = sleeper.join();
         stop.store(true, Ordering::Relaxed);
-        h.join().unwrap();
+        culprit.join().unwrap();
+        assert_eq!(c.forced_advances(), 1);
+        if cfg!(debug_assertions) {
+            let panic = outcome.expect_err("debug builds panic on a stall");
+            let report = panic.downcast_ref::<String>().expect("a formatted report");
+            assert!(
+                report.contains("forgot-to-tell-the-clock"),
+                "the report names the culprit: {report}"
+            );
+        } else {
+            outcome.expect("release builds step to the deadline");
+            assert_eq!(c.now(), Tick::ZERO + Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -1033,9 +1466,7 @@ mod tests {
         let _p = c.participant();
         let a = c.alarm(Duration::from_secs(30));
         let a2 = a.clone();
-        let h = std::thread::spawn(move || a2.wait());
-        // Give the waiter a moment to park, then cancel.
-        std::thread::sleep(Duration::from_millis(5));
+        let h = c.spawn("alarm-waiter", move || a2.wait());
         a.cancel();
         assert!(!h.join().unwrap(), "cancelled alarm must not fire");
         // The 30 s deadline is withdrawn: a 1 s sleep lands at 1 s.
@@ -1048,10 +1479,8 @@ mod tests {
         let c = Clock::new_virtual();
         {
             let _a = c.alarm(Duration::from_millis(1));
-            // Dropped without wait() or cancel(): the pre-registered
-            // slot must be released, or — once now reaches it — the
-            // stale entry would pin earliest() and wedge every future
-            // advance (this test would hang, not fail).
+            // Dropped without wait() or cancel(): nobody is left to
+            // wait on it, so the clock must not stop there.
         }
         c.sleep(Duration::from_secs(2));
         assert_eq!(c.now(), Tick::ZERO + Duration::from_secs(2));
@@ -1101,36 +1530,31 @@ mod tests {
     #[test]
     fn advance_to_wakes_virtual_sleepers() {
         let c = Clock::new_virtual();
+        // This registered thread pins time, so the sleeper cannot
+        // advance on its own; only the explicit advance_to releases it.
+        let _pin = c.participant();
         let c2 = c.clone();
-        // A registered spinner pins time, so the sleeper cannot advance
-        // on its own; only the explicit advance_to can release it
-        // before the stall fallback.
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let ready = Arc::new(AtomicBool::new(false));
-        let ready2 = Arc::clone(&ready);
-        let pin = std::thread::spawn(move || {
-            let _p = c2.participant();
-            ready2.store(true, Ordering::Release);
-            while !stop2.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
+        let sleeper = c.spawn("sleeper", move || {
+            c2.sleep_until(Tick::from_nanos(1_000_000));
+            c2.now()
         });
-        while !ready.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        let c3 = c.clone();
-        let sleeper = std::thread::spawn(move || {
-            let wall = Instant::now();
-            c3.sleep_until(Tick::from_nanos(1_000_000));
-            wall.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(5));
         c.advance_to(Tick::from_nanos(2_000_000));
-        let woke_in = sleeper.join().unwrap();
-        assert!(woke_in < STALL_ADVANCE, "sleeper waited {woke_in:?}");
-        stop.store(true, Ordering::Relaxed);
-        pin.join().unwrap();
+        assert_eq!(sleeper.join().unwrap(), Tick::from_nanos(2_000_000));
+        assert_eq!(c.forced_advances(), 0);
+    }
+
+    #[test]
+    fn participant_is_idempotent_per_thread() {
+        let c = Clock::new_virtual();
+        let g1 = c.participant();
+        let g2 = c.participant();
+        assert_eq!(core(&c).lock().running, 1);
+        drop(g2);
+        assert_eq!(core(&c).lock().running, 1, "the second guard is inert");
+        drop(g1);
+        let st = core(&c).lock();
+        assert_eq!(st.running, 0);
+        assert!(st.registry.is_empty());
     }
 
     #[test]
@@ -1187,24 +1611,5 @@ mod tests {
         s.ready(2);
         assert_eq!(s.next(), Some((Tick::from_nanos(200), 2)));
         assert_eq!(s.next(), Some((Tick::from_nanos(500), 1)));
-    }
-
-    #[test]
-    fn participant_is_idempotent_per_thread() {
-        let c = Clock::new_virtual();
-        let g1 = c.participant();
-        let g2 = c.participant();
-        {
-            let Backend::Virtual(core) = &c.backend else {
-                unreachable!()
-            };
-            assert_eq!(core.state.lock().participants, 1);
-        }
-        drop(g2);
-        drop(g1);
-        let Backend::Virtual(core) = &c.backend else {
-            unreachable!()
-        };
-        assert_eq!(core.state.lock().participants, 0);
     }
 }

@@ -18,6 +18,8 @@
 //!   used for sharded hot-path state like the tmk page-table shards;
 //! * [`sem`] — a counting semaphore (CPU-slot accounting on simulated
 //!   hosts, i.e. the multiplexing of an urgently-migrated process);
+//! * [`mod@mailbox`] — clock-bound channels, the one way simulation threads
+//!   hand each other messages;
 //! * [`timing`] — precise sleeping for the network cost emulation and a
 //!   few stopwatch helpers;
 //! * [`clock`] — the [`clock::Clock`] abstraction every layer tells
@@ -32,14 +34,18 @@
 pub mod clock;
 pub mod crc;
 pub mod lock;
+pub mod mailbox;
 pub mod sem;
 pub mod timing;
 pub mod wire;
 pub mod zrle;
 
-pub use clock::{Alarm, Clock, ParticipantGuard, TaskId, TaskScheduler, Tick};
+pub use clock::{
+    Alarm, Clock, ClockCondvar, JoinHandle, ParticipantGuard, TaskId, TaskScheduler, Tick,
+};
 pub use crc::crc32;
 pub use lock::{LockGuard, SpinLock};
+pub use mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender};
 pub use sem::Semaphore;
 pub use timing::{precise_sleep, wait_for, Stopwatch};
 pub use wire::{Dec, Enc, Encoding, Wire, WireError};

@@ -1,4 +1,6 @@
-//! Counting semaphore built on `parking_lot` (`Mutex` + `Condvar`).
+//! Counting semaphore (`Mutex` + [`ClockCondvar`]): a wait for a permit
+//! is visible to a virtual [`Clock`], and the releaser marks the waiter
+//! it wakes runnable.
 //!
 //! The simulated NOW uses one semaphore per host to model CPU slots: a
 //! workstation normally runs one DSM process, but after an *urgent leave*
@@ -7,9 +9,9 @@
 //! iteration chunk reproduces the idle time the paper attributes to
 //! multiplexing.
 
-use parking_lot::{Condvar, Mutex};
+use crate::clock::{Clock, ClockCondvar};
+use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A counting semaphore with RAII permits.
 #[derive(Debug)]
@@ -20,7 +22,7 @@ pub struct Semaphore {
 #[derive(Debug)]
 struct Inner {
     permits: Mutex<usize>,
-    cv: Condvar,
+    cv: ClockCondvar,
 }
 
 /// RAII guard returned by [`Semaphore::acquire`]; releases on drop.
@@ -30,12 +32,13 @@ pub struct Permit {
 }
 
 impl Semaphore {
-    /// Create a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Self {
+    /// Create a semaphore with `permits` initial permits whose waits
+    /// are accounted on `clock`.
+    pub fn new(permits: usize, clock: &Clock) -> Self {
         Semaphore {
             inner: Arc::new(Inner {
                 permits: Mutex::new(permits),
-                cv: Condvar::new(),
+                cv: ClockCondvar::new(clock),
             }),
         }
     }
@@ -44,7 +47,7 @@ impl Semaphore {
     pub fn acquire(&self) -> Permit {
         let mut p = self.inner.permits.lock();
         while *p == 0 {
-            self.inner.cv.wait(&mut p);
+            p = self.inner.cv.wait(&self.inner.permits, p);
         }
         *p -= 1;
         Permit {
@@ -63,21 +66,6 @@ impl Semaphore {
                 inner: Arc::clone(&self.inner),
             })
         }
-    }
-
-    /// Block up to `timeout` for a permit.
-    pub fn acquire_timeout(&self, timeout: Duration) -> Option<Permit> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut p = self.inner.permits.lock();
-        while *p == 0 {
-            if self.inner.cv.wait_until(&mut p, deadline).timed_out() {
-                return None;
-            }
-        }
-        *p -= 1;
-        Some(Permit {
-            inner: Arc::clone(&self.inner),
-        })
     }
 
     /// Add `n` permits (e.g. a host gaining CPU slots).
@@ -116,10 +104,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc as StdArc;
+    use std::time::Duration;
 
     #[test]
     fn try_acquire_exhausts() {
-        let s = Semaphore::new(2);
+        let s = Semaphore::new(2, &Clock::real());
         let a = s.try_acquire();
         let b = s.try_acquire();
         assert!(a.is_some() && b.is_some());
@@ -130,7 +119,7 @@ mod tests {
 
     #[test]
     fn acquire_blocks_until_release() {
-        let s = Semaphore::new(1);
+        let s = Semaphore::new(1, &Clock::from_env());
         let p = s.acquire();
         let s2 = s.clone();
         let flag = StdArc::new(AtomicUsize::new(0));
@@ -150,16 +139,33 @@ mod tests {
         assert_eq!(flag.load(Ordering::SeqCst), 1);
     }
 
+    /// Under a virtual clock a waiter is visibly blocked (time moves
+    /// past it) and runnable from the release on (time does not).
     #[test]
-    fn timeout_expires() {
-        let s = Semaphore::new(0);
-        let got = s.acquire_timeout(Duration::from_millis(20));
-        assert!(got.is_none());
+    fn waits_are_clock_visible_and_the_release_wakes_runnable() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let s = Semaphore::new(1, &c);
+        let p = s.acquire();
+        let (s2, c2) = (s.clone(), c.clone());
+        let waiter = c.spawn("second-process", move || {
+            let _p = s2.acquire();
+            c2.now()
+        });
+        c.sleep(Duration::from_secs(1));
+        drop(p);
+        c.sleep(Duration::from_secs(1));
+        assert_eq!(
+            waiter.join().unwrap().as_nanos(),
+            1_000_000_000,
+            "got the CPU at the release, not a sleep later"
+        );
+        assert_eq!(c.forced_advances(), 0);
     }
 
     #[test]
     fn mutual_exclusion_with_one_permit() {
-        let s = Semaphore::new(1);
+        let s = Semaphore::new(1, &Clock::from_env());
         let counter = StdArc::new(AtomicUsize::new(0));
         let max_seen = StdArc::new(AtomicUsize::new(0));
         let mut handles = vec![];
@@ -188,7 +194,7 @@ mod tests {
 
     #[test]
     fn release_extra_grows_capacity() {
-        let s = Semaphore::new(0);
+        let s = Semaphore::new(0, &Clock::real());
         s.release_extra(3);
         assert_eq!(s.available(), 3);
         let _a = s.acquire();

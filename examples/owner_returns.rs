@@ -49,8 +49,9 @@ fn main() {
     sys.adapt()
         .leave(LeaveSel::Pid(2), Some(Duration::ZERO))
         .unwrap();
-    // Give the grace timer a moment to claim the leave and migrate.
-    std::thread::sleep(Duration::from_millis(600));
+    // Give the grace timer a moment to claim the leave and migrate
+    // (on the cluster clock: a virtual one must see the master parked).
+    sys.clock().sleep(Duration::from_millis(600));
     for it in 6..10 {
         app.step(&mut sys, it);
     }
