@@ -335,29 +335,6 @@ impl ClusterShared {
         self.hosts.lock().host_of(gpid)
     }
 
-    /// Deprecated spelling of [`AdaptHandle::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(self: &Arc<Self>) -> Result<HostId, AdaptError> {
-        self.join_impl().map(|(host, _)| host)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Gpid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Gpid(gpid), grace)`")]
-    pub fn request_leave(
-        self: &Arc<Self>,
-        gpid: Gpid,
-        grace: Option<Duration>,
-    ) -> Result<(), AdaptError> {
-        self.leave_impl(gpid, grace)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&self) {
-        self.checkpoint_impl();
-    }
-
     /// Join: reserve a free workstation, spawn the process
     /// (asynchronously: the spawn delay and connection setup overlap the
     /// ongoing computation), and let it enter at a later adaptation
@@ -856,18 +833,6 @@ impl Cluster {
         self.shared.adapt()
     }
 
-    /// Deprecated spelling of [`AdaptHandle::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(&self) -> Result<HostId, AdaptError> {
-        self.adapt().join()
-    }
-
-    /// Deprecated spelling of [`Cluster::join_ready`].
-    #[deprecated(note = "use `join_ready()`")]
-    pub fn request_join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_ready().map(|(g, _)| g)
-    }
-
     /// Request a join and block until the new process has connected
     /// (deterministic variant: the very next adaptation point commits
     /// it). Needs the master, so it lives here rather than on
@@ -889,26 +854,6 @@ impl Cluster {
             .lock()
             .push_back(AdaptEvent::JoinReady { gpid, host });
         Ok((gpid, host))
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Pid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Pid(pid), grace)`")]
-    pub fn request_leave_pid(&self, pid: u16, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        self.adapt().leave(LeaveSel::Pid(pid), grace)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Gpid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Gpid(gpid), grace)`")]
-    pub fn request_leave(&self, gpid: Gpid, grace: Option<Duration>) -> Result<(), AdaptError> {
-        self.adapt().leave(LeaveSel::Gpid(gpid), grace).map(|_| ())
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&self) {
-        self.shared.checkpoint_impl();
     }
 
     /// Execute one parallel construct, handling any pending adapt
@@ -944,7 +889,7 @@ impl Cluster {
             }
         }
         {
-            // Plus any replayed by request_join_ready / external sources.
+            // Plus any replayed by join_ready / external sources.
             let mut ev = self.shared.events.lock();
             let mut rest = VecDeque::new();
             while let Some(e) = ev.pop_front() {

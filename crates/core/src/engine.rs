@@ -297,35 +297,6 @@ impl TaskSystem {
         TaskAdapt { sys: self }
     }
 
-    /// Deprecated spelling of [`TaskAdapt::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_impl()
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::join_ready`].
-    #[deprecated(note = "use `adapt().join_ready()`")]
-    pub fn request_join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_ready_impl()
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::leave`] with
-    /// [`LeaveSel::Pid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Pid(pid), grace)`")]
-    pub fn request_leave_pid(
-        &mut self,
-        pid: usize,
-        grace: Option<Duration>,
-    ) -> Result<Gpid, AdaptError> {
-        self.leave_pid_impl(pid, grace)
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&mut self) {
-        self.ckpt_requested = true;
-    }
-
     /// Ask a free workstation to join; the spawn completes (and
     /// `JoinReady` is logged) when virtual time reaches the spawn
     /// deadline parked in the scheduler.

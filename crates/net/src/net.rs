@@ -10,10 +10,12 @@
 //!   [`Replier::reply`] routes the answer straight back to the waiting
 //!   caller (the DSM's SIGIO-handler analog replies from the service
 //!   thread while the application thread computes);
-//! * when [`NetModel::emulate`] is set, the sender holds its host's
-//!   link lock for the serialization time (shared-link contention when
-//!   two processes are multiplexed on one host) and the receiver honors
-//!   the propagation latency.
+//! * when [`NetModel::emulate`] is set, the sender reserves its host's
+//!   outbound wire for the serialization time — senders sharing a
+//!   workstation (a process's application and service threads, or two
+//!   multiplexed processes) go back to back, each sleeping exactly to
+//!   the end of its slot — and the receiver honors the propagation
+//!   latency.
 
 use crate::cost::CostModel;
 use crate::model::NetModel;
@@ -96,14 +98,24 @@ impl Replier {
     pub fn requester(&self) -> Gpid {
         self.to
     }
+
+    /// Answer the request; returns `false` if the requester vanished.
+    pub fn reply_checked(self, payload: Bytes) -> bool {
+        self.net.transmit(
+            self.from,
+            &self.from_host,
+            self.to,
+            payload,
+            None,
+            Some(&self.tx),
+        )
+    }
 }
 
 struct HostRec {
-    #[allow(dead_code)]
-    id: HostId,
-    /// Serializes outbound transmissions when emulation is on: two
-    /// processes multiplexed on one workstation share one wire.
-    link: Mutex<()>,
+    /// Next-free time of the host's *outbound* wire: everything sent
+    /// from one workstation shares it. See [`NetInner::occupy_link`].
+    outbound: Mutex<Tick>,
     /// Next-free time of the host's *inbound* wire. A single stream
     /// already pays its serialization at the sender, so an uncontended
     /// message is delivered at `send_finish + latency` exactly as
@@ -165,79 +177,73 @@ impl NetInner {
         Arc::clone(&self.hosts.read()[id.0 as usize])
     }
 
-    /// Charge `d` of wire occupancy on `host`'s link: concurrent
-    /// senders on the same workstation serialize on one physical wire.
+    /// Charge `d` of wire occupancy on `host`'s outbound link, returning
+    /// once the transmission has left it.
     ///
-    /// On the virtual backend this deliberately avoids a deadline-less
-    /// blocked scope around the lock: at such an instant the whole
-    /// simulation can look quiescent and the clock would advance to the
-    /// earliest *unrelated* pending deadline — since compute charging
-    /// landed, that can be a peer's worksharing charge tens of
-    /// milliseconds out, time-warping a µs-scale wire transaction and
-    /// serializing compute that should overlap. Instead, a contended
-    /// sender polls in short *virtual* sleeps: there is then always a
-    /// nearby registered deadline, so the clock can neither overshoot
-    /// nor wedge, and the wait itself costs (quantized) wire time,
-    /// which is physically what link contention is.
+    /// The link is a reservation book, not a lock: a sender takes the
+    /// slot `[max(free, now), +d)` and sleeps once, to the slot's end.
+    /// Back-to-back senders leave no idle wire between them, and the
+    /// wait is an ordinary clock deadline — a waiter is never a
+    /// deadline-less blocked participant the virtual clock could leap
+    /// past to an unrelated, far-off compute charge. Senders that ask at
+    /// the same tick are served in the order they reach the book.
     fn occupy_link(&self, host: &HostRec, d: Duration) {
-        if !self.clock.is_virtual() {
-            let _wire = host.link.lock();
-            self.clock.sleep(d);
-            return;
-        }
-        let mut quantum = Duration::from_micros(5);
-        loop {
-            if let Some(_wire) = host.link.try_lock() {
-                self.clock.sleep(d);
-                return;
-            }
-            self.clock.sleep(quantum);
-            // Back off exponentially: a link can be held for whole
-            // simulated seconds (migration image streams), and a fixed
-            // µs quantum would turn that into millions of wall-time
-            // clock advances.
-            quantum = (quantum * 2).min(Duration::from_millis(10));
-        }
+        let done = {
+            let mut free = host.outbound.lock();
+            *free = (*free).max(self.clock.now()) + d;
+            *free
+        };
+        self.clock.sleep_until(done);
     }
 
-    /// Core transmit path: accounting + optional real-time emulation.
+    /// The one transmit path: accounting + optional real-time
+    /// emulation. A request or one-way message (`via` = `None`) goes to
+    /// `dst`'s mailbox and fails if `dst` is not registered; a reply
+    /// goes down `via`, the waiting caller's own channel, and is still
+    /// sent (and charged to the sender) if the requester has left.
     fn transmit(
         &self,
         src: Gpid,
-        src_host: &Arc<HostRec>,
+        src_host: &HostRec,
         dst: Gpid,
         payload: Bytes,
         reply: Option<MailboxSender<Packet>>,
+        via: Option<&MailboxSender<Packet>>,
     ) -> bool {
         let bytes = (payload.len() + self.model.header_bytes) as u64;
 
-        // Sender-side occupancy: hold the host link for the serialization
-        // time so concurrent senders on the same host contend, as they
-        // would on one physical wire.
+        // Sender-side occupancy: concurrent senders on the same host
+        // contend, as they would on one physical wire.
         if self.model.emulate {
             self.occupy_link(src_host, self.model.sender_time(payload.len()));
         }
 
         // Resolve destination *after* serialization (a migrating peer may
         // have re-labeled meanwhile; the switch forwards to its port).
-        let (tx, dst_host) = {
-            let eps = self.endpoints.read();
-            match eps.get(&dst.0) {
-                Some(rec) => (rec.tx.clone(), HostId(rec.host.load(Ordering::Acquire))),
-                None => return false,
-            }
+        let (mailbox, dst_rec) = match self.endpoints.read().get(&dst.0) {
+            Some(rec) => (
+                via.is_none().then(|| rec.tx.clone()),
+                Some(self.host(HostId(rec.host.load(Ordering::Acquire)))),
+            ),
+            None => (None, None),
         };
-        let dst_rec = self.host(dst_host);
+        let Some(tx) = via.or(mailbox.as_ref()) else {
+            return false;
+        };
 
-        let deliver_at = if self.model.emulate {
+        // Queue on the inbound wire of the destination's current host.
+        let deliver_at = self.model.emulate.then(|| {
             let candidate = self.clock.now() + self.model.latency();
-            Some(dst_rec.receive_at(candidate, self.model.receive_time(payload.len())))
-        } else {
-            None
-        };
+            match &dst_rec {
+                Some(h) => h.receive_at(candidate, self.model.receive_time(payload.len())),
+                None => candidate,
+            }
+        });
 
         src_host.link_stats.record_out(bytes);
-        dst_rec.link_stats.record_in(bytes);
+        if let Some(h) = &dst_rec {
+            h.link_stats.record_in(bytes);
+        }
         self.stats.record_msg(bytes);
 
         tx.send(Packet {
@@ -309,8 +315,7 @@ impl Network {
         let mut hosts = self.inner.hosts.write();
         let id = HostId(hosts.len() as u16);
         hosts.push(Arc::new(HostRec {
-            id,
-            link: Mutex::new(()),
+            outbound: Mutex::new(Tick::ZERO),
             inbound: Mutex::new(Tick::ZERO),
             link_stats: self.inner.stats.add_link(),
             cpu: Semaphore::new(cpu_slots, &self.inner.clock),
@@ -472,7 +477,7 @@ impl Endpoint {
     pub fn send(&self, dst: Gpid, payload: Bytes) -> Result<(), NetError> {
         if self
             .net
-            .transmit(self.gpid, &self.host_rec(), dst, payload, None)
+            .transmit(self.gpid, &self.host_rec(), dst, payload, None, None)
         {
             Ok(())
         } else {
@@ -505,7 +510,7 @@ impl Endpoint {
         let (tx, rx) = oneshot(&self.net.clock);
         if !self
             .net
-            .transmit(self.gpid, &self.host_rec(), dst, payload, Some(tx))
+            .transmit(self.gpid, &self.host_rec(), dst, payload, Some(tx), None)
         {
             return Err(NetError::Unknown(dst));
         }
@@ -528,9 +533,8 @@ impl Endpoint {
             to: pkt.src,
             tx,
         });
-        // Stash the raw reply sender inside the Replier; answering goes
-        // through the full transmit path for accounting, then down the
-        // channel.
+        // The Replier keeps the raw reply sender: answering goes through
+        // the full transmit path for accounting, then down that channel.
         Incoming {
             src: pkt.src,
             payload: pkt.payload,
@@ -639,64 +643,6 @@ impl PendingCall {
             self.clock.sleep_until(at);
         }
         Ok(pkt.payload)
-    }
-}
-
-// The Replier sends the reply packet through the network transmit path
-// (for stats + emulation) but must deliver into the per-call channel,
-// not the destination mailbox. transmit() routes via the endpoint
-// registry, so we override: Replier::reply uses a direct channel send
-// after charging the cost. Implemented here to keep the borrow story
-// simple.
-impl NetInner {
-    fn transmit_reply(
-        &self,
-        src_host: &Arc<HostRec>,
-        dst: Gpid,
-        payload: Bytes,
-        tx: &MailboxSender<Packet>,
-        src: Gpid,
-    ) -> bool {
-        let bytes = (payload.len() + self.model.header_bytes) as u64;
-        if self.model.emulate {
-            self.occupy_link(src_host, self.model.sender_time(payload.len()));
-        }
-        // Account (and queue on the inbound wire) at the requester's
-        // current host if it still exists.
-        let dst_rec = self
-            .endpoints
-            .read()
-            .get(&dst.0)
-            .map(|rec| self.host(HostId(rec.host.load(Ordering::Acquire))));
-        let deliver_at = if self.model.emulate {
-            let candidate = self.clock.now() + self.model.latency();
-            Some(match &dst_rec {
-                Some(h) => h.receive_at(candidate, self.model.receive_time(payload.len())),
-                None => candidate,
-            })
-        } else {
-            None
-        };
-        if let Some(h) = &dst_rec {
-            h.link_stats.record_in(bytes);
-        }
-        src_host.link_stats.record_out(bytes);
-        self.stats.record_msg(bytes);
-        tx.send(Packet {
-            src,
-            payload,
-            reply: None,
-            deliver_at,
-        })
-        .is_ok()
-    }
-}
-
-impl Replier {
-    /// Answer the request; returns `false` if the requester vanished.
-    pub fn reply_checked(self, payload: Bytes) -> bool {
-        self.net
-            .transmit_reply(&self.from_host, self.to, payload, &self.tx, self.from)
     }
 }
 

@@ -8,9 +8,20 @@
 //! equalities, not load-sensitive bounds.
 
 use bytes::Bytes;
-use nowmp_net::{CostModel, HostId, NetModel, Network};
-use nowmp_util::Clock;
+use nowmp_net::{CostModel, Gpid, HostId, NetModel, Network};
+use nowmp_util::{Clock, JoinHandle, Tick};
 use std::time::{Duration, Instant};
+
+/// A simulation thread on `host` that sends `len` bytes to `dst` and
+/// reports the tick at which its send returned.
+fn spawn_sender(net: &Network, host: u16, dst: Gpid, len: usize) -> JoinHandle<Tick> {
+    let ep = net.register(HostId(host));
+    let clock = net.clock().clone();
+    net.clock().spawn(format!("sender@{host}"), move || {
+        ep.send(dst, Bytes::from(vec![0u8; len])).unwrap();
+        clock.now()
+    })
+}
 
 fn virtual_net(model: NetModel, hosts: usize) -> Network {
     Network::with_clock(
@@ -209,4 +220,124 @@ fn relay_hops_occupy_their_own_links_and_overlap() {
     assert_eq!(s.links[2].bytes_out, wire, "the relay hop bills host 2");
     assert_eq!(s.links[2].bytes_in, wire);
     assert_eq!(s.links[3].bytes_in, wire);
+}
+
+/// The outbound link is an ordered reservation: `k` senders that reach
+/// one host's wire at the same tick go back to back with no idle wire
+/// between them, whatever order the host scheduler ran them in — each
+/// returns at the exact end of its slot.
+#[test]
+fn same_host_senders_finish_at_exact_multiples() {
+    for k in [2u32, 3, 8] {
+        let model = NetModel::paper_1999();
+        let d = model.sender_time(4096);
+        let net = virtual_net(model, 2);
+        let clock = net.clock().clone();
+        let sink = net.register(HostId(1));
+        // On the books before the first spawn: time holds still until
+        // every sender exists, so they all ask at tick 0.
+        let _me = clock.participant();
+        let senders: Vec<_> = (0..k)
+            .map(|_| spawn_sender(&net, 0, sink.gpid(), 4096))
+            .collect();
+        let mut done: Vec<Tick> = senders.into_iter().map(|h| h.join().unwrap()).collect();
+        done.sort();
+        let expect: Vec<Tick> = (1..=k).map(|i| Tick::ZERO + d * i).collect();
+        assert_eq!(done, expect, "k = {k}");
+        assert_eq!(clock.forced_advances(), 0);
+    }
+}
+
+/// A send queued behind a whole-second migration stream sleeps once, to
+/// the end of its slot: it returns at exactly `stream + d`, and the
+/// clock never needs its watchdog to get there.
+#[test]
+fn send_behind_a_migration_stream_finishes_at_its_slot() {
+    let model = NetModel::paper_1999();
+    let d = model.sender_time(64);
+    let net = virtual_net(model, 2);
+    let clock = net.clock().clone();
+    let a = net.register(HostId(0));
+    let b = net.register(HostId(1));
+    let _me = clock.participant();
+    let net2 = net.clone();
+    // 8.1 MB at the paper's 8.1 MB/s: one second on host 0's wire.
+    let stream = clock.spawn("migration", move || {
+        net2.charge_migration(HostId(0), HostId(1), 8_100_000)
+    });
+    // Let the stream take the wire first; the send then finds it busy.
+    clock.sleep(Duration::from_micros(1));
+    a.send(b.gpid(), Bytes::from(vec![0u8; 64])).unwrap();
+    let sent_at = clock.now();
+    let stream = stream.join().unwrap();
+    assert!(stream >= Duration::from_secs(1), "{stream:?}");
+    assert_eq!(sent_at, Tick::ZERO + stream + d);
+    assert_eq!(clock.forced_advances(), 0);
+}
+
+/// The calibration the Table 1/2 pins rest on: a send that finds its
+/// wire free returns after exactly `sender_time` and is delivered one
+/// `latency` later. (The request/reply form of the same statement is
+/// `sender_time_and_latency_are_exact_on_roundtrip`.)
+#[test]
+fn uncontended_send_costs_sender_time_then_latency() {
+    let model = NetModel::paper_1999();
+    let (st, lat) = (model.sender_time(4096), model.latency());
+    let net = virtual_net(model, 2);
+    let clock = net.clock().clone();
+    let a = net.register(HostId(0));
+    let b = net.register(HostId(1));
+    let _me = clock.participant();
+    for round in 0..3u32 {
+        // Each send finds the wire free again: no reservation outlives
+        // the sender's own sleep.
+        let t0 = Tick::ZERO + (st + lat) * round;
+        a.send(b.gpid(), Bytes::from(vec![0u8; 4096])).unwrap();
+        assert_eq!(clock.now(), t0 + st);
+        b.recv().unwrap();
+        assert_eq!(clock.now(), t0 + st + lat);
+    }
+}
+
+/// Senders on *different* hosts do not share an outbound wire, so they
+/// all finish serializing together — and then drain one at a time
+/// through the receiver's inbound port (`HostRec::receive_at`), as they
+/// did before the outbound link became a reservation.
+#[test]
+fn converging_senders_still_drain_through_receiver_admission() {
+    let model = NetModel::paper_1999();
+    let (st, lat, occ) = (
+        model.sender_time(256),
+        model.latency(),
+        model.receive_time(256),
+    );
+    let k = 5u16;
+    let net = virtual_net(model, usize::from(k) + 1);
+    let clock = net.clock().clone();
+    let sink = net.register(HostId(0));
+    let _me = clock.participant();
+    let senders: Vec<_> = (1..=k)
+        .map(|h| spawn_sender(&net, h, sink.gpid(), 256))
+        .collect();
+    for (i, h) in senders.into_iter().enumerate() {
+        assert_eq!(h.join().unwrap(), Tick::ZERO + st, "sender {i}");
+    }
+    // The `k` same-tick arrivals take the admission slots `c`, `c + occ`,
+    // … in whatever order they reached the port, and queue in the mailbox
+    // in whatever order they were sent on; so each `recv` returns at one
+    // of the slot ends, never earlier than the one before, and the last
+    // at exactly the end of the `k`-th slot.
+    let slots: Vec<Tick> = (0..u32::from(k))
+        .map(|i| Tick::ZERO + st + lat + occ * i)
+        .collect();
+    let arrivals: Vec<Tick> = (0..k)
+        .map(|_| {
+            sink.recv().unwrap();
+            clock.now()
+        })
+        .collect();
+    assert!(arrivals.iter().all(|t| slots.contains(t)), "{arrivals:?}");
+    assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "{arrivals:?}");
+    assert_eq!(arrivals.last(), slots.last(), "{arrivals:?}");
+    assert_eq!(clock.forced_advances(), 0);
 }

@@ -8,14 +8,11 @@
 use crate::ctx::{OmpCtx, DYN_COUNTER, MAX_TEAM, RED_ARRAY};
 use crate::jobs::JobSpec;
 use crate::program::{OmpProgram, OmpRunner};
-use nowmp_core::{
-    AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, EventLog, LeaveSel,
-};
+use nowmp_core::{AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, EventLog};
 use nowmp_net::Gpid;
 use nowmp_tmk::ElemKind;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The application-facing runtime.
 pub struct OmpSystem {
@@ -183,39 +180,6 @@ impl OmpSystem {
     /// the workstation it was placed on.
     pub fn join_ready(&mut self) -> Result<(Gpid, nowmp_net::HostId), AdaptError> {
         self.cluster.join_ready()
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(&self) -> Result<nowmp_net::HostId, AdaptError> {
-        self.cluster.adapt().join()
-    }
-
-    /// Deprecated spelling of [`OmpSystem::join_ready`].
-    #[deprecated(note = "use `join_ready()`")]
-    pub fn request_join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.cluster.join_ready().map(|(g, _)| g)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] by pid.
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Pid(pid), grace)`")]
-    pub fn request_leave_pid(&self, pid: u16, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        self.cluster.adapt().leave(LeaveSel::Pid(pid), grace)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] by gpid.
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Gpid(gpid), grace)`")]
-    pub fn request_leave(&self, gpid: Gpid, grace: Option<Duration>) -> Result<(), AdaptError> {
-        self.cluster
-            .adapt()
-            .leave(LeaveSel::Gpid(gpid), grace)
-            .map(|_| ())
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&self) {
-        self.cluster.adapt().checkpoint();
     }
 
     /// Write a checkpoint right now (between parallel constructs).
