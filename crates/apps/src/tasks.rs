@@ -431,7 +431,7 @@ impl TaskApp for TaskNbf {
                     force,
                     plists: sys.addr_of("nbf_partners"),
                     out: sys.addr_of("nbf_out"),
-                    red: sys.addr_of(nowmp_core::engine::RED_ARRAY),
+                    red: sys.reduction_scratch(nprocs),
                     pid,
                     phase: 0,
                     total: 0.0,
@@ -518,6 +518,23 @@ mod tests {
         }
         let err = k.verify(&sys, 4);
         assert_eq!(err, 0.0);
+    }
+
+    #[test]
+    fn reduction_scratch_has_a_slot_for_every_rank() {
+        // On 32-slot pages a 64-slot scratch ends where `__omp_dyn`
+        // begins, and the first user array follows 32 slots later: a
+        // rank past 64 without a slot of its own lands on one of them.
+        for procs in [65, 97, 128, 600] {
+            let k = TaskNbf::new(256, 8);
+            let (err, sys) = run_task_app(&k, cfg(procs, procs).with_adaptive(false), 2);
+            assert_eq!(err, 0.0, "procs={procs}");
+            let dyn_counter = sys.get_u64(nowmp_core::DYN_COUNTER, 0);
+            assert_eq!(
+                dyn_counter, 0,
+                "procs={procs}: a reduction wrote past the scratch"
+            );
+        }
     }
 
     #[test]

@@ -154,7 +154,6 @@ impl Mode {
         CollectiveConfig::default()
             .with_fork(self.fork)
             .with_join_reduce(self.reduce)
-            .with_barrier_release(self.reduce)
     }
 }
 

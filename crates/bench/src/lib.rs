@@ -463,6 +463,38 @@ pub fn measure(
     }
 }
 
+/// The ordering-relevant fingerprint of an event log — the contract
+/// the parity suites hold two runs to: event kinds plus the team-shape
+/// fields (workstations, ranks, team sizes), with every duration and
+/// timestamp dropped. Those legitimately differ between wall and
+/// simulated time, between collective shapes and data planes, and
+/// between the thread engine and the task engine's approximate
+/// data-plane cost.
+pub fn shape(log: &[LogEntry]) -> Vec<String> {
+    log.iter()
+        .map(|e| match &e.kind {
+            EventKind::JoinRequested { host } => format!("join_requested@{host}"),
+            EventKind::JoinReady { .. } => "join_ready".into(),
+            EventKind::JoinCommitted { pid, .. } => format!("join_committed:pid{pid}"),
+            EventKind::LeaveRequested { .. } => "leave_requested".into(),
+            EventKind::NormalLeave { .. } => "normal_leave".into(),
+            EventKind::UrgentMigrationStart { from, to, .. } => {
+                format!("urgent_start:{from}->{to}")
+            }
+            EventKind::UrgentMigrationDone { .. } => "urgent_done".into(),
+            EventKind::Adaptation {
+                joins,
+                leaves,
+                nprocs,
+                ..
+            } => format!("adapt:+{joins}-{leaves}->{nprocs}"),
+            EventKind::Checkpoint { .. } => "checkpoint".into(),
+            // Scheduler events never appear in a single-job run.
+            other => format!("{other:?}"),
+        })
+        .collect()
+}
+
 /// Time-weighted average team size over a run (the paper's §5.3
 /// interpolation basis: "the average number of nodes is always an
 /// integer in the non-adaptive case (but the average is a real number

@@ -11,8 +11,8 @@
 //! model at zero wall cost.
 
 use nowmp_apps::jacobi::Jacobi;
-use nowmp_bench::{measure, RunResult};
-use nowmp_core::{ClusterConfig, EventKind, LeaveSel, LogEntry};
+use nowmp_bench::{measure, shape, RunResult};
+use nowmp_core::{ClusterConfig, LeaveSel};
 use nowmp_net::NetModel;
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::{tree, Broadcast, CollectiveConfig, DsmConfig};
@@ -31,34 +31,6 @@ fn cfg(hosts: usize, procs: usize, collectives: CollectiveConfig) -> ClusterConf
         .with_dsm(DsmConfig::default_4k())
         .with_collectives(collectives)
         .with_clock(Clock::new_virtual())
-}
-
-/// The ordering-relevant fingerprint of a log: event kinds plus the
-/// team-shape fields, with all durations/timestamps dropped (those
-/// legitimately differ between the two broadcast shapes).
-fn shape(log: &[LogEntry]) -> Vec<String> {
-    log.iter()
-        .map(|e| match &e.kind {
-            EventKind::JoinRequested { host } => format!("join_requested@{host}"),
-            EventKind::JoinReady { .. } => "join_ready".into(),
-            EventKind::JoinCommitted { pid, .. } => format!("join_committed:pid{pid}"),
-            EventKind::LeaveRequested { .. } => "leave_requested".into(),
-            EventKind::NormalLeave { .. } => "normal_leave".into(),
-            EventKind::UrgentMigrationStart { from, to, .. } => {
-                format!("urgent_start:{from}->{to}")
-            }
-            EventKind::UrgentMigrationDone { .. } => "urgent_done".into(),
-            EventKind::Adaptation {
-                joins,
-                leaves,
-                nprocs,
-                ..
-            } => format!("adapt:+{joins}-{leaves}->{nprocs}"),
-            EventKind::Checkpoint { .. } => "checkpoint".into(),
-            // Scheduler events never appear in a single-job run.
-            other => format!("{other:?}"),
-        })
-        .collect()
 }
 
 /// One adaptive run (join mid-flight, then a normal leave) under the
@@ -102,14 +74,8 @@ fn flat_and_tree_reduce_order_events_identically() {
     // the binomial join reduce + tree barrier release must produce
     // bit-exact results and the same adaptation event ordering.
     let base = CollectiveConfig::default().with_fork(Broadcast::Tree);
-    let flat = adaptive_run(
-        base.with_join_reduce(Broadcast::Flat)
-            .with_barrier_release(Broadcast::Flat),
-    );
-    let tree = adaptive_run(
-        base.with_join_reduce(Broadcast::Tree)
-            .with_barrier_release(Broadcast::Tree),
-    );
+    let flat = adaptive_run(base.with_join_reduce(Broadcast::Flat));
+    let tree = adaptive_run(base.with_join_reduce(Broadcast::Tree));
     assert_eq!(flat.err, 0.0, "flat-reduce run must verify bit-exact");
     assert_eq!(tree.err, 0.0, "tree-reduce run must verify bit-exact");
     assert_eq!(
@@ -175,12 +141,7 @@ fn tree_reduce_unloads_the_master_inbound() {
     let base = CollectiveConfig::default().with_fork(Broadcast::Tree);
     let flat = measure(
         &app,
-        cfg(
-            8,
-            8,
-            base.with_join_reduce(Broadcast::Flat)
-                .with_barrier_release(Broadcast::Flat),
-        ),
+        cfg(8, 8, base.with_join_reduce(Broadcast::Flat)),
         4,
         false,
         |_, _| {},
@@ -188,12 +149,7 @@ fn tree_reduce_unloads_the_master_inbound() {
     );
     let tree = measure(
         &app,
-        cfg(
-            8,
-            8,
-            base.with_join_reduce(Broadcast::Tree)
-                .with_barrier_release(Broadcast::Tree),
-        ),
+        cfg(8, 8, base.with_join_reduce(Broadcast::Tree)),
         4,
         false,
         |_, _| {},

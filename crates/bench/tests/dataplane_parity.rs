@@ -10,7 +10,8 @@
 
 use nowmp_apps::jacobi::Jacobi;
 use nowmp_apps::Kernel;
-use nowmp_core::{ClusterConfig, EventKind, LeaveSel, LogEntry};
+use nowmp_bench::shape;
+use nowmp_core::{ClusterConfig, LeaveSel};
 use nowmp_net::NetModel;
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::{DataPlaneConfig, DsmConfig};
@@ -23,34 +24,6 @@ fn cfg(hosts: usize, procs: usize, dataplane: DataPlaneConfig) -> ClusterConfig 
         .with_dsm(DsmConfig::default_4k())
         .with_dataplane(dataplane)
         .with_clock(Clock::new_virtual())
-}
-
-/// The ordering-relevant fingerprint of a log: event kinds plus the
-/// team-shape fields, with all durations/timestamps dropped (those
-/// legitimately differ between the two data planes).
-fn shape(log: &[LogEntry]) -> Vec<String> {
-    log.iter()
-        .map(|e| match &e.kind {
-            EventKind::JoinRequested { host } => format!("join_requested@{host}"),
-            EventKind::JoinReady { .. } => "join_ready".into(),
-            EventKind::JoinCommitted { pid, .. } => format!("join_committed:pid{pid}"),
-            EventKind::LeaveRequested { .. } => "leave_requested".into(),
-            EventKind::NormalLeave { .. } => "normal_leave".into(),
-            EventKind::UrgentMigrationStart { from, to, .. } => {
-                format!("urgent_start:{from}->{to}")
-            }
-            EventKind::UrgentMigrationDone { .. } => "urgent_done".into(),
-            EventKind::Adaptation {
-                joins,
-                leaves,
-                nprocs,
-                ..
-            } => format!("adapt:+{joins}-{leaves}->{nprocs}"),
-            EventKind::Checkpoint { .. } => "checkpoint".into(),
-            // Scheduler events never appear in a single-job run.
-            other => format!("{other:?}"),
-        })
-        .collect()
 }
 
 /// One adaptive run (join mid-flight, then a normal leave) under the

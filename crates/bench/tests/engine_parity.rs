@@ -8,18 +8,27 @@
 //! *when* things execute on the wall clock — never what the simulated
 //! run observes.
 //!
-//! Two scripts:
+//! Two scripts, which between them take every path through the
+//! adaptation books (`nowmp_core::adapt`) on both engines — a graceful
+//! leave, an expired grace period (urgent migration, retirement at the
+//! next point), a join and a leave committed at the same point, two
+//! leaves in one point and periodic checkpoints:
 //! * Jacobi at 32 processes / 34 workstations (the scale the thread
 //!   engine tops out at — the whole point of the refactor);
-//! * NBF at 8 processes, exercising the reduction scratch protocol so
-//!   even the `__omp_red` residue in the image must match.
+//! * NBF at 8 processes under `ReassignPolicy::FillGaps`, exercising
+//!   the reduction scratch protocol so even the `__omp_red` residue in
+//!   the image must match.
+//!
+//! A third test holds the engines to the same `AdaptError` for every
+//! request the books refuse.
 
 use nowmp_apps::jacobi::Jacobi;
 use nowmp_apps::nbf::Nbf;
 use nowmp_apps::tasks::{TaskJacobi, TaskNbf};
 use nowmp_apps::Kernel;
-use nowmp_core::{ClusterConfig, EventKind, LeaveSel, LogEntry, TaskApp, TaskSystem};
-use nowmp_net::NetModel;
+use nowmp_bench::shape;
+use nowmp_core::{AdaptError, ClusterConfig, LeaveSel, ReassignPolicy, TaskApp, TaskSystem};
+use nowmp_net::{Gpid, NetModel};
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::DsmConfig;
 use nowmp_util::Clock;
@@ -34,42 +43,58 @@ fn cfg(hosts: usize, procs: usize) -> ClusterConfig {
         .with_adaptive(true)
 }
 
-/// Ordering-relevant fingerprint: event kinds plus team-shape fields,
-/// durations/timestamps dropped (virtual time legitimately differs —
-/// the task engine charges an approximate data-plane cost).
-fn shape(log: &[LogEntry]) -> Vec<String> {
-    log.iter()
-        .map(|e| match &e.kind {
-            EventKind::JoinRequested { host } => format!("join_requested@{host}"),
-            EventKind::JoinReady { .. } => "join_ready".into(),
-            EventKind::JoinCommitted { pid, .. } => format!("join_committed:pid{pid}"),
-            EventKind::LeaveRequested { .. } => "leave_requested".into(),
-            EventKind::NormalLeave { .. } => "normal_leave".into(),
-            EventKind::UrgentMigrationStart { from, to, .. } => {
-                format!("urgent_start:{from}->{to}")
-            }
-            EventKind::UrgentMigrationDone { .. } => "urgent_done".into(),
-            EventKind::Adaptation {
-                joins,
-                leaves,
-                nprocs,
-                ..
-            } => format!("adapt:+{joins}-{leaves}->{nprocs}"),
-            EventKind::Checkpoint { .. } => "checkpoint".into(),
-            // Scheduler events never appear in a single-job run.
-            other => format!("{other:?}"),
-        })
-        .collect()
+/// One scripted adaptation request, made before the iteration it is
+/// listed under.
+#[derive(Clone, Copy)]
+enum Act {
+    /// A workstation joins; the next adaptation point seats it.
+    Join,
+    /// Rank leaves with a 30 s grace period: the next point, one
+    /// iteration away, wins the race (Figure 2b).
+    Leave(u16),
+    /// Rank leaves with a 1 us grace period and the iteration runs with
+    /// adaptivity off, so no point can claim the leave before the
+    /// period runs out mid-region: urgent migration (Figure 2c), then
+    /// retirement at the next iteration's point.
+    LeaveExpiring(u16),
 }
 
-/// Adaptation script shared by both engines: join before iteration
-/// `join_at`, graceful leave of `leave_pid` before `leave_at`, then a
-/// final checkpoint capturing the full DSM image.
+/// Adaptation script shared by both engines; a final checkpoint
+/// captures the full DSM image.
 struct Script {
     iters: usize,
-    join_at: usize,
-    leave_at: usize,
-    leave_pid: usize,
+    acts: &'static [(usize, Act)],
+}
+
+/// A request the script makes of an engine.
+enum Request {
+    Join,
+    Leave(u16, Duration),
+    Adaptive(bool),
+}
+
+fn play<S>(
+    sys: &mut S,
+    s: &Script,
+    mut request: impl FnMut(&mut S, Request),
+    mut step: impl FnMut(&mut S, usize),
+) {
+    for it in 0..s.iters {
+        let mut adaptive = true;
+        for &(_, act) in s.acts.iter().filter(|(at, _)| *at == it) {
+            match act {
+                Act::Join => request(sys, Request::Join),
+                Act::Leave(pid) => request(sys, Request::Leave(pid, Duration::from_secs(30))),
+                Act::LeaveExpiring(pid) => {
+                    request(sys, Request::Leave(pid, Duration::from_micros(1)));
+                    adaptive = false;
+                }
+            }
+        }
+        request(sys, Request::Adaptive(adaptive));
+        step(sys, it);
+    }
+    request(sys, Request::Adaptive(true));
 }
 
 fn thread_run(
@@ -82,20 +107,15 @@ fn thread_run(
     let program = nowmp_apps::build_program(&[kernel]);
     let mut sys = OmpSystem::new(c, program);
     kernel.setup(&mut sys);
-    for it in 0..s.iters {
-        if it == s.join_at {
-            sys.join_ready().expect("free host available");
+    let request = |sys: &mut OmpSystem, r| match r {
+        Request::Join => drop(sys.join_ready().expect("free host available")),
+        Request::Leave(pid, grace) => {
+            let leave = sys.adapt().leave(LeaveSel::Pid(pid), Some(grace));
+            leave.map(drop).expect("slave can leave")
         }
-        if it == s.leave_at {
-            sys.adapt()
-                .leave(
-                    LeaveSel::Pid(s.leave_pid as u16),
-                    Some(Duration::from_secs(30)),
-                )
-                .expect("slave can leave");
-        }
-        kernel.step(&mut sys, it);
-    }
+        Request::Adaptive(on) => sys.cluster().set_adaptive(on),
+    };
+    play(&mut sys, s, request, |sys, it| kernel.step(sys, it));
     let err = kernel.verify(&mut sys, s.iters);
     sys.checkpoint_now();
     let log = shape(&sys.log().entries());
@@ -115,25 +135,24 @@ fn task_run(
     let c = c.with_ckpt_path(ckpt.to_path_buf());
     let mut sys = TaskSystem::new(c);
     app.setup(&mut sys);
-    for it in 0..s.iters {
-        if it == s.join_at {
-            sys.adapt().join_ready().expect("free host available");
+    let request = |sys: &mut TaskSystem, r| match r {
+        Request::Join => drop(sys.adapt().join_ready().expect("free host available")),
+        Request::Leave(pid, grace) => {
+            let leave = sys.adapt().leave(LeaveSel::Pid(pid), Some(grace));
+            leave.map(drop).expect("slave can leave")
         }
-        if it == s.leave_at {
-            sys.adapt()
-                .leave(
-                    LeaveSel::Pid(s.leave_pid as u16),
-                    Some(Duration::from_secs(30)),
-                )
-                .expect("slave can leave");
-        }
-        app.step(&mut sys, it);
-    }
+        Request::Adaptive(on) => sys.set_adaptive(on),
+    };
+    play(&mut sys, s, request, |sys, it| app.step(sys, it));
     let err = app.verify(&sys, s.iters);
     sys.checkpoint_now();
     let log = shape(&sys.log().entries());
     let image = std::fs::read(ckpt).expect("checkpoint written");
     (err, log, image, sys.peak_workers(), sys.pool())
+}
+
+fn count(shape: &[String], prefix: &str) -> usize {
+    shape.iter().filter(|e| e.starts_with(prefix)).count()
 }
 
 #[test]
@@ -142,23 +161,31 @@ fn task_engine_matches_thread_engine_at_32_hosts_jacobi() {
     let tpath = dir.join("nowmp_engine_parity_thread_j.ckpt");
     let kpath = dir.join("nowmp_engine_parity_task_j.ckpt");
     let script = Script {
-        iters: 6,
-        join_at: 2,
-        leave_at: 4,
-        leave_pid: 3,
+        iters: 9,
+        acts: &[
+            (2, Act::Join),
+            (4, Act::Leave(3)),
+            (5, Act::LeaveExpiring(7)),
+            (7, Act::Leave(30)),
+            (7, Act::Leave(2)),
+        ],
     };
-    let (terr, tshape, timage) = thread_run(&Jacobi::new(96), cfg(34, 32), &script, &tpath);
-    let (kerr, kshape, kimage, peak, pool) =
-        task_run(&TaskJacobi::new(96), cfg(34, 32), &script, &kpath);
+    let c = || cfg(34, 32).with_ckpt_every_forks(7);
+    let (terr, tshape, timage) = thread_run(&Jacobi::new(96), c(), &script, &tpath);
+    let (kerr, kshape, kimage, peak, pool) = task_run(&TaskJacobi::new(96), c(), &script, &kpath);
     let _ = std::fs::remove_file(&tpath);
     let _ = std::fs::remove_file(&kpath);
     assert_eq!(terr, 0.0, "thread engine must verify bit-exact");
     assert_eq!(kerr, 0.0, "task engine must verify bit-exact");
-    assert!(!tshape.is_empty(), "the schedule must actually adapt");
     assert_eq!(
         tshape, kshape,
         "task engine must be event-order-identical to the thread engine"
     );
+    // The script did what it says, on both engines alike.
+    assert_eq!(count(&tshape, "urgent_start"), 1, "{tshape:?}");
+    assert_eq!(count(&tshape, "normal_leave"), 4, "{tshape:?}");
+    assert!(tshape.contains(&"adapt:+0-2->29".to_owned()), "{tshape:?}");
+    assert!(count(&tshape, "checkpoint") >= 3, "{tshape:?}");
     assert_eq!(
         timage, kimage,
         "final checkpoint images must be byte-identical across engines"
@@ -175,13 +202,17 @@ fn task_engine_matches_thread_engine_on_nbf_reduction() {
     let tpath = dir.join("nowmp_engine_parity_thread_n.ckpt");
     let kpath = dir.join("nowmp_engine_parity_task_n.ckpt");
     let script = Script {
-        iters: 4,
-        join_at: 1,
-        leave_at: 2,
-        leave_pid: 5,
+        iters: 5,
+        acts: &[
+            (1, Act::Join),
+            (2, Act::Leave(5)),
+            (3, Act::Leave(2)),
+            (3, Act::Join),
+        ],
     };
-    let (terr, tshape, timage) = thread_run(&Nbf::new(256, 8), cfg(10, 8), &script, &tpath);
-    let (kerr, kshape, kimage, _, _) = task_run(&TaskNbf::new(256, 8), cfg(10, 8), &script, &kpath);
+    let c = || cfg(10, 8).with_reassign(ReassignPolicy::FillGaps);
+    let (terr, tshape, timage) = thread_run(&Nbf::new(256, 8), c(), &script, &tpath);
+    let (kerr, kshape, kimage, _, _) = task_run(&TaskNbf::new(256, 8), c(), &script, &kpath);
     let _ = std::fs::remove_file(&tpath);
     let _ = std::fs::remove_file(&kpath);
     assert_eq!(terr, 0.0, "thread engine must verify bit-exact");
@@ -190,8 +221,61 @@ fn task_engine_matches_thread_engine_on_nbf_reduction() {
         tshape, kshape,
         "reduction protocol must not change adaptation event ordering"
     );
+    // The joiner fills the gap the leaver of the same point opens.
+    let gap_fill = ["normal_leave", "join_committed:pid2", "adapt:+1-1->8"];
+    assert!(
+        tshape.windows(3).any(|w| w == gap_fill),
+        "no same-point join + leave in {tshape:?}"
+    );
     assert_eq!(
         timage, kimage,
         "images (including __omp_red scratch residue) must be byte-identical"
+    );
+}
+
+/// The requests the books refuse, made of a 3-process team that fills
+/// its pool.
+fn refusals(
+    mut leave: impl FnMut(LeaveSel) -> Result<Gpid, AdaptError>,
+    join: impl FnOnce() -> Result<(), AdaptError>,
+) -> Vec<AdaptError> {
+    let mut refused = vec![join().unwrap_err()];
+    let mut expect_err = |r: Result<Gpid, AdaptError>| refused.push(r.unwrap_err());
+    expect_err(leave(LeaveSel::Pid(3)));
+    expect_err(leave(LeaveSel::Gpid(Gpid(40))));
+    expect_err(leave(LeaveSel::Pid(0)));
+    expect_err(leave(LeaveSel::Gpid(Gpid(1))));
+    let leaver = leave(LeaveSel::Pid(2)).expect("a slave can leave");
+    expect_err(leave(LeaveSel::Pid(2)));
+    expect_err(leave(LeaveSel::Gpid(leaver)));
+    refused
+}
+
+#[test]
+fn both_engines_refuse_with_the_same_errors() {
+    let kernel = Jacobi::new(24);
+    let sys = OmpSystem::new(cfg(3, 3), nowmp_apps::build_program(&[&kernel]));
+    let adapt = sys.adapt();
+    let thread = refusals(|sel| adapt.leave(sel, None), || adapt.join().map(drop));
+    sys.shutdown();
+
+    let sys = std::cell::RefCell::new(TaskSystem::new(cfg(3, 3)));
+    let task = refusals(
+        |sel| sys.borrow_mut().adapt().leave(sel, None),
+        || sys.borrow_mut().adapt().join().map(drop),
+    );
+
+    assert_eq!(thread, task);
+    assert_eq!(
+        thread,
+        [
+            AdaptError::NoFreeHost,
+            AdaptError::NoSuchRank(3),
+            AdaptError::NotInTeam(Gpid(40)),
+            AdaptError::MasterCannotLeave,
+            AdaptError::MasterCannotLeave,
+            AdaptError::AlreadyLeaving(Gpid(3)),
+            AdaptError::AlreadyLeaving(Gpid(3)),
+        ]
     );
 }

@@ -9,8 +9,8 @@
 //! cost.
 
 use nowmp_apps::jacobi::Jacobi;
-use nowmp_bench::measure;
-use nowmp_core::{ClusterConfig, EventKind, LeaveSel, LogEntry};
+use nowmp_bench::{measure, shape};
+use nowmp_core::{ClusterConfig, LeaveSel};
 use nowmp_net::NetModel;
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::DsmConfig;
@@ -22,34 +22,6 @@ fn cfg(hosts: usize, procs: usize, model: NetModel, clock: Clock) -> ClusterConf
         .with_net_model(model)
         .with_dsm(DsmConfig::default_4k())
         .with_clock(clock)
-}
-
-/// The ordering-relevant fingerprint of a log: event kinds plus the
-/// team-shape fields, with all durations/timestamps dropped (those
-/// legitimately differ between wall and simulated time).
-fn shape(log: &[LogEntry]) -> Vec<String> {
-    log.iter()
-        .map(|e| match &e.kind {
-            EventKind::JoinRequested { host } => format!("join_requested@{host}"),
-            EventKind::JoinReady { .. } => "join_ready".into(),
-            EventKind::JoinCommitted { pid, .. } => format!("join_committed:pid{pid}"),
-            EventKind::LeaveRequested { .. } => "leave_requested".into(),
-            EventKind::NormalLeave { .. } => "normal_leave".into(),
-            EventKind::UrgentMigrationStart { from, to, .. } => {
-                format!("urgent_start:{from}->{to}")
-            }
-            EventKind::UrgentMigrationDone { .. } => "urgent_done".into(),
-            EventKind::Adaptation {
-                joins,
-                leaves,
-                nprocs,
-                ..
-            } => format!("adapt:+{joins}-{leaves}->{nprocs}"),
-            EventKind::Checkpoint { .. } => "checkpoint".into(),
-            // Scheduler events never appear in a single-job run.
-            other => format!("{other:?}"),
-        })
-        .collect()
 }
 
 /// Run the three Figure 2 scenarios on the given model/clock factory and

@@ -21,23 +21,44 @@
 //! call [`Cluster::parallel`]; iteration re-partitioning happens because
 //! the (simulated) OpenMP compiler re-derives each process's share from
 //! `(pid, nprocs)` at every fork.
+//!
+//! What to do at each of these moments is decided by the adaptation
+//! books ([`crate::adapt`]), which this engine shares with
+//! [`crate::TaskSystem`]. This module is the thread engine's
+//! *mechanism*: spawning a process and its handshake, GC and team
+//! commit, the freeze and the image transfer, the checkpoint image.
+//! The books sit behind a mutex the virtual clock cannot see, so every
+//! function here decides under it, acts outside it, and records the
+//! outcome under it again.
 
-use crate::event::{AdaptEvent, LeavePhase, PendingLeave};
+use crate::adapt::{AdaptError, ControlPlane, Cost, LeaveSel};
 use crate::freeze::Freeze;
-use crate::hostpool::HostPool;
 use crate::log::{EventKind, EventLog};
-use crate::reassign::{reassign, ReassignPolicy};
+use crate::reassign::ReassignPolicy;
 use crate::sched::JobId;
 use nowmp_ckpt::{migration_image_bytes, Checkpoint};
 use nowmp_net::{CostModel, Gpid, HostId, NetModel, Network};
 use nowmp_tmk::system::RegionRunner;
-use nowmp_tmk::{CollectiveConfig, DataPlaneConfig, DsmConfig, DsmSystem, MasterCtl, TmkCtx};
-use nowmp_util::{Clock, JoinHandle};
+use nowmp_tmk::{
+    CollectiveConfig, DataPlaneConfig, DsmConfig, DsmSystem, MasterCtl, MemoryImage, TmkCtx,
+};
+use nowmp_util::{Alarm, Clock, JoinHandle};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Name of the runtime's reduction scratch array (one `f64` slot per
+/// rank). Both engines allocate it first, so registries — and
+/// therefore checkpoint bytes — line up across them.
+pub const RED_ARRAY: &str = "__omp_red";
+/// Name of the runtime's dynamic-schedule counter, allocated second.
+pub const DYN_COUNTER: &str = "__omp_dyn";
+/// Slots the reduction scratch has at least; a pool with more
+/// workstations gets one slot per workstation
+/// ([`ClusterConfig::red_slots`]).
+pub const MAX_TEAM: usize = 64;
 
 /// Where pages held only by leavers go (§4.2 vs the §7 future-work idea).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +88,6 @@ pub struct ClusterConfig {
     pub reassign: ReassignPolicy,
     /// Leaver-page sink.
     pub leave_strategy: LeaveStrategy,
-    /// Default grace period for leaves that don't specify one.
-    pub default_grace: Option<Duration>,
     /// Write a checkpoint every `k` forks (None = only on request).
     pub ckpt_every_forks: Option<u64>,
     /// Where checkpoints go.
@@ -155,8 +174,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: set the collective shapes (fork dissemination, join
-    /// reduction, barrier release).
+    /// Builder: set the collective shapes (fork dissemination; join
+    /// reduction and barrier release).
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.dsm.collectives = collectives;
         self
@@ -177,12 +196,6 @@ impl ClusterConfig {
     /// Builder: set the leaver-page sink.
     pub fn with_leave_strategy(mut self, leave_strategy: LeaveStrategy) -> Self {
         self.leave_strategy = leave_strategy;
-        self
-    }
-
-    /// Builder: set the default grace period.
-    pub fn with_default_grace(mut self, grace: Option<Duration>) -> Self {
-        self.default_grace = grace;
         self
     }
 
@@ -224,7 +237,6 @@ impl ClusterConfig {
             dsm: DsmConfig::test_small(),
             reassign: ReassignPolicy::CompactKeepOrder,
             leave_strategy: LeaveStrategy::ViaMaster,
-            default_grace: Some(Duration::from_secs(3)),
             ckpt_every_forks: None,
             ckpt_path: None,
             migrate_prefer_free: false,
@@ -236,69 +248,47 @@ impl ClusterConfig {
     }
 
     /// The paper's testbed shape: 8 hosts, 8 processes, paper network
-    /// model, 4 KB pages, 3 s grace.
+    /// and host cost models, 4 KB pages.
     pub fn paper_1999() -> Self {
         ClusterConfig {
-            hosts: 8,
-            initial_procs: 8,
             net_model: NetModel::paper_1999(),
             cost_model: CostModel::paper_1999(),
             dsm: DsmConfig::default_4k(),
-            reassign: ReassignPolicy::CompactKeepOrder,
-            leave_strategy: LeaveStrategy::ViaMaster,
-            default_grace: Some(Duration::from_secs(3)),
-            ckpt_every_forks: None,
-            ckpt_path: None,
-            migrate_prefer_free: false,
-            clock: Clock::from_env(),
-            adaptive: true,
-            master_state_provider: None,
-            job: None,
+            ..Self::test(8, 8)
+        }
+    }
+
+    /// Length of the reduction scratch ([`RED_ARRAY`]) either engine
+    /// allocates for this pool: one slot per rank the team can ever
+    /// have, and never fewer than [`MAX_TEAM`].
+    pub fn red_slots(&self) -> u64 {
+        self.hosts.max(MAX_TEAM) as u64
+    }
+
+    /// Pair `image` with the master's private state and write the
+    /// checkpoint to `ckpt_path`; returns its size in bytes.
+    pub(crate) fn write_checkpoint(&self, image: MemoryImage) -> u64 {
+        let provider = self.master_state_provider.as_ref();
+        let ckpt = Checkpoint {
+            image,
+            master_blob: provider.map(|f| f()).unwrap_or_default(),
+        };
+        match &self.ckpt_path {
+            Some(path) => ckpt.write_file(path).expect("checkpoint write failed"),
+            None => ckpt.to_bytes().len() as u64, // sized but not persisted
         }
     }
 }
-
-/// Errors from adaptation requests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdaptError {
-    /// No unoccupied workstation to spawn on.
-    NoFreeHost,
-    /// The process is not a current team member.
-    NotInTeam(Gpid),
-    /// §4.4: "the master node … currently cannot perform a normal leave".
-    MasterCannotLeave,
-    /// A leave for this process is already pending.
-    AlreadyLeaving(Gpid),
-}
-
-impl std::fmt::Display for AdaptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdaptError::NoFreeHost => write!(f, "no free workstation available"),
-            AdaptError::NotInTeam(g) => write!(f, "{g} is not a team member"),
-            AdaptError::MasterCannotLeave => write!(f, "the master cannot leave"),
-            AdaptError::AlreadyLeaving(g) => write!(f, "{g} already has a pending leave"),
-        }
-    }
-}
-
-impl std::error::Error for AdaptError {}
 
 /// State shared with timer threads and event sources.
 pub struct ClusterShared {
     sys: Arc<DsmSystem>,
     net: Network,
-    clock: Clock,
     master_gpid: Gpid,
-    hosts: Mutex<HostPool>,
-    events: Mutex<VecDeque<AdaptEvent>>,
-    pending_leaves: Mutex<Vec<Arc<PendingLeave>>>,
-    pending_joins: Mutex<HashMap<Gpid, HostId>>,
-    team_view: Mutex<Vec<Gpid>>,
+    /// The adaptation books. Never held across a clock-visible wait.
+    book: Mutex<ControlPlane<Alarm>>,
     freeze: Arc<Freeze>,
-    log: EventLog,
-    migrate_prefer_free: bool,
-    page_size: usize,
+    log: Arc<EventLog>,
 }
 
 impl ClusterShared {
@@ -309,17 +299,12 @@ impl ClusterShared {
 
     /// The simulation's time source.
     pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The underlying DSM system (diagnostics, migration sizing).
-    pub fn dsm_system(&self) -> &Arc<DsmSystem> {
-        &self.sys
+        self.net.clock()
     }
 
     /// Current team member list (index = pid).
     pub fn team_view(&self) -> Vec<Gpid> {
-        self.team_view.lock().clone()
+        self.book.lock().team().to_vec()
     }
 
     /// The typed adaptation handle — the one surface for join / leave /
@@ -332,7 +317,7 @@ impl ClusterShared {
 
     /// Workstation currently hosting `gpid`, if it is placed.
     pub fn host_of(&self, gpid: Gpid) -> Option<HostId> {
-        self.hosts.lock().host_of(gpid)
+        self.book.lock().host_of(gpid)
     }
 
     /// Join: reserve a free workstation, spawn the process
@@ -341,14 +326,9 @@ impl ClusterShared {
     /// point. Returns the reserved host and the spawner thread, which
     /// yields the new process once it exists.
     fn join_impl(self: &Arc<Self>) -> Result<(HostId, JoinHandle<Gpid>), AdaptError> {
-        let host = self
-            .hosts
-            .lock()
-            .reserve_free()
-            .ok_or(AdaptError::NoFreeHost)?;
-        self.log.push(EventKind::JoinRequested { host });
+        let host = self.book.lock().request_join()?;
         let me = Arc::clone(self);
-        let spawner = self.clock.spawn(format!("join-{host}"), move || {
+        let spawner = self.clock().spawn(format!("join-{host}"), move || {
             // Process creation cost (0.6–0.8 s on the paper's testbed),
             // charged off the critical path.
             me.net.charge_spawn();
@@ -357,88 +337,23 @@ impl ClusterShared {
             hello.retain(|&g| g != me.master_gpid);
             hello.push(me.master_gpid);
             let gpid = me.sys.spawn_worker(host, me.master_gpid, hello);
-            me.pending_joins.lock().insert(gpid, host);
-            me.log.push(EventKind::JoinReady { gpid });
+            let recorded = me.book.lock().join_connected(host, gpid);
+            recorded.expect("the host was reserved for this join");
             gpid
         });
         Ok((host, spawner))
     }
 
-    /// Leave for `gpid` with the given grace period. If the grace
-    /// period expires before the next adaptation point, the process is
-    /// urgently migrated.
-    fn leave_impl(self: &Arc<Self>, gpid: Gpid, grace: Option<Duration>) -> Result<(), AdaptError> {
-        if gpid == self.master_gpid {
-            return Err(AdaptError::MasterCannotLeave);
-        }
-        if !self.team_view.lock().contains(&gpid) {
-            return Err(AdaptError::NotInTeam(gpid));
-        }
-        {
-            let pl = self.pending_leaves.lock();
-            if pl
-                .iter()
-                .any(|p| p.gpid == gpid && p.phase() != LeavePhase::Done)
-            {
-                return Err(AdaptError::AlreadyLeaving(gpid));
-            }
-        }
-        self.log.push(EventKind::LeaveRequested { gpid, grace });
-        let pending = Arc::new(PendingLeave::new(gpid, grace));
-        // The grace period is a waitable, cancellable deadline on the
-        // cluster clock: under a virtual clock it only fires if the
-        // whole simulation is otherwise idle until it — exactly the
-        // paper's race between the timer and the next adaptation point,
-        // minus the wall time. Arm it *before* publishing the pending
-        // leave, so an adaptation point that claims the leave
-        // immediately always finds a timer to disarm.
-        let alarm = grace.map(|g| {
-            let a = self.clock.alarm(g);
-            pending.arm(a.clone());
-            a
-        });
-        self.pending_leaves.lock().push(Arc::clone(&pending));
-        if let Some(alarm) = alarm {
-            let me = Arc::clone(self);
-            self.clock.spawn(format!("grace-{gpid}"), move || {
-                if alarm.wait() && pending.claim_urgent() {
-                    me.urgent_migrate(pending.gpid);
-                }
-            });
-        }
-        Ok(())
-    }
-
-    /// Queue a checkpoint for the next adaptation point.
-    fn checkpoint_impl(&self) {
-        self.events.lock().push_back(AdaptEvent::Checkpoint);
-    }
-
-    /// Urgent leave (Figure 2c): freeze the computation, stream the
-    /// process image to another workstation, re-home the process there
-    /// (multiplexing if occupied). The team shrinks at the *next*
-    /// adaptation point, exactly as in the paper.
-    pub fn urgent_migrate(&self, gpid: Gpid) {
-        let from = self
-            .net
-            .host_of(gpid)
-            .expect("urgent migration target vanished");
-        let to = {
-            let hosts = self.hosts.lock();
-            let free = if self.migrate_prefer_free {
-                hosts.free_host()
-            } else {
-                None
-            };
-            free.or_else(|| hosts.least_loaded_excluding(from))
-                .expect("no workstation to migrate to")
-        };
+    /// Stream `gpid`'s process image from `from` to `to` and re-home
+    /// the process there (multiplexing if occupied), with the whole
+    /// computation frozen meanwhile and the full transfer cost charged.
+    fn migrate(&self, gpid: Gpid, from: HostId, to: HostId) {
         let resident = self
             .sys
             .core_of(gpid)
             .map(|c| c.lock().pages.count(|m| m.data.is_some()))
             .unwrap_or(0);
-        let image = migration_image_bytes(resident, self.page_size);
+        let image = migration_image_bytes(resident, self.sys.cfg().page_size);
         self.log.push(EventKind::UrgentMigrationStart {
             gpid,
             from,
@@ -448,21 +363,17 @@ impl ClusterShared {
 
         // "All processes then wait for the completion of the migration."
         self.freeze.freeze();
-        let t0 = self.clock.now();
+        let t0 = self.clock().now();
         self.net.charge_spawn(); // create the new process on the target host
         self.net.charge_migration(from, to, image); // stream heap + stack
         self.net
             .relabel(gpid, to)
             .expect("relabel migrating process");
-        {
-            let mut hosts = self.hosts.lock();
-            hosts.vacate(from, gpid);
-            hosts.occupy(to, gpid);
-        }
+        self.book.lock().migrated(gpid, from, to);
         self.freeze.thaw();
         self.log.push(EventKind::UrgentMigrationDone {
             gpid,
-            took: self.clock.elapsed_since(t0),
+            took: self.clock().elapsed_since(t0),
         });
     }
 
@@ -472,72 +383,30 @@ impl ClusterShared {
     /// The process keeps its identity and team rank; only its
     /// workstation changes, with the full image-transfer cost charged.
     pub fn migrate_now(&self, gpid: Gpid, to: HostId) -> Result<(), AdaptError> {
-        if !self.team_view.lock().contains(&gpid) {
-            return Err(AdaptError::NotInTeam(gpid));
+        let from = self.book.lock().member_host(gpid)?;
+        if from != to {
+            self.migrate(gpid, from, to);
         }
-        let from = self.net.host_of(gpid).ok_or(AdaptError::NotInTeam(gpid))?;
-        if from == to {
-            return Ok(());
-        }
-        let resident = self
-            .sys
-            .core_of(gpid)
-            .map(|c| c.lock().pages.count(|m| m.data.is_some()))
-            .unwrap_or(0);
-        let image = migration_image_bytes(resident, self.page_size);
-        self.log.push(EventKind::UrgentMigrationStart {
-            gpid,
-            from,
-            to,
-            image_bytes: image,
-        });
-        self.freeze.freeze();
-        let t0 = self.clock.now();
-        self.net.charge_spawn();
-        self.net.charge_migration(from, to, image);
-        self.net
-            .relabel(gpid, to)
-            .expect("relabel migrating process");
-        {
-            let mut hosts = self.hosts.lock();
-            hosts.vacate(from, gpid);
-            hosts.occupy(to, gpid);
-        }
-        self.freeze.thaw();
-        self.log.push(EventKind::UrgentMigrationDone {
-            gpid,
-            took: self.clock.elapsed_since(t0),
-        });
         Ok(())
     }
 
-    /// Force the urgent path right now (deterministic tests/benches).
+    /// Take the urgent path for `gpid`'s pending leave right now
+    /// (Figure 2c) — what its grace timer does on expiry, and what
+    /// deterministic tests and benches call directly. The process
+    /// migrates to another workstation and multiplexes there; the team
+    /// shrinks at the *next* adaptation point, exactly as in the paper.
+    /// `false` when no leave is pending: an adaptation point got there
+    /// first.
     pub fn force_urgent(&self, gpid: Gpid) -> bool {
-        let pending = {
-            let pl = self.pending_leaves.lock();
-            pl.iter()
-                .find(|p| p.gpid == gpid && p.phase() == LeavePhase::Pending)
-                .cloned()
+        let Some(m) = self.book.lock().claim_urgent(gpid) else {
+            return false;
         };
-        match pending {
-            Some(p) if p.claim_urgent() => {
-                p.disarm(); // the timer lost; withdraw its deadline
-                self.urgent_migrate(gpid);
-                true
-            }
-            _ => false,
+        if let Some(timer) = m.timer {
+            timer.cancel(); // withdraw the deadline if it has not passed
         }
+        self.migrate(gpid, m.from, m.to);
+        true
     }
-}
-
-/// Selects which team member an adaptation verb applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaveSel {
-    /// By current team rank (resolved against the team view at request
-    /// time — ranks shift at adaptation points).
-    Pid(u16),
-    /// By global process id (stable across reassignment).
-    Gpid(Gpid),
 }
 
 /// The typed adaptation surface: every way the outside world changes a
@@ -573,22 +442,29 @@ impl AdaptHandle {
     /// adaptation point and migrates urgently if the timer wins.
     /// Returns the gpid the selector resolved to.
     pub fn leave(&self, sel: LeaveSel, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        let gpid = match sel {
-            LeaveSel::Gpid(g) => g,
-            LeaveSel::Pid(pid) => {
-                let team = self.shared.team_view.lock();
-                *team
-                    .get(pid as usize)
-                    .ok_or(AdaptError::NotInTeam(Gpid(0)))?
-            }
+        let shared = &self.shared;
+        // The grace period is a waitable, cancellable deadline on the
+        // cluster clock: under a virtual clock it only fires if the
+        // whole simulation is otherwise idle until it — exactly the
+        // paper's race between the timer and the next adaptation point,
+        // minus the wall time. It is armed under the book's lock, with
+        // the request, so whoever claims the leave finds it to cancel.
+        let arm = |gpid: Gpid, grace: Duration| {
+            let alarm = shared.clock().alarm(grace);
+            let (me, fired) = (Arc::clone(shared), alarm.clone());
+            shared.clock().spawn(format!("grace-{gpid}"), move || {
+                if fired.wait() {
+                    me.force_urgent(gpid);
+                }
+            });
+            alarm
         };
-        self.shared.leave_impl(gpid, grace)?;
-        Ok(gpid)
+        shared.book.lock().request_leave(sel, grace, arm)
     }
 
     /// Request a checkpoint at the next adaptation point.
     pub fn checkpoint(&self) {
-        self.shared.checkpoint_impl();
+        self.shared.book.lock().request_checkpoint();
     }
 
     /// Current team member list (index = pid).
@@ -609,16 +485,39 @@ pub struct Cluster {
     shared: Arc<ClusterShared>,
     master: MasterCtl,
     cfg: ClusterConfig,
-    last_ckpt_fork: u64,
-    blob_provider: Option<Arc<dyn Fn() -> Vec<u8> + Send + Sync>>,
-    /// The OpenMP "dynamic adjustment" switch (§4.4): when off, adapt
-    /// events stay queued and the team never changes.
-    adaptive: bool,
+    /// Readiness announcements the master received before the spawner
+    /// thread told the book which process it created (the two are
+    /// unordered); offered to the book again at the next point.
+    early_ready: Vec<Gpid>,
 }
 
 impl Cluster {
     /// Bring up a cluster: network, master, initial workers, team.
     pub fn new(cfg: ClusterConfig, runner: Arc<dyn RegionRunner>) -> Self {
+        Self::bring_up(cfg, runner, None)
+    }
+
+    /// Recover a cluster from a checkpoint file: fresh processes, the
+    /// shared memory restored, the fork counter fast-forwarded. Returns
+    /// the cluster and the master's private blob.
+    pub fn recover(
+        cfg: ClusterConfig,
+        runner: Arc<dyn RegionRunner>,
+        path: &std::path::Path,
+    ) -> Result<(Self, Vec<u8>), nowmp_ckpt::CkptError> {
+        let ckpt = Checkpoint::read_file(path)?;
+        let cluster = Self::bring_up(cfg, runner, Some(&ckpt.image));
+        Ok((cluster, ckpt.master_blob))
+    }
+
+    /// Network, freeze hook, master, initial workers, team, books. With
+    /// an `image`, the master holds it before the workers learn the
+    /// directory.
+    fn bring_up(
+        cfg: ClusterConfig,
+        runner: Arc<dyn RegionRunner>,
+        image: Option<&MemoryImage>,
+    ) -> Self {
         assert!(cfg.initial_procs >= 1, "need at least the master");
         assert!(
             cfg.hosts >= cfg.initial_procs,
@@ -638,139 +537,38 @@ impl Cluster {
         let sys = DsmSystem::new(net.clone(), dsm, runner);
         let mut master = sys.start_master(HostId(0));
         let master_gpid = master.gpid();
-
-        let mut hosts = HostPool::new(cfg.hosts);
-        for h in 0..cfg.hosts {
-            let h = HostId(h as u16);
-            hosts.set_speed(h, cfg.cost_model.effective_speed(h));
+        if let Some(image) = image {
+            master.import_image(image);
         }
-        hosts.occupy(HostId(0), master_gpid);
-        let mut workers = Vec::new();
-        for i in 1..cfg.initial_procs {
-            let mut hello: Vec<Gpid> = workers.clone();
-            hello.push(master_gpid);
-            let g = sys.spawn_worker(HostId(i as u16), master_gpid, hello);
-            hosts.occupy(HostId(i as u16), g);
-            workers.push(g);
-        }
-        master.init_team(&workers);
 
         let mut team = vec![master_gpid];
-        team.extend_from_slice(&workers);
-        let page_size = cfg.dsm.page_size;
-        let log = match cfg.job {
+        for i in 1..cfg.initial_procs {
+            let mut hello: Vec<Gpid> = team[1..].to_vec();
+            hello.push(master_gpid);
+            team.push(sys.spawn_worker(HostId(i as u16), master_gpid, hello));
+        }
+        master.init_team(&team[1..]);
+
+        let log = Arc::new(match cfg.job {
             Some(job) => EventLog::with_clock_for_job(clock.clone(), job),
             None => EventLog::with_clock(clock.clone()),
-        };
+        });
+        let last_ckpt_fork = image.map_or(0, |i| i.fork_no);
+        let book = ControlPlane::new(&cfg, team, Arc::clone(&log), last_ckpt_fork);
         let shared = Arc::new(ClusterShared {
             sys,
             net,
             log,
-            clock,
             master_gpid,
-            hosts: Mutex::new(hosts),
-            events: Mutex::new(VecDeque::new()),
-            pending_leaves: Mutex::new(Vec::new()),
-            pending_joins: Mutex::new(HashMap::new()),
-            team_view: Mutex::new(team),
+            book: Mutex::new(book),
             freeze,
-            migrate_prefer_free: cfg.migrate_prefer_free,
-            page_size,
         });
-        let blob_provider = cfg.master_state_provider.clone();
-        let adaptive = cfg.adaptive;
         Cluster {
             shared,
             master,
             cfg,
-            last_ckpt_fork: 0,
-            blob_provider,
-            adaptive,
+            early_ready: Vec::new(),
         }
-    }
-
-    /// Recover a cluster from a checkpoint file: fresh processes, the
-    /// shared memory restored, the fork counter fast-forwarded. Returns
-    /// the cluster and the master's private blob.
-    pub fn recover(
-        cfg: ClusterConfig,
-        runner: Arc<dyn RegionRunner>,
-        path: &std::path::Path,
-    ) -> Result<(Self, Vec<u8>), nowmp_ckpt::CkptError> {
-        let ckpt = Checkpoint::read_file(path)?;
-        // Bring up WITHOUT init_team first: the master must hold the
-        // image before the workers learn the directory.
-        let mut cluster = {
-            // Same bring-up as `new`, but import the image between
-            // master start and team formation.
-            let cfg2 = cfg.clone();
-            assert!(cfg2.initial_procs >= 1);
-            let clock = cfg2.clock.clone();
-            let net = Network::with_clock(
-                cfg2.hosts,
-                1,
-                cfg2.net_model.clone(),
-                cfg2.cost_model.clone(),
-                clock.clone(),
-            );
-            let freeze = Freeze::new(clock.clone());
-            let mut dsm = cfg2.dsm.clone();
-            dsm.throttle = Some(freeze.hook());
-            let sys = DsmSystem::new(net.clone(), dsm, runner);
-            let mut master = sys.start_master(HostId(0));
-            let master_gpid = master.gpid();
-            master.import_image(&ckpt.image);
-
-            let mut hosts = HostPool::new(cfg2.hosts);
-            for h in 0..cfg2.hosts {
-                let h = HostId(h as u16);
-                hosts.set_speed(h, cfg2.cost_model.effective_speed(h));
-            }
-            hosts.occupy(HostId(0), master_gpid);
-            let mut workers = Vec::new();
-            for i in 1..cfg2.initial_procs {
-                let mut hello: Vec<Gpid> = workers.clone();
-                hello.push(master_gpid);
-                let g = sys.spawn_worker(HostId(i as u16), master_gpid, hello);
-                hosts.occupy(HostId(i as u16), g);
-                workers.push(g);
-            }
-            master.init_team(&workers);
-            let mut team = vec![master_gpid];
-            team.extend_from_slice(&workers);
-            let page_size = cfg2.dsm.page_size;
-            let log = match cfg2.job {
-                Some(job) => EventLog::with_clock_for_job(clock.clone(), job),
-                None => EventLog::with_clock(clock.clone()),
-            };
-            let shared = Arc::new(ClusterShared {
-                sys,
-                net,
-                log,
-                clock,
-                master_gpid,
-                hosts: Mutex::new(hosts),
-                events: Mutex::new(VecDeque::new()),
-                pending_leaves: Mutex::new(Vec::new()),
-                pending_joins: Mutex::new(HashMap::new()),
-                team_view: Mutex::new(team),
-                freeze,
-                migrate_prefer_free: cfg2.migrate_prefer_free,
-                page_size,
-            });
-            let blob_provider = cfg2.master_state_provider.clone();
-            let adaptive = cfg2.adaptive;
-            Cluster {
-                shared,
-                master,
-                cfg: cfg2,
-                last_ckpt_fork: ckpt.image.fork_no,
-                blob_provider,
-                adaptive,
-            }
-        };
-        cluster.last_ckpt_fork = ckpt.image.fork_no;
-        Ok((cluster, ckpt.master_blob))
     }
 
     /// Handle for event sources (drivers, timers, schedules).
@@ -798,9 +596,15 @@ impl Cluster {
         self.cfg.dsm.page_size
     }
 
+    /// Length of the reduction scratch this pool needs
+    /// ([`ClusterConfig::red_slots`]).
+    pub fn red_slots(&self) -> u64 {
+        self.cfg.red_slots()
+    }
+
     /// Current team size.
     pub fn nprocs(&self) -> usize {
-        self.shared.team_view.lock().len()
+        self.shared.book.lock().team().len()
     }
 
     /// Current team.
@@ -847,12 +651,9 @@ impl Cluster {
         // plus the handshake below.
         let gpid = spawner.join().expect("join spawner panicked");
         self.master.wait_ready(gpid);
-        // `wait_ready` consumed the announcement; replay it for the
-        // adaptation point.
-        self.shared
-            .events
-            .lock()
-            .push_back(AdaptEvent::JoinReady { gpid, host });
+        // `wait_ready` consumed the announcement; pass it on.
+        let announced = self.shared.book.lock().join_announced(gpid);
+        announced.expect("the spawner recorded this process");
         Ok((gpid, host))
     }
 
@@ -867,150 +668,54 @@ impl Cluster {
     /// switch, §4.4). While disabled, adapt events queue but never take
     /// effect.
     pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-    }
-
-    /// Is adaptivity enabled?
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
+        self.cfg.adaptive = on;
     }
 
     /// Process pending adapt events (the paper's adaptation point,
     /// between `Tmk_join` and the next `Tmk_fork`).
     pub fn adaptation_point(&mut self) {
-        if !self.adaptive {
+        if !self.cfg.adaptive {
             return;
         }
         // Joins whose processes have announced readiness.
-        let mut joins: Vec<(Gpid, HostId)> = Vec::new();
-        for gpid in self.master.drain_ready_joins() {
-            if let Some(host) = self.shared.pending_joins.lock().remove(&gpid) {
-                joins.push((gpid, host));
-            }
-        }
-        {
-            // Plus any replayed by join_ready / external sources.
-            let mut ev = self.shared.events.lock();
-            let mut rest = VecDeque::new();
-            while let Some(e) = ev.pop_front() {
-                match e {
-                    AdaptEvent::JoinReady { gpid, host } => {
-                        self.shared.pending_joins.lock().remove(&gpid);
-                        joins.push((gpid, host));
-                    }
-                    other => rest.push_back(other),
-                }
-            }
-            *ev = rest;
-        }
-
-        // Leaves: claim pending ones; include urgent-migrated ones.
-        let mut leaves: Vec<Arc<PendingLeave>> = Vec::new();
-        {
-            let pl = self.shared.pending_leaves.lock();
-            for p in pl.iter() {
-                if p.claim_normal() || p.phase() == LeavePhase::Urgent {
-                    // Either way the race is decided: withdraw the
-                    // grace timer and its pending deadline.
-                    p.disarm();
-                    leaves.push(Arc::clone(p));
-                }
-            }
-        }
-
-        // Checkpoint requests / policy.
-        let mut ckpt_due = {
-            let mut ev = self.shared.events.lock();
-            let before = ev.len();
-            ev.retain(|e| !matches!(e, AdaptEvent::Checkpoint));
-            before != ev.len()
+        self.early_ready.extend(self.master.drain_ready_joins());
+        let gc_due = self.master.gc_due();
+        let plan = {
+            let mut book = self.shared.book.lock();
+            self.early_ready
+                .retain(|&g| book.join_announced(g).is_err());
+            book.begin_adaptation(self.master.fork_no(), gc_due)
         };
-        if let Some(k) = self.cfg.ckpt_every_forks {
-            if self.master.fork_no() >= self.last_ckpt_fork + k {
-                ckpt_due = true;
-            }
-        }
-
-        if joins.is_empty() && leaves.is_empty() && !ckpt_due && !self.master.gc_due() {
+        let Some(plan) = plan else {
             return;
+        };
+        // The race is decided: withdraw the losing grace timers and
+        // their pending deadlines.
+        for timer in &plan.timers {
+            timer.cancel();
         }
 
-        let t0 = self.shared.clock.now();
+        let t0 = self.clock().now();
         let net_before = self.shared.net.stats();
 
         // GC with leavers avoided; their pages re-home per strategy.
-        let avoid: HashSet<Gpid> = leaves.iter().map(|p| p.gpid).collect();
-        let old_members = self.master.team().members.clone();
-        let survivors: Vec<Gpid> = old_members
-            .iter()
-            .copied()
-            .filter(|g| !avoid.contains(g))
-            .collect();
+        let avoid: HashSet<Gpid> = plan.leaves.iter().copied().collect();
         let outcome = match self.cfg.leave_strategy {
             LeaveStrategy::ViaMaster => self.master.run_gc(&avoid, None),
-            LeaveStrategy::Scatter => self.master.run_gc(&avoid, Some(&survivors)),
+            LeaveStrategy::Scatter => {
+                let mut survivors = self.master.team().members;
+                survivors.retain(|g| !avoid.contains(g));
+                self.master.run_gc(&avoid, Some(&survivors))
+            }
         };
-
-        // New team.
-        let leaver_gpids: Vec<Gpid> = leaves.iter().map(|p| p.gpid).collect();
-        let joiner_gpids: Vec<Gpid> = joins.iter().map(|(g, _)| *g).collect();
-        let members = reassign(
-            self.cfg.reassign,
-            &old_members,
-            &leaver_gpids,
-            &joiner_gpids,
-        );
-        // Record leaver hosts before they disappear.
-        let leaver_hosts: Vec<(Gpid, Option<HostId>)> = leaver_gpids
-            .iter()
-            .map(|&g| (g, self.shared.hosts.lock().host_of(g)))
-            .collect();
-
-        self.master.commit_team(members.clone(), &outcome);
-
-        // Bookkeeping.
-        {
-            let mut hosts = self.shared.hosts.lock();
-            for (g, h) in &leaver_hosts {
-                if let Some(h) = h {
-                    hosts.vacate(*h, *g);
-                }
-            }
-            for (g, h) in &joins {
-                hosts.occupy(*h, *g);
-                hosts.unreserve(*h);
-            }
-        }
-        for p in &leaves {
-            self.shared
-                .log
-                .push(EventKind::NormalLeave { gpid: p.gpid });
-            p.finish();
-        }
-        self.shared
-            .pending_leaves
-            .lock()
-            .retain(|p| p.phase() != LeavePhase::Done);
-        for (g, _) in &joins {
-            let pid = members.iter().position(|m| m == g).unwrap_or(0) as u16;
-            self.shared
-                .log
-                .push(EventKind::JoinCommitted { gpid: *g, pid });
-        }
-        *self.shared.team_view.lock() = members.clone();
+        self.master.commit_team(plan.members.clone(), &outcome);
 
         // Checkpoint (paper §4.3: GC already ran; collect + dump).
-        if ckpt_due {
-            self.write_checkpoint();
-        }
+        let ckpt = plan.ckpt_due.then(|| self.write_image());
 
-        let net_after = self.shared.net.stats();
-        let delta = net_after.since(&net_before);
-        self.shared.log.push(EventKind::Adaptation {
-            fork_no: self.master.fork_no(),
-            joins: joins.len(),
-            leaves: leaves.len(),
-            took: self.shared.clock.elapsed_since(t0),
+        let delta = self.shared.net.stats().since(&net_before);
+        let cost = Cost {
+            took: self.clock().elapsed_since(t0),
             bytes_moved: delta.total_bytes,
             max_link_bytes: delta
                 .links
@@ -1018,28 +723,18 @@ impl Cluster {
                 .map(|l| l.bytes_total())
                 .max()
                 .unwrap_or(0),
-            nprocs: members.len(),
-        });
+            ckpt,
+        };
+        self.shared.book.lock().commit(plan, cost);
     }
 
-    fn write_checkpoint(&mut self) {
-        let t0 = self.shared.clock.now();
+    /// Collect every page at the master and dump the image; returns the
+    /// checkpoint's size and how long it took.
+    fn write_image(&mut self) -> (u64, Duration) {
+        let t0 = self.clock().now();
         self.master.collect_all_pages();
-        let image = self.master.export_image();
-        let blob = self.blob_provider.as_ref().map(|f| f()).unwrap_or_default();
-        let ckpt = Checkpoint {
-            image,
-            master_blob: blob,
-        };
-        let bytes = match &self.cfg.ckpt_path {
-            Some(path) => ckpt.write_file(path).expect("checkpoint write failed"),
-            None => ckpt.to_bytes().len() as u64, // sized but not persisted
-        };
-        self.last_ckpt_fork = self.master.fork_no();
-        self.shared.log.push(EventKind::Checkpoint {
-            bytes,
-            took: self.shared.clock.elapsed_since(t0),
-        });
+        let bytes = self.cfg.write_checkpoint(self.master.export_image());
+        (bytes, self.clock().elapsed_since(t0))
     }
 
     /// Write a checkpoint immediately (the caller is at an adaptation
@@ -1049,7 +744,12 @@ impl Cluster {
         let outcome = self.master.run_gc(&HashSet::new(), None);
         let members = self.master.team().members.clone();
         self.master.commit_team(members, &outcome);
-        self.write_checkpoint();
+        let (bytes, took) = self.write_image();
+        let fork_no = self.master.fork_no();
+        self.shared
+            .book
+            .lock()
+            .checkpoint_written(fork_no, bytes, took);
     }
 
     /// Shut down the whole system.

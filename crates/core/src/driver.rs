@@ -12,7 +12,8 @@
 //! time under a virtual clock (where a whole day of churn can replay
 //! in milliseconds).
 
-use crate::cluster::{ClusterShared, LeaveSel};
+use crate::adapt::LeaveSel;
+use crate::cluster::ClusterShared;
 use nowmp_net::Gpid;
 use std::sync::Arc;
 use std::time::Duration;

@@ -27,13 +27,14 @@
 //!   [`NetModel::barrier_time`]. Grace alarms and spawn completions
 //!   live in the scheduler's deadline set and fire when the engine's
 //!   virtual now crosses them.
-//! * **Adaptation** mirrors [`crate::Cluster::adaptation_point`]
-//!   event for event: `NormalLeave*`, `JoinCommitted*`, optional
-//!   `Checkpoint`, then `Adaptation` — same [`reassign`] policies,
-//!   same [`HostPool`] placement rules, same grace/urgent race
-//!   (decided here by tick comparison instead of a parked alarm
-//!   thread). The 32-host parity test in `crates/bench` holds the two
-//!   engines to identical event shapes and identical checkpoint files.
+//! * **Adaptation** drives the same books as [`crate::Cluster`]
+//!   ([`crate::adapt`]): placement, rank reassignment, the
+//!   grace/urgent race, checkpoint policy and the event order are
+//!   decided there, once. This engine supplies the mechanism — spawn
+//!   and grace deadlines parked in the scheduler's deadline set, the
+//!   migration charge, the [`SimMemory`] image export. The parity test
+//!   in `crates/bench` holds the two engines to identical event shapes
+//!   and identical checkpoint files.
 //!
 //! What is *not* simulated: per-message protocol traffic (diffs,
 //! write notices, GC). GC never changes page contents, so checkpoint
@@ -41,9 +42,10 @@
 //! into the per-fault RTT charge.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
-use nowmp_ckpt::{migration_image_bytes, Checkpoint};
+use nowmp_ckpt::migration_image_bytes;
 use nowmp_net::{CostModel, Gpid, HostId, NetModel};
 use nowmp_tmk::engine::{HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx};
 use nowmp_tmk::shm::{Allocator, Registry};
@@ -51,22 +53,13 @@ use nowmp_tmk::types::{Addr, PageId, Pid};
 use nowmp_tmk::{ElemKind, MemoryImage};
 use nowmp_util::{TaskScheduler, Tick};
 
-use crate::cluster::{AdaptError, ClusterConfig, LeaveSel};
-use crate::hostpool::HostPool;
+use crate::adapt::{AdaptError, ControlPlane, Cost, LeaveSel};
+use crate::cluster::{ClusterConfig, DYN_COUNTER, RED_ARRAY};
 use crate::log::{EventKind, EventLog};
-use crate::reassign::reassign;
-
-/// Reduction scratch published by [`TaskSystem::new`] (mirrors the
-/// OpenMP layer's `__omp_red` so registries — and therefore checkpoint
-/// bytes — match the thread engine).
-pub const RED_ARRAY: &str = "__omp_red";
-/// Dynamic-schedule counter (mirrors `__omp_dyn`).
-pub const DYN_COUNTER: &str = "__omp_dyn";
-/// Largest team the reduction scratch supports.
-pub const MAX_TEAM: usize = 64;
 
 /// Scheduler task-id namespaces. Host tasks use their pid directly;
-/// pseudo-tasks for deadline-set timers live far above any team size.
+/// the pseudo-tasks for deadline-set timers are keyed by the gpid they
+/// concern, far above any team size.
 const JOIN_BASE: usize = 1 << 32;
 const GRACE_BASE: usize = 1 << 33;
 
@@ -98,30 +91,6 @@ pub trait TaskApp {
     ) -> Box<dyn RegionTask>;
 }
 
-/// A spawned-but-not-committed joiner (between `JoinRequested` and
-/// the adaptation point that seats it).
-struct PendingJoin {
-    gpid: Gpid,
-    host: HostId,
-    ready_at: Tick,
-    ready: bool,
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum LeavePhase {
-    Pending,
-    Urgent,
-}
-
-/// A requested leave waiting for an adaptation point (or its grace
-/// deadline, whichever the virtual clock reaches first).
-struct PendingLeave {
-    gpid: Gpid,
-    phase: LeavePhase,
-    /// Deadline-set key of the grace timer (cancel on normal claim).
-    key: Option<(u64, u64)>,
-}
-
 /// Per-member simulation state: which pages the host's (simulated)
 /// copy currently holds valid. Faults on pages outside this set are
 /// charged a fetch RTT; synchronization invalidates pages written by
@@ -132,25 +101,21 @@ struct HostSim {
 }
 
 /// The task-backed cluster: flat shared memory, a deadline-set
-/// scheduler, and the same adaptive control plane as [`crate::Cluster`].
+/// scheduler, and the same adaptation books as [`crate::Cluster`].
 pub struct TaskSystem {
     cfg: ClusterConfig,
     mem: SimMemory,
     allocator: Allocator,
     registry: Registry,
-    log: EventLog,
     sched: TaskScheduler,
-    hosts: HostPool,
-    /// `members[pid]` = gpid; `members[0]` is the master.
-    members: Vec<Gpid>,
+    /// The adaptation books; a grace timer is its deadline-set key.
+    book: ControlPlane<(u64, u64)>,
     sim: HashMap<Gpid, HostSim>,
     next_gpid: u32,
-    pending_joins: Vec<PendingJoin>,
-    pending_leaves: Vec<PendingLeave>,
-    ckpt_requested: bool,
-    last_ckpt_fork: u64,
+    /// Processes being created, with the workstation reserved for each
+    /// (from the join request until its spawn deadline fires).
+    spawning: Vec<(Gpid, HostId)>,
     fork_no: u64,
-    adaptive: bool,
     pool: usize,
     peak_workers: usize,
 }
@@ -168,46 +133,26 @@ impl TaskSystem {
     /// thread engine, so parity tests share one config literally).
     pub fn new(cfg: ClusterConfig) -> TaskSystem {
         let spp = cfg.dsm.slots_per_page();
-        let mut hosts = HostPool::new(cfg.hosts);
-        for h in 0..cfg.hosts {
-            let h = HostId(h as u16);
-            hosts.set_speed(h, cfg.cost_model.effective_speed(h));
-        }
-        let mut members = Vec::with_capacity(cfg.initial_procs);
-        let mut sim = HashMap::new();
-        for i in 0..cfg.initial_procs {
-            let g = Gpid(i as u32 + 1);
-            hosts.occupy(HostId(i as u16), g);
-            members.push(g);
-            sim.insert(g, HostSim::default());
-        }
-        let pool = pool_size();
-        let log = EventLog::with_clock(cfg.clock.clone());
-        let adaptive = cfg.adaptive;
-        let next_gpid = members.len() as u32 + 1;
+        let team: Vec<Gpid> = (0..cfg.initial_procs).map(|i| Gpid(i as u32 + 1)).collect();
+        let sim = team.iter().map(|&g| (g, HostSim::default())).collect();
+        let log = Arc::new(EventLog::with_clock(cfg.clock.clone()));
         let mut sys = TaskSystem {
-            cfg,
             mem: SimMemory::new(spp),
             allocator: Allocator::new(spp),
             registry: Registry::new(),
-            log,
             sched: TaskScheduler::new(),
-            hosts,
-            members,
+            next_gpid: team.len() as u32 + 1,
+            book: ControlPlane::new(&cfg, team, log, 0),
             sim,
-            next_gpid,
-            pending_joins: Vec::new(),
-            pending_leaves: Vec::new(),
-            ckpt_requested: false,
-            last_ckpt_fork: 0,
+            spawning: Vec::new(),
             fork_no: 0,
-            adaptive,
-            pool,
+            pool: pool_size(),
             peak_workers: 0,
+            cfg,
         };
         // Runtime scratch first, exactly like the OpenMP layer, so the
         // registry (and checkpoint bytes) line up with the thread engine.
-        sys.alloc(RED_ARRAY, MAX_TEAM as u64, ElemKind::F64);
+        sys.alloc(RED_ARRAY, sys.cfg.red_slots(), ElemKind::F64);
         sys.alloc(DYN_COUNTER, 1, ElemKind::U64);
         sys
     }
@@ -240,6 +185,15 @@ impl TaskSystem {
             .addr
     }
 
+    /// Base of the reduction scratch ([`RED_ARRAY`]) for a team of
+    /// `nprocs`: rank `p` owns slot `base + p`. Panics if the scratch
+    /// has fewer slots than the team has ranks.
+    pub fn reduction_scratch(&self, nprocs: usize) -> Addr {
+        let red = self.registry.get(RED_ARRAY).expect("runtime scratch");
+        assert!(nprocs as u64 <= red.len, "team exceeds reduction scratch");
+        red.addr
+    }
+
     /// Master-side sequential read of an f64 element.
     pub fn get_f64(&self, name: &str, idx: usize) -> f64 {
         f64::from_bits(self.mem.load(self.addr_of(name) + idx as Addr))
@@ -254,7 +208,7 @@ impl TaskSystem {
 
     /// Current team size.
     pub fn nprocs(&self) -> usize {
-        self.members.len()
+        self.book.team().len()
     }
 
     /// Completed forks.
@@ -264,7 +218,7 @@ impl TaskSystem {
 
     /// The adaptation/event log (same type the thread engine fills).
     pub fn log(&self) -> &EventLog {
-        &self.log
+        self.book.log()
     }
 
     /// Worker-pool width (`NOWMP_POOL`, default `min(cores, 8)`).
@@ -285,10 +239,10 @@ impl TaskSystem {
 
     /// `omp_set_dynamic` analog.
     pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
+        self.cfg.adaptive = on;
     }
 
-    // ---- adaptation requests (mirror crate::Cluster) ----
+    // ---- adaptation requests (same verbs as crate::Cluster) ----
 
     /// The typed adaptation surface — same verbs as
     /// [`crate::cluster::AdaptHandle`], borrowed mutably because the
@@ -299,76 +253,25 @@ impl TaskSystem {
 
     /// Ask a free workstation to join; the spawn completes (and
     /// `JoinReady` is logged) when virtual time reaches the spawn
-    /// deadline parked in the scheduler.
-    fn join_impl(&mut self) -> Result<Gpid, AdaptError> {
-        let host = self.hosts.reserve_free().ok_or(AdaptError::NoFreeHost)?;
-        self.log.push(EventKind::JoinRequested { host });
+    /// deadline parked in the scheduler, which is returned with the
+    /// new process's gpid.
+    fn join_impl(&mut self) -> Result<(Gpid, Tick), AdaptError> {
+        let host = self.book.request_join()?;
         let gpid = Gpid(self.next_gpid);
         self.next_gpid += 1;
-        let spawn = self.cfg.cost_model.spawn_time();
-        let ready_at = tick_after(self.sched.now(), spawn);
-        let idx = self.pending_joins.len();
-        self.sched.park_until(JOIN_BASE + idx, ready_at);
-        self.pending_joins.push(PendingJoin {
-            gpid,
-            host,
-            ready_at,
-            ready: false,
-        });
-        Ok(gpid)
-    }
-
-    /// [`TaskAdapt::join`], then advance virtual time to the spawn
-    /// completion so the join is committable at the next adaptation
-    /// point — the blocking flavor the thread engine's
-    /// `Cluster::join_ready` provides.
-    fn join_ready_impl(&mut self) -> Result<Gpid, AdaptError> {
-        let gpid = self.join_impl()?;
-        let ready_at = self
-            .pending_joins
-            .iter()
-            .find(|j| j.gpid == gpid)
-            .map(|j| j.ready_at)
-            .expect("join just pushed");
-        self.advance_time(ready_at);
-        Ok(gpid)
-    }
-
-    /// Rank `pid` leaves, with an optional grace period (defaulting to
-    /// the config's). A grace deadline is parked in the scheduler's
-    /// deadline set; if virtual time crosses it before an adaptation
-    /// point claims the leave, the migration turns urgent.
-    fn leave_pid_impl(&mut self, pid: usize, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        if pid == 0 {
-            return Err(AdaptError::MasterCannotLeave);
-        }
-        let gpid = *self
-            .members
-            .get(pid)
-            .ok_or(AdaptError::NotInTeam(Gpid(pid as u32)))?;
-        if self.pending_leaves.iter().any(|l| l.gpid == gpid) {
-            return Err(AdaptError::AlreadyLeaving(gpid));
-        }
-        let grace = grace.or(self.cfg.default_grace);
-        self.log.push(EventKind::LeaveRequested { gpid, grace });
-        let idx = self.pending_leaves.len();
-        let key = grace.map(|g| {
-            let deadline = tick_after(self.sched.now(), g);
-            self.sched.park_until(GRACE_BASE + idx, deadline)
-        });
-        self.pending_leaves.push(PendingLeave {
-            gpid,
-            phase: LeavePhase::Pending,
-            key,
-        });
-        Ok(gpid)
+        self.spawning.push((gpid, host));
+        let ready_at = tick_after(self.sched.now(), self.cfg.cost_model.spawn_time());
+        self.sched.park_until(JOIN_BASE + gpid.0 as usize, ready_at);
+        Ok((gpid, ready_at))
     }
 
     /// Write a checkpoint right now, outside any adaptation point
     /// (mirrors `Cluster::checkpoint_now`: logs only a `Checkpoint`
     /// event).
     pub fn checkpoint_now(&mut self) {
-        self.write_checkpoint();
+        let bytes = self.write_image();
+        self.book
+            .checkpoint_written(self.fork_no, bytes, Duration::ZERO);
     }
 
     // ---- the engine proper ----
@@ -378,7 +281,7 @@ impl TaskSystem {
     /// until every rank is done.
     pub fn parallel(&mut self, app: &dyn TaskApp, region: &str, params: &[u8]) {
         self.adaptation_point();
-        let nprocs = self.members.len();
+        let nprocs = self.nprocs();
         let per_iter = self.cfg.cost_model.region_cost(region);
         let fetch_ns = dur_ns(self.cfg.net_model.fetch_rtt(self.cfg.dsm.page_size));
         let barrier_ns = dur_ns(self.cfg.net_model.barrier_time(nprocs));
@@ -423,8 +326,8 @@ impl TaskSystem {
                 self.step_wave(&mut wave, nprocs);
                 // Sequential merge in pid (FIFO) order.
                 for item in wave {
-                    let gpid = self.members[item.pid];
-                    let host = self.hosts.host_of(gpid).expect("member is placed");
+                    let gpid = self.book.team()[item.pid];
+                    let host = self.book.host_of(gpid).expect("member is placed");
                     let sim = self.sim.get_mut(&gpid).expect("member simulated");
                     let mut t = host_now[item.pid];
                     for page in &item.out.touched {
@@ -519,7 +422,7 @@ impl TaskSystem {
             self.mem.apply_writes(writes);
             writes.clear();
         }
-        for (pid, &gpid) in self.members.iter().enumerate() {
+        for (pid, &gpid) in self.book.team().iter().enumerate() {
             let sim = self.sim.get_mut(&gpid).expect("member simulated");
             for (page, writers) in &written_by {
                 let foreign = writers.iter().any(|&w| w != pid);
@@ -551,7 +454,7 @@ impl TaskSystem {
             let (t, id) = self.sched.next().expect("deadline pending");
             self.cfg.clock.advance_to(t);
             if id >= GRACE_BASE {
-                let cost = self.fire_grace(id - GRACE_BASE);
+                let cost = self.fire_grace(Gpid((id - GRACE_BASE) as u32));
                 if cost > Duration::ZERO {
                     let resume = tick_after(t, cost);
                     self.sched.advance_to(resume);
@@ -560,7 +463,7 @@ impl TaskSystem {
                     stall += cost;
                 }
             } else if id >= JOIN_BASE {
-                self.fire_join(id - JOIN_BASE);
+                self.fire_join(Gpid((id - JOIN_BASE) as u32));
             }
         }
         let target = Tick::from_nanos(target_ns);
@@ -569,40 +472,32 @@ impl TaskSystem {
         stall
     }
 
-    /// A spawn deadline fired: the joiner finished connection setup.
-    fn fire_join(&mut self, idx: usize) {
-        if let Some(j) = self.pending_joins.get_mut(idx) {
-            if !j.ready {
-                j.ready = true;
-                self.log.push(EventKind::JoinReady { gpid: j.gpid });
-            }
-        }
+    /// A spawn deadline fired: the process exists and — there being
+    /// no handshake to simulate — has announced itself in the same
+    /// instant.
+    fn fire_join(&mut self, gpid: Gpid) {
+        let at = self.spawning.iter().position(|&(g, _)| g == gpid);
+        let (_, host) = self
+            .spawning
+            .remove(at.expect("spawn deadline of a pending join"));
+        let seated = self
+            .book
+            .join_connected(host, gpid)
+            .and_then(|()| self.book.join_announced(gpid));
+        seated.expect("the host was reserved for this join");
     }
 
     /// A grace deadline fired before any adaptation point claimed the
-    /// leave: migrate urgently (Fig. 2c), multiplexing onto the
-    /// least-loaded host (or a free one, per config). Returns the
-    /// virtual time the frozen computation loses.
-    fn fire_grace(&mut self, idx: usize) -> Duration {
-        let Some(l) = self.pending_leaves.get_mut(idx) else {
+    /// leave: migrate urgently (Fig. 2c) to the workstation the book
+    /// picks. Returns the virtual time the frozen computation loses.
+    fn fire_grace(&mut self, gpid: Gpid) -> Duration {
+        let Some(m) = self.book.claim_urgent(gpid) else {
             return Duration::ZERO;
         };
-        if l.phase != LeavePhase::Pending {
-            return Duration::ZERO;
-        }
-        l.phase = LeavePhase::Urgent;
-        let gpid = l.gpid;
-        let from = self.hosts.host_of(gpid).expect("leaver is placed");
-        let to = if self.cfg.migrate_prefer_free {
-            self.hosts.free_host()
-        } else {
-            None
-        }
-        .or_else(|| self.hosts.least_loaded_excluding(from))
-        .unwrap_or(from);
+        let (from, to) = (m.from, m.to);
         let resident = self.sim.get(&gpid).map(|s| s.valid.len()).unwrap_or(0);
         let image_bytes = migration_image_bytes(resident, self.cfg.dsm.page_size);
-        self.log.push(EventKind::UrgentMigrationStart {
+        self.log().push(EventKind::UrgentMigrationStart {
             gpid,
             from,
             to,
@@ -610,107 +505,51 @@ impl TaskSystem {
         });
         let took =
             self.cfg.cost_model.spawn_time() + self.cfg.cost_model.migration_time(image_bytes);
-        self.hosts.vacate(from, gpid);
-        self.hosts.occupy(to, gpid);
-        self.log.push(EventKind::UrgentMigrationDone { gpid, took });
+        self.book.migrated(gpid, from, to);
+        self.log()
+            .push(EventKind::UrgentMigrationDone { gpid, took });
         took
     }
 
-    /// The adaptation point: commit ready joins, claim pending leaves,
-    /// write due checkpoints — in exactly the thread engine's event
-    /// order (`NormalLeave*`, `JoinCommitted*`, `Checkpoint?`,
-    /// `Adaptation`).
+    /// The adaptation point: the book decides what is due, this engine
+    /// withdraws the losing grace deadlines, drops and creates the
+    /// per-host simulation state and exports the checkpoint image.
     fn adaptation_point(&mut self) {
-        if !self.adaptive {
+        if !self.cfg.adaptive {
             return;
         }
-        let mut joins: Vec<(Gpid, HostId)> = Vec::new();
-        let mut i = 0;
-        while i < self.pending_joins.len() {
-            if self.pending_joins[i].ready {
-                let j = self.pending_joins.remove(i);
-                joins.push((j.gpid, j.host));
-            } else {
-                i += 1;
-            }
-        }
-        let mut leaves: Vec<Gpid> = Vec::new();
-        for l in self.pending_leaves.drain(..) {
-            if let (LeavePhase::Pending, Some(key)) = (l.phase, l.key) {
-                self.sched.cancel(key);
-            }
-            leaves.push(l.gpid);
-        }
-        let ckpt_due = self.ckpt_requested
-            || self
-                .cfg
-                .ckpt_every_forks
-                .is_some_and(|k| self.fork_no >= self.last_ckpt_fork + k);
-        if joins.is_empty() && leaves.is_empty() && !ckpt_due {
+        let Some(plan) = self.book.begin_adaptation(self.fork_no, false) else {
             return;
+        };
+        for &key in &plan.timers {
+            self.sched.cancel(key);
         }
-        let old = self.members.clone();
-        let joiner_gpids: Vec<Gpid> = joins.iter().map(|(g, _)| *g).collect();
-        let members = reassign(self.cfg.reassign, &old, &leaves, &joiner_gpids);
-        for &g in &leaves {
-            if let Some(h) = self.hosts.host_of(g) {
-                self.hosts.vacate(h, g);
-            }
-            self.sim.remove(&g);
-            self.log.push(EventKind::NormalLeave { gpid: g });
+        for g in &plan.leaves {
+            self.sim.remove(g);
         }
-        for (g, h) in &joins {
-            self.hosts.occupy(*h, *g);
-            self.hosts.unreserve(*h);
-            self.sim.insert(*g, HostSim::default());
-            let pid = members.iter().position(|m| m == g).expect("joiner seated") as u16;
-            self.log.push(EventKind::JoinCommitted { gpid: *g, pid });
+        for &(g, _) in &plan.joins {
+            self.sim.insert(g, HostSim::default());
         }
-        let nprocs = members.len();
-        self.members = members;
-        if ckpt_due {
-            self.write_checkpoint();
-            self.ckpt_requested = false;
-        }
-        self.log.push(EventKind::Adaptation {
-            fork_no: self.fork_no,
-            joins: joins.len(),
-            leaves: leaves.len(),
-            took: Duration::ZERO,
-            bytes_moved: 0,
-            max_link_bytes: 0,
-            nprocs,
-        });
+        let ckpt = plan.ckpt_due.then(|| (self.write_image(), Duration::ZERO));
+        let cost = Cost {
+            ckpt,
+            ..Cost::default()
+        };
+        self.book.commit(plan, cost);
     }
 
     /// Export the full shared image and write/serialize a checkpoint,
-    /// byte-compatible with the thread engine's.
-    fn write_checkpoint(&mut self) {
+    /// byte-compatible with the thread engine's; returns its size.
+    fn write_image(&self) -> u64 {
         let pages: Vec<(PageId, Vec<u64>)> = (0..self.allocator.allocated_pages())
             .map(|p| (p as PageId, self.mem.page_words(p as PageId)))
             .collect();
-        let image = MemoryImage {
+        self.cfg.write_checkpoint(MemoryImage {
             fork_no: self.fork_no,
             alloc_slots: self.allocator.allocated_slots(),
             registry: self.registry.full(),
             pages,
-        };
-        let master_blob = self
-            .cfg
-            .master_state_provider
-            .as_ref()
-            .map(|f| f())
-            .unwrap_or_default();
-        let ckpt = Checkpoint { image, master_blob };
-        let bytes = match &self.cfg.ckpt_path {
-            Some(path) => ckpt.write_file(path).expect("checkpoint write"),
-            None => ckpt.to_bytes().len() as u64,
-        };
-        self.last_ckpt_fork = self.fork_no;
-        self.log.push(EventKind::Checkpoint {
-            bytes,
-            took: Duration::ZERO,
-        });
+        })
     }
 
     /// Cost model (for apps that size work from it).
@@ -737,33 +576,34 @@ impl TaskAdapt<'_> {
     /// Request a join; the spawn completes when virtual time reaches
     /// the spawn deadline.
     pub fn join(&mut self) -> Result<Gpid, AdaptError> {
-        self.sys.join_impl()
+        self.sys.join_impl().map(|(gpid, _)| gpid)
     }
 
     /// Request a join and advance virtual time to the spawn completion,
-    /// so the very next adaptation point commits it.
+    /// so the very next adaptation point commits it — the blocking
+    /// flavor the thread engine's `Cluster::join_ready` provides.
     pub fn join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.sys.join_ready_impl()
+        let (gpid, ready_at) = self.sys.join_impl()?;
+        self.sys.advance_time(ready_at);
+        Ok(gpid)
     }
 
-    /// Request a leave for the selected member with an optional grace
-    /// period (defaulting to the config's).
+    /// Request a leave for the selected member. With a grace period, a
+    /// deadline is parked in the scheduler's deadline set; if virtual
+    /// time crosses it before an adaptation point claims the leave,
+    /// the process migrates urgently. `grace = None` always ends in a
+    /// normal leave.
     pub fn leave(&mut self, sel: LeaveSel, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        let pid = match sel {
-            LeaveSel::Pid(p) => p as usize,
-            LeaveSel::Gpid(g) => self
-                .sys
-                .members
-                .iter()
-                .position(|&m| m == g)
-                .ok_or(AdaptError::NotInTeam(g))?,
-        };
-        self.sys.leave_pid_impl(pid, grace)
+        let TaskSystem { book, sched, .. } = &mut *self.sys;
+        let now = sched.now();
+        book.request_leave(sel, grace, |gpid, grace| {
+            sched.park_until(GRACE_BASE + gpid.0 as usize, tick_after(now, grace))
+        })
     }
 
     /// Request a checkpoint at the next adaptation point.
     pub fn checkpoint(&mut self) {
-        self.sys.ckpt_requested = true;
+        self.sys.book.request_checkpoint();
     }
 }
 
@@ -803,6 +643,7 @@ pub fn run_task_app(app: &dyn TaskApp, cfg: ClusterConfig, iters: usize) -> (f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nowmp_ckpt::Checkpoint;
     use nowmp_util::Clock;
 
     fn cfg(hosts: usize, procs: usize) -> ClusterConfig {

@@ -3,10 +3,15 @@
 //! This crate layers *transparent adaptation* over the TreadMarks-like
 //! DSM in `nowmp-tmk`:
 //!
-//! * [`cluster::Cluster`] — the adaptive runtime: join events, normal
-//!   and urgent leaves with **grace periods**, migration with
-//!   **multiplexing**, pid reassignment, checkpointing and recovery;
-//! * [`event`] — adapt events and the grace-period race (Figure 2);
+//! * [`adapt`] — the adaptation books: the one state machine for
+//!   joins, the grace-period race between a normal and an urgent leave
+//!   (Figure 2), migration targets, pid reassignment and checkpoint
+//!   policy, driven by both engines;
+//! * [`cluster::Cluster`] — the thread-per-host engine: spawn and
+//!   handshake, GC and team commit, freeze and image transfer for
+//!   migration with **multiplexing**, checkpointing and recovery;
+//! * [`engine::TaskSystem`] — the task-per-host engine for 1024-host
+//!   sweeps, on the same books;
 //! * [`mod@reassign`] — pid reassignment policies and the Figure 3
 //!   block-partition overlap analytics;
 //! * [`freeze`] — the stop-the-world gate used during migration;
@@ -25,22 +30,22 @@
 
 #![warn(missing_docs)]
 
+pub mod adapt;
 pub mod cluster;
 pub mod driver;
 pub mod engine;
-pub mod event;
 pub mod freeze;
 pub mod hostpool;
 pub mod log;
 pub mod reassign;
 pub mod sched;
 
+pub use adapt::{AdaptError, LeaveSel};
 pub use cluster::{
-    AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, LeaveSel, LeaveStrategy,
+    AdaptHandle, Cluster, ClusterConfig, ClusterShared, LeaveStrategy, DYN_COUNTER, RED_ARRAY,
 };
 pub use driver::{Driver, DriverEvent, Schedule};
 pub use engine::{run_task_app, TaskAdapt, TaskApp, TaskSystem};
-pub use event::{AdaptEvent, LeavePhase, PendingLeave};
 pub use freeze::Freeze;
 pub use hostpool::HostPool;
 pub use log::{EventKind, EventLog, LogEntry};

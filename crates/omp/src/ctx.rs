@@ -17,6 +17,7 @@
 
 use crate::params::ParamsReader;
 use crate::sched;
+use nowmp_core::{DYN_COUNTER, RED_ARRAY};
 use nowmp_tmk::shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
 use nowmp_tmk::TmkCtx;
 use std::ops::Range;
@@ -25,12 +26,6 @@ use std::ops::Range;
 const DYN_LOCK: u32 = 0xFFFF_0000;
 /// Base for user critical-section locks.
 const CRIT_BASE: u32 = 0xFFFF_1000;
-/// Name of the runtime's reduction scratch array.
-pub(crate) const RED_ARRAY: &str = "__omp_red";
-/// Name of the runtime's dynamic-schedule counter.
-pub(crate) const DYN_COUNTER: &str = "__omp_dyn";
-/// Maximum team size the runtime scratch provides for.
-pub(crate) const MAX_TEAM: usize = 64;
 
 /// A `sections` work item.
 pub type Section<'c, 'a> = Box<dyn FnOnce(&mut OmpCtx<'a>) + 'c>;
@@ -303,8 +298,8 @@ impl<'a> OmpCtx<'a> {
 
     fn reduce_f64(&mut self, local: f64, combine: impl Fn(f64, f64) -> f64, init: f64) -> f64 {
         let n = self.nprocs();
-        assert!(n <= MAX_TEAM, "team exceeds reduction scratch");
         let red = SharedF64Vec::lookup(self.tmk, RED_ARRAY);
+        assert!(n <= red.len(), "team exceeds reduction scratch");
         red.set(self.tmk, self.pid(), local);
         self.barrier();
         let mut acc = init;

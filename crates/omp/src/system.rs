@@ -5,10 +5,13 @@
 //! construct = one fork/join = one adaptation opportunity), adaptivity
 //! controls, checkpointing and recovery with fork replay.
 
-use crate::ctx::{OmpCtx, DYN_COUNTER, MAX_TEAM, RED_ARRAY};
+use crate::ctx::OmpCtx;
 use crate::jobs::JobSpec;
 use crate::program::{OmpProgram, OmpRunner};
-use nowmp_core::{AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, EventLog};
+use nowmp_core::{
+    AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, EventLog, DYN_COUNTER,
+    RED_ARRAY,
+};
 use nowmp_net::Gpid;
 use nowmp_tmk::ElemKind;
 use std::path::Path;
@@ -30,7 +33,7 @@ impl OmpSystem {
         // counter. Allocated before any user allocation so recovery
         // (which restores the registry wholesale) keeps them stable.
         if cluster.ctx().handle(RED_ARRAY).is_none() {
-            cluster.alloc(RED_ARRAY, MAX_TEAM as u64, ElemKind::F64);
+            cluster.alloc(RED_ARRAY, cluster.red_slots(), ElemKind::F64);
             cluster.alloc(DYN_COUNTER, 1, ElemKind::U64);
         }
         OmpSystem {

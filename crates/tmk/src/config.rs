@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Shape of one cluster-wide collective: how a root-anchored message
-/// wave traverses the team (fork dissemination, join reduction, or
-/// barrier release).
+/// wave traverses the team (fork dissemination, or the collection side
+/// — join reduction and barrier release).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Broadcast {
     /// Master exchanges with every slave itself: `n - 1` messages
@@ -20,15 +20,15 @@ pub enum Broadcast {
 }
 
 /// The shape of every cluster-wide collective, configured in one
-/// place. Each direction of the fork/join/barrier protocol is an
-/// independent flat-vs-tree choice:
+/// place. The two sides of the fork/join/barrier protocol are
+/// independent flat-vs-tree choices:
 ///
 /// * `fork` — downstream `Fork`/`JoinInit` dissemination (PR 4);
-/// * `join_reduce` — upstream `JoinArrive` collection: children
-///   aggregate their subtree's records + vector clocks before
-///   forwarding one merged arrival;
-/// * `barrier_release` — downstream barrier release fan-out after the
-///   master merged all `BarrierArrive`s.
+/// * `join_reduce` — the collection side: upstream `JoinArrive`
+///   collection (children aggregate their subtree's records + vector
+///   clocks before forwarding one merged arrival) and the barrier
+///   release fan-out after the master merged all `BarrierArrive`s,
+///   which travels down the same tree the arrivals came up.
 ///
 /// `fork` doubles as the wire-compatibility switch: `Broadcast::Flat`
 /// there keeps every payload byte-identical to the 1999 flat encoding
@@ -38,10 +38,9 @@ pub enum Broadcast {
 pub struct CollectiveConfig {
     /// `Fork`/`JoinInit` dissemination shape.
     pub fork: Broadcast,
-    /// `JoinArrive` collection shape.
+    /// Collection-side shape: `JoinArrive` reduction and barrier
+    /// release.
     pub join_reduce: Broadcast,
-    /// Barrier release fan-out shape.
-    pub barrier_release: Broadcast,
 }
 
 impl CollectiveConfig {
@@ -51,7 +50,6 @@ impl CollectiveConfig {
         CollectiveConfig {
             fork: Broadcast::Flat,
             join_reduce: Broadcast::Flat,
-            barrier_release: Broadcast::Flat,
         }
     }
 
@@ -60,7 +58,6 @@ impl CollectiveConfig {
         CollectiveConfig {
             fork: Broadcast::Tree,
             join_reduce: Broadcast::Tree,
-            barrier_release: Broadcast::Tree,
         }
     }
 
@@ -70,15 +67,10 @@ impl CollectiveConfig {
         self
     }
 
-    /// Builder: set the join-reduce collection shape.
+    /// Builder: set the collection-side shape (join reduce and
+    /// barrier release).
     pub fn with_join_reduce(mut self, b: Broadcast) -> Self {
         self.join_reduce = b;
-        self
-    }
-
-    /// Builder: set the barrier release fan-out shape.
-    pub fn with_barrier_release(mut self, b: Broadcast) -> Self {
-        self.barrier_release = b;
         self
     }
 }
@@ -144,24 +136,6 @@ impl DataPlaneConfig {
         }
     }
 
-    /// Builder: toggle scatter-gather fault pipelining.
-    pub fn with_pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
-        self
-    }
-
-    /// Builder: set the per-release prefetch page budget.
-    pub fn with_prefetch(mut self, pages: usize) -> Self {
-        self.prefetch = pages;
-        self
-    }
-
-    /// Builder: set the per-collective piggyback byte budget.
-    pub fn with_piggyback_budget(mut self, bytes: usize) -> Self {
-        self.piggyback_budget = bytes;
-        self
-    }
-
     /// True if any piggyback budget is configured.
     pub fn piggybacks(&self) -> bool {
         self.piggyback_budget > 0
@@ -195,8 +169,8 @@ pub struct DsmConfig {
     /// gate here ("all processes wait for the completion of the
     /// migration").
     pub throttle: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Shape of every cluster-wide collective (fork dissemination,
-    /// join reduction, barrier release). Default: all tree.
+    /// Shape of every cluster-wide collective (fork dissemination;
+    /// join reduction and barrier release). Default: all tree.
     pub collectives: CollectiveConfig,
     /// Data-plane overlap levers (pipelined faults, release-phase
     /// prefetch, piggybacked hot diffs). Default: fully overlapped.
@@ -261,12 +235,6 @@ impl DsmConfig {
         self
     }
 
-    /// Builder: set only the fork dissemination shape.
-    pub fn with_fork_broadcast(mut self, b: Broadcast) -> Self {
-        self.collectives.fork = b;
-        self
-    }
-
     /// Small pages for tests: exercises multi-page logic with tiny data.
     pub fn test_small() -> Self {
         DsmConfig {
@@ -319,14 +287,10 @@ mod tests {
         let flat = DsmConfig::default_4k().with_collectives(CollectiveConfig::all_flat());
         assert_eq!(flat.collectives.fork, Broadcast::Flat);
         assert_eq!(flat.collectives.join_reduce, Broadcast::Flat);
-        assert_eq!(flat.collectives.barrier_release, Broadcast::Flat);
         let mixed = DsmConfig::default_4k()
             .with_collectives(CollectiveConfig::all_tree().with_join_reduce(Broadcast::Flat));
         assert_eq!(mixed.collectives.fork, Broadcast::Tree);
         assert_eq!(mixed.collectives.join_reduce, Broadcast::Flat);
-        let forked = DsmConfig::default_4k().with_fork_broadcast(Broadcast::Flat);
-        assert_eq!(forked.collectives.fork, Broadcast::Flat);
-        assert_eq!(forked.collectives.barrier_release, Broadcast::Tree);
     }
 
     #[test]
@@ -339,13 +303,10 @@ mod tests {
         assert!(!demand.pipeline);
         assert_eq!(demand.prefetch, 0);
         assert!(!demand.piggybacks());
-        let tuned = DataPlaneConfig::demand()
-            .with_pipeline(true)
-            .with_prefetch(4)
-            .with_piggyback_budget(1024);
-        assert!(tuned.pipeline);
-        assert_eq!(tuned.prefetch, 4);
-        assert!(tuned.piggybacks());
+        let overlap = DataPlaneConfig::overlap();
+        assert!(overlap.pipeline);
+        assert_eq!(overlap.prefetch, 32);
+        assert!(overlap.piggybacks());
         let pinned = DsmConfig::default_4k().with_dataplane(DataPlaneConfig::demand());
         assert_eq!(pinned.dataplane, DataPlaneConfig::demand());
     }

@@ -971,7 +971,7 @@ impl TmkCtx {
 
     /// In-region barrier. The master (pid 0) is the manager; slaves send
     /// their new interval records and receive everyone else's. The
-    /// release direction follows `collectives.barrier_release`: flat
+    /// release direction follows `collectives.join_reduce`: flat
     /// replies per arrival, or one receiver-independent
     /// `BarrierRelease` relayed down the binomial tree.
     pub fn barrier(&mut self) {
@@ -1012,7 +1012,7 @@ impl TmkCtx {
             vc,
             records,
         };
-        if self.collectives.barrier_release != crate::config::Broadcast::Tree {
+        if self.collectives.join_reduce != crate::config::Broadcast::Tree {
             match self.call(master, &arrive) {
                 Msg::BarrierRep { vc, records } => {
                     let mut c = self.core.lock();
@@ -1091,7 +1091,7 @@ impl TmkCtx {
             self.core.lock().vc.merge(&vc);
             arrivals.push((c, vc));
         }
-        if self.collectives.barrier_release == crate::config::Broadcast::Tree {
+        if self.collectives.join_reduce == crate::config::Broadcast::Tree {
             // Receiver-independent release: everything newer than the
             // pointwise-min arrival clock covers what every slave lacks
             // (over-delivery is fine — record application dedups), so
