@@ -352,6 +352,45 @@ fn scales(scenario: Scenario, mode: Mode) -> &'static [usize] {
     }
 }
 
+/// Print the data-plane counters of `kernel`'s 32-host overlap lane —
+/// what the prefetcher asked for and what writers pushed, and how much
+/// of each a fault actually claimed — and hold both ledgers to "no
+/// silent waste": nothing is wasted, or hit, that was not issued or
+/// sent first.
+fn print_dataplane_ledger(kernel: &str, d: &nowmp_tmk::DsmSnapshot) {
+    let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+    println!(
+        "\nData plane, {kernel} at 32 homogeneous hosts (overlap): prefetch issued {} pages, \
+         hit {} ({:.0}%), wasted {}; pushed {} diffs ({} bytes), hit {} ({:.0}%), wasted {}; \
+         piggybacked {} diff bytes",
+        d.prefetch_issued,
+        d.prefetch_hits,
+        pct(d.prefetch_hits, d.prefetch_issued),
+        d.prefetch_wasted,
+        d.push_sent,
+        d.push_bytes,
+        d.push_hits,
+        pct(d.push_hits, d.push_sent),
+        d.push_wasted,
+        d.piggyback_bytes,
+    );
+    assert!(
+        d.prefetch_wasted <= d.prefetch_issued,
+        "no silent waste: every wasted prefetch page must have been issued \
+         (wasted {} > issued {})",
+        d.prefetch_wasted,
+        d.prefetch_issued
+    );
+    assert!(
+        d.push_hits + d.push_wasted <= d.push_sent,
+        "no silent waste: every pushed diff a reader applied or dropped must have been \
+         sent (hit {} + wasted {} > sent {})",
+        d.push_hits,
+        d.push_wasted,
+        d.push_sent
+    );
+}
+
 fn main() {
     nowmp_bench::smoke_from_args();
     let modes = modes_from_args();
@@ -486,22 +525,7 @@ fn main() {
     // hosts, overlap lane): how much the prefetcher moved and how much
     // of it was actually claimed by a fault.
     if let Some(d) = &overlap32 {
-        println!(
-            "\nData plane, Jacobi at 32 homogeneous hosts (overlap): prefetch issued {} \
-             pages, hit {} ({:.0}%), wasted {}; piggybacked {} diff bytes",
-            d.prefetch_issued,
-            d.prefetch_hits,
-            100.0 * d.prefetch_hits as f64 / (d.prefetch_issued.max(1)) as f64,
-            d.prefetch_wasted,
-            d.piggyback_bytes,
-        );
-        assert!(
-            d.prefetch_wasted <= d.prefetch_issued,
-            "no silent waste: every wasted prefetch page must have been issued \
-             (wasted {} > issued {})",
-            d.prefetch_wasted,
-            d.prefetch_issued
-        );
+        print_dataplane_ledger("Jacobi", d);
     }
 
     // --- Data-plane A/B on the irregular kernel --------------------------
@@ -594,22 +618,7 @@ fn main() {
         &nbf_rows,
     );
     if let Some(d) = &nbf_overlap32 {
-        println!(
-            "\nData plane, NBF at 32 homogeneous hosts (overlap): prefetch issued {} \
-             pages, hit {} ({:.0}%), wasted {}; piggybacked {} diff bytes",
-            d.prefetch_issued,
-            d.prefetch_hits,
-            100.0 * d.prefetch_hits as f64 / (d.prefetch_issued.max(1)) as f64,
-            d.prefetch_wasted,
-            d.piggyback_bytes,
-        );
-        assert!(
-            d.prefetch_wasted <= d.prefetch_issued,
-            "no silent waste: every wasted prefetch page must have been issued \
-             (wasted {} > issued {})",
-            d.prefetch_wasted,
-            d.prefetch_issued
-        );
+        print_dataplane_ledger("NBF", d);
     }
     if let (Some(ov32), Some(dm32)) = (
         nbf_speedup(DataPlane::Overlap, 32),

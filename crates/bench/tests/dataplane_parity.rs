@@ -29,7 +29,10 @@ fn cfg(hosts: usize, procs: usize, dataplane: DataPlaneConfig) -> ClusterConfig 
 /// One adaptive run (join mid-flight, then a normal leave) under the
 /// given data plane, verified against the serial reference, ending in
 /// a checkpoint whose bytes capture the final DSM memory image.
-fn adaptive_run(dataplane: DataPlaneConfig, ckpt: &std::path::Path) -> (f64, Vec<String>, Vec<u8>) {
+fn adaptive_run(
+    dataplane: DataPlaneConfig,
+    ckpt: &std::path::Path,
+) -> (f64, Vec<String>, Vec<u8>, nowmp_tmk::DsmSnapshot) {
     let app = Jacobi::new(48);
     let c = cfg(6, 4, dataplane)
         .with_adaptive(true)
@@ -53,11 +56,12 @@ fn adaptive_run(dataplane: DataPlaneConfig, ckpt: &std::path::Path) -> (f64, Vec
     // bytes are the canonical final DSM page state.
     sys.checkpoint_now();
     let log = shape(&sys.log().entries());
+    let dsm = sys.dsm_stats();
     let clock = sys.clock().clone();
     sys.shutdown();
     assert_eq!(clock.forced_advances(), 0, "a wait escaped the clock");
     let image = std::fs::read(ckpt).expect("checkpoint written");
-    (err, log, image)
+    (err, log, image, dsm)
 }
 
 #[test]
@@ -65,8 +69,8 @@ fn demand_and_overlap_dataplanes_agree_bit_exactly() {
     let dir = std::env::temp_dir();
     let demand_path = dir.join("nowmp_parity_demand.ckpt");
     let overlap_path = dir.join("nowmp_parity_overlap.ckpt");
-    let (derr, dshape, dimage) = adaptive_run(DataPlaneConfig::demand(), &demand_path);
-    let (oerr, oshape, oimage) = adaptive_run(DataPlaneConfig::overlap(), &overlap_path);
+    let (derr, dshape, dimage, ddsm) = adaptive_run(DataPlaneConfig::demand(), &demand_path);
+    let (oerr, oshape, oimage, odsm) = adaptive_run(DataPlaneConfig::overlap(), &overlap_path);
     let _ = std::fs::remove_file(&demand_path);
     let _ = std::fs::remove_file(&overlap_path);
     assert_eq!(derr, 0.0, "demand run must verify bit-exact");
@@ -81,6 +85,11 @@ fn demand_and_overlap_dataplanes_agree_bit_exactly() {
         "final DSM memory images must be byte-identical: overlap may move \
          fetches earlier, never change what they install"
     );
+    // ... and that held with writers pushing, which only the overlap
+    // plane's prefetch requests can make them do.
+    assert!(odsm.push_sent > 0, "the overlap run must exercise pushes");
+    assert_eq!(ddsm.push_sent, 0, "the demand plane never subscribes");
+    assert_push_ledger(&odsm);
 }
 
 /// Steady-state run (no adaptation) with calibrated compute charged —
@@ -94,20 +103,24 @@ fn costed_run(
     iters: usize,
     dataplane: DataPlaneConfig,
 ) -> nowmp_bench::RunResult {
-    use nowmp_apps::with_kernel_costs;
-    use nowmp_net::CostModel;
-    let c = cfg(procs, procs, dataplane)
-        .with_cost_model(with_kernel_costs(CostModel::paper_1999(), kernel));
+    let c = costed_cfg(kernel, procs, dataplane);
     nowmp_bench::measure(kernel, c, iters, false, |_, _| {}, false)
 }
 
-/// The no-silent-waste ledger: every page a prefetch covered ends as
-/// exactly one of hit or wasted, so neither side can exceed what was
-/// issued.
+/// [`cfg`] on `procs` hosts with `kernel`'s calibrated compute charged.
+fn costed_cfg(kernel: &dyn Kernel, procs: usize, dataplane: DataPlaneConfig) -> ClusterConfig {
+    use nowmp_apps::with_kernel_costs;
+    use nowmp_net::CostModel;
+    cfg(procs, procs, dataplane).with_cost_model(with_kernel_costs(CostModel::paper_1999(), kernel))
+}
+
+/// The no-silent-waste ledgers: every page a prefetch covered ends as
+/// exactly one of hit or wasted, and so does every pushed diff, so
+/// neither side can exceed what was issued or sent.
 fn assert_ledger(d: &nowmp_tmk::DsmSnapshot) {
     assert!(
         d.prefetch_issued > 0,
-        "the overlap lane must actually prefetch in steady state"
+        "the overlap lane must actually prefetch while it warms up"
     );
     assert!(
         d.prefetch_hits + d.prefetch_wasted <= d.prefetch_issued,
@@ -115,6 +128,17 @@ fn assert_ledger(d: &nowmp_tmk::DsmSnapshot) {
         d.prefetch_hits,
         d.prefetch_wasted,
         d.prefetch_issued
+    );
+    assert_push_ledger(d);
+}
+
+fn assert_push_ledger(d: &nowmp_tmk::DsmSnapshot) {
+    assert!(
+        d.push_hits + d.push_wasted <= d.push_sent,
+        "push hits {} + wasted {} must not exceed sent {}",
+        d.push_hits,
+        d.push_wasted,
+        d.push_sent
     );
 }
 
@@ -157,4 +181,119 @@ fn overlap_beats_demand_on_the_irregular_kernel() {
         demand.secs
     );
     assert_ledger(&overlap.dsm);
+}
+
+/// Messages, and pages the release-phase prefetch asked for, in the
+/// one iteration after `warmup` of them (paper models, kernel compute
+/// charged, adaptive off — the shape of the scaling benchmarks).
+fn steady_iteration(kernel: &dyn Kernel, procs: usize, warmup: usize) -> (u64, u64) {
+    let c = costed_cfg(kernel, procs, DataPlaneConfig::overlap()).with_adaptive(false);
+    let mut sys = OmpSystem::new(c, nowmp_apps::build_program(&[kernel]));
+    kernel.setup(&mut sys);
+    for it in 0..warmup {
+        kernel.step(&mut sys, it);
+    }
+    let (net0, dsm0) = (sys.net_stats(), sys.dsm_stats());
+    kernel.step(&mut sys, warmup);
+    let msgs = sys.net_stats().total_msgs - net0.total_msgs;
+    let dsm = sys.dsm_stats().since(&dsm0);
+    assert_eq!(kernel.verify(&mut sys, warmup + 1), 0.0);
+    let clock = sys.clock().clone();
+    sys.shutdown();
+    assert_eq!(clock.forced_advances(), 0, "a wait escaped the clock");
+    assert!(dsm.push_hits > 0, "a steady iteration is fed by pushes");
+    eprintln!(
+        "{}/{procs}, iteration {warmup}: {msgs} msgs; pushed {} diffs ({} hit, {} wasted), \
+         prefetch asked for {} pages, {} diffs applied",
+        kernel.name(),
+        dsm.push_sent,
+        dsm.push_hits,
+        dsm.push_wasted,
+        dsm.prefetch_issued,
+        dsm.diffs_fetched
+    );
+    (msgs, dsm.prefetch_issued)
+}
+
+#[test]
+fn steady_state_sends_no_requests() {
+    // Cold, subscribing, mixed — then steady: every writer sends its new
+    // diffs to last epoch's readers when it closes the interval, every
+    // reader finds them stored or expects them, and nothing is left to
+    // ask for. What remains on the wire is the collectives and one
+    // `DiffPush` per (writer, reader) pair per close; the request leg
+    // (one `DiffReq` per pair per release before) is gone.
+    let (msgs, asked) = steady_iteration(&nowmp_apps::nbf::Nbf::new(2048, 16), 16, 3);
+    assert_eq!(asked, 0, "NBF/16: the prefetch still asked for pages");
+    // 1080-1126 with request-reply; 571-630 measured with pushes.
+    assert!(msgs <= 700, "NBF/16: {msgs} messages in a steady iteration");
+    let (msgs, asked) = steady_iteration(&Jacobi::new(384), 32, 3);
+    assert_eq!(asked, 0, "Jacobi/32: the prefetch still asked for pages");
+    // 372 with request-reply; 248 measured with pushes.
+    assert!(
+        msgs <= 270,
+        "Jacobi/32: {msgs} messages in a steady iteration"
+    );
+}
+
+#[test]
+fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
+    // The checkpoint's page collection runs *after* the commit that
+    // cleared the fault window. When its faults entered the window the
+    // master spent the next six rotations prefetching up to 32 pages a
+    // release that no region reads — and, since a prefetch request
+    // subscribes, had every writer push it every page from then on:
+    // the two iterations after a checkpoint cost six times a normal
+    // one. They must cost what the two after a cold start cost.
+    let app = Jacobi::new(192);
+    let ckpt = std::env::temp_dir().join("nowmp_parity_predictor.ckpt");
+    let c = costed_cfg(&app, 4, DataPlaneConfig::overlap())
+        .with_adaptive(true)
+        .with_ckpt_path(ckpt.clone());
+    let mut sys = OmpSystem::new(c, nowmp_apps::build_program(&[&app as &dyn Kernel]));
+    app.setup(&mut sys);
+    let clock = sys.clock().clone();
+    let mut took = Vec::new();
+    for it in 0..6 {
+        if it == 3 {
+            sys.adapt().checkpoint();
+        }
+        let t0 = clock.now();
+        app.step(&mut sys, it);
+        took.push(clock.elapsed_since(t0).as_secs_f64());
+    }
+    assert_eq!(app.verify(&mut sys, 6), 0.0);
+    sys.shutdown();
+    assert!(
+        std::fs::remove_file(&ckpt).is_ok(),
+        "iteration 3 checkpointed"
+    );
+    let (warm, after) = (took[1] + took[2], took[4] + took[5]);
+    assert!(
+        after <= warm * 1.25,
+        "iterations 4-5 took {after:.6}s against {warm:.6}s for 1-2 (all: {took:?})"
+    );
+}
+
+#[test]
+fn small_fft_teams_never_wait_for_a_diff_nobody_pushes() {
+    // Regression for the "lower than" in rule R. 3D-FFT's transpose
+    // makes a rank subscribe to a writer that has already closed a
+    // later interval of the same page; that diff is never pushed. A
+    // reader that expected *every* unapplied notice of a subscribed
+    // (page, writer) parked on it forever — at 3 and 5 processes, in a
+    // third of the runs. A hang here ends in the fault path's
+    // real-time guard, which names the page, writer and seq.
+    let app = nowmp_apps::fft3d::Fft3d::new(4, 4, 4);
+    for procs in [3usize, 5] {
+        for run in 0..25 {
+            let c = ClusterConfig::test(procs + 1, procs).with_dsm(DsmConfig {
+                call_timeout: Duration::from_secs(20),
+                ..DsmConfig::test_small()
+            });
+            let (sys, err) = nowmp_apps::run_kernel(&app, c, 2);
+            assert_eq!(err, 0.0, "3D-FFT on {procs} processes, run {run}");
+            sys.shutdown();
+        }
+    }
 }

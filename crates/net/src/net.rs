@@ -65,6 +65,9 @@ pub struct Packet {
     pub reply: Option<MailboxSender<Packet>>,
     /// Earliest delivery time on the network clock, under emulation.
     deliver_at: Option<Tick>,
+    /// An [`Endpoint::wake`] token: carries nothing and never left the
+    /// host.
+    wake: bool,
 }
 
 /// An incoming message plus the means to answer it.
@@ -251,6 +254,7 @@ impl NetInner {
             payload,
             reply,
             deliver_at,
+            wake: false,
         })
         .is_ok()
     }
@@ -373,6 +377,7 @@ impl Network {
             gpid,
             host: host_cell,
             rx,
+            on_wire: Mutex::new(None),
         }
     }
 
@@ -442,6 +447,10 @@ pub struct Endpoint {
     gpid: Gpid,
     host: Arc<AtomicU16>,
     rx: MailboxReceiver<Packet>,
+    /// The head of the inbox when [`Self::try_recv`] took it off the
+    /// mailbox and found it still on the wire; every receive call
+    /// looks here first, so arrival order holds.
+    on_wire: Mutex<Option<Packet>>,
 }
 
 /// Default deadline for [`Endpoint::call`]; long enough for any emulated
@@ -522,7 +531,33 @@ impl Endpoint {
         })
     }
 
-    fn unpack(&self, pkt: Packet) -> Incoming {
+    /// Loopback wake: put an empty local token into this endpoint's own
+    /// mailbox, so a thread blocked in [`Self::recv_burst`] returns and
+    /// looks at whatever its owner queued for it off the wire. The token
+    /// never touches a link: no reservation, no [`NetStats`] entry, no
+    /// virtual time. Only `recv_burst` reports it (by returning, maybe
+    /// with nothing appended); the other receive calls skip it. A no-op
+    /// once the endpoint is unregistered.
+    pub fn wake(&self) {
+        let tx = match self.net.endpoints.read().get(&self.gpid.0) {
+            Some(rec) => rec.tx.clone(),
+            None => return,
+        };
+        let _ = tx.send(Packet {
+            src: self.gpid,
+            payload: Bytes::new(),
+            reply: None,
+            deliver_at: None,
+            wake: true,
+        });
+    }
+
+    /// Turn a packet into a delivered message (sleeping to its modeled
+    /// delivery time); `None` for a wake token.
+    fn unpack(&self, pkt: Packet) -> Option<Incoming> {
+        if pkt.wake {
+            return None;
+        }
         if let Some(at) = pkt.deliver_at {
             self.net.clock.sleep_until(at);
         }
@@ -535,53 +570,95 @@ impl Endpoint {
         });
         // The Replier keeps the raw reply sender: answering goes through
         // the full transmit path for accounting, then down that channel.
-        Incoming {
+        Some(Incoming {
             src: pkt.src,
             payload: pkt.payload,
             replier,
-        }
+        })
     }
 
-    /// Blocking receive; `Err` means the network shut down.
-    pub fn recv(&self) -> Result<Incoming, NetError> {
-        match self.rx.recv() {
-            Ok(pkt) => Ok(self.unpack(pkt)),
-            Err(_) => Err(NetError::Disconnected(self.gpid)),
+    /// The next packet in arrival order, blocking for it (`limit`: a
+    /// real-time guard). `Ok(None)` when the guard ran out.
+    fn next_packet(&self, limit: Option<Duration>) -> Result<Option<Packet>, NetError> {
+        if let Some(pkt) = self.on_wire.lock().take() {
+            return Ok(Some(pkt));
         }
-    }
-
-    /// Receive with a (real-time) deadline.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Incoming>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(pkt) => Ok(Some(self.unpack(pkt))),
+        let got = match limit {
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(left) => self.rx.recv_timeout(left),
+        };
+        match got {
+            Ok(pkt) => Ok(Some(pkt)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected(self.gpid)),
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Incoming> {
-        self.rx.try_recv().ok().map(|p| self.unpack(p))
+    /// Blocking receive; `Err` means the network shut down.
+    pub fn recv(&self) -> Result<Incoming, NetError> {
+        loop {
+            let pkt = self.next_packet(None)?.expect("no guard, no timeout");
+            if let Some(inc) = self.unpack(pkt) {
+                return Ok(inc);
+            }
+        }
     }
 
-    /// Blocking receive of one message, then drain up to `max - 1`
-    /// already-queued ones without blocking. One sleep/wakeup (and,
-    /// in the service loop, one pass over the dispatch) amortizes over
-    /// a whole burst instead of paying per message. Returns the number
-    /// of messages appended to `out`; `Err` means the network shut
-    /// down (nothing appended).
-    pub fn recv_burst(&self, max: usize, out: &mut Vec<Incoming>) -> Result<usize, NetError> {
-        let first = self.recv()?;
-        out.push(first);
-        let mut n = 1;
-        while n < max {
-            match self.rx.try_recv() {
-                Ok(p) => {
-                    out.push(self.unpack(p));
-                    n += 1;
-                }
-                Err(_) => break,
+    /// Receive with a (real-time) deadline.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Incoming>, NetError> {
+        let deadline = std::time::Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let Some(pkt) = self.next_packet(Some(left))? else {
+                return Ok(None);
+            };
+            if let Some(inc) = self.unpack(pkt) {
+                return Ok(Some(inc));
             }
+        }
+    }
+
+    /// Non-blocking receive, in modeled time too: a message that is
+    /// queued but whose delivery time is still in the future has not
+    /// arrived, and is left at the head of the inbox. (A caller with
+    /// something better to do than wait for it — the service thread
+    /// between two pushes — must not sleep through its own link time.)
+    pub fn try_recv(&self) -> Option<Incoming> {
+        loop {
+            let pkt = self.queued_packet()?;
+            if pkt.deliver_at.is_some_and(|at| self.net.clock.now() < at) {
+                *self.on_wire.lock() = Some(pkt);
+                return None;
+            }
+            if let Some(inc) = self.unpack(pkt) {
+                return Some(inc);
+            }
+        }
+    }
+
+    /// The next packet in arrival order if one is queued, delivered
+    /// or not. Never blocks.
+    fn queued_packet(&self) -> Option<Packet> {
+        let head = self.on_wire.lock().take();
+        head.or_else(|| self.rx.try_recv().ok())
+    }
+
+    /// Block until something arrives — a message or a [`Self::wake`]
+    /// token — then drain already-queued messages, up to `max` in all.
+    /// One sleep/wakeup (and, in the service loop, one pass over the
+    /// dispatch) amortizes over a whole burst instead of paying per
+    /// message. Returns the number of messages appended to `out` (0
+    /// when only a wake arrived); `Err` means the network shut down
+    /// (nothing appended).
+    pub fn recv_burst(&self, max: usize, out: &mut Vec<Incoming>) -> Result<usize, NetError> {
+        let mut next = self.next_packet(None)?;
+        let mut n = 0;
+        while let Some(pkt) = next {
+            if let Some(inc) = self.unpack(pkt) {
+                out.push(inc);
+                n += 1;
+            }
+            next = if n < max { self.queued_packet() } else { None };
         }
         Ok(n)
     }
@@ -933,6 +1010,32 @@ mod edge_tests {
     }
 
     #[test]
+    fn try_recv_leaves_a_message_on_the_wire_alone() {
+        let clock = Clock::new_virtual();
+        let net = Network::with_clock(
+            2,
+            1,
+            NetModel::paper_1999(),
+            CostModel::disabled(),
+            clock.clone(),
+        );
+        let a = net.register(HostId(0));
+        let b = net.register(HostId(1));
+        for m in [&b"1"[..], &b"2"[..]] {
+            a.send(b.gpid(), Bytes::copy_from_slice(m)).unwrap();
+        }
+        // Both are queued; neither has been delivered yet. Asking is
+        // free: no time passes, nothing is consumed or reordered.
+        let sent = clock.now();
+        assert!(b.try_recv().is_none() && b.try_recv().is_none());
+        assert_eq!(clock.now(), sent, "a non-blocking receive must not sleep");
+        clock.sleep(net.model().latency());
+        assert_eq!(&b.try_recv().expect("delivered by now").payload[..], b"1");
+        assert_eq!(&b.recv().unwrap().payload[..], b"2");
+        assert_eq!(clock.forced_advances(), 0);
+    }
+
+    #[test]
     fn recv_burst_drains_queued_messages_in_order() {
         let net = Network::new(2, 1, NetModel::disabled());
         let a = net.register(HostId(0));
@@ -948,6 +1051,50 @@ mod edge_tests {
         burst.clear();
         assert_eq!(b.recv_burst(4, &mut burst).unwrap(), 1);
         assert_eq!(burst[0].payload[0], 4);
+    }
+
+    #[test]
+    fn wake_reaches_recv_burst_and_nothing_else() {
+        // Under the paper's wire model on a virtual clock, where a real
+        // message would move counters, link books and time.
+        let clock = Clock::new_virtual();
+        let net = Network::with_clock(
+            2,
+            1,
+            NetModel::paper_1999(),
+            CostModel::disabled(),
+            clock.clone(),
+        );
+        let a = net.register(HostId(0));
+        let b = net.register(HostId(1));
+        b.wake();
+        let mut burst = Vec::new();
+        assert_eq!(
+            b.recv_burst(4, &mut burst),
+            Ok(0),
+            "woken, nothing to serve"
+        );
+        assert!(burst.is_empty());
+        let s = net.stats();
+        assert_eq!((s.total_msgs, s.total_bytes, s.max_link_bytes()), (0, 0, 0));
+        assert_eq!(clock.now(), Tick::ZERO, "a wake costs no virtual time");
+        // A wake queued among messages: the messages come out, in
+        // order, and the token is nobody's message.
+        a.send(b.gpid(), Bytes::from_static(b"1")).unwrap();
+        b.wake();
+        a.send(b.gpid(), Bytes::from_static(b"2")).unwrap();
+        assert_eq!(b.recv_burst(4, &mut burst), Ok(2));
+        assert_eq!(
+            (&burst[0].payload[..], &burst[1].payload[..]),
+            (&b"1"[..], &b"2"[..])
+        );
+        assert_eq!(net.stats().total_msgs, 2);
+        b.wake();
+        assert!(b.try_recv().is_none(), "only recv_burst reports a wake");
+        // After unregistering there is no mailbox to wake.
+        net.unregister(b.gpid());
+        b.wake();
+        assert_eq!(clock.forced_advances(), 0);
     }
 
     #[test]

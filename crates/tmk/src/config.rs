@@ -88,21 +88,30 @@ impl CollectiveConfig {
 /// * `prefetch` — release-phase prefetch: after a `Fork` or
 ///   `BarrierRelease` lands, asynchronously re-request up to this
 ///   many of the pages this rank faulted on last epoch, so the diffs
-///   are in flight while the worker computes its interior (0 = off);
+///   are in flight while the worker computes its interior (0 = off).
+///   `prefetch > 0` also turns on the *writer push*: a prefetch diff
+///   request subscribes its sender, and from then until the next
+///   commit the creator sends every new diff of those pages when it
+///   closes the interval, unasked (`Msg::DiffPush`). A page is
+///   therefore prefetched once or twice per epoch and pushed from
+///   then on; in steady state no request crosses the wire after a
+///   release. No request outside the prefetch ever subscribes, so
+///   `prefetch == 0` means no reader set, no push and no wait exists;
 /// * `piggyback_budget` — hot-diff piggybacking: `Fork` /
 ///   `BarrierRelease` payloads carry up to this many bytes of the
 ///   sender's own hottest diffs alongside the write notices, saving
 ///   the receivers a round-trip entirely (0 = off).
 ///
-/// Prefetch traffic pays the same wire and admission costs as demand
-/// traffic ([`NetModel::receive_time`] et al.) — overlap hides
-/// latency, it never un-charges it.
+/// Prefetch and push traffic pays the same wire and admission costs
+/// as demand traffic ([`NetModel::receive_time`] et al.) — overlap
+/// hides latency, it never un-charges it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataPlaneConfig {
     /// Scatter-gather multi-creator faults (send all, then collect).
     pub pipeline: bool,
     /// Max pages re-requested asynchronously after each release
-    /// (0 disables release-phase prefetch).
+    /// (0 disables release-phase prefetch, and with it the writer
+    /// push its requests subscribe to).
     pub prefetch: usize,
     /// Max bytes of hot diffs piggybacked on each `Fork` /
     /// `BarrierRelease` payload (0 disables piggybacking).

@@ -19,6 +19,20 @@
 //!   present in *all* copies, which keeps GC sound.
 //! * Stored diffs are immutable once created; lazy mode materializes
 //!   them on first demand (next write fault or first `DiffReq`).
+//! * **W** (writer push): a rank enters a page's reader set only by a
+//!   marked `DiffReq`, and leaves it only at a commit; every interval
+//!   close queues, in the same hold of the core lock that creates the
+//!   diff and its record, one `DiffPush` per reader. So once we have
+//!   pushed a diff of page p to r, every later diff we create for p
+//!   this epoch is pushed to r too, and is queued before its notice
+//!   can leave us.
+//! * **R** (reader expectation): a notice `(p, w, s)` with no stored
+//!   diff is *expected* iff a push from w for p with a sequence number
+//!   lower than s was deposited this epoch — by W it is on its way.
+//! * Early diffs (pushed, prefetched, piggybacked) sit in one store
+//!   and are applied by exactly one rule, in [`ProcCore::apply_diffs`]:
+//!   as part of one causally sorted batch that covers the page's whole
+//!   unapplied notice set.
 
 use crate::config::DsmConfig;
 use crate::diff::{Diff, DiffKey};
@@ -30,6 +44,8 @@ use crate::stats::DsmStats;
 use crate::table::PageTable;
 use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
+use nowmp_util::ClockCondvar;
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -66,9 +82,13 @@ pub enum AccessPlan {
         /// Process to ask first (last writer or directory owner).
         target: Gpid,
     },
-    /// Stale local copy: fetch these diffs, grouped by creator.
+    /// Stale local copy: fetch these diffs, grouped by creator, then
+    /// apply them together with whatever the early-diff store holds or
+    /// is about to receive for the page.
     NeedDiffs {
-        /// `(creator, wanted (page, seq) pairs)` — all for this page.
+        /// `(creator, wanted (page, seq) pairs)` — all for this page,
+        /// and only the notices no early diff covers: empty when the
+        /// store has, or expects, every one of them.
         groups: Vec<(Gpid, Vec<(PageId, Seq)>)>,
     },
 }
@@ -86,6 +106,40 @@ pub struct PrefetchPlan {
     /// Pages covered by this plan (budget accounting).
     pub pages: usize,
 }
+
+/// Where the diff behind an unapplied write notice will come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffSource {
+    /// Already in the early-diff store.
+    Stored,
+    /// Its writer is pushing this page to us (rule R): wait for it.
+    Expected,
+    /// Nobody will send it unasked: request it.
+    Network,
+}
+
+/// A diff that reached us ahead of the fault that needs it.
+#[derive(Debug)]
+pub struct EarlyDiff {
+    /// Creator's rank.
+    pub pid: Pid,
+    /// Creator's interval.
+    pub seq: Seq,
+    /// The modifications.
+    pub diff: Diff,
+    /// Arrived in a `DiffPush` (the push ledger counts it) rather than
+    /// in a prefetch reply or piggybacked on a release.
+    pub pushed: bool,
+}
+
+/// Encoded `DiffPush` messages the service thread has yet to send:
+/// `(destination, payload, diffs carried)`, in the order
+/// [`ProcCore::close_interval`] queued them. Behind a lock of its own
+/// (order: core mutex → outbox), so neither the service thread, which
+/// looks here after every burst, nor the application thread, which
+/// looks before it wakes the service thread, needs the core mutex to
+/// find it empty.
+pub type Outbox = Arc<Mutex<VecDeque<(Gpid, bytes::Bytes, u64)>>>;
 
 /// A queued lock waiter.
 pub enum LockWaiter {
@@ -162,6 +216,22 @@ pub struct ProcCore {
     /// How often each page's diffs have been served to peers — the
     /// "heat" ranking behind piggyback selection.
     pub diff_heat: HashMap<PageId, u32>,
+    /// Writer side of the push plane: per page we write, the ranks whose
+    /// release-phase prefetch fetched its diffs from us this epoch (see
+    /// [`Self::serve_diffs`]). Only grows inside an epoch (invariant W).
+    pub readers: HashMap<PageId, Vec<Pid>>,
+    /// What [`Self::close_interval`] queued for the service thread.
+    pub outbox: Outbox,
+    /// Reader side: every diff that arrived ahead of its fault — pushed
+    /// by its writer, fetched by the release-phase prefetch or
+    /// piggybacked on a release — until [`Self::apply_diffs`] takes it.
+    pub early: HashMap<PageId, Vec<EarlyDiff>>,
+    /// Lowest sequence number each `(page, writer)` has pushed us this
+    /// epoch: what rule R reads.
+    pub first_push: HashMap<(PageId, Pid), Seq>,
+    /// Wakes a fault parked on an expected diff; installed by the
+    /// application thread's [`crate::ctx::TmkCtx`], the only waiter.
+    pub early_cv: Option<Arc<ClockCondvar>>,
 }
 
 impl ProcCore {
@@ -188,6 +258,11 @@ impl ProcCore {
             fault_window: Vec::new(),
             window_history: std::collections::VecDeque::new(),
             diff_heat: HashMap::new(),
+            readers: HashMap::new(),
+            outbox: Arc::default(),
+            early: HashMap::new(),
+            first_push: HashMap::new(),
+            early_cv: None,
         }
     }
 
@@ -255,14 +330,8 @@ impl ProcCore {
                 // into our working copy before further access.
                 let unapplied = meta.unapplied();
                 if !unapplied.is_empty() {
-                    let team = &self.team;
-                    let mut groups: HashMap<Gpid, Vec<(PageId, Seq)>> = HashMap::new();
-                    for wn in unapplied {
-                        let g = team.gpid(wn.pid);
-                        groups.entry(g).or_default().push((page, wn.seq));
-                    }
                     return AccessPlan::NeedDiffs {
-                        groups: groups.into_iter().collect(),
+                        groups: self.network_groups(page, &unapplied),
                     };
                 }
                 let buf = Arc::clone(meta.data.as_ref().expect("Write state implies data"));
@@ -314,14 +383,8 @@ impl ProcCore {
                         drop(meta);
                         return self.plan_access(page, want_write);
                     }
-                    let team = &self.team;
-                    let mut groups: HashMap<Gpid, Vec<(PageId, Seq)>> = HashMap::new();
-                    for wn in unapplied {
-                        let g = team.gpid(wn.pid);
-                        groups.entry(g).or_default().push((page, wn.seq));
-                    }
                     AccessPlan::NeedDiffs {
-                        groups: groups.into_iter().collect(),
+                        groups: self.network_groups(page, &unapplied),
                     }
                 } else if meta.owner == me && meta.pending.is_empty() {
                     // We are the directory owner of a page nobody has
@@ -391,14 +454,62 @@ impl ProcCore {
         } else {
             PageState::Invalid
         };
+        // Early diffs the served copy already reflects are dead weight.
+        if let Some(stored) = self.early.get_mut(&page) {
+            stored.retain(|e| {
+                let live = e.seq > meta.applied.get(e.pid);
+                if !live {
+                    self.consistency_bytes =
+                        self.consistency_bytes.saturating_sub(e.diff.wire_bytes());
+                    if e.pushed {
+                        DsmStats::bump(&self.stats.push_wasted);
+                    }
+                }
+                live
+            });
+        }
     }
 
     /// Apply fetched diffs (already collected from all creators) to a
-    /// stale page, in causal (vcsum) order.
+    /// stale page, in causal (vcsum) order — together with every
+    /// unapplied notice of the page the early-diff store holds. This
+    /// is the one place early diffs are applied: the caller asked the
+    /// network only for what the store lacked
+    /// ([`Self::plan_access`]) and waited for what it expected
+    /// ([`Self::expected_absent`]), so `batch` plus the store cover the
+    /// page's whole unapplied set and one sort orders all of it.
     pub fn apply_diffs(&mut self, page: PageId, mut batch: Vec<(Pid, Seq, Diff)>) {
         self.ensure_pages(page as usize + 1);
-        // Attach vcsum sort keys from the pending write notices.
         let mut meta = self.pages.guard(page);
+        if let Some(stored) = self.early.remove(&page) {
+            let unapplied = meta.unapplied();
+            let mut keep = Vec::new();
+            for e in stored {
+                // A push can cross a request for the same diff on the
+                // wire; the fetched copy wins and the stored one goes.
+                let fetched = batch.iter().any(|&(p, s, _)| p == e.pid && s == e.seq);
+                let noticed = unapplied.iter().any(|w| w.pid == e.pid && w.seq == e.seq);
+                if !fetched && !noticed {
+                    keep.push(e); // its notice has not reached us yet
+                    continue;
+                }
+                self.consistency_bytes = self.consistency_bytes.saturating_sub(e.diff.wire_bytes());
+                if e.pushed {
+                    DsmStats::bump(if fetched {
+                        &self.stats.push_wasted
+                    } else {
+                        &self.stats.push_hits
+                    });
+                }
+                if !fetched {
+                    batch.push((e.pid, e.seq, e.diff));
+                }
+            }
+            if !keep.is_empty() {
+                self.early.insert(page, keep);
+            }
+        }
+        // Attach vcsum sort keys from the pending write notices.
         let keyed: HashMap<(Pid, Seq), u64> = meta
             .pending
             .iter()
@@ -486,9 +597,11 @@ impl ProcCore {
     /// Derive, without mutating any page state, what a release-phase
     /// prefetch over `candidates` should request: at most `budget`
     /// pages, preferring the order they faulted last window. Pages
-    /// already valid, pages we would serve ourselves, and pages whose
-    /// fetch would chase a redirect from ourselves are skipped — the
-    /// plan only covers requests a demand fault would also have made.
+    /// already valid, pages we would serve ourselves, pages whose
+    /// fetch would chase a redirect from ourselves, and notices the
+    /// early-diff store already covers or expects are skipped — the
+    /// plan only covers requests a demand fault would also have made,
+    /// and a page that needs none of them costs no budget.
     pub fn plan_prefetch(&self, candidates: &[PageId], budget: usize) -> PrefetchPlan {
         let mut plan = PrefetchPlan::default();
         for &page in candidates {
@@ -510,14 +623,19 @@ impl ProcCore {
                 {
                     continue;
                 }
+                let mut asked = false;
                 for wn in unapplied {
+                    if self.diff_source(page, wn.pid, wn.seq) != DiffSource::Network {
+                        continue;
+                    }
+                    asked = true;
                     let creator = self.team.gpid(wn.pid);
                     match plan.diffs.iter_mut().find(|(g, _)| *g == creator) {
                         Some((_, wants)) => wants.push((page, wn.seq)),
                         None => plan.diffs.push((creator, vec![(page, wn.seq)])),
                     }
                 }
-                plan.pages += 1;
+                plan.pages += asked as usize;
             } else if !(meta.owner == self.gpid && meta.pending.is_empty()) {
                 let target = meta
                     .pending
@@ -537,9 +655,9 @@ impl ProcCore {
     /// Select up to `budget` wire bytes of our own hottest diffs to
     /// piggyback on an outgoing `Fork`/`BarrierRelease`. Per page only
     /// the newest diff rides (receivers lacking more than one of our
-    /// intervals fall back to demand fetch — see
-    /// [`Self::apply_piggyback`]); pages rank by diff-serve heat, ties
-    /// by page id, so the selection is deterministic.
+    /// intervals fetch the rest on demand; they [`Self::deposit`] what
+    /// rode along); pages rank by diff-serve heat, ties by page id, so
+    /// the selection is deterministic.
     pub fn piggyback_diffs(&self, budget: usize) -> Vec<(PageId, Seq, Diff)> {
         if budget == 0 || self.diffs.is_empty() {
             return Vec::new();
@@ -572,57 +690,109 @@ impl ProcCore {
         out
     }
 
-    /// Apply diffs piggybacked on a received `Fork`/`BarrierRelease`
-    /// (created by team rank `from` — the collective's root). Guarded:
-    /// a page's entries apply only when we hold a stale copy whose
-    /// *entire* unapplied-notice set is covered by the offer — partial
-    /// application would replay the sender's intervals out of causal
-    /// order once the demand path fetched the rest. Unusable entries
-    /// are dropped (the demand path still works). Apply the message's
-    /// records *before* calling this. Returns the pages applied.
-    pub fn apply_piggyback(&mut self, from: Pid, entries: &[(PageId, Seq, Diff)]) -> usize {
-        if entries.is_empty() {
-            return 0;
+    // ------------------------------------------------------------------
+    // Early diffs (reader side of the push plane)
+    // ------------------------------------------------------------------
+
+    /// Rule R, and the store lookup in front of it: where the diff
+    /// behind the unapplied notice `(page, pid, seq)` will come from.
+    pub fn diff_source(&self, page: PageId, pid: Pid, seq: Seq) -> DiffSource {
+        let stored = self
+            .early
+            .get(&page)
+            .is_some_and(|v| v.iter().any(|e| e.pid == pid && e.seq == seq));
+        if stored {
+            DiffSource::Stored
+        } else if self.first_push.get(&(page, pid)).is_some_and(|&f| f < seq) {
+            // `pid` pushed us an earlier diff of this page, so (W) it
+            // pushes this one too. "Earlier" matters: a diff closed
+            // before the subscription took effect is never pushed.
+            DiffSource::Expected
+        } else {
+            DiffSource::Network
         }
-        let mut by_page: Vec<(PageId, Vec<(Seq, &Diff)>)> = Vec::new();
-        for (page, seq, d) in entries {
-            match by_page.iter_mut().find(|(p, _)| p == page) {
-                Some((_, offers)) => offers.push((*seq, d)),
-                None => by_page.push((*page, vec![(*seq, d)])),
+    }
+
+    /// The unapplied notices of `page` that only a request can satisfy,
+    /// grouped by creator.
+    fn network_groups(&self, page: PageId, unapplied: &[Wn]) -> Vec<(Gpid, Vec<(PageId, Seq)>)> {
+        let mut groups: HashMap<Gpid, Vec<(PageId, Seq)>> = HashMap::new();
+        for wn in unapplied {
+            if self.diff_source(page, wn.pid, wn.seq) == DiffSource::Network {
+                let g = self.team.gpid(wn.pid);
+                groups.entry(g).or_default().push((page, wn.seq));
             }
         }
-        let mut applied_pages = 0;
-        for (page, offers) in by_page {
-            let batch: Vec<(Pid, Seq, Diff)> = {
-                let Some(meta) = self.pages.get(page) else {
-                    continue;
-                };
-                if meta.data.is_none() {
-                    continue;
-                }
-                let unapplied = meta.unapplied();
-                if unapplied.is_empty()
-                    || !unapplied
-                        .iter()
-                        .all(|wn| wn.pid == from && offers.iter().any(|(s, _)| *s == wn.seq))
-                {
-                    continue;
-                }
-                unapplied
-                    .iter()
-                    .map(|wn| {
-                        let d = offers
-                            .iter()
-                            .find(|(s, _)| *s == wn.seq)
-                            .expect("coverage checked above");
-                        (from, wn.seq, d.1.clone())
-                    })
-                    .collect()
+        groups.into_iter().collect()
+    }
+
+    /// An unapplied notice of `page` whose pushed diff has not arrived
+    /// yet, as `(writer, seq)` — what a fault parks on.
+    pub fn expected_absent(&self, page: PageId) -> Option<(Pid, Seq)> {
+        let meta = self.pages.get(page)?;
+        meta.unapplied()
+            .into_iter()
+            .find(|wn| self.diff_source(page, wn.pid, wn.seq) == DiffSource::Expected)
+            .map(|wn| (wn.pid, wn.seq))
+    }
+
+    /// Put diffs created by rank `from` into the early-diff store and
+    /// wake a fault parked on one of them. Skipped: what the page's
+    /// `applied` clock already covers, what the store already holds,
+    /// and — unless `pushed`, whose notices may still be on their way —
+    /// what matches no pending notice (a piggybacked diff of a page we
+    /// never read would otherwise sit here for the rest of the epoch).
+    /// Apply a message's records *before* depositing what rode with it.
+    pub fn deposit(
+        &mut self,
+        from: Pid,
+        diffs: impl IntoIterator<Item = (PageId, Seq, Diff)>,
+        pushed: bool,
+    ) {
+        for (page, seq, diff) in diffs {
+            self.ensure_pages(page as usize + 1);
+            if pushed {
+                let first = self.first_push.entry((page, from)).or_insert(seq);
+                *first = (*first).min(seq);
+            }
+            let useful = {
+                let meta = self.pages.guard(page);
+                seq > meta.applied.get(from)
+                    && (pushed || meta.pending.iter().any(|w| w.pid == from && w.seq == seq))
             };
-            self.apply_diffs(page, batch);
-            applied_pages += 1;
+            if !useful || self.diff_source(page, from, seq) == DiffSource::Stored {
+                if pushed {
+                    DsmStats::bump(&self.stats.push_wasted);
+                }
+                continue;
+            }
+            self.consistency_bytes += diff.wire_bytes();
+            self.early.entry(page).or_default().push(EarlyDiff {
+                pid: from,
+                seq,
+                diff,
+                pushed,
+            });
         }
-        applied_pages
+        if let Some(cv) = &self.early_cv {
+            cv.notify_all();
+        }
+    }
+
+    /// Take in a `DiffPush` from `src`. One from another epoch is
+    /// dropped whole: its sequence numbers mean nothing here.
+    pub fn deposit_push(&mut self, epoch: Epoch, src: Gpid, diffs: Vec<(PageId, Seq, Arc<Diff>)>) {
+        let from = self.team.pid_of(src).filter(|_| epoch == self.epoch());
+        match from {
+            Some(pid) => self.deposit(
+                pid,
+                diffs
+                    .into_iter()
+                    .map(|(p, s, d)| (p, s, Arc::unwrap_or_clone(d))),
+                true,
+            ),
+            None => DsmStats::add(&self.stats.push_wasted, diffs.len() as u64),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -650,7 +820,11 @@ impl ProcCore {
 
     /// Close the open interval: turn twins into diffs (or pending
     /// twins in lazy mode), emit the interval record, advance the
-    /// clock. Returns the record if any page was written.
+    /// clock — and queue the new diffs of pages with readers for the
+    /// service thread to push (invariant W; the caller wakes it once
+    /// its own synchronization message is on the link, see
+    /// [`crate::ctx::TmkCtx::wake_pusher`]). Returns the record if any
+    /// page was written.
     pub fn close_interval(&mut self) -> Option<Record> {
         if self.pages.dirty_count() == 0 {
             return None;
@@ -662,6 +836,7 @@ impl ProcCore {
         // the shard lock at fault time); take it back in one sweep.
         let dirty = self.pages.drain_dirty();
         let mut rec_pages = Vec::with_capacity(dirty.len());
+        let mut to_push: Vec<(PageId, Arc<Diff>)> = Vec::new();
         for page in dirty {
             let mut meta = self.pages.guard(page);
             meta.dirty = false;
@@ -698,7 +873,11 @@ impl ProcCore {
                             continue; // spurious write fault, nothing changed
                         }
                         self.consistency_bytes += diff.wire_bytes();
-                        self.diffs.insert(DiffKey { page, seq }, Arc::new(diff));
+                        let diff = Arc::new(diff);
+                        if self.readers.contains_key(&page) {
+                            to_push.push((page, Arc::clone(&diff)));
+                        }
+                        self.diffs.insert(DiffKey { page, seq }, diff);
                         meta.applied.raise(me, seq);
                         rec_pages.push(page);
                     }
@@ -727,7 +906,45 @@ impl ProcCore {
         };
         self.records.insert(rec.clone());
         self.unsent.push(rec.clone());
+        self.queue_pushes(seq, to_push);
         Some(rec)
+    }
+
+    /// Queue one `DiffPush` per reader of the pages in `created` (the
+    /// diffs of interval `seq`), each carrying all of that reader's
+    /// pages. Readers go in `(reader - me) mod n` order, so when every
+    /// rank pushes to every other the exchange is a rotation and no
+    /// rank's inbound link is everyone's first target. Readers of the
+    /// same pages share one encoding.
+    fn queue_pushes(&mut self, seq: Seq, mut created: Vec<(PageId, Arc<Diff>)>) {
+        created.sort_unstable_by_key(|&(page, _)| page);
+        let mut per_reader: Vec<(Pid, Vec<(PageId, Seq, Arc<Diff>)>)> = Vec::new();
+        for (page, diff) in created {
+            for &r in &self.readers[&page] {
+                let entry = (page, seq, Arc::clone(&diff));
+                match per_reader.iter_mut().find(|(p, _)| *p == r) {
+                    Some((_, diffs)) => diffs.push(entry),
+                    None => per_reader.push((r, vec![entry])),
+                }
+            }
+        }
+        let (n, me) = (self.team.nprocs(), self.my_pid as usize);
+        per_reader.sort_by_key(|&(r, _)| (r as usize + n - me) % n);
+        let epoch = self.epoch();
+        let mut encoded: Vec<(Vec<PageId>, bytes::Bytes)> = Vec::new();
+        let mut outbox = self.outbox.lock();
+        for (r, diffs) in per_reader {
+            let pages: Vec<PageId> = diffs.iter().map(|d| d.0).collect();
+            let payload = match encoded.iter().find(|(p, _)| *p == pages) {
+                Some((_, bytes)) => bytes.clone(),
+                None => {
+                    let bytes = crate::msg::Msg::DiffPush { epoch, diffs }.to_bytes();
+                    encoded.push((pages.clone(), bytes.clone()));
+                    bytes
+                }
+            };
+            outbox.push_back((self.team.gpid(r), payload, pages.len() as u64));
+        }
     }
 
     /// Integrate received records: store, merge clocks, post write
@@ -844,11 +1061,26 @@ impl ProcCore {
         }
     }
 
-    /// Serve a diff request for diffs we created.
-    pub fn serve_diffs(&mut self, wants: &[(PageId, Seq)]) -> crate::msg::Msg {
+    /// Serve a diff request for diffs we created. A request marked by
+    /// the requester's release-phase prefetch names its rank as
+    /// `subscriber`: from now on every diff we create for these pages
+    /// is pushed to it. Nothing else subscribes — a demand fault, a GC
+    /// fetch or a checkpoint collection is a one-off — and nobody can
+    /// under `lazy_diffs`, where no diff exists at a close.
+    pub fn serve_diffs(
+        &mut self,
+        wants: &[(PageId, Seq)],
+        subscriber: Option<Pid>,
+    ) -> crate::msg::Msg {
         let mut out = Vec::with_capacity(wants.len());
         for &(page, seq) in wants {
             *self.diff_heat.entry(page).or_insert(0) += 1;
+            if let Some(r) = subscriber.filter(|_| !self.cfg.lazy_diffs) {
+                let readers = self.readers.entry(page).or_default();
+                if !readers.contains(&r) {
+                    readers.push(r);
+                }
+            }
             let key = DiffKey { page, seq };
             if !self.diffs.contains_key(&key) {
                 // Lazy mode: materialize on demand.
@@ -1005,6 +1237,14 @@ impl ProcCore {
         // wiped; the heat ranking only orders pages, so it survives.
         self.fault_window.clear();
         self.window_history.clear();
+        // So is everything the push plane keys by pid or seq; what the
+        // store still holds was pushed for nothing.
+        let unapplied_pushes = self.early.values().flatten().filter(|e| e.pushed).count();
+        DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
+        self.readers.clear();
+        self.outbox.lock().clear();
+        self.early.clear();
+        self.first_push.clear();
         DsmStats::bump(&self.stats.gcs);
     }
 
@@ -1047,6 +1287,7 @@ impl ProcCore {
 mod tests {
     use super::*;
     use crate::msg::Msg;
+    use nowmp_util::wire::Wire;
 
     fn core() -> ProcCore {
         let cfg = DsmConfig {
@@ -1299,7 +1540,7 @@ mod tests {
         assert!(c.diffs.is_empty(), "lazy: no diff yet");
         assert!(c.pending_twins.contains_key(&0));
         // A diff request forces materialization.
-        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1)]) else {
+        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1)], None) else {
             panic!()
         };
         assert_eq!(diffs.len(), 1);
@@ -1330,7 +1571,7 @@ mod tests {
         buf.store(5, 12);
         assert!(c.diffs.contains_key(&DiffKey { page: 0, seq: 1 }));
         c.close_interval().unwrap();
-        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1), (0, 2)]) else {
+        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1), (0, 2)], None) else {
             panic!()
         };
         assert_eq!(diffs.len(), 2);
@@ -1445,6 +1686,308 @@ mod tests {
             panic!()
         };
         assert_eq!(buf.load(0), 77);
+    }
+
+    // --- the push plane -------------------------------------------------
+
+    /// Rank `me` of an `n`-process team (gpids `1..=n`) that owns every
+    /// page it touches.
+    fn team_core(n: usize, me: Pid) -> ProcCore {
+        let mut c = core();
+        c.team = Team::new(0, (1..=n as u32).map(Gpid).collect());
+        c.gpid = Gpid(me as u32 + 1);
+        c.default_owner = c.gpid;
+        c.my_pid = me;
+        c.vc = Vc::new(n);
+        c
+    }
+
+    /// Store `v` into slot 0 of `page` (made shared first, so the write
+    /// twins) in the open interval.
+    fn write_shared(c: &mut ProcCore, page: PageId, v: u64) {
+        let _ = c.plan_access(page, false);
+        let _ = c.serve_page(page);
+        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true) else {
+            panic!("owned page must be writable")
+        };
+        buf.store(0, v);
+    }
+
+    /// Post the notice "rank `pid` wrote `page` in its interval `seq`".
+    fn notice(c: &mut ProcCore, pid: Pid, seq: Seq, page: PageId) {
+        let mut vc = Vc::new(c.team.nprocs());
+        vc.set(pid, seq);
+        c.apply_records(&[Record {
+            pid,
+            seq,
+            vc,
+            pages: vec![page],
+        }]);
+    }
+
+    fn word(slot: u32, v: u64) -> Diff {
+        Diff::of_run(slot, &[v])
+    }
+
+    fn stored(c: &ProcCore, page: PageId) -> Vec<(Pid, Seq)> {
+        let mut v: Vec<(Pid, Seq)> = c
+            .early
+            .get(&page)
+            .map(|v| v.iter().map(|e| (e.pid, e.seq)).collect())
+            .unwrap_or_default();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn only_a_marked_diff_req_subscribes() {
+        let mut c = team_core(3, 0);
+        write_shared(&mut c, 0, 7);
+        c.close_interval().unwrap();
+        // A demand fault, a GC fetch, a checkpoint collection: no mark.
+        let _ = c.serve_diffs(&[(0, 1)], None);
+        assert!(c.readers.is_empty(), "an unmarked request is a one-off");
+        let _ = c.serve_diffs(&[(0, 1)], Some(2));
+        let _ = c.serve_diffs(&[(0, 1)], Some(2));
+        assert_eq!(c.readers[&0], vec![2], "marked: subscribed, once");
+
+        // Lazy diffs: nothing exists to push at a close.
+        let mut cfg = c.cfg.clone();
+        cfg.lazy_diffs = true;
+        let mut lazy = ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1));
+        two_proc_team(&mut lazy, 0);
+        write_shared(&mut lazy, 0, 7);
+        lazy.close_interval().unwrap();
+        let _ = lazy.serve_diffs(&[(0, 1)], Some(1));
+        assert!(lazy.readers.is_empty());
+    }
+
+    #[test]
+    fn close_queues_one_rotated_message_per_reader() {
+        // Rank 1 of 4. Page 0 is read by everyone else, page 1 by rank
+        // 3 only, page 2 by nobody.
+        let mut c = team_core(4, 1);
+        c.readers.insert(0, vec![0, 3, 2]);
+        c.readers.insert(1, vec![3]);
+        for page in 0..3 {
+            write_shared(&mut c, page, 10 + page as u64);
+        }
+        let rec = c.close_interval().unwrap();
+        assert_eq!(rec.pages, vec![0, 1, 2]);
+        assert!(!c.outbox.lock().is_empty());
+        // (reader - me) mod n: ranks 2, 3, 0 — gpids 3, 4, 1.
+        let outbox = c.outbox.lock().clone();
+        let dsts: Vec<Gpid> = outbox.iter().map(|m| m.0).collect();
+        assert_eq!(dsts, vec![Gpid(3), Gpid(4), Gpid(1)]);
+        let carried: Vec<u64> = outbox.iter().map(|m| m.2).collect();
+        assert_eq!(
+            carried,
+            vec![1, 2, 1],
+            "all of a reader's pages in one message"
+        );
+        assert_eq!(outbox[0].1, outbox[2].1, "same pages, same bytes");
+        let Msg::DiffPush { epoch, diffs } = Msg::from_wire(&outbox[1].1).unwrap() else {
+            panic!("outbox holds DiffPush messages")
+        };
+        assert_eq!(epoch, 0);
+        let keys: Vec<(PageId, Seq)> = diffs.iter().map(|d| (d.0, d.1)).collect();
+        assert_eq!(keys, vec![(0, 1), (1, 1)], "page 2 has no reader");
+        assert_eq!(*diffs[1].2, word(0, 11));
+
+        // Invariant W: the next close pushes the same pages to the same
+        // readers without anyone asking again.
+        c.outbox.lock().clear();
+        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            panic!()
+        };
+        buf.store(1, 99);
+        c.close_interval().unwrap();
+        assert_eq!(c.outbox.lock().len(), 3);
+
+        // A close that writes only unread pages queues nothing.
+        c.outbox.lock().clear();
+        let AccessPlan::Ready { buf, .. } = c.plan_access(2, true) else {
+            panic!()
+        };
+        buf.store(1, 5);
+        c.close_interval().unwrap();
+        assert!(c.outbox.lock().is_empty());
+    }
+
+    #[test]
+    fn deposit_skips_what_is_covered_or_unasked() {
+        let mut c = team_core(2, 0);
+        let _ = c.plan_access(0, false);
+        c.pages.guard(0).applied.set(1, 3);
+        let push = |seqs: &[Seq]| -> Vec<(PageId, Seq, Arc<Diff>)> {
+            seqs.iter()
+                .map(|&s| (0, s, Arc::new(word(0, s as u64))))
+                .collect()
+        };
+        // Seqs the copy already reflects are dropped — but they still
+        // say the writer pushes this page.
+        c.deposit_push(0, Gpid(2), push(&[2, 3]));
+        assert!(stored(&c, 0).is_empty());
+        assert_eq!(c.first_push[&(0, 1)], 2);
+        assert_eq!(c.stats.snapshot().push_wasted, 2);
+        // A new one is kept and counted against the GC budget; the
+        // same one again is not.
+        c.deposit_push(0, Gpid(2), push(&[4]));
+        assert_eq!(stored(&c, 0), vec![(1, 4)]);
+        let bytes = c.consistency_bytes;
+        assert_eq!(bytes, word(0, 4).wire_bytes());
+        c.deposit_push(0, Gpid(2), push(&[4]));
+        assert_eq!(stored(&c, 0), vec![(1, 4)]);
+        assert_eq!(c.consistency_bytes, bytes);
+        assert_eq!(c.stats.snapshot().push_wasted, 3);
+        // A prefetched or piggybacked diff is kept only for a notice
+        // we hold; it is no evidence of a push either way.
+        c.deposit(1, vec![(1, 9, word(0, 9))], false);
+        assert!(stored(&c, 1).is_empty());
+        notice(&mut c, 1, 9, 1);
+        c.deposit(1, vec![(1, 9, word(0, 9))], false);
+        assert_eq!(stored(&c, 1), vec![(1, 9)]);
+        assert!(!c.first_push.contains_key(&(1, 1)));
+        assert_eq!(
+            c.stats.snapshot().push_wasted,
+            3,
+            "not a push: not in its ledger"
+        );
+    }
+
+    #[test]
+    fn rule_r_expects_only_seqs_above_the_first_pushed_one() {
+        let mut c = team_core(2, 0);
+        let _ = c.plan_access(0, false);
+        c.pages.guard(0).shared = true;
+        // The writer's first push to us carries its interval 3.
+        c.deposit_push(0, Gpid(2), vec![(0, 3, Arc::new(word(3, 3)))]);
+        assert_eq!(
+            c.diff_source(0, 1, 2),
+            DiffSource::Network,
+            "below: closed before we subscribed"
+        );
+        assert_eq!(
+            c.diff_source(0, 1, 3),
+            DiffSource::Stored,
+            "at: in the store"
+        );
+        assert_eq!(
+            c.diff_source(0, 1, 4),
+            DiffSource::Expected,
+            "above: on its way (W)"
+        );
+        assert_eq!(
+            c.diff_source(1, 1, 4),
+            DiffSource::Network,
+            "another page: no evidence"
+        );
+        assert_eq!(
+            c.diff_source(0, 0, 4),
+            DiffSource::Network,
+            "another writer: no evidence"
+        );
+
+        // The fault path asks the network for exactly the first kind
+        // and parks on the third.
+        for seq in 2..=4 {
+            notice(&mut c, 1, seq, 0);
+        }
+        match c.plan_access(0, false) {
+            AccessPlan::NeedDiffs { groups } => {
+                assert_eq!(groups, vec![(Gpid(2), vec![(0, 2)])]);
+            }
+            other => panic!("expected NeedDiffs, got {other:?}"),
+        }
+        assert_eq!(
+            c.plan_prefetch(&[0], 8).diffs,
+            vec![(Gpid(2), vec![(0, 2)])]
+        );
+        assert_eq!(c.expected_absent(0), Some((1, 4)));
+        c.deposit_push(0, Gpid(2), vec![(0, 4, Arc::new(word(4, 4)))]);
+        assert_eq!(c.diff_source(0, 1, 4), DiffSource::Stored);
+        assert_eq!(c.expected_absent(0), None);
+
+        // One batch: the fetched diff and the two stored ones.
+        c.apply_diffs(0, vec![(1, 2, word(2, 2))]);
+        let g = c.pages.guard(0);
+        assert_eq!(g.state, PageState::Read);
+        let data = g.data.as_ref().unwrap();
+        assert_eq!((data.load(2), data.load(3), data.load(4)), (2, 3, 4));
+        drop(g);
+        assert!(c.early.is_empty() && c.consistency_bytes == 0);
+        let s = c.stats.snapshot();
+        assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (2, 0, 3));
+
+        // With every notice stored or expected nothing is left to ask
+        // for, and a page that needs no request costs no budget.
+        notice(&mut c, 1, 5, 0);
+        match c.plan_access(0, false) {
+            AccessPlan::NeedDiffs { groups } => assert!(groups.is_empty()),
+            other => panic!("expected NeedDiffs, got {other:?}"),
+        }
+        let plan = c.plan_prefetch(&[0], 8);
+        assert_eq!((plan.pages, plan.diffs.len()), (0, 0));
+        assert!(
+            c.fault_window.contains(&0),
+            "a store hit is demand the predictor sees"
+        );
+    }
+
+    #[test]
+    fn apply_diffs_orders_stored_and_fetched_causally() {
+        // Ranks 1 and 2 wrote the same word, 2 after 1. Rank 2's diff
+        // arrived early; rank 1's is fetched by the fault. Arrival
+        // order must not decide the word.
+        let mut c = team_core(3, 0);
+        let _ = c.plan_access(0, false);
+        c.pages.guard(0).shared = true;
+        let mut vc1 = Vc::new(3);
+        vc1.set(1, 1);
+        let mut vc2 = vc1.clone();
+        vc2.set(2, 1);
+        let rec = |pid, vc: &Vc| Record {
+            pid,
+            seq: 1,
+            vc: vc.clone(),
+            pages: vec![0],
+        };
+        c.apply_records(&[rec(1, &vc1), rec(2, &vc2)]);
+        c.deposit_push(0, Gpid(3), vec![(0, 1, Arc::new(word(0, 22)))]);
+        // The same diff also came back from a request that crossed the
+        // push: applied once, the stored copy written off.
+        c.deposit_push(0, Gpid(2), vec![(0, 1, Arc::new(word(0, 11)))]);
+        c.apply_diffs(0, vec![(1, 1, word(0, 11))]);
+        assert_eq!(c.pages.guard(0).data.as_ref().unwrap().load(0), 22);
+        let s = c.stats.snapshot();
+        assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (1, 1, 2));
+    }
+
+    #[test]
+    fn gc_commit_empties_the_push_plane() {
+        let mut c = team_core(2, 0);
+        c.readers.insert(0, vec![1]);
+        write_shared(&mut c, 0, 1);
+        c.close_interval().unwrap();
+        c.deposit_push(0, Gpid(2), vec![(3, 1, Arc::new(word(0, 1)))]);
+        assert!(!c.outbox.lock().is_empty() && !c.early.is_empty() && !c.first_push.is_empty());
+        c.gc_commit(1, Team::new(1, vec![Gpid(1), Gpid(2)]), 0, &[Gpid(1)], &[]);
+        assert!(c.readers.is_empty(), "subscriptions die with the epoch");
+        assert!(c.outbox.lock().is_empty());
+        assert!(c.early.is_empty() && c.first_push.is_empty());
+        assert_eq!(c.consistency_bytes, 0);
+        assert_eq!(c.stats.snapshot().push_wasted, 1, "stored, never applied");
+    }
+
+    #[test]
+    fn diff_push_from_another_epoch_is_dropped() {
+        let mut c = team_core(2, 0);
+        c.deposit_push(7, Gpid(2), vec![(0, 1, Arc::new(word(0, 1)))]);
+        assert!(c.early.is_empty() && c.first_push.is_empty());
+        assert_eq!(c.stats.snapshot().push_wasted, 1);
+        // So is one from a process that is not in the team.
+        c.deposit_push(0, Gpid(9), vec![(0, 1, Arc::new(word(0, 1)))]);
+        assert!(c.early.is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! act as the barrier manager while it executes its own share of a
 //! parallel region.
 
-use crate::config::{DataPlaneConfig, DsmConfig};
+use crate::config::DataPlaneConfig;
 use crate::core::{AccessPlan, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::page::PageBuf;
@@ -25,7 +25,7 @@ use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::wire::{Encoding, Wire};
-use nowmp_util::MailboxReceiver;
+use nowmp_util::{ClockCondvar, MailboxReceiver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -166,19 +166,20 @@ pub struct TmkCtx {
     /// In-flight release-phase prefetches. Must be empty at every
     /// synchronization point (see [`Self::drain_prefetch`]).
     inflight: Vec<Prefetch>,
-    /// Pages a completed prefetch already applied but no fault has
-    /// claimed yet: hits when faulted, waste at the next rotation.
+    /// Full pages a completed prefetch already installed but no fault
+    /// has claimed yet: hits when faulted, waste at the next rotation.
     prefetched_ready: Vec<PageId>,
-    /// Prefetched diff replies buffered per page until the page's
-    /// *whole* unapplied-notice set has arrived
-    /// ([`Self::settle_buffered_diffs`]): diffs from different creators
-    /// must be applied in one causally-sorted batch, never in call
-    /// completion order.
-    diff_buf: Vec<(PageId, Vec<(Pid, Seq, crate::diff::Diff)>)>,
-    /// Pages the current window planned via diff prefetch but has not
-    /// applied yet: moved to `prefetched_ready` when their diff set
-    /// completes, counted wasted at the next drain otherwise.
+    /// Pages the current window asked diffs for by prefetch and no
+    /// fault has claimed yet (the replies go to the core's early-diff
+    /// store): a hit when a fault finds nothing left to ask the
+    /// network for, wasted when it still has to, or at the next drain.
     diff_planned: Vec<PageId>,
+    /// Where a fault parks while a diff its writer is pushing (rule R)
+    /// is still on the wire; the core notifies it on every deposit.
+    early_cv: Arc<ClockCondvar>,
+    /// The core's push outbox, to see whether a close queued anything
+    /// without taking the core mutex again.
+    outbox: crate::core::Outbox,
 }
 
 impl TmkCtx {
@@ -188,14 +189,17 @@ impl TmkCtx {
         endpoint: Arc<Endpoint>,
         ctrl: Option<Arc<Mutex<CtrlBuf>>>,
     ) -> Self {
-        let (stats, cfg, epoch, team, my_pid): (Arc<DsmStats>, DsmConfig, Epoch, Team, Pid) = {
-            let c = core.lock();
+        let early_cv = Arc::new(ClockCondvar::new(endpoint.clock()));
+        let (stats, cfg, epoch, team, my_pid, outbox) = {
+            let mut c = core.lock();
+            c.early_cv = Some(Arc::clone(&early_cv));
             (
                 Arc::clone(&c.stats),
                 c.cfg.clone(),
                 c.epoch(),
                 c.team.clone(),
                 c.my_pid,
+                Arc::clone(&c.outbox),
             )
         };
         let spp = cfg.slots_per_page();
@@ -223,8 +227,9 @@ impl TmkCtx {
             dataplane: cfg.dataplane,
             inflight: Vec::new(),
             prefetched_ready: Vec::new(),
-            diff_buf: Vec::new(),
             diff_planned: Vec::new(),
+            early_cv,
+            outbox,
         }
     }
 
@@ -420,8 +425,40 @@ impl TmkCtx {
                     return;
                 }
                 AccessPlan::NeedFull { target } => self.fetch_full(page, target),
-                AccessPlan::NeedDiffs { groups } => self.fetch_diffs(page, groups),
+                AccessPlan::NeedDiffs { groups } => {
+                    // The prefetch ledger closes here: the window's
+                    // request for this page paid off iff nothing is
+                    // left to ask the network for.
+                    if let Some(pos) = self.diff_planned.iter().position(|&p| p == page) {
+                        self.diff_planned.swap_remove(pos);
+                        DsmStats::bump(if groups.is_empty() {
+                            &self.stats.prefetch_hits
+                        } else {
+                            &self.stats.prefetch_wasted
+                        });
+                    }
+                    self.fetch_diffs(page, groups);
+                }
             }
+        }
+    }
+
+    /// Park until every diff of `page` that rule R says is being pushed
+    /// to us has been deposited. A clock-visible wait, woken by the
+    /// service thread's deposit and guarded in real time like any
+    /// reply: a lost push is a protocol bug and fails as loudly as a
+    /// lost reply does.
+    fn await_expected(&self, page: PageId) {
+        let deadline = std::time::Instant::now() + self.call_timeout;
+        let mut c = self.core.lock();
+        while let Some((pid, seq)) = c.expected_absent(page) {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(
+                !left.is_zero(),
+                "{}: pushed diff lost: page {page}, writer pid {pid}, seq {seq} never arrived",
+                self.gpid()
+            );
+            c = self.early_cv.wait_timeout(&self.core, c, left).0;
         }
     }
 
@@ -461,7 +498,9 @@ impl TmkCtx {
         panic!("page {page}: too many ownership redirects");
     }
 
-    /// Fetch and apply diffs from each creator. Under
+    /// Fetch the diffs only the network can supply (`groups`; none when
+    /// the early-diff store has or expects them all), wait for the
+    /// expected ones, and apply everything as one batch. Under
     /// `dataplane.pipeline` the per-creator requests are
     /// scatter-gathered: every `DiffReq` goes on the wire before any
     /// reply is collected, so a multi-creator fault pays the slowest
@@ -481,6 +520,7 @@ impl TmkCtx {
                     let msg = Msg::DiffReq {
                         epoch: self.epoch,
                         wants,
+                        subscribe: false,
                     };
                     let call = self
                         .endpoint
@@ -517,6 +557,7 @@ impl TmkCtx {
                     &Msg::DiffReq {
                         epoch: self.epoch,
                         wants,
+                        subscribe: false,
                     },
                 );
                 match rep {
@@ -530,6 +571,7 @@ impl TmkCtx {
                 }
             }
         }
+        self.await_expected(page);
         self.core.lock().apply_diffs(page, batch);
     }
 
@@ -540,8 +582,10 @@ impl TmkCtx {
     /// Issue asynchronous prefetches for last window's faulted pages.
     /// Called immediately after a `Fork`/`BarrierRelease` lands (and
     /// after [`Self::sync_reset`]), so the requests overlap the
-    /// region/epoch compute that follows. No-op under the demand data
-    /// plane.
+    /// region/epoch compute that follows. Its diff requests are the
+    /// only ones that subscribe this rank to a creator's pushes, so a
+    /// page is asked for here at most until its pushes start arriving.
+    /// No-op under the demand data plane.
     pub fn prefetch_after_release(&mut self) {
         let budget = self.dataplane.prefetch;
         if budget == 0 || self.nprocs() == 1 {
@@ -552,8 +596,8 @@ impl TmkCtx {
             "prefetches must be drained before a release point"
         );
         debug_assert!(
-            self.diff_buf.is_empty() && self.diff_planned.is_empty(),
-            "buffered diffs must be settled or flushed before a release point"
+            self.diff_planned.is_empty(),
+            "planned pages must be claimed or written off before a release point"
         );
         // Pages prefetched last window that no fault ever claimed were
         // wire bytes for nothing: own up to them.
@@ -596,13 +640,16 @@ impl TmkCtx {
                     self.diff_planned.push(p);
                 }
             }
+            // Marked: these pages faulted window after window, so the
+            // creator pushes their later diffs unasked.
             let msg = Msg::DiffReq {
                 epoch: self.epoch,
                 wants,
+                subscribe: true,
             };
-            // On send failure the pages stay in `diff_planned`: their
-            // set can never complete, so the next drain counts them
-            // wasted.
+            // On send failure the pages stay in `diff_planned`: the
+            // fault still has to ask, or the next drain comes first —
+            // wasted either way.
             if let Ok(call) = self
                 .endpoint
                 .call_begin(creator, msg.to_bytes_compat(self.wire_enc))
@@ -644,13 +691,12 @@ impl TmkCtx {
         while let Some(p) = self.inflight.pop() {
             self.finish_prefetch(p);
         }
-        // Pages whose diff set never completed (a creator call failed,
-        // or demand got there first): applying a partial set could
-        // clobber causally-newer words, so the buffers are dropped and
-        // the demand path refetches the whole set totally ordered.
+        // Pages no fault claimed inside the window they were asked
+        // for. Their diffs stay in the early-diff store — a later fault
+        // still merges them in causal order — but the request bought
+        // this window nothing.
         DsmStats::add(&self.stats.prefetch_wasted, self.diff_planned.len() as u64);
         self.diff_planned.clear();
-        self.diff_buf.clear();
     }
 
     /// Fold one completed prefetch into the core. Replies that no
@@ -705,62 +751,12 @@ impl TmkCtx {
                 }
             }
             (PrefetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
-                let mut touched: Vec<PageId> = Vec::new();
-                for (p, s, d) in diffs {
-                    match self.diff_buf.iter_mut().find(|(page, _)| *page == p) {
-                        Some((_, batch)) => batch.push((creator, s, d)),
-                        None => self.diff_buf.push((p, vec![(creator, s, d)])),
-                    }
-                    if !touched.contains(&p) {
-                        touched.push(p);
-                    }
-                }
-                for page in touched {
-                    self.settle_buffered_diffs(page);
-                }
+                // Replies complete per creator, in any order: they wait
+                // in the store for the fault, which applies the page's
+                // whole unapplied set as one causally sorted batch.
+                self.core.lock().deposit(creator, diffs, false);
             }
             (_, other) => panic!("unexpected prefetch reply: {other:?}"),
-        }
-    }
-
-    /// Apply a page's buffered prefetch diffs once — and only once —
-    /// the page's *entire* unapplied-notice set has arrived. The demand
-    /// path gathers every creator's diffs and applies them in one batch
-    /// sorted by interval vcsum; replies arriving per creator call must
-    /// not be applied in completion order, or a causally-older interval
-    /// landing late would clobber a newer writer's words (lost updates
-    /// on lock-protected slots shared with barrier-phase writers).
-    /// Incomplete sets stay buffered; [`Self::drain_prefetch`] drops
-    /// them as waste and the demand path refetches totally ordered.
-    fn settle_buffered_diffs(&mut self, page: PageId) {
-        let Some(idx) = self.diff_buf.iter().position(|(p, _)| *p == page) else {
-            return;
-        };
-        let mut c = self.core.lock();
-        let complete = match c.pages.get(page) {
-            Some(meta) if meta.state == crate::page::PageState::Invalid && meta.data.is_some() => {
-                let unapplied = meta.unapplied();
-                !unapplied.is_empty()
-                    && unapplied.iter().all(|wn| {
-                        self.diff_buf[idx]
-                            .1
-                            .iter()
-                            .any(|&(pid, seq, _)| pid == wn.pid && seq == wn.seq)
-                    })
-            }
-            _ => false,
-        };
-        if !complete {
-            return;
-        }
-        let (_, batch) = self.diff_buf.swap_remove(idx);
-        c.apply_diffs(page, batch);
-        drop(c);
-        if let Some(pos) = self.diff_planned.iter().position(|&p| p == page) {
-            self.diff_planned.swap_remove(pos);
-        }
-        if !self.prefetched_ready.contains(&page) {
-            self.prefetched_ready.push(page);
         }
     }
 
@@ -959,6 +955,19 @@ impl TmkCtx {
                 )
                 .expect("lock manager vanished");
         }
+        self.wake_pusher();
+    }
+
+    /// Hand the pushes an interval close queued (if any) to the service
+    /// thread. Call it after every close, and *after* that
+    /// synchronization point's own message (`JoinArrive`,
+    /// `BarrierArrive`, a lock release, the master's fork sends) is on
+    /// the link: that message is small and on the critical path, so it
+    /// reserves the wire ahead of the bulk.
+    pub fn wake_pusher(&self) {
+        if !self.outbox.lock().is_empty() {
+            self.endpoint.wake();
+        }
     }
 
     /// Run `f` under lock `lock` (OpenMP `critical`).
@@ -1011,9 +1020,18 @@ impl TmkCtx {
             pid,
             vc,
             records,
-        };
+        }
+        .to_bytes_compat(self.wire_enc);
         if self.collectives.join_reduce != crate::config::Broadcast::Tree {
-            match self.call(master, &arrive) {
+            let call = self
+                .endpoint
+                .call_begin(master, arrive)
+                .unwrap_or_else(|e| panic!("{}: call to {master} failed: {e}", self.gpid()));
+            self.wake_pusher();
+            let rep = call
+                .wait(self.call_timeout)
+                .unwrap_or_else(|e| panic!("{}: call to {master} failed: {e}", self.gpid()));
+            match Msg::from_wire(&rep).expect("malformed reply") {
                 Msg::BarrierRep { vc, records } => {
                     let mut c = self.core.lock();
                     c.apply_records(&records);
@@ -1026,8 +1044,9 @@ impl TmkCtx {
         // Tree release: the arrival is one-way; the release reaches us
         // relayed down the binomial tree through our parent.
         self.endpoint
-            .send(master, arrive.to_bytes_compat(self.wire_enc))
+            .send(master, arrive)
             .unwrap_or_else(|e| panic!("{}: barrier arrival failed: {e}", self.gpid()));
+        self.wake_pusher();
         let ctrl = Arc::clone(self.ctrl.as_ref().expect("worker has a ctrl buffer"));
         let c = ctrl
             .lock()
@@ -1055,10 +1074,10 @@ impl TmkCtx {
                 let mut core = self.core.lock();
                 core.apply_records(&records);
                 core.vc.merge(&vc);
-                // Hot diffs ride the release; whatever they fully cover
-                // never needs a demand fetch this epoch. Master's own
-                // diffs only, so attribution is pid 0.
-                core.apply_piggyback(0, &piggyback);
+                // Hot diffs ride the release; what they cover needs no
+                // demand fetch this epoch. Master's own diffs only, so
+                // attribution is pid 0.
+                core.deposit(0, piggyback, false);
             }
             _ => unreachable!(),
         }
@@ -1067,12 +1086,15 @@ impl TmkCtx {
     fn barrier_master(&mut self, ctrl: &Arc<Mutex<CtrlBuf>>) {
         let n = self.nprocs();
         let epoch = self.epoch;
-        // Close our interval; our records are in the store.
+        // Close our interval; our records are in the store. The
+        // manager sends nothing of its own until everyone has arrived,
+        // so its pushes can start now.
         {
             let mut c = self.core.lock();
             c.close_interval();
             c.drain_unsent(); // master's records distribute via the release below
         }
+        self.wake_pusher();
         // Collect n-1 arrivals.
         let mut arrivals: Vec<(Ctrl, crate::types::Vc)> = Vec::with_capacity(n - 1);
         for _ in 0..n - 1 {
@@ -1151,6 +1173,7 @@ impl TmkCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DsmConfig;
     use crate::stats::DsmStats as Stats;
     use nowmp_net::{HostId, NetModel, Network};
 
@@ -1257,6 +1280,99 @@ mod tests {
         let mut ctx = make_ctx();
         ctx.set_params(vec![1, 2, 3]);
         assert_eq!(ctx.params(), &[1, 2, 3]);
+    }
+
+    // --- parking on a pushed diff (rule R) ---
+
+    /// Rank 0 of a two-process team on `clock`, holding a copy of page
+    /// 0 that lacks intervals 1 and 2 of rank 1. Interval 1 was pushed
+    /// (slot 1 := 11), so interval 2 is expected.
+    fn ctx_expecting_a_push(clock: &nowmp_util::Clock, timeout: Duration) -> (TmkCtx, Gpid) {
+        use crate::records::Record;
+        use crate::types::Vc;
+        let net = Network::with_clock(
+            2,
+            1,
+            NetModel::disabled(),
+            nowmp_net::CostModel::disabled(),
+            clock.clone(),
+        );
+        let ep = Arc::new(net.register(HostId(0)));
+        let writer = net.register(HostId(1)).gpid();
+        let gpid = ep.gpid();
+        let mut pc = ProcCore::new(
+            DsmConfig {
+                page_size: 64,
+                call_timeout: timeout,
+                ..DsmConfig::test_small()
+            },
+            gpid,
+            Stats::new_shared(),
+            gpid,
+        );
+        pc.team = Team::new(0, vec![gpid, writer]);
+        pc.vc = Vc::new(2);
+        let _ = pc.plan_access(0, false);
+        pc.pages.guard(0).shared = true;
+        for seq in 1..=2 {
+            let mut vc = Vc::new(2);
+            vc.set(1, seq);
+            pc.apply_records(&[Record {
+                pid: 1,
+                seq,
+                vc,
+                pages: vec![0],
+            }]);
+        }
+        pc.deposit_push(
+            0,
+            writer,
+            vec![(0, 1, Arc::new(crate::diff::Diff::of_run(1, &[11])))],
+        );
+        (TmkCtx::new(Arc::new(Mutex::new(pc)), ep, None), writer)
+    }
+
+    #[test]
+    fn fault_parks_until_the_expected_push_is_deposited() {
+        for clock in [nowmp_util::Clock::real(), nowmp_util::Clock::new_virtual()] {
+            let (mut ctx, writer) = ctx_expecting_a_push(&clock, Duration::from_secs(30));
+            let core = Arc::clone(ctx.core());
+            let delay = Duration::from_millis(5);
+            let (c2, t0) = (clock.clone(), clock.now());
+            // The writer's push, as the service thread would deposit it.
+            let pusher = clock.spawn("pusher", move || {
+                c2.sleep(delay);
+                core.lock().deposit_push(
+                    0,
+                    writer,
+                    vec![(0, 2, Arc::new(crate::diff::Diff::of_run(2, &[22])))],
+                );
+            });
+            // Nothing to ask the network for (nobody serves it here):
+            // the fault waits for the deposit and applies both diffs.
+            assert_eq!(ctx.read_u64(2), 22);
+            assert_eq!(ctx.read_u64(1), 11);
+            let waited = clock.elapsed_since(t0);
+            pusher.join().unwrap();
+            assert!(
+                waited >= delay,
+                "returned after {waited:?}, before the deposit"
+            );
+            if clock.is_virtual() {
+                assert_eq!(waited, delay, "woken by the deposit, at its tick");
+            }
+            assert_eq!(clock.forced_advances(), 0, "the park must be clock-visible");
+            let s = ctx.stats().snapshot();
+            assert_eq!((s.push_hits, s.diffs_fetched), (2, 2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pushed diff lost: page 0, writer pid 1, seq 2")]
+    fn lost_push_trips_the_real_time_guard() {
+        let (mut ctx, _writer) =
+            ctx_expecting_a_push(&nowmp_util::Clock::real(), Duration::from_millis(50));
+        let _ = ctx.read_u64(2);
     }
 
     // --- fetch_full ownership-redirect chasing ---

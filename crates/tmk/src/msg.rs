@@ -7,7 +7,8 @@
 //! Requests served by the *service thread* (the SIGIO-handler analog)
 //! can be answered at any time, even while the peer's application
 //! thread computes: `ConnHello`, `PageReq`, `DiffReq`, `RecordsReq`,
-//! `LockReq`, `LockRelease`.
+//! `LockReq`, `LockRelease` — and the one-way `DiffPush`, which the
+//! service thread both sends and receives.
 //!
 //! *Control* messages are forwarded by the service thread to the
 //! application thread: `Fork`, `JoinArrive`, `BarrierArrive`,
@@ -20,6 +21,7 @@ use crate::records::{Record, RecordSet};
 use crate::types::{Addr, Epoch, PageId, Pid, Seq, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::wire::{Dec, Enc, Encoding, Wire, WireError};
+use std::sync::Arc;
 
 /// Shared-array element kinds carried in the handle registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,6 +221,13 @@ pub enum Msg {
         epoch: Epoch,
         /// Diff keys wanted from this creator.
         wants: Vec<(PageId, Seq)>,
+        /// Set by the release-phase prefetch only: the requester has
+        /// faulted on these pages window after window, so the creator
+        /// should push every later diff of them without being asked
+        /// (see [`Msg::DiffPush`]). An optional trailing byte: unset
+        /// adds nothing to the wire, so demand-plane requests stay
+        /// byte-identical.
+        subscribe: bool,
     },
     /// Fetch interval records unknown to the holder of `vc` (lock
     /// acquire consistency data).
@@ -241,6 +250,18 @@ pub enum Msg {
         epoch: Epoch,
         /// Lock id.
         lock: u32,
+    },
+    /// Writer-initiated diffs (one-way, service thread to service
+    /// thread): the sender just closed an interval and the receiver
+    /// subscribed to these pages with a marked [`Msg::DiffReq`]. The
+    /// diffs are shared with the sender's own store, so one encoding
+    /// serves every reader of the same pages.
+    DiffPush {
+        /// Protocol epoch the diffs belong to; a receiver in any other
+        /// epoch drops the message.
+        epoch: Epoch,
+        /// `(page, seq, diff)` triples created by the sender.
+        diffs: Vec<(PageId, Seq, Arc<Diff>)>,
     },
 
     // ---- replies ----
@@ -436,6 +457,36 @@ mod tags {
     pub const READY_JOIN: u8 = 21;
     pub const TERMINATE: u8 = 22;
     pub const BARRIER_RELEASE: u8 = 23;
+    pub const DIFF_PUSH: u8 = 24;
+}
+
+/// Encode `(page, seq, diff)` triples behind a count: the body of
+/// `DiffRep`, `DiffPush` and the piggyback section (owned or shared
+/// diffs alike).
+fn enc_diffs<D: std::borrow::Borrow<Diff>>(diffs: &[(PageId, Seq, D)], e: &mut Enc) {
+    e.put_u32(diffs.len() as u32);
+    for (p, s, diff) in diffs {
+        e.put_u32(*p);
+        e.put_u32(*s);
+        diff.borrow().enc(e);
+    }
+}
+
+/// Decode what [`enc_diffs`] wrote, wrapping each diff with `own`.
+fn dec_diffs<D>(
+    d: &mut Dec<'_>,
+    what: &'static str,
+    own: impl Fn(Diff) -> D,
+) -> Result<Vec<(PageId, Seq, D)>, WireError> {
+    let n = d.get_u32()? as usize;
+    if n > 1 << 22 {
+        return Err(WireError::BadLength { what, len: n });
+    }
+    let mut diffs = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        diffs.push((d.get_u32()?, d.get_u32()?, own(Diff::dec(d)?)));
+    }
+    Ok(diffs)
 }
 
 /// Encode a piggyback section as an *optional trailing field*: emitted
@@ -443,14 +494,8 @@ mod tags {
 /// byte-identical to the pre-piggyback wire (the Table 1/2 calibration
 /// assumption).
 fn enc_piggyback(pb: &[(PageId, Seq, Diff)], e: &mut Enc) {
-    if pb.is_empty() {
-        return;
-    }
-    e.put_u32(pb.len() as u32);
-    for (p, s, diff) in pb {
-        e.put_u32(*p);
-        e.put_u32(*s);
-        diff.enc(e);
+    if !pb.is_empty() {
+        enc_diffs(pb, e);
     }
 }
 
@@ -459,18 +504,7 @@ fn dec_piggyback(d: &mut Dec<'_>) -> Result<Vec<(PageId, Seq, Diff)>, WireError>
     if d.is_done() {
         return Ok(Vec::new());
     }
-    let n = d.get_u32()? as usize;
-    if n > 1 << 22 {
-        return Err(WireError::BadLength {
-            what: "piggyback",
-            len: n,
-        });
-    }
-    let mut pb = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        pb.push((d.get_u32()?, d.get_u32()?, Diff::dec(d)?));
-    }
-    Ok(pb)
+    dec_diffs(d, "piggyback", |diff| diff)
 }
 
 impl Wire for Msg {
@@ -486,13 +520,20 @@ impl Wire for Msg {
                 e.put_u32(*epoch);
                 e.put_u32(*page);
             }
-            Msg::DiffReq { epoch, wants } => {
+            Msg::DiffReq {
+                epoch,
+                wants,
+                subscribe,
+            } => {
                 e.put_u8(DIFF_REQ);
                 e.put_u32(*epoch);
                 e.put_u32(wants.len() as u32);
                 for &(p, s) in wants {
                     e.put_u32(p);
                     e.put_u32(s);
+                }
+                if *subscribe {
+                    e.put_bool(true);
                 }
             }
             Msg::RecordsReq { epoch, vc } => {
@@ -509,6 +550,11 @@ impl Wire for Msg {
                 e.put_u8(LOCK_RELEASE);
                 e.put_u32(*epoch);
                 e.put_u32(*lock);
+            }
+            Msg::DiffPush { epoch, diffs } => {
+                e.put_u8(DIFF_PUSH);
+                e.put_u32(*epoch);
+                enc_diffs(diffs, e);
             }
             Msg::Ack => e.put_u8(ACK),
             Msg::PageRep {
@@ -527,12 +573,7 @@ impl Wire for Msg {
             }
             Msg::DiffRep { diffs } => {
                 e.put_u8(DIFF_REP);
-                e.put_u32(diffs.len() as u32);
-                for (p, s, diff) in diffs {
-                    e.put_u32(*p);
-                    e.put_u32(*s);
-                    diff.enc(e);
-                }
+                enc_diffs(diffs, e);
             }
             Msg::RecordsRep { records } => {
                 e.put_u8(RECORDS_REP);
@@ -686,7 +727,12 @@ impl Wire for Msg {
                 for _ in 0..n {
                     wants.push((d.get_u32()?, d.get_u32()?));
                 }
-                Msg::DiffReq { epoch, wants }
+                let subscribe = !d.is_done() && d.get_bool()?;
+                Msg::DiffReq {
+                    epoch,
+                    wants,
+                    subscribe,
+                }
             }
             RECORDS_REQ => Msg::RecordsReq {
                 epoch: d.get_u32()?,
@@ -699,6 +745,10 @@ impl Wire for Msg {
             LOCK_RELEASE => Msg::LockRelease {
                 epoch: d.get_u32()?,
                 lock: d.get_u32()?,
+            },
+            DIFF_PUSH => Msg::DiffPush {
+                epoch: d.get_u32()?,
+                diffs: dec_diffs(d, "DiffPush", Arc::new)?,
             },
             ACK => Msg::Ack,
             PAGE_REP => {
@@ -721,20 +771,9 @@ impl Wire for Msg {
                     redirect,
                 }
             }
-            DIFF_REP => {
-                let n = d.get_u32()? as usize;
-                if n > 1 << 22 {
-                    return Err(WireError::BadLength {
-                        what: "DiffRep",
-                        len: n,
-                    });
-                }
-                let mut diffs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    diffs.push((d.get_u32()?, d.get_u32()?, Diff::dec(d)?));
-                }
-                Msg::DiffRep { diffs }
-            }
+            DIFF_REP => Msg::DiffRep {
+                diffs: dec_diffs(d, "DiffRep", |diff| diff)?,
+            },
             RECORDS_REP => Msg::RecordsRep {
                 records: RecordSet::dec_vec(d)?,
             },
@@ -892,6 +931,19 @@ mod tests {
             Msg::DiffReq {
                 epoch: 1,
                 wants: vec![(7, 2), (8, 1)],
+                subscribe: false,
+            },
+            Msg::DiffReq {
+                epoch: 1,
+                wants: vec![(7, 2), (8, 1)],
+                subscribe: true,
+            },
+            Msg::DiffPush {
+                epoch: 1,
+                diffs: vec![
+                    (7, 2, Arc::new(Diff::of_run(1, &[42]))),
+                    (8, 2, Arc::new(Diff::of_run(0, &[1, 2]))),
+                ],
             },
             Msg::RecordsReq {
                 epoch: 1,
@@ -1029,6 +1081,40 @@ mod tests {
         .is_control());
         assert!(!Msg::PageReq { epoch: 0, page: 0 }.is_control());
         assert!(!Msg::LockReq { epoch: 0, lock: 0 }.is_control());
+        assert!(!Msg::DiffPush {
+            epoch: 0,
+            diffs: vec![],
+        }
+        .is_control());
+    }
+
+    #[test]
+    fn unmarked_diff_req_is_byte_identical_to_the_legacy_wire() {
+        // The subscribe mark is an optional trailing byte: a demand
+        // fault, a GC fetch and every 1999-generation request encode to
+        // exactly what they encoded to before the mark existed.
+        let wants = vec![(7u32, 2u32), (8, 1)];
+        let mut legacy = Enc::with_encoding(64, Encoding::Runs);
+        legacy.put_u8(tags::DIFF_REQ);
+        legacy.put_u32(3);
+        legacy.put_u32(wants.len() as u32);
+        for &(p, s) in &wants {
+            legacy.put_u32(p);
+            legacy.put_u32(s);
+        }
+        let legacy = legacy.finish();
+        let unmarked = Msg::DiffReq {
+            epoch: 3,
+            wants: wants.clone(),
+            subscribe: false,
+        };
+        assert_eq!(&unmarked.to_bytes()[..], &legacy[..]);
+        let marked = Msg::DiffReq {
+            epoch: 3,
+            wants,
+            subscribe: true,
+        };
+        assert_eq!(marked.to_bytes().len(), legacy.len() + 1);
     }
 
     #[test]

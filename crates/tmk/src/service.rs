@@ -7,9 +7,17 @@
 //! commits) are forwarded to the application thread through the control
 //! channel, preserving their [`nowmp_net::Replier`] so the application
 //! thread can acknowledge them when it is ready.
+//!
+//! The service thread is also the process's *push sender*: diffs that
+//! an interval close queued for subscribed readers
+//! ([`ProcCore::close_interval`]) leave from here, one `DiffPush` per
+//! turn of the loop with the inbox drained in between, so the
+//! application thread stays free to relay the next fork and no request
+//! waits for more than one push.
 
 use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
+use crate::stats::DsmStats;
 use nowmp_net::{Endpoint, Gpid, Replier};
 use nowmp_util::wire::{Encoding, Wire};
 use nowmp_util::MailboxSender;
@@ -46,18 +54,52 @@ pub fn service_loop(
     core: Arc<Mutex<ProcCore>>,
     ctrl_tx: MailboxSender<Ctrl>,
 ) {
-    // The page table outlives every epoch; grabbing it once up front
-    // lets the steady-state `PageReq` path below serve from a shard
-    // lock without ever touching the core mutex.
-    let table = Arc::clone(&core.lock().pages);
+    // The page table and the push outbox outlive every epoch; grabbing
+    // them once up front lets the steady-state `PageReq` path below
+    // serve from a shard lock, and the loop find nothing to push,
+    // without ever touching the core mutex.
+    let (table, outbox, stats) = {
+        let c = core.lock();
+        (
+            Arc::clone(&c.pages),
+            Arc::clone(&c.outbox),
+            Arc::clone(&c.stats),
+        )
+    };
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
     loop {
         burst.clear();
+        // Returns on a message or on the application thread's loopback
+        // wake (pushes queued; the burst may then be empty).
         if endpoint.recv_burst(SERVICE_BURST, &mut burst).is_err() {
             break;
         }
         for inc in burst.drain(..) {
             serve_one(inc, &core, &table, &ctrl_tx);
+        }
+        // After every burst, not only after a wake: a `RecordsReq` we
+        // just answered may have handed out the notice of an interval
+        // whose close no wake has followed yet (an aggregator blocked
+        // on its subtree), and whoever learnt it may be parked on the
+        // push (`stress.rs::a_joined_aggregator_pushes_what_its_records_announce`).
+        // One push per turn, the inbox drained in between: a `DiffReq`,
+        // a `LockReq` or a `Fork` waiting to be forwarded waits for at
+        // most one push. (Only for what has *arrived*: `try_recv`
+        // leaves a message that is still on the wire alone, so our
+        // outbound link does not idle while the next push could go.)
+        loop {
+            let Some((dst, payload, diffs)) = outbox.lock().pop_front() else {
+                break;
+            };
+            // Counted before the send, so a reader can never book a
+            // hit or a waste ahead of the `sent` it belongs to.
+            DsmStats::add(&stats.push_sent, diffs);
+            DsmStats::add(&stats.push_bytes, payload.len() as u64);
+            // A reader that left the network mid-epoch is past caring.
+            let _ = endpoint.send(dst, payload);
+            while let Some(inc) = endpoint.try_recv() {
+                serve_one(inc, &core, &table, &ctrl_tx);
+            }
         }
     }
 }
@@ -108,16 +150,22 @@ fn serve_one(
                 .expect("PageReq is a request")
                 .reply(rep.to_bytes());
         }
-        Msg::DiffReq { epoch, wants } => {
+        Msg::DiffReq {
+            epoch,
+            wants,
+            subscribe,
+        } => {
             let rep = {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "DiffReq from wrong epoch");
-                c.serve_diffs(&wants)
+                let subscriber = subscribe.then(|| c.team.pid_of(inc.src)).flatten();
+                c.serve_diffs(&wants, subscriber)
             };
             inc.replier
                 .expect("DiffReq is a request")
                 .reply(rep.to_bytes());
         }
+        Msg::DiffPush { epoch, diffs } => core.lock().deposit_push(epoch, inc.src, diffs),
         Msg::RecordsReq { epoch, vc } => {
             let (rep, enc) = {
                 let c = core.lock();

@@ -89,6 +89,19 @@ counters! {
     /// Bytes of hot diffs piggybacked on `Fork`/`BarrierRelease`
     /// payloads (sender-side count).
     piggyback_bytes,
+    /// Diffs a writer pushed to subscribed readers when it closed an
+    /// interval (counted as the service thread hands each `DiffPush`
+    /// to the link; zero under the demand data plane).
+    push_sent,
+    /// Payload bytes of those `DiffPush` messages.
+    push_bytes,
+    /// Pushed diffs a fault applied from the early-diff store.
+    push_hits,
+    /// Pushed diffs dropped unapplied: still stored when the epoch
+    /// ended, arrived from another epoch, or arrived after the demand
+    /// path had already fetched them. `push_hits + push_wasted <=
+    /// push_sent` at every point.
+    push_wasted,
 }
 
 impl DsmStats {

@@ -531,8 +531,8 @@ fn worker_main(
                     pc.apply_records(&records);
                     pc.vc.merge(&vc);
                     // Hot diffs rode the fork (master's own, pid 0):
-                    // fully covered pages skip their demand fetch.
-                    pc.apply_piggyback(0, &piggyback);
+                    // what they cover skips its demand fetch.
+                    pc.deposit(0, piggyback, false);
                 }
                 ctx.sync_reset();
                 ctx.set_params(params);
@@ -542,6 +542,9 @@ fn worker_main(
                 runner.run(region, &mut ctx);
                 ctx.drain_prefetch();
                 // Tmk_join: close, ship our records, return to waiting.
+                // The close queued this region's diffs for their
+                // readers; the service thread starts on them once our
+                // arrival is on the link.
                 let (pid, vc, records) = {
                     let mut pc = core.lock();
                     pc.close_interval();
@@ -572,6 +575,7 @@ fn worker_main(
                         .to_bytes_compat(wire_enc),
                     );
                 }
+                ctx.wake_pusher();
                 ctx.sync_reset();
             }
             Msg::GcQuery { epoch } => {
@@ -822,6 +826,8 @@ impl MasterCtl {
                     .expect("slave vanished at fork");
             }
         }
+        // The fork is out; what the sequential phase wrote can follow.
+        self.ctx.wake_pusher();
         self.sent_reg_ver = self
             .sent_reg_ver
             .max(reg_delta.iter().map(|e| e.ver).max().unwrap_or(0));
@@ -846,6 +852,8 @@ impl MasterCtl {
             c.close_interval();
             c.drain_unsent();
         }
+        // The master sends nothing at a join: push while it collects.
+        self.ctx.wake_pusher();
         let reduce_tree = self.sys.cfg.collectives.join_reduce == Broadcast::Tree;
         let mut remaining: HashSet<usize> = (1..n).collect();
         while !remaining.is_empty() {
@@ -936,6 +944,7 @@ impl MasterCtl {
             c.drain_unsent();
             (c.team.clone(), c.epoch())
         };
+        self.ctx.wake_pusher();
         // Step 1: gather reports.
         let mut reports = vec![(self.gpid(), self.core.lock().gc_report())];
         for pid in 1..team.nprocs() {
@@ -1093,12 +1102,18 @@ impl MasterCtl {
     /// Bring every allocated page into the master's memory (checkpoint
     /// step 2: "the master collects all pages for which it does not
     /// have a valid copy").
+    ///
+    /// These faults are the checkpoint's, not a region's: they stay
+    /// out of the fault window, or the release-phase prefetch would
+    /// spend its next rotations "predicting" every page of the heap.
     pub fn collect_all_pages(&mut self) {
         let total = self.allocator.allocated_pages();
         self.ctx.sync_reset();
+        let window = std::mem::take(&mut self.core.lock().fault_window);
         for p in 0..total as PageId {
             self.ctx.ensure_page(p, false);
         }
+        self.core.lock().fault_window = window;
     }
 
     /// Export the full memory image (after [`Self::collect_all_pages`]).

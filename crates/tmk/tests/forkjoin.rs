@@ -359,6 +359,29 @@ fn checkpoint_image_roundtrip_through_fresh_system() {
 }
 
 #[test]
+fn collect_all_pages_leaves_the_fault_window_alone() {
+    // A checkpoint walks every page through the fault path. Those
+    // faults are not a region's: had they entered the master's fault
+    // window, the release-phase prefetch would "predict" the whole
+    // heap for its next rotations.
+    let n = 300;
+    let (_sys, mut master, _w) = bring_up(3, n);
+    master.parallel(R_FILL, &[]);
+    master.parallel(R_SCALE, &[]);
+    let core = Arc::clone(master.ctx().core());
+    let before = vec![7, 3];
+    core.lock().fault_window = before.clone();
+    let valid_before = master.master_valid_pages();
+    master.collect_all_pages();
+    assert!(
+        master.master_valid_pages() > valid_before,
+        "the collection must have faulted pages in"
+    );
+    assert_eq!(core.lock().fault_window, before);
+    master.shutdown();
+}
+
+#[test]
 fn traffic_is_near_identical_across_runs() {
     // Check backing Table 1's "network traffic is identical" claim:
     // two identical runs produce the same traffic to within the small

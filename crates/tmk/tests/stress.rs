@@ -275,6 +275,115 @@ proptest! {
 
 // --- ownership redirect chains ---
 
+/// A rank that has joined keeps serving its records: a lock it released
+/// hands the next holder the notice of the interval its *join* closed.
+struct LockAfterJoin {
+    clock: nowmp_util::Clock,
+}
+
+impl RegionRunner for LockAfterJoin {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        let counter = SharedF64Vec::lookup(ctx, "counter");
+        let y = SharedF64Vec::lookup(ctx, "y");
+        let seen = SharedF64Vec::lookup(ctx, "seen");
+        let bump = |c: &mut TmkCtx, v: &SharedF64Vec| {
+            let cur = v.get(c, 0);
+            v.set(c, 0, cur + 1.0);
+        };
+        match (ctx.pid(), region) {
+            // Rank 2 — rank 3's parent in the join tree — takes the
+            // lock, then writes `y` outside it: that write is closed by
+            // the join, where rank 2 then waits for rank 3.
+            (2, _) => {
+                ctx.critical(1, |c| bump(c, &counter));
+                bump(ctx, &y);
+            }
+            // Warm-up: rank 3 reads `y` fork after fork, so its
+            // prefetch subscribes it to rank 2's pushes.
+            (3, 0) => {
+                let v = y.get(ctx, 0);
+                seen.set(ctx, 0, v);
+            }
+            // Then it takes the lock long after rank 2 has joined, and
+            // reads `y` on the strength of the records that came with
+            // the lock.
+            (3, _) => {
+                self.clock.sleep(std::time::Duration::from_millis(50));
+                ctx.critical(1, |c| bump(c, &counter));
+                let v = y.get(ctx, 0);
+                seen.set(ctx, 0, v);
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_joined_aggregator_pushes_what_its_records_announce() {
+    // Liveness of the push plane under the tree join reduce. After the
+    // warm-up rank 3 *expects* rank 2's diffs of `y` (rule R) and parks
+    // for the one the lock transfer told it about. That diff sits in
+    // rank 2's outbox, and rank 2's application thread — which wakes
+    // its service thread only once its own arrival is on the link — is
+    // blocked collecting its subtree: rank 3. What keeps the two
+    // moving is that the service thread drains the outbox after *every*
+    // burst, so the `RecordsReq` that hands out the notice is followed
+    // by the push it announces. A service loop that pushed only when
+    // woken would deadlock here (and the fault path's guard would say
+    // so: "pushed diff lost: page .., writer pid 2, ..").
+    let clock = nowmp_util::Clock::new_virtual();
+    let net = Network::with_clock(
+        4,
+        1,
+        NetModel::disabled(),
+        nowmp_net::CostModel::disabled(),
+        clock.clone(),
+    );
+    let cfg = DsmConfig {
+        call_timeout: std::time::Duration::from_secs(10),
+        ..DsmConfig::test_small()
+    };
+    let sys = DsmSystem::new(
+        net,
+        cfg,
+        Arc::new(LockAfterJoin {
+            clock: clock.clone(),
+        }),
+    );
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..4 {
+        workers.push(sys.spawn_worker(HostId(i), master.gpid(), workers.clone()));
+    }
+    for name in ["counter", "y", "seen"] {
+        master.alloc(name, 4, nowmp_tmk::ElemKind::F64);
+    }
+    master.init_team(&workers);
+    const WARM: usize = 4;
+    const LATE: usize = 3;
+    for fork in 0..WARM + LATE {
+        master.parallel((fork >= WARM) as u32, &[]);
+    }
+    let read = |m: &mut MasterCtl, name: &str| {
+        let v = SharedF64Vec::lookup(m.ctx(), name);
+        v.get(m.ctx(), 0)
+    };
+    assert_eq!(read(&mut master, "counter"), (WARM + 2 * LATE) as f64);
+    assert_eq!(read(&mut master, "y"), (WARM + LATE) as f64);
+    assert_eq!(
+        read(&mut master, "seen"),
+        (WARM + LATE) as f64,
+        "the lock carried the join-closed interval to rank 3"
+    );
+    let stats = sys.stats().snapshot();
+    assert!(
+        stats.push_hits > 0,
+        "rank 3 must have been served by pushes"
+    );
+    master.shutdown();
+    assert_eq!(clock.forced_advances(), 0);
+}
+
 #[test]
 fn stale_owner_hints_redirect_to_current_owner() {
     // After a leave, pages the leaver owned re-home; a process that

@@ -903,6 +903,29 @@ impl ClockCondvar {
         mutex.lock()
     }
 
+    /// [`Self::wait`] with a *real-time* deadlock guard (on both
+    /// clocks, like [`crate::MailboxReceiver::recv_timeout`]): returns
+    /// the re-acquired guard and `false` if `timeout` of wall time ran
+    /// out before a notify.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        mutex: &'a Mutex<T>,
+        mut guard: MutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let Some((core, chan)) = &self.gate else {
+            let timed_out = self.real.wait_for(&mut guard, timeout).timed_out();
+            return (guard, !timed_out);
+        };
+        let limit = match Instant::now().checked_add(timeout) {
+            Some(deadline) => Limit::Until(deadline),
+            None => Limit::Forever,
+        };
+        let notified =
+            core.with_me(|me| core.park(core.lock(), me, *chan, limit, move || drop(guard)));
+        (mutex.lock(), notified)
+    }
+
     /// Wake one waiter.
     pub fn notify_one(&self) {
         match &self.gate {
@@ -1370,6 +1393,41 @@ mod tests {
         c.sleep(Duration::from_secs(1));
         assert_eq!(waiter.join().unwrap(), Tick::ZERO + Duration::from_secs(1));
         assert_eq!(c.forced_advances(), 0);
+    }
+
+    #[test]
+    fn condvar_wait_timeout_is_a_real_time_guard_on_both_clocks() {
+        for c in [Clock::real(), Clock::new_virtual()] {
+            let gate = Arc::new((Mutex::new(false), ClockCondvar::new(&c)));
+            // Nobody notifies: the guard runs out in wall time, and
+            // simulated time has no say in it.
+            let (g, notified) =
+                gate.1
+                    .wait_timeout(&gate.0, gate.0.lock(), Duration::from_millis(20));
+            assert!(!notified && !*g);
+            drop(g);
+            // Notified: woken at the notifier's tick, long before the
+            // guard.
+            let (g2, c2) = (Arc::clone(&gate), c.clone());
+            let opener = c.spawn("opener", move || {
+                c2.sleep(Duration::from_millis(3));
+                *g2.0.lock() = true;
+                g2.1.notify_all();
+            });
+            let t0 = c.now();
+            let mut open = gate.0.lock();
+            while !*open {
+                let (g, notified) = gate.1.wait_timeout(&gate.0, open, Duration::from_secs(30));
+                assert!(notified, "the opener notifies well inside the guard");
+                open = g;
+            }
+            drop(open);
+            opener.join().unwrap();
+            if c.is_virtual() {
+                assert_eq!(c.elapsed_since(t0), Duration::from_millis(3));
+            }
+            assert_eq!(c.forced_advances(), 0);
+        }
     }
 
     #[test]
