@@ -21,8 +21,8 @@
 //! arithmetic is performed in the same order serially and in parallel,
 //! so verification is bit-exact.
 
-use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use crate::{max_abs_diff, Kernel};
+use nowmp_omp::{portable, Host, OmpCtx, OmpProgram, Params, ReadBack, SharedMem};
 
 /// Iterative radix-2 Cooley-Tukey FFT, in place. `n` must be a power
 /// of two. Deterministic operation order (bit-exact across processes).
@@ -188,183 +188,194 @@ impl Fft3d {
     }
 }
 
+/// First-touch the deterministic initial field into A.
+fn fft_init<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let total = p.u64();
+    let re = ctx.f64vec("fft_are");
+    let im = ctx.f64vec("fft_aim");
+    ctx.for_static_block(0..total, |ctx, block| {
+        let len = (block.end - block.start) as usize;
+        let mut lr = vec![0.0; len];
+        let mut li = vec![0.0; len];
+        for (off, idx) in (block.start as usize..block.end as usize).enumerate() {
+            let (r, i) = Fft3d::init(idx);
+            lr[off] = r;
+            li[off] = i;
+        }
+        let d = ctx.dsm();
+        re.write_from(d, block.start as usize, &lr);
+        im.write_from(d, block.start as usize, &li);
+    });
+}
+
+/// Pointwise phase multiply of A (the NAS time-evolution).
+fn fft_evolve<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let total = p.u64();
+    let iter = p.u64() as usize;
+    let re = ctx.f64vec("fft_are");
+    let im = ctx.f64vec("fft_aim");
+    ctx.for_static_block(0..total, |ctx, block| {
+        let len = (block.end - block.start) as usize;
+        let d = ctx.dsm();
+        let mut lr = vec![0.0; len];
+        let mut li = vec![0.0; len];
+        re.read_into(d, block.start as usize, &mut lr);
+        im.read_into(d, block.start as usize, &mut li);
+        for (off, idx) in (block.start as usize..block.end as usize).enumerate() {
+            let (pr, pi) = Fft3d::phase(idx, iter);
+            let (r, i) = (lr[off], li[off]);
+            lr[off] = r * pr - i * pi;
+            li[off] = r * pi + i * pr;
+        }
+        re.write_from(d, block.start as usize, &lr);
+        im.write_from(d, block.start as usize, &li);
+    });
+}
+
+/// 1D FFTs along the contiguous axis of A or B.
+///
+/// params: which array (0=A,1=B), d1, d2, d3
+fn fft_dim3<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let which = p.u64();
+    let d1 = p.u64() as usize;
+    let d2 = p.u64() as usize;
+    let d3 = p.u64() as usize;
+    let (re, im) = if which == 0 {
+        (ctx.f64vec("fft_are"), ctx.f64vec("fft_aim"))
+    } else {
+        (ctx.f64vec("fft_bre"), ctx.f64vec("fft_bim"))
+    };
+    let mut lr = vec![0.0; d3];
+    let mut li = vec![0.0; d3];
+    let mut planes_done = 0u64;
+    ctx.for_static(0..d1 as u64, |ctx, i| {
+        for j in 0..d2 {
+            let off = i as usize * d2 * d3 + j * d3;
+            let d = ctx.dsm();
+            re.read_into(d, off, &mut lr);
+            im.read_into(d, off, &mut li);
+            fft1d(&mut lr, &mut li, false);
+            re.write_from(d, off, &lr);
+            im.write_from(d, off, &li);
+        }
+        planes_done += 1;
+    });
+    // Per-plane work depends on the orientation this call runs
+    // in (d2 × an FFT of length d3), so charge exact FLOPs:
+    // 5·n·log2(n) per complex radix-2 transform.
+    let fft_flops = 5.0 * d3 as f64 * (d3 as f64).log2().max(1.0);
+    ctx.charge_flops(planes_done as f64 * d2 as f64 * fft_flops);
+}
+
+/// 1D FFTs along the middle axis of A (strided gather/scatter).
+fn fft_dim2<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let d1 = p.u64() as usize;
+    let d2 = p.u64() as usize;
+    let d3 = p.u64() as usize;
+    let re = ctx.f64vec("fft_are");
+    let im = ctx.f64vec("fft_aim");
+    let mut lr = vec![0.0; d2];
+    let mut li = vec![0.0; d2];
+    let mut planes_done = 0u64;
+    ctx.for_static(0..d1 as u64, |ctx, i| {
+        for k in 0..d3 {
+            let d = ctx.dsm();
+            for j in 0..d2 {
+                let idx = i as usize * d2 * d3 + j * d3 + k;
+                lr[j] = re.get(d, idx);
+                li[j] = im.get(d, idx);
+            }
+            fft1d(&mut lr, &mut li, false);
+            for j in 0..d2 {
+                let idx = i as usize * d2 * d3 + j * d3 + k;
+                re.set(d, idx, lr[j]);
+                im.set(d, idx, li[j]);
+            }
+        }
+        planes_done += 1;
+    });
+    // d3 strided transforms of length d2 per plane, plus the
+    // gather/scatter (2 mem-equivalents per element).
+    let fft_flops = 5.0 * d2 as f64 * (d2 as f64).log2().max(1.0);
+    ctx.charge_flops(planes_done as f64 * d3 as f64 * (fft_flops + 2.0 * d2 as f64));
+}
+
+/// Transpose between A and B (axes 1↔3).
+///
+/// params: dir (0: A(i,j,k)->B(k,j,i), 1: B(k,j,i)->A(i,j,k)), n1, n2, n3
+fn fft_transpose<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let dir = p.u64();
+    let n1 = p.u64() as usize;
+    let n2 = p.u64() as usize;
+    let n3 = p.u64() as usize;
+    let are = ctx.f64vec("fft_are");
+    let aim = ctx.f64vec("fft_aim");
+    let bre = ctx.f64vec("fft_bre");
+    let bim = ctx.f64vec("fft_bim");
+    if dir == 0 {
+        // Partition over OUTPUT planes of B (index k).
+        let mut lr = vec![0.0; n1];
+        let mut li = vec![0.0; n1];
+        let mut planes_done = 0u64;
+        ctx.for_static(0..n3 as u64, |ctx, k| {
+            for j in 0..n2 {
+                let d = ctx.dsm();
+                for (i, (r, m)) in lr.iter_mut().zip(li.iter_mut()).enumerate() {
+                    let src = i * n2 * n3 + j * n3 + k as usize;
+                    *r = are.get(d, src);
+                    *m = aim.get(d, src);
+                }
+                let off = k as usize * n2 * n1 + j * n1;
+                bre.write_from(d, off, &lr);
+                bim.write_from(d, off, &li);
+            }
+            planes_done += 1;
+        });
+        // Pure data movement: 2 mem-equivalents per complex
+        // element of the output plane (n2 × n1 of them).
+        ctx.charge_flops(planes_done as f64 * (n2 * n1) as f64 * 2.0);
+    } else {
+        // Partition over OUTPUT planes of A (index i).
+        let mut lr = vec![0.0; n3];
+        let mut li = vec![0.0; n3];
+        let mut planes_done = 0u64;
+        ctx.for_static(0..n1 as u64, |ctx, i| {
+            for j in 0..n2 {
+                let d = ctx.dsm();
+                for (k, (r, m)) in lr.iter_mut().zip(li.iter_mut()).enumerate() {
+                    let src = k * n2 * n1 + j * n1 + i as usize;
+                    *r = bre.get(d, src);
+                    *m = bim.get(d, src);
+                }
+                let off = i as usize * n2 * n3 + j * n3;
+                are.write_from(d, off, &lr);
+                aim.write_from(d, off, &li);
+            }
+            planes_done += 1;
+        });
+        ctx.charge_flops(planes_done as f64 * (n2 * n3) as f64 * 2.0);
+    }
+}
+
 impl Kernel for Fft3d {
     fn name(&self) -> &'static str {
         "3D-FFT"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("fft_init", |ctx| {
-            let mut p = ctx.params();
-            let total = p.u64();
-            let re = ctx.f64vec("fft_are");
-            let im = ctx.f64vec("fft_aim");
-            ctx.for_static_block(0..total, |ctx, block| {
-                let len = (block.end - block.start) as usize;
-                if len == 0 {
-                    return;
-                }
-                let mut lr = vec![0.0; len];
-                let mut li = vec![0.0; len];
-                for (off, idx) in (block.start as usize..block.end as usize).enumerate() {
-                    let (r, i) = Fft3d::init(idx);
-                    lr[off] = r;
-                    li[off] = i;
-                }
-                let d = ctx.dsm();
-                re.write_from(d, block.start as usize, &lr);
-                im.write_from(d, block.start as usize, &li);
-            });
-        })
-        .region("fft_evolve", |ctx| {
-            let mut p = ctx.params();
-            let total = p.u64();
-            let iter = p.u64() as usize;
-            let re = ctx.f64vec("fft_are");
-            let im = ctx.f64vec("fft_aim");
-            ctx.for_static_block(0..total, |ctx, block| {
-                let len = (block.end - block.start) as usize;
-                if len == 0 {
-                    return;
-                }
-                let d = ctx.dsm();
-                let mut lr = vec![0.0; len];
-                let mut li = vec![0.0; len];
-                re.read_into(d, block.start as usize, &mut lr);
-                im.read_into(d, block.start as usize, &mut li);
-                for (off, idx) in (block.start as usize..block.end as usize).enumerate() {
-                    let (pr, pi) = Fft3d::phase(idx, iter);
-                    let (r, i) = (lr[off], li[off]);
-                    lr[off] = r * pr - i * pi;
-                    li[off] = r * pi + i * pr;
-                }
-                re.write_from(d, block.start as usize, &lr);
-                im.write_from(d, block.start as usize, &li);
-            });
-        })
-        .region("fft_dim3", |ctx| {
-            // params: which array (0=A,1=B), d1, d2, d3
-            let mut p = ctx.params();
-            let which = p.u64();
-            let d1 = p.u64() as usize;
-            let d2 = p.u64() as usize;
-            let d3 = p.u64() as usize;
-            let (re, im) = if which == 0 {
-                (ctx.f64vec("fft_are"), ctx.f64vec("fft_aim"))
-            } else {
-                (ctx.f64vec("fft_bre"), ctx.f64vec("fft_bim"))
-            };
-            let mut lr = vec![0.0; d3];
-            let mut li = vec![0.0; d3];
-            let mut planes_done = 0u64;
-            ctx.for_static(0..d1 as u64, |ctx, i| {
-                for j in 0..d2 {
-                    let off = i as usize * d2 * d3 + j * d3;
-                    let d = ctx.dsm();
-                    re.read_into(d, off, &mut lr);
-                    im.read_into(d, off, &mut li);
-                    fft1d(&mut lr, &mut li, false);
-                    re.write_from(d, off, &lr);
-                    im.write_from(d, off, &li);
-                }
-                planes_done += 1;
-            });
-            // Per-plane work depends on the orientation this call runs
-            // in (d2 × an FFT of length d3), so charge exact FLOPs:
-            // 5·n·log2(n) per complex radix-2 transform.
-            let fft_flops = 5.0 * d3 as f64 * (d3 as f64).log2().max(1.0);
-            ctx.charge_flops(planes_done as f64 * d2 as f64 * fft_flops);
-        })
-        .region("fft_dim2", |ctx| {
-            let mut p = ctx.params();
-            let d1 = p.u64() as usize;
-            let d2 = p.u64() as usize;
-            let d3 = p.u64() as usize;
-            let re = ctx.f64vec("fft_are");
-            let im = ctx.f64vec("fft_aim");
-            let mut lr = vec![0.0; d2];
-            let mut li = vec![0.0; d2];
-            let mut planes_done = 0u64;
-            ctx.for_static(0..d1 as u64, |ctx, i| {
-                for k in 0..d3 {
-                    let d = ctx.dsm();
-                    for j in 0..d2 {
-                        let idx = i as usize * d2 * d3 + j * d3 + k;
-                        lr[j] = re.get(d, idx);
-                        li[j] = im.get(d, idx);
-                    }
-                    fft1d(&mut lr, &mut li, false);
-                    for j in 0..d2 {
-                        let idx = i as usize * d2 * d3 + j * d3 + k;
-                        re.set(d, idx, lr[j]);
-                        im.set(d, idx, li[j]);
-                    }
-                }
-                planes_done += 1;
-            });
-            // d3 strided transforms of length d2 per plane, plus the
-            // gather/scatter (2 mem-equivalents per element).
-            let fft_flops = 5.0 * d2 as f64 * (d2 as f64).log2().max(1.0);
-            ctx.charge_flops(planes_done as f64 * d3 as f64 * (fft_flops + 2.0 * d2 as f64));
-        })
-        .region("fft_transpose", |ctx| {
-            // params: dir (0: A(i,j,k)->B(k,j,i), 1: B(k,j,i)->A(i,j,k)), n1, n2, n3
-            let mut p = ctx.params();
-            let dir = p.u64();
-            let n1 = p.u64() as usize;
-            let n2 = p.u64() as usize;
-            let n3 = p.u64() as usize;
-            let are = ctx.f64vec("fft_are");
-            let aim = ctx.f64vec("fft_aim");
-            let bre = ctx.f64vec("fft_bre");
-            let bim = ctx.f64vec("fft_bim");
-            if dir == 0 {
-                // Partition over OUTPUT planes of B (index k).
-                let mut lr = vec![0.0; n1];
-                let mut li = vec![0.0; n1];
-                let mut planes_done = 0u64;
-                ctx.for_static(0..n3 as u64, |ctx, k| {
-                    for j in 0..n2 {
-                        let d = ctx.dsm();
-                        for (i, (r, m)) in lr.iter_mut().zip(li.iter_mut()).enumerate() {
-                            let src = i * n2 * n3 + j * n3 + k as usize;
-                            *r = are.get(d, src);
-                            *m = aim.get(d, src);
-                        }
-                        let off = k as usize * n2 * n1 + j * n1;
-                        bre.write_from(d, off, &lr);
-                        bim.write_from(d, off, &li);
-                    }
-                    planes_done += 1;
-                });
-                // Pure data movement: 2 mem-equivalents per complex
-                // element of the output plane (n2 × n1 of them).
-                ctx.charge_flops(planes_done as f64 * (n2 * n1) as f64 * 2.0);
-            } else {
-                // Partition over OUTPUT planes of A (index i).
-                let mut lr = vec![0.0; n3];
-                let mut li = vec![0.0; n3];
-                let mut planes_done = 0u64;
-                ctx.for_static(0..n1 as u64, |ctx, i| {
-                    for j in 0..n2 {
-                        let d = ctx.dsm();
-                        for (k, (r, m)) in lr.iter_mut().zip(li.iter_mut()).enumerate() {
-                            let src = k * n2 * n1 + j * n1 + i as usize;
-                            *r = bre.get(d, src);
-                            *m = bim.get(d, src);
-                        }
-                        let off = i as usize * n2 * n3 + j * n3;
-                        are.write_from(d, off, &lr);
-                        aim.write_from(d, off, &li);
-                    }
-                    planes_done += 1;
-                });
-                ctx.charge_flops(planes_done as f64 * (n2 * n3) as f64 * 2.0);
-            }
-        })
+        p.portable("fft_init", portable!(fft_init))
+            .portable("fft_evolve", portable!(fft_evolve))
+            .portable("fft_dim3", portable!(fft_dim3))
+            .portable("fft_dim2", portable!(fft_dim2))
+            .portable("fft_transpose", portable!(fft_transpose))
     }
 
-    fn setup(&self, sys: &mut OmpSystem) {
+    fn setup(&self, sys: &mut dyn Host) {
         let total = self.total() as u64;
         sys.alloc_f64("fft_are", total);
         sys.alloc_f64("fft_aim", total);
@@ -373,7 +384,7 @@ impl Kernel for Fft3d {
         sys.parallel("fft_init", &Params::new().u64(total).build());
     }
 
-    fn step(&self, sys: &mut OmpSystem, iter: usize) {
+    fn step(&self, sys: &mut dyn Host, iter: usize) {
         let (n1, n2, n3) = (self.n1 as u64, self.n2 as u64, self.n3 as u64);
         let total = self.total() as u64;
         sys.parallel(
@@ -403,23 +414,13 @@ impl Kernel for Fft3d {
         100
     }
 
-    fn verify(&self, sys: &mut OmpSystem, iters: usize) -> f64 {
+    fn verify(&self, sys: &mut dyn ReadBack, iters: usize) -> f64 {
         let (rre, rim) = self.reference(iters);
-        let total = self.total();
-        sys.seq(|ctx| {
-            let re = ctx.f64vec("fft_are");
-            let im = ctx.f64vec("fft_aim");
-            let mut lr = vec![0.0; total];
-            let mut li = vec![0.0; total];
-            re.read_into(ctx.dsm(), 0, &mut lr);
-            im.read_into(ctx.dsm(), 0, &mut li);
-            let mut err = 0.0f64;
-            for idx in 0..total {
-                err = err.max((lr[idx] - rre[idx]).abs());
-                err = err.max((li[idx] - rim[idx]).abs());
-            }
-            err
-        })
+        let mut got = vec![0.0; self.total()];
+        sys.read_f64s("fft_are", 0, &mut got);
+        let err = max_abs_diff(0.0, &got, &rre);
+        sys.read_f64s("fft_aim", 0, &mut got);
+        max_abs_diff(err, &got, &rim)
     }
 
     fn shared_bytes(&self) -> u64 {

@@ -18,8 +18,8 @@
 //! The matrix is generated diagonally dominant so elimination is stable
 //! without pivoting.
 
-use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use crate::{max_abs_diff, Kernel};
+use nowmp_omp::{portable, Host, OmpCtx, OmpProgram, Params, ReadBack, SharedMem};
 
 /// The Gauss kernel.
 #[derive(Debug, Clone)]
@@ -104,78 +104,81 @@ impl Gauss {
     }
 }
 
+/// Parallel first-touch initialization: each process writes its own
+/// block's rows, so no process ever holds stale copies of foreign rows
+/// (the natural OpenMP idiom, and the reason pivot rows later travel
+/// as whole pages, not diffs).
+fn gauss_init<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let n = p.u64() as usize;
+    let stride = p.u64() as usize;
+    let ab = ctx.f64vec("gauss_ab");
+    let mut row = vec![0.0; n + 1];
+    ctx.for_static(0..n as u64, |ctx, r| {
+        let r = r as usize;
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = if c == n {
+                Gauss::b0(r)
+            } else {
+                Gauss::a0(n, r, c)
+            };
+        }
+        ab.write_from(ctx.dsm(), r * stride, &row);
+    });
+}
+
+/// Eliminate column `k` below the diagonal.
+fn gauss_elim<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let n = p.u64() as usize;
+    let k = p.u64() as usize;
+    let stride = p.u64() as usize;
+    let ab = ctx.f64vec("gauss_ab");
+    let w = n + 1 - k; // active row width from column k
+
+    // Everyone reads the pivot row once (bulk, page-granular).
+    let mut pivot = vec![0.0; w];
+    ab.read_into(ctx.dsm(), k * stride + k, &mut pivot);
+    let akk = pivot[0];
+    // Static block over ALL rows; each process updates the rows
+    // of its block that lie below k (the paper's block layout —
+    // what Figure 3's redistribution analysis assumes).
+    let mut row = vec![0.0; w];
+    let mut rows_eliminated = 0u64;
+    ctx.for_static(0..n as u64, |ctx, r| {
+        let r = r as usize;
+        if r <= k {
+            return;
+        }
+        let d = ctx.dsm();
+        ab.read_into(d, r * stride + k, &mut row);
+        let f = row[0] / akk;
+        for c in 0..w {
+            row[c] -= f * pivot[c];
+        }
+        ab.write_from(d, r * stride + k, &row);
+        rows_eliminated += 1;
+    });
+    // The per-row work shrinks as the pivot advances (and rows
+    // above k are skipped entirely), so charge exact FLOPs —
+    // one multiply-subtract pair per active element — rather
+    // than a uniform per-index cost. This is what exposes the
+    // block layout's growing tail-end load imbalance on the
+    // virtual timeline, exactly as on the real testbed.
+    ctx.charge_flops(rows_eliminated as f64 * w as f64 * 2.0);
+}
+
 impl Kernel for Gauss {
     fn name(&self) -> &'static str {
         "Gauss"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("gauss_init", |ctx| {
-            // Parallel first-touch initialization: each process writes
-            // its own block's rows, so no process ever holds stale
-            // copies of foreign rows (the natural OpenMP idiom, and the
-            // reason pivot rows later travel as whole pages, not diffs).
-            let mut p = ctx.params();
-            let n = p.u64() as usize;
-            let stride = p.u64() as usize;
-            let ab = ctx.f64vec("gauss_ab");
-            let mut row = vec![0.0; n + 1];
-            ctx.for_static(0..n as u64, |ctx, r| {
-                let r = r as usize;
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = if c == n {
-                        Gauss::b0(r)
-                    } else {
-                        Gauss::a0(n, r, c)
-                    };
-                }
-                ab.write_from(ctx.dsm(), r * stride, &row);
-            });
-        })
-        .region("gauss_elim", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64() as usize;
-            let k = p.u64() as usize;
-            let stride = p.u64() as usize;
-            let ab = ctx.f64vec("gauss_ab");
-            let w = n + 1 - k; // active row width from column k
-
-            // Everyone reads the pivot row once (bulk, page-granular).
-            let mut pivot = vec![0.0; w];
-            let d = ctx.dsm();
-            d.read_f64s(ab.addr + (k * stride + k) as u64, &mut pivot);
-            let akk = pivot[0];
-            // Static block over ALL rows; each process updates the rows
-            // of its block that lie below k (the paper's block layout —
-            // what Figure 3's redistribution analysis assumes).
-            let mut row = vec![0.0; w];
-            let mut rows_eliminated = 0u64;
-            ctx.for_static(0..n as u64, |ctx, r| {
-                let r = r as usize;
-                if r <= k {
-                    return;
-                }
-                let d = ctx.dsm();
-                let base = ab.addr + (r * stride + k) as u64;
-                d.read_f64s(base, &mut row);
-                let f = row[0] / akk;
-                for c in 0..w {
-                    row[c] -= f * pivot[c];
-                }
-                d.write_f64s(base, &row);
-                rows_eliminated += 1;
-            });
-            // The per-row work shrinks as the pivot advances (and rows
-            // above k are skipped entirely), so charge exact FLOPs —
-            // one multiply-subtract pair per active element — rather
-            // than a uniform per-index cost. This is what exposes the
-            // block layout's growing tail-end load imbalance on the
-            // virtual timeline, exactly as on the real testbed.
-            ctx.charge_flops(rows_eliminated as f64 * w as f64 * 2.0);
-        })
+        p.portable("gauss_init", portable!(gauss_init))
+            .portable("gauss_elim", portable!(gauss_elim))
     }
 
-    fn setup(&self, sys: &mut OmpSystem) {
+    fn setup(&self, sys: &mut dyn Host) {
         let n = self.n;
         let stride = self.stride(sys.page_slots());
         sys.alloc_f64("gauss_ab", (n * stride) as u64);
@@ -185,7 +188,7 @@ impl Kernel for Gauss {
         );
     }
 
-    fn step(&self, sys: &mut OmpSystem, iter: usize) {
+    fn step(&self, sys: &mut dyn Host, iter: usize) {
         if iter >= self.n - 1 {
             return; // elimination complete
         }
@@ -202,22 +205,14 @@ impl Kernel for Gauss {
         self.n - 1
     }
 
-    fn verify(&self, sys: &mut OmpSystem, iters: usize) -> f64 {
-        let n = self.n;
+    fn verify(&self, sys: &mut dyn ReadBack, iters: usize) -> f64 {
         let stride = self.stride(sys.page_slots());
         let reference = self.reference(iters);
-        let w = n + 1;
-        sys.seq(|ctx| {
-            let ab = ctx.f64vec("gauss_ab");
-            let mut row = vec![0.0; w];
-            let mut err = 0.0f64;
-            for r in 0..n {
-                ab.read_into(ctx.dsm(), r * stride, &mut row);
-                for c in 0..w {
-                    err = err.max((row[c] - reference[r * w + c]).abs());
-                }
-            }
-            err
+        let w = self.n + 1;
+        let mut row = vec![0.0; w];
+        (0..self.n).fold(0.0, |err, r| {
+            sys.read_f64s("gauss_ab", r * stride, &mut row);
+            max_abs_diff(err, &row, &reference[r * w..(r + 1) * w])
         })
     }
 

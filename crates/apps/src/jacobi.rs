@@ -11,8 +11,8 @@
 //! constructs per iteration, so adaptation points arrive at twice the
 //! iteration rate.
 
-use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use crate::{max_abs_diff, Kernel};
+use nowmp_omp::{portable, Host, OmpCtx, OmpProgram, Params, ReadBack, SharedMem};
 
 /// The Jacobi kernel.
 #[derive(Debug, Clone)]
@@ -74,74 +74,79 @@ impl Jacobi {
     }
 }
 
+/// Parallel first-touch initialization (replay-safe on recovery: forks
+/// fast-forward, sequential code does not).
+fn jacobi_init<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let n = ctx.params().u64();
+    let grid = ctx.f64mat("jacobi_grid", n, n);
+    let next = ctx.f64mat("jacobi_next", n, n);
+    let mut row = vec![0.0; n as usize];
+    ctx.for_static(0..n, |ctx, r| {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = Jacobi::init_value(n as usize, r as usize, c);
+        }
+        let d = ctx.dsm();
+        grid.write_row(d, r as usize, &row);
+        next.write_row(d, r as usize, &row);
+    });
+}
+
+/// `#pragma omp for schedule(static)` over interior rows: average the
+/// four neighbors of `grid` into `next`.
+fn jacobi_sweep<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let n = ctx.params().u64();
+    let grid = ctx.f64mat("jacobi_grid", n, n);
+    let next = ctx.f64mat("jacobi_next", n, n);
+    let mut above = vec![0.0; n as usize];
+    let mut here = vec![0.0; n as usize];
+    let mut below = vec![0.0; n as usize];
+    let mut out = vec![0.0; n as usize];
+    ctx.for_static(1..n - 1, |ctx, r| {
+        let d = ctx.dsm();
+        grid.read_row(d, (r - 1) as usize, &mut above);
+        grid.read_row(d, r as usize, &mut here);
+        grid.read_row(d, (r + 1) as usize, &mut below);
+        out[0] = here[0];
+        out[n as usize - 1] = here[n as usize - 1];
+        for c in 1..n as usize - 1 {
+            out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
+        }
+        next.write_row(d, r as usize, &out);
+    });
+}
+
+/// Copy interior rows of `next` back into `grid`.
+fn jacobi_copy<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let n = ctx.params().u64();
+    let grid = ctx.f64mat("jacobi_grid", n, n);
+    let next = ctx.f64mat("jacobi_next", n, n);
+    let mut row = vec![0.0; n as usize];
+    ctx.for_static(1..n - 1, |ctx, r| {
+        let d = ctx.dsm();
+        next.read_row(d, r as usize, &mut row);
+        grid.write_row(d, r as usize, &row);
+    });
+}
+
 impl Kernel for Jacobi {
     fn name(&self) -> &'static str {
         "Jacobi"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("jacobi_init", |ctx| {
-            // Parallel first-touch initialization (replay-safe on
-            // recovery: forks fast-forward, sequential code does not).
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            let mut row = vec![0.0; n as usize];
-            ctx.for_static(0..n, |ctx, r| {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = Jacobi::init_value(n as usize, r as usize, c);
-                }
-                let d = ctx.dsm();
-                grid.write_row(d, r as usize, &row);
-                next.write_row(d, r as usize, &row);
-            });
-        })
-        .region("jacobi_sweep", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            // #pragma omp for schedule(static) over interior rows
-            let mut above = vec![0.0; n as usize];
-            let mut here = vec![0.0; n as usize];
-            let mut below = vec![0.0; n as usize];
-            let mut out = vec![0.0; n as usize];
-            ctx.for_static(1..n - 1, |ctx, r| {
-                let d = ctx.dsm();
-                grid.read_row(d, (r - 1) as usize, &mut above);
-                grid.read_row(d, r as usize, &mut here);
-                grid.read_row(d, (r + 1) as usize, &mut below);
-                out[0] = here[0];
-                out[n as usize - 1] = here[n as usize - 1];
-                for c in 1..n as usize - 1 {
-                    out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-                }
-                next.write_row(d, r as usize, &out);
-            });
-        })
-        .region("jacobi_copy", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            let mut row = vec![0.0; n as usize];
-            ctx.for_static(1..n - 1, |ctx, r| {
-                let d = ctx.dsm();
-                next.read_row(d, r as usize, &mut row);
-                grid.write_row(d, r as usize, &row);
-            });
-        })
+        p.portable("jacobi_init", portable!(jacobi_init))
+            .portable("jacobi_sweep", portable!(jacobi_sweep))
+            .portable("jacobi_copy", portable!(jacobi_copy))
     }
 
-    fn setup(&self, sys: &mut OmpSystem) {
+    fn setup(&self, sys: &mut dyn Host) {
         let n = self.n;
         sys.alloc_f64("jacobi_grid", (n * n) as u64);
         sys.alloc_f64("jacobi_next", (n * n) as u64);
         sys.parallel("jacobi_init", &Params::new().u64(n as u64).build());
     }
 
-    fn step(&self, sys: &mut OmpSystem, _iter: usize) {
+    fn step(&self, sys: &mut dyn Host, _iter: usize) {
         let params = Params::new().u64(self.n as u64).build();
         sys.parallel("jacobi_sweep", &params);
         sys.parallel("jacobi_copy", &params);
@@ -151,20 +156,13 @@ impl Kernel for Jacobi {
         1000
     }
 
-    fn verify(&self, sys: &mut OmpSystem, iters: usize) -> f64 {
+    fn verify(&self, sys: &mut dyn ReadBack, iters: usize) -> f64 {
         let n = self.n;
         let reference = self.reference(iters);
-        sys.seq(|ctx| {
-            let grid = ctx.f64mat("jacobi_grid", n as u64, n as u64);
-            let mut row = vec![0.0; n];
-            let mut err = 0.0f64;
-            for r in 0..n {
-                grid.read_row(ctx.dsm(), r, &mut row);
-                for c in 0..n {
-                    err = err.max((row[c] - reference[r * n + c]).abs());
-                }
-            }
-            err
+        let mut row = vec![0.0; n];
+        (0..n).fold(0.0, |err, r| {
+            sys.read_f64s("jacobi_grid", r * n, &mut row);
+            max_abs_diff(err, &row, &reference[r * n..(r + 1) * n])
         })
     }
 

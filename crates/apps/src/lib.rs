@@ -4,7 +4,12 @@
 //! the OpenMP-style API exactly as their OpenMP sources would compile:
 //! one outlined region per parallel construct, iteration partitioning
 //! re-derived from `(pid, nprocs)` at every fork, **zero
-//! adaptivity-specific code**:
+//! adaptivity-specific code** — and zero engine-specific code: each of
+//! the 13 region bodies is one function generic over
+//! [`nowmp_omp::SharedMem`], registered once with
+//! [`nowmp_omp::portable!`], and each driver (`setup` / `step` /
+//! `verify`) talks to a [`Host`], be it [`nowmp_omp::OmpSystem`] or
+//! the task engine ([`tasks`]).
 //!
 //! | kernel | paper size | character |
 //! |---|---|---|
@@ -15,7 +20,10 @@
 //!
 //! Every kernel implements [`Kernel`]: the benches drive them uniformly
 //! and each carries a serial reference for verification. Problem sizes
-//! are parameters; tests run laptop-scale instances.
+//! are parameters; tests run laptop-scale instances. The one in-region
+//! synchronization, `nbf_forces`' `reduction(+: energy)`, is a clause
+//! on the region (`portable!(body, reduction(+) => epilogue)`), not a
+//! call in the body.
 
 #![warn(missing_docs)]
 
@@ -26,7 +34,7 @@ pub mod nbf;
 pub mod tasks;
 
 use nowmp_net::CostModel;
-use nowmp_omp::{OmpProgram, OmpSystem};
+use nowmp_omp::{Host, OmpProgram, OmpSystem, ReadBack};
 
 /// A benchmark kernel: registers its regions, initializes shared data,
 /// steps iterations, and verifies against a serial reference.
@@ -38,17 +46,17 @@ pub trait Kernel: Send + Sync {
     fn add_regions(&self, p: OmpProgram) -> OmpProgram;
 
     /// Allocate and initialize shared data (master, before the loop).
-    fn setup(&self, sys: &mut OmpSystem);
+    fn setup(&self, sys: &mut dyn Host);
 
     /// Execute one outer iteration (one or more parallel constructs).
-    fn step(&self, sys: &mut OmpSystem, iter: usize);
+    fn step(&self, sys: &mut dyn Host, iter: usize);
 
     /// Default outer iteration count for a full run.
     fn default_iters(&self) -> usize;
 
     /// Maximum absolute error against the serial reference after
     /// `iters` iterations (0.0 = exact).
-    fn verify(&self, sys: &mut OmpSystem, iters: usize) -> f64;
+    fn verify(&self, sys: &mut dyn ReadBack, iters: usize) -> f64;
 
     /// Shared memory the kernel allocates, in bytes.
     fn shared_bytes(&self) -> u64;
@@ -64,6 +72,14 @@ pub trait Kernel: Send + Sync {
     fn cost_profile(&self) -> Vec<(&'static str, f64)> {
         Vec::new()
     }
+}
+
+/// `err` raised to the largest `|got - want|` — the fold every
+/// `verify` runs over what it reads back.
+pub(crate) fn max_abs_diff(err: f64, got: &[f64], want: &[f64]) -> f64 {
+    got.iter()
+        .zip(want)
+        .fold(err, |e, (g, w)| e.max((g - w).abs()))
 }
 
 /// Install `kernel`'s calibrated compute costs into `cost`, switching

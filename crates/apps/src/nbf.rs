@@ -12,8 +12,8 @@
 //! reference for any team size; the energy reduction's floating-point
 //! grouping depends on the team size, so it is checked with a tolerance.
 
-use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use crate::{max_abs_diff, Kernel};
+use nowmp_omp::{portable, Host, OmpCtx, OmpProgram, Params, ReadBack, SharedMem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,85 +137,100 @@ impl Nbf {
     }
 }
 
+/// Materialize positions and partner lists per atom.
+fn nbf_init<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let n = p.u64();
+    let partners_per = p.u64() as usize;
+    let pos = ctx.f64vec("nbf_pos");
+    let plists = ctx.u64vec("nbf_partners");
+    ctx.for_static(0..n, |ctx, a| {
+        let a = a as usize;
+        let xyz = Nbf::atom_pos(n as usize, a);
+        let ps = Nbf::atom_partners(n as usize, partners_per, a);
+        let d = ctx.dsm();
+        pos.write_from(d, a * 3, &xyz);
+        plists.write_from(d, a * partners_per, &ps);
+    });
+}
+
+/// Accumulate every atom's force over its partners; returns this
+/// rank's share of the total energy (the `reduction(+: energy)`
+/// variable, which [`nbf_energy`] receives summed).
+fn nbf_forces<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) -> f64 {
+    let mut p = ctx.params();
+    let n = p.u64();
+    let partners_per = p.u64() as usize;
+    let pos = ctx.f64vec("nbf_pos");
+    let force = ctx.f64vec("nbf_force");
+    let partners = ctx.u64vec("nbf_partners");
+    let mut local_energy = 0.0;
+    let mut plist = vec![0u64; partners_per];
+    ctx.for_static(0..n, |ctx, a| {
+        let a = a as usize;
+        let d = ctx.dsm();
+        let ax = pos.get(d, a * 3);
+        let ay = pos.get(d, a * 3 + 1);
+        let az = pos.get(d, a * 3 + 2);
+        partners.read_into(d, a * partners_per, &mut plist);
+        let (mut fx, mut fy, mut fz) = (0.0, 0.0, 0.0);
+        for &b in &plist {
+            let b = b as usize;
+            let dx = ax - pos.get(d, b * 3);
+            let dy = ay - pos.get(d, b * 3 + 1);
+            let dz = az - pos.get(d, b * 3 + 2);
+            let (fmag, e) = Nbf::pair(dx, dy, dz);
+            fx += fmag * dx;
+            fy += fmag * dy;
+            fz += fmag * dz;
+            local_energy += e;
+        }
+        force.set(d, a * 3, fx);
+        force.set(d, a * 3 + 1, fy);
+        force.set(d, a * 3 + 2, fz);
+    });
+    local_energy
+}
+
+/// The master stores the reduced energy.
+fn nbf_energy<M: SharedMem>(ctx: &mut OmpCtx<'_, M>, total: f64) {
+    let out = ctx.f64vec("nbf_out");
+    out.set(ctx.dsm(), 0, total);
+}
+
+/// Integrate positions by `dt × force`.
+fn nbf_update<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+    let mut p = ctx.params();
+    let n = p.u64();
+    let dt = p.f64();
+    let pos = ctx.f64vec("nbf_pos");
+    let force = ctx.f64vec("nbf_force");
+    ctx.for_static(0..n, |ctx, a| {
+        let a = a as usize;
+        let d = ctx.dsm();
+        for dim in 0..3 {
+            let cur = pos.get(d, a * 3 + dim);
+            let f = force.get(d, a * 3 + dim);
+            pos.set(d, a * 3 + dim, cur + dt * f);
+        }
+    });
+}
+
 impl Kernel for Nbf {
     fn name(&self) -> &'static str {
         "NBF"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("nbf_init", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let partners_per = p.u64() as usize;
-            let pos = ctx.f64vec("nbf_pos");
-            let plists = ctx.u64vec("nbf_partners");
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let xyz = Nbf::atom_pos(n as usize, a);
-                let ps = Nbf::atom_partners(n as usize, partners_per, a);
-                let d = ctx.dsm();
-                pos.write_from(d, a * 3, &xyz);
-                plists.write_from(d, a * partners_per, &ps);
-            });
-        })
-        .region("nbf_forces", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let partners_per = p.u64() as usize;
-            let pos = ctx.f64vec("nbf_pos");
-            let force = ctx.f64vec("nbf_force");
-            let partners = ctx.u64vec("nbf_partners");
-            let out = ctx.f64vec("nbf_out");
-            let mut local_energy = 0.0;
-            let mut plist = vec![0u64; partners_per];
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let d = ctx.dsm();
-                let ax = pos.get(d, a * 3);
-                let ay = pos.get(d, a * 3 + 1);
-                let az = pos.get(d, a * 3 + 2);
-                partners.read_into(d, a * partners_per, &mut plist);
-                let (mut fx, mut fy, mut fz) = (0.0, 0.0, 0.0);
-                for &b in &plist {
-                    let b = b as usize;
-                    let dx = ax - pos.get(d, b * 3);
-                    let dy = ay - pos.get(d, b * 3 + 1);
-                    let dz = az - pos.get(d, b * 3 + 2);
-                    let (fmag, e) = Nbf::pair(dx, dy, dz);
-                    fx += fmag * dx;
-                    fy += fmag * dy;
-                    fz += fmag * dz;
-                    local_energy += e;
-                }
-                force.set(d, a * 3, fx);
-                force.set(d, a * 3 + 1, fy);
-                force.set(d, a * 3 + 2, fz);
-            });
-            // reduction(+: energy)
-            let total = ctx.reduce_sum_f64(local_energy);
-            ctx.master(|c| {
-                out.set(c.dsm(), 0, total);
-            });
-        })
-        .region("nbf_update", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let dt = p.f64();
-            let pos = ctx.f64vec("nbf_pos");
-            let force = ctx.f64vec("nbf_force");
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let d = ctx.dsm();
-                for dim in 0..3 {
-                    let cur = pos.get(d, a * 3 + dim);
-                    let f = force.get(d, a * 3 + dim);
-                    pos.set(d, a * 3 + dim, cur + dt * f);
-                }
-            });
-        })
+        p.portable("nbf_init", portable!(nbf_init))
+            .portable(
+                "nbf_forces",
+                portable!(nbf_forces, reduction(+) => nbf_energy),
+            )
+            .portable("nbf_update", portable!(nbf_update))
     }
 
-    fn setup(&self, sys: &mut OmpSystem) {
+    fn setup(&self, sys: &mut dyn Host) {
         let n = self.atoms as u64;
         sys.alloc_f64("nbf_pos", n * 3);
         sys.alloc_f64("nbf_force", n * 3);
@@ -227,7 +242,7 @@ impl Kernel for Nbf {
         );
     }
 
-    fn step(&self, sys: &mut OmpSystem, _iter: usize) {
+    fn step(&self, sys: &mut dyn Host, _iter: usize) {
         let n = self.atoms as u64;
         sys.parallel(
             "nbf_forces",
@@ -240,27 +255,17 @@ impl Kernel for Nbf {
         100
     }
 
-    fn verify(&self, sys: &mut OmpSystem, iters: usize) -> f64 {
+    fn verify(&self, sys: &mut dyn ReadBack, iters: usize) -> f64 {
         let (rpos, rforce, renergy) = self.reference(iters);
-        let n = self.atoms;
-        sys.seq(|ctx| {
-            let pos = ctx.f64vec("nbf_pos");
-            let force = ctx.f64vec("nbf_force");
-            let out = ctx.f64vec("nbf_out");
-            let mut lp = vec![0.0; n * 3];
-            let mut lf = vec![0.0; n * 3];
-            pos.read_into(ctx.dsm(), 0, &mut lp);
-            force.read_into(ctx.dsm(), 0, &mut lf);
-            let mut err = 0.0f64;
-            for i in 0..n * 3 {
-                err = err.max((lp[i] - rpos[i]).abs());
-                err = err.max((lf[i] - rforce[i]).abs());
-            }
-            // Energy: FP grouping differs with team size; relative check.
-            let e = out.get(ctx.dsm(), 0);
-            let rel = ((e - renergy) / renergy.abs().max(1e-12)).abs();
-            err.max(if rel < 1e-9 { 0.0 } else { rel })
-        })
+        let mut got = vec![0.0; self.atoms * 3];
+        sys.read_f64s("nbf_pos", 0, &mut got);
+        let err = max_abs_diff(0.0, &got, &rpos);
+        sys.read_f64s("nbf_force", 0, &mut got);
+        let err = max_abs_diff(err, &got, &rforce);
+        // Energy: FP grouping differs with team size; relative check.
+        sys.read_f64s("nbf_out", 0, &mut got[..1]);
+        let rel = ((got[0] - renergy) / renergy.abs().max(1e-12)).abs();
+        err.max(if rel < 1e-9 { 0.0 } else { rel })
     }
 
     fn shared_bytes(&self) -> u64 {

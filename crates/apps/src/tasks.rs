@@ -1,462 +1,84 @@
-//! Task-engine mirrors of the paper kernels.
+//! The paper kernels on the task engine.
 //!
-//! Each outlined OpenMP region from [`crate::Jacobi`] / [`crate::Nbf`]
-//! is re-expressed as a resumable [`RegionTask`] state machine for the
-//! event-driven engine ([`nowmp_core::TaskSystem`]): the rank's
-//! position between synchronization points is an explicit `phase`
-//! field, not a parked stack. The arithmetic — iteration partitioning,
-//! read/accumulate order, reduction grouping — is kept *identical* to
-//! the thread-backed region bodies so that results are bit-exact and
-//! the two engines produce byte-identical checkpoint images (the
-//! 32-host parity test in `crates/bench` holds them to it).
+//! Nothing here is kernel-specific. [`TaskKernel`] adapts any
+//! [`Kernel`] to [`nowmp_core::TaskApp`]: the driver (`setup` / `step`
+//! / `verify`) is the kernel's own, run against the engine as a
+//! [`nowmp_omp::Host`]; each region's task is the kernel's own body,
+//! lowered by [`OmpProgram::lower`]. Both engines run the same code, so
+//! results are bit-exact and checkpoint images byte-identical (the
+//! parity tests in `crates/bench` hold them to it). [`TaskJacobi`] and
+//! [`TaskNbf`] name the two instances the scale sweeps construct.
 
 use nowmp_core::{TaskApp, TaskSystem};
-use nowmp_omp::sched::static_block;
-use nowmp_omp::{Params, ParamsReader};
-use nowmp_tmk::engine::{RegionTask, Step, TaskCtx};
-use nowmp_tmk::types::{Addr, Pid};
+use nowmp_omp::{OmpProgram, TaskHost};
+use nowmp_tmk::engine::RegionTask;
 
 use crate::jacobi::Jacobi;
 use crate::nbf::Nbf;
+use crate::{build_program, Kernel};
 
-// ---------------------------------------------------------------- Jacobi
-
-/// Jacobi on the task engine. Same regions, same math, same shared
-/// array names as [`Jacobi`].
-#[derive(Debug, Clone)]
-pub struct TaskJacobi {
-    inner: Jacobi,
+/// `K` on the task engine: same regions, same driver, same shared
+/// array names.
+pub struct TaskKernel<K> {
+    kernel: K,
+    program: OmpProgram,
 }
+
+impl<K: Kernel> TaskKernel<K> {
+    /// Put `kernel` on the task engine.
+    pub fn of(kernel: K) -> Self {
+        let program = build_program(&[&kernel]);
+        TaskKernel { kernel, program }
+    }
+}
+
+/// Jacobi on the task engine.
+pub type TaskJacobi = TaskKernel<Jacobi>;
 
 impl TaskJacobi {
     /// Jacobi on an `n`×`n` grid.
     pub fn new(n: usize) -> Self {
-        TaskJacobi {
-            inner: Jacobi::new(n),
-        }
+        Self::of(Jacobi::new(n))
     }
 }
 
-/// `jacobi_init`: first-touch both grids with the deterministic
-/// initial field. One phase, block-partitioned over all rows.
-struct JInit {
-    n: usize,
-    lo: u64,
-    hi: u64,
-    grid: Addr,
-    next: Addr,
-}
-
-impl RegionTask for JInit {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let n = self.n;
-        for r in self.lo..self.hi {
-            for c in 0..n {
-                let v = Jacobi::init_value(n, r as usize, c);
-                ctx.write_f64(self.grid + r * n as u64 + c as u64, v);
-                ctx.write_f64(self.next + r * n as u64 + c as u64, v);
-            }
-        }
-        ctx.charge_compute(self.hi - self.lo);
-        Step::Done
-    }
-}
-
-/// `jacobi_sweep`: stencil interior rows of `grid` into `next`.
-struct JSweep {
-    n: usize,
-    lo: u64,
-    hi: u64,
-    grid: Addr,
-    next: Addr,
-}
-
-impl RegionTask for JSweep {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let n = self.n;
-        let mut above = vec![0.0; n];
-        let mut here = vec![0.0; n];
-        let mut below = vec![0.0; n];
-        let mut out = vec![0.0; n];
-        for r in self.lo..self.hi {
-            for c in 0..n as u64 {
-                above[c as usize] = ctx.read_f64(self.grid + (r - 1) * n as u64 + c);
-            }
-            for c in 0..n as u64 {
-                here[c as usize] = ctx.read_f64(self.grid + r * n as u64 + c);
-            }
-            for c in 0..n as u64 {
-                below[c as usize] = ctx.read_f64(self.grid + (r + 1) * n as u64 + c);
-            }
-            out[0] = here[0];
-            out[n - 1] = here[n - 1];
-            for c in 1..n - 1 {
-                out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-            }
-            for c in 0..n as u64 {
-                ctx.write_f64(self.next + r * n as u64 + c, out[c as usize]);
-            }
-        }
-        ctx.charge_compute(self.hi - self.lo);
-        Step::Done
-    }
-}
-
-/// `jacobi_copy`: copy interior rows of `next` back into `grid`.
-struct JCopy {
-    n: usize,
-    lo: u64,
-    hi: u64,
-    grid: Addr,
-    next: Addr,
-}
-
-impl RegionTask for JCopy {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let n = self.n as u64;
-        for r in self.lo..self.hi {
-            for c in 0..n {
-                let v = ctx.read_f64(self.next + r * n + c);
-                ctx.write_f64(self.grid + r * n + c, v);
-            }
-        }
-        ctx.charge_compute(self.hi - self.lo);
-        Step::Done
-    }
-}
-
-impl TaskApp for TaskJacobi {
-    fn name(&self) -> &'static str {
-        "Jacobi"
-    }
-
-    fn setup(&self, sys: &mut TaskSystem) {
-        let n = self.inner.n;
-        sys.alloc_f64("jacobi_grid", (n * n) as u64);
-        sys.alloc_f64("jacobi_next", (n * n) as u64);
-        sys.parallel(self, "jacobi_init", &Params::new().u64(n as u64).build());
-    }
-
-    fn step(&self, sys: &mut TaskSystem, _iter: usize) {
-        let params = Params::new().u64(self.inner.n as u64).build();
-        sys.parallel(self, "jacobi_sweep", &params);
-        sys.parallel(self, "jacobi_copy", &params);
-    }
-
-    fn verify(&self, sys: &TaskSystem, iters: usize) -> f64 {
-        let n = self.inner.n;
-        let reference = self.inner.reference(iters);
-        let mut err = 0.0f64;
-        for r in 0..n {
-            for c in 0..n {
-                let got = sys.get_f64("jacobi_grid", r * n + c);
-                err = err.max((got - reference[r * n + c]).abs());
-            }
-        }
-        err
-    }
-
-    fn kernel(
-        &self,
-        sys: &TaskSystem,
-        region: &str,
-        params: &[u8],
-        pid: Pid,
-        nprocs: usize,
-    ) -> Box<dyn RegionTask> {
-        let mut p = ParamsReader::new(params);
-        let n = p.u64();
-        let grid = sys.addr_of("jacobi_grid");
-        let next = sys.addr_of("jacobi_next");
-        match region {
-            "jacobi_init" => {
-                let b = static_block(0..n, pid as usize, nprocs);
-                Box::new(JInit {
-                    n: n as usize,
-                    lo: b.start,
-                    hi: b.end,
-                    grid,
-                    next,
-                })
-            }
-            "jacobi_sweep" => {
-                let b = static_block(1..n - 1, pid as usize, nprocs);
-                Box::new(JSweep {
-                    n: n as usize,
-                    lo: b.start,
-                    hi: b.end,
-                    grid,
-                    next,
-                })
-            }
-            "jacobi_copy" => {
-                let b = static_block(1..n - 1, pid as usize, nprocs);
-                Box::new(JCopy {
-                    n: n as usize,
-                    lo: b.start,
-                    hi: b.end,
-                    grid,
-                    next,
-                })
-            }
-            other => panic!("unknown Jacobi region {other:?}"),
-        }
-    }
-}
-
-// ------------------------------------------------------------------ NBF
-
-/// NBF on the task engine. Same regions, same math, same shared array
-/// names as [`Nbf`]; the energy reduction mirrors the OpenMP layer's
-/// scratch-array protocol (`__omp_red`) so even the scratch residue in
-/// checkpoint images matches the thread engine.
-#[derive(Debug, Clone)]
-pub struct TaskNbf {
-    inner: Nbf,
-}
+/// NBF on the task engine.
+pub type TaskNbf = TaskKernel<Nbf>;
 
 impl TaskNbf {
     /// NBF with `atoms` atoms and `partners` partners per atom.
     pub fn new(atoms: usize, partners: usize) -> Self {
-        TaskNbf {
-            inner: Nbf::new(atoms, partners),
-        }
+        Self::of(Nbf::new(atoms, partners))
     }
 }
 
-/// `nbf_init`: materialize positions and partner lists per atom.
-struct NInit {
-    n: usize,
-    partners: usize,
-    lo: u64,
-    hi: u64,
-    pos: Addr,
-    plists: Addr,
-}
-
-impl RegionTask for NInit {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        for a in self.lo..self.hi {
-            let xyz = Nbf::atom_pos(self.n, a as usize);
-            let ps = Nbf::atom_partners(self.n, self.partners, a as usize);
-            for (d, v) in xyz.iter().enumerate() {
-                ctx.write_f64(self.pos + a * 3 + d as u64, *v);
-            }
-            for (s, v) in ps.iter().enumerate() {
-                ctx.write_u64(self.plists + a * self.partners as u64 + s as u64, *v);
-            }
-        }
-        ctx.charge_compute(self.hi - self.lo);
-        Step::Done
-    }
-}
-
-/// `nbf_forces` as a three-phase state machine:
-///
-/// * phase 0 — force accumulation over the rank's block, then the
-///   reduction's scratch write (`red[pid] = local_energy`) → barrier
-///   (the reduce's first barrier);
-/// * phase 1 — fold the scratch in pid order → barrier (the reduce's
-///   second barrier, protecting the scratch from the next reduction);
-/// * phase 2 — `master`: pid 0 writes the total to `nbf_out[0]`.
-struct NForces {
-    partners: usize,
-    lo: u64,
-    hi: u64,
-    pos: Addr,
-    force: Addr,
-    plists: Addr,
-    out: Addr,
-    red: Addr,
-    pid: Pid,
-    phase: u8,
-    total: f64,
-}
-
-impl RegionTask for NForces {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        match self.phase {
-            0 => {
-                let mut local_energy = 0.0;
-                let mut plist = vec![0u64; self.partners];
-                for a in self.lo..self.hi {
-                    let ax = ctx.read_f64(self.pos + a * 3);
-                    let ay = ctx.read_f64(self.pos + a * 3 + 1);
-                    let az = ctx.read_f64(self.pos + a * 3 + 2);
-                    for s in 0..self.partners as u64 {
-                        plist[s as usize] =
-                            ctx.read_u64(self.plists + a * self.partners as u64 + s);
-                    }
-                    let (mut fx, mut fy, mut fz) = (0.0, 0.0, 0.0);
-                    for &b in &plist {
-                        let dx = ax - ctx.read_f64(self.pos + b * 3);
-                        let dy = ay - ctx.read_f64(self.pos + b * 3 + 1);
-                        let dz = az - ctx.read_f64(self.pos + b * 3 + 2);
-                        let (fmag, e) = Nbf::pair(dx, dy, dz);
-                        fx += fmag * dx;
-                        fy += fmag * dy;
-                        fz += fmag * dz;
-                        local_energy += e;
-                    }
-                    ctx.write_f64(self.force + a * 3, fx);
-                    ctx.write_f64(self.force + a * 3 + 1, fy);
-                    ctx.write_f64(self.force + a * 3 + 2, fz);
-                }
-                ctx.charge_compute(self.hi - self.lo);
-                ctx.write_f64(self.red + self.pid as u64, local_energy);
-                self.phase = 1;
-                Step::Barrier
-            }
-            1 => {
-                let mut acc = 0.0;
-                for p in 0..ctx.nprocs() as u64 {
-                    acc += ctx.read_f64(self.red + p);
-                }
-                self.total = acc;
-                self.phase = 2;
-                Step::Barrier
-            }
-            _ => {
-                if self.pid == 0 {
-                    ctx.write_f64(self.out, self.total);
-                }
-                Step::Done
-            }
-        }
-    }
-}
-
-/// `nbf_update`: integrate positions by `dt × force`.
-struct NUpdate {
-    dt: f64,
-    lo: u64,
-    hi: u64,
-    pos: Addr,
-    force: Addr,
-}
-
-impl RegionTask for NUpdate {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        for a in self.lo..self.hi {
-            for dim in 0..3u64 {
-                let cur = ctx.read_f64(self.pos + a * 3 + dim);
-                let f = ctx.read_f64(self.force + a * 3 + dim);
-                ctx.write_f64(self.pos + a * 3 + dim, cur + self.dt * f);
-            }
-        }
-        ctx.charge_compute(self.hi - self.lo);
-        Step::Done
-    }
-}
-
-impl TaskApp for TaskNbf {
+impl<K: Kernel> TaskApp for TaskKernel<K> {
     fn name(&self) -> &'static str {
-        "NBF"
+        self.kernel.name()
     }
 
     fn setup(&self, sys: &mut TaskSystem) {
-        let n = self.inner.atoms as u64;
-        sys.alloc_f64("nbf_pos", n * 3);
-        sys.alloc_f64("nbf_force", n * 3);
-        sys.alloc_u64("nbf_partners", n * self.inner.partners as u64);
-        sys.alloc_f64("nbf_out", 1);
-        sys.parallel(
-            self,
-            "nbf_init",
-            &Params::new().u64(n).u64(self.inner.partners as u64).build(),
-        );
+        self.kernel.setup(&mut TaskHost { sys, app: self });
     }
 
-    fn step(&self, sys: &mut TaskSystem, _iter: usize) {
-        let n = self.inner.atoms as u64;
-        sys.parallel(
-            self,
-            "nbf_forces",
-            &Params::new().u64(n).u64(self.inner.partners as u64).build(),
-        );
-        sys.parallel(
-            self,
-            "nbf_update",
-            &Params::new().u64(n).f64(self.inner.dt).build(),
-        );
+    fn step(&self, sys: &mut TaskSystem, iter: usize) {
+        self.kernel.step(&mut TaskHost { sys, app: self }, iter);
     }
 
     fn verify(&self, sys: &TaskSystem, iters: usize) -> f64 {
-        let (rpos, rforce, renergy) = self.inner.reference(iters);
-        let n = self.inner.atoms;
-        let mut err = 0.0f64;
-        for i in 0..n * 3 {
-            err = err.max((sys.get_f64("nbf_pos", i) - rpos[i]).abs());
-            err = err.max((sys.get_f64("nbf_force", i) - rforce[i]).abs());
-        }
-        let e = sys.get_f64("nbf_out", 0);
-        let rel = ((e - renergy) / renergy.abs().max(1e-12)).abs();
-        err.max(if rel < 1e-9 { 0.0 } else { rel })
+        self.kernel.verify(&mut TaskHost { sys, app: self }, iters)
     }
 
-    fn kernel(
-        &self,
-        sys: &TaskSystem,
-        region: &str,
-        params: &[u8],
-        pid: Pid,
-        nprocs: usize,
-    ) -> Box<dyn RegionTask> {
-        let mut p = ParamsReader::new(params);
-        let pos = sys.addr_of("nbf_pos");
-        let force = sys.addr_of("nbf_force");
-        match region {
-            "nbf_init" => {
-                let n = p.u64();
-                let partners = p.u64() as usize;
-                let b = static_block(0..n, pid as usize, nprocs);
-                Box::new(NInit {
-                    n: n as usize,
-                    partners,
-                    lo: b.start,
-                    hi: b.end,
-                    pos,
-                    plists: sys.addr_of("nbf_partners"),
-                })
-            }
-            "nbf_forces" => {
-                let n = p.u64();
-                let partners = p.u64() as usize;
-                let b = static_block(0..n, pid as usize, nprocs);
-                Box::new(NForces {
-                    partners,
-                    lo: b.start,
-                    hi: b.end,
-                    pos,
-                    force,
-                    plists: sys.addr_of("nbf_partners"),
-                    out: sys.addr_of("nbf_out"),
-                    red: sys.reduction_scratch(nprocs),
-                    pid,
-                    phase: 0,
-                    total: 0.0,
-                })
-            }
-            "nbf_update" => {
-                let n = p.u64();
-                let dt = p.f64();
-                let b = static_block(0..n, pid as usize, nprocs);
-                Box::new(NUpdate {
-                    dt,
-                    lo: b.start,
-                    hi: b.end,
-                    pos,
-                    force,
-                })
-            }
-            other => panic!("unknown NBF region {other:?}"),
-        }
+    fn kernel(&self, region: &str) -> Option<Box<dyn RegionTask>> {
+        self.program.lower(region)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft3d::Fft3d;
+    use crate::gauss::Gauss;
     use nowmp_core::{run_task_app, ClusterConfig, LeaveSel};
     use nowmp_util::Clock;
 
@@ -482,6 +104,60 @@ mod tests {
             let (err, _) = run_task_app(&k, cfg(procs + 1, procs), 3);
             assert_eq!(err, 0.0, "procs={procs}: forces/positions bit-exact");
         }
+    }
+
+    #[test]
+    fn gauss_and_fft_reach_the_task_engine() {
+        for procs in [1, 2, 4] {
+            let g = Gauss::new(20);
+            let iters = g.default_iters();
+            let (err, _) = run_task_app(&TaskKernel::of(g), cfg(procs + 1, procs), iters);
+            assert_eq!(err, 0.0, "procs={procs}: elimination bit-exact");
+            let f = TaskKernel::of(Fft3d::new(8, 4, 4));
+            let (err, _) = run_task_app(&f, cfg(procs + 1, procs), 2);
+            assert_eq!(err, 0.0, "procs={procs}: FFT pipeline bit-exact");
+        }
+    }
+
+    #[test]
+    fn in_region_flop_charges_move_the_task_timeline() {
+        // `gauss_elim` has no profiled per-iteration cost: all of its
+        // compute is the exact FLOP count it charges in-region.
+        let g = Gauss::new(20);
+        let cost = crate::with_kernel_costs(nowmp_net::CostModel::paper_1999(), &g);
+        let mut no_flops = cost.clone();
+        no_flops.flops_per_sec = f64::INFINITY;
+        let run = |cost| {
+            let c = cfg(1, 1).with_cost_model(cost);
+            let (err, sys) = run_task_app(&TaskKernel::of(g.clone()), c, g.default_iters());
+            assert_eq!(err, 0.0);
+            sys.now().as_nanos()
+        };
+        let charged: u128 = (0..g.n - 1)
+            .map(|k| ((g.n - 1 - k) * (g.n + 1 - k) * 2) as f64)
+            .map(|flops| cost.flops_charge(flops, nowmp_net::HostId(0)).as_nanos())
+            .sum();
+        assert!(charged > 0);
+        assert_eq!(run(cost.clone()) - run(no_flops), charged as u64);
+    }
+
+    #[test]
+    fn an_unknown_region_fails_alike_on_both_engines() {
+        let message = |run: Box<dyn FnOnce() + Send>| {
+            let err = std::thread::spawn(run).join().expect_err("must panic");
+            err.downcast_ref::<String>().expect("formatted").clone()
+        };
+        let thread = message(Box::new(|| {
+            let j = Jacobi::new(8);
+            let mut sys = nowmp_omp::OmpSystem::new(cfg(1, 1), build_program(&[&j]));
+            sys.parallel("jacobi_swep", &[]);
+        }));
+        let task = message(Box::new(|| {
+            let mut sys = TaskSystem::new(cfg(1, 1));
+            sys.parallel(&TaskJacobi::new(8), "jacobi_swep", &[]);
+        }));
+        assert_eq!(thread, "region \"jacobi_swep\" not registered");
+        assert_eq!(task, thread);
     }
 
     #[test]

@@ -19,12 +19,20 @@
 //!   the reduction scratch protocol so even the `__omp_red` residue in
 //!   the image must match.
 //!
-//! A third test holds the engines to the same `AdaptError` for every
+//! Gauss and 3D-FFT run the same comparison at 8 processes (a leave, a
+//! join, a periodic checkpoint): every region body is one function both
+//! engines run (`nowmp_omp::portable!`), so they reach the task engine
+//! through `TaskKernel::of` with no task code of their own, and their
+//! in-region FLOP charges ride the task engine's timeline.
+//!
+//! A last test holds the engines to the same `AdaptError` for every
 //! request the books refuse.
 
+use nowmp_apps::fft3d::Fft3d;
+use nowmp_apps::gauss::Gauss;
 use nowmp_apps::jacobi::Jacobi;
 use nowmp_apps::nbf::Nbf;
-use nowmp_apps::tasks::{TaskJacobi, TaskNbf};
+use nowmp_apps::tasks::{TaskJacobi, TaskKernel, TaskNbf};
 use nowmp_apps::Kernel;
 use nowmp_bench::shape;
 use nowmp_core::{AdaptError, ClusterConfig, LeaveSel, ReassignPolicy, TaskApp, TaskSystem};
@@ -231,6 +239,57 @@ fn task_engine_matches_thread_engine_on_nbf_reduction() {
         timage, kimage,
         "images (including __omp_red scratch residue) must be byte-identical"
     );
+}
+
+/// Run `kernel` under `script` on both engines at 8 of 9 hosts with a
+/// checkpoint every `ckpt_every` forks, hold them to the assertions of
+/// the two cases above, and return the event shape they share.
+fn parity_at_8<K: Kernel + Clone>(kernel: K, script: &Script, ckpt_every: u64) -> Vec<String> {
+    let dir = std::env::temp_dir();
+    let tpath = dir.join(format!("nowmp_engine_parity_thread_{}.ckpt", kernel.name()));
+    let kpath = dir.join(format!("nowmp_engine_parity_task_{}.ckpt", kernel.name()));
+    let c = || cfg(9, 8).with_ckpt_every_forks(ckpt_every);
+    let (terr, tshape, timage) = thread_run(&kernel, c(), script, &tpath);
+    let (kerr, kshape, kimage, _, _) = task_run(&TaskKernel::of(kernel), c(), script, &kpath);
+    let _ = std::fs::remove_file(&tpath);
+    let _ = std::fs::remove_file(&kpath);
+    assert_eq!(terr, 0.0, "thread engine must verify bit-exact");
+    assert_eq!(kerr, 0.0, "task engine must verify bit-exact");
+    assert_eq!(
+        tshape, kshape,
+        "task engine must be event-order-identical to the thread engine"
+    );
+    assert_eq!(count(&tshape, "normal_leave"), 1, "{tshape:?}");
+    assert_eq!(count(&tshape, "join_committed"), 1, "{tshape:?}");
+    assert!(count(&tshape, "checkpoint") >= 2, "{tshape:?}");
+    assert_eq!(
+        timage, kimage,
+        "final checkpoint images must be byte-identical across engines"
+    );
+    tshape
+}
+
+#[test]
+fn task_engine_matches_thread_engine_on_gauss() {
+    // 23 pivot steps, one fork each, one page per padded row.
+    let script = Script {
+        iters: 23,
+        acts: &[(5, Act::Leave(3)), (12, Act::Join)],
+    };
+    let shape = parity_at_8(Gauss::new(24), &script, 10);
+    assert!(shape.contains(&"adapt:+0-1->7".to_owned()), "{shape:?}");
+}
+
+#[test]
+fn task_engine_matches_thread_engine_on_fft3d() {
+    // Six forks an iteration; at 4 KB pages every array spans two
+    // pages, so all eight ranks write into shared pages.
+    let script = Script {
+        iters: 4,
+        acts: &[(1, Act::Leave(5)), (2, Act::Join)],
+    };
+    let shape = parity_at_8(Fft3d::new(16, 8, 8), &script, 9);
+    assert!(shape.contains(&"adapt:+1-0->8".to_owned()), "{shape:?}");
 }
 
 /// The requests the books refuse, made of a 3-process team that fills

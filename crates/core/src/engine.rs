@@ -21,7 +21,8 @@
 //!   race-free programs — which OpenMP regions are by contract.
 //! * **Virtual time** is charged per host from the same
 //!   [`CostModel`]/[`NetModel`] the thread engine uses: compute via
-//!   `compute_time(region_cost, iters, host)`, remote page faults via
+//!   `compute_time(region_cost, iters, host)` and, for the FLOPs a
+//!   body charges in-region, `flops_charge`; remote page faults via
 //!   [`NetModel::fetch_rtt`] against a per-host valid-page set that
 //!   synchronization invalidates, barriers via
 //!   [`NetModel::barrier_time`]. Grace alarms and spawn completions
@@ -63,14 +64,15 @@ use crate::log::{EventKind, EventLog};
 const JOIN_BASE: usize = 1 << 32;
 const GRACE_BASE: usize = 1 << 33;
 
-/// An application expressed as resumable region tasks — the
-/// task-engine analog of registering regions with `OmpProgram`.
+/// An application the task engine can run: a driver (`setup` / `step`
+/// / `verify`) plus `kernel`, the outlined-region factory that turns a
+/// region name into the [`RegionTask`] one rank steps.
 ///
-/// `kernel` is the outlined-region factory: given a region name and
-/// its firstprivate params, produce the [`RegionTask`] state machine
-/// for one rank. It must perform *exactly* the reads, writes, and
-/// `charge_compute` calls the thread-backed region body performs, in
-/// the same order, for event and image parity to hold.
+/// Kernels do not implement `kernel` by hand: `nowmp_omp::OmpProgram`
+/// lowers each registered portable region — the one body the thread
+/// engine also runs — to its task (`OmpProgram::lower`), and
+/// `nowmp_apps::tasks::TaskKernel` adapts any `Kernel` to this trait.
+/// A hand-written [`RegionTask`] is for engine tests.
 pub trait TaskApp {
     /// Kernel name (reporting only).
     fn name(&self) -> &'static str;
@@ -80,15 +82,11 @@ pub trait TaskApp {
     fn step(&self, sys: &mut TaskSystem, iter: usize);
     /// Max-abs error against a sequential reference after `iters`.
     fn verify(&self, sys: &TaskSystem, iters: usize) -> f64;
-    /// Build the per-rank resumable task for `region`.
-    fn kernel(
-        &self,
-        sys: &TaskSystem,
-        region: &str,
-        params: &[u8],
-        pid: Pid,
-        nprocs: usize,
-    ) -> Box<dyn RegionTask>;
+    /// Build one rank's resumable task for `region`; `None` when no
+    /// region of that name is registered. Rank, team size, parameters
+    /// and the allocation registry reach the task through its
+    /// [`TaskCtx`] at every step.
+    fn kernel(&self, region: &str) -> Option<Box<dyn RegionTask>>;
 }
 
 /// Per-member simulation state: which pages the host's (simulated)
@@ -167,16 +165,6 @@ impl TaskSystem {
         addr
     }
 
-    /// Allocate a shared f64 array.
-    pub fn alloc_f64(&mut self, name: &str, len: u64) -> Addr {
-        self.alloc(name, len, ElemKind::F64)
-    }
-
-    /// Allocate a shared u64 array.
-    pub fn alloc_u64(&mut self, name: &str, len: u64) -> Addr {
-        self.alloc(name, len, ElemKind::U64)
-    }
-
     /// Base address of a published array (panics if unknown).
     pub fn addr_of(&self, name: &str) -> Addr {
         self.registry
@@ -185,26 +173,25 @@ impl TaskSystem {
             .addr
     }
 
-    /// Base of the reduction scratch ([`RED_ARRAY`]) for a team of
-    /// `nprocs`: rank `p` owns slot `base + p`. Panics if the scratch
-    /// has fewer slots than the team has ranks.
-    pub fn reduction_scratch(&self, nprocs: usize) -> Addr {
-        let red = self.registry.get(RED_ARRAY).expect("runtime scratch");
-        assert!(nprocs as u64 <= red.len, "team exceeds reduction scratch");
-        red.addr
-    }
-
-    /// Master-side sequential read of an f64 element.
-    pub fn get_f64(&self, name: &str, idx: usize) -> f64 {
-        f64::from_bits(self.mem.load(self.addr_of(name) + idx as Addr))
-    }
-
     /// Master-side sequential read of a u64 element.
     pub fn get_u64(&self, name: &str, idx: usize) -> u64 {
         self.mem.load(self.addr_of(name) + idx as Addr)
     }
 
+    /// Master-side bulk read of `dst.len()` f64 elements from `start`.
+    pub fn read_f64s(&self, name: &str, start: usize, dst: &mut [f64]) {
+        let base = self.addr_of(name) + start as Addr;
+        for (a, d) in (base..).zip(dst) {
+            *d = f64::from_bits(self.mem.load(a));
+        }
+    }
+
     // ---- introspection ----
+
+    /// DSM page size in 8-byte slots (layout decisions).
+    pub fn page_slots(&self) -> usize {
+        self.mem.slots_per_page()
+    }
 
     /// Current team size.
     pub fn nprocs(&self) -> usize {
@@ -287,10 +274,11 @@ impl TaskSystem {
         let barrier_ns = dur_ns(self.cfg.net_model.barrier_time(nprocs));
 
         let mut states: Vec<HostState> = Vec::with_capacity(nprocs);
-        for pid in 0..nprocs {
-            states.push(HostState::Running(
-                app.kernel(&*self, region, params, pid as Pid, nprocs),
-            ));
+        for _ in 0..nprocs {
+            let task = app
+                .kernel(region)
+                .unwrap_or_else(|| panic!("region {region:?} not registered"));
+            states.push(HostState::Running(task));
         }
 
         let base = self.sched.now().as_nanos();
@@ -319,11 +307,11 @@ impl TaskSystem {
                     wave.push(WaveItem {
                         pid,
                         task,
-                        step: Step::Again,
+                        step: Step::Done,
                         out: StepOutcome::default(),
                     });
                 }
-                self.step_wave(&mut wave, nprocs);
+                self.step_wave(&mut wave, nprocs, params);
                 // Sequential merge in pid (FIFO) order.
                 for item in wave {
                     let gpid = self.book.team()[item.pid];
@@ -340,10 +328,10 @@ impl TaskSystem {
                         item.out.compute_iters,
                         host,
                     ));
+                    t += dur_ns(self.cfg.cost_model.flops_charge(item.out.flops, host));
                     host_now[item.pid] = t;
                     pending_writes[item.pid].extend(item.out.writes);
                     states[item.pid] = match item.step {
-                        Step::Again => HostState::Running(item.task),
                         Step::Barrier => HostState::BarrierWait(item.task),
                         Step::Done => HostState::Done,
                     };
@@ -370,32 +358,24 @@ impl TaskSystem {
 
     /// Step every item of a wave on the scoped worker pool. Peak OS
     /// threads = 1 (caller) + `min(pool, wave.len())`.
-    fn step_wave(&mut self, wave: &mut [WaveItem], nprocs: usize) {
-        let mem = &self.mem;
-        if wave.len() <= 1 {
-            for item in wave.iter_mut() {
-                let mut out = StepOutcome::default();
-                let mut ctx = TaskCtx::new(item.pid as Pid, nprocs, mem, &mut out);
-                item.step = item.task.step(&mut ctx);
-                item.out = out;
-            }
-            self.peak_workers = self.peak_workers.max(1);
-            return;
-        }
+    fn step_wave(&mut self, wave: &mut [WaveItem], nprocs: usize, params: &[u8]) {
+        let (mem, registry) = (&self.mem, &self.registry);
+        let step = |item: &mut WaveItem| {
+            let mut ctx = TaskCtx::new(item.pid as Pid, nprocs, mem, &mut item.out)
+                .in_region(registry, params);
+            item.step = item.task.step(&mut ctx);
+        };
         let workers = self.pool.min(wave.len()).max(1);
-        let chunk = wave.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for ch in wave.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for item in ch {
-                        let mut out = StepOutcome::default();
-                        let mut ctx = TaskCtx::new(item.pid as Pid, nprocs, mem, &mut out);
-                        item.step = item.task.step(&mut ctx);
-                        item.out = out;
-                    }
-                });
-            }
-        });
+        if wave.len() <= 1 {
+            wave.iter_mut().for_each(step);
+        } else {
+            let chunk = wave.len().div_ceil(workers);
+            std::thread::scope(|s| {
+                for ch in wave.chunks_mut(chunk) {
+                    s.spawn(move || ch.iter_mut().for_each(step));
+                }
+            });
+        }
         self.peak_workers = self.peak_workers.max(workers);
     }
 
@@ -644,6 +624,7 @@ pub fn run_task_app(app: &dyn TaskApp, cfg: ClusterConfig, iters: usize) -> (f64
 mod tests {
     use super::*;
     use nowmp_ckpt::Checkpoint;
+    use nowmp_tmk::SharedMem;
     use nowmp_util::Clock;
 
     fn cfg(hosts: usize, procs: usize) -> ClusterConfig {
@@ -658,26 +639,24 @@ mod tests {
     struct Ring;
 
     struct RingTask {
-        pid: Pid,
-        arr: Addr,
-        out: Addr,
         phase: u8,
     }
 
     impl RegionTask for RingTask {
         fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-            let n = ctx.nprocs() as u64;
+            let (pid, n) = (ctx.pid() as u64, ctx.nprocs() as u64);
+            let addr_of = |name| ctx.handle(name).expect("set up").addr;
+            let (arr, out) = (addr_of("arr"), addr_of("out"));
             match self.phase {
                 0 => {
-                    ctx.write_u64(self.arr + self.pid as Addr, self.pid as u64);
+                    ctx.write_u64(arr + pid, pid);
                     ctx.charge_compute(1);
                     self.phase = 1;
                     Step::Barrier
                 }
                 _ => {
-                    let nbr = (self.pid as u64 + 1) % n;
-                    let v = ctx.read_u64(self.arr + nbr);
-                    ctx.write_u64(self.out + self.pid as Addr, v);
+                    let v = ctx.read_u64(arr + (pid + 1) % n);
+                    ctx.write_u64(out + pid, v);
                     Step::Done
                 }
             }
@@ -689,8 +668,8 @@ mod tests {
             "ring"
         }
         fn setup(&self, sys: &mut TaskSystem) {
-            sys.alloc_u64("arr", 64);
-            sys.alloc_u64("out", 64);
+            sys.alloc("arr", 64, ElemKind::U64);
+            sys.alloc("out", 64, ElemKind::U64);
         }
         fn step(&self, sys: &mut TaskSystem, _iter: usize) {
             sys.parallel(self, "ring", &[]);
@@ -705,20 +684,8 @@ mod tests {
             }
             err
         }
-        fn kernel(
-            &self,
-            sys: &TaskSystem,
-            _region: &str,
-            _params: &[u8],
-            pid: Pid,
-            _nprocs: usize,
-        ) -> Box<dyn RegionTask> {
-            Box::new(RingTask {
-                pid,
-                arr: sys.addr_of("arr"),
-                out: sys.addr_of("out"),
-                phase: 0,
-            })
+        fn kernel(&self, _region: &str) -> Option<Box<dyn RegionTask>> {
+            Some(Box::new(RingTask { phase: 0 }))
         }
     }
 

@@ -239,6 +239,16 @@ impl CostModel {
         )
     }
 
+    /// Compute charge for an explicit FLOP count run on `host` (scaled,
+    /// speed-adjusted) — what `charge_flops` costs on either engine.
+    /// Zero unless compute charging is enabled.
+    pub fn flops_charge(&self, flops: f64, host: crate::HostId) -> Duration {
+        if !self.emulate_compute {
+            return Duration::ZERO;
+        }
+        self.scaled(self.flops_time(flops).div_f64(self.effective_speed(host)))
+    }
+
     /// Scale a duration by `time_scale`, sanitized the same way as
     /// [`crate::NetModel::scaled`] (the field is `pub`, so the guard
     /// must cover every construction path).

@@ -6,6 +6,29 @@
 //! reductions. Everything lowers onto the DSM context exactly the way
 //! the SUIF-generated TreadMarks code does.
 //!
+//! **Portable and blocking constructs.** The constructs that never
+//! wait for another rank (static worksharing loops, `master`, array
+//! lookup, compute charges) exist on `OmpCtx<'_, M>` for every
+//! [`SharedMem`] `M`, so a body generic over `M` runs on both engines
+//! ([`crate::OmpProgram::portable`]). Those that block (`barrier`,
+//! `critical`, `single`, `sections`, `for_dynamic`, `for_guided`,
+//! `reduce_*`) exist only on `OmpCtx<'_, TmkCtx>`, the thread engine,
+//! which is what a plain `|ctx| …` closure gets:
+//!
+//! ```
+//! use nowmp_omp::{OmpCtx, SharedMem};
+//! fn body<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+//!     ctx.for_static(0..8, |_, _| {});
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! use nowmp_omp::{OmpCtx, SharedMem};
+//! fn body<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+//!     ctx.barrier(); // no such method unless M = TmkCtx
+//! }
+//! ```
+//!
 //! **Compute charging.** Every worksharing loop charges the modeled
 //! compute cost of the iterations it executed — `per-iteration region
 //! cost × iterations / effective host speed`, resolved through the
@@ -19,7 +42,7 @@ use crate::params::ParamsReader;
 use crate::sched;
 use nowmp_core::{DYN_COUNTER, RED_ARRAY};
 use nowmp_tmk::shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
-use nowmp_tmk::TmkCtx;
+use nowmp_tmk::{SharedMem, TmkCtx};
 use std::ops::Range;
 
 /// Lock id carved out for the dynamic-schedule iteration counter.
@@ -30,14 +53,16 @@ const CRIT_BASE: u32 = 0xFFFF_1000;
 /// A `sections` work item.
 pub type Section<'c, 'a> = Box<dyn FnOnce(&mut OmpCtx<'a>) + 'c>;
 
-/// Per-region execution context (one per process per region execution).
-pub struct OmpCtx<'a> {
-    tmk: &'a mut TmkCtx,
+/// Per-region execution context (one per process per region
+/// execution); over the thread engine's [`TmkCtx`] unless stated.
+pub struct OmpCtx<'a, M = TmkCtx> {
+    tmk: &'a mut M,
 }
 
-impl<'a> OmpCtx<'a> {
-    /// Wrap a DSM context.
-    pub fn new(tmk: &'a mut TmkCtx) -> Self {
+/// The portable constructs: nothing here waits for another rank.
+impl<'a, M: SharedMem> OmpCtx<'a, M> {
+    /// Wrap a memory context.
+    pub fn new(tmk: &'a mut M) -> Self {
         OmpCtx { tmk }
     }
 
@@ -75,27 +100,21 @@ impl<'a> OmpCtx<'a> {
 
     /// `schedule(static)` over the intersection of `range` with this
     /// fork's strip (see [`Self::strip_bounds`]).
-    pub fn for_static_stripped(&mut self, range: Range<u64>, mut f: impl FnMut(&mut Self, u64)) {
+    pub fn for_static_stripped(&mut self, range: Range<u64>, f: impl FnMut(&mut Self, u64)) {
         let (lo, hi) = self.strip_bounds();
         let sub = range.start.max(lo)..range.end.min(hi);
-        if sub.start >= sub.end {
-            return;
+        if sub.start < sub.end {
+            self.for_static(sub, f);
         }
-        let block = sched::static_block(sub, self.pid(), self.nprocs());
-        let iters = block.end.saturating_sub(block.start);
-        for i in block {
-            f(self, i);
-        }
-        self.tmk.charge_compute(iters);
     }
 
-    /// Escape hatch to the DSM layer (typed arrays take this).
-    pub fn dsm(&mut self) -> &mut TmkCtx {
+    /// Escape hatch to the memory layer (typed arrays take this).
+    pub fn dsm(&mut self) -> &mut M {
         self.tmk
     }
 
     /// Charge an explicit FLOP count to the cluster clock (see
-    /// [`TmkCtx::charge_flops`]) — for regions whose per-iteration work
+    /// [`SharedMem::charge_flops`]) — for regions whose per-iteration work
     /// varies, where the uniform per-index charge of the worksharing
     /// loops would mis-shape the timeline. No-op unless the cost model
     /// has compute charging enabled.
@@ -124,7 +143,7 @@ impl<'a> OmpCtx<'a> {
 
     /// `#pragma omp for schedule(static)`: run `f` on this process's
     /// contiguous block of `range`. No implied barrier (the region's
-    /// join provides one); call [`Self::barrier`] if needed earlier.
+    /// join provides one); call [`OmpCtx::barrier`] if needed earlier.
     pub fn for_static(&mut self, range: Range<u64>, mut f: impl FnMut(&mut Self, u64)) {
         let block = sched::static_block(range, self.pid(), self.nprocs());
         let iters = block.end.saturating_sub(block.start);
@@ -132,11 +151,6 @@ impl<'a> OmpCtx<'a> {
             f(self, i);
         }
         self.tmk.charge_compute(iters);
-    }
-
-    /// The block of `range` this process owns under `schedule(static)`.
-    pub fn my_block(&self, range: Range<u64>) -> Range<u64> {
-        sched::static_block(range, self.pid(), self.nprocs())
     }
 
     /// `#pragma omp for schedule(static)` handing the whole contiguous
@@ -170,6 +184,32 @@ impl<'a> OmpCtx<'a> {
         }
     }
 
+    /// `#pragma omp master`: only pid 0 runs `f` (no implied barrier).
+    pub fn master(&mut self, f: impl FnOnce(&mut Self)) {
+        if self.pid() == 0 {
+            f(self);
+        }
+    }
+
+    /// Publish this rank's reduction contribution in the runtime
+    /// scratch. Both engines' reductions run: publish, synchronize,
+    /// [`Self::reduction_fold`], synchronize (nobody may overwrite the
+    /// scratch while stragglers still read it).
+    pub(crate) fn reduction_publish(&mut self, local: f64) {
+        let red = SharedF64Vec::lookup(self.tmk, RED_ARRAY);
+        assert!(self.nprocs() <= red.len(), "team exceeds reduction scratch");
+        red.set(self.tmk, self.pid(), local);
+    }
+
+    /// Combine every rank's published contribution, in pid order.
+    pub(crate) fn reduction_fold(&mut self, combine: impl Fn(f64, f64) -> f64, init: f64) -> f64 {
+        let red = SharedF64Vec::lookup(self.tmk, RED_ARRAY);
+        (0..self.nprocs()).fold(init, |acc, p| combine(acc, red.get(self.tmk, p)))
+    }
+}
+
+/// The constructs that block on another rank: thread engine only.
+impl<'a> OmpCtx<'a, TmkCtx> {
     /// `#pragma omp for schedule(dynamic, chunk)`: processes grab
     /// chunks from a shared counter under a lock. Self-contained: the
     /// counter is reset by pid 0 between two barriers, then chunks are
@@ -263,13 +303,6 @@ impl<'a> OmpCtx<'a> {
         r
     }
 
-    /// `#pragma omp master`: only pid 0 runs `f` (no implied barrier).
-    pub fn master(&mut self, f: impl FnOnce(&mut Self)) {
-        if self.pid() == 0 {
-            f(self);
-        }
-    }
-
     /// `#pragma omp single`: pid 0 runs `f`; everyone barriers after
     /// (OpenMP's implied barrier at the end of `single`).
     pub fn single(&mut self, f: impl FnOnce(&mut Self)) {
@@ -297,17 +330,9 @@ impl<'a> OmpCtx<'a> {
     // ------------------------------------------------------------------
 
     fn reduce_f64(&mut self, local: f64, combine: impl Fn(f64, f64) -> f64, init: f64) -> f64 {
-        let n = self.nprocs();
-        let red = SharedF64Vec::lookup(self.tmk, RED_ARRAY);
-        assert!(n <= red.len(), "team exceeds reduction scratch");
-        red.set(self.tmk, self.pid(), local);
+        self.reduction_publish(local);
         self.barrier();
-        let mut acc = init;
-        for p in 0..n {
-            acc = combine(acc, red.get(self.tmk, p));
-        }
-        // Second barrier: nobody may overwrite the scratch for a later
-        // reduction while stragglers still read this one.
+        let acc = self.reduction_fold(combine, init);
         self.barrier();
         acc
     }

@@ -7,13 +7,18 @@
 //! crate is that pass's output shape as a library API:
 //!
 //! * [`OmpProgram`] — register outlined regions by name (what the
-//!   compiler would generate);
+//!   compiler would generate), either as closures for the thread
+//!   engine or as [`portable!`] bodies, written once against
+//!   [`SharedMem`], that both engines run;
 //! * [`OmpSystem`] — the runtime: sequential master phases
 //!   ([`OmpSystem::seq`]) and parallel constructs
 //!   ([`OmpSystem::parallel`]), each of which is an adaptation point;
 //! * [`OmpCtx`] — inside a region: worksharing loops (`static`,
 //!   `static,chunk`, `dynamic`, `guided`), `barrier`, `critical`,
 //!   `master`/`single`/`sections`, and reductions;
+//! * [`Host`] / [`ReadBack`] — what a kernel's sequential driver asks
+//!   of the system under it, so one driver runs on [`OmpSystem`] and
+//!   on the task engine ([`TaskHost`]);
 //! * [`Params`]/[`ParamsReader`] — firstprivate scalars;
 //! * [`mod@jobs`] — the NOW as a service: submit many programs as
 //!   [`JobSpec`]s to a cluster-level [`jobs::Scheduler`] that runs them
@@ -49,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod ctx;
+pub mod host;
 pub mod jobs;
 pub mod params;
 pub mod program;
@@ -56,7 +62,9 @@ pub mod sched;
 pub mod system;
 
 pub use ctx::OmpCtx;
+pub use host::{Host, ReadBack, TaskHost};
 pub use jobs::{JobHandle, JobSpec, JobStats, TenancyReport};
+pub use nowmp_tmk::SharedMem;
 pub use params::{Params, ParamsReader};
-pub use program::{OmpProgram, OmpRunner};
+pub use program::{OmpProgram, Portable};
 pub use system::OmpSystem;

@@ -10,18 +10,137 @@
 //! code is identical — in particular, the iteration partitioning inside
 //! each region is re-derived from `(pid, nprocs)` on every execution,
 //! which is what makes adaptation transparent.
+//!
+//! A region is registered one of two ways. [`OmpProgram::region`] takes
+//! a closure over the thread engine's context, which may use every
+//! construct. [`OmpProgram::portable`] takes one body written generic
+//! over [`nowmp_tmk::SharedMem`] (see [`portable!`](crate::portable))
+//! and lowers it onto both engines: the thread engine calls it as it
+//! calls any region, the task engine steps it as a
+//! [`RegionTask`] ([`OmpProgram::lower`]).
 
 use crate::ctx::OmpCtx;
+use nowmp_tmk::engine::{RegionTask, Step, TaskCtx};
 use nowmp_tmk::system::RegionRunner;
 use nowmp_tmk::TmkCtx;
 use std::sync::Arc;
 
 type RegionFn = Arc<dyn Fn(&mut OmpCtx<'_>) + Send + Sync>;
+type TaskBody<R> = Arc<dyn for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>) -> R + Send + Sync>;
+type TaskFin = Arc<dyn for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>, f64) + Send + Sync>;
+
+/// The shapes a portable region takes on the task engine.
+#[derive(Clone)]
+enum TaskForm {
+    /// No synchronization before the join: one step.
+    Single(TaskBody<()>),
+    /// `reduction(+: x)`: body, barrier, fold, barrier, epilogue.
+    Sum(TaskBody<f64>, TaskFin),
+}
+
+/// One region body instantiated for both engines. Built by
+/// [`portable!`](crate::portable), which writes the body's name into
+/// every slot, so the two lowerings cannot be different code.
+pub struct Portable {
+    thread: RegionFn,
+    /// `None`: wrapped by [`OmpProgram::region`], may block.
+    task: Option<TaskForm>,
+}
+
+impl Portable {
+    /// A body that needs no synchronization before the region's join.
+    pub fn new(
+        thread: impl Fn(&mut OmpCtx<'_>) + Send + Sync + 'static,
+        task: impl for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>) + Send + Sync + 'static,
+    ) -> Self {
+        Portable {
+            thread: Arc::new(thread),
+            task: Some(TaskForm::Single(Arc::new(task))),
+        }
+    }
+
+    /// A body under a `reduction(+: x)` clause (see
+    /// [`portable!`](crate::portable)). The thread engine runs it as
+    /// `reduce_sum_f64` + `master`, the task engine as three phases of
+    /// one task; both run the same scratch protocol.
+    pub fn sum(
+        thread: impl Fn(&mut OmpCtx<'_>) -> f64 + Send + Sync + 'static,
+        thread_fin: impl Fn(&mut OmpCtx<'_>, f64) + Send + Sync + 'static,
+        task: impl for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>) -> f64 + Send + Sync + 'static,
+        task_fin: impl for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>, f64) + Send + Sync + 'static,
+    ) -> Self {
+        Portable {
+            thread: Arc::new(move |ctx| {
+                let local = thread(ctx);
+                let total = ctx.reduce_sum_f64(local);
+                ctx.master(|c| thread_fin(c, total));
+            }),
+            task: Some(TaskForm::Sum(Arc::new(task), Arc::new(task_fin))),
+        }
+    }
+}
+
+/// One rank's execution of a portable region: the blocking calls of
+/// the thread lowering unwound into phases.
+struct PortableTask {
+    form: TaskForm,
+    phase: u8,
+    total: f64,
+}
+
+impl RegionTask for PortableTask {
+    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+        let mut ctx = OmpCtx::new(ctx);
+        self.phase += 1;
+        match (&self.form, self.phase) {
+            (TaskForm::Single(body), _) => {
+                body(&mut ctx);
+                Step::Done
+            }
+            (TaskForm::Sum(body, _), 1) => {
+                let local = body(&mut ctx);
+                ctx.reduction_publish(local);
+                Step::Barrier
+            }
+            (TaskForm::Sum(..), 2) => {
+                self.total = ctx.reduction_fold(|a, b| a + b, 0.0);
+                Step::Barrier
+            }
+            (TaskForm::Sum(_, fin), _) => {
+                ctx.master(|c| fin(c, self.total));
+                Step::Done
+            }
+        }
+    }
+}
+
+/// Instantiate one generic region body for both engines.
+///
+/// `portable!(body)` takes a `fn body<M: SharedMem>(ctx: &mut
+/// OmpCtx<'_, M>)`; `portable!(body, reduction(+) => fin)` takes a body
+/// that returns the rank's `f64` contribution and a `fn fin<M:
+/// SharedMem>(ctx: &mut OmpCtx<'_, M>, total: f64)` that the master
+/// runs with the team's sum. Register the result with
+/// [`OmpProgram::portable`].
+#[macro_export]
+macro_rules! portable {
+    ($body:path) => {
+        $crate::Portable::new(|c| $body(c), |c| $body(c))
+    };
+    ($body:path, reduction(+) => $fin:path) => {
+        $crate::Portable::sum(
+            |c| $body(c),
+            |c, total| $fin(c, total),
+            |c| $body(c),
+            |c, total| $fin(c, total),
+        )
+    };
+}
 
 /// A program: named, outlined parallel regions.
 #[derive(Default)]
 pub struct OmpProgram {
-    regions: Vec<(String, RegionFn)>,
+    regions: Vec<(String, Portable)>,
 }
 
 impl OmpProgram {
@@ -32,17 +151,21 @@ impl OmpProgram {
 
     /// Register a parallel region under `name` (builder style).
     /// Registration order defines region ids; every process must build
-    /// the identical program (they run the same binary).
-    pub fn region(
-        mut self,
-        name: &str,
-        f: impl Fn(&mut OmpCtx<'_>) + Send + Sync + 'static,
-    ) -> Self {
+    /// the identical program (they run the same binary). The body may
+    /// use every construct, blocking ones included, and so runs on the
+    /// thread engine only.
+    pub fn region(self, name: &str, f: impl Fn(&mut OmpCtx<'_>) + Send + Sync + 'static) -> Self {
+        let thread = Arc::new(f);
+        self.portable(name, Portable { thread, task: None })
+    }
+
+    /// Register a region whose one body runs on both engines.
+    pub fn portable(mut self, name: &str, region: Portable) -> Self {
         assert!(
             self.id_of(name).is_none(),
             "region {name:?} registered twice"
         );
-        self.regions.push((name.to_owned(), Arc::new(f)));
+        self.regions.push((name.to_owned(), region));
         self
     }
 
@@ -64,8 +187,27 @@ impl OmpProgram {
         self.regions.is_empty()
     }
 
-    pub(crate) fn run(&self, region: u32, tmk: &mut TmkCtx) {
-        let (name, f) = self
+    /// One rank's task for the region `name` on the task engine (what
+    /// `nowmp_core::TaskApp::kernel` returns); `None` when no region of
+    /// that name is registered. Panics on a region registered with
+    /// [`Self::region`]: a body that may block has no task form.
+    pub fn lower(&self, name: &str) -> Option<Box<dyn RegionTask>> {
+        let (_, region) = &self.regions[self.id_of(name)? as usize];
+        let form = region.task.clone().unwrap_or_else(|| {
+            panic!("region {name:?} may block: it runs on the thread engine only")
+        });
+        Some(Box::new(PortableTask {
+            form,
+            phase: 0,
+            total: 0.0,
+        }))
+    }
+}
+
+/// The DSM's fork dispatcher calls regions by id.
+impl RegionRunner for OmpProgram {
+    fn run(&self, region: u32, tmk: &mut TmkCtx) {
+        let (name, region) = self
             .regions
             .get(region as usize)
             .unwrap_or_else(|| panic!("unknown region id {region}"));
@@ -74,32 +216,15 @@ impl OmpProgram {
         // (zero when the cost model is disabled or unprofiled).
         let per_iter = tmk.cost_model().region_cost(name);
         tmk.set_iter_cost(per_iter);
-        let mut ctx = OmpCtx::new(tmk);
-        f(&mut ctx);
-    }
-}
-
-/// Adapter plugging an [`OmpProgram`] into the DSM's fork dispatcher.
-pub struct OmpRunner {
-    program: Arc<OmpProgram>,
-}
-
-impl OmpRunner {
-    /// Wrap a program.
-    pub fn new(program: Arc<OmpProgram>) -> Self {
-        OmpRunner { program }
-    }
-}
-
-impl RegionRunner for OmpRunner {
-    fn run(&self, region: u32, ctx: &mut TmkCtx) {
-        self.program.run(region, ctx);
+        (region.thread)(&mut OmpCtx::new(tmk));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nowmp_core::RED_ARRAY;
+    use nowmp_tmk::{SharedMem, SimMemory, StepOutcome};
 
     #[test]
     fn registration_assigns_sequential_ids() {
@@ -109,6 +234,58 @@ mod tests {
         assert_eq!(p.id_of("c"), None);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
+    }
+
+    fn touch<M: SharedMem>(ctx: &mut OmpCtx<'_, M>) {
+        ctx.for_static(0..4, |c, i| c.dsm().write_u64(i, i));
+    }
+
+    fn one<M: SharedMem>(_: &mut OmpCtx<'_, M>) -> f64 {
+        1.0
+    }
+
+    fn keep<M: SharedMem>(ctx: &mut OmpCtx<'_, M>, total: f64) {
+        ctx.dsm().write_f64(9, total);
+    }
+
+    #[test]
+    fn portable_regions_lower_to_tasks_by_form() {
+        let p = OmpProgram::new()
+            .portable("plain", crate::portable!(touch))
+            .portable("sum", crate::portable!(one, reduction(+) => keep));
+        assert!(p.lower("nope").is_none());
+        let mut mem = SimMemory::new(8);
+        let mut registry = nowmp_tmk::shm::Registry::new();
+        registry.publish(RED_ARRAY, 16, 2, nowmp_tmk::ElemKind::F64);
+        let mut step = |task: &mut Box<dyn RegionTask>, pid| {
+            let mut out = StepOutcome::default();
+            let mut ctx = TaskCtx::new(pid, 2, &mem, &mut out).in_region(&registry, &[]);
+            let step = task.step(&mut ctx);
+            mem.apply_writes(&out.writes);
+            (step, out.writes, out.compute_iters)
+        };
+        let writes = (0..2).map(|i| (i, i)).collect::<Vec<_>>();
+        let mut plain = p.lower("plain").unwrap();
+        assert_eq!(step(&mut plain, 0), (Step::Done, writes, 2));
+        // The clause: publish, barrier, fold, barrier, master epilogue.
+        let mut ranks = [p.lower("sum").unwrap(), p.lower("sum").unwrap()];
+        let one = 1f64.to_bits();
+        assert_eq!(step(&mut ranks[0], 0), (Step::Barrier, vec![(16, one)], 0));
+        assert_eq!(step(&mut ranks[1], 1), (Step::Barrier, vec![(17, one)], 0));
+        assert_eq!(step(&mut ranks[0], 0), (Step::Barrier, vec![], 0));
+        assert_eq!(step(&mut ranks[1], 1), (Step::Barrier, vec![], 0));
+        assert_eq!(
+            step(&mut ranks[0], 0),
+            (Step::Done, vec![(9, 2f64.to_bits())], 0)
+        );
+        assert_eq!(step(&mut ranks[1], 1), (Step::Done, vec![], 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "may block")]
+    fn a_region_that_may_block_has_no_task_form() {
+        let p = OmpProgram::new().region("b", |ctx| ctx.barrier());
+        let _ = p.lower("b");
     }
 
     #[test]

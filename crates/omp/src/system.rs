@@ -7,7 +7,7 @@
 
 use crate::ctx::OmpCtx;
 use crate::jobs::JobSpec;
-use crate::program::{OmpProgram, OmpRunner};
+use crate::program::OmpProgram;
 use nowmp_core::{
     AdaptError, AdaptHandle, Cluster, ClusterConfig, ClusterShared, EventLog, DYN_COUNTER,
     RED_ARRAY,
@@ -51,7 +51,7 @@ impl OmpSystem {
     pub fn new(cfg: ClusterConfig, job: impl Into<JobSpec>) -> Self {
         let spec = job.into();
         let program = Arc::new(spec.program);
-        let cluster = Cluster::new(cfg, Arc::new(OmpRunner::new(Arc::clone(&program))));
+        let cluster = Cluster::new(cfg, Arc::clone(&program) as _);
         Self::setup(cluster, program, 0)
     }
 
@@ -65,8 +65,7 @@ impl OmpSystem {
     ) -> Result<(Self, Vec<u8>), nowmp_ckpt::CkptError> {
         let spec = job.into();
         let program = Arc::new(spec.program);
-        let (cluster, blob) =
-            Cluster::recover(cfg, Arc::new(OmpRunner::new(Arc::clone(&program))), path)?;
+        let (cluster, blob) = Cluster::recover(cfg, Arc::clone(&program) as _, path)?;
         let done = cluster.fork_no();
         Ok((Self::setup(cluster, program, done), blob))
     }

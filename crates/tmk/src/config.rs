@@ -1,5 +1,6 @@
 //! DSM configuration.
 
+use nowmp_util::wire::Encoding;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,6 +59,17 @@ impl CollectiveConfig {
         CollectiveConfig {
             fork: Broadcast::Tree,
             join_reduce: Broadcast::Tree,
+        }
+    }
+
+    /// Wire encoding of every message a process produces. Follows
+    /// `fork`: the flat fork is the 1999 generation, whose payload
+    /// sizes [`Encoding::Flat`] keeps; the treed fork uses
+    /// [`Encoding::Runs`].
+    pub fn encoding(&self) -> Encoding {
+        match self.fork {
+            Broadcast::Flat => Encoding::Flat,
+            Broadcast::Tree => Encoding::Runs,
         }
     }
 

@@ -214,11 +214,7 @@ impl TmkCtx {
             slots_per_page: spp,
             page_shift: spp.trailing_zeros(),
             call_timeout: cfg.call_timeout,
-            wire_enc: if cfg.collectives.fork == crate::config::Broadcast::Flat {
-                Encoding::Flat
-            } else {
-                Encoding::Runs
-            },
+            wire_enc: cfg.collectives.encoding(),
             collectives: cfg.collectives,
             throttle: cfg.throttle.clone(),
             ctrl,
@@ -278,48 +274,6 @@ impl TmkCtx {
     /// The simulation's host cost model.
     pub fn cost_model(&self) -> &nowmp_net::CostModel {
         self.endpoint.cost()
-    }
-
-    /// Charge `iters` iterations of the current region's modeled
-    /// compute cost to the simulation clock, speed-adjusted for this
-    /// process's host. The worksharing loops call this at every chunk
-    /// boundary — under a virtual clock this is what makes compute
-    /// *time-visible*, turning event orderings into quantitative
-    /// timelines (ROADMAP: "charge it through
-    /// `ClusterShared::clock().sleep(...)` at chunk boundaries").
-    /// Free (an early return) when no cost model is installed.
-    pub fn charge_compute(&mut self, iters: u64) {
-        self.poll_prefetch();
-        if self.iter_cost.is_zero() || iters == 0 {
-            return;
-        }
-        let d = self
-            .endpoint
-            .cost()
-            .compute_time(self.iter_cost, iters, self.endpoint.host());
-        if !d.is_zero() {
-            self.endpoint.clock().sleep(d);
-        }
-    }
-
-    /// Charge an explicit FLOP count to the simulation clock (for
-    /// regions whose per-iteration work varies — e.g. Gauss elimination
-    /// steps shrink as the pivot advances — where a fixed per-index
-    /// cost would mis-shape the timeline). No-op unless the cost model
-    /// has compute charging enabled.
-    pub fn charge_flops(&mut self, flops: f64) {
-        self.poll_prefetch();
-        let cost = self.endpoint.cost();
-        if !cost.emulate_compute || flops <= 0.0 {
-            return;
-        }
-        let d = cost.scaled(
-            cost.flops_time(flops)
-                .div_f64(cost.effective_speed(self.endpoint.host())),
-        );
-        if !d.is_zero() {
-            self.endpoint.clock().sleep(d);
-        }
     }
 
     /// Shared event counters.
@@ -665,7 +619,7 @@ impl TmkCtx {
 
     /// Non-blocking: consume any prefetch replies whose modeled
     /// delivery time has passed. Called from compute chunk boundaries
-    /// ([`Self::charge_compute`]) so replies are folded in while the
+    /// ([`crate::SharedMem::charge_compute`]) so replies are folded in while the
     /// region runs — and so parked replies stop pinning the virtual
     /// clock's in-flight account.
     pub fn poll_prefetch(&mut self) {
@@ -760,115 +714,12 @@ impl TmkCtx {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Typed access
-    // ------------------------------------------------------------------
-
     #[inline]
     fn locate(&self, addr: Addr) -> (PageId, usize) {
         (
             (addr >> self.page_shift) as PageId,
             (addr & (self.slots_per_page as u64 - 1)) as usize,
         )
-    }
-
-    /// Read the 8-byte slot at `addr` as `u64`.
-    #[inline]
-    pub fn read_u64(&mut self, addr: Addr) -> u64 {
-        let (page, off) = self.locate(addr);
-        self.ensure_page(page, false).buf.load(off)
-    }
-
-    /// Write the 8-byte slot at `addr`.
-    #[inline]
-    pub fn write_u64(&mut self, addr: Addr, v: u64) {
-        let (page, off) = self.locate(addr);
-        self.ensure_page(page, true).buf.store(off, v);
-    }
-
-    /// Read the slot at `addr` as `f64`.
-    #[inline]
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write the slot at `addr` as `f64`.
-    #[inline]
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Read the slot at `addr` as `i64`.
-    #[inline]
-    pub fn read_i64(&mut self, addr: Addr) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    /// Write the slot at `addr` as `i64`.
-    #[inline]
-    pub fn write_i64(&mut self, addr: Addr, v: i64) {
-        self.write_u64(addr, v as u64);
-    }
-
-    /// Bulk-read `dst.len()` slots starting at `addr` (page-chunked; one
-    /// fault check per page instead of per element).
-    pub fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < dst.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(dst.len() - i);
-            let ent = self.ensure_page(page, false);
-            ent.buf.read_range(off, &mut dst[i..i + n]);
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-write `src` starting at `addr`.
-    pub fn write_words(&mut self, addr: Addr, src: &[u64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < src.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(src.len() - i);
-            let ent = self.ensure_page(page, true);
-            ent.buf.write_range(off, &src[i..i + n]);
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-read as `f64`.
-    pub fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < dst.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(dst.len() - i);
-            let ent = self.ensure_page(page, false);
-            for k in 0..n {
-                dst[i + k] = f64::from_bits(ent.buf.load(off + k));
-            }
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-write `f64`s.
-    pub fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < src.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(src.len() - i);
-            let ent = self.ensure_page(page, true);
-            for k in 0..n {
-                ent.buf.store(off + k, src[i + k].to_bits());
-            }
-            i += n;
-            a += n as u64;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1170,10 +1021,127 @@ impl TmkCtx {
     }
 }
 
+/// The thread engine's memory surface: typed access faults pages in
+/// through the LRC protocol.
+impl crate::mem::SharedMem for TmkCtx {
+    fn pid(&self) -> Pid {
+        self.my_pid
+    }
+    fn nprocs(&self) -> usize {
+        self.team.nprocs()
+    }
+    fn params(&self) -> &[u8] {
+        &self.params
+    }
+    fn handle(&self, name: &str) -> Option<crate::msg::RegEntry> {
+        TmkCtx::handle(self, name)
+    }
+
+    /// Sleeps the speed-adjusted cost on the simulation clock. The
+    /// worksharing loops call this at every chunk boundary — under a
+    /// virtual clock this is what makes compute *time-visible*, turning
+    /// event orderings into quantitative timelines. Free (an early
+    /// return) when no cost model is installed.
+    fn charge_compute(&mut self, iters: u64) {
+        self.poll_prefetch();
+        if self.iter_cost.is_zero() || iters == 0 {
+            return;
+        }
+        let d = self
+            .endpoint
+            .cost()
+            .compute_time(self.iter_cost, iters, self.endpoint.host());
+        if !d.is_zero() {
+            self.endpoint.clock().sleep(d);
+        }
+    }
+
+    /// No-op unless the cost model has compute charging enabled.
+    fn charge_flops(&mut self, flops: f64) {
+        self.poll_prefetch();
+        let d = self
+            .endpoint
+            .cost()
+            .flops_charge(flops, self.endpoint.host());
+        if !d.is_zero() {
+            self.endpoint.clock().sleep(d);
+        }
+    }
+
+    #[inline]
+    fn read_u64(&mut self, addr: Addr) -> u64 {
+        let (page, off) = self.locate(addr);
+        self.ensure_page(page, false).buf.load(off)
+    }
+
+    #[inline]
+    fn write_u64(&mut self, addr: Addr, v: u64) {
+        let (page, off) = self.locate(addr);
+        self.ensure_page(page, true).buf.store(off, v);
+    }
+
+    fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < dst.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(dst.len() - i);
+            let ent = self.ensure_page(page, false);
+            ent.buf.read_range(off, &mut dst[i..i + n]);
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn write_words(&mut self, addr: Addr, src: &[u64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < src.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(src.len() - i);
+            let ent = self.ensure_page(page, true);
+            ent.buf.write_range(off, &src[i..i + n]);
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < dst.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(dst.len() - i);
+            let ent = self.ensure_page(page, false);
+            for k in 0..n {
+                dst[i + k] = f64::from_bits(ent.buf.load(off + k));
+            }
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < src.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(src.len() - i);
+            let ent = self.ensure_page(page, true);
+            for k in 0..n {
+                ent.buf.store(off + k, src[i + k].to_bits());
+            }
+            i += n;
+            a += n as u64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DsmConfig;
+    use crate::mem::SharedMem;
     use crate::stats::DsmStats as Stats;
     use nowmp_net::{HostId, NetModel, Network};
 

@@ -24,23 +24,28 @@
 //! buffers in pid order at the barrier / region end. One rule follows
 //! for kernels: **within one phase, never read a location after
 //! writing it** — read-your-own-write needs the next phase. (The
-//! paper kernels are phase-structured exactly this way.)
+//! paper kernels are phase-structured exactly this way.) Debug builds
+//! hold every step to it: [`TaskCtx`] panics with the address.
 //!
 //! The engine that drives these types — scheduling, virtual time,
-//! adaptation — lives in `nowmp_core::engine`; the application state
-//! machines live in `nowmp_apps::tasks`.
+//! adaptation — lives in `nowmp_core::engine`. Kernels write each
+//! region body once, generic over [`SharedMem`]; `nowmp_omp::OmpProgram`
+//! lowers it to a [`RegionTask`] that runs it over a [`TaskCtx`].
 
 use std::collections::BTreeSet;
+#[cfg(debug_assertions)]
+use std::collections::HashSet;
 
+use crate::mem::SharedMem;
+use crate::msg::RegEntry;
+use crate::shm::Registry;
 use crate::types::{Addr, PageId, Pid};
 
-/// What a [`RegionTask`] does after one step: the only three ways a
-/// host can leave the CPU between communication points.
+/// What a [`RegionTask`] does after one step: the only two ways a
+/// host leaves the CPU. A step always ends at a communication point,
+/// so one step is one whole phase — what the phase-rule guard assumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// More compute before the next synchronization — resume me in the
-    /// next wave without waiting for anyone.
-    Again,
     /// Arrived at a barrier: park until every live rank arrives, then
     /// resume (buffered writes of the whole team apply first).
     Barrier,
@@ -57,7 +62,7 @@ pub enum Step {
 /// per scheduling wave with a fresh [`TaskCtx`]; all side effects flow
 /// through the ctx (buffered writes, compute charges, page touches).
 pub trait RegionTask: Send {
-    /// Run until the next communication point (or a voluntary yield).
+    /// Run until the next communication point.
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step;
 }
 
@@ -68,8 +73,7 @@ pub trait RegionTask: Send {
 ///
 /// ```text
 ///   Idle ── fork ──▶ Running ──[Step::Barrier]──▶ BarrierWait
-///                      ▲  │                            │
-///                      │  └─[Step::Again]              │ all ranks
+///                      ▲                               │ all ranks
 ///                      └────── barrier release ◀───────┘ arrived
 ///   Running ──[Step::Done]──▶ Done ── join (all ranks) ──▶ Idle
 /// ```
@@ -114,7 +118,8 @@ impl std::fmt::Debug for HostState {
 /// Everything one [`RegionTask::step`] did, for the engine to merge
 /// deterministically: buffered writes (applied in pid order at the
 /// next sync), pages touched (fault accounting against the rank's
-/// valid set), and compute charged (worksharing iterations).
+/// valid set), and compute charged (worksharing iterations, explicit
+/// FLOPs).
 #[derive(Debug, Default)]
 pub struct StepOutcome {
     /// Word writes in program order; visible to others after the next
@@ -126,6 +131,8 @@ pub struct StepOutcome {
     /// Worksharing iterations charged (converted to virtual time by
     /// the engine's cost model, like `charge_compute`).
     pub compute_iters: u64,
+    /// Explicit FLOPs charged (`charge_flops`), converted the same way.
+    pub flops: f64,
 }
 
 /// The flat shared-memory image the task engine simulates against.
@@ -215,13 +222,18 @@ impl SimMemory {
 /// What a [`RegionTask`] programs against for one step: its identity
 /// in the team, read access to the pre-phase memory snapshot, and the
 /// outcome accumulators. The same access surface as the thread
-/// engine's `TmkCtx` typed views, minus the fault driver — faults are
-/// derived from [`StepOutcome::touched`] by the engine.
+/// engine's `TmkCtx` ([`SharedMem`]), minus the fault driver — faults
+/// are derived from [`StepOutcome::touched`] by the engine.
 pub struct TaskCtx<'a> {
     pid: Pid,
     nprocs: usize,
     mem: &'a SimMemory,
     out: &'a mut StepOutcome,
+    registry: Option<&'a Registry>,
+    params: &'a [u8],
+    /// Words this step wrote — the phase-rule guard.
+    #[cfg(debug_assertions)]
+    written: HashSet<Addr>,
 }
 
 impl<'a> TaskCtx<'a> {
@@ -233,17 +245,19 @@ impl<'a> TaskCtx<'a> {
             nprocs,
             mem,
             out,
+            registry: None,
+            params: &[],
+            #[cfg(debug_assertions)]
+            written: HashSet::new(),
         }
     }
 
-    /// This rank.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// Team size at this fork.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
+    /// Attach what a region body looks up by name: the allocation
+    /// registry and the fork's firstprivate parameters.
+    pub fn in_region(mut self, registry: &'a Registry, params: &'a [u8]) -> Self {
+        self.registry = Some(registry);
+        self.params = params;
+        self
     }
 
     #[inline]
@@ -251,37 +265,109 @@ impl<'a> TaskCtx<'a> {
         self.out.touched.insert(self.mem.page_of(addr));
     }
 
+    /// Touch each page of `[addr, addr + len)` once.
+    fn touch_span(&mut self, addr: Addr, len: usize) {
+        if len > 0 {
+            let last = self.mem.page_of(addr + len as Addr - 1);
+            self.out.touched.extend(self.mem.page_of(addr)..=last);
+        }
+    }
+
+    /// The phase rule, checked: the snapshot a read hits does not hold
+    /// this step's own writes, so reading one back is a kernel bug.
+    #[inline]
+    fn load(&self, addr: Addr) -> u64 {
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.written.contains(&addr),
+            "phase rule: pid {} read word {addr:#x} after writing it in the same phase",
+            self.pid
+        );
+        self.mem.load(addr)
+    }
+
+    #[inline]
+    fn buffer(&mut self, addr: Addr, v: u64) {
+        #[cfg(debug_assertions)]
+        self.written.insert(addr);
+        self.out.writes.push((addr, v));
+    }
+
     /// Read a word from the pre-phase snapshot (buffered writes of the
     /// current phase — own or others' — are *not* visible).
     #[inline]
     pub fn read_u64(&mut self, addr: Addr) -> u64 {
         self.touch(addr);
-        self.mem.load(addr)
-    }
-
-    /// Read an `f64` (bit-stored, like the typed shared arrays).
-    #[inline]
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
+        self.load(addr)
     }
 
     /// Buffer a word write; visible after the next synchronization.
     #[inline]
     pub fn write_u64(&mut self, addr: Addr, v: u64) {
         self.touch(addr);
-        self.out.writes.push((addr, v));
-    }
-
-    /// Buffer an `f64` write (bit-stored).
-    #[inline]
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
-        self.write_u64(addr, v.to_bits());
+        self.buffer(addr, v);
     }
 
     /// Charge `iters` worksharing iterations of virtual compute — the
     /// task-engine analog of `TmkCtx::charge_compute`.
     pub fn charge_compute(&mut self, iters: u64) {
         self.out.compute_iters += iters;
+    }
+}
+
+impl SharedMem for TaskCtx<'_> {
+    fn pid(&self) -> Pid {
+        self.pid
+    }
+    fn nprocs(&self) -> usize {
+        self.nprocs
+    }
+    fn params(&self) -> &[u8] {
+        self.params
+    }
+    fn handle(&self, name: &str) -> Option<RegEntry> {
+        self.registry.and_then(|r| r.get(name)).cloned()
+    }
+    #[inline]
+    fn read_u64(&mut self, addr: Addr) -> u64 {
+        TaskCtx::read_u64(self, addr)
+    }
+    #[inline]
+    fn write_u64(&mut self, addr: Addr, v: u64) {
+        TaskCtx::write_u64(self, addr, v);
+    }
+    fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
+        self.touch_span(addr, dst.len());
+        for (a, d) in (addr..).zip(dst) {
+            *d = self.load(a);
+        }
+    }
+    fn write_words(&mut self, addr: Addr, src: &[u64]) {
+        self.touch_span(addr, src.len());
+        for (a, &v) in (addr..).zip(src) {
+            self.buffer(a, v);
+        }
+    }
+    fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
+        self.touch_span(addr, dst.len());
+        for (a, d) in (addr..).zip(dst) {
+            *d = f64::from_bits(self.load(a));
+        }
+    }
+    fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
+        self.touch_span(addr, src.len());
+        for (a, &v) in (addr..).zip(src) {
+            self.buffer(a, v.to_bits());
+        }
+    }
+    #[inline]
+    fn charge_compute(&mut self, iters: u64) {
+        TaskCtx::charge_compute(self, iters);
+    }
+    fn charge_flops(&mut self, flops: f64) {
+        if flops > 0.0 {
+            self.out.flops += flops;
+        }
     }
 }
 
@@ -328,6 +414,46 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "phase rule: pid 0 read word 0x9")]
+    fn reading_back_a_write_of_the_same_phase_panics() {
+        let mut mem = SimMemory::new(8);
+        mem.ensure_slots(16);
+        let mut out = StepOutcome::default();
+        let mut ctx = TaskCtx::new(0, 1, &mem, &mut out);
+        ctx.write_f64s(8, &[1.0, 2.0]);
+        let _ = ctx.read_u64(9);
+    }
+
+    #[test]
+    fn bulk_access_touches_each_page_once_and_charges_flops() {
+        let mut mem = SimMemory::new(8);
+        mem.ensure_slots(64);
+        mem.store(21, 7);
+        let mut registry = Registry::new();
+        registry.publish("v", 16, 32, crate::ElemKind::U64);
+        let mut out = StepOutcome::default();
+        let mut ctx = TaskCtx::new(1, 2, &mem, &mut out).in_region(&registry, &[9]);
+        assert_eq!(SharedMem::params(&ctx), &[9]);
+        assert_eq!(ctx.handle("v").map(|e| e.addr), Some(16));
+        assert!(ctx.handle("w").is_none());
+        let mut words = [0u64; 12];
+        ctx.read_words(14, &mut words); // pages 1, 2, 3
+        assert_eq!(words[7], 7);
+        ctx.write_f64s(40, &[0.5; 3]); // page 5
+        ctx.write_words(63, &[]); // empty span: no page
+        ctx.charge_flops(2.5);
+        ctx.charge_flops(-1.0);
+        assert_eq!(
+            out.touched.iter().copied().collect::<Vec<_>>(),
+            vec![1, 2, 3, 5]
+        );
+        assert_eq!(out.writes.len(), 3);
+        assert_eq!(out.writes[2], (42, 0.5f64.to_bits()));
+        assert_eq!(out.flops, 2.5);
+    }
+
+    #[test]
     fn task_resumes_across_barriers_as_data() {
         let mut mem = SimMemory::new(8);
         mem.ensure_slots(8);
@@ -342,7 +468,7 @@ mod tests {
             mem.apply_writes(&out.writes);
             waves += 1;
             state = match step {
-                Step::Again | Step::Barrier => {
+                Step::Barrier => {
                     // Single-rank team: the barrier releases instantly.
                     HostState::Running(task)
                 }

@@ -31,7 +31,9 @@
 //! * [`system::MasterCtl`] — master handle: `alloc`, `parallel`
 //!   (fork-join), and the adaptation SPI (`run_gc`, `commit_team`,
 //!   checkpoint images);
-//! * [`ctx::TmkCtx`] — what application region code programs against;
+//! * [`ctx::TmkCtx`] — what application region code programs against,
+//!   through [`mem::SharedMem`] where the body must also run on the
+//!   task engine ([`engine::TaskCtx`]);
 //! * [`shared`] — typed shared arrays.
 
 #![warn(missing_docs)]
@@ -42,6 +44,7 @@ pub mod ctx;
 pub mod diff;
 pub mod engine;
 pub mod gc;
+pub mod mem;
 pub mod msg;
 pub mod page;
 pub mod records;
@@ -57,6 +60,7 @@ pub mod types;
 pub use config::{Broadcast, CollectiveConfig, DataPlaneConfig, DsmConfig};
 pub use ctx::TmkCtx;
 pub use engine::{HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx};
+pub use mem::SharedMem;
 pub use msg::ElemKind;
 pub use shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
 pub use stats::{DsmSnapshot, DsmStats};

@@ -19,7 +19,7 @@ use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::stats::DsmStats;
 use nowmp_net::{Endpoint, Gpid, Replier};
-use nowmp_util::wire::{Encoding, Wire};
+use nowmp_util::wire::Wire;
 use nowmp_util::MailboxSender;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -170,12 +170,7 @@ fn serve_one(
             let (rep, enc) = {
                 let c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "RecordsReq from wrong epoch");
-                let enc = if c.cfg.collectives.fork == crate::config::Broadcast::Flat {
-                    Encoding::Flat
-                } else {
-                    Encoding::Runs
-                };
-                (c.serve_records(&vc), enc)
+                (c.serve_records(&vc), c.cfg.collectives.encoding())
             };
             inc.replier
                 .expect("RecordsReq is a request")

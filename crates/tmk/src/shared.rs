@@ -3,9 +3,10 @@
 //! Handles are plain `(addr, shape)` descriptors — cheap to copy, safe
 //! to embed in region parameters, resolvable by name from the registry
 //! on any process (including late joiners). All access goes through a
-//! [`TmkCtx`], which enforces the DSM protocol.
+//! [`SharedMem`]: the thread engine's `TmkCtx`, which enforces the DSM
+//! protocol, or the task engine's `TaskCtx`.
 
-use crate::ctx::TmkCtx;
+use crate::mem::SharedMem;
 use crate::msg::{ElemKind, RegEntry};
 use crate::types::Addr;
 use nowmp_util::wire::{Dec, Enc, Wire, WireError};
@@ -30,7 +31,7 @@ impl SharedF64Vec {
     }
 
     /// Resolve by name through the context's registry.
-    pub fn lookup(ctx: &TmkCtx, name: &str) -> Self {
+    pub fn lookup<M: SharedMem>(ctx: &M, name: &str) -> Self {
         let e = ctx
             .handle(name)
             .unwrap_or_else(|| panic!("no shared allocation {name:?}"));
@@ -49,7 +50,7 @@ impl SharedF64Vec {
 
     /// Read element `i`.
     #[inline]
-    pub fn get(&self, ctx: &mut TmkCtx, i: usize) -> f64 {
+    pub fn get<M: SharedMem>(&self, ctx: &mut M, i: usize) -> f64 {
         debug_assert!(
             (i as u64) < self.len,
             "index {i} out of bounds {}",
@@ -60,7 +61,7 @@ impl SharedF64Vec {
 
     /// Write element `i`.
     #[inline]
-    pub fn set(&self, ctx: &mut TmkCtx, i: usize, v: f64) {
+    pub fn set<M: SharedMem>(&self, ctx: &mut M, i: usize, v: f64) {
         debug_assert!(
             (i as u64) < self.len,
             "index {i} out of bounds {}",
@@ -72,19 +73,19 @@ impl SharedF64Vec {
     /// Add `v` to element `i` (single-writer accumulation; wrap in a
     /// critical section when multiple processes target the same slot).
     #[inline]
-    pub fn add(&self, ctx: &mut TmkCtx, i: usize, v: f64) {
+    pub fn add<M: SharedMem>(&self, ctx: &mut M, i: usize, v: f64) {
         let cur = self.get(ctx, i);
         self.set(ctx, i, cur + v);
     }
 
     /// Bulk read `[start, start+dst.len())`.
-    pub fn read_into(&self, ctx: &mut TmkCtx, start: usize, dst: &mut [f64]) {
+    pub fn read_into<M: SharedMem>(&self, ctx: &mut M, start: usize, dst: &mut [f64]) {
         debug_assert!(start as u64 + dst.len() as u64 <= self.len);
         ctx.read_f64s(self.addr + start as u64, dst);
     }
 
     /// Bulk write `[start, start+src.len())`.
-    pub fn write_from(&self, ctx: &mut TmkCtx, start: usize, src: &[f64]) {
+    pub fn write_from<M: SharedMem>(&self, ctx: &mut M, start: usize, src: &[f64]) {
         debug_assert!(start as u64 + src.len() as u64 <= self.len);
         ctx.write_f64s(self.addr + start as u64, src);
     }
@@ -127,7 +128,7 @@ impl SharedF64Mat {
     }
 
     /// Resolve by name; the allocation length must equal `rows * cols`.
-    pub fn lookup(ctx: &TmkCtx, name: &str, rows: u64, cols: u64) -> Self {
+    pub fn lookup<M: SharedMem>(ctx: &M, name: &str, rows: u64, cols: u64) -> Self {
         let e = ctx
             .handle(name)
             .unwrap_or_else(|| panic!("no shared allocation {name:?}"));
@@ -143,24 +144,24 @@ impl SharedF64Mat {
 
     /// Read `(r, c)`.
     #[inline]
-    pub fn get(&self, ctx: &mut TmkCtx, r: usize, c: usize) -> f64 {
+    pub fn get<M: SharedMem>(&self, ctx: &mut M, r: usize, c: usize) -> f64 {
         ctx.read_f64(self.at(r, c))
     }
 
     /// Write `(r, c)`.
     #[inline]
-    pub fn set(&self, ctx: &mut TmkCtx, r: usize, c: usize, v: f64) {
+    pub fn set<M: SharedMem>(&self, ctx: &mut M, r: usize, c: usize, v: f64) {
         ctx.write_f64(self.at(r, c), v);
     }
 
     /// Bulk-read row `r` into `dst` (one fault check per page).
-    pub fn read_row(&self, ctx: &mut TmkCtx, r: usize, dst: &mut [f64]) {
+    pub fn read_row<M: SharedMem>(&self, ctx: &mut M, r: usize, dst: &mut [f64]) {
         debug_assert!(dst.len() as u64 <= self.cols);
         ctx.read_f64s(self.at(r, 0), dst);
     }
 
     /// Bulk-write row `r` from `src`.
-    pub fn write_row(&self, ctx: &mut TmkCtx, r: usize, src: &[f64]) {
+    pub fn write_row<M: SharedMem>(&self, ctx: &mut M, r: usize, src: &[f64]) {
         debug_assert!(src.len() as u64 <= self.cols);
         ctx.write_f64s(self.at(r, 0), src);
     }
@@ -201,7 +202,7 @@ impl SharedU64Vec {
     }
 
     /// Resolve by name through the context's registry.
-    pub fn lookup(ctx: &TmkCtx, name: &str) -> Self {
+    pub fn lookup<M: SharedMem>(ctx: &M, name: &str) -> Self {
         let e = ctx
             .handle(name)
             .unwrap_or_else(|| panic!("no shared allocation {name:?}"));
@@ -220,26 +221,26 @@ impl SharedU64Vec {
 
     /// Read element `i`.
     #[inline]
-    pub fn get(&self, ctx: &mut TmkCtx, i: usize) -> u64 {
+    pub fn get<M: SharedMem>(&self, ctx: &mut M, i: usize) -> u64 {
         debug_assert!((i as u64) < self.len);
         ctx.read_u64(self.addr + i as u64)
     }
 
     /// Write element `i`.
     #[inline]
-    pub fn set(&self, ctx: &mut TmkCtx, i: usize, v: u64) {
+    pub fn set<M: SharedMem>(&self, ctx: &mut M, i: usize, v: u64) {
         debug_assert!((i as u64) < self.len);
         ctx.write_u64(self.addr + i as u64, v);
     }
 
     /// Bulk read.
-    pub fn read_into(&self, ctx: &mut TmkCtx, start: usize, dst: &mut [u64]) {
+    pub fn read_into<M: SharedMem>(&self, ctx: &mut M, start: usize, dst: &mut [u64]) {
         debug_assert!(start as u64 + dst.len() as u64 <= self.len);
         ctx.read_words(self.addr + start as u64, dst);
     }
 
     /// Bulk write.
-    pub fn write_from(&self, ctx: &mut TmkCtx, start: usize, src: &[u64]) {
+    pub fn write_from<M: SharedMem>(&self, ctx: &mut M, start: usize, src: &[u64]) {
         debug_assert!(start as u64 + src.len() as u64 <= self.len);
         ctx.write_words(self.addr + start as u64, src);
     }
@@ -263,6 +264,7 @@ mod tests {
     use super::*;
     use crate::config::DsmConfig;
     use crate::core::ProcCore;
+    use crate::ctx::TmkCtx;
     use crate::stats::DsmStats;
     use nowmp_net::{HostId, NetModel, Network};
     use parking_lot::Mutex;

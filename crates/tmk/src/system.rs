@@ -427,11 +427,7 @@ fn worker_main(
 ) {
     let gpid = endpoint.gpid();
     let timeout = sys.cfg.call_timeout;
-    let wire_enc = if sys.cfg.collectives.fork == Broadcast::Flat {
-        Encoding::Flat
-    } else {
-        Encoding::Runs
-    };
+    let wire_enc = sys.cfg.collectives.encoding();
     // Connection setup: slaves first, master last (§4.1).
     for peer in &hello_to {
         let _ = endpoint.call_deadline(*peer, Msg::ConnHello { from: gpid }.to_bytes(), timeout);
@@ -812,11 +808,7 @@ impl MasterCtl {
         // The payload is receiver-independent: encode once for all
         // slaves instead of re-serializing per destination. Flat mode
         // keeps the 1999 flat-notice payload sizes (see `Broadcast`).
-        let bytes = msg.to_bytes_compat(if tree_mode {
-            Encoding::Runs
-        } else {
-            Encoding::Flat
-        });
+        let bytes = msg.to_bytes_compat(self.sys.cfg.collectives.encoding());
         if tree_mode {
             relay_tree_send(&self.endpoint, &team, 0, &bytes);
         } else {
