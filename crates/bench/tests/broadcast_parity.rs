@@ -15,15 +15,47 @@ use nowmp_bench::{measure, shape, RunResult};
 use nowmp_core::{ClusterConfig, LeaveSel};
 use nowmp_net::NetModel;
 use nowmp_omp::OmpSystem;
-use nowmp_tmk::{tree, Broadcast, CollectiveConfig, DsmConfig};
+use nowmp_tmk::msg::Msg;
+use nowmp_tmk::records::Record;
+use nowmp_tmk::{tree, Broadcast, CollectiveConfig, DsmConfig, Pid, Vc};
 use nowmp_util::Clock;
 use std::time::Duration;
 
-/// Wire payload of the largest join aggregate in the steady-state
-/// 8-process Jacobi run (rank 4's, covering ranks 4-7: one run-encoded
-/// record per rank), and of a leaf's own arrival.
-const JOIN_AGG_BYTES: usize = 143;
-const JOIN_LEAF_BYTES: usize = 53;
+/// Wire payload of a steady-state `JoinArrive` of the 8-process Jacobi
+/// 128² run, as rank `from` sends it: one record for each of the
+/// `covers` ranks of its subtree, every clock the team's clock at the
+/// fork plus the author's new interval, every notice that rank's
+/// contiguous 4-page block. Encoded with the shipped codec, so the
+/// model below follows the wire format instead of a measured literal.
+fn join_arrive_bytes(from: usize, covers: usize) -> usize {
+    let (n, seq) = (8usize, 8u32);
+    let mut vc = Vc::new(n);
+    for q in 0..n {
+        vc.set(q as Pid, seq - 1);
+    }
+    let records = (from..from + covers)
+        .map(|r| {
+            let mut vc = vc.clone();
+            vc.set(r as Pid, seq);
+            Record {
+                pid: r as Pid,
+                seq,
+                vc,
+                pages: (4 * r as u32..4 * r as u32 + 4).collect(),
+            }
+        })
+        .collect();
+    for r in from..from + covers {
+        vc.set(r as Pid, seq);
+    }
+    let msg = Msg::JoinArrive {
+        epoch: 1,
+        pid: from as Pid,
+        vc,
+        records,
+    };
+    msg.to_bytes().len()
+}
 
 fn cfg(hosts: usize, procs: usize, collectives: CollectiveConfig) -> ClusterConfig {
     ClusterConfig::test(hosts, procs)
@@ -175,15 +207,19 @@ fn tree_reduce_unloads_the_master_inbound() {
     // bound sits the run-to-run spread of a timeline (same-tick ties at
     // a shared link, <= 2 %).
     let model = NetModel::paper_1999();
-    let (n, joins) = (8usize, 2.0 * 4.0); // two regions per Jacobi iteration
-    let hop =
-        model.latency() + model.sender_time(JOIN_AGG_BYTES) + model.receive_time(JOIN_AGG_BYTES);
+    // Two regions per Jacobi iteration. The largest aggregate is rank
+    // 4's, covering ranks 4-7; a leaf sends its own record alone.
+    let (n, joins) = (8usize, 2.0 * 4.0);
+    let agg = join_arrive_bytes(n / 2, tree::subtree_size(n / 2, n));
+    let leaf = join_arrive_bytes(n - 1, 1);
+    let hop = model.latency() + model.sender_time(agg) + model.receive_time(agg);
     let max_cost = joins * (tree::depth(n) - 1) as f64 * hop.as_secs_f64();
-    let max_gain = joins * (n - 2) as f64 * model.receive_time(JOIN_LEAF_BYTES).as_secs_f64();
+    let max_gain = joins * (n - 2) as f64 * model.receive_time(leaf).as_secs_f64();
     let spread = 0.02 * flat.secs;
     let delta = tree.secs - flat.secs;
     println!(
-        "reduce tree at {n} hosts: flat {:.6}s tree {:.6}s delta {:+.6}s, model [{:+.6}, {:+.6}] +/- {spread:.6}",
+        "reduce tree at {n} hosts: flat {:.6}s tree {:.6}s delta {:+.6}s, model [{:+.6}, {:+.6}] +/- {spread:.6} \
+         (aggregate {agg} B, leaf {leaf} B)",
         flat.secs, tree.secs, delta, -max_gain, max_cost
     );
     assert!(

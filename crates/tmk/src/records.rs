@@ -190,10 +190,51 @@ impl Wire for Record {
     }
 }
 
+/// Marker bit in a record set's count word: the set follows in the
+/// delta-coded form. Same idiom as the packed vector clock — a set never
+/// holds 2^31 records, so the per-record encoder cannot set it.
+const SET_DELTA: u32 = 0x8000_0000;
+
+/// Longest clock a delta-coded set may declare: one entry per [`Pid`].
+const MAX_CLOCK: usize = Pid::MAX as usize + 1;
+
+fn bad_len(what: &'static str, len: usize) -> WireError {
+    WireError::BadLength { what, len }
+}
+
 /// A batch of records as shipped at forks, joins, barriers and lock
-/// transfers: the count-prefixed sequence of [`Record`]s whose page
-/// notices use the hybrid interval encoding. This is the canonical wire
-/// form for every `records` field of [`crate::msg::Msg`].
+/// transfers — the canonical wire form for every `records` field of
+/// [`crate::msg::Msg`]. Two forms share the leading count word:
+///
+/// * **per-record** (count, then each [`Record`] in full): the only form
+///   under [`Encoding::Flat`], and the fallback under [`Encoding::Runs`];
+/// * **delta-coded** (count | [`SET_DELTA`]): records that travel
+///   together are causally almost identical — after a fork-join region
+///   the clocks of a set differ from their pointwise minimum in one
+///   entry each — so the set ships that minimum once and each record
+///   only what rises above it. Layout, every field an LEB128 varint
+///   after the count word:
+///
+///   ```text
+///   u32  SET_DELTA | n
+///   var  w                      clock width, the same for all n records
+///   var  base[0..w]             pointwise minimum of the n clocks
+///   n x  var pid, var seq
+///        var k, k x (var gap, var inc)   entries above the base: index =
+///                                        previous index + 1 + gap (first:
+///                                        gap), value = base[index] + inc
+///        var r, r x (var gap, var len-1) page runs, ascending: start =
+///                                        previous end + 1 + gap (first: gap)
+///   ```
+///
+///   The author's own entry is `seq` unless the list names it, so the
+///   steady-state record lists nothing.
+///
+/// Under `Runs` the encoder emits the delta form only when it is
+/// strictly smaller (a single record, mixed clock widths, a page list
+/// that is not strictly ascending, or unrelated clocks keep the
+/// per-record form, so `Runs` output never grows); decoders accept
+/// both unconditionally.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordSet(pub Vec<Record>);
 
@@ -201,12 +242,24 @@ impl RecordSet {
     /// Encode a borrowed record slice in the `RecordSet` wire form
     /// (what [`crate::msg::Msg`] uses, avoiding an owning clone).
     pub fn enc_slice(records: &[Record], e: &mut Enc) {
+        let start = e.len();
         e.put_seq(records);
+        if e.encoding() == Encoding::Runs {
+            if let Some(delta) = enc_delta(records, e.len() - start) {
+                e.truncate(start);
+                e.put_raw(&delta);
+            }
+        }
     }
 
     /// Decode a `RecordSet` wire form into its inner vector.
     pub fn dec_vec(d: &mut Dec<'_>) -> Result<Vec<Record>, WireError> {
-        Ok(Self::dec(d)?.0)
+        let head = d.get_u32()?;
+        if head & SET_DELTA == 0 {
+            d.get_seq_of(head as usize)
+        } else {
+            dec_delta((head & !SET_DELTA) as usize, d)
+        }
     }
 
     /// Encoded size in bytes.
@@ -222,11 +275,161 @@ impl RecordSet {
 
 impl Wire for RecordSet {
     fn enc(&self, e: &mut Enc) {
-        e.put_seq(&self.0);
+        Self::enc_slice(&self.0, e);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(RecordSet(d.get_seq()?))
+        Ok(RecordSet(Self::dec_vec(d)?))
     }
+}
+
+/// The delta-coded form of `records`, or `None` when the set does not
+/// qualify or the form would not come in under `budget` bytes.
+fn enc_delta(records: &[Record], budget: usize) -> Option<Vec<u8>> {
+    let (first, rest) = records.split_first()?;
+    let width = first.vc.len();
+    if rest.is_empty()
+        || records.len() >= SET_DELTA as usize
+        || width > MAX_CLOCK
+        || rest.iter().any(|r| r.vc.len() != width)
+    {
+        return None;
+    }
+    let mut base = first.vc.as_slice().to_vec();
+    for r in rest {
+        for (b, &x) in base.iter_mut().zip(r.vc.as_slice()) {
+            *b = (*b).min(x);
+        }
+    }
+    // Unrelated clocks: an entry above the base costs two bytes at
+    // least, a packed clock `4 + width` at least. When the lists alone
+    // must outweigh the clocks they replace, skip the attempt.
+    let above = |r: &Record| {
+        r.vc.as_slice()
+            .iter()
+            .zip(&base)
+            .filter(|(x, b)| x > b)
+            .count()
+    };
+    if 2 * records.iter().map(above).sum::<usize>() >= records.len() * (4 + width) {
+        return None;
+    }
+    let mut e = Enc::with_capacity(budget);
+    e.put_u32(SET_DELTA | records.len() as u32);
+    e.put_varu32(width as u32);
+    for &b in &base {
+        e.put_varu32(b);
+    }
+    let mut total_pages = 0usize;
+    for r in records {
+        let runs = PageRuns::from_pages(&r.pages)?.runs;
+        total_pages += r.pages.len();
+        if total_pages > MAX_PAGES {
+            return None; // the decoder's bound; such a set stays per-record
+        }
+        e.put_varu32(r.pid as u32);
+        e.put_varu32(r.seq);
+        let vc = r.vc.as_slice();
+        // The own entry is implied by `seq`; it is listed (even with a
+        // zero increment) exactly when the two disagree.
+        let listed = |&i: &usize| {
+            if i == r.pid as usize {
+                vc[i] != r.seq
+            } else {
+                vc[i] > base[i]
+            }
+        };
+        e.put_varu32((0..width).filter(listed).count() as u32);
+        let mut next = 0;
+        for i in (0..width).filter(listed) {
+            e.put_varu32((i - next) as u32);
+            e.put_varu32(vc[i] - base[i]);
+            next = i + 1;
+        }
+        e.put_varu32(runs.len() as u32);
+        let mut floor = 0u64;
+        for &(start, len) in &runs {
+            e.put_varu32((start as u64 - floor) as u32);
+            e.put_varu32(len - 1);
+            floor = start as u64 + len as u64 + 1;
+        }
+        if e.len() >= budget {
+            return None;
+        }
+    }
+    Some(e.finish())
+}
+
+/// Decode the body of a delta-coded set of `n` records. Every count is
+/// bounded by the bytes that remain before anything is allocated for it.
+fn dec_delta(n: usize, d: &mut Dec<'_>) -> Result<Vec<Record>, WireError> {
+    let width = d.get_varu32()? as usize;
+    if width > MAX_CLOCK || width > d.remaining() {
+        return Err(bad_len("record set clock", width));
+    }
+    let mut base = Vc::new(width);
+    for i in 0..width {
+        base.set(i as Pid, d.get_varu32()?);
+    }
+    // A record is at least pid, seq and two zero counts.
+    if n.saturating_mul(4) > d.remaining() {
+        return Err(bad_len("record set (delta)", n));
+    }
+    let mut records = Vec::with_capacity(n);
+    let mut total_pages = 0usize;
+    for _ in 0..n {
+        let pid = d.get_varu32()?;
+        let pid = Pid::try_from(pid).map_err(|_| bad_len("record pid", pid as usize))?;
+        let seq = d.get_varu32()?;
+
+        let k = d.get_varu32()? as usize;
+        if k > width || k.saturating_mul(2) > d.remaining() {
+            return Err(bad_len("record clock delta", k));
+        }
+        let mut vc = base.clone();
+        let mut own_listed = false;
+        let mut next = 0usize;
+        for _ in 0..k {
+            let i = next.saturating_add(d.get_varu32()? as usize);
+            let inc = d.get_varu32()?;
+            if i >= width {
+                return Err(bad_len("record clock index", i));
+            }
+            let v = base.get(i as Pid).checked_add(inc);
+            vc.set(
+                i as Pid,
+                v.ok_or_else(|| bad_len("record clock entry", inc as usize))?,
+            );
+            own_listed |= i == pid as usize;
+            next = i + 1;
+        }
+        if !own_listed && (pid as usize) < width {
+            vc.set(pid, seq);
+        }
+
+        let nruns = d.get_varu32()? as usize;
+        if nruns.saturating_mul(2) > d.remaining() {
+            return Err(bad_len("page set (delta runs)", nruns));
+        }
+        let mut pages = Vec::new();
+        let mut floor = 0u64;
+        for _ in 0..nruns {
+            let start = floor + d.get_varu32()? as u64;
+            let end = start + d.get_varu32()? as u64 + 1; // exclusive
+            total_pages += (end - start) as usize;
+            if end > u32::MAX as u64 + 1 || total_pages > MAX_PAGES {
+                return Err(bad_len("page run", (end - start) as usize));
+            }
+            pages.extend((start..end).map(|p| p as PageId));
+            floor = end + 1;
+        }
+        records.push(Record {
+            pid,
+            seq,
+            vc,
+            pages,
+        });
+    }
+    Ok(records)
 }
 
 /// A process's store of every record known this epoch (its own and
@@ -476,6 +679,365 @@ mod tests {
         // The contiguous 300-page notice dominates the flat size; runs
         // should cut the batch by an order of magnitude.
         assert!(set.wire_bytes() * 10 < set.flat_wire_bytes());
+    }
+}
+
+#[cfg(test)]
+mod delta_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn encode(records: &[Record], encoding: Encoding) -> Vec<u8> {
+        let mut e = Enc::with_encoding(64, encoding);
+        RecordSet::enc_slice(records, &mut e);
+        e.finish()
+    }
+
+    /// The per-record `Runs` form: what the encoder falls back to and
+    /// the ceiling the delta form must stay under.
+    fn per_record(records: &[Record]) -> Vec<u8> {
+        let mut e = Enc::with_encoding(64, Encoding::Runs);
+        e.put_seq(records);
+        e.finish()
+    }
+
+    fn is_delta(wire: &[u8]) -> bool {
+        wire[3] & 0x80 != 0
+    }
+
+    fn clock(entries: &[Seq]) -> Vc {
+        let mut vc = Vc::new(entries.len());
+        for (i, &x) in entries.iter().enumerate() {
+            vc.set(i as Pid, x);
+        }
+        vc
+    }
+
+    fn varu32_len(v: u32) -> usize {
+        let mut e = Enc::new();
+        e.put_varu32(v);
+        e.len()
+    }
+
+    /// What `n` ranks hand back after one fork-join region: every clock
+    /// is the team's clock at the fork plus the author's own new
+    /// interval, every notice one contiguous block of 9-10 pages.
+    fn forkjoin_set(n: usize, seq: Seq) -> Vec<Record> {
+        (0..n)
+            .map(|r| {
+                let mut vc = Vc::new(n);
+                for q in 0..n {
+                    vc.set(q as Pid, seq - 1);
+                }
+                vc.set(r as Pid, seq);
+                let start = 64 + 9 * r as PageId;
+                Record {
+                    pid: r as Pid,
+                    seq,
+                    vc,
+                    pages: (start..start + 9 + (r as PageId & 1)).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Err, or a set that is itself encodable and round-trips.
+    fn err_or_valid(buf: &[u8]) {
+        if let Ok(set) = RecordSet::from_wire(buf) {
+            assert_eq!(RecordSet::from_wire(&set.to_wire()).as_ref(), Ok(&set));
+        }
+    }
+
+    #[test]
+    fn flat_encoding_is_byte_identical_to_the_1999_layout() {
+        let set = [
+            Record {
+                pid: 0,
+                seq: 3,
+                vc: clock(&[3, 1, 2]),
+                pages: vec![1, 2, 3, 9],
+            },
+            Record {
+                pid: 2,
+                seq: 2,
+                vc: clock(&[1, 1, 2]),
+                pages: vec![],
+            },
+        ];
+        #[rustfmt::skip]
+        let golden: [u8; 72] = [
+            2, 0, 0, 0, // two records, no marker bit
+            0, 0,  3, 0, 0, 0, // pid 0, seq 3
+            3, 0, 0, 0,  3, 0, 0, 0,  1, 0, 0, 0,  2, 0, 0, 0, // clock [3, 1, 2]
+            8, 0, 0, 0,  1, 0, 0, 0,  2, 0, 0, 0,  3, 0, 0, 0,  9, 0, 0, 0, // 4 pages, flat
+            2, 0,  2, 0, 0, 0, // pid 2, seq 2
+            3, 0, 0, 0,  1, 0, 0, 0,  1, 0, 0, 0,  2, 0, 0, 0, // clock [1, 1, 2]
+            0, 0, 0, 0, // no pages
+        ];
+        assert_eq!(encode(&set, Encoding::Flat), golden);
+        assert_eq!(RecordSet::from_wire(&golden).unwrap().0, set);
+        // The same two records are related enough for the delta form.
+        assert!(is_delta(&encode(&set, Encoding::Runs)));
+    }
+
+    #[test]
+    fn steady_state_forkjoin_set_is_14_bytes_a_record() {
+        for seq in [2, 40, 300, 20_000] {
+            let set = forkjoin_set(32, seq);
+            let wire = encode(&set, Encoding::Runs);
+            assert!(is_delta(&wire));
+            assert_eq!(RecordSet::from_wire(&wire).unwrap().0, set);
+            let base = 4 + 1 + 32 * varu32_len(seq - 1);
+            assert!(
+                wire.len() <= base + 14 * 32,
+                "seq {seq}: {} B, base clock {base} B",
+                wire.len()
+            );
+            assert!(wire.len() * 3 < per_record(&set).len());
+        }
+    }
+
+    #[test]
+    fn sets_the_delta_form_cannot_help_stay_per_record() {
+        let set = forkjoin_set(8, 5);
+        // One record: nothing to share a base with.
+        assert!(!is_delta(&encode(&set[..1], Encoding::Runs)));
+        assert!(!is_delta(&encode(&[], Encoding::Runs)));
+        // Mixed clock widths (a lock transfer across a team change).
+        let mut mixed = set.clone();
+        mixed[3].vc = Vc::new(5);
+        assert_eq!(encode(&mixed, Encoding::Runs), per_record(&mixed));
+        // A page list that is not strictly ascending.
+        let mut unsorted = set.clone();
+        unsorted[2].pages = vec![9, 3, 3];
+        assert_eq!(encode(&unsorted, Encoding::Runs), per_record(&unsorted));
+        // Flat never takes it.
+        assert!(!is_delta(&encode(&set, Encoding::Flat)));
+        for s in [&mixed, &unsorted] {
+            assert_eq!(
+                &RecordSet::from_wire(&encode(s, Encoding::Runs)).unwrap().0,
+                s
+            );
+        }
+    }
+
+    #[test]
+    fn own_entry_that_disagrees_with_seq_is_kept() {
+        // Cross-pid shapes: an own entry below, at and above `seq`, one
+        // equal to the base, and a pid outside the clock.
+        let mk = |pid: Pid, seq: Seq, entries: [Seq; 3]| Record {
+            pid,
+            seq,
+            vc: clock(&entries),
+            pages: vec![7],
+        };
+        let set = vec![
+            mk(0, 9, [4, 4, 4]),
+            mk(1, 2, [4, 7, 4]),
+            mk(2, 4, [4, 4, 4]),
+            mk(1, 4, [5, 4, 6]),
+            mk(40, 1, [4, 4, 4]),
+        ];
+        let wire = encode(&set, Encoding::Runs);
+        assert!(is_delta(&wire));
+        assert_eq!(RecordSet::from_wire(&wire).unwrap().0, set);
+    }
+
+    /// Header of a hand-built delta set: `n` records over `base`.
+    fn delta_head(n: u32, base: &[u32]) -> Enc {
+        let mut e = Enc::new();
+        e.put_u32(SET_DELTA | n);
+        e.put_varu32(base.len() as u32);
+        for &b in base {
+            e.put_varu32(b);
+        }
+        e
+    }
+
+    #[test]
+    fn malformed_delta_sets_are_errors() {
+        let reject = |what: &str, e: Enc| {
+            let got = RecordSet::from_wire(&e.finish());
+            assert!(
+                matches!(got, Err(WireError::BadLength { .. })),
+                "{what}: {got:?}"
+            );
+        };
+        // Counts larger than the bytes behind them, before allocating.
+        let mut e = Enc::new();
+        e.put_u32(SET_DELTA | 1);
+        e.put_varu32(60_000);
+        reject("clock width", e);
+        let mut e = Enc::new();
+        e.put_u32(SET_DELTA | 1);
+        e.put_varu32(MAX_CLOCK as u32 + 1);
+        e.put_raw(&vec![0; MAX_CLOCK + 8]);
+        reject("clock wider than the pid space", e);
+        reject("record count", delta_head(0x7fff_ffff, &[1, 1]));
+        let record = |fields: &[u32]| {
+            let mut e = delta_head(1, &[5, 5]);
+            for &f in fields {
+                e.put_varu32(f);
+            }
+            e
+        };
+        // pid, seq, k, (gap, inc).., r, (gap, len-1)..
+        reject("pid beyond u16", record(&[70_000, 1, 0, 0]));
+        reject(
+            "more deltas than entries",
+            record(&[0, 1, 3, 0, 1, 0, 1, 0, 1, 0]),
+        );
+        reject("delta index past the clock", record(&[0, 1, 1, 2, 1, 0]));
+        reject("entry overflow", record(&[0, 1, 1, 1, u32::MAX, 0]));
+        reject("run count", record(&[0, 1, 0, 9]));
+        reject("run past u32::MAX", record(&[0, 1, 0, 1, u32::MAX, 1]));
+        reject(
+            "second run past u32::MAX",
+            record(&[0, 1, 0, 2, u32::MAX, 0, 0, 0]),
+        );
+        reject(
+            "more pages than a set may carry",
+            record(&[0, 1, 0, 1, 0, 1 << 24]),
+        );
+        // The edges that are legal: a run ending at u32::MAX, an own
+        // entry listed with a zero increment.
+        let ok = RecordSet::from_wire(&record(&[0, 1, 1, 0, 0, 1, u32::MAX - 1, 1]).finish());
+        let rec = &ok.unwrap().0[0];
+        assert_eq!(rec.vc.as_slice(), &[5, 5]);
+        assert_eq!(rec.pages, vec![u32::MAX - 1, u32::MAX]);
+    }
+
+    #[test]
+    fn every_prefix_and_corruption_of_the_forkjoin_set_is_handled() {
+        let wire = encode(&forkjoin_set(8, 300), Encoding::Runs);
+        assert!(is_delta(&wire));
+        for cut in 0..wire.len() {
+            assert!(RecordSet::from_wire(&wire[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut buf = wire.clone();
+        for at in 0..wire.len() {
+            for byte in 0..=u8::MAX {
+                buf[at] = byte;
+                err_or_valid(&buf);
+            }
+            buf[at] = wire[at];
+        }
+    }
+
+    /// One drawn record: `(pid, seq)`, `(entries, bumps)`, `(pages, sort)`.
+    type Spec = ((u16, u32), (Vec<u32>, Vec<(usize, u32)>), (Vec<u32>, bool));
+
+    /// Build a set from drawn specs. A `related` set shares one width
+    /// and each clock sits a few `bumps` above `base` (what travels
+    /// together in practice); otherwise every record brings its own
+    /// width and arbitrary `entries`.
+    fn build(related: bool, width: usize, base: &[u32], specs: Vec<Spec>) -> Vec<Record> {
+        specs
+            .into_iter()
+            .map(|((pid, seq), (entries, bumps), (mut pages, sort))| {
+                let mut vc = clock(if related { &base[..width] } else { &entries });
+                if related && width > 0 {
+                    for (i, bump) in bumps {
+                        let i = (i % width) as Pid;
+                        vc.set(i, vc.get(i).saturating_add(bump));
+                    }
+                }
+                if sort {
+                    pages.sort_unstable();
+                    pages.dedup();
+                }
+                // Half the records carry the canonical own entry.
+                let seq = if seq % 2 == 0 && (pid as usize) < vc.len() {
+                    vc.get(pid)
+                } else {
+                    seq
+                };
+                Record {
+                    pid,
+                    seq,
+                    vc,
+                    pages,
+                }
+            })
+            .collect()
+    }
+
+    fn entry() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..500, any::<u32>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any set — mixed clock widths, cross-pid records, unsorted or
+        /// empty page lists, 0/1/many records — round-trips under both
+        /// encodings, and `Runs` is never larger than its per-record form.
+        #[test]
+        fn prop_any_set_roundtrips_and_delta_is_never_larger(
+            related in any::<bool>(),
+            canonical_pages in any::<bool>(),
+            width in 0usize..41,
+            base in proptest::collection::vec(entry(), 41..42),
+            specs in proptest::collection::vec(
+                (
+                    (0u16..44, 0u32..1000),
+                    (
+                        proptest::collection::vec(entry(), 0..41),
+                        proptest::collection::vec((0usize..41, entry()), 0..4),
+                    ),
+                    (
+                        prop_oneof![
+                            proptest::collection::vec(0u32..600, 0..80),
+                            proptest::collection::vec(any::<u32>(), 0..12)
+                        ],
+                        any::<bool>(),
+                    ),
+                ),
+                0..10
+            )
+        ) {
+            let mut specs = specs;
+            for spec in &mut specs {
+                spec.2.1 |= canonical_pages;
+            }
+            let set = build(related, width, &base, specs);
+            for encoding in [Encoding::Flat, Encoding::Runs] {
+                let wire = encode(&set, encoding);
+                let mut d = Dec::new(&wire);
+                prop_assert_eq!(&RecordSet::dec_vec(&mut d).unwrap(), &set);
+                prop_assert!(d.is_done());
+            }
+            prop_assert!(encode(&set, Encoding::Runs).len() <= per_record(&set).len());
+        }
+
+        /// Every strict prefix of a delta-coded set is an error; every
+        /// single-byte corruption is an error or a valid set.
+        #[test]
+        fn prop_damaged_delta_sets_never_panic(
+            width in 1usize..41,
+            base in proptest::collection::vec(0u32..500, 41..42),
+            specs in proptest::collection::vec(
+                (
+                    (0u16..44, 0u32..1000),
+                    (Just(vec![]), proptest::collection::vec((0usize..41, 0u32..300), 0..4)),
+                    (proptest::collection::vec(0u32..600, 0..40), Just(true)),
+                ),
+                2..8
+            ),
+            flips in proptest::collection::vec(1u8..255, 64..65)
+        ) {
+            let wire = encode(&build(true, width, &base, specs), Encoding::Runs);
+            prop_assert!(is_delta(&wire));
+            for cut in 0..wire.len() {
+                prop_assert!(RecordSet::from_wire(&wire[..cut]).is_err());
+            }
+            let mut buf = wire.clone();
+            for at in 0..wire.len() {
+                buf[at] ^= flips[at % flips.len()];
+                err_or_valid(&buf);
+                buf[at] = wire[at];
+            }
+        }
     }
 }
 

@@ -10,10 +10,10 @@
 //! record populations (including cross-pid records from lock
 //! transfers) and arrival orders.
 
-use nowmp_tmk::records::Record;
+use nowmp_tmk::records::{Record, RecordSet};
 use nowmp_tmk::tree;
 use nowmp_tmk::types::{Pid, Seq, Vc};
-use nowmp_util::wire::{Enc, Encoding};
+use nowmp_util::wire::{Dec, Enc, Encoding};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -54,10 +54,26 @@ fn absorb(
     }
 }
 
+/// An aggregate's records as the parent receives them: through the
+/// `RecordSet` wire form of the current generation. These clocks are
+/// zero off the author's own entry, so any aggregate of two or more
+/// records must take the delta-coded form (marker bit in the count).
+fn over_the_wire(records: Vec<Record>) -> Vec<Record> {
+    let mut e = Enc::with_encoding(64, Encoding::Runs);
+    RecordSet::enc_slice(&records, &mut e);
+    let wire = e.finish();
+    assert_eq!(wire[3] & 0x80 != 0, records.len() >= 2, "delta form");
+    let mut d = Dec::new(&wire);
+    let back = RecordSet::dec_vec(&mut d).expect("aggregate decodes");
+    assert!(d.is_done());
+    back
+}
+
 /// Compute rank `my`'s outgoing aggregate the way the worker does:
 /// start from its own contribution, absorb each child subtree's
-/// aggregate. `flip` (one bit per rank) permutes the order children
-/// are absorbed in, modelling arbitrary arrival order.
+/// aggregate as it comes off the wire. `flip` (one bit per rank)
+/// permutes the order children are absorbed in, modelling arbitrary
+/// arrival order.
 fn tree_aggregate(my: usize, n: usize, ranks: &[Contribution], flip: u64) -> (Vc, Vec<Record>) {
     let own = &ranks[my];
     let mut vc = own.vc.clone();
@@ -68,7 +84,8 @@ fn tree_aggregate(my: usize, n: usize, ranks: &[Contribution], flip: u64) -> (Vc
         kids.reverse();
     }
     for child in kids {
-        let agg = tree_aggregate(child, n, ranks, flip);
+        let (child_vc, child_records) = tree_aggregate(child, n, ranks, flip);
+        let agg = (child_vc, over_the_wire(child_records));
         absorb(&mut vc, &mut records, &mut seen, agg);
     }
     (vc, records)
@@ -99,8 +116,8 @@ fn flat_collect(n: usize, ranks: &[Contribution], order: &[usize]) -> (Vc, Vec<R
 fn canonical_bytes(mut records: Vec<Record>, encoding: Encoding) -> Vec<u8> {
     records.sort_by_key(|r| (r.pid, r.seq));
     let mut e = Enc::with_encoding(64, encoding);
-    nowmp_tmk::records::RecordSet::enc_slice(&records, &mut e);
-    e.finish().to_vec()
+    RecordSet::enc_slice(&records, &mut e);
+    e.finish()
 }
 
 /// Build per-rank contributions from a compact spec:

@@ -240,6 +240,12 @@ impl Enc {
         }
     }
 
+    /// Drop everything encoded after the first `len` bytes — how an
+    /// encoder that tried one form takes it back to emit a smaller one.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Finish, returning the owned buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -443,6 +449,12 @@ impl<'a> Dec<'a> {
     /// Decode a count-prefixed sequence of `Wire` values.
     pub fn get_seq<W: Wire>(&mut self) -> Result<Vec<W>, WireError> {
         let n = self.get_u32()? as usize;
+        self.get_seq_of(n)
+    }
+
+    /// Decode `n` `Wire` values — [`Dec::get_seq`] after its count
+    /// word, for callers that read (and inspect) the count themselves.
+    pub fn get_seq_of<W: Wire>(&mut self, n: usize) -> Result<Vec<W>, WireError> {
         // Each element takes at least one byte; reject absurd counts early.
         if n > self.remaining().saturating_add(1).saturating_mul(8) {
             return Err(WireError::BadLength {
