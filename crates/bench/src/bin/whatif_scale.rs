@@ -25,8 +25,9 @@
 //! binomial tree (see `docs/BROADCAST.md`).
 //! **`--dataplane {demand,overlap}`** A/Bs the *data plane*: `demand`
 //! is faithful 1999 demand paging (every fault a blocking sequential
-//! round-trip), `overlap` turns on pipelined multi-creator faults,
-//! release-phase prefetch, and piggybacked hot diffs (see
+//! round-trip), `overlap` is the current plane — pipelined
+//! multi-creator faults, release-phase prefetch with the writer push,
+//! and a fixed 1 KB of piggybacked hot diffs, all on together (see
 //! `docs/DATAPLANE.md`). The default sweeps the four system
 //! generations: `flat/flat/demand` (1999), `tree/flat/demand` (fork
 //! redesign), `tree/tree/demand` (both collectives treed),
@@ -42,40 +43,27 @@
 //! overlap is ≈ neutral; on NBF it is the headline win this sweep
 //! gates.
 //!
-//! After the protocol-accurate sweeps, a **task-engine scale section**
-//! runs Jacobi and NBF at 256 and 1024 homogeneous hosts on the
-//! event-driven engine (`nowmp_core::TaskSystem`: resumable host tasks
-//! over an `NOWMP_POOL`-wide worker pool — see `docs/TIME.md`), host
-//! counts thread-per-host could never carry. It records wall seconds,
-//! simulated seconds, and the peak process-wide OS thread count
-//! (sampled from `/proc/self/status`) into the artifact.
-//! **`--nprocs N`** pins the section to a single host count.
-//!
 //! The run doubles as the **CI scaling gate**: it fails if the
 //! tree/tree 16-host homogeneous speedup, the tree/tree-over-flat/flat
 //! advantage at 32 hosts, the tree/tree 32-host speedup, the NBF
 //! overlapped-data-plane 32-host speedup, or the NBF overlap-over-
 //! demand ratio at 32 hosts drops below the floors pinned in
-//! `crates/bench/baselines.toml` — and if the 1024-host task-engine
-//! run either exceeds its wall-time budget or leaks OS threads beyond
-//! O(pool) (`task_scale_1024_max_*`).
+//! `crates/bench/baselines.toml`. (Host counts past 32 are the task
+//! engine's: the harness's `task1024_engine` workload.)
 //!
 //! Every run uses the virtual clock regardless of `NOWMP_CLOCK`; the
 //! sweep completes in well under two minutes of wall time (`--smoke`
 //! in CI).
 
-use nowmp_apps::tasks::{TaskJacobi, TaskNbf};
 use nowmp_apps::{jacobi::Jacobi, nbf::Nbf, with_kernel_costs, Kernel};
 use nowmp_bench::{
-    bench_net_model, load_baselines, measure, print_table, quick, whatif_json, TaskScaleLane,
-    WhatifLane,
+    bench_net_model, load_baselines, measure, print_table, quick, whatif_json, WhatifLane,
 };
-use nowmp_core::{run_task_app, ClusterConfig, TaskApp};
-use nowmp_net::{CostModel, HostId, NetModel};
-use nowmp_tmk::{Broadcast, CollectiveConfig, DataPlaneConfig, DsmConfig};
+use nowmp_core::ClusterConfig;
+use nowmp_net::{CostModel, HostId};
+use nowmp_tmk::DataPlaneConfig::{self, Demand, Overlap};
+use nowmp_tmk::{Broadcast, CollectiveConfig, DsmConfig};
 use nowmp_util::Clock;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Scenario family: how the pool's hosts differ from the reference.
@@ -115,38 +103,13 @@ impl Scenario {
     }
 }
 
-/// The data-plane lane of the sweep.
-#[derive(Clone, Copy, PartialEq)]
-enum DataPlane {
-    /// Faithful 1999 demand paging.
-    Demand,
-    /// Pipelined faults + release-phase prefetch + piggybacked diffs.
-    Overlap,
-}
-
-impl DataPlane {
-    fn config(&self) -> DataPlaneConfig {
-        match self {
-            DataPlane::Demand => DataPlaneConfig::demand(),
-            DataPlane::Overlap => DataPlaneConfig::overlap(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            DataPlane::Demand => "demand",
-            DataPlane::Overlap => "overlap",
-        }
-    }
-}
-
 /// One lane of the sweep: fork dissemination × join/barrier collection
 /// × data plane.
 #[derive(Clone, Copy, PartialEq)]
 struct Mode {
     fork: Broadcast,
     reduce: Broadcast,
-    dataplane: DataPlane,
+    dataplane: DataPlaneConfig,
 }
 
 impl Mode {
@@ -164,6 +127,13 @@ fn bname(b: Broadcast) -> &'static str {
     }
 }
 
+fn dname(d: DataPlaneConfig) -> &'static str {
+    match d {
+        Demand => "demand",
+        Overlap => "overlap",
+    }
+}
+
 fn cfg(kernel: &dyn Kernel, scenario: Scenario, procs: usize, mode: Mode) -> ClusterConfig {
     let cost = scenario.apply(with_kernel_costs(CostModel::paper_1999(), kernel), procs);
     ClusterConfig::test(procs, procs)
@@ -171,137 +141,56 @@ fn cfg(kernel: &dyn Kernel, scenario: Scenario, procs: usize, mode: Mode) -> Clu
         .with_cost_model(cost)
         .with_dsm(DsmConfig::default_4k())
         .with_collectives(mode.collectives())
-        .with_dataplane(mode.dataplane.config())
+        .with_dataplane(mode.dataplane)
         .with_clock(Clock::new_virtual())
 }
 
-fn axis_from_args(flag: &str) -> Option<Broadcast> {
+/// The value of `flag`, parsed as the one of `values` whose label
+/// (`name`) it spells.
+fn lane_from_args<T: Copy>(flag: &str, values: [T; 2], name: fn(T) -> &'static str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return match args.get(i + 1).map(String::as_str) {
-                Some("flat") => Some(Broadcast::Flat),
-                Some("tree") => Some(Broadcast::Tree),
-                other => panic!("{flag} expects flat|tree, got {other:?}"),
-            };
-        }
-    }
-    None
-}
-
-/// `--nprocs N` pins the task-engine scale section to one host count.
-fn nprocs_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--nprocs" {
-            return match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => Some(n),
-                other => panic!("--nprocs expects a positive host count, got {other:?}"),
-            };
-        }
-    }
-    None
-}
-
-/// Current process-wide OS thread count (`/proc/self/status`).
-fn os_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(1)
-}
-
-/// Run one task-engine kernel at `procs` hosts, sampling the process's
-/// OS thread count from a side thread while it runs. The sampler is
-/// itself one of the threads it counts, so `os_threads_peak` includes
-/// it (and the main thread) on top of the scoped worker pool.
-fn task_scale_run(kernel: &str, app: &dyn TaskApp, procs: usize, iters: usize) -> TaskScaleLane {
-    let stop = Arc::new(AtomicBool::new(false));
-    let sampler = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut peak = os_threads();
-            while !stop.load(Ordering::Relaxed) {
-                peak = peak.max(os_threads());
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            peak
-        })
-    };
-    let cfg = ClusterConfig::test(procs, procs)
-        .with_net_model(NetModel::paper_1999())
-        .with_dsm(DsmConfig::default_4k())
-        .with_clock(Clock::new_virtual());
-    let wall = Instant::now();
-    let (err, sys) = run_task_app(app, cfg, iters);
-    let wall_secs = wall.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    let os_threads_peak = sampler.join().expect("sampler thread");
-    assert_eq!(err, 0.0, "{kernel} at {procs} hosts must verify bit-exact");
+    let given = args.get(args.iter().position(|a| a == flag)? + 1);
+    let parsed = values
+        .into_iter()
+        .find(|&v| given.map(String::as_str) == Some(name(v)));
     assert!(
-        sys.peak_workers() <= sys.pool(),
-        "task engine workers ({}) must stay within the pool ({})",
-        sys.peak_workers(),
-        sys.pool()
+        parsed.is_some(),
+        "{flag} expects {}|{}, got {given:?}",
+        name(values[0]),
+        name(values[1])
     );
-    TaskScaleLane {
-        kernel: kernel.into(),
-        nprocs: procs,
-        wall_secs,
-        sim_secs: sys.now().as_nanos() as f64 / 1e9,
-        peak_workers: sys.peak_workers(),
-        pool: sys.pool(),
-        os_threads_peak,
-    }
-}
-
-fn dataplane_from_args() -> Option<DataPlane> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--dataplane" {
-            return match args.get(i + 1).map(String::as_str) {
-                Some("demand") => Some(DataPlane::Demand),
-                Some("overlap") => Some(DataPlane::Overlap),
-                other => panic!("--dataplane expects demand|overlap, got {other:?}"),
-            };
-        }
-    }
-    None
+    parsed
 }
 
 /// `--broadcast` / `--reduce` / `--dataplane` pin one lane each; with
 /// none given the sweep A/Bs the four system generations.
 fn modes_from_args() -> Vec<Mode> {
-    let fork = axis_from_args("--broadcast");
-    let reduce = axis_from_args("--reduce");
-    let dataplane = dataplane_from_args();
+    let shapes = [Broadcast::Flat, Broadcast::Tree];
+    let fork = lane_from_args("--broadcast", shapes, bname);
+    let reduce = lane_from_args("--reduce", shapes, bname);
+    let dataplane = lane_from_args("--dataplane", [Demand, Overlap], dname);
     if fork.is_none() && reduce.is_none() && dataplane.is_none() {
         // The four generations, newest first.
         return vec![
             Mode {
                 fork: Broadcast::Tree,
                 reduce: Broadcast::Tree,
-                dataplane: DataPlane::Overlap,
+                dataplane: Overlap,
             },
             Mode {
                 fork: Broadcast::Tree,
                 reduce: Broadcast::Tree,
-                dataplane: DataPlane::Demand,
+                dataplane: Demand,
             },
             Mode {
                 fork: Broadcast::Tree,
                 reduce: Broadcast::Flat,
-                dataplane: DataPlane::Demand,
+                dataplane: Demand,
             },
             Mode {
                 fork: Broadcast::Flat,
                 reduce: Broadcast::Flat,
-                dataplane: DataPlane::Demand,
+                dataplane: Demand,
             },
         ];
     }
@@ -311,9 +200,7 @@ fn modes_from_args() -> Vec<Mode> {
     let reduces = reduce
         .map(|r| vec![r])
         .unwrap_or(vec![Broadcast::Tree, Broadcast::Flat]);
-    let dataplanes = dataplane
-        .map(|d| vec![d])
-        .unwrap_or(vec![DataPlane::Overlap, DataPlane::Demand]);
+    let dataplanes = dataplane.map(|d| vec![d]).unwrap_or(vec![Overlap, Demand]);
     let mut out = Vec::new();
     for &f in &forks {
         for &r in &reduces {
@@ -346,8 +233,8 @@ fn scales(scenario: Scenario, mode: Mode) -> &'static [usize] {
         (Scenario::Homogeneous, _, _, _) => &[8, 16, 32],
         // What-if color rides the newest lane only; the demand lanes
         // exist for the gates and A/Bs above.
-        (_, _, Broadcast::Tree, DataPlane::Overlap) => &[2, 8, 32],
-        (_, _, Broadcast::Tree, DataPlane::Demand) => &[32],
+        (_, _, Broadcast::Tree, Overlap) => &[2, 8, 32],
+        (_, _, Broadcast::Tree, Demand) => &[32],
         (_, _, _, _) => &[8, 32],
     }
 }
@@ -417,7 +304,7 @@ fn main() {
             Mode {
                 fork: Broadcast::Tree,
                 reduce: Broadcast::Tree,
-                dataplane: DataPlane::Demand,
+                dataplane: Demand,
             },
         ),
         iters,
@@ -447,10 +334,7 @@ fn main() {
                     |_, _| {},
                     false,
                 );
-                if scenario == Scenario::Homogeneous
-                    && mode.dataplane == DataPlane::Overlap
-                    && procs == 32
-                {
+                if scenario == Scenario::Homogeneous && mode.dataplane == Overlap && procs == 32 {
                     overlap32 = Some(run.dsm);
                 }
                 results.push((scenario, mode, procs, run.secs));
@@ -466,7 +350,7 @@ fn main() {
                 scenario.name().to_string(),
                 bname(mode.fork).to_string(),
                 bname(mode.reduce).to_string(),
-                mode.dataplane.name().to_string(),
+                dname(mode.dataplane).to_string(),
                 procs.to_string(),
                 format!("{secs:.3}"),
                 format!("{:.2}", speedup(secs)),
@@ -481,7 +365,7 @@ fn main() {
             scenario.name().to_string(),
             bname(mode.fork).to_string(),
             bname(mode.reduce).to_string(),
-            mode.dataplane.name().to_string(),
+            dname(mode.dataplane).to_string(),
         );
         match lanes.last_mut() {
             Some(lane)
@@ -545,12 +429,12 @@ fn main() {
     let ttd = Mode {
         fork: Broadcast::Tree,
         reduce: Broadcast::Tree,
-        dataplane: DataPlane::Demand,
+        dataplane: Demand,
     };
     let tto = Mode {
         fork: Broadcast::Tree,
         reduce: Broadcast::Tree,
-        dataplane: DataPlane::Overlap,
+        dataplane: Overlap,
     };
     let nbf_t1 = measure(
         &nbf,
@@ -562,7 +446,7 @@ fn main() {
     )
     .secs;
     let nbf_scales: &[usize] = if quick() { &[8, 32] } else { &[2, 8, 32] };
-    let mut nbf_results: Vec<(DataPlane, usize, f64)> = Vec::new();
+    let mut nbf_results: Vec<(DataPlaneConfig, usize, f64)> = Vec::new();
     let mut nbf_overlap32: Option<nowmp_tmk::DsmSnapshot> = None;
     for &mode in &[ttd, tto] {
         let mut samples = Vec::new();
@@ -575,7 +459,7 @@ fn main() {
                 |_, _| {},
                 false,
             );
-            if mode.dataplane == DataPlane::Overlap && procs == 32 {
+            if mode.dataplane == Overlap && procs == 32 {
                 nbf_overlap32 = Some(run.dsm);
             }
             nbf_results.push((mode.dataplane, procs, run.secs));
@@ -585,12 +469,12 @@ fn main() {
             scenario: "nbf-homogeneous".into(),
             broadcast: "tree".into(),
             reduce: "tree".into(),
-            dataplane: mode.dataplane.name().into(),
+            dataplane: dname(mode.dataplane).into(),
             t1: nbf_t1,
             samples,
         });
     }
-    let nbf_speedup = |dp: DataPlane, procs: usize| {
+    let nbf_speedup = |dp: DataPlaneConfig, procs: usize| {
         nbf_results
             .iter()
             .find(|&&(d, p, _)| d == dp && p == procs)
@@ -600,7 +484,7 @@ fn main() {
         .iter()
         .map(|&(dp, procs, secs)| {
             vec![
-                dp.name().to_string(),
+                dname(dp).to_string(),
                 procs.to_string(),
                 format!("{secs:.3}"),
                 format!("{:.2}", nbf_t1 / secs.max(1e-12)),
@@ -620,10 +504,7 @@ fn main() {
     if let Some(d) = &nbf_overlap32 {
         print_dataplane_ledger("NBF", d);
     }
-    if let (Some(ov32), Some(dm32)) = (
-        nbf_speedup(DataPlane::Overlap, 32),
-        nbf_speedup(DataPlane::Demand, 32),
-    ) {
+    if let (Some(ov32), Some(dm32)) = (nbf_speedup(Overlap, 32), nbf_speedup(Demand, 32)) {
         println!(
             "Dataplane A/B, NBF at 32 homogeneous hosts: overlap {ov32:.2}x vs demand \
              {dm32:.2}x ({:.2}x improvement)",
@@ -631,62 +512,7 @@ fn main() {
         );
     }
 
-    // --- Task-engine scale: host counts threads could never carry --------
-    // The protocol-accurate sweeps above top out at 32 hosts because
-    // the thread engine parks one OS thread per simulated host. The
-    // event-driven engine (resumable host tasks on an O(pool) worker
-    // pool) carries 256 and 1024 hosts; this section proves *capacity*
-    // — wall seconds within the CI budget, OS threads bounded by the
-    // pool, results still bit-exact — not protocol timings.
-    let base_threads = os_threads();
-    let scale_counts: Vec<usize> = nprocs_from_args()
-        .map(|n| vec![n])
-        .unwrap_or(vec![256, 1024]);
-    let mut task_lanes: Vec<TaskScaleLane> = Vec::new();
-    for &procs in &scale_counts {
-        // Jacobi needs >= one grid row per rank; NBF >= one atom.
-        let jn = procs.max(if quick() { 256 } else { 512 });
-        let (atoms, partners) = if quick() { (2048, 8) } else { (4096, 16) };
-        let it = if quick() { 2 } else { 3 };
-        task_lanes.push(task_scale_run("jacobi", &TaskJacobi::new(jn), procs, it));
-        task_lanes.push(task_scale_run(
-            "nbf",
-            &TaskNbf::new(atoms.max(procs), partners),
-            procs,
-            it,
-        ));
-    }
-    let task_rows: Vec<Vec<String>> = task_lanes
-        .iter()
-        .map(|l| {
-            vec![
-                l.kernel.clone(),
-                l.nprocs.to_string(),
-                format!("{:.2}", l.wall_secs),
-                format!("{:.3}", l.sim_secs),
-                format!("{}/{}", l.peak_workers, l.pool),
-                l.os_threads_peak.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "Task-engine scale (event-driven, worker pool of {}, {} OS threads at rest)",
-            task_lanes.first().map(|l| l.pool).unwrap_or(0),
-            base_threads
-        ),
-        &[
-            "Kernel",
-            "Hosts",
-            "Wall(s)",
-            "Sim(s)",
-            "Workers",
-            "OS threads",
-        ],
-        &task_rows,
-    );
-
-    let json = whatif_json(t1, &lanes, &task_lanes);
+    let json = whatif_json(t1, &lanes);
     std::fs::write("BENCH_whatif.json", &json).expect("write BENCH_whatif.json");
     println!("\nwrote BENCH_whatif.json ({} bytes)", json.len());
 
@@ -699,12 +525,12 @@ fn main() {
     let tfd = Mode {
         fork: Broadcast::Tree,
         reduce: Broadcast::Flat,
-        dataplane: DataPlane::Demand,
+        dataplane: Demand,
     };
     let ffd = Mode {
         fork: Broadcast::Flat,
         reduce: Broadcast::Flat,
-        dataplane: DataPlane::Demand,
+        dataplane: Demand,
     };
 
     // The A/B headlines at the ceiling end: what the fork tree bought
@@ -781,7 +607,7 @@ fn main() {
                  system at 32 homogeneous hosts, below the pinned {floor:.2}x floor"
             );
         }
-        if let Some(ov32) = nbf_speedup(DataPlane::Overlap, 32) {
+        if let Some(ov32) = nbf_speedup(Overlap, 32) {
             let floor = floors["overlap_homogeneous_32_min_speedup"];
             println!("gate: NBF overlap homogeneous S(32) = {ov32:.2} (floor {floor:.2})");
             assert!(
@@ -790,10 +616,7 @@ fn main() {
                  fell below the pinned floor {floor:.2} (crates/bench/baselines.toml)"
             );
         }
-        if let (Some(ov32), Some(dm32)) = (
-            nbf_speedup(DataPlane::Overlap, 32),
-            nbf_speedup(DataPlane::Demand, 32),
-        ) {
+        if let (Some(ov32), Some(dm32)) = (nbf_speedup(Overlap, 32), nbf_speedup(Demand, 32)) {
             let ratio = ov32 / dm32;
             let floor = floors["overlap_over_demand_32_min_ratio"];
             println!("gate: NBF overlap/demand ratio at 32 hosts = {ratio:.2} (floor {floor:.2})");
@@ -803,35 +626,6 @@ fn main() {
                  paging on NBF at 32 homogeneous hosts, below the pinned {floor:.2}x floor"
             );
         }
-        // The 1024-host task-engine lane: completes within the CI job
-        // budget, and its OS thread footprint is O(pool), not O(hosts)
-        // — the ISSUE 9 acceptance bar.
-        let wall_max = floors["task_scale_1024_max_wall_secs"];
-        let extra_max = floors["task_scale_1024_max_extra_threads"];
-        for l in task_lanes.iter().filter(|l| l.nprocs == 1024) {
-            let extra = l.os_threads_peak.saturating_sub(base_threads);
-            println!(
-                "gate: task-engine {} at 1024 hosts = {:.2}s wall (budget {wall_max:.0}s), \
-                 {extra} OS threads over rest (max {extra_max:.0})",
-                l.kernel, l.wall_secs
-            );
-            assert!(
-                l.wall_secs <= wall_max,
-                "CI scaling gate: task-engine {} at 1024 hosts took {:.2}s of wall time, \
-                 over the {wall_max:.0}s budget (crates/bench/baselines.toml)",
-                l.kernel,
-                l.wall_secs
-            );
-            assert!(
-                (extra as f64) <= extra_max,
-                "CI scaling gate: task-engine {} at 1024 hosts raised the process to \
-                 {} OS threads ({extra} over the at-rest {base_threads}) — the pool is \
-                 {}, so the engine is leaking threads with host count",
-                l.kernel,
-                l.os_threads_peak,
-                l.pool
-            );
-        }
     }
 
     println!(
@@ -839,13 +633,13 @@ fn main() {
          per-fork communication dominates the shrinking block — under flat\n\
          collectives that rollover is the master's serialized fork sends plus\n\
          the n-1 join streams converging on its inbound wire; the binomial\n\
-         tree on both sides pushes it past 32 nodes, and overlapping the\n\
-         data plane (pipelined faults, release-phase prefetch, piggybacked\n\
-         hot diffs) takes the remaining per-fault round-trips off the\n\
-         critical path. Heterogeneous flattens hard (static schedules\n\
-         stretch to the half-speed stragglers); loaded-host tracks\n\
-         homogeneous minus one effective node. Wall time: {:.1}s for {}\n\
-         virtual runs.",
+         tree on both sides pushes it past 32 nodes, and the overlapped\n\
+         data plane (pipelined faults, release-phase prefetch and writer\n\
+         push, 1 KB of piggybacked hot diffs — one switch) takes the\n\
+         remaining per-fault round-trips off the critical path.\n\
+         Heterogeneous flattens hard (static schedules stretch to the\n\
+         half-speed stragglers); loaded-host tracks homogeneous minus one\n\
+         effective node. Wall time: {:.1}s for {} virtual runs.",
         wall.elapsed().as_secs_f64(),
         rows.len() + nbf_rows.len() + 2
     );

@@ -27,7 +27,7 @@ use nowmp_apps::{fft3d::Fft3d, gauss::Gauss, jacobi::Jacobi, nbf::Nbf, Kernel};
 use nowmp_core::{ClusterConfig, EventKind, LogEntry};
 use nowmp_net::{CostModel, NetModel};
 use nowmp_omp::OmpSystem;
-use nowmp_tmk::{CollectiveConfig, DataPlaneConfig, DsmConfig};
+use nowmp_tmk::DsmConfig;
 use std::time::Duration;
 
 /// Scaled-down benchmark instances of the four kernels.
@@ -172,20 +172,17 @@ pub fn bench_cost_model() -> CostModel {
 /// Cluster configuration for benches: paper network + host cost
 /// models, 4 KB pages.
 ///
-/// The paper reproducers model the *1999 system*, so the fork broadcast
-/// pins [`CollectiveConfig::all_flat`] here (flat fan-out, flat write-notice
-/// payloads — what the Table 1/2 calibration pins assume), and the data
-/// plane pins [`DataPlaneConfig::demand`] (sequential demand paging,
-/// no prefetch or piggybacking). The tree/RLE broadcast redesign and
-/// the overlapped data plane are A/B'd explicitly by `whatif_scale
+/// The paper reproducers model the *1999 system*
+/// ([`DsmConfig::generation_1999`]: flat collectives with flat
+/// write-notice payloads, sequential demand paging — what the Table 1/2
+/// calibration pins assume). The tree/RLE broadcast redesign and the
+/// overlapped data plane are A/B'd explicitly by `whatif_scale
 /// --broadcast` / `--dataplane` against this baseline.
 pub fn bench_cfg(hosts: usize, procs: usize) -> ClusterConfig {
     ClusterConfig::test(hosts, procs)
         .with_net_model(bench_net_model())
         .with_cost_model(bench_cost_model())
-        .with_dsm(DsmConfig::default_4k())
-        .with_collectives(CollectiveConfig::all_flat())
-        .with_dataplane(DataPlaneConfig::demand())
+        .with_dsm(DsmConfig::default_4k().generation_1999())
 }
 
 /// [`bench_cfg`] specialized to `kernel`: under the virtual clock
@@ -274,36 +271,13 @@ pub struct WhatifLane {
     pub samples: Vec<(usize, f64)>,
 }
 
-/// One task-engine scale sample: the event-driven engine carrying a
-/// host count no thread-per-host run could. The lane proves *capacity*
-/// — wall seconds and OS-thread footprint at 256/1024 hosts — so it
-/// records real-clock and thread numbers, not virtual speedups.
-pub struct TaskScaleLane {
-    /// Kernel label (`jacobi` / `nbf`).
-    pub kernel: String,
-    /// Simulated host count.
-    pub nprocs: usize,
-    /// Wall seconds for the whole run (setup + iterations + verify).
-    pub wall_secs: f64,
-    /// Simulated seconds on the engine's virtual timeline.
-    pub sim_secs: f64,
-    /// Engine-tracked peak concurrent scoped workers.
-    pub peak_workers: usize,
-    /// Worker-pool width the engine ran with (`NOWMP_POOL`).
-    pub pool: usize,
-    /// Peak process-wide OS thread count sampled during the run
-    /// (`/proc/self/status` `Threads:`).
-    pub os_threads_peak: usize,
-}
-
 /// Serialize the `whatif_scale` sweep into the machine-readable
 /// `BENCH_whatif.json` artifact: simulated seconds and speedup per
 /// `scenario × broadcast × reduce × dataplane × nprocs`, plus each
-/// lane's serial baseline, plus the task-engine scale samples
-/// (`task_scale`: wall seconds and thread footprint at 256/1024
-/// hosts). The CI scaling gate reads the same numbers in-process (see
-/// [`load_baselines`]); the artifact preserves them across PRs.
-pub fn whatif_json(t1: f64, lanes: &[WhatifLane], task_scale: &[TaskScaleLane]) -> String {
+/// lane's serial baseline. The CI scaling gate reads the same numbers
+/// in-process (see [`load_baselines`]); the artifact preserves them
+/// across PRs.
+pub fn whatif_json(t1: f64, lanes: &[WhatifLane]) -> String {
     let cell = |v: f64| {
         if v.is_finite() {
             format!("{v:.4}")
@@ -345,21 +319,6 @@ pub fn whatif_json(t1: f64, lanes: &[WhatifLane], task_scale: &[TaskScaleLane]) 
         out.push_str(&format!(
             "}}}}{}\n",
             if gi + 1 < lanes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"task_scale\": [\n");
-    for (i, l) in task_scale.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"nprocs\": {}, \"wall_secs\": {}, \"sim_secs\": {}, \
-             \"peak_workers\": {}, \"pool\": {}, \"os_threads_peak\": {}}}{}\n",
-            l.kernel,
-            l.nprocs,
-            cell(l.wall_secs),
-            cell(l.sim_secs),
-            l.peak_workers,
-            l.pool,
-            l.os_threads_peak,
-            if i + 1 < task_scale.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -611,10 +570,6 @@ mod tests {
         assert!(floors.contains_key("hotpath_contention_8t_min_ratio"));
         assert!(floors.contains_key("hotpath_pipeline_min_pages_per_sec"));
         assert!(floors.contains_key("hotpath_interval_8t_min_ratio"));
-        assert!(floors.contains_key("task_scale_1024_max_wall_secs"));
-        assert!(floors.contains_key("task_scale_1024_max_extra_threads"));
-        assert!(floors.contains_key("tenancy_util_min"));
-        assert!(floors.contains_key("tenancy_p99_wait_max"));
     }
 
     #[test]
@@ -639,15 +594,6 @@ mod tests {
                     samples: vec![(32, 0.4)],
                 },
             ],
-            &[TaskScaleLane {
-                kernel: "jacobi".into(),
-                nprocs: 1024,
-                wall_secs: 3.25,
-                sim_secs: 0.75,
-                peak_workers: 8,
-                pool: 8,
-                os_threads_peak: 11,
-            }],
         );
         assert!(j.contains("\"broadcast\": \"tree\""));
         assert!(j.contains("\"reduce\": \"tree\""));
@@ -662,10 +608,6 @@ mod tests {
         assert!(!j.contains("\"32\": 5.0000"));
         assert!(j.contains("\"t1_secs\": 6.0000"));
         assert!(!j.contains("NaN"));
-        // Task-engine scale samples ride the same artifact.
-        assert!(j.contains("\"task_scale\""));
-        assert!(j.contains("\"kernel\": \"jacobi\", \"nprocs\": 1024"));
-        assert!(j.contains("\"os_threads_peak\": 11"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use nowmp_apps::{jacobi::Jacobi, nbf::Nbf, with_kernel_costs, Kernel};
 use nowmp_bench::measure;
 use nowmp_core::ClusterConfig;
 use nowmp_net::{CostModel, NetModel};
-use nowmp_tmk::{CollectiveConfig, DataPlaneConfig, DsmConfig};
+use nowmp_tmk::DsmConfig;
 use nowmp_util::Clock;
 
 /// Tolerance on speedup values. The four measured speedups sit 0.1-4.4%
@@ -42,9 +42,7 @@ fn simulated_secs(kernel: &dyn Kernel, procs: usize, iters: usize) -> f64 {
     // wire sizes and fault round-trips. The tree/RLE and overlap
     // redesigns are measured separately (whatif_scale --broadcast /
     // --dataplane).
-    let cfg = costed_cfg(kernel, procs)
-        .with_collectives(CollectiveConfig::all_flat())
-        .with_dataplane(DataPlaneConfig::demand());
+    let cfg = costed_cfg(kernel, procs).generation_1999();
     measure(kernel, cfg, iters, true, |_, _| {}, false).secs
 }
 

@@ -181,9 +181,16 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: set the data-plane overlap levers.
+    /// Builder: set the data plane (demand paging or overlapped).
     pub fn with_dataplane(mut self, dataplane: DataPlaneConfig) -> Self {
         self.dsm.dataplane = dataplane;
+        self
+    }
+
+    /// Builder: the paper's 1999 TreadMarks generation
+    /// ([`DsmConfig::generation_1999`]: flat collectives, demand plane).
+    pub fn generation_1999(mut self) -> Self {
+        self.dsm = self.dsm.generation_1999();
         self
     }
 
@@ -247,13 +254,13 @@ impl ClusterConfig {
         }
     }
 
-    /// The paper's testbed shape: 8 hosts, 8 processes, paper network
-    /// and host cost models, 4 KB pages.
+    /// The paper's testbed: 8 hosts, 8 processes, paper network and
+    /// host cost models, 4 KB pages, the 1999 protocol generation.
     pub fn paper_1999() -> Self {
         ClusterConfig {
             net_model: NetModel::paper_1999(),
             cost_model: CostModel::paper_1999(),
-            dsm: DsmConfig::default_4k(),
+            dsm: DsmConfig::default_4k().generation_1999(),
             ..Self::test(8, 8)
         }
     }

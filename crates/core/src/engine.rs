@@ -840,7 +840,9 @@ mod tests {
 
     #[test]
     fn pool_bounds_workers_not_hosts() {
-        let (_, sys) = run_task_app(&Ring, cfg(4, 4), 2);
+        // 64 hosts: more than the default pool (at most 8) can hold.
+        let (err, sys) = run_task_app(&Ring, cfg(64, 64), 2);
+        assert_eq!(err, 0.0);
         assert!(sys.peak_workers() <= sys.pool());
     }
 }

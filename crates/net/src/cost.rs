@@ -160,15 +160,6 @@ impl CostModel {
         self
     }
 
-    /// Set the per-message CPU cost a binomial-tree relay charges for
-    /// forwarding or aggregating a collective message (builder style).
-    /// Defaults to the paper's 35 µs per-message overhead — one extra
-    /// stack traversal per relayed hop.
-    pub fn with_relay_overhead(mut self, overhead: Duration) -> Self {
-        self.relay_overhead = overhead;
-        self
-    }
-
     /// Set the background-load factor of `host` (builder style).
     pub fn with_host_load(mut self, host: crate::HostId, load: f64) -> Self {
         let i = host.0 as usize;

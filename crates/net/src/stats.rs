@@ -58,11 +58,6 @@ impl LinkSnapshot {
         self.bytes_in + self.bytes_out
     }
 
-    /// Total messages through the link.
-    pub fn msgs_total(&self) -> u64 {
-        self.msgs_in + self.msgs_out
-    }
-
     /// Difference against an earlier snapshot (for interval measurement).
     pub fn since(&self, earlier: &LinkSnapshot) -> LinkSnapshot {
         LinkSnapshot {

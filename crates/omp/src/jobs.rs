@@ -73,12 +73,6 @@ impl JobSpec {
         }
     }
 
-    /// Builder: replace the scheduling parameters wholesale.
-    pub fn with_params(mut self, params: JobParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Builder: set the scheduling priority (higher preempts lower).
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.params.priority = priority;

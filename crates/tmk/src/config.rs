@@ -33,8 +33,8 @@ pub enum Broadcast {
 ///
 /// `fork` doubles as the wire-compatibility switch: `Broadcast::Flat`
 /// there keeps every payload byte-identical to the 1999 flat encoding
-/// (the Table 1/2 calibration assumption), which is why the paper
-/// reproducers pin [`CollectiveConfig::all_flat`].
+/// (the Table 1/2 calibration assumption), which is why
+/// [`DsmConfig::generation_1999`] pins [`CollectiveConfig::all_flat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CollectiveConfig {
     /// `Fork`/`JoinInit` dissemination shape.
@@ -87,20 +87,21 @@ impl CollectiveConfig {
     }
 }
 
-/// Data-plane overlap configuration: how aggressively the DSM hides
-/// demand-paging latency behind computation (ISSUE 7).
+/// The data plane: how the DSM hides demand-paging latency behind
+/// computation (ISSUE 7). One switch with two values, because the two
+/// generations are the only configurations anything runs.
 ///
-/// Three independent levers, all off in [`DataPlaneConfig::demand`]
-/// (the faithful 1999 system: every fault blocks on sequential
-/// round-trips, nothing moves ahead of demand):
+/// [`DataPlaneConfig::Overlap`] (the default) turns on three levers,
+/// whose sizes are constants read through the accessors below:
 ///
-/// * `pipeline` — scatter-gather faults: a multi-creator diff fault
-///   sends every `DiffReq` before collecting any reply, paying the
-///   max of the creators' latencies instead of the sum;
-/// * `prefetch` — release-phase prefetch: after a `Fork` or
-///   `BarrierRelease` lands, asynchronously re-request up to this
-///   many of the pages this rank faulted on last epoch, so the diffs
-///   are in flight while the worker computes its interior (0 = off).
+/// * [`pipeline`](Self::pipeline) — scatter-gather faults: a
+///   multi-creator diff fault sends every `DiffReq` before collecting
+///   any reply, paying the max of the creators' latencies instead of
+///   the sum;
+/// * [`prefetch`](Self::prefetch) — release-phase prefetch: after a
+///   `Fork` or `BarrierRelease` lands, asynchronously re-request up to
+///   this many of the pages this rank faulted on last epoch, so the
+///   diffs are in flight while the worker computes its interior.
 ///   `prefetch > 0` also turns on the *writer push*: a prefetch diff
 ///   request subscribes its sender, and from then until the next
 ///   commit the creator sends every new diff of those pages when it
@@ -109,63 +110,65 @@ impl CollectiveConfig {
 ///   then on; in steady state no request crosses the wire after a
 ///   release. No request outside the prefetch ever subscribes, so
 ///   `prefetch == 0` means no reader set, no push and no wait exists;
-/// * `piggyback_budget` — hot-diff piggybacking: `Fork` /
-///   `BarrierRelease` payloads carry up to this many bytes of the
-///   sender's own hottest diffs alongside the write notices, saving
-///   the receivers a round-trip entirely (0 = off).
+/// * [`piggyback_budget`](Self::piggyback_budget) — hot-diff
+///   piggybacking: `Fork` / `BarrierRelease` payloads carry up to this
+///   many bytes of the sender's own hottest diffs alongside the write
+///   notices, saving the receivers a round-trip entirely. The budget
+///   is deliberately small: every piggybacked byte rides *every* edge
+///   of the broadcast tree, so only diffs small and hot enough to beat
+///   `n - 1` redundant copies (reduction scratch, straddled boundary
+///   words) earn their wire cost — bulk diffs are exactly what
+///   prefetch already moves point-to-point.
 ///
 /// Prefetch and push traffic pays the same wire and admission costs
 /// as demand traffic ([`NetModel::receive_time`] et al.) — overlap
 /// hides latency, it never un-charges it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataPlaneConfig {
-    /// Scatter-gather multi-creator faults (send all, then collect).
-    pub pipeline: bool,
-    /// Max pages re-requested asynchronously after each release
-    /// (0 disables release-phase prefetch, and with it the writer
-    /// push its requests subscribe to).
-    pub prefetch: usize,
-    /// Max bytes of hot diffs piggybacked on each `Fork` /
-    /// `BarrierRelease` payload (0 disables piggybacking).
-    pub piggyback_budget: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DataPlaneConfig {
+    /// The faithful 1999 demand-paging data plane: every fault blocks
+    /// on sequential round-trips, nothing moves ahead of demand —
+    /// byte-identical wire payloads, what the Table 1/2 pins assume.
+    Demand,
+    /// Fully overlapped data plane: pipelined faults, 32-page release
+    /// prefetch (and the writer push it subscribes to), 1 KB of
+    /// piggybacked hot diffs.
+    #[default]
+    Overlap,
 }
 
 impl DataPlaneConfig {
-    /// The faithful 1999 demand-paging data plane: sequential blocking
-    /// fetches, no prefetch, no piggyback — byte-identical wire
-    /// payloads, what the Table 1/2 pins assume.
+    /// [`DataPlaneConfig::Demand`] (a function because the frozen
+    /// `benchmark/` harness spells it this way).
     pub fn demand() -> Self {
-        DataPlaneConfig {
-            pipeline: false,
-            prefetch: 0,
-            piggyback_budget: 0,
-        }
+        DataPlaneConfig::Demand
     }
 
-    /// Fully overlapped data plane (the default): pipelined faults,
-    /// 32-page release prefetch, 1 KB piggyback budget. The piggyback
-    /// budget is deliberately small: every piggybacked byte rides
-    /// *every* edge of the broadcast tree, so only diffs small and hot
-    /// enough to beat `n - 1` redundant copies (reduction scratch,
-    /// straddled boundary words) earn their wire cost — bulk diffs are
-    /// exactly what prefetch already moves point-to-point.
+    /// [`DataPlaneConfig::Overlap`]; see [`Self::demand`].
     pub fn overlap() -> Self {
-        DataPlaneConfig {
-            pipeline: true,
-            prefetch: 32,
-            piggyback_budget: 1 << 10,
+        DataPlaneConfig::Overlap
+    }
+
+    /// Scatter-gather multi-creator faults (send all, then collect).
+    pub fn pipeline(self) -> bool {
+        self == DataPlaneConfig::Overlap
+    }
+
+    /// Max pages re-requested asynchronously after each release
+    /// (0: no release-phase prefetch, and with it no writer push).
+    pub fn prefetch(self) -> usize {
+        match self {
+            DataPlaneConfig::Demand => 0,
+            DataPlaneConfig::Overlap => 32,
         }
     }
 
-    /// True if any piggyback budget is configured.
-    pub fn piggybacks(&self) -> bool {
-        self.piggyback_budget > 0
-    }
-}
-
-impl Default for DataPlaneConfig {
-    fn default() -> Self {
-        Self::overlap()
+    /// Max bytes of hot diffs piggybacked on each `Fork` /
+    /// `BarrierRelease` payload (0: none).
+    pub fn piggyback_budget(self) -> usize {
+        match self {
+            DataPlaneConfig::Demand => 0,
+            DataPlaneConfig::Overlap => 1 << 10,
+        }
     }
 }
 
@@ -193,8 +196,7 @@ pub struct DsmConfig {
     /// Shape of every cluster-wide collective (fork dissemination;
     /// join reduction and barrier release). Default: all tree.
     pub collectives: CollectiveConfig,
-    /// Data-plane overlap levers (pipelined faults, release-phase
-    /// prefetch, piggybacked hot diffs). Default: fully overlapped.
+    /// Data plane: demand paging or fully overlapped (the default).
     pub dataplane: DataPlaneConfig,
     /// Page-space key in multi-tenant runs: the cluster scheduler
     /// constructs one `DsmSystem` per job, keyed by the job's id, so
@@ -240,20 +242,25 @@ impl DsmConfig {
         self
     }
 
-    /// Builder: set the data-plane overlap levers — paper reproducers
-    /// pin `with_dataplane(DataPlaneConfig::demand())` alongside
-    /// `all_flat()` collectives.
+    /// Builder: set the data plane.
     pub fn with_dataplane(mut self, dataplane: DataPlaneConfig) -> Self {
         self.dataplane = dataplane;
         self
     }
 
-    /// Builder: set the collective shapes, mirroring the
-    /// `CostModel::with_*` idiom — paper reproducers pin
-    /// `with_collectives(CollectiveConfig::all_flat())` in one place.
+    /// Builder: set the collective shapes.
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.collectives = collectives;
         self
+    }
+
+    /// Builder: the paper's 1999 TreadMarks generation — every
+    /// collective flat (hence [`Encoding::Flat`] payloads) and the
+    /// demand data plane. What the Table 1/2 calibration assumes; the
+    /// one place the paper reproducers pin it.
+    pub fn generation_1999(self) -> Self {
+        self.with_collectives(CollectiveConfig::all_flat())
+            .with_dataplane(DataPlaneConfig::demand())
     }
 
     /// Small pages for tests: exercises multi-page logic with tiny data.
@@ -315,21 +322,27 @@ mod tests {
     }
 
     #[test]
-    fn dataplane_builders() {
+    fn dataplane_values_are_pinned() {
         assert_eq!(
             DsmConfig::default_4k().dataplane,
             DataPlaneConfig::overlap()
         );
-        let demand = DataPlaneConfig::demand();
-        assert!(!demand.pipeline);
-        assert_eq!(demand.prefetch, 0);
-        assert!(!demand.piggybacks());
-        let overlap = DataPlaneConfig::overlap();
-        assert!(overlap.pipeline);
-        assert_eq!(overlap.prefetch, 32);
-        assert!(overlap.piggybacks());
-        let pinned = DsmConfig::default_4k().with_dataplane(DataPlaneConfig::demand());
-        assert_eq!(pinned.dataplane, DataPlaneConfig::demand());
+        let lever = |d: DataPlaneConfig| (d.pipeline(), d.prefetch(), d.piggyback_budget());
+        assert_eq!(lever(DataPlaneConfig::overlap()), (true, 32, 1024));
+        assert_eq!(lever(DataPlaneConfig::demand()), (false, 0, 0));
+    }
+
+    #[test]
+    fn generation_1999_is_the_harness_spelling() {
+        let pinned = DsmConfig::default_4k().generation_1999();
+        let spelled = DsmConfig::default_4k()
+            .with_collectives(CollectiveConfig::all_flat())
+            .with_dataplane(DataPlaneConfig::demand());
+        // `DsmConfig` holds a hook, so it has no `PartialEq`; its
+        // `Debug` prints every field.
+        assert_eq!(format!("{pinned:?}"), format!("{spelled:?}"));
+        assert_eq!(pinned.dataplane, DataPlaneConfig::Demand);
+        assert_eq!(pinned.collectives.encoding(), Encoding::Flat);
     }
 
     #[test]

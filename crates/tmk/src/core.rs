@@ -202,7 +202,7 @@ pub struct ProcCore {
     /// Default directory owner for untouched pages (the master).
     pub default_owner: Gpid,
     /// Pages faulted on since the last release point (insertion order,
-    /// deduplicated). Only tracked when `cfg.dataplane.prefetch > 0`.
+    /// deduplicated). Only tracked when `cfg.dataplane.prefetch() > 0`.
     pub fault_window: Vec<PageId>,
     /// The last few rotated fault windows, newest first. The prefetch
     /// candidate set is their union: a page's *invalidating* write
@@ -295,7 +295,7 @@ impl ProcCore {
     /// window when release-phase prefetch is configured.
     pub fn plan_access(&mut self, page: PageId, want_write: bool) -> AccessPlan {
         let plan = self.plan_access_inner(page, want_write);
-        if self.cfg.dataplane.prefetch > 0
+        if self.cfg.dataplane.prefetch() > 0
             && !matches!(plan, AccessPlan::Ready { .. })
             && !self.fault_window.contains(&page)
         {
@@ -570,7 +570,7 @@ impl ProcCore {
     /// [`Self::plan_access`] but are demand the next window must still
     /// predict.
     pub fn note_fault(&mut self, page: PageId) {
-        if self.cfg.dataplane.prefetch > 0 && !self.fault_window.contains(&page) {
+        if self.cfg.dataplane.prefetch() > 0 && !self.fault_window.contains(&page) {
             self.fault_window.push(page);
         }
     }
@@ -652,13 +652,15 @@ impl ProcCore {
         plan
     }
 
-    /// Select up to `budget` wire bytes of our own hottest diffs to
-    /// piggyback on an outgoing `Fork`/`BarrierRelease`. Per page only
-    /// the newest diff rides (receivers lacking more than one of our
-    /// intervals fetch the rest on demand; they [`Self::deposit`] what
-    /// rode along); pages rank by diff-serve heat, ties by page id, so
-    /// the selection is deterministic.
-    pub fn piggyback_diffs(&self, budget: usize) -> Vec<(PageId, Seq, Diff)> {
+    /// Select up to the data plane's piggyback budget of wire bytes of
+    /// our own hottest diffs to ride an outgoing `Fork`/`BarrierRelease`
+    /// (none under the demand plane). Per page only the newest diff
+    /// rides (receivers lacking more than one of our intervals fetch
+    /// the rest on demand; they [`Self::deposit`] what rode along);
+    /// pages rank by diff-serve heat, ties by page id, so the selection
+    /// is deterministic.
+    pub fn piggyback_diffs(&self) -> Vec<(PageId, Seq, Diff)> {
+        let budget = self.cfg.dataplane.piggyback_budget();
         if budget == 0 || self.diffs.is_empty() {
             return Vec::new();
         }

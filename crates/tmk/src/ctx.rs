@@ -455,7 +455,7 @@ impl TmkCtx {
     /// Fetch the diffs only the network can supply (`groups`; none when
     /// the early-diff store has or expects them all), wait for the
     /// expected ones, and apply everything as one batch. Under
-    /// `dataplane.pipeline` the per-creator requests are
+    /// `dataplane.pipeline()` the per-creator requests are
     /// scatter-gathered: every `DiffReq` goes on the wire before any
     /// reply is collected, so a multi-creator fault pays the slowest
     /// creator's latency instead of the sum of all of them. Replies
@@ -463,7 +463,7 @@ impl TmkCtx {
     /// vcsum regardless).
     fn fetch_diffs(&mut self, page: PageId, groups: Vec<(Gpid, Vec<(PageId, Seq)>)>) {
         let mut batch: Vec<(Pid, Seq, crate::diff::Diff)> = Vec::new();
-        if self.dataplane.pipeline && groups.len() > 1 {
+        if self.dataplane.pipeline() && groups.len() > 1 {
             let pending: Vec<(Pid, PendingCall)> = groups
                 .into_iter()
                 .map(|(creator, wants)| {
@@ -541,7 +541,7 @@ impl TmkCtx {
     /// page is asked for here at most until its pushes start arriving.
     /// No-op under the demand data plane.
     pub fn prefetch_after_release(&mut self) {
-        let budget = self.dataplane.prefetch;
+        let budget = self.dataplane.prefetch();
         if budget == 0 || self.nprocs() == 1 {
             return;
         }
@@ -977,12 +977,11 @@ impl TmkCtx {
             }
             let (merged_vc, records, piggyback) = {
                 let c = self.core.lock();
-                let piggyback = if self.dataplane.piggybacks() {
-                    c.piggyback_diffs(self.dataplane.piggyback_budget)
-                } else {
-                    Vec::new()
-                };
-                (c.vc.clone(), c.records.newer_than(&min_vc), piggyback)
+                (
+                    c.vc.clone(),
+                    c.records.newer_than(&min_vc),
+                    c.piggyback_diffs(),
+                )
             };
             let pb_bytes: usize = piggyback.iter().map(|(_, _, d)| 8 + d.wire_bytes()).sum();
             DsmStats::add(&self.stats.piggyback_bytes, pb_bytes as u64);

@@ -775,22 +775,17 @@ impl MasterCtl {
             (c.team.clone(), c.epoch())
         };
         let n = team.nprocs();
-        let (vc, records, reg_delta, alloc_slots) = {
+        let (vc, records, reg_delta, alloc_slots, piggyback) = {
             let c = self.core.lock();
             (
                 c.vc.clone(),
                 c.records.newer_than(&self.last_fork_vc),
                 c.registry.delta_since(self.sent_reg_ver),
                 self.allocator.allocated_slots(),
+                c.piggyback_diffs(),
             )
         };
         let tree_mode = self.sys.cfg.collectives.fork == Broadcast::Tree;
-        let dataplane = self.sys.cfg.dataplane;
-        let piggyback = if dataplane.piggybacks() {
-            self.core.lock().piggyback_diffs(dataplane.piggyback_budget)
-        } else {
-            Vec::new()
-        };
         let pb_bytes: usize = piggyback.iter().map(|(_, _, d)| 8 + d.wire_bytes()).sum();
         DsmStats::add(&self.sys.stats.piggyback_bytes, pb_bytes as u64);
         let msg = Msg::Fork {
@@ -1081,16 +1076,6 @@ impl MasterCtl {
         self.ctx.sync_reset();
     }
 
-    /// Number of team members whose gpid appears as sole complete
-    /// holder — diagnostic for leave-cost analysis.
-    pub fn sole_holder_pages(outcome: &GcOutcome, g: Gpid) -> usize {
-        outcome
-            .complete
-            .iter()
-            .filter(|c| c.len() == 1 && c[0] == g)
-            .count()
-    }
-
     /// Bring every allocated page into the master's memory (checkpoint
     /// step 2: "the master collects all pages for which it does not
     /// have a valid copy").
@@ -1134,18 +1119,6 @@ impl MasterCtl {
         self.sent_reg_ver = 0;
         self.dir = vec![self.gpid(); self.allocator.allocated_pages()];
         self.ctx.sync_reset();
-    }
-
-    /// Estimated process-image size of `gpid` in bytes (valid pages +
-    /// metadata), for migration cost accounting.
-    pub fn resident_image_bytes(&self, gpid: Gpid) -> usize {
-        let Some(core) = self.sys.core_of(gpid) else {
-            return 0;
-        };
-        let c = core.lock();
-        let page_bytes: usize = c.pages.count(|m| m.data.is_some()) * c.cfg.page_size;
-        // Stack + heap metadata estimate (libckpt also writes those).
-        page_bytes + 256 * 1024
     }
 
     /// Count of the master's currently valid pages (diagnostics).

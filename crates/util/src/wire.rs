@@ -163,12 +163,6 @@ impl Enc {
         self.put_u64(v.to_bits());
     }
 
-    /// Append a `usize` as `u64` (portable across word sizes).
-    #[inline]
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
     /// Append raw bytes *without* a length prefix.
     #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
@@ -346,12 +340,6 @@ impl<'a> Dec<'a> {
     #[inline]
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Read a `usize` encoded as `u64`.
-    #[inline]
-    pub fn get_usize(&mut self) -> Result<usize, WireError> {
-        Ok(self.get_u64()? as usize)
     }
 
     /// Read an LEB128 varint `u32` (see [`Enc::put_varu32`]).

@@ -4,7 +4,6 @@
 
 use nowmp::apps::{build_program, fft3d::Fft3d, gauss::Gauss, jacobi::Jacobi, nbf::Nbf, Kernel};
 use nowmp::prelude::*;
-use nowmp::tmk::{CollectiveConfig, DataPlaneConfig};
 
 fn kernels() -> Vec<Box<dyn Kernel>> {
     vec![
@@ -208,14 +207,13 @@ fn jacobi_traffic(cfg: ClusterConfig) -> (u64, u64, u64) {
 fn paper_claim_no_overhead_without_adaptation() {
     // Table 1's headline: the adaptive system with zero adapt events
     // produces the same protocol traffic as the non-adaptive system.
-    // The claim is about the 1999 system, so pin its generation the
-    // way `bench_cfg` and `table1_virtual` do: on the demand plane
-    // every message is decided by the data, none by timing.
+    // The claim is about the 1999 system, so pin its generation: on
+    // the demand plane every message is decided by the data, none by
+    // timing.
     let run = |adaptive: bool| {
         jacobi_traffic(
             ClusterConfig::test(4, 4)
-                .with_collectives(CollectiveConfig::all_flat())
-                .with_dataplane(DataPlaneConfig::demand())
+                .generation_1999()
                 .with_adaptive(adaptive),
         )
     };
@@ -223,6 +221,29 @@ fn paper_claim_no_overhead_without_adaptation() {
         run(false),
         run(true),
         "identical protocol traffic (Table 1)"
+    );
+}
+
+/// The constructor named after the paper's testbed runs the paper's
+/// protocol generation: nothing relays a fork, prefetches or
+/// piggybacks.
+#[test]
+fn paper_1999_testbed_runs_the_1999_generation() {
+    let app = Jacobi::new(32);
+    let cfg = ClusterConfig::paper_1999().with_clock(Clock::new_virtual());
+    let mut sys = OmpSystem::new(cfg, build_program(&[&app]));
+    app.setup(&mut sys);
+    for it in 0..4 {
+        app.step(&mut sys, it);
+    }
+    let d = sys.dsm_stats();
+    assert_eq!(sys.nprocs(), 8);
+    assert_eq!(app.verify(&mut sys, 4), 0.0);
+    sys.shutdown();
+    assert!(d.forks > 0 && d.pages_fetched + d.diffs_fetched > 0);
+    assert_eq!(
+        (d.bcast_relays, d.prefetch_issued, d.piggyback_bytes),
+        (0, 0, 0)
     );
 }
 
