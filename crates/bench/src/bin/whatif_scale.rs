@@ -18,11 +18,12 @@
 //!
 //! **`--broadcast {flat,tree}`** A/Bs the fork *dissemination*:
 //! `flat` is the 1999 system (master-serialized fork sends, flat
-//! write-notice payloads), `tree` is the binomial relay redesign.
+//! write-notice payloads), `tree` relays down the fork shape the cost
+//! models give (the greedy LogP schedule; binomial when hops are free).
 //! **`--reduce {flat,tree}`** A/Bs the *collection* side: `flat` has
 //! every slave send its `JoinArrive` (and barrier arrival) straight to
-//! the master while `tree` aggregates up / relays down the same
-//! binomial tree (see `docs/BROADCAST.md`).
+//! the master while `tree` aggregates up the reduce shape and relays
+//! barrier releases down the fork shape (see `docs/BROADCAST.md`).
 //! **`--dataplane {demand,overlap}`** A/Bs the *data plane*: `demand`
 //! is faithful 1999 demand paging (every fault a blocking sequential
 //! round-trip), `overlap` is the current plane — pipelined
@@ -45,7 +46,8 @@
 //!
 //! The run doubles as the **CI scaling gate**: it fails if the
 //! tree/tree 16-host homogeneous speedup, the tree/tree-over-flat/flat
-//! advantage at 32 hosts, the tree/tree 32-host speedup, the NBF
+//! advantage at 32 hosts, the tree/tree 32-host speedup, the
+//! tree-reduce-over-flat-reduce ratio at 32 hosts, the NBF
 //! overlapped-data-plane 32-host speedup, or the NBF overlap-over-
 //! demand ratio at 32 hosts drops below the floors pinned in
 //! `crates/bench/baselines.toml`. (Host counts past 32 are the task
@@ -607,6 +609,19 @@ fn main() {
                  system at 32 homogeneous hosts, below the pinned {floor:.2}x floor"
             );
         }
+        if let (Some(tt32), Some(tf32)) = (
+            speedup_of(Scenario::Homogeneous, ttd, 32),
+            speedup_of(Scenario::Homogeneous, tfd, 32),
+        ) {
+            let ratio = tt32 / tf32;
+            let floor = floors["tree_reduce_over_flat_reduce_32_min_ratio"];
+            println!("gate: tree/flat reduce ratio at 32 hosts = {ratio:.2} (floor {floor:.2})");
+            assert!(
+                ratio >= floor,
+                "CI scaling gate: the reduce shape is only {ratio:.2}x flat collection at \
+                 32 homogeneous hosts (tree fork both), below the pinned {floor:.2}x floor"
+            );
+        }
         if let Some(ov32) = nbf_speedup(Overlap, 32) {
             let floor = floors["overlap_homogeneous_32_min_speedup"];
             println!("gate: NBF overlap homogeneous S(32) = {ov32:.2} (floor {floor:.2})");
@@ -632,8 +647,8 @@ fn main() {
         "\nShape check: homogeneous speedup grows with nodes until the fixed\n\
          per-fork communication dominates the shrinking block — under flat\n\
          collectives that rollover is the master's serialized fork sends plus\n\
-         the n-1 join streams converging on its inbound wire; the binomial\n\
-         tree on both sides pushes it past 32 nodes, and the overlapped\n\
+         the n-1 join streams converging on its inbound wire; trees shaped\n\
+         by the cost model on both sides push it past 32 nodes, and the overlapped\n\
          data plane (pipelined faults, release-phase prefetch and writer\n\
          push, 1 KB of piggybacked hot diffs — one switch) takes the\n\
          remaining per-fault round-trips off the critical path.\n\

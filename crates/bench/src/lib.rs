@@ -565,6 +565,7 @@ mod tests {
         assert!(floors.contains_key("tree_homogeneous_16_min_speedup"));
         assert!(floors.contains_key("tree_over_flat_32_min_ratio"));
         assert!(floors.contains_key("tree_reduce_homogeneous_32_min_speedup"));
+        assert!(floors.contains_key("tree_reduce_over_flat_reduce_32_min_ratio"));
         assert!(floors.contains_key("overlap_homogeneous_32_min_speedup"));
         assert!(floors.contains_key("overlap_over_demand_32_min_ratio"));
         assert!(floors.contains_key("hotpath_contention_8t_min_ratio"));

@@ -8,16 +8,19 @@
 //! for the fork tree, inbound for the reduce tree). The flat side runs
 //! the legacy wire (flat fan-out, flat collection, flat notices); the
 //! tree side runs the redesign; both on the unscaled paper network
-//! model at zero wall cost.
+//! model at zero wall cost. The adaptive parity runs also charge the
+//! paper's host costs: the collective shapes are derived from them, and
+//! with a free relay overhead the reduce shape is a star.
 
 use nowmp_apps::jacobi::Jacobi;
 use nowmp_bench::{measure, shape, RunResult};
 use nowmp_core::{ClusterConfig, LeaveSel};
-use nowmp_net::NetModel;
+use nowmp_net::{CostModel, NetModel};
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::msg::Msg;
 use nowmp_tmk::records::Record;
-use nowmp_tmk::{tree, Broadcast, CollectiveConfig, DsmConfig, Pid, Vc};
+use nowmp_tmk::tree::Shapes;
+use nowmp_tmk::{Broadcast, CollectiveConfig, DsmConfig, Pid, Vc};
 use nowmp_util::Clock;
 use std::time::Duration;
 
@@ -65,25 +68,51 @@ fn cfg(hosts: usize, procs: usize, collectives: CollectiveConfig) -> ClusterConf
         .with_clock(Clock::new_virtual())
 }
 
-/// One adaptive run (join mid-flight, then a normal leave) under the
-/// given collective configuration, with verification on.
+/// Team sizes of [`adaptive_run`]: it starts with `PROCS`, a join
+/// makes it `PROCS + 1`, a leave brings it back.
+const PROCS: usize = 8;
+
+/// The shapes a team of `n` runs [`adaptive_run`] on. The shapes come
+/// from the models, and at 4 or 5 ranks both are stars under the paper
+/// costs, so the run uses teams big enough to have interior ranks.
+fn adaptive_shapes(n: usize) -> Shapes {
+    Shapes::for_team(n, &NetModel::paper_1999(), &CostModel::paper_1999())
+}
+
+/// Assert that both of `n`'s shapes have an interior rank, so the tree
+/// side of a parity run really relays and aggregates.
+fn assert_interior(n: usize) {
+    let s = adaptive_shapes(n);
+    assert!(s.fork.depth() > 1, "the {n}-rank fork shape is a star");
+    assert!(s.reduce.depth() > 1, "the {n}-rank reduce shape is a star");
+}
+
+/// One adaptive run (join mid-flight, then a normal leave of the
+/// joined team's deepest reduce aggregator) under the given collective
+/// configuration and the paper cost models, with verification on.
 fn adaptive_run(collectives: CollectiveConfig) -> RunResult {
     let app = Jacobi::new(48);
+    let joined = adaptive_shapes(PROCS + 1).reduce;
+    let leaver = (1..=PROCS).rev().find(|&p| !joined.children(p).is_empty());
+    let leaver = leaver.expect("the joined team has an interior aggregator") as u16;
     let events = |sys: &mut OmpSystem, it: usize| {
         if it == 2 {
             sys.join_ready().expect("free host available");
         }
         if it == 5 {
             sys.adapt()
-                .leave(LeaveSel::Pid(3), Some(Duration::from_secs(30)))
+                .leave(LeaveSel::Pid(leaver), Some(Duration::from_secs(30)))
                 .expect("slave can leave");
         }
     };
-    measure(&app, cfg(6, 4, collectives), 8, true, events, true)
+    let cfg = cfg(PROCS + 2, PROCS, collectives).with_cost_model(CostModel::paper_1999());
+    measure(&app, cfg, 8, true, events, true)
 }
 
 #[test]
 fn flat_and_tree_broadcasts_order_events_identically() {
+    assert_interior(PROCS);
+    assert_interior(PROCS + 1);
     let flat = adaptive_run(CollectiveConfig::all_flat());
     let tree = adaptive_run(CollectiveConfig::all_tree());
     assert_eq!(flat.err, 0.0, "flat run must verify bit-exact");
@@ -97,14 +126,17 @@ fn flat_and_tree_broadcasts_order_events_identically() {
         !shape(&tree.log).is_empty(),
         "the schedule must actually adapt"
     );
+    assert!(tree.dsm.bcast_relays > 0, "no interior rank relayed a fork");
 }
 
 #[test]
 fn flat_and_tree_reduce_order_events_identically() {
     // The ISSUE 6 collection-side parity: with the fork tree held
     // fixed, flat collection (every slave straight to the master) and
-    // the binomial join reduce + tree barrier release must produce
+    // the shaped join reduce + tree barrier release must produce
     // bit-exact results and the same adaptation event ordering.
+    assert_interior(PROCS);
+    assert_interior(PROCS + 1);
     let base = CollectiveConfig::default().with_fork(Broadcast::Tree);
     let flat = adaptive_run(base.with_join_reduce(Broadcast::Flat));
     let tree = adaptive_run(base.with_join_reduce(Broadcast::Tree));
@@ -119,6 +151,7 @@ fn flat_and_tree_reduce_order_events_identically() {
         !shape(&tree.log).is_empty(),
         "the schedule must actually adapt"
     );
+    assert!(tree.dsm.reduce_relays > 0, "no interior rank aggregated");
 }
 
 #[test]
@@ -168,25 +201,18 @@ fn tree_reduce_unloads_the_master_inbound() {
     // Steady state, 8 processes, fork tree on both sides: flat
     // collection converges n-1 JoinArrive/BarrierArrive streams on the
     // master's inbound wire every region; the reduce tree delivers the
-    // same records in O(log n) aggregates.
+    // same records in fewer aggregates. The host model charges the
+    // relay overhead an aggregator pays per absorbed aggregate, which
+    // the reduce shape is derived from (without it absorbing is free
+    // and the shape is a star: flat collection).
     let app = Jacobi::new(128);
     let base = CollectiveConfig::default().with_fork(Broadcast::Tree);
-    let flat = measure(
-        &app,
-        cfg(8, 8, base.with_join_reduce(Broadcast::Flat)),
-        4,
-        false,
-        |_, _| {},
-        false,
-    );
-    let tree = measure(
-        &app,
-        cfg(8, 8, base.with_join_reduce(Broadcast::Tree)),
-        4,
-        false,
-        |_, _| {},
-        false,
-    );
+    let run = |join_reduce| {
+        let cfg =
+            cfg(8, 8, base.with_join_reduce(join_reduce)).with_cost_model(CostModel::paper_1999());
+        measure(&app, cfg, 4, false, |_, _| {}, false)
+    };
+    let (flat, tree) = (run(Broadcast::Flat), run(Broadcast::Tree));
 
     let master_in = |r: &RunResult| r.net.links[0].msgs_in;
     assert!(
@@ -198,22 +224,37 @@ fn tree_reduce_unloads_the_master_inbound() {
     // What the reduce tree may cost or save here follows from the wire
     // model (derivation: docs/BROADCAST.md, "What the reduce tree costs
     // at 8 hosts"). Per join, the slowest rank's arrival travels up to
-    // `depth` hops instead of one; each extra hop is one more send of an
-    // aggregate (`latency + sender_time`) that can also hold up, or wait
-    // behind, one converging message at the aggregator's inbound port
+    // `depth` hops of the reduce shape instead of one; each extra hop
+    // is one more absorption (`relay_time`) and send of an aggregate
+    // (`latency + sender_time`) that can also hold up, or wait behind,
+    // one converging message at the aggregator's inbound port
     // (`receive_time`). In exchange the tree removes at most the
     // master-inbound queue of the flat collection: the last of `n - 1`
     // converging arrivals waits behind `n - 2` others. On top of either
     // bound sits the run-to-run spread of a timeline (same-tick ties at
     // a shared link, <= 2 %).
-    let model = NetModel::paper_1999();
-    // Two regions per Jacobi iteration. The largest aggregate is rank
-    // 4's, covering ranks 4-7; a leaf sends its own record alone.
+    let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
+    // Two regions per Jacobi iteration. The largest aggregate is the
+    // one covering the biggest subtree under the root; a leaf sends its
+    // own record alone.
     let (n, joins) = (8usize, 2.0 * 4.0);
-    let agg = join_arrive_bytes(n / 2, tree::subtree_size(n / 2, n));
+    let reduce = Shapes::for_team(n, &model, &cost).reduce;
+    let depth = reduce.depth();
+    assert!(
+        depth > 1,
+        "the 8-rank reduce shape has an interior aggregator"
+    );
+    let big = reduce
+        .children(0)
+        .iter()
+        .copied()
+        .max_by_key(|&c| reduce.subtree_size(c));
+    let big = big.expect("the root has children");
+    let agg = join_arrive_bytes(big, reduce.subtree_size(big));
     let leaf = join_arrive_bytes(n - 1, 1);
-    let hop = model.latency() + model.sender_time(agg) + model.receive_time(agg);
-    let max_cost = joins * (tree::depth(n) - 1) as f64 * hop.as_secs_f64();
+    let hop =
+        model.latency() + model.sender_time(agg) + model.receive_time(agg) + cost.relay_time();
+    let max_cost = joins * (depth - 1) as f64 * hop.as_secs_f64();
     let max_gain = joins * (n - 2) as f64 * model.receive_time(leaf).as_secs_f64();
     let spread = 0.02 * flat.secs;
     let delta = tree.secs - flat.secs;
@@ -228,7 +269,7 @@ fn tree_reduce_unloads_the_master_inbound() {
          {} extra hops per join can ({max_cost:.6}s)",
         tree.secs,
         flat.secs,
-        tree::depth(n) - 1
+        depth - 1
     );
     assert!(
         delta >= -(max_gain + spread),

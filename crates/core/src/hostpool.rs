@@ -9,7 +9,7 @@
 //! selection prefers fast hosts in heterogeneous what-if scenarios.
 //!
 //! The pool's spawn order is also the team's rank order, which the
-//! binomial **fork tree** (`nowmp_tmk::tree`) is built over. Rank order
+//! **collective shapes** (`nowmp_tmk::tree`) are built over. Rank order
 //! must stay stable across reassignment and host loss —
 //! [`crate::ReassignPolicy::CompactKeepOrder`] keeps survivors'
 //! relative order, so a leave only *compacts* the relay tree instead

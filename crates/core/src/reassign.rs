@@ -17,10 +17,10 @@ pub enum ReassignPolicy {
     /// Survivors keep their relative order and compact down; joiners
     /// append at the end (the paper's scheme, per Figure 3b).
     ///
-    /// Order stability is also what keeps the binomial *collective*
-    /// trees well-behaved across adaptations: both the fork broadcast
-    /// and the join reduce / barrier release (`nowmp_tmk::tree`) are
-    /// pure functions of `(rank, nprocs)`, so a compacted team
+    /// Order stability is also what keeps the *collective* trees
+    /// well-behaved across adaptations: both the fork shape and the
+    /// reduce shape (`nowmp_tmk::tree`) are pure functions of the team
+    /// size and the cost models, over rank order, so a compacted team
     /// re-derives a valid tree with every survivor's neighbors still
     /// in the same relative position — interior aggregators keep
     /// covering contiguous rank ranges and no collective state needs
@@ -116,6 +116,17 @@ mod tests {
 
     const G: fn(u32) -> Gpid = Gpid;
 
+    /// Every collective shape of an `m`-rank team: the fork and reduce
+    /// shapes under the paper models, and the binomial tree both take
+    /// under zero-cost models.
+    fn shapes(m: usize) -> Vec<nowmp_tmk::tree::Shape> {
+        use nowmp_net::{CostModel, NetModel};
+        use nowmp_tmk::tree::Shapes;
+        let paper = Shapes::for_team(m, &NetModel::paper_1999(), &CostModel::paper_1999());
+        let free = Shapes::for_team(m, &NetModel::disabled(), &CostModel::disabled());
+        vec![paper.fork, paper.reduce, free.fork]
+    }
+
     #[test]
     fn compact_keeps_order() {
         let old = vec![G(1), G(2), G(3), G(4)];
@@ -125,11 +136,11 @@ mod tests {
 
     #[test]
     fn compact_keeps_collective_tree_order_stable() {
-        // The reduce/broadcast trees are derived from (rank, nprocs):
+        // The fork and reduce shapes are derived from the team size:
         // after any single leave under CompactKeepOrder, survivors
-        // appear in the same relative order, and the re-derived
-        // binomial tree still covers exactly the compacted ranks with
-        // contiguous subtrees (`nowmp_tmk::tree::subtree_size`).
+        // appear in the same relative order, and each re-derived shape
+        // still covers exactly the compacted ranks with contiguous
+        // subtrees (`Shape::subtree_size`).
         for n in 2..=12usize {
             let old: Vec<Gpid> = (0..n as u32).map(G).collect();
             for leaver in 1..n {
@@ -146,15 +157,17 @@ mod tests {
                     .collect();
                 assert_eq!(members, expect, "survivor order must be preserved");
                 let m = members.len();
-                for rank in 0..m {
-                    let lo = rank;
-                    let hi = rank + nowmp_tmk::tree::subtree_size(rank, m);
-                    assert!(hi <= m, "subtree of rank {rank} overruns the {m}-team");
-                    for child in nowmp_tmk::tree::children(rank, m) {
-                        assert!(
-                            (lo..hi).contains(&child) || rank == 0,
-                            "child {child} outside rank {rank}'s contiguous range"
-                        );
+                for shape in shapes(m) {
+                    for rank in 0..m {
+                        let lo = rank;
+                        let hi = rank + shape.subtree_size(rank);
+                        assert!(hi <= m, "subtree of rank {rank} overruns the {m}-team");
+                        for &child in shape.children(rank) {
+                            assert!(
+                                (lo..hi).contains(&child) || rank == 0,
+                                "child {child} outside rank {rank}'s contiguous range"
+                            );
+                        }
                     }
                 }
             }
@@ -186,10 +199,10 @@ mod tests {
         assert_eq!(members, vec![G(1), G(2), G(8), G(9)]);
     }
 
-    /// ISSUE 5 pin: the binomial fork tree (`nowmp_tmk::tree`) is
+    /// ISSUE 5 pin: the collective shapes (`nowmp_tmk::tree`) are
     /// defined over team rank order. `CompactKeepOrder` must preserve
     /// the survivors' relative order across any leave — including an
-    /// interior relay's — so the tree only compacts and every rank is
+    /// interior relay's — so each shape only compacts and every rank is
     /// still covered by the broadcast after reassignment.
     #[test]
     fn fork_tree_order_stable_under_reassignment_and_host_loss() {
@@ -209,26 +222,28 @@ mod tests {
                     );
                 }
             }
-            // And the compacted tree still reaches every rank exactly
+            // And each compacted shape still reaches every rank exactly
             // once from the root.
             let n = members.len();
-            let mut seen = vec![false; n];
-            seen[0] = true;
-            let mut frontier = vec![0usize];
-            while let Some(p) = frontier.pop() {
-                for c in nowmp_tmk::tree::children(p, n) {
-                    assert!(!seen[c], "rank {c} delivered twice after leave {leaver}");
-                    seen[c] = true;
-                    frontier.push(c);
+            for shape in shapes(n) {
+                let mut seen = vec![false; n];
+                seen[0] = true;
+                let mut frontier = vec![0usize];
+                while let Some(p) = frontier.pop() {
+                    for &c in shape.children(p) {
+                        assert!(!seen[c], "rank {c} delivered twice after leave {leaver}");
+                        seen[c] = true;
+                        frontier.push(c);
+                    }
                 }
+                assert!(seen.iter().all(|&s| s), "compacted shape covers all ranks");
             }
-            assert!(seen.iter().all(|&s| s), "compacted tree covers all ranks");
         }
     }
 
     /// Joiners append at the tail under `CompactKeepOrder`, so a join
-    /// grows the fork tree without moving any existing interior edge's
-    /// relative order either.
+    /// grows the team without moving any existing rank's relative order
+    /// either.
     #[test]
     fn fork_tree_order_stable_under_join() {
         let old: Vec<Gpid> = (1..=6).map(G).collect();

@@ -343,13 +343,26 @@ fn virtual_clock_grace_timer_fires_in_simulated_time() {
     c.shutdown();
 }
 
+/// 8 processes on 9 hosts under the paper's wire and host models — the
+/// models the collective shapes are derived from — on a virtual clock.
+fn paper_tree_cfg() -> ClusterConfig {
+    ClusterConfig::test(9, 8)
+        .with_net_model(nowmp_net::NetModel::paper_1999())
+        .with_cost_model(nowmp_net::CostModel::paper_1999())
+        .with_clock(nowmp_util::Clock::new_virtual())
+}
+
+/// The collective shapes `cfg`'s initial team runs on.
+fn shapes_of(cfg: &ClusterConfig) -> nowmp_tmk::tree::Shapes {
+    nowmp_tmk::tree::Shapes::for_team(cfg.initial_procs, &cfg.net_model, &cfg.cost_model)
+}
+
 #[test]
 fn interior_tree_relay_killed_mid_fork_still_completes() {
-    // ISSUE 5 regression: with the binomial fork tree, pid 4 of an
-    // 8-process team is an *interior relay* (it forwards forks to
-    // ranks 5 and 6). Kill it mid-fork through the grace-timer path: a
-    // grace so short it can only expire while the next parallel region
-    // is in flight. The urgent migration freezes the computation
+    // ISSUE 5 regression: kill an *interior relay* of the fork shape
+    // (the root's first child, which forwards forks to its own subtree)
+    // mid-fork through the grace-timer path: a grace so short it can
+    // only expire while the next parallel region is in flight. The urgent migration freezes the computation
     // mid-region and moves the relay's process — the fork must still
     // complete and verify, the leave must commit at the next
     // adaptation point, and the compacted 7-rank tree must keep
@@ -360,17 +373,21 @@ fn interior_tree_relay_killed_mid_fork_still_completes() {
     // requested at t = 2 ms with a 100 µs grace *provably* expires
     // while the fork is in flight.
     let n = 64 * 1024;
-    let cfg = ClusterConfig::test(9, 8)
-        .with_net_model(nowmp_net::NetModel::paper_1999())
-        .with_clock(nowmp_util::Clock::new_virtual());
+    let cfg = paper_tree_cfg();
     assert_eq!(
         cfg.dsm.collectives.fork,
         nowmp_tmk::Broadcast::Tree,
         "tree broadcast is the default under test"
     );
+    let fork = shapes_of(&cfg).fork;
+    let relay = fork.children(0)[0];
+    assert!(
+        !fork.children(relay).is_empty(),
+        "rank {relay} must be an interior relay of the 8-rank fork shape"
+    );
     let mut c = Cluster::new(cfg, Arc::new(App { n }));
     c.alloc("v", n as u64, ElemKind::F64);
-    let g = c.team()[4];
+    let g = c.team()[relay];
     let shared = c.shared();
     let killer = c.clock().clone().spawn("killer", move || {
         // Lands mid-region on the virtual timeline (the fill fork has
@@ -415,10 +432,10 @@ fn interior_tree_relay_killed_mid_fork_still_completes() {
 #[test]
 fn interior_tree_aggregator_killed_mid_join_still_completes() {
     // ISSUE 6 regression, the collection-side mirror of
-    // `interior_tree_relay_killed_mid_fork_still_completes`: with the
-    // binomial join reduce, pid 4 of an 8-process team *aggregates*
-    // the JoinArrives of ranks 5 and 6 before forwarding one merged
-    // message to rank 0. Kill it at the tail of the region: the fill
+    // `interior_tree_relay_killed_mid_fork_still_completes`: an
+    // interior rank of the reduce shape *aggregates* the JoinArrives of
+    // its subtree before forwarding one merged message to its parent.
+    // Kill it at the tail of the region: the fill
     // spans ~3.2 ms -> ~110.8 ms on the paper-model virtual timeline,
     // so a leave requested at t = 109 ms with a 100 us grace expires
     // in the join/collection window. The join must still complete
@@ -427,17 +444,21 @@ fn interior_tree_aggregator_killed_mid_join_still_completes() {
     // next adaptation point, and the compacted 7-rank reduce tree must
     // keep collecting joins.
     let n = 64 * 1024;
-    let cfg = ClusterConfig::test(9, 8)
-        .with_net_model(nowmp_net::NetModel::paper_1999())
-        .with_clock(nowmp_util::Clock::new_virtual());
+    let cfg = paper_tree_cfg();
     assert_eq!(
         cfg.dsm.collectives.join_reduce,
         nowmp_tmk::Broadcast::Tree,
         "tree join reduce is the default under test"
     );
+    let reduce = shapes_of(&cfg).reduce;
+    let aggregator = reduce.children(0)[0];
+    assert!(
+        !reduce.children(aggregator).is_empty(),
+        "rank {aggregator} must be an interior aggregator of the 8-rank reduce shape"
+    );
     let mut c = Cluster::new(cfg, Arc::new(App { n }));
     c.alloc("v", n as u64, ElemKind::F64);
-    let g = c.team()[4];
+    let g = c.team()[aggregator];
     let shared = c.shared();
     let killer = c.clock().clone().spawn("killer", move || {
         // Lands in the last ~2 ms of the region, where workers drain

@@ -143,10 +143,10 @@ impl HostRec {
     /// returns `candidate` unchanged, so single-stream timings — and
     /// the calibrated Table 1/2 pins — are untouched; under
     /// convergence it returns the earliest slot after the queue
-    /// drains. The overhead term is what a binomial reduce amortizes:
+    /// drains. The overhead term is what a reduce tree amortizes:
     /// `n - 1` small messages converging on the master each pay it in
-    /// turn, `log n` aggregates carrying the same bytes pay it `log n`
-    /// times.
+    /// turn, the root's few aggregates carrying the same bytes pay it
+    /// once each.
     fn receive_at(&self, candidate: Tick, occ: Duration) -> Tick {
         let mut free = self.inbound.lock();
         let start = (*free).max(Tick::from_nanos(

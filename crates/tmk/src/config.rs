@@ -13,9 +13,10 @@ pub enum Broadcast {
     /// serialized at the master (the original TreadMarks shape — kept
     /// as the A/B baseline for `whatif_scale --broadcast flat`).
     Flat,
-    /// Binomial tree over team rank order: the master exchanges with
-    /// O(log n) children who relay/aggregate onward on their own links
-    /// (see [`crate::tree`]).
+    /// Trees over team rank order, shaped by the cost model: the master
+    /// exchanges with a few children who relay/aggregate onward on
+    /// their own links (see [`crate::tree`]; binomial when hops are
+    /// free).
     #[default]
     Tree,
 }
@@ -54,7 +55,7 @@ impl CollectiveConfig {
         }
     }
 
-    /// Every collective over the binomial tree (the default).
+    /// Every collective over its model-shaped tree (the default).
     pub fn all_tree() -> Self {
         CollectiveConfig {
             fork: Broadcast::Tree,

@@ -21,6 +21,7 @@ use crate::msg::Msg;
 use crate::page::PageBuf;
 use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
+use crate::tree::ShapeBook;
 use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
@@ -96,6 +97,19 @@ impl CtrlBuf {
     }
 }
 
+/// A team member's link to the team-wide collectives: the control
+/// buffer tree-relayed barrier releases (and, in the system layer,
+/// join-reduce aggregates) arrive through, and the system's collective
+/// shapes. Only processes a [`crate::system::DsmSystem`] started have
+/// one.
+#[derive(Clone)]
+pub struct TeamLink {
+    /// The process's control buffer, shared with its wait loop.
+    pub(crate) ctrl: Arc<Mutex<CtrlBuf>>,
+    /// The system's shapes, per team size.
+    pub(crate) shapes: Arc<ShapeBook>,
+}
+
 /// A cached page-access grant: buffer plus write permission.
 pub struct CacheEnt {
     /// The page payload.
@@ -149,11 +163,11 @@ pub struct TmkCtx {
     /// Shape of each cluster-wide collective.
     collectives: crate::config::CollectiveConfig,
     throttle: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Shared control buffer: the master's `barrier()` plays manager
-    /// through it; worker ranks receive tree-relayed barrier releases
-    /// (and, in the system layer, join-reduce aggregates) through the
-    /// same buffer. `None` only in single-process test contexts.
-    ctrl: Option<Arc<Mutex<CtrlBuf>>>,
+    /// Link to the team: the master's `barrier()` plays manager through
+    /// its control buffer; worker ranks receive tree-relayed barrier
+    /// releases through the same buffer. `None` only in single-process
+    /// test contexts.
+    link: Option<TeamLink>,
     /// Current region parameters (set by the fork dispatcher).
     params: Vec<u8>,
     /// Modeled compute cost of one iteration of the current region at
@@ -187,7 +201,7 @@ impl TmkCtx {
     pub fn new(
         core: Arc<Mutex<ProcCore>>,
         endpoint: Arc<Endpoint>,
-        ctrl: Option<Arc<Mutex<CtrlBuf>>>,
+        link: Option<TeamLink>,
     ) -> Self {
         let early_cv = Arc::new(ClockCondvar::new(endpoint.clock()));
         let (stats, cfg, epoch, team, my_pid, outbox) = {
@@ -217,7 +231,7 @@ impl TmkCtx {
             wire_enc: cfg.collectives.encoding(),
             collectives: cfg.collectives,
             throttle: cfg.throttle.clone(),
-            ctrl,
+            link,
             params: Vec::new(),
             iter_cost: Duration::ZERO,
             dataplane: cfg.dataplane,
@@ -833,7 +847,7 @@ impl TmkCtx {
     /// their new interval records and receive everyone else's. The
     /// release direction follows `collectives.join_reduce`: flat
     /// replies per arrival, or one receiver-independent
-    /// `BarrierRelease` relayed down the binomial tree.
+    /// `BarrierRelease` relayed down the fork shape.
     pub fn barrier(&mut self) {
         self.throttle();
         self.drain_prefetch();
@@ -844,12 +858,7 @@ impl TmkCtx {
             return;
         }
         if self.my_pid == 0 {
-            let ctrl = Arc::clone(
-                self.ctrl
-                    .as_ref()
-                    .expect("the barrier manager has a ctrl buffer"),
-            );
-            self.barrier_master(&ctrl);
+            self.barrier_master();
         } else {
             self.barrier_slave();
         }
@@ -857,6 +866,12 @@ impl TmkCtx {
         // Overlap the next epoch's faults with its compute: refetch
         // what we faulted on last epoch, asynchronously.
         self.prefetch_after_release();
+    }
+
+    /// Our link to the team's collectives. Only the barrier manager and
+    /// a tree-released slave need one.
+    fn team_link(&self) -> TeamLink {
+        self.link.clone().expect("a team member has a team link")
     }
 
     fn barrier_slave(&mut self) {
@@ -893,13 +908,14 @@ impl TmkCtx {
             return;
         }
         // Tree release: the arrival is one-way; the release reaches us
-        // relayed down the binomial tree through our parent.
+        // relayed down the fork shape through our parent.
+        let link = self.team_link();
         self.endpoint
             .send(master, arrive)
             .unwrap_or_else(|e| panic!("{}: barrier arrival failed: {e}", self.gpid()));
         self.wake_pusher();
-        let ctrl = Arc::clone(self.ctrl.as_ref().expect("worker has a ctrl buffer"));
-        let c = ctrl
+        let c = link
+            .ctrl
             .lock()
             .recv_where(self.call_timeout, |c| {
                 matches!(&c.msg, Msg::BarrierRelease { .. })
@@ -907,13 +923,19 @@ impl TmkCtx {
             .expect("barrier release lost");
         // Relay the verbatim payload to our subtree *before* applying:
         // the subtree's release latency is the critical path.
-        let n = self.team.nprocs();
-        if !crate::tree::children(pid as usize, n).is_empty() {
+        let shapes = link.shapes.get(self.team.nprocs());
+        if !shapes.fork.children(pid as usize).is_empty() {
             let d = self.endpoint.cost().relay_time();
             if !d.is_zero() {
                 self.endpoint.clock().sleep(d);
             }
-            let sent = crate::system::relay_tree_send(&self.endpoint, &self.team, pid, &c.raw);
+            let sent = crate::system::relay_tree_send(
+                &self.endpoint,
+                &self.team,
+                &shapes.fork,
+                pid,
+                &c.raw,
+            );
             DsmStats::add(&self.stats.release_relays, sent as u64);
         }
         match c.msg {
@@ -934,7 +956,8 @@ impl TmkCtx {
         }
     }
 
-    fn barrier_master(&mut self, ctrl: &Arc<Mutex<CtrlBuf>>) {
+    fn barrier_master(&mut self) {
+        let link = self.team_link();
         let n = self.nprocs();
         let epoch = self.epoch;
         // Close our interval; our records are in the store. The
@@ -949,7 +972,8 @@ impl TmkCtx {
         // Collect n-1 arrivals.
         let mut arrivals: Vec<(Ctrl, crate::types::Vc)> = Vec::with_capacity(n - 1);
         for _ in 0..n - 1 {
-            let c = ctrl
+            let c = link
+                .ctrl
                 .lock()
                 .recv_where(
                     self.call_timeout,
@@ -991,7 +1015,8 @@ impl TmkCtx {
                 piggyback,
             }
             .to_bytes_compat(self.wire_enc);
-            crate::system::relay_tree_send(&self.endpoint, &self.team, 0, &bytes);
+            let shapes = link.shapes.get(n);
+            crate::system::relay_tree_send(&self.endpoint, &self.team, &shapes.fork, 0, &bytes);
             return;
         }
         // Flat release: send each arrival the records it lacks and the

@@ -313,7 +313,7 @@ pub enum Msg {
         /// Slots allocated so far (keeps the slave's page table sized).
         alloc_slots: Addr,
         /// Tree dissemination: the receiver must forward this fork to
-        /// its binomial-tree children (see [`crate::tree`]) before
+        /// its children in the fork shape (see [`crate::tree`]) before
         /// running the region. The payload is receiver-independent, so
         /// relays forward it verbatim.
         relay: bool,
@@ -354,8 +354,8 @@ pub enum Msg {
         /// Records the receiver had not seen.
         records: Vec<Record>,
     },
-    /// Receiver-independent barrier release, relayed down the binomial
-    /// tree by interior ranks (one-way control message; the flat mode
+    /// Receiver-independent barrier release, relayed down the fork
+    /// shape by interior ranks (one-way control message; the flat mode
     /// keeps the per-receiver `BarrierRep` reply instead). Carries
     /// everything any arrival might lack — record application dedups
     /// over-delivery.
@@ -418,7 +418,7 @@ pub enum Msg {
         /// Slots allocated so far.
         alloc_slots: Addr,
         /// Tree dissemination (initial team formation): relay to our
-        /// binomial-tree children and ack only once they have acked.
+        /// fork-shape children and ack only once they have acked.
         relay: bool,
     },
     /// Embryo → master: connections set up, ready to join (one-way).

@@ -63,13 +63,13 @@ counters! {
     /// Fork events (master-side count).
     forks,
     /// `Fork`/`JoinInit` broadcast messages forwarded by interior
-    /// binomial-tree relays (zero under the flat broadcast).
+    /// relays of the fork shape (zero under the flat broadcast).
     bcast_relays,
-    /// `JoinArrive` aggregates forwarded upward by interior
-    /// binomial-tree ranks (zero under the flat join reduce).
+    /// `JoinArrive` aggregates forwarded upward by interior ranks of
+    /// the reduce shape (zero under the flat join reduce).
     reduce_relays,
-    /// `BarrierRelease` messages forwarded downward by interior
-    /// binomial-tree ranks (zero under the flat barrier release).
+    /// `BarrierRelease` messages forwarded downward by interior ranks
+    /// of the fork shape (zero under the flat barrier release).
     release_relays,
     /// Garbage collections run.
     gcs,

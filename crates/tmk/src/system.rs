@@ -14,7 +14,7 @@
 
 use crate::config::{Broadcast, DsmConfig};
 use crate::core::ProcCore;
-use crate::ctx::{CtrlBuf, TmkCtx};
+use crate::ctx::{CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan, LeaveSink};
 use crate::msg::{DirRle, Msg, RegEntry};
 use crate::page::PageState;
@@ -22,7 +22,7 @@ use crate::records::Record;
 use crate::service::{service_loop, Ctrl};
 use crate::shm::{Allocator, Registry};
 use crate::stats::DsmStats;
-use crate::tree;
+use crate::tree::{Shape, ShapeBook, Shapes};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
 use nowmp_util::wire::{Encoding, Wire};
@@ -69,12 +69,19 @@ pub struct DsmSystem {
     runner: Arc<dyn RegionRunner>,
     threads: Mutex<Vec<nowmp_util::JoinHandle<()>>>,
     cores: Mutex<HashMap<Gpid, Arc<Mutex<ProcCore>>>>,
+    /// Collective shapes per team size, derived from the network's
+    /// models on first use.
+    shapes: Arc<ShapeBook>,
 }
 
 impl DsmSystem {
     /// Create a system over `net` running `runner`'s regions.
     pub fn new(net: Network, cfg: DsmConfig, runner: Arc<dyn RegionRunner>) -> Arc<Self> {
         cfg.validate();
+        let shapes = Arc::new(ShapeBook::new(
+            net.model().clone(),
+            net.cost_model().clone(),
+        ));
         Arc::new(DsmSystem {
             net,
             cfg,
@@ -82,7 +89,21 @@ impl DsmSystem {
             runner,
             threads: Mutex::new(Vec::new()),
             cores: Mutex::new(HashMap::new()),
+            shapes,
         })
+    }
+
+    /// The collective shapes of an `n`-rank team (see [`crate::tree`]).
+    fn shapes(&self, n: usize) -> Arc<Shapes> {
+        self.shapes.get(n)
+    }
+
+    /// What a process's context needs for team-wide collectives.
+    fn link(&self, ctrl: &Arc<Mutex<CtrlBuf>>) -> TeamLink {
+        TeamLink {
+            ctrl: Arc::clone(ctrl),
+            shapes: Arc::clone(&self.shapes),
+        }
     }
 
     /// The underlying network.
@@ -129,7 +150,7 @@ impl DsmSystem {
         let ctx = TmkCtx::new(
             Arc::clone(&core),
             Arc::clone(&endpoint),
-            Some(Arc::clone(&ctrl)),
+            Some(self.link(&ctrl)),
         );
         let spp = self.cfg.slots_per_page();
         // The calling thread *is* the master process's application
@@ -206,77 +227,80 @@ impl DsmSystem {
     }
 }
 
-/// Forward an encoded one-way broadcast (`Fork`) to every binomial-tree
-/// child of rank `pid` (see [`crate::tree`]), largest subtree first.
-/// A child whose endpoint is gone — a relay being dropped or reassigned
-/// mid-flight — is *adopted*: the sender takes over that child's own
-/// children so the subtree still hears the broadcast (the fork then
-/// completes through the ordinary grace-timer/adaptation path for the
-/// vanished member). Returns the number of messages actually sent.
-pub fn relay_tree_send(endpoint: &Endpoint, team: &Team, pid: Pid, bytes: &bytes::Bytes) -> usize {
-    let n = team.nprocs();
-    let mut targets = tree::children(pid as usize, n);
+/// Send to each child of rank `pid` in `shape`, in send order, with
+/// `send` (true: delivered). A child whose endpoint is gone — a relay
+/// being dropped or reassigned mid-flight — is *adopted*: its own
+/// children join the end of the list, so its subtree still hears the
+/// message. Returns the number of messages delivered.
+fn relay_adopting(shape: &Shape, pid: Pid, mut send: impl FnMut(usize) -> bool) -> usize {
+    let mut targets = shape.children(pid as usize).to_vec();
     let mut sent = 0;
     let mut i = 0;
-    while i < targets.len() {
-        let child = targets[i];
+    while let Some(&child) = targets.get(i) {
         i += 1;
-        if endpoint
-            .send(team.gpid(child as Pid), bytes.clone())
-            .is_ok()
-        {
+        if send(child) {
             sent += 1;
         } else {
+            targets.extend_from_slice(shape.children(child));
+        }
+    }
+    sent
+}
+
+/// Forward an encoded one-way broadcast (`Fork`, `BarrierRelease`) to
+/// every child of rank `pid` in the fork `shape` (see [`crate::tree`]),
+/// in send order, adopting vanished children (the fork then completes
+/// through the ordinary grace-timer/adaptation path for the vanished
+/// member). Returns the number of messages actually sent.
+pub fn relay_tree_send(
+    endpoint: &Endpoint,
+    team: &Team,
+    shape: &Shape,
+    pid: Pid,
+    bytes: &bytes::Bytes,
+) -> usize {
+    relay_adopting(shape, pid, |child| {
+        let gpid = team.gpid(child as Pid);
+        let ok = endpoint.send(gpid, bytes.clone()).is_ok();
+        if !ok {
             // Loud by design: no team member is ever legitimately
             // unregistered mid-fork (leaves commit at adaptation
             // points), so an adoption in the wild is either the
             // dropped-relay race this guards or a protocol bug worth
             // seeing — the flat path would have panicked here.
             eprintln!(
-                "[nowmp] fork relay: rank {child} ({}) unreachable; adopting its subtree",
-                team.gpid(child as Pid)
+                "[nowmp] fork relay: rank {child} ({gpid}) unreachable; adopting its subtree"
             );
-            let mut adopted = tree::children(child, n);
-            targets.append(&mut adopted);
         }
-    }
-    sent
+        ok
+    })
 }
 
-/// Like [`relay_tree_send`] but request/reply: call every tree child and
+/// Like [`relay_tree_send`] but request/reply: call every child and
 /// require an `Ack`, adopting vanished children. Used for the `JoinInit`
 /// dissemination at team formation, where each relay acks only after its
 /// whole subtree has acked.
 fn relay_tree_call(
     endpoint: &Endpoint,
     team: &Team,
+    shape: &Shape,
     pid: Pid,
     bytes: &bytes::Bytes,
     timeout: Duration,
 ) -> usize {
-    let n = team.nprocs();
-    let mut targets = tree::children(pid as usize, n);
-    let mut sent = 0;
-    let mut i = 0;
-    while i < targets.len() {
-        let child = targets[i];
-        i += 1;
+    relay_adopting(shape, pid, |child| {
         match endpoint.call_deadline(team.gpid(child as Pid), bytes.clone(), timeout) {
             Ok(rep) => {
                 assert_eq!(
                     Msg::from_wire(&rep).expect("malformed JoinInit ack"),
                     Msg::Ack
                 );
-                sent += 1;
+                true
             }
-            Err(NetError::Unknown(_)) => {
-                let mut adopted = tree::children(child, n);
-                targets.append(&mut adopted);
-            }
+            Err(NetError::Unknown(_)) => false,
             Err(e) => panic!("JoinInit relay to rank {child} failed: {e}"),
         }
-    }
-    sent
+    })
 }
 
 /// Worker-side tree relay for an incoming `Fork`: charge the relay CPU
@@ -292,23 +316,28 @@ fn worker_relay_fork(
         let pc = core.lock();
         (pc.team.clone(), pc.my_pid)
     };
-    if tree::children(my_pid as usize, team.nprocs()).is_empty() {
+    let shapes = sys.shapes(team.nprocs());
+    if shapes.fork.children(my_pid as usize).is_empty() {
         return; // leaf rank: nothing to forward
     }
     let d = endpoint.cost().relay_time();
     if !d.is_zero() {
         endpoint.clock().sleep(d);
     }
-    let sent = relay_tree_send(endpoint, &team, my_pid, raw);
+    let sent = relay_tree_send(endpoint, &team, &shapes.fork, my_pid, raw);
     DsmStats::add(&sys.stats.bcast_relays, sent as u64);
 }
 
 /// Tree join reduce, worker side: collect the `JoinArrive` aggregates
-/// of our whole binomial subtree, merge them into our own arrival
-/// (vector-clock merge + record union, deduped by `(pid, seq)`), and
-/// forward **one** aggregate to our tree parent. The sender pid of an
+/// of our whole subtree in the reduce shape, merge them into our own
+/// arrival (vector-clock merge + record union, deduped by `(pid, seq)`),
+/// and forward **one** aggregate to our parent. The sender pid of an
 /// aggregate identifies the contiguous rank range it covers
-/// ([`tree::subtree_size`]), so coverage needs no extra wire fields.
+/// ([`Shape::subtree_size`]), so coverage needs no extra wire fields.
+///
+/// The two shapes differ, so a child's aggregate can reach us before
+/// our own `Fork` does: the wait loop in `worker_main` leaves it in the
+/// control buffer, where this collection finds it.
 ///
 /// Child data is buffered here only — never applied to our own core —
 /// so per-process DSM state stays byte-identical to the flat collection
@@ -336,9 +365,10 @@ fn worker_join_reduce(
     wire_enc: Encoding,
     timeout: Duration,
 ) {
-    let n = team.nprocs();
+    let shapes = sys.shapes(team.nprocs());
+    let shape = &shapes.reduce;
     let my = pid as usize;
-    let sub = tree::subtree_size(my, n);
+    let sub = shape.subtree_size(my);
     if sub > 1 {
         // Interior aggregator: wait for our subtree (minus ourselves).
         // `drain_unsent` can hand us records authored by *other* pids
@@ -363,20 +393,20 @@ fn worker_join_reduce(
                 unreachable!()
             };
             let from = from as usize;
-            for r in from..from + tree::subtree_size(from, n) {
+            for r in from..from + shape.subtree_size(from) {
                 remaining.remove(&r);
             }
             // Escalation implies adoption: every tree ancestor of
             // `from` strictly below us was unreachable when it sent
             // (the sender tried each in turn) — stop waiting for them.
-            let mut a = tree::parent(from);
+            let mut a = shape.parent(from);
             while a != my && a != 0 {
                 if remaining.remove(&a) {
                     eprintln!(
                         "[nowmp] join reduce: rank {my} adopts subtree of vanished aggregator {a}"
                     );
                 }
-                a = tree::parent(a);
+                a = shape.parent(a);
             }
             vc.merge(&child_vc);
             for r in child_recs {
@@ -398,7 +428,7 @@ fn worker_join_reduce(
         records,
     }
     .to_bytes_compat(wire_enc);
-    let mut target = tree::parent(my);
+    let mut target = shape.parent(my);
     loop {
         match endpoint.send(team.gpid(target as Pid), bytes.clone()) {
             Ok(()) => break,
@@ -406,7 +436,7 @@ fn worker_join_reduce(
                 eprintln!(
                     "[nowmp] join reduce: rank {my}'s parent {target} unreachable; escalating"
                 );
-                target = tree::parent(target);
+                target = shape.parent(target);
             }
             Err(e) => panic!("join aggregate from rank {my} to master failed: {e}"),
         }
@@ -441,12 +471,17 @@ fn worker_main(
     let mut ctx = TmkCtx::new(
         Arc::clone(&core),
         Arc::clone(&endpoint),
-        Some(Arc::clone(&ctrl)),
+        Some(sys.link(&ctrl)),
     );
     let runner = Arc::clone(&sys.runner);
 
     loop {
-        let c = match ctrl.lock().recv_where(Duration::from_secs(3600), |_| true) {
+        // A reduce child can finish its share before our own `Fork`
+        // reaches us down the (differently shaped) fork tree: its
+        // aggregate stays buffered for `worker_join_reduce`.
+        let c = match ctrl.lock().recv_where(Duration::from_secs(3600), |c| {
+            !matches!(c.msg, Msg::JoinArrive { .. })
+        }) {
             Ok(c) => c,
             Err(_) => break, // system torn down
         };
@@ -493,15 +528,18 @@ fn worker_main(
                 ctx.sync_reset();
                 // Tree team formation: install first, then bring our
                 // whole subtree up; our own ack means "subtree ready".
-                if relay && !tree::children(my_pid as usize, team.nprocs()).is_empty() {
-                    let d = endpoint.cost().relay_time();
-                    if !d.is_zero() {
-                        endpoint.clock().sleep(d);
+                let shapes = relay.then(|| sys.shapes(team.nprocs()));
+                if let Some(fork) = shapes.as_ref().map(|s| &s.fork) {
+                    if !fork.children(my_pid as usize).is_empty() {
+                        let d = endpoint.cost().relay_time();
+                        if !d.is_zero() {
+                            endpoint.clock().sleep(d);
+                        }
+                        // Forward the payload exactly as received — it
+                        // is receiver-independent, so no re-encode per hop.
+                        let sent = relay_tree_call(&endpoint, &team, fork, my_pid, &c.raw, timeout);
+                        DsmStats::add(&sys.stats.bcast_relays, sent as u64);
                     }
-                    // Forward the payload exactly as received — it is
-                    // receiver-independent, so no re-encode per hop.
-                    let sent = relay_tree_call(&endpoint, &team, my_pid, &c.raw, timeout);
-                    DsmStats::add(&sys.stats.bcast_relays, sent as u64);
                 }
                 if let Some(r) = c.replier {
                     r.reply(Msg::Ack.to_bytes());
@@ -749,8 +787,16 @@ impl MasterCtl {
         };
         let bytes = msg.to_bytes();
         if tree_mode {
-            // O(log n) calls; each child acks once its subtree is up.
-            relay_tree_call(&self.endpoint, &team, 0, &bytes, self.call_timeout);
+            // A call per root child; each acks once its subtree is up.
+            let shapes = self.sys.shapes(team.nprocs());
+            relay_tree_call(
+                &self.endpoint,
+                &team,
+                &shapes.fork,
+                0,
+                &bytes,
+                self.call_timeout,
+            );
         } else {
             for &w in workers {
                 let rep = self
@@ -805,7 +851,7 @@ impl MasterCtl {
         // keeps the 1999 flat-notice payload sizes (see `Broadcast`).
         let bytes = msg.to_bytes_compat(self.sys.cfg.collectives.encoding());
         if tree_mode {
-            relay_tree_send(&self.endpoint, &team, 0, &bytes);
+            relay_tree_send(&self.endpoint, &team, &self.sys.shapes(n).fork, 0, &bytes);
         } else {
             for pid in 1..n {
                 self.endpoint
@@ -831,9 +877,9 @@ impl MasterCtl {
 
         // Join: close our interval, then collect all slaves. Under the
         // tree join reduce each arrival is an *aggregate* covering the
-        // sender's whole binomial subtree (plus any orphans that
-        // escalated past a vanished aggregator), so collection is by
-        // rank coverage rather than by count.
+        // sender's whole subtree of the reduce shape (plus any orphans
+        // that escalated past a vanished aggregator), so collection is
+        // by rank coverage rather than by count.
         {
             let mut c = self.core.lock();
             c.close_interval();
@@ -842,6 +888,8 @@ impl MasterCtl {
         // The master sends nothing at a join: push while it collects.
         self.ctx.wake_pusher();
         let reduce_tree = self.sys.cfg.collectives.join_reduce == Broadcast::Tree;
+        let shapes = reduce_tree.then(|| self.sys.shapes(n));
+        let reduce = shapes.as_ref().map(|s| &s.reduce);
         let mut remaining: HashSet<usize> = (1..n).collect();
         while !remaining.is_empty() {
             let c = self
@@ -857,16 +905,16 @@ impl MasterCtl {
             } = c.msg
             {
                 let from = pid as usize;
-                if reduce_tree {
-                    for r in from..from + tree::subtree_size(from, n) {
+                if let Some(shape) = reduce {
+                    for r in from..from + shape.subtree_size(from) {
                         remaining.remove(&r);
                     }
                     // Adoption at the root: an aggregate that skipped
                     // dead intermediate ranks ends their wait too.
-                    let mut a = tree::parent(from);
+                    let mut a = shape.parent(from);
                     while a != 0 {
                         remaining.remove(&a);
-                        a = tree::parent(a);
+                        a = shape.parent(a);
                     }
                 } else {
                     remaining.remove(&from);

@@ -7,6 +7,7 @@ use nowmp_tmk::system::{DsmSystem, MasterCtl, RegionRunner};
 use nowmp_tmk::{DsmConfig, ElemKind, TmkCtx};
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Regions used by these tests.
 const R_FILL: u32 = 0; // each pid writes its block: v[i] = i
@@ -422,11 +423,13 @@ fn tree_relay_adopts_vanished_childs_subtree() {
     let net = Network::new(8, 1, NetModel::disabled());
     let eps: Vec<_> = (0..8u16).map(|h| net.register(HostId(h))).collect();
     let team = Team::new(0, eps.iter().map(|e| e.gpid()).collect());
-    // Rank 4 is an interior relay (children 6 and 5). Kill it.
+    // The zero-cost models' fork shape is the binomial tree, where rank
+    // 4 is an interior relay (children 6 and 5). Kill it.
+    let shape = nowmp_tmk::tree::Shape::greedy(8, Duration::ZERO, Duration::ZERO);
     net.unregister(eps[4].gpid());
 
     let payload = bytes::Bytes::from_static(b"fork");
-    let sent = relay_tree_send(&eps[0], &team, 0, &payload);
+    let sent = relay_tree_send(&eps[0], &team, &shape, 0, &payload);
     // Root's children are [4, 2, 1]; 4 is gone, so its children [6, 5]
     // are adopted: 2, 1, 6, 5 all hear the message directly.
     assert_eq!(sent, 4);
@@ -492,4 +495,74 @@ fn tree_and_flat_forks_compute_identically() {
         results[0], results[1],
         "broadcast shape is invisible to data"
     );
+}
+
+// --- ISSUE 25: model-derived collective shapes --------------------------
+
+/// The fork and reduce shapes differ under the paper models, so a rank
+/// that hears the fork early and has nothing to compute can send its
+/// `JoinArrive` to a reduce aggregator that has not heard the fork yet.
+/// The aggregator's wait loop must keep that arrival for the join
+/// instead of rejecting it as an unexpected control message (which
+/// kills the aggregator's thread and leaves the master waiting for a
+/// join that never completes).
+#[test]
+fn join_aggregate_that_beats_the_fork_is_kept_for_the_join() {
+    use nowmp_net::CostModel;
+    use nowmp_tmk::system::NullRunner;
+    use nowmp_tmk::tree::{fork_costs, reduce_costs, Shapes};
+    use nowmp_util::Clock;
+
+    let n = 32;
+    let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
+    // Premise, from the shapes and the costs they are derived from: some
+    // reduce child is informed of the fork, relays it to its own fork
+    // children, and still lands its (empty-region) aggregate before its
+    // aggregator is informed.
+    let shapes = Shapes::for_team(n, &model, &cost);
+    let (gap, hop) = fork_costs(n, &model, &cost);
+    let informed = shapes.fork.informed(gap, hop);
+    let (_, arrive) = reduce_costs(n, &model, &cost);
+    let relayed = |c: usize| match shapes.fork.children(c).len() {
+        0 => informed[c],
+        kids => informed[c] + cost.relay_time() + gap * kids as u32,
+    };
+    let early: Vec<(usize, usize)> = (1..n)
+        .map(|c| (c, shapes.reduce.parent(c)))
+        .filter(|&(c, a)| a != 0 && relayed(c) + arrive < informed[a])
+        .collect();
+    assert!(
+        !early.is_empty(),
+        "the shapes must put some reduce child ahead of its aggregator"
+    );
+
+    let net = Network::with_clock(n, 1, model, cost, Clock::new_virtual());
+    let sys = DsmSystem::new(
+        net,
+        DsmConfig {
+            call_timeout: Duration::from_secs(20),
+            ..DsmConfig::default_4k()
+        },
+        Arc::new(NullRunner),
+    );
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..n {
+        let hello: Vec<Gpid> = workers.clone();
+        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
+    }
+    master.init_team(&workers);
+    for _ in 0..4 {
+        master.parallel(0, &[]);
+    }
+    assert_eq!(
+        master.fork_no(),
+        4,
+        "every join completed (early: {early:?})"
+    );
+    assert!(
+        sys.stats().snapshot().reduce_relays > 0,
+        "the reduce tree ran"
+    );
+    master.shutdown();
 }

@@ -8,14 +8,28 @@
 //! are grouped into subtrees or in which order aggregates arrive.
 //! These tests pin that down as a property over arbitrary team sizes,
 //! record populations (including cross-pid records from lock
-//! transfers) and arrival orders.
+//! transfers) and arrival orders, on the reduce shape the system
+//! derives from its models — the paper's, and the zero-cost models'
+//! binomial tree.
 
+use nowmp_net::{CostModel, NetModel};
 use nowmp_tmk::records::{Record, RecordSet};
-use nowmp_tmk::tree;
+use nowmp_tmk::tree::{Shape, Shapes};
 use nowmp_tmk::types::{Pid, Seq, Vc};
 use nowmp_util::wire::{Dec, Enc, Encoding};
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// The reduce shape of an `n`-rank team: under the paper models, or
+/// (`paper == false`) under the zero-cost ones.
+fn reduce_shape(n: usize, paper: bool) -> Shape {
+    let (net, cost) = if paper {
+        (NetModel::paper_1999(), CostModel::paper_1999())
+    } else {
+        (NetModel::disabled(), CostModel::disabled())
+    };
+    Shapes::for_team(n, &net, &cost).reduce
+}
 
 /// One rank's contribution at join time: its vector clock and the
 /// records it drained (its own intervals plus any it carries for other
@@ -74,17 +88,22 @@ fn over_the_wire(records: Vec<Record>) -> Vec<Record> {
 /// aggregate as it comes off the wire. `flip` (one bit per rank)
 /// permutes the order children are absorbed in, modelling arbitrary
 /// arrival order.
-fn tree_aggregate(my: usize, n: usize, ranks: &[Contribution], flip: u64) -> (Vc, Vec<Record>) {
+fn tree_aggregate(
+    my: usize,
+    shape: &Shape,
+    ranks: &[Contribution],
+    flip: u64,
+) -> (Vc, Vec<Record>) {
     let own = &ranks[my];
     let mut vc = own.vc.clone();
     let mut records = own.records.clone();
     let mut seen: HashSet<(Pid, Seq)> = records.iter().map(|r| (r.pid, r.seq)).collect();
-    let mut kids = tree::children(my, n);
+    let mut kids = shape.children(my).to_vec();
     if flip >> (my % 64) & 1 == 1 {
         kids.reverse();
     }
     for child in kids {
-        let (child_vc, child_records) = tree_aggregate(child, n, ranks, flip);
+        let (child_vc, child_records) = tree_aggregate(child, shape, ranks, flip);
         let agg = (child_vc, over_the_wire(child_records));
         absorb(&mut vc, &mut records, &mut seen, agg);
     }
@@ -156,12 +175,13 @@ fn build_ranks(n: usize, intervals: &[u8], transfers: &[(usize, usize)]) -> Vec<
 
 proptest! {
     /// For any team size, interval population, lock-transfer pattern
-    /// and arrival order: the root of the binomial reduce tree holds
-    /// exactly the flat-collection vector clock, and the record set is
+    /// and arrival order: the root of the reduce shape holds exactly the
+    /// flat-collection vector clock, and the record set is
     /// byte-identical under canonical order — in both wire encodings.
     #[test]
     fn prop_tree_reduce_equals_flat_collection(
         n in 2usize..33,
+        paper in any::<bool>(),
         intervals in proptest::collection::vec(0u8..4, 33..34),
         transfers in proptest::collection::vec((0usize..33, 0usize..33), 0..5),
         flip in any::<u64>(),
@@ -169,7 +189,8 @@ proptest! {
     ) {
         let ranks = build_ranks(n, &intervals, &transfers);
 
-        let (tree_vc, tree_recs) = tree_aggregate(0, n, &ranks, flip);
+        let shape = reduce_shape(n, paper);
+        let (tree_vc, tree_recs) = tree_aggregate(0, &shape, &ranks, flip);
         let mut order: Vec<usize> = (1..n).collect();
         if order_rev {
             order.reverse();
@@ -192,13 +213,15 @@ proptest! {
     #[test]
     fn prop_tree_reduce_arrival_order_invariant(
         n in 2usize..33,
+        paper in any::<bool>(),
         intervals in proptest::collection::vec(1u8..3, 33..34),
         flip_a in any::<u64>(),
         flip_b in any::<u64>(),
     ) {
         let ranks = build_ranks(n, &intervals, &[]);
-        let (vc_a, recs_a) = tree_aggregate(0, n, &ranks, flip_a);
-        let (vc_b, recs_b) = tree_aggregate(0, n, &ranks, flip_b);
+        let shape = reduce_shape(n, paper);
+        let (vc_a, recs_a) = tree_aggregate(0, &shape, &ranks, flip_a);
+        let (vc_b, recs_b) = tree_aggregate(0, &shape, &ranks, flip_b);
         prop_assert_eq!(vc_a, vc_b);
         prop_assert_eq!(
             canonical_bytes(recs_a, Encoding::Runs),
@@ -216,28 +239,31 @@ proptest! {
 /// layer restores by migrating the process.
 #[test]
 fn adoption_coverage_is_exact() {
-    for n in 2..=40usize {
+    for (n, paper) in (2..=40usize).flat_map(|n| [(n, false), (n, true)]) {
+        let shape = reduce_shape(n, paper);
         for dead in 1..n {
-            let my = tree::parent(dead);
-            let sub = tree::subtree_size(my, n);
+            let my = shape.parent(dead);
+            let sub = shape.subtree_size(my);
             let mut remaining: HashSet<usize> = (my + 1..my + sub).collect();
             // Senders: my's surviving children, plus dead's children
             // escalating past the vanished aggregator.
-            let mut senders: Vec<usize> = tree::children(my, n)
-                .into_iter()
+            let mut senders: Vec<usize> = shape
+                .children(my)
+                .iter()
+                .copied()
                 .filter(|&c| c != dead)
                 .collect();
-            let dead_children = tree::children(dead, n);
+            let dead_children = shape.children(dead);
             let dead_is_leaf = dead_children.is_empty();
-            senders.extend(dead_children);
+            senders.extend_from_slice(dead_children);
             for s in senders {
-                for r in s..s + tree::subtree_size(s, n) {
+                for r in s..s + shape.subtree_size(s) {
                     remaining.remove(&r);
                 }
-                let mut a = tree::parent(s);
+                let mut a = shape.parent(s);
                 while a != my && a != 0 {
                     remaining.remove(&a);
-                    a = tree::parent(a);
+                    a = shape.parent(a);
                 }
             }
             if dead_is_leaf {
