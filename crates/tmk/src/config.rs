@@ -10,8 +10,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Broadcast {
     /// Master exchanges with every slave itself: `n - 1` messages
-    /// serialized at the master (the original TreadMarks shape — kept
-    /// as the A/B baseline for `whatif_scale --broadcast flat`).
+    /// serialized at the master (the original TreadMarks shape, and the
+    /// A/B baseline for `whatif_scale --broadcast flat`) — the star
+    /// [`crate::tree::Shape::star`].
     Flat,
     /// Trees over team rank order, shaped by the cost model: the master
     /// exchanges with a few children who relay/aggregate onward on
@@ -25,12 +26,17 @@ pub enum Broadcast {
 /// place. The two sides of the fork/join/barrier protocol are
 /// independent flat-vs-tree choices:
 ///
-/// * `fork` — downstream `Fork`/`JoinInit` dissemination (PR 4);
-/// * `join_reduce` — the collection side: upstream `JoinArrive`
-///   collection (children aggregate their subtree's records + vector
-///   clocks before forwarding one merged arrival) and the barrier
-///   release fan-out after the master merged all `BarrierArrive`s,
-///   which travels down the same tree the arrivals came up.
+/// * `fork` — downstream `Fork`/`JoinInit` dissemination (the fork
+///   shape);
+/// * `join_reduce` — the collection side: `JoinArrive` collection up the
+///   reduce shape (children aggregate their subtree's records + vector
+///   clocks into one arrival), and the barrier release once the master
+///   has merged every `BarrierArrive` (sent straight to it either way):
+///   `Tree` relays one `BarrierRelease` down the *fork* shape, `Flat`
+///   replies to each arrival with the records it lacks.
+///
+/// A `Flat` side is the star shape; only the flat barrier release is a
+/// code path of its own (see `TmkCtx::barrier`).
 ///
 /// `fork` doubles as the wire-compatibility switch: `Broadcast::Flat`
 /// there keeps every payload byte-identical to the 1999 flat encoding

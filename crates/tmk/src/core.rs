@@ -658,7 +658,8 @@ impl ProcCore {
     /// rides (receivers lacking more than one of our intervals fetch
     /// the rest on demand; they [`Self::deposit`] what rode along);
     /// pages rank by diff-serve heat, ties by page id, so the selection
-    /// is deterministic.
+    /// is deterministic. The selection rides one payload, so it is
+    /// counted in `piggyback_bytes` here.
     pub fn piggyback_diffs(&self) -> Vec<(PageId, Seq, Diff)> {
         let budget = self.cfg.dataplane.piggyback_budget();
         if budget == 0 || self.diffs.is_empty() {
@@ -689,6 +690,7 @@ impl ProcCore {
             bytes += wb;
             out.push((page, seq, d.as_ref().clone()));
         }
+        DsmStats::add(&self.stats.piggyback_bytes, (bytes + 8 * out.len()) as u64);
         out
     }
 

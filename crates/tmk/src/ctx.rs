@@ -844,10 +844,13 @@ impl TmkCtx {
     }
 
     /// In-region barrier. The master (pid 0) is the manager; slaves send
-    /// their new interval records and receive everyone else's. The
-    /// release direction follows `collectives.join_reduce`: flat
-    /// replies per arrival, or one receiver-independent
-    /// `BarrierRelease` relayed down the fork shape.
+    /// their new interval records straight to it and receive everyone
+    /// else's. The release follows `collectives.join_reduce`: under
+    /// `Tree`, one receiver-independent `BarrierRelease` relayed down the
+    /// fork shape; under `Flat`, a per-receiver `BarrierRep` reply to
+    /// each arrival. The flat release is the one collective that is not
+    /// a shape: its replies carry receiver-dependent records, which the
+    /// 1999 generation's traffic depends on.
     pub fn barrier(&mut self) {
         self.throttle();
         self.drain_prefetch();
@@ -857,10 +860,11 @@ impl TmkCtx {
             self.sync_reset();
             return;
         }
+        let tree_release = self.collectives.join_reduce == crate::config::Broadcast::Tree;
         if self.my_pid == 0 {
-            self.barrier_master();
+            self.barrier_master(tree_release);
         } else {
-            self.barrier_slave();
+            self.barrier_slave(tree_release);
         }
         self.sync_reset();
         // Overlap the next epoch's faults with its compute: refetch
@@ -874,7 +878,7 @@ impl TmkCtx {
         self.link.clone().expect("a team member has a team link")
     }
 
-    fn barrier_slave(&mut self) {
+    fn barrier_slave(&mut self, tree_release: bool) {
         let (vc, records, pid) = {
             let mut c = self.core.lock();
             c.close_interval();
@@ -888,7 +892,7 @@ impl TmkCtx {
             records,
         }
         .to_bytes_compat(self.wire_enc);
-        if self.collectives.join_reduce != crate::config::Broadcast::Tree {
+        if !tree_release {
             let call = self
                 .endpoint
                 .call_begin(master, arrive)
@@ -923,40 +927,30 @@ impl TmkCtx {
             .expect("barrier release lost");
         // Relay the verbatim payload to our subtree *before* applying:
         // the subtree's release latency is the critical path.
-        let shapes = link.shapes.get(self.team.nprocs());
-        if !shapes.fork.children(pid as usize).is_empty() {
-            let d = self.endpoint.cost().relay_time();
-            if !d.is_zero() {
-                self.endpoint.clock().sleep(d);
-            }
-            let sent = crate::system::relay_tree_send(
-                &self.endpoint,
-                &self.team,
-                &shapes.fork,
-                pid,
-                &c.raw,
-            );
-            DsmStats::add(&self.stats.release_relays, sent as u64);
-        }
-        match c.msg {
-            Msg::BarrierRelease {
-                vc,
-                records,
-                piggyback,
-            } => {
-                let mut core = self.core.lock();
-                core.apply_records(&records);
-                core.vc.merge(&vc);
-                // Hot diffs ride the release; what they cover needs no
-                // demand fetch this epoch. Master's own diffs only, so
-                // attribution is pid 0.
-                core.deposit(0, piggyback, false);
-            }
-            _ => unreachable!(),
+        crate::system::relay_onward(
+            &self.endpoint,
+            &link.shapes.get(self.team.nprocs()).fork,
+            pid,
+            &self.stats.release_relays,
+            crate::system::send_to(&self.endpoint, &self.team, &c.raw),
+        );
+        if let Msg::BarrierRelease {
+            vc,
+            records,
+            piggyback,
+        } = c.msg
+        {
+            let mut core = self.core.lock();
+            core.apply_records(&records);
+            core.vc.merge(&vc);
+            // Hot diffs ride the release; what they cover needs no
+            // demand fetch this epoch. Master's own diffs only, so
+            // attribution is pid 0.
+            core.deposit(0, piggyback, false);
         }
     }
 
-    fn barrier_master(&mut self) {
+    fn barrier_master(&mut self, tree_release: bool) {
         let link = self.team_link();
         let n = self.nprocs();
         let epoch = self.epoch;
@@ -988,7 +982,7 @@ impl TmkCtx {
             self.core.lock().vc.merge(&vc);
             arrivals.push((c, vc));
         }
-        if self.collectives.join_reduce == crate::config::Broadcast::Tree {
+        if tree_release {
             // Receiver-independent release: everything newer than the
             // pointwise-min arrival clock covers what every slave lacks
             // (over-delivery is fine — record application dedups), so
@@ -1007,8 +1001,6 @@ impl TmkCtx {
                     c.piggyback_diffs(),
                 )
             };
-            let pb_bytes: usize = piggyback.iter().map(|(_, _, d)| 8 + d.wire_bytes()).sum();
-            DsmStats::add(&self.stats.piggyback_bytes, pb_bytes as u64);
             let bytes = Msg::BarrierRelease {
                 vc: merged_vc,
                 records,

@@ -294,7 +294,9 @@ pub enum Msg {
     },
 
     // ---- control (application thread) ----
-    /// Master → slave: execute a parallel region (the `Tmk_fork`).
+    /// Master → slave: execute a parallel region (the `Tmk_fork`). The
+    /// payload is receiver-independent: a rank with children in the fork
+    /// shape (see [`crate::tree`]) forwards it verbatim before running.
     Fork {
         /// Protocol epoch.
         epoch: Epoch,
@@ -312,11 +314,6 @@ pub enum Msg {
         registry_delta: Vec<RegEntry>,
         /// Slots allocated so far (keeps the slave's page table sized).
         alloc_slots: Addr,
-        /// Tree dissemination: the receiver must forward this fork to
-        /// its children in the fork shape (see [`crate::tree`]) before
-        /// running the region. The payload is receiver-independent, so
-        /// relays forward it verbatim.
-        relay: bool,
         /// Piggybacked hot diffs of the master's own newest intervals
         /// (`(page, seq, diff)`, budget-bounded; empty under the
         /// demand data plane — and then absent from the wire, keeping
@@ -460,6 +457,10 @@ mod tags {
     pub const DIFF_PUSH: u8 = 24;
 }
 
+/// The byte a `Fork` carries after `alloc_slots`, where a relay flag
+/// was: kept so no payload size moves; decoders skip it.
+const FORK_RESERVED: u8 = 0;
+
 /// Encode `(page, seq, diff)` triples behind a count: the body of
 /// `DiffRep`, `DiffPush` and the piggyback section (owned or shared
 /// diffs alike).
@@ -592,7 +593,6 @@ impl Wire for Msg {
                 records,
                 registry_delta,
                 alloc_slots,
-                relay,
                 piggyback,
             } => {
                 e.put_u8(FORK);
@@ -604,7 +604,7 @@ impl Wire for Msg {
                 RecordSet::enc_slice(records, e);
                 e.put_seq(registry_delta);
                 e.put_u64(*alloc_slots);
-                e.put_bool(*relay);
+                e.put_u8(FORK_RESERVED);
                 enc_piggyback(piggyback, e);
             }
             Msg::JoinArrive {
@@ -789,8 +789,10 @@ impl Wire for Msg {
                 records: RecordSet::dec_vec(d)?,
                 registry_delta: d.get_seq()?,
                 alloc_slots: d.get_u64()?,
-                relay: d.get_bool()?,
-                piggyback: dec_piggyback(d)?,
+                piggyback: {
+                    d.get_u8()?; // FORK_RESERVED
+                    dec_piggyback(d)?
+                },
             },
             JOIN_ARRIVE => Msg::JoinArrive {
                 epoch: d.get_u32()?,
@@ -986,7 +988,6 @@ mod tests {
                     ver: 1,
                 }],
                 alloc_slots: 1024,
-                relay: true,
                 piggyback: vec![],
             },
             Msg::Fork {
@@ -998,7 +999,6 @@ mod tests {
                 records: vec![rec.clone()],
                 registry_delta: vec![],
                 alloc_slots: 1024,
-                relay: true,
                 piggyback: vec![(3, 4, Diff::of_run(0, &[7, 8]))],
             },
             Msg::JoinArrive {

@@ -12,7 +12,7 @@
 //! * [`RegionRunner`] is the compiled application: region id → outlined
 //!   procedure (what SUIF emits from each OpenMP parallel construct).
 
-use crate::config::{Broadcast, DsmConfig};
+use crate::config::DsmConfig;
 use crate::core::ProcCore;
 use crate::ctx::{CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan, LeaveSink};
@@ -22,13 +22,14 @@ use crate::records::Record;
 use crate::service::{service_loop, Ctrl};
 use crate::shm::{Allocator, Registry};
 use crate::stats::DsmStats;
-use crate::tree::{Shape, ShapeBook, Shapes};
+use crate::tree::{Shape, ShapeBook};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
-use nowmp_util::wire::{Encoding, Wire};
+use nowmp_util::wire::Wire;
 use nowmp_util::MailboxReceiver;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,6 +82,7 @@ impl DsmSystem {
         let shapes = Arc::new(ShapeBook::new(
             net.model().clone(),
             net.cost_model().clone(),
+            cfg.collectives,
         ));
         Arc::new(DsmSystem {
             net,
@@ -91,11 +93,6 @@ impl DsmSystem {
             cores: Mutex::new(HashMap::new()),
             shapes,
         })
-    }
-
-    /// The collective shapes of an `n`-rank team (see [`crate::tree`]).
-    fn shapes(&self, n: usize) -> Arc<Shapes> {
-        self.shapes.get(n)
     }
 
     /// What a process's context needs for team-wide collectives.
@@ -247,6 +244,52 @@ fn relay_adopting(shape: &Shape, pid: Pid, mut send: impl FnMut(usize) -> bool) 
     sent
 }
 
+/// A one-way delivery of `bytes` to a team rank, for
+/// [`relay_adopting`]: false when the rank's endpoint is gone.
+pub(crate) fn send_to<'a>(
+    endpoint: &'a Endpoint,
+    team: &'a Team,
+    bytes: &'a bytes::Bytes,
+) -> impl FnMut(usize) -> bool + 'a {
+    move |child| {
+        let gpid = team.gpid(child as Pid);
+        let ok = endpoint.send(gpid, bytes.clone()).is_ok();
+        if !ok {
+            // Loud by design: no team member is ever legitimately
+            // unregistered mid-fork (leaves commit at adaptation
+            // points), so an adoption in the wild is either the
+            // dropped-relay race this guards or a protocol bug worth
+            // seeing.
+            eprintln!(
+                "[nowmp] fork relay: rank {child} ({gpid}) unreachable; adopting its subtree"
+            );
+        }
+        ok
+    }
+}
+
+/// A `JoinInit` call to a team rank, for [`relay_adopting`]: true once
+/// it acked (a relay acks only after its whole subtree has), false when
+/// its endpoint is gone.
+fn call_acked<'a>(
+    endpoint: &'a Endpoint,
+    team: &'a Team,
+    bytes: &'a bytes::Bytes,
+    timeout: Duration,
+) -> impl FnMut(usize) -> bool + 'a {
+    move |child| match endpoint.call_deadline(team.gpid(child as Pid), bytes.clone(), timeout) {
+        Ok(rep) => {
+            assert_eq!(
+                Msg::from_wire(&rep).expect("malformed JoinInit ack"),
+                Msg::Ack
+            );
+            true
+        }
+        Err(NetError::Unknown(_)) => false,
+        Err(e) => panic!("JoinInit relay to rank {child} failed: {e}"),
+    }
+}
+
 /// Forward an encoded one-way broadcast (`Fork`, `BarrierRelease`) to
 /// every child of rank `pid` in the fork `shape` (see [`crate::tree`]),
 /// in send order, adopting vanished children (the fork then completes
@@ -259,146 +302,73 @@ pub fn relay_tree_send(
     pid: Pid,
     bytes: &bytes::Bytes,
 ) -> usize {
-    relay_adopting(shape, pid, |child| {
-        let gpid = team.gpid(child as Pid);
-        let ok = endpoint.send(gpid, bytes.clone()).is_ok();
-        if !ok {
-            // Loud by design: no team member is ever legitimately
-            // unregistered mid-fork (leaves commit at adaptation
-            // points), so an adoption in the wild is either the
-            // dropped-relay race this guards or a protocol bug worth
-            // seeing — the flat path would have panicked here.
-            eprintln!(
-                "[nowmp] fork relay: rank {child} ({gpid}) unreachable; adopting its subtree"
-            );
-        }
-        ok
-    })
+    relay_adopting(shape, pid, send_to(endpoint, team, bytes))
 }
 
-/// Like [`relay_tree_send`] but request/reply: call every child and
-/// require an `Ack`, adopting vanished children. Used for the `JoinInit`
-/// dissemination at team formation, where each relay acks only after its
-/// whole subtree has acked.
-fn relay_tree_call(
-    endpoint: &Endpoint,
-    team: &Team,
-    shape: &Shape,
-    pid: Pid,
-    bytes: &bytes::Bytes,
-    timeout: Duration,
-) -> usize {
-    relay_adopting(shape, pid, |child| {
-        match endpoint.call_deadline(team.gpid(child as Pid), bytes.clone(), timeout) {
-            Ok(rep) => {
-                assert_eq!(
-                    Msg::from_wire(&rep).expect("malformed JoinInit ack"),
-                    Msg::Ack
-                );
-                true
-            }
-            Err(NetError::Unknown(_)) => false,
-            Err(e) => panic!("JoinInit relay to rank {child} failed: {e}"),
-        }
-    })
-}
-
-/// Worker-side tree relay for an incoming `Fork`: charge the relay CPU
-/// overhead to the clock, forward the received payload verbatim to our
-/// subtree, and count the hops.
-fn worker_relay_fork(
-    sys: &DsmSystem,
-    endpoint: &Endpoint,
-    core: &Mutex<ProcCore>,
-    raw: &bytes::Bytes,
-) {
-    let (team, my_pid) = {
-        let pc = core.lock();
-        (pc.team.clone(), pc.my_pid)
-    };
-    let shapes = sys.shapes(team.nprocs());
-    if shapes.fork.children(my_pid as usize).is_empty() {
-        return; // leaf rank: nothing to forward
-    }
+/// Charge one relay overhead (an inbound stack traversal) to the clock.
+fn charge_relay(endpoint: &Endpoint) {
     let d = endpoint.cost().relay_time();
     if !d.is_zero() {
         endpoint.clock().sleep(d);
     }
-    let sent = relay_tree_send(endpoint, &team, &shapes.fork, my_pid, raw);
-    DsmStats::add(&sys.stats.bcast_relays, sent as u64);
 }
 
-/// Tree join reduce, worker side: collect the `JoinArrive` aggregates
-/// of our whole subtree in the reduce shape, merge them into our own
-/// arrival (vector-clock merge + record union, deduped by `(pid, seq)`),
-/// and forward **one** aggregate to our parent. The sender pid of an
-/// aggregate identifies the contiguous rank range it covers
-/// ([`Shape::subtree_size`]), so coverage needs no extra wire fields.
-///
-/// The two shapes differ, so a child's aggregate can reach us before
-/// our own `Fork` does: the wait loop in `worker_main` leaves it in the
-/// control buffer, where this collection finds it.
-///
-/// Child data is buffered here only — never applied to our own core —
-/// so per-process DSM state stays byte-identical to the flat collection
-/// (the next fork's receiver-independent notice set brings everyone to
-/// par exactly as today).
-///
-/// Vanished-aggregator adoption mirrors [`relay_tree_send`] in both
-/// directions: upward, a sender whose parent endpoint is gone escalates
-/// to the grandparent (terminating at the master, which is always
-/// alive); downward, receiving an aggregate that *skipped* dead
-/// intermediate ranks tells us to adopt — we stop waiting for those
-/// ranks and re-collect from their escalated orphans (the vanished
-/// members themselves resolve through the ordinary grace-timer /
-/// urgent-migration path, as on the fork side).
-#[allow(clippy::too_many_arguments)]
-fn worker_join_reduce(
-    sys: &DsmSystem,
+/// Pass a broadcast rank `pid` received (`Fork`, `JoinInit`,
+/// `BarrierRelease`) verbatim to its children in `shape`, if it has any
+/// (a star's leaves have none): charge one relay overhead, deliver with
+/// `send`, adopting vanished children, and count the deliveries.
+pub(crate) fn relay_onward(
     endpoint: &Endpoint,
-    ctrl: &Mutex<CtrlBuf>,
-    team: &Team,
-    epoch: Epoch,
+    shape: &Shape,
     pid: Pid,
-    mut vc: Vc,
-    mut records: Vec<Record>,
-    wire_enc: Encoding,
-    timeout: Duration,
+    counter: &AtomicU64,
+    send: impl FnMut(usize) -> bool,
 ) {
-    let shapes = sys.shapes(team.nprocs());
-    let shape = &shapes.reduce;
-    let my = pid as usize;
-    let sub = shape.subtree_size(my);
-    if sub > 1 {
-        // Interior aggregator: wait for our subtree (minus ourselves).
-        // `drain_unsent` can hand us records authored by *other* pids
-        // (lock transfers), so dedup child aggregates against them.
-        let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
-        let mut remaining: HashSet<usize> = (my + 1..my + sub).collect();
-        while !remaining.is_empty() {
-            let c = ctrl
-                .lock()
-                .recv_where(
-                    timeout,
-                    |c| matches!(&c.msg, Msg::JoinArrive { epoch: e, .. } if *e == epoch),
-                )
-                .expect("join aggregate lost");
-            let Msg::JoinArrive {
-                pid: from,
-                vc: child_vc,
-                records: child_recs,
-                ..
-            } = c.msg
-            else {
-                unreachable!()
-            };
-            let from = from as usize;
+    if !shape.children(pid as usize).is_empty() {
+        charge_relay(endpoint);
+        DsmStats::add(counter, relay_adopting(shape, pid, send) as u64);
+    }
+}
+
+/// Collect the `JoinArrive` aggregates of rank `my`'s subtree in the
+/// reduce `shape` (all of it but `my`), handing each one's clock and
+/// records to `absorb`. The sender pid of an aggregate identifies the
+/// contiguous rank range it covers ([`Shape::subtree_size`]), so
+/// coverage needs no extra wire fields.
+///
+/// Adoption mirrors [`relay_tree_send`]: a sender whose parent is gone
+/// escalates to the grandparent (see [`worker_join_reduce`]), so an
+/// aggregate that *skipped* dead intermediate ranks tells us to stop
+/// waiting for them and collect their escalated orphans instead (the
+/// vanished members themselves resolve through the ordinary grace-timer
+/// / urgent-migration path, as on the fork side).
+fn collect_joins(
+    ctrl: &Mutex<CtrlBuf>,
+    shape: &Shape,
+    my: usize,
+    epoch: Epoch,
+    timeout: Duration,
+    mut absorb: impl FnMut(Vc, Vec<Record>),
+) {
+    let mut remaining: HashSet<usize> = (my + 1..my + shape.subtree_size(my)).collect();
+    while !remaining.is_empty() {
+        let c = ctrl
+            .lock()
+            .recv_where(
+                timeout,
+                |c| matches!(&c.msg, Msg::JoinArrive { epoch: e, .. } if *e == epoch),
+            )
+            .expect("join aggregate lost");
+        if let Msg::JoinArrive {
+            pid, vc, records, ..
+        } = c.msg
+        {
+            let from = pid as usize;
             for r in from..from + shape.subtree_size(from) {
                 remaining.remove(&r);
             }
-            // Escalation implies adoption: every tree ancestor of
-            // `from` strictly below us was unreachable when it sent
-            // (the sender tried each in turn) — stop waiting for them.
+            // Every tree ancestor of `from` strictly below us was
+            // unreachable when it sent (the sender tried each in turn).
             let mut a = shape.parent(from);
             while a != my && a != 0 {
                 if remaining.remove(&a) {
@@ -408,26 +378,60 @@ fn worker_join_reduce(
                 }
                 a = shape.parent(a);
             }
-            vc.merge(&child_vc);
-            for r in child_recs {
-                if seen.insert((r.pid, r.seq)) {
-                    records.push(r);
-                }
-            }
-            // One inbound stack traversal per absorbed aggregate.
-            let d = endpoint.cost().relay_time();
-            if !d.is_zero() {
-                endpoint.clock().sleep(d);
-            }
+            absorb(vc, records);
         }
     }
+}
+
+/// Join reduce, worker side: collect the `JoinArrive` aggregates of our
+/// whole subtree in the reduce shape, merge them into our own arrival
+/// (vector-clock merge + record union, deduped by `(pid, seq)`), and
+/// forward **one** aggregate to our parent — escalating to the
+/// grandparent, and on up to the master, while the parent's endpoint is
+/// gone. A leaf just sends its own arrival.
+///
+/// The two shapes differ, so a child's aggregate can reach us before
+/// our own `Fork` does: the wait loop in `worker_main` leaves it in the
+/// control buffer, where this collection finds it.
+///
+/// Child data is buffered here only — never applied to our own core —
+/// so per-process DSM state stays byte-identical to the flat collection
+/// (the next fork's receiver-independent notice set brings everyone to
+/// par exactly as today).
+fn worker_join_reduce(
+    sys: &DsmSystem,
+    endpoint: &Endpoint,
+    ctrl: &Mutex<CtrlBuf>,
+    ctx: &TmkCtx,
+    epoch: Epoch,
+    mut vc: Vc,
+    mut records: Vec<Record>,
+) {
+    let (team, pid) = (ctx.team(), ctx.pid());
+    let shapes = sys.shapes.get(team.nprocs());
+    let shape = &shapes.reduce;
+    let my = pid as usize;
+    // `drain_unsent` can hand us records authored by *other* pids (lock
+    // transfers), so dedup child aggregates against them.
+    let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
+    let absorb = |child_vc: Vc, child_recs: Vec<Record>| {
+        vc.merge(&child_vc);
+        for r in child_recs {
+            if seen.insert((r.pid, r.seq)) {
+                records.push(r);
+            }
+        }
+        // One inbound stack traversal per absorbed aggregate.
+        charge_relay(endpoint);
+    };
+    collect_joins(ctrl, shape, my, epoch, sys.cfg.call_timeout, absorb);
     let bytes = Msg::JoinArrive {
         epoch,
         pid,
         vc,
         records,
     }
-    .to_bytes_compat(wire_enc);
+    .to_bytes_compat(sys.cfg.collectives.encoding());
     let mut target = shape.parent(my);
     loop {
         match endpoint.send(team.gpid(target as Pid), bytes.clone()) {
@@ -441,7 +445,7 @@ fn worker_join_reduce(
             Err(e) => panic!("join aggregate from rank {my} to master failed: {e}"),
         }
     }
-    if sub > 1 {
+    if shape.subtree_size(my) > 1 {
         DsmStats::bump(&sys.stats.reduce_relays);
     }
 }
@@ -457,7 +461,6 @@ fn worker_main(
 ) {
     let gpid = endpoint.gpid();
     let timeout = sys.cfg.call_timeout;
-    let wire_enc = sys.cfg.collectives.encoding();
     // Connection setup: slaves first, master last (§4.1).
     for peer in &hello_to {
         let _ = endpoint.call_deadline(*peer, Msg::ConnHello { from: gpid }.to_bytes(), timeout);
@@ -485,11 +488,17 @@ fn worker_main(
             Ok(c) => c,
             Err(_) => break, // system torn down
         };
-        // Tree dissemination: forward a relayable fork to our subtree
-        // *before* touching our own state — the subtree's latency is
-        // the broadcast's critical path, our record merge is not.
-        if let Msg::Fork { relay: true, .. } = &c.msg {
-            worker_relay_fork(&sys, &endpoint, &core, &c.raw);
+        // Forward a fork to our subtree *before* touching our own
+        // state — the subtree's latency is the broadcast's critical
+        // path, our record merge is not.
+        if let Msg::Fork { .. } = &c.msg {
+            relay_onward(
+                &endpoint,
+                &sys.shapes.get(ctx.nprocs()).fork,
+                ctx.pid(),
+                &sys.stats.bcast_relays,
+                send_to(&endpoint, ctx.team(), &c.raw),
+            );
         }
         match c.msg {
             Msg::JoinInit {
@@ -526,20 +535,16 @@ fn worker_main(
                     }
                 }
                 ctx.sync_reset();
-                // Tree team formation: install first, then bring our
-                // whole subtree up; our own ack means "subtree ready".
-                let shapes = relay.then(|| sys.shapes(team.nprocs()));
-                if let Some(fork) = shapes.as_ref().map(|s| &s.fork) {
-                    if !fork.children(my_pid as usize).is_empty() {
-                        let d = endpoint.cost().relay_time();
-                        if !d.is_zero() {
-                            endpoint.clock().sleep(d);
-                        }
-                        // Forward the payload exactly as received — it
-                        // is receiver-independent, so no re-encode per hop.
-                        let sent = relay_tree_call(&endpoint, &team, fork, my_pid, &c.raw, timeout);
-                        DsmStats::add(&sys.stats.bcast_relays, sent as u64);
-                    }
+                // Team formation: install first, then bring our whole
+                // subtree up; our own ack means "subtree ready".
+                if relay {
+                    relay_onward(
+                        &endpoint,
+                        &sys.shapes.get(team.nprocs()).fork,
+                        my_pid,
+                        &sys.stats.bcast_relays,
+                        call_acked(&endpoint, &team, &c.raw, timeout),
+                    );
                 }
                 if let Some(r) = c.replier {
                     r.reply(Msg::Ack.to_bytes());
@@ -579,36 +584,12 @@ fn worker_main(
                 // The close queued this region's diffs for their
                 // readers; the service thread starts on them once our
                 // arrival is on the link.
-                let (pid, vc, records) = {
+                let (vc, records) = {
                     let mut pc = core.lock();
                     pc.close_interval();
-                    (pc.my_pid, pc.vc.clone(), pc.drain_unsent())
+                    (pc.vc.clone(), pc.drain_unsent())
                 };
-                if sys.cfg.collectives.join_reduce == Broadcast::Tree {
-                    worker_join_reduce(
-                        &sys,
-                        &endpoint,
-                        &ctrl,
-                        ctx.team(),
-                        epoch,
-                        pid,
-                        vc,
-                        records,
-                        wire_enc,
-                        timeout,
-                    );
-                } else {
-                    let _ = endpoint.send(
-                        ctx.team().master(),
-                        Msg::JoinArrive {
-                            epoch,
-                            pid,
-                            vc,
-                            records,
-                        }
-                        .to_bytes_compat(wire_enc),
-                    );
-                }
+                worker_join_reduce(&sys, &endpoint, &ctrl, &ctx, epoch, vc, records);
                 ctx.wake_pusher();
                 ctx.sync_reset();
             }
@@ -776,36 +757,20 @@ impl MasterCtl {
             )
         };
         self.sent_reg_ver = registry.iter().map(|e| e.ver).max().unwrap_or(0);
-        let tree_mode = self.sys.cfg.collectives.fork == Broadcast::Tree;
-        let msg = Msg::JoinInit {
+        let bytes = Msg::JoinInit {
             epoch: 0,
             team: team.clone(),
             dir: DirRle::from_vec(&self.dir),
             registry,
             alloc_slots,
-            relay: tree_mode,
-        };
-        let bytes = msg.to_bytes();
-        if tree_mode {
-            // A call per root child; each acks once its subtree is up.
-            let shapes = self.sys.shapes(team.nprocs());
-            relay_tree_call(
-                &self.endpoint,
-                &team,
-                &shapes.fork,
-                0,
-                &bytes,
-                self.call_timeout,
-            );
-        } else {
-            for &w in workers {
-                let rep = self
-                    .endpoint
-                    .call_deadline(w, bytes.clone(), self.call_timeout)
-                    .expect("JoinInit failed");
-                assert_eq!(Msg::from_wire(&rep).unwrap(), Msg::Ack);
-            }
+            relay: true,
         }
+        .to_bytes();
+        // A call per root child of the fork shape; each acks once its
+        // subtree is up.
+        let shapes = self.sys.shapes.get(team.nprocs());
+        let call = call_acked(&self.endpoint, &team, &bytes, self.call_timeout);
+        relay_adopting(&shapes.fork, 0, call);
         self.last_fork_vc = Vc::new(team.nprocs());
         self.ctx.sync_reset();
     }
@@ -820,7 +785,6 @@ impl MasterCtl {
             c.drain_unsent(); // distributed via fork records below
             (c.team.clone(), c.epoch())
         };
-        let n = team.nprocs();
         let (vc, records, reg_delta, alloc_slots, piggyback) = {
             let c = self.core.lock();
             (
@@ -831,9 +795,6 @@ impl MasterCtl {
                 c.piggyback_diffs(),
             )
         };
-        let tree_mode = self.sys.cfg.collectives.fork == Broadcast::Tree;
-        let pb_bytes: usize = piggyback.iter().map(|(_, _, d)| 8 + d.wire_bytes()).sum();
-        DsmStats::add(&self.sys.stats.piggyback_bytes, pb_bytes as u64);
         let msg = Msg::Fork {
             epoch,
             fork_no: self.fork_no,
@@ -843,22 +804,15 @@ impl MasterCtl {
             records,
             registry_delta: reg_delta.clone(),
             alloc_slots,
-            relay: tree_mode,
             piggyback,
         };
         // The payload is receiver-independent: encode once for all
-        // slaves instead of re-serializing per destination. Flat mode
-        // keeps the 1999 flat-notice payload sizes (see `Broadcast`).
+        // slaves instead of re-serializing per destination. The 1999
+        // generation keeps its flat-notice payload sizes (see
+        // `CollectiveConfig::encoding`).
         let bytes = msg.to_bytes_compat(self.sys.cfg.collectives.encoding());
-        if tree_mode {
-            relay_tree_send(&self.endpoint, &team, &self.sys.shapes(n).fork, 0, &bytes);
-        } else {
-            for pid in 1..n {
-                self.endpoint
-                    .send(team.gpid(pid as Pid), bytes.clone())
-                    .expect("slave vanished at fork");
-            }
-        }
+        let shapes = self.sys.shapes.get(team.nprocs());
+        relay_tree_send(&self.endpoint, &team, &shapes.fork, 0, &bytes);
         // The fork is out; what the sequential phase wrote can follow.
         self.ctx.wake_pusher();
         self.sent_reg_ver = self
@@ -875,11 +829,9 @@ impl MasterCtl {
         runner.run(region, &mut self.ctx);
         self.ctx.drain_prefetch();
 
-        // Join: close our interval, then collect all slaves. Under the
-        // tree join reduce each arrival is an *aggregate* covering the
-        // sender's whole subtree of the reduce shape (plus any orphans
-        // that escalated past a vanished aggregator), so collection is
-        // by rank coverage rather than by count.
+        // Join: close our interval, then collect every rank. Each
+        // arrival is an *aggregate* covering the sender's whole subtree
+        // of the reduce shape (a single rank under the star).
         {
             let mut c = self.core.lock();
             c.close_interval();
@@ -887,43 +839,20 @@ impl MasterCtl {
         }
         // The master sends nothing at a join: push while it collects.
         self.ctx.wake_pusher();
-        let reduce_tree = self.sys.cfg.collectives.join_reduce == Broadcast::Tree;
-        let shapes = reduce_tree.then(|| self.sys.shapes(n));
-        let reduce = shapes.as_ref().map(|s| &s.reduce);
-        let mut remaining: HashSet<usize> = (1..n).collect();
-        while !remaining.is_empty() {
-            let c = self
-                .ctrl
-                .lock()
-                .recv_where(
-                    self.call_timeout,
-                    |c| matches!(&c.msg, Msg::JoinArrive { epoch: e, .. } if *e == epoch),
-                )
-                .expect("join arrival lost");
-            if let Msg::JoinArrive {
-                pid, vc, records, ..
-            } = c.msg
-            {
-                let from = pid as usize;
-                if let Some(shape) = reduce {
-                    for r in from..from + shape.subtree_size(from) {
-                        remaining.remove(&r);
-                    }
-                    // Adoption at the root: an aggregate that skipped
-                    // dead intermediate ranks ends their wait too.
-                    let mut a = shape.parent(from);
-                    while a != 0 {
-                        remaining.remove(&a);
-                        a = shape.parent(a);
-                    }
-                } else {
-                    remaining.remove(&from);
-                }
-                let mut pc = self.core.lock();
-                pc.apply_records(&records);
-                pc.vc.merge(&vc);
-            }
-        }
+        let core = &self.core;
+        let absorb = |vc: Vc, records: Vec<Record>| {
+            let mut pc = core.lock();
+            pc.apply_records(&records);
+            pc.vc.merge(&vc);
+        };
+        collect_joins(
+            &self.ctrl,
+            &shapes.reduce,
+            0,
+            epoch,
+            self.call_timeout,
+            absorb,
+        );
         self.fork_no += 1;
         self.ctx.sync_reset();
     }

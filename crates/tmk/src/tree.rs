@@ -13,6 +13,10 @@
 //! binomial tree; the dearer a hop is relative to a send, the flatter
 //! and wider the optimal tree.
 //!
+//! The flat collective is the degenerate schedule in which only the
+//! root sends, [`Shape::star`]. A system's `ShapeBook` hands it to every
+//! `Broadcast::Flat` side, so flat and treed collectives share one path.
+//!
 //! [`Shape::greedy`] builds that schedule, and [`Shapes::for_team`]
 //! instantiates it twice from the cost models, because the two
 //! collectives pay different costs:
@@ -35,6 +39,7 @@
 //! formation and a fork is handled by the sender *adopting* the missing
 //! child's subtree (see [`crate::system`]).
 
+use crate::config::{Broadcast, CollectiveConfig};
 use crate::msg::Msg;
 use crate::records::Record;
 use crate::types::{Pid, Vc};
@@ -129,6 +134,23 @@ impl Shape {
         }
     }
 
+    /// The flat collective over `n` ranks: rank 0 exchanges with every
+    /// other rank itself, sending to `1..n` in ascending order (the
+    /// 1999 system's loop order; a greedy star sends in descending
+    /// order).
+    pub fn star(n: usize) -> Shape {
+        let mut shape = Shape {
+            parent: vec![0; n],
+            children: vec![Vec::new(); n],
+            size: vec![1; n],
+        };
+        if n > 0 {
+            shape.children[0] = (1..n).collect();
+            shape.size[0] = n;
+        }
+        shape
+    }
+
     /// Ranks the shape covers.
     pub fn nprocs(&self) -> usize {
         self.parent.len()
@@ -190,7 +212,6 @@ pub fn fork_costs(n: usize, net: &NetModel, cost: &CostModel) -> (Duration, Dura
         records,
         registry_delta: Vec::new(),
         alloc_slots: 0,
-        relay: true,
         piggyback: Vec::new(),
     };
     (
@@ -282,32 +303,41 @@ impl Shapes {
     }
 }
 
-/// A system's shapes, computed once per team size on first use (a
-/// system that never runs a treed collective builds none).
+/// A system's shapes, computed once per team size on first use: the
+/// model-derived shape for a `Broadcast::Tree` side of the system's
+/// [`CollectiveConfig`], the star for a `Broadcast::Flat` one.
 pub(crate) struct ShapeBook {
     net: NetModel,
     cost: CostModel,
+    collectives: CollectiveConfig,
     by_team: Mutex<HashMap<usize, Arc<Shapes>>>,
 }
 
 impl ShapeBook {
-    /// An empty book over the system's models.
-    pub(crate) fn new(net: NetModel, cost: CostModel) -> Self {
+    /// An empty book over the system's models and collectives.
+    pub(crate) fn new(net: NetModel, cost: CostModel, collectives: CollectiveConfig) -> Self {
         ShapeBook {
             net,
             cost,
+            collectives,
             by_team: Mutex::new(HashMap::new()),
         }
     }
 
     /// The shapes of an `n`-rank team.
     pub(crate) fn get(&self, n: usize) -> Arc<Shapes> {
+        let (net, cost, sides) = (&self.net, &self.cost, self.collectives);
+        let side = |b, (gap, hop)| match b {
+            Broadcast::Flat => Shape::star(n),
+            Broadcast::Tree => Shape::greedy(n, gap, hop),
+        };
         let mut by_team = self.by_team.lock();
-        Arc::clone(
-            by_team
-                .entry(n)
-                .or_insert_with(|| Arc::new(Shapes::for_team(n, &self.net, &self.cost))),
-        )
+        Arc::clone(by_team.entry(n).or_insert_with(|| {
+            Arc::new(Shapes {
+                fork: side(sides.fork, fork_costs(n, net, cost)),
+                reduce: side(sides.join_reduce, reduce_costs(n, net, cost)),
+            })
+        }))
     }
 }
 
@@ -376,14 +406,30 @@ mod tests {
         out
     }
 
-    /// Every shape under test: binomial and both paper shapes, n ≤ 64.
+    /// Every shape under test: binomial, both paper shapes and the
+    /// star, n ≤ 64.
     fn all_shapes() -> Vec<Shape> {
         (1..=64)
             .flat_map(|n| {
                 let p = paper(n);
-                [binomial(n), p.fork, p.reduce]
+                [binomial(n), p.fork, p.reduce, Shape::star(n)]
             })
             .collect()
+    }
+
+    /// The star is the 1999 flat loop: the root sends to `1..n` in
+    /// ascending order, so each later rank is informed strictly later.
+    #[test]
+    fn star_sends_to_every_rank_in_ascending_order() {
+        let (gap, hop) = (Duration::from_micros(65), Duration::from_micros(100));
+        for n in 1..=64 {
+            let s = Shape::star(n);
+            assert_eq!(s.children(0), (1..n).collect::<Vec<_>>(), "n={n}");
+            assert_eq!(s.depth(), usize::from(n > 1), "n={n}");
+            for at in [s.informed(gap, hop), s.informed(Duration::ZERO, hop)] {
+                assert!(at.windows(2).all(|w| w[0] < w[1]), "n={n}: {at:?}");
+            }
+        }
     }
 
     #[test]
@@ -531,10 +577,22 @@ mod tests {
 
     #[test]
     fn book_builds_each_team_size_once() {
-        let book = ShapeBook::new(NetModel::paper_1999(), CostModel::paper_1999());
-        let a = book.get(16);
-        assert!(Arc::ptr_eq(&a, &book.get(16)));
+        let book = |c| ShapeBook::new(NetModel::paper_1999(), CostModel::paper_1999(), c);
+        let tree = book(CollectiveConfig::all_tree());
+        let a = tree.get(16);
+        assert!(Arc::ptr_eq(&a, &tree.get(16)));
         assert_eq!(*a, paper(16));
-        assert_eq!(book.get(3).fork.nprocs(), 3);
+        assert_eq!(tree.get(3).fork.nprocs(), 3);
+        // A flat side is the star; the other side keeps its model shape.
+        let flat = book(CollectiveConfig::all_flat()).get(16);
+        assert_eq!(
+            (&flat.fork, &flat.reduce),
+            (&Shape::star(16), &Shape::star(16))
+        );
+        let mixed = book(CollectiveConfig::all_tree().with_join_reduce(Broadcast::Flat)).get(16);
+        assert_eq!(
+            (&mixed.fork, &mixed.reduce),
+            (&paper(16).fork, &Shape::star(16))
+        );
     }
 }

@@ -449,20 +449,24 @@ fn tree_relay_adopts_vanished_childs_subtree() {
 /// Under the tree broadcast, interior workers forward forks (the
 /// `bcast_relays` counter moves); under the flat broadcast the master
 /// sends everything itself and the counter stays zero. Results are
-/// identical either way.
+/// identical either way, and with every collective flat too.
 #[test]
 fn tree_and_flat_forks_compute_identically() {
-    use nowmp_tmk::Broadcast;
+    use nowmp_tmk::{Broadcast, CollectiveConfig};
 
     let n = 500;
     let mut results = Vec::new();
-    for broadcast in [Broadcast::Flat, Broadcast::Tree] {
+    for collectives in [
+        CollectiveConfig::default().with_fork(Broadcast::Flat),
+        CollectiveConfig::default().with_fork(Broadcast::Tree),
+        CollectiveConfig::all_flat(),
+    ] {
         let net = Network::new(5, 1, NetModel::disabled());
         let sys = DsmSystem::new(
             net,
             DsmConfig {
                 page_size: 256,
-                collectives: nowmp_tmk::CollectiveConfig::default().with_fork(broadcast),
+                collectives,
                 ..DsmConfig::test_small()
             },
             Arc::new(TestApp { n }),
@@ -481,20 +485,71 @@ fn tree_and_flat_forks_compute_identically() {
         master.parallel(R_FILL, &[]);
         master.parallel(R_SCALE, &[]);
         let got = read_all(&mut master, "v", n);
-        let relays = sys.stats().snapshot().bcast_relays;
-        match broadcast {
-            Broadcast::Flat => assert_eq!(relays, 0, "flat mode never relays"),
+        let stats = sys.stats().snapshot();
+        match collectives.fork {
+            Broadcast::Flat => assert_eq!(stats.bcast_relays, 0, "flat mode never relays"),
             // 5 ranks: rank 2 relays rank 3's fork, rank 4 relays none
             // (children(4,5) is empty)... the JoinInit tree also counts.
-            Broadcast::Tree => assert!(relays > 0, "tree mode must relay"),
+            Broadcast::Tree => assert!(stats.bcast_relays > 0, "tree mode must relay"),
+        }
+        if collectives == CollectiveConfig::all_flat() {
+            assert_eq!(stats.reduce_relays, 0, "flat collection never aggregates");
         }
         results.push(got);
         master.shutdown();
     }
-    assert_eq!(
-        results[0], results[1],
-        "broadcast shape is invisible to data"
+    for got in &results[1..] {
+        assert_eq!(&results[0], got, "collective shape is invisible to data");
+    }
+}
+
+/// The flat collectives' message pattern, as the 1999 system's loops
+/// produced it: per region the master sends one `Fork` to every worker
+/// and receives one `JoinArrive` from each, and every worker sends
+/// exactly its own arrival. No rank relays or aggregates.
+#[test]
+fn flat_collectives_keep_the_1999_message_pattern() {
+    use nowmp_net::CostModel;
+    use nowmp_tmk::system::NullRunner;
+    use nowmp_util::Clock;
+
+    let (n, regions) = (8, 4);
+    let net = Network::with_clock(
+        n,
+        1,
+        NetModel::paper_1999(),
+        CostModel::paper_1999(),
+        Clock::new_virtual(),
     );
+    let sys = DsmSystem::new(
+        net,
+        DsmConfig::default_4k().generation_1999(),
+        Arc::new(NullRunner),
+    );
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..n {
+        let hello: Vec<Gpid> = workers.clone();
+        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
+    }
+    master.init_team(&workers);
+    let (net0, dsm0) = (sys.net().stats(), sys.stats().snapshot());
+    for _ in 0..regions {
+        master.parallel(0, &[]);
+    }
+    let net = sys.net().stats().since(&net0);
+    let dsm = sys.stats().snapshot().since(&dsm0);
+    let fan = (regions * (n - 1)) as u64;
+    assert_eq!(
+        (net.links[0].msgs_out, net.links[0].msgs_in),
+        (fan, fan),
+        "master link"
+    );
+    for (h, link) in net.links.iter().enumerate().skip(1) {
+        assert_eq!(link.msgs_out, regions as u64, "worker link {h}");
+    }
+    assert_eq!(dsm.bcast_relays + dsm.reduce_relays + dsm.release_relays, 0);
+    master.shutdown();
 }
 
 // --- ISSUE 25: model-derived collective shapes --------------------------

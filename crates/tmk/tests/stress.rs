@@ -265,7 +265,6 @@ proptest! {
             records: vec![],
             registry_delta: vec![],
             alloc_slots: alloc,
-            relay: false,
             piggyback: vec![],
         };
         let b = m.to_bytes();
