@@ -9,7 +9,7 @@
 set -euo pipefail
 
 MAX_UNWRAP_EXPECT=71
-MAX_PANIC_UNREACHABLE=42
+MAX_PANIC_UNREACHABLE=39
 
 cd "$(dirname "$0")/../.."
 lib_source() {

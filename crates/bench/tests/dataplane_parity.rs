@@ -236,15 +236,10 @@ fn steady_state_sends_no_requests() {
     );
 }
 
-#[test]
-fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
-    // The checkpoint's page collection runs *after* the commit that
-    // cleared the fault window. When its faults entered the window the
-    // master spent the next six rotations prefetching up to 32 pages a
-    // release that no region reads — and, since a prefetch request
-    // subscribes, had every writer push it every page from then on:
-    // the two iterations after a checkpoint cost six times a normal
-    // one. They must cost what the two after a cold start cost.
+/// Six Jacobi iterations on 4 ranks with a checkpoint before iteration
+/// 3: per iteration, the simulated seconds it took and the pages the
+/// release-phase prefetch asked for.
+fn iterations_around_a_checkpoint() -> Vec<(f64, u64)> {
     let app = Jacobi::new(192);
     let ckpt = std::env::temp_dir().join("nowmp_parity_predictor.ckpt");
     let c = costed_cfg(&app, 4, DataPlaneConfig::overlap())
@@ -253,14 +248,17 @@ fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
     let mut sys = OmpSystem::new(c, nowmp_apps::build_program(&[&app as &dyn Kernel]));
     app.setup(&mut sys);
     let clock = sys.clock().clone();
-    let mut took = Vec::new();
+    let mut per_iteration = Vec::new();
     for it in 0..6 {
         if it == 3 {
             sys.adapt().checkpoint();
         }
-        let t0 = clock.now();
+        let (t0, issued) = (clock.now(), sys.dsm_stats().prefetch_issued);
         app.step(&mut sys, it);
-        took.push(clock.elapsed_since(t0).as_secs_f64());
+        per_iteration.push((
+            clock.elapsed_since(t0).as_secs_f64(),
+            sys.dsm_stats().prefetch_issued - issued,
+        ));
     }
     assert_eq!(app.verify(&mut sys, 6), 0.0);
     sys.shutdown();
@@ -268,10 +266,55 @@ fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
         std::fs::remove_file(&ckpt).is_ok(),
         "iteration 3 checkpointed"
     );
-    let (warm, after) = (took[1] + took[2], took[4] + took[5]);
+    per_iteration
+}
+
+#[test]
+fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
+    // The checkpoint's page collection runs *after* the commit that
+    // cleared the fault window. When its faults entered the window the
+    // master spent the next six rotations prefetching up to 32 pages a
+    // release that no region reads — and, since a prefetch request
+    // subscribes, had every writer push it every page from then on:
+    // the two iterations after a checkpoint cost six times a normal
+    // one, and asked for ~64 pages each.
+    //
+    // The mechanism, checked on every run: the release right after the
+    // checkpoint asks the prefetcher for nothing, because the commit
+    // emptied every window and the collection's faults stayed out of
+    // it. The cold start's pattern (6, 9, 3 pages) then replays one
+    // iteration late (0, 9, 6), so iterations 4-5 ask for more than
+    // 1-2 do; over three iterations each side subscribes the same
+    // pages, and 3-5 ask for no more than 0-2 — in the median run, as
+    // push timing can put 0-2 at 15 and 3-5 at 16 (1 run in ~480).
+    //
+    // The time it buys, also in the median run: iterations 4-5 against
+    // 1-2 read 1.12x in most runs, 1.28x when 1-2 land in their fast
+    // wake-up order, and above 1.3x in 1 run of ~960.
+    let mut runs = Vec::new();
+    for run in 0..3 {
+        let its = iterations_around_a_checkpoint();
+        assert_eq!(
+            its[3].1, 0,
+            "run {run}: the checkpoint fed the predictor (all: {its:?})"
+        );
+        let asked = |from: usize| its[from..from + 3].iter().map(|i| i.1 as i64).sum::<i64>();
+        let took = |from: usize| its[from].0 + its[from + 1].0;
+        runs.push((asked(3) - asked(0), took(4) / took(1)));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[1]
+    };
+    let extra = median(runs.iter().map(|r| r.0 as f64).collect());
+    let ratio = median(runs.iter().map(|r| r.1).collect());
     assert!(
-        after <= warm * 1.25,
-        "iterations 4-5 took {after:.6}s against {warm:.6}s for 1-2 (all: {took:?})"
+        extra <= 0.0,
+        "iterations 3-5 prefetched {extra} pages more than 0-2 in the median run ({runs:?})"
+    );
+    assert!(
+        ratio <= 1.3,
+        "iterations 4-5 took {ratio:.3}x the time of 1-2 in the median run ({runs:?})"
     );
 }
 

@@ -121,7 +121,9 @@ pub struct CacheEnt {
 /// Maximum redirect hops when chasing a page's owner.
 const MAX_REDIRECTS: usize = 6;
 
-/// What one in-flight release-phase prefetch request expects back.
+/// What one in-flight request issued ahead of its faults (a
+/// release-phase prefetch, or a [`TmkCtx::collect_pages`] batch)
+/// expects back.
 enum PrefetchKind {
     /// A `PageReq` for a single page (redirect replies are dropped —
     /// prefetch never chases ownership chains).
@@ -133,13 +135,25 @@ enum PrefetchKind {
     },
 }
 
-/// One release-phase prefetch in flight.
+/// One request issued ahead of its faults, in flight.
 struct Prefetch {
     /// Pages this request covers (one for `Full`, one or more for
     /// `Diffs`).
     pages: Vec<PageId>,
     kind: PrefetchKind,
     call: PendingCall,
+}
+
+/// How one completed [`Prefetch`] folded into the core.
+enum Folded {
+    /// A full page still wanted was installed.
+    Installed(PageId),
+    /// Diffs went to the early-diff store.
+    Deposited,
+    /// The reply no longer matched the local plan (an ownership
+    /// redirect, a page that changed state) or never came: this many
+    /// pages are left to the demand path.
+    Dropped(usize),
 }
 
 /// The application thread's DSM context.
@@ -580,54 +594,84 @@ impl TmkCtx {
             return;
         }
         DsmStats::add(&self.stats.prefetch_issued, plan.pages as u64);
+        // Marked: these pages faulted window after window, so the
+        // creator pushes their later diffs unasked.
+        let sent = self.issue(plan, true);
+        self.inflight.extend(sent);
+    }
+
+    /// Put every request of `plan` on the wire without waiting for any
+    /// reply: one `PageReq` per full page, one `DiffReq` per creator.
+    /// A creator that left the team is skipped — the demand path
+    /// re-plans — and so is a request that cannot be sent.
+    ///
+    /// `subscribe` marks the requests a prefetch: the creator answers
+    /// its `DiffReq` with pushes from then on, and the pages enter the
+    /// prefetch ledger whether or not their request can be sent — the
+    /// fault still has to ask, or the next drain comes first, wasted
+    /// either way.
+    fn issue(&mut self, plan: crate::core::PrefetchPlan, subscribe: bool) -> Vec<Prefetch> {
+        let mut sent = Vec::with_capacity(plan.fulls.len() + plan.diffs.len());
+        let mut begin = |dst: Gpid, msg: Msg, pages: Vec<PageId>, kind: PrefetchKind| {
+            let call = self
+                .endpoint
+                .call_begin(dst, msg.to_bytes_compat(self.wire_enc));
+            call.map(|call| sent.push(Prefetch { pages, kind, call }))
+                .is_ok()
+        };
         for (page, target) in plan.fulls {
             let msg = Msg::PageReq {
                 epoch: self.epoch,
                 page,
             };
-            match self
-                .endpoint
-                .call_begin(target, msg.to_bytes_compat(self.wire_enc))
-            {
-                Ok(call) => self.inflight.push(Prefetch {
-                    pages: vec![page],
-                    kind: PrefetchKind::Full,
-                    call,
-                }),
-                Err(_) => DsmStats::bump(&self.stats.prefetch_wasted),
+            if !begin(target, msg, vec![page], PrefetchKind::Full) && subscribe {
+                DsmStats::bump(&self.stats.prefetch_wasted);
             }
         }
         for (creator, wants) in plan.diffs {
             let Some(pid) = self.team.pid_of(creator) else {
-                continue; // left the team; the demand path re-plans
+                continue;
             };
             let mut pages: Vec<PageId> = wants.iter().map(|&(p, _)| p).collect();
             pages.dedup();
-            for &p in &pages {
-                if !self.diff_planned.contains(&p) {
-                    self.diff_planned.push(p);
+            if subscribe {
+                for &p in &pages {
+                    if !self.diff_planned.contains(&p) {
+                        self.diff_planned.push(p);
+                    }
                 }
             }
-            // Marked: these pages faulted window after window, so the
-            // creator pushes their later diffs unasked.
             let msg = Msg::DiffReq {
                 epoch: self.epoch,
                 wants,
-                subscribe: true,
+                subscribe,
             };
-            // On send failure the pages stay in `diff_planned`: the
-            // fault still has to ask, or the next drain comes first —
-            // wasted either way.
-            if let Ok(call) = self
-                .endpoint
-                .call_begin(creator, msg.to_bytes_compat(self.wire_enc))
-            {
-                self.inflight.push(Prefetch {
-                    pages,
-                    kind: PrefetchKind::Diffs { creator: pid },
-                    call,
-                });
+            begin(creator, msg, pages, PrefetchKind::Diffs { creator: pid });
+        }
+        sent
+    }
+
+    /// Bring every page of `pages` to a valid copy: the same end state
+    /// as `ensure_page(p, false)` on each in turn. Under
+    /// `dataplane.pipeline()` the whole set is planned at once and
+    /// every request — one `PageReq` per missing page, one `DiffReq`
+    /// per creator covering all its stale pages — is on the wire before
+    /// any reply is folded in, so the collection pays the slowest
+    /// server (or its own inbound port's floor) instead of the sum of
+    /// round trips. The faults that follow find each page ready or
+    /// complete it from the early-diff store; redirects, and whatever
+    /// the plan leaves out, take the demand path. Nothing here
+    /// subscribes or touches the prefetch ledger. The checkpoint's page
+    /// collection and the GC's completion fetches run through here.
+    pub fn collect_pages(&mut self, pages: &[PageId]) {
+        if self.dataplane.pipeline() {
+            let plan = self.core.lock().plan_prefetch(pages, usize::MAX);
+            for p in self.issue(plan, false) {
+                self.fold(p);
             }
+        }
+        for &p in pages {
+            self.ensure_page(p, false);
         }
     }
 
@@ -667,19 +711,31 @@ impl TmkCtx {
         self.diff_planned.clear();
     }
 
-    /// Fold one completed prefetch into the core. Replies that no
-    /// longer match the local plan (ownership redirects, pages that
-    /// changed state) are dropped as waste — the demand path still
-    /// covers them.
+    /// Fold one completed prefetch into the core and its ledger: an
+    /// installed page waits in `prefetched_ready` for its fault, a
+    /// dropped reply is waste.
     fn finish_prefetch(&mut self, p: Prefetch) {
+        match self.fold(p) {
+            Folded::Installed(page) => {
+                if !self.prefetched_ready.contains(&page) {
+                    self.prefetched_ready.push(page);
+                }
+            }
+            Folded::Deposited => {}
+            Folded::Dropped(n) => DsmStats::add(&self.stats.prefetch_wasted, n as u64),
+        }
+    }
+
+    /// Wait for one request issued ahead of its faults and fold the
+    /// reply into the core: install a full page that is still missing,
+    /// or deposit diffs into the early-diff store. Replies that no
+    /// longer match the local plan are dropped — the demand path still
+    /// covers them.
+    fn fold(&self, p: Prefetch) -> Folded {
         let Prefetch { pages, kind, call } = p;
         let from = call.dst();
-        let rep = match call.wait(self.call_timeout) {
-            Ok(b) => b,
-            Err(_) => {
-                DsmStats::add(&self.stats.prefetch_wasted, pages.len() as u64);
-                return;
-            }
+        let Ok(rep) = call.wait(self.call_timeout) else {
+            return Folded::Dropped(pages.len());
         };
         match (
             kind,
@@ -690,9 +746,7 @@ impl TmkCtx {
                 Msg::PageRep {
                     redirect: Some(_), ..
                 },
-            ) => {
-                DsmStats::bump(&self.stats.prefetch_wasted);
-            }
+            ) => Folded::Dropped(1),
             (
                 PrefetchKind::Full,
                 Msg::PageRep {
@@ -710,12 +764,9 @@ impl TmkCtx {
                     .unwrap_or(false);
                 if still_wanted {
                     c.install_page(page, &applied, words, from);
-                    drop(c);
-                    if !self.prefetched_ready.contains(&page) {
-                        self.prefetched_ready.push(page);
-                    }
+                    Folded::Installed(page)
                 } else {
-                    DsmStats::bump(&self.stats.prefetch_wasted);
+                    Folded::Dropped(1)
                 }
             }
             (PrefetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
@@ -723,6 +774,7 @@ impl TmkCtx {
                 // in the store for the fault, which applies the page's
                 // whole unapplied set as one causally sorted batch.
                 self.core.lock().deposit(creator, diffs, false);
+                Folded::Deposited
             }
             (_, other) => panic!("unexpected prefetch reply: {other:?}"),
         }

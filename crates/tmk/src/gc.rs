@@ -15,7 +15,7 @@ use crate::page::Wn;
 use crate::records::RecordStore;
 use crate::types::{PageId, Vc};
 use nowmp_net::Gpid;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// All write notices per page, from the master's complete record set.
 pub fn page_writes(records: &RecordStore) -> HashMap<PageId, Vec<Wn>> {
@@ -44,16 +44,18 @@ pub enum LeaveSink<'a> {
     Scatter(&'a [Gpid]),
 }
 
-/// The master's GC decision.
+/// The master's GC decision. Per-process maps are ordered by gpid, so
+/// the master walks them — and sends its requests — in the same order
+/// every run.
 #[derive(Debug, Default)]
 pub struct GcPlan {
     /// Owner per page after GC.
     pub dir: Vec<Gpid>,
     /// Pages each process must drop (incomplete copies).
-    pub drops: HashMap<Gpid, Vec<PageId>>,
+    pub drops: BTreeMap<Gpid, Vec<PageId>>,
     /// Pages each process must complete before commit, with the write
     /// notices it may be missing.
-    pub fetches: HashMap<Gpid, Vec<(PageId, Vec<Wn>)>>,
+    pub fetches: BTreeMap<Gpid, Vec<(PageId, Vec<Wn>)>>,
     /// Complete holders per page after the fetch phase (owners first).
     pub complete: Vec<Vec<Gpid>>,
 }
@@ -392,6 +394,32 @@ mod tests {
         let w = page_writes(&store);
         assert_eq!(w[&2].len(), 1);
         assert_eq!(w[&3].len(), 2);
+    }
+
+    #[test]
+    fn fetchers_come_out_in_ascending_gpid_order() {
+        // Each page's only copy misses a notice, so its holder fetches;
+        // the master sends its `GcFetch` calls in the plan's order.
+        let holders = [Gpid(9), Gpid(4), Gpid(7), Gpid(2), Gpid(5)];
+        let mut writes = HashMap::new();
+        let mut reports = Vec::new();
+        for (p, &g) in holders.iter().enumerate() {
+            writes.insert(p as PageId, vec![wn(1, 1), wn(2, 1)]);
+            reports.push((g, vec![report(p as PageId, &[(1, 1)])]));
+        }
+        let plan = compute_gc_plan(
+            holders.len(),
+            &writes,
+            &reports,
+            &[],
+            &HashSet::new(),
+            M,
+            LeaveSink::ViaMaster,
+        );
+        let fetchers: Vec<Gpid> = plan.fetches.keys().copied().collect();
+        let mut ascending = holders.to_vec();
+        ascending.sort();
+        assert_eq!(fetchers, ascending);
     }
 
     #[test]

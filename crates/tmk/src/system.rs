@@ -17,18 +17,18 @@ use crate::core::ProcCore;
 use crate::ctx::{CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan, LeaveSink};
 use crate::msg::{DirRle, Msg, RegEntry};
-use crate::page::PageState;
+use crate::page::{PageState, Wn};
 use crate::records::Record;
 use crate::service::{service_loop, Ctrl};
 use crate::shm::{Allocator, Registry};
 use crate::stats::DsmStats;
 use crate::tree::{Shape, ShapeBook};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
-use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
+use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network, PendingCall};
 use nowmp_util::wire::Wire;
 use nowmp_util::MailboxReceiver;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,9 +57,9 @@ pub struct GcOutcome {
     /// Complete holders per page (owner first; may include leavers).
     pub complete: Vec<Vec<Gpid>>,
     /// Pages each process must drop at commit.
-    pub drops: HashMap<Gpid, Vec<PageId>>,
+    pub drops: BTreeMap<Gpid, Vec<PageId>>,
     /// Pages fetched during the completion phase, per process.
-    pub fetch_pages: HashMap<Gpid, usize>,
+    pub fetch_pages: BTreeMap<Gpid, usize>,
 }
 
 /// Shared bookkeeping for one DSM deployment.
@@ -450,6 +450,54 @@ fn worker_join_reduce(
     }
 }
 
+/// GC step 3 at one process (a worker's `GcFetch`, or the master's own
+/// share): post the write notices each wanted page is missing, then
+/// complete every one of them in one [`TmkCtx::collect_pages`].
+fn gc_complete(ctx: &mut TmkCtx, wants: &[(PageId, Vec<Wn>)]) {
+    ctx.core().lock().gc_prepare_fetch(wants);
+    ctx.sync_reset();
+    let pages: Vec<PageId> = wants.iter().map(|(p, _)| *p).collect();
+    ctx.collect_pages(&pages);
+    DsmStats::add(&ctx.stats().gc_fetch_pages, pages.len() as u64);
+}
+
+/// The master's requests of one adaptation step, `(worker, request)`
+/// in order, and `local`, the master's own share of the step. When the
+/// data plane pipelines (`cfg.dataplane.pipeline()`, as it does for
+/// multi-creator faults) every request is on the wire before any reply
+/// is collected and `local` runs while they are in flight, so the step
+/// costs its slowest participant instead of the sum of round trips.
+/// Under the 1999 demand plane each request is waited on before the
+/// next is sent, and `local` runs last. Returns `(worker, reply)` in
+/// request order.
+fn call_all(
+    endpoint: &Endpoint,
+    cfg: &DsmConfig,
+    calls: Vec<(Gpid, Msg)>,
+    local: impl FnOnce(),
+) -> Vec<(Gpid, Msg)> {
+    let gather = |(dst, call): (Gpid, Result<PendingCall, NetError>)| {
+        let rep = call
+            .and_then(|c| c.wait(cfg.call_timeout))
+            .unwrap_or_else(|e| panic!("master call to {dst} failed: {e}"));
+        (
+            dst,
+            Msg::from_wire(&rep).expect("malformed reply to master"),
+        )
+    };
+    let mut pending = Vec::with_capacity(calls.len());
+    let mut replies = Vec::with_capacity(calls.len());
+    for (dst, msg) in calls {
+        pending.push((dst, endpoint.call_begin(dst, msg.to_bytes())));
+        if !cfg.dataplane.pipeline() {
+            replies.extend(pending.drain(..).map(gather));
+        }
+    }
+    local();
+    replies.extend(pending.into_iter().map(gather));
+    replies
+}
+
 /// Worker application thread: connection setup, then the Tmk wait loop.
 fn worker_main(
     sys: Arc<DsmSystem>,
@@ -604,16 +652,8 @@ fn worker_main(
                     .reply(Msg::GcReport { pages: report }.to_bytes());
             }
             Msg::GcFetch { epoch, wants } => {
-                {
-                    let mut pc = core.lock();
-                    assert_eq!(epoch, pc.epoch(), "GcFetch from wrong epoch");
-                    pc.gc_prepare_fetch(&wants);
-                }
-                ctx.sync_reset();
-                for (page, _) in &wants {
-                    ctx.ensure_page(*page, false);
-                    DsmStats::bump(&sys.stats.gc_fetch_pages);
-                }
+                assert_eq!(epoch, core.lock().epoch(), "GcFetch from wrong epoch");
+                gc_complete(&mut ctx, &wants);
                 c.replier
                     .expect("GcFetch is a request")
                     .reply(Msg::Ack.to_bytes());
@@ -889,14 +929,6 @@ impl MasterCtl {
             .expect("spawned process never became ready");
     }
 
-    fn call_msg(&self, dst: Gpid, msg: &Msg) -> Msg {
-        let rep = self
-            .endpoint
-            .call_deadline(dst, msg.to_bytes(), self.call_timeout)
-            .unwrap_or_else(|e| panic!("master call to {dst} failed: {e}"));
-        Msg::from_wire(&rep).expect("malformed reply to master")
-    }
-
     /// Run a garbage collection round (queries, plan, completion
     /// fetches). Must be called at an adaptation point (all slaves
     /// waiting). `avoid` are processes that may own nothing afterwards;
@@ -909,11 +941,14 @@ impl MasterCtl {
             (c.team.clone(), c.epoch())
         };
         self.ctx.wake_pusher();
+        let me = self.gpid();
         // Step 1: gather reports.
-        let mut reports = vec![(self.gpid(), self.core.lock().gc_report())];
-        for pid in 1..team.nprocs() {
-            let g = team.gpid(pid as Pid);
-            match self.call_msg(g, &Msg::GcQuery { epoch }) {
+        let mut reports = vec![(me, self.core.lock().gc_report())];
+        let queries = (1..team.nprocs())
+            .map(|pid| (team.gpid(pid as Pid), Msg::GcQuery { epoch }))
+            .collect();
+        for (g, rep) in call_all(&self.endpoint, &self.sys.cfg, queries, || {}) {
+            match rep {
                 Msg::GcReport { pages } => reports.push((g, pages)),
                 other => panic!("unexpected GC report: {other:?}"),
             }
@@ -929,41 +964,26 @@ impl MasterCtl {
             Some(survivors) => LeaveSink::Scatter(survivors),
             None => LeaveSink::ViaMaster,
         };
-        let plan: GcPlan = compute_gc_plan(
-            total,
-            &writes,
-            &reports,
-            &self.dir,
-            avoid,
-            self.gpid(),
-            sink,
-        );
-        // Step 3: completion fetches (slaves first, then our own).
-        let mut fetch_pages: HashMap<Gpid, usize> = HashMap::new();
-        for (g, wants) in &plan.fetches {
-            fetch_pages.insert(*g, wants.len());
-            if *g == self.gpid() {
-                {
-                    let mut c = self.core.lock();
-                    c.gc_prepare_fetch(wants);
-                }
-                self.ctx.sync_reset();
-                for (page, _) in wants {
-                    self.ctx.ensure_page(*page, false);
-                    DsmStats::bump(&self.sys.stats.gc_fetch_pages);
-                }
-            } else {
-                match self.call_msg(
-                    *g,
-                    &Msg::GcFetch {
-                        epoch,
-                        wants: wants.clone(),
-                    },
-                ) {
-                    Msg::Ack => {}
-                    other => panic!("unexpected GcFetch reply: {other:?}"),
-                }
+        let plan: GcPlan = compute_gc_plan(total, &writes, &reports, &self.dir, avoid, me, sink);
+        // Step 3: completion fetches, our own while the workers' run.
+        let fetch_pages = plan.fetches.iter().map(|(g, w)| (*g, w.len())).collect();
+        let fetches = plan
+            .fetches
+            .iter()
+            .filter(|(g, _)| **g != me)
+            .map(|(g, wants)| {
+                let wants = wants.clone();
+                (*g, Msg::GcFetch { epoch, wants })
+            })
+            .collect();
+        let ctx = &mut self.ctx;
+        let own = || {
+            if let Some(wants) = plan.fetches.get(&me) {
+                gc_complete(ctx, wants);
             }
+        };
+        for (g, rep) in call_all(&self.endpoint, &self.sys.cfg, fetches, own) {
+            assert_eq!(rep, Msg::Ack, "GcFetch reply from {g}");
         }
         self.dir = plan.dir.clone();
         GcOutcome {
@@ -989,6 +1009,13 @@ impl MasterCtl {
         let empty: Vec<PageId> = Vec::new();
 
         let old_set: HashSet<Gpid> = old_team.members.iter().copied().collect();
+        let (registry, alloc_slots) = {
+            (
+                self.core.lock().registry.full(),
+                self.allocator.allocated_slots(),
+            )
+        };
+        let mut calls = Vec::with_capacity(new_members.len());
         // Survivors: in both teams (skip ourselves).
         for &g in &new_members {
             if g == self.gpid() || !old_set.contains(&g) {
@@ -1003,18 +1030,9 @@ impl MasterCtl {
                 dir: dir_rle.clone(),
                 drop_pages: outcome.drops.get(&g).unwrap_or(&empty).clone(),
             };
-            match self.call_msg(g, &msg) {
-                Msg::Ack => {}
-                other => panic!("unexpected Commit reply: {other:?}"),
-            }
+            calls.push((g, msg));
         }
         // Joiners: in the new team but not the old.
-        let (registry, alloc_slots) = {
-            (
-                self.core.lock().registry.full(),
-                self.allocator.allocated_slots(),
-            )
-        };
         for &g in &new_members {
             if g == self.gpid() || old_set.contains(&g) {
                 continue;
@@ -1031,12 +1049,12 @@ impl MasterCtl {
                 alloc_slots,
                 relay: false,
             };
-            match self.call_msg(g, &msg) {
-                Msg::Ack => {}
-                other => panic!("unexpected JoinInit reply: {other:?}"),
-            }
+            calls.push((g, msg));
         }
-        // Ourselves.
+        for (g, rep) in call_all(&self.endpoint, &self.sys.cfg, calls, || {}) {
+            assert_eq!(rep, Msg::Ack, "Commit / JoinInit reply from {g}");
+        }
+        // Ourselves, once every member has installed the new team.
         {
             let mut c = self.core.lock();
             let drops = outcome.drops.get(&self.gpid()).cloned().unwrap_or_default();
@@ -1064,9 +1082,8 @@ impl MasterCtl {
         let total = self.allocator.allocated_pages();
         self.ctx.sync_reset();
         let window = std::mem::take(&mut self.core.lock().fault_window);
-        for p in 0..total as PageId {
-            self.ctx.ensure_page(p, false);
-        }
+        let pages: Vec<PageId> = (0..total as PageId).collect();
+        self.ctx.collect_pages(&pages);
         self.core.lock().fault_window = window;
     }
 

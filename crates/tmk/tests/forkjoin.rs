@@ -382,6 +382,93 @@ fn collect_all_pages_leaves_the_fault_window_alone() {
     master.shutdown();
 }
 
+/// The master reads every page, then each of 8 ranks rewrites its
+/// block in a region (the current generation, paper models, virtual
+/// clock), so every copy the master holds is stale. Bring every page
+/// up to date at the master either by one `ensure_page` per page or by
+/// one `collect_pages` over all of them. Returns the master's page
+/// image, and what the collection took: messages on the whole network,
+/// replies into the master, full pages fetched and simulated time.
+fn collect_stale_pages(batched: bool) -> (Vec<(u32, Vec<u64>)>, Collection) {
+    use nowmp_net::CostModel;
+    use nowmp_util::Clock;
+
+    let (nprocs, n) = (8, 8 * 1000);
+    let net = Network::with_clock(
+        nprocs,
+        1,
+        NetModel::paper_1999(),
+        CostModel::paper_1999(),
+        Clock::new_virtual(),
+    );
+    let sys = DsmSystem::new(net, DsmConfig::default_4k(), Arc::new(TestApp { n }));
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..nprocs {
+        let hello: Vec<Gpid> = workers.clone();
+        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
+    }
+    master.alloc("v", n as u64, ElemKind::F64);
+    master.init_team(&workers);
+    master.parallel(R_FILL, &[]);
+    let pages: Vec<u32> = (0..n.div_ceil(512) as u32).collect();
+    for &p in &pages {
+        master.ctx().ensure_page(p, false);
+    }
+    master.parallel(R_SCALE, &[]);
+
+    let clock = sys.net().clock().clone();
+    let (t0, net0, dsm0) = (clock.now(), sys.net().stats(), sys.stats().snapshot());
+    if batched {
+        master.ctx().collect_pages(&pages);
+    } else {
+        for &p in &pages {
+            master.ctx().ensure_page(p, false);
+        }
+    }
+    let net = sys.net().stats().since(&net0);
+    let done = Collection {
+        msgs: net.total_msgs,
+        replies: net.links[0].msgs_in,
+        fulls: sys.stats().snapshot().since(&dsm0).pages_fetched,
+        took: clock.elapsed_since(t0),
+    };
+    let image = master.ctx().core().lock().export_pages();
+    master.shutdown();
+    (image, done)
+}
+
+/// What bringing the master's pages up to date cost.
+#[derive(Debug)]
+struct Collection {
+    msgs: u64,
+    replies: u64,
+    fulls: u64,
+    took: Duration,
+}
+
+#[test]
+fn collect_pages_installs_what_the_fault_loop_does_in_one_round() {
+    let (serial_image, serial) = collect_stale_pages(false);
+    let (image, batched) = collect_stale_pages(true);
+    assert_eq!(image, serial_image, "the same words, page for page");
+    // At most one `DiffReq` per creator and one `PageReq` per page:
+    // every reply the master took in answers one of them.
+    let creators = 7;
+    assert!(
+        batched.replies <= creators + batched.fulls,
+        "{batched:?}: more than one request per creator and full page"
+    );
+    assert!(
+        batched.msgs <= serial.msgs,
+        "{batched:?} against {serial:?} one page at a time"
+    );
+    assert!(
+        batched.took < serial.took,
+        "{batched:?} against {serial:?} one page at a time"
+    );
+}
+
 #[test]
 fn traffic_is_near_identical_across_runs() {
     // Check backing Table 1's "network traffic is identical" claim:
