@@ -46,7 +46,7 @@ use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Page id traced when the `NOWMP_TRACE_PAGE` env var is set (debugging aid).
@@ -718,16 +718,22 @@ impl ProcCore {
     }
 
     /// The unapplied notices of `page` that only a request can satisfy,
-    /// grouped by creator.
+    /// grouped by creator. Creators come in team rank order starting
+    /// after our own rank: the same order every run, and concurrent
+    /// faults on one page do not all ask the same creator first.
     fn network_groups(&self, page: PageId, unapplied: &[Wn]) -> Vec<(Gpid, Vec<(PageId, Seq)>)> {
-        let mut groups: HashMap<Gpid, Vec<(PageId, Seq)>> = HashMap::new();
+        let (n, me) = (self.team.nprocs(), self.my_pid as usize);
+        let mut groups: BTreeMap<usize, Vec<(PageId, Seq)>> = BTreeMap::new();
         for wn in unapplied {
             if self.diff_source(page, wn.pid, wn.seq) == DiffSource::Network {
-                let g = self.team.gpid(wn.pid);
-                groups.entry(g).or_default().push((page, wn.seq));
+                let turn = (wn.pid as usize + n - me) % n;
+                groups.entry(turn).or_default().push((page, wn.seq));
             }
         }
-        groups.into_iter().collect()
+        groups
+            .into_iter()
+            .map(|(turn, wants)| (self.team.gpid(((turn + me) % n) as Pid), wants))
+            .collect()
     }
 
     /// An unapplied notice of `page` whose pushed diff has not arrived
@@ -942,7 +948,7 @@ impl ProcCore {
             let payload = match encoded.iter().find(|(p, _)| *p == pages) {
                 Some((_, bytes)) => bytes.clone(),
                 None => {
-                    let bytes = crate::msg::Msg::DiffPush { epoch, diffs }.to_bytes();
+                    let bytes = crate::msg::Msg::DiffPush { epoch, diffs }.encode(&self.cfg);
                     encoded.push((pages.clone(), bytes.clone()));
                     bytes
                 }
@@ -1441,6 +1447,37 @@ mod tests {
                 assert_eq!(groups[0].1, vec![(0, 1)]);
             }
             other => panic!("expected NeedDiffs, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn diff_creators_are_asked_in_rank_order_after_the_asker() {
+        // Three concurrent writers of page 0 (ranks 0, 1, 3) and us at
+        // rank 2: asked in rank order from rank 3 on, wrapping — not in
+        // gpid order, and not in a hash map's (fresh per core, so
+        // repeat).
+        for _ in 0..8 {
+            let mut c = core();
+            c.team = Team::new(0, vec![Gpid(7), Gpid(5), Gpid(1), Gpid(3)]);
+            c.my_pid = 2;
+            c.vc = Vc::new(4);
+            let _ = c.plan_access(0, false);
+            c.pages.guard(0).shared = true;
+            for pid in [0, 1, 3] {
+                let mut vc = Vc::new(4);
+                vc.set(pid, 1);
+                c.apply_records(&[Record {
+                    pid,
+                    seq: 1,
+                    vc,
+                    pages: vec![0],
+                }]);
+            }
+            let AccessPlan::NeedDiffs { groups } = c.plan_access(0, false) else {
+                panic!("expected NeedDiffs");
+            };
+            let expect: Vec<_> = [3, 7, 5].map(|g| (Gpid(g), vec![(0, 1)])).into();
+            assert_eq!(groups, expect);
         }
     }
 

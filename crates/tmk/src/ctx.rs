@@ -15,7 +15,7 @@
 //! act as the barrier manager while it executes its own share of a
 //! parallel region.
 
-use crate::config::DataPlaneConfig;
+use crate::config::DsmConfig;
 use crate::core::{AccessPlan, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::page::PageBuf;
@@ -25,7 +25,7 @@ use crate::tree::ShapeBook;
 use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
-use nowmp_util::wire::{Encoding, Wire};
+use nowmp_util::wire::Wire;
 use nowmp_util::{ClockCondvar, MailboxReceiver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -156,6 +156,47 @@ enum Folded {
     Dropped(usize),
 }
 
+/// Make the requests `calls`, `(destination, request)` in order, and
+/// run `local`, the caller's own share of the step: the one way this
+/// crate makes a blocking request. When the data plane pipelines
+/// (`cfg.dataplane.pipeline()`) every request is on the wire before any
+/// reply is collected and `local` runs while they are in flight, so the
+/// step costs its slowest participant instead of the sum of round
+/// trips. Under the 1999 demand plane each request is waited on before
+/// the next is sent, and `local` runs last. Returns `(destination,
+/// reply)` in request order; a request that fails or times out is a
+/// protocol failure and panics.
+pub(crate) fn call_all(
+    endpoint: &Endpoint,
+    cfg: &DsmConfig,
+    calls: Vec<(Gpid, Msg)>,
+    local: impl FnOnce(),
+) -> Vec<(Gpid, Msg)> {
+    let gather = |(dst, call): (Gpid, Result<PendingCall, NetError>)| {
+        let rep = call
+            .and_then(|c| c.wait(cfg.call_timeout))
+            .unwrap_or_else(|e| panic!("{}: call to {dst} failed: {e}", endpoint.gpid()));
+        (dst, decode(&rep, dst))
+    };
+    let mut pending = Vec::with_capacity(calls.len());
+    let mut replies = Vec::with_capacity(calls.len());
+    for (dst, msg) in calls {
+        pending.push((dst, endpoint.call_begin(dst, msg.encode(cfg))));
+        if !cfg.dataplane.pipeline() {
+            replies.extend(pending.drain(..).map(gather));
+        }
+    }
+    local();
+    replies.extend(pending.into_iter().map(gather));
+    replies
+}
+
+/// Decode a reply from `from`. A peer that answers with bytes no
+/// message decodes from is a protocol bug: fail loudly.
+pub(crate) fn decode(rep: &[u8], from: Gpid) -> Msg {
+    Msg::from_wire(rep).unwrap_or_else(|e| panic!("malformed reply from {from}: {e}"))
+}
+
 /// The application thread's DSM context.
 pub struct TmkCtx {
     core: Arc<Mutex<ProcCore>>,
@@ -169,14 +210,10 @@ pub struct TmkCtx {
     my_pid: Pid,
     slots_per_page: usize,
     page_shift: u32,
-    call_timeout: Duration,
-    /// Wire encoding for every message we produce ([`Encoding::Flat`]
-    /// reproduces the faithful-1999 [`crate::config::Broadcast::Flat`]
-    /// payload sizes; see `Msg::to_bytes_compat`).
-    wire_enc: Encoding,
-    /// Shape of each cluster-wide collective.
-    collectives: crate::config::CollectiveConfig,
-    throttle: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// The process's configuration: the call timeout, the throttle
+    /// hook, and the generation's collectives, wire encoding and data
+    /// plane.
+    cfg: DsmConfig,
     /// Link to the team: the master's `barrier()` plays manager through
     /// its control buffer; worker ranks receive tree-relayed barrier
     /// releases through the same buffer. `None` only in single-process
@@ -188,9 +225,6 @@ pub struct TmkCtx {
     /// reference speed (set by the fork dispatcher from the
     /// [`nowmp_net::CostModel`]; zero = compute is free).
     iter_cost: Duration,
-    /// Data-plane overlap levers (pipelined faults, release-phase
-    /// prefetch, piggybacked hot diffs).
-    dataplane: DataPlaneConfig,
     /// In-flight release-phase prefetches. Must be empty at every
     /// synchronization point (see [`Self::drain_prefetch`]).
     inflight: Vec<Prefetch>,
@@ -241,14 +275,10 @@ impl TmkCtx {
             my_pid,
             slots_per_page: spp,
             page_shift: spp.trailing_zeros(),
-            call_timeout: cfg.call_timeout,
-            wire_enc: cfg.collectives.encoding(),
-            collectives: cfg.collectives,
-            throttle: cfg.throttle.clone(),
+            cfg,
             link,
             params: Vec::new(),
             iter_cost: Duration::ZERO,
-            dataplane: cfg.dataplane,
             inflight: Vec::new(),
             prefetched_ready: Vec::new(),
             diff_planned: Vec::new(),
@@ -322,7 +352,7 @@ impl TmkCtx {
     /// Invoke the adaptive layer's throttle hook (migration freeze gate).
     #[inline]
     pub fn throttle(&self) {
-        if let Some(t) = &self.throttle {
+        if let Some(t) = &self.cfg.throttle {
             t();
         }
     }
@@ -344,12 +374,11 @@ impl TmkCtx {
     // Fault driver
     // ------------------------------------------------------------------
 
-    fn call(&self, dst: Gpid, msg: &Msg) -> Msg {
-        let rep = self
-            .endpoint
-            .call_deadline(dst, msg.to_bytes_compat(self.wire_enc), self.call_timeout)
-            .unwrap_or_else(|e| panic!("{}: call to {dst} failed: {e}", self.gpid()));
-        Msg::from_wire(&rep).expect("malformed reply")
+    /// One request, one reply: [`call_all`] of a single call.
+    fn call(&self, dst: Gpid, msg: Msg) -> Msg {
+        call_all(&self.endpoint, &self.cfg, vec![(dst, msg)], || {})
+            .remove(0)
+            .1
     }
 
     /// Ensure `page` is accessible (and writable if `write`), returning
@@ -431,7 +460,7 @@ impl TmkCtx {
     /// reply: a lost push is a protocol bug and fails as loudly as a
     /// lost reply does.
     fn await_expected(&self, page: PageId) {
-        let deadline = std::time::Instant::now() + self.call_timeout;
+        let deadline = std::time::Instant::now() + self.cfg.call_timeout;
         let mut c = self.core.lock();
         while let Some((pid, seq)) = c.expected_absent(page) {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
@@ -454,7 +483,7 @@ impl TmkCtx {
             );
             let rep = self.call(
                 target,
-                &Msg::PageReq {
+                Msg::PageReq {
                     epoch: self.epoch,
                     page,
                 },
@@ -480,77 +509,39 @@ impl TmkCtx {
         panic!("page {page}: too many ownership redirects");
     }
 
-    /// Fetch the diffs only the network can supply (`groups`; none when
-    /// the early-diff store has or expects them all), wait for the
-    /// expected ones, and apply everything as one batch. Under
-    /// `dataplane.pipeline()` the per-creator requests are
-    /// scatter-gathered: every `DiffReq` goes on the wire before any
-    /// reply is collected, so a multi-creator fault pays the slowest
-    /// creator's latency instead of the sum of all of them. Replies
-    /// are gathered in issue order (application sorts causally by
-    /// vcsum regardless).
+    /// Fetch the diffs only the network can supply (`groups`, in the
+    /// core's creator order; none when the early-diff store has or
+    /// expects them all) with one [`call_all`], wait for the expected
+    /// ones, and apply everything as one batch. When the data plane
+    /// pipelines, a multi-creator fault pays the slowest creator's
+    /// latency instead of the sum of all of them (application sorts
+    /// causally by vcsum regardless of reply order).
     fn fetch_diffs(&mut self, page: PageId, groups: Vec<(Gpid, Vec<(PageId, Seq)>)>) {
+        let calls = groups
+            .into_iter()
+            .map(|(creator, wants)| {
+                let msg = Msg::DiffReq {
+                    epoch: self.epoch,
+                    wants,
+                    subscribe: false,
+                };
+                (creator, msg)
+            })
+            .collect();
         let mut batch: Vec<(Pid, Seq, crate::diff::Diff)> = Vec::new();
-        if self.dataplane.pipeline() && groups.len() > 1 {
-            let pending: Vec<(Pid, PendingCall)> = groups
-                .into_iter()
-                .map(|(creator, wants)| {
-                    let pid = self
-                        .team
-                        .pid_of(creator)
-                        .unwrap_or_else(|| panic!("diff creator {creator} not in team"));
-                    let msg = Msg::DiffReq {
-                        epoch: self.epoch,
-                        wants,
-                        subscribe: false,
-                    };
-                    let call = self
-                        .endpoint
-                        .call_begin(creator, msg.to_bytes_compat(self.wire_enc))
-                        .unwrap_or_else(|e| {
-                            panic!("{}: call to {creator} failed: {e}", self.gpid())
-                        });
-                    (pid, call)
-                })
-                .collect();
-            for (pid, call) in pending {
-                let dst = call.dst();
-                let rep = call
-                    .wait(self.call_timeout)
-                    .unwrap_or_else(|e| panic!("{}: call to {dst} failed: {e}", self.gpid()));
-                match Msg::from_wire(&rep).expect("malformed reply") {
-                    Msg::DiffRep { diffs } => {
-                        for (p, s, d) in diffs {
-                            debug_assert_eq!(p, page);
-                            batch.push((pid, s, d));
-                        }
+        for (creator, rep) in call_all(&self.endpoint, &self.cfg, calls, || {}) {
+            let pid = self
+                .team
+                .pid_of(creator)
+                .unwrap_or_else(|| panic!("diff creator {creator} not in team"));
+            match rep {
+                Msg::DiffRep { diffs } => {
+                    for (p, s, d) in diffs {
+                        debug_assert_eq!(p, page);
+                        batch.push((pid, s, d));
                     }
-                    other => panic!("unexpected reply to DiffReq: {other:?}"),
                 }
-            }
-        } else {
-            for (creator, wants) in groups {
-                let pid = self
-                    .team
-                    .pid_of(creator)
-                    .unwrap_or_else(|| panic!("diff creator {creator} not in team"));
-                let rep = self.call(
-                    creator,
-                    &Msg::DiffReq {
-                        epoch: self.epoch,
-                        wants,
-                        subscribe: false,
-                    },
-                );
-                match rep {
-                    Msg::DiffRep { diffs } => {
-                        for (p, s, d) in diffs {
-                            debug_assert_eq!(p, page);
-                            batch.push((pid, s, d));
-                        }
-                    }
-                    other => panic!("unexpected reply to DiffReq: {other:?}"),
-                }
+                other => panic!("unexpected reply to DiffReq: {other:?}"),
             }
         }
         self.await_expected(page);
@@ -569,7 +560,7 @@ impl TmkCtx {
     /// page is asked for here at most until its pushes start arriving.
     /// No-op under the demand data plane.
     pub fn prefetch_after_release(&mut self) {
-        let budget = self.dataplane.prefetch();
+        let budget = self.cfg.dataplane.prefetch();
         if budget == 0 || self.nprocs() == 1 {
             return;
         }
@@ -613,9 +604,7 @@ impl TmkCtx {
     fn issue(&mut self, plan: crate::core::PrefetchPlan, subscribe: bool) -> Vec<Prefetch> {
         let mut sent = Vec::with_capacity(plan.fulls.len() + plan.diffs.len());
         let mut begin = |dst: Gpid, msg: Msg, pages: Vec<PageId>, kind: PrefetchKind| {
-            let call = self
-                .endpoint
-                .call_begin(dst, msg.to_bytes_compat(self.wire_enc));
+            let call = self.endpoint.call_begin(dst, msg.encode(&self.cfg));
             call.map(|call| sent.push(Prefetch { pages, kind, call }))
                 .is_ok()
         };
@@ -664,7 +653,7 @@ impl TmkCtx {
     /// subscribes or touches the prefetch ledger. The checkpoint's page
     /// collection and the GC's completion fetches run through here.
     pub fn collect_pages(&mut self, pages: &[PageId]) {
-        if self.dataplane.pipeline() {
+        if self.cfg.dataplane.pipeline() {
             let plan = self.core.lock().plan_prefetch(pages, usize::MAX);
             for p in self.issue(plan, false) {
                 self.fold(p);
@@ -734,13 +723,10 @@ impl TmkCtx {
     fn fold(&self, p: Prefetch) -> Folded {
         let Prefetch { pages, kind, call } = p;
         let from = call.dst();
-        let Ok(rep) = call.wait(self.call_timeout) else {
+        let Ok(rep) = call.wait(self.cfg.call_timeout) else {
             return Folded::Dropped(pages.len());
         };
-        match (
-            kind,
-            Msg::from_wire(&rep).expect("malformed prefetch reply"),
-        ) {
+        match (kind, decode(&rep, from)) {
             (
                 PrefetchKind::Full,
                 Msg::PageRep {
@@ -810,12 +796,13 @@ impl TmkCtx {
                 .core
                 .lock()
                 .lock_acquire(lock, self.gpid(), LockWaiter::Local(tx));
-            deliver_grant(grant);
-            rx.recv_timeout(self.call_timeout).expect("lock grant lost")
+            deliver_grant(grant, &self.cfg);
+            rx.recv_timeout(self.cfg.call_timeout)
+                .expect("lock grant lost")
         } else {
             match self.call(
                 mgr_gpid,
-                &Msg::LockReq {
+                Msg::LockReq {
                     epoch: self.epoch,
                     lock,
                 },
@@ -829,7 +816,7 @@ impl TmkCtx {
                 let vc = self.core.lock().vc.clone();
                 match self.call(
                     prev,
-                    &Msg::RecordsReq {
+                    Msg::RecordsReq {
                         epoch: self.epoch,
                         vc,
                     },
@@ -859,7 +846,7 @@ impl TmkCtx {
         let mgr_gpid = self.team.gpid(mgr_pid);
         if mgr_gpid == self.gpid() {
             let grant = self.core.lock().lock_release(lock);
-            deliver_grant(grant);
+            deliver_grant(grant, &self.cfg);
         } else {
             self.endpoint
                 .send(
@@ -868,7 +855,7 @@ impl TmkCtx {
                         epoch: self.epoch,
                         lock,
                     }
-                    .to_bytes(),
+                    .encode(&self.cfg),
                 )
                 .expect("lock manager vanished");
         }
@@ -912,7 +899,7 @@ impl TmkCtx {
             self.sync_reset();
             return;
         }
-        let tree_release = self.collectives.join_reduce == crate::config::Broadcast::Tree;
+        let tree_release = self.cfg.collectives.join_reduce == crate::config::Broadcast::Tree;
         if self.my_pid == 0 {
             self.barrier_master(tree_release);
         } else {
@@ -942,18 +929,13 @@ impl TmkCtx {
             pid,
             vc,
             records,
-        }
-        .to_bytes_compat(self.wire_enc);
+        };
         if !tree_release {
-            let call = self
-                .endpoint
-                .call_begin(master, arrive)
-                .unwrap_or_else(|e| panic!("{}: call to {master} failed: {e}", self.gpid()));
-            self.wake_pusher();
-            let rep = call
-                .wait(self.call_timeout)
-                .unwrap_or_else(|e| panic!("{}: call to {master} failed: {e}", self.gpid()));
-            match Msg::from_wire(&rep).expect("malformed reply") {
+            let calls = vec![(master, arrive)];
+            match call_all(&self.endpoint, &self.cfg, calls, || self.wake_pusher())
+                .remove(0)
+                .1
+            {
                 Msg::BarrierRep { vc, records } => {
                     let mut c = self.core.lock();
                     c.apply_records(&records);
@@ -967,13 +949,13 @@ impl TmkCtx {
         // relayed down the fork shape through our parent.
         let link = self.team_link();
         self.endpoint
-            .send(master, arrive)
+            .send(master, arrive.encode(&self.cfg))
             .unwrap_or_else(|e| panic!("{}: barrier arrival failed: {e}", self.gpid()));
         self.wake_pusher();
         let c = link
             .ctrl
             .lock()
-            .recv_where(self.call_timeout, |c| {
+            .recv_where(self.cfg.call_timeout, |c| {
                 matches!(&c.msg, Msg::BarrierRelease { .. })
             })
             .expect("barrier release lost");
@@ -1022,7 +1004,7 @@ impl TmkCtx {
                 .ctrl
                 .lock()
                 .recv_where(
-                    self.call_timeout,
+                    self.cfg.call_timeout,
                     |c| matches!(&c.msg, Msg::BarrierArrive { epoch: e, .. } if *e == epoch),
                 )
                 .expect("barrier arrival lost");
@@ -1058,7 +1040,7 @@ impl TmkCtx {
                 records,
                 piggyback,
             }
-            .to_bytes_compat(self.wire_enc);
+            .encode(&self.cfg);
             let shapes = link.shapes.get(n);
             crate::system::relay_tree_send(&self.endpoint, &self.team, &shapes.fork, 0, &bytes);
             return;
@@ -1083,7 +1065,7 @@ impl TmkCtx {
                     vc: merged_vc.clone(),
                     records,
                 }
-                .to_bytes_compat(self.wire_enc),
+                .encode(&self.cfg),
             );
         }
     }
@@ -1208,7 +1190,7 @@ impl crate::mem::SharedMem for TmkCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DsmConfig;
+    use crate::config::DataPlaneConfig;
     use crate::mem::SharedMem;
     use crate::stats::DsmStats as Stats;
     use nowmp_net::{HostId, NetModel, Network};
@@ -1409,6 +1391,78 @@ mod tests {
         let (mut ctx, _writer) =
             ctx_expecting_a_push(&nowmp_util::Clock::real(), Duration::from_millis(50));
         let _ = ctx.read_u64(2);
+    }
+
+    // --- call_all, the one request path ---
+
+    /// One round trip of the network `call_three` runs on.
+    const RTT: Duration = Duration::from_millis(2);
+
+    /// `call_all` of a `GcQuery` to three servers on a virtual clock,
+    /// one `RTT` away, each answering with its own gpid after 0.2, 0.1
+    /// and 0 ms of work — so when the requests overlap, the replies
+    /// land in reverse request order. Checks that they come back in
+    /// request order; returns when `local` ran and when the call
+    /// returned, from its start.
+    fn call_three(dataplane: DataPlaneConfig) -> (Duration, Duration) {
+        let clock = nowmp_util::Clock::new_virtual();
+        let model = NetModel {
+            emulate: true,
+            one_way_latency: RTT / 2,
+            ..NetModel::disabled()
+        };
+        let net = Network::with_clock(4, 1, model, nowmp_net::CostModel::disabled(), clock.clone());
+        let client = net.register(HostId(0));
+        let (mut servers, mut threads) = (Vec::new(), Vec::new());
+        for h in 1..4u16 {
+            let ep = net.register(HostId(h));
+            let (g, c) = (ep.gpid(), clock.clone());
+            let work = Duration::from_micros(100 * (3 - h as u64));
+            servers.push(g);
+            threads.push(clock.spawn(format!("srv-{g}"), move || {
+                let inc = ep.recv().unwrap();
+                c.sleep(work);
+                let rep = Msg::LockRep { prev: Some(g) }.to_bytes();
+                inc.replier.unwrap().reply(rep);
+            }));
+        }
+        let cfg = DsmConfig::test_small().with_dataplane(dataplane);
+        let calls = servers
+            .iter()
+            .map(|&g| (g, Msg::GcQuery { epoch: 0 }))
+            .collect();
+        let c = clock.clone();
+        let (replies, local_at, took) = clock
+            .spawn("client", move || {
+                let t0 = c.now();
+                let mut local_at = None;
+                let replies = call_all(&client, &cfg, calls, || {
+                    local_at = Some(c.elapsed_since(t0));
+                });
+                (replies, local_at.unwrap(), c.elapsed_since(t0))
+            })
+            .join()
+            .unwrap();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        let want: Vec<_> = servers
+            .into_iter()
+            .map(|g| (g, Msg::LockRep { prev: Some(g) }))
+            .collect();
+        assert_eq!(replies, want, "replies come back in request order");
+        (local_at, took)
+    }
+
+    #[test]
+    fn call_all_overlaps_when_the_data_plane_pipelines_and_serializes_otherwise() {
+        let (local_at, took) = call_three(DataPlaneConfig::Overlap);
+        assert!(
+            took >= RTT && took < RTT * 3 / 2,
+            "three overlapped requests took {took:?}, not about one round trip"
+        );
+        assert!(local_at < RTT, "local ran at {local_at:?}, after a reply");
+        let (local_at, took) = call_three(DataPlaneConfig::Demand);
+        assert!(took >= RTT * 3, "three serial requests took {took:?}");
+        assert_eq!(local_at, took, "local runs after the last reply");
     }
 
     // --- fetch_full ownership-redirect chasing ---

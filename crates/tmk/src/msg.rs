@@ -15,6 +15,7 @@
 //! `BarrierRelease`, the GC
 //! sequence, `Commit`/`JoinInit`, `ReadyJoin`, `Terminate`.
 
+use crate::config::DsmConfig;
 use crate::diff::Diff;
 use crate::page::Wn;
 use crate::records::{Record, RecordSet};
@@ -869,17 +870,26 @@ impl Wire for Msg {
 }
 
 impl Msg {
-    /// Encode to bytes ready for the transport (compact wire forms).
+    /// Encode for the transport in the wire encoding of `cfg`'s
+    /// generation ([`crate::config::CollectiveConfig::encoding`]) — the
+    /// one place a process chooses it. Every message the protocol sends
+    /// goes through here.
+    pub fn encode(&self, cfg: &DsmConfig) -> bytes::Bytes {
+        self.to_bytes_compat(cfg.collectives.encoding())
+    }
+
+    /// Encode to bytes in the compact wire forms (tests, and sizing a
+    /// payload the way the current generation ships it).
     pub fn to_bytes(&self) -> bytes::Bytes {
         self.to_bytes_compat(Encoding::Runs)
     }
 
-    /// Encode with an explicit wire [`Encoding`]: [`Encoding::Flat`]
-    /// emits the pre-compaction flat page-set notices (what
-    /// [`crate::config::Broadcast::Flat`] systems put on the wire, so
-    /// the 1999-faithful reproduction keeps its calibrated payload
-    /// sizes). Decoders accept both forms.
-    pub fn to_bytes_compat(&self, encoding: Encoding) -> bytes::Bytes {
+    /// Encode with an explicit wire [`Encoding`]: only clocks and
+    /// record sets differ, where [`Encoding::Flat`] emits the
+    /// pre-compaction flat page-set notices the 1999-faithful
+    /// reproduction keeps its calibrated payload sizes with. Decoders
+    /// accept both forms.
+    fn to_bytes_compat(&self, encoding: Encoding) -> bytes::Bytes {
         let mut e = Enc::with_encoding(64, encoding);
         self.enc(&mut e);
         e.finish_bytes()
@@ -915,8 +925,9 @@ mod tests {
         assert_eq!(*m, back);
     }
 
-    #[test]
-    fn all_variants_roundtrip() {
+    /// One or two instances of every variant, clocks with three entries
+    /// and records over two pages.
+    fn all_variants() -> Vec<Msg> {
         let mut vc = Vc::new(3);
         vc.set(1, 4);
         let rec = Record {
@@ -927,7 +938,7 @@ mod tests {
         };
         let team = Team::new(2, vec![Gpid(1), Gpid(5)]);
         let dir = DirRle::from_vec(&[Gpid(1), Gpid(1), Gpid(5)]);
-        let cases = vec![
+        vec![
             Msg::ConnHello { from: Gpid(9) },
             Msg::PageReq { epoch: 1, page: 7 },
             Msg::DiffReq {
@@ -1063,9 +1074,46 @@ mod tests {
             },
             Msg::ReadyJoin { gpid: Gpid(7) },
             Msg::Terminate,
-        ];
-        for m in &cases {
+        ]
+    }
+
+    #[test]
+    fn all_variants_roundtrip() {
+        for m in &all_variants() {
             roundtrip(m);
+        }
+    }
+
+    #[test]
+    fn only_clocks_and_record_sets_follow_the_generation() {
+        // `Msg::encode` hands every message the process's encoding, so
+        // this pins which payloads a generation changes: exactly the
+        // variants that carry a clock or a record set.
+        const CARRY_CLOCK_OR_RECORDS: [&str; 7] = [
+            "RecordsReq",
+            "RecordsRep",
+            "Fork",
+            "JoinArrive",
+            "BarrierArrive",
+            "BarrierRep",
+            "BarrierRelease",
+        ];
+        let (y1999, current) = (
+            DsmConfig::default_4k().generation_1999(),
+            DsmConfig::default_4k(),
+        );
+        for m in all_variants() {
+            let (flat, runs) = (m.encode(&y1999), m.encode(&current));
+            assert_eq!(flat, m.to_bytes_compat(Encoding::Flat));
+            assert_eq!(runs, m.to_bytes());
+            assert_eq!(Msg::from_wire(&flat).unwrap(), m);
+            let debug = format!("{m:?}");
+            let name = debug.split([' ', '(']).next().unwrap();
+            assert_eq!(
+                flat != runs,
+                CARRY_CLOCK_OR_RECORDS.contains(&name),
+                "{name}: Flat and Runs bytes differ iff it carries a clock or records"
+            );
         }
     }
 

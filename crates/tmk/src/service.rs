@@ -15,6 +15,7 @@
 //! application thread stays free to relay the next fork and no request
 //! waits for more than one push.
 
+use crate::config::DsmConfig;
 use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::stats::DsmStats;
@@ -54,16 +55,17 @@ pub fn service_loop(
     core: Arc<Mutex<ProcCore>>,
     ctrl_tx: MailboxSender<Ctrl>,
 ) {
-    // The page table and the push outbox outlive every epoch; grabbing
-    // them once up front lets the steady-state `PageReq` path below
-    // serve from a shard lock, and the loop find nothing to push,
-    // without ever touching the core mutex.
-    let (table, outbox, stats) = {
+    // The page table, the push outbox and the configuration outlive
+    // every epoch; grabbing them once up front lets the steady-state
+    // `PageReq` path below serve from a shard lock, and the loop find
+    // nothing to push, without ever touching the core mutex.
+    let (table, outbox, stats, cfg) = {
         let c = core.lock();
         (
             Arc::clone(&c.pages),
             Arc::clone(&c.outbox),
             Arc::clone(&c.stats),
+            c.cfg.clone(),
         )
     };
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
@@ -75,7 +77,7 @@ pub fn service_loop(
             break;
         }
         for inc in burst.drain(..) {
-            serve_one(inc, &core, &table, &ctrl_tx);
+            serve_one(inc, &core, &table, &cfg, &ctrl_tx);
         }
         // After every burst, not only after a wake: a `RecordsReq` we
         // just answered may have handed out the notice of an interval
@@ -98,7 +100,7 @@ pub fn service_loop(
             // A reader that left the network mid-epoch is past caring.
             let _ = endpoint.send(dst, payload);
             while let Some(inc) = endpoint.try_recv() {
-                serve_one(inc, &core, &table, &ctrl_tx);
+                serve_one(inc, &core, &table, &cfg, &ctrl_tx);
             }
         }
     }
@@ -110,6 +112,7 @@ fn serve_one(
     inc: nowmp_net::Incoming,
     core: &Arc<Mutex<ProcCore>>,
     table: &crate::table::PageTable,
+    cfg: &DsmConfig,
     ctrl_tx: &MailboxSender<Ctrl>,
 ) {
     let msg = match Msg::from_wire(&inc.payload) {
@@ -131,7 +134,7 @@ fn serve_one(
     match msg {
         Msg::ConnHello { .. } => {
             if let Some(r) = inc.replier {
-                r.reply(Msg::Ack.to_bytes());
+                r.reply(Msg::Ack.encode(cfg));
             }
         }
         Msg::PageReq { epoch, page } => {
@@ -148,7 +151,7 @@ fn serve_one(
             });
             inc.replier
                 .expect("PageReq is a request")
-                .reply(rep.to_bytes());
+                .reply(rep.encode(cfg));
         }
         Msg::DiffReq {
             epoch,
@@ -163,18 +166,18 @@ fn serve_one(
             };
             inc.replier
                 .expect("DiffReq is a request")
-                .reply(rep.to_bytes());
+                .reply(rep.encode(cfg));
         }
         Msg::DiffPush { epoch, diffs } => core.lock().deposit_push(epoch, inc.src, diffs),
         Msg::RecordsReq { epoch, vc } => {
-            let (rep, enc) = {
+            let rep = {
                 let c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "RecordsReq from wrong epoch");
-                (c.serve_records(&vc), c.cfg.collectives.encoding())
+                c.serve_records(&vc)
             };
             inc.replier
                 .expect("RecordsReq is a request")
-                .reply(rep.to_bytes_compat(enc));
+                .reply(rep.encode(cfg));
         }
         Msg::LockReq { epoch, lock } => {
             let replier = inc.replier.expect("LockReq is a request");
@@ -183,7 +186,7 @@ fn serve_one(
                 debug_assert_eq!(epoch, c.epoch(), "LockReq from wrong epoch");
                 c.lock_acquire(lock, inc.src, LockWaiter::Remote(replier))
             };
-            deliver_grant(grant);
+            deliver_grant(grant, cfg);
         }
         Msg::LockRelease { epoch, lock } => {
             let grant = {
@@ -191,18 +194,18 @@ fn serve_one(
                 debug_assert_eq!(epoch, c.epoch(), "LockRelease from wrong epoch");
                 c.lock_release(lock)
             };
-            deliver_grant(grant);
+            deliver_grant(grant, cfg);
         }
         other => panic!("service thread received non-request message {other:?}"),
     }
 }
 
 /// Dispatch a lock grant decided by the manager state machine.
-pub fn deliver_grant(grant: Option<LockGrant>) {
+pub fn deliver_grant(grant: Option<LockGrant>, cfg: &DsmConfig) {
     match grant {
         None => {}
         Some(LockGrant::Remote(replier, prev)) => {
-            replier.reply(Msg::LockRep { prev }.to_bytes());
+            replier.reply(Msg::LockRep { prev }.encode(cfg));
         }
         Some(LockGrant::Local(tx, prev)) => {
             // The local application thread is parked on this mailbox.

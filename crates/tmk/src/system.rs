@@ -14,7 +14,7 @@
 
 use crate::config::DsmConfig;
 use crate::core::ProcCore;
-use crate::ctx::{CtrlBuf, TeamLink, TmkCtx};
+use crate::ctx::{call_all, decode, CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan, LeaveSink};
 use crate::msg::{DirRle, Msg, RegEntry};
 use crate::page::{PageState, Wn};
@@ -24,8 +24,7 @@ use crate::shm::{Allocator, Registry};
 use crate::stats::DsmStats;
 use crate::tree::{Shape, ShapeBook};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
-use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network, PendingCall};
-use nowmp_util::wire::Wire;
+use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
 use nowmp_util::MailboxReceiver;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -279,10 +278,7 @@ fn call_acked<'a>(
 ) -> impl FnMut(usize) -> bool + 'a {
     move |child| match endpoint.call_deadline(team.gpid(child as Pid), bytes.clone(), timeout) {
         Ok(rep) => {
-            assert_eq!(
-                Msg::from_wire(&rep).expect("malformed JoinInit ack"),
-                Msg::Ack
-            );
+            assert_eq!(decode(&rep, team.gpid(child as Pid)), Msg::Ack);
             true
         }
         Err(NetError::Unknown(_)) => false,
@@ -431,7 +427,7 @@ fn worker_join_reduce(
         vc,
         records,
     }
-    .to_bytes_compat(sys.cfg.collectives.encoding());
+    .encode(&sys.cfg);
     let mut target = shape.parent(my);
     loop {
         match endpoint.send(team.gpid(target as Pid), bytes.clone()) {
@@ -461,43 +457,6 @@ fn gc_complete(ctx: &mut TmkCtx, wants: &[(PageId, Vec<Wn>)]) {
     DsmStats::add(&ctx.stats().gc_fetch_pages, pages.len() as u64);
 }
 
-/// The master's requests of one adaptation step, `(worker, request)`
-/// in order, and `local`, the master's own share of the step. When the
-/// data plane pipelines (`cfg.dataplane.pipeline()`, as it does for
-/// multi-creator faults) every request is on the wire before any reply
-/// is collected and `local` runs while they are in flight, so the step
-/// costs its slowest participant instead of the sum of round trips.
-/// Under the 1999 demand plane each request is waited on before the
-/// next is sent, and `local` runs last. Returns `(worker, reply)` in
-/// request order.
-fn call_all(
-    endpoint: &Endpoint,
-    cfg: &DsmConfig,
-    calls: Vec<(Gpid, Msg)>,
-    local: impl FnOnce(),
-) -> Vec<(Gpid, Msg)> {
-    let gather = |(dst, call): (Gpid, Result<PendingCall, NetError>)| {
-        let rep = call
-            .and_then(|c| c.wait(cfg.call_timeout))
-            .unwrap_or_else(|e| panic!("master call to {dst} failed: {e}"));
-        (
-            dst,
-            Msg::from_wire(&rep).expect("malformed reply to master"),
-        )
-    };
-    let mut pending = Vec::with_capacity(calls.len());
-    let mut replies = Vec::with_capacity(calls.len());
-    for (dst, msg) in calls {
-        pending.push((dst, endpoint.call_begin(dst, msg.to_bytes())));
-        if !cfg.dataplane.pipeline() {
-            replies.extend(pending.drain(..).map(gather));
-        }
-    }
-    local();
-    replies.extend(pending.into_iter().map(gather));
-    replies
-}
-
 /// Worker application thread: connection setup, then the Tmk wait loop.
 fn worker_main(
     sys: Arc<DsmSystem>,
@@ -508,12 +467,12 @@ fn worker_main(
     hello_to: Vec<Gpid>,
 ) {
     let gpid = endpoint.gpid();
-    let timeout = sys.cfg.call_timeout;
+    let (cfg, timeout) = (&sys.cfg, sys.cfg.call_timeout);
     // Connection setup: slaves first, master last (§4.1).
     for peer in &hello_to {
-        let _ = endpoint.call_deadline(*peer, Msg::ConnHello { from: gpid }.to_bytes(), timeout);
+        let _ = endpoint.call_deadline(*peer, Msg::ConnHello { from: gpid }.encode(cfg), timeout);
     }
-    let _ = endpoint.send(master, Msg::ReadyJoin { gpid }.to_bytes());
+    let _ = endpoint.send(master, Msg::ReadyJoin { gpid }.encode(cfg));
 
     // Shared with our `TmkCtx`: tree-mode barrier releases (and the
     // join-reduce collection below) are received off the same buffer
@@ -595,7 +554,7 @@ fn worker_main(
                     );
                 }
                 if let Some(r) = c.replier {
-                    r.reply(Msg::Ack.to_bytes());
+                    r.reply(Msg::Ack.encode(cfg));
                 }
             }
             Msg::Fork {
@@ -649,14 +608,14 @@ fn worker_main(
                 };
                 c.replier
                     .expect("GcQuery is a request")
-                    .reply(Msg::GcReport { pages: report }.to_bytes());
+                    .reply(Msg::GcReport { pages: report }.encode(cfg));
             }
             Msg::GcFetch { epoch, wants } => {
                 assert_eq!(epoch, core.lock().epoch(), "GcFetch from wrong epoch");
                 gc_complete(&mut ctx, &wants);
                 c.replier
                     .expect("GcFetch is a request")
-                    .reply(Msg::Ack.to_bytes());
+                    .reply(Msg::Ack.encode(cfg));
             }
             Msg::Commit {
                 epoch,
@@ -674,7 +633,7 @@ fn worker_main(
                 ctx.sync_reset();
                 c.replier
                     .expect("Commit is a request")
-                    .reply(Msg::Ack.to_bytes());
+                    .reply(Msg::Ack.encode(cfg));
             }
             Msg::Terminate => {
                 sys.net.unregister(gpid);
@@ -805,7 +764,7 @@ impl MasterCtl {
             alloc_slots,
             relay: true,
         }
-        .to_bytes();
+        .encode(&self.sys.cfg);
         // A call per root child of the fork shape; each acks once its
         // subtree is up.
         let shapes = self.sys.shapes.get(team.nprocs());
@@ -847,10 +806,8 @@ impl MasterCtl {
             piggyback,
         };
         // The payload is receiver-independent: encode once for all
-        // slaves instead of re-serializing per destination. The 1999
-        // generation keeps its flat-notice payload sizes (see
-        // `CollectiveConfig::encoding`).
-        let bytes = msg.to_bytes_compat(self.sys.cfg.collectives.encoding());
+        // slaves instead of re-serializing per destination.
+        let bytes = msg.encode(&self.sys.cfg);
         let shapes = self.sys.shapes.get(team.nprocs());
         relay_tree_send(&self.endpoint, &team, &shapes.fork, 0, &bytes);
         // The fork is out; what the sequential phase wrote can follow.
@@ -1064,7 +1021,7 @@ impl MasterCtl {
         let new_set: HashSet<Gpid> = new_members.iter().copied().collect();
         for &g in &old_team.members {
             if !new_set.contains(&g) {
-                let _ = self.endpoint.send(g, Msg::Terminate.to_bytes());
+                let _ = self.endpoint.send(g, Msg::Terminate.encode(&self.sys.cfg));
             }
         }
         self.last_fork_vc = Vc::new(team.nprocs());
@@ -1130,7 +1087,7 @@ impl MasterCtl {
         for pid in 1..team.nprocs() {
             let _ = self
                 .endpoint
-                .send(team.gpid(pid as Pid), Msg::Terminate.to_bytes());
+                .send(team.gpid(pid as Pid), Msg::Terminate.encode(&self.sys.cfg));
         }
         self.sys.net.unregister(self.gpid());
         self.sys.cores.lock().remove(&self.gpid());
