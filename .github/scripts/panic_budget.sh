@@ -11,7 +11,7 @@
 set -euo pipefail
 
 MAX_UNWRAP_EXPECT=65
-MAX_PANIC_UNREACHABLE=33
+MAX_PANIC_UNREACHABLE=29
 
 cd "$(dirname "$0")/../.."
 # The non-test library source of crate directory $1 (default: all).

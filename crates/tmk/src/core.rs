@@ -29,15 +29,16 @@
 //! * **R** (reader expectation): a notice `(p, w, s)` with no stored
 //!   diff is *expected* iff a push from w for p with a sequence number
 //!   lower than s was deposited this epoch — by W it is on its way.
-//! * Early diffs (pushed, prefetched, piggybacked) sit in one store
-//!   and are applied by exactly one rule, in [`ProcCore::apply_diffs`]:
-//!   as part of one causally sorted batch that covers the page's whole
+//! * Every diff a fault applies — pushed, prefetched, piggybacked or
+//!   fetched by the fault itself — sits in one store first and is
+//!   applied by exactly one rule, in [`ProcCore::apply_diffs`]: as part
+//!   of one causally sorted batch that covers the page's whole
 //!   unapplied notice set.
 
 use crate::config::DsmConfig;
 use crate::diff::{Diff, DiffKey};
 use crate::msg::PageApplied;
-use crate::page::{PageBuf, PageState, Wn};
+use crate::page::{PageBuf, PageMeta, PageState, Wn};
 use crate::records::{Record, RecordStore};
 use crate::shm::Registry;
 use crate::stats::DsmStats;
@@ -46,7 +47,7 @@ use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Page id traced when the `NOWMP_TRACE_PAGE` env var is set (debugging aid).
@@ -77,28 +78,22 @@ pub enum AccessPlan {
         /// Whether writes may go through the cached entry.
         writable: bool,
     },
-    /// No local copy: fetch the full page from `target`.
-    NeedFull {
-        /// Process to ask first (last writer or directory owner).
-        target: Gpid,
-    },
-    /// Stale local copy: fetch these diffs, grouped by creator, then
-    /// apply them together with whatever the early-diff store holds or
-    /// is about to receive for the page.
-    NeedDiffs {
-        /// `(creator, wanted (page, seq) pairs)` — all for this page,
-        /// and only the notices no early diff covers: empty when the
-        /// store has, or expects, every one of them.
-        groups: Vec<(Gpid, Vec<(PageId, Seq)>)>,
-    },
+    /// Make these requests, fold their replies in, and plan again: a
+    /// one-page [`FetchPlan`]. A page with no copy plans its full page;
+    /// a stale copy plans the diffs only the network can supply (none
+    /// when the early-diff store has, or expects, every one of them),
+    /// then applies the page's stored diffs with [`ProcCore::apply_diffs`].
+    Fetch(FetchPlan),
 }
 
-/// What a release-phase prefetch should request, derived read-only
-/// from last window's fault set by [`ProcCore::plan_prefetch`]:
-/// full-page fetches plus diff requests batched per creator (one
-/// `DiffReq` per creator covers every planned page).
+/// The requests that bring a set of pages up to date, derived read-only
+/// by [`ProcCore::plan_page`]: full-page fetches plus diff requests
+/// batched per creator (one `DiffReq` per creator covers every planned
+/// page). A fault plans one page ([`ProcCore::plan_access`]), a
+/// release-phase prefetch or a page collection many
+/// ([`ProcCore::plan_prefetch`]).
 #[derive(Debug, Default)]
-pub struct PrefetchPlan {
+pub struct FetchPlan {
     /// Pages with no local copy: `(page, holder to ask)`.
     pub fulls: Vec<(PageId, Gpid)>,
     /// Stale pages: per-creator `(page, seq)` wants, in page order.
@@ -222,9 +217,10 @@ pub struct ProcCore {
     pub readers: HashMap<PageId, Vec<Pid>>,
     /// What [`Self::close_interval`] queued for the service thread.
     pub outbox: Outbox,
-    /// Reader side: every diff that arrived ahead of its fault — pushed
-    /// by its writer, fetched by the release-phase prefetch or
-    /// piggybacked on a release — until [`Self::apply_diffs`] takes it.
+    /// Reader side: every diff that reaches us, until
+    /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
+    /// the release-phase prefetch or by the fault itself, or
+    /// piggybacked on a release.
     pub early: HashMap<PageId, Vec<EarlyDiff>>,
     /// Lowest sequence number each `(page, writer)` has pushed us this
     /// epoch: what rule R reads.
@@ -290,9 +286,11 @@ impl ProcCore {
     // ------------------------------------------------------------------
 
     /// Decide how to obtain access to `page`; performs the local-only
-    /// transitions (twin creation, exclusive materialization) inline.
-    /// Faults that need the network are noted in the per-release fault
-    /// window when release-phase prefetch is configured.
+    /// transitions (twin creation, exclusive materialization) inline,
+    /// and plans the rest with [`Self::plan_page`], the planner the
+    /// prefetch uses too. Faults that need the network are noted in the
+    /// per-release fault window when release-phase prefetch is
+    /// configured.
     pub fn plan_access(&mut self, page: PageId, want_write: bool) -> AccessPlan {
         let plan = self.plan_access_inner(page, want_write);
         if self.cfg.dataplane.prefetch() > 0
@@ -328,11 +326,8 @@ impl ProcCore {
                 // different synchronization domain (page-level false
                 // sharing — the multiple-writer case). Merge its diffs
                 // into our working copy before further access.
-                let unapplied = meta.unapplied();
-                if !unapplied.is_empty() {
-                    return AccessPlan::NeedDiffs {
-                        groups: self.network_groups(page, &unapplied),
-                    };
+                if !meta.unapplied().is_empty() {
+                    return AccessPlan::Fetch(self.plan_fault(page, &meta));
                 }
                 let buf = Arc::clone(meta.data.as_ref().expect("Write state implies data"));
                 AccessPlan::Ready {
@@ -374,19 +369,12 @@ impl ProcCore {
                 }
             }
             PageState::Invalid => {
-                if meta.data.is_some() {
-                    // Stale copy: need diffs.
-                    let unapplied = meta.unapplied();
-                    if unapplied.is_empty() {
-                        // Nothing pending after all — promote.
-                        meta.state = PageState::Read;
-                        drop(meta);
-                        return self.plan_access(page, want_write);
-                    }
-                    AccessPlan::NeedDiffs {
-                        groups: self.network_groups(page, &unapplied),
-                    }
-                } else if meta.owner == me && meta.pending.is_empty() {
+                if meta.data.is_some() && meta.unapplied().is_empty() {
+                    // A stale copy with nothing pending after all — promote.
+                    meta.state = PageState::Read;
+                    drop(meta);
+                    self.plan_access(page, want_write)
+                } else if meta.data.is_none() && meta.owner == me && meta.pending.is_empty() {
                     // We are the directory owner of a page nobody has
                     // materialized yet — and nobody has written it
                     // either (no notices): conjure the zero page (the
@@ -403,17 +391,64 @@ impl ProcCore {
                     drop(meta);
                     self.plan_access(page, want_write)
                 } else {
-                    // No copy: full fetch from the best-known holder.
-                    let target = meta
-                        .pending
-                        .iter()
-                        .max_by_key(|w| w.vcsum)
-                        .map(|w| self.team.gpid(w.pid))
-                        .unwrap_or(meta.owner);
-                    AccessPlan::NeedFull { target }
+                    AccessPlan::Fetch(self.plan_fault(page, &meta))
                 }
             }
         }
+    }
+
+    /// A fault's one-page plan: [`Self::plan_page`], with the creators
+    /// in team rank order starting after our own rank — the same order
+    /// every run, and concurrent faults on one page do not all ask the
+    /// same creator first. (A multi-page plan keeps the order it first
+    /// saw each creator in; docs/DATAPLANE.md, lever 1, has both
+    /// measurements.)
+    fn plan_fault(&self, page: PageId, meta: &PageMeta) -> FetchPlan {
+        let mut plan = FetchPlan::default();
+        self.plan_page(page, meta, &mut plan);
+        let (n, me) = (self.team.nprocs(), self.my_pid as usize);
+        plan.diffs.sort_by_key(|(creator, _)| {
+            self.team
+                .pid_of(*creator)
+                .map(|p| (p as usize + n - me) % n)
+        });
+        plan
+    }
+
+    /// Add to `plan` the requests `page` needs: with no local copy, the
+    /// full page from its [`Self::holder`]; with a stale one, the
+    /// unapplied notices only a request can satisfy
+    /// ([`DiffSource::Network`]), grouped per creator in the order the
+    /// plan first sees each. The page counts towards `plan.pages` iff
+    /// it asks for anything.
+    fn plan_page(&self, page: PageId, meta: &PageMeta, plan: &mut FetchPlan) {
+        if meta.data.is_none() {
+            plan.fulls.push((page, self.holder(meta)));
+            plan.pages += 1;
+            return;
+        }
+        let mut asked = false;
+        for wn in meta.unapplied() {
+            if self.diff_source(page, wn.pid, wn.seq) != DiffSource::Network {
+                continue;
+            }
+            asked = true;
+            let creator = self.team.gpid(wn.pid);
+            match plan.diffs.iter_mut().find(|(g, _)| *g == creator) {
+                Some((_, wants)) => wants.push((page, wn.seq)),
+                None => plan.diffs.push((creator, vec![(page, wn.seq)])),
+            }
+        }
+        plan.pages += asked as usize;
+    }
+
+    /// Who to ask for a page we hold no copy of: the newest writer we
+    /// know of, else the directory owner.
+    fn holder(&self, meta: &PageMeta) -> Gpid {
+        meta.pending
+            .iter()
+            .max_by_key(|w| w.vcsum)
+            .map_or(meta.owner, |w| self.team.gpid(w.pid))
     }
 
     /// Install a fetched full page.
@@ -470,40 +505,29 @@ impl ProcCore {
         }
     }
 
-    /// Apply fetched diffs (already collected from all creators) to a
-    /// stale page, in causal (vcsum) order — together with every
-    /// unapplied notice of the page the early-diff store holds. This
-    /// is the one place early diffs are applied: the caller asked the
-    /// network only for what the store lacked
-    /// ([`Self::plan_access`]) and waited for what it expected
-    /// ([`Self::expected_absent`]), so `batch` plus the store cover the
+    /// Apply to a stale page every diff the early-diff store holds for
+    /// its unapplied notices, in causal (vcsum) order. This is the one
+    /// place diffs are applied: the fault deposited what it asked the
+    /// network for ([`Self::plan_access`]) and waited for what it
+    /// expected ([`Self::expected_absent`]), so the store covers the
     /// page's whole unapplied set and one sort orders all of it.
-    pub fn apply_diffs(&mut self, page: PageId, mut batch: Vec<(Pid, Seq, Diff)>) {
+    pub fn apply_diffs(&mut self, page: PageId) {
         self.ensure_pages(page as usize + 1);
         let mut meta = self.pages.guard(page);
+        let mut batch: Vec<(Pid, Seq, Diff)> = Vec::new();
         if let Some(stored) = self.early.remove(&page) {
             let unapplied = meta.unapplied();
             let mut keep = Vec::new();
             for e in stored {
-                // A push can cross a request for the same diff on the
-                // wire; the fetched copy wins and the stored one goes.
-                let fetched = batch.iter().any(|&(p, s, _)| p == e.pid && s == e.seq);
-                let noticed = unapplied.iter().any(|w| w.pid == e.pid && w.seq == e.seq);
-                if !fetched && !noticed {
+                if !unapplied.iter().any(|w| w.pid == e.pid && w.seq == e.seq) {
                     keep.push(e); // its notice has not reached us yet
                     continue;
                 }
                 self.consistency_bytes = self.consistency_bytes.saturating_sub(e.diff.wire_bytes());
                 if e.pushed {
-                    DsmStats::bump(if fetched {
-                        &self.stats.push_wasted
-                    } else {
-                        &self.stats.push_hits
-                    });
+                    DsmStats::bump(&self.stats.push_hits);
                 }
-                if !fetched {
-                    batch.push((e.pid, e.seq, e.diff));
-                }
+                batch.push((e.pid, e.seq, e.diff));
             }
             if !keep.is_empty() {
                 self.early.insert(page, keep);
@@ -596,14 +620,16 @@ impl ProcCore {
 
     /// Derive, without mutating any page state, what a release-phase
     /// prefetch over `candidates` should request: at most `budget`
-    /// pages, preferring the order they faulted last window. Pages
-    /// already valid, pages we would serve ourselves, pages whose
-    /// fetch would chase a redirect from ourselves, and notices the
-    /// early-diff store already covers or expects are skipped — the
-    /// plan only covers requests a demand fault would also have made,
-    /// and a page that needs none of them costs no budget.
-    pub fn plan_prefetch(&self, candidates: &[PageId], budget: usize) -> PrefetchPlan {
-        let mut plan = PrefetchPlan::default();
+    /// pages, preferring the order they faulted last window, each
+    /// planned by [`Self::plan_page`]. Pages already valid, and pages
+    /// the fault completes from ourselves — a copy with a diff of our
+    /// own to apply, a page whose holder is us (the zero page we own
+    /// included) — are skipped, and so are notices the early-diff store
+    /// already covers or expects: the plan only covers requests a
+    /// demand fault would also have made, and a page that needs none of
+    /// them costs no budget.
+    pub fn plan_prefetch(&self, candidates: &[PageId], budget: usize) -> FetchPlan {
+        let mut plan = FetchPlan::default();
         for &page in candidates {
             if plan.pages >= budget {
                 break;
@@ -611,42 +637,15 @@ impl ProcCore {
             let Some(meta) = self.pages.get(page) else {
                 continue;
             };
-            if meta.state != PageState::Invalid {
-                continue;
-            }
-            if meta.data.is_some() {
-                let unapplied = meta.unapplied();
-                if unapplied.is_empty()
-                    || unapplied
-                        .iter()
-                        .any(|wn| self.team.gpid(wn.pid) == self.gpid)
-                {
-                    continue;
-                }
-                let mut asked = false;
-                for wn in unapplied {
-                    if self.diff_source(page, wn.pid, wn.seq) != DiffSource::Network {
-                        continue;
-                    }
-                    asked = true;
-                    let creator = self.team.gpid(wn.pid);
-                    match plan.diffs.iter_mut().find(|(g, _)| *g == creator) {
-                        Some((_, wants)) => wants.push((page, wn.seq)),
-                        None => plan.diffs.push((creator, vec![(page, wn.seq)])),
-                    }
-                }
-                plan.pages += asked as usize;
-            } else if !(meta.owner == self.gpid && meta.pending.is_empty()) {
-                let target = meta
-                    .pending
+            let ours = match meta.data {
+                Some(_) => meta
+                    .unapplied()
                     .iter()
-                    .max_by_key(|w| w.vcsum)
-                    .map(|w| self.team.gpid(w.pid))
-                    .unwrap_or(meta.owner);
-                if target != self.gpid {
-                    plan.fulls.push((page, target));
-                    plan.pages += 1;
-                }
+                    .any(|wn| self.team.gpid(wn.pid) == self.gpid),
+                None => self.holder(&meta) == self.gpid,
+            };
+            if meta.state == PageState::Invalid && !ours {
+                self.plan_page(page, &meta, &mut plan);
             }
         }
         plan
@@ -717,25 +716,6 @@ impl ProcCore {
         }
     }
 
-    /// The unapplied notices of `page` that only a request can satisfy,
-    /// grouped by creator. Creators come in team rank order starting
-    /// after our own rank: the same order every run, and concurrent
-    /// faults on one page do not all ask the same creator first.
-    fn network_groups(&self, page: PageId, unapplied: &[Wn]) -> Vec<(Gpid, Vec<(PageId, Seq)>)> {
-        let (n, me) = (self.team.nprocs(), self.my_pid as usize);
-        let mut groups: BTreeMap<usize, Vec<(PageId, Seq)>> = BTreeMap::new();
-        for wn in unapplied {
-            if self.diff_source(page, wn.pid, wn.seq) == DiffSource::Network {
-                let turn = (wn.pid as usize + n - me) % n;
-                groups.entry(turn).or_default().push((page, wn.seq));
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(turn, wants)| (self.team.gpid(((turn + me) % n) as Pid), wants))
-            .collect()
-    }
-
     /// An unapplied notice of `page` whose pushed diff has not arrived
     /// yet, as `(writer, seq)` — what a fault parks on.
     pub fn expected_absent(&self, page: PageId) -> Option<(Pid, Seq)> {
@@ -748,8 +728,10 @@ impl ProcCore {
 
     /// Put diffs created by rank `from` into the early-diff store and
     /// wake a fault parked on one of them. Skipped: what the page's
-    /// `applied` clock already covers, what the store already holds,
-    /// and — unless `pushed`, whose notices may still be on their way —
+    /// `applied` clock already covers, what the store already holds (a
+    /// push can cross a request for the same diff on the wire: the
+    /// first copy wins), and — unless `pushed`, whose notices may still
+    /// be on their way —
     /// what matches no pending notice (a piggybacked diff of a page we
     /// never read would otherwise sit here for the rest of the epoch).
     /// Apply a message's records *before* depositing what rode with it.
@@ -1441,12 +1423,11 @@ mod tests {
         assert_eq!(c.vc.get(1), 1);
         // Planning access now asks for diffs from gpid 2.
         match c.plan_access(0, false) {
-            AccessPlan::NeedDiffs { groups } => {
-                assert_eq!(groups.len(), 1);
-                assert_eq!(groups[0].0, Gpid(2));
-                assert_eq!(groups[0].1, vec![(0, 1)]);
+            AccessPlan::Fetch(plan) => {
+                assert!(plan.fulls.is_empty());
+                assert_eq!(plan.diffs, vec![(Gpid(2), vec![(0, 1)])]);
             }
-            other => panic!("expected NeedDiffs, got {other:?}"),
+            other => panic!("expected a diff fetch, got {other:?}"),
         }
     }
 
@@ -1455,7 +1436,8 @@ mod tests {
         // Three concurrent writers of page 0 (ranks 0, 1, 3) and us at
         // rank 2: asked in rank order from rank 3 on, wrapping — not in
         // gpid order, and not in a hash map's (fresh per core, so
-        // repeat).
+        // repeat). The prefetch's planner asks the same creators for
+        // the same wants, in the order it first saw them.
         for _ in 0..8 {
             let mut c = core();
             c.team = Team::new(0, vec![Gpid(7), Gpid(5), Gpid(1), Gpid(3)]);
@@ -1473,11 +1455,17 @@ mod tests {
                     pages: vec![0],
                 }]);
             }
-            let AccessPlan::NeedDiffs { groups } = c.plan_access(0, false) else {
-                panic!("expected NeedDiffs");
+            let AccessPlan::Fetch(plan) = c.plan_access(0, false) else {
+                panic!("expected a diff fetch");
             };
             let expect: Vec<_> = [3, 7, 5].map(|g| (Gpid(g), vec![(0, 1)])).into();
-            assert_eq!(groups, expect);
+            assert_eq!(plan.diffs, expect);
+            let mut prefetch = c.plan_prefetch(&[0], usize::MAX).diffs;
+            assert_eq!(prefetch, [7, 5, 3].map(|g| (Gpid(g), vec![(0, 1)])));
+            prefetch.sort_unstable();
+            let mut fault = plan.diffs;
+            fault.sort_unstable();
+            assert_eq!(prefetch, fault, "one planner");
         }
     }
 
@@ -1496,7 +1484,8 @@ mod tests {
             pages: vec![0],
         }]);
         let diff = Diff::create_from_words(&[0; 8], &[0, 42, 0, 0, 0, 0, 0, 0], 0);
-        c.apply_diffs(0, vec![(1, 1, diff)]);
+        c.deposit(1, vec![(0, 1, diff)], false);
+        c.apply_diffs(0);
         assert_eq!(c.pages.guard(0).state, PageState::Read);
         assert_eq!(c.pages.guard(0).data.as_ref().unwrap().load(1), 42);
         assert_eq!(c.pages.guard(0).applied.get(1), 1);
@@ -1534,10 +1523,10 @@ mod tests {
             "seq 2 still missing"
         );
         match c.plan_access(3, false) {
-            AccessPlan::NeedDiffs { groups } => {
-                assert_eq!(groups[0].1, vec![(3, 2)]);
+            AccessPlan::Fetch(plan) => {
+                assert_eq!(plan.diffs[0].1, vec![(3, 2)]);
             }
-            other => panic!("expected NeedDiffs, got {other:?}"),
+            other => panic!("expected a diff fetch, got {other:?}"),
         }
     }
 
@@ -1556,9 +1545,14 @@ mod tests {
             pages: vec![5],
         }]);
         match c.plan_access(5, false) {
-            AccessPlan::NeedFull { target } => assert_eq!(target, Gpid(1)),
-            other => panic!("expected NeedFull, got {other:?}"),
+            AccessPlan::Fetch(plan) => {
+                assert_eq!(plan.fulls, vec![(5, Gpid(1))]);
+                assert!(plan.diffs.is_empty());
+            }
+            other => panic!("expected a full fetch, got {other:?}"),
         }
+        // One planner: the prefetch asks the same holder.
+        assert_eq!(c.plan_prefetch(&[5], usize::MAX).fulls, vec![(5, Gpid(1))]);
     }
 
     #[test]
@@ -1935,10 +1929,10 @@ mod tests {
             notice(&mut c, 1, seq, 0);
         }
         match c.plan_access(0, false) {
-            AccessPlan::NeedDiffs { groups } => {
-                assert_eq!(groups, vec![(Gpid(2), vec![(0, 2)])]);
+            AccessPlan::Fetch(plan) => {
+                assert_eq!(plan.diffs, vec![(Gpid(2), vec![(0, 2)])]);
             }
-            other => panic!("expected NeedDiffs, got {other:?}"),
+            other => panic!("expected a diff fetch, got {other:?}"),
         }
         assert_eq!(
             c.plan_prefetch(&[0], 8).diffs,
@@ -1950,7 +1944,8 @@ mod tests {
         assert_eq!(c.expected_absent(0), None);
 
         // One batch: the fetched diff and the two stored ones.
-        c.apply_diffs(0, vec![(1, 2, word(2, 2))]);
+        c.deposit(1, vec![(0, 2, word(2, 2))], false);
+        c.apply_diffs(0);
         let g = c.pages.guard(0);
         assert_eq!(g.state, PageState::Read);
         let data = g.data.as_ref().unwrap();
@@ -1964,8 +1959,8 @@ mod tests {
         // for, and a page that needs no request costs no budget.
         notice(&mut c, 1, 5, 0);
         match c.plan_access(0, false) {
-            AccessPlan::NeedDiffs { groups } => assert!(groups.is_empty()),
-            other => panic!("expected NeedDiffs, got {other:?}"),
+            AccessPlan::Fetch(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
+            other => panic!("expected an empty fetch, got {other:?}"),
         }
         let plan = c.plan_prefetch(&[0], 8);
         assert_eq!((plan.pages, plan.diffs.len()), (0, 0));
@@ -1995,13 +1990,16 @@ mod tests {
         };
         c.apply_records(&[rec(1, &vc1), rec(2, &vc2)]);
         c.deposit_push(0, Gpid(3), vec![(0, 1, Arc::new(word(0, 22)))]);
-        // The same diff also came back from a request that crossed the
-        // push: applied once, the stored copy written off.
+        // Rank 1's diff was pushed too, and the fault's request crossed
+        // the push: the first copy wins, so the pushed one is applied
+        // and the fetched duplicate is dropped at the deposit.
         c.deposit_push(0, Gpid(2), vec![(0, 1, Arc::new(word(0, 11)))]);
-        c.apply_diffs(0, vec![(1, 1, word(0, 11))]);
+        c.deposit(1, vec![(0, 1, word(0, 11))], false);
+        assert_eq!(stored(&c, 0), vec![(1, 1), (2, 1)]);
+        c.apply_diffs(0);
         assert_eq!(c.pages.guard(0).data.as_ref().unwrap().load(0), 22);
         let s = c.stats.snapshot();
-        assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (1, 1, 2));
+        assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (2, 0, 2));
     }
 
     #[test]

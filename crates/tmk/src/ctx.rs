@@ -16,13 +16,13 @@
 //! parallel region.
 
 use crate::config::DsmConfig;
-use crate::core::{AccessPlan, LockWaiter, ProcCore};
+use crate::core::{AccessPlan, FetchPlan, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::page::PageBuf;
 use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
 use crate::tree::ShapeBook;
-use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team};
+use crate::types::{Addr, Epoch, PageId, Pid, Team};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::wire::Wire;
@@ -118,15 +118,13 @@ pub struct CacheEnt {
     pub writable: bool,
 }
 
-/// Maximum redirect hops when chasing a page's owner.
+/// Maximum full-page requests one fault makes while chasing a page's
+/// owner.
 const MAX_REDIRECTS: usize = 6;
 
-/// What one in-flight request issued ahead of its faults (a
-/// release-phase prefetch, or a [`TmkCtx::collect_pages`] batch)
-/// expects back.
-enum PrefetchKind {
-    /// A `PageReq` for a single page (redirect replies are dropped —
-    /// prefetch never chases ownership chains).
+/// What one request of a [`FetchPlan`] expects back.
+enum FetchKind {
+    /// A `PageReq` for a single page.
     Full,
     /// A `DiffReq` whose diffs were created by this team rank.
     Diffs {
@@ -135,16 +133,17 @@ enum PrefetchKind {
     },
 }
 
-/// One request issued ahead of its faults, in flight.
+/// One request a release-phase prefetch issued ahead of its faults, in
+/// flight.
 struct Prefetch {
     /// Pages this request covers (one for `Full`, one or more for
     /// `Diffs`).
     pages: Vec<PageId>,
-    kind: PrefetchKind,
+    kind: FetchKind,
     call: PendingCall,
 }
 
-/// How one completed [`Prefetch`] folded into the core.
+/// How one reply folded into the core.
 enum Folded {
     /// A full page still wanted was installed.
     Installed(PageId),
@@ -428,28 +427,43 @@ impl TmkCtx {
             // window must still predict.
             self.core.lock().note_fault(page);
         }
+        // Plan, request, fold, and plan again: a full page installs (or
+        // a redirect re-aims the owner hint), then a stale copy's diffs
+        // land in the early-diff store and apply from there.
+        let mut full_fetches = 0;
         loop {
             let plan = self.core.lock().plan_access(page, write);
-            match plan {
+            let plan = match plan {
                 AccessPlan::Ready { buf, writable } => {
                     self.cache[page as usize] = Some(CacheEnt { buf, writable });
                     return;
                 }
-                AccessPlan::NeedFull { target } => self.fetch_full(page, target),
-                AccessPlan::NeedDiffs { groups } => {
-                    // The prefetch ledger closes here: the window's
-                    // request for this page paid off iff nothing is
-                    // left to ask the network for.
-                    if let Some(pos) = self.diff_planned.iter().position(|&p| p == page) {
-                        self.diff_planned.swap_remove(pos);
-                        DsmStats::bump(if groups.is_empty() {
-                            &self.stats.prefetch_hits
-                        } else {
-                            &self.stats.prefetch_wasted
-                        });
-                    }
-                    self.fetch_diffs(page, groups);
+                AccessPlan::Fetch(plan) => plan,
+            };
+            let stale = plan.fulls.is_empty();
+            if stale {
+                // The prefetch ledger closes here: the window's request
+                // for this page paid off iff nothing is left to ask the
+                // network for.
+                if let Some(pos) = self.diff_planned.iter().position(|&p| p == page) {
+                    self.diff_planned.swap_remove(pos);
+                    DsmStats::bump(if plan.diffs.is_empty() {
+                        &self.stats.prefetch_hits
+                    } else {
+                        &self.stats.prefetch_wasted
+                    });
                 }
+            } else {
+                full_fetches += 1;
+                assert!(
+                    full_fetches <= MAX_REDIRECTS,
+                    "page {page}: too many ownership redirects"
+                );
+            }
+            self.fetch(plan);
+            if stale {
+                self.await_expected(page);
+                self.core.lock().apply_diffs(page);
             }
         }
     }
@@ -473,79 +487,99 @@ impl TmkCtx {
         }
     }
 
-    /// Fetch a full page, following owner redirects.
-    fn fetch_full(&mut self, page: PageId, mut target: Gpid) {
-        for _ in 0..MAX_REDIRECTS {
-            assert_ne!(
-                target,
-                self.gpid(),
-                "page {page} redirect loop back to self"
-            );
-            let rep = self.call(
-                target,
-                Msg::PageReq {
-                    epoch: self.epoch,
-                    page,
-                },
-            );
-            match rep {
+    /// Make every request of `plan` with one [`call_all`] and fold each
+    /// reply into the core: a fault's fetch, and a page collection's.
+    fn fetch(&self, plan: FetchPlan) {
+        let (calls, folds): (Vec<_>, Vec<_>) = self
+            .requests(plan, false)
+            .into_iter()
+            .map(|(dst, msg, pages, kind)| ((dst, msg), (pages, kind)))
+            .unzip();
+        let replies = call_all(&self.endpoint, &self.cfg, calls, || {});
+        for ((from, rep), (pages, kind)) in replies.into_iter().zip(folds) {
+            self.fold(&pages, kind, from, rep);
+        }
+    }
+
+    /// The requests of `plan`, in order, each with the pages it covers
+    /// and what it expects back: one `PageReq` per full page, then one
+    /// `DiffReq` per creator, `subscribe`-marked for a prefetch. A
+    /// creator that left the team is skipped; the demand path re-plans.
+    fn requests(
+        &self,
+        plan: FetchPlan,
+        subscribe: bool,
+    ) -> Vec<(Gpid, Msg, Vec<PageId>, FetchKind)> {
+        let epoch = self.epoch;
+        let fulls = plan.fulls.into_iter().map(|(page, holder)| {
+            let msg = Msg::PageReq { epoch, page };
+            (holder, msg, vec![page], FetchKind::Full)
+        });
+        let diffs = plan.diffs.into_iter().filter_map(|(creator, wants)| {
+            let pid = self.team.pid_of(creator)?;
+            let mut pages: Vec<PageId> = wants.iter().map(|&(p, _)| p).collect();
+            pages.dedup();
+            let msg = Msg::DiffReq {
+                epoch,
+                wants,
+                subscribe,
+            };
+            Some((creator, msg, pages, FetchKind::Diffs { creator: pid }))
+        });
+        fulls.chain(diffs).collect()
+    }
+
+    /// Fold `msg`, the reply from `from` to a request covering `pages`,
+    /// into the core — the one place a page or diff reply lands: install
+    /// a full page that is still missing, re-aim the page's owner hint
+    /// at a redirect's target (the fault re-plans; never at ourselves,
+    /// or the next plan would conjure a zero page over real data), or
+    /// deposit diffs into the early-diff store, where the fault applies
+    /// the page's whole unapplied set as one causally sorted batch.
+    fn fold(&self, pages: &[PageId], kind: FetchKind, from: Gpid, msg: Msg) -> Folded {
+        match (kind, msg) {
+            (
+                FetchKind::Full,
                 Msg::PageRep {
                     redirect: Some(next),
                     ..
-                } => {
-                    target = next;
-                }
+                },
+            ) => {
+                let page = pages[0];
+                assert_ne!(next, self.gpid(), "page {page} redirect loop back to self");
+                self.core.lock().pages.guard(page).owner = next;
+                Folded::Dropped(1)
+            }
+            (
+                FetchKind::Full,
                 Msg::PageRep {
                     applied,
                     words,
                     redirect: None,
-                } => {
-                    self.core.lock().install_page(page, &applied, words, target);
-                    return;
+                },
+            ) => {
+                let page = pages[0];
+                let mut c = self.core.lock();
+                let still_wanted = c
+                    .pages
+                    .get(page)
+                    .map(|m| m.data.is_none() && m.state == crate::page::PageState::Invalid)
+                    .unwrap_or(false);
+                if still_wanted {
+                    c.install_page(page, &applied, words, from);
+                    Folded::Installed(page)
+                } else {
+                    Folded::Dropped(1)
                 }
-                other => panic!("unexpected reply to PageReq: {other:?}"),
+            }
+            (FetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
+                self.core.lock().deposit(creator, diffs, false);
+                Folded::Deposited
+            }
+            (_, other) => {
+                panic!("unexpected reply to a page or diff request from {from}: {other:?}")
             }
         }
-        panic!("page {page}: too many ownership redirects");
-    }
-
-    /// Fetch the diffs only the network can supply (`groups`, in the
-    /// core's creator order; none when the early-diff store has or
-    /// expects them all) with one [`call_all`], wait for the expected
-    /// ones, and apply everything as one batch. When the data plane
-    /// pipelines, a multi-creator fault pays the slowest creator's
-    /// latency instead of the sum of all of them (application sorts
-    /// causally by vcsum regardless of reply order).
-    fn fetch_diffs(&mut self, page: PageId, groups: Vec<(Gpid, Vec<(PageId, Seq)>)>) {
-        let calls = groups
-            .into_iter()
-            .map(|(creator, wants)| {
-                let msg = Msg::DiffReq {
-                    epoch: self.epoch,
-                    wants,
-                    subscribe: false,
-                };
-                (creator, msg)
-            })
-            .collect();
-        let mut batch: Vec<(Pid, Seq, crate::diff::Diff)> = Vec::new();
-        for (creator, rep) in call_all(&self.endpoint, &self.cfg, calls, || {}) {
-            let pid = self
-                .team
-                .pid_of(creator)
-                .unwrap_or_else(|| panic!("diff creator {creator} not in team"));
-            match rep {
-                Msg::DiffRep { diffs } => {
-                    for (p, s, d) in diffs {
-                        debug_assert_eq!(p, page);
-                        batch.push((pid, s, d));
-                    }
-                }
-                other => panic!("unexpected reply to DiffReq: {other:?}"),
-            }
-        }
-        self.await_expected(page);
-        self.core.lock().apply_diffs(page, batch);
     }
 
     // ------------------------------------------------------------------
@@ -585,79 +619,51 @@ impl TmkCtx {
             return;
         }
         DsmStats::add(&self.stats.prefetch_issued, plan.pages as u64);
-        // Marked: these pages faulted window after window, so the
-        // creator pushes their later diffs unasked.
-        let sent = self.issue(plan, true);
-        self.inflight.extend(sent);
+        self.issue(plan);
     }
 
     /// Put every request of `plan` on the wire without waiting for any
-    /// reply: one `PageReq` per full page, one `DiffReq` per creator.
-    /// A creator that left the team is skipped — the demand path
-    /// re-plans — and so is a request that cannot be sent.
-    ///
-    /// `subscribe` marks the requests a prefetch: the creator answers
-    /// its `DiffReq` with pushes from then on, and the pages enter the
+    /// reply, marked: these pages faulted window after window, so each
+    /// creator pushes their later diffs unasked. The pages enter the
     /// prefetch ledger whether or not their request can be sent — the
     /// fault still has to ask, or the next drain comes first, wasted
     /// either way.
-    fn issue(&mut self, plan: crate::core::PrefetchPlan, subscribe: bool) -> Vec<Prefetch> {
-        let mut sent = Vec::with_capacity(plan.fulls.len() + plan.diffs.len());
-        let mut begin = |dst: Gpid, msg: Msg, pages: Vec<PageId>, kind: PrefetchKind| {
-            let call = self.endpoint.call_begin(dst, msg.encode(&self.cfg));
-            call.map(|call| sent.push(Prefetch { pages, kind, call }))
-                .is_ok()
-        };
-        for (page, target) in plan.fulls {
-            let msg = Msg::PageReq {
-                epoch: self.epoch,
-                page,
-            };
-            if !begin(target, msg, vec![page], PrefetchKind::Full) && subscribe {
-                DsmStats::bump(&self.stats.prefetch_wasted);
-            }
-        }
-        for (creator, wants) in plan.diffs {
-            let Some(pid) = self.team.pid_of(creator) else {
-                continue;
-            };
-            let mut pages: Vec<PageId> = wants.iter().map(|&(p, _)| p).collect();
-            pages.dedup();
-            if subscribe {
+    fn issue(&mut self, plan: FetchPlan) {
+        for (dst, msg, pages, kind) in self.requests(plan, true) {
+            if let FetchKind::Diffs { .. } = kind {
                 for &p in &pages {
                     if !self.diff_planned.contains(&p) {
                         self.diff_planned.push(p);
                     }
                 }
             }
-            let msg = Msg::DiffReq {
-                epoch: self.epoch,
-                wants,
-                subscribe,
-            };
-            begin(creator, msg, pages, PrefetchKind::Diffs { creator: pid });
+            match self.endpoint.call_begin(dst, msg.encode(&self.cfg)) {
+                Ok(call) => self.inflight.push(Prefetch { pages, kind, call }),
+                Err(_) if matches!(kind, FetchKind::Full) => {
+                    DsmStats::bump(&self.stats.prefetch_wasted)
+                }
+                Err(_) => {}
+            }
         }
-        sent
     }
 
     /// Bring every page of `pages` to a valid copy: the same end state
     /// as `ensure_page(p, false)` on each in turn. Under
     /// `dataplane.pipeline()` the whole set is planned at once and
-    /// every request — one `PageReq` per missing page, one `DiffReq`
-    /// per creator covering all its stale pages — is on the wire before
-    /// any reply is folded in, so the collection pays the slowest
-    /// server (or its own inbound port's floor) instead of the sum of
-    /// round trips. The faults that follow find each page ready or
-    /// complete it from the early-diff store; redirects, and whatever
-    /// the plan leaves out, take the demand path. Nothing here
-    /// subscribes or touches the prefetch ledger. The checkpoint's page
-    /// collection and the GC's completion fetches run through here.
+    /// fetched like a fault's plan — every request, one `PageReq` per
+    /// missing page and one `DiffReq` per creator covering all its
+    /// stale pages, is on the wire before any reply is folded in — so
+    /// the collection pays the slowest server (or its own inbound
+    /// port's floor) instead of the sum of round trips. The faults that
+    /// follow find each page ready or complete it from the early-diff
+    /// store; redirects, and whatever the plan leaves out, take the
+    /// demand path. Nothing here subscribes or touches the prefetch
+    /// ledger. The checkpoint's page collection and the GC's completion
+    /// fetches run through here.
     pub fn collect_pages(&mut self, pages: &[PageId]) {
         if self.cfg.dataplane.pipeline() {
             let plan = self.core.lock().plan_prefetch(pages, usize::MAX);
-            for p in self.issue(plan, false) {
-                self.fold(p);
-            }
+            self.fetch(plan);
         }
         for &p in pages {
             self.ensure_page(p, false);
@@ -700,11 +706,17 @@ impl TmkCtx {
         self.diff_planned.clear();
     }
 
-    /// Fold one completed prefetch into the core and its ledger: an
-    /// installed page waits in `prefetched_ready` for its fault, a
-    /// dropped reply is waste.
+    /// Wait for one prefetch, fold its reply into the core and the
+    /// prefetch ledger: an installed page waits in `prefetched_ready`
+    /// for its fault, a dropped or lost reply is waste.
     fn finish_prefetch(&mut self, p: Prefetch) {
-        match self.fold(p) {
+        let Prefetch { pages, kind, call } = p;
+        let from = call.dst();
+        let folded = match call.wait(self.cfg.call_timeout) {
+            Ok(rep) => self.fold(&pages, kind, from, decode(&rep, from)),
+            Err(_) => Folded::Dropped(pages.len()),
+        };
+        match folded {
             Folded::Installed(page) => {
                 if !self.prefetched_ready.contains(&page) {
                     self.prefetched_ready.push(page);
@@ -712,57 +724,6 @@ impl TmkCtx {
             }
             Folded::Deposited => {}
             Folded::Dropped(n) => DsmStats::add(&self.stats.prefetch_wasted, n as u64),
-        }
-    }
-
-    /// Wait for one request issued ahead of its faults and fold the
-    /// reply into the core: install a full page that is still missing,
-    /// or deposit diffs into the early-diff store. Replies that no
-    /// longer match the local plan are dropped — the demand path still
-    /// covers them.
-    fn fold(&self, p: Prefetch) -> Folded {
-        let Prefetch { pages, kind, call } = p;
-        let from = call.dst();
-        let Ok(rep) = call.wait(self.cfg.call_timeout) else {
-            return Folded::Dropped(pages.len());
-        };
-        match (kind, decode(&rep, from)) {
-            (
-                PrefetchKind::Full,
-                Msg::PageRep {
-                    redirect: Some(_), ..
-                },
-            ) => Folded::Dropped(1),
-            (
-                PrefetchKind::Full,
-                Msg::PageRep {
-                    applied,
-                    words,
-                    redirect: None,
-                },
-            ) => {
-                let page = pages[0];
-                let mut c = self.core.lock();
-                let still_wanted = c
-                    .pages
-                    .get(page)
-                    .map(|m| m.data.is_none() && m.state == crate::page::PageState::Invalid)
-                    .unwrap_or(false);
-                if still_wanted {
-                    c.install_page(page, &applied, words, from);
-                    Folded::Installed(page)
-                } else {
-                    Folded::Dropped(1)
-                }
-            }
-            (PrefetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
-                // Replies complete per creator, in any order: they wait
-                // in the store for the fault, which applies the page's
-                // whole unapplied set as one causally sorted batch.
-                self.core.lock().deposit(creator, diffs, false);
-                Folded::Deposited
-            }
-            (_, other) => panic!("unexpected prefetch reply: {other:?}"),
         }
     }
 
@@ -1194,6 +1155,7 @@ mod tests {
     use crate::mem::SharedMem;
     use crate::stats::DsmStats as Stats;
     use nowmp_net::{HostId, NetModel, Network};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn make_ctx() -> TmkCtx {
         let net = Network::new(1, 1, NetModel::disabled());
@@ -1465,21 +1427,27 @@ mod tests {
         assert_eq!(local_at, took, "local runs after the last reply");
     }
 
-    // --- fetch_full ownership-redirect chasing ---
+    // --- ownership redirects ---
 
-    /// Spawn a fake page server answering every `PageReq` with `rep`.
-    fn page_server(ep: nowmp_net::Endpoint, rep: Msg) -> std::thread::JoinHandle<()> {
+    /// Spawn a fake page server answering every `PageReq` with `rep`;
+    /// the returned counter counts the requests it answered.
+    fn page_server(ep: nowmp_net::Endpoint, rep: Msg) -> Arc<AtomicUsize> {
+        let asked = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&asked);
         std::thread::spawn(move || {
             while let Ok(inc) = ep.recv() {
                 match Msg::from_wire(&inc.payload).expect("malformed request") {
-                    Msg::PageReq { .. } => inc
-                        .replier
-                        .expect("PageReq is a request")
-                        .reply(rep.to_bytes()),
+                    Msg::PageReq { .. } => {
+                        count.fetch_add(1, Ordering::SeqCst);
+                        inc.replier
+                            .expect("PageReq is a request")
+                            .reply(rep.to_bytes())
+                    }
                     other => panic!("unexpected message at fake page server: {other:?}"),
                 }
             }
-        })
+        });
+        asked
     }
 
     /// A ctx on host 0 of `net` whose page 0 carries a (possibly stale)
@@ -1565,5 +1533,71 @@ mod tests {
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
         let _ = ctx.read_u64(0);
+    }
+
+    #[test]
+    fn a_redirect_back_to_the_asker_panics_and_leaves_the_hint_alone() {
+        let net = Network::new(2, 1, NetModel::disabled());
+        let b = net.register(HostId(1));
+        let bg = b.gpid();
+        let mut ctx = make_ctx_with_owner_hint(&net, bg);
+        // b claims we own the page: aiming the hint at ourselves would
+        // make the next plan conjure a zero page over real data.
+        let asked = page_server(
+            b,
+            Msg::PageRep {
+                applied: vec![],
+                words: vec![],
+                redirect: Some(ctx.gpid()),
+            },
+        );
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.read_u64(0)));
+        let payload = fault.expect_err("a redirect to ourselves must not resolve");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("page 0 redirect loop back to self"), "{msg}");
+        assert_eq!(asked.load(Ordering::SeqCst), 1, "asked once, not chased");
+        assert_eq!(ctx.core().lock().pages.guard(0).owner, bg);
+    }
+
+    #[test]
+    fn a_prefetch_redirect_reaims_the_hint_for_the_demand_fault() {
+        let net = Network::new(3, 1, NetModel::disabled());
+        let b = net.register(HostId(1));
+        let c = net.register(HostId(2));
+        let (bg, cg) = (b.gpid(), c.gpid());
+        let stale = page_server(
+            b,
+            Msg::PageRep {
+                applied: vec![],
+                words: vec![],
+                redirect: Some(cg),
+            },
+        );
+        let holder = page_server(
+            c,
+            Msg::PageRep {
+                applied: vec![],
+                words: vec![42; 8],
+                redirect: None,
+            },
+        );
+        let mut ctx = make_ctx_with_owner_hint(&net, bg);
+        // The release-phase prefetch asks the stale hint, and the one
+        // fold re-aims it at the redirect's target.
+        let plan = ctx.core().lock().plan_prefetch(&[0], usize::MAX);
+        assert_eq!(plan.fulls, vec![(0, bg)]);
+        ctx.issue(plan);
+        ctx.drain_prefetch();
+        assert_eq!(ctx.core().lock().pages.guard(0).owner, cg);
+        assert_eq!(ctx.stats().snapshot().prefetch_wasted, 1);
+        // So the demand fault sends one `PageReq`, straight to c.
+        assert_eq!(ctx.read_u64(0), 42);
+        assert_eq!(
+            (stale.load(Ordering::SeqCst), holder.load(Ordering::SeqCst)),
+            (1, 1)
+        );
     }
 }
