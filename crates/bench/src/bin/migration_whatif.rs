@@ -68,7 +68,9 @@ fn main() {
             true,
             |sys, it| {
                 if it == mid {
-                    let _ = sys.adapt().leave(LeaveSel::Pid(7), None);
+                    sys.adapt()
+                        .leave(LeaveSel::Pid(7), None)
+                        .expect("normal leave request");
                 }
             },
             true,
@@ -81,7 +83,7 @@ fn main() {
                 EventKind::Adaptation { took, .. } => Some(took.as_secs_f64()),
                 _ => None,
             })
-            .unwrap_or(0.0);
+            .expect("the normal leave must commit at an adaptation point");
 
         rows.push(vec![
             app.name().to_string(),

@@ -1,6 +1,6 @@
 //! # nowmp-bench — harness library behind the table/figure binaries
 //!
-//! One binary per paper artifact (see DESIGN.md §8):
+//! One binary per paper artifact, plus two beyond the paper:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -11,11 +11,13 @@
 //! | `micro_env` | §5.1 — network/lock/diff/page micro-costs |
 //! | `migration_whatif` | §5.3 — migration-only adaptation costs |
 //! | `micro_adapt` | §5.4 — adaptation cost micro-analysis series |
-//! | `ablation` | design-choice ablations (lazy diffs, scatter, fill-gaps, grace) |
+//! | `whatif_scale` | 2–32 hosts, heterogeneous and loaded, across protocol generations (`docs/BROADCAST.md`, `docs/DATAPLANE.md`) |
+//! | `hotpath` | real-clock data-plane throughput floors (`docs/HOTPATH.md`) |
 //!
-//! Sizes are scaled down from the paper's 1999 testbed (laptop-scale,
-//! see `EXPERIMENTS.md`); the network cost model defaults to the
-//! paper's measured constants. Environment knobs:
+//! Sizes are scaled down from the paper's 1999 testbed (laptop-scale;
+//! [`BenchApps`] gives each kernel's paper size beside its own); the
+//! network cost model defaults to the paper's measured constants.
+//! Environment knobs:
 //!
 //! * `NOWMP_QUICK=1` — smaller sizes / fewer iterations;
 //! * `NOWMP_TIME_SCALE=x` — scale every emulated delay (default 1.0);
@@ -571,6 +573,34 @@ mod tests {
         assert!(floors.contains_key("hotpath_contention_8t_min_ratio"));
         assert!(floors.contains_key("hotpath_pipeline_min_pages_per_sec"));
         assert!(floors.contains_key("hotpath_interval_8t_min_ratio"));
+    }
+
+    #[test]
+    fn table1_json_is_well_formed() {
+        let j = table1_json(&[
+            ("jacobi".into(), vec![(1, 4.0), (2, 2.0), (4, 1.0)]),
+            ("nbf".into(), vec![(1, 6.0), (4, 2.0)]),
+            ("gauss".into(), vec![(2, 1.0), (4, 0.5)]),
+            ("fft".into(), vec![(1, 1.0), (2, 0.0)]),
+        ]);
+        // One line per app; its speedups close the line.
+        let speedups = |name: &str| {
+            let key = format!("\"name\": \"{name}\"");
+            let line = j.lines().find(|l| l.contains(&key)).unwrap();
+            let (_, tail) = line.split_once("\"speedup\": ").unwrap();
+            tail.trim_end_matches(',').to_owned()
+        };
+        assert_eq!(
+            speedups("jacobi"),
+            r#"{"1": 1.0000, "2": 2.0000, "4": 4.0000}}"#
+        );
+        // Against NBF's own 1-process sample: 6.0/2.0, not 4.0/2.0.
+        assert_eq!(speedups("nbf"), r#"{"1": 1.0000, "4": 3.0000}}"#);
+        // No 1-process baseline, or a zero sample: null, never NaN.
+        assert_eq!(speedups("gauss"), r#"{"2": null, "4": null}}"#);
+        assert_eq!(speedups("fft"), r#"{"1": 1.0000, "2": null}}"#);
+        assert!(!j.contains("NaN"));
+        assert!(j.starts_with('{') && j.ends_with("]\n}\n"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Rust cannot portably dump its own thread stacks, so this crate
 //! checkpoints exactly the state that is *semantically* present at an
-//! adaptation point (DESIGN.md §1): the shared pages, allocator and
+//! adaptation point: the shared pages, allocator and
 //! registry state, the fork counter (replay fast-forward index), and an
 //! application-provided master blob. The file format is hand-rolled,
 //! zero-run compressed, and CRC-32 protected.

@@ -173,7 +173,6 @@ pub(crate) struct ControlPlane<T> {
     last_ckpt_fork: u64,
     reassign: ReassignPolicy,
     ckpt_every_forks: Option<u64>,
-    migrate_prefer_free: bool,
     log: Arc<EventLog>,
 }
 
@@ -203,7 +202,6 @@ impl<T> ControlPlane<T> {
             last_ckpt_fork,
             reassign: cfg.reassign,
             ckpt_every_forks: cfg.ckpt_every_forks,
-            migrate_prefer_free: cfg.migrate_prefer_free,
             log,
         }
     }
@@ -310,14 +308,11 @@ impl<T> ControlPlane<T> {
         leave.phase = LeavePhase::Urgent;
         let timer = leave.timer.take();
         let from = self.hosts.host_of(gpid).expect("a team member is placed");
-        let free = if self.migrate_prefer_free {
-            self.hosts.free_host()
-        } else {
-            None
-        };
-        // A pool that holds a non-master has a second workstation.
-        let to = free
-            .or_else(|| self.hosts.least_loaded_excluding(from))
+        // The least-loaded other workstation, free or shared (Fig. 2c's
+        // multiplexing). A pool that holds a non-master has a second one.
+        let to = self
+            .hosts
+            .least_loaded_excluding(from)
             .expect("no workstation to migrate to");
         Some(Migration { from, to, timer })
     }
@@ -740,14 +735,11 @@ mod tests {
     fn migration_prefers_a_free_host_only_when_told_to() {
         // The free workstation is slow: sharing a fast one costs less.
         let slow_spare = CostModel::disabled().with_host_speed(HostId(3), 0.25);
-        let target = |prefer_free| {
-            let cfg = ClusterConfig::test(4, 3).with_cost_model(slow_spare.clone());
-            let mut b = book_with(cfg.with_migrate_prefer_free(prefer_free));
-            b.request_leave(LeaveSel::Pid(1), GRACE, |_, _| 0).unwrap();
-            b.claim_urgent(Gpid(2)).unwrap().to
-        };
-        assert_eq!(target(true), HostId(3));
-        assert_eq!(target(false), HostId(0), "least loaded, lowest id on a tie");
+        let cfg = ClusterConfig::test(4, 3).with_cost_model(slow_spare);
+        let mut b = book_with(cfg);
+        b.request_leave(LeaveSel::Pid(1), GRACE, |_, _| 0).unwrap();
+        let to = b.claim_urgent(Gpid(2)).unwrap().to;
+        assert_eq!(to, HostId(0), "least loaded, lowest id on a tie");
     }
 
     #[test]

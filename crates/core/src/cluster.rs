@@ -60,16 +60,6 @@ pub const DYN_COUNTER: &str = "__omp_dyn";
 /// ([`ClusterConfig::red_slots`]).
 pub const MAX_TEAM: usize = 64;
 
-/// Where pages held only by leavers go (§4.2 vs the §7 future-work idea).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaveStrategy {
-    /// The master fetches them and becomes owner (the paper's scheme).
-    ViaMaster,
-    /// Scatter them across survivors (ablation: removes the master-link
-    /// bottleneck the paper names as future work).
-    Scatter,
-}
-
 /// Cluster configuration.
 #[derive(Clone)]
 pub struct ClusterConfig {
@@ -86,14 +76,10 @@ pub struct ClusterConfig {
     pub dsm: DsmConfig,
     /// Pid reassignment policy.
     pub reassign: ReassignPolicy,
-    /// Leaver-page sink.
-    pub leave_strategy: LeaveStrategy,
     /// Write a checkpoint every `k` forks (None = only on request).
     pub ckpt_every_forks: Option<u64>,
     /// Where checkpoints go.
     pub ckpt_path: Option<PathBuf>,
-    /// Urgent migration prefers a free host over multiplexing.
-    pub migrate_prefer_free: bool,
     /// Time backend for the whole simulation: network delays, grace
     /// timers, event-log timestamps. Defaults to [`Clock::from_env`]
     /// (wall time unless `NOWMP_CLOCK=virtual`); tests pass
@@ -167,13 +153,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: tweak the DSM protocol configuration in place
-    /// (single-knob ablations: `tune_dsm(|d| d.lazy_diffs = true)`).
-    pub fn tune_dsm(mut self, f: impl FnOnce(&mut DsmConfig)) -> Self {
-        f(&mut self.dsm);
-        self
-    }
-
     /// Builder: set the collective shapes (fork dissemination; join
     /// reduction and barrier release).
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
@@ -200,12 +179,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: set the leaver-page sink.
-    pub fn with_leave_strategy(mut self, leave_strategy: LeaveStrategy) -> Self {
-        self.leave_strategy = leave_strategy;
-        self
-    }
-
     /// Builder: checkpoint every `k` forks.
     pub fn with_ckpt_every_forks(mut self, k: u64) -> Self {
         self.ckpt_every_forks = Some(k);
@@ -215,12 +188,6 @@ impl ClusterConfig {
     /// Builder: set the checkpoint destination.
     pub fn with_ckpt_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.ckpt_path = Some(path.into());
-        self
-    }
-
-    /// Builder: urgent migration prefers a free host over multiplexing.
-    pub fn with_migrate_prefer_free(mut self, on: bool) -> Self {
-        self.migrate_prefer_free = on;
         self
     }
 
@@ -243,10 +210,8 @@ impl ClusterConfig {
             cost_model: CostModel::disabled(),
             dsm: DsmConfig::test_small(),
             reassign: ReassignPolicy::CompactKeepOrder,
-            leave_strategy: LeaveStrategy::ViaMaster,
             ckpt_every_forks: None,
             ckpt_path: None,
-            migrate_prefer_free: false,
             clock: Clock::from_env(),
             adaptive: true,
             master_state_provider: None,
@@ -705,16 +670,9 @@ impl Cluster {
         let t0 = self.clock().now();
         let net_before = self.shared.net.stats();
 
-        // GC with leavers avoided; their pages re-home per strategy.
+        // GC with leavers avoided; pages only they hold go to the master.
         let avoid: HashSet<Gpid> = plan.leaves.iter().copied().collect();
-        let outcome = match self.cfg.leave_strategy {
-            LeaveStrategy::ViaMaster => self.master.run_gc(&avoid, None),
-            LeaveStrategy::Scatter => {
-                let mut survivors = self.master.team().members;
-                survivors.retain(|g| !avoid.contains(g));
-                self.master.run_gc(&avoid, Some(&survivors))
-            }
-        };
+        let outcome = self.master.run_gc(&avoid);
         self.master.commit_team(plan.members.clone(), &outcome);
 
         // Checkpoint (paper §4.3: GC already ran; collect + dump).
@@ -748,7 +706,7 @@ impl Cluster {
     /// point by construction — between `parallel` calls).
     pub fn checkpoint_now(&mut self) {
         // GC first, as §4.3 prescribes.
-        let outcome = self.master.run_gc(&HashSet::new(), None);
+        let outcome = self.master.run_gc(&HashSet::new());
         let members = self.master.team().members.clone();
         self.master.commit_team(members, &outcome);
         let (bytes, took) = self.write_image();

@@ -775,9 +775,7 @@ mod tests {
         // Paper costs: spawning takes 0.7 s of virtual time, so a
         // 1 ms grace expires while the join spawn advances the clock
         // — before any adaptation point can claim the leave normally.
-        let c = cfg(6, 3)
-            .with_migrate_prefer_free(true)
-            .with_cost_model(CostModel::paper_1999());
+        let c = cfg(6, 3).with_cost_model(CostModel::paper_1999());
         let mut sys = TaskSystem::new(c);
         Ring.setup(&mut sys);
         sys.adapt()

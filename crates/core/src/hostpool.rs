@@ -145,8 +145,8 @@ impl HostPool {
         free.into_iter().map(|i| HostId(i as u16)).collect()
     }
 
-    /// The least-loaded workstation other than `exclude` (multiplexing
-    /// target when no free host exists). "Load" is speed-aware:
+    /// The least-loaded workstation other than `exclude` (the urgent
+    /// migration target, free or shared). "Load" is speed-aware:
     /// `(occupants + 1) / speed` estimates the slowdown the migrated
     /// process would see on each candidate, so a fast host with one
     /// occupant can beat a slow empty one. Ties break

@@ -41,9 +41,7 @@ pub mod reassign;
 pub mod sched;
 
 pub use adapt::{AdaptError, LeaveSel};
-pub use cluster::{
-    AdaptHandle, Cluster, ClusterConfig, ClusterShared, LeaveStrategy, DYN_COUNTER, RED_ARRAY,
-};
+pub use cluster::{AdaptHandle, Cluster, ClusterConfig, ClusterShared, DYN_COUNTER, RED_ARRAY};
 pub use driver::{Driver, DriverEvent, Schedule};
 pub use engine::{run_task_app, TaskAdapt, TaskApp, TaskSystem};
 pub use freeze::Freeze;

@@ -26,8 +26,9 @@ pub enum ReassignPolicy {
     /// covering contiguous rank ranges and no collective state needs
     /// renumbering beyond the compaction itself.
     CompactKeepOrder,
-    /// Joiners adopt the slots of leavers when possible (an ablation:
-    /// pairs a simultaneous join+leave so nobody else's block moves).
+    /// Joiners adopt the slots of leavers when possible (not the
+    /// paper's scheme: pairs a simultaneous join+leave so nobody else's
+    /// block moves; `docs/ADAPTATION.md` has its reading).
     FillGaps,
 }
 

@@ -39,8 +39,7 @@
 //! Messages are reliable and in-order (clock-bound
 //! [`mod@nowmp_util::mailbox`]es over the channel ring). The paper's
 //! UDP transport implements request/reply reliability one layer up; we
-//! collapse that into the simulated transport and document it in
-//! DESIGN.md §10.
+//! collapse that into the simulated transport.
 
 #![warn(missing_docs)]
 

@@ -3,9 +3,9 @@
 //!
 //! The paper's toolchain outlines the body of every OpenMP parallel
 //! construct into a procedure (SUIF pass, §2); the master replaces the
-//! construct with `Tmk_fork(procedure)`. Rust has no OpenMP frontend
-//! (repro note in DESIGN.md), so the outlining is done by the
-//! programmer: each region is registered under a name, and the runtime
+//! construct with `Tmk_fork(procedure)`. Rust has no OpenMP frontend,
+//! so the outlining is done by the programmer (README, "Writing a
+//! kernel"): each region is registered under a name, and the runtime
 //! dispatches fork messages to it by index. The *shape* of generated
 //! code is identical — in particular, the iteration partitioning inside
 //! each region is re-derived from `(pid, nprocs)` on every execution,

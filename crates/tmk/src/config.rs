@@ -188,10 +188,6 @@ pub struct DsmConfig {
     /// the next adaptation point (TreadMarks GCs when consistency
     /// memory is exhausted).
     pub gc_diff_threshold: usize,
-    /// Create diffs lazily (on first request / next write) instead of
-    /// eagerly at interval close. TreadMarks is lazy; eager is our
-    /// default for determinism. Ablated in `nowmp-bench`.
-    pub lazy_diffs: bool,
     /// Deadline for any single protocol request (turns protocol
     /// deadlocks into errors instead of hangs).
     pub call_timeout: Duration,
@@ -217,7 +213,6 @@ impl std::fmt::Debug for DsmConfig {
         f.debug_struct("DsmConfig")
             .field("page_size", &self.page_size)
             .field("gc_diff_threshold", &self.gc_diff_threshold)
-            .field("lazy_diffs", &self.lazy_diffs)
             .field("call_timeout", &self.call_timeout)
             .field("throttle", &self.throttle.as_ref().map(|_| "<hook>"))
             .field("collectives", &self.collectives)
@@ -228,12 +223,11 @@ impl std::fmt::Debug for DsmConfig {
 }
 
 impl DsmConfig {
-    /// TreadMarks-like defaults: 4 KB pages, 8 MB diff budget, eager diffs.
+    /// TreadMarks-like defaults: 4 KB pages, 8 MB diff budget.
     pub fn default_4k() -> Self {
         DsmConfig {
             page_size: 4096,
             gc_diff_threshold: 8 << 20,
-            lazy_diffs: false,
             call_timeout: Duration::from_secs(120),
             throttle: None,
             collectives: CollectiveConfig::default(),

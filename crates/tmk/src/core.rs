@@ -17,8 +17,8 @@
 //! * Writes to exclusive (never-served) pages are untwinned and
 //!   unrecorded, but every copy ever served includes them — so they are
 //!   present in *all* copies, which keeps GC sound.
-//! * Stored diffs are immutable once created; lazy mode materializes
-//!   them on first demand (next write fault or first `DiffReq`).
+//! * Stored diffs are immutable once created, and every one is created
+//!   when its interval closes.
 //! * **W** (writer push): a rank enters a page's reader set only by a
 //!   marked `DiffReq`, and leaves it only at a commit; every interval
 //!   close queues, in the same hold of the core lock that creates the
@@ -184,9 +184,7 @@ pub struct ProcCore {
     pub unsent: Vec<Record>,
     /// Diffs we created, by (page, seq).
     pub diffs: HashMap<DiffKey, Arc<Diff>>,
-    /// Lazy mode: twins awaiting diff materialization (page → (seq, twin)).
-    pub pending_twins: HashMap<PageId, (Seq, Vec<u64>)>,
-    /// Bytes of stored diff/twin data (GC trigger).
+    /// Bytes of stored diff data (GC trigger).
     pub consistency_bytes: usize,
     /// Manager-side lock state for locks we manage.
     pub locks: HashMap<u32, LockMgr>,
@@ -245,7 +243,6 @@ impl ProcCore {
             records: RecordStore::new(),
             unsent: Vec::new(),
             diffs: HashMap::new(),
-            pending_twins: HashMap::new(),
             consistency_bytes: 0,
             locks: HashMap::new(),
             stats,
@@ -306,18 +303,6 @@ impl ProcCore {
         self.ensure_pages(page as usize + 1);
         let spp = self.slots_per_page();
         let me = self.gpid;
-        let my_pid = self.my_pid;
-        let open_seq = self.open_seq();
-        let lazy = self.cfg.lazy_diffs;
-        let page_size = self.cfg.page_size;
-
-        // Lazy mode: a pending twin must be flushed before this page can
-        // be re-twinned. Do it before borrowing meta mutably for the
-        // main transition.
-        if want_write && lazy {
-            self.flush_pending_twin(page);
-        }
-
         let mut meta = self.pages.guard(page);
         match meta.state {
             PageState::Write => {
@@ -349,9 +334,6 @@ impl ProcCore {
                 if meta.shared {
                     meta.twin = Some(data.snapshot());
                     DsmStats::bump(&self.stats.twins_created);
-                    if lazy {
-                        self.consistency_bytes += page_size;
-                    }
                 }
                 meta.state = PageState::Write;
                 // Interval bookkeeping rides the shard lock the fault
@@ -362,7 +344,6 @@ impl ProcCore {
                 // becomes a record; raising early would let an unrecorded
                 // (exclusive) write shadow a later recorded interval with
                 // the same sequence number.
-                let _ = (my_pid, open_seq);
                 AccessPlan::Ready {
                     buf: data,
                     writable: true,
@@ -791,39 +772,18 @@ impl ProcCore {
     // Interval management
     // ------------------------------------------------------------------
 
-    /// Lazy mode: turn the pending twin of `page` (if any) into a diff.
-    /// Correct because the page has been read-only since its interval
-    /// closed, so `data` still equals the close-time contents.
-    pub fn flush_pending_twin(&mut self, page: PageId) {
-        if !self.cfg.lazy_diffs {
-            return;
-        }
-        if let Some((seq, twin)) = self.pending_twins.remove(&page) {
-            let diff = {
-                let meta = self.pages.guard(page);
-                let data = meta.data.as_ref().expect("pending twin implies data");
-                Diff::create(&twin, data, 0)
-            };
-            self.consistency_bytes = self.consistency_bytes.saturating_sub(self.cfg.page_size);
-            self.consistency_bytes += diff.wire_bytes();
-            self.diffs.insert(DiffKey { page, seq }, Arc::new(diff));
-        }
-    }
-
-    /// Close the open interval: turn twins into diffs (or pending
-    /// twins in lazy mode), emit the interval record, advance the
-    /// clock — and queue the new diffs of pages with readers for the
-    /// service thread to push (invariant W; the caller wakes it once
-    /// its own synchronization message is on the link, see
-    /// [`crate::ctx::TmkCtx::wake_pusher`]). Returns the record if any
-    /// page was written.
+    /// Close the open interval: turn twins into diffs, emit the
+    /// interval record, advance the clock — and queue the new diffs of
+    /// pages with readers for the service thread to push (invariant W;
+    /// the caller wakes it once its own synchronization message is on
+    /// the link, see [`crate::ctx::TmkCtx::wake_pusher`]). Returns the
+    /// record if any page was written.
     pub fn close_interval(&mut self) -> Option<Record> {
         if self.pages.dirty_count() == 0 {
             return None;
         }
         let seq = self.open_seq();
         let me = self.my_pid;
-        let lazy = self.cfg.lazy_diffs;
         // The write set lives in the page-table shards (enrolled under
         // the shard lock at fault time); take it back in one sweep.
         let dirty = self.pages.drain_dirty();
@@ -843,36 +803,30 @@ impl ProcCore {
             };
             match meta.twin.take() {
                 Some(twin) => {
-                    if lazy {
-                        self.pending_twins.insert(page, (seq, twin));
-                        // `applied` is raised only for *recorded* writes;
-                        // unrecorded ones must never shadow a later record
-                        // reusing the same sequence number.
-                        meta.applied.raise(me, seq);
-                        rec_pages.push(page);
-                    } else {
-                        let data = meta.data.as_ref().expect("twinned page has data");
-                        let diff = Diff::create(&twin, data, 0);
-                        ptrace!(
-                            page,
-                            "[{:?}] close_interval page {} seq {} diff_words={}",
-                            self.gpid,
-                            page,
-                            seq,
-                            diff.words()
-                        );
-                        if diff.is_empty() {
-                            continue; // spurious write fault, nothing changed
-                        }
-                        self.consistency_bytes += diff.wire_bytes();
-                        let diff = Arc::new(diff);
-                        if self.readers.contains_key(&page) {
-                            to_push.push((page, Arc::clone(&diff)));
-                        }
-                        self.diffs.insert(DiffKey { page, seq }, diff);
-                        meta.applied.raise(me, seq);
-                        rec_pages.push(page);
+                    let data = meta.data.as_ref().expect("twinned page has data");
+                    let diff = Diff::create(&twin, data, 0);
+                    ptrace!(
+                        page,
+                        "[{:?}] close_interval page {} seq {} diff_words={}",
+                        self.gpid,
+                        page,
+                        seq,
+                        diff.words()
+                    );
+                    if diff.is_empty() {
+                        continue; // spurious write fault, nothing changed
                     }
+                    self.consistency_bytes += diff.wire_bytes();
+                    let diff = Arc::new(diff);
+                    if self.readers.contains_key(&page) {
+                        to_push.push((page, Arc::clone(&diff)));
+                    }
+                    self.diffs.insert(DiffKey { page, seq }, diff);
+                    // `applied` is raised only for *recorded* writes;
+                    // unrecorded ones must never shadow a later record
+                    // reusing the same sequence number.
+                    meta.applied.raise(me, seq);
+                    rec_pages.push(page);
                 }
                 None => {
                     // Exclusive page: writes propagate with the full copy
@@ -1057,8 +1011,7 @@ impl ProcCore {
     /// the requester's release-phase prefetch names its rank as
     /// `subscriber`: from now on every diff we create for these pages
     /// is pushed to it. Nothing else subscribes — a demand fault, a GC
-    /// fetch or a checkpoint collection is a one-off — and nobody can
-    /// under `lazy_diffs`, where no diff exists at a close.
+    /// fetch or a checkpoint collection is a one-off.
     pub fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
@@ -1067,25 +1020,13 @@ impl ProcCore {
         let mut out = Vec::with_capacity(wants.len());
         for &(page, seq) in wants {
             *self.diff_heat.entry(page).or_insert(0) += 1;
-            if let Some(r) = subscriber.filter(|_| !self.cfg.lazy_diffs) {
+            if let Some(r) = subscriber {
                 let readers = self.readers.entry(page).or_default();
                 if !readers.contains(&r) {
                     readers.push(r);
                 }
             }
-            let key = DiffKey { page, seq };
-            if !self.diffs.contains_key(&key) {
-                // Lazy mode: materialize on demand.
-                if self
-                    .pending_twins
-                    .get(&page)
-                    .map(|(s, _)| *s == seq)
-                    .unwrap_or(false)
-                {
-                    self.flush_pending_twin(page);
-                }
-            }
-            match self.diffs.get(&key) {
+            match self.diffs.get(&DiffKey { page, seq }) {
                 Some(d) => out.push((page, seq, d.as_ref().clone())),
                 None => panic!(
                     "{:?} asked for diff (page {page}, seq {seq}) we don't have",
@@ -1213,7 +1154,6 @@ impl ProcCore {
         });
         self.pages.set_epoch(new_epoch);
         self.diffs.clear();
-        self.pending_twins.clear();
         self.consistency_bytes = 0;
         self.records.clear();
         self.unsent.clear();
@@ -1556,63 +1496,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_mode_materializes_diff_on_demand() {
-        let mut cfg = DsmConfig {
-            page_size: 64,
-            ..DsmConfig::test_small()
-        };
-        cfg.lazy_diffs = true;
-        let mut c = ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1));
-        two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
-        let _ = c.serve_page(0); // make shared
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
-            panic!()
-        };
-        buf.store(4, 11);
-        let rec = c.close_interval().unwrap();
-        assert_eq!(rec.pages, vec![0]);
-        assert!(c.diffs.is_empty(), "lazy: no diff yet");
-        assert!(c.pending_twins.contains_key(&0));
-        // A diff request forces materialization.
-        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1)], None) else {
-            panic!()
-        };
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].2.words(), 1);
-        assert!(c.pending_twins.is_empty());
-    }
-
-    #[test]
-    fn lazy_mode_flushes_before_rewrite() {
-        let mut cfg = DsmConfig {
-            page_size: 64,
-            ..DsmConfig::test_small()
-        };
-        cfg.lazy_diffs = true;
-        let mut c = ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1));
-        two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
-        let _ = c.serve_page(0);
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
-            panic!()
-        };
-        buf.store(4, 11);
-        c.close_interval().unwrap();
-        // Second interval writes the page again: pending twin must flush first.
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
-            panic!()
-        };
-        buf.store(5, 12);
-        assert!(c.diffs.contains_key(&DiffKey { page: 0, seq: 1 }));
-        c.close_interval().unwrap();
-        let Msg::DiffRep { diffs } = c.serve_diffs(&[(0, 1), (0, 2)], None) else {
-            panic!()
-        };
-        assert_eq!(diffs.len(), 2);
-    }
-
-    #[test]
     fn serve_page_without_copy_redirects() {
         let mut c = core();
         c.gpid = Gpid(2);
@@ -1785,16 +1668,6 @@ mod tests {
         let _ = c.serve_diffs(&[(0, 1)], Some(2));
         let _ = c.serve_diffs(&[(0, 1)], Some(2));
         assert_eq!(c.readers[&0], vec![2], "marked: subscribed, once");
-
-        // Lazy diffs: nothing exists to push at a close.
-        let mut cfg = c.cfg.clone();
-        cfg.lazy_diffs = true;
-        let mut lazy = ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1));
-        two_proc_team(&mut lazy, 0);
-        write_shared(&mut lazy, 0, 7);
-        lazy.close_interval().unwrap();
-        let _ = lazy.serve_diffs(&[(0, 1)], Some(1));
-        assert!(lazy.readers.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * typed slot reads/writes with a software "page table" fast path
 //!   (the cache) and a protocol slow path (the fault driver) — our
-//!   substitute for mmap/SIGSEGV access detection (DESIGN.md §3);
+//!   substitute for mmap/SIGSEGV access detection;
 //! * distributed locks and barriers (lazy release consistency client
 //!   side);
 //! * interval bookkeeping at releases.

@@ -33,17 +33,6 @@ pub fn page_writes(records: &RecordStore) -> HashMap<PageId, Vec<Wn>> {
     writes
 }
 
-/// Where pages held only by leavers should go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaveSink<'a> {
-    /// Paper's scheme (§4.2): the master fetches them and becomes owner.
-    ViaMaster,
-    /// Future-work ablation: scatter them round-robin over the
-    /// survivors, relieving the master-link bottleneck the paper calls
-    /// out in §7.
-    Scatter(&'a [Gpid]),
-}
-
 /// The master's GC decision. Per-process maps are ordered by gpid, so
 /// the master walks them — and sends its requests — in the same order
 /// every run.
@@ -77,7 +66,7 @@ fn applied_vc(applied: &[(crate::types::Pid, crate::types::Seq)]) -> Vc {
 /// * `old_dir` — directory before this GC (shorter is fine; the default
 ///   owner is `master`);
 /// * `avoid` — processes that must own nothing afterwards (leavers);
-/// * `sink` — where avoid-only pages migrate.
+///   pages only they hold migrate to `master`.
 pub fn compute_gc_plan(
     total_pages: usize,
     writes: &HashMap<PageId, Vec<Wn>>,
@@ -85,7 +74,6 @@ pub fn compute_gc_plan(
     old_dir: &[Gpid],
     avoid: &HashSet<Gpid>,
     master: Gpid,
-    sink: LeaveSink<'_>,
 ) -> GcPlan {
     // holders[page] = [(gpid, applied)]
     let mut holders: HashMap<PageId, Vec<(Gpid, Vc)>> = HashMap::new();
@@ -103,7 +91,6 @@ pub fn compute_gc_plan(
         complete: Vec::with_capacity(total_pages),
         ..GcPlan::default()
     };
-    let mut scatter_rr = 0usize;
     let empty: Vec<Wn> = Vec::new();
 
     for p in 0..total_pages as PageId {
@@ -142,28 +129,17 @@ pub fn compute_gc_plan(
                 })
                 .unwrap_or(g)
         } else {
-            // No eligible complete holder: someone must fetch.
-            let fetcher: Gpid = {
-                let candidates: Vec<&(Gpid, Vc)> =
-                    hs.iter().filter(|(g, _)| !avoid.contains(g)).collect();
-                if let Some((g, _)) = candidates.iter().max_by_key(|(g, vc)| {
+            // No eligible complete holder: someone must fetch. If nobody
+            // eligible holds the page at all (it lives only on leavers,
+            // or nowhere), the master does (§4.2).
+            let fetcher = hs
+                .iter()
+                .filter(|(g, _)| !avoid.contains(g))
+                .max_by_key(|(g, vc)| {
                     let coverage = wns.iter().filter(|w| vc.get(w.pid) >= w.seq).count();
                     (coverage, vc.sum(), u64::MAX - g.0 as u64)
-                }) {
-                    *g
-                } else {
-                    // Nobody eligible holds the page at all (it lives
-                    // only on leavers, or nowhere): route per sink.
-                    match sink {
-                        LeaveSink::ViaMaster => master,
-                        LeaveSink::Scatter(survivors) if !survivors.is_empty() => {
-                            scatter_rr += 1;
-                            survivors[(scatter_rr - 1) % survivors.len()]
-                        }
-                        LeaveSink::Scatter(_) => master,
-                    }
-                }
-            };
+                })
+                .map_or(master, |(g, _)| *g);
             // If the page exists nowhere (never materialized), the
             // master materializes zeros on demand; no fetch needed.
             if hs.is_empty() && wns.is_empty() {
@@ -228,15 +204,7 @@ mod tests {
 
     #[test]
     fn untouched_pages_go_to_master() {
-        let plan = compute_gc_plan(
-            3,
-            &HashMap::new(),
-            &[(M, vec![])],
-            &[],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(3, &HashMap::new(), &[(M, vec![])], &[], &HashSet::new(), M);
         assert_eq!(plan.dir, vec![M, M, M]);
         assert!(plan.fetches.is_empty());
         assert!(plan.drops.is_empty());
@@ -250,15 +218,7 @@ mod tests {
             (M, vec![report(0, &[])]),       // master: stale
             (A, vec![report(0, &[(1, 2)])]), // A (pid 1) wrote it
         ];
-        let plan = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[A],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(1, &writes, &reports, &[A], &HashSet::new(), M);
         assert_eq!(plan.dir, vec![A]);
         // Master's stale copy must drop.
         assert_eq!(plan.drops.get(&M).unwrap(), &vec![0]);
@@ -275,15 +235,7 @@ mod tests {
             (A, vec![report(0, &[(1, 1)])]),
             (B, vec![report(0, &[(2, 1)])]),
         ];
-        let plan = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[M],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(1, &writes, &reports, &[M], &HashSet::new(), M);
         // One of them fetches the other's diff and becomes owner.
         assert_eq!(plan.fetches.len(), 1);
         let (fetcher, wants) = plan.fetches.iter().next().unwrap();
@@ -302,46 +254,11 @@ mod tests {
         writes.insert(0, vec![wn(1, 3)]);
         let reports = vec![(leaver, vec![report(0, &[(1, 3)])])];
         let avoid: HashSet<Gpid> = [leaver].into_iter().collect();
-        let plan = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[leaver],
-            &avoid,
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(1, &writes, &reports, &[leaver], &avoid, M);
         assert_eq!(plan.dir, vec![M], "master takes over the leaver's page");
         let wants = plan.fetches.get(&M).unwrap();
         assert_eq!(wants[0].0, 0);
         assert_eq!(wants[0].1.len(), 1, "master fetches the missing write");
-    }
-
-    #[test]
-    fn leaver_pages_scatter_round_robin() {
-        let leaver = Gpid(9);
-        let avoid: HashSet<Gpid> = [leaver].into_iter().collect();
-        let mut writes = HashMap::new();
-        let mut reports_pages = vec![];
-        for p in 0..4u32 {
-            writes.insert(p, vec![wn(3, 1)]);
-            reports_pages.push(report(p, &[(3, 1)]));
-        }
-        let reports = vec![(leaver, reports_pages)];
-        let survivors = [M, A, B];
-        let plan = compute_gc_plan(
-            4,
-            &writes,
-            &reports,
-            &[leaver, leaver, leaver, leaver],
-            &avoid,
-            M,
-            LeaveSink::Scatter(&survivors),
-        );
-        // Pages spread across survivors instead of piling on the master.
-        assert_eq!(plan.dir.len(), 4);
-        let owners: HashSet<Gpid> = plan.dir.iter().copied().collect();
-        assert!(owners.len() >= 3, "scatter spreads ownership: {owners:?}");
     }
 
     #[test]
@@ -356,15 +273,7 @@ mod tests {
             (B, vec![report(0, &[(1, 1)])]),
         ];
         let avoid: HashSet<Gpid> = [leaver].into_iter().collect();
-        let plan = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[leaver],
-            &avoid,
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(1, &writes, &reports, &[leaver], &avoid, M);
         assert_eq!(
             plan.dir,
             vec![B],
@@ -407,15 +316,7 @@ mod tests {
             writes.insert(p as PageId, vec![wn(1, 1), wn(2, 1)]);
             reports.push((g, vec![report(p as PageId, &[(1, 1)])]));
         }
-        let plan = compute_gc_plan(
-            holders.len(),
-            &writes,
-            &reports,
-            &[],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let plan = compute_gc_plan(holders.len(), &writes, &reports, &[], &HashSet::new(), M);
         let fetchers: Vec<Gpid> = plan.fetches.keys().copied().collect();
         let mut ascending = holders.to_vec();
         ascending.sort();
@@ -433,24 +334,8 @@ mod tests {
             (B, vec![report(0, &[(1, 1)])]),
             (M, vec![report(0, &[(1, 1)])]),
         ];
-        let p1 = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
-        let p2 = compute_gc_plan(
-            1,
-            &writes,
-            &reports,
-            &[],
-            &HashSet::new(),
-            M,
-            LeaveSink::ViaMaster,
-        );
+        let p1 = compute_gc_plan(1, &writes, &reports, &[], &HashSet::new(), M);
+        let p2 = compute_gc_plan(1, &writes, &reports, &[], &HashSet::new(), M);
         assert_eq!(p1.dir, p2.dir);
     }
 }

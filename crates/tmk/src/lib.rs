@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Per-word atomic page storage substitutes for mmap/SIGSEGV access
-//! detection (see DESIGN.md §3): the fast path is a software page-table
+//! detection: the fast path is a software page-table
 //! check; the slow path is the LRC protocol.
 //!
 //! ## Entry points

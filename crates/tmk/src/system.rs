@@ -15,7 +15,7 @@
 use crate::config::DsmConfig;
 use crate::core::ProcCore;
 use crate::ctx::{call_all, decode, CtrlBuf, TeamLink, TmkCtx};
-use crate::gc::{compute_gc_plan, page_writes, GcPlan, LeaveSink};
+use crate::gc::{compute_gc_plan, page_writes, GcPlan};
 use crate::msg::{DirRle, Msg, RegEntry};
 use crate::page::{PageState, Wn};
 use crate::records::Record;
@@ -889,8 +889,8 @@ impl MasterCtl {
     /// Run a garbage collection round (queries, plan, completion
     /// fetches). Must be called at an adaptation point (all slaves
     /// waiting). `avoid` are processes that may own nothing afterwards;
-    /// `scatter` picks the leaver-page sink.
-    pub fn run_gc(&mut self, avoid: &HashSet<Gpid>, scatter: Option<&[Gpid]>) -> GcOutcome {
+    /// pages only they hold go to the master.
+    pub fn run_gc(&mut self, avoid: &HashSet<Gpid>) -> GcOutcome {
         let (team, epoch) = {
             let mut c = self.core.lock();
             c.close_interval();
@@ -917,11 +917,7 @@ impl MasterCtl {
             .max(self.dir.len())
             .max(self.core.lock().pages.len());
         let writes = page_writes(&self.core.lock().records);
-        let sink = match scatter {
-            Some(survivors) => LeaveSink::Scatter(survivors),
-            None => LeaveSink::ViaMaster,
-        };
-        let plan: GcPlan = compute_gc_plan(total, &writes, &reports, &self.dir, avoid, me, sink);
+        let plan: GcPlan = compute_gc_plan(total, &writes, &reports, &self.dir, avoid, me);
         // Step 3: completion fetches, our own while the workers' run.
         let fetch_pages = plan.fetches.iter().map(|(g, w)| (*g, w.len())).collect();
         let fetches = plan

@@ -212,7 +212,7 @@ fn gc_preserves_memory() {
     master.parallel(R_SCALE, &[]);
     let before = read_all(&mut master, "v", n);
 
-    let outcome = master.run_gc(&HashSet::new(), None);
+    let outcome = master.run_gc(&HashSet::new());
     let members = master.team().members.clone();
     master.commit_team(members, &outcome);
 
@@ -238,7 +238,7 @@ fn leave_preserves_memory_and_computation() {
     // Remove the last worker (paper: "end" leave).
     let leaver = *workers.last().unwrap();
     let avoid: HashSet<Gpid> = [leaver].into_iter().collect();
-    let outcome = master.run_gc(&avoid, None);
+    let outcome = master.run_gc(&avoid);
     let mut members = master.team().members.clone();
     members.retain(|&g| g != leaver);
     master.commit_team(members, &outcome);
@@ -268,7 +268,7 @@ fn join_grows_team_and_computes() {
     let _ = hello;
 
     // Wait for readiness, then adapt at the next adaptation point.
-    let outcome = master.run_gc(&HashSet::new(), None);
+    let outcome = master.run_gc(&HashSet::new());
     let mut members = master.team().members.clone();
     members.push(joiner);
     master.commit_team(members, &outcome);
@@ -296,7 +296,7 @@ fn leave_then_rejoin_cycles() {
             // leave: drop last worker
             let leaver = *current_workers.last().unwrap();
             let avoid: HashSet<Gpid> = [leaver].into_iter().collect();
-            let outcome = master.run_gc(&avoid, None);
+            let outcome = master.run_gc(&avoid);
             let mut members = master.team().members.clone();
             members.retain(|&g| g != leaver);
             master.commit_team(members, &outcome);
@@ -305,7 +305,7 @@ fn leave_then_rejoin_cycles() {
             // join: fresh worker on a fresh host
             let h = sys.net().add_host(1);
             let joiner = sys.spawn_worker(h, master.gpid(), current_workers.clone());
-            let outcome = master.run_gc(&HashSet::new(), None);
+            let outcome = master.run_gc(&HashSet::new());
             let mut members = master.team().members.clone();
             members.push(joiner);
             master.commit_team(members, &outcome);

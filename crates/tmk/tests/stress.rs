@@ -1,6 +1,6 @@
 //! Protocol stress and hardening tests: lock contention, barrier
 //! ordering, mixed sync domains, GC under load, message-decoder
-//! fuzzing, lazy-diff mode end-to-end.
+//! fuzzing, push-plane liveness, ownership redirect chains.
 
 use nowmp_net::{Gpid, HostId, NetModel, Network};
 use nowmp_tmk::msg::Msg;
@@ -82,13 +82,12 @@ impl RegionRunner for Stress {
     }
 }
 
-fn system(procs: usize, n: usize, rounds: usize, lazy: bool) -> MasterCtl {
+fn system(procs: usize, n: usize, rounds: usize) -> MasterCtl {
     let net = Network::new(procs, 1, NetModel::disabled());
-    let mut cfg = DsmConfig {
+    let cfg = DsmConfig {
         page_size: 256,
         ..DsmConfig::test_small()
     };
-    cfg.lazy_diffs = lazy;
     let sys = DsmSystem::new(net, cfg, Arc::new(Stress { n, rounds }));
     let mut master = sys.start_master(HostId(0));
     let mut workers = Vec::new();
@@ -109,7 +108,7 @@ fn read0(master: &mut MasterCtl, i: usize) -> f64 {
 fn lock_contention_counts_exactly() {
     for procs in [2usize, 4, 6] {
         let rounds = 25;
-        let mut master = system(procs, 64, rounds, false);
+        let mut master = system(procs, 64, rounds);
         master.parallel(R_LOCK_ADD, &[]);
         let got = read0(&mut master, 0);
         assert_eq!(got, (procs * rounds) as f64, "procs={procs}");
@@ -118,19 +117,9 @@ fn lock_contention_counts_exactly() {
 }
 
 #[test]
-fn lock_contention_lazy_mode() {
-    let procs = 4;
-    let rounds = 25;
-    let mut master = system(procs, 64, rounds, true);
-    master.parallel(R_LOCK_ADD, &[]);
-    assert_eq!(read0(&mut master, 0), (procs * rounds) as f64);
-    master.shutdown();
-}
-
-#[test]
 fn barrier_phase_chain() {
     let rounds = 12;
-    let mut master = system(4, 64, rounds, false);
+    let mut master = system(4, 64, rounds);
     {
         let v = SharedF64Vec::lookup(master.ctx(), "v");
         v.set(master.ctx(), 0, 5.0);
@@ -146,7 +135,7 @@ fn mixed_sync_domains_on_shared_pages() {
     let procs = 4;
     let n = 64;
     let rounds = 10;
-    let mut master = system(procs, n, rounds, false);
+    let mut master = system(procs, n, rounds);
     master.parallel(R_MIXED, &[]);
     // Block region: each slot >= 8 incremented `rounds` times.
     for i in 8..n {
@@ -165,11 +154,11 @@ fn mixed_sync_domains_on_shared_pages() {
 fn repeated_gc_under_load_preserves_state() {
     let procs = 4;
     let n = 256;
-    let mut master = system(procs, n, 0, false);
+    let mut master = system(procs, n, 0);
     for round in 0..6 {
         master.parallel(R_WRITE_MINE, &[]);
         if round % 2 == 1 {
-            let outcome = master.run_gc(&HashSet::new(), None);
+            let outcome = master.run_gc(&HashSet::new());
             let members = master.team().members.clone();
             master.commit_team(members, &outcome);
         }
@@ -183,7 +172,7 @@ fn repeated_gc_under_load_preserves_state() {
         let c = core.lock();
         // records may exist from post-GC rounds; force one more GC:
         drop(c);
-        let outcome = master.run_gc(&HashSet::new(), None);
+        let outcome = master.run_gc(&HashSet::new());
         let members = master.team().members.clone();
         master.commit_team(members, &outcome);
         let c = core.lock();
@@ -217,7 +206,7 @@ fn gc_threshold_triggers_automatically() {
     for _ in 0..4 {
         master.parallel(R_MIXED, &[]);
         if master.gc_due() {
-            let outcome = master.run_gc(&HashSet::new(), None);
+            let outcome = master.run_gc(&HashSet::new());
             let members = master.team().members.clone();
             master.commit_team(members, &outcome);
         }
@@ -390,12 +379,12 @@ fn stale_owner_hints_redirect_to_current_owner() {
     // redirect chain instead of failing.
     let procs = 4;
     let n = 256;
-    let mut master = system(procs, n, 0, false);
+    let mut master = system(procs, n, 0);
     master.parallel(R_WRITE_MINE, &[]);
     // Leave of the last worker: its pages re-home via the master.
     let leaver = *master.team().members.last().unwrap();
     let avoid: HashSet<_> = [leaver].into_iter().collect();
-    let outcome = master.run_gc(&avoid, None);
+    let outcome = master.run_gc(&avoid);
     let mut members = master.team().members.clone();
     members.retain(|&g| g != leaver);
     master.commit_team(members, &outcome);
@@ -411,7 +400,7 @@ fn stale_owner_hints_redirect_to_current_owner() {
 #[test]
 fn team_of_one_supports_all_sync_ops() {
     // Degenerate team: locks and barriers must be local no-ops.
-    let mut master = system(1, 32, 3, false);
+    let mut master = system(1, 32, 3);
     master.parallel(R_LOCK_ADD, &[]);
     master.parallel(R_BARRIER_PHASES, &[]);
     assert_eq!(read0(&mut master, 0), 3.0);

@@ -31,9 +31,7 @@ pub use nowmp_util as util;
 
 /// Convenience prelude for applications.
 pub mod prelude {
-    pub use nowmp_core::{
-        AdaptHandle, Cluster, ClusterConfig, LeaveSel, LeaveStrategy, ReassignPolicy,
-    };
+    pub use nowmp_core::{AdaptHandle, Cluster, ClusterConfig, LeaveSel, ReassignPolicy};
     pub use nowmp_net::{CostModel, Gpid, HostId, NetModel};
     pub use nowmp_omp::{JobSpec, OmpCtx, OmpProgram, OmpSystem, Params};
     pub use nowmp_tmk::{DsmConfig, ElemKind};

@@ -29,7 +29,7 @@ fn facade_reexports_resolve() {
     // core
     let _cc: nowmp::core::ClusterConfig = ClusterConfig::test(2, 2);
     let _ = std::any::type_name::<nowmp::core::Cluster>();
-    let _ = std::any::type_name::<LeaveStrategy>();
+    let _ = std::any::type_name::<LeaveSel>();
     let _ = std::any::type_name::<ReassignPolicy>();
     // omp
     let _ = std::any::type_name::<OmpSystem>();
