@@ -13,7 +13,7 @@
 //!   creating a falsely-shared `b` page;
 //! * rows are **padded to page boundaries** — rows of different owners
 //!   never share a page, so no diffs flow (exactly the paper's Gauss
-//!   behavior: Table 1's zero-diff row, which the `table1` bin prints).
+//!   behavior: Table 1's zero-diff row, which `paper table1` prints).
 //!
 //! The matrix is generated diagonally dominant so elimination is stable
 //! without pivoting.

@@ -51,7 +51,7 @@
 //! floors in `crates/bench/baselines.toml` (`[hotpath]`) are enforced
 //! and a violation exits nonzero.
 
-use nowmp_bench::{load_baselines, quick, smoke_from_args};
+use nowmp_bench::{load_baselines, Json, Scale};
 use nowmp_tmk::diff::Diff;
 use nowmp_tmk::page::{PageBuf, PageMeta, PageState};
 use nowmp_tmk::PageTable;
@@ -440,58 +440,49 @@ impl Lane {
     }
 }
 
-fn json(pipeline: f64, lanes: &[Lane], intervals: &[Lane]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"quick\": {},\n  \"pipeline_pages_per_sec\": {pipeline:.1},\n  \"contention\": [\n",
-        quick()
-    ));
-    for (i, l) in lanes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"threads\": {}, \"sharded_ops_per_sec\": {:.1}, \
-             \"coarse_ops_per_sec\": {:.1}, \"fault_ratio\": {:.3}, \
-             \"sharded_serves_per_sec\": {:.1}, \"coarse_serves_per_sec\": {:.1}, \
-             \"serve_ratio\": {:.3} }}{}\n",
-            l.threads,
-            l.sharded.0,
-            l.coarse.0,
-            l.fault_ratio(),
-            l.sharded.1,
-            l.coarse.1,
-            l.serve_ratio(),
-            if i + 1 < lanes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"interval\": [\n");
-    for (i, l) in intervals.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"threads\": {}, \"sharded_during_close_ops_per_sec\": {:.1}, \
-             \"core_list_during_close_ops_per_sec\": {:.1}, \"during_close_ratio\": {:.3}, \
-             \"sharded_closes_per_sec\": {:.1}, \"core_list_closes_per_sec\": {:.1} }}{}\n",
-            l.threads,
-            l.sharded.0,
-            l.coarse.0,
-            l.floored_ratio(),
-            l.sharded.1,
-            l.coarse.1,
-            if i + 1 < intervals.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn json(scale: Scale, pipeline: f64, lanes: &[Lane], intervals: &[Lane]) -> Json {
+    let contention = lanes.iter().map(|l| {
+        Json::obj([
+            ("threads", Json::num(l.threads as f64, 0)),
+            ("sharded_ops_per_sec", Json::num(l.sharded.0, 1)),
+            ("coarse_ops_per_sec", Json::num(l.coarse.0, 1)),
+            ("fault_ratio", Json::num(l.fault_ratio(), 3)),
+            ("sharded_serves_per_sec", Json::num(l.sharded.1, 1)),
+            ("coarse_serves_per_sec", Json::num(l.coarse.1, 1)),
+            ("serve_ratio", Json::num(l.serve_ratio(), 3)),
+        ])
+    });
+    let interval = intervals.iter().map(|l| {
+        Json::obj([
+            ("threads", Json::num(l.threads as f64, 0)),
+            (
+                "sharded_during_close_ops_per_sec",
+                Json::num(l.sharded.0, 1),
+            ),
+            (
+                "core_list_during_close_ops_per_sec",
+                Json::num(l.coarse.0, 1),
+            ),
+            ("during_close_ratio", Json::num(l.floored_ratio(), 3)),
+            ("sharded_closes_per_sec", Json::num(l.sharded.1, 1)),
+            ("core_list_closes_per_sec", Json::num(l.coarse.1, 1)),
+        ])
+    });
+    Json::obj([
+        ("quick", Json::Bool(scale == Scale::Smoke)),
+        ("pipeline_pages_per_sec", Json::num(pipeline, 1)),
+        ("contention", Json::Arr(contention.collect())),
+        ("interval", Json::Arr(interval.collect())),
+    ])
 }
 
 fn main() {
-    smoke_from_args();
-    let (pipe_pages, lane_secs) = if quick() {
-        (20_000, 0.3)
-    } else {
-        (200_000, 2.0)
-    };
+    let scale = Scale::from_args();
+    let (pipe_pages, lane_secs) = scale.pick((20_000, 0.3), (200_000, 2.0));
 
     println!(
         "hotpath: DSM data-plane throughput (real clock, {} mode)\n",
-        if quick() { "smoke" } else { "full" }
+        scale.name()
     );
 
     let pipeline = pipeline_lane(pipe_pages);
@@ -546,12 +537,12 @@ fn main() {
         intervals.push(lane);
     }
 
-    let out = json(pipeline, &lanes, &intervals);
+    let out = json(scale, pipeline, &lanes, &intervals).render();
     std::fs::write("BENCH_hotpath.json", &out).expect("write BENCH_hotpath.json");
     println!("\nwrote BENCH_hotpath.json ({} bytes)", out.len());
 
     // --- CI floors (enforced in the --smoke configuration CI runs) ----
-    if quick() {
+    if scale == Scale::Smoke {
         let floors = load_baselines();
         let lane8 = &lanes[2];
         let ratio8 = lane8.gate_ratio();

@@ -58,11 +58,9 @@
 //! in CI).
 
 use nowmp_apps::{jacobi::Jacobi, nbf::Nbf, with_kernel_costs, Kernel};
-use nowmp_bench::{
-    bench_net_model, load_baselines, measure, print_table, quick, whatif_json, WhatifLane,
-};
+use nowmp_bench::{load_baselines, measure, whatif_json, Scale, Table, WhatifLane};
 use nowmp_core::ClusterConfig;
-use nowmp_net::{CostModel, HostId};
+use nowmp_net::{CostModel, HostId, NetModel};
 use nowmp_tmk::DataPlaneConfig::{self, Demand, Overlap};
 use nowmp_tmk::{Broadcast, CollectiveConfig, DsmConfig};
 use nowmp_util::Clock;
@@ -139,7 +137,7 @@ fn dname(d: DataPlaneConfig) -> &'static str {
 fn cfg(kernel: &dyn Kernel, scenario: Scenario, procs: usize, mode: Mode) -> ClusterConfig {
     let cost = scenario.apply(with_kernel_costs(CostModel::paper_1999(), kernel), procs);
     ClusterConfig::test(procs, procs)
-        .with_net_model(bench_net_model())
+        .with_net_model(NetModel::paper_1999())
         .with_cost_model(cost)
         .with_dsm(DsmConfig::default_4k())
         .with_collectives(mode.collectives())
@@ -221,8 +219,8 @@ fn modes_from_args() -> Vec<Mode> {
 /// Node counts for one (scenario, mode) lane. Smoke trims the
 /// off-diagonal lanes so the sweep stays CI-sized while keeping every
 /// column the scaling gates and the A/B ratios need.
-fn scales(scenario: Scenario, mode: Mode) -> &'static [usize] {
-    if !quick() {
+fn scales(scale: Scale, scenario: Scenario, mode: Mode) -> &'static [usize] {
+    if scale == Scale::Full {
         return &[2, 4, 8, 16, 32];
     }
     match (scenario, mode.fork, mode.reduce, mode.dataplane) {
@@ -281,18 +279,14 @@ fn print_dataplane_ledger(kernel: &str, d: &nowmp_tmk::DsmSnapshot) {
 }
 
 fn main() {
-    nowmp_bench::smoke_from_args();
+    let scale = Scale::from_args();
     let modes = modes_from_args();
     let wall = Instant::now();
     // Big enough that compute dominates at small node counts (the
     // scaling story needs a compute-bound regime to roll over from),
     // small enough that the real work behind the virtual charge stays
     // cheap.
-    let (jacobi, iters) = if quick() {
-        (Jacobi::new(384), 2usize)
-    } else {
-        (Jacobi::new(1024), 4usize)
-    };
+    let (jacobi, iters) = scale.pick((Jacobi::new(384), 2usize), (Jacobi::new(1024), 4));
 
     // Serial baseline on one reference workstation (scenarios only
     // differ in hosts the serial run never touches; a 1-process run
@@ -316,10 +310,11 @@ fn main() {
     )
     .secs;
 
-    // One measurement per (scenario, mode, nprocs); the table, the
-    // JSON, and the gates all derive from this single collection so
-    // they can never disagree.
+    // One measurement per (scenario, mode, nprocs), kept once per row
+    // and once per lane; the table, the JSON and the gates all read
+    // these, so they can never disagree.
     let mut results: Vec<(Scenario, Mode, usize, f64)> = Vec::new();
+    let mut lanes: Vec<WhatifLane> = Vec::new();
     let mut overlap32: Option<nowmp_tmk::DsmSnapshot> = None;
     for &scenario in &[
         Scenario::Homogeneous,
@@ -327,7 +322,8 @@ fn main() {
         Scenario::LoadedHost,
     ] {
         for &mode in &modes {
-            for &procs in scales(scenario, mode) {
+            let mut samples = Vec::new();
+            for &procs in scales(scale, scenario, mode) {
                 let run = measure(
                     &jacobi,
                     cfg(&jacobi, scenario, procs, mode),
@@ -340,7 +336,16 @@ fn main() {
                     overlap32 = Some(run.dsm);
                 }
                 results.push((scenario, mode, procs, run.secs));
+                samples.push((procs, run.secs));
             }
+            lanes.push(WhatifLane {
+                scenario: scenario.name().into(),
+                broadcast: bname(mode.fork).into(),
+                reduce: bname(mode.reduce).into(),
+                dataplane: dname(mode.dataplane).into(),
+                t1,
+                samples,
+            });
         }
     }
     let speedup = |secs: f64| t1 / secs.max(1e-12);
@@ -361,51 +366,16 @@ fn main() {
         })
         .collect();
 
-    let mut lanes: Vec<WhatifLane> = Vec::new();
-    for &(scenario, mode, procs, secs) in &results {
-        let key = (
-            scenario.name().to_string(),
-            bname(mode.fork).to_string(),
-            bname(mode.reduce).to_string(),
-            dname(mode.dataplane).to_string(),
-        );
-        match lanes.last_mut() {
-            Some(lane)
-                if (lane.scenario == key.0)
-                    && (lane.broadcast == key.1)
-                    && (lane.reduce == key.2)
-                    && (lane.dataplane == key.3) =>
-            {
-                lane.samples.push((procs, secs))
-            }
-            _ => lanes.push(WhatifLane {
-                scenario: key.0,
-                broadcast: key.1,
-                reduce: key.2,
-                dataplane: key.3,
-                t1,
-                samples: vec![(procs, secs)],
-            }),
-        }
-    }
-
-    print_table(
-        &format!(
-            "What-if scaling sweep: Jacobi {n}x{n}, {iters} iters, virtual clock (T1 = {t1:.3}s)",
-            n = jacobi.n
-        ),
-        &[
-            "Scenario",
-            "Broadcast",
-            "Reduce",
-            "Dataplane",
-            "Nodes",
-            "Sim(s)",
-            "Speedup",
-            "Efficiency",
-        ],
-        &rows,
+    let title = format!(
+        "What-if scaling sweep: Jacobi {n}x{n}, {iters} iters, virtual clock (T1 = {t1:.3}s)",
+        n = jacobi.n
     );
+    let table = Table::new(
+        title,
+        "Scenario | Broadcast | Reduce | Dataplane | Nodes | Sim(s) | Speedup | Efficiency",
+        rows,
+    );
+    println!("\n{table}");
 
     // Data-plane counters at the Jacobi headline point (32 homogeneous
     // hosts, overlap lane): how much the prefetcher moved and how much
@@ -423,11 +393,7 @@ fn main() {
     // round-trips that pipeline + prefetch take off the critical path.
     // This section always runs both planes — it *is* the A/B the gate
     // below pins (the lane flags only narrow the Jacobi sweep).
-    let (nbf, nbf_iters) = if quick() {
-        (Nbf::new(2048, 16), 4usize)
-    } else {
-        (Nbf::new(4096, 64), 6usize)
-    };
+    let (nbf, nbf_iters) = scale.pick((Nbf::new(2048, 16), 4usize), (Nbf::new(4096, 64), 6));
     let ttd = Mode {
         fork: Broadcast::Tree,
         reduce: Broadcast::Tree,
@@ -447,7 +413,7 @@ fn main() {
         false,
     )
     .secs;
-    let nbf_scales: &[usize] = if quick() { &[8, 32] } else { &[2, 8, 32] };
+    let nbf_scales: &[usize] = scale.pick(&[8, 32][..], &[2, 8, 32]);
     let mut nbf_results: Vec<(DataPlaneConfig, usize, f64)> = Vec::new();
     let mut nbf_overlap32: Option<nowmp_tmk::DsmSnapshot> = None;
     for &mode in &[ttd, tto] {
@@ -493,16 +459,17 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!(
+    let nbf_table = Table::new(
+        format!(
             "Data-plane A/B: NBF {a} atoms x {p} partners, {nbf_iters} iters, tree \
              collectives, homogeneous (T1 = {nbf_t1:.3}s)",
             a = nbf.atoms,
             p = nbf.partners
         ),
-        &["Dataplane", "Nodes", "Sim(s)", "Speedup"],
-        &nbf_rows,
+        "Dataplane | Nodes | Sim(s) | Speedup",
+        nbf_rows,
     );
+    println!("\n{nbf_table}");
     if let Some(d) = &nbf_overlap32 {
         print_dataplane_ledger("NBF", d);
     }
@@ -514,7 +481,7 @@ fn main() {
         );
     }
 
-    let json = whatif_json(t1, &lanes);
+    let json = whatif_json(scale, t1, &lanes).render();
     std::fs::write("BENCH_whatif.json", &json).expect("write BENCH_whatif.json");
     println!("\nwrote BENCH_whatif.json ({} bytes)", json.len());
 
@@ -577,68 +544,49 @@ fn main() {
     // broadcast, collection, or data-plane path fails the build here
     // instead of silently flattening the curve.
     let floors = load_baselines();
-    if quick() {
-        if let Some(s16) = speedup_of(Scenario::Homogeneous, ttd, 16) {
-            let floor = floors["tree_homogeneous_16_min_speedup"];
-            println!("gate: tree/tree homogeneous S(16) = {s16:.2} (floor {floor:.2})");
+    if scale == Scale::Smoke {
+        let homogeneous = |mode, procs| speedup_of(Scenario::Homogeneous, mode, procs);
+        let ratio = |a: Option<f64>, b: Option<f64>| Some(a? / b?);
+        let gates = [
+            (
+                "tree/tree homogeneous S(16)",
+                homogeneous(ttd, 16),
+                "tree_homogeneous_16_min_speedup",
+            ),
+            (
+                "tree/tree homogeneous S(32)",
+                homogeneous(ttd, 32),
+                "tree_reduce_homogeneous_32_min_speedup",
+            ),
+            (
+                "tree/flat ratio at 32 hosts",
+                ratio(homogeneous(ttd, 32), homogeneous(ffd, 32)),
+                "tree_over_flat_32_min_ratio",
+            ),
+            (
+                "tree/flat reduce ratio at 32 hosts",
+                ratio(homogeneous(ttd, 32), homogeneous(tfd, 32)),
+                "tree_reduce_over_flat_reduce_32_min_ratio",
+            ),
+            (
+                "NBF overlap homogeneous S(32)",
+                nbf_speedup(Overlap, 32),
+                "overlap_homogeneous_32_min_speedup",
+            ),
+            (
+                "NBF overlap/demand ratio at 32 hosts",
+                ratio(nbf_speedup(Overlap, 32), nbf_speedup(Demand, 32)),
+                "overlap_over_demand_32_min_ratio",
+            ),
+        ];
+        for (what, value, key) in gates {
+            let Some(value) = value else { continue };
+            let floor = floors[key];
+            println!("gate: {what} = {value:.2} (floor {floor:.2})");
             assert!(
-                s16 >= floor,
-                "CI scaling gate: 16-host homogeneous speedup {s16:.2} fell below \
-                 the pinned floor {floor:.2} (crates/bench/baselines.toml)"
-            );
-        }
-        if let Some(s32) = speedup_of(Scenario::Homogeneous, ttd, 32) {
-            let floor = floors["tree_reduce_homogeneous_32_min_speedup"];
-            println!("gate: tree/tree homogeneous S(32) = {s32:.2} (floor {floor:.2})");
-            assert!(
-                s32 >= floor,
-                "CI scaling gate: 32-host tree-reduce speedup {s32:.2} fell below \
-                 the pinned floor {floor:.2} (crates/bench/baselines.toml)"
-            );
-        }
-        if let (Some(tree32), Some(flat32)) = (
-            speedup_of(Scenario::Homogeneous, ttd, 32),
-            speedup_of(Scenario::Homogeneous, ffd, 32),
-        ) {
-            let ratio = tree32 / flat32;
-            let floor = floors["tree_over_flat_32_min_ratio"];
-            println!("gate: tree/flat ratio at 32 hosts = {ratio:.2} (floor {floor:.2})");
-            assert!(
-                ratio >= floor,
-                "CI scaling gate: treed collectives are only {ratio:.2}x the 1999 flat \
-                 system at 32 homogeneous hosts, below the pinned {floor:.2}x floor"
-            );
-        }
-        if let (Some(tt32), Some(tf32)) = (
-            speedup_of(Scenario::Homogeneous, ttd, 32),
-            speedup_of(Scenario::Homogeneous, tfd, 32),
-        ) {
-            let ratio = tt32 / tf32;
-            let floor = floors["tree_reduce_over_flat_reduce_32_min_ratio"];
-            println!("gate: tree/flat reduce ratio at 32 hosts = {ratio:.2} (floor {floor:.2})");
-            assert!(
-                ratio >= floor,
-                "CI scaling gate: the reduce shape is only {ratio:.2}x flat collection at \
-                 32 homogeneous hosts (tree fork both), below the pinned {floor:.2}x floor"
-            );
-        }
-        if let Some(ov32) = nbf_speedup(Overlap, 32) {
-            let floor = floors["overlap_homogeneous_32_min_speedup"];
-            println!("gate: NBF overlap homogeneous S(32) = {ov32:.2} (floor {floor:.2})");
-            assert!(
-                ov32 >= floor,
-                "CI scaling gate: NBF 32-host overlapped-data-plane speedup {ov32:.2} \
-                 fell below the pinned floor {floor:.2} (crates/bench/baselines.toml)"
-            );
-        }
-        if let (Some(ov32), Some(dm32)) = (nbf_speedup(Overlap, 32), nbf_speedup(Demand, 32)) {
-            let ratio = ov32 / dm32;
-            let floor = floors["overlap_over_demand_32_min_ratio"];
-            println!("gate: NBF overlap/demand ratio at 32 hosts = {ratio:.2} (floor {floor:.2})");
-            assert!(
-                ratio >= floor,
-                "CI scaling gate: the overlapped data plane is only {ratio:.2}x demand \
-                 paging on NBF at 32 homogeneous hosts, below the pinned {floor:.2}x floor"
+                value >= floor,
+                "CI scaling gate: {what} = {value:.2} fell below the pinned floor {floor:.2} \
+                 (`{key}` in crates/bench/baselines.toml)"
             );
         }
     }
@@ -656,10 +604,10 @@ fn main() {
          half-speed stragglers); loaded-host tracks homogeneous minus one\n\
          effective node. Wall time: {:.1}s for {} virtual runs.",
         wall.elapsed().as_secs_f64(),
-        rows.len() + nbf_rows.len() + 2
+        table.rows.len() + nbf_table.rows.len() + 2
     );
     assert!(
-        wall.elapsed().as_secs_f64() < 120.0 || !quick(),
+        wall.elapsed().as_secs_f64() < 120.0 || scale == Scale::Full,
         "smoke sweep must finish under two minutes of wall time"
     );
 }

@@ -1,255 +1,248 @@
-//! # nowmp-bench — harness library behind the table/figure binaries
+//! # nowmp-bench — the paper's claims, the what-if sweep, the hot path
 //!
-//! One binary per paper artifact, plus two beyond the paper:
+//! The paper's evaluation is a set of claims, and [`paper`] holds one
+//! function per claim: each runs its experiment on a fresh virtual
+//! clock and returns the printed tables plus named verdicts. Three
+//! binaries drive the crate:
 //!
-//! | binary | reproduces |
+//! | binary | runs |
 //! |---|---|
-//! | `table1` | Table 1 — no-adaptation overhead + traffic |
-//! | `table2` | Table 2 — average adaptation cost, end/middle leaver |
-//! | `fig2_timeline` | Figure 2 — join / normal leave / urgent leave timelines |
-//! | `fig3_redistribution` | Figure 3 — data moved vs leaving pid |
-//! | `micro_env` | §5.1 — network/lock/diff/page micro-costs |
-//! | `migration_whatif` | §5.3 — migration-only adaptation costs |
-//! | `micro_adapt` | §5.4 — adaptation cost micro-analysis series |
+//! | `paper` | every claim of [`paper`] on the 1999 and the current generation, checked against `crates/bench/golden/` |
 //! | `whatif_scale` | 2–32 hosts, heterogeneous and loaded, across protocol generations (`docs/BROADCAST.md`, `docs/DATAPLANE.md`) |
 //! | `hotpath` | real-clock data-plane throughput floors (`docs/HOTPATH.md`) |
 //!
-//! Sizes are scaled down from the paper's 1999 testbed (laptop-scale;
-//! [`BenchApps`] gives each kernel's paper size beside its own); the
-//! network cost model defaults to the paper's measured constants.
-//! Environment knobs:
+//! | claim | reproduces |
+//! |---|---|
+//! | [`paper::table1`] | Table 1 — no-adaptation overhead + traffic |
+//! | [`paper::table2`] | Table 2 — average adaptation cost, end/middle leaver |
+//! | [`paper::fig2`] | Figure 2 — join / normal leave / urgent leave timelines |
+//! | [`paper::fig3`] | Figure 3 — data moved vs leaving pid |
+//! | [`paper::sec5_1`] | §5.1 — network/lock/diff/page micro-costs |
+//! | [`paper::sec5_3`] | §5.3 — migration-only adaptation costs |
+//! | [`paper::sec5_4`] | §5.4 (a)–(e) — adaptation cost micro-analysis |
 //!
-//! * `NOWMP_QUICK=1` — smaller sizes / fewer iterations;
-//! * `NOWMP_TIME_SCALE=x` — scale every emulated delay (default 1.0);
-//! * `NOWMP_NO_EMULATE=1` — disable the time emulation (counters only).
+//! Sizes are scaled down from the paper's 1999 testbed (laptop-scale;
+//! [`BenchApps`] gives each kernel's paper size beside its own); every
+//! run charges the paper's measured network and host constants.
+//! `--smoke` ([`Scale::Smoke`]) is the one size switch.
 
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use nowmp_apps::{fft3d::Fft3d, gauss::Gauss, jacobi::Jacobi, nbf::Nbf, Kernel};
 use nowmp_core::{ClusterConfig, EventKind, LogEntry};
 use nowmp_net::{CostModel, NetModel};
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::DsmConfig;
-use std::time::Duration;
+use nowmp_util::Clock;
+use std::fmt;
+
+/// Problem sizes: CI-sized (`--smoke`) or the full laptop-scale runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds of wall per binary.
+    Smoke,
+    /// The default sizes.
+    Full,
+}
+
+impl Scale {
+    /// `--smoke` on the command line selects [`Scale::Smoke`].
+    pub fn from_args() -> Scale {
+        if std::env::args().any(|a| a == "--smoke") {
+            Scale::Smoke
+        } else {
+            Scale::Full
+        }
+    }
+
+    /// `smoke` or `full`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Full => "full",
+        }
+    }
+
+    /// `smoke` if this is [`Scale::Smoke`], else `full`.
+    pub fn pick<T>(self, smoke: T, full: T) -> T {
+        match self {
+            Scale::Smoke => smoke,
+            Scale::Full => full,
+        }
+    }
+}
 
 /// Scaled-down benchmark instances of the four kernels.
 pub struct BenchApps;
 
 impl BenchApps {
-    /// Jacobi instance (paper: 2500², 1000 iters).
-    pub fn jacobi() -> Jacobi {
-        if quick() {
-            Jacobi::new(96)
-        } else {
-            Jacobi::new(256)
-        }
-    }
-
-    /// Jacobi iteration count for benches.
-    pub fn jacobi_iters() -> usize {
-        if quick() {
-            10
-        } else {
-            40
-        }
-    }
-
-    /// Gauss instance (paper: 3072², 3072 iters).
-    pub fn gauss() -> Gauss {
-        if quick() {
-            Gauss::new(64)
-        } else {
-            Gauss::new(160)
-        }
-    }
-
-    /// Gauss iteration count (full elimination).
-    pub fn gauss_iters() -> usize {
-        Self::gauss().default_iters()
-    }
-
-    /// 3D-FFT instance (paper: 128×64×64, 100 iters).
-    pub fn fft() -> Fft3d {
-        if quick() {
-            Fft3d::new(8, 8, 8)
-        } else {
-            Fft3d::new(16, 16, 16)
-        }
-    }
-
-    /// FFT iteration count.
-    pub fn fft_iters() -> usize {
-        if quick() {
-            2
-        } else {
-            5
-        }
-    }
-
-    /// NBF instance (paper: 131072 atoms × 80 partners).
-    pub fn nbf() -> Nbf {
-        if quick() {
-            Nbf::new(512, 8)
-        } else {
-            Nbf::new(2048, 16)
-        }
-    }
-
-    /// NBF iteration count.
-    pub fn nbf_iters() -> usize {
-        if quick() {
-            3
-        } else {
-            8
-        }
+    /// Jacobi (paper: 2500², 1000 iters), Gauss (3072², 3072 iters, a
+    /// full elimination here too), 3D-FFT (128×64×64, 100 iters) and NBF
+    /// (131072 atoms × 80 partners), each with its iteration count.
+    pub fn all(scale: Scale) -> Vec<(Box<dyn Kernel>, usize)> {
+        let gauss = Gauss::new(scale.pick(64, 160));
+        let gauss_iters = gauss.default_iters();
+        vec![
+            (
+                Box::new(Jacobi::new(scale.pick(96, 256))),
+                scale.pick(10, 40),
+            ),
+            (Box::new(gauss), gauss_iters),
+            (
+                Box::new(scale.pick(Fft3d::new(8, 8, 8), Fft3d::new(16, 16, 16))),
+                scale.pick(2, 5),
+            ),
+            (
+                Box::new(scale.pick(Nbf::new(512, 8), Nbf::new(2048, 16))),
+                scale.pick(3, 8),
+            ),
+        ]
     }
 }
 
-/// `NOWMP_QUICK=1`?
-pub fn quick() -> bool {
-    std::env::var("NOWMP_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Is the simulation clock virtual (`NOWMP_CLOCK=virtual`)?
-pub fn virtual_mode() -> bool {
-    std::env::var("NOWMP_CLOCK")
-        .map(|v| v == "virtual")
-        .unwrap_or(false)
-}
-
-/// Handle a `--virtual` command-line flag: force the virtual clock
-/// (equivalent to `NOWMP_CLOCK=virtual`), under which the reproducers
-/// charge calibrated per-iteration compute costs and report *simulated*
-/// seconds — the quantitative Table 1/2 mode. Call at the top of a
-/// bin's `main`, before any system is constructed.
-pub fn virtual_from_args() {
-    if std::env::args().any(|a| a == "--virtual") {
-        std::env::set_var("NOWMP_CLOCK", "virtual");
-    }
-}
-
-/// Handle a `--smoke` command-line flag: force quick mode (equivalent
-/// to `NOWMP_QUICK=1`) so CI can exercise a reproducer binary in a
-/// couple of seconds. Call at the top of every bin's `main`.
-pub fn smoke_from_args() {
-    if std::env::args().any(|a| a == "--smoke") {
-        std::env::set_var("NOWMP_QUICK", "1");
-    }
-}
-
-/// `NOWMP_NO_EMULATE=1`? (counters only, no modeled delays)
-fn no_emulate() -> bool {
-    std::env::var("NOWMP_NO_EMULATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// The `NOWMP_TIME_SCALE` knob (default 1.0 = paper speed).
-fn env_time_scale() -> f64 {
-    std::env::var("NOWMP_TIME_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// The benchmark network model (paper constants, env-scaled).
-pub fn bench_net_model() -> NetModel {
-    if no_emulate() {
-        return NetModel::disabled();
-    }
-    NetModel::paper_scaled(env_time_scale())
-}
-
-/// The benchmark host cost model (paper constants, env-scaled; no
-/// kernel compute profile yet — see [`bench_cfg_for`]).
-pub fn bench_cost_model() -> CostModel {
-    if no_emulate() {
-        return CostModel::disabled();
-    }
-    CostModel::paper_scaled(env_time_scale())
-}
-
-/// Cluster configuration for benches: paper network + host cost
-/// models, 4 KB pages.
-///
-/// The paper reproducers model the *1999 system*
-/// ([`DsmConfig::generation_1999`]: flat collectives with flat
-/// write-notice payloads, sequential demand paging — what the Table 1/2
-/// calibration pins assume). The tree/RLE broadcast redesign and the
-/// overlapped data plane are A/B'd explicitly by `whatif_scale
-/// --broadcast` / `--dataplane` against this baseline.
-pub fn bench_cfg(hosts: usize, procs: usize) -> ClusterConfig {
+/// Cluster configuration for the paper's claims: the paper network and
+/// host cost models, the DSM generation `dsm`, and a fresh virtual
+/// clock, so every run reports simulated seconds.
+pub fn bench_cfg(dsm: DsmConfig, hosts: usize, procs: usize) -> ClusterConfig {
     ClusterConfig::test(hosts, procs)
-        .with_net_model(bench_net_model())
-        .with_cost_model(bench_cost_model())
-        .with_dsm(DsmConfig::default_4k().generation_1999())
+        .with_net_model(NetModel::paper_1999())
+        .with_cost_model(CostModel::paper_1999())
+        .with_dsm(dsm)
+        .with_clock(Clock::new_virtual())
 }
 
-/// [`bench_cfg`] specialized to `kernel`: under the virtual clock
-/// ([`virtual_mode`]) the kernel's calibrated per-iteration compute
-/// costs are installed, so worksharing loops charge modeled compute to
-/// the simulated timeline and reported seconds become quantitative
-/// Table 1/2 predictions. On the real clock the profile is left out —
-/// charging modeled FLOPs as wall sleeps would only slow the bench.
-pub fn bench_cfg_for(kernel: &dyn Kernel, hosts: usize, procs: usize) -> ClusterConfig {
-    let cfg = bench_cfg(hosts, procs);
-    if virtual_mode() {
-        let cost = nowmp_apps::with_kernel_costs(cfg.cost_model.clone(), kernel);
-        cfg.with_cost_model(cost)
-    } else {
-        cfg
+/// [`bench_cfg`] with `kernel`'s calibrated per-iteration compute costs
+/// installed, so worksharing loops charge modelled compute to the
+/// simulated timeline and reported seconds become quantitative Table
+/// 1/2 predictions.
+pub fn bench_cfg_for(
+    kernel: &dyn Kernel,
+    dsm: DsmConfig,
+    hosts: usize,
+    procs: usize,
+) -> ClusterConfig {
+    let cfg = bench_cfg(dsm, hosts, procs);
+    let cost = nowmp_apps::with_kernel_costs(cfg.cost_model.clone(), kernel);
+    cfg.with_cost_model(cost)
+}
+
+/// A JSON value: the one emitter behind every `BENCH_*.json` artifact
+/// (hand-rolled; no serde in the offline vendor set).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A finite number printed with the given number of decimals.
+    Num(f64, usize),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, fields in insertion order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// `v` with `decimals` decimals, or `null` when it is not finite
+    /// (a bare `NaN` or `inf` is not valid JSON).
+    pub fn num(v: f64, decimals: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(v, decimals)
+        } else {
+            Json::Null
+        }
+    }
+
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The artifact layout: a top-level object puts each field on a
+    /// line of its own and each element of a top-level array on a line
+    /// of its own; everything deeper is written inline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let Json::Obj(fields) = self else {
+            self.inline(&mut out);
+            out.push('\n');
+            return out;
+        };
+        out.push_str("{\n");
+        for (i, (k, v)) in fields.iter().enumerate() {
+            out.push_str("  ");
+            quote(k, &mut out);
+            out.push_str(": ");
+            match v {
+                Json::Arr(items) if !items.is_empty() => {
+                    out.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str("    ");
+                        item.inline(&mut out);
+                        out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    out.push_str("  ]");
+                }
+                _ => v.inline(&mut out),
+            }
+            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    fn inline(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v, d) => out.push_str(&format!("{v:.d$}")),
+            Json::Str(s) => quote(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.inline(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    quote(k, out);
+                    out.push_str(": ");
+                    v.inline(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
-/// Serialize `(nprocs, secs)` samples per app into the machine-readable
-/// `BENCH_table1.json` artifact: speedup per nprocs, seeding the perf
-/// trajectory CI tracks across PRs. Hand-rolled JSON (no serde in the
-/// offline vendor set).
-pub fn table1_json(apps: &[(String, Vec<(usize, f64)>)]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"clock\": \"{}\",\n  \"quick\": {},\n  \"apps\": [\n",
-        if virtual_mode() { "virtual" } else { "real" },
-        quick()
-    ));
-    for (ai, (name, samples)) in apps.iter().enumerate() {
-        let t1 = samples
-            .iter()
-            .find(|(p, _)| *p == 1)
-            .map(|&(_, s)| s)
-            .unwrap_or(f64::NAN);
-        out.push_str(&format!("    {{\"name\": \"{name}\", \"secs\": {{"));
-        for (i, (p, s)) in samples.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{p}\": {s:.6}{}",
-                if i + 1 < samples.len() { ", " } else { "" }
-            ));
+fn quote(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
-        out.push_str("}, \"speedup\": {");
-        for (i, (p, s)) in samples.iter().enumerate() {
-            // Degenerate samples (zero-length runs, missing 1-proc
-            // baseline) must not leak a bare NaN into the artifact —
-            // that is not valid JSON.
-            let sp = if *s > 0.0 { t1 / s } else { f64::NAN };
-            let cell = if sp.is_finite() {
-                format!("{sp:.4}")
-            } else {
-                "null".to_owned()
-            };
-            out.push_str(&format!(
-                "\"{p}\": {cell}{}",
-                if i + 1 < samples.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "}}}}{}\n",
-            if ai + 1 < apps.len() { "," } else { "" }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    out.push('"');
 }
 
 /// One lane of the `whatif_scale` sweep: a scenario × collective ×
@@ -273,58 +266,39 @@ pub struct WhatifLane {
     pub samples: Vec<(usize, f64)>,
 }
 
-/// Serialize the `whatif_scale` sweep into the machine-readable
-/// `BENCH_whatif.json` artifact: simulated seconds and speedup per
-/// `scenario × broadcast × reduce × dataplane × nprocs`, plus each
-/// lane's serial baseline. The CI scaling gate reads the same numbers
-/// in-process (see [`load_baselines`]); the artifact preserves them
-/// across PRs.
-pub fn whatif_json(t1: f64, lanes: &[WhatifLane]) -> String {
-    let cell = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "null".to_owned()
-        }
+/// The `whatif_scale` sweep as the `BENCH_whatif.json` artifact:
+/// simulated seconds and speedup per `scenario × broadcast × reduce ×
+/// dataplane × nprocs`, plus each lane's serial baseline. The CI scaling
+/// gate reads the same numbers in-process (see [`load_baselines`]); the
+/// artifact preserves them across PRs.
+pub fn whatif_json(scale: Scale, t1: f64, lanes: &[WhatifLane]) -> Json {
+    let per_nprocs = |lane: &WhatifLane, f: &dyn Fn(f64) -> f64| {
+        Json::obj(
+            lane.samples
+                .iter()
+                .map(|&(p, s)| (p.to_string(), Json::num(f(s), 4))),
+        )
     };
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"clock\": \"virtual\",\n  \"quick\": {},\n  \"t1_secs\": {},\n  \"results\": [\n",
-        quick(),
-        cell(t1)
-    ));
-    for (gi, lane) in lanes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"broadcast\": \"{}\", \"reduce\": \"{}\", \"dataplane\": \"{}\", \"t1_secs\": {}, \"secs\": {{",
-            lane.scenario,
-            lane.broadcast,
-            lane.reduce,
-            lane.dataplane,
-            cell(lane.t1)
-        ));
-        for (i, (p, s)) in lane.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{p}\": {}{}",
-                cell(*s),
-                if i + 1 < lane.samples.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str("}, \"speedup\": {");
-        for (i, (p, s)) in lane.samples.iter().enumerate() {
-            let sp = if *s > 0.0 { lane.t1 / s } else { f64::NAN };
-            out.push_str(&format!(
-                "\"{p}\": {}{}",
-                cell(sp),
-                if i + 1 < lane.samples.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "}}}}{}\n",
-            if gi + 1 < lanes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let results = lanes.iter().map(|lane| {
+        Json::obj([
+            ("scenario", Json::str(&lane.scenario)),
+            ("broadcast", Json::str(&lane.broadcast)),
+            ("reduce", Json::str(&lane.reduce)),
+            ("dataplane", Json::str(&lane.dataplane)),
+            ("t1_secs", Json::num(lane.t1, 4)),
+            ("secs", per_nprocs(lane, &|s| s)),
+            (
+                "speedup",
+                per_nprocs(lane, &|s| if s > 0.0 { lane.t1 / s } else { f64::NAN }),
+            ),
+        ])
+    });
+    Json::obj([
+        ("clock", Json::str("virtual")),
+        ("quick", Json::Bool(scale == Scale::Smoke)),
+        ("t1_secs", Json::num(t1, 4)),
+        ("results", Json::Arr(results.collect())),
+    ])
 }
 
 /// Parse the miniature `key = number` dialect of
@@ -365,6 +339,9 @@ pub struct RunResult {
     /// Runtime of the iteration loop on the system clock: wall seconds
     /// on the real backend, simulated seconds under a virtual clock.
     pub secs: f64,
+    /// Each iteration's `kernel.step` alone — the `events` callback
+    /// before it is not timed — with the team size after it.
+    pub steps: Vec<(f64, usize)>,
     /// DSM counters over the loop (setup excluded).
     pub dsm: nowmp_tmk::DsmSnapshot,
     /// Network counters over the loop (setup excluded).
@@ -396,9 +373,12 @@ pub fn measure(
     let net0 = sys.net_stats();
     let clock = sys.clock().clone();
     let t0 = clock.now();
+    let mut steps = Vec::with_capacity(iters);
     for it in 0..iters {
         events(&mut sys, it);
+        let step0 = clock.now();
         kernel.step(&mut sys, it);
+        steps.push((clock.elapsed_since(step0).as_secs_f64(), sys.nprocs()));
     }
     let secs = clock.elapsed_since(t0).as_secs_f64();
     let dsm = sys.dsm_stats().since(&dsm0);
@@ -417,6 +397,7 @@ pub fn measure(
     );
     RunResult {
         secs,
+        steps,
         dsm,
         net,
         log,
@@ -456,30 +437,6 @@ pub fn shape(log: &[LogEntry]) -> Vec<String> {
         .collect()
 }
 
-/// Time-weighted average team size over a run (the paper's §5.3
-/// interpolation basis: "the average number of nodes is always an
-/// integer in the non-adaptive case (but the average is a real number
-/// with adaptivity)").
-pub fn avg_nodes(log: &[LogEntry], initial: usize, total: Duration) -> f64 {
-    let mut last_t = Duration::ZERO;
-    let mut n = initial as f64;
-    let mut acc = 0.0;
-    for e in log {
-        if let EventKind::Adaptation { nprocs, .. } = e.kind {
-            let dt = e.at.saturating_sub(last_t);
-            acc += n * dt.as_secs_f64();
-            last_t = e.at;
-            n = nprocs as f64;
-        }
-    }
-    acc += n * total.saturating_sub(last_t).as_secs_f64();
-    if total.as_secs_f64() > 0.0 {
-        acc / total.as_secs_f64()
-    } else {
-        initial as f64
-    }
-}
-
 /// Linear interpolation of non-adaptive runtime at a fractional node
 /// count, from measurements at the two bracketing integers.
 pub fn interpolate_runtime(t_lo: f64, n_lo: f64, t_hi: f64, n_hi: f64, n: f64) -> f64 {
@@ -489,37 +446,50 @@ pub fn interpolate_runtime(t_lo: f64, n_lo: f64, t_hi: f64, n_hi: f64, n: f64) -
     t_lo + (t_hi - t_lo) * (n - n_lo) / (n_hi - n_lo)
 }
 
-/// Fixed-width table printer.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+/// A titled table of string cells; `Display` right-aligns each column
+/// to its widest cell.
+#[derive(Clone, Debug)]
+pub struct Table {
+    /// Printed above the table.
+    pub title: String,
+    /// Column headers.
+    pub headers: Vec<String>,
+    /// One `Vec` of cells per row.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table titled `title` whose column headers are `headers`
+    /// split at ` | `.
+    pub fn new(title: impl Into<String>, headers: &str, rows: Vec<Vec<String>>) -> Table {
+        Table {
+            title: title.into(),
+            headers: headers.split(" | ").map(str::to_owned).collect(),
+            rows,
         }
-    }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        s
-    };
-    println!("{}", line(headers.iter().map(|h| h.to_string()).collect()));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
-    for row in rows {
-        println!("{}", line(row.clone()));
     }
 }
 
-/// Megabytes with 2 decimals.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / 1e6)
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        writeln!(f, "=== {} ===", self.title)?;
+        for (i, row) in std::iter::once(&self.headers).chain(&self.rows).enumerate() {
+            for (cell, w) in row.iter().zip(&widths) {
+                write!(f, "{cell:>w$}  ")?;
+            }
+            writeln!(f)?;
+            if i == 0 {
+                writeln!(f, "{}", "-".repeat(widths.iter().map(|w| w + 2).sum()))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -532,27 +502,6 @@ mod tests {
         let t = interpolate_runtime(100.0, 4.0, 60.0, 8.0, 6.0);
         assert!((t - 80.0).abs() < 1e-12);
         assert_eq!(interpolate_runtime(50.0, 4.0, 60.0, 4.0, 4.0), 50.0);
-    }
-
-    #[test]
-    fn avg_nodes_weighted() {
-        use nowmp_core::EventKind;
-        let log = vec![LogEntry {
-            at: Duration::from_secs(5),
-            job: None,
-            kind: EventKind::Adaptation {
-                fork_no: 1,
-                joins: 0,
-                leaves: 1,
-                took: Duration::ZERO,
-                bytes_moved: 0,
-                max_link_bytes: 0,
-                nprocs: 7,
-            },
-        }];
-        // 8 procs for 5 s, then 7 procs for 5 s -> 7.5 average.
-        let avg = avg_nodes(&log, 8, Duration::from_secs(10));
-        assert!((avg - 7.5).abs() < 1e-9, "avg={avg}");
     }
 
     #[test]
@@ -576,36 +525,32 @@ mod tests {
     }
 
     #[test]
-    fn table1_json_is_well_formed() {
-        let j = table1_json(&[
-            ("jacobi".into(), vec![(1, 4.0), (2, 2.0), (4, 1.0)]),
-            ("nbf".into(), vec![(1, 6.0), (4, 2.0)]),
-            ("gauss".into(), vec![(2, 1.0), (4, 0.5)]),
-            ("fft".into(), vec![(1, 1.0), (2, 0.0)]),
+    fn json_is_well_formed() {
+        let j = Json::obj([
+            ("name", Json::str("a \"quoted\" \\ name\n")),
+            ("ok", Json::Bool(true)),
+            ("none", Json::num(f64::NAN, 2)),
+            ("inf", Json::num(f64::INFINITY, 2)),
+            (
+                "rows",
+                Json::Arr(vec![Json::num(1.0, 0), Json::num(2.5, 3)]),
+            ),
+            ("empty", Json::Arr(vec![])),
+            ("nested", Json::obj([("x", Json::Arr(vec![Json::Null]))])),
         ]);
-        // One line per app; its speedups close the line.
-        let speedups = |name: &str| {
-            let key = format!("\"name\": \"{name}\"");
-            let line = j.lines().find(|l| l.contains(&key)).unwrap();
-            let (_, tail) = line.split_once("\"speedup\": ").unwrap();
-            tail.trim_end_matches(',').to_owned()
-        };
         assert_eq!(
-            speedups("jacobi"),
-            r#"{"1": 1.0000, "2": 2.0000, "4": 4.0000}}"#
+            j.render(),
+            "{\n  \"name\": \"a \\\"quoted\\\" \\\\ name\\u000a\",\n  \"ok\": true,\n  \
+             \"none\": null,\n  \"inf\": null,\n  \"rows\": [\n    1,\n    2.500\n  ],\n  \
+             \"empty\": [],\n  \"nested\": {\"x\": [null]}\n}\n"
         );
-        // Against NBF's own 1-process sample: 6.0/2.0, not 4.0/2.0.
-        assert_eq!(speedups("nbf"), r#"{"1": 1.0000, "4": 3.0000}}"#);
-        // No 1-process baseline, or a zero sample: null, never NaN.
-        assert_eq!(speedups("gauss"), r#"{"2": null, "4": null}}"#);
-        assert_eq!(speedups("fft"), r#"{"1": 1.0000, "2": null}}"#);
-        assert!(!j.contains("NaN"));
-        assert!(j.starts_with('{') && j.ends_with("]\n}\n"));
+        assert_eq!(Json::Arr(vec![Json::Null]).render(), "[null]\n");
     }
 
     #[test]
     fn whatif_json_is_well_formed() {
         let j = whatif_json(
+            Scale::Smoke,
             2.0,
             &[
                 WhatifLane {
@@ -622,23 +567,28 @@ mod tests {
                     reduce: "flat".into(),
                     dataplane: "demand".into(),
                     t1: 6.0,
-                    samples: vec![(32, 0.4)],
+                    samples: vec![(32, 0.4), (64, 0.0)],
                 },
             ],
-        );
+        )
+        .render();
         assert!(j.contains("\"broadcast\": \"tree\""));
         assert!(j.contains("\"reduce\": \"tree\""));
         assert!(j.contains("\"reduce\": \"flat\""));
         assert!(j.contains("\"dataplane\": \"overlap\""));
         assert!(j.contains("\"dataplane\": \"demand\""));
         assert!(j.contains("\"scenario\": \"nbf-homogeneous\""));
+        assert!(j.contains("\"quick\": true"));
         // Speedups come from each lane's own baseline: 2.0/0.1 for the
         // first lane, 6.0/0.4 — not 2.0/0.4 — for the second.
         assert!(j.contains("\"32\": 20.0000"));
         assert!(j.contains("\"32\": 15.0000"));
         assert!(!j.contains("\"32\": 5.0000"));
         assert!(j.contains("\"t1_secs\": 6.0000"));
+        // A zero sample has no speedup: null, never NaN.
+        assert!(j.contains("\"64\": null"));
         assert!(!j.contains("NaN"));
+        assert!(j.starts_with("{\n  \"clock\": \"virtual\",") && j.ends_with("  ]\n}\n"));
     }
 
     #[test]
@@ -648,5 +598,7 @@ mod tests {
         let r = measure(&k, cfg, 2, true, |_, _| {}, true);
         assert_eq!(r.err, 0.0);
         assert!(r.net.total_msgs > 0);
+        assert_eq!(r.steps.len(), 2);
+        assert!(r.steps.iter().all(|&(_, n)| n == 2));
     }
 }

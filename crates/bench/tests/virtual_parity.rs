@@ -1,18 +1,18 @@
 //! Real-vs-virtual clock parity for the Figure 2 scenarios.
 //!
 //! The acceptance bar for the virtual-time refactor: the three
-//! adaptation shapes of `fig2_timeline` (join, normal leave, urgent
-//! leave) must produce *identical event orderings* under the wall-clock
+//! adaptation shapes of Figure 2 (join, normal leave, urgent leave)
+//! must produce *identical event orderings* under the wall-clock
 //! backend and the discrete-event backend. The real side runs the paper
 //! model time-scaled (so the test stays fast); the virtual side runs
 //! the *unscaled* paper model — 0.7 s spawns and all — at zero wall
 //! cost.
 
 use nowmp_apps::jacobi::Jacobi;
+use nowmp_bench::paper::fig2_scenarios;
 use nowmp_bench::{measure, shape};
-use nowmp_core::{ClusterConfig, LeaveSel};
+use nowmp_core::ClusterConfig;
 use nowmp_net::NetModel;
-use nowmp_omp::OmpSystem;
 use nowmp_tmk::DsmConfig;
 use nowmp_util::Clock;
 use std::time::Duration;
@@ -24,68 +24,21 @@ fn cfg(hosts: usize, procs: usize, model: NetModel, clock: Clock) -> ClusterConf
         .with_clock(clock)
 }
 
-/// Run the three Figure 2 scenarios on the given model/clock factory and
-/// return each scenario's event-ordering fingerprint.
+/// Run the three Figure 2 scenarios (`nowmp_bench::paper`'s
+/// definitions) on the given model/clock factory and return each
+/// scenario's event-ordering fingerprint, after checking that it shows
+/// the panel's event order.
 fn fig2_shapes(model: &NetModel, mk_clock: impl Fn() -> Clock) -> Vec<Vec<String>> {
     let app = Jacobi::new(48);
-    let iters = 8;
-    let mut shapes = Vec::new();
-
-    // (a) Join: requested mid-run, committed at the next adaptation point.
-    let join = |sys: &mut OmpSystem, it: usize| {
-        if it == 3 {
-            sys.join_ready().expect("free host available");
-        }
-    };
-    let run = measure(
-        &app,
-        cfg(5, 4, model.clone(), mk_clock()),
-        iters,
-        true,
-        join,
-        false,
-    );
-    shapes.push(shape(&run.log));
-
-    // (b) Normal leave: generous grace, the adaptation point wins.
-    let leave = |sys: &mut OmpSystem, it: usize| {
-        if it == 3 {
-            sys.adapt()
-                .leave(LeaveSel::Pid(3), Some(Duration::from_secs(30)))
-                .expect("slave can leave");
-        }
-    };
-    let run = measure(
-        &app,
-        cfg(4, 4, model.clone(), mk_clock()),
-        iters,
-        true,
-        leave,
-        false,
-    );
-    shapes.push(shape(&run.log));
-
-    // (c) Urgent leave: the grace period deterministically expires first.
-    let urgent = |sys: &mut OmpSystem, it: usize| {
-        if it == 3 {
-            let g = sys
-                .adapt()
-                .leave(LeaveSel::Pid(3), None)
-                .expect("slave can leave");
-            assert!(sys.shared().force_urgent(g));
-        }
-    };
-    let run = measure(
-        &app,
-        cfg(4, 4, model.clone(), mk_clock()),
-        iters,
-        true,
-        urgent,
-        false,
-    );
-    shapes.push(shape(&run.log));
-
-    shapes
+    fig2_scenarios()
+        .into_iter()
+        .map(|sc| {
+            let cfg = cfg(sc.hosts, sc.procs, model.clone(), mk_clock());
+            let s = shape(&measure(&app, cfg, 8, true, sc.events(), false).log);
+            assert!(sc.shows(&s), "{}: {s:?}, expected {:?}", sc.name, sc.order);
+            s
+        })
+        .collect()
 }
 
 #[test]

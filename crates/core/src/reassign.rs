@@ -6,8 +6,8 @@
 //! process's block (up to ~50% of the data space moves), while removing
 //! a *middle* process — keeping the survivors' relative order — moves
 //! only ~30%. The closed-form overlap computation here reproduces the
-//! figure analytically; the `fig3_redistribution` bench also measures it
-//! on a live system.
+//! figure analytically; `nowmp_bench::paper::fig3` also measures it on
+//! a live system.
 
 use nowmp_net::Gpid;
 

@@ -69,8 +69,7 @@ impl NetModel {
     /// makes benches 10× faster while preserving ratios). `scale` is
     /// sanitized: non-finite falls back to 1.0 and the rest clamps to
     /// [0, 1e6] — `Duration::mul_f64` panics on negative or
-    /// overflowing scalars, and the knob is env-settable
-    /// (`NOWMP_TIME_SCALE`).
+    /// overflowing scalars.
     pub fn paper_scaled(scale: f64) -> Self {
         let scale = if scale.is_finite() {
             scale.clamp(0.0, 1e6)
