@@ -93,7 +93,7 @@ fn bench_crc(c: &mut Criterion) {
 
 /// The full inbound path a diff fetch reply takes: wire decode plus
 /// apply into the live page — what every early diff (pushed,
-/// prefetched, piggybacked) pays on its way through the store.
+/// collected, piggybacked) pays on its way through the store.
 fn bench_apply_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("apply_path");
     for &changed in &[1usize, 64, 512] {

@@ -27,8 +27,8 @@
 //! **`--dataplane {demand,overlap}`** A/Bs the *data plane*: `demand`
 //! is faithful 1999 demand paging (every fault a blocking sequential
 //! round-trip), `overlap` is the current plane — pipelined
-//! multi-creator faults, release-phase prefetch with the writer push,
-//! and a fixed 1 KB of piggybacked hot diffs, all on together (see
+//! multi-creator faults, the writer push a region's faults subscribe
+//! to, and a fixed 1 KB of piggybacked hot diffs, all on together (see
 //! `docs/DATAPLANE.md`). The default sweeps the four system
 //! generations: `flat/flat/demand` (1999), `tree/flat/demand` (fork
 //! redesign), `tree/tree/demand` (both collectives treed),
@@ -240,33 +240,20 @@ fn scales(scale: Scale, scenario: Scenario, mode: Mode) -> &'static [usize] {
 }
 
 /// Print the data-plane counters of `kernel`'s 32-host overlap lane —
-/// what the prefetcher asked for and what writers pushed, and how much
-/// of each a fault actually claimed — and hold both ledgers to "no
-/// silent waste": nothing is wasted, or hit, that was not issued or
-/// sent first.
+/// what writers pushed and how much of it a fault actually claimed —
+/// and hold the push ledger to "no silent waste": nothing is wasted,
+/// or hit, that was not sent first.
 fn print_dataplane_ledger(kernel: &str, d: &nowmp_tmk::DsmSnapshot) {
     let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
     println!(
-        "\nData plane, {kernel} at 32 homogeneous hosts (overlap): prefetch issued {} pages, \
-         hit {} ({:.0}%), wasted {}; pushed {} diffs ({} bytes), hit {} ({:.0}%), wasted {}; \
-         piggybacked {} diff bytes",
-        d.prefetch_issued,
-        d.prefetch_hits,
-        pct(d.prefetch_hits, d.prefetch_issued),
-        d.prefetch_wasted,
+        "\nData plane, {kernel} at 32 homogeneous hosts (overlap): pushed {} diffs ({} bytes), \
+         hit {} ({:.0}%), wasted {}; piggybacked {} diff bytes",
         d.push_sent,
         d.push_bytes,
         d.push_hits,
         pct(d.push_hits, d.push_sent),
         d.push_wasted,
         d.piggyback_bytes,
-    );
-    assert!(
-        d.prefetch_wasted <= d.prefetch_issued,
-        "no silent waste: every wasted prefetch page must have been issued \
-         (wasted {} > issued {})",
-        d.prefetch_wasted,
-        d.prefetch_issued
     );
     assert!(
         d.push_hits + d.push_wasted <= d.push_sent,
@@ -378,8 +365,8 @@ fn main() {
     println!("\n{table}");
 
     // Data-plane counters at the Jacobi headline point (32 homogeneous
-    // hosts, overlap lane): how much the prefetcher moved and how much
-    // of it was actually claimed by a fault.
+    // hosts, overlap lane): how much the writers pushed and how much of
+    // it was actually claimed by a fault.
     if let Some(d) = &overlap32 {
         print_dataplane_ledger("Jacobi", d);
     }
@@ -390,7 +377,7 @@ fn main() {
     // shows overlap ≈ demand. NBF is where the data plane binds: the
     // position array is read scattered by every rank and multi-written
     // every iteration, so demand paging pays thousands of sequential
-    // round-trips that pipeline + prefetch take off the critical path.
+    // round-trips that pipeline + push take off the critical path.
     // This section always runs both planes — it *is* the A/B the gate
     // below pins (the lane flags only narrow the Jacobi sweep).
     let (nbf, nbf_iters) = scale.pick((Nbf::new(2048, 16), 4usize), (Nbf::new(4096, 64), 6));
@@ -597,8 +584,8 @@ fn main() {
          collectives that rollover is the master's serialized fork sends plus\n\
          the n-1 join streams converging on its inbound wire; trees shaped\n\
          by the cost model on both sides push it past 32 nodes, and the overlapped\n\
-         data plane (pipelined faults, release-phase prefetch and writer\n\
-         push, 1 KB of piggybacked hot diffs — one switch) takes the\n\
+         data plane (pipelined faults, the writer push a region's faults\n\
+         subscribe to, 1 KB of piggybacked hot diffs — one switch) takes the\n\
          remaining per-fault round-trips off the critical path.\n\
          Heterogeneous flattens hard (static schedules stretch to the\n\
          half-speed stragglers); loaded-host tracks homogeneous minus one\n\

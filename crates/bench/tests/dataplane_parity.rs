@@ -1,8 +1,9 @@
 //! Demand-vs-overlap data-plane parity checks under `VirtualClock`.
 //!
-//! The acceptance bar for the overlapped data plane — ISSUE 7's
-//! pipelined faults, release-phase prefetch, and piggybacked hot diffs
-//! — is that it must be *semantically invisible*: identical computed
+//! The acceptance bar for the overlapped data plane — pipelined
+//! requests, the writer push a region's faults subscribe to, and
+//! piggybacked hot diffs — is that it must be *semantically
+//! invisible*: identical computed
 //! results, identical adaptation event orderings, and an identical
 //! final DSM memory image against the faithful 1999 demand-paging
 //! baseline. Overlap may only move fetches earlier in time, never
@@ -86,17 +87,17 @@ fn demand_and_overlap_dataplanes_agree_bit_exactly() {
          fetches earlier, never change what they install"
     );
     // ... and that held with writers pushing, which only the overlap
-    // plane's prefetch requests can make them do.
+    // plane's region faults can make them do.
     assert!(odsm.push_sent > 0, "the overlap run must exercise pushes");
     assert_eq!(ddsm.push_sent, 0, "the demand plane never subscribes");
     assert_push_ledger(&odsm);
 }
 
 /// Steady-state run (no adaptation) with calibrated compute charged —
-/// the regime overlap is for: prefetch can only win by moving
+/// the regime overlap is for: the push can only win by moving
 /// round-trips off the critical path into the compute the worker was
-/// doing anyway. Every prefetch and piggyback pays full modeled
-/// wire/CPU cost.
+/// doing anyway. Every push and piggyback pays full modeled wire/CPU
+/// cost.
 fn costed_run(
     kernel: &dyn Kernel,
     procs: usize,
@@ -114,24 +115,14 @@ fn costed_cfg(kernel: &dyn Kernel, procs: usize, dataplane: DataPlaneConfig) -> 
     cfg(procs, procs, dataplane).with_cost_model(with_kernel_costs(CostModel::paper_1999(), kernel))
 }
 
-/// The no-silent-waste ledgers: every page a prefetch covered ends as
-/// exactly one of hit or wasted, and so does every pushed diff, so
-/// neither side can exceed what was issued or sent.
+/// The overlap lane must push, and honestly.
 fn assert_ledger(d: &nowmp_tmk::DsmSnapshot) {
-    assert!(
-        d.prefetch_issued > 0,
-        "the overlap lane must actually prefetch while it warms up"
-    );
-    assert!(
-        d.prefetch_hits + d.prefetch_wasted <= d.prefetch_issued,
-        "hits {} + wasted {} must not exceed issued {}",
-        d.prefetch_hits,
-        d.prefetch_wasted,
-        d.prefetch_issued
-    );
+    assert!(d.push_sent > 0, "the overlap lane must actually push");
     assert_push_ledger(d);
 }
 
+/// The no-silent-waste ledger: every pushed diff ends as at most one
+/// of hit or wasted, so together they cannot exceed what was sent.
 fn assert_push_ledger(d: &nowmp_tmk::DsmSnapshot) {
     assert!(
         d.push_hits + d.push_wasted <= d.push_sent,
@@ -147,9 +138,8 @@ fn overlap_never_slows_the_virtual_timeline() {
     // Regular nearest-neighbour Jacobi at the paper's 8-process scale:
     // few faults, single-creator, collective-dominated. Overlap has
     // little to move here — the assertion is that its admission
-    // overhead never costs more than noise, and that the prefetcher's
-    // accounting stays honest (it reaches 100% hit rate: Jacobi's
-    // boundary re-fault set is perfectly predictable).
+    // overhead never costs more than noise, and that the push ledger
+    // stays honest.
     let app = Jacobi::new(384);
     let demand = costed_run(&app, 8, 6, DataPlaneConfig::demand());
     let overlap = costed_run(&app, 8, 6, DataPlaneConfig::overlap());
@@ -167,7 +157,7 @@ fn overlap_beats_demand_on_the_irregular_kernel() {
     // NBF reads 16 scattered partner positions per atom, so every rank
     // re-faults the whole multi-writer position array every iteration
     // — the data plane *is* the critical path. Pipelined multi-creator
-    // faults and release-phase prefetch must beat demand paging
+    // faults and the writer push must beat demand paging
     // outright here (whatif_scale --smoke measures 1.5x+ at 32 hosts;
     // this CI-sized point asserts a conservative slice of that win).
     let app = nowmp_apps::nbf::Nbf::new(2048, 16);
@@ -183,10 +173,10 @@ fn overlap_beats_demand_on_the_irregular_kernel() {
     assert_ledger(&overlap.dsm);
 }
 
-/// Messages, and pages the release-phase prefetch asked for, in the
-/// one iteration after `warmup` of them (paper models, kernel compute
-/// charged, adaptive off — the shape of the scaling benchmarks).
-fn steady_iteration(kernel: &dyn Kernel, procs: usize, warmup: usize) -> (u64, u64) {
+/// Messages in the one iteration after `warmup` of them (paper models,
+/// kernel compute charged, adaptive off — the shape of the scaling
+/// benchmarks).
+fn steady_iteration(kernel: &dyn Kernel, procs: usize, warmup: usize) -> u64 {
     let c = costed_cfg(kernel, procs, DataPlaneConfig::overlap()).with_adaptive(false);
     let mut sys = OmpSystem::new(c, nowmp_apps::build_program(&[kernel]));
     kernel.setup(&mut sys);
@@ -204,31 +194,29 @@ fn steady_iteration(kernel: &dyn Kernel, procs: usize, warmup: usize) -> (u64, u
     assert!(dsm.push_hits > 0, "a steady iteration is fed by pushes");
     eprintln!(
         "{}/{procs}, iteration {warmup}: {msgs} msgs; pushed {} diffs ({} hit, {} wasted), \
-         prefetch asked for {} pages, {} diffs applied",
+         {} diffs applied",
         kernel.name(),
         dsm.push_sent,
         dsm.push_hits,
         dsm.push_wasted,
-        dsm.prefetch_issued,
         dsm.diffs_fetched
     );
-    (msgs, dsm.prefetch_issued)
+    msgs
 }
 
 #[test]
 fn steady_state_sends_no_requests() {
-    // Cold, subscribing, mixed — then steady: every writer sends its new
-    // diffs to last epoch's readers when it closes the interval, every
-    // reader finds them stored or expects them, and nothing is left to
-    // ask for. What remains on the wire is the collectives and one
-    // `DiffPush` per (writer, reader) pair per close; the request leg
-    // (one `DiffReq` per pair per release before) is gone.
-    let (msgs, asked) = steady_iteration(&nowmp_apps::nbf::Nbf::new(2048, 16), 16, 3);
-    assert_eq!(asked, 0, "NBF/16: the prefetch still asked for pages");
+    // Cold (every region fault asks, and subscribes), then pushed: every
+    // writer sends its new diffs to this epoch's readers when it closes
+    // the interval, every reader finds them stored or expects them, and
+    // nothing is left to ask for. What remains on the wire is the
+    // collectives and one `DiffPush` per (writer, reader) pair per
+    // close; the request leg (one `DiffReq` per pair per release) is
+    // gone.
+    let msgs = steady_iteration(&nowmp_apps::nbf::Nbf::new(2048, 16), 16, 3);
     // 1080-1126 with request-reply; 571-630 measured with pushes.
     assert!(msgs <= 700, "NBF/16: {msgs} messages in a steady iteration");
-    let (msgs, asked) = steady_iteration(&Jacobi::new(384), 32, 3);
-    assert_eq!(asked, 0, "Jacobi/32: the prefetch still asked for pages");
+    let msgs = steady_iteration(&Jacobi::new(384), 32, 3);
     // 372 with request-reply; 248 measured with pushes.
     assert!(
         msgs <= 270,
@@ -236,12 +224,15 @@ fn steady_state_sends_no_requests() {
     );
 }
 
-/// Six Jacobi iterations on 4 ranks with a checkpoint before iteration
-/// 3: per iteration, the simulated seconds it took and the pages the
-/// release-phase prefetch asked for.
-fn iterations_around_a_checkpoint() -> Vec<(f64, u64)> {
+/// Six Jacobi iterations on 4 ranks with a checkpoint at the start of
+/// iteration 3: per iteration, the simulated seconds it took and, at
+/// its end, how many `(page, writer)` pairs have pushed the master a
+/// diff this epoch — each one a subscription the master's `DiffReq`
+/// made. The checkpoint's commit starts a new epoch, so the count after
+/// iteration 2 covers iterations 0–2 and the count after 5 covers 3–5.
+fn iterations_around_a_checkpoint() -> Vec<(f64, usize)> {
     let app = Jacobi::new(192);
-    let ckpt = std::env::temp_dir().join("nowmp_parity_predictor.ckpt");
+    let ckpt = std::env::temp_dir().join("nowmp_parity_subscribers.ckpt");
     let c = costed_cfg(&app, 4, DataPlaneConfig::overlap())
         .with_adaptive(true)
         .with_ckpt_path(ckpt.clone());
@@ -253,12 +244,11 @@ fn iterations_around_a_checkpoint() -> Vec<(f64, u64)> {
         if it == 3 {
             sys.adapt().checkpoint();
         }
-        let (t0, issued) = (clock.now(), sys.dsm_stats().prefetch_issued);
+        let t0 = clock.now();
         app.step(&mut sys, it);
-        per_iteration.push((
-            clock.elapsed_since(t0).as_secs_f64(),
-            sys.dsm_stats().prefetch_issued - issued,
-        ));
+        let took = clock.elapsed_since(t0).as_secs_f64();
+        let pushed_pairs = sys.cluster().ctx().core().lock().first_push.len();
+        per_iteration.push((took, pushed_pairs));
     }
     assert_eq!(app.verify(&mut sys, 6), 0.0);
     sys.shutdown();
@@ -270,48 +260,36 @@ fn iterations_around_a_checkpoint() -> Vec<(f64, u64)> {
 }
 
 #[test]
-fn a_checkpoint_does_not_poison_the_prefetch_predictor() {
-    // The checkpoint's page collection runs *after* the commit that
-    // cleared the fault window. When its faults entered the window the
-    // master spent the next six rotations prefetching up to 32 pages a
-    // release that no region reads — and, since a prefetch request
-    // subscribes, had every writer push it every page from then on:
-    // the two iterations after a checkpoint cost six times a normal
-    // one, and asked for ~64 pages each.
-    //
-    // The mechanism, checked on every run: the release right after the
-    // checkpoint asks the prefetcher for nothing, because the commit
-    // emptied every window and the collection's faults stayed out of
-    // it. The cold start's pattern (6, 9, 3 pages) then replays one
-    // iteration late (0, 9, 6), so iterations 4-5 ask for more than
-    // 1-2 do; over three iterations each side subscribes the same
-    // pages, and 3-5 ask for no more than 0-2 — in the median run, as
-    // push timing can put 0-2 at 15 and 3-5 at 16 (1 run in ~480).
-    //
-    // The time it buys, also in the median run: iterations 4-5 against
-    // 1-2 read 1.12x in most runs, 1.28x when 1-2 land in their fast
-    // wake-up order, and above 1.3x in 1 run of ~960.
+fn a_checkpoint_subscribes_nobody() {
+    // The checkpoint's page collection walks every page of the heap
+    // through the master's fault path, after the commit that emptied
+    // every reader set. Had its `DiffReq`s subscribed, every writer
+    // would push the master every page it writes from then on, and the
+    // iterations after a checkpoint would cost several times a normal
+    // one. Only a region's fault subscribes, so the master is subscribed
+    // after the
+    // checkpoint to what its own region share reads, as it was before:
+    // iterations 3-5 push it no more (page, writer) pairs than 0-2 did,
+    // in every run.
     let mut runs = Vec::new();
     for run in 0..3 {
         let its = iterations_around_a_checkpoint();
-        assert_eq!(
-            its[3].1, 0,
-            "run {run}: the checkpoint fed the predictor (all: {its:?})"
+        let (before, after) = (its[2].1, its[5].1);
+        assert!(
+            before > 0,
+            "run {run}: the master's region faults must subscribe it ({its:?})"
         );
-        let asked = |from: usize| its[from..from + 3].iter().map(|i| i.1 as i64).sum::<i64>();
+        assert!(
+            after <= before,
+            "run {run}: {after} (page, writer) pairs pushed the master in iterations 3-5, \
+             {before} in 0-2 ({its:?})"
+        );
         let took = |from: usize| its[from].0 + its[from + 1].0;
-        runs.push((asked(3) - asked(0), took(4) / took(1)));
+        runs.push(took(4) / took(1));
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[1]
-    };
-    let extra = median(runs.iter().map(|r| r.0 as f64).collect());
-    let ratio = median(runs.iter().map(|r| r.1).collect());
-    assert!(
-        extra <= 0.0,
-        "iterations 3-5 prefetched {extra} pages more than 0-2 in the median run ({runs:?})"
-    );
+    // The time it buys, in the median run: iterations 4-5 against 1-2.
+    runs.sort_by(f64::total_cmp);
+    let ratio = runs[1];
     assert!(
         ratio <= 1.3,
         "iterations 4-5 took {ratio:.3}x the time of 1-2 in the median run ({runs:?})"

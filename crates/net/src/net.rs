@@ -527,7 +527,6 @@ impl Endpoint {
             clock: self.net.clock.clone(),
             dst,
             rx,
-            got: None,
         })
     }
 
@@ -670,52 +669,26 @@ pub struct PendingCall {
     clock: Clock,
     dst: Gpid,
     rx: MailboxReceiver<Packet>,
-    /// Reply taken off the channel by [`Self::ready`] but not yet
-    /// claimed by [`Self::wait`].
-    got: Option<Packet>,
 }
 
 impl std::fmt::Debug for PendingCall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingCall")
             .field("dst", &self.dst)
-            .field("got", &self.got.is_some())
             .finish()
     }
 }
 
 impl PendingCall {
-    /// Whom this request was sent to.
-    pub fn dst(&self) -> Gpid {
-        self.dst
-    }
-
-    /// Non-blocking: has the reply been *delivered* (arrived on the
-    /// wire at or before the clock's current time)? A reply that is
-    /// queued but whose modeled delivery time is still in the future
-    /// reports `false` — waiting on it would block.
-    pub fn ready(&mut self) -> bool {
-        if self.got.is_none() {
-            self.got = self.rx.try_recv().ok();
-        }
-        match &self.got {
-            Some(pkt) => pkt.deliver_at.is_none_or(|at| self.clock.now() >= at),
-            None => false,
-        }
-    }
-
     /// Block for the reply — the gather half of
     /// [`Endpoint::call_deadline`]: the wait is clock-visible, the
     /// timeout is a *real-time* deadlock guard under both backends, and
     /// wire delivery time is slept to on arrival.
-    pub fn wait(mut self, timeout: Duration) -> Result<Bytes, NetError> {
-        let pkt = match self.got.take() {
-            Some(pkt) => pkt,
-            None => self.rx.recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => NetError::Timeout(self.dst),
-                RecvTimeoutError::Disconnected => NetError::Disconnected(self.dst),
-            })?,
-        };
+    pub fn wait(self, timeout: Duration) -> Result<Bytes, NetError> {
+        let pkt = self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout(self.dst),
+            RecvTimeoutError::Disconnected => NetError::Disconnected(self.dst),
+        })?;
         if let Some(at) = pkt.deliver_at {
             self.clock.sleep_until(at);
         }
@@ -776,7 +749,6 @@ mod tests {
         // Scatter both requests before gathering either reply.
         let pb = a.call_begin(bg, Bytes::from_static(b"ping")).unwrap();
         let pc = a.call_begin(cg, Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(pb.dst(), bg);
         assert_eq!(&pb.wait(CALL_TIMEOUT).unwrap()[..], b"from-b");
         assert_eq!(&pc.wait(CALL_TIMEOUT).unwrap()[..], b"from-c");
         sb.join().unwrap();

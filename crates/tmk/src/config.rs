@@ -98,47 +98,43 @@ impl CollectiveConfig {
 /// computation (ISSUE 7). One switch with two values, because the two
 /// generations are the only configurations anything runs.
 ///
-/// [`DataPlaneConfig::Overlap`] (the default) turns on three levers,
-/// whose sizes are constants read through the accessors below:
+/// [`DataPlaneConfig::Overlap`] (the default) turns on three levers:
 ///
-/// * [`pipeline`](Self::pipeline) — scatter-gather faults: a
-///   multi-creator diff fault sends every `DiffReq` before collecting
+/// * pipeline ([`pipeline`](Self::pipeline)) — scatter-gather requests:
+///   a multi-creator diff fault sends every `DiffReq` before collecting
 ///   any reply, paying the max of the creators' latencies instead of
-///   the sum;
-/// * [`prefetch`](Self::prefetch) — release-phase prefetch: after a
-///   `Fork` or `BarrierRelease` lands, asynchronously re-request up to
-///   this many of the pages this rank faulted on last epoch, so the
-///   diffs are in flight while the worker computes its interior.
-///   `prefetch > 0` also turns on the *writer push*: a prefetch diff
-///   request subscribes its sender, and from then until the next
+///   the sum (and a page collection, a GC and a commit likewise);
+/// * push (gated on [`pipeline`](Self::pipeline) too) — the *writer
+///   push*: a demand fault inside a region body marks its `DiffReq`,
+///   which subscribes the faulting rank, and from then until the next
 ///   commit the creator sends every new diff of those pages when it
 ///   closes the interval, unasked (`Msg::DiffPush`). A page is
-///   therefore prefetched once or twice per epoch and pushed from
-///   then on; in steady state no request crosses the wire after a
-///   release. No request outside the prefetch ever subscribes, so
-///   `prefetch == 0` means no reader set, no push and no wait exists;
-/// * [`piggyback_budget`](Self::piggyback_budget) — hot-diff
-///   piggybacking: `Fork` / `BarrierRelease` payloads carry up to this
-///   many bytes of the sender's own hottest diffs alongside the write
-///   notices, saving the receivers a round-trip entirely. The budget
-///   is deliberately small: every piggybacked byte rides *every* edge
-///   of the broadcast tree, so only diffs small and hot enough to beat
-///   `n - 1` redundant copies (reduction scratch, straddled boundary
-///   words) earn their wire cost — bulk diffs are exactly what
-///   prefetch already moves point-to-point.
+///   therefore asked for once per epoch and pushed from then on; in
+///   steady state no request crosses the wire after a release. Faults
+///   outside a region body (the master's sequential phase, a GC fetch,
+///   a checkpoint collection) never subscribe, and under `Demand`
+///   nothing does, so no reader set, no push and no wait exists;
+/// * piggyback ([`piggyback_budget`](Self::piggyback_budget)) —
+///   hot-diff piggybacking: `Fork` / `BarrierRelease` payloads carry up
+///   to this many bytes of the sender's own hottest diffs alongside
+///   the write notices, saving the receivers a round-trip entirely.
+///   The budget is deliberately small: every piggybacked byte rides
+///   *every* edge of the broadcast tree, so only diffs small and hot
+///   enough to beat `n - 1` redundant copies (reduction scratch,
+///   straddled boundary words) earn their wire cost — bulk diffs are
+///   exactly what the push already moves point-to-point.
 ///
-/// Prefetch and push traffic pays the same wire and admission costs
-/// as demand traffic ([`NetModel::receive_time`] et al.) — overlap
-/// hides latency, it never un-charges it.
+/// Push traffic pays the same wire and admission costs as demand
+/// traffic ([`NetModel::receive_time`] et al.) — overlap hides
+/// latency, it never un-charges it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DataPlaneConfig {
     /// The faithful 1999 demand-paging data plane: every fault blocks
     /// on sequential round-trips, nothing moves ahead of demand —
     /// byte-identical wire payloads, what the Table 1/2 pins assume.
     Demand,
-    /// Fully overlapped data plane: pipelined faults, 32-page release
-    /// prefetch (and the writer push it subscribes to), 1 KB of
-    /// piggybacked hot diffs.
+    /// Fully overlapped data plane: pipelined requests, the writer push
+    /// a region's faults subscribe to, 1 KB of piggybacked hot diffs.
     #[default]
     Overlap,
 }
@@ -155,18 +151,10 @@ impl DataPlaneConfig {
         DataPlaneConfig::Overlap
     }
 
-    /// Scatter-gather multi-creator faults (send all, then collect).
+    /// Scatter-gather requests (send all, then collect), and the writer
+    /// push a region's faults subscribe to.
     pub fn pipeline(self) -> bool {
         self == DataPlaneConfig::Overlap
-    }
-
-    /// Max pages re-requested asynchronously after each release
-    /// (0: no release-phase prefetch, and with it no writer push).
-    pub fn prefetch(self) -> usize {
-        match self {
-            DataPlaneConfig::Demand => 0,
-            DataPlaneConfig::Overlap => 32,
-        }
     }
 
     /// Max bytes of hot diffs piggybacked on each `Fork` /
@@ -328,9 +316,9 @@ mod tests {
             DsmConfig::default_4k().dataplane,
             DataPlaneConfig::overlap()
         );
-        let lever = |d: DataPlaneConfig| (d.pipeline(), d.prefetch(), d.piggyback_budget());
-        assert_eq!(lever(DataPlaneConfig::overlap()), (true, 32, 1024));
-        assert_eq!(lever(DataPlaneConfig::demand()), (false, 0, 0));
+        let lever = |d: DataPlaneConfig| (d.pipeline(), d.piggyback_budget());
+        assert_eq!(lever(DataPlaneConfig::overlap()), (true, 1024));
+        assert_eq!(lever(DataPlaneConfig::demand()), (false, 0));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! * Stored diffs are immutable once created, and every one is created
 //!   when its interval closes.
 //! * **W** (writer push): a rank enters a page's reader set only by a
-//!   marked `DiffReq`, and leaves it only at a commit; every interval
+//!   marked `DiffReq` (a demand fault inside a region body on the
+//!   overlap plane), and leaves it only at a commit; every interval
 //!   close queues, in the same hold of the core lock that creates the
 //!   diff and its record, one `DiffPush` per reader. So once we have
 //!   pushed a diff of page p to r, every later diff we create for p
@@ -29,7 +30,7 @@
 //! * **R** (reader expectation): a notice `(p, w, s)` with no stored
 //!   diff is *expected* iff a push from w for p with a sequence number
 //!   lower than s was deposited this epoch — by W it is on its way.
-//! * Every diff a fault applies — pushed, prefetched, piggybacked or
+//! * Every diff a fault applies — pushed, piggybacked, collected or
 //!   fetched by the fault itself — sits in one store first and is
 //!   applied by exactly one rule, in [`ProcCore::apply_diffs`]: as part
 //!   of one causally sorted batch that covers the page's whole
@@ -89,17 +90,14 @@ pub enum AccessPlan {
 /// The requests that bring a set of pages up to date, derived read-only
 /// by [`ProcCore::plan_page`]: full-page fetches plus diff requests
 /// batched per creator (one `DiffReq` per creator covers every planned
-/// page). A fault plans one page ([`ProcCore::plan_access`]), a
-/// release-phase prefetch or a page collection many
-/// ([`ProcCore::plan_prefetch`]).
+/// page). A fault plans one page ([`ProcCore::plan_access`]), a page
+/// collection many ([`ProcCore::plan_pages`]).
 #[derive(Debug, Default)]
 pub struct FetchPlan {
     /// Pages with no local copy: `(page, holder to ask)`.
     pub fulls: Vec<(PageId, Gpid)>,
     /// Stale pages: per-creator `(page, seq)` wants, in page order.
     pub diffs: Vec<(Gpid, Vec<(PageId, Seq)>)>,
-    /// Pages covered by this plan (budget accounting).
-    pub pages: usize,
 }
 
 /// Where the diff behind an unapplied write notice will come from.
@@ -123,7 +121,7 @@ pub struct EarlyDiff {
     /// The modifications.
     pub diff: Diff,
     /// Arrived in a `DiffPush` (the push ledger counts it) rather than
-    /// in a prefetch reply or piggybacked on a release.
+    /// in a `DiffRep` or piggybacked on a release.
     pub pushed: bool,
 }
 
@@ -194,31 +192,18 @@ pub struct ProcCore {
     pub registry: Registry,
     /// Default directory owner for untouched pages (the master).
     pub default_owner: Gpid,
-    /// Pages faulted on since the last release point (insertion order,
-    /// deduplicated). Only tracked when `cfg.dataplane.prefetch() > 0`.
-    pub fault_window: Vec<PageId>,
-    /// The last few rotated fault windows, newest first. The prefetch
-    /// candidate set is their union: a page's *invalidating* write
-    /// notices can trail the fault by more than one release point
-    /// (e.g. two alternating worksharing regions put a full epoch
-    /// between a region's faults and the records that invalidate its
-    /// pages again), so candidates must outlive one rotation.
-    /// [`Self::plan_prefetch`] skips still-valid pages, so a stale
-    /// candidate costs nothing.
-    pub window_history: std::collections::VecDeque<Vec<PageId>>,
     /// How often each page's diffs have been served to peers — the
     /// "heat" ranking behind piggyback selection.
     pub diff_heat: HashMap<PageId, u32>,
     /// Writer side of the push plane: per page we write, the ranks whose
-    /// release-phase prefetch fetched its diffs from us this epoch (see
+    /// region fault fetched its diffs from us this epoch (see
     /// [`Self::serve_diffs`]). Only grows inside an epoch (invariant W).
     pub readers: HashMap<PageId, Vec<Pid>>,
     /// What [`Self::close_interval`] queued for the service thread.
     pub outbox: Outbox,
     /// Reader side: every diff that reaches us, until
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
-    /// the release-phase prefetch or by the fault itself, or
-    /// piggybacked on a release.
+    /// a fault or a page collection, or piggybacked on a release.
     pub early: HashMap<PageId, Vec<EarlyDiff>>,
     /// Lowest sequence number each `(page, writer)` has pushed us this
     /// epoch: what rule R reads.
@@ -248,8 +233,6 @@ impl ProcCore {
             stats,
             registry: Registry::new(),
             default_owner,
-            fault_window: Vec::new(),
-            window_history: std::collections::VecDeque::new(),
             diff_heat: HashMap::new(),
             readers: HashMap::new(),
             outbox: Arc::default(),
@@ -284,22 +267,9 @@ impl ProcCore {
 
     /// Decide how to obtain access to `page`; performs the local-only
     /// transitions (twin creation, exclusive materialization) inline,
-    /// and plans the rest with [`Self::plan_page`], the planner the
-    /// prefetch uses too. Faults that need the network are noted in the
-    /// per-release fault window when release-phase prefetch is
-    /// configured.
+    /// and plans the rest with [`Self::plan_page`], the planner a page
+    /// collection uses too.
     pub fn plan_access(&mut self, page: PageId, want_write: bool) -> AccessPlan {
-        let plan = self.plan_access_inner(page, want_write);
-        if self.cfg.dataplane.prefetch() > 0
-            && !matches!(plan, AccessPlan::Ready { .. })
-            && !self.fault_window.contains(&page)
-        {
-            self.fault_window.push(page);
-        }
-        plan
-    }
-
-    fn plan_access_inner(&mut self, page: PageId, want_write: bool) -> AccessPlan {
         self.ensure_pages(page as usize + 1);
         let spp = self.slots_per_page();
         let me = self.gpid;
@@ -400,27 +370,22 @@ impl ProcCore {
     /// full page from its [`Self::holder`]; with a stale one, the
     /// unapplied notices only a request can satisfy
     /// ([`DiffSource::Network`]), grouped per creator in the order the
-    /// plan first sees each. The page counts towards `plan.pages` iff
-    /// it asks for anything.
+    /// plan first sees each.
     fn plan_page(&self, page: PageId, meta: &PageMeta, plan: &mut FetchPlan) {
         if meta.data.is_none() {
             plan.fulls.push((page, self.holder(meta)));
-            plan.pages += 1;
             return;
         }
-        let mut asked = false;
         for wn in meta.unapplied() {
             if self.diff_source(page, wn.pid, wn.seq) != DiffSource::Network {
                 continue;
             }
-            asked = true;
             let creator = self.team.gpid(wn.pid);
             match plan.diffs.iter_mut().find(|(g, _)| *g == creator) {
                 Some((_, wants)) => wants.push((page, wn.seq)),
                 None => plan.diffs.push((creator, vec![(page, wn.seq)])),
             }
         }
-        plan.pages += asked as usize;
     }
 
     /// Who to ask for a page we hold no copy of: the newest writer we
@@ -559,62 +524,17 @@ impl ProcCore {
         }
     }
 
-    /// How many rotated fault windows stay live as prefetch candidates.
-    /// A page's invalidating notices arrive a full *iteration* after
-    /// the fault that recorded it (the writer region runs in between),
-    /// and one iteration can rotate the window several times — e.g.
-    /// NBF's fork → reduce-barrier ×2 → fork cadence is 4 rotations, so
-    /// a candidate must survive at least that many to still be in the
-    /// union when its page finally turns `Invalid`. Stale candidates
-    /// cost nothing ([`Self::plan_prefetch`] skips valid pages), so err
-    /// on the deep side; a page that truly stopped faulting ages out.
-    const WINDOW_HISTORY: usize = 6;
-
-    /// Record a fault for the prefetch window directly — the path for
-    /// faults satisfied by a prefetch, which never reach
-    /// [`Self::plan_access`] but are demand the next window must still
-    /// predict.
-    pub fn note_fault(&mut self, page: PageId) {
-        if self.cfg.dataplane.prefetch() > 0 && !self.fault_window.contains(&page) {
-            self.fault_window.push(page);
-        }
-    }
-
-    /// Rotate the per-release fault window and return the prefetch
-    /// candidate set: the union of the last few windows, newest first,
-    /// deduplicated. See `window_history` for why candidates must
-    /// survive more than one rotation.
-    pub fn rotate_fault_window(&mut self) -> Vec<PageId> {
-        let window = std::mem::take(&mut self.fault_window);
-        self.window_history.push_front(window);
-        self.window_history.truncate(Self::WINDOW_HISTORY);
-        let mut union: Vec<PageId> = Vec::new();
-        for w in &self.window_history {
-            for &p in w {
-                if !union.contains(&p) {
-                    union.push(p);
-                }
-            }
-        }
-        union
-    }
-
-    /// Derive, without mutating any page state, what a release-phase
-    /// prefetch over `candidates` should request: at most `budget`
-    /// pages, preferring the order they faulted last window, each
-    /// planned by [`Self::plan_page`]. Pages already valid, and pages
-    /// the fault completes from ourselves — a copy with a diff of our
-    /// own to apply, a page whose holder is us (the zero page we own
-    /// included) — are skipped, and so are notices the early-diff store
-    /// already covers or expects: the plan only covers requests a
-    /// demand fault would also have made, and a page that needs none of
-    /// them costs no budget.
-    pub fn plan_prefetch(&self, candidates: &[PageId], budget: usize) -> FetchPlan {
+    /// Derive, without mutating any page state, what a page collection
+    /// over `pages` should request, each page planned by
+    /// [`Self::plan_page`] in the order given. Pages already valid, and
+    /// pages the fault completes from ourselves — a copy with a diff of
+    /// our own to apply, a page whose holder is us (the zero page we
+    /// own included) — are skipped, and so are notices the early-diff
+    /// store already covers or expects: the plan only covers requests a
+    /// demand fault would also have made.
+    pub fn plan_pages(&self, pages: &[PageId]) -> FetchPlan {
         let mut plan = FetchPlan::default();
-        for &page in candidates {
-            if plan.pages >= budget {
-                break;
-            }
+        for &page in pages {
             let Some(meta) = self.pages.get(page) else {
                 continue;
             };
@@ -1008,10 +928,11 @@ impl ProcCore {
     }
 
     /// Serve a diff request for diffs we created. A request marked by
-    /// the requester's release-phase prefetch names its rank as
-    /// `subscriber`: from now on every diff we create for these pages
-    /// is pushed to it. Nothing else subscribes — a demand fault, a GC
-    /// fetch or a checkpoint collection is a one-off.
+    /// a demand fault inside the requester's region body names its rank
+    /// as `subscriber`: from now on every diff we create for these
+    /// pages this epoch is pushed to it. Nothing else subscribes — the
+    /// master's sequential phase, a GC fetch or a checkpoint collection
+    /// is a one-off.
     pub fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
@@ -1164,13 +1085,10 @@ impl ProcCore {
         self.vc = Vc::new(team.members.len());
         self.team = team;
         self.my_pid = my_pid;
-        // Fault-window candidates reference per-epoch protocol state
-        // (pending notices, creators by pid) that the commit just
-        // wiped; the heat ranking only orders pages, so it survives.
-        self.fault_window.clear();
-        self.window_history.clear();
-        // So is everything the push plane keys by pid or seq; what the
-        // store still holds was pushed for nothing.
+        // Everything the push plane keys by pid or seq is per-epoch
+        // state the commit just wiped; what the store still holds was
+        // pushed for nothing. The heat ranking only orders pages, so it
+        // survives.
         let unapplied_pushes = self.early.values().flatten().filter(|e| e.pushed).count();
         DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
         self.readers.clear();
@@ -1376,7 +1294,7 @@ mod tests {
         // Three concurrent writers of page 0 (ranks 0, 1, 3) and us at
         // rank 2: asked in rank order from rank 3 on, wrapping — not in
         // gpid order, and not in a hash map's (fresh per core, so
-        // repeat). The prefetch's planner asks the same creators for
+        // repeat). The collection's planner asks the same creators for
         // the same wants, in the order it first saw them.
         for _ in 0..8 {
             let mut c = core();
@@ -1400,12 +1318,12 @@ mod tests {
             };
             let expect: Vec<_> = [3, 7, 5].map(|g| (Gpid(g), vec![(0, 1)])).into();
             assert_eq!(plan.diffs, expect);
-            let mut prefetch = c.plan_prefetch(&[0], usize::MAX).diffs;
-            assert_eq!(prefetch, [7, 5, 3].map(|g| (Gpid(g), vec![(0, 1)])));
-            prefetch.sort_unstable();
+            let mut collection = c.plan_pages(&[0]).diffs;
+            assert_eq!(collection, [7, 5, 3].map(|g| (Gpid(g), vec![(0, 1)])));
+            collection.sort_unstable();
             let mut fault = plan.diffs;
             fault.sort_unstable();
-            assert_eq!(prefetch, fault, "one planner");
+            assert_eq!(collection, fault, "one planner");
         }
     }
 
@@ -1491,8 +1409,8 @@ mod tests {
             }
             other => panic!("expected a full fetch, got {other:?}"),
         }
-        // One planner: the prefetch asks the same holder.
-        assert_eq!(c.plan_prefetch(&[5], usize::MAX).fulls, vec![(5, Gpid(1))]);
+        // One planner: a collection asks the same holder.
+        assert_eq!(c.plan_pages(&[5]).fulls, vec![(5, Gpid(1))]);
     }
 
     #[test]
@@ -1662,7 +1580,8 @@ mod tests {
         let mut c = team_core(3, 0);
         write_shared(&mut c, 0, 7);
         c.close_interval().unwrap();
-        // A demand fault, a GC fetch, a checkpoint collection: no mark.
+        // A sequential-phase fault, a GC fetch, a checkpoint
+        // collection: no mark.
         let _ = c.serve_diffs(&[(0, 1)], None);
         assert!(c.readers.is_empty(), "an unmarked request is a one-off");
         let _ = c.serve_diffs(&[(0, 1)], Some(2));
@@ -1748,7 +1667,7 @@ mod tests {
         assert_eq!(stored(&c, 0), vec![(1, 4)]);
         assert_eq!(c.consistency_bytes, bytes);
         assert_eq!(c.stats.snapshot().push_wasted, 3);
-        // A prefetched or piggybacked diff is kept only for a notice
+        // A fetched or piggybacked diff is kept only for a notice
         // we hold; it is no evidence of a push either way.
         c.deposit(1, vec![(1, 9, word(0, 9))], false);
         assert!(stored(&c, 1).is_empty());
@@ -1807,10 +1726,7 @@ mod tests {
             }
             other => panic!("expected a diff fetch, got {other:?}"),
         }
-        assert_eq!(
-            c.plan_prefetch(&[0], 8).diffs,
-            vec![(Gpid(2), vec![(0, 2)])]
-        );
+        assert_eq!(c.plan_pages(&[0]).diffs, vec![(Gpid(2), vec![(0, 2)])]);
         assert_eq!(c.expected_absent(0), Some((1, 4)));
         c.deposit_push(0, Gpid(2), vec![(0, 4, Arc::new(word(4, 4)))]);
         assert_eq!(c.diff_source(0, 1, 4), DiffSource::Stored);
@@ -1829,18 +1745,14 @@ mod tests {
         assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (2, 0, 3));
 
         // With every notice stored or expected nothing is left to ask
-        // for, and a page that needs no request costs no budget.
+        // for.
         notice(&mut c, 1, 5, 0);
         match c.plan_access(0, false) {
             AccessPlan::Fetch(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
             other => panic!("expected an empty fetch, got {other:?}"),
         }
-        let plan = c.plan_prefetch(&[0], 8);
-        assert_eq!((plan.pages, plan.diffs.len()), (0, 0));
-        assert!(
-            c.fault_window.contains(&0),
-            "a store hit is demand the predictor sees"
-        );
+        let plan = c.plan_pages(&[0]);
+        assert!(plan.fulls.is_empty() && plan.diffs.is_empty());
     }
 
     #[test]

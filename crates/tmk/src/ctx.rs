@@ -125,34 +125,15 @@ const MAX_REDIRECTS: usize = 6;
 /// What one request of a [`FetchPlan`] expects back.
 enum FetchKind {
     /// A `PageReq` for a single page.
-    Full,
+    Full {
+        /// The page asked for.
+        page: PageId,
+    },
     /// A `DiffReq` whose diffs were created by this team rank.
     Diffs {
         /// Creator's rank (diff application attributes by pid).
         creator: Pid,
     },
-}
-
-/// One request a release-phase prefetch issued ahead of its faults, in
-/// flight.
-struct Prefetch {
-    /// Pages this request covers (one for `Full`, one or more for
-    /// `Diffs`).
-    pages: Vec<PageId>,
-    kind: FetchKind,
-    call: PendingCall,
-}
-
-/// How one reply folded into the core.
-enum Folded {
-    /// A full page still wanted was installed.
-    Installed(PageId),
-    /// Diffs went to the early-diff store.
-    Deposited,
-    /// The reply no longer matched the local plan (an ownership
-    /// redirect, a page that changed state) or never came: this many
-    /// pages are left to the demand path.
-    Dropped(usize),
 }
 
 /// Make the requests `calls`, `(destination, request)` in order, and
@@ -224,17 +205,11 @@ pub struct TmkCtx {
     /// reference speed (set by the fork dispatcher from the
     /// [`nowmp_net::CostModel`]; zero = compute is free).
     iter_cost: Duration,
-    /// In-flight release-phase prefetches. Must be empty at every
-    /// synchronization point (see [`Self::drain_prefetch`]).
-    inflight: Vec<Prefetch>,
-    /// Full pages a completed prefetch already installed but no fault
-    /// has claimed yet: hits when faulted, waste at the next rotation.
-    prefetched_ready: Vec<PageId>,
-    /// Pages the current window asked diffs for by prefetch and no
-    /// fault has claimed yet (the replies go to the core's early-diff
-    /// store): a hit when a fault finds nothing left to ask the
-    /// network for, wasted when it still has to, or at the next drain.
-    diff_planned: Vec<PageId>,
+    /// Whether this rank's `DiffReq`s subscribe it to their creators'
+    /// pushes: true while a region body runs on a pipelining data
+    /// plane ([`Self::in_region`]), so only a region's demand fault
+    /// subscribes.
+    subscribe: bool,
     /// Where a fault parks while a diff its writer is pushing (rule R)
     /// is still on the wire; the core notifies it on every deposit.
     early_cv: Arc<ClockCondvar>,
@@ -278,9 +253,7 @@ impl TmkCtx {
             link,
             params: Vec::new(),
             iter_cost: Duration::ZERO,
-            inflight: Vec::new(),
-            prefetched_ready: Vec::new(),
-            diff_planned: Vec::new(),
+            subscribe: false,
             early_cv,
             outbox,
         }
@@ -321,6 +294,17 @@ impl TmkCtx {
     /// [`nowmp_net::CostModel`] by region name).
     pub fn set_iter_cost(&mut self, per_iter: Duration) {
         self.iter_cost = per_iter;
+    }
+
+    /// Run `body`, this rank's share of a region. On a pipelining data
+    /// plane its demand faults' `DiffReq`s subscribe: the writer pushes
+    /// every later diff of those pages this epoch. Faults outside a
+    /// region body — the master's sequential phase, a GC's completion
+    /// fetch, a checkpoint's page collection — never subscribe.
+    pub(crate) fn in_region(&mut self, body: impl FnOnce(&mut TmkCtx)) {
+        self.subscribe = self.cfg.dataplane.pipeline();
+        body(self);
+        self.subscribe = false;
     }
 
     /// The host this process currently runs on.
@@ -403,30 +387,6 @@ impl TmkCtx {
         } else {
             DsmStats::bump(&self.stats.read_faults);
         }
-        // A fault that hits an in-flight prefetch waits on *that
-        // page's* requests instead of re-issuing them. Only those: the
-        // other prefetches keep overlapping the compute that follows —
-        // waiting for all of them here would put the whole window's
-        // replies back on the critical path.
-        if !self.inflight.is_empty() {
-            let mut i = 0;
-            while i < self.inflight.len() {
-                if self.inflight[i].pages.contains(&page) {
-                    let p = self.inflight.swap_remove(i);
-                    self.finish_prefetch(p);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if let Some(pos) = self.prefetched_ready.iter().position(|&p| p == page) {
-            self.prefetched_ready.swap_remove(pos);
-            DsmStats::bump(&self.stats.prefetch_hits);
-            // A hit resolves to `Ready` below, so `plan_access` won't
-            // record it — but it is real demand the next prefetch
-            // window must still predict.
-            self.core.lock().note_fault(page);
-        }
         // Plan, request, fold, and plan again: a full page installs (or
         // a redirect re-aims the owner hint), then a stale copy's diffs
         // land in the early-diff store and apply from there.
@@ -441,19 +401,7 @@ impl TmkCtx {
                 AccessPlan::Fetch(plan) => plan,
             };
             let stale = plan.fulls.is_empty();
-            if stale {
-                // The prefetch ledger closes here: the window's request
-                // for this page paid off iff nothing is left to ask the
-                // network for.
-                if let Some(pos) = self.diff_planned.iter().position(|&p| p == page) {
-                    self.diff_planned.swap_remove(pos);
-                    DsmStats::bump(if plan.diffs.is_empty() {
-                        &self.stats.prefetch_hits
-                    } else {
-                        &self.stats.prefetch_wasted
-                    });
-                }
-            } else {
+            if !stale {
                 full_fetches += 1;
                 assert!(
                     full_fetches <= MAX_REDIRECTS,
@@ -490,75 +438,70 @@ impl TmkCtx {
     /// Make every request of `plan` with one [`call_all`] and fold each
     /// reply into the core: a fault's fetch, and a page collection's.
     fn fetch(&self, plan: FetchPlan) {
-        let (calls, folds): (Vec<_>, Vec<_>) = self
-            .requests(plan, false)
+        let (calls, kinds): (Vec<_>, Vec<_>) = self
+            .requests(plan)
             .into_iter()
-            .map(|(dst, msg, pages, kind)| ((dst, msg), (pages, kind)))
+            .map(|(dst, msg, kind)| ((dst, msg), kind))
             .unzip();
         let replies = call_all(&self.endpoint, &self.cfg, calls, || {});
-        for ((from, rep), (pages, kind)) in replies.into_iter().zip(folds) {
-            self.fold(&pages, kind, from, rep);
+        for ((from, rep), kind) in replies.into_iter().zip(kinds) {
+            self.fold(kind, from, rep);
         }
     }
 
-    /// The requests of `plan`, in order, each with the pages it covers
-    /// and what it expects back: one `PageReq` per full page, then one
-    /// `DiffReq` per creator, `subscribe`-marked for a prefetch. A
-    /// creator that left the team is skipped; the demand path re-plans.
-    fn requests(
-        &self,
-        plan: FetchPlan,
-        subscribe: bool,
-    ) -> Vec<(Gpid, Msg, Vec<PageId>, FetchKind)> {
-        let epoch = self.epoch;
+    /// The requests of `plan`, in order, each with what it expects
+    /// back: one `PageReq` per full page, then one `DiffReq` per
+    /// creator, `subscribe`-marked inside a region body
+    /// ([`Self::in_region`]). A creator that left the team is skipped;
+    /// the demand path re-plans.
+    fn requests(&self, plan: FetchPlan) -> Vec<(Gpid, Msg, FetchKind)> {
+        let (epoch, subscribe) = (self.epoch, self.subscribe);
         let fulls = plan.fulls.into_iter().map(|(page, holder)| {
-            let msg = Msg::PageReq { epoch, page };
-            (holder, msg, vec![page], FetchKind::Full)
+            (
+                holder,
+                Msg::PageReq { epoch, page },
+                FetchKind::Full { page },
+            )
         });
         let diffs = plan.diffs.into_iter().filter_map(|(creator, wants)| {
             let pid = self.team.pid_of(creator)?;
-            let mut pages: Vec<PageId> = wants.iter().map(|&(p, _)| p).collect();
-            pages.dedup();
             let msg = Msg::DiffReq {
                 epoch,
                 wants,
                 subscribe,
             };
-            Some((creator, msg, pages, FetchKind::Diffs { creator: pid }))
+            Some((creator, msg, FetchKind::Diffs { creator: pid }))
         });
         fulls.chain(diffs).collect()
     }
 
-    /// Fold `msg`, the reply from `from` to a request covering `pages`,
-    /// into the core — the one place a page or diff reply lands: install
-    /// a full page that is still missing, re-aim the page's owner hint
-    /// at a redirect's target (the fault re-plans; never at ourselves,
-    /// or the next plan would conjure a zero page over real data), or
+    /// Fold `msg`, the reply from `from` to a request of `kind`, into
+    /// the core — the one place a page or diff reply lands: install a
+    /// full page that is still missing, re-aim the page's owner hint at
+    /// a redirect's target (the fault re-plans; never at ourselves, or
+    /// the next plan would conjure a zero page over real data), or
     /// deposit diffs into the early-diff store, where the fault applies
     /// the page's whole unapplied set as one causally sorted batch.
-    fn fold(&self, pages: &[PageId], kind: FetchKind, from: Gpid, msg: Msg) -> Folded {
+    fn fold(&self, kind: FetchKind, from: Gpid, msg: Msg) {
         match (kind, msg) {
             (
-                FetchKind::Full,
+                FetchKind::Full { page },
                 Msg::PageRep {
                     redirect: Some(next),
                     ..
                 },
             ) => {
-                let page = pages[0];
                 assert_ne!(next, self.gpid(), "page {page} redirect loop back to self");
                 self.core.lock().pages.guard(page).owner = next;
-                Folded::Dropped(1)
             }
             (
-                FetchKind::Full,
+                FetchKind::Full { page },
                 Msg::PageRep {
                     applied,
                     words,
                     redirect: None,
                 },
             ) => {
-                let page = pages[0];
                 let mut c = self.core.lock();
                 let still_wanted = c
                     .pages
@@ -567,82 +510,13 @@ impl TmkCtx {
                     .unwrap_or(false);
                 if still_wanted {
                     c.install_page(page, &applied, words, from);
-                    Folded::Installed(page)
-                } else {
-                    Folded::Dropped(1)
                 }
             }
             (FetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
                 self.core.lock().deposit(creator, diffs, false);
-                Folded::Deposited
             }
             (_, other) => {
                 panic!("unexpected reply to a page or diff request from {from}: {other:?}")
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Release-phase prefetch
-    // ------------------------------------------------------------------
-
-    /// Issue asynchronous prefetches for last window's faulted pages.
-    /// Called immediately after a `Fork`/`BarrierRelease` lands (and
-    /// after [`Self::sync_reset`]), so the requests overlap the
-    /// region/epoch compute that follows. Its diff requests are the
-    /// only ones that subscribe this rank to a creator's pushes, so a
-    /// page is asked for here at most until its pushes start arriving.
-    /// No-op under the demand data plane.
-    pub fn prefetch_after_release(&mut self) {
-        let budget = self.cfg.dataplane.prefetch();
-        if budget == 0 || self.nprocs() == 1 {
-            return;
-        }
-        debug_assert!(
-            self.inflight.is_empty(),
-            "prefetches must be drained before a release point"
-        );
-        debug_assert!(
-            self.diff_planned.is_empty(),
-            "planned pages must be claimed or written off before a release point"
-        );
-        // Pages prefetched last window that no fault ever claimed were
-        // wire bytes for nothing: own up to them.
-        let stale = std::mem::take(&mut self.prefetched_ready);
-        DsmStats::add(&self.stats.prefetch_wasted, stale.len() as u64);
-        let plan = {
-            let mut c = self.core.lock();
-            let window = c.rotate_fault_window();
-            c.plan_prefetch(&window, budget)
-        };
-        if plan.pages == 0 {
-            return;
-        }
-        DsmStats::add(&self.stats.prefetch_issued, plan.pages as u64);
-        self.issue(plan);
-    }
-
-    /// Put every request of `plan` on the wire without waiting for any
-    /// reply, marked: these pages faulted window after window, so each
-    /// creator pushes their later diffs unasked. The pages enter the
-    /// prefetch ledger whether or not their request can be sent — the
-    /// fault still has to ask, or the next drain comes first, wasted
-    /// either way.
-    fn issue(&mut self, plan: FetchPlan) {
-        for (dst, msg, pages, kind) in self.requests(plan, true) {
-            if let FetchKind::Diffs { .. } = kind {
-                for &p in &pages {
-                    if !self.diff_planned.contains(&p) {
-                        self.diff_planned.push(p);
-                    }
-                }
-            }
-            match self.endpoint.call_begin(dst, msg.encode(&self.cfg)) {
-                Ok(call) => self.inflight.push(Prefetch { pages, kind, call }),
-                Err(_) if matches!(kind, FetchKind::Full) => {
-                    DsmStats::bump(&self.stats.prefetch_wasted)
-                }
-                Err(_) => {}
             }
         }
     }
@@ -657,73 +531,16 @@ impl TmkCtx {
     /// port's floor) instead of the sum of round trips. The faults that
     /// follow find each page ready or complete it from the early-diff
     /// store; redirects, and whatever the plan leaves out, take the
-    /// demand path. Nothing here subscribes or touches the prefetch
-    /// ledger. The checkpoint's page collection and the GC's completion
-    /// fetches run through here.
+    /// demand path. The checkpoint's page collection and the GC's
+    /// completion fetches run through here, outside any region body, so
+    /// nothing here subscribes.
     pub fn collect_pages(&mut self, pages: &[PageId]) {
         if self.cfg.dataplane.pipeline() {
-            let plan = self.core.lock().plan_prefetch(pages, usize::MAX);
+            let plan = self.core.lock().plan_pages(pages);
             self.fetch(plan);
         }
         for &p in pages {
             self.ensure_page(p, false);
-        }
-    }
-
-    /// Non-blocking: consume any prefetch replies whose modeled
-    /// delivery time has passed. Called from compute chunk boundaries
-    /// ([`crate::SharedMem::charge_compute`]) so replies are folded in while the
-    /// region runs — and so parked replies stop pinning the virtual
-    /// clock's in-flight account.
-    pub fn poll_prefetch(&mut self) {
-        if self.inflight.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].call.ready() {
-                let p = self.inflight.swap_remove(i);
-                self.finish_prefetch(p);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Block until every in-flight prefetch is applied (or discarded).
-    /// Must run before anything that changes the protocol state the
-    /// requests were planned against: barriers, lock transfers,
-    /// interval closes, joins, GC.
-    pub fn drain_prefetch(&mut self) {
-        while let Some(p) = self.inflight.pop() {
-            self.finish_prefetch(p);
-        }
-        // Pages no fault claimed inside the window they were asked
-        // for. Their diffs stay in the early-diff store — a later fault
-        // still merges them in causal order — but the request bought
-        // this window nothing.
-        DsmStats::add(&self.stats.prefetch_wasted, self.diff_planned.len() as u64);
-        self.diff_planned.clear();
-    }
-
-    /// Wait for one prefetch, fold its reply into the core and the
-    /// prefetch ledger: an installed page waits in `prefetched_ready`
-    /// for its fault, a dropped or lost reply is waste.
-    fn finish_prefetch(&mut self, p: Prefetch) {
-        let Prefetch { pages, kind, call } = p;
-        let from = call.dst();
-        let folded = match call.wait(self.cfg.call_timeout) {
-            Ok(rep) => self.fold(&pages, kind, from, decode(&rep, from)),
-            Err(_) => Folded::Dropped(pages.len()),
-        };
-        match folded {
-            Folded::Installed(page) => {
-                if !self.prefetched_ready.contains(&page) {
-                    self.prefetched_ready.push(page);
-                }
-            }
-            Folded::Deposited => {}
-            Folded::Dropped(n) => DsmStats::add(&self.stats.prefetch_wasted, n as u64),
         }
     }
 
@@ -744,9 +561,6 @@ impl TmkCtx {
     /// interval records we lack from it and invalidate accordingly.
     pub fn lock(&mut self, lock: u32) {
         self.throttle();
-        // Lock transfers apply remote interval records; the prefetch
-        // plan was made against the pre-acquire unapplied sets.
-        self.drain_prefetch();
         let mgr_pid = self.team.lock_manager(lock);
         let mgr_gpid = self.team.gpid(mgr_pid);
         let prev: Option<Gpid> = if mgr_gpid == self.gpid() {
@@ -796,7 +610,6 @@ impl TmkCtx {
     /// Release distributed lock `lock`: close our interval (making our
     /// writes forwardable) and notify the manager.
     pub fn unlock(&mut self, lock: u32) {
-        self.drain_prefetch();
         {
             let mut c = self.core.lock();
             c.close_interval();
@@ -853,7 +666,6 @@ impl TmkCtx {
     /// 1999 generation's traffic depends on.
     pub fn barrier(&mut self) {
         self.throttle();
-        self.drain_prefetch();
         DsmStats::bump(&self.stats.barrier_arrivals);
         if self.nprocs() == 1 {
             self.core.lock().close_interval();
@@ -867,9 +679,6 @@ impl TmkCtx {
             self.barrier_slave(tree_release);
         }
         self.sync_reset();
-        // Overlap the next epoch's faults with its compute: refetch
-        // what we faulted on last epoch, asynchronously.
-        self.prefetch_after_release();
     }
 
     /// Our link to the team's collectives. Only the barrier manager and
@@ -1054,7 +863,6 @@ impl crate::mem::SharedMem for TmkCtx {
     /// event orderings into quantitative timelines. Free (an early
     /// return) when no cost model is installed.
     fn charge_compute(&mut self, iters: u64) {
-        self.poll_prefetch();
         if self.iter_cost.is_zero() || iters == 0 {
             return;
         }
@@ -1069,7 +877,6 @@ impl crate::mem::SharedMem for TmkCtx {
 
     /// No-op unless the cost model has compute charging enabled.
     fn charge_flops(&mut self, flops: f64) {
-        self.poll_prefetch();
         let d = self
             .endpoint
             .cost()
@@ -1563,7 +1370,7 @@ mod tests {
     }
 
     #[test]
-    fn a_prefetch_redirect_reaims_the_hint_for_the_demand_fault() {
+    fn a_collection_redirect_reaims_the_hint_for_the_demand_fault() {
         let net = Network::new(3, 1, NetModel::disabled());
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
@@ -1585,19 +1392,19 @@ mod tests {
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
-        // The release-phase prefetch asks the stale hint, and the one
-        // fold re-aims it at the redirect's target.
-        let plan = ctx.core().lock().plan_prefetch(&[0], usize::MAX);
+        // The collection's batched plan asks the stale hint, and the
+        // one fold re-aims it at the redirect's target ...
+        let plan = ctx.core().lock().plan_pages(&[0]);
         assert_eq!(plan.fulls, vec![(0, bg)]);
-        ctx.issue(plan);
-        ctx.drain_prefetch();
+        ctx.collect_pages(&[0]);
         assert_eq!(ctx.core().lock().pages.guard(0).owner, cg);
-        assert_eq!(ctx.stats().snapshot().prefetch_wasted, 1);
-        // So the demand fault sends one `PageReq`, straight to c.
-        assert_eq!(ctx.read_u64(0), 42);
+        // ... so the demand fault behind it sends one `PageReq`,
+        // straight to c, and the page is in.
         assert_eq!(
             (stale.load(Ordering::SeqCst), holder.load(Ordering::SeqCst)),
             (1, 1)
         );
+        assert_eq!(ctx.read_u64(0), 42);
+        assert_eq!(holder.load(Ordering::SeqCst), 1, "served from the cache");
     }
 }

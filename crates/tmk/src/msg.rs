@@ -222,11 +222,12 @@ pub enum Msg {
         epoch: Epoch,
         /// Diff keys wanted from this creator.
         wants: Vec<(PageId, Seq)>,
-        /// Set by the release-phase prefetch only: the requester has
-        /// faulted on these pages window after window, so the creator
-        /// should push every later diff of them without being asked
-        /// (see [`Msg::DiffPush`]). An optional trailing byte: unset
-        /// adds nothing to the wire, so demand-plane requests stay
+        /// Set by a demand fault inside a region body on the overlap
+        /// plane, the one request that subscribes: the requester read
+        /// these pages in a region, so the creator should push every
+        /// later diff of them this epoch without being asked (see
+        /// [`Msg::DiffPush`]). An optional trailing byte: unset adds
+        /// nothing to the wire, so demand-plane requests stay
         /// byte-identical.
         subscribe: bool,
     },
@@ -1138,9 +1139,10 @@ mod tests {
 
     #[test]
     fn unmarked_diff_req_is_byte_identical_to_the_legacy_wire() {
-        // The subscribe mark is an optional trailing byte: a demand
-        // fault, a GC fetch and every 1999-generation request encode to
-        // exactly what they encoded to before the mark existed.
+        // The subscribe mark is an optional trailing byte: a
+        // sequential-phase fault, a GC fetch and every 1999-generation
+        // request encode to exactly what they encoded to before the
+        // mark existed.
         let wants = vec![(7u32, 2u32), (8, 1)];
         let mut legacy = Enc::with_encoding(64, Encoding::Runs);
         legacy.put_u8(tags::DIFF_REQ);

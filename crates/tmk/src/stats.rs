@@ -77,14 +77,11 @@ counters! {
     gc_fetch_pages,
     /// Pages moved off leaving processes at adaptation.
     leave_pages_moved,
-    /// Pages covered by release-phase prefetch requests issued
-    /// (zero under the demand data plane).
+    /// Always 0; kept because the `benchmark/` harness reads it.
     prefetch_issued,
-    /// Faults satisfied by a completed or in-flight prefetch instead
-    /// of a fresh demand round-trip.
+    /// Always 0; see `prefetch_issued`.
     prefetch_hits,
-    /// Prefetched pages never faulted before the window rotated, plus
-    /// prefetch replies dropped as unusable (redirects, stale plans).
+    /// Always 0; see `prefetch_issued`.
     prefetch_wasted,
     /// Bytes of hot diffs piggybacked on `Fork`/`BarrierRelease`
     /// payloads (sender-side count).

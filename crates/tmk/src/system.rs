@@ -582,11 +582,7 @@ fn worker_main(
                 }
                 ctx.sync_reset();
                 ctx.set_params(params);
-                // Overlap: refetch last region's fault set while the
-                // region computes (no-op under the demand data plane).
-                ctx.prefetch_after_release();
-                runner.run(region, &mut ctx);
-                ctx.drain_prefetch();
+                ctx.in_region(|ctx| runner.run(region, ctx));
                 // Tmk_join: close, ship our records, return to waiting.
                 // The close queued this region's diffs for their
                 // readers; the service thread starts on them once our
@@ -821,10 +817,8 @@ impl MasterCtl {
         // Run our own share.
         self.ctx.sync_reset();
         self.ctx.set_params(params.to_vec());
-        self.ctx.prefetch_after_release();
         let runner = Arc::clone(&self.sys.runner);
-        runner.run(region, &mut self.ctx);
-        self.ctx.drain_prefetch();
+        self.ctx.in_region(|ctx| runner.run(region, ctx));
 
         // Join: close our interval, then collect every rank. Each
         // arrival is an *aggregate* covering the sender's whole subtree
@@ -1026,18 +1020,13 @@ impl MasterCtl {
 
     /// Bring every allocated page into the master's memory (checkpoint
     /// step 2: "the master collects all pages for which it does not
-    /// have a valid copy").
-    ///
-    /// These faults are the checkpoint's, not a region's: they stay
-    /// out of the fault window, or the release-phase prefetch would
-    /// spend its next rotations "predicting" every page of the heap.
+    /// have a valid copy"). These faults are the checkpoint's, not a
+    /// region's, so they subscribe the master to no writer's pushes.
     pub fn collect_all_pages(&mut self) {
         let total = self.allocator.allocated_pages();
         self.ctx.sync_reset();
-        let window = std::mem::take(&mut self.core.lock().fault_window);
         let pages: Vec<PageId> = (0..total as PageId).collect();
         self.ctx.collect_pages(&pages);
-        self.core.lock().fault_window = window;
     }
 
     /// Export the full memory image (after [`Self::collect_all_pages`]).

@@ -360,25 +360,141 @@ fn checkpoint_image_roundtrip_through_fresh_system() {
 }
 
 #[test]
-fn collect_all_pages_leaves_the_fault_window_alone() {
+fn collect_all_pages_subscribes_nobody() {
     // A checkpoint walks every page through the fault path. Those
-    // faults are not a region's: had they entered the master's fault
-    // window, the release-phase prefetch would "predict" the whole
-    // heap for its next rotations.
-    let n = 300;
-    let (_sys, mut master, _w) = bring_up(3, n);
+    // faults are not a region's: had their `DiffReq`s subscribed, every
+    // writer would push the master every page it writes until the next
+    // commit. Blocks of 96 slots are whole 32-slot pages, so no region
+    // fault asks a peer for diffs and every reader set starts empty.
+    let n = 288;
+    let (sys, mut master, workers) = bring_up(3, n);
     master.parallel(R_FILL, &[]);
+    // The master holds every page, then each rank rewrites its block:
+    // the master's copies go stale, and the collection asks every
+    // writer for diffs.
+    read_all(&mut master, "v", n);
     master.parallel(R_SCALE, &[]);
-    let core = Arc::clone(master.ctx().core());
-    let before = vec![7, 3];
-    core.lock().fault_window = before.clone();
-    let valid_before = master.master_valid_pages();
+    let readers = |g: Gpid| {
+        sys.core_of(g)
+            .expect("a live worker")
+            .lock()
+            .readers
+            .clone()
+    };
+    for &g in &workers {
+        assert!(readers(g).is_empty(), "{g}: a region subscribed");
+    }
+    let diffs = sys.stats().snapshot().diffs_fetched;
     master.collect_all_pages();
     assert!(
-        master.master_valid_pages() > valid_before,
-        "the collection must have faulted pages in"
+        sys.stats().snapshot().diffs_fetched > diffs,
+        "the collection must have fetched diffs"
     );
-    assert_eq!(core.lock().fault_window, before);
+    for &g in &workers {
+        assert!(readers(g).is_empty(), "{g}: the collection subscribed");
+    }
+    master.shutdown();
+}
+
+/// Regions of [`only_a_regions_fault_subscribes`]: rank 1 bumps `v[0]`,
+/// rank 2 reads it into `seen`.
+const R_BUMP: u32 = 0;
+const R_PEEK: u32 = 1;
+
+struct Subscriber {
+    seen: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl RegionRunner for Subscriber {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        let v = SharedF64Vec::lookup(ctx, "v");
+        match (region, ctx.pid()) {
+            (R_BUMP, 1) => {
+                let x = v.get(ctx, 0);
+                v.set(ctx, 0, x + 1.0);
+            }
+            (R_PEEK, 2) => {
+                let x = v.get(ctx, 0);
+                self.seen
+                    .store(x as u64, std::sync::atomic::Ordering::SeqCst);
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn only_a_regions_fault_subscribes() {
+    use nowmp_net::CostModel;
+    use nowmp_util::Clock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    let clock = Clock::new_virtual();
+    let net = Network::with_clock(
+        3,
+        1,
+        NetModel::disabled(),
+        CostModel::disabled(),
+        clock.clone(),
+    );
+    let seen = Arc::new(AtomicU64::new(0));
+    let runner = Subscriber {
+        seen: Arc::clone(&seen),
+    };
+    let sys = DsmSystem::new(net, DsmConfig::test_small(), Arc::new(runner));
+    let mut master = sys.start_master(HostId(0));
+    let w1 = sys.spawn_worker(HostId(1), master.gpid(), vec![]);
+    let w2 = sys.spawn_worker(HostId(2), master.gpid(), vec![w1]);
+    master.alloc("v", 1, ElemKind::F64);
+    master.init_team(&[w1, w2]);
+    let writer = sys.core_of(w1).expect("rank 1 is live");
+    let readers = || writer.lock().readers.get(&0).cloned().unwrap_or_default();
+    let master_core = Arc::clone(master.ctx().core());
+    let pushed_to_master = || master_core.lock().first_push.contains_key(&(0, 1));
+
+    // The master holds page 0 and rank 1 writes it; the master's
+    // sequential read is a diff fault, and rank 2 takes a copy in a
+    // region (a full page: no diff request, no subscription).
+    let v = SharedF64Vec::lookup(master.ctx(), "v");
+    assert_eq!(v.get(master.ctx(), 0), 0.0);
+    master.parallel(R_BUMP, &[]);
+    let diffs = sys.stats().snapshot().diffs_fetched;
+    assert_eq!(v.get(master.ctx(), 0), 1.0);
+    assert_eq!(sys.stats().snapshot().diffs_fetched - diffs, 1);
+    master.parallel(R_PEEK, &[]);
+    assert!(readers().is_empty(), "no diff request came from a region");
+    // Rank 1 writes again, so both copies go stale; rank 2's region
+    // fault asks rank 1 for the diff and subscribes. The master, whose
+    // sequential read faulted on the page, stays unsubscribed.
+    master.parallel(R_BUMP, &[]);
+    master.parallel(R_PEEK, &[]);
+    assert_eq!(seen.load(Ordering::SeqCst), 2);
+    assert_eq!(readers(), vec![2], "only rank 2's region fault subscribed");
+
+    // The next write is pushed to rank 2 alone.
+    let sent = sys.stats().snapshot().push_sent;
+    master.parallel(R_BUMP, &[]);
+    let reader2 = sys.core_of(w2).expect("rank 2 is live");
+    let deadline = clock.now() + Duration::from_millis(100);
+    while !reader2.lock().first_push.contains_key(&(0, 1)) && clock.now() < deadline {
+        clock.sleep(Duration::from_millis(1));
+    }
+    assert!(
+        reader2.lock().first_push.contains_key(&(0, 1)),
+        "rank 2's next diff of page 0 arrives by push"
+    );
+    assert!(
+        !pushed_to_master(),
+        "a sequential read subscribed the master"
+    );
+    assert_eq!(sys.stats().snapshot().push_sent - sent, 1, "one reader");
+    // Rank 2's fault finds the pushed diff stored and applies it.
+    let hits = sys.stats().snapshot().push_hits;
+    master.parallel(R_PEEK, &[]);
+    assert_eq!(seen.load(Ordering::SeqCst), 3);
+    assert_eq!(sys.stats().snapshot().push_hits - hits, 1);
+    assert_eq!(v.get(master.ctx(), 0), 3.0);
+    assert!(!pushed_to_master());
     master.shutdown();
 }
 

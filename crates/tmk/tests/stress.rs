@@ -286,8 +286,8 @@ impl RegionRunner for LockAfterJoin {
                 ctx.critical(1, |c| bump(c, &counter));
                 bump(ctx, &y);
             }
-            // Warm-up: rank 3 reads `y` fork after fork, so its
-            // prefetch subscribes it to rank 2's pushes.
+            // Warm-up: rank 3 reads `y` fork after fork, so its region
+            // fault subscribes it to rank 2's pushes.
             (3, 0) => {
                 let v = y.get(ctx, 0);
                 seen.set(ctx, 0, v);

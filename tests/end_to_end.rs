@@ -225,8 +225,7 @@ fn paper_claim_no_overhead_without_adaptation() {
 }
 
 /// The constructor named after the paper's testbed runs the paper's
-/// protocol generation: nothing relays a fork, prefetches or
-/// piggybacks.
+/// protocol generation: nothing relays a fork, pushes or piggybacks.
 #[test]
 fn paper_1999_testbed_runs_the_1999_generation() {
     let app = Jacobi::new(32);
@@ -241,10 +240,7 @@ fn paper_1999_testbed_runs_the_1999_generation() {
     assert_eq!(app.verify(&mut sys, 4), 0.0);
     sys.shutdown();
     assert!(d.forks > 0 && d.pages_fetched + d.diffs_fetched > 0);
-    assert_eq!(
-        (d.bcast_relays, d.prefetch_issued, d.piggyback_bytes),
-        (0, 0, 0)
-    );
+    assert_eq!((d.bcast_relays, d.push_sent, d.piggyback_bytes), (0, 0, 0));
 }
 
 #[test]
