@@ -149,9 +149,11 @@ pub(crate) struct Plan<T> {
 pub(crate) struct Cost {
     /// Time the whole point took (GC + fetches + commit + checkpoint).
     pub took: Duration,
-    /// Bytes moved network-wide.
+    /// Bytes moved network-wide, less the pushes of the region before
+    /// (the §5.4 "traffic generated by the adapt event").
     pub bytes_moved: u64,
-    /// Busiest link's byte delta (§5.4).
+    /// Busiest link's byte delta (§5.4), pushes included: they share
+    /// the wire the adaptation waits on.
     pub max_link_bytes: u64,
     /// Size and duration of the checkpoint, when the plan asked for one.
     pub ckpt: Option<(u64, Duration)>,

@@ -678,10 +678,15 @@ impl Cluster {
         // Checkpoint (paper §4.3: GC already ran; collect + dump).
         let ckpt = plan.ckpt_due.then(|| self.write_image());
 
+        // The bytes the adaptation moves leave out the diffs the last
+        // region's close pushed to its readers: they may still be
+        // leaving as the point starts, and would go whether or not it
+        // adapts. The busiest link keeps them, as the time does: they
+        // share its wire.
         let delta = self.shared.net.stats().since(&net_before);
         let cost = Cost {
             took: self.clock().elapsed_since(t0),
-            bytes_moved: delta.total_bytes,
+            bytes_moved: delta.total_bytes.saturating_sub(delta.pushed_bytes),
             max_link_bytes: delta
                 .links
                 .iter()

@@ -3,7 +3,7 @@
 //! with a live workload verifying data integrity across adaptations.
 
 use nowmp_core::{AdaptError, Cluster, ClusterConfig, EventKind, LeaveSel, ReassignPolicy};
-use nowmp_tmk::shared::SharedF64Vec;
+use nowmp_tmk::shared::{SharedF64Mat, SharedF64Vec};
 use nowmp_tmk::system::RegionRunner;
 use nowmp_tmk::{ElemKind, TmkCtx};
 use std::sync::Arc;
@@ -604,4 +604,171 @@ fn adaptation_records_have_traffic() {
     assert!(bytes > 0, "adaptation moved bytes");
     assert!(max_link > 0 && max_link <= bytes);
     c.shutdown();
+}
+
+// --- a leaver's pages leave whole ------------------------------------
+
+/// Rows and columns of [`Stencil`]'s two grids: one 4 KB page per row.
+const JROWS: usize = 64;
+const JCOLS: usize = 512;
+const R_JACOBI_INIT: u32 = 0;
+const R_JACOBI_STEP: u32 = 1;
+const R_SPARSE_WRITE: u32 = 2;
+
+/// Jacobi relaxation over row blocks: each step reads grid
+/// `params[0] % 2` and writes the other, so a rank rewrites nearly every
+/// word of its pages each step. `R_SPARSE_WRITE` instead bumps one word
+/// per row of the first grid: a few words per page per step.
+struct Stencil;
+
+impl Stencil {
+    fn grids(ctx: &TmkCtx) -> [SharedF64Mat; 2] {
+        ["a", "b"].map(|name| SharedF64Mat::lookup(ctx, name, JROWS as u64, JCOLS as u64))
+    }
+}
+
+impl RegionRunner for Stencil {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        let per = JROWS.div_ceil(ctx.nprocs());
+        let pid = ctx.pid() as usize;
+        let rows = (pid * per).min(JROWS)..((pid + 1) * per).min(JROWS);
+        let [a, b] = Stencil::grids(ctx);
+        let mut row = vec![0.0; JCOLS];
+        match region {
+            R_JACOBI_INIT => {
+                for r in rows {
+                    for (c, x) in row.iter_mut().enumerate() {
+                        *x = ((r * 131 + c * 71) * (r + 3 * c + 1) % 1009) as f64;
+                    }
+                    a.write_row(ctx, r, &row);
+                    b.write_row(ctx, r, &row);
+                }
+            }
+            R_JACOBI_STEP => {
+                let (src, dst) = if ctx.params()[0].is_multiple_of(2) {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                let (mut up, mut mid, mut down) = (row.clone(), row.clone(), row.clone());
+                for r in rows {
+                    src.read_row(ctx, r, &mut mid);
+                    if r > 0 && r < JROWS - 1 {
+                        src.read_row(ctx, r - 1, &mut up);
+                        src.read_row(ctx, r + 1, &mut down);
+                        for c in 1..JCOLS - 1 {
+                            row[c] = 0.25 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
+                        }
+                        row[0] = mid[0];
+                        row[JCOLS - 1] = mid[JCOLS - 1];
+                    } else {
+                        row.copy_from_slice(&mid);
+                    }
+                    dst.write_row(ctx, r, &row);
+                }
+            }
+            R_SPARSE_WRITE => {
+                let step = ctx.params()[0] as usize;
+                for r in rows {
+                    let x = a.get(ctx, r, step);
+                    a.set(ctx, r, step, x + 1.0);
+                }
+            }
+            other => panic!("unknown region {other}"),
+        }
+    }
+}
+
+/// 8 ranks on 9 hosts, current generation, 4 KB pages, virtual clock.
+fn stencil_cluster() -> Cluster {
+    let mut cfg = ClusterConfig::test(9, 8).with_clock(nowmp_util::Clock::new_virtual());
+    cfg.dsm = nowmp_tmk::DsmConfig::default_4k();
+    let mut c = Cluster::new(cfg, Arc::new(Stencil));
+    for name in ["a", "b"] {
+        c.alloc(name, (JROWS * JCOLS) as u64, ElemKind::F64);
+    }
+    c.parallel(R_JACOBI_INIT, &[]);
+    c
+}
+
+/// Both grids as the master reads them, bit for bit.
+fn stencil_image(c: &mut Cluster) -> Vec<u64> {
+    let grids = Stencil::grids(c.ctx());
+    let mut row = vec![0.0; JCOLS];
+    let mut image = Vec::with_capacity(2 * JROWS * JCOLS);
+    for g in grids {
+        for r in 0..JROWS {
+            g.read_row(c.ctx(), r, &mut row);
+            image.extend(row.iter().map(|x| x.to_bits()));
+        }
+    }
+    image
+}
+
+/// Checkpoint (a GC, after which the master holds every page
+/// complete), run `steps` of `region`, then — when `leaver` is set —
+/// let that rank leave at the adaptation point before one more step.
+/// Returns the final image, the leave's `max_link_bytes` and the DSM
+/// counters it moved.
+fn run_then_leave(
+    region: u32,
+    steps: u8,
+    leaver: Option<u16>,
+) -> (Vec<u64>, Option<u64>, nowmp_tmk::DsmSnapshot) {
+    let mut c = stencil_cluster();
+    c.checkpoint_now();
+    for step in 0..steps {
+        c.parallel(region, &[step]);
+    }
+    if let Some(pid) = leaver {
+        c.adapt().leave(LeaveSel::Pid(pid), None).unwrap();
+    }
+    let before = c.dsm_stats();
+    c.adaptation_point();
+    let moved = c.dsm_stats().since(&before);
+    c.parallel(region, &[steps]);
+    let leave = c
+        .log()
+        .adaptations()
+        .into_iter()
+        .find(|a| a.3 == 1)
+        .map(|(.., max_link)| max_link);
+    let image = stencil_image(&mut c);
+    c.shutdown();
+    (image, leave, moved)
+}
+
+#[test]
+fn a_leavers_jacobi_pages_leave_whole() {
+    // Three steps after the last GC, the master's copies of the
+    // leaver's pages lack a chain of one or two near-full-page diffs.
+    // Each page only the leaver holds complete crosses the busiest link
+    // once, whole or as a one-diff chain, never as the chain of two.
+    let (image, max_link, moved) = run_then_leave(R_JACOBI_STEP, 3, Some(4));
+    let max_link = max_link.expect("the leave committed");
+    // A page a survivor holds complete needs no fetch, so every page
+    // the leave completes is one only the leaver held complete.
+    let only_leaver = moved.gc_fetch_pages;
+    assert!(only_leaver > 0, "the leave completed pages from the leaver");
+    assert!(moved.gc_whole_pages > 0, "some pages moved whole");
+    let bound = only_leaver * (4096 + 64) * 11 / 10;
+    assert!(
+        max_link <= bound,
+        "max link {max_link} B over {only_leaver} pages' bound {bound} B"
+    );
+    let (stayed, none, _) = run_then_leave(R_JACOBI_STEP, 3, None);
+    assert!(none.is_none());
+    assert!(image == stayed, "the leave changed the final image");
+}
+
+#[test]
+fn a_sparse_writers_pages_leave_as_chains() {
+    // A few words per page per step: every chain is far smaller than
+    // its page, so no page moves whole.
+    let (image, leave, moved) = run_then_leave(R_SPARSE_WRITE, 3, Some(4));
+    assert!(leave.is_some());
+    assert!(moved.gc_fetch_pages > 0 && moved.diffs_fetched > 0);
+    assert_eq!(moved.gc_whole_pages, 0);
+    let (stayed, ..) = run_then_leave(R_SPARSE_WRITE, 3, None);
+    assert!(image == stayed, "the leave changed the final image");
 }

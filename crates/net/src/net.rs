@@ -109,8 +109,7 @@ impl Replier {
             &self.from_host,
             self.to,
             payload,
-            None,
-            Some(&self.tx),
+            Route::Reply(&self.tx),
         )
     }
 }
@@ -200,19 +199,23 @@ impl NetInner {
     }
 
     /// The one transmit path: accounting + optional real-time
-    /// emulation. A request or one-way message (`via` = `None`) goes to
-    /// `dst`'s mailbox and fails if `dst` is not registered; a reply
-    /// goes down `via`, the waiting caller's own channel, and is still
-    /// sent (and charged to the sender) if the requester has left.
+    /// emulation. A request or one-way message goes to `dst`'s mailbox
+    /// and fails if `dst` is not registered; a reply goes down the
+    /// waiting caller's own channel, and is still sent (and charged to
+    /// the sender) if the requester has left.
     fn transmit(
         &self,
         src: Gpid,
         src_host: &HostRec,
         dst: Gpid,
         payload: Bytes,
-        reply: Option<MailboxSender<Packet>>,
-        via: Option<&MailboxSender<Packet>>,
+        route: Route<'_>,
     ) -> bool {
+        let (reply, via, push) = match route {
+            Route::OneWay { push } => (None, None, push),
+            Route::Call(reply) => (Some(reply), None, false),
+            Route::Reply(via) => (None, Some(via), false),
+        };
         let bytes = (payload.len() + self.model.header_bytes) as u64;
 
         // Sender-side occupancy: concurrent senders on the same host
@@ -243,6 +246,12 @@ impl NetInner {
             }
         });
 
+        // The push column first: a snapshot reads it after the totals,
+        // so a push it half sees is never more in the push column than
+        // in the totals.
+        if push {
+            self.stats.record_push(bytes);
+        }
         src_host.link_stats.record_out(bytes);
         if let Some(h) = &dst_rec {
             h.link_stats.record_in(bytes);
@@ -258,6 +267,17 @@ impl NetInner {
         })
         .is_ok()
     }
+}
+
+/// How [`NetInner::transmit`] delivers a message.
+enum Route<'a> {
+    /// Fire-and-forget to `dst`'s mailbox; `push` counts it as push
+    /// traffic as well ([`Endpoint::send_push`]).
+    OneWay { push: bool },
+    /// A request to `dst`'s mailbox, answered down this channel.
+    Call(MailboxSender<Packet>),
+    /// A reply, down the waiting caller's own channel.
+    Reply(&'a MailboxSender<Packet>),
 }
 
 /// The simulated switched network. Cheap to clone (all state shared).
@@ -484,10 +504,24 @@ impl Endpoint {
 
     /// Fire-and-forget send.
     pub fn send(&self, dst: Gpid, payload: Bytes) -> Result<(), NetError> {
-        if self
-            .net
-            .transmit(self.gpid, &self.host_rec(), dst, payload, None, None)
-        {
+        self.send_one_way(dst, payload, false)
+    }
+
+    /// [`Self::send`] for data sent ahead of any request (a diff pushed
+    /// to a subscribed reader): the same message on the same wire, also
+    /// counted in [`crate::StatsSnapshot::pushed_bytes`].
+    pub fn send_push(&self, dst: Gpid, payload: Bytes) -> Result<(), NetError> {
+        self.send_one_way(dst, payload, true)
+    }
+
+    fn send_one_way(&self, dst: Gpid, payload: Bytes, push: bool) -> Result<(), NetError> {
+        if self.net.transmit(
+            self.gpid,
+            &self.host_rec(),
+            dst,
+            payload,
+            Route::OneWay { push },
+        ) {
             Ok(())
         } else {
             Err(NetError::Unknown(dst))
@@ -519,7 +553,7 @@ impl Endpoint {
         let (tx, rx) = oneshot(&self.net.clock);
         if !self
             .net
-            .transmit(self.gpid, &self.host_rec(), dst, payload, Some(tx), None)
+            .transmit(self.gpid, &self.host_rec(), dst, payload, Route::Call(tx))
         {
             return Err(NetError::Unknown(dst));
         }
@@ -811,6 +845,17 @@ mod tests {
         assert_eq!(s.links[0].bytes_out, 142);
         assert_eq!(s.links[1].bytes_in, 142);
         assert_eq!(s.max_link_bytes(), 142); // both links saw the same traffic
+    }
+
+    #[test]
+    fn a_push_is_counted_in_the_totals_and_in_its_own_column() {
+        let (net, a, b) = net2();
+        a.send(b.gpid(), Bytes::from(vec![0u8; 100])).unwrap();
+        a.send_push(b.gpid(), Bytes::from(vec![0u8; 10])).unwrap();
+        let s = net.stats();
+        assert_eq!((s.total_msgs, s.total_bytes), (2, 142 + 52));
+        assert_eq!(s.pushed_bytes, 52);
+        assert_eq!(s.links[1].bytes_in, 142 + 52);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! independent, so the busiest link bounds adaptation latency. We keep
 //! one [`LinkStats`] per host (bytes/messages, in/out) plus global
 //! counters, all updated with relaxed atomics on the send/reply paths.
+//! Push traffic ([`crate::Endpoint::send_push`]) is counted like any
+//! other and once more, network-wide, on its own, so a phase's
+//! measurement can leave out the pushes still draining from the phase
+//! before it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,6 +80,7 @@ impl LinkSnapshot {
 pub struct NetStats {
     total_msgs: AtomicU64,
     total_bytes: AtomicU64,
+    pushed_bytes: AtomicU64,
     links: parking_lot::RwLock<Vec<std::sync::Arc<LinkStats>>>,
 }
 
@@ -96,11 +101,17 @@ impl NetStats {
         self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Count `bytes`, already recorded, as push traffic too.
+    pub(crate) fn record_push(&self, bytes: u64) {
+        self.pushed_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Snapshot every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             total_msgs: self.total_msgs.load(Ordering::Relaxed),
             total_bytes: self.total_bytes.load(Ordering::Relaxed),
+            pushed_bytes: self.pushed_bytes.load(Ordering::Relaxed),
             links: self.links.read().iter().map(|l| l.snapshot()).collect(),
         }
     }
@@ -113,6 +124,8 @@ pub struct StatsSnapshot {
     pub total_msgs: u64,
     /// Bytes sent network-wide (payload + headers).
     pub total_bytes: u64,
+    /// Of `total_bytes`, those sent as pushes.
+    pub pushed_bytes: u64,
     /// Per-host link snapshots, indexed by `HostId.0`.
     pub links: Vec<LinkSnapshot>,
 }
@@ -171,6 +184,7 @@ impl StatsSnapshot {
         StatsSnapshot {
             total_msgs: self.total_msgs - earlier.total_msgs,
             total_bytes: self.total_bytes - earlier.total_bytes,
+            pushed_bytes: self.pushed_bytes - earlier.pushed_bytes,
             links,
         }
     }

@@ -98,7 +98,7 @@ impl CollectiveConfig {
 /// computation (ISSUE 7). One switch with two values, because the two
 /// generations are the only configurations anything runs.
 ///
-/// [`DataPlaneConfig::Overlap`] (the default) turns on three levers:
+/// [`DataPlaneConfig::Overlap`] (the default) turns on four levers:
 ///
 /// * pipeline ([`pipeline`](Self::pipeline)) — scatter-gather requests:
 ///   a multi-creator diff fault sends every `DiffReq` before collecting
@@ -114,6 +114,13 @@ impl CollectiveConfig {
 ///   outside a region body (the master's sequential phase, a GC fetch,
 ///   a checkpoint collection) never subscribe, and under `Demand`
 ///   nothing does, so no reader set, no push and no wait exists;
+/// * whole-page completion (gated on [`pipeline`](Self::pipeline) too)
+///   — a page collection's (a GC completion's) `DiffReq` that asks a
+///   creator for two or more diffs of one page is marked
+///   `whole_if_smaller`, and the creator
+///   sends the page instead of the chain when the page is smaller; at
+///   a leave that moves the leaver's pages whole. Under `Demand` the
+///   chain moves, as in 1999;
 /// * piggyback ([`piggyback_budget`](Self::piggyback_budget)) —
 ///   hot-diff piggybacking: `Fork` / `BarrierRelease` payloads carry up
 ///   to this many bytes of the sender's own hottest diffs alongside

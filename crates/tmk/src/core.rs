@@ -38,7 +38,7 @@
 
 use crate::config::DsmConfig;
 use crate::diff::{Diff, DiffKey};
-use crate::msg::PageApplied;
+use crate::msg::{PageApplied, WholePage};
 use crate::page::{PageBuf, PageMeta, PageState, Wn};
 use crate::records::{Record, RecordStore};
 use crate::shm::Registry;
@@ -48,7 +48,7 @@ use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Page id traced when the `NOWMP_TRACE_PAGE` env var is set (debugging aid).
@@ -395,6 +395,23 @@ impl ProcCore {
             .iter()
             .max_by_key(|w| w.vcsum)
             .map_or(meta.owner, |w| self.team.gpid(w.pid))
+    }
+
+    /// Install a page a creator served whole, in place of its diff
+    /// chain, over our stale copy — if the served clock covers everything the copy has applied, so
+    /// nothing the copy holds is lost. Otherwise it is dropped and the
+    /// fault that follows fetches the page's chain.
+    pub fn install_whole(&mut self, whole: WholePage, from: Gpid) {
+        let mut served = Vc::default();
+        whole.applied.iter().for_each(|&(p, s)| served.set(p, s));
+        let covers = {
+            let meta = self.pages.guard(whole.page);
+            meta.state == PageState::Invalid && served.dominates(&meta.applied)
+        };
+        if covers {
+            DsmStats::bump(&self.stats.gc_whole_pages);
+            self.install_page(whole.page, &whole.applied, whole.words, from);
+        }
     }
 
     /// Install a fetched full page.
@@ -932,12 +949,20 @@ impl ProcCore {
     /// as `subscriber`: from now on every diff we create for these
     /// pages this epoch is pushed to it. Nothing else subscribes — the
     /// master's sequential phase, a GC fetch or a checkpoint collection
-    /// is a one-off.
+    /// is a one-off. A page collection (a GC completion) that asks for
+    /// two or more diffs of one page asks `whole_if_smaller`: see
+    /// [`Self::whole_pages`].
     pub fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
         subscriber: Option<Pid>,
+        whole_if_smaller: bool,
     ) -> crate::msg::Msg {
+        let pages = if whole_if_smaller {
+            self.whole_pages(wants)
+        } else {
+            Vec::new()
+        };
         let mut out = Vec::with_capacity(wants.len());
         for &(page, seq) in wants {
             *self.diff_heat.entry(page).or_insert(0) += 1;
@@ -947,6 +972,9 @@ impl ProcCore {
                     readers.push(r);
                 }
             }
+            if pages.iter().any(|w| w.page == page) {
+                continue;
+            }
             match self.diffs.get(&DiffKey { page, seq }) {
                 Some(d) => out.push((page, seq, d.as_ref().clone())),
                 None => panic!(
@@ -955,7 +983,44 @@ impl ProcCore {
                 ),
             }
         }
-        crate::msg::Msg::DiffRep { diffs: out }
+        crate::msg::Msg::DiffRep { diffs: out, pages }
+    }
+
+    /// The pages of `wants` to serve whole: those whose encoded chain
+    /// here outweighs the page, where our copy is valid with no
+    /// unapplied notice. Every other page is served as its chain.
+    fn whole_pages(&self, wants: &[(PageId, Seq)]) -> Vec<WholePage> {
+        let mut chains: BTreeMap<PageId, usize> = BTreeMap::new();
+        for &(page, seq) in wants {
+            let bytes = self
+                .diffs
+                .get(&DiffKey { page, seq })
+                .map_or(0, |d| 8 + d.wire_bytes());
+            *chains.entry(page).or_default() += bytes;
+        }
+        let spp = self.slots_per_page();
+        let mut whole = Vec::new();
+        for (page, chain) in chains {
+            let Some(mut meta) = self.pages.get(page) else {
+                continue;
+            };
+            let applied: Vec<(Pid, Seq)> = meta.applied.iter_nonzero().collect();
+            let valid = meta.state == PageState::Read && meta.unapplied().is_empty();
+            let Some(data) = meta.data.as_ref().filter(|_| valid) else {
+                continue;
+            };
+            if chain <= WholePage::wire_bytes(applied.len(), spp) {
+                continue;
+            }
+            let words = data.snapshot();
+            meta.shared = true; // the asker keeps a copy
+            whole.push(WholePage {
+                page,
+                applied,
+                words,
+            });
+        }
+        whole
     }
 
     /// Serve a records request (lock-transfer consistency data).
@@ -1582,11 +1647,100 @@ mod tests {
         c.close_interval().unwrap();
         // A sequential-phase fault, a GC fetch, a checkpoint
         // collection: no mark.
-        let _ = c.serve_diffs(&[(0, 1)], None);
+        let _ = c.serve_diffs(&[(0, 1)], None, false);
         assert!(c.readers.is_empty(), "an unmarked request is a one-off");
-        let _ = c.serve_diffs(&[(0, 1)], Some(2));
-        let _ = c.serve_diffs(&[(0, 1)], Some(2));
+        let _ = c.serve_diffs(&[(0, 1)], Some(2), false);
+        let _ = c.serve_diffs(&[(0, 1)], Some(2), false);
         assert_eq!(c.readers[&0], vec![2], "marked: subscribed, once");
+    }
+
+    /// Store `v` into every word of `page` (shared, so the write
+    /// twins) and close the interval: one full-page diff.
+    fn write_whole_page(c: &mut ProcCore, page: PageId, v: u64) {
+        write_shared(c, page, v);
+        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true) else {
+            panic!("owned page must be writable")
+        };
+        (0..c.cfg.slots_per_page()).for_each(|i| buf.store(i, v));
+        c.close_interval().unwrap();
+    }
+
+    fn served(rep: Msg) -> (Vec<(PageId, Seq)>, Vec<WholePage>) {
+        let Msg::DiffRep { diffs, pages } = rep else {
+            panic!("serve_diffs answers a DiffRep")
+        };
+        (diffs.iter().map(|d| (d.0, d.1)).collect(), pages)
+    }
+
+    #[test]
+    fn a_chain_larger_than_its_page_is_served_whole_when_asked() {
+        let mut c = team_core(2, 0);
+        for v in 1..=3 {
+            write_whole_page(&mut c, 0, v);
+        }
+        let chain = [(0, 1), (0, 2), (0, 3)];
+        let (diffs, pages) = served(c.serve_diffs(&chain, None, true));
+        assert!(diffs.is_empty(), "the page replaces its chain");
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].page, 0);
+        assert_eq!(pages[0].applied, vec![(0, 3)]);
+        assert!(pages[0].words.iter().all(|&w| w == 3));
+        // Unmarked, the same request moves the chain.
+        let (diffs, pages) = served(c.serve_diffs(&chain, None, false));
+        assert_eq!(diffs, chain.to_vec());
+        assert!(pages.is_empty());
+    }
+
+    #[test]
+    fn a_chain_smaller_than_its_page_is_served_as_the_chain() {
+        let mut c = team_core(2, 0);
+        write_shared(&mut c, 0, 1);
+        c.close_interval().unwrap();
+        write_shared(&mut c, 0, 2);
+        c.close_interval().unwrap();
+        let (diffs, pages) = served(c.serve_diffs(&[(0, 1), (0, 2)], None, true));
+        assert_eq!(diffs, vec![(0, 1), (0, 2)], "two one-word diffs");
+        assert!(pages.is_empty());
+    }
+
+    #[test]
+    fn a_copy_with_an_unapplied_notice_is_never_served_whole() {
+        let mut c = team_core(2, 0);
+        for v in 1..=3 {
+            write_whole_page(&mut c, 0, v);
+        }
+        notice(&mut c, 1, 1, 0);
+        let (diffs, pages) = served(c.serve_diffs(&[(0, 1), (0, 2), (0, 3)], None, true));
+        assert_eq!(diffs.len(), 3, "falls back to the chain");
+        assert!(pages.is_empty());
+    }
+
+    #[test]
+    fn a_whole_page_installs_only_over_a_copy_it_covers() {
+        let whole = |applied: Vec<(Pid, Seq)>| WholePage {
+            page: 0,
+            applied,
+            words: vec![9; core().cfg.slots_per_page()],
+        };
+        // Our stale copy applied rank 1's seq 1 and misses its 2..3.
+        let mut c = team_core(2, 0);
+        let _ = c.plan_access(0, false);
+        c.pages.guard(0).applied.set(1, 1);
+        for seq in 2..=3 {
+            notice(&mut c, 1, seq, 0);
+        }
+        c.install_whole(whole(vec![(1, 3)]), Gpid(2));
+        assert_eq!(c.pages.guard(0).state, PageState::Read);
+        assert_eq!(c.stats.snapshot().gc_whole_pages, 1);
+        // A served copy that lacks what ours applied is dropped: the
+        // fault then fetches the chain.
+        let mut c = team_core(2, 0);
+        let _ = c.plan_access(0, false);
+        c.pages.guard(0).applied.set(1, 2);
+        notice(&mut c, 1, 3, 0);
+        c.install_whole(whole(vec![(0, 4)]), Gpid(2));
+        assert_eq!(c.pages.guard(0).state, PageState::Invalid);
+        assert_eq!(c.stats.snapshot().gc_whole_pages, 0);
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl TmkCtx {
                     "page {page}: too many ownership redirects"
                 );
             }
-            self.fetch(plan);
+            self.fetch(plan, false);
             if stale {
                 self.await_expected(page);
                 self.core.lock().apply_diffs(page);
@@ -437,9 +437,9 @@ impl TmkCtx {
 
     /// Make every request of `plan` with one [`call_all`] and fold each
     /// reply into the core: a fault's fetch, and a page collection's.
-    fn fetch(&self, plan: FetchPlan) {
+    fn fetch(&self, plan: FetchPlan, whole_if_smaller: bool) {
         let (calls, kinds): (Vec<_>, Vec<_>) = self
-            .requests(plan)
+            .requests(plan, whole_if_smaller)
             .into_iter()
             .map(|(dst, msg, kind)| ((dst, msg), kind))
             .unzip();
@@ -452,9 +452,12 @@ impl TmkCtx {
     /// The requests of `plan`, in order, each with what it expects
     /// back: one `PageReq` per full page, then one `DiffReq` per
     /// creator, `subscribe`-marked inside a region body
-    /// ([`Self::in_region`]). A creator that left the team is skipped;
-    /// the demand path re-plans.
-    fn requests(&self, plan: FetchPlan) -> Vec<(Gpid, Msg, FetchKind)> {
+    /// ([`Self::in_region`]) and, when `whole_if_smaller` is set (a
+    /// page collection), `whole_if_smaller`-marked if it asks for two or
+    /// more diffs of one page (a one-diff chain is no longer than its
+    /// page, give or take run headers). A creator that left the team is skipped; the
+    /// demand path re-plans.
+    fn requests(&self, plan: FetchPlan, whole_if_smaller: bool) -> Vec<(Gpid, Msg, FetchKind)> {
         let (epoch, subscribe) = (self.epoch, self.subscribe);
         let fulls = plan.fulls.into_iter().map(|(page, holder)| {
             (
@@ -465,10 +468,13 @@ impl TmkCtx {
         });
         let diffs = plan.diffs.into_iter().filter_map(|(creator, wants)| {
             let pid = self.team.pid_of(creator)?;
+            // A page's wants are adjacent (`ProcCore::plan_page`).
+            let chain = wants.windows(2).any(|w| w[0].0 == w[1].0);
             let msg = Msg::DiffReq {
                 epoch,
                 wants,
                 subscribe,
+                whole_if_smaller: whole_if_smaller && chain,
             };
             Some((creator, msg, FetchKind::Diffs { creator: pid }))
         });
@@ -481,7 +487,8 @@ impl TmkCtx {
     /// a redirect's target (the fault re-plans; never at ourselves, or
     /// the next plan would conjure a zero page over real data), or
     /// deposit diffs into the early-diff store, where the fault applies
-    /// the page's whole unapplied set as one causally sorted batch.
+    /// the page's whole unapplied set as one causally sorted batch — and
+    /// install the pages a creator served whole instead of a chain.
     fn fold(&self, kind: FetchKind, from: Gpid, msg: Msg) {
         match (kind, msg) {
             (
@@ -512,8 +519,12 @@ impl TmkCtx {
                     c.install_page(page, &applied, words, from);
                 }
             }
-            (FetchKind::Diffs { creator }, Msg::DiffRep { diffs }) => {
-                self.core.lock().deposit(creator, diffs, false);
+            (FetchKind::Diffs { creator }, Msg::DiffRep { diffs, pages }) => {
+                let mut c = self.core.lock();
+                for whole in pages {
+                    c.install_whole(whole, from);
+                }
+                c.deposit(creator, diffs, false);
             }
             (_, other) => {
                 panic!("unexpected reply to a page or diff request from {from}: {other:?}")
@@ -533,11 +544,17 @@ impl TmkCtx {
     /// store; redirects, and whatever the plan leaves out, take the
     /// demand path. The checkpoint's page collection and the GC's
     /// completion fetches run through here, outside any region body, so
-    /// nothing here subscribes.
+    /// nothing here subscribes. Unlike a fault, a collection asks
+    /// `whole_if_smaller`: a creator asked for a page's chain of two or
+    /// more diffs sends the page instead when that is smaller, in the
+    /// same round as every other request. At a GC completion that moves
+    /// a leaver's pages whole; the checkpoint's collection runs right
+    /// after a GC, whose commit drops every stale copy, and asks for no
+    /// chain.
     pub fn collect_pages(&mut self, pages: &[PageId]) {
         if self.cfg.dataplane.pipeline() {
             let plan = self.core.lock().plan_pages(pages);
-            self.fetch(plan);
+            self.fetch(plan, true);
         }
         for &p in pages {
             self.ensure_page(p, false);
@@ -1255,6 +1272,33 @@ mod tests {
             }
         });
         asked
+    }
+
+    #[test]
+    fn a_page_collection_marks_only_chains_of_two_or_more_diffs() {
+        let ctx = make_ctx();
+        let me = ctx.gpid();
+        let marked = |wants: Vec<(PageId, u32)>, whole| {
+            let plan = FetchPlan {
+                fulls: vec![],
+                diffs: vec![(me, wants)],
+            };
+            match &ctx.requests(plan, whole)[..] {
+                [(
+                    _,
+                    Msg::DiffReq {
+                        whole_if_smaller, ..
+                    },
+                    _,
+                )] => *whole_if_smaller,
+                other => panic!("expected one DiffReq, got {} requests", other.len()),
+            }
+        };
+        // One diff per page: unmarked, as a fault asks it.
+        assert!(!marked(vec![(3, 1), (4, 1)], true));
+        // Page 4's chain of two: marked, in a page collection only.
+        assert!(marked(vec![(3, 1), (4, 1), (4, 2)], true));
+        assert!(!marked(vec![(3, 1), (4, 1), (4, 2)], false));
     }
 
     /// A ctx on host 0 of `net` whose page 0 carries a (possibly stale)

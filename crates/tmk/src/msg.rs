@@ -198,6 +198,41 @@ impl Wire for PageApplied {
     }
 }
 
+/// A page served whole in a [`Msg::DiffRep`]: the creator's snapshot
+/// and the applied clock it reflects, as a `PageRep` carries them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WholePage {
+    /// The page.
+    pub page: PageId,
+    /// Sparse applied clock of the served copy.
+    pub applied: Vec<(Pid, Seq)>,
+    /// Page contents.
+    pub words: Vec<u64>,
+}
+
+impl WholePage {
+    /// Encoded size of a page of `words` words with `applied` clock
+    /// entries: what a creator weighs against the page's chain.
+    pub fn wire_bytes(applied: usize, words: usize) -> usize {
+        4 + (4 + 6 * applied) + (4 + 8 * words)
+    }
+}
+
+impl Wire for WholePage {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u32(self.page);
+        enc_applied(&self.applied, e);
+        e.put_u64_slice(&self.words);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(WholePage {
+            page: d.get_u32()?,
+            applied: dec_applied(d)?,
+            words: d.get_u64_vec()?,
+        })
+    }
+}
+
 /// Every message of the DSM + adaptation protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -230,6 +265,12 @@ pub enum Msg {
         /// nothing to the wire, so demand-plane requests stay
         /// byte-identical.
         subscribe: bool,
+        /// Set by a page collection (a GC completion) on the overlap
+        /// plane when it asks for two or more diffs of one page: answer
+        /// a page whole
+        /// ([`Msg::DiffRep::pages`]) when its chain would be larger.
+        /// Shares the subscribe mark's optional byte.
+        whole_if_smaller: bool,
     },
     /// Fetch interval records unknown to the holder of `vc` (lock
     /// acquire consistency data).
@@ -280,8 +321,13 @@ pub enum Msg {
     },
     /// Diff reply: `(page, seq, diff)` triples.
     DiffRep {
-        /// The requested diffs in request order.
+        /// The requested diffs in request order, less those of the
+        /// pages served whole.
         diffs: Vec<(PageId, Seq, Diff)>,
+        /// Pages a `whole_if_smaller` request gets whole instead of
+        /// their chains. An optional trailing section: empty adds
+        /// nothing to the wire.
+        pages: Vec<WholePage>,
     },
     /// Interval records reply.
     RecordsRep {
@@ -463,6 +509,37 @@ mod tags {
 /// was: kept so no payload size moves; decoders skip it.
 const FORK_RESERVED: u8 = 0;
 
+/// Encode a sparse applied clock behind a count (`PageRep`,
+/// [`WholePage`]).
+fn enc_applied(applied: &[(Pid, Seq)], e: &mut Enc) {
+    e.put_u32(applied.len() as u32);
+    for &(p, s) in applied {
+        e.put_u16(p);
+        e.put_u32(s);
+    }
+}
+
+/// Decode what [`enc_applied`] wrote.
+fn dec_applied(d: &mut Dec<'_>) -> Result<Vec<(Pid, Seq)>, WireError> {
+    let n = d.get_u32()? as usize;
+    if n > 1 << 20 {
+        return Err(WireError::BadLength {
+            what: "applied clock",
+            len: n,
+        });
+    }
+    let mut applied = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        applied.push((d.get_u16()?, d.get_u32()?));
+    }
+    Ok(applied)
+}
+
+/// The optional byte behind a `DiffReq`'s wants: bit 0 subscribes,
+/// bit 1 asks for whole pages. Absent when both are unset.
+const DIFF_REQ_SUBSCRIBE: u8 = 1;
+const DIFF_REQ_WHOLE: u8 = 2;
+
 /// Encode `(page, seq, diff)` triples behind a count: the body of
 /// `DiffRep`, `DiffPush` and the piggyback section (owned or shared
 /// diffs alike).
@@ -527,6 +604,7 @@ impl Wire for Msg {
                 epoch,
                 wants,
                 subscribe,
+                whole_if_smaller,
             } => {
                 e.put_u8(DIFF_REQ);
                 e.put_u32(*epoch);
@@ -535,8 +613,10 @@ impl Wire for Msg {
                     e.put_u32(p);
                     e.put_u32(s);
                 }
-                if *subscribe {
-                    e.put_bool(true);
+                let marks = if *subscribe { DIFF_REQ_SUBSCRIBE } else { 0 }
+                    | if *whole_if_smaller { DIFF_REQ_WHOLE } else { 0 };
+                if marks != 0 {
+                    e.put_u8(marks);
                 }
             }
             Msg::RecordsReq { epoch, vc } => {
@@ -566,17 +646,16 @@ impl Wire for Msg {
                 redirect,
             } => {
                 e.put_u8(PAGE_REP);
-                e.put_u32(applied.len() as u32);
-                for &(p, s) in applied {
-                    e.put_u16(p);
-                    e.put_u32(s);
-                }
+                enc_applied(applied, e);
                 e.put_u64_slice(words);
                 redirect.enc(e);
             }
-            Msg::DiffRep { diffs } => {
+            Msg::DiffRep { diffs, pages } => {
                 e.put_u8(DIFF_REP);
                 enc_diffs(diffs, e);
+                if !pages.is_empty() {
+                    e.put_seq(pages);
+                }
             }
             Msg::RecordsRep { records } => {
                 e.put_u8(RECORDS_REP);
@@ -729,11 +808,12 @@ impl Wire for Msg {
                 for _ in 0..n {
                     wants.push((d.get_u32()?, d.get_u32()?));
                 }
-                let subscribe = !d.is_done() && d.get_bool()?;
+                let marks = if d.is_done() { 0 } else { d.get_u8()? };
                 Msg::DiffReq {
                     epoch,
                     wants,
-                    subscribe,
+                    subscribe: marks & DIFF_REQ_SUBSCRIBE != 0,
+                    whole_if_smaller: marks & DIFF_REQ_WHOLE != 0,
                 }
             }
             RECORDS_REQ => Msg::RecordsReq {
@@ -754,17 +834,7 @@ impl Wire for Msg {
             },
             ACK => Msg::Ack,
             PAGE_REP => {
-                let n = d.get_u32()? as usize;
-                if n > 1 << 20 {
-                    return Err(WireError::BadLength {
-                        what: "PageRep applied",
-                        len: n,
-                    });
-                }
-                let mut applied = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    applied.push((d.get_u16()?, d.get_u32()?));
-                }
+                let applied = dec_applied(d)?;
                 let words = d.get_u64_vec()?;
                 let redirect = Option::<Gpid>::dec(d)?;
                 Msg::PageRep {
@@ -775,6 +845,11 @@ impl Wire for Msg {
             }
             DIFF_REP => Msg::DiffRep {
                 diffs: dec_diffs(d, "DiffRep", |diff| diff)?,
+                pages: if d.is_done() {
+                    Vec::new()
+                } else {
+                    d.get_seq()?
+                },
             },
             RECORDS_REP => Msg::RecordsRep {
                 records: RecordSet::dec_vec(d)?,
@@ -946,11 +1021,25 @@ mod tests {
                 epoch: 1,
                 wants: vec![(7, 2), (8, 1)],
                 subscribe: false,
+                whole_if_smaller: false,
             },
             Msg::DiffReq {
                 epoch: 1,
                 wants: vec![(7, 2), (8, 1)],
                 subscribe: true,
+                whole_if_smaller: false,
+            },
+            Msg::DiffReq {
+                epoch: 1,
+                wants: vec![(7, 2), (8, 1)],
+                subscribe: false,
+                whole_if_smaller: true,
+            },
+            Msg::DiffReq {
+                epoch: 1,
+                wants: vec![(7, 2)],
+                subscribe: true,
+                whole_if_smaller: true,
             },
             Msg::DiffPush {
                 epoch: 1,
@@ -978,6 +1067,15 @@ mod tests {
             },
             Msg::DiffRep {
                 diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
+                pages: vec![],
+            },
+            Msg::DiffRep {
+                diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
+                pages: vec![WholePage {
+                    page: 8,
+                    applied: vec![(0, 2), (1, 3)],
+                    words: vec![5, 6, 7],
+                }],
             },
             Msg::RecordsRep {
                 records: vec![rec.clone()],
@@ -1139,10 +1237,10 @@ mod tests {
 
     #[test]
     fn unmarked_diff_req_is_byte_identical_to_the_legacy_wire() {
-        // The subscribe mark is an optional trailing byte: a
-        // sequential-phase fault, a GC fetch and every 1999-generation
-        // request encode to exactly what they encoded to before the
-        // mark existed.
+        // The subscribe and whole-page marks share an optional
+        // trailing byte: a sequential-phase fault, a GC fetch of one
+        // diff per page and every 1999-generation request encode to
+        // exactly what they encoded to before the marks existed.
         let wants = vec![(7u32, 2u32), (8, 1)];
         let mut legacy = Enc::with_encoding(64, Encoding::Runs);
         legacy.put_u8(tags::DIFF_REQ);
@@ -1153,18 +1251,49 @@ mod tests {
             legacy.put_u32(s);
         }
         let legacy = legacy.finish();
-        let unmarked = Msg::DiffReq {
+        let req = |subscribe, whole_if_smaller| Msg::DiffReq {
             epoch: 3,
             wants: wants.clone(),
-            subscribe: false,
+            subscribe,
+            whole_if_smaller,
         };
-        assert_eq!(&unmarked.to_bytes()[..], &legacy[..]);
-        let marked = Msg::DiffReq {
-            epoch: 3,
-            wants,
-            subscribe: true,
+        assert_eq!(&req(false, false).to_bytes()[..], &legacy[..]);
+        // The subscribe mark reads as it did when it was a `bool`.
+        let mut subscribed = legacy.clone();
+        subscribed.push(1);
+        assert_eq!(&req(true, false).to_bytes()[..], &subscribed[..]);
+        for marks in [(false, true), (true, true)] {
+            let bytes = req(marks.0, marks.1).to_bytes();
+            assert_eq!(bytes.len(), legacy.len() + 1);
+            assert_eq!(Msg::from_wire(&bytes).unwrap(), req(marks.0, marks.1));
+        }
+    }
+
+    #[test]
+    fn page_less_diff_rep_is_byte_identical_to_the_legacy_wire() {
+        // Whole pages are an optional trailing section: a reply with no
+        // page (every 1999-generation reply) adds zero bytes.
+        let diffs = vec![(7u32, 2u32, Diff::of_run(1, &[42]))];
+        let mut legacy = Enc::with_encoding(64, Encoding::Runs);
+        legacy.put_u8(tags::DIFF_REP);
+        enc_diffs(&diffs, &mut legacy);
+        let rep = Msg::DiffRep {
+            diffs,
+            pages: vec![],
         };
-        assert_eq!(marked.to_bytes().len(), legacy.len() + 1);
+        assert_eq!(&rep.to_bytes()[..], &legacy.finish()[..]);
+    }
+
+    #[test]
+    fn a_whole_page_weighs_what_it_encodes_to() {
+        let page = WholePage {
+            page: 4,
+            applied: vec![(0, 1), (3, 9)],
+            words: vec![1; 32],
+        };
+        let mut e = Enc::with_encoding(64, Encoding::Runs);
+        page.enc(&mut e);
+        assert_eq!(e.finish().len(), WholePage::wire_bytes(2, 32));
     }
 
     #[test]

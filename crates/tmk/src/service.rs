@@ -98,7 +98,7 @@ pub fn service_loop(
             DsmStats::add(&stats.push_sent, diffs);
             DsmStats::add(&stats.push_bytes, payload.len() as u64);
             // A reader that left the network mid-epoch is past caring.
-            let _ = endpoint.send(dst, payload);
+            let _ = endpoint.send_push(dst, payload);
             while let Some(inc) = endpoint.try_recv() {
                 serve_one(inc, &core, &table, &cfg, &ctrl_tx);
             }
@@ -157,12 +157,13 @@ fn serve_one(
             epoch,
             wants,
             subscribe,
+            whole_if_smaller,
         } => {
             let rep = {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "DiffReq from wrong epoch");
                 let subscriber = subscribe.then(|| c.team.pid_of(inc.src)).flatten();
-                c.serve_diffs(&wants, subscriber)
+                c.serve_diffs(&wants, subscriber, whole_if_smaller)
             };
             inc.replier
                 .expect("DiffReq is a request")

@@ -75,8 +75,13 @@ counters! {
     gcs,
     /// Pages fetched specifically during GC completion (step 2).
     gc_fetch_pages,
-    /// Pages moved off leaving processes at adaptation.
+    /// Always 0; kept because the `benchmark/` harness reads it (the
+    /// pages a leave completes count in `gc_fetch_pages`).
     leave_pages_moved,
+    /// Pages a creator served whole to a page collection (a GC
+    /// completion) because its diff chain was larger (installed by the
+    /// fetcher).
+    gc_whole_pages,
     /// Always 0; kept because the `benchmark/` harness reads it.
     prefetch_issued,
     /// Always 0; see `prefetch_issued`.
