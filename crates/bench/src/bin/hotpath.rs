@@ -48,10 +48,10 @@
 //!   order of magnitude on every core count.
 //!
 //! Emits a human table plus `BENCH_hotpath.json`; with `--smoke` the
-//! floors in `crates/bench/baselines.toml` (`[hotpath]`) are enforced
-//! and a violation exits nonzero.
+//! floors `CONTENTION_8T_MIN_RATIO`, `PIPELINE_MIN_PAGES_PER_SEC` and
+//! `INTERVAL_8T_MIN_RATIO` are enforced and a violation exits nonzero.
 
-use nowmp_bench::{load_baselines, Json, Scale};
+use nowmp_bench::{Json, Scale};
 use nowmp_tmk::diff::Diff;
 use nowmp_tmk::page::{PageBuf, PageMeta, PageState};
 use nowmp_tmk::PageTable;
@@ -543,34 +543,61 @@ fn main() {
 
     // --- CI floors (enforced in the --smoke configuration CI runs) ----
     if scale == Scale::Smoke {
-        let floors = load_baselines();
+        // The contention floor is a *ratio* (sharded page table vs the
+        // coarse single-mutex design it replaced), taken as the max of
+        // the lane's fault-throughput and serve-throughput ratios — the
+        // coarse lock loses on the worker side on multicore runners and
+        // on the server side on single-core runners (service
+        // starvation), so the max is robust to either. Measured
+        // 9.6-12.7x at 8 threads on a 1-core runner (serve side
+        // dominant); the acceptance target is >= 2x.
+        const CONTENTION_8T_MIN_RATIO: f64 = 2.0;
         let lane8 = &lanes[2];
         let ratio8 = lane8.gate_ratio();
-        let ratio_floor = floors["hotpath_contention_8t_min_ratio"];
         println!(
-            "gate: 8-thread sharded/coarse ratio = {ratio8:.2} (fault {:.2}x, serve {:.2}x; floor {ratio_floor:.2})",
+            "gate: 8-thread sharded/coarse ratio = {ratio8:.2} (fault {:.2}x, serve {:.2}x; \
+             floor {CONTENTION_8T_MIN_RATIO:.2})",
             lane8.fault_ratio(),
             lane8.serve_ratio()
         );
         assert!(
-            ratio8 >= ratio_floor,
+            ratio8 >= CONTENTION_8T_MIN_RATIO,
             "CI hotpath gate: 8-thread page-table contention ratio {ratio8:.2} fell below \
-             the pinned floor {ratio_floor:.2} (crates/bench/baselines.toml)"
+             the pinned floor {CONTENTION_8T_MIN_RATIO:.2}"
         );
-        let pipe_floor = floors["hotpath_pipeline_min_pages_per_sec"];
-        println!("gate: pipeline = {pipeline:.0} pages/s (floor {pipe_floor:.0})");
+        // Single-thread pages/sec through diff-create -> wire -> decode
+        // -> apply -> zrle on 4 KB pages with 64 dirty words. Measured
+        // ~250-280k pages/s in release on the CI runner; pinned well
+        // under that so shared-runner noise passes while a big pipeline
+        // regression fails.
+        const PIPELINE_MIN_PAGES_PER_SEC: f64 = 15000.0;
+        println!("gate: pipeline = {pipeline:.0} pages/s (floor {PIPELINE_MIN_PAGES_PER_SEC:.0})");
         assert!(
-            pipeline >= pipe_floor,
+            pipeline >= PIPELINE_MIN_PAGES_PER_SEC,
             "CI hotpath gate: pipeline throughput {pipeline:.0} pages/s fell below \
-             the pinned floor {pipe_floor:.0} (crates/bench/baselines.toml)"
+             the pinned floor {PIPELINE_MIN_PAGES_PER_SEC:.0}"
         );
+        // 8-thread interval-bookkeeping ratio: fault-path progress
+        // *during an active interval close*. Open-interval write-set
+        // tracking lives in the page-table shards (PageGuard::mark_dirty
+        // + drain_dirty), so the closer drains the shard lists and then
+        // does its diff work holding nothing — writers keep faulting at
+        // full speed (measured 1.6-4.6M ops/s during the close window).
+        // The old core-side Mutex<Vec<PageId>> design held the list
+        // across the whole close, so every first write to a re-opened
+        // page stalled behind it (measured 0-3 ops/s during the window).
+        // Healthy ratio is >= 10^5; a regression back to closer-held
+        // enrollment collapses it to ~1. The zero-prone denominator is
+        // floored at 1 op/s so the ratio stays finite.
+        const INTERVAL_8T_MIN_RATIO: f64 = 50.0;
         let iv8 = intervals[1].floored_ratio();
-        let iv_floor = floors["hotpath_interval_8t_min_ratio"];
-        println!("gate: 8-thread during-close fault ratio = {iv8:.1} (floor {iv_floor:.1})");
+        println!(
+            "gate: 8-thread during-close fault ratio = {iv8:.1} (floor {INTERVAL_8T_MIN_RATIO:.1})"
+        );
         assert!(
-            iv8 >= iv_floor,
+            iv8 >= INTERVAL_8T_MIN_RATIO,
             "CI hotpath gate: 8-thread during-close fault-progress ratio {iv8:.1} fell \
-             below the pinned floor {iv_floor:.1} (crates/bench/baselines.toml)"
+             below the pinned floor {INTERVAL_8T_MIN_RATIO:.1}"
         );
     }
 }

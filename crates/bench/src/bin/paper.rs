@@ -1,6 +1,7 @@
 //! `paper <claim|all> [--smoke]` — the paper's evaluation, claim by
 //! claim (`nowmp_bench::paper`), on the 1999 generation and on the
-//! current one.
+//! current one (`paper::generations`; the `scale` sweep, whose lanes
+//! are the generations, runs once).
 //!
 //! Prints each claim's tables and verdicts, then compares them with the
 //! claim's golden file under `crates/bench/golden/` (`paper::golden_path`)
@@ -30,7 +31,7 @@ fn main() -> ExitCode {
     let mut differences = 0;
     let mut records = Vec::new();
     for &(name, run) in claims {
-        for (generation, dsm) in generations() {
+        for (generation, dsm) in generations(name) {
             println!(
                 "\n##### {name} — {generation} generation — {} #####",
                 scale.name()

@@ -1,14 +1,13 @@
-//! # nowmp-bench — the paper's claims, the what-if sweep, the hot path
+//! # nowmp-bench — the paper's claims and the hot path
 //!
 //! The paper's evaluation is a set of claims, and [`paper`] holds one
 //! function per claim: each runs its experiment on a fresh virtual
-//! clock and returns the printed tables plus named verdicts. Three
+//! clock and returns the printed tables plus named verdicts. Two
 //! binaries drive the crate:
 //!
 //! | binary | runs |
 //! |---|---|
 //! | `paper` | every claim of [`paper`] on the 1999 and the current generation, checked against `crates/bench/golden/` |
-//! | `whatif_scale` | 2–32 hosts, heterogeneous and loaded, across protocol generations (`docs/BROADCAST.md`, `docs/DATAPLANE.md`) |
 //! | `hotpath` | real-clock data-plane throughput floors (`docs/HOTPATH.md`) |
 //!
 //! | claim | reproduces |
@@ -20,6 +19,7 @@
 //! | [`paper::sec5_1`] | §5.1 — network/lock/diff/page micro-costs |
 //! | [`paper::sec5_3`] | §5.3 — migration-only adaptation costs |
 //! | [`paper::sec5_4`] | §5.4 (a)–(e) — adaptation cost micro-analysis |
+//! | [`paper::scale`] | §7's larger and mixed NOWs: 2–32 hosts across the protocol generations, with CI's scaling floors (`docs/BROADCAST.md`, `docs/DATAPLANE.md`) |
 //!
 //! Sizes are scaled down from the paper's 1999 testbed (laptop-scale;
 //! [`BenchApps`] gives each kernel's paper size beside its own); every
@@ -245,94 +245,6 @@ fn quote(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// One lane of the `whatif_scale` sweep: a scenario × collective ×
-/// data-plane combination with its serial baseline and the
-/// `(nprocs, simulated seconds)` samples measured along it. Lanes from
-/// different kernels (the Jacobi generation sweep, the NBF data-plane
-/// A/B) carry their own `t1`, so every speedup in the artifact is
-/// against the right serial run.
-pub struct WhatifLane {
-    /// Scenario label (e.g. `homogeneous`, `nbf-homogeneous`).
-    pub scenario: String,
-    /// Fork dissemination (`flat` / `tree`).
-    pub broadcast: String,
-    /// Join/barrier collection (`flat` / `tree`).
-    pub reduce: String,
-    /// Data plane (`demand` / `overlap`).
-    pub dataplane: String,
-    /// Serial baseline for this lane's kernel, simulated seconds.
-    pub t1: f64,
-    /// `(nprocs, simulated seconds)` along the lane.
-    pub samples: Vec<(usize, f64)>,
-}
-
-/// The `whatif_scale` sweep as the `BENCH_whatif.json` artifact:
-/// simulated seconds and speedup per `scenario × broadcast × reduce ×
-/// dataplane × nprocs`, plus each lane's serial baseline. The CI scaling
-/// gate reads the same numbers in-process (see [`load_baselines`]); the
-/// artifact preserves them across PRs.
-pub fn whatif_json(scale: Scale, t1: f64, lanes: &[WhatifLane]) -> Json {
-    let per_nprocs = |lane: &WhatifLane, f: &dyn Fn(f64) -> f64| {
-        Json::obj(
-            lane.samples
-                .iter()
-                .map(|&(p, s)| (p.to_string(), Json::num(f(s), 4))),
-        )
-    };
-    let results = lanes.iter().map(|lane| {
-        Json::obj([
-            ("scenario", Json::str(&lane.scenario)),
-            ("broadcast", Json::str(&lane.broadcast)),
-            ("reduce", Json::str(&lane.reduce)),
-            ("dataplane", Json::str(&lane.dataplane)),
-            ("t1_secs", Json::num(lane.t1, 4)),
-            ("secs", per_nprocs(lane, &|s| s)),
-            (
-                "speedup",
-                per_nprocs(lane, &|s| if s > 0.0 { lane.t1 / s } else { f64::NAN }),
-            ),
-        ])
-    });
-    Json::obj([
-        ("clock", Json::str("virtual")),
-        ("quick", Json::Bool(scale == Scale::Smoke)),
-        ("t1_secs", Json::num(t1, 4)),
-        ("results", Json::Arr(results.collect())),
-    ])
-}
-
-/// Parse the miniature `key = number` dialect of
-/// `crates/bench/baselines.toml` (no TOML crate in the offline vendor
-/// set): `#` comments and `[section]` headers are skipped; everything
-/// else must be `name = <f64>`.
-pub fn parse_baselines(text: &str) -> std::collections::HashMap<String, f64> {
-    let mut out = std::collections::HashMap::new();
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() || line.starts_with('[') {
-            continue;
-        }
-        if let Some((k, v)) = line.split_once('=') {
-            if let Ok(v) = v.trim().parse::<f64>() {
-                out.insert(k.trim().to_owned(), v);
-            }
-        }
-    }
-    out
-}
-
-/// Load the checked-in CI gate floors from `crates/bench/baselines.toml`.
-/// The default path is baked at compile time (`CARGO_MANIFEST_DIR`),
-/// which covers CI and any unmoved checkout; a relocated binary can
-/// point elsewhere with `NOWMP_BASELINES=/path/to/baselines.toml`.
-pub fn load_baselines() -> std::collections::HashMap<String, f64> {
-    let path = std::env::var("NOWMP_BASELINES")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/baselines.toml").to_owned());
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read CI baselines at {path}: {e}"));
-    parse_baselines(&text)
-}
-
 /// Result of one measured run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -505,26 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn baselines_parser_and_checked_in_file() {
-        let parsed =
-            parse_baselines("# comment\n[whatif_scale]\nfoo = 1.5 # trailing\n\nbar=2\njunk\n");
-        assert_eq!(parsed["foo"], 1.5);
-        assert_eq!(parsed["bar"], 2.0);
-        assert_eq!(parsed.len(), 2);
-        // The checked-in floors the CI gate depends on must exist.
-        let floors = load_baselines();
-        assert!(floors.contains_key("tree_homogeneous_16_min_speedup"));
-        assert!(floors.contains_key("tree_over_flat_32_min_ratio"));
-        assert!(floors.contains_key("tree_reduce_homogeneous_32_min_speedup"));
-        assert!(floors.contains_key("tree_reduce_over_flat_reduce_32_min_ratio"));
-        assert!(floors.contains_key("overlap_homogeneous_32_min_speedup"));
-        assert!(floors.contains_key("overlap_over_demand_32_min_ratio"));
-        assert!(floors.contains_key("hotpath_contention_8t_min_ratio"));
-        assert!(floors.contains_key("hotpath_pipeline_min_pages_per_sec"));
-        assert!(floors.contains_key("hotpath_interval_8t_min_ratio"));
-    }
-
-    #[test]
     fn json_is_well_formed() {
         let j = Json::obj([
             ("name", Json::str("a \"quoted\" \\ name\n")),
@@ -545,50 +437,6 @@ mod tests {
              \"empty\": [],\n  \"nested\": {\"x\": [null]}\n}\n"
         );
         assert_eq!(Json::Arr(vec![Json::Null]).render(), "[null]\n");
-    }
-
-    #[test]
-    fn whatif_json_is_well_formed() {
-        let j = whatif_json(
-            Scale::Smoke,
-            2.0,
-            &[
-                WhatifLane {
-                    scenario: "homogeneous".into(),
-                    broadcast: "tree".into(),
-                    reduce: "tree".into(),
-                    dataplane: "overlap".into(),
-                    t1: 2.0,
-                    samples: vec![(2, 1.0), (32, 0.1)],
-                },
-                WhatifLane {
-                    scenario: "nbf-homogeneous".into(),
-                    broadcast: "flat".into(),
-                    reduce: "flat".into(),
-                    dataplane: "demand".into(),
-                    t1: 6.0,
-                    samples: vec![(32, 0.4), (64, 0.0)],
-                },
-            ],
-        )
-        .render();
-        assert!(j.contains("\"broadcast\": \"tree\""));
-        assert!(j.contains("\"reduce\": \"tree\""));
-        assert!(j.contains("\"reduce\": \"flat\""));
-        assert!(j.contains("\"dataplane\": \"overlap\""));
-        assert!(j.contains("\"dataplane\": \"demand\""));
-        assert!(j.contains("\"scenario\": \"nbf-homogeneous\""));
-        assert!(j.contains("\"quick\": true"));
-        // Speedups come from each lane's own baseline: 2.0/0.1 for the
-        // first lane, 6.0/0.4 — not 2.0/0.4 — for the second.
-        assert!(j.contains("\"32\": 20.0000"));
-        assert!(j.contains("\"32\": 15.0000"));
-        assert!(!j.contains("\"32\": 5.0000"));
-        assert!(j.contains("\"t1_secs\": 6.0000"));
-        // A zero sample has no speedup: null, never NaN.
-        assert!(j.contains("\"64\": null"));
-        assert!(!j.contains("NaN"));
-        assert!(j.starts_with("{\n  \"clock\": \"virtual\",") && j.ends_with("  ]\n}\n"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The paper's evaluation as claims: one function per table, figure or
-//! paragraph, `fn(Scale, DsmConfig) -> Claim`.
+//! paragraph, and [`scale`] for the larger NOWs its §7 anticipates,
+//! `fn(Scale, DsmConfig) -> Claim`.
 //!
 //! Each function reruns its experiment on the DSM generation it is
 //! given, every run on a fresh virtual clock, and returns the tables it
@@ -18,13 +19,14 @@ use crate::{
     Scale, Table,
 };
 use bytes::Bytes;
-use nowmp_apps::{jacobi::Jacobi, Kernel};
+use nowmp_apps::{jacobi::Jacobi, nbf::Nbf, Kernel};
 use nowmp_core::{moved_fraction_on_leave, EventKind, LeaveSel, LogEntry};
 use nowmp_net::{CostModel, HostId, NetModel, Network};
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::shared::SharedF64Vec;
 use nowmp_tmk::system::{DsmSystem, MasterCtl, RegionRunner};
-use nowmp_tmk::{DsmConfig, ElemKind, TmkCtx};
+use nowmp_tmk::DataPlaneConfig::{self, Demand, Overlap};
+use nowmp_tmk::{Broadcast, CollectiveConfig, DsmConfig, DsmSnapshot, ElemKind, TmkCtx};
 use nowmp_util::{fmt_bytes, Clock};
 use std::fmt;
 use std::path::PathBuf;
@@ -109,7 +111,7 @@ fn verdict_line(name: &str, holds: bool) -> String {
 pub type ClaimFn = fn(Scale, DsmConfig) -> Claim;
 
 /// Every claim, under the name `paper <claim>` selects it by.
-pub const CLAIMS: [(&str, ClaimFn); 7] = [
+pub const CLAIMS: [(&str, ClaimFn); 8] = [
     ("table1", table1),
     ("table2", table2),
     ("fig2", fig2),
@@ -117,12 +119,17 @@ pub const CLAIMS: [(&str, ClaimFn); 7] = [
     ("sec5_1", sec5_1),
     ("sec5_3", sec5_3),
     ("sec5_4", sec5_4),
+    ("scale", scale),
 ];
 
-/// The generations every claim runs on: the paper's 1999 system
-/// ([`DsmConfig::generation_1999`]) and the shipped default.
-pub fn generations() -> [(&'static str, DsmConfig); 2] {
-    [
+/// The generations `claim` runs on: the paper's 1999 system
+/// ([`DsmConfig::generation_1999`]) and the shipped default. [`scale`]
+/// runs once, as `every`: its lanes are the generations.
+pub fn generations(claim: &str) -> Vec<(&'static str, DsmConfig)> {
+    if claim == "scale" {
+        return vec![("every", DsmConfig::default_4k())];
+    }
+    vec![
         ("1999", DsmConfig::default_4k().generation_1999()),
         ("current", DsmConfig::default_4k()),
     ]
@@ -1028,4 +1035,492 @@ pub fn sec5_4(scale: Scale, dsm: DsmConfig) -> Claim {
     );
     c.verdict("every run verifies and logs its events", verified);
     c
+}
+
+/// How the workstations of a what-if pool differ from the reference
+/// one.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Pool {
+    Homogeneous,
+    /// Odd-numbered hosts run at half speed.
+    Heterogeneous,
+    /// Host 1 carries one competing background process.
+    LoadedHost,
+}
+
+impl Pool {
+    fn name(self) -> &'static str {
+        match self {
+            Pool::Homogeneous => "homogeneous",
+            Pool::Heterogeneous => "heterogeneous",
+            Pool::LoadedHost => "loaded-host",
+        }
+    }
+
+    fn apply(self, mut cost: CostModel, hosts: usize) -> CostModel {
+        match self {
+            Pool::Homogeneous => {}
+            Pool::Heterogeneous => {
+                for h in (1..hosts).step_by(2) {
+                    cost = cost.with_host_speed(HostId(h as u16), 0.5);
+                }
+            }
+            Pool::LoadedHost => {
+                if hosts > 1 {
+                    cost = cost.with_host_load(HostId(1), 1.0);
+                }
+            }
+        }
+        cost
+    }
+}
+
+/// One lane of the sweep: fork dissemination × join/barrier collection
+/// × data plane.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Mode {
+    fork: Broadcast,
+    reduce: Broadcast,
+    dataplane: DataPlaneConfig,
+}
+
+impl fmt::Display for Mode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let shape = |b| match b {
+            Broadcast::Flat => "flat",
+            Broadcast::Tree => "tree",
+        };
+        let plane = match self.dataplane {
+            Demand => "demand",
+            Overlap => "overlap",
+        };
+        write!(f, "{}/{}/{plane}", shape(self.fork), shape(self.reduce))
+    }
+}
+
+/// The 1999 system.
+const FFD: Mode = Mode {
+    fork: Broadcast::Flat,
+    reduce: Broadcast::Flat,
+    dataplane: Demand,
+};
+/// The fork redesign.
+const TFD: Mode = Mode {
+    fork: Broadcast::Tree,
+    ..FFD
+};
+/// Both collectives treed.
+const TTD: Mode = Mode {
+    reduce: Broadcast::Tree,
+    ..TFD
+};
+/// The full overlapped system.
+const TTO: Mode = Mode {
+    dataplane: Overlap,
+    ..TTD
+};
+
+/// Node counts for one (pool, mode) lane of the Jacobi sweep. Smoke
+/// trims the off-diagonal lanes so the sweep stays CI-sized while
+/// keeping every column the floors and the A/B ratios need.
+fn nodes(scale: Scale, pool: Pool, mode: Mode) -> &'static [usize] {
+    if scale == Scale::Full {
+        return &[2, 4, 8, 16, 32];
+    }
+    match (pool, mode) {
+        // The floor lanes: tree/tree homogeneous needs the full curve
+        // for both data planes (16-host floor, 32-host floors, every
+        // A/B numerator and denominator).
+        (Pool::Homogeneous, TTD | TTO) => &[2, 4, 8, 16, 32],
+        // A/B baselines at the ceiling end: tree/flat isolates the
+        // collection side, flat/flat is the 1999 system.
+        (Pool::Homogeneous, _) => &[8, 16, 32],
+        // What-if color rides the newest lane only; the demand lanes
+        // exist for the floors and A/Bs above.
+        (_, TTO) => &[2, 8, 32],
+        (_, TTD) => &[32],
+        (_, _) => &[8, 32],
+    }
+}
+
+/// One measured point of the sweep.
+#[derive(Clone, Copy, Debug)]
+struct Point {
+    kernel: &'static str,
+    pool: Pool,
+    mode: Mode,
+    procs: usize,
+    /// Simulated seconds of the run.
+    secs: f64,
+    /// The same kernel's serial run, the one its speedup divides by.
+    t1: f64,
+    /// DSM counters of the run (the push ledger).
+    dsm: DsmSnapshot,
+}
+
+impl Point {
+    fn speedup(&self) -> f64 {
+        self.t1 / self.secs.max(1e-12)
+    }
+}
+
+/// `kernel` for `iters` iterations on `procs` workstations of `pool`
+/// in lane `mode`.
+fn sweep_run(
+    kernel: &dyn Kernel,
+    dsm: &DsmConfig,
+    pool: Pool,
+    mode: Mode,
+    procs: usize,
+    iters: usize,
+) -> RunResult {
+    let cfg = bench_cfg_for(kernel, dsm.clone(), procs, procs);
+    let cost = pool.apply(cfg.cost_model.clone(), procs);
+    let collectives = CollectiveConfig::default()
+        .with_fork(mode.fork)
+        .with_join_reduce(mode.reduce);
+    let cfg = cfg
+        .with_cost_model(cost)
+        .with_collectives(collectives)
+        .with_dataplane(mode.dataplane);
+    measure(kernel, cfg, iters, false, |_, _| {}, false)
+}
+
+/// Measure `kernel` along `lanes` (pool, mode, node counts) into
+/// `points`, each point with the kernel's own serial time, which is
+/// returned.
+fn sweep(
+    points: &mut Vec<Point>,
+    kernel: &dyn Kernel,
+    dsm: &DsmConfig,
+    iters: usize,
+    lanes: &[(Pool, Mode, &[usize])],
+) -> f64 {
+    // One reference workstation: a 1-process run exchanges nothing, so
+    // neither the pool nor the lane matters.
+    let t1 = sweep_run(kernel, dsm, Pool::Homogeneous, TTD, 1, iters).secs;
+    for &(pool, mode, nodes) in lanes {
+        for &procs in nodes {
+            let run = sweep_run(kernel, dsm, pool, mode, procs, iters);
+            points.push(Point {
+                kernel: kernel.name(),
+                pool,
+                mode,
+                procs,
+                secs: run.secs,
+                t1,
+                dsm: run.dsm,
+            });
+        }
+    }
+    t1
+}
+
+/// **What-if scaling** — NOWs no 1999 machine room had, and the
+/// protocol generations since, on the same application binaries.
+///
+/// The paper's testbed was eight homogeneous 300 MHz Pentium IIs; §7
+/// anticipates larger and mixed ones. With the `CostModel` charging
+/// calibrated compute to the virtual clock, Jacobi runs on:
+///
+/// * **homogeneous** pools of 2..32 workstations (the paper stopped at
+///   8);
+/// * **heterogeneous** pools, every odd-numbered workstation at half
+///   speed (a mixed-generation machine room): static schedules stretch
+///   to the stragglers, the flattening §7 anticipates;
+/// * a **loaded host**, one workstation with a competing background
+///   process (load 1.0 ⇒ effective speed ½): "someone sat down at
+///   their workstation" (§1) without the owner asking the process to
+///   leave.
+///
+/// Each pool runs the four generations as lanes, `fork/reduce/plane`:
+/// `flat/flat/demand` (the 1999 system: master-serialized fork sends
+/// and join arrivals, every fault a blocking round trip),
+/// `tree/flat/demand` (the fork relayed down the cost models' shape),
+/// `tree/tree/demand` (join and barrier aggregated up the reduce shape
+/// too; docs/BROADCAST.md) and `tree/tree/overlap` (pipelined faults,
+/// the writer push a region's faults subscribe to and 1 KB of
+/// piggybacked hot diffs; docs/DATAPLANE.md). Every lane sets its own
+/// collectives and data plane over the configuration it is given, so
+/// `paper` runs the claim once, as `every`, on the default.
+///
+/// The data plane binds on irregular access, so the claim then A/Bs
+/// demand against overlap on NBF, whose atoms read scattered partner
+/// positions: its pages are multi-writer and every rank re-faults the
+/// position array each iteration. On nearest-neighbour Jacobi the
+/// collectives dominate at this scale and overlap is about neutral.
+/// Each kernel's speedups divide by that kernel's own serial run.
+///
+/// What it shows: homogeneous speedup grows until the fixed per-fork
+/// communication dominates the shrinking block — under flat
+/// collectives the master's serialized fork sends plus the n−1 join
+/// streams converging on its inbound wire; the trees push that past 32
+/// nodes, and the overlapped plane takes the remaining per-fault round
+/// trips off the critical path. Heterogeneous flattens hard; the loaded
+/// host tracks homogeneous minus one effective node.
+///
+/// The verdicts are CI's scaling floors, named with their thresholds
+/// and pinned at smoke scale (`scale-every-smoke.txt`): a regression in
+/// the broadcast, collection or data-plane path flips one instead of
+/// silently flattening the curve. (Host counts past 32 are the task
+/// engine's: the harness's `task1024_engine` workload.)
+pub fn scale(scale: Scale, dsm: DsmConfig) -> Claim {
+    // Big enough that compute dominates at small node counts (the
+    // scaling story needs a compute-bound regime to roll over from),
+    // small enough that the real work behind the virtual charge stays
+    // cheap.
+    let (jacobi, iters) = scale.pick((Jacobi::new(384), 2usize), (Jacobi::new(1024), 4));
+    let (nbf, nbf_iters) = scale.pick((Nbf::new(2048, 16), 4usize), (Nbf::new(4096, 64), 6));
+    let mut points = Vec::new();
+    let pools = [Pool::Homogeneous, Pool::Heterogeneous, Pool::LoadedHost];
+    let lanes: Vec<_> = pools
+        .into_iter()
+        .flat_map(|pool| [TTO, TTD, TFD, FFD].map(|mode| (pool, mode, nodes(scale, pool, mode))))
+        .collect();
+    let t1 = sweep(&mut points, &jacobi, &dsm, iters, &lanes);
+    let nbf_nodes = scale.pick(&[8, 32][..], &[2, 8, 32]);
+    let nbf_lanes = [TTD, TTO].map(|mode| (Pool::Homogeneous, mode, nbf_nodes));
+    let nbf_t1 = sweep(&mut points, &nbf, &dsm, nbf_iters, &nbf_lanes);
+    let titles = [
+        format!(
+            "What-if scaling sweep: Jacobi {n}x{n}, {iters} iters (T1 = {t1:.3}s)",
+            n = jacobi.n
+        ),
+        format!(
+            "Data-plane A/B: NBF {} atoms x {} partners, {nbf_iters} iters (T1 = {nbf_t1:.3}s)",
+            nbf.atoms, nbf.partners
+        ),
+    ];
+    sweep_claim(titles, &points)
+}
+
+/// The [`scale`] claim's tables and verdicts from its measured points:
+/// the Jacobi sweep and the NBF A/B (titled `titles`), the push ledger
+/// and the A/B ratios at 32 homogeneous hosts.
+fn sweep_claim(titles: [String; 2], points: &[Point]) -> Claim {
+    let mut c = Claim::default();
+    let header = "Scenario | Lane | Nodes | Sim(s) | Speedup | Efficiency";
+    for (title, kernel) in titles.into_iter().zip(["Jacobi", "NBF"]) {
+        let rows = points.iter().filter(|p| p.kernel == kernel).map(|p| {
+            vec![
+                p.pool.name().to_owned(),
+                p.mode.to_string(),
+                p.procs.to_string(),
+                format!("{:.3}", p.secs),
+                format!("{:.2}", p.speedup()),
+                format!("{:.0}%", 100.0 * p.speedup() / p.procs as f64),
+            ]
+        });
+        c.tables.push(Table::new(title, header, rows.collect()));
+    }
+    let at = |kernel: &str, pool: Pool, mode: Mode, procs: usize| {
+        let key = (kernel, pool, mode, procs);
+        points
+            .iter()
+            .find(|p| (p.kernel, p.pool, p.mode, p.procs) == key)
+    };
+    let s = |kernel, pool, mode, procs| at(kernel, pool, mode, procs).map(Point::speedup);
+    let s32 = |kernel, mode| s(kernel, Pool::Homogeneous, mode, 32);
+    let ratio = |a: Option<f64>, b: Option<f64>| Some(a? / b?);
+
+    // What the writers pushed at the 32-host overlap point, and how
+    // much of it a fault claimed.
+    let ledgers = ["Jacobi", "NBF"].map(|k| (k, at(k, Pool::Homogeneous, TTO, 32).map(|p| p.dsm)));
+    let pct = |part: u64, whole: u64| format!("{:.0}%", 100.0 * part as f64 / whole.max(1) as f64);
+    let rows = ledgers.iter().filter_map(|&(kernel, d)| {
+        let d = d?;
+        Some(vec![
+            kernel.to_owned(),
+            d.push_sent.to_string(),
+            d.push_bytes.to_string(),
+            d.push_hits.to_string(),
+            pct(d.push_hits, d.push_sent),
+            d.push_wasted.to_string(),
+            d.piggyback_bytes.to_string(),
+        ])
+    });
+    c.tables.push(Table::new(
+        "Push ledger at 32 homogeneous hosts (tree/tree/overlap)",
+        "Kernel | Pushed | PushedBytes | Hit | Hit% | Wasted | PiggybackBytes",
+        rows.collect(),
+    ));
+
+    // The A/B headlines at the ceiling end: what the fork tree bought,
+    // what treeing the collection side buys on top, and what
+    // overlapping the data plane buys on top of both — on Jacobi,
+    // collective-bound at this scale, and on NBF, where it binds.
+    let abs = [
+        ("Jacobi", TTD, FFD),
+        ("Jacobi", TTD, TFD),
+        ("Jacobi", TTO, TTD),
+        ("NBF", TTO, TTD),
+    ];
+    let rows = abs.iter().map(|&(kernel, lane, base)| {
+        let cell = |v: Option<f64>| v.map_or("-".to_owned(), |v| format!("{v:.2}"));
+        vec![
+            kernel.to_owned(),
+            lane.to_string(),
+            cell(s32(kernel, lane)),
+            base.to_string(),
+            cell(s32(kernel, base)),
+            cell(ratio(s32(kernel, lane), s32(kernel, base))),
+        ]
+    });
+    c.tables.push(Table::new(
+        "A/B at 32 homogeneous hosts",
+        "Kernel | Lane | Speedup | Baseline | Speedup | Ratio",
+        rows.collect(),
+    ));
+
+    // The floors are virtual-clock speedups of the smoke configuration
+    // (Jacobi 384², 2 iters; NBF 2048 atoms x 16 partners, 4 iters;
+    // paper 1999 wire + cost models), re-measured when the outbound
+    // link became an ordered reservation (a contended sender sleeps
+    // exactly to its slot; before, it polled with a doubling back-off
+    // and the wire idled between a release and the next poll), the
+    // three Jacobi floors again when record sets became delta-coded
+    // (docs/BROADCAST.md, Part 6) and when the collective shapes came
+    // from the cost model (Part 7), and pinned ~10% under what five
+    // consecutive runs on the 2-core reference box then showed. Each is
+    // a verdict named `<what> >= <floor>`.
+    let homogeneous = |mode, procs| s("Jacobi", Pool::Homogeneous, mode, procs);
+    let floors = [
+        // Tree-broadcast homogeneous speedup at 16 hosts. Measured
+        // 4.31-4.39 over five runs. History: first pinned at 3.3
+        // against a measured 4.04, then lowered to 2.7 when the same
+        // lane read 3.1-3.2 on another runner. The timeline depended on
+        // the host in two ways then: the virtual clock judged
+        // quiescence by wall-clock heuristics (since removed), and a
+        // sender that found its link busy polled it with a doubling
+        // back-off, so the wait it paid depended on which poll found
+        // the wire free (removed with the reservation). With both gone
+        // the lane read 3.65-3.69 and the original floor stood again.
+        // Delta-coded record sets shrank what each of the master's four
+        // fork sends carries and moved the lane to 3.87-3.92; floor
+        // raised from 3.3 to 3.5. The model-derived shapes (depth 2
+        // both ways at 16 ranks instead of 4) moved it to 4.31-4.39.
+        ("tree/tree homogeneous S(16)", homogeneous(TTD, 16), 3.9),
+        // Tree-fork + tree-reduce homogeneous speedup at 32 hosts (the
+        // collection-side floor). Measured 4.29-4.32 over five runs.
+        // History: first pinned at 2.9 against 3.45, lowered to 2.3
+        // when it read 2.7-2.8 — same cause as the 16-host floor above;
+        // 3.12 in five of five runs, floor 2.8, once the timeline
+        // stopped depending on the host; raised when the 32-record fork
+        // shrank from 1.8 KB to 0.34 KB and the write notices stopped
+        // being what the master serialises (3.81-3.85, floor 3.45);
+        // raised again when the fork and reduce trees became the greedy
+        // schedules for their own costs (depth 3 and 2 instead of 5 and
+        // 5).
+        ("tree/tree homogeneous S(32)", homogeneous(TTD, 32), 3.85),
+        // Virtual-timeline advantage of fully-treed collectives over
+        // the all-flat 1999 system at 32 homogeneous hosts. Measured
+        // 6.35-6.47 over five runs (the original acceptance target was
+        // >= 1.5x). History: 4.63-4.66, floor 4.2, before the
+        // delta-coded sets; 5.67-5.74, floor 5.1, before the
+        // model-derived shapes. The flat side encodes `Flat`, builds no
+        // shape and did not move.
+        (
+            "tree/tree over flat/flat at 32 hosts",
+            ratio(homogeneous(TTD, 32), homogeneous(FFD, 32)),
+            5.7,
+        ),
+        // What the reduce shape buys over flat collection at 32
+        // homogeneous hosts, tree fork on both sides (tree/tree over
+        // tree/flat, demand plane). Measured 1.17-1.18 over five runs.
+        // With the binomial reduce tree the same lane read 1.07 — the
+        // 1.00-1.07 "not yet a result" of ROADMAP aim 1 — so the floor
+        // sits between the two: a reduce shape that falls back to
+        // binomial depth fails it. A ratio near 1, so not 10% under the
+        // measurement but 4%.
+        (
+            "tree reduce over flat reduce at 32 hosts",
+            ratio(homogeneous(TTD, 32), homogeneous(TFD, 32)),
+            1.12,
+        ),
+        // Overlapped data plane homogeneous speedup at 32 hosts on NBF.
+        // Measured 1.35-1.38 over ten runs; demand paging manages 0.89
+        // on the same lane (the position array is re-fetched wholesale
+        // every iteration, so past ~8 hosts demand NBF *slows down*
+        // with more nodes). History: pinned at 1.05 against 1.16-1.17
+        // when a reader still had to ask for every diff; re-pinned when
+        // writers began to push their new diffs to last epoch's readers
+        // at the interval close (docs/DATAPLANE.md, lever 4), measured
+        // 1.33-1.46 while a release-phase prefetcher still warmed the
+        // second iteration. The smoke lane is four cold-started
+        // iterations — cold, mixed, steady, steady — so it sees part of
+        // the steady-state gain.
+        ("NBF overlap homogeneous S(32)", s32("NBF", TTO), 1.2),
+        // Virtual-timeline advantage of the overlapped data plane over
+        // demand paging on NBF at 32 homogeneous hosts (the original
+        // acceptance target: >= 1.15x). Measured 1.49-1.55x over ten
+        // runs. History: 1.39-1.42x, floor 1.25, before the writer
+        // push; 1.61-1.64x (later 1.62), floor 1.45, while the
+        // release-phase prefetcher overlapped the second iteration's
+        // requests with its compute. Deleting the prefetcher (a
+        // region's own fault subscribes instead) loses that overlap in
+        // one of the four iterations, and the ten-run minimum came
+        // within 3% of 1.45, so the floor went to ~10% under it.
+        (
+            "NBF overlap over demand at 32 hosts",
+            ratio(s32("NBF", TTO), s32("NBF", TTD)),
+            1.34,
+        ),
+        // ROADMAP item 8's target on the newest lane, a reading until
+        // worksharing follows measured speed: static blocks wait for
+        // the half-speed stragglers (2.60 at smoke scale).
+        (
+            "heterogeneous S(8)",
+            s("Jacobi", Pool::Heterogeneous, TTO, 8),
+            3.1,
+        ),
+    ];
+    for (name, value, floor) in floors {
+        let holds = value.is_some_and(|v| v >= floor);
+        c.verdict(&format!("{name} >= {floor}"), holds);
+    }
+    // No silent waste: every pushed diff a reader applied or dropped
+    // was sent first.
+    for (kernel, d) in ledgers {
+        c.verdict(
+            &format!("{kernel} push ledger: no silent waste (hits + wasted <= sent)"),
+            d.is_some_and(|d| d.push_hits + d.push_wasted <= d.push_sent),
+        );
+    }
+    c
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_kernel_speedup_divides_by_its_own_serial_run() {
+        let point = |kernel, mode, secs, t1| Point {
+            kernel,
+            pool: Pool::Homogeneous,
+            mode,
+            procs: 32,
+            secs,
+            t1,
+            dsm: DsmSnapshot::default(),
+        };
+        // Against Jacobi's serial run NBF would read 0.08x and 0.10x.
+        let points = [
+            point("Jacobi", TTD, 0.1, 0.4),
+            point("NBF", TTD, 5.0, 6.0),
+            point("NBF", TTO, 4.0, 6.0),
+        ];
+        let c = sweep_claim(["jacobi".into(), "nbf".into()], &points);
+        let nbf = &c.tables[1].rows;
+        assert_eq!(nbf[0][4], "1.20");
+        assert_eq!(nbf[1][4], "1.50");
+        assert_eq!(c.tables[0].rows[0][4], "4.00");
+        let holds = |name: &str| c.verdicts.iter().find(|v| v.0 == name).map(|v| v.1);
+        assert_eq!(holds("NBF overlap homogeneous S(32) >= 1.2"), Some(true));
+        // 1.5 / 1.2: a ratio of one kernel's lanes, whatever its T1.
+        assert_eq!(
+            holds("NBF overlap over demand at 32 hosts >= 1.34"),
+            Some(false)
+        );
+    }
 }

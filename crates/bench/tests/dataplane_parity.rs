@@ -158,7 +158,7 @@ fn overlap_beats_demand_on_the_irregular_kernel() {
     // re-faults the whole multi-writer position array every iteration
     // — the data plane *is* the critical path. Pipelined multi-creator
     // faults and the writer push must beat demand paging
-    // outright here (whatif_scale --smoke measures 1.5x+ at 32 hosts;
+    // outright here (paper scale --smoke measures 1.5x+ at 32 hosts;
     // this CI-sized point asserts a conservative slice of that win).
     let app = nowmp_apps::nbf::Nbf::new(2048, 16);
     let demand = costed_run(&app, 8, 4, DataPlaneConfig::demand());

@@ -40,8 +40,8 @@ fn simulated_secs(kernel: &dyn Kernel, procs: usize, iters: usize) -> f64 {
     // broadcast with flat write-notice payloads and strict demand
     // paging; the targets below calibrate against exactly those
     // wire sizes and fault round-trips. The tree/RLE and overlap
-    // redesigns are measured separately (whatif_scale --broadcast /
-    // --dataplane).
+    // redesigns are measured separately (the lanes of `paper
+    // scale`).
     let cfg = costed_cfg(kernel, procs).generation_1999();
     measure(kernel, cfg, iters, true, |_, _| {}, false).secs
 }

@@ -2,7 +2,7 @@
 //!
 //! The thread-backed engine ([`crate::Cluster`] over
 //! [`nowmp_tmk::DsmSystem`]) spends two OS threads per simulated host
-//! (worker + service loop), which caps `whatif_scale` sweeps at ~32
+//! (worker + service loop), which caps `paper scale` sweeps at ~32
 //! hosts. This module is the event-driven alternative: every simulated
 //! host is a **resumable task** ([`nowmp_tmk::RegionTask`]) whose
 //! protocol position between communication points is explicit data,

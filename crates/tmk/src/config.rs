@@ -11,7 +11,7 @@ use std::time::Duration;
 pub enum Broadcast {
     /// Master exchanges with every slave itself: `n - 1` messages
     /// serialized at the master (the original TreadMarks shape, and the
-    /// A/B baseline for `whatif_scale --broadcast flat`) — the star
+    /// A/B baseline of `paper scale`'s `flat/…` lanes) — the star
     /// [`crate::tree::Shape::star`].
     Flat,
     /// Trees over team rank order, shaped by the cost model: the master

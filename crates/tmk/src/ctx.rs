@@ -1325,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_full_follows_multi_hop_redirects() {
+    fn fault_follows_multi_hop_redirects() {
         let net = Network::new(3, 1, NetModel::disabled());
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
@@ -1359,7 +1359,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "too many ownership redirects")]
-    fn fetch_full_redirect_cycle_panics() {
+    fn fault_redirect_cycle_panics() {
         // b and c each claim the other owns the page: the chase must
         // stop loudly at MAX_REDIRECTS instead of ping-ponging forever.
         let net = Network::new(3, 1, NetModel::disabled());

@@ -3,7 +3,7 @@
 //!
 //! The flat broadcast serializes `n - 1` sends on the master's link, so
 //! fork latency grows linearly with the team and caps virtual-timeline
-//! speedups past ~8–16 nodes (the ceiling `whatif_scale` exposed). A tree
+//! speedups past ~8–16 nodes (the ceiling the what-if sweep exposed). A tree
 //! rooted at rank 0 has each informed rank relay onward on *its own*
 //! host link. Which tree is best depends on the ratio of a message's
 //! per-send link occupancy (`gap`) to the rest of a hop (`hop`: flight
