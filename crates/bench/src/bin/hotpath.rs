@@ -8,8 +8,8 @@
 //!   compare (`Diff::create_from_words`), wire encode, wire decode,
 //!   apply into a `PageBuf`, plus the checkpoint-style zero-run encode
 //!   (`zrle`) of the same page. This is the path the wide-scan rewrite
-//!   accelerated; the floor pins it against regressions that criterion
-//!   deltas alone would only report, not fail.
+//!   accelerated; the floor fails a regression that the benchmark
+//!   harness's per-layer lanes would only report.
 //! * **contention** — 1/4/8 threads doing page-state transitions on
 //!   disjoint pages, once against the sharded [`PageTable`] (spin-lock
 //!   shards) and once against a coarse `Mutex<Vec<PageMeta>>` — the
@@ -477,7 +477,14 @@ fn json(scale: Scale, pipeline: f64, lanes: &[Lane], intervals: &[Lane]) -> Json
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = match Scale::from_args(&args) {
+        Some((scale, operands)) if operands.is_empty() => scale,
+        _ => {
+            eprintln!("usage: hotpath [--smoke]");
+            std::process::exit(2);
+        }
+    };
     let (pipe_pages, lane_secs) = scale.pick((20_000, 0.3), (200_000, 2.0));
 
     println!(

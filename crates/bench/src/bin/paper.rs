@@ -11,26 +11,20 @@
 //! what a golden file pins fails the run. Every table and verdict is
 //! also written to `BENCH_paper.json`.
 
-use nowmp_bench::paper::{generations, golden_diff, golden_path, CLAIMS};
-use nowmp_bench::{Json, Scale};
+use nowmp_bench::paper::{claims_from_args, generations, golden_diff, golden_path, CLAIMS};
+use nowmp_bench::Json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args.iter().find(|a| !a.starts_with("--"));
-    let claims: Vec<_> = CLAIMS
-        .iter()
-        .filter(|(name, _)| which.is_some_and(|w| w == "all" || w == name))
-        .collect();
-    if claims.is_empty() {
+    let Some((scale, claims)) = claims_from_args(&args) else {
         let names: Vec<&str> = CLAIMS.iter().map(|c| c.0).collect();
         eprintln!("usage: paper <{}|all> [--smoke]", names.join("|"));
         return ExitCode::from(2);
-    }
+    };
     let mut differences = 0;
     let mut records = Vec::new();
-    for &(name, run) in claims {
+    for (name, run) in claims {
         for (generation, dsm) in generations(name) {
             println!(
                 "\n##### {name} — {generation} generation — {} #####",

@@ -48,13 +48,21 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// `--smoke` on the command line selects [`Scale::Smoke`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--smoke") {
-            Scale::Smoke
-        } else {
-            Scale::Full
+    /// Splits a binary's arguments (program name dropped) into the
+    /// scale, [`Scale::Smoke`] if `--smoke` appears, and the operands,
+    /// in order. `None` on a repeated `--smoke` or any other argument
+    /// that starts with `-`: a mistyped flag must not pass unseen.
+    pub fn from_args(args: &[String]) -> Option<(Scale, Vec<&str>)> {
+        let mut scale = Scale::Full;
+        let mut operands = Vec::new();
+        for arg in args {
+            match arg.as_str() {
+                "--smoke" if scale == Scale::Full => scale = Scale::Smoke,
+                flag if flag.starts_with('-') => return None,
+                operand => operands.push(operand),
+            }
         }
+        Some((scale, operands))
     }
 
     /// `smoke` or `full`.
@@ -414,6 +422,23 @@ mod tests {
         let t = interpolate_runtime(100.0, 4.0, 60.0, 8.0, 6.0);
         assert!((t - 80.0).abs() < 1e-12);
         assert_eq!(interpolate_runtime(50.0, 4.0, 60.0, 4.0, 4.0), 50.0);
+    }
+
+    #[test]
+    fn scale_from_args_rejects_unknown_flags() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Scale::from_args(&args).map(|(scale, ops)| (scale, ops.join(" ")))
+        };
+        assert_eq!(parse(&[]), Some((Scale::Full, String::new())));
+        assert_eq!(parse(&["--smoke"]), Some((Scale::Smoke, String::new())));
+        assert_eq!(
+            parse(&["a", "--smoke", "b"]),
+            Some((Scale::Smoke, "a b".into()))
+        );
+        assert_eq!(parse(&["--smok"]), None);
+        assert_eq!(parse(&["-s"]), None);
+        assert_eq!(parse(&["--smoke", "--smoke"]), None);
     }
 
     #[test]

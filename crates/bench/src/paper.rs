@@ -122,6 +122,21 @@ pub const CLAIMS: [(&str, ClaimFn); 8] = [
     ("scale", scale),
 ];
 
+/// `paper`'s arguments (program name dropped): exactly one claim name
+/// or `all`, and an optional `--smoke`. The scale and the claims to
+/// run, or `None` for anything else.
+pub fn claims_from_args(args: &[String]) -> Option<(Scale, Vec<(&'static str, ClaimFn)>)> {
+    let (scale, operands) = Scale::from_args(args)?;
+    let [which] = operands[..] else {
+        return None;
+    };
+    let claims: Vec<_> = CLAIMS
+        .into_iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    (!claims.is_empty()).then_some((scale, claims))
+}
+
 /// The generations `claim` runs on: the paper's 1999 system
 /// ([`DsmConfig::generation_1999`]) and the shipped default. [`scale`]
 /// runs once, as `every`: its lanes are the generations.
@@ -1492,6 +1507,28 @@ fn sweep_claim(titles: [String; 2], points: &[Point]) -> Claim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn claims_from_args_takes_one_claim_and_an_optional_smoke() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            claims_from_args(&args)
+                .map(|(scale, claims)| (scale, claims.iter().map(|c| c.0).collect::<Vec<_>>()))
+        };
+        assert_eq!(parse(&["fig3"]), Some((Scale::Full, vec!["fig3"])));
+        assert_eq!(
+            parse(&["--smoke", "sec5_1"]),
+            Some((Scale::Smoke, vec!["sec5_1"]))
+        );
+        let all = parse(&["all", "--smoke"]).unwrap();
+        assert_eq!(all.0, Scale::Smoke);
+        assert_eq!(all.1, CLAIMS.map(|c| c.0));
+        assert_eq!(parse(&["fig3", "--smok"]), None);
+        assert_eq!(parse(&["sec5_1", "fig3", "--smoke"]), None);
+        assert_eq!(parse(&["--smoke"]), None);
+        assert_eq!(parse(&[]), None);
+        assert_eq!(parse(&["fig4"]), None);
+    }
 
     #[test]
     fn each_kernel_speedup_divides_by_its_own_serial_run() {

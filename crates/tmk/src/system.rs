@@ -17,7 +17,7 @@ use crate::core::ProcCore;
 use crate::ctx::{call_all, decode, CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan};
 use crate::msg::{DirRle, Msg, RegEntry};
-use crate::page::{PageState, Wn};
+use crate::page::Wn;
 use crate::records::Record;
 use crate::service::{service_loop, Ctrl};
 use crate::shm::{Allocator, Registry};
@@ -1055,14 +1055,6 @@ impl MasterCtl {
         self.sent_reg_ver = 0;
         self.dir = vec![self.gpid(); self.allocator.allocated_pages()];
         self.ctx.sync_reset();
-    }
-
-    /// Count of the master's currently valid pages (diagnostics).
-    pub fn master_valid_pages(&self) -> usize {
-        self.core
-            .lock()
-            .pages
-            .count(|m| m.state != PageState::Invalid)
     }
 
     /// Gracefully shut the system down: terminate every slave, then

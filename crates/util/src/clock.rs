@@ -857,11 +857,6 @@ impl<R> JoinHandle<R> {
         }
         self.inner.join()
     }
-
-    /// Has the thread finished running?
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
 }
 
 /// A condition variable whose waits a virtual [`Clock`] can see: the
