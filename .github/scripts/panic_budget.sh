@@ -10,8 +10,8 @@
 # number ROADMAP item 5 tracks; not gated).
 set -euo pipefail
 
-MAX_UNWRAP_EXPECT=64
-MAX_PANIC_UNREACHABLE=29
+MAX_UNWRAP_EXPECT=60
+MAX_PANIC_UNREACHABLE=28
 
 cd "$(dirname "$0")/../.."
 # The non-test library source of crate directory $1 (default: all).

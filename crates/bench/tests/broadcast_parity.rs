@@ -127,6 +127,7 @@ fn flat_and_tree_broadcasts_order_events_identically() {
         "the schedule must actually adapt"
     );
     assert!(tree.dsm.bcast_relays > 0, "no interior rank relayed a fork");
+    assert_eq!(flat.dsm.malformed_dropped + tree.dsm.malformed_dropped, 0);
 }
 
 #[test]

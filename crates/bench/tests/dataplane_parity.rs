@@ -91,6 +91,7 @@ fn demand_and_overlap_dataplanes_agree_bit_exactly() {
     assert!(odsm.push_sent > 0, "the overlap run must exercise pushes");
     assert_eq!(ddsm.push_sent, 0, "the demand plane never subscribes");
     assert_push_ledger(&odsm);
+    assert_eq!(ddsm.malformed_dropped + odsm.malformed_dropped, 0);
 }
 
 /// Steady-state run (no adaptation) with calibrated compute charged —

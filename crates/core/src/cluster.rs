@@ -97,7 +97,8 @@ pub struct ClusterConfig {
     /// mutating the built cluster.
     pub master_state_provider: Option<Arc<dyn Fn() -> Vec<u8> + Send + Sync>>,
     /// Job this cluster belongs to under the multi-tenant scheduler:
-    /// stamps every [`EventLog`] entry and keys the DSM page space.
+    /// stamps every [`EventLog`] entry. Tenants are isolated by each
+    /// owning its own `Network` and `DsmSystem`, not by this label.
     /// `None` (the single-job default) renders timelines unchanged.
     pub job: Option<JobId>,
 }
@@ -192,10 +193,9 @@ impl ClusterConfig {
     }
 
     /// Builder: label this cluster as `job` under the multi-tenant
-    /// scheduler (tags the event log, keys the DSM page space).
+    /// scheduler (tags the event log).
     pub fn with_job(mut self, job: JobId) -> Self {
         self.job = Some(job);
-        self.dsm.job = job.0;
         self
     }
 }

@@ -589,15 +589,23 @@ impl TaskAdapt<'_> {
 
 /// Worker-pool width: `NOWMP_POOL` if set, else `min(cores, 8)`.
 fn pool_size() -> usize {
-    if let Ok(v) = std::env::var("NOWMP_POOL") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+    let v = std::env::var_os("NOWMP_POOL");
+    pool_width(v.as_ref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map_or(4, |n| n.get())
+            .min(8)
+    })
+}
+
+/// The pool width a `NOWMP_POOL` value names: `None` when unset, else
+/// the positive integer it spells. Any other value panics rather than
+/// falling back to the default unnoticed.
+fn pool_width(value: Option<&str>) -> Option<usize> {
+    let v = value?;
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("NOWMP_POOL={v:?}: expected unset or a positive integer"),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8)
 }
 
 fn dur_ns(d: Duration) -> u64 {
@@ -842,5 +850,18 @@ mod tests {
         let (err, sys) = run_task_app(&Ring, cfg(64, 64), 2);
         assert_eq!(err, 0.0);
         assert!(sys.peak_workers() <= sys.pool());
+    }
+
+    #[test]
+    fn pool_setting_accepts_unset_or_a_positive_width() {
+        assert_eq!(pool_width(None), None);
+        assert_eq!(pool_width(Some("1")), Some(1));
+        assert_eq!(pool_width(Some("12")), Some(12));
+    }
+
+    #[test]
+    #[should_panic(expected = "expected unset or a positive integer")]
+    fn pool_setting_rejects_a_non_number() {
+        pool_width(Some("abc"));
     }
 }

@@ -4,7 +4,7 @@
 //! A NOW's nodes come and go; the pool tracks occupancy so the adaptive
 //! layer can place joiners on free workstations and pick multiplexing
 //! targets for urgent migrations (Figure 2c: the migrated process
-//! time-shares its new host). Since the [`nowmp_net::CostModel`] split,
+//! shares its new host). Since the [`nowmp_net::CostModel`] split,
 //! the pool also tracks each host's *effective speed* so target
 //! selection prefers fast hosts in heterogeneous what-if scenarios.
 //!

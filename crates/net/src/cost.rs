@@ -183,10 +183,11 @@ impl CostModel {
         self.host_loads.get(host.0 as usize).copied().unwrap_or(0.0)
     }
 
-    /// Effective speed of `host`: `speed / (1 + load)` — a load of 1.0
-    /// (one competing process) halves throughput, exactly the paper's
-    /// multiplexing model. Clamped away from zero so charges stay
-    /// finite.
+    /// Effective speed of `host`: `speed / (1 + load)` — a static
+    /// background load of 1.0 (one competing process outside the
+    /// simulation) halves throughput. Processes the simulation itself
+    /// places on the host do not count (see ROADMAP item 15). Clamped
+    /// away from zero so charges stay finite.
     pub fn effective_speed(&self, host: crate::HostId) -> f64 {
         let s = self.speed(host) / (1.0 + self.load(host).max(0.0));
         if s.is_finite() {

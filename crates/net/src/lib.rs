@@ -10,10 +10,10 @@
 //! code paths in the DSM above it:
 //!
 //! * [`Host`](net::Network::add_host) — a workstation: a full-duplex
-//!   network link with independent per-direction accounting, plus CPU
-//!   slots (a [`nowmp_util::Semaphore`]) used to emulate the
-//!   *multiplexing* of an urgently-migrated process onto an
-//!   already-busy node;
+//!   network link with independent per-direction accounting. A host
+//!   models no processor: an urgently-migrated process *multiplexed*
+//!   onto an already-busy node shares that node's links, and its
+//!   compute is charged at the node's speed as if it ran alone;
 //! * [`Endpoint`] — a process's mailbox. Endpoints are created on a
 //!   host and can later be **re-labeled** onto another host (process
 //!   migration);

@@ -23,7 +23,7 @@ use crate::stats::{LinkStats, NetStats, StatsSnapshot};
 use crate::{Gpid, HostId};
 use bytes::Bytes;
 use nowmp_util::mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender, RecvTimeoutError};
-use nowmp_util::{Clock, Semaphore, Tick};
+use nowmp_util::{Clock, Tick};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -114,6 +114,9 @@ impl Replier {
     }
 }
 
+/// A workstation as the network sees it: its two link directions. No
+/// processor is modelled, so processes sharing a host contend for its
+/// links only.
 struct HostRec {
     /// Next-free time of the host's *outbound* wire: everything sent
     /// from one workstation shares it. See [`NetInner::occupy_link`].
@@ -127,9 +130,6 @@ struct HostRec {
     /// [`HostRec::receive_at`].
     inbound: Mutex<Tick>,
     link_stats: Arc<LinkStats>,
-    /// CPU slots; the OpenMP layer acquires one per iteration chunk so
-    /// multiplexed processes time-share the processor.
-    cpu: Semaphore,
 }
 
 impl HostRec {
@@ -287,27 +287,22 @@ pub struct Network {
 }
 
 impl Network {
-    /// Create a network with `hosts` initial workstations, each with
-    /// `cpu_slots` CPU slots (1 = the paper's one process per node).
-    /// Host-side costs default to [`CostModel::disabled`]; the time
-    /// backend comes from the environment ([`Clock::from_env`]): real
-    /// by default, virtual under `NOWMP_CLOCK=virtual`.
-    pub fn new(hosts: usize, cpu_slots: usize, model: NetModel) -> Self {
-        Self::with_clock(
-            hosts,
-            cpu_slots,
-            model,
-            CostModel::disabled(),
-            Clock::from_env(),
-        )
+    /// Create a network with `hosts` initial workstations, each a pair
+    /// of links and no processor. Host-side costs default to
+    /// [`CostModel::disabled`]; the time backend comes from the
+    /// environment ([`Clock::from_env`]): real by default, virtual under
+    /// `NOWMP_CLOCK=virtual`.
+    pub fn new(hosts: usize, model: NetModel) -> Self {
+        Self::with_clock(hosts, 1, model, CostModel::disabled(), Clock::from_env())
     }
 
     /// [`Network::new`] with an explicit host [`CostModel`] and time
     /// backend. Everything that shares a simulation must share one
-    /// clock — pass clones of the same handle.
+    /// clock — pass clones of the same handle. `_cpu_slots` is ignored:
+    /// no host models CPU slots.
     pub fn with_clock(
         hosts: usize,
-        cpu_slots: usize,
+        _cpu_slots: usize,
         model: NetModel,
         cost: CostModel,
         clock: Clock,
@@ -324,7 +319,7 @@ impl Network {
             }),
         };
         for _ in 0..hosts {
-            net.add_host(cpu_slots);
+            net.add_host();
         }
         net
     }
@@ -335,14 +330,13 @@ impl Network {
     }
 
     /// Add a workstation to the pool; returns its id.
-    pub fn add_host(&self, cpu_slots: usize) -> HostId {
+    pub fn add_host(&self) -> HostId {
         let mut hosts = self.inner.hosts.write();
         let id = HostId(hosts.len() as u16);
         hosts.push(Arc::new(HostRec {
             outbound: Mutex::new(Tick::ZERO),
             inbound: Mutex::new(Tick::ZERO),
             link_stats: self.inner.stats.add_link(),
-            cpu: Semaphore::new(cpu_slots, &self.inner.clock),
         }));
         id
     }
@@ -365,15 +359,6 @@ impl Network {
     /// Snapshot all traffic counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats.snapshot()
-    }
-
-    /// Acquire a CPU slot on `host`, blocking while other processes on
-    /// the same workstation hold every slot. Returns a RAII permit.
-    ///
-    /// This is how multiplexing after an urgent leave costs time: two
-    /// processes, one CPU.
-    pub fn acquire_cpu(&self, host: HostId) -> nowmp_util::sem::Permit {
-        self.inner.host(host).cpu.acquire()
     }
 
     /// Register a new process endpoint on `host`.
@@ -735,7 +720,7 @@ mod tests {
     use super::*;
 
     fn net2() -> (Network, Endpoint, Endpoint) {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         (net, a, b)
@@ -767,7 +752,7 @@ mod tests {
 
     #[test]
     fn scatter_gather_call_begin() {
-        let net = Network::new(3, 1, NetModel::disabled());
+        let net = Network::new(3, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
@@ -878,7 +863,7 @@ mod tests {
 
     #[test]
     fn relabel_moves_accounting() {
-        let net = Network::new(3, 1, NetModel::disabled());
+        let net = Network::new(3, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         net.relabel(b.gpid(), HostId(2)).unwrap();
@@ -896,7 +881,7 @@ mod tests {
 
     #[test]
     fn relabel_unknown_gpid_errors() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         assert!(net.relabel(Gpid(77), HostId(1)).is_err());
     }
 
@@ -905,7 +890,7 @@ mod tests {
         let mut model = NetModel::disabled();
         model.emulate = true;
         model.one_way_latency = Duration::from_micros(500);
-        let net = Network::new(2, 1, model);
+        let net = Network::new(2, model);
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         let b_gpid = b.gpid();
@@ -946,25 +931,8 @@ mod tests {
     }
 
     #[test]
-    fn cpu_slots_serialize_multiplexed_processes() {
-        use std::time::Instant;
-        let net = Network::new(1, 1, NetModel::disabled());
-        let p1 = net.acquire_cpu(HostId(0));
-        let net2 = net.clone();
-        let t = Instant::now();
-        let h = std::thread::spawn(move || {
-            let _p2 = net2.acquire_cpu(HostId(0));
-            Instant::now()
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        drop(p1);
-        let acquired_at = h.join().unwrap();
-        assert!(acquired_at.duration_since(t) >= Duration::from_millis(25));
-    }
-
-    #[test]
     fn concurrent_calls_stress() {
-        let net = Network::new(4, 1, NetModel::disabled());
+        let net = Network::new(4, NetModel::disabled());
         let server_ep = net.register(HostId(0));
         let server_gpid = server_ep.gpid();
         let server = std::thread::spawn(move || {
@@ -1008,7 +976,7 @@ mod edge_tests {
 
     #[test]
     fn recv_timeout_returns_none_when_quiet() {
-        let net = Network::new(1, 1, NetModel::disabled());
+        let net = Network::new(1, NetModel::disabled());
         let ep = net.register(HostId(0));
         let got = ep.recv_timeout(Duration::from_millis(20)).unwrap();
         assert!(got.is_none());
@@ -1016,7 +984,7 @@ mod edge_tests {
 
     #[test]
     fn try_recv_nonblocking() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         assert!(b.try_recv().is_none());
@@ -1054,7 +1022,7 @@ mod edge_tests {
 
     #[test]
     fn recv_burst_drains_queued_messages_in_order() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         for i in 0..5u8 {
@@ -1116,7 +1084,7 @@ mod edge_tests {
 
     #[test]
     fn call_timeout_surfaces_deadlock() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1)); // nobody serves b's mailbox
         let err = a
@@ -1131,7 +1099,7 @@ mod edge_tests {
 
     #[test]
     fn charges_are_free_without_emulation() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         assert_eq!(net.charge_spawn(), Duration::ZERO);
         let d = net.charge_migration(HostId(0), HostId(1), 1 << 20);
         assert_eq!(d, Duration::ZERO);
@@ -1141,7 +1109,7 @@ mod edge_tests {
 
     #[test]
     fn gpids_are_unique_across_registrations() {
-        let net = Network::new(1, 1, NetModel::disabled());
+        let net = Network::new(1, NetModel::disabled());
         let mut seen = std::collections::HashSet::new();
         for _ in 0..50 {
             let ep = net.register(HostId(0));
@@ -1152,7 +1120,7 @@ mod edge_tests {
 
     #[test]
     fn messages_are_fifo_per_sender() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
         let b = net.register(HostId(1));
         for i in 0..100u32 {

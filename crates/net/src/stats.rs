@@ -132,13 +132,13 @@ pub struct StatsSnapshot {
 
 /// Network traffic attributed to one job of a multi-tenant run.
 ///
-/// Each job runs on its own page space and hence its own transport, so
-/// a whole [`StatsSnapshot`] belongs to exactly one job; this type just
-/// stamps the totals with the owning job id so schedulers can merge
-/// per-tenant snapshots into one accounting table.
+/// Each job runs on its own `Network`, so a whole [`StatsSnapshot`]
+/// belongs to exactly one job; this type just stamps the totals with
+/// the owning job id so schedulers can merge per-tenant snapshots into
+/// one accounting table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobTraffic {
-    /// Owning job id (page-space key; 0 = single-job runs).
+    /// Owning job id (0 = single-job runs).
     pub job: u32,
     /// Messages the job put on the wire.
     pub msgs: u64,

@@ -9,9 +9,9 @@
 //! cluster operations:
 //!
 //! * `Start` — bring up a per-job [`OmpSystem`] on the granted hosts.
-//!   Each job gets its **own DSM page space** (keyed by
-//!   [`JobId`] through `DsmConfig::job`) and its own virtual clock, so
-//!   tenants are byte-level isolated and their timelines independent;
+//!   Each job gets its **own `Network` and `DsmSystem`** (hence its
+//!   own page space) and its own virtual clock, so tenants are
+//!   byte-level isolated and their timelines independent;
 //! * `Preempt` — request that many grace leaves on the victim
 //!   ([`AdaptHandle::leave`], highest pids first). The shrink commits at
 //!   the victim's next adaptation point — exactly the paper's

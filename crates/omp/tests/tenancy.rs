@@ -82,7 +82,7 @@ fn preemption_frees_hosts_within_one_adaptation_point() {
 
 /// Two concurrent tenants write different sentinels to the *same-named*
 /// shared array. Each job's checkpoint image must contain only its own
-/// bytes: the JobId-keyed page spaces are byte-level isolated.
+/// bytes: each tenant's own `DsmSystem` page space is byte-level isolated.
 #[test]
 fn concurrent_jobs_have_isolated_page_spaces() {
     let dir = std::env::temp_dir().join(format!("nowmp-tenancy-{}", std::process::id()));

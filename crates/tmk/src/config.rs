@@ -196,11 +196,6 @@ pub struct DsmConfig {
     pub collectives: CollectiveConfig,
     /// Data plane: demand paging or fully overlapped (the default).
     pub dataplane: DataPlaneConfig,
-    /// Page-space key in multi-tenant runs: the cluster scheduler
-    /// constructs one `DsmSystem` per job, keyed by the job's id, so
-    /// pages, gpids and stats of one job never alias another's.
-    /// `0` is the single-job default.
-    pub job: u32,
 }
 
 impl std::fmt::Debug for DsmConfig {
@@ -212,7 +207,6 @@ impl std::fmt::Debug for DsmConfig {
             .field("throttle", &self.throttle.as_ref().map(|_| "<hook>"))
             .field("collectives", &self.collectives)
             .field("dataplane", &self.dataplane)
-            .field("job", &self.job)
             .finish()
     }
 }
@@ -227,15 +221,7 @@ impl DsmConfig {
             throttle: None,
             collectives: CollectiveConfig::default(),
             dataplane: DataPlaneConfig::default(),
-            job: 0,
         }
-    }
-
-    /// Builder: key this DSM instance's page space by a job id
-    /// (multi-tenant construction; see the `job` field).
-    pub fn with_job(mut self, job: u32) -> Self {
-        self.job = job;
-        self
     }
 
     /// Builder: set the data plane.

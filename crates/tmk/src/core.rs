@@ -51,24 +51,6 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Page id traced when the `NOWMP_TRACE_PAGE` env var is set (debugging aid).
-fn trace_page() -> Option<u32> {
-    static P: std::sync::OnceLock<Option<u32>> = std::sync::OnceLock::new();
-    *P.get_or_init(|| {
-        std::env::var("NOWMP_TRACE_PAGE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-macro_rules! ptrace {
-    ($page:expr, $($arg:tt)*) => {
-        if trace_page() == Some(u32::MAX) || trace_page() == Some($page) {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
 /// What the fault driver must do to make a page accessible.
 #[derive(Debug)]
 pub enum AccessPlan {
@@ -429,14 +411,6 @@ impl ProcCore {
             "page payload size mismatch"
         );
         DsmStats::bump(&self.stats.pages_fetched);
-        ptrace!(
-            page,
-            "[{:?}] install_page {} from {:?} applied={:?}",
-            self.gpid,
-            page,
-            from,
-            applied
-        );
         let mut meta = self.pages.guard(page);
         meta.data = Some(Arc::new(PageBuf::from_words(&words)));
         let mut vc = Vc::default();
@@ -510,15 +484,6 @@ impl ProcCore {
         );
         let mut words = 0u64;
         for (pid, seq, diff) in &batch {
-            ptrace!(
-                page,
-                "[{:?}] apply_diff {} from pid {} seq {} ({} words)",
-                self.gpid,
-                page,
-                pid,
-                seq,
-                diff.words()
-            );
             diff.apply(&data);
             // Multiple-writer invariant: our eventual close-diff must
             // contain *only our own* modifications, or it would carry
@@ -742,14 +707,6 @@ impl ProcCore {
                 Some(twin) => {
                     let data = meta.data.as_ref().expect("twinned page has data");
                     let diff = Diff::create(&twin, data, 0);
-                    ptrace!(
-                        page,
-                        "[{:?}] close_interval page {} seq {} diff_words={}",
-                        self.gpid,
-                        page,
-                        seq,
-                        diff.words()
-                    );
                     if diff.is_empty() {
                         continue; // spurious write fault, nothing changed
                     }
@@ -876,14 +833,6 @@ impl ProcCore {
         let open_seq = self.open_seq();
         let me_pid = self.my_pid;
         let mut meta = self.pages.guard(page);
-        ptrace!(
-            page,
-            "[{:?}] serve_page {} state={:?} applied={:?}",
-            self.gpid,
-            page,
-            meta.state,
-            meta.applied
-        );
         match meta.data.clone() {
             None => {
                 if meta.owner == self.gpid {

@@ -982,7 +982,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn make_ctx() -> TmkCtx {
-        let net = Network::new(1, 1, NetModel::disabled());
+        let net = Network::new(1, NetModel::disabled());
         let ep = Arc::new(net.register(HostId(0)));
         let gpid = ep.gpid();
         let core = Arc::new(Mutex::new(ProcCore::new(
@@ -1326,7 +1326,7 @@ mod tests {
 
     #[test]
     fn fault_follows_multi_hop_redirects() {
-        let net = Network::new(3, 1, NetModel::disabled());
+        let net = Network::new(3, NetModel::disabled());
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
         let (bg, cg) = (b.gpid(), c.gpid());
@@ -1362,7 +1362,7 @@ mod tests {
     fn fault_redirect_cycle_panics() {
         // b and c each claim the other owns the page: the chase must
         // stop loudly at MAX_REDIRECTS instead of ping-ponging forever.
-        let net = Network::new(3, 1, NetModel::disabled());
+        let net = Network::new(3, NetModel::disabled());
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
         let (bg, cg) = (b.gpid(), c.gpid());
@@ -1388,7 +1388,7 @@ mod tests {
 
     #[test]
     fn a_redirect_back_to_the_asker_panics_and_leaves_the_hint_alone() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let b = net.register(HostId(1));
         let bg = b.gpid();
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1415,7 +1415,7 @@ mod tests {
 
     #[test]
     fn a_collection_redirect_reaims_the_hint_for_the_demand_fault() {
-        let net = Network::new(3, 1, NetModel::disabled());
+        let net = Network::new(3, NetModel::disabled());
         let b = net.register(HostId(1));
         let c = net.register(HostId(2));
         let (bg, cg) = (b.gpid(), c.gpid());

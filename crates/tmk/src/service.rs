@@ -48,8 +48,9 @@ const SERVICE_BURST: usize = 16;
 /// simulation thread: start it with [`nowmp_util::Clock::spawn`], so
 /// virtual time holds still while a request is being served.
 ///
-/// Panics on malformed messages or protocol violations — this is a
-/// research system reproduction; loud failure beats silent corruption.
+/// A message it cannot serve — an undecodable payload, a request kind
+/// without a reply handle, a reply kind — is dropped and counted in
+/// [`DsmStats::malformed_dropped`]; the loop keeps serving.
 pub fn service_loop(
     endpoint: Arc<Endpoint>,
     core: Arc<Mutex<ProcCore>>,
@@ -68,6 +69,11 @@ pub fn service_loop(
             c.cfg.clone(),
         )
     };
+    let serve = |inc| {
+        if serve_one(inc, &core, &table, &cfg, &ctrl_tx).is_none() {
+            DsmStats::bump(&stats.malformed_dropped);
+        }
+    };
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
     loop {
         burst.clear();
@@ -76,9 +82,7 @@ pub fn service_loop(
         if endpoint.recv_burst(SERVICE_BURST, &mut burst).is_err() {
             break;
         }
-        for inc in burst.drain(..) {
-            serve_one(inc, &core, &table, &cfg, &ctrl_tx);
-        }
+        burst.drain(..).for_each(serve);
         // After every burst, not only after a wake: a `RecordsReq` we
         // just answered may have handed out the notice of an interval
         // whose close no wake has followed yet (an aggregator blocked
@@ -100,25 +104,23 @@ pub fn service_loop(
             // A reader that left the network mid-epoch is past caring.
             let _ = endpoint.send_push(dst, payload);
             while let Some(inc) = endpoint.try_recv() {
-                serve_one(inc, &core, &table, &cfg, &ctrl_tx);
+                serve(inc);
             }
         }
     }
 }
 
 /// Handle one incoming message (request answered inline, control
-/// forwarded to the application thread).
+/// forwarded to the application thread). `None` when it cannot be
+/// served: the caller drops and counts it.
 fn serve_one(
     inc: nowmp_net::Incoming,
     core: &Arc<Mutex<ProcCore>>,
     table: &crate::table::PageTable,
     cfg: &DsmConfig,
     ctrl_tx: &MailboxSender<Ctrl>,
-) {
-    let msg = match Msg::from_wire(&inc.payload) {
-        Ok(m) => m,
-        Err(e) => panic!("malformed message from {}: {e}", inc.src),
-    };
+) -> Option<()> {
+    let msg = Msg::from_wire(&inc.payload).ok()?;
     if msg.is_control() {
         // Forward to the application thread; if it has exited (post
         // Terminate), drop silently — late control traffic is
@@ -129,7 +131,7 @@ fn serve_one(
             src: inc.src,
             replier: inc.replier,
         });
-        return;
+        return Some(());
     }
     match msg {
         Msg::ConnHello { .. } => {
@@ -138,6 +140,7 @@ fn serve_one(
             }
         }
         Msg::PageReq { epoch, page } => {
+            let replier = inc.replier?;
             // Steady-state fast path: an already-shared page with a
             // local copy serves from its shard lock alone, concurrent
             // with whatever the application thread is doing to *other*
@@ -149,9 +152,7 @@ fn serve_one(
                 debug_assert_eq!(epoch, c.epoch(), "PageReq from wrong epoch");
                 c.serve_page(page)
             });
-            inc.replier
-                .expect("PageReq is a request")
-                .reply(rep.encode(cfg));
+            replier.reply(rep.encode(cfg));
         }
         Msg::DiffReq {
             epoch,
@@ -159,29 +160,27 @@ fn serve_one(
             subscribe,
             whole_if_smaller,
         } => {
+            let replier = inc.replier?;
             let rep = {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "DiffReq from wrong epoch");
                 let subscriber = subscribe.then(|| c.team.pid_of(inc.src)).flatten();
                 c.serve_diffs(&wants, subscriber, whole_if_smaller)
             };
-            inc.replier
-                .expect("DiffReq is a request")
-                .reply(rep.encode(cfg));
+            replier.reply(rep.encode(cfg));
         }
         Msg::DiffPush { epoch, diffs } => core.lock().deposit_push(epoch, inc.src, diffs),
         Msg::RecordsReq { epoch, vc } => {
+            let replier = inc.replier?;
             let rep = {
                 let c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "RecordsReq from wrong epoch");
                 c.serve_records(&vc)
             };
-            inc.replier
-                .expect("RecordsReq is a request")
-                .reply(rep.encode(cfg));
+            replier.reply(rep.encode(cfg));
         }
         Msg::LockReq { epoch, lock } => {
-            let replier = inc.replier.expect("LockReq is a request");
+            let replier = inc.replier?;
             let grant = {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "LockReq from wrong epoch");
@@ -197,8 +196,9 @@ fn serve_one(
             };
             deliver_grant(grant, cfg);
         }
-        other => panic!("service thread received non-request message {other:?}"),
+        _ => return None,
     }
+    Some(())
 }
 
 /// Dispatch a lock grant decided by the manager state machine.
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn page_request_served_while_idle() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _gpid_b) = spawn_proc(&net, 1);
 
@@ -289,7 +289,7 @@ mod tests {
         // already-shared page is answered from its shard lock even
         // while the application thread sits inside a long core-mutex
         // critical section.
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
 
@@ -337,8 +337,42 @@ mod tests {
     }
 
     #[test]
+    fn malformed_input_is_dropped_and_counted() {
+        let net = Network::new(2, NetModel::disabled());
+        let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
+        let page_req = || Msg::PageReq { epoch: 0, page: 0 }.to_bytes();
+        let fetch = || {
+            let rep = ep_b
+                .call_deadline(gpid_a, page_req(), std::time::Duration::from_secs(10))
+                .expect("the service thread still answers");
+            assert!(matches!(Msg::from_wire(&rep), Ok(Msg::PageRep { .. })));
+        };
+        let dropped = || core_a.lock().stats.snapshot().malformed_dropped;
+
+        fetch();
+        assert_eq!(dropped(), 0, "a well-formed request is served");
+        // Garbage, a request without a reply handle, and a reply kind.
+        let page_rep = Msg::PageRep {
+            applied: Vec::new(),
+            words: Vec::new(),
+            redirect: None,
+        };
+        for payload in [
+            bytes::Bytes::from_static(&[0xFF]),
+            page_req(),
+            page_rep.to_bytes(),
+        ] {
+            ep_b.send(gpid_a, payload).unwrap();
+        }
+        // Served in arrival order, so this answer comes after all three.
+        fetch();
+        assert_eq!(dropped(), 3);
+    }
+
+    #[test]
     fn control_messages_reach_app_thread() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let (_ep_a, _core_a, rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, gpid_b) = spawn_proc(&net, 1);
 
@@ -354,7 +388,7 @@ mod tests {
 
     #[test]
     fn remote_lock_protocol() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let (_ep_mgr, core_mgr, _rx, mgr_gpid) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
 
@@ -393,7 +427,7 @@ mod tests {
 
     #[test]
     fn records_request_served() {
-        let net = Network::new(2, 1, NetModel::disabled());
+        let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
 

@@ -271,7 +271,7 @@ mod tests {
     use std::sync::Arc;
 
     fn ctx() -> TmkCtx {
-        let net = Network::new(1, 1, NetModel::disabled());
+        let net = Network::new(1, NetModel::disabled());
         let ep = Arc::new(net.register(HostId(0)));
         let gpid = ep.gpid();
         let core = Arc::new(Mutex::new(ProcCore::new(

@@ -104,6 +104,10 @@ counters! {
     /// path had already fetched them. `push_hits + push_wasted <=
     /// push_sent` at every point.
     push_wasted,
+    /// Messages a service thread dropped unserved: an undecodable
+    /// payload, a request kind sent without a reply handle, or a reply
+    /// kind. Zero in every run of this workspace's own protocol.
+    malformed_dropped,
 }
 
 impl DsmStats {

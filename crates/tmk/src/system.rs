@@ -117,11 +117,6 @@ impl DsmSystem {
         &self.cfg
     }
 
-    /// The job id keying this instance's page space (0 = single-job).
-    pub fn job(&self) -> u32 {
-        self.cfg.job
-    }
-
     /// Simulation SPI: direct access to a process's core (the adaptive
     /// layer uses it to size migration images; a distributed deployment
     /// would message instead).

@@ -76,7 +76,7 @@ impl RegionRunner for TestApp {
 }
 
 fn bring_up(nprocs: usize, n: usize) -> (Arc<DsmSystem>, MasterCtl, Vec<Gpid>) {
-    let net = Network::new(nprocs.max(2), 1, NetModel::disabled());
+    let net = Network::new(nprocs.max(2), NetModel::disabled());
     let sys = DsmSystem::new(
         net,
         DsmConfig {
@@ -261,7 +261,7 @@ fn join_grows_team_and_computes() {
     master.parallel(R_FILL, &[]);
 
     // Spawn a new worker on a fresh host mid-run ("join event").
-    let new_host = sys.net().add_host(1);
+    let new_host = sys.net().add_host();
     let mut hello = vec![workers[0]];
     hello.push(master.gpid());
     let joiner = sys.spawn_worker(new_host, master.gpid(), vec![workers[0]]);
@@ -303,7 +303,7 @@ fn leave_then_rejoin_cycles() {
             current_workers.retain(|&g| g != leaver);
         } else {
             // join: fresh worker on a fresh host
-            let h = sys.net().add_host(1);
+            let h = sys.net().add_host();
             let joiner = sys.spawn_worker(h, master.gpid(), current_workers.clone());
             let outcome = master.run_gc(&HashSet::new());
             let mut members = master.team().members.clone();
@@ -334,7 +334,7 @@ fn checkpoint_image_roundtrip_through_fresh_system() {
     master.shutdown();
 
     // Fresh system restored from the image (recovery).
-    let net = Network::new(2, 1, NetModel::disabled());
+    let net = Network::new(2, NetModel::disabled());
     let sys2 = DsmSystem::new(
         net,
         DsmConfig {
@@ -623,7 +623,7 @@ fn tree_relay_adopts_vanished_childs_subtree() {
     use nowmp_tmk::system::relay_tree_send;
     use nowmp_tmk::Team;
 
-    let net = Network::new(8, 1, NetModel::disabled());
+    let net = Network::new(8, NetModel::disabled());
     let eps: Vec<_> = (0..8u16).map(|h| net.register(HostId(h))).collect();
     let team = Team::new(0, eps.iter().map(|e| e.gpid()).collect());
     // The zero-cost models' fork shape is the binomial tree, where rank
@@ -664,7 +664,7 @@ fn tree_and_flat_forks_compute_identically() {
         CollectiveConfig::default().with_fork(Broadcast::Tree),
         CollectiveConfig::all_flat(),
     ] {
-        let net = Network::new(5, 1, NetModel::disabled());
+        let net = Network::new(5, NetModel::disabled());
         let sys = DsmSystem::new(
             net,
             DsmConfig {

@@ -83,7 +83,7 @@ impl RegionRunner for Stress {
 }
 
 fn system(procs: usize, n: usize, rounds: usize) -> MasterCtl {
-    let net = Network::new(procs, 1, NetModel::disabled());
+    let net = Network::new(procs, NetModel::disabled());
     let cfg = DsmConfig {
         page_size: 256,
         ..DsmConfig::test_small()
@@ -191,7 +191,7 @@ fn repeated_gc_under_load_preserves_state() {
 fn gc_threshold_triggers_automatically() {
     // Tiny GC threshold: the runtime must GC on its own at adaptation
     // points once diffs accumulate (TreadMarks' memory exhaustion).
-    let net = Network::new(3, 1, NetModel::disabled());
+    let net = Network::new(3, NetModel::disabled());
     let mut cfg = DsmConfig {
         page_size: 256,
         ..DsmConfig::test_small()

@@ -25,7 +25,7 @@
 //!   *that mailbox* runnable; a message whose reader waits elsewhere
 //!   holds nothing.
 //! * [`ClockCondvar`] — `notify_*` marks the waiters it wakes runnable
-//!   (CPU-slot semaphores, the migration freeze gate).
+//!   (the migration freeze gate, a fault waiting for a pushed diff).
 //! * [`Clock::spawn`] / [`JoinHandle::join`] — the child is a running
 //!   participant from the moment the parent calls `spawn`, not from
 //!   whenever the OS first schedules it, and its exit wakes a joiner.
@@ -517,6 +517,18 @@ pub struct Clock {
     backend: Backend,
 }
 
+/// Whether a `NOWMP_CLOCK` value names the virtual backend: unset or
+/// `real` is the wall clock, `virtual` or `sim` the virtual one. Any
+/// other value panics, so a misspelt backend never runs on wall time
+/// unnoticed.
+fn names_virtual(value: Option<&str>) -> bool {
+    match value {
+        None | Some("real") => false,
+        Some("virtual" | "sim") => true,
+        Some(v) => panic!("NOWMP_CLOCK={v:?}: expected unset, real, virtual or sim"),
+    }
+}
+
 impl Clock {
     /// A wall-clock backend (hybrid sleep+spin). The default everywhere.
     pub fn real() -> Clock {
@@ -534,14 +546,16 @@ impl Clock {
     }
 
     /// Pick a backend from the `NOWMP_CLOCK` environment variable:
-    /// `virtual` (or `sim`) yields a fresh virtual clock, anything else
-    /// the real clock. Each call makes a *new* clock — share one
-    /// simulation's clock by cloning the handle, not by calling this
-    /// twice.
+    /// `virtual` (or `sim`) yields a fresh virtual clock, `real` or no
+    /// value the real clock, and anything else panics. Each call makes a
+    /// *new* clock — share one simulation's clock by cloning the handle,
+    /// not by calling this twice.
     pub fn from_env() -> Clock {
-        match std::env::var("NOWMP_CLOCK").as_deref() {
-            Ok("virtual") | Ok("sim") => Clock::new_virtual(),
-            _ => Clock::real(),
+        let v = std::env::var_os("NOWMP_CLOCK");
+        if names_virtual(v.as_ref().map(|v| v.to_string_lossy()).as_deref()) {
+            Clock::new_virtual()
+        } else {
+            Clock::real()
         }
     }
 
@@ -1554,16 +1568,26 @@ mod tests {
     }
 
     #[test]
+    fn clock_setting_accepts_the_named_backends() {
+        assert!(!names_virtual(None));
+        assert!(!names_virtual(Some("real")));
+        assert!(names_virtual(Some("virtual")));
+        assert!(names_virtual(Some("sim")));
+    }
+
+    #[test]
+    #[should_panic(expected = "expected unset, real, virtual or sim")]
+    fn clock_setting_rejects_a_misspelt_backend() {
+        names_virtual(Some("virtaul"));
+    }
+
+    #[test]
     fn from_env_defaults_to_real() {
         // NOWMP_CLOCK may legitimately be set (the CI virtual job runs
         // the whole suite that way); just assert the call works and the
         // backend matches the environment.
-        let c = Clock::from_env();
-        let want_virtual = matches!(
-            std::env::var("NOWMP_CLOCK").as_deref(),
-            Ok("virtual") | Ok("sim")
-        );
-        assert_eq!(c.is_virtual(), want_virtual);
+        let want_virtual = names_virtual(std::env::var("NOWMP_CLOCK").ok().as_deref());
+        assert_eq!(Clock::from_env().is_virtual(), want_virtual);
     }
 
     #[test]

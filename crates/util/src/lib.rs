@@ -16,12 +16,10 @@
 //! * [`lock`] — a [`lock::SpinLock`] with typestate [`lock::LockGuard`]s
 //!   (the xv6-style discipline: data reachable only through the guard),
 //!   used for sharded hot-path state like the tmk page-table shards;
-//! * [`sem`] — a counting semaphore (CPU-slot accounting on simulated
-//!   hosts, i.e. the multiplexing of an urgently-migrated process);
 //! * [`mod@mailbox`] — clock-bound channels, the one way simulation threads
 //!   hand each other messages;
 //! * [`timing`] — precise sleeping for the network cost emulation and a
-//!   few stopwatch helpers;
+//!   condition wait with a deadlock timeout;
 //! * [`clock`] — the [`clock::Clock`] abstraction every layer tells
 //!   time by: a wall-clock backend and a deterministic discrete-event
 //!   [`clock::Clock::new_virtual`] backend under which emulated delays
@@ -35,7 +33,6 @@ pub mod clock;
 pub mod crc;
 pub mod lock;
 pub mod mailbox;
-pub mod sem;
 pub mod timing;
 pub mod wire;
 pub mod zrle;
@@ -46,8 +43,7 @@ pub use clock::{
 pub use crc::crc32;
 pub use lock::{LockGuard, SpinLock};
 pub use mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender};
-pub use sem::Semaphore;
-pub use timing::{precise_sleep, wait_for, Stopwatch};
+pub use timing::{precise_sleep, wait_for};
 pub use wire::{Dec, Enc, Encoding, Wire, WireError};
 
 /// Compute the ceiling of `a / b` for positive integers.

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 /// Sleep for `d` with microsecond-ish precision (hybrid sleep + spin).
 ///
 /// For durations above ~200 µs the bulk is a real `thread::sleep` (leaving
-/// the CPU to other simulated processes — important when multiplexing);
-/// the final stretch is a spin on `Instant::now()`.
+/// the CPU to the other simulation threads); the final stretch is a spin
+/// on `Instant::now()`.
 pub fn precise_sleep(d: Duration) {
     if d.is_zero() {
         return;
@@ -52,44 +52,6 @@ pub fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
             std::thread::sleep(Duration::from_micros(100));
         }
         spins = spins.saturating_add(1);
-    }
-}
-
-/// Simple stopwatch for harness timing.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Start a stopwatch now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed time in (floating) seconds.
-    pub fn secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
-    /// Restart and return the lap time.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
     }
 }
 
@@ -135,14 +97,4 @@ mod tests {
     // — and, for the cancellable-deadline path, as
     // `clock::tests::virtual_alarm_single_shot_strict` — on the
     // virtual backend, where a sleep/alarm is exact by construction.
-
-    #[test]
-    fn stopwatch_lap_resets() {
-        let mut sw = Stopwatch::start();
-        precise_sleep(Duration::from_micros(300));
-        let lap1 = sw.lap();
-        assert!(lap1 >= Duration::from_micros(300));
-        let lap2 = sw.elapsed();
-        assert!(lap2 < lap1 + Duration::from_millis(50));
-    }
 }
