@@ -22,7 +22,7 @@ use crate::model::NetModel;
 use crate::stats::{LinkStats, NetStats, StatsSnapshot};
 use crate::{Gpid, HostId};
 use bytes::Bytes;
-use nowmp_util::mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender, RecvTimeoutError};
+use nowmp_util::mailbox::{mailbox, MailboxReceiver, MailboxSender, RecvTimeoutError};
 use nowmp_util::{Clock, Tick};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -381,8 +381,7 @@ impl Network {
             net: Arc::clone(&self.inner),
             gpid,
             host: host_cell,
-            rx,
-            on_wire: Mutex::new(None),
+            inbox: Mutex::new((None, rx)),
         }
     }
 
@@ -451,11 +450,12 @@ pub struct Endpoint {
     net: Arc<NetInner>,
     gpid: Gpid,
     host: Arc<AtomicU16>,
-    rx: MailboxReceiver<Packet>,
     /// The head of the inbox when [`Self::try_recv`] took it off the
-    /// mailbox and found it still on the wire; every receive call
-    /// looks here first, so arrival order holds.
-    on_wire: Mutex<Option<Packet>>,
+    /// mailbox and found it still on the wire (every receive call looks
+    /// there first, so arrival order holds), then the mailbox itself.
+    /// The lock makes the single-consumer mailbox shareable: the
+    /// service thread receives while the application thread sends.
+    inbox: Mutex<(Option<Packet>, MailboxReceiver<Packet>)>,
 }
 
 /// Default deadline for [`Endpoint::call`]; long enough for any emulated
@@ -535,7 +535,7 @@ impl Endpoint {
     /// makes a multi-peer fault pay the max of the peers' latencies
     /// instead of the sum.
     pub fn call_begin(&self, dst: Gpid, payload: Bytes) -> Result<PendingCall, NetError> {
-        let (tx, rx) = oneshot(&self.net.clock);
+        let (tx, rx) = mailbox(&self.net.clock);
         if !self
             .net
             .transmit(self.gpid, &self.host_rec(), dst, payload, Route::Call(tx))
@@ -598,12 +598,13 @@ impl Endpoint {
     /// The next packet in arrival order, blocking for it (`limit`: a
     /// real-time guard). `Ok(None)` when the guard ran out.
     fn next_packet(&self, limit: Option<Duration>) -> Result<Option<Packet>, NetError> {
-        if let Some(pkt) = self.on_wire.lock().take() {
+        let (on_wire, rx) = &mut *self.inbox.lock();
+        if let Some(pkt) = on_wire.take() {
             return Ok(Some(pkt));
         }
         let got = match limit {
-            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(left) => self.rx.recv_timeout(left),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(left) => rx.recv_timeout(left),
         };
         match got {
             Ok(pkt) => Ok(Some(pkt)),
@@ -645,7 +646,7 @@ impl Endpoint {
         loop {
             let pkt = self.queued_packet()?;
             if pkt.deliver_at.is_some_and(|at| self.net.clock.now() < at) {
-                *self.on_wire.lock() = Some(pkt);
+                self.inbox.lock().0 = Some(pkt);
                 return None;
             }
             if let Some(inc) = self.unpack(pkt) {
@@ -657,8 +658,8 @@ impl Endpoint {
     /// The next packet in arrival order if one is queued, delivered
     /// or not. Never blocks.
     fn queued_packet(&self) -> Option<Packet> {
-        let head = self.on_wire.lock().take();
-        head.or_else(|| self.rx.try_recv().ok())
+        let (on_wire, rx) = &mut *self.inbox.lock();
+        on_wire.take().or_else(|| rx.try_recv().ok())
     }
 
     /// Block until something arrives — a message or a [`Self::wake`]

@@ -1446,7 +1446,7 @@ mod tests {
     #[test]
     fn lock_manager_grant_queue_release() {
         let mut c = core();
-        let (tx1, rx1) = nowmp_util::oneshot(&nowmp_util::Clock::real());
+        let (tx1, rx1) = nowmp_util::mailbox(&nowmp_util::Clock::real());
         let g = c.lock_acquire(7, Gpid(10), LockWaiter::Local(tx1));
         assert!(
             matches!(g, Some(LockGrant::Local(_, None))),
@@ -1457,7 +1457,7 @@ mod tests {
         }
         assert_eq!(rx1.recv().unwrap(), None);
         // Second acquire queues.
-        let (tx2, rx2) = nowmp_util::oneshot(&nowmp_util::Clock::real());
+        let (tx2, rx2) = nowmp_util::mailbox(&nowmp_util::Clock::real());
         assert!(c
             .lock_acquire(7, Gpid(11), LockWaiter::Local(tx2))
             .is_none());

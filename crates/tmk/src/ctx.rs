@@ -30,7 +30,7 @@ use nowmp_util::{ClockCondvar, MailboxReceiver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Buffered control-message receiver: lets a thread wait for a specific
 /// kind of message while stashing others for later. Waits are visible
@@ -51,7 +51,8 @@ impl CtrlBuf {
 
     /// Receive the next control message matching `pred`, buffering
     /// non-matching ones. `timeout` is a *real-time* guard against
-    /// protocol deadlock.
+    /// protocol deadlock; one past `Instant`'s range (`Duration::MAX`)
+    /// waits for as long as a sender remains.
     pub fn recv_where(
         &mut self,
         timeout: Duration,
@@ -60,9 +61,11 @@ impl CtrlBuf {
         if let Some(pos) = self.backlog.iter().position(&mut pred) {
             return Ok(self.backlog.remove(pos).expect("position is valid"));
         }
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
             match self.rx.recv_timeout(remaining) {
                 Ok(c) => {
                     if pred(&c) {
@@ -422,10 +425,10 @@ impl TmkCtx {
     /// reply: a lost push is a protocol bug and fails as loudly as a
     /// lost reply does.
     fn await_expected(&self, page: PageId) {
-        let deadline = std::time::Instant::now() + self.cfg.call_timeout;
+        let deadline = Instant::now() + self.cfg.call_timeout;
         let mut c = self.core.lock();
         while let Some((pid, seq)) = c.expected_absent(page) {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             assert!(
                 !left.is_zero(),
                 "{}: pushed diff lost: page {page}, writer pid {pid}, seq {seq} never arrived",
@@ -583,7 +586,7 @@ impl TmkCtx {
         let prev: Option<Gpid> = if mgr_gpid == self.gpid() {
             // We manage this lock: local acquire (may still block while
             // a remote process holds it).
-            let (tx, rx) = nowmp_util::oneshot(self.endpoint.clock());
+            let (tx, rx) = nowmp_util::mailbox(self.endpoint.clock());
             let grant = self
                 .core
                 .lock()
@@ -995,6 +998,37 @@ mod tests {
             gpid,
         )));
         TmkCtx::new(core, ep, None)
+    }
+
+    /// With no deadline (`Duration::MAX`) a wait buffers what does not
+    /// match, returns the match however late it comes, and ends on a
+    /// disconnect.
+    #[test]
+    fn recv_where_without_deadline_waits_for_a_late_match() {
+        let (tx, rx) = nowmp_util::mailbox(&nowmp_util::Clock::real());
+        let mut buf = CtrlBuf::new(rx);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            for msg in [Msg::Ack, Msg::Terminate] {
+                let ctrl = Ctrl {
+                    msg,
+                    raw: bytes::Bytes::new(),
+                    src: Gpid(1),
+                    replier: None,
+                };
+                tx.send(ctrl).unwrap();
+            }
+        });
+        let is_terminate = |c: &Ctrl| matches!(c.msg, Msg::Terminate);
+        let got = buf.recv_where(Duration::MAX, is_terminate).unwrap();
+        assert!(is_terminate(&got));
+        sender.join().unwrap();
+        assert!(matches!(
+            buf.recv_where(Duration::MAX, is_terminate),
+            Err(NetError::Disconnected(_))
+        ));
+        let backlog = buf.drain_where(|_| true);
+        assert!(matches!(backlog[..], [Ctrl { msg: Msg::Ack, .. }]));
     }
 
     #[test]

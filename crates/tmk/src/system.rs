@@ -483,12 +483,15 @@ fn worker_main(
     loop {
         // A reduce child can finish its share before our own `Fork`
         // reaches us down the (differently shaped) fork tree: its
-        // aggregate stays buffered for `worker_join_reduce`.
-        let c = match ctrl.lock().recv_where(Duration::from_secs(3600), |c| {
-            !matches!(c.msg, Msg::JoinArrive { .. })
-        }) {
+        // aggregate stays buffered for `worker_join_reduce`. No
+        // deadline: the master may compute for any time between two
+        // regions.
+        let c = match ctrl
+            .lock()
+            .recv_where(Duration::MAX, |c| !matches!(c.msg, Msg::JoinArrive { .. }))
+        {
             Ok(c) => c,
-            Err(_) => break, // system torn down
+            Err(_) => break, // disconnected: system torn down
         };
         // Forward a fork to our subtree *before* touching our own
         // state — the subtree's latency is the broadcast's critical

@@ -1442,7 +1442,7 @@ mod tests {
     #[test]
     fn blocked_scope_lets_time_advance() {
         let c = Clock::new_virtual();
-        let (tx, rx) = crossbeam_channel::bounded::<u64>(1);
+        let (tx, rx) = std::sync::mpsc::channel::<u64>();
         let c2 = c.clone();
         // A participant parked in an opaque wait.
         let h = c.spawn("opaque-receiver", move || {

@@ -42,7 +42,7 @@ pub use clock::{
 };
 pub use crc::crc32;
 pub use lock::{LockGuard, SpinLock};
-pub use mailbox::{mailbox, oneshot, MailboxReceiver, MailboxSender};
+pub use mailbox::{mailbox, MailboxReceiver, MailboxSender};
 pub use timing::{precise_sleep, wait_for};
 pub use wire::{Dec, Enc, Encoding, Wire, WireError};
 

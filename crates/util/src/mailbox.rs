@@ -1,8 +1,8 @@
 //! Clock-bound channels: the one way simulation threads hand each other
 //! messages.
 //!
-//! A mailbox is the vendored channel ring plus, on a virtual [`Clock`],
-//! the clock's bookkeeping for its single receiver:
+//! A mailbox is std's `mpsc` channel plus, on a virtual [`Clock`], the
+//! clock's bookkeeping for its single receiver:
 //!
 //! * a receiver that finds the mailbox empty parks *on that mailbox*,
 //!   visibly blocked;
@@ -15,14 +15,14 @@
 //! * dropping the last sender wakes the receiver the same way, to see
 //!   the disconnect.
 //!
-//! On the real clock every call passes straight through to the ring.
+//! On the real clock every call passes straight through to std's channel.
 
 use crate::clock::{Clock, Limit, VirtualCore};
-use crossbeam_channel::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crossbeam_channel::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
 
 /// The virtual clock's handle on one mailbox.
 #[derive(Clone)]
@@ -32,22 +32,10 @@ struct Gate {
     chan: u64,
 }
 
-/// An unbounded mailbox for a long-lived queue (an endpoint's inbox, a
-/// control channel).
+/// An unbounded mailbox, for a long-lived queue (an endpoint's inbox, a
+/// control channel) and a single message (a reply, a lock grant) alike.
 pub fn mailbox<T>(clock: &Clock) -> (MailboxSender<T>, MailboxReceiver<T>) {
-    bind(clock, crossbeam_channel::unbounded())
-}
-
-/// A mailbox for exactly one message (a reply, a lock grant): no ring
-/// is allocated, and a second `send` before the first is taken blocks.
-pub fn oneshot<T>(clock: &Clock) -> (MailboxSender<T>, MailboxReceiver<T>) {
-    bind(clock, crossbeam_channel::bounded(1))
-}
-
-fn bind<T>(
-    clock: &Clock,
-    (tx, rx): (Sender<T>, Receiver<T>),
-) -> (MailboxSender<T>, MailboxReceiver<T>) {
+    let (tx, rx) = mpsc::channel();
     let gate = clock.virtual_core().map(|core| Gate {
         core: Arc::clone(core),
         chan: core.new_chan(),
@@ -111,7 +99,8 @@ impl<T> MailboxSender<T> {
     }
 }
 
-/// The receiving half of a mailbox (single consumer).
+/// The receiving half of a mailbox (single consumer: std's `Receiver`
+/// makes it `!Sync`).
 pub struct MailboxReceiver<T> {
     rx: Receiver<T>,
     gate: Option<Gate>,
@@ -186,7 +175,7 @@ mod tests {
         assert_eq!(rx.recv_timeout(MS), Err(RecvTimeoutError::Timeout));
         drop(tx);
         assert_eq!(rx.recv(), Err(RecvError));
-        let (tx, rx) = oneshot::<u32>(&c);
+        let (tx, rx) = mailbox::<u32>(&c);
         drop(rx);
         assert!(tx.send(3).is_err());
     }
@@ -194,12 +183,69 @@ mod tests {
     #[test]
     fn virtual_timeout_and_disconnect() {
         let c = Clock::new_virtual();
-        let (tx, rx) = oneshot::<u32>(&c);
+        let (tx, rx) = mailbox::<u32>(&c);
         assert_eq!(rx.recv_timeout(MS), Err(RecvTimeoutError::Timeout));
         let dropper = c.spawn("dropper", move || drop(tx));
         assert_eq!(rx.recv(), Err(RecvError), "woken by the last sender's drop");
         dropper.join().unwrap();
         assert_eq!(c.forced_advances(), 0);
+    }
+
+    /// Concurrent producers each keep their order, and nothing is lost.
+    #[test]
+    fn concurrent_producers_keep_per_sender_order() {
+        const PRODUCERS: u64 = 4;
+        const EACH: u64 = 10_000;
+        let (tx, rx) = mailbox::<(u64, u64)>(&Clock::real());
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..EACH {
+                        tx.send((p, i)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = [0; PRODUCERS as usize];
+        while let Ok((p, i)) = rx.recv() {
+            assert_eq!(i, next[p as usize], "producer {p} out of order");
+            next[p as usize] += 1;
+        }
+        assert_eq!(next, [EACH; PRODUCERS as usize]);
+        for h in producers {
+            h.join().unwrap();
+        }
+    }
+
+    /// Runs `rx.recv()` on another thread once it has had time to block,
+    /// and returns what it got (`None`: still blocked after 10 s).
+    fn blocked_recv_after(
+        rx: MailboxReceiver<u32>,
+        wake: impl FnOnce(),
+    ) -> Option<Result<u32, RecvError>> {
+        let (back, got) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || back.send(rx.recv()).unwrap());
+        std::thread::sleep(10 * MS);
+        wake();
+        let got = got.recv_timeout(Duration::from_secs(10)).ok();
+        if got.is_some() {
+            reader.join().unwrap();
+        }
+        got
+    }
+
+    #[test]
+    fn real_clock_receiver_is_woken_by_send() {
+        let (tx, rx) = mailbox::<u32>(&Clock::real());
+        assert_eq!(blocked_recv_after(rx, || tx.send(5).unwrap()), Some(Ok(5)));
+    }
+
+    #[test]
+    fn real_clock_receiver_is_woken_by_disconnect() {
+        let (tx, rx) = mailbox::<u32>(&Clock::real());
+        assert_eq!(blocked_recv_after(rx, || drop(tx)), Some(Err(RecvError)));
     }
 
     /// A queued message whose reader is blocked elsewhere holds nothing:
