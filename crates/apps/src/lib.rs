@@ -25,6 +25,7 @@
 //! on the region (`portable!(body, reduction(+) => epilogue)`), not a
 //! call in the body.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fft3d;

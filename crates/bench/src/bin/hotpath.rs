@@ -11,7 +11,7 @@
 //!   accelerated; the floor fails a regression that the benchmark
 //!   harness's per-layer lanes would only report.
 //! * **contention** — 1/4/8 threads doing page-state transitions on
-//!   disjoint pages, once against the sharded [`PageTable`] (spin-lock
+//!   disjoint pages, once against the sharded [`PageTable`] (`Mutex`
 //!   shards) and once against a coarse `Mutex<Vec<PageMeta>>` — the
 //!   pre-sharding design. The 1-thread lane is pure lock overhead; the
 //!   4- and 8-thread lanes dedicate one thread to the *server role*:
@@ -50,6 +50,8 @@
 //! Emits a human table plus `BENCH_hotpath.json`; with `--smoke` the
 //! floors `CONTENTION_8T_MIN_RATIO`, `PIPELINE_MIN_PAGES_PER_SEC` and
 //! `INTERVAL_8T_MIN_RATIO` are enforced and a violation exits nonzero.
+
+#![forbid(unsafe_code)]
 
 use nowmp_bench::{Json, Scale};
 use nowmp_tmk::diff::Diff;
@@ -221,7 +223,7 @@ const CLOSE_GAP: std::time::Duration = std::time::Duration::from_micros(300);
 /// and must raise/lower `closing` around exactly the diff-work
 /// window — the part of the close whose lock footprint the two
 /// variants disagree about. (The flag-reset sweeps are excluded: they
-/// serialize on shard spinlocks identically in both variants, and on
+/// serialize on the shard `Mutex`es identically in both variants, and on
 /// a 1-core runner they dominate the close's wall time, which would
 /// drown the signal.)
 fn interval_lane(

@@ -11,6 +11,8 @@
 //! what a golden file pins fails the run. Every table and verdict is
 //! also written to `BENCH_paper.json`.
 
+#![forbid(unsafe_code)]
+
 use nowmp_bench::paper::{claims_from_args, generations, golden_diff, golden_path, CLAIMS};
 use nowmp_bench::Json;
 use std::process::ExitCode;

@@ -26,6 +26,7 @@
 //! run charges the paper's measured network and host constants.
 //! `--smoke` ([`Scale::Smoke`]) is the one size switch.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod paper;

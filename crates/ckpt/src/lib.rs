@@ -20,6 +20,7 @@
 //! way `libckpt` would (resident pages + stack), which the adaptive
 //! layer charges over the 8.1 MB/s migration stream.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use nowmp_tmk::system::MemoryImage;

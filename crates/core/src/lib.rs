@@ -28,6 +28,7 @@
 //! from `(pid, nprocs)` at every fork, and the DSM re-distributes data
 //! lazily through ordinary page faults.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;

@@ -41,6 +41,7 @@
 //! UDP transport implements request/reply reliability one layer up; we
 //! collapse that into the simulated transport.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

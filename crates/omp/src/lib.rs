@@ -51,6 +51,7 @@
 //! sys.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ctx;

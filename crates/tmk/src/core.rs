@@ -152,7 +152,7 @@ pub struct ProcCore {
     pub my_pid: Pid,
     /// Knowledge vector clock.
     pub vc: Vc,
-    /// Per-page metadata behind interleaved spin-lock shards. `Arc`ed
+    /// Per-page metadata behind interleaved `Mutex` shards. `Arc`ed
     /// so the service thread can reach it (for the shared-page serve
     /// fast path) without taking the core mutex. Lock order is core
     /// mutex → shard; see [`crate::table`] for the full discipline.

@@ -36,6 +36,7 @@
 //!   task engine ([`engine::TaskCtx`]);
 //! * [`shared`] — typed shared arrays.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -13,7 +13,6 @@
 
 use crate::msg::{ElemKind, RegEntry};
 use crate::types::{Addr, PageId};
-use nowmp_util::div_ceil;
 use std::collections::HashMap;
 
 /// Bump allocator over the global slot space (master-side authority).
@@ -47,7 +46,7 @@ impl Allocator {
 
     /// Number of pages backing the allocations so far.
     pub fn allocated_pages(&self) -> usize {
-        div_ceil(self.next_slot as usize, self.slots_per_page)
+        (self.next_slot as usize).div_ceil(self.slots_per_page)
     }
 
     /// Restore allocator state (checkpoint recovery).

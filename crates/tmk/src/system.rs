@@ -523,10 +523,7 @@ fn worker_main(
                     pc.registry.merge(&registry);
                     let dirv = dir.to_vec();
                     let spp = pc.cfg.slots_per_page();
-                    pc.ensure_pages(
-                        dirv.len()
-                            .max(nowmp_util::div_ceil(alloc_slots as usize, spp)),
-                    );
+                    pc.ensure_pages(dirv.len().max((alloc_slots as usize).div_ceil(spp)));
                     let n = team.members.len();
                     assert_eq!(team.epoch, epoch, "JoinInit team/epoch mismatch");
                     pc.vc = Vc::new(n);
@@ -571,7 +568,7 @@ fn worker_main(
                     assert_eq!(epoch, pc.epoch(), "Fork from wrong epoch");
                     pc.registry.merge(&registry_delta);
                     let spp = pc.cfg.slots_per_page();
-                    pc.ensure_pages(nowmp_util::div_ceil(alloc_slots as usize, spp));
+                    pc.ensure_pages((alloc_slots as usize).div_ceil(spp));
                     pc.apply_records(&records);
                     pc.vc.merge(&vc);
                     // Hot diffs rode the fork (master's own, pid 0):
@@ -1045,7 +1042,7 @@ impl MasterCtl {
             c.registry = Registry::new();
             c.registry.merge(&image.registry);
             let spp = c.cfg.slots_per_page();
-            c.ensure_pages(nowmp_util::div_ceil(image.alloc_slots as usize, spp));
+            c.ensure_pages((image.alloc_slots as usize).div_ceil(spp));
             c.import_pages(&image.pages);
         }
         self.allocator.restore(image.alloc_slots);

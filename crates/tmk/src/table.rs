@@ -4,7 +4,7 @@
 //! *every* page-state transition — an application-thread fault on page
 //! 7, a service-thread `PageReq` for page 900 — serialized on the one
 //! core mutex. This module moves the page metadata into a
-//! [`PageTable`]: a fixed set of [`SpinLock`] shards, each owning an
+//! [`PageTable`]: a fixed set of [`Mutex`] shards, each owning an
 //! interleaved family of 8-page ranges, reachable through RAII
 //! [`PageGuard`]s. Touching distinct pages in distinct shards never
 //! contends, and the service thread can answer the most common request
@@ -26,7 +26,7 @@
 //! * Lock order is **core mutex → shard**; never acquire the core
 //!   mutex (or block on anything) while holding a [`PageGuard`].
 //! * Never hold two [`PageGuard`]s at once — the protocol only ever
-//!   needs one page's state per transition, and the spin locks are
+//!   needs one page's state per transition, and a shard `Mutex` is
 //!   not reentrant.
 //! * Whole-table rewrites (GC commit) take a [`FreezeGuard`] first so
 //!   the lock-free service fast path stands down for the duration.
@@ -34,7 +34,7 @@
 use crate::page::PageMeta;
 use crate::types::{Epoch, PageId, Vc};
 use nowmp_net::Gpid;
-use nowmp_util::{LockGuard, SpinLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
@@ -56,11 +56,11 @@ struct Shard {
     dirty: Vec<PageId>,
 }
 
-/// Per-page metadata behind interleaved-range spin-lock shards.
+/// Per-page metadata behind interleaved-range `Mutex` shards.
 pub struct PageTable {
     /// Shard `s` owns pages `p` with `(p / RANGE) % SHARDS == s`,
     /// stored densely in range order.
-    shards: Vec<SpinLock<Shard>>,
+    shards: Vec<Mutex<Shard>>,
     /// Total pages enrolled in shard dirty lists — lets
     /// `close_interval` skip the 16-shard drain sweep when the
     /// interval wrote nothing (the common case for sync-only epochs).
@@ -69,7 +69,7 @@ pub struct PageTable {
     len: AtomicUsize,
     /// Serializes [`Self::ensure`] so concurrent growers cannot
     /// interleave their appends. Lock order: `grow` → shard.
-    grow: SpinLock<()>,
+    grow: Mutex<()>,
     /// The protocol epoch this table's contents belong to — the
     /// service fast path refuses requests from any other epoch.
     epoch: AtomicU32,
@@ -84,7 +84,7 @@ impl PageTable {
         PageTable {
             shards: (0..SHARDS)
                 .map(|_| {
-                    SpinLock::new(Shard {
+                    Mutex::new(Shard {
                         pages: Vec::new(),
                         dirty: Vec::new(),
                     })
@@ -92,7 +92,7 @@ impl PageTable {
                 .collect(),
             ndirty: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
-            grow: SpinLock::new(()),
+            grow: Mutex::new(()),
             epoch: AtomicU32::new(0),
             frozen: AtomicBool::new(false),
         }
@@ -267,7 +267,7 @@ impl Default for PageTable {
 
 /// Exclusive access to one page's metadata; releases its shard on drop.
 pub struct PageGuard<'a> {
-    shard: LockGuard<'a, Shard>,
+    shard: MutexGuard<'a, Shard>,
     idx: usize,
     page: PageId,
     ndirty: &'a AtomicUsize,
@@ -456,6 +456,39 @@ mod tests {
         // The flag survives the drain — the interval-close caller
         // resets it per page while creating diffs.
         assert!(t.guard(0).dirty);
+    }
+
+    #[test]
+    fn concurrent_enrollment_in_one_shard_counts_each_page_once() {
+        // Four threads enroll overlapping windows of one shard's pages,
+        // each window many times over, for several intervals: every
+        // enrollment races others on the same shard lock, and the
+        // count and the drained list must still see each page once.
+        let t = PageTable::new();
+        t.ensure(RANGE * SHARDS * 3, Gpid(1));
+        let pages: Vec<PageId> = (0..t.len() as PageId)
+            .filter(|&p| PageTable::locate(p as usize).0 == 0)
+            .collect();
+        assert_eq!(pages.len(), 3 * RANGE);
+        for _interval in 0..20 {
+            std::thread::scope(|s| {
+                for k in 0..4 {
+                    let (t, window) = (&t, &pages[k * RANGE / 2..k * RANGE / 2 + 12]);
+                    s.spawn(move || {
+                        for _ in 0..100 {
+                            for &p in window {
+                                t.guard(p).mark_dirty();
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(t.dirty_count(), pages.len());
+            let mut drained = t.drain_dirty();
+            drained.sort_unstable();
+            assert_eq!(drained, pages, "each page drained exactly once");
+            t.for_each(|_, m| m.dirty = false);
+        }
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * [`zrle`] — zero-run-length encoding used to compress shared-memory
 //!   pages in checkpoints and migration images (scientific arrays are
 //!   zero-dominated early in a run);
-//! * [`lock`] — a [`lock::SpinLock`] with typestate [`lock::LockGuard`]s
-//!   (the xv6-style discipline: data reachable only through the guard),
-//!   used for sharded hot-path state like the tmk page-table shards;
+//! * [`lock`] — `SpinLock`, a re-export of `parking_lot::Mutex` (the tmk
+//!   page-table shard lock), kept for the harness's `util.spinlock_*` lanes;
 //! * [`mod@mailbox`] — clock-bound channels, the one way simulation threads
 //!   hand each other messages;
 //! * [`timing`] — precise sleeping for the network cost emulation and a
@@ -27,6 +26,7 @@
 //!
 //! Everything here is deterministic and fully unit/property tested.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -41,22 +41,9 @@ pub use clock::{
     Alarm, Clock, ClockCondvar, JoinHandle, ParticipantGuard, TaskId, TaskScheduler, Tick,
 };
 pub use crc::crc32;
-pub use lock::{LockGuard, SpinLock};
 pub use mailbox::{mailbox, MailboxReceiver, MailboxSender};
 pub use timing::{precise_sleep, wait_for};
 pub use wire::{Dec, Enc, Encoding, Wire, WireError};
-
-/// Compute the ceiling of `a / b` for positive integers.
-///
-/// Used throughout iteration partitioning and page-range math.
-#[inline]
-pub const fn div_ceil(a: usize, b: usize) -> usize {
-    if b == 0 {
-        0
-    } else {
-        a.div_ceil(b)
-    }
-}
 
 /// Format a byte count in a human-friendly unit (B / KB / MB / GB).
 pub fn fmt_bytes(bytes: u64) -> String {
@@ -78,21 +65,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn div_ceil_basics() {
-        assert_eq!(div_ceil(0, 4), 0);
-        assert_eq!(div_ceil(1, 4), 1);
-        assert_eq!(div_ceil(4, 4), 1);
-        assert_eq!(div_ceil(5, 4), 2);
-        assert_eq!(div_ceil(8, 4), 2);
-        assert_eq!(div_ceil(9, 4), 3);
-    }
-
-    #[test]
-    fn div_ceil_zero_divisor_is_zero() {
-        assert_eq!(div_ceil(10, 0), 0);
-    }
 
     #[test]
     fn fmt_bytes_units() {

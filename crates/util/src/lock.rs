@@ -1,245 +1,3 @@
-//! Spin locks with typestate guards — the fine-grained lock substrate
-//! for sharded hot-path state (the tmk page table shards).
-//!
-//! The idiom follows the rv6/xv6-riscv-rs kernels: the data lives
-//! *inside* the lock and is only reachable through a [`LockGuard`]
-//! whose lifetime ties the borrow to the critical section, so "forgot
-//! to lock" is a type error rather than a race. Unlike a
-//! `parking_lot::Mutex`, a contended [`SpinLock`] never parks the
-//! thread in the kernel: it spins (with `spin_loop` hints, escalating
-//! to `yield_now`), which is the right trade for critical sections of
-//! tens of nanoseconds — a page-state transition, a queue segment
-//! append — where a futex wait/wake round trip would cost more than
-//! the whole section.
-//!
-//! Discipline (asserted by the deadlock-free users, not the type
-//! system): never block, allocate unboundedly, or take another lock of
-//! the same family while holding a guard; spin locks are not
-//! reentrant.
+//! The page-table shard lock, named for the harness's `util.spinlock_*` lanes.
 
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// A test-and-test-and-set spin lock owning its data.
-pub struct SpinLock<T: ?Sized> {
-    locked: AtomicBool,
-    data: UnsafeCell<T>,
-}
-
-// Same bounds as std::sync::Mutex: the lock hands out &mut T across
-// threads, so T must be Send; sharing the lock itself needs T: Send
-// too (not Sync — access is always exclusive).
-unsafe impl<T: ?Sized + Send> Send for SpinLock<T> {}
-unsafe impl<T: ?Sized + Send> Sync for SpinLock<T> {}
-
-impl<T> SpinLock<T> {
-    /// Create an unlocked lock owning `data`.
-    pub const fn new(data: T) -> Self {
-        SpinLock {
-            locked: AtomicBool::new(false),
-            data: UnsafeCell::new(data),
-        }
-    }
-
-    /// Consume the lock and return its data.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> SpinLock<T> {
-    /// Acquire the lock, spinning until it is free. Returns the guard
-    /// through which the data is (exclusively) reachable.
-    #[inline]
-    pub fn lock(&self) -> LockGuard<'_, T> {
-        // Fast path: uncontended CAS.
-        if self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return LockGuard { lock: self };
-        }
-        self.lock_slow()
-    }
-
-    #[cold]
-    fn lock_slow(&self) -> LockGuard<'_, T> {
-        let mut spins = 0u32;
-        loop {
-            // Test-and-test-and-set: spin on the cheap load so the
-            // cache line stays shared until the holder releases.
-            while self.locked.load(Ordering::Relaxed) {
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    // Oversubscribed (more threads than cores, or a
-                    // descheduled holder): give the scheduler a turn
-                    // instead of burning the holder's timeslice.
-                    std::thread::yield_now();
-                }
-                spins = spins.wrapping_add(1);
-            }
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return LockGuard { lock: self };
-            }
-        }
-    }
-
-    /// Try to acquire without spinning; `None` when held elsewhere.
-    #[inline]
-    pub fn try_lock(&self) -> Option<LockGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(LockGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Exclusive access through `&mut self` — no locking needed, the
-    /// borrow checker already proves uniqueness.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-impl<T: Default> Default for SpinLock<T> {
-    fn default() -> Self {
-        SpinLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for SpinLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("SpinLock").field("data", &&*g).finish(),
-            None => f.write_str("SpinLock { <locked> }"),
-        }
-    }
-}
-
-/// Exclusive access to the data of a [`SpinLock`]; releases on drop.
-/// The typestate: a `&mut T` exists if and only if a guard does.
-pub struct LockGuard<'a, T: ?Sized> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T: ?Sized> Deref for LockGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the lock, so access is exclusive.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for LockGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as above; &mut self prevents aliased reborrows.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for LockGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for LockGuard<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn guard_gives_exclusive_access() {
-        let l = SpinLock::new(41);
-        {
-            let mut g = l.lock();
-            *g += 1;
-        }
-        assert_eq!(*l.lock(), 42);
-        assert_eq!(l.into_inner(), 42);
-    }
-
-    #[test]
-    fn try_lock_fails_while_held() {
-        let l = SpinLock::new(());
-        let g = l.lock();
-        assert!(l.try_lock().is_none());
-        drop(g);
-        assert!(l.try_lock().is_some());
-    }
-
-    #[test]
-    fn get_mut_bypasses_locking() {
-        let mut l = SpinLock::new(vec![1, 2]);
-        l.get_mut().push(3);
-        assert_eq!(l.lock().len(), 3);
-    }
-
-    #[test]
-    fn debug_formats_both_states() {
-        let l = SpinLock::new(7);
-        assert!(format!("{l:?}").contains('7'));
-        let _g = l.lock();
-        assert!(format!("{l:?}").contains("locked"));
-    }
-
-    #[test]
-    fn contended_increments_are_not_lost() {
-        const THREADS: usize = 8;
-        const PER: usize = 10_000;
-        let l = Arc::new(SpinLock::new(0usize));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let l = Arc::clone(&l);
-                std::thread::spawn(move || {
-                    for _ in 0..PER {
-                        *l.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*l.lock(), THREADS * PER);
-    }
-
-    #[test]
-    fn guard_release_publishes_writes() {
-        // Acquire/release ordering: a value written under the lock on
-        // one thread is visible to the next acquirer on another.
-        let l = Arc::new(SpinLock::new((0u64, 0u64)));
-        let l2 = Arc::clone(&l);
-        let h = std::thread::spawn(move || {
-            for i in 1..=1000u64 {
-                let mut g = l2.lock();
-                *g = (i, i.wrapping_mul(0x9E37_79B9));
-            }
-        });
-        for _ in 0..1000 {
-            let g = l.lock();
-            assert_eq!(g.1, g.0.wrapping_mul(0x9E37_79B9));
-        }
-        h.join().unwrap();
-    }
-}
+pub use parking_lot::Mutex as SpinLock;

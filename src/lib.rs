@@ -21,6 +21,8 @@
 //!
 //! Start with `examples/quickstart.rs`, then `examples/adaptive_jacobi.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use nowmp_apps as apps;
 pub use nowmp_ckpt as ckpt;
 pub use nowmp_core as core;
