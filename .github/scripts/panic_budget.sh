@@ -15,8 +15,8 @@
 # `vendor/`, tests included.
 set -euo pipefail
 
-MAX_UNWRAP_EXPECT=60
-MAX_PANIC_UNREACHABLE=28
+MAX_UNWRAP_EXPECT=59
+MAX_PANIC_UNREACHABLE=26
 MAX_UNSAFE=0
 
 cd "$(dirname "$0")/../.."

@@ -58,9 +58,6 @@ pub mod paper {
 /// Per-host compute cost model for the simulated NOW.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// Enforce spawn/migration delays on the clock. When `false`, the
-    /// charges only return their durations (unit tests).
-    pub emulate: bool,
     /// Charge per-iteration compute costs to the clock at worksharing
     /// chunk boundaries. Off by default: benches on the *real* clock
     /// would otherwise sleep for every modeled FLOP. Virtual-clock
@@ -96,7 +93,6 @@ impl CostModel {
     /// correctness tests.
     pub fn disabled() -> Self {
         CostModel {
-            emulate: false,
             emulate_compute: false,
             spawn_delay: Duration::ZERO,
             migration_bandwidth: f64::INFINITY,
@@ -115,7 +111,6 @@ impl CostModel {
     /// [`Self::with_region_cost`]).
     pub fn paper_1999() -> Self {
         CostModel {
-            emulate: true,
             emulate_compute: false,
             spawn_delay: paper::SPAWN_DELAY,
             migration_bandwidth: paper::MIGRATION_BANDWIDTH,
@@ -264,11 +259,8 @@ impl CostModel {
     }
 
     /// CPU cost of forwarding one broadcast message at a fork-tree
-    /// relay (scaled; zero when host emulation is off).
+    /// relay (scaled).
     pub fn relay_time(&self) -> Duration {
-        if !self.emulate {
-            return Duration::ZERO;
-        }
         self.scaled(self.relay_overhead)
     }
 

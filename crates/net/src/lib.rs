@@ -18,11 +18,11 @@
 //!   host and can later be **re-labeled** onto another host (process
 //!   migration);
 //! * [`NetModel`] — the *wire* cost model: one-way latency, link
-//!   bandwidth, per-message overhead. With `emulate = true` the model
-//!   is enforced in real time (senders hold their host link for the
-//!   serialization time; receivers honor the propagation latency); with
-//!   `emulate = false` only statistics are recorded, keeping unit tests
-//!   fast and deterministic;
+//!   bandwidth, per-message overhead. The model is enforced on the
+//!   clock (senders hold their host link for the serialization time;
+//!   receivers honor the propagation latency); under the free
+//!   [`NetModel::disabled`] only statistics are recorded, keeping unit
+//!   tests fast and deterministic;
 //! * [`CostModel`] — the *host* cost model: process spawn delay,
 //!   migration stream bandwidth, per-host relative speed and
 //!   background-load factors, and per-kernel per-iteration compute

@@ -20,9 +20,6 @@ use std::time::Duration;
 /// Wire cost model for the simulated NOW.
 #[derive(Debug, Clone)]
 pub struct NetModel {
-    /// Enforce delays in real time (benches/examples). When `false`, the
-    /// transport only counts traffic (unit tests).
-    pub emulate: bool,
     /// One-way propagation + protocol latency per message.
     pub one_way_latency: Duration,
     /// Link bandwidth in bits per second (full duplex, per direction).
@@ -38,11 +35,10 @@ pub struct NetModel {
 }
 
 impl NetModel {
-    /// No emulation: zero delays, counters only. The right model for
-    /// correctness tests.
+    /// No emulation: zero delays, counters only (see
+    /// [`Self::is_free`]). The right model for correctness tests.
     pub fn disabled() -> Self {
         NetModel {
-            emulate: false,
             one_way_latency: Duration::ZERO,
             bandwidth_bps: f64::INFINITY,
             per_msg_overhead: Duration::ZERO,
@@ -56,7 +52,6 @@ impl NetModel {
     /// and 0.7 s spawn moved to [`crate::CostModel::paper_1999`]).
     pub fn paper_1999() -> Self {
         NetModel {
-            emulate: true,
             one_way_latency: paper::ONE_WAY_LATENCY,
             bandwidth_bps: paper::BANDWIDTH_BPS,
             per_msg_overhead: paper::PER_MSG_OVERHEAD,
@@ -131,6 +126,13 @@ impl NetModel {
         self.scaled(self.one_way_latency)
     }
 
+    /// True when the wire costs nothing: no latency and no per-message
+    /// occupancy ([`Self::disabled`]). The transport then only counts
+    /// traffic, keeping unit tests fast and deterministic.
+    pub fn is_free(&self) -> bool {
+        self.latency().is_zero() && self.sender_time(0).is_zero()
+    }
+
     /// Round-trip time of a fetch: a small request out (16-byte
     /// header-only message), the `payload`-byte reply back. This is
     /// the delivery delay the task-backed engine charges a host per
@@ -169,6 +171,9 @@ mod tests {
         let m = NetModel::disabled();
         assert_eq!(m.sender_time(1 << 20), Duration::ZERO);
         assert_eq!(m.latency(), Duration::ZERO);
+        assert!(m.is_free());
+        assert!(!NetModel::paper_1999().is_free());
+        assert!(!NetModel::paper_scaled(0.02).is_free());
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //!   [`Replier::reply`] routes the answer straight back to the waiting
 //!   caller (the DSM's SIGIO-handler analog replies from the service
 //!   thread while the application thread computes);
-//! * when [`NetModel::emulate`] is set, the sender reserves its host's
-//!   outbound wire for the serialization time — senders sharing a
-//!   workstation (a process's application and service threads, or two
-//!   multiplexed processes) go back to back, each sleeping exactly to
-//!   the end of its slot — and the receiver honors the propagation
-//!   latency.
+//! * unless the [`NetModel`] is free ([`NetModel::is_free`]), the
+//!   sender reserves its host's outbound wire for the serialization
+//!   time — senders sharing a workstation (a process's application and
+//!   service threads, or two multiplexed processes) go back to back,
+//!   each sleeping exactly to the end of its slot — and the receiver
+//!   honors the propagation latency.
 
 use crate::cost::CostModel;
 use crate::model::NetModel;
@@ -198,11 +198,11 @@ impl NetInner {
         self.clock.sleep_until(done);
     }
 
-    /// The one transmit path: accounting + optional real-time
-    /// emulation. A request or one-way message goes to `dst`'s mailbox
-    /// and fails if `dst` is not registered; a reply goes down the
-    /// waiting caller's own channel, and is still sent (and charged to
-    /// the sender) if the requester has left.
+    /// The one transmit path: accounting, plus the wire's delays when
+    /// the model has any. A request or one-way message goes to `dst`'s
+    /// mailbox and fails if `dst` is not registered; a reply goes down
+    /// the waiting caller's own channel, and is still sent (and charged
+    /// to the sender) if the requester has left.
     fn transmit(
         &self,
         src: Gpid,
@@ -220,8 +220,9 @@ impl NetInner {
 
         // Sender-side occupancy: concurrent senders on the same host
         // contend, as they would on one physical wire.
-        if self.model.emulate {
-            self.occupy_link(src_host, self.model.sender_time(payload.len()));
+        let occupancy = self.model.sender_time(payload.len());
+        if !occupancy.is_zero() {
+            self.occupy_link(src_host, occupancy);
         }
 
         // Resolve destination *after* serialization (a migrating peer may
@@ -238,7 +239,7 @@ impl NetInner {
         };
 
         // Queue on the inbound wire of the destination's current host.
-        let deliver_at = self.model.emulate.then(|| {
+        let deliver_at = (!self.model.is_free()).then(|| {
             let candidate = self.clock.now() + self.model.latency();
             match &dst_rec {
                 Some(h) => h.receive_at(candidate, self.model.receive_time(payload.len())),
@@ -428,7 +429,7 @@ impl Network {
         src.link_stats.record_out(bytes as u64);
         dst.link_stats.record_in(bytes as u64);
         self.inner.stats.record_msg(bytes as u64);
-        if self.inner.cost.emulate {
+        if !d.is_zero() {
             self.inner.occupy_link(&src, d);
         }
         d
@@ -438,7 +439,7 @@ impl Network {
     /// the charged duration (from the host [`CostModel`]).
     pub fn charge_spawn(&self) -> Duration {
         let d = self.inner.cost.spawn_time();
-        if self.inner.cost.emulate {
+        if !d.is_zero() {
             self.inner.clock.sleep(d);
         }
         d
@@ -889,7 +890,6 @@ mod tests {
     #[test]
     fn emulated_latency_is_enforced() {
         let mut model = NetModel::disabled();
-        model.emulate = true;
         model.one_way_latency = Duration::from_micros(500);
         let net = Network::new(2, model);
         let a = net.register(HostId(0));
@@ -919,7 +919,6 @@ mod tests {
     #[test]
     fn migration_charge_accounts_and_times() {
         let mut cost = CostModel::disabled();
-        cost.emulate = true;
         cost.migration_bandwidth = 10e6; // 10 MB/s
         let net = Network::with_clock(2, 1, NetModel::disabled(), cost, Clock::from_env());
         let t = net.clock().now();

@@ -30,13 +30,10 @@ pub enum Broadcast {
 ///   shape);
 /// * `join_reduce` — the collection side: `JoinArrive` collection up the
 ///   reduce shape (children aggregate their subtree's records + vector
-///   clocks into one arrival), and the barrier release once the master
-///   has merged every `BarrierArrive` (sent straight to it either way):
-///   `Tree` relays one `BarrierRelease` down the *fork* shape, `Flat`
-///   replies to each arrival with the records it lacks.
+///   clocks into one arrival), and the barrier release down the release
+///   shape: the fork shape under `Tree`, the star under `Flat`.
 ///
-/// A `Flat` side is the star shape; only the flat barrier release is a
-/// code path of its own (see `TmkCtx::barrier`).
+/// A `Flat` side is the star shape, over the same code as a `Tree` one.
 ///
 /// `fork` doubles as the wire-compatibility switch: `Broadcast::Flat`
 /// there keeps every payload byte-identical to the 1999 flat encoding

@@ -10,10 +10,10 @@
 //!   side);
 //! * interval bookkeeping at releases.
 //!
-//! One `TmkCtx` exists per process application thread. The master's
-//! context additionally carries the control-message buffer so it can
-//! act as the barrier manager while it executes its own share of a
-//! parallel region.
+//! One `TmkCtx` exists per process application thread. A team
+//! member's context also carries its control-message buffer, so the
+//! master can act as the barrier manager while it executes its own
+//! share of a parallel region.
 
 use crate::config::DsmConfig;
 use crate::core::{AccessPlan, FetchPlan, LockWaiter, ProcCore};
@@ -22,7 +22,7 @@ use crate::page::PageBuf;
 use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
 use crate::tree::ShapeBook;
-use crate::types::{Addr, Epoch, PageId, Pid, Team};
+use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::wire::Wire;
@@ -101,10 +101,9 @@ impl CtrlBuf {
 }
 
 /// A team member's link to the team-wide collectives: the control
-/// buffer tree-relayed barrier releases (and, in the system layer,
-/// join-reduce aggregates) arrive through, and the system's collective
-/// shapes. Only processes a [`crate::system::DsmSystem`] started have
-/// one.
+/// buffer barrier messages (and, in the system layer, join-reduce
+/// aggregates) arrive through, and the system's collective shapes.
+/// Only processes a [`crate::system::DsmSystem`] started have one.
 #[derive(Clone)]
 pub struct TeamLink {
     /// The process's control buffer, shared with its wait loop.
@@ -197,10 +196,9 @@ pub struct TmkCtx {
     /// hook, and the generation's collectives, wire encoding and data
     /// plane.
     cfg: DsmConfig,
-    /// Link to the team: the master's `barrier()` plays manager through
-    /// its control buffer; worker ranks receive tree-relayed barrier
-    /// releases through the same buffer. `None` only in single-process
-    /// test contexts.
+    /// Link to the team: barrier arrivals (at the master) and releases
+    /// (at the others) come through its control buffer. `None` only in
+    /// single-process test contexts.
     link: Option<TeamLink>,
     /// Current region parameters (set by the fork dispatcher).
     params: Vec<u8>,
@@ -676,14 +674,13 @@ impl TmkCtx {
         r
     }
 
-    /// In-region barrier. The master (pid 0) is the manager; slaves send
-    /// their new interval records straight to it and receive everyone
-    /// else's. The release follows `collectives.join_reduce`: under
-    /// `Tree`, one receiver-independent `BarrierRelease` relayed down the
-    /// fork shape; under `Flat`, a per-receiver `BarrierRep` reply to
-    /// each arrival. The flat release is the one collective that is not
-    /// a shape: its replies carry receiver-dependent records, which the
-    /// 1999 generation's traffic depends on.
+    /// In-region barrier. The master (pid 0) is the manager: every slave
+    /// sends it a one-way `BarrierArrive` with its new records, and the
+    /// master sends each of the root's children in the release shape
+    /// ([`crate::tree::Shapes::release`]) one `BarrierRelease` with the
+    /// merged clock, the piggyback and the records that child's subtree
+    /// lacks, which interior ranks relay verbatim. On the star (a flat
+    /// `join_reduce`) each slave gets what it lacks: the 1999 traffic.
     pub fn barrier(&mut self) {
         self.throttle();
         DsmStats::bump(&self.stats.barrier_arrivals);
@@ -692,54 +689,34 @@ impl TmkCtx {
             self.sync_reset();
             return;
         }
-        let tree_release = self.cfg.collectives.join_reduce == crate::config::Broadcast::Tree;
         if self.my_pid == 0 {
-            self.barrier_master(tree_release);
+            self.barrier_master();
         } else {
-            self.barrier_slave(tree_release);
+            self.barrier_slave();
         }
         self.sync_reset();
     }
 
-    /// Our link to the team's collectives. Only the barrier manager and
-    /// a tree-released slave need one.
+    /// Our link to the team's collectives. Only the barrier needs one.
     fn team_link(&self) -> TeamLink {
         self.link.clone().expect("a team member has a team link")
     }
 
-    fn barrier_slave(&mut self, tree_release: bool) {
+    fn barrier_slave(&mut self) {
         let (vc, records, pid) = {
             let mut c = self.core.lock();
             c.close_interval();
             (c.vc.clone(), c.drain_unsent(), c.my_pid)
         };
-        let master = self.team.master();
         let arrive = Msg::BarrierArrive {
             epoch: self.epoch,
             pid,
             vc,
             records,
         };
-        if !tree_release {
-            let calls = vec![(master, arrive)];
-            match call_all(&self.endpoint, &self.cfg, calls, || self.wake_pusher())
-                .remove(0)
-                .1
-            {
-                Msg::BarrierRep { vc, records } => {
-                    let mut c = self.core.lock();
-                    c.apply_records(&records);
-                    c.vc.merge(&vc);
-                }
-                other => panic!("unexpected reply to BarrierArrive: {other:?}"),
-            }
-            return;
-        }
-        // Tree release: the arrival is one-way; the release reaches us
-        // relayed down the fork shape through our parent.
         let link = self.team_link();
         self.endpoint
-            .send(master, arrive.encode(&self.cfg))
+            .send(self.team.master(), arrive.encode(&self.cfg))
             .unwrap_or_else(|e| panic!("{}: barrier arrival failed: {e}", self.gpid()));
         self.wake_pusher();
         let c = link
@@ -753,10 +730,10 @@ impl TmkCtx {
         // the subtree's release latency is the critical path.
         crate::system::relay_onward(
             &self.endpoint,
-            &link.shapes.get(self.team.nprocs()).fork,
+            &link.shapes.get(self.team.nprocs()).release,
             pid,
             &self.stats.release_relays,
-            crate::system::send_to(&self.endpoint, &self.team, &c.raw),
+            crate::system::send_to(&self.endpoint, &self.team, c.raw.clone()),
         );
         if let Msg::BarrierRelease {
             vc,
@@ -774,7 +751,7 @@ impl TmkCtx {
         }
     }
 
-    fn barrier_master(&mut self, tree_release: bool) {
+    fn barrier_master(&mut self) {
         let link = self.team_link();
         let n = self.nprocs();
         let epoch = self.epoch;
@@ -787,8 +764,8 @@ impl TmkCtx {
             c.drain_unsent(); // master's records distribute via the release below
         }
         self.wake_pusher();
-        // Collect n-1 arrivals.
-        let mut arrivals: Vec<(Ctrl, crate::types::Vc)> = Vec::with_capacity(n - 1);
+        // Collect n-1 arrivals: each rank's clock, by rank.
+        let mut arrived = vec![Vc::new(n); n];
         for _ in 0..n - 1 {
             let c = link
                 .ctrl
@@ -798,66 +775,38 @@ impl TmkCtx {
                     |c| matches!(&c.msg, Msg::BarrierArrive { epoch: e, .. } if *e == epoch),
                 )
                 .expect("barrier arrival lost");
-            let (vc, records) = match &c.msg {
-                Msg::BarrierArrive { vc, records, .. } => (vc.clone(), records.clone()),
-                _ => unreachable!(),
-            };
-            self.core.lock().apply_records(&records);
-            self.core.lock().vc.merge(&vc);
-            arrivals.push((c, vc));
-        }
-        if tree_release {
-            // Receiver-independent release: everything newer than the
-            // pointwise-min arrival clock covers what every slave lacks
-            // (over-delivery is fine — record application dedups), so
-            // one payload can be relayed verbatim down the tree.
-            let mut min_vc = arrivals[0].1.clone();
-            for (_, vc) in arrivals.iter().skip(1) {
-                for i in 0..min_vc.len() {
-                    min_vc.set(i as Pid, min_vc.get(i as Pid).min(vc.get(i as Pid)));
-                }
+            if let Msg::BarrierArrive {
+                pid, vc, records, ..
+            } = c.msg
+            {
+                let mut core = self.core.lock();
+                core.apply_records(&records);
+                core.vc.merge(&vc);
+                arrived[pid as usize] = vc;
             }
-            let (merged_vc, records, piggyback) = {
-                let c = self.core.lock();
-                (
-                    c.vc.clone(),
-                    c.records.newer_than(&min_vc),
-                    c.piggyback_diffs(),
-                )
-            };
-            let bytes = Msg::BarrierRelease {
-                vc: merged_vc,
-                records,
-                piggyback,
-            }
-            .encode(&self.cfg);
-            let shapes = link.shapes.get(n);
-            crate::system::relay_tree_send(&self.endpoint, &self.team, &shapes.fork, 0, &bytes);
-            return;
         }
-        // Flat release: send each arrival the records it lacks and the
-        // merged clock.
-        let (merged_vc, replies): (crate::types::Vc, Vec<(Ctrl, Vec<crate::records::Record>)>) = {
+        let (merged, piggyback) = {
             let c = self.core.lock();
-            let merged = c.vc.clone();
-            let replies = arrivals
-                .into_iter()
-                .map(|(ctrl_msg, vc)| {
-                    let recs = c.records.newer_than(&vc);
-                    (ctrl_msg, recs)
-                })
-                .collect();
-            (merged, replies)
+            (c.vc.clone(), c.piggyback_diffs())
         };
-        for (ctrl_msg, records) in replies {
-            ctrl_msg.replier.expect("BarrierArrive is a request").reply(
-                Msg::BarrierRep {
-                    vc: merged_vc.clone(),
-                    records,
-                }
-                .encode(&self.cfg),
-            );
-        }
+        // Each subtree of the root gets everything newer than the
+        // pointwise-min arrival clock over its ranks: what any of them
+        // lacks (over-delivery is fine — record application dedups),
+        // so one payload is relayed verbatim through the subtree. A
+        // vanished child's adopted children get their own subtrees'.
+        let shape = &link.shapes.get(n).release;
+        crate::system::relay_adopting(shape, 0, |child| {
+            let mut min = arrived[child].clone();
+            for vc in &arrived[child + 1..child + shape.subtree_size(child)] {
+                min.meet(vc);
+            }
+            let release = Msg::BarrierRelease {
+                vc: merged.clone(),
+                records: self.core.lock().records.newer_than(&min),
+                piggyback: piggyback.clone(),
+            };
+            crate::system::send_to(&self.endpoint, &self.team, release.encode(&self.cfg))(child)
+        });
     }
 }
 
@@ -1227,7 +1176,6 @@ mod tests {
     fn call_three(dataplane: DataPlaneConfig) -> (Duration, Duration) {
         let clock = nowmp_util::Clock::new_virtual();
         let model = NetModel {
-            emulate: true,
             one_way_latency: RTT / 2,
             ..NetModel::disabled()
         };

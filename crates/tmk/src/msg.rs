@@ -13,7 +13,10 @@
 //! *Control* messages are forwarded by the service thread to the
 //! application thread: `Fork`, `JoinArrive`, `BarrierArrive`,
 //! `BarrierRelease`, the GC
-//! sequence, `Commit`/`JoinInit`, `ReadyJoin`, `Terminate`.
+//! sequence, `Commit`/`JoinInit`, `ReadyJoin`, `Terminate`. The barrier
+//! is two one-way waves: every slave's `BarrierArrive` goes straight to
+//! the master, and the master's `BarrierRelease`s travel down the
+//! release shape ([`crate::tree::Shapes::release`]).
 
 use crate::config::DsmConfig;
 use crate::diff::Diff;
@@ -381,7 +384,8 @@ pub enum Msg {
         /// Records created since last contact with the master.
         records: Vec<Record>,
     },
-    /// In-region barrier arrival (request; reply is `BarrierRep`).
+    /// Slave → master: in-region barrier arrival, one-way (answered by
+    /// a `BarrierRelease`).
     BarrierArrive {
         /// Protocol epoch.
         epoch: Epoch,
@@ -392,22 +396,15 @@ pub enum Msg {
         /// Records created since the last sync with the manager.
         records: Vec<Record>,
     },
-    /// Barrier release (flat mode: the reply to `BarrierArrive`).
-    BarrierRep {
-        /// Merged global clock.
-        vc: Vc,
-        /// Records the receiver had not seen.
-        records: Vec<Record>,
-    },
-    /// Receiver-independent barrier release, relayed down the fork
-    /// shape by interior ranks (one-way control message; the flat mode
-    /// keeps the per-receiver `BarrierRep` reply instead). Carries
-    /// everything any arrival might lack — record application dedups
-    /// over-delivery.
+    /// Master → the root's children in the release shape: the barrier
+    /// release, one-way, relayed verbatim by interior ranks to their
+    /// subtrees. Carries everything any rank of the receiver's subtree
+    /// lacks — record application dedups over-delivery.
     BarrierRelease {
         /// Merged global clock.
         vc: Vc,
-        /// Records newer than the pointwise-min arrival clock.
+        /// Records newer than the pointwise-min arrival clock of the
+        /// receiver's subtree.
         records: Vec<Record>,
         /// Piggybacked hot diffs of the manager's own newest intervals
         /// (see [`Msg::Fork::piggyback`]; empty = absent on the wire).
@@ -493,7 +490,6 @@ mod tags {
     pub const FORK: u8 = 12;
     pub const JOIN_ARRIVE: u8 = 13;
     pub const BARRIER_ARRIVE: u8 = 14;
-    pub const BARRIER_REP: u8 = 15;
     pub const GC_QUERY: u8 = 16;
     pub const GC_REPORT: u8 = 17;
     pub const GC_FETCH: u8 = 18;
@@ -712,11 +708,6 @@ impl Wire for Msg {
                 vc.enc(e);
                 RecordSet::enc_slice(records, e);
             }
-            Msg::BarrierRep { vc, records } => {
-                e.put_u8(BARRIER_REP);
-                vc.enc(e);
-                RecordSet::enc_slice(records, e);
-            }
             Msg::BarrierRelease {
                 vc,
                 records,
@@ -880,10 +871,6 @@ impl Wire for Msg {
             BARRIER_ARRIVE => Msg::BarrierArrive {
                 epoch: d.get_u32()?,
                 pid: d.get_u16()?,
-                vc: Vc::dec(d)?,
-                records: RecordSet::dec_vec(d)?,
-            },
-            BARRIER_REP => Msg::BarrierRep {
                 vc: Vc::dec(d)?,
                 records: RecordSet::dec_vec(d)?,
             },
@@ -1123,10 +1110,6 @@ mod tests {
                 vc: vc.clone(),
                 records: vec![rec.clone()],
             },
-            Msg::BarrierRep {
-                vc: vc.clone(),
-                records: vec![rec.clone()],
-            },
             Msg::BarrierRelease {
                 vc: vc.clone(),
                 records: vec![rec.clone()],
@@ -1188,13 +1171,12 @@ mod tests {
         // `Msg::encode` hands every message the process's encoding, so
         // this pins which payloads a generation changes: exactly the
         // variants that carry a clock or a record set.
-        const CARRY_CLOCK_OR_RECORDS: [&str; 7] = [
+        const CARRY_CLOCK_OR_RECORDS: [&str; 6] = [
             "RecordsReq",
             "RecordsRep",
             "Fork",
             "JoinArrive",
             "BarrierArrive",
-            "BarrierRep",
             "BarrierRelease",
         ];
         let (y1999, current) = (

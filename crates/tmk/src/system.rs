@@ -223,7 +223,11 @@ impl DsmSystem {
 /// being dropped or reassigned mid-flight — is *adopted*: its own
 /// children join the end of the list, so its subtree still hears the
 /// message. Returns the number of messages delivered.
-fn relay_adopting(shape: &Shape, pid: Pid, mut send: impl FnMut(usize) -> bool) -> usize {
+pub(crate) fn relay_adopting(
+    shape: &Shape,
+    pid: Pid,
+    mut send: impl FnMut(usize) -> bool,
+) -> usize {
     let mut targets = shape.children(pid as usize).to_vec();
     let mut sent = 0;
     let mut i = 0;
@@ -243,7 +247,7 @@ fn relay_adopting(shape: &Shape, pid: Pid, mut send: impl FnMut(usize) -> bool) 
 pub(crate) fn send_to<'a>(
     endpoint: &'a Endpoint,
     team: &'a Team,
-    bytes: &'a bytes::Bytes,
+    bytes: bytes::Bytes,
 ) -> impl FnMut(usize) -> bool + 'a {
     move |child| {
         let gpid = team.gpid(child as Pid);
@@ -293,7 +297,7 @@ pub fn relay_tree_send(
     pid: Pid,
     bytes: &bytes::Bytes,
 ) -> usize {
-    relay_adopting(shape, pid, send_to(endpoint, team, bytes))
+    relay_adopting(shape, pid, send_to(endpoint, team, bytes.clone()))
 }
 
 /// Charge one relay overhead (an inbound stack traversal) to the clock.
@@ -502,7 +506,7 @@ fn worker_main(
                 &sys.shapes.get(ctx.nprocs()).fork,
                 ctx.pid(),
                 &sys.stats.bcast_relays,
-                send_to(&endpoint, ctx.team(), &c.raw),
+                send_to(&endpoint, ctx.team(), c.raw.clone()),
             );
         }
         match c.msg {

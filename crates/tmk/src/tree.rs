@@ -29,6 +29,10 @@
 //!   sender occupancy of a one-record `JoinArrive` + latency + relay
 //!   overhead. It carries `JoinArrive` aggregation.
 //!
+//! The barrier's `BarrierRelease`s travel the **release shape**: the
+//! fork shape when the collection side (`join_reduce`) is treed, the
+//! star when it is flat.
+//!
 //! Ranks are numbered in preorder, visiting children in reverse send
 //! order, so every subtree is the contiguous rank range `[p, p + size)`:
 //! a single sender pid identifies the whole aggregate it covers. Both
@@ -283,21 +287,26 @@ fn steady_records(n: usize, authors: std::ops::Range<usize>) -> (Vc, Vec<Record>
 /// Both collective shapes of one team size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shapes {
-    /// `Fork`, `JoinInit` and `BarrierRelease` dissemination.
+    /// `Fork` and `JoinInit` dissemination.
     pub fork: Shape,
     /// `JoinArrive` aggregation.
     pub reduce: Shape,
+    /// `BarrierRelease` dissemination: the fork shape under a treed
+    /// collection side, the star under a flat one.
+    pub release: Shape,
 }
 
 impl Shapes {
-    /// The shapes of an `n`-rank team under the given models — a pure
-    /// function of its arguments. Zero-cost models give the binomial
-    /// tree for both.
+    /// The treed shapes of an `n`-rank team under the given models — a
+    /// pure function of its arguments. Zero-cost models give the
+    /// binomial tree for all three; the release is the fork shape.
     pub fn for_team(n: usize, net: &NetModel, cost: &CostModel) -> Shapes {
         let (gap, hop) = fork_costs(n, net, cost);
         let (rgap, rhop) = reduce_costs(n, net, cost);
+        let fork = Shape::greedy(n, gap, hop);
         Shapes {
-            fork: Shape::greedy(n, gap, hop),
+            release: fork.clone(),
+            fork,
             reduce: Shape::greedy(n, rgap, rhop),
         }
     }
@@ -333,9 +342,15 @@ impl ShapeBook {
         };
         let mut by_team = self.by_team.lock();
         Arc::clone(by_team.entry(n).or_insert_with(|| {
+            let fork = side(sides.fork, fork_costs(n, net, cost));
+            let release = match sides.join_reduce {
+                Broadcast::Flat => Shape::star(n),
+                Broadcast::Tree => fork.clone(),
+            };
             Arc::new(Shapes {
-                fork: side(sides.fork, fork_costs(n, net, cost)),
+                fork,
                 reduce: side(sides.join_reduce, reduce_costs(n, net, cost)),
+                release,
             })
         }))
     }
@@ -584,15 +599,23 @@ mod tests {
         assert_eq!(*a, paper(16));
         assert_eq!(tree.get(3).fork.nprocs(), 3);
         // A flat side is the star; the other side keeps its model shape.
+        // The release follows the collection side: the star when it is
+        // flat, the fork shape (whichever that is) when it is treed.
+        let star = Shape::star(16);
         let flat = book(CollectiveConfig::all_flat()).get(16);
         assert_eq!(
-            (&flat.fork, &flat.reduce),
-            (&Shape::star(16), &Shape::star(16))
+            (&flat.fork, &flat.reduce, &flat.release),
+            (&star, &star, &star)
         );
         let mixed = book(CollectiveConfig::all_tree().with_join_reduce(Broadcast::Flat)).get(16);
         assert_eq!(
-            (&mixed.fork, &mixed.reduce),
-            (&paper(16).fork, &Shape::star(16))
+            (&mixed.fork, &mixed.reduce, &mixed.release),
+            (&paper(16).fork, &star, &star)
+        );
+        let flat_fork = book(CollectiveConfig::all_tree().with_fork(Broadcast::Flat)).get(16);
+        assert_eq!(
+            (&flat_fork.fork, &flat_fork.reduce, &flat_fork.release),
+            (&star, &paper(16).reduce, &star)
         );
     }
 }

@@ -90,6 +90,13 @@ impl Vc {
         }
     }
 
+    /// Element-wise minimum with `other` (an entry `other` lacks is 0).
+    pub fn meet(&mut self, other: &Vc) {
+        for (i, s) in self.0.iter_mut().enumerate() {
+            *s = (*s).min(other.get(i as Pid));
+        }
+    }
+
     /// True when every entry of `self` is ≥ the matching entry of `other`.
     pub fn dominates(&self, other: &Vc) -> bool {
         for (i, &o) in other.0.iter().enumerate() {

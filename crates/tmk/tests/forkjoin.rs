@@ -651,8 +651,10 @@ fn tree_relay_adopts_vanished_childs_subtree() {
 
 /// Under the tree broadcast, interior workers forward forks (the
 /// `bcast_relays` counter moves); under the flat broadcast the master
-/// sends everything itself and the counter stays zero. Results are
-/// identical either way, and with every collective flat too.
+/// sends everything itself and the counter stays zero. A barrier
+/// release is relayed only when both sides are treed: it travels the
+/// fork shape under a treed collection side and the star under a flat
+/// one. Results are identical in all four configurations.
 #[test]
 fn tree_and_flat_forks_compute_identically() {
     use nowmp_tmk::{Broadcast, CollectiveConfig};
@@ -660,8 +662,9 @@ fn tree_and_flat_forks_compute_identically() {
     let n = 500;
     let mut results = Vec::new();
     for collectives in [
-        CollectiveConfig::default().with_fork(Broadcast::Flat),
-        CollectiveConfig::default().with_fork(Broadcast::Tree),
+        CollectiveConfig::all_tree().with_fork(Broadcast::Flat),
+        CollectiveConfig::all_tree(),
+        CollectiveConfig::all_tree().with_join_reduce(Broadcast::Flat),
         CollectiveConfig::all_flat(),
     ] {
         let net = Network::new(5, NetModel::disabled());
@@ -687,7 +690,14 @@ fn tree_and_flat_forks_compute_identically() {
         master.init_team(&workers);
         master.parallel(R_FILL, &[]);
         master.parallel(R_SCALE, &[]);
-        let got = read_all(&mut master, "v", n);
+        {
+            let a = SharedF64Vec::lookup(master.ctx(), "a");
+            for i in 0..n {
+                a.set(master.ctx(), i, i as f64);
+            }
+        }
+        master.parallel(R_STENCIL, &[]);
+        let got = (read_all(&mut master, "v", n), read_all(&mut master, "a", n));
         let stats = sys.stats().snapshot();
         match collectives.fork {
             Broadcast::Flat => assert_eq!(stats.bcast_relays, 0, "flat mode never relays"),
@@ -695,9 +705,16 @@ fn tree_and_flat_forks_compute_identically() {
             // (children(4,5) is empty)... the JoinInit tree also counts.
             Broadcast::Tree => assert!(stats.bcast_relays > 0, "tree mode must relay"),
         }
-        if collectives == CollectiveConfig::all_flat() {
+        if collectives.join_reduce == Broadcast::Flat {
             assert_eq!(stats.reduce_relays, 0, "flat collection never aggregates");
         }
+        // The binomial 5-rank fork shape: rank 2 relays the release to 3.
+        assert_eq!(
+            stats.release_relays > 0,
+            collectives == CollectiveConfig::all_tree(),
+            "{collectives:?}: release relays {}",
+            stats.release_relays
+        );
         results.push(got);
         master.shutdown();
     }
@@ -706,14 +723,33 @@ fn tree_and_flat_forks_compute_identically() {
     }
 }
 
+/// Regions of [`flat_collectives_keep_the_1999_message_pattern`]:
+/// `R_EMPTY` does nothing; in `R_PAGE_BARRIER` every rank writes the
+/// first word of its own page, then meets the others at a barrier.
+const R_EMPTY: u32 = 0;
+const R_PAGE_BARRIER: u32 = 1;
+
+struct PageThenBarrier;
+
+impl RegionRunner for PageThenBarrier {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        if region == R_PAGE_BARRIER {
+            let v = SharedF64Vec::lookup(ctx, "v");
+            v.set(ctx, ctx.pid() as usize * (4096 / 8), 1.0);
+            ctx.barrier();
+        }
+    }
+}
+
 /// The flat collectives' message pattern, as the 1999 system's loops
 /// produced it: per region the master sends one `Fork` to every worker
 /// and receives one `JoinArrive` from each, and every worker sends
-/// exactly its own arrival. No rank relays or aggregates.
+/// exactly its own arrival. A barrier's release goes from the master to
+/// every worker with the records that worker lacks, so each worker link
+/// takes in the 1999 barrier's bytes. No rank relays or aggregates.
 #[test]
 fn flat_collectives_keep_the_1999_message_pattern() {
     use nowmp_net::CostModel;
-    use nowmp_tmk::system::NullRunner;
     use nowmp_util::Clock;
 
     let (n, regions) = (8, 4);
@@ -727,7 +763,7 @@ fn flat_collectives_keep_the_1999_message_pattern() {
     let sys = DsmSystem::new(
         net,
         DsmConfig::default_4k().generation_1999(),
-        Arc::new(NullRunner),
+        Arc::new(PageThenBarrier),
     );
     let mut master = sys.start_master(HostId(0));
     let mut workers = Vec::new();
@@ -735,13 +771,14 @@ fn flat_collectives_keep_the_1999_message_pattern() {
         let hello: Vec<Gpid> = workers.clone();
         workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
     }
+    master.alloc("v", (n * 4096 / 8) as u64, ElemKind::F64);
     master.init_team(&workers);
     let (net0, dsm0) = (sys.net().stats(), sys.stats().snapshot());
     for _ in 0..regions {
-        master.parallel(0, &[]);
+        master.parallel(R_EMPTY, &[]);
     }
-    let net = sys.net().stats().since(&net0);
-    let dsm = sys.stats().snapshot().since(&dsm0);
+    let net1 = sys.net().stats();
+    let net = net1.since(&net0);
     let fan = (regions * (n - 1)) as u64;
     assert_eq!(
         (net.links[0].msgs_out, net.links[0].msgs_in),
@@ -751,6 +788,16 @@ fn flat_collectives_keep_the_1999_message_pattern() {
     for (h, link) in net.links.iter().enumerate().skip(1) {
         assert_eq!(link.msgs_out, regions as u64, "worker link {h}");
     }
+    // One barrier region: the master takes in 7 `PageReq`s, 7
+    // `BarrierArrive`s and 7 `JoinArrive`s, each worker its `Fork`, its
+    // page and its release.
+    master.parallel(R_PAGE_BARRIER, &[]);
+    let net = sys.net().stats().since(&net1);
+    let mut expect = vec![(21, 1953)];
+    expect.resize(n, (3, 4647));
+    let links: Vec<(u64, u64)> = net.links.iter().map(|l| (l.msgs_in, l.bytes_in)).collect();
+    assert_eq!(links, expect, "(msgs_in, bytes_in) per link");
+    let dsm = sys.stats().snapshot().since(&dsm0);
     assert_eq!(dsm.bcast_relays + dsm.reduce_relays + dsm.release_relays, 0);
     master.shutdown();
 }
