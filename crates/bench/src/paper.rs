@@ -1453,28 +1453,31 @@ fn sweep_claim(titles: [String; 2], points: &[Point]) -> Claim {
             1.12,
         ),
         // Overlapped data plane homogeneous speedup at 32 hosts on NBF.
-        // Measured 1.35-1.38 over ten runs; demand paging manages 0.89
-        // on the same lane (the position array is re-fetched wholesale
+        // Measured 1.43-1.44 over five runs; demand paging manages
+        // 0.88-0.90 on the same lane (the position array is re-fetched wholesale
         // every iteration, so past ~8 hosts demand NBF *slows down*
         // with more nodes). History: pinned at 1.05 against 1.16-1.17
         // when a reader still had to ask for every diff; re-pinned when
         // writers began to push their new diffs to last epoch's readers
         // at the interval close (docs/DATAPLANE.md, lever 4), measured
         // 1.33-1.46 while a release-phase prefetcher still warmed the
-        // second iteration. The smoke lane is four cold-started
-        // iterations — cold, mixed, steady, steady — so it sees part of
-        // the steady-state gain.
+        // second iteration, and 1.35-1.40 between its deletion and the
+        // acknowledged subscription. The smoke lane is four
+        // cold-started iterations — cold, then steady — so it sees
+        // most of the steady-state gain.
         ("NBF overlap homogeneous S(32)", s32("NBF", TTO), 1.2),
         // Virtual-timeline advantage of the overlapped data plane over
         // demand paging on NBF at 32 homogeneous hosts (the original
-        // acceptance target: >= 1.15x). Measured 1.49-1.55x over ten
+        // acceptance target: >= 1.15x). Measured 1.59-1.64x over five
         // runs. History: 1.39-1.42x, floor 1.25, before the writer
         // push; 1.61-1.64x (later 1.62), floor 1.45, while the
         // release-phase prefetcher overlapped the second iteration's
         // requests with its compute. Deleting the prefetcher (a
         // region's own fault subscribes instead) loses that overlap in
         // one of the four iterations, and the ten-run minimum came
-        // within 3% of 1.45, so the floor went to ~10% under it.
+        // within 3% of 1.45, so the floor went to ~10% under it. The
+        // acknowledged subscription takes that iteration back without
+        // a prefetcher (1.49-1.58x before it).
         (
             "NBF overlap over demand at 32 hosts",
             ratio(s32("NBF", TTO), s32("NBF", TTD)),

@@ -102,10 +102,12 @@ impl CollectiveConfig {
 ///   any reply, paying the max of the creators' latencies instead of
 ///   the sum (and a page collection, a GC and a commit likewise);
 /// * push (gated on [`pipeline`](Self::pipeline) too) — the *writer
-///   push*: a demand fault inside a region body marks its `DiffReq`,
-///   which subscribes the faulting rank, and from then until the next
-///   commit the creator sends every new diff of those pages when it
-///   closes the interval, unasked (`Msg::DiffPush`). A page is
+///   push*: a demand fault inside a region body marks its `PageReq`
+///   or `DiffReq`, which subscribes the faulting rank, and the reply
+///   acknowledges it with the server's last closed seq; from then
+///   until the next commit the server sends every diff of those pages
+///   it closes after that seq, unasked (`Msg::DiffPush`), and the
+///   reader expects each one, the first included. A page is
 ///   therefore asked for once per epoch and pushed from then on; in
 ///   steady state no request crosses the wire after a release. Faults
 ///   outside a region body (the master's sequential phase, a GC fetch,

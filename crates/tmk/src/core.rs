@@ -20,16 +20,18 @@
 //! * Stored diffs are immutable once created, and every one is created
 //!   when its interval closes.
 //! * **W** (writer push): a rank enters a page's reader set only by a
-//!   marked `DiffReq` (a demand fault inside a region body on the
-//!   overlap plane), and leaves it only at a commit; every interval
-//!   close queues, in the same hold of the core lock that creates the
-//!   diff and its record, one `DiffPush` per reader. So once we have
-//!   pushed a diff of page p to r, every later diff we create for p
-//!   this epoch is pushed to r too, and is queued before its notice
-//!   can leave us.
+//!   marked `PageReq` or `DiffReq` of our epoch (a fault inside a
+//!   region body on the overlap plane), whose reply acknowledges the
+//!   subscription with `push_after`, our last closed seq, read in the
+//!   same hold of the core lock that enters it; it leaves only at a
+//!   commit. Every interval close queues, in the same hold of the core
+//!   lock that creates the diff and its record, one `DiffPush` per
+//!   reader. So every diff of p we close after acknowledging r's
+//!   subscription this epoch is pushed to r, and is queued before its
+//!   notice can leave us.
 //! * **R** (reader expectation): a notice `(p, w, s)` with no stored
-//!   diff is *expected* iff a push from w for p with a sequence number
-//!   lower than s was deposited this epoch — by W it is on its way.
+//!   diff is *expected* iff w acknowledged a subscription to p this
+//!   epoch at a seq lower than s — by W it is on its way.
 //! * Every diff a fault applies — pushed, piggybacked, collected or
 //!   fetched by the fault itself — sits in one store first and is
 //!   applied by exactly one rule, in [`ProcCore::apply_diffs`]: as part
@@ -177,9 +179,10 @@ pub struct ProcCore {
     /// How often each page's diffs have been served to peers — the
     /// "heat" ranking behind piggyback selection.
     pub diff_heat: HashMap<PageId, u32>,
-    /// Writer side of the push plane: per page we write, the ranks whose
-    /// region fault fetched its diffs from us this epoch (see
-    /// [`Self::serve_diffs`]). Only grows inside an epoch (invariant W).
+    /// Writer side of the push plane: per page, the ranks whose region
+    /// fault fetched the page or its diffs from us this epoch (see
+    /// [`Self::serve_page`] and [`Self::serve_diffs`]). Only grows
+    /// inside an epoch (invariant W).
     pub readers: HashMap<PageId, Vec<Pid>>,
     /// What [`Self::close_interval`] queued for the service thread.
     pub outbox: Outbox,
@@ -187,9 +190,11 @@ pub struct ProcCore {
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
     /// a fault or a page collection, or piggybacked on a release.
     pub early: HashMap<PageId, Vec<EarlyDiff>>,
-    /// Lowest sequence number each `(page, writer)` has pushed us this
-    /// epoch: what rule R reads.
-    pub first_push: HashMap<(PageId, Pid), Seq>,
+    /// Per `(page, writer)`, the seq after which the writer pushes us
+    /// every diff of the page this epoch: the lowest acknowledgement of
+    /// our subscriptions to it ([`Self::acknowledged`]), what rule R
+    /// reads.
+    pub push_after: HashMap<(PageId, Pid), Seq>,
     /// Wakes a fault parked on an expected diff; installed by the
     /// application thread's [`crate::ctx::TmkCtx`], the only waiter.
     pub early_cv: Option<Arc<ClockCondvar>>,
@@ -219,7 +224,7 @@ impl ProcCore {
             readers: HashMap::new(),
             outbox: Arc::default(),
             early: HashMap::new(),
-            first_push: HashMap::new(),
+            push_after: HashMap::new(),
             early_cv: None,
         }
     }
@@ -589,10 +594,11 @@ impl ProcCore {
             .is_some_and(|v| v.iter().any(|e| e.pid == pid && e.seq == seq));
         if stored {
             DiffSource::Stored
-        } else if self.first_push.get(&(page, pid)).is_some_and(|&f| f < seq) {
-            // `pid` pushed us an earlier diff of this page, so (W) it
-            // pushes this one too. "Earlier" matters: a diff closed
-            // before the subscription took effect is never pushed.
+        } else if self.push_after.get(&(page, pid)).is_some_and(|&a| a < seq) {
+            // `pid` acknowledged our subscription to this page before
+            // it closed `seq`, so (W) it pushes this diff. "Before"
+            // matters: a diff closed before the subscription took
+            // effect is never pushed.
             DiffSource::Expected
         } else {
             DiffSource::Network
@@ -626,10 +632,6 @@ impl ProcCore {
     ) {
         for (page, seq, diff) in diffs {
             self.ensure_pages(page as usize + 1);
-            if pushed {
-                let first = self.first_push.entry((page, from)).or_insert(seq);
-                *first = (*first).min(seq);
-            }
             let useful = {
                 let meta = self.pages.guard(page);
                 seq > meta.applied.get(from)
@@ -667,6 +669,17 @@ impl ProcCore {
                 true,
             ),
             None => DsmStats::add(&self.stats.push_wasted, diffs.len() as u64),
+        }
+    }
+
+    /// Take in rank `from`'s acknowledgement of our subscription to
+    /// `pages`: it pushes us every diff of them it closes after `after`
+    /// this epoch (W). The lowest acknowledgement stands, as a reader
+    /// set never shrinks inside an epoch.
+    pub fn acknowledged(&mut self, from: Pid, pages: impl IntoIterator<Item = PageId>, after: Seq) {
+        for page in pages {
+            let a = self.push_after.entry((page, from)).or_insert(after);
+            *a = (*a).min(after);
         }
     }
 
@@ -827,8 +840,54 @@ impl ProcCore {
     // Serving (service thread)
     // ------------------------------------------------------------------
 
-    /// Serve a full-page request.
-    pub fn serve_page(&mut self, page: PageId) -> crate::msg::Msg {
+    /// The rank a request from `src` in `epoch` subscribes: none
+    /// unless it is `subscribe`-marked, of our epoch (in another, its
+    /// pid would name a member of another team) and from a member.
+    pub fn subscriber(&self, subscribe: bool, epoch: Epoch, src: Gpid) -> Option<Pid> {
+        self.team
+            .pid_of(src)
+            .filter(|_| subscribe && epoch == self.epoch())
+    }
+
+    /// Enter `subscriber` into the reader sets of `pages` and return the
+    /// acknowledgement its reply carries: our last closed seq, read in
+    /// the same hold of the core lock, so every diff of these pages we
+    /// close from now on this epoch is pushed to it (invariant W).
+    fn subscribe(
+        &mut self,
+        pages: impl IntoIterator<Item = PageId>,
+        subscriber: Option<Pid>,
+    ) -> Option<Seq> {
+        let r = subscriber?;
+        for page in pages {
+            let readers = self.readers.entry(page).or_default();
+            if !readers.contains(&r) {
+                readers.push(r);
+            }
+        }
+        Some(self.vc.get(self.my_pid))
+    }
+
+    /// Serve a full-page request. A marked request from a region fault
+    /// names its rank as `subscriber` ([`Self::subscriber`]): unless we
+    /// redirect it, it enters the page's [reader set](Self::readers)
+    /// and the reply carries the acknowledgement.
+    pub fn serve_page(&mut self, page: PageId, subscriber: Option<Pid>) -> crate::msg::Msg {
+        let mut rep = self.page_rep(page);
+        if let crate::msg::Msg::PageRep {
+            redirect: None,
+            push_after,
+            ..
+        } = &mut rep
+        {
+            *push_after = self.subscribe([page], subscriber);
+        }
+        rep
+    }
+
+    /// The page as [`Self::serve_page`] serves it, before any
+    /// subscription.
+    fn page_rep(&mut self, page: PageId) -> crate::msg::Msg {
         self.ensure_pages(page as usize + 1);
         let open_seq = self.open_seq();
         let me_pid = self.my_pid;
@@ -850,12 +909,14 @@ impl ProcCore {
                         applied: vec![],
                         words: vec![0; self.cfg.slots_per_page()],
                         redirect: None,
+                        push_after: None,
                     }
                 } else {
                     crate::msg::Msg::PageRep {
                         applied: vec![],
                         words: vec![],
                         redirect: Some(meta.owner),
+                        push_after: None,
                     }
                 }
             }
@@ -877,6 +938,7 @@ impl ProcCore {
                             applied: meta.applied.iter_nonzero().collect(),
                             words: snap,
                             redirect: None,
+                            push_after: None,
                         };
                     }
                 }
@@ -888,6 +950,7 @@ impl ProcCore {
                     applied: meta.applied.iter_nonzero().collect(),
                     words: data.snapshot(),
                     redirect: None,
+                    push_after: None,
                 }
             }
         }
@@ -895,12 +958,13 @@ impl ProcCore {
 
     /// Serve a diff request for diffs we created. A request marked by
     /// a demand fault inside the requester's region body names its rank
-    /// as `subscriber`: from now on every diff we create for these
-    /// pages this epoch is pushed to it. Nothing else subscribes — the
-    /// master's sequential phase, a GC fetch or a checkpoint collection
-    /// is a one-off. A page collection (a GC completion) that asks for
-    /// two or more diffs of one page asks `whole_if_smaller`: see
-    /// [`Self::whole_pages`].
+    /// as `subscriber`: it enters these pages'
+    /// [reader sets](Self::readers) and the reply carries the
+    /// acknowledgement. Nothing else
+    /// subscribes — the master's sequential phase, a GC fetch or a
+    /// checkpoint collection is a one-off. A page collection (a GC
+    /// completion) that asks for two or more diffs of one page asks
+    /// `whole_if_smaller`: see [`Self::whole_pages`].
     pub fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
@@ -912,15 +976,10 @@ impl ProcCore {
         } else {
             Vec::new()
         };
+        let push_after = self.subscribe(wants.iter().map(|&(page, _)| page), subscriber);
         let mut out = Vec::with_capacity(wants.len());
         for &(page, seq) in wants {
             *self.diff_heat.entry(page).or_insert(0) += 1;
-            if let Some(r) = subscriber {
-                let readers = self.readers.entry(page).or_default();
-                if !readers.contains(&r) {
-                    readers.push(r);
-                }
-            }
             if pages.iter().any(|w| w.page == page) {
                 continue;
             }
@@ -932,7 +991,11 @@ impl ProcCore {
                 ),
             }
         }
-        crate::msg::Msg::DiffRep { diffs: out, pages }
+        crate::msg::Msg::DiffRep {
+            diffs: out,
+            pages,
+            push_after,
+        }
     }
 
     /// The pages of `wants` to serve whole: those whose encoded chain
@@ -1108,7 +1171,7 @@ impl ProcCore {
         self.readers.clear();
         self.outbox.lock().clear();
         self.early.clear();
-        self.first_push.clear();
+        self.push_after.clear();
         DsmStats::bump(&self.stats.gcs);
     }
 
@@ -1204,7 +1267,7 @@ mod tests {
         two_proc_team(&mut c, 0);
         // Materialize, then pretend proc 2 fetched it.
         let _ = c.plan_access(0, false);
-        let rep = c.serve_page(0);
+        let rep = c.serve_page(0, None);
         assert!(matches!(rep, Msg::PageRep { redirect: None, .. }));
         assert!(c.pages.guard(0).shared);
         // Now a write must twin.
@@ -1233,16 +1296,18 @@ mod tests {
         };
         buf.store(1, 5);
         // Service thread serves the page mid-interval.
-        let rep = c.serve_page(0);
+        let rep = c.serve_page(0, None);
         let Msg::PageRep {
             words,
             applied,
             redirect,
+            push_after,
         } = rep
         else {
             panic!()
         };
         assert!(redirect.is_none());
+        assert_eq!(push_after, None, "unmarked: no acknowledgement");
         assert_eq!(words[1], 5);
         assert!(applied.is_empty(), "no closed intervals yet");
         assert!(c.pages.guard(0).twin.is_some(), "snapshot became the twin");
@@ -1260,7 +1325,7 @@ mod tests {
         let mut c = core();
         two_proc_team(&mut c, 0);
         let _ = c.plan_access(0, false);
-        let _ = c.serve_page(0); // shared now
+        let _ = c.serve_page(0, None); // shared now
         let AccessPlan::Ready { .. } = c.plan_access(0, true) else {
             panic!()
         };
@@ -1435,7 +1500,7 @@ mod tests {
         c.ensure_pages(1);
         let Msg::PageRep {
             redirect, words, ..
-        } = c.serve_page(0)
+        } = c.serve_page(0, None)
         else {
             panic!()
         };
@@ -1478,7 +1543,7 @@ mod tests {
         let mut c = core();
         two_proc_team(&mut c, 0);
         let _ = c.plan_access(0, false);
-        let _ = c.serve_page(0);
+        let _ = c.serve_page(0, None);
         let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
             panic!()
         };
@@ -1556,7 +1621,7 @@ mod tests {
     /// twins) in the open interval.
     fn write_shared(c: &mut ProcCore, page: PageId, v: u64) {
         let _ = c.plan_access(page, false);
-        let _ = c.serve_page(page);
+        let _ = c.serve_page(page, None);
         let AccessPlan::Ready { buf, .. } = c.plan_access(page, true) else {
             panic!("owned page must be writable")
         };
@@ -1603,6 +1668,61 @@ mod tests {
         assert_eq!(c.readers[&0], vec![2], "marked: subscribed, once");
     }
 
+    /// The acknowledgement a reply carries.
+    fn ack(rep: &Msg) -> Option<Seq> {
+        match rep {
+            Msg::PageRep { push_after, .. } | Msg::DiffRep { push_after, .. } => *push_after,
+            other => panic!("not a page or diff reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_subscription_is_acknowledged_with_the_last_closed_seq() {
+        let mut c = team_core(3, 0);
+        write_shared(&mut c, 0, 7);
+        c.close_interval().unwrap();
+        write_shared(&mut c, 1, 8);
+        assert_eq!(ack(&c.serve_page(0, None)), None);
+        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], None, false)), None);
+        // Interval 2 is open: the last closed seq is 1, so every diff
+        // of the page from interval 2 on is pushed.
+        assert_eq!(ack(&c.serve_page(1, Some(1))), Some(1));
+        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], Some(2), false)), Some(1));
+        assert_eq!((&c.readers[&0], &c.readers[&1]), (&vec![2], &vec![1]));
+        c.close_interval().unwrap();
+        assert_eq!(ack(&c.serve_page(1, Some(2))), Some(2));
+        assert_eq!(c.readers[&1], vec![1, 2]);
+        // A redirect serves no page and subscribes nobody.
+        c.ensure_pages(3);
+        c.pages.guard(2).owner = Gpid(3);
+        let rep = c.serve_page(2, Some(1));
+        assert!(matches!(
+            rep,
+            Msg::PageRep {
+                redirect: Some(_),
+                push_after: None,
+                ..
+            }
+        ));
+        assert!(!c.readers.contains_key(&2));
+    }
+
+    #[test]
+    fn a_request_from_another_epoch_subscribes_nobody() {
+        let mut c = team_core(3, 0);
+        write_shared(&mut c, 0, 7);
+        c.close_interval().unwrap();
+        assert_eq!(c.subscriber(true, 0, Gpid(2)), Some(1));
+        assert_eq!(c.subscriber(false, 0, Gpid(2)), None, "unmarked");
+        assert_eq!(c.subscriber(true, 0, Gpid(9)), None, "not a member");
+        // Rank 1 of epoch 1 may be another process than our rank 1.
+        let stale = c.subscriber(true, 1, Gpid(2));
+        assert_eq!(stale, None);
+        assert_eq!(ack(&c.serve_page(0, stale)), None);
+        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], stale, false)), None);
+        assert!(c.readers.is_empty());
+    }
+
     /// Store `v` into every word of `page` (shared, so the write
     /// twins) and close the interval: one full-page diff.
     fn write_whole_page(c: &mut ProcCore, page: PageId, v: u64) {
@@ -1615,7 +1735,7 @@ mod tests {
     }
 
     fn served(rep: Msg) -> (Vec<(PageId, Seq)>, Vec<WholePage>) {
-        let Msg::DiffRep { diffs, pages } = rep else {
+        let Msg::DiffRep { diffs, pages, .. } = rep else {
             panic!("serve_diffs answers a DiffRep")
         };
         (diffs.iter().map(|d| (d.0, d.1)).collect(), pages)
@@ -1754,11 +1874,9 @@ mod tests {
                 .map(|&s| (0, s, Arc::new(word(0, s as u64))))
                 .collect()
         };
-        // Seqs the copy already reflects are dropped — but they still
-        // say the writer pushes this page.
+        // Seqs the copy already reflects are dropped.
         c.deposit_push(0, Gpid(2), push(&[2, 3]));
         assert!(stored(&c, 0).is_empty());
-        assert_eq!(c.first_push[&(0, 1)], 2);
         assert_eq!(c.stats.snapshot().push_wasted, 2);
         // A new one is kept and counted against the GC budget; the
         // same one again is not.
@@ -1771,13 +1889,14 @@ mod tests {
         assert_eq!(c.consistency_bytes, bytes);
         assert_eq!(c.stats.snapshot().push_wasted, 3);
         // A fetched or piggybacked diff is kept only for a notice
-        // we hold; it is no evidence of a push either way.
+        // we hold. Neither it nor a push says what will be pushed:
+        // only an acknowledgement does.
         c.deposit(1, vec![(1, 9, word(0, 9))], false);
         assert!(stored(&c, 1).is_empty());
         notice(&mut c, 1, 9, 1);
         c.deposit(1, vec![(1, 9, word(0, 9))], false);
         assert_eq!(stored(&c, 1), vec![(1, 9)]);
-        assert!(!c.first_push.contains_key(&(1, 1)));
+        assert!(c.push_after.is_empty());
         assert_eq!(
             c.stats.snapshot().push_wasted,
             3,
@@ -1790,17 +1909,25 @@ mod tests {
         let mut c = team_core(2, 0);
         let _ = c.plan_access(0, false);
         c.pages.guard(0).shared = true;
-        // The writer's first push to us carries its interval 3.
-        c.deposit_push(0, Gpid(2), vec![(0, 3, Arc::new(word(3, 3)))]);
+        // The writer acknowledged our subscription when its last
+        // closed interval was 2, so its first push to us carries its
+        // interval 3.
+        c.acknowledged(1, [0], 2);
         assert_eq!(
             c.diff_source(0, 1, 2),
             DiffSource::Network,
-            "below: closed before we subscribed"
+            "at or below: closed before we subscribed"
         );
         assert_eq!(
             c.diff_source(0, 1, 3),
+            DiffSource::Expected,
+            "the first push is expected"
+        );
+        c.deposit_push(0, Gpid(2), vec![(0, 3, Arc::new(word(3, 3)))]);
+        assert_eq!(
+            c.diff_source(0, 1, 3),
             DiffSource::Stored,
-            "at: in the store"
+            "arrived: in the store"
         );
         assert_eq!(
             c.diff_source(0, 1, 4),
@@ -1810,13 +1937,17 @@ mod tests {
         assert_eq!(
             c.diff_source(1, 1, 4),
             DiffSource::Network,
-            "another page: no evidence"
+            "another page: no acknowledgement"
         );
         assert_eq!(
             c.diff_source(0, 0, 4),
             DiffSource::Network,
-            "another writer: no evidence"
+            "another writer: no acknowledgement"
         );
+        // A later acknowledgement of the same subscription moves
+        // nothing: the reader set never shrank.
+        c.acknowledged(1, [0], 5);
+        assert_eq!(c.push_after[&(0, 1)], 2);
 
         // The fault path asks the network for exactly the first kind
         // and parks on the third.
@@ -1859,6 +1990,61 @@ mod tests {
     }
 
     #[test]
+    fn an_acknowledged_subscription_expects_the_first_push() {
+        // The writer, rank 1, has closed interval 1 of page 0.
+        let mut w = team_core(2, 1);
+        write_shared(&mut w, 0, 5);
+        w.close_interval().unwrap();
+        // The reader, rank 0, has no copy: its region fault fetches the
+        // page whole with a marked `PageReq`.
+        let mut r = team_core(2, 0);
+        r.default_owner = w.gpid;
+        let AccessPlan::Fetch(plan) = r.plan_access(0, false) else {
+            panic!("no copy yet")
+        };
+        assert_eq!(plan.fulls, vec![(0, w.gpid)]);
+        let sub = w.subscriber(true, r.epoch(), r.gpid);
+        let Msg::PageRep {
+            applied,
+            words,
+            push_after: Some(after),
+            ..
+        } = w.serve_page(0, sub)
+        else {
+            panic!("a marked fetch is acknowledged")
+        };
+        assert_eq!(after, 1);
+        r.install_page(0, &applied, words, w.gpid);
+        r.acknowledged(1, [0], after);
+        // No push has reached the reader yet, and still the writer's
+        // next diff of the page is expected: nothing is left to ask.
+        write_shared(&mut w, 0, 6);
+        let rec = w.close_interval().unwrap();
+        r.apply_records(&[rec]);
+        assert_eq!(r.diff_source(0, 1, 2), DiffSource::Expected);
+        match r.plan_access(0, false) {
+            AccessPlan::Fetch(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
+            other => panic!("expected an empty fetch, got {other:?}"),
+        }
+        assert_eq!(r.expected_absent(0), Some((1, 2)));
+        // W: the close queued it for the reader.
+        let (dst, payload, _) = w
+            .outbox
+            .lock()
+            .pop_front()
+            .expect("the close queued a push");
+        assert_eq!(dst, r.gpid);
+        let Msg::DiffPush { epoch, diffs } = Msg::from_wire(&payload).unwrap() else {
+            panic!("outbox holds DiffPush messages")
+        };
+        r.deposit_push(epoch, w.gpid, diffs);
+        assert_eq!(r.expected_absent(0), None);
+        r.apply_diffs(0);
+        assert_eq!(r.pages.guard(0).data.as_ref().unwrap().load(0), 6);
+        assert_eq!(r.stats.snapshot().push_hits, 1);
+    }
+
+    #[test]
     fn apply_diffs_orders_stored_and_fetched_causally() {
         // Ranks 1 and 2 wrote the same word, 2 after 1. Rank 2's diff
         // arrived early; rank 1's is fetched by the fault. Arrival
@@ -1896,12 +2082,13 @@ mod tests {
         c.readers.insert(0, vec![1]);
         write_shared(&mut c, 0, 1);
         c.close_interval().unwrap();
+        c.acknowledged(1, [3], 0);
         c.deposit_push(0, Gpid(2), vec![(3, 1, Arc::new(word(0, 1)))]);
-        assert!(!c.outbox.lock().is_empty() && !c.early.is_empty() && !c.first_push.is_empty());
+        assert!(!c.outbox.lock().is_empty() && !c.early.is_empty() && !c.push_after.is_empty());
         c.gc_commit(1, Team::new(1, vec![Gpid(1), Gpid(2)]), 0, &[Gpid(1)], &[]);
         assert!(c.readers.is_empty(), "subscriptions die with the epoch");
         assert!(c.outbox.lock().is_empty());
-        assert!(c.early.is_empty() && c.first_push.is_empty());
+        assert!(c.early.is_empty() && c.push_after.is_empty());
         assert_eq!(c.consistency_bytes, 0);
         assert_eq!(c.stats.snapshot().push_wasted, 1, "stored, never applied");
     }
@@ -1910,7 +2097,7 @@ mod tests {
     fn diff_push_from_another_epoch_is_dropped() {
         let mut c = team_core(2, 0);
         c.deposit_push(7, Gpid(2), vec![(0, 1, Arc::new(word(0, 1)))]);
-        assert!(c.early.is_empty() && c.first_push.is_empty());
+        assert!(c.early.is_empty());
         assert_eq!(c.stats.snapshot().push_wasted, 1);
         // So is one from a process that is not in the team.
         c.deposit_push(0, Gpid(9), vec![(0, 1, Arc::new(word(0, 1)))]);

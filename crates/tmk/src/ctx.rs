@@ -206,10 +206,10 @@ pub struct TmkCtx {
     /// reference speed (set by the fork dispatcher from the
     /// [`nowmp_net::CostModel`]; zero = compute is free).
     iter_cost: Duration,
-    /// Whether this rank's `DiffReq`s subscribe it to their creators'
-    /// pushes: true while a region body runs on a pipelining data
-    /// plane ([`Self::in_region`]), so only a region's demand fault
-    /// subscribes.
+    /// Whether this rank's `PageReq`s and `DiffReq`s subscribe it to
+    /// their servers' pushes: true while a region body runs on a
+    /// pipelining data plane ([`Self::in_region`]), so only a region's
+    /// demand fault subscribes.
     subscribe: bool,
     /// Where a fault parks while a diff its writer is pushing (rule R)
     /// is still on the wire; the core notifies it on every deposit.
@@ -298,8 +298,9 @@ impl TmkCtx {
     }
 
     /// Run `body`, this rank's share of a region. On a pipelining data
-    /// plane its demand faults' `DiffReq`s subscribe: the writer pushes
-    /// every later diff of those pages this epoch. Faults outside a
+    /// plane its demand faults' `PageReq`s and `DiffReq`s subscribe:
+    /// the server pushes every diff of those pages it closes after the
+    /// seq its reply acknowledges, this epoch. Faults outside a
     /// region body — the master's sequential phase, a GC's completion
     /// fetch, a checkpoint's page collection — never subscribe.
     pub(crate) fn in_region(&mut self, body: impl FnOnce(&mut TmkCtx)) {
@@ -452,18 +453,22 @@ impl TmkCtx {
 
     /// The requests of `plan`, in order, each with what it expects
     /// back: one `PageReq` per full page, then one `DiffReq` per
-    /// creator, `subscribe`-marked inside a region body
-    /// ([`Self::in_region`]) and, when `whole_if_smaller` is set (a
-    /// page collection), `whole_if_smaller`-marked if it asks for two or
-    /// more diffs of one page (a one-diff chain is no longer than its
-    /// page, give or take run headers). A creator that left the team is skipped; the
-    /// demand path re-plans.
+    /// creator. Inside a region body ([`Self::in_region`]) every one is
+    /// `subscribe`-marked; when `whole_if_smaller` is set (a page
+    /// collection), a `DiffReq` is `whole_if_smaller`-marked if it asks
+    /// for two or more diffs of one page (a one-diff chain is no longer
+    /// than its page, give or take run headers). A creator that left
+    /// the team is skipped; the demand path re-plans.
     fn requests(&self, plan: FetchPlan, whole_if_smaller: bool) -> Vec<(Gpid, Msg, FetchKind)> {
         let (epoch, subscribe) = (self.epoch, self.subscribe);
         let fulls = plan.fulls.into_iter().map(|(page, holder)| {
             (
                 holder,
-                Msg::PageReq { epoch, page },
+                Msg::PageReq {
+                    epoch,
+                    page,
+                    subscribe,
+                },
                 FetchKind::Full { page },
             )
         });
@@ -489,7 +494,9 @@ impl TmkCtx {
     /// the next plan would conjure a zero page over real data), or
     /// deposit diffs into the early-diff store, where the fault applies
     /// the page's whole unapplied set as one causally sorted batch — and
-    /// install the pages a creator served whole instead of a chain.
+    /// install the pages a creator served whole instead of a chain. A
+    /// reply's acknowledgement (`push_after`) is recorded for every page
+    /// its request named: rule R reads it.
     fn fold(&self, kind: FetchKind, from: Gpid, msg: Msg) {
         match (kind, msg) {
             (
@@ -508,6 +515,7 @@ impl TmkCtx {
                     applied,
                     words,
                     redirect: None,
+                    push_after,
                 },
             ) => {
                 let mut c = self.core.lock();
@@ -519,9 +527,23 @@ impl TmkCtx {
                 if still_wanted {
                     c.install_page(page, &applied, words, from);
                 }
+                if let (Some(after), Some(server)) = (push_after, c.team.pid_of(from)) {
+                    c.acknowledged(server, [page], after);
+                }
             }
-            (FetchKind::Diffs { creator }, Msg::DiffRep { diffs, pages }) => {
+            (
+                FetchKind::Diffs { creator },
+                Msg::DiffRep {
+                    diffs,
+                    pages,
+                    push_after,
+                },
+            ) => {
                 let mut c = self.core.lock();
+                if let Some(after) = push_after {
+                    let named = diffs.iter().map(|d| d.0);
+                    c.acknowledged(creator, named.chain(pages.iter().map(|w| w.page)), after);
+                }
                 for whole in pages {
                     c.install_whole(whole, from);
                 }
@@ -1072,8 +1094,10 @@ mod tests {
     // --- parking on a pushed diff (rule R) ---
 
     /// Rank 0 of a two-process team on `clock`, holding a copy of page
-    /// 0 that lacks intervals 1 and 2 of rank 1. Interval 1 was pushed
-    /// (slot 1 := 11), so interval 2 is expected.
+    /// 0 that lacks intervals 1 and 2 of rank 1. Rank 1's reply to a
+    /// region fault acknowledged the subscription at seq 0, so both are
+    /// expected; interval 1 was pushed (slot 1 := 11), interval 2 is
+    /// still on its way.
     fn ctx_expecting_a_push(clock: &nowmp_util::Clock, timeout: Duration) -> (TmkCtx, Gpid) {
         use crate::records::Record;
         use crate::types::Vc;
@@ -1111,12 +1135,25 @@ mod tests {
                 pages: vec![0],
             }]);
         }
-        pc.deposit_push(
+        let ctx = TmkCtx::new(Arc::new(Mutex::new(pc)), ep, None);
+        // Our copy is in, so the reply installs nothing: it only
+        // acknowledges.
+        ctx.fold(
+            FetchKind::Full { page: 0 },
+            writer,
+            Msg::PageRep {
+                applied: vec![],
+                words: vec![0; 8],
+                redirect: None,
+                push_after: Some(0),
+            },
+        );
+        ctx.core().lock().deposit_push(
             0,
             writer,
             vec![(0, 1, Arc::new(crate::diff::Diff::of_run(1, &[11])))],
         );
-        (TmkCtx::new(Arc::new(Mutex::new(pc)), ep, None), writer)
+        (ctx, writer)
     }
 
     #[test]
@@ -1283,6 +1320,28 @@ mod tests {
         assert!(!marked(vec![(3, 1), (4, 1), (4, 2)], false));
     }
 
+    #[test]
+    fn a_region_marks_its_page_and_diff_requests_alike() {
+        let mut ctx = make_ctx();
+        let me = ctx.gpid();
+        let marks = |ctx: &TmkCtx| -> Vec<bool> {
+            let plan = FetchPlan {
+                fulls: vec![(2, me)],
+                diffs: vec![(me, vec![(3, 1)])],
+            };
+            ctx.requests(plan, false)
+                .into_iter()
+                .map(|(_, msg, _)| match msg {
+                    Msg::PageReq { subscribe, .. } | Msg::DiffReq { subscribe, .. } => subscribe,
+                    other => panic!("not a page or diff request: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(marks(&ctx), vec![false, false], "outside a region");
+        ctx.subscribe = true;
+        assert_eq!(marks(&ctx), vec![true, true], "inside one");
+    }
+
     /// A ctx on host 0 of `net` whose page 0 carries a (possibly stale)
     /// owner hint pointing at `owner`.
     fn make_ctx_with_owner_hint(net: &Network, owner: nowmp_net::Gpid) -> TmkCtx {
@@ -1319,6 +1378,7 @@ mod tests {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(cg),
+                push_after: None,
             },
         );
         page_server(
@@ -1327,6 +1387,7 @@ mod tests {
                 applied: vec![],
                 words: vec![42; 8],
                 redirect: None,
+                push_after: None,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1354,6 +1415,7 @@ mod tests {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(cg),
+                push_after: None,
             },
         );
         page_server(
@@ -1362,6 +1424,7 @@ mod tests {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(bg),
+                push_after: None,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1382,6 +1445,7 @@ mod tests {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(ctx.gpid()),
+                push_after: None,
             },
         );
         let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.read_u64(0)));
@@ -1407,6 +1471,7 @@ mod tests {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(cg),
+                push_after: None,
             },
         );
         let holder = page_server(
@@ -1415,6 +1480,7 @@ mod tests {
                 applied: vec![],
                 words: vec![42; 8],
                 redirect: None,
+                push_after: None,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);

@@ -253,6 +253,14 @@ pub enum Msg {
         epoch: Epoch,
         /// Page wanted.
         page: PageId,
+        /// Set by a fault inside a region body on the overlap plane, as
+        /// on a [`Msg::DiffReq`]: the requester read this page in a
+        /// region, so the server should push every later diff of it
+        /// this epoch, from the seq its reply acknowledges
+        /// ([`Msg::PageRep::push_after`]). An optional trailing byte
+        /// holding the `DiffReq`'s subscribe bit: unset adds nothing to
+        /// the wire, so demand-plane requests stay byte-identical.
+        subscribe: bool,
     },
     /// Fetch diffs the target created: `(page, seq)` pairs.
     DiffReq {
@@ -261,12 +269,13 @@ pub enum Msg {
         /// Diff keys wanted from this creator.
         wants: Vec<(PageId, Seq)>,
         /// Set by a demand fault inside a region body on the overlap
-        /// plane, the one request that subscribes: the requester read
-        /// these pages in a region, so the creator should push every
-        /// later diff of them this epoch without being asked (see
-        /// [`Msg::DiffPush`]). An optional trailing byte: unset adds
-        /// nothing to the wire, so demand-plane requests stay
-        /// byte-identical.
+        /// plane, as on a [`Msg::PageReq`]: the requester read these
+        /// pages in a region, so the creator should push every later
+        /// diff of them this epoch without being asked (see
+        /// [`Msg::DiffPush`]), from the seq its reply acknowledges
+        /// ([`Msg::DiffRep::push_after`]). An optional trailing byte:
+        /// unset adds nothing to the wire, so demand-plane requests
+        /// stay byte-identical.
         subscribe: bool,
         /// Set by a page collection (a GC completion) on the overlap
         /// plane when it asks for two or more diffs of one page: answer
@@ -299,9 +308,9 @@ pub enum Msg {
     },
     /// Writer-initiated diffs (one-way, service thread to service
     /// thread): the sender just closed an interval and the receiver
-    /// subscribed to these pages with a marked [`Msg::DiffReq`]. The
-    /// diffs are shared with the sender's own store, so one encoding
-    /// serves every reader of the same pages.
+    /// subscribed to these pages with a marked [`Msg::PageReq`] or
+    /// [`Msg::DiffReq`]. The diffs are shared with the sender's own
+    /// store, so one encoding serves every reader of the same pages.
     DiffPush {
         /// Protocol epoch the diffs belong to; a receiver in any other
         /// epoch drops the message.
@@ -321,6 +330,13 @@ pub enum Msg {
         words: Vec<u64>,
         /// Set when the responder has no copy: try this process.
         redirect: Option<Gpid>,
+        /// The acknowledgement of a subscribing request: the server's
+        /// last closed seq when it entered the requester into the
+        /// page's reader set, so it pushes every diff of the page
+        /// closed after it. An optional trailing `u32`: absent on an
+        /// unmarked request's reply and on a redirect, which
+        /// subscribes nobody.
+        push_after: Option<Seq>,
     },
     /// Diff reply: `(page, seq, diff)` triples.
     DiffRep {
@@ -329,8 +345,13 @@ pub enum Msg {
         diffs: Vec<(PageId, Seq, Diff)>,
         /// Pages a `whole_if_smaller` request gets whole instead of
         /// their chains. An optional trailing section: empty adds
-        /// nothing to the wire.
+        /// nothing to the wire, unless `push_after` follows it.
         pages: Vec<WholePage>,
+        /// The acknowledgement of a subscribing request, as on
+        /// [`Msg::PageRep::push_after`], for every page the request
+        /// named. An optional trailing `u32` behind the `pages`
+        /// section, which is then written even when empty.
+        push_after: Option<Seq>,
     },
     /// Interval records reply.
     RecordsRep {
@@ -532,7 +553,8 @@ fn dec_applied(d: &mut Dec<'_>) -> Result<Vec<(Pid, Seq)>, WireError> {
 }
 
 /// The optional byte behind a `DiffReq`'s wants: bit 0 subscribes,
-/// bit 1 asks for whole pages. Absent when both are unset.
+/// bit 1 asks for whole pages. Absent when both are unset. A
+/// `PageReq` carries the same byte, with bit 0 only.
 const DIFF_REQ_SUBSCRIBE: u8 = 1;
 const DIFF_REQ_WHOLE: u8 = 2;
 
@@ -583,6 +605,15 @@ fn dec_piggyback(d: &mut Dec<'_>) -> Result<Vec<(PageId, Seq, Diff)>, WireError>
     dec_diffs(d, "piggyback", |diff| diff)
 }
 
+/// Decode an optional trailing acknowledgement (absent = `None`).
+fn dec_push_after(d: &mut Dec<'_>) -> Result<Option<Seq>, WireError> {
+    if d.is_done() {
+        Ok(None)
+    } else {
+        d.get_u32().map(Some)
+    }
+}
+
 impl Wire for Msg {
     fn enc(&self, e: &mut Enc) {
         use tags::*;
@@ -591,10 +622,17 @@ impl Wire for Msg {
                 e.put_u8(CONN_HELLO);
                 from.enc(e);
             }
-            Msg::PageReq { epoch, page } => {
+            Msg::PageReq {
+                epoch,
+                page,
+                subscribe,
+            } => {
                 e.put_u8(PAGE_REQ);
                 e.put_u32(*epoch);
                 e.put_u32(*page);
+                if *subscribe {
+                    e.put_u8(DIFF_REQ_SUBSCRIBE);
+                }
             }
             Msg::DiffReq {
                 epoch,
@@ -640,17 +678,28 @@ impl Wire for Msg {
                 applied,
                 words,
                 redirect,
+                push_after,
             } => {
                 e.put_u8(PAGE_REP);
                 enc_applied(applied, e);
                 e.put_u64_slice(words);
                 redirect.enc(e);
+                if let Some(seq) = push_after {
+                    e.put_u32(*seq);
+                }
             }
-            Msg::DiffRep { diffs, pages } => {
+            Msg::DiffRep {
+                diffs,
+                pages,
+                push_after,
+            } => {
                 e.put_u8(DIFF_REP);
                 enc_diffs(diffs, e);
-                if !pages.is_empty() {
+                if !pages.is_empty() || push_after.is_some() {
                     e.put_seq(pages);
+                }
+                if let Some(seq) = push_after {
+                    e.put_u32(*seq);
                 }
             }
             Msg::RecordsRep { records } => {
@@ -785,6 +834,7 @@ impl Wire for Msg {
             PAGE_REQ => Msg::PageReq {
                 epoch: d.get_u32()?,
                 page: d.get_u32()?,
+                subscribe: !d.is_done() && d.get_u8()? & DIFF_REQ_SUBSCRIBE != 0,
             },
             DIFF_REQ => {
                 let epoch = d.get_u32()?;
@@ -832,6 +882,7 @@ impl Wire for Msg {
                     applied,
                     words,
                     redirect,
+                    push_after: dec_push_after(d)?,
                 }
             }
             DIFF_REP => Msg::DiffRep {
@@ -841,6 +892,7 @@ impl Wire for Msg {
                 } else {
                     d.get_seq()?
                 },
+                push_after: dec_push_after(d)?,
             },
             RECORDS_REP => Msg::RecordsRep {
                 records: RecordSet::dec_vec(d)?,
@@ -1003,7 +1055,16 @@ mod tests {
         let dir = DirRle::from_vec(&[Gpid(1), Gpid(1), Gpid(5)]);
         vec![
             Msg::ConnHello { from: Gpid(9) },
-            Msg::PageReq { epoch: 1, page: 7 },
+            Msg::PageReq {
+                epoch: 1,
+                page: 7,
+                subscribe: false,
+            },
+            Msg::PageReq {
+                epoch: 1,
+                page: 7,
+                subscribe: true,
+            },
             Msg::DiffReq {
                 epoch: 1,
                 wants: vec![(7, 2), (8, 1)],
@@ -1046,15 +1107,29 @@ mod tests {
                 applied: vec![(0, 2), (1, 4)],
                 words: vec![1, 2, 3],
                 redirect: None,
+                push_after: None,
+            },
+            Msg::PageRep {
+                applied: vec![(0, 2), (1, 4)],
+                words: vec![1, 2, 3],
+                redirect: None,
+                push_after: Some(4),
             },
             Msg::PageRep {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(Gpid(4)),
+                push_after: None,
             },
             Msg::DiffRep {
                 diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
                 pages: vec![],
+                push_after: None,
+            },
+            Msg::DiffRep {
+                diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
+                pages: vec![],
+                push_after: Some(0),
             },
             Msg::DiffRep {
                 diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
@@ -1063,6 +1138,16 @@ mod tests {
                     applied: vec![(0, 2), (1, 3)],
                     words: vec![5, 6, 7],
                 }],
+                push_after: None,
+            },
+            Msg::DiffRep {
+                diffs: vec![],
+                pages: vec![WholePage {
+                    page: 8,
+                    applied: vec![(0, 2), (1, 3)],
+                    words: vec![5, 6, 7],
+                }],
+                push_after: Some(9),
             },
             Msg::RecordsRep {
                 records: vec![rec.clone()],
@@ -1208,7 +1293,12 @@ mod tests {
             piggyback: vec![],
         }
         .is_control());
-        assert!(!Msg::PageReq { epoch: 0, page: 0 }.is_control());
+        assert!(!Msg::PageReq {
+            epoch: 0,
+            page: 0,
+            subscribe: true,
+        }
+        .is_control());
         assert!(!Msg::LockReq { epoch: 0, lock: 0 }.is_control());
         assert!(!Msg::DiffPush {
             epoch: 0,
@@ -1249,6 +1339,23 @@ mod tests {
             assert_eq!(bytes.len(), legacy.len() + 1);
             assert_eq!(Msg::from_wire(&bytes).unwrap(), req(marks.0, marks.1));
         }
+        // A `PageReq` carries the same subscribe byte, and only when
+        // marked: the 1999 generation never marks one.
+        let mut legacy = Enc::with_encoding(64, Encoding::Runs);
+        legacy.put_u8(tags::PAGE_REQ);
+        legacy.put_u32(3);
+        legacy.put_u32(7);
+        let legacy = legacy.finish();
+        let req = |subscribe| Msg::PageReq {
+            epoch: 3,
+            page: 7,
+            subscribe,
+        };
+        assert_eq!(&req(false).to_bytes()[..], &legacy[..]);
+        let mut subscribed = legacy.clone();
+        subscribed.push(DIFF_REQ_SUBSCRIBE);
+        assert_eq!(&req(true).to_bytes()[..], &subscribed[..]);
+        assert_eq!(Msg::from_wire(&subscribed).unwrap(), req(true));
     }
 
     #[test]
@@ -1259,11 +1366,41 @@ mod tests {
         let mut legacy = Enc::with_encoding(64, Encoding::Runs);
         legacy.put_u8(tags::DIFF_REP);
         enc_diffs(&diffs, &mut legacy);
-        let rep = Msg::DiffRep {
-            diffs,
+        let legacy = legacy.finish();
+        let rep = |push_after| Msg::DiffRep {
+            diffs: diffs.clone(),
             pages: vec![],
+            push_after,
         };
-        assert_eq!(&rep.to_bytes()[..], &legacy.finish()[..]);
+        assert_eq!(&rep(None).to_bytes()[..], &legacy[..]);
+        // An acknowledgement follows the whole-page section, which is
+        // then written even when empty.
+        let mut acked = legacy.to_vec();
+        acked.extend_from_slice(&0u32.to_le_bytes());
+        acked.extend_from_slice(&5u32.to_le_bytes());
+        assert_eq!(&rep(Some(5)).to_bytes()[..], &acked[..]);
+        assert_eq!(Msg::from_wire(&acked).unwrap(), rep(Some(5)));
+    }
+
+    #[test]
+    fn unacknowledged_page_rep_is_byte_identical_to_the_legacy_wire() {
+        let mut legacy = Enc::with_encoding(64, Encoding::Runs);
+        legacy.put_u8(tags::PAGE_REP);
+        enc_applied(&[(1, 4)], &mut legacy);
+        legacy.put_u64_slice(&[7, 8]);
+        None::<Gpid>.enc(&mut legacy);
+        let legacy = legacy.finish();
+        let rep = |push_after| Msg::PageRep {
+            applied: vec![(1, 4)],
+            words: vec![7, 8],
+            redirect: None,
+            push_after,
+        };
+        assert_eq!(&rep(None).to_bytes()[..], &legacy[..]);
+        let mut acked = legacy.to_vec();
+        acked.extend_from_slice(&4u32.to_le_bytes());
+        assert_eq!(&rep(Some(4)).to_bytes()[..], &acked[..]);
+        assert_eq!(Msg::from_wire(&acked).unwrap(), rep(Some(4)));
     }
 
     #[test]

@@ -139,18 +139,28 @@ fn serve_one(
                 r.reply(Msg::Ack.encode(cfg));
             }
         }
-        Msg::PageReq { epoch, page } => {
+        Msg::PageReq {
+            epoch,
+            page,
+            subscribe,
+        } => {
             let replier = inc.replier?;
             // Steady-state fast path: an already-shared page with a
             // local copy serves from its shard lock alone, concurrent
             // with whatever the application thread is doing to *other*
             // pages under the core mutex. Transitions (exclusive →
-            // shared, zero-page conjuring, redirects) fall back to the
-            // core-locked slow path.
-            let rep = table.serve_shared_fast(page, epoch).unwrap_or_else(|| {
+            // shared, zero-page conjuring, redirects) and subscriptions
+            // fall back to the core-locked slow path.
+            let fast = if subscribe {
+                None
+            } else {
+                table.serve_shared_fast(page, epoch)
+            };
+            let rep = fast.unwrap_or_else(|| {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "PageReq from wrong epoch");
-                c.serve_page(page)
+                let subscriber = c.subscriber(subscribe, epoch, inc.src);
+                c.serve_page(page, subscriber)
             });
             replier.reply(rep.encode(cfg));
         }
@@ -164,7 +174,7 @@ fn serve_one(
             let rep = {
                 let mut c = core.lock();
                 debug_assert_eq!(epoch, c.epoch(), "DiffReq from wrong epoch");
-                let subscriber = subscribe.then(|| c.team.pid_of(inc.src)).flatten();
+                let subscriber = c.subscriber(subscribe, epoch, inc.src);
                 c.serve_diffs(&wants, subscriber, whole_if_smaller)
             };
             replier.reply(rep.encode(cfg));
@@ -251,6 +261,16 @@ mod tests {
         (ep, core, rx, gpid)
     }
 
+    /// A `PageReq` of epoch 0, as a faulting peer sends it.
+    fn page_req(page: crate::types::PageId, subscribe: bool) -> bytes::Bytes {
+        Msg::PageReq {
+            epoch: 0,
+            page,
+            subscribe,
+        }
+        .to_bytes()
+    }
+
     #[test]
     fn page_request_served_while_idle() {
         let net = Network::new(2, NetModel::disabled());
@@ -266,9 +286,7 @@ mod tests {
             buf.store(2, 1234);
         }
         // B fetches it through the wire.
-        let rep = ep_b
-            .call(gpid_a, Msg::PageReq { epoch: 0, page: 0 }.to_bytes())
-            .unwrap();
+        let rep = ep_b.call(gpid_a, page_req(0, false)).unwrap();
         let Msg::PageRep {
             words, redirect, ..
         } = Msg::from_wire(&rep).unwrap()
@@ -301,22 +319,18 @@ mod tests {
                 panic!()
             };
             buf.store(0, 77);
-            let _ = c.serve_page(0);
+            let _ = c.serve_page(0, None);
         }
         // One round trip proves A's service loop is up (it snapshots
         // the table handle at startup, under a brief core lock).
-        let _ = ep_b
-            .call(gpid_a, Msg::PageReq { epoch: 0, page: 0 }.to_bytes())
-            .unwrap();
+        let _ = ep_b.call(gpid_a, page_req(0, false)).unwrap();
 
         // Now hold A's core mutex hostage and fetch again.
         let hostage = core_a.lock();
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = Arc::clone(&done);
         let fetch = std::thread::spawn(move || {
-            let rep = ep_b
-                .call(gpid_a, Msg::PageReq { epoch: 0, page: 0 }.to_bytes())
-                .unwrap();
+            let rep = ep_b.call(gpid_a, page_req(0, false)).unwrap();
             flag.store(true, std::sync::atomic::Ordering::SeqCst);
             rep
         });
@@ -337,14 +351,44 @@ mod tests {
     }
 
     #[test]
+    fn a_marked_page_request_subscribes_and_is_acknowledged() {
+        let net = Network::new(2, NetModel::disabled());
+        let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
+        // A shared page with a copy: the shard-lock fast path would
+        // serve it, and could not subscribe.
+        {
+            let mut c = core_a.lock();
+            c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
+            c.vc = crate::types::Vc::new(2);
+            let _ = c.plan_access(0, false);
+            let _ = c.serve_page(0, None);
+        }
+        let ack = |subscribe| {
+            let rep = ep_b.call(gpid_a, page_req(0, subscribe)).unwrap();
+            match Msg::from_wire(&rep).unwrap() {
+                Msg::PageRep { push_after, .. } => push_after,
+                other => panic!("expected PageRep, got {other:?}"),
+            }
+        };
+        assert_eq!(ack(false), None);
+        assert!(core_a.lock().readers.is_empty());
+        assert_eq!(ack(true), Some(0), "A has closed no interval");
+        assert_eq!(core_a.lock().readers[&0], vec![1]);
+    }
+
+    #[test]
     fn malformed_input_is_dropped_and_counted() {
         let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
-        let page_req = || Msg::PageReq { epoch: 0, page: 0 }.to_bytes();
         let fetch = || {
             let rep = ep_b
-                .call_deadline(gpid_a, page_req(), std::time::Duration::from_secs(10))
+                .call_deadline(
+                    gpid_a,
+                    page_req(0, false),
+                    std::time::Duration::from_secs(10),
+                )
                 .expect("the service thread still answers");
             assert!(matches!(Msg::from_wire(&rep), Ok(Msg::PageRep { .. })));
         };
@@ -357,10 +401,11 @@ mod tests {
             applied: Vec::new(),
             words: Vec::new(),
             redirect: None,
+            push_after: None,
         };
         for payload in [
             bytes::Bytes::from_static(&[0xFF]),
-            page_req(),
+            page_req(0, false),
             page_rep.to_bytes(),
         ] {
             ep_b.send(gpid_a, payload).unwrap();
@@ -436,7 +481,7 @@ mod tests {
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
             c.vc = crate::types::Vc::new(2);
             let _ = c.plan_access(0, false);
-            let _ = c.serve_page(0); // shared
+            let _ = c.serve_page(0, None); // shared
             let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
                 panic!()
             };

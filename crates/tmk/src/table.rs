@@ -255,6 +255,7 @@ impl PageTable {
             applied: meta.applied.iter_nonzero().collect(),
             words: data.snapshot(),
             redirect: None,
+            push_after: None,
         })
     }
 }

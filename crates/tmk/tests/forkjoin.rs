@@ -450,51 +450,46 @@ fn only_a_regions_fault_subscribes() {
     let writer = sys.core_of(w1).expect("rank 1 is live");
     let readers = || writer.lock().readers.get(&0).cloned().unwrap_or_default();
     let master_core = Arc::clone(master.ctx().core());
-    let pushed_to_master = || master_core.lock().first_push.contains_key(&(0, 1));
+    let subscribed_master = || master_core.lock().push_after.contains_key(&(0, 1));
+    let reader2 = sys.core_of(w2).expect("rank 2 is live");
 
-    // The master holds page 0 and rank 1 writes it; the master's
-    // sequential read is a diff fault, and rank 2 takes a copy in a
-    // region (a full page: no diff request, no subscription).
+    // The master holds page 0 and rank 1 writes it (a region fault on
+    // the master's page: rank 1 subscribes to the master). The
+    // master's sequential read is a diff fault, and stays unsubscribed.
     let v = SharedF64Vec::lookup(master.ctx(), "v");
     assert_eq!(v.get(master.ctx(), 0), 0.0);
     master.parallel(R_BUMP, &[]);
+    assert_eq!(master_core.lock().readers[&0], vec![1]);
     let diffs = sys.stats().snapshot().diffs_fetched;
     assert_eq!(v.get(master.ctx(), 0), 1.0);
     assert_eq!(sys.stats().snapshot().diffs_fetched - diffs, 1);
+    assert!(
+        readers().is_empty(),
+        "a sequential read subscribed the master"
+    );
+    assert!(!subscribed_master());
+    // Rank 2 takes a copy in a region: a full page from rank 1, which
+    // subscribes it, acknowledged at rank 1's first interval.
     master.parallel(R_PEEK, &[]);
-    assert!(readers().is_empty(), "no diff request came from a region");
-    // Rank 1 writes again, so both copies go stale; rank 2's region
-    // fault asks rank 1 for the diff and subscribes. The master, whose
-    // sequential read faulted on the page, stays unsubscribed.
+    assert_eq!(seen.load(Ordering::SeqCst), 1);
+    assert_eq!(readers(), vec![2], "only rank 2's region fault subscribed");
+    assert_eq!(reader2.lock().push_after.get(&(0, 1)), Some(&1));
+
+    // The next write is pushed to rank 2 alone, and rank 2's fault,
+    // which expects it although no push has reached it before, finds
+    // it stored and applies it.
+    let (sent, hits) = {
+        let s = sys.stats().snapshot();
+        (s.push_sent, s.push_hits)
+    };
     master.parallel(R_BUMP, &[]);
     master.parallel(R_PEEK, &[]);
     assert_eq!(seen.load(Ordering::SeqCst), 2);
-    assert_eq!(readers(), vec![2], "only rank 2's region fault subscribed");
-
-    // The next write is pushed to rank 2 alone.
-    let sent = sys.stats().snapshot().push_sent;
-    master.parallel(R_BUMP, &[]);
-    let reader2 = sys.core_of(w2).expect("rank 2 is live");
-    let deadline = clock.now() + Duration::from_millis(100);
-    while !reader2.lock().first_push.contains_key(&(0, 1)) && clock.now() < deadline {
-        clock.sleep(Duration::from_millis(1));
-    }
-    assert!(
-        reader2.lock().first_push.contains_key(&(0, 1)),
-        "rank 2's next diff of page 0 arrives by push"
-    );
-    assert!(
-        !pushed_to_master(),
-        "a sequential read subscribed the master"
-    );
-    assert_eq!(sys.stats().snapshot().push_sent - sent, 1, "one reader");
-    // Rank 2's fault finds the pushed diff stored and applies it.
-    let hits = sys.stats().snapshot().push_hits;
-    master.parallel(R_PEEK, &[]);
-    assert_eq!(seen.load(Ordering::SeqCst), 3);
-    assert_eq!(sys.stats().snapshot().push_hits - hits, 1);
-    assert_eq!(v.get(master.ctx(), 0), 3.0);
-    assert!(!pushed_to_master());
+    let s = sys.stats().snapshot();
+    assert_eq!(s.push_sent - sent, 1, "one reader");
+    assert_eq!(s.push_hits - hits, 1);
+    assert_eq!(v.get(master.ctx(), 0), 2.0);
+    assert!(!subscribed_master());
     master.shutdown();
 }
 

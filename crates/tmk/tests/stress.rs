@@ -228,11 +228,13 @@ proptest! {
         applied in proptest::collection::vec((any::<u16>(), any::<u32>()), 0..8),
         words in proptest::collection::vec(any::<u64>(), 0..64),
         redirect in proptest::option::of(any::<u32>()),
+        push_after in proptest::option::of(any::<u32>()),
     ) {
         let m = Msg::PageRep {
             applied,
             words,
             redirect: redirect.map(Gpid),
+            push_after,
         };
         let b = m.to_bytes();
         prop_assert_eq!(Msg::from_wire(&b).unwrap(), m);
