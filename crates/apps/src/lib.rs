@@ -20,10 +20,13 @@
 //!
 //! Every kernel implements [`Kernel`]: the benches drive them uniformly
 //! and each carries a serial reference for verification. Problem sizes
-//! are parameters; tests run laptop-scale instances. The one in-region
-//! synchronization, `nbf_forces`' `reduction(+: energy)`, is a clause
-//! on the region (`portable!(body, reduction(+) => epilogue)`), not a
-//! call in the body.
+//! are parameters; tests run laptop-scale instances. The one
+//! synchronization a body asks for, `nbf_forces`' `reduction(+:
+//! energy)`, is a clause on the region (`portable!(body, reduction(+)
+//! => epilogue)`), not a call in the body. On the current generation
+//! it rides the region's join and the master runs the epilogue after
+//! it; the 1999 generation lowers it to the paper's scratch-page
+//! protocol inside the region.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

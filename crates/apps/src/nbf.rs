@@ -292,6 +292,7 @@ mod tests {
     use super::*;
     use crate::run_kernel;
     use nowmp_core::{ClusterConfig, LeaveSel};
+    use nowmp_tmk::CollectiveConfig;
 
     #[test]
     fn reference_is_deterministic() {
@@ -321,6 +322,64 @@ mod tests {
             );
             sys.shutdown();
         }
+    }
+
+    /// NBF, 2 iterations on `procs` processes under `collectives`,
+    /// adaptive off: the energy's bits, and the system, still up.
+    fn energy_run(procs: usize, collectives: CollectiveConfig) -> (u64, nowmp_omp::OmpSystem) {
+        let cfg = ClusterConfig::test(procs, procs)
+            .with_collectives(collectives)
+            .with_clock(nowmp_util::Clock::new_virtual())
+            .with_adaptive(false);
+        let (mut sys, err) = run_kernel(&Nbf::new(64, 8), cfg, 2);
+        assert_eq!(err, 0.0, "procs={procs}");
+        let mut energy = [0.0];
+        sys.read_f64s("nbf_out", 0, &mut energy);
+        (energy[0].to_bits(), sys)
+    }
+
+    #[test]
+    fn the_energy_is_bit_equal_whether_it_rides_the_join_or_the_scratch() {
+        for procs in 1..=8 {
+            let (scratch, sys) = energy_run(procs, CollectiveConfig::all_flat());
+            sys.shutdown();
+            let (join, sys) = energy_run(procs, CollectiveConfig::default());
+            sys.shutdown();
+            assert_eq!(join, scratch, "procs={procs}");
+        }
+    }
+
+    /// Whether any process faulted a page of the reduction scratch in,
+    /// and whether any write notice names one, as the master sees it:
+    /// it owns every page of a run without adaptation, so a fault
+    /// anywhere is a copy of its own or one it lent, and every rank's
+    /// notices reach it at the joins.
+    fn scratch_traffic(sys: &mut nowmp_omp::OmpSystem) -> (bool, bool) {
+        let spp = sys.page_slots() as u64;
+        let ctx = sys.cluster().ctx();
+        let red = ctx
+            .handle(nowmp_core::RED_ARRAY)
+            .expect("scratch allocated");
+        let pages = (red.addr / spp) as u32..(red.addr + red.len).div_ceil(spp) as u32;
+        let core = ctx.core().lock();
+        let faulted = pages.clone().any(|p| {
+            let meta = core.pages.get(p).expect("allocated page");
+            meta.data.is_some() || meta.zero_lent
+        });
+        let noticed =
+            (core.records.all().iter()).any(|r| r.pages.iter().any(|p| pages.contains(p)));
+        (faulted, noticed)
+    }
+
+    #[test]
+    fn a_reduction_riding_the_join_never_touches_the_scratch() {
+        let (_, mut sys) = energy_run(4, CollectiveConfig::default());
+        assert_eq!(scratch_traffic(&mut sys), (false, false));
+        sys.shutdown();
+        // The 1999 protocol goes through it, which is what the probe sees.
+        let (_, mut sys) = energy_run(4, CollectiveConfig::all_flat());
+        assert_eq!(scratch_traffic(&mut sys), (true, true));
+        sys.shutdown();
     }
 
     #[test]

@@ -201,9 +201,12 @@ mod tests {
         // On 32-slot pages a 64-slot scratch ends where `__omp_dyn`
         // begins, and the first user array follows 32 slots later: a
         // rank past 64 without a slot of its own lands on one of them.
+        // The 1999 generation is the one whose reduction goes through
+        // the scratch (the current one's rides the join).
         for procs in [65, 97, 128, 600] {
             let k = TaskNbf::new(256, 8);
-            let (err, sys) = run_task_app(&k, cfg(procs, procs).with_adaptive(false), 2);
+            let c = cfg(procs, procs).with_adaptive(false).generation_1999();
+            let (err, sys) = run_task_app(&k, c, 2);
             assert_eq!(err, 0.0, "procs={procs}");
             let dyn_counter = sys.get_u64(nowmp_core::DYN_COUNTER, 0);
             assert_eq!(

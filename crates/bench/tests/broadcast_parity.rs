@@ -56,6 +56,7 @@ fn join_arrive_bytes(from: usize, covers: usize) -> usize {
         pid: from as Pid,
         vc,
         records,
+        partials: vec![],
     };
     msg.to_bytes().len()
 }
@@ -128,6 +129,7 @@ fn flat_and_tree_broadcasts_order_events_identically() {
     );
     assert!(tree.dsm.bcast_relays > 0, "no interior rank relayed a fork");
     assert_eq!(flat.dsm.malformed_dropped + tree.dsm.malformed_dropped, 0);
+    assert_eq!(flat.dsm.stale_dropped + tree.dsm.stale_dropped, 0);
 }
 
 #[test]

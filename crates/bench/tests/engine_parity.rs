@@ -16,8 +16,10 @@
 //! * Jacobi at 32 processes / 34 workstations (the scale the thread
 //!   engine tops out at — the whole point of the refactor);
 //! * NBF at 8 processes under `ReassignPolicy::FillGaps`, exercising
-//!   the reduction scratch protocol so even the `__omp_red` residue in
-//!   the image must match.
+//!   both lowerings of its `reduction` clause: on the current
+//!   generation the partials ride the join and the `__omp_red` page
+//!   stays zero on both engines; on the 1999 one the scratch protocol
+//!   runs, so even its residue in the image must match.
 //!
 //! Gauss and 3D-FFT run the same comparison at 8 processes (a leave, a
 //! join, a periodic checkpoint): every region body is one function both
@@ -126,6 +128,7 @@ fn thread_run(
     play(&mut sys, s, request, |sys, it| kernel.step(sys, it));
     let err = kernel.verify(&mut sys, s.iters);
     sys.checkpoint_now();
+    assert_eq!(sys.dsm_stats().stale_dropped, 0, "no request went stale");
     let log = shape(&sys.log().entries());
     let clock = sys.clock().clone();
     sys.shutdown();
@@ -218,27 +221,37 @@ fn task_engine_matches_thread_engine_on_nbf_reduction() {
             (3, Act::Join),
         ],
     };
-    let c = || cfg(10, 8).with_reassign(ReassignPolicy::FillGaps);
-    let (terr, tshape, timage) = thread_run(&Nbf::new(256, 8), c(), &script, &tpath);
-    let (kerr, kshape, kimage, _, _) = task_run(&TaskNbf::new(256, 8), c(), &script, &kpath);
-    let _ = std::fs::remove_file(&tpath);
-    let _ = std::fs::remove_file(&kpath);
-    assert_eq!(terr, 0.0, "thread engine must verify bit-exact");
-    assert_eq!(kerr, 0.0, "task engine must verify bit-exact");
-    assert_eq!(
-        tshape, kshape,
-        "reduction protocol must not change adaptation event ordering"
-    );
-    // The joiner fills the gap the leaver of the same point opens.
-    let gap_fill = ["normal_leave", "join_committed:pid2", "adapt:+1-1->8"];
-    assert!(
-        tshape.windows(3).any(|w| w == gap_fill),
-        "no same-point join + leave in {tshape:?}"
-    );
-    assert_eq!(
-        timage, kimage,
-        "images (including __omp_red scratch residue) must be byte-identical"
-    );
+    for dsm in [
+        DsmConfig::default_4k(),
+        DsmConfig::default_4k().generation_1999(),
+    ] {
+        let c = || {
+            cfg(10, 8)
+                .with_dsm(dsm.clone())
+                .with_reassign(ReassignPolicy::FillGaps)
+        };
+        let (terr, tshape, timage) = thread_run(&Nbf::new(256, 8), c(), &script, &tpath);
+        let (kerr, kshape, kimage, _, _) = task_run(&TaskNbf::new(256, 8), c(), &script, &kpath);
+        let _ = std::fs::remove_file(&tpath);
+        let _ = std::fs::remove_file(&kpath);
+        let gen = dsm.collectives;
+        assert_eq!(terr, 0.0, "{gen:?}: thread engine must verify bit-exact");
+        assert_eq!(kerr, 0.0, "{gen:?}: task engine must verify bit-exact");
+        assert_eq!(
+            tshape, kshape,
+            "{gen:?}: reduction protocol must not change adaptation event ordering"
+        );
+        // The joiner fills the gap the leaver of the same point opens.
+        let gap_fill = ["normal_leave", "join_committed:pid2", "adapt:+1-1->8"];
+        assert!(
+            tshape.windows(3).any(|w| w == gap_fill),
+            "{gen:?}: no same-point join + leave in {tshape:?}"
+        );
+        assert_eq!(
+            timage, kimage,
+            "{gen:?}: images (including the __omp_red page) must be byte-identical"
+        );
+    }
 }
 
 /// Run `kernel` under `script` on both engines at 8 of 9 hosts with a

@@ -50,8 +50,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Name of the runtime's reduction scratch array (one `f64` slot per
-/// rank). Both engines allocate it first, so registries — and
-/// therefore checkpoint bytes — line up across them.
+/// rank): the 1999 generation's `reduction` clause and every in-region
+/// `reduce_*` call go through it (the current generation's clause
+/// rides the join instead). Both engines allocate it first, so
+/// registries — and therefore checkpoint bytes — line up across them.
 pub const RED_ARRAY: &str = "__omp_red";
 /// Name of the runtime's dynamic-schedule counter, allocated second.
 pub const DYN_COUNTER: &str = "__omp_dyn";

@@ -284,6 +284,10 @@ impl TaskSystem {
         let base = self.sched.now().as_nanos();
         let mut host_now: Vec<u64> = vec![base; nprocs];
         let mut pending_writes: Vec<Vec<(Addr, u64)>> = vec![Vec::new(); nprocs];
+        // What the ranks hand the join: `reduction` partials by pid,
+        // and the master's task, which runs the epilogue after it.
+        let mut partials: Vec<Option<f64>> = vec![None; nprocs];
+        let mut master_task = None;
 
         loop {
             // Run queue: ready every runnable rank in pid order, then
@@ -314,25 +318,18 @@ impl TaskSystem {
                 self.step_wave(&mut wave, nprocs, params);
                 // Sequential merge in pid (FIFO) order.
                 for item in wave {
-                    let gpid = self.book.team()[item.pid];
-                    let host = self.book.host_of(gpid).expect("member is placed");
-                    let sim = self.sim.get_mut(&gpid).expect("member simulated");
-                    let mut t = host_now[item.pid];
-                    for page in &item.out.touched {
-                        if sim.valid.insert(*page) {
-                            t += fetch_ns;
-                        }
-                    }
-                    t += dur_ns(self.cfg.cost_model.compute_time(
-                        per_iter,
-                        item.out.compute_iters,
-                        host,
-                    ));
-                    t += dur_ns(self.cfg.cost_model.flops_charge(item.out.flops, host));
-                    host_now[item.pid] = t;
+                    let t = host_now[item.pid];
+                    host_now[item.pid] = self.charge(item.pid, &item.out, per_iter, fetch_ns, t);
                     pending_writes[item.pid].extend(item.out.writes);
+                    if item.out.partial.is_some() {
+                        partials[item.pid] = item.out.partial;
+                    }
                     states[item.pid] = match item.step {
                         Step::Barrier => HostState::BarrierWait(item.task),
+                        Step::Done if item.pid == 0 => {
+                            master_task = Some(item.task);
+                            HostState::Done
+                        }
                         Step::Done => HostState::Done,
                     };
                 }
@@ -353,16 +350,70 @@ impl TaskSystem {
                 }
             }
         }
+        let partials: Vec<f64> = partials.into_iter().flatten().collect();
+        if let (false, Some(task)) = (partials.is_empty(), master_task.as_mut()) {
+            self.join_epilogue(task.as_mut(), &partials, nprocs, params, fetch_ns);
+        }
         self.fork_no += 1;
+    }
+
+    /// The master's sequential phase right after a join whose ranks
+    /// handed it `reduction` partials: run the region's epilogue over
+    /// the joined memory, charge the master its faults and FLOPs, and
+    /// publish its writes the way a synchronization does.
+    fn join_epilogue(
+        &mut self,
+        task: &mut dyn RegionTask,
+        partials: &[f64],
+        nprocs: usize,
+        params: &[u8],
+        fetch_ns: u64,
+    ) {
+        let mut out = StepOutcome::default();
+        let ctx = TaskCtx::new(0, nprocs, &self.mem, &mut out);
+        task.join_epilogue(&mut ctx.in_region(&self.registry, params), partials);
+        // Sequential code is no profiled region: no per-iteration cost.
+        let now = self.sched.now().as_nanos();
+        let t = self.charge(0, &out, Duration::ZERO, fetch_ns, now);
+        let mut writes = vec![Vec::new(); nprocs];
+        writes[0] = out.writes;
+        self.publish(&mut writes);
+        self.advance_time(Tick::from_nanos(t));
+    }
+
+    /// Rank `pid`'s clock `t` moved past what one of its steps did:
+    /// a fetch per page its copy lacked, the step's worksharing
+    /// iterations at `per_iter` each, and its FLOPs.
+    fn charge(
+        &mut self,
+        pid: usize,
+        out: &StepOutcome,
+        per_iter: Duration,
+        fetch_ns: u64,
+        mut t: u64,
+    ) -> u64 {
+        let gpid = self.book.team()[pid];
+        let host = self.book.host_of(gpid).expect("member is placed");
+        let sim = self.sim.get_mut(&gpid).expect("member simulated");
+        for page in &out.touched {
+            if sim.valid.insert(*page) {
+                t += fetch_ns;
+            }
+        }
+        let cost = &self.cfg.cost_model;
+        t += dur_ns(cost.compute_time(per_iter, out.compute_iters, host));
+        t + dur_ns(cost.flops_charge(out.flops, host))
     }
 
     /// Step every item of a wave on the scoped worker pool. Peak OS
     /// threads = 1 (caller) + `min(pool, wave.len())`.
     fn step_wave(&mut self, wave: &mut [WaveItem], nprocs: usize, params: &[u8]) {
         let (mem, registry) = (&self.mem, &self.registry);
+        let join_reduction = self.cfg.dsm.collectives.reduces_at_join();
         let step = |item: &mut WaveItem| {
             let mut ctx = TaskCtx::new(item.pid as Pid, nprocs, mem, &mut item.out)
-                .in_region(registry, params);
+                .in_region(registry, params)
+                .with_join_reduction(join_reduction);
             item.step = item.task.step(&mut ctx);
         };
         let workers = self.pool.min(wave.len()).max(1);
@@ -379,15 +430,28 @@ impl TaskSystem {
         self.peak_workers = self.peak_workers.max(workers);
     }
 
-    /// Barrier / region-end synchronization: apply buffered writes in
-    /// pid order, invalidate other ranks' copies of written pages,
-    /// and advance every host (and the engine) past the barrier.
+    /// Barrier / region-end synchronization: [`Self::publish`] the
+    /// buffered writes, and advance every host (and the engine) past
+    /// the barrier.
     fn sync_point(
         &mut self,
         pending_writes: &mut [Vec<(Addr, u64)>],
         host_now: &mut [u64],
         barrier_ns: u64,
     ) {
+        self.publish(pending_writes);
+        let arrive = host_now.iter().copied().max().unwrap_or(0);
+        let release = arrive + barrier_ns;
+        let stall = self.advance_time(Tick::from_nanos(release));
+        let release = release + dur_ns(stall);
+        for t in host_now.iter_mut() {
+            *t = release;
+        }
+    }
+
+    /// Apply each rank's buffered writes, in pid order, and invalidate
+    /// other ranks' copies of the pages written.
+    fn publish(&mut self, pending_writes: &mut [Vec<(Addr, u64)>]) {
         let mut written_by: HashMap<PageId, Vec<usize>> = HashMap::new();
         for (pid, writes) in pending_writes.iter().enumerate() {
             for (addr, _) in writes {
@@ -410,13 +474,6 @@ impl TaskSystem {
                     sim.valid.remove(page);
                 }
             }
-        }
-        let arrive = host_now.iter().copied().max().unwrap_or(0);
-        let release = arrive + barrier_ns;
-        let stall = self.advance_time(Tick::from_nanos(release));
-        let release = release + dur_ns(stall);
-        for t in host_now.iter_mut() {
-            *t = release;
         }
     }
 

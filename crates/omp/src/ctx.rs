@@ -3,8 +3,10 @@
 //! Mirrors the OpenMP directives the paper's applications use:
 //! worksharing loops (`for` with `static`, `static,chunk`, `dynamic`,
 //! `guided` schedules), `barrier`, `critical`, `master`/`single`, and
-//! reductions. Everything lowers onto the DSM context exactly the way
-//! the SUIF-generated TreadMarks code does.
+//! reductions. Everything lowers onto the DSM context the way the
+//! SUIF-generated TreadMarks code does, except a region's `reduction`
+//! clause on the current generation, which rides the join
+//! ([`crate::Portable::sum`]).
 //!
 //! **Portable and blocking constructs.** The constructs that never
 //! wait for another rank (static worksharing loops, `master`, array
@@ -192,7 +194,9 @@ impl<'a, M: SharedMem> OmpCtx<'a, M> {
     }
 
     /// Publish this rank's reduction contribution in the runtime
-    /// scratch. Both engines' reductions run: publish, synchronize,
+    /// scratch. The scratch protocol — the 1999 lowering of a region's
+    /// `reduction` clause on both engines, and every in-region
+    /// `reduce_*` call — runs: publish, synchronize,
     /// [`Self::reduction_fold`], synchronize (nobody may overwrite the
     /// scratch while stragglers still read it).
     pub(crate) fn reduction_publish(&mut self, local: f64) {

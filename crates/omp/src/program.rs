@@ -26,6 +26,7 @@ use nowmp_tmk::TmkCtx;
 use std::sync::Arc;
 
 type RegionFn = Arc<dyn Fn(&mut OmpCtx<'_>) + Send + Sync>;
+type ThreadFin = Arc<dyn Fn(&mut OmpCtx<'_>, f64) + Send + Sync>;
 type TaskBody<R> = Arc<dyn for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>) -> R + Send + Sync>;
 type TaskFin = Arc<dyn for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>, f64) + Send + Sync>;
 
@@ -34,7 +35,11 @@ type TaskFin = Arc<dyn for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>, f64) + Send 
 enum TaskForm {
     /// No synchronization before the join: one step.
     Single(TaskBody<()>),
-    /// `reduction(+: x)`: body, barrier, fold, barrier, epilogue.
+    /// `reduction(+: x)`. Where the reduction rides the join
+    /// ([`TaskCtx::reduction_rides_join`]): one step handing the body's
+    /// partial to the join, and the epilogue at the master after it.
+    /// Under the 1999 scratch protocol: body, barrier, fold, barrier,
+    /// epilogue.
     Sum(TaskBody<f64>, TaskFin),
 }
 
@@ -43,8 +48,18 @@ enum TaskForm {
 /// every slot, so the two lowerings cannot be different code.
 pub struct Portable {
     thread: RegionFn,
+    /// The thread lowering's `reduction` epilogue, which the master
+    /// runs after the join when the reduction rode it.
+    thread_fin: Option<ThreadFin>,
     /// `None`: wrapped by [`OmpProgram::region`], may block.
     task: Option<TaskForm>,
+}
+
+/// `reduction(+)`'s total: `0.0 + p0 + p1 + …`, in pid order. The
+/// scratch protocol ([`OmpCtx::reduce_sum_f64`]) folds the same way,
+/// so a total is bit-identical whichever way the partials travelled.
+fn sum_in_pid_order(partials: &[f64]) -> f64 {
+    partials.iter().fold(0.0, |acc, p| acc + p)
 }
 
 impl Portable {
@@ -55,26 +70,40 @@ impl Portable {
     ) -> Self {
         Portable {
             thread: Arc::new(thread),
+            thread_fin: None,
             task: Some(TaskForm::Single(Arc::new(task))),
         }
     }
 
     /// A body under a `reduction(+: x)` clause (see
-    /// [`portable!`](crate::portable)). The thread engine runs it as
-    /// `reduce_sum_f64` + `master`, the task engine as three phases of
-    /// one task; both run the same scratch protocol.
+    /// [`portable!`](crate::portable)); the generation picks one
+    /// lowering for both engines
+    /// ([`nowmp_tmk::CollectiveConfig::reduces_at_join`]). On the
+    /// current one every rank hands its partial to the join, which
+    /// carries it up the reduce shape to the master; the master folds
+    /// the team's partials in pid order and runs the epilogue in its
+    /// sequential phase after the join. The 1999 generation keeps the
+    /// scratch protocol: the thread engine runs `reduce_sum_f64` +
+    /// `master`, the task engine three phases of one task.
     pub fn sum(
         thread: impl Fn(&mut OmpCtx<'_>) -> f64 + Send + Sync + 'static,
         thread_fin: impl Fn(&mut OmpCtx<'_>, f64) + Send + Sync + 'static,
         task: impl for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>) -> f64 + Send + Sync + 'static,
         task_fin: impl for<'a, 'b> Fn(&mut OmpCtx<'a, TaskCtx<'b>>, f64) + Send + Sync + 'static,
     ) -> Self {
+        let thread_fin: ThreadFin = Arc::new(thread_fin);
+        let fin = Arc::clone(&thread_fin);
         Portable {
             thread: Arc::new(move |ctx| {
                 let local = thread(ctx);
-                let total = ctx.reduce_sum_f64(local);
-                ctx.master(|c| thread_fin(c, total));
+                if ctx.dsm().reduction_rides_join() {
+                    ctx.dsm().hand_to_join(local);
+                } else {
+                    let total = ctx.reduce_sum_f64(local);
+                    ctx.master(|c| fin(c, total));
+                }
             }),
+            thread_fin: Some(thread_fin),
             task: Some(TaskForm::Sum(Arc::new(task), Arc::new(task_fin))),
         }
     }
@@ -99,6 +128,10 @@ impl RegionTask for PortableTask {
             }
             (TaskForm::Sum(body, _), 1) => {
                 let local = body(&mut ctx);
+                if ctx.dsm().reduction_rides_join() {
+                    ctx.dsm().hand_to_join(local);
+                    return Step::Done;
+                }
                 ctx.reduction_publish(local);
                 Step::Barrier
             }
@@ -110,6 +143,12 @@ impl RegionTask for PortableTask {
                 ctx.master(|c| fin(c, self.total));
                 Step::Done
             }
+        }
+    }
+
+    fn join_epilogue(&mut self, ctx: &mut TaskCtx<'_>, partials: &[f64]) {
+        if let TaskForm::Sum(_, fin) = &self.form {
+            fin(&mut OmpCtx::new(ctx), sum_in_pid_order(partials));
         }
     }
 }
@@ -156,7 +195,12 @@ impl OmpProgram {
     /// thread engine only.
     pub fn region(self, name: &str, f: impl Fn(&mut OmpCtx<'_>) + Send + Sync + 'static) -> Self {
         let thread = Arc::new(f);
-        self.portable(name, Portable { thread, task: None })
+        let region = Portable {
+            thread,
+            thread_fin: None,
+            task: None,
+        };
+        self.portable(name, region)
     }
 
     /// Register a region whose one body runs on both engines.
@@ -201,6 +245,24 @@ impl OmpProgram {
             phase: 0,
             total: 0.0,
         }))
+    }
+
+    /// The master's sequential phase right after region `id`'s join:
+    /// when its ranks handed the join `reduction` partials, fold them
+    /// in pid order and run the clause's epilogue with the total. A
+    /// no-op for every other region, and under the 1999 scratch
+    /// protocol, whose epilogue ran inside the region.
+    pub(crate) fn join_epilogue(&self, id: u32, tmk: &mut TmkCtx) {
+        let partials = tmk.take_join_partials();
+        let fin = self
+            .regions
+            .get(id as usize)
+            .and_then(|(_, r)| r.thread_fin.as_ref());
+        if let (false, Some(fin)) = (partials.is_empty(), fin) {
+            // Sequential code is no profiled region (see `OmpSystem::seq`).
+            tmk.set_iter_cost(std::time::Duration::ZERO);
+            fin(&mut OmpCtx::new(tmk), sum_in_pid_order(&partials));
+        }
     }
 }
 
@@ -279,6 +341,25 @@ mod tests {
             (Step::Done, vec![(9, 2f64.to_bits())], 0)
         );
         assert_eq!(step(&mut ranks[1], 1), (Step::Done, vec![], 0));
+    }
+
+    #[test]
+    fn a_reduction_riding_the_join_is_one_step_and_an_epilogue() {
+        let p = OmpProgram::new().portable("sum", crate::portable!(one, reduction(+) => keep));
+        let (mem, registry) = (SimMemory::new(8), nowmp_tmk::shm::Registry::new());
+        let mut ranks = [p.lower("sum").unwrap(), p.lower("sum").unwrap()];
+        for (pid, task) in ranks.iter_mut().enumerate() {
+            let mut out = StepOutcome::default();
+            let ctx = TaskCtx::new(pid as u16, 2, &mem, &mut out);
+            let mut ctx = ctx.in_region(&registry, &[]).with_join_reduction(true);
+            assert_eq!(task.step(&mut ctx), Step::Done);
+            // No scratch write: the partial goes to the join.
+            assert_eq!((out.writes, out.partial), (vec![], Some(1.0)));
+        }
+        let mut out = StepOutcome::default();
+        let mut ctx = TaskCtx::new(0, 2, &mem, &mut out).in_region(&registry, &[]);
+        ranks[0].join_epilogue(&mut ctx, &[1.0, 1.0]);
+        assert_eq!(out.writes, vec![(9, 2f64.to_bits())]);
     }
 
     #[test]

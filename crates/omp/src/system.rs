@@ -117,8 +117,9 @@ impl OmpSystem {
     }
 
     /// Execute one OpenMP parallel construct (fork + join), processing
-    /// pending adapt events at the adaptation point first. During
-    /// recovery replay, already-completed forks are skipped.
+    /// pending adapt events at the adaptation point first, and running
+    /// the epilogue of a `reduction` that rode the join right after it.
+    /// During recovery replay, already-completed forks are skipped.
     pub fn parallel(&mut self, region: &str, params: &[u8]) {
         if self.skip_replays > 0 {
             self.skip_replays -= 1;
@@ -129,6 +130,7 @@ impl OmpSystem {
             .id_of(region)
             .unwrap_or_else(|| panic!("region {region:?} not registered"));
         self.cluster.parallel(id, params);
+        self.program.join_epilogue(id, self.cluster.ctx());
     }
 
     /// Forks still to be skipped during recovery replay.

@@ -77,6 +77,17 @@ impl CollectiveConfig {
         }
     }
 
+    /// Whether a region's `reduction` clause rides its join: each rank's
+    /// partial travels up the reduce shape in its `JoinArrive` and the
+    /// master folds them, instead of the scratch-page protocol
+    /// (publish, barrier, fetch every writer's diff, barrier). Follows
+    /// [`Self::encoding`]: the 1999 generation keeps the scratch and
+    /// its bytes, the current one rides the join. Both engines decide
+    /// here.
+    pub fn reduces_at_join(&self) -> bool {
+        self.encoding() == Encoding::Runs
+    }
+
     /// Builder: set the fork dissemination shape.
     pub fn with_fork(mut self, b: Broadcast) -> Self {
         self.fork = b;

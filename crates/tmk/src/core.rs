@@ -1076,9 +1076,17 @@ impl ProcCore {
         self.locks.get(&lock).map_or(0, |m| m.queue.len())
     }
 
-    /// Handle a release at the manager; may grant to the next waiter.
-    pub fn lock_release(&mut self, lock: u32) -> Option<LockGrant> {
+    /// Handle `releaser`'s release at the manager; may grant to the
+    /// next waiter. Only the recorded holder releases: a release from
+    /// anyone else — stale, duplicated or misdirected — leaves the lock
+    /// held and its queue untouched, and is dropped and counted in
+    /// [`DsmStats::stale_dropped`].
+    pub fn lock_release(&mut self, lock: u32, releaser: Gpid) -> Option<LockGrant> {
         let mgr = self.locks.entry(lock).or_default();
+        if !mgr.held || mgr.last != Some(releaser) {
+            DsmStats::bump(&self.stats.stale_dropped);
+            return None;
+        }
         mgr.held = false;
         if let Some((requester, waiter)) = mgr.queue.pop_front() {
             mgr.held = true;
@@ -1527,7 +1535,7 @@ mod tests {
             .lock_acquire(7, Gpid(11), LockWaiter::Local(tx2))
             .is_none());
         // Release grants to the waiter with prev = first holder.
-        match c.lock_release(7) {
+        match c.lock_release(7, Gpid(10)) {
             Some(LockGrant::Local(s, prev)) => {
                 assert_eq!(prev, Some(Gpid(10)));
                 s.send(prev).unwrap();
@@ -1535,7 +1543,34 @@ mod tests {
             other => panic!("expected local grant, got {:?}", other.is_some()),
         }
         assert_eq!(rx2.recv().unwrap(), Some(Gpid(10)));
-        assert!(c.lock_release(7).is_none(), "empty queue");
+        assert!(c.lock_release(7, Gpid(11)).is_none(), "empty queue");
+        assert_eq!(c.stats.snapshot().stale_dropped, 0);
+    }
+
+    #[test]
+    fn a_release_from_a_non_holder_leaves_the_lock_held() {
+        let mut c = core();
+        let (tx1, _rx1) = nowmp_util::mailbox(&nowmp_util::Clock::real());
+        assert!(c
+            .lock_acquire(7, Gpid(10), LockWaiter::Local(tx1))
+            .is_some());
+        let (tx2, rx2) = nowmp_util::mailbox(&nowmp_util::Clock::real());
+        assert!(c
+            .lock_acquire(7, Gpid(11), LockWaiter::Local(tx2))
+            .is_none());
+        // The waiter itself, a stranger, and a lock nobody took.
+        assert!(c.lock_release(7, Gpid(11)).is_none());
+        assert!(c.lock_release(7, Gpid(12)).is_none());
+        assert!(c.lock_release(8, Gpid(10)).is_none());
+        assert_eq!(c.stats.snapshot().stale_dropped, 3);
+        assert_eq!(c.lock_waiters(7), 1, "the queue is untouched");
+        // The holder's release still hands the lock on.
+        match c.lock_release(7, Gpid(10)) {
+            Some(LockGrant::Local(s, prev)) => s.send(prev).unwrap(),
+            other => panic!("expected local grant, got {:?}", other.is_some()),
+        }
+        assert_eq!(rx2.recv().unwrap(), Some(Gpid(10)));
+        assert_eq!(c.lock_waiters(7), 0);
     }
 
     #[test]

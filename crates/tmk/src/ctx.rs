@@ -217,6 +217,12 @@ pub struct TmkCtx {
     /// The core's push outbox, to see whether a close queued anything
     /// without taking the core mutex again.
     outbox: crate::core::Outbox,
+    /// This rank's `reduction` partial, handed to the region's join
+    /// ([`Self::hand_to_join`]) and taken by it.
+    partial: Option<f64>,
+    /// At the master, after a join: the team's partials in pid order
+    /// ([`Self::take_join_partials`]).
+    join_partials: Vec<f64>,
 }
 
 impl TmkCtx {
@@ -257,6 +263,8 @@ impl TmkCtx {
             subscribe: false,
             early_cv,
             outbox,
+            partial: None,
+            join_partials: Vec::new(),
         }
     }
 
@@ -307,6 +315,37 @@ impl TmkCtx {
         self.subscribe = self.cfg.dataplane.pipeline();
         body(self);
         self.subscribe = false;
+    }
+
+    /// Whether a region's `reduction` clause rides its join on this
+    /// process's generation ([`crate::CollectiveConfig::reduces_at_join`]).
+    pub fn reduction_rides_join(&self) -> bool {
+        self.cfg.collectives.reduces_at_join()
+    }
+
+    /// Hand this rank's `reduction` partial to the region's join: it
+    /// travels up the reduce shape in the rank's `JoinArrive`, and the
+    /// master's runtime folds the team's partials after the join.
+    pub fn hand_to_join(&mut self, partial: f64) {
+        self.partial = Some(partial);
+    }
+
+    /// The partial the region body handed its join, if any.
+    pub(crate) fn take_partial(&mut self) -> Option<f64> {
+        self.partial.take()
+    }
+
+    /// At the master after a join: install the team's partials.
+    pub(crate) fn set_join_partials(&mut self, partials: Vec<f64>) {
+        self.join_partials = partials;
+    }
+
+    /// At the master, in the sequential phase after a join: the
+    /// `reduction` partials every rank handed it, in pid order (empty
+    /// when the region has no clause riding the join). Taking them
+    /// leaves none.
+    pub fn take_join_partials(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.join_partials)
     }
 
     /// The host this process currently runs on.
@@ -659,7 +698,7 @@ impl TmkCtx {
         let mgr_pid = self.team.lock_manager(lock);
         let mgr_gpid = self.team.gpid(mgr_pid);
         if mgr_gpid == self.gpid() {
-            let grant = self.core.lock().lock_release(lock);
+            let grant = self.core.lock().lock_release(lock, self.gpid());
             deliver_grant(grant, &self.cfg);
         } else {
             self.endpoint

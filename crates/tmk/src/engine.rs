@@ -64,6 +64,14 @@ pub enum Step {
 pub trait RegionTask: Send {
     /// Run until the next communication point.
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step;
+
+    /// The master's sequential epilogue after the join, handed the
+    /// `reduction` partials every rank's last step gave the join
+    /// ([`TaskCtx::hand_to_join`]), in pid order. The engine calls it
+    /// on rank 0's task only, and only when some rank handed one.
+    fn join_epilogue(&mut self, ctx: &mut TaskCtx<'_>, partials: &[f64]) {
+        let _ = (ctx, partials);
+    }
 }
 
 /// A host's protocol position between communication points — the
@@ -133,6 +141,9 @@ pub struct StepOutcome {
     pub compute_iters: u64,
     /// Explicit FLOPs charged (`charge_flops`), converted the same way.
     pub flops: f64,
+    /// The `reduction` partial handed to the region's join
+    /// ([`TaskCtx::hand_to_join`]).
+    pub partial: Option<f64>,
 }
 
 /// The flat shared-memory image the task engine simulates against.
@@ -231,6 +242,9 @@ pub struct TaskCtx<'a> {
     out: &'a mut StepOutcome,
     registry: Option<&'a Registry>,
     params: &'a [u8],
+    /// Whether a `reduction` clause rides the join
+    /// ([`crate::CollectiveConfig::reduces_at_join`]).
+    join_reduction: bool,
     /// Words this step wrote — the phase-rule guard.
     #[cfg(debug_assertions)]
     written: HashSet<Addr>,
@@ -247,6 +261,7 @@ impl<'a> TaskCtx<'a> {
             out,
             registry: None,
             params: &[],
+            join_reduction: false,
             #[cfg(debug_assertions)]
             written: HashSet::new(),
         }
@@ -258,6 +273,26 @@ impl<'a> TaskCtx<'a> {
         self.registry = Some(registry);
         self.params = params;
         self
+    }
+
+    /// Let a `reduction` clause ride the join, as the engine's
+    /// generation says ([`crate::CollectiveConfig::reduces_at_join`]);
+    /// off by default.
+    pub fn with_join_reduction(mut self, on: bool) -> Self {
+        self.join_reduction = on;
+        self
+    }
+
+    /// Whether a region's `reduction` clause rides its join.
+    pub fn reduction_rides_join(&self) -> bool {
+        self.join_reduction
+    }
+
+    /// Hand this rank's `reduction` partial to the region's join, where
+    /// the engine collects the team's in pid order for the master's
+    /// [`RegionTask::join_epilogue`].
+    pub fn hand_to_join(&mut self, partial: f64) {
+        self.out.partial = Some(partial);
     }
 
     #[inline]

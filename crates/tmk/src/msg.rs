@@ -404,6 +404,13 @@ pub enum Msg {
         vc: Vc,
         /// Records created since last contact with the master.
         records: Vec<Record>,
+        /// The region's `reduction(+)` partials of every rank the
+        /// aggregate covers, in pid order (the sender's own first):
+        /// what a generation whose reduction rides the join hands the
+        /// master to fold. Empty for a region without the clause — and
+        /// then absent from the wire, keeping every such arrival, the
+        /// whole 1999 wire included, byte-identical.
+        partials: Vec<f64>,
     },
     /// Slave → master: in-region barrier arrival, one-way (answered by
     /// a `BarrierRelease`).
@@ -605,6 +612,23 @@ fn dec_piggyback(d: &mut Dec<'_>) -> Result<Vec<(PageId, Seq, Diff)>, WireError>
     dec_diffs(d, "piggyback", |diff| diff)
 }
 
+/// Encode a join's reduction partials as an *optional trailing field*:
+/// emitted only when non-empty, as their IEEE-754 bit patterns.
+fn enc_partials(partials: &[f64], e: &mut Enc) {
+    if !partials.is_empty() {
+        let bits: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
+        e.put_u64_slice(&bits);
+    }
+}
+
+/// Decode optional trailing reduction partials (absent = empty).
+fn dec_partials(d: &mut Dec<'_>) -> Result<Vec<f64>, WireError> {
+    if d.is_done() {
+        return Ok(Vec::new());
+    }
+    Ok(d.get_u64_vec()?.into_iter().map(f64::from_bits).collect())
+}
+
 /// Decode an optional trailing acknowledgement (absent = `None`).
 fn dec_push_after(d: &mut Dec<'_>) -> Result<Option<Seq>, WireError> {
     if d.is_done() {
@@ -738,12 +762,14 @@ impl Wire for Msg {
                 pid,
                 vc,
                 records,
+                partials,
             } => {
                 e.put_u8(JOIN_ARRIVE);
                 e.put_u32(*epoch);
                 e.put_u16(*pid);
                 vc.enc(e);
                 RecordSet::enc_slice(records, e);
+                enc_partials(partials, e);
             }
             Msg::BarrierArrive {
                 epoch,
@@ -919,6 +945,7 @@ impl Wire for Msg {
                 pid: d.get_u16()?,
                 vc: Vc::dec(d)?,
                 records: RecordSet::dec_vec(d)?,
+                partials: dec_partials(d)?,
             },
             BARRIER_ARRIVE => Msg::BarrierArrive {
                 epoch: d.get_u32()?,
@@ -1188,6 +1215,14 @@ mod tests {
                 pid: 2,
                 vc: vc.clone(),
                 records: vec![],
+                partials: vec![],
+            },
+            Msg::JoinArrive {
+                epoch: 1,
+                pid: 1,
+                vc: vc.clone(),
+                records: vec![rec.clone()],
+                partials: vec![0.5, -2.25],
             },
             Msg::BarrierArrive {
                 epoch: 1,
@@ -1443,6 +1478,47 @@ mod tests {
                 &legacy.finish()[..],
                 "empty piggyback must not change the wire under {enc_kind:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_join_without_partials_is_byte_identical_to_the_legacy_wire() {
+        // Partials are an optional trailing field: a region without a
+        // `reduction` clause (and the whole 1999 generation, which
+        // reduces through the scratch page) sends the pre-partials
+        // `JoinArrive` bytes exactly.
+        let mut vc = Vc::new(2);
+        vc.set(1, 3);
+        let rec = Record {
+            pid: 1,
+            seq: 3,
+            vc: vc.clone(),
+            pages: vec![1, 2],
+        };
+        let arrive = |partials| Msg::JoinArrive {
+            epoch: 4,
+            pid: 1,
+            vc: vc.clone(),
+            records: vec![rec.clone()],
+            partials,
+        };
+        for enc_kind in [Encoding::Flat, Encoding::Runs] {
+            let mut legacy = Enc::with_encoding(64, enc_kind);
+            legacy.put_u8(tags::JOIN_ARRIVE);
+            legacy.put_u32(4);
+            legacy.put_u16(1);
+            vc.enc(&mut legacy);
+            RecordSet::enc_slice(std::slice::from_ref(&rec), &mut legacy);
+            let legacy = legacy.finish();
+            assert_eq!(
+                &arrive(vec![]).to_bytes_compat(enc_kind)[..],
+                &legacy[..],
+                "no partials must not change the wire under {enc_kind:?}"
+            );
+            // Two partials add a count and two words, nothing else.
+            let with = arrive(vec![1.5, f64::MIN_POSITIVE]).to_bytes_compat(enc_kind);
+            assert_eq!(with.len(), legacy.len() + 4 + 2 * 8);
+            assert_eq!(&with[..legacy.len()], &legacy[..]);
         }
     }
 

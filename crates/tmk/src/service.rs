@@ -19,6 +19,7 @@ use crate::config::DsmConfig;
 use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::stats::DsmStats;
+use crate::types::Epoch;
 use nowmp_net::{Endpoint, Gpid, Replier};
 use nowmp_util::wire::Wire;
 use nowmp_util::MailboxSender;
@@ -50,7 +51,8 @@ const SERVICE_BURST: usize = 16;
 ///
 /// A message it cannot serve — an undecodable payload, a request kind
 /// without a reply handle, a reply kind — is dropped and counted in
-/// [`DsmStats::malformed_dropped`]; the loop keeps serving.
+/// [`DsmStats::malformed_dropped`]; a request from another epoch than
+/// ours, in [`DsmStats::stale_dropped`]. The loop keeps serving.
 pub fn service_loop(
     endpoint: Arc<Endpoint>,
     core: Arc<Mutex<ProcCore>>,
@@ -69,10 +71,10 @@ pub fn service_loop(
             c.cfg.clone(),
         )
     };
-    let serve = |inc| {
-        if serve_one(inc, &core, &table, &cfg, &ctrl_tx).is_none() {
-            DsmStats::bump(&stats.malformed_dropped);
-        }
+    let serve = |inc| match serve_one(inc, &core, &table, &cfg, &ctrl_tx) {
+        Ok(()) => {}
+        Err(Dropped::Malformed) => DsmStats::bump(&stats.malformed_dropped),
+        Err(Dropped::Stale) => DsmStats::bump(&stats.stale_dropped),
     };
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
     loop {
@@ -110,17 +112,36 @@ pub fn service_loop(
     }
 }
 
+/// Why a message went unserved.
+enum Dropped {
+    /// Undecodable, a request without a reply handle, or a reply kind.
+    Malformed,
+    /// A request of another epoch than ours.
+    Stale,
+}
+
+/// A request of `epoch` is served only in that epoch (`ours`).
+fn this_epoch(epoch: Epoch, ours: Epoch) -> Result<(), Dropped> {
+    if epoch == ours {
+        Ok(())
+    } else {
+        Err(Dropped::Stale)
+    }
+}
+
 /// Handle one incoming message (request answered inline, control
-/// forwarded to the application thread). `None` when it cannot be
-/// served: the caller drops and counts it.
+/// forwarded to the application thread). An `Err` says why it cannot
+/// be served: the caller drops and counts it. A release of a lock its
+/// sender does not hold is dropped and counted by the manager
+/// ([`ProcCore::lock_release`]).
 fn serve_one(
     inc: nowmp_net::Incoming,
     core: &Arc<Mutex<ProcCore>>,
     table: &crate::table::PageTable,
     cfg: &DsmConfig,
     ctrl_tx: &MailboxSender<Ctrl>,
-) -> Option<()> {
-    let msg = Msg::from_wire(&inc.payload).ok()?;
+) -> Result<(), Dropped> {
+    let msg = Msg::from_wire(&inc.payload).map_err(|_| Dropped::Malformed)?;
     if msg.is_control() {
         // Forward to the application thread; if it has exited (post
         // Terminate), drop silently — late control traffic is
@@ -131,7 +152,7 @@ fn serve_one(
             src: inc.src,
             replier: inc.replier,
         });
-        return Some(());
+        return Ok(());
     }
     match msg {
         Msg::ConnHello { .. } => {
@@ -144,24 +165,28 @@ fn serve_one(
             page,
             subscribe,
         } => {
-            let replier = inc.replier?;
+            let replier = inc.replier.ok_or(Dropped::Malformed)?;
             // Steady-state fast path: an already-shared page with a
             // local copy serves from its shard lock alone, concurrent
             // with whatever the application thread is doing to *other*
             // pages under the core mutex. Transitions (exclusive →
-            // shared, zero-page conjuring, redirects) and subscriptions
-            // fall back to the core-locked slow path.
+            // shared, zero-page conjuring, redirects), subscriptions and
+            // requests of another epoch fall back to the core-locked
+            // slow path.
             let fast = if subscribe {
                 None
             } else {
                 table.serve_shared_fast(page, epoch)
             };
-            let rep = fast.unwrap_or_else(|| {
-                let mut c = core.lock();
-                debug_assert_eq!(epoch, c.epoch(), "PageReq from wrong epoch");
-                let subscriber = c.subscriber(subscribe, epoch, inc.src);
-                c.serve_page(page, subscriber)
-            });
+            let rep = match fast {
+                Some(rep) => rep,
+                None => {
+                    let mut c = core.lock();
+                    this_epoch(epoch, c.epoch())?;
+                    let subscriber = c.subscriber(subscribe, epoch, inc.src);
+                    c.serve_page(page, subscriber)
+                }
+            };
             replier.reply(rep.encode(cfg));
         }
         Msg::DiffReq {
@@ -170,10 +195,10 @@ fn serve_one(
             subscribe,
             whole_if_smaller,
         } => {
-            let replier = inc.replier?;
+            let replier = inc.replier.ok_or(Dropped::Malformed)?;
             let rep = {
                 let mut c = core.lock();
-                debug_assert_eq!(epoch, c.epoch(), "DiffReq from wrong epoch");
+                this_epoch(epoch, c.epoch())?;
                 let subscriber = c.subscriber(subscribe, epoch, inc.src);
                 c.serve_diffs(&wants, subscriber, whole_if_smaller)
             };
@@ -181,19 +206,19 @@ fn serve_one(
         }
         Msg::DiffPush { epoch, diffs } => core.lock().deposit_push(epoch, inc.src, diffs),
         Msg::RecordsReq { epoch, vc } => {
-            let replier = inc.replier?;
+            let replier = inc.replier.ok_or(Dropped::Malformed)?;
             let rep = {
                 let c = core.lock();
-                debug_assert_eq!(epoch, c.epoch(), "RecordsReq from wrong epoch");
+                this_epoch(epoch, c.epoch())?;
                 c.serve_records(&vc)
             };
             replier.reply(rep.encode(cfg));
         }
         Msg::LockReq { epoch, lock } => {
-            let replier = inc.replier?;
+            let replier = inc.replier.ok_or(Dropped::Malformed)?;
             let grant = {
                 let mut c = core.lock();
-                debug_assert_eq!(epoch, c.epoch(), "LockReq from wrong epoch");
+                this_epoch(epoch, c.epoch())?;
                 c.lock_acquire(lock, inc.src, LockWaiter::Remote(replier))
             };
             deliver_grant(grant, cfg);
@@ -201,14 +226,14 @@ fn serve_one(
         Msg::LockRelease { epoch, lock } => {
             let grant = {
                 let mut c = core.lock();
-                debug_assert_eq!(epoch, c.epoch(), "LockRelease from wrong epoch");
-                c.lock_release(lock)
+                this_epoch(epoch, c.epoch())?;
+                c.lock_release(lock, inc.src)
             };
             deliver_grant(grant, cfg);
         }
-        _ => return None,
+        _ => return Err(Dropped::Malformed),
     }
-    Some(())
+    Ok(())
 }
 
 /// Dispatch a lock grant decided by the manager state machine.
@@ -413,6 +438,93 @@ mod tests {
         // Served in arrival order, so this answer comes after all three.
         fetch();
         assert_eq!(dropped(), 3);
+    }
+
+    /// Send `req` — a request of epoch 1 to a server still in epoch 0,
+    /// or a release of a lock its sender does not hold — from a peer,
+    /// after `before` (the peer's current-epoch calls), and see it
+    /// dropped: no reply reaches the asker, a current request behind it
+    /// is still served, and it counts as stale, not malformed. Returns
+    /// the server's core.
+    fn assert_stale_dropped(before: &[Msg], req: Msg) -> Arc<Mutex<ProcCore>> {
+        let net = Network::new(2, NetModel::disabled());
+        let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
+        let timeout = std::time::Duration::from_secs(10);
+        for m in before {
+            ep_b.call_deadline(gpid_a, m.to_bytes(), timeout).unwrap();
+        }
+        if let Msg::LockRelease { .. } = req {
+            ep_b.send(gpid_a, req.to_bytes()).unwrap();
+        } else {
+            let answer = ep_b.call_deadline(gpid_a, req.to_bytes(), timeout);
+            assert!(answer.is_err(), "a stale request is not answered");
+        }
+        // Served in arrival order, so this answer comes after `req`'s drop.
+        let rep = ep_b.call_deadline(gpid_a, page_req(0, false), timeout);
+        assert!(matches!(
+            Msg::from_wire(&rep.unwrap()),
+            Ok(Msg::PageRep { .. })
+        ));
+        let stats = core_a.lock().stats.snapshot();
+        assert_eq!((stats.stale_dropped, stats.malformed_dropped), (1, 0));
+        core_a
+    }
+
+    /// Whether lock 3 at `core` is free: an acquire is granted at once.
+    fn lock_free(core: &Mutex<ProcCore>) -> bool {
+        let (tx, _rx) = nowmp_util::mailbox(&nowmp_util::Clock::real());
+        let grant = core.lock().lock_acquire(3, Gpid(99), LockWaiter::Local(tx));
+        grant.is_some()
+    }
+
+    #[test]
+    fn a_stale_page_request_is_dropped_and_counted() {
+        let req = Msg::PageReq {
+            epoch: 1,
+            page: 0,
+            subscribe: false,
+        };
+        assert_stale_dropped(&[], req);
+    }
+
+    #[test]
+    fn a_stale_diff_request_is_dropped_and_counted() {
+        let req = Msg::DiffReq {
+            epoch: 1,
+            wants: vec![(0, 1)],
+            subscribe: true,
+            whole_if_smaller: false,
+        };
+        let core = assert_stale_dropped(&[], req);
+        assert!(core.lock().readers.is_empty(), "nobody subscribed");
+    }
+
+    #[test]
+    fn a_stale_records_request_is_dropped_and_counted() {
+        let vc = crate::types::Vc::new(2);
+        assert_stale_dropped(&[], Msg::RecordsReq { epoch: 1, vc });
+    }
+
+    #[test]
+    fn a_stale_lock_request_is_dropped_and_counted() {
+        let core = assert_stale_dropped(&[], Msg::LockReq { epoch: 1, lock: 3 });
+        assert!(lock_free(&core), "the stale request took no lock");
+    }
+
+    #[test]
+    fn a_stale_lock_release_is_dropped_and_counted() {
+        let acquire = Msg::LockReq { epoch: 0, lock: 3 };
+        let core = assert_stale_dropped(&[acquire], Msg::LockRelease { epoch: 1, lock: 3 });
+        assert!(!lock_free(&core), "the lock stays with its holder");
+    }
+
+    #[test]
+    fn a_release_by_a_non_holder_is_dropped_and_counted() {
+        // The peer releases a lock nobody granted it: its release names
+        // it (the envelope's sender), not the holder.
+        let core = assert_stale_dropped(&[], Msg::LockRelease { epoch: 0, lock: 3 });
+        assert!(lock_free(&core));
     }
 
     #[test]

@@ -108,6 +108,12 @@ counters! {
     /// payload, a request kind sent without a reply handle, or a reply
     /// kind. Zero in every run of this workspace's own protocol.
     malformed_dropped,
+    /// Requests dropped unserved as stale: a `PageReq`, `DiffReq`,
+    /// `RecordsReq`, `LockReq` or `LockRelease` of another epoch than
+    /// the server's, or a `LockRelease` from a process that does not
+    /// hold the lock. Zero in every run of this workspace's own
+    /// protocol.
+    stale_dropped,
 }
 
 impl DsmStats {

@@ -327,9 +327,10 @@ pub(crate) fn relay_onward(
 
 /// Collect the `JoinArrive` aggregates of rank `my`'s subtree in the
 /// reduce `shape` (all of it but `my`), handing each one's clock and
-/// records to `absorb`. The sender pid of an aggregate identifies the
-/// contiguous rank range it covers ([`Shape::subtree_size`]), so
-/// coverage needs no extra wire fields.
+/// records to `absorb` and keeping its `reduction` partials in
+/// `partials`, keyed by the sender. The sender pid of an aggregate
+/// identifies the contiguous rank range it covers
+/// ([`Shape::subtree_size`]), so coverage needs no extra wire fields.
 ///
 /// Adoption mirrors [`relay_tree_send`]: a sender whose parent is gone
 /// escalates to the grandparent (see [`worker_join_reduce`]), so an
@@ -343,6 +344,7 @@ fn collect_joins(
     my: usize,
     epoch: Epoch,
     timeout: Duration,
+    partials: &mut Partials,
     mut absorb: impl FnMut(Vc, Vec<Record>),
 ) {
     let mut remaining: HashSet<usize> = (my + 1..my + shape.subtree_size(my)).collect();
@@ -355,7 +357,11 @@ fn collect_joins(
             )
             .expect("join aggregate lost");
         if let Msg::JoinArrive {
-            pid, vc, records, ..
+            pid,
+            vc,
+            records,
+            partials: part,
+            ..
         } = c.msg
         {
             let from = pid as usize;
@@ -373,8 +379,30 @@ fn collect_joins(
                 }
                 a = shape.parent(a);
             }
+            partials.add(pid, part);
             absorb(vc, records);
         }
+    }
+}
+
+/// The `reduction` partials a join collects: each aggregate's run of
+/// its contiguous rank range, keyed by its first rank.
+#[derive(Default)]
+struct Partials(Vec<(Pid, Vec<f64>)>);
+
+impl Partials {
+    /// Rank `from`'s run (nothing when it is empty: no clause).
+    fn add(&mut self, from: Pid, run: Vec<f64>) {
+        if !run.is_empty() {
+            self.0.push((from, run));
+        }
+    }
+
+    /// Every run concatenated in pid order. The ranges are disjoint,
+    /// so ordering the runs by their first rank orders the partials.
+    fn in_pid_order(mut self) -> Vec<f64> {
+        self.0.sort_unstable_by_key(|(from, _)| *from);
+        self.0.into_iter().flat_map(|(_, run)| run).collect()
     }
 }
 
@@ -383,7 +411,8 @@ fn collect_joins(
 /// (vector-clock merge + record union, deduped by `(pid, seq)`), and
 /// forward **one** aggregate to our parent — escalating to the
 /// grandparent, and on up to the master, while the parent's endpoint is
-/// gone. A leaf just sends its own arrival.
+/// gone. A leaf just sends its own arrival. The aggregate's
+/// `reduction` partials are ours, then our subtree's, in pid order.
 ///
 /// The two shapes differ, so a child's aggregate can reach us before
 /// our own `Fork` does: the wait loop in `worker_main` leaves it in the
@@ -397,11 +426,12 @@ fn worker_join_reduce(
     sys: &DsmSystem,
     endpoint: &Endpoint,
     ctrl: &Mutex<CtrlBuf>,
-    ctx: &TmkCtx,
+    ctx: &mut TmkCtx,
     epoch: Epoch,
     mut vc: Vc,
     mut records: Vec<Record>,
 ) {
+    let partial = ctx.take_partial();
     let (team, pid) = (ctx.team(), ctx.pid());
     let shapes = sys.shapes.get(team.nprocs());
     let shape = &shapes.reduce;
@@ -419,12 +449,18 @@ fn worker_join_reduce(
         // One inbound stack traversal per absorbed aggregate.
         charge_relay(endpoint);
     };
-    collect_joins(ctrl, shape, my, epoch, sys.cfg.call_timeout, absorb);
+    let mut partials = Partials::default();
+    if let Some(own) = partial {
+        partials.add(pid, vec![own]);
+    }
+    let timeout = sys.cfg.call_timeout;
+    collect_joins(ctrl, shape, my, epoch, timeout, &mut partials, absorb);
     let bytes = Msg::JoinArrive {
         epoch,
         pid,
         vc,
         records,
+        partials: partials.in_pid_order(),
     }
     .encode(&sys.cfg);
     let mut target = shape.parent(my);
@@ -591,7 +627,7 @@ fn worker_main(
                     pc.close_interval();
                     (pc.vc.clone(), pc.drain_unsent())
                 };
-                worker_join_reduce(&sys, &endpoint, &ctrl, &ctx, epoch, vc, records);
+                worker_join_reduce(&sys, &endpoint, &ctrl, &mut ctx, epoch, vc, records);
                 ctx.wake_pusher();
                 ctx.sync_reset();
             }
@@ -770,7 +806,10 @@ impl MasterCtl {
     }
 
     /// Execute one parallel construct: `Tmk_fork`, run our share (pid
-    /// 0), `Tmk_join`. Returns when every process has joined.
+    /// 0), `Tmk_join`. Returns when every process has joined, with the
+    /// `reduction` partials the ranks handed the join
+    /// ([`TmkCtx::hand_to_join`]) waiting in pid order in
+    /// [`TmkCtx::take_join_partials`].
     pub fn parallel(&mut self, region: u32, params: &[u8]) {
         self.ctx.throttle();
         let (team, epoch) = {
@@ -829,6 +868,10 @@ impl MasterCtl {
         }
         // The master sends nothing at a join: push while it collects.
         self.ctx.wake_pusher();
+        let mut partials = Partials::default();
+        if let Some(own) = self.ctx.take_partial() {
+            partials.add(0, vec![own]);
+        }
         let core = &self.core;
         let absorb = |vc: Vc, records: Vec<Record>| {
             let mut pc = core.lock();
@@ -841,8 +884,10 @@ impl MasterCtl {
             0,
             epoch,
             self.call_timeout,
+            &mut partials,
             absorb,
         );
+        self.ctx.set_join_partials(partials.in_pid_order());
         self.fork_no += 1;
         self.ctx.sync_reset();
     }

@@ -250,6 +250,7 @@ pub fn reduce_costs(n: usize, net: &NetModel, cost: &CostModel) -> (Duration, Du
         pid: last as Pid,
         vc,
         records,
+        partials: Vec::new(),
     };
     (
         cost.relay_time(),

@@ -261,6 +261,29 @@ proptest! {
         let b = m.to_bytes();
         prop_assert_eq!(Msg::from_wire(&b).unwrap(), m);
     }
+
+    #[test]
+    fn msg_roundtrip_fuzzed_join_arrive(
+        pid in any::<u16>(),
+        bits in proptest::collection::vec(any::<u64>(), 0..16),
+    ) {
+        // Any bit pattern rides, NaNs included: compare the partials'
+        // bits, which `PartialEq` on `f64` would not.
+        let m = Msg::JoinArrive {
+            epoch: 2,
+            pid,
+            vc: nowmp_tmk::Vc::new(3),
+            records: vec![],
+            partials: bits.iter().copied().map(f64::from_bits).collect(),
+        };
+        let b = m.to_bytes();
+        let Msg::JoinArrive { pid: back, partials, .. } = Msg::from_wire(&b).unwrap() else {
+            panic!("decoded to another kind");
+        };
+        prop_assert_eq!(back, pid);
+        let back_bits: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
+        prop_assert_eq!(back_bits, bits);
+    }
 }
 
 // --- ownership redirect chains ---
