@@ -16,7 +16,7 @@
 set -euo pipefail
 
 MAX_UNWRAP_EXPECT=59
-MAX_PANIC_UNREACHABLE=26
+MAX_PANIC_UNREACHABLE=25
 MAX_UNSAFE=0
 
 cd "$(dirname "$0")/../.."

@@ -1254,8 +1254,8 @@ fn sweep(
 /// `tree/flat/demand` (the fork relayed down the cost models' shape),
 /// `tree/tree/demand` (join and barrier aggregated up the reduce shape
 /// too; docs/BROADCAST.md) and `tree/tree/overlap` (pipelined faults,
-/// the writer push a region's faults subscribe to and 1 KB of
-/// piggybacked hot diffs; docs/DATAPLANE.md). Every lane sets its own
+/// the writer push a region's faults subscribe to and whole-page
+/// completion; docs/DATAPLANE.md). Every lane sets its own
 /// collectives and data plane over the configuration it is given, so
 /// `paper` runs the claim once, as `every`, on the default.
 ///
@@ -1351,12 +1351,11 @@ fn sweep_claim(titles: [String; 2], points: &[Point]) -> Claim {
             d.push_hits.to_string(),
             pct(d.push_hits, d.push_sent),
             d.push_wasted.to_string(),
-            d.piggyback_bytes.to_string(),
         ])
     });
     c.tables.push(Table::new(
         "Push ledger at 32 homogeneous hosts (tree/tree/overlap)",
-        "Kernel | Pushed | PushedBytes | Hit | Hit% | Wasted | PiggybackBytes",
+        "Kernel | Pushed | PushedBytes | Hit | Hit% | Wasted",
         rows.collect(),
     ));
 

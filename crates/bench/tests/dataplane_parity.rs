@@ -2,7 +2,7 @@
 //!
 //! The acceptance bar for the overlapped data plane — pipelined
 //! requests, the writer push a region's faults subscribe to, and
-//! piggybacked hot diffs — is that it must be *semantically
+//! whole-page completion — is that it must be *semantically
 //! invisible*: identical computed
 //! results, identical adaptation event orderings, and an identical
 //! final DSM memory image against the faithful 1999 demand-paging
@@ -98,8 +98,7 @@ fn demand_and_overlap_dataplanes_agree_bit_exactly() {
 /// Steady-state run (no adaptation) with calibrated compute charged —
 /// the regime overlap is for: the push can only win by moving
 /// round-trips off the critical path into the compute the worker was
-/// doing anyway. Every push and piggyback pays full modeled wire/CPU
-/// cost.
+/// doing anyway. Every push pays full modeled wire/CPU cost.
 fn costed_run(
     kernel: &dyn Kernel,
     procs: usize,

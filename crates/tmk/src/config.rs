@@ -106,7 +106,7 @@ impl CollectiveConfig {
 /// computation (ISSUE 7). One switch with two values, because the two
 /// generations are the only configurations anything runs.
 ///
-/// [`DataPlaneConfig::Overlap`] (the default) turns on four levers:
+/// [`DataPlaneConfig::Overlap`] (the default) turns on three levers:
 ///
 /// * pipeline ([`pipeline`](Self::pipeline)) — scatter-gather requests:
 ///   a multi-creator diff fault sends every `DiffReq` before collecting
@@ -130,16 +130,11 @@ impl CollectiveConfig {
 ///   `whole_if_smaller`, and the creator
 ///   sends the page instead of the chain when the page is smaller; at
 ///   a leave that moves the leaver's pages whole. Under `Demand` the
-///   chain moves, as in 1999;
-/// * piggyback ([`piggyback_budget`](Self::piggyback_budget)) —
-///   hot-diff piggybacking: `Fork` / `BarrierRelease` payloads carry up
-///   to this many bytes of the sender's own hottest diffs alongside
-///   the write notices, saving the receivers a round-trip entirely.
-///   The budget is deliberately small: every piggybacked byte rides
-///   *every* edge of the broadcast tree, so only diffs small and hot
-///   enough to beat `n - 1` redundant copies (reduction scratch,
-///   straddled boundary words) earn their wire cost — bulk diffs are
-///   exactly what the push already moves point-to-point.
+///   chain moves, as in 1999.
+///
+/// Under either plane a `Fork` or `BarrierRelease` carries write
+/// notices and never diffs: a reader fetches (or is pushed) the diffs
+/// it faults on, as in TreadMarks.
 ///
 /// Push traffic pays the same wire and admission costs as demand
 /// traffic ([`NetModel::receive_time`] et al.) — overlap hides
@@ -151,7 +146,7 @@ pub enum DataPlaneConfig {
     /// byte-identical wire payloads, what the Table 1/2 pins assume.
     Demand,
     /// Fully overlapped data plane: pipelined requests, the writer push
-    /// a region's faults subscribe to, 1 KB of piggybacked hot diffs.
+    /// a region's faults subscribe to, whole-page completion.
     #[default]
     Overlap,
 }
@@ -172,15 +167,6 @@ impl DataPlaneConfig {
     /// push a region's faults subscribe to.
     pub fn pipeline(self) -> bool {
         self == DataPlaneConfig::Overlap
-    }
-
-    /// Max bytes of hot diffs piggybacked on each `Fork` /
-    /// `BarrierRelease` payload (0: none).
-    pub fn piggyback_budget(self) -> usize {
-        match self {
-            DataPlaneConfig::Demand => 0,
-            DataPlaneConfig::Overlap => 1 << 10,
-        }
     }
 }
 
@@ -319,9 +305,8 @@ mod tests {
             DsmConfig::default_4k().dataplane,
             DataPlaneConfig::overlap()
         );
-        let lever = |d: DataPlaneConfig| (d.pipeline(), d.piggyback_budget());
-        assert_eq!(lever(DataPlaneConfig::overlap()), (true, 1024));
-        assert_eq!(lever(DataPlaneConfig::demand()), (false, 0));
+        assert!(DataPlaneConfig::overlap().pipeline());
+        assert!(!DataPlaneConfig::demand().pipeline());
     }
 
     #[test]

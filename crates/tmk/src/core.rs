@@ -32,8 +32,8 @@
 //! * **R** (reader expectation): a notice `(p, w, s)` with no stored
 //!   diff is *expected* iff w acknowledged a subscription to p this
 //!   epoch at a seq lower than s — by W it is on its way.
-//! * Every diff a fault applies — pushed, piggybacked, collected or
-//!   fetched by the fault itself — sits in one store first and is
+//! * Every diff a fault applies — pushed, collected or fetched by the
+//!   fault itself — sits in one store first and is
 //!   applied by exactly one rule, in [`ProcCore::apply_diffs`]: as part
 //!   of one causally sorted batch that covers the page's whole
 //!   unapplied notice set.
@@ -105,7 +105,7 @@ pub struct EarlyDiff {
     /// The modifications.
     pub diff: Diff,
     /// Arrived in a `DiffPush` (the push ledger counts it) rather than
-    /// in a `DiffRep` or piggybacked on a release.
+    /// in a `DiffRep`.
     pub pushed: bool,
 }
 
@@ -176,9 +176,6 @@ pub struct ProcCore {
     pub registry: Registry,
     /// Default directory owner for untouched pages (the master).
     pub default_owner: Gpid,
-    /// How often each page's diffs have been served to peers — the
-    /// "heat" ranking behind piggyback selection.
-    pub diff_heat: HashMap<PageId, u32>,
     /// Writer side of the push plane: per page, the ranks whose region
     /// fault fetched the page or its diffs from us this epoch (see
     /// [`Self::serve_page`] and [`Self::serve_diffs`]). Only grows
@@ -188,7 +185,7 @@ pub struct ProcCore {
     pub outbox: Outbox,
     /// Reader side: every diff that reaches us, until
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
-    /// a fault or a page collection, or piggybacked on a release.
+    /// a fault or a page collection.
     pub early: HashMap<PageId, Vec<EarlyDiff>>,
     /// Per `(page, writer)`, the seq after which the writer pushes us
     /// every diff of the page this epoch: the lowest acknowledgement of
@@ -220,7 +217,6 @@ impl ProcCore {
             stats,
             registry: Registry::new(),
             default_owner,
-            diff_heat: HashMap::new(),
             readers: HashMap::new(),
             outbox: Arc::default(),
             early: HashMap::new(),
@@ -539,48 +535,6 @@ impl ProcCore {
         plan
     }
 
-    /// Select up to the data plane's piggyback budget of wire bytes of
-    /// our own hottest diffs to ride an outgoing `Fork`/`BarrierRelease`
-    /// (none under the demand plane). Per page only the newest diff
-    /// rides (receivers lacking more than one of our intervals fetch
-    /// the rest on demand; they [`Self::deposit`] what rode along);
-    /// pages rank by diff-serve heat, ties by page id, so the selection
-    /// is deterministic. The selection rides one payload, so it is
-    /// counted in `piggyback_bytes` here.
-    pub fn piggyback_diffs(&self) -> Vec<(PageId, Seq, Diff)> {
-        let budget = self.cfg.dataplane.piggyback_budget();
-        if budget == 0 || self.diffs.is_empty() {
-            return Vec::new();
-        }
-        let mut newest: HashMap<PageId, Seq> = HashMap::new();
-        for k in self.diffs.keys() {
-            let e = newest.entry(k.page).or_insert(k.seq);
-            if k.seq > *e {
-                *e = k.seq;
-            }
-        }
-        let mut ranked: Vec<(PageId, Seq)> = newest.into_iter().collect();
-        ranked.sort_by_key(|(page, _)| {
-            (
-                std::cmp::Reverse(self.diff_heat.get(page).copied().unwrap_or(0)),
-                *page,
-            )
-        });
-        let mut out = Vec::new();
-        let mut bytes = 0usize;
-        for (page, seq) in ranked {
-            let d = &self.diffs[&DiffKey { page, seq }];
-            let wb = d.wire_bytes();
-            if bytes + wb > budget {
-                continue; // a smaller diff may still fit
-            }
-            bytes += wb;
-            out.push((page, seq, d.as_ref().clone()));
-        }
-        DsmStats::add(&self.stats.piggyback_bytes, (bytes + 8 * out.len()) as u64);
-        out
-    }
-
     // ------------------------------------------------------------------
     // Early diffs (reader side of the push plane)
     // ------------------------------------------------------------------
@@ -620,10 +574,8 @@ impl ProcCore {
     /// `applied` clock already covers, what the store already holds (a
     /// push can cross a request for the same diff on the wire: the
     /// first copy wins), and — unless `pushed`, whose notices may still
-    /// be on their way —
-    /// what matches no pending notice (a piggybacked diff of a page we
-    /// never read would otherwise sit here for the rest of the epoch).
-    /// Apply a message's records *before* depositing what rode with it.
+    /// be on their way — what matches no pending notice (no fault
+    /// would take it, so it would sit here for the rest of the epoch).
     pub fn deposit(
         &mut self,
         from: Pid,
@@ -965,50 +917,47 @@ impl ProcCore {
     /// checkpoint collection is a one-off. A page collection (a GC
     /// completion) that asks for two or more diffs of one page asks
     /// `whole_if_smaller`: see [`Self::whole_pages`].
+    ///
+    /// `None` when a want names a diff we never created: nothing is
+    /// served, shared or subscribed, and the service thread drops the
+    /// request as malformed.
     pub fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
         subscriber: Option<Pid>,
         whole_if_smaller: bool,
-    ) -> crate::msg::Msg {
+    ) -> Option<crate::msg::Msg> {
+        let found: Vec<Arc<Diff>> = wants
+            .iter()
+            .map(|&(page, seq)| self.diffs.get(&DiffKey { page, seq }).cloned())
+            .collect::<Option<_>>()?;
         let pages = if whole_if_smaller {
-            self.whole_pages(wants)
+            self.whole_pages(wants, &found)
         } else {
             Vec::new()
         };
         let push_after = self.subscribe(wants.iter().map(|&(page, _)| page), subscriber);
-        let mut out = Vec::with_capacity(wants.len());
-        for &(page, seq) in wants {
-            *self.diff_heat.entry(page).or_insert(0) += 1;
-            if pages.iter().any(|w| w.page == page) {
-                continue;
-            }
-            match self.diffs.get(&DiffKey { page, seq }) {
-                Some(d) => out.push((page, seq, d.as_ref().clone())),
-                None => panic!(
-                    "{:?} asked for diff (page {page}, seq {seq}) we don't have",
-                    self.gpid
-                ),
-            }
-        }
-        crate::msg::Msg::DiffRep {
-            diffs: out,
+        let diffs = wants
+            .iter()
+            .zip(found)
+            .filter(|((page, _), _)| !pages.iter().any(|w| w.page == *page))
+            .map(|(&(page, seq), d)| (page, seq, d.as_ref().clone()))
+            .collect();
+        Some(crate::msg::Msg::DiffRep {
+            diffs,
             pages,
             push_after,
-        }
+        })
     }
 
     /// The pages of `wants` to serve whole: those whose encoded chain
     /// here outweighs the page, where our copy is valid with no
     /// unapplied notice. Every other page is served as its chain.
-    fn whole_pages(&self, wants: &[(PageId, Seq)]) -> Vec<WholePage> {
+    /// `found[i]` is the diff `wants[i]` names.
+    fn whole_pages(&self, wants: &[(PageId, Seq)], found: &[Arc<Diff>]) -> Vec<WholePage> {
         let mut chains: BTreeMap<PageId, usize> = BTreeMap::new();
-        for &(page, seq) in wants {
-            let bytes = self
-                .diffs
-                .get(&DiffKey { page, seq })
-                .map_or(0, |d| 8 + d.wire_bytes());
-            *chains.entry(page).or_default() += bytes;
+        for (&(page, _), d) in wants.iter().zip(found) {
+            *chains.entry(page).or_default() += 8 + d.wire_bytes();
         }
         let spp = self.slots_per_page();
         let mut whole = Vec::new();
@@ -1172,8 +1121,7 @@ impl ProcCore {
         self.my_pid = my_pid;
         // Everything the push plane keys by pid or seq is per-epoch
         // state the commit just wiped; what the store still holds was
-        // pushed for nothing. The heat ranking only orders pages, so it
-        // survives.
+        // pushed for nothing.
         let unapplied_pushes = self.early.values().flatten().filter(|e| e.pushed).count();
         DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
         self.readers.clear();
@@ -1718,11 +1666,14 @@ mod tests {
         c.close_interval().unwrap();
         write_shared(&mut c, 1, 8);
         assert_eq!(ack(&c.serve_page(0, None)), None);
-        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], None, false)), None);
+        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], None, false).unwrap()), None);
         // Interval 2 is open: the last closed seq is 1, so every diff
         // of the page from interval 2 on is pushed.
         assert_eq!(ack(&c.serve_page(1, Some(1))), Some(1));
-        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], Some(2), false)), Some(1));
+        assert_eq!(
+            ack(&c.serve_diffs(&[(0, 1)], Some(2), false).unwrap()),
+            Some(1)
+        );
         assert_eq!((&c.readers[&0], &c.readers[&1]), (&vec![2], &vec![1]));
         c.close_interval().unwrap();
         assert_eq!(ack(&c.serve_page(1, Some(2))), Some(2));
@@ -1754,7 +1705,7 @@ mod tests {
         let stale = c.subscriber(true, 1, Gpid(2));
         assert_eq!(stale, None);
         assert_eq!(ack(&c.serve_page(0, stale)), None);
-        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], stale, false)), None);
+        assert_eq!(ack(&c.serve_diffs(&[(0, 1)], stale, false).unwrap()), None);
         assert!(c.readers.is_empty());
     }
 
@@ -1769,8 +1720,8 @@ mod tests {
         c.close_interval().unwrap();
     }
 
-    fn served(rep: Msg) -> (Vec<(PageId, Seq)>, Vec<WholePage>) {
-        let Msg::DiffRep { diffs, pages, .. } = rep else {
+    fn served(rep: Option<Msg>) -> (Vec<(PageId, Seq)>, Vec<WholePage>) {
+        let Some(Msg::DiffRep { diffs, pages, .. }) = rep else {
             panic!("serve_diffs answers a DiffRep")
         };
         (diffs.iter().map(|d| (d.0, d.1)).collect(), pages)
@@ -1923,7 +1874,7 @@ mod tests {
         assert_eq!(stored(&c, 0), vec![(1, 4)]);
         assert_eq!(c.consistency_bytes, bytes);
         assert_eq!(c.stats.snapshot().push_wasted, 3);
-        // A fetched or piggybacked diff is kept only for a notice
+        // A fetched diff is kept only for a notice
         // we hold. Neither it nor a push says what will be pushed:
         // only an acknowledgement does.
         c.deposit(1, vec![(1, 9, word(0, 9))], false);

@@ -739,8 +739,8 @@ impl TmkCtx {
     /// sends it a one-way `BarrierArrive` with its new records, and the
     /// master sends each of the root's children in the release shape
     /// ([`crate::tree::Shapes::release`]) one `BarrierRelease` with the
-    /// merged clock, the piggyback and the records that child's subtree
-    /// lacks, which interior ranks relay verbatim. On the star (a flat
+    /// merged clock and the records that child's subtree lacks, which
+    /// interior ranks relay verbatim. On the star (a flat
     /// `join_reduce`) each slave gets what it lacks: the 1999 traffic.
     pub fn barrier(&mut self) {
         self.throttle();
@@ -796,19 +796,10 @@ impl TmkCtx {
             &self.stats.release_relays,
             crate::system::send_to(&self.endpoint, &self.team, c.raw.clone()),
         );
-        if let Msg::BarrierRelease {
-            vc,
-            records,
-            piggyback,
-        } = c.msg
-        {
+        if let Msg::BarrierRelease { vc, records } = c.msg {
             let mut core = self.core.lock();
             core.apply_records(&records);
             core.vc.merge(&vc);
-            // Hot diffs ride the release; what they cover needs no
-            // demand fetch this epoch. Master's own diffs only, so
-            // attribution is pid 0.
-            core.deposit(0, piggyback, false);
         }
     }
 
@@ -846,10 +837,7 @@ impl TmkCtx {
                 arrived[pid as usize] = vc;
             }
         }
-        let (merged, piggyback) = {
-            let c = self.core.lock();
-            (c.vc.clone(), c.piggyback_diffs())
-        };
+        let merged = self.core.lock().vc.clone();
         // Each subtree of the root gets everything newer than the
         // pointwise-min arrival clock over its ranks: what any of them
         // lacks (over-delivery is fine — record application dedups),
@@ -864,7 +852,6 @@ impl TmkCtx {
             let release = Msg::BarrierRelease {
                 vc: merged.clone(),
                 records: self.core.lock().records.newer_than(&min),
-                piggyback: piggyback.clone(),
             };
             crate::system::send_to(&self.endpoint, &self.team, release.encode(&self.cfg))(child)
         });

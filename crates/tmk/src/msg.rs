@@ -386,13 +386,6 @@ pub enum Msg {
         registry_delta: Vec<RegEntry>,
         /// Slots allocated so far (keeps the slave's page table sized).
         alloc_slots: Addr,
-        /// Piggybacked hot diffs of the master's own newest intervals
-        /// (`(page, seq, diff)`, budget-bounded; empty under the
-        /// demand data plane — and then absent from the wire, keeping
-        /// the 1999 payload byte-identical). Receiver-independent:
-        /// relays forward it verbatim; receivers apply only entries
-        /// matching their unapplied write notices.
-        piggyback: Vec<(PageId, Seq, Diff)>,
     },
     /// Slave → master: finished the region (the `Tmk_join`), one-way.
     JoinArrive {
@@ -434,9 +427,6 @@ pub enum Msg {
         /// Records newer than the pointwise-min arrival clock of the
         /// receiver's subtree.
         records: Vec<Record>,
-        /// Piggybacked hot diffs of the manager's own newest intervals
-        /// (see [`Msg::Fork::piggyback`]; empty = absent on the wire).
-        piggyback: Vec<(PageId, Seq, Diff)>,
     },
     /// Master → slave: report per-page applied clocks (GC step 1).
     GcQuery {
@@ -566,8 +556,7 @@ const DIFF_REQ_SUBSCRIBE: u8 = 1;
 const DIFF_REQ_WHOLE: u8 = 2;
 
 /// Encode `(page, seq, diff)` triples behind a count: the body of
-/// `DiffRep`, `DiffPush` and the piggyback section (owned or shared
-/// diffs alike).
+/// `DiffRep` and `DiffPush` (owned or shared diffs alike).
 fn enc_diffs<D: std::borrow::Borrow<Diff>>(diffs: &[(PageId, Seq, D)], e: &mut Enc) {
     e.put_u32(diffs.len() as u32);
     for (p, s, diff) in diffs {
@@ -592,24 +581,6 @@ fn dec_diffs<D>(
         diffs.push((d.get_u32()?, d.get_u32()?, own(Diff::dec(d)?)));
     }
     Ok(diffs)
-}
-
-/// Encode a piggyback section as an *optional trailing field*: emitted
-/// only when non-empty, so demand-data-plane payloads stay
-/// byte-identical to the pre-piggyback wire (the Table 1/2 calibration
-/// assumption).
-fn enc_piggyback(pb: &[(PageId, Seq, Diff)], e: &mut Enc) {
-    if !pb.is_empty() {
-        enc_diffs(pb, e);
-    }
-}
-
-/// Decode an optional trailing piggyback section (absent = empty).
-fn dec_piggyback(d: &mut Dec<'_>) -> Result<Vec<(PageId, Seq, Diff)>, WireError> {
-    if d.is_done() {
-        return Ok(Vec::new());
-    }
-    dec_diffs(d, "piggyback", |diff| diff)
 }
 
 /// Encode a join's reduction partials as an *optional trailing field*:
@@ -743,7 +714,6 @@ impl Wire for Msg {
                 records,
                 registry_delta,
                 alloc_slots,
-                piggyback,
             } => {
                 e.put_u8(FORK);
                 e.put_u32(*epoch);
@@ -755,7 +725,6 @@ impl Wire for Msg {
                 e.put_seq(registry_delta);
                 e.put_u64(*alloc_slots);
                 e.put_u8(FORK_RESERVED);
-                enc_piggyback(piggyback, e);
             }
             Msg::JoinArrive {
                 epoch,
@@ -783,15 +752,10 @@ impl Wire for Msg {
                 vc.enc(e);
                 RecordSet::enc_slice(records, e);
             }
-            Msg::BarrierRelease {
-                vc,
-                records,
-                piggyback,
-            } => {
+            Msg::BarrierRelease { vc, records } => {
                 e.put_u8(BARRIER_RELEASE);
                 vc.enc(e);
                 RecordSet::enc_slice(records, e);
-                enc_piggyback(piggyback, e);
             }
             Msg::GcQuery { epoch } => {
                 e.put_u8(GC_QUERY);
@@ -934,10 +898,10 @@ impl Wire for Msg {
                 vc: Vc::dec(d)?,
                 records: RecordSet::dec_vec(d)?,
                 registry_delta: d.get_seq()?,
-                alloc_slots: d.get_u64()?,
-                piggyback: {
+                alloc_slots: {
+                    let slots = d.get_u64()?;
                     d.get_u8()?; // FORK_RESERVED
-                    dec_piggyback(d)?
+                    slots
                 },
             },
             JOIN_ARRIVE => Msg::JoinArrive {
@@ -956,7 +920,6 @@ impl Wire for Msg {
             BARRIER_RELEASE => Msg::BarrierRelease {
                 vc: Vc::dec(d)?,
                 records: RecordSet::dec_vec(d)?,
-                piggyback: dec_piggyback(d)?,
             },
             GC_QUERY => Msg::GcQuery {
                 epoch: d.get_u32()?,
@@ -1197,7 +1160,6 @@ mod tests {
                     ver: 1,
                 }],
                 alloc_slots: 1024,
-                piggyback: vec![],
             },
             Msg::Fork {
                 epoch: 1,
@@ -1208,7 +1170,6 @@ mod tests {
                 records: vec![rec.clone()],
                 registry_delta: vec![],
                 alloc_slots: 1024,
-                piggyback: vec![(3, 4, Diff::of_run(0, &[7, 8]))],
             },
             Msg::JoinArrive {
                 epoch: 1,
@@ -1233,12 +1194,6 @@ mod tests {
             Msg::BarrierRelease {
                 vc: vc.clone(),
                 records: vec![rec.clone()],
-                piggyback: vec![],
-            },
-            Msg::BarrierRelease {
-                vc: vc.clone(),
-                records: vec![rec.clone()],
-                piggyback: vec![(9, 4, Diff::of_run(2, &[1]))],
             },
             Msg::GcQuery { epoch: 1 },
             Msg::GcReport {
@@ -1325,7 +1280,6 @@ mod tests {
         assert!(Msg::BarrierRelease {
             vc: Vc::new(1),
             records: vec![],
-            piggyback: vec![],
         }
         .is_control());
         assert!(!Msg::PageReq {
@@ -1451,10 +1405,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_piggyback_is_byte_identical_to_the_legacy_wire() {
-        // The piggyback section is an optional trailing field: when
-        // empty it must add zero bytes, so demand-data-plane payloads
-        // match the pre-piggyback (1999-calibrated) encoding exactly.
+    fn fork_and_release_are_byte_identical_to_the_legacy_wire() {
+        // A fork or a barrier release carries write notices and never
+        // diffs: its bytes are the legacy (1999-calibrated) encoding
+        // exactly, and a buffer with a trailing diff section, as a
+        // release could once carry, does not decode — the service
+        // thread drops it as malformed.
         let mut vc = Vc::new(2);
         vc.set(0, 3);
         let rec = Record {
@@ -1463,21 +1419,61 @@ mod tests {
             vc: vc.clone(),
             pages: vec![1, 2],
         };
+        let entry = RegEntry {
+            name: "grid".into(),
+            addr: 512,
+            len: 100,
+            kind: ElemKind::F64,
+            ver: 1,
+        };
+        let fork = Msg::Fork {
+            epoch: 1,
+            fork_no: 10,
+            region: 2,
+            params: vec![1, 2, 3],
+            vc: vc.clone(),
+            records: vec![rec.clone()],
+            registry_delta: vec![entry.clone()],
+            alloc_slots: 1024,
+        };
+        let release = Msg::BarrierRelease {
+            vc: vc.clone(),
+            records: vec![rec.clone()],
+        };
+        let mut section = Enc::new();
+        enc_diffs(&[(3, 4, Diff::of_run(0, &[7, 8]))], &mut section);
+        let section = section.finish();
         for enc_kind in [Encoding::Flat, Encoding::Runs] {
-            let msg = Msg::BarrierRelease {
-                vc: vc.clone(),
-                records: vec![rec.clone()],
-                piggyback: vec![],
-            };
-            let mut legacy = Enc::with_encoding(64, enc_kind);
-            legacy.put_u8(tags::BARRIER_RELEASE);
-            vc.enc(&mut legacy);
-            RecordSet::enc_slice(std::slice::from_ref(&rec), &mut legacy);
-            assert_eq!(
-                &msg.to_bytes_compat(enc_kind)[..],
-                &legacy.finish()[..],
-                "empty piggyback must not change the wire under {enc_kind:?}"
-            );
+            let mut legacy_fork = Enc::with_encoding(64, enc_kind);
+            legacy_fork.put_u8(tags::FORK);
+            legacy_fork.put_u32(1);
+            legacy_fork.put_u64(10);
+            legacy_fork.put_u32(2);
+            legacy_fork.put_bytes(&[1, 2, 3]);
+            vc.enc(&mut legacy_fork);
+            RecordSet::enc_slice(std::slice::from_ref(&rec), &mut legacy_fork);
+            legacy_fork.put_seq(std::slice::from_ref(&entry));
+            legacy_fork.put_u64(1024);
+            legacy_fork.put_u8(FORK_RESERVED);
+            let mut legacy_release = Enc::with_encoding(64, enc_kind);
+            legacy_release.put_u8(tags::BARRIER_RELEASE);
+            vc.enc(&mut legacy_release);
+            RecordSet::enc_slice(std::slice::from_ref(&rec), &mut legacy_release);
+            for (msg, legacy) in [(&fork, legacy_fork), (&release, legacy_release)] {
+                let legacy = legacy.finish();
+                assert_eq!(
+                    &msg.to_bytes_compat(enc_kind)[..],
+                    &legacy[..],
+                    "{msg:?} must encode as the legacy wire under {enc_kind:?}"
+                );
+                let mut with_diffs = legacy.to_vec();
+                with_diffs.extend_from_slice(&section);
+                assert_eq!(
+                    Msg::from_wire(&with_diffs),
+                    Err(WireError::TrailingBytes(section.len())),
+                    "a trailing diff section must not decode under {enc_kind:?}"
+                );
+            }
         }
     }
 

@@ -50,7 +50,8 @@ const SERVICE_BURST: usize = 16;
 /// virtual time holds still while a request is being served.
 ///
 /// A message it cannot serve — an undecodable payload, a request kind
-/// without a reply handle, a reply kind — is dropped and counted in
+/// without a reply handle, a reply kind, a diff request naming a diff
+/// we never created — is dropped and counted in
 /// [`DsmStats::malformed_dropped`]; a request from another epoch than
 /// ours, in [`DsmStats::stale_dropped`]. The loop keeps serving.
 pub fn service_loop(
@@ -114,7 +115,8 @@ pub fn service_loop(
 
 /// Why a message went unserved.
 enum Dropped {
-    /// Undecodable, a request without a reply handle, or a reply kind.
+    /// Undecodable, a request without a reply handle, a reply kind, or
+    /// a request for a diff we never created.
     Malformed,
     /// A request of another epoch than ours.
     Stale,
@@ -201,6 +203,7 @@ fn serve_one(
                 this_epoch(epoch, c.epoch())?;
                 let subscriber = c.subscriber(subscribe, epoch, inc.src);
                 c.serve_diffs(&wants, subscriber, whole_if_smaller)
+                    .ok_or(Dropped::Malformed)?
             };
             replier.reply(rep.encode(cfg));
         }
@@ -438,6 +441,47 @@ mod tests {
         // Served in arrival order, so this answer comes after all three.
         fetch();
         assert_eq!(dropped(), 3);
+    }
+
+    #[test]
+    fn a_request_for_a_diff_we_never_created_is_dropped_and_counted() {
+        let net = Network::new(2, NetModel::disabled());
+        let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
+        // A closes interval 1 with a diff of page 0; B is a member, so
+        // a marked request of B's would subscribe it.
+        {
+            let mut c = core_a.lock();
+            c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
+            c.vc = crate::types::Vc::new(2);
+            let _ = c.plan_access(0, false);
+            let _ = c.serve_page(0, None); // shared, so the write twins
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+                panic!()
+            };
+            buf.store(0, 9);
+            c.close_interval().unwrap();
+        }
+        let timeout = std::time::Duration::from_secs(10);
+        // Seq 1 exists, seq 2 was never created.
+        let req = Msg::DiffReq {
+            epoch: 0,
+            wants: vec![(0, 1), (0, 2)],
+            subscribe: true,
+            whole_if_smaller: false,
+        };
+        let answer = ep_b.call_deadline(gpid_a, req.to_bytes(), timeout);
+        assert!(answer.is_err(), "an unservable request is not answered");
+        // Served in arrival order, so this answer comes after the drop.
+        let rep = ep_b.call_deadline(gpid_a, page_req(0, false), timeout);
+        assert!(matches!(
+            Msg::from_wire(&rep.unwrap()),
+            Ok(Msg::PageRep { .. })
+        ));
+        let c = core_a.lock();
+        let stats = c.stats.snapshot();
+        assert_eq!((stats.malformed_dropped, stats.stale_dropped), (1, 0));
+        assert!(c.readers.is_empty(), "nobody subscribed");
     }
 
     /// Send `req` — a request of epoch 1 to a server still in epoch 0,

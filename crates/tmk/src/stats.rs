@@ -88,8 +88,7 @@ counters! {
     prefetch_hits,
     /// Always 0; see `prefetch_issued`.
     prefetch_wasted,
-    /// Bytes of hot diffs piggybacked on `Fork`/`BarrierRelease`
-    /// payloads (sender-side count).
+    /// Always 0; kept because the `benchmark/` harness reads it.
     piggyback_bytes,
     /// Diffs a writer pushed to subscribed readers when it closed an
     /// interval (counted as the service thread hands each `DiffPush`

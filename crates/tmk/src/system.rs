@@ -600,7 +600,6 @@ fn worker_main(
                 records,
                 registry_delta,
                 alloc_slots,
-                piggyback,
                 ..
             } => {
                 {
@@ -611,9 +610,6 @@ fn worker_main(
                     pc.ensure_pages((alloc_slots as usize).div_ceil(spp));
                     pc.apply_records(&records);
                     pc.vc.merge(&vc);
-                    // Hot diffs rode the fork (master's own, pid 0):
-                    // what they cover skips its demand fetch.
-                    pc.deposit(0, piggyback, false);
                 }
                 ctx.sync_reset();
                 ctx.set_params(params);
@@ -818,14 +814,13 @@ impl MasterCtl {
             c.drain_unsent(); // distributed via fork records below
             (c.team.clone(), c.epoch())
         };
-        let (vc, records, reg_delta, alloc_slots, piggyback) = {
+        let (vc, records, reg_delta, alloc_slots) = {
             let c = self.core.lock();
             (
                 c.vc.clone(),
                 c.records.newer_than(&self.last_fork_vc),
                 c.registry.delta_since(self.sent_reg_ver),
                 self.allocator.allocated_slots(),
-                c.piggyback_diffs(),
             )
         };
         let msg = Msg::Fork {
@@ -837,7 +832,6 @@ impl MasterCtl {
             records,
             registry_delta: reg_delta.clone(),
             alloc_slots,
-            piggyback,
         };
         // The payload is receiver-independent: encode once for all
         // slaves instead of re-serializing per destination.

@@ -216,7 +216,6 @@ pub fn fork_costs(n: usize, net: &NetModel, cost: &CostModel) -> (Duration, Dura
         records,
         registry_delta: Vec::new(),
         alloc_slots: 0,
-        piggyback: Vec::new(),
     };
     (
         net.sender_time(fork.to_bytes().len()),

@@ -256,7 +256,6 @@ proptest! {
             records: vec![],
             registry_delta: vec![],
             alloc_slots: alloc,
-            piggyback: vec![],
         };
         let b = m.to_bytes();
         prop_assert_eq!(Msg::from_wire(&b).unwrap(), m);

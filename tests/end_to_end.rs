@@ -225,7 +225,7 @@ fn paper_claim_no_overhead_without_adaptation() {
 }
 
 /// The constructor named after the paper's testbed runs the paper's
-/// protocol generation: nothing relays a fork, pushes or piggybacks.
+/// protocol generation: nothing relays a fork or pushes.
 #[test]
 fn paper_1999_testbed_runs_the_1999_generation() {
     let app = Jacobi::new(32);
