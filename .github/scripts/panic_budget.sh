@@ -15,8 +15,8 @@
 # `vendor/`, tests included.
 set -euo pipefail
 
-MAX_UNWRAP_EXPECT=59
-MAX_PANIC_UNREACHABLE=25
+MAX_UNWRAP_EXPECT=54
+MAX_PANIC_UNREACHABLE=23
 MAX_UNSAFE=0
 
 cd "$(dirname "$0")/../.."

@@ -202,7 +202,7 @@ fn tree_broadcast_unloads_the_master_link() {
 #[test]
 fn tree_reduce_unloads_the_master_inbound() {
     // Steady state, 8 processes, fork tree on both sides: flat
-    // collection converges n-1 JoinArrive/BarrierArrive streams on the
+    // collection converges n-1 JoinArrive streams (join and barrier) on the
     // master's inbound wire every region; the reduce tree delivers the
     // same records in fewer aggregates. The host model charges the
     // relay overhead an aggregator pays per absorbed aggregate, which

@@ -28,10 +28,11 @@ pub enum Broadcast {
 ///
 /// * `fork` — downstream `Fork`/`JoinInit` dissemination (the fork
 ///   shape);
-/// * `join_reduce` — the collection side: `JoinArrive` collection up the
-///   reduce shape (children aggregate their subtree's records + vector
-///   clocks into one arrival), and the barrier release down the release
-///   shape: the fork shape under `Tree`, the star under `Flat`.
+/// * `join_reduce` — the collection side: every arrival, at a barrier
+///   or at the join, up the reduce shape (children aggregate their
+///   subtree's records + vector clocks into one `JoinArrive`), and the
+///   barrier release down the release shape: the fork shape under
+///   `Tree`, the star under `Flat`.
 ///
 /// A `Flat` side is the star shape, over the same code as a `Tree` one.
 ///
@@ -43,7 +44,7 @@ pub enum Broadcast {
 pub struct CollectiveConfig {
     /// `Fork`/`JoinInit` dissemination shape.
     pub fork: Broadcast,
-    /// Collection-side shape: `JoinArrive` reduction and barrier
+    /// Collection-side shape: arrivals (barrier and join) and barrier
     /// release.
     pub join_reduce: Broadcast,
 }

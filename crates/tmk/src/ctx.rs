@@ -11,16 +11,19 @@
 //! * interval bookkeeping at releases.
 //!
 //! One `TmkCtx` exists per process application thread. A team
-//! member's context also carries its control-message buffer, so the
-//! master can act as the barrier manager while it executes its own
-//! share of a parallel region.
+//! member's context also carries its control-message buffer, so every
+//! rank can aggregate its reduce subtree's arrivals, and the master can
+//! act as the barrier manager, while it executes its own share of a
+//! parallel region.
 
 use crate::config::DsmConfig;
 use crate::core::{AccessPlan, FetchPlan, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::page::PageBuf;
+use crate::records::Record;
 use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
+use crate::system::{charge_relay, collect_joins, relay_adopting, relay_onward, send_to, Partials};
 use crate::tree::ShapeBook;
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
@@ -28,7 +31,7 @@ use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::wire::Wire;
 use nowmp_util::{ClockCondvar, MailboxReceiver};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,9 +104,9 @@ impl CtrlBuf {
 }
 
 /// A team member's link to the team-wide collectives: the control
-/// buffer barrier messages (and, in the system layer, join-reduce
-/// aggregates) arrive through, and the system's collective shapes.
-/// Only processes a [`crate::system::DsmSystem`] started have one.
+/// buffer arrival aggregates and barrier releases arrive through, and
+/// the system's collective shapes. Only processes a
+/// [`crate::system::DsmSystem`] started have one.
 #[derive(Clone)]
 pub struct TeamLink {
     /// The process's control buffer, shared with its wait loop.
@@ -196,9 +199,10 @@ pub struct TmkCtx {
     /// hook, and the generation's collectives, wire encoding and data
     /// plane.
     cfg: DsmConfig,
-    /// Link to the team: barrier arrivals (at the master) and releases
-    /// (at the others) come through its control buffer. `None` only in
-    /// single-process test contexts.
+    /// Link to the team: arrival aggregates (at every rank with a
+    /// reduce subtree) and barrier releases (at all but the master)
+    /// come through its control buffer. `None` only in single-process
+    /// test contexts.
     link: Option<TeamLink>,
     /// Current region parameters (set by the fork dispatcher).
     params: Vec<u8>,
@@ -223,6 +227,11 @@ pub struct TmkCtx {
     /// At the master, after a join: the team's partials in pid order
     /// ([`Self::take_join_partials`]).
     join_partials: Vec<f64>,
+    /// At the master: the clock the last `Fork` or `BarrierRelease`
+    /// carried. Every rank merged it, so it bounds every rank's clock
+    /// from below — the bound a barrier assumes for a rank whose
+    /// arrival came aggregated with others.
+    floor: Vc,
 }
 
 impl TmkCtx {
@@ -265,6 +274,7 @@ impl TmkCtx {
             outbox,
             partial: None,
             join_partials: Vec::new(),
+            floor: Vc::new(0),
         }
     }
 
@@ -330,14 +340,10 @@ impl TmkCtx {
         self.partial = Some(partial);
     }
 
-    /// The partial the region body handed its join, if any.
-    pub(crate) fn take_partial(&mut self) -> Option<f64> {
-        self.partial.take()
-    }
-
-    /// At the master after a join: install the team's partials.
-    pub(crate) fn set_join_partials(&mut self, partials: Vec<f64>) {
-        self.join_partials = partials;
+    /// At the master, at a fork: the clock the `Fork` carried is the
+    /// region's first floor.
+    pub(crate) fn set_floor(&mut self, vc: Vc) {
+        self.floor = vc;
     }
 
     /// At the master, in the sequential phase after a join: the
@@ -717,10 +723,10 @@ impl TmkCtx {
 
     /// Hand the pushes an interval close queued (if any) to the service
     /// thread. Call it after every close, and *after* that
-    /// synchronization point's own message (`JoinArrive`,
-    /// `BarrierArrive`, a lock release, the master's fork sends) is on
-    /// the link: that message is small and on the critical path, so it
-    /// reserves the wire ahead of the bulk.
+    /// synchronization point's own message (a `JoinArrive`, a lock
+    /// release, the master's fork sends) is on the link: that message
+    /// is small and on the critical path, so it reserves the wire ahead
+    /// of the bulk.
     pub fn wake_pusher(&self) {
         if !self.outbox.lock().is_empty() {
             self.endpoint.wake();
@@ -735,13 +741,121 @@ impl TmkCtx {
         r
     }
 
-    /// In-region barrier. The master (pid 0) is the manager: every slave
-    /// sends it a one-way `BarrierArrive` with its new records, and the
+    /// The region's join, the region's own barrier: at a worker, its
+    /// arrival with the partial the body handed the join; at the
+    /// master, the collection of every rank's, whose partials
+    /// [`Self::take_join_partials`] then returns.
+    pub(crate) fn join(&mut self) {
+        let partial = self.partial.take();
+        if self.my_pid == 0 {
+            self.join_partials = self.gather(partial, |_, _| {});
+        } else {
+            self.arrive(partial);
+        }
+    }
+
+    /// Arrive at a barrier or at the join, at a rank other than the
+    /// master: close our interval, collect the `JoinArrive` aggregates
+    /// of our subtree in the reduce shape, merge them into our own
+    /// arrival (vector-clock merge + record union, deduped by
+    /// `(pid, seq)`), and send **one** aggregate to our parent —
+    /// escalating to the grandparent, and on up to the master, while
+    /// the parent's endpoint is gone. Its `reduction` partials are ours
+    /// (`partial`), then our subtree's, in pid order. Then the close's
+    /// pushes start.
+    ///
+    /// A child's aggregate can reach us before our own `Fork` or
+    /// `BarrierRelease` does (the shapes differ): the wait loops leave
+    /// it in the control buffer, where this collection finds it. Child
+    /// data is buffered here only, never applied to our own core, so
+    /// per-process DSM state is the flat collection's.
+    fn arrive(&mut self, partial: Option<f64>) {
+        let (mut vc, mut records) = {
+            let mut c = self.core.lock();
+            c.close_interval();
+            (c.vc.clone(), c.drain_unsent())
+        };
+        let link = self.team_link();
+        let shape = &link.shapes.get(self.nprocs()).reduce;
+        let (pid, my) = (self.my_pid, self.my_pid as usize);
+        // `drain_unsent` can hand us records authored by *other* pids
+        // (lock transfers), so dedup child aggregates against them.
+        let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
+        let endpoint = &self.endpoint;
+        let absorb = |_from, child_vc: Vc, child_recs: Vec<Record>| {
+            vc.merge(&child_vc);
+            for r in child_recs {
+                if seen.insert((r.pid, r.seq)) {
+                    records.push(r);
+                }
+            }
+            // One inbound stack traversal per absorbed aggregate.
+            charge_relay(endpoint);
+        };
+        let mut partials = Partials::default();
+        partials.add(pid, partial.into_iter().collect());
+        let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
+        collect_joins(&link.ctrl, shape, my, epoch, timeout, &mut partials, absorb);
+        let bytes = Msg::JoinArrive {
+            epoch,
+            pid,
+            vc,
+            records,
+            partials: partials.in_pid_order(),
+        }
+        .encode(&self.cfg);
+        let mut target = shape.parent(my);
+        while let Err(e) = endpoint.send(self.team.gpid(target as Pid), bytes.clone()) {
+            if target == 0 {
+                panic!("arrival from rank {my} to master failed: {e}");
+            }
+            eprintln!("[nowmp] arrival: rank {my}'s parent {target} unreachable; escalating");
+            target = shape.parent(target);
+        }
+        if shape.subtree_size(my) > 1 {
+            DsmStats::bump(&self.stats.reduce_relays);
+        }
+        self.wake_pusher();
+    }
+
+    /// The master's side of a barrier or of the join: close our
+    /// interval, then collect every rank's arrival up the reduce shape,
+    /// applying each aggregate as it lands and handing its sender and
+    /// clock to `heard`. The master sends nothing until everyone has
+    /// arrived, so its pushes start first. Returns the team's
+    /// `reduction` partials in pid order, ours (`partial`) first.
+    fn gather(&mut self, partial: Option<f64>, mut heard: impl FnMut(usize, Vc)) -> Vec<f64> {
+        {
+            let mut c = self.core.lock();
+            c.close_interval();
+            c.drain_unsent(); // the next fork or release distributes them
+        }
+        self.wake_pusher();
+        let link = self.team_link();
+        let reduce = &link.shapes.get(self.nprocs()).reduce;
+        let mut partials = Partials::default();
+        partials.add(0, partial.into_iter().collect());
+        let core = &self.core;
+        let absorb = |from, vc: Vc, records: Vec<Record>| {
+            let mut c = core.lock();
+            c.apply_records(&records);
+            c.vc.merge(&vc);
+            heard(from, vc);
+        };
+        let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
+        collect_joins(&link.ctrl, reduce, 0, epoch, timeout, &mut partials, absorb);
+        partials.in_pid_order()
+    }
+
+    /// In-region barrier: the arrival is a join's ([`Self::arrive`]),
+    /// up the reduce shape to the master (pid 0), the manager. The
     /// master sends each of the root's children in the release shape
     /// ([`crate::tree::Shapes::release`]) one `BarrierRelease` with the
     /// merged clock and the records that child's subtree lacks, which
     /// interior ranks relay verbatim. On the star (a flat
-    /// `join_reduce`) each slave gets what it lacks: the 1999 traffic.
+    /// `join_reduce`) each slave arrives and is released on its own:
+    /// the 1999 traffic. A `reduction` partial handed to the join
+    /// ([`Self::hand_to_join`]) waits for the join.
     pub fn barrier(&mut self) {
         self.throttle();
         DsmStats::bump(&self.stats.barrier_arrivals);
@@ -753,33 +867,21 @@ impl TmkCtx {
         if self.my_pid == 0 {
             self.barrier_master();
         } else {
-            self.barrier_slave();
+            self.arrive(None);
+            self.await_release();
         }
         self.sync_reset();
     }
 
-    /// Our link to the team's collectives. Only the barrier needs one.
+    /// Our link to the team's collectives.
     fn team_link(&self) -> TeamLink {
         self.link.clone().expect("a team member has a team link")
     }
 
-    fn barrier_slave(&mut self) {
-        let (vc, records, pid) = {
-            let mut c = self.core.lock();
-            c.close_interval();
-            (c.vc.clone(), c.drain_unsent(), c.my_pid)
-        };
-        let arrive = Msg::BarrierArrive {
-            epoch: self.epoch,
-            pid,
-            vc,
-            records,
-        };
+    /// A slave's half of the barrier after its arrival: wait for the
+    /// release, relay it to our release subtree, apply it.
+    fn await_release(&mut self) {
         let link = self.team_link();
-        self.endpoint
-            .send(self.team.master(), arrive.encode(&self.cfg))
-            .unwrap_or_else(|e| panic!("{}: barrier arrival failed: {e}", self.gpid()));
-        self.wake_pusher();
         let c = link
             .ctrl
             .lock()
@@ -789,12 +891,12 @@ impl TmkCtx {
             .expect("barrier release lost");
         // Relay the verbatim payload to our subtree *before* applying:
         // the subtree's release latency is the critical path.
-        crate::system::relay_onward(
+        relay_onward(
             &self.endpoint,
             &link.shapes.get(self.team.nprocs()).release,
-            pid,
+            self.my_pid,
             &self.stats.release_relays,
-            crate::system::send_to(&self.endpoint, &self.team, c.raw.clone()),
+            send_to(&self.endpoint, &self.team, c.raw.clone()),
         );
         if let Msg::BarrierRelease { vc, records } = c.msg {
             let mut core = self.core.lock();
@@ -804,47 +906,24 @@ impl TmkCtx {
     }
 
     fn barrier_master(&mut self) {
-        let link = self.team_link();
-        let n = self.nprocs();
-        let epoch = self.epoch;
-        // Close our interval; our records are in the store. The
-        // manager sends nothing of its own until everyone has arrived,
-        // so its pushes can start now.
-        {
-            let mut c = self.core.lock();
-            c.close_interval();
-            c.drain_unsent(); // master's records distribute via the release below
-        }
-        self.wake_pusher();
-        // Collect n-1 arrivals: each rank's clock, by rank.
-        let mut arrived = vec![Vc::new(n); n];
-        for _ in 0..n - 1 {
-            let c = link
-                .ctrl
-                .lock()
-                .recv_where(
-                    self.cfg.call_timeout,
-                    |c| matches!(&c.msg, Msg::BarrierArrive { epoch: e, .. } if *e == epoch),
-                )
-                .expect("barrier arrival lost");
-            if let Msg::BarrierArrive {
-                pid, vc, records, ..
-            } = c.msg
-            {
-                let mut core = self.core.lock();
-                core.apply_records(&records);
-                core.vc.merge(&vc);
-                arrived[pid as usize] = vc;
+        // A lower bound on every rank's clock: exact for a rank whose
+        // arrival came alone (every rank, on the star), the floor for
+        // one aggregated with others.
+        let shapes = self.team_link().shapes.get(self.nprocs());
+        let mut arrived = vec![self.floor.clone(); self.nprocs()];
+        self.gather(None, |from, vc| {
+            if shapes.reduce.subtree_size(from) == 1 {
+                arrived[from] = vc;
             }
-        }
+        });
         let merged = self.core.lock().vc.clone();
         // Each subtree of the root gets everything newer than the
-        // pointwise-min arrival clock over its ranks: what any of them
+        // pointwise-min clock bound over its ranks: what any of them
         // lacks (over-delivery is fine — record application dedups),
         // so one payload is relayed verbatim through the subtree. A
         // vanished child's adopted children get their own subtrees'.
-        let shape = &link.shapes.get(n).release;
-        crate::system::relay_adopting(shape, 0, |child| {
+        let shape = &shapes.release;
+        relay_adopting(shape, 0, |child| {
             let mut min = arrived[child].clone();
             for vc in &arrived[child + 1..child + shape.subtree_size(child)] {
                 min.meet(vc);
@@ -853,8 +932,9 @@ impl TmkCtx {
                 vc: merged.clone(),
                 records: self.core.lock().records.newer_than(&min),
             };
-            crate::system::send_to(&self.endpoint, &self.team, release.encode(&self.cfg))(child)
+            send_to(&self.endpoint, &self.team, release.encode(&self.cfg))(child)
         });
+        self.floor = merged;
     }
 }
 

@@ -11,12 +11,13 @@
 //! service thread both sends and receives.
 //!
 //! *Control* messages are forwarded by the service thread to the
-//! application thread: `Fork`, `JoinArrive`, `BarrierArrive`,
-//! `BarrierRelease`, the GC
-//! sequence, `Commit`/`JoinInit`, `ReadyJoin`, `Terminate`. The barrier
-//! is two one-way waves: every slave's `BarrierArrive` goes straight to
-//! the master, and the master's `BarrierRelease`s travel down the
-//! release shape ([`crate::tree::Shapes::release`]).
+//! application thread: `Fork`, `JoinArrive`, `BarrierRelease`, the GC
+//! sequence, `Commit`/`JoinInit`, `ReadyJoin`, `Terminate`. A barrier
+//! is two one-way waves, like a region's join followed by a fork:
+//! `JoinArrive` aggregates travel up the reduce shape
+//! ([`crate::tree::Shapes::reduce`]), and the master's
+//! `BarrierRelease`s travel down the release shape
+//! ([`crate::tree::Shapes::release`]).
 
 use crate::config::DsmConfig;
 use crate::diff::Diff;
@@ -387,35 +388,26 @@ pub enum Msg {
         /// Slots allocated so far (keeps the slave's page table sized).
         alloc_slots: Addr,
     },
-    /// Slave → master: finished the region (the `Tmk_join`), one-way.
+    /// Rank → its parent in the reduce shape: an arrival at a barrier
+    /// or at the join (the `Tmk_join`, the region's own barrier),
+    /// one-way, aggregating the sender's whole subtree.
     JoinArrive {
         /// Protocol epoch.
         epoch: Epoch,
-        /// Arriving pid.
+        /// The sender: the first rank of the contiguous range the
+        /// aggregate covers ([`crate::tree::Shape::subtree_size`]).
         pid: Pid,
-        /// Arriving vector clock.
+        /// The merged clock of the ranks it covers.
         vc: Vc,
-        /// Records created since last contact with the master.
+        /// Records those ranks created since their last arrival.
         records: Vec<Record>,
         /// The region's `reduction(+)` partials of every rank the
         /// aggregate covers, in pid order (the sender's own first):
         /// what a generation whose reduction rides the join hands the
-        /// master to fold. Empty for a region without the clause — and
-        /// then absent from the wire, keeping every such arrival, the
-        /// whole 1999 wire included, byte-identical.
+        /// master to fold. Empty at a barrier and for a region without
+        /// the clause — and then absent from the wire, keeping every
+        /// such arrival, the whole 1999 wire included, byte-identical.
         partials: Vec<f64>,
-    },
-    /// Slave → master: in-region barrier arrival, one-way (answered by
-    /// a `BarrierRelease`).
-    BarrierArrive {
-        /// Protocol epoch.
-        epoch: Epoch,
-        /// Arriving pid.
-        pid: Pid,
-        /// Arriving vector clock.
-        vc: Vc,
-        /// Records created since the last sync with the manager.
-        records: Vec<Record>,
     },
     /// Master → the root's children in the release shape: the barrier
     /// release, one-way, relayed verbatim by interior ranks to their
@@ -493,6 +485,9 @@ pub enum Msg {
     Terminate,
 }
 
+/// Tags 14 and 15 are retired (the barrier's own arrival and its
+/// reply): a buffer carrying one fails to decode with
+/// [`WireError::BadTag`].
 mod tags {
     pub const CONN_HELLO: u8 = 1;
     pub const PAGE_REQ: u8 = 2;
@@ -507,7 +502,6 @@ mod tags {
     pub const LOCK_REP: u8 = 11;
     pub const FORK: u8 = 12;
     pub const JOIN_ARRIVE: u8 = 13;
-    pub const BARRIER_ARRIVE: u8 = 14;
     pub const GC_QUERY: u8 = 16;
     pub const GC_REPORT: u8 = 17;
     pub const GC_FETCH: u8 = 18;
@@ -740,18 +734,6 @@ impl Wire for Msg {
                 RecordSet::enc_slice(records, e);
                 enc_partials(partials, e);
             }
-            Msg::BarrierArrive {
-                epoch,
-                pid,
-                vc,
-                records,
-            } => {
-                e.put_u8(BARRIER_ARRIVE);
-                e.put_u32(*epoch);
-                e.put_u16(*pid);
-                vc.enc(e);
-                RecordSet::enc_slice(records, e);
-            }
             Msg::BarrierRelease { vc, records } => {
                 e.put_u8(BARRIER_RELEASE);
                 vc.enc(e);
@@ -911,12 +893,6 @@ impl Wire for Msg {
                 records: RecordSet::dec_vec(d)?,
                 partials: dec_partials(d)?,
             },
-            BARRIER_ARRIVE => Msg::BarrierArrive {
-                epoch: d.get_u32()?,
-                pid: d.get_u16()?,
-                vc: Vc::dec(d)?,
-                records: RecordSet::dec_vec(d)?,
-            },
             BARRIER_RELEASE => Msg::BarrierRelease {
                 vc: Vc::dec(d)?,
                 records: RecordSet::dec_vec(d)?,
@@ -1007,7 +983,6 @@ impl Msg {
             self,
             Msg::Fork { .. }
                 | Msg::JoinArrive { .. }
-                | Msg::BarrierArrive { .. }
                 | Msg::BarrierRelease { .. }
                 | Msg::GcQuery { .. }
                 | Msg::GcFetch { .. }
@@ -1185,12 +1160,6 @@ mod tests {
                 records: vec![rec.clone()],
                 partials: vec![0.5, -2.25],
             },
-            Msg::BarrierArrive {
-                epoch: 1,
-                pid: 2,
-                vc: vc.clone(),
-                records: vec![rec.clone()],
-            },
             Msg::BarrierRelease {
                 vc: vc.clone(),
                 records: vec![rec.clone()],
@@ -1246,12 +1215,11 @@ mod tests {
         // `Msg::encode` hands every message the process's encoding, so
         // this pins which payloads a generation changes: exactly the
         // variants that carry a clock or a record set.
-        const CARRY_CLOCK_OR_RECORDS: [&str; 6] = [
+        const CARRY_CLOCK_OR_RECORDS: [&str; 5] = [
             "RecordsReq",
             "RecordsRep",
             "Fork",
             "JoinArrive",
-            "BarrierArrive",
             "BarrierRelease",
         ];
         let (y1999, current) = (
@@ -1542,5 +1510,30 @@ mod tests {
     fn garbage_rejected() {
         assert!(Msg::from_wire(&[200, 1, 2]).is_err());
         assert!(Msg::from_wire(&[]).is_err());
+    }
+
+    #[test]
+    fn retired_tags_do_not_decode() {
+        // Neither retired tag decodes, even in front of a well-formed
+        // arrival body.
+        let mut body = Msg::JoinArrive {
+            epoch: 1,
+            pid: 2,
+            vc: Vc::new(3),
+            records: vec![],
+            partials: vec![],
+        }
+        .to_bytes()
+        .to_vec();
+        for tag in [14, 15] {
+            body[0] = tag;
+            assert_eq!(
+                Msg::from_wire(&body),
+                Err(WireError::BadTag {
+                    what: "Msg",
+                    tag: tag as u32
+                })
+            );
+        }
     }
 }

@@ -72,10 +72,10 @@ pub fn service_loop(
             c.cfg.clone(),
         )
     };
-    let serve = |inc| match serve_one(inc, &core, &table, &cfg, &ctrl_tx) {
-        Ok(()) => {}
-        Err(Dropped::Malformed) => DsmStats::bump(&stats.malformed_dropped),
-        Err(Dropped::Stale) => DsmStats::bump(&stats.stale_dropped),
+    let serve = |inc| {
+        if let Err(dropped) = serve_one(inc, &core, &table, &cfg, &ctrl_tx) {
+            dropped.count(&stats);
+        }
     };
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
     loop {
@@ -113,13 +113,24 @@ pub fn service_loop(
     }
 }
 
-/// Why a message went unserved.
-enum Dropped {
-    /// Undecodable, a request without a reply handle, a reply kind, or
-    /// a request for a diff we never created.
+/// Why a message went unserved, here or in a worker's wait loop.
+pub(crate) enum Dropped {
+    /// Undecodable, a request without a reply handle, a reply kind, a
+    /// request for a diff we never created, or a control message the
+    /// wait loop cannot serve.
     Malformed,
     /// A request of another epoch than ours.
     Stale,
+}
+
+impl Dropped {
+    /// Count the drop: in `malformed_dropped` or `stale_dropped`.
+    pub(crate) fn count(self, stats: &DsmStats) {
+        DsmStats::bump(match self {
+            Dropped::Malformed => &stats.malformed_dropped,
+            Dropped::Stale => &stats.stale_dropped,
+        });
+    }
 }
 
 /// A request of `epoch` is served only in that epoch (`ours`).
@@ -424,23 +435,35 @@ mod tests {
 
         fetch();
         assert_eq!(dropped(), 0, "a well-formed request is served");
-        // Garbage, a request without a reply handle, and a reply kind.
+        // Garbage, a request without a reply handle, a reply kind, and
+        // an arrival under the retired barrier-arrival tag 14.
         let page_rep = Msg::PageRep {
             applied: Vec::new(),
             words: Vec::new(),
             redirect: None,
             push_after: None,
         };
+        let mut retired = Msg::JoinArrive {
+            epoch: 0,
+            pid: 1,
+            vc: crate::types::Vc::new(2),
+            records: Vec::new(),
+            partials: Vec::new(),
+        }
+        .to_bytes()
+        .to_vec();
+        retired[0] = 14;
         for payload in [
             bytes::Bytes::from_static(&[0xFF]),
             page_req(0, false),
             page_rep.to_bytes(),
+            retired.into(),
         ] {
             ep_b.send(gpid_a, payload).unwrap();
         }
-        // Served in arrival order, so this answer comes after all three.
+        // Served in arrival order, so this answer comes after all four.
         fetch();
-        assert_eq!(dropped(), 3);
+        assert_eq!(dropped(), 4);
     }
 
     #[test]

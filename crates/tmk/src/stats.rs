@@ -65,8 +65,9 @@ counters! {
     /// `Fork`/`JoinInit` broadcast messages forwarded by interior
     /// relays of the fork shape (zero under the flat broadcast).
     bcast_relays,
-    /// `JoinArrive` aggregates forwarded upward by interior ranks of
-    /// the reduce shape (zero under the flat join reduce).
+    /// Arrival aggregates, barrier or join, forwarded upward by
+    /// interior ranks of the reduce shape (zero under the flat join
+    /// reduce).
     reduce_relays,
     /// `BarrierRelease` messages forwarded downward by interior ranks
     /// of the fork shape (zero under the flat barrier release).
@@ -104,14 +105,19 @@ counters! {
     /// push_sent` at every point.
     push_wasted,
     /// Messages a service thread dropped unserved: an undecodable
-    /// payload, a request kind sent without a reply handle, or a reply
-    /// kind. Zero in every run of this workspace's own protocol.
+    /// payload, a request kind sent without a reply handle, a reply
+    /// kind, or a request for a diff never created. And control
+    /// messages a worker's wait loop dropped: a `GcQuery`, `GcFetch`
+    /// or `Commit` without a reply handle, a `JoinInit` that does not
+    /// make the receiver a member, or a kind the loop does not serve.
+    /// Zero in every run of this workspace's own protocol.
     malformed_dropped,
     /// Requests dropped unserved as stale: a `PageReq`, `DiffReq`,
     /// `RecordsReq`, `LockReq` or `LockRelease` of another epoch than
     /// the server's, or a `LockRelease` from a process that does not
-    /// hold the lock. Zero in every run of this workspace's own
-    /// protocol.
+    /// hold the lock; and a `Fork`, `GcQuery`, `GcFetch`, `Commit` or
+    /// `JoinArrive` of another epoch than the worker's. Zero in every run of this
+    /// workspace's own protocol.
     stale_dropped,
 }
 

@@ -19,7 +19,7 @@ use crate::gc::{compute_gc_plan, page_writes, GcPlan};
 use crate::msg::{DirRle, Msg, RegEntry};
 use crate::page::Wn;
 use crate::records::Record;
-use crate::service::{service_loop, Ctrl};
+use crate::service::{service_loop, Ctrl, Dropped};
 use crate::shm::{Allocator, Registry};
 use crate::stats::DsmStats;
 use crate::tree::{Shape, ShapeBook};
@@ -301,7 +301,7 @@ pub fn relay_tree_send(
 }
 
 /// Charge one relay overhead (an inbound stack traversal) to the clock.
-fn charge_relay(endpoint: &Endpoint) {
+pub(crate) fn charge_relay(endpoint: &Endpoint) {
     let d = endpoint.cost().relay_time();
     if !d.is_zero() {
         endpoint.clock().sleep(d);
@@ -326,26 +326,28 @@ pub(crate) fn relay_onward(
 }
 
 /// Collect the `JoinArrive` aggregates of rank `my`'s subtree in the
-/// reduce `shape` (all of it but `my`), handing each one's clock and
-/// records to `absorb` and keeping its `reduction` partials in
-/// `partials`, keyed by the sender. The sender pid of an aggregate
+/// reduce `shape` (all of it but `my`), handing each one's sender rank,
+/// clock and records to `absorb` and keeping its `reduction` partials
+/// in `partials`, keyed by the sender: the one loop that collects
+/// arrivals, at a barrier and at the join, at the master and at every
+/// interior rank ([`TmkCtx::arrive`]). The sender pid of an aggregate
 /// identifies the contiguous rank range it covers
 /// ([`Shape::subtree_size`]), so coverage needs no extra wire fields.
 ///
 /// Adoption mirrors [`relay_tree_send`]: a sender whose parent is gone
-/// escalates to the grandparent (see [`worker_join_reduce`]), so an
+/// escalates to the grandparent (see [`TmkCtx::arrive`]), so an
 /// aggregate that *skipped* dead intermediate ranks tells us to stop
 /// waiting for them and collect their escalated orphans instead (the
 /// vanished members themselves resolve through the ordinary grace-timer
 /// / urgent-migration path, as on the fork side).
-fn collect_joins(
+pub(crate) fn collect_joins(
     ctrl: &Mutex<CtrlBuf>,
     shape: &Shape,
     my: usize,
     epoch: Epoch,
     timeout: Duration,
     partials: &mut Partials,
-    mut absorb: impl FnMut(Vc, Vec<Record>),
+    mut absorb: impl FnMut(usize, Vc, Vec<Record>),
 ) {
     let mut remaining: HashSet<usize> = (my + 1..my + shape.subtree_size(my)).collect();
     while !remaining.is_empty() {
@@ -355,7 +357,7 @@ fn collect_joins(
                 timeout,
                 |c| matches!(&c.msg, Msg::JoinArrive { epoch: e, .. } if *e == epoch),
             )
-            .expect("join aggregate lost");
+            .expect("arrival aggregate lost");
         if let Msg::JoinArrive {
             pid,
             vc,
@@ -374,13 +376,13 @@ fn collect_joins(
             while a != my && a != 0 {
                 if remaining.remove(&a) {
                     eprintln!(
-                        "[nowmp] join reduce: rank {my} adopts subtree of vanished aggregator {a}"
+                        "[nowmp] arrival: rank {my} adopts subtree of vanished aggregator {a}"
                     );
                 }
                 a = shape.parent(a);
             }
             partials.add(pid, part);
-            absorb(vc, records);
+            absorb(from, vc, records);
         }
     }
 }
@@ -388,11 +390,11 @@ fn collect_joins(
 /// The `reduction` partials a join collects: each aggregate's run of
 /// its contiguous rank range, keyed by its first rank.
 #[derive(Default)]
-struct Partials(Vec<(Pid, Vec<f64>)>);
+pub(crate) struct Partials(Vec<(Pid, Vec<f64>)>);
 
 impl Partials {
     /// Rank `from`'s run (nothing when it is empty: no clause).
-    fn add(&mut self, from: Pid, run: Vec<f64>) {
+    pub(crate) fn add(&mut self, from: Pid, run: Vec<f64>) {
         if !run.is_empty() {
             self.0.push((from, run));
         }
@@ -400,84 +402,9 @@ impl Partials {
 
     /// Every run concatenated in pid order. The ranges are disjoint,
     /// so ordering the runs by their first rank orders the partials.
-    fn in_pid_order(mut self) -> Vec<f64> {
+    pub(crate) fn in_pid_order(mut self) -> Vec<f64> {
         self.0.sort_unstable_by_key(|(from, _)| *from);
         self.0.into_iter().flat_map(|(_, run)| run).collect()
-    }
-}
-
-/// Join reduce, worker side: collect the `JoinArrive` aggregates of our
-/// whole subtree in the reduce shape, merge them into our own arrival
-/// (vector-clock merge + record union, deduped by `(pid, seq)`), and
-/// forward **one** aggregate to our parent — escalating to the
-/// grandparent, and on up to the master, while the parent's endpoint is
-/// gone. A leaf just sends its own arrival. The aggregate's
-/// `reduction` partials are ours, then our subtree's, in pid order.
-///
-/// The two shapes differ, so a child's aggregate can reach us before
-/// our own `Fork` does: the wait loop in `worker_main` leaves it in the
-/// control buffer, where this collection finds it.
-///
-/// Child data is buffered here only — never applied to our own core —
-/// so per-process DSM state stays byte-identical to the flat collection
-/// (the next fork's receiver-independent notice set brings everyone to
-/// par exactly as today).
-fn worker_join_reduce(
-    sys: &DsmSystem,
-    endpoint: &Endpoint,
-    ctrl: &Mutex<CtrlBuf>,
-    ctx: &mut TmkCtx,
-    epoch: Epoch,
-    mut vc: Vc,
-    mut records: Vec<Record>,
-) {
-    let partial = ctx.take_partial();
-    let (team, pid) = (ctx.team(), ctx.pid());
-    let shapes = sys.shapes.get(team.nprocs());
-    let shape = &shapes.reduce;
-    let my = pid as usize;
-    // `drain_unsent` can hand us records authored by *other* pids (lock
-    // transfers), so dedup child aggregates against them.
-    let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
-    let absorb = |child_vc: Vc, child_recs: Vec<Record>| {
-        vc.merge(&child_vc);
-        for r in child_recs {
-            if seen.insert((r.pid, r.seq)) {
-                records.push(r);
-            }
-        }
-        // One inbound stack traversal per absorbed aggregate.
-        charge_relay(endpoint);
-    };
-    let mut partials = Partials::default();
-    if let Some(own) = partial {
-        partials.add(pid, vec![own]);
-    }
-    let timeout = sys.cfg.call_timeout;
-    collect_joins(ctrl, shape, my, epoch, timeout, &mut partials, absorb);
-    let bytes = Msg::JoinArrive {
-        epoch,
-        pid,
-        vc,
-        records,
-        partials: partials.in_pid_order(),
-    }
-    .encode(&sys.cfg);
-    let mut target = shape.parent(my);
-    loop {
-        match endpoint.send(team.gpid(target as Pid), bytes.clone()) {
-            Ok(()) => break,
-            Err(_) if target != 0 => {
-                eprintln!(
-                    "[nowmp] join reduce: rank {my}'s parent {target} unreachable; escalating"
-                );
-                target = shape.parent(target);
-            }
-            Err(e) => panic!("join aggregate from rank {my} to master failed: {e}"),
-        }
-    }
-    if shape.subtree_size(my) > 1 {
-        DsmStats::bump(&sys.stats.reduce_relays);
     }
 }
 
@@ -509,9 +436,9 @@ fn worker_main(
     }
     let _ = endpoint.send(master, Msg::ReadyJoin { gpid }.encode(cfg));
 
-    // Shared with our `TmkCtx`: tree-mode barrier releases (and the
-    // join-reduce collection below) are received off the same buffer
-    // the wait loop drains.
+    // Shared with our `TmkCtx`: the arrival aggregates of our reduce
+    // subtree and the barrier releases of a region are received off
+    // the same buffer this wait loop drains.
     let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx)));
     let mut ctx = TmkCtx::new(
         Arc::clone(&core),
@@ -520,32 +447,37 @@ fn worker_main(
     );
     let runner = Arc::clone(&sys.runner);
 
+    // Control input any peer can send is dropped and counted, never a
+    // panic (`DsmStats::stale_dropped`, `malformed_dropped`).
     loop {
         // A reduce child can finish its share before our own `Fork`
         // reaches us down the (differently shaped) fork tree: its
-        // aggregate stays buffered for `worker_join_reduce`. No
-        // deadline: the master may compute for any time between two
-        // regions.
-        let c = match ctrl
-            .lock()
-            .recv_where(Duration::MAX, |c| !matches!(c.msg, Msg::JoinArrive { .. }))
-        {
+        // aggregate stays buffered for `TmkCtx::arrive`. One of another
+        // epoch no collection takes is dropped below. No deadline: the
+        // master may compute for any time between two regions.
+        let now = core.lock().epoch();
+        let c = match ctrl.lock().recv_where(
+            Duration::MAX,
+            |c| !matches!(c.msg, Msg::JoinArrive { epoch, .. } if epoch == now),
+        ) {
             Ok(c) => c,
             Err(_) => break, // disconnected: system torn down
         };
-        // Forward a fork to our subtree *before* touching our own
-        // state — the subtree's latency is the broadcast's critical
-        // path, our record merge is not.
-        if let Msg::Fork { .. } = &c.msg {
-            relay_onward(
-                &endpoint,
-                &sys.shapes.get(ctx.nprocs()).fork,
-                ctx.pid(),
-                &sys.stats.bcast_relays,
-                send_to(&endpoint, ctx.team(), c.raw.clone()),
-            );
-        }
-        match c.msg {
+        let served = match c.msg {
+            Msg::GcQuery { .. } | Msg::GcFetch { .. } | Msg::Commit { .. }
+                if c.replier.is_none() =>
+            {
+                Err(Dropped::Malformed)
+            }
+            Msg::JoinArrive { .. } => Err(Dropped::Stale),
+            Msg::Fork { epoch, .. }
+            | Msg::GcQuery { epoch }
+            | Msg::GcFetch { epoch, .. }
+            | Msg::Commit { epoch, .. }
+                if epoch != now =>
+            {
+                Err(Dropped::Stale)
+            }
             Msg::JoinInit {
                 epoch,
                 team,
@@ -553,47 +485,43 @@ fn worker_main(
                 registry,
                 alloc_slots,
                 relay,
-            } => {
-                let my_pid = team
-                    .pid_of(gpid)
-                    .expect("JoinInit delivered to a non-member");
-                {
-                    let mut pc = core.lock();
-                    pc.registry = Registry::new();
-                    pc.registry.merge(&registry);
-                    let dirv = dir.to_vec();
-                    let spp = pc.cfg.slots_per_page();
-                    pc.ensure_pages(dirv.len().max((alloc_slots as usize).div_ceil(spp)));
-                    let n = team.members.len();
-                    assert_eq!(team.epoch, epoch, "JoinInit team/epoch mismatch");
-                    pc.vc = Vc::new(n);
-                    pc.my_pid = my_pid;
-                    pc.team = team.clone();
-                    pc.pages.set_epoch(team.epoch);
-                    for (i, owner) in dirv.iter().enumerate() {
-                        let mut meta = pc.pages.guard(i as PageId);
-                        meta.owner = *owner;
-                        meta.shared = true;
+            } => match team.pid_of(gpid) {
+                Some(my_pid) if team.epoch == epoch => {
+                    {
+                        let mut pc = core.lock();
+                        pc.registry = Registry::new();
+                        pc.registry.merge(&registry);
+                        let dirv = dir.to_vec();
+                        let spp = pc.cfg.slots_per_page();
+                        pc.ensure_pages(dirv.len().max((alloc_slots as usize).div_ceil(spp)));
+                        pc.vc = Vc::new(team.members.len());
+                        pc.my_pid = my_pid;
+                        pc.team = team.clone();
+                        pc.pages.set_epoch(team.epoch);
+                        for (i, owner) in dirv.iter().enumerate() {
+                            let mut meta = pc.pages.guard(i as PageId);
+                            meta.owner = *owner;
+                            meta.shared = true;
+                        }
                     }
+                    ctx.sync_reset();
+                    // Team formation: install first, then bring our
+                    // whole subtree up; our own ack means "subtree
+                    // ready".
+                    if relay {
+                        relay_onward(
+                            &endpoint,
+                            &sys.shapes.get(team.nprocs()).fork,
+                            my_pid,
+                            &sys.stats.bcast_relays,
+                            call_acked(&endpoint, &team, &c.raw, timeout),
+                        );
+                    }
+                    Ok(Some(Msg::Ack))
                 }
-                ctx.sync_reset();
-                // Team formation: install first, then bring our whole
-                // subtree up; our own ack means "subtree ready".
-                if relay {
-                    relay_onward(
-                        &endpoint,
-                        &sys.shapes.get(team.nprocs()).fork,
-                        my_pid,
-                        &sys.stats.bcast_relays,
-                        call_acked(&endpoint, &team, &c.raw, timeout),
-                    );
-                }
-                if let Some(r) = c.replier {
-                    r.reply(Msg::Ack.encode(cfg));
-                }
-            }
+                _ => Err(Dropped::Malformed),
+            },
             Msg::Fork {
-                epoch,
                 region,
                 params,
                 vc,
@@ -602,9 +530,18 @@ fn worker_main(
                 alloc_slots,
                 ..
             } => {
+                // Forward the fork to our subtree *before* touching our
+                // own state — the subtree's latency is the broadcast's
+                // critical path, our record merge is not.
+                relay_onward(
+                    &endpoint,
+                    &sys.shapes.get(ctx.nprocs()).fork,
+                    ctx.pid(),
+                    &sys.stats.bcast_relays,
+                    send_to(&endpoint, ctx.team(), c.raw.clone()),
+                );
                 {
                     let mut pc = core.lock();
-                    assert_eq!(epoch, pc.epoch(), "Fork from wrong epoch");
                     pc.registry.merge(&registry_delta);
                     let spp = pc.cfg.slots_per_page();
                     pc.ensure_pages((alloc_slots as usize).div_ceil(spp));
@@ -614,60 +551,46 @@ fn worker_main(
                 ctx.sync_reset();
                 ctx.set_params(params);
                 ctx.in_region(|ctx| runner.run(region, ctx));
-                // Tmk_join: close, ship our records, return to waiting.
-                // The close queued this region's diffs for their
-                // readers; the service thread starts on them once our
-                // arrival is on the link.
-                let (vc, records) = {
-                    let mut pc = core.lock();
-                    pc.close_interval();
-                    (pc.vc.clone(), pc.drain_unsent())
-                };
-                worker_join_reduce(&sys, &endpoint, &ctrl, &mut ctx, epoch, vc, records);
-                ctx.wake_pusher();
+                // Tmk_join: arrive, and return to waiting.
+                ctx.join();
                 ctx.sync_reset();
+                Ok(None)
             }
-            Msg::GcQuery { epoch } => {
-                let report = {
-                    let pc = core.lock();
-                    assert_eq!(epoch, pc.epoch(), "GcQuery from wrong epoch");
-                    pc.gc_report()
-                };
-                c.replier
-                    .expect("GcQuery is a request")
-                    .reply(Msg::GcReport { pages: report }.encode(cfg));
-            }
-            Msg::GcFetch { epoch, wants } => {
-                assert_eq!(epoch, core.lock().epoch(), "GcFetch from wrong epoch");
+            Msg::GcQuery { .. } => Ok(Some(Msg::GcReport {
+                pages: core.lock().gc_report(),
+            })),
+            Msg::GcFetch { wants, .. } => {
                 gc_complete(&mut ctx, &wants);
-                c.replier
-                    .expect("GcFetch is a request")
-                    .reply(Msg::Ack.encode(cfg));
+                Ok(Some(Msg::Ack))
             }
             Msg::Commit {
-                epoch,
                 new_epoch,
                 team,
                 my_pid,
                 dir,
                 drop_pages,
+                ..
             } => {
-                {
-                    let mut pc = core.lock();
-                    assert_eq!(epoch, pc.epoch(), "Commit from wrong epoch");
-                    pc.gc_commit(new_epoch, team, my_pid, &dir.to_vec(), &drop_pages);
-                }
+                core.lock()
+                    .gc_commit(new_epoch, team, my_pid, &dir.to_vec(), &drop_pages);
                 ctx.sync_reset();
-                c.replier
-                    .expect("Commit is a request")
-                    .reply(Msg::Ack.encode(cfg));
+                Ok(Some(Msg::Ack))
             }
             Msg::Terminate => {
                 sys.net.unregister(gpid);
                 sys.cores.lock().remove(&gpid);
                 break;
             }
-            other => panic!("worker {gpid} got unexpected control message {other:?}"),
+            _ => Err(Dropped::Malformed),
+        };
+        // Answer a request (a one-way `JoinInit` has no replier).
+        match served {
+            Ok(reply) => {
+                if let (Some(msg), Some(r)) = (reply, c.replier) {
+                    r.reply(msg.encode(cfg));
+                }
+            }
+            Err(dropped) => dropped.count(&sys.stats),
         }
     }
 }
@@ -843,6 +766,7 @@ impl MasterCtl {
         self.sent_reg_ver = self
             .sent_reg_ver
             .max(reg_delta.iter().map(|e| e.ver).max().unwrap_or(0));
+        self.ctx.set_floor(vc.clone());
         self.last_fork_vc = vc;
         DsmStats::bump(&self.sys.stats.forks);
 
@@ -852,36 +776,10 @@ impl MasterCtl {
         let runner = Arc::clone(&self.sys.runner);
         self.ctx.in_region(|ctx| runner.run(region, ctx));
 
-        // Join: close our interval, then collect every rank. Each
-        // arrival is an *aggregate* covering the sender's whole subtree
-        // of the reduce shape (a single rank under the star).
-        {
-            let mut c = self.core.lock();
-            c.close_interval();
-            c.drain_unsent();
-        }
-        // The master sends nothing at a join: push while it collects.
-        self.ctx.wake_pusher();
-        let mut partials = Partials::default();
-        if let Some(own) = self.ctx.take_partial() {
-            partials.add(0, vec![own]);
-        }
-        let core = &self.core;
-        let absorb = |vc: Vc, records: Vec<Record>| {
-            let mut pc = core.lock();
-            pc.apply_records(&records);
-            pc.vc.merge(&vc);
-        };
-        collect_joins(
-            &self.ctrl,
-            &shapes.reduce,
-            0,
-            epoch,
-            self.call_timeout,
-            &mut partials,
-            absorb,
-        );
-        self.ctx.set_join_partials(partials.in_pid_order());
+        // Join: collect every rank. Each arrival is an *aggregate*
+        // covering the sender's whole subtree of the reduce shape (a
+        // single rank under the star).
+        self.ctx.join();
         self.fork_no += 1;
         self.ctx.sync_reset();
     }

@@ -27,7 +27,8 @@
 //! * the **reduce shape** is the time-reversed schedule of the join:
 //!   `gap` = the relay overhead of absorbing one aggregate, `hop` =
 //!   sender occupancy of a one-record `JoinArrive` + latency + relay
-//!   overhead. It carries `JoinArrive` aggregation.
+//!   overhead. It carries `JoinArrive` aggregation, at every barrier
+//!   and at the join.
 //!
 //! The barrier's `BarrierRelease`s travel the **release shape**: the
 //! fork shape when the collection side (`join_reduce`) is treed, the
@@ -289,7 +290,7 @@ fn steady_records(n: usize, authors: std::ops::Range<usize>) -> (Vc, Vec<Record>
 pub struct Shapes {
     /// `Fork` and `JoinInit` dissemination.
     pub fork: Shape,
-    /// `JoinArrive` aggregation.
+    /// `JoinArrive` aggregation, barrier and join.
     pub reduce: Shape,
     /// `BarrierRelease` dissemination: the fork shape under a treed
     /// collection side, the star under a flat one.

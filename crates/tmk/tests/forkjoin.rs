@@ -783,9 +783,9 @@ fn flat_collectives_keep_the_1999_message_pattern() {
     for (h, link) in net.links.iter().enumerate().skip(1) {
         assert_eq!(link.msgs_out, regions as u64, "worker link {h}");
     }
-    // One barrier region: the master takes in 7 `PageReq`s, 7
-    // `BarrierArrive`s and 7 `JoinArrive`s, each worker its `Fork`, its
-    // page and its release.
+    // One barrier region: the master takes in 7 `PageReq`s and 7
+    // `JoinArrive`s at the barrier and 7 at the join, each worker its
+    // `Fork`, its page and its release.
     master.parallel(R_PAGE_BARRIER, &[]);
     let net = sys.net().stats().since(&net1);
     let mut expect = vec![(21, 1953)];
@@ -811,7 +811,6 @@ fn join_aggregate_that_beats_the_fork_is_kept_for_the_join() {
     use nowmp_net::CostModel;
     use nowmp_tmk::system::NullRunner;
     use nowmp_tmk::tree::{fork_costs, reduce_costs, Shapes};
-    use nowmp_util::Clock;
 
     let n = 32;
     let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
@@ -836,22 +835,7 @@ fn join_aggregate_that_beats_the_fork_is_kept_for_the_join() {
         "the shapes must put some reduce child ahead of its aggregator"
     );
 
-    let net = Network::with_clock(n, 1, model, cost, Clock::new_virtual());
-    let sys = DsmSystem::new(
-        net,
-        DsmConfig {
-            call_timeout: Duration::from_secs(20),
-            ..DsmConfig::default_4k()
-        },
-        Arc::new(NullRunner),
-    );
-    let mut master = sys.start_master(HostId(0));
-    let mut workers = Vec::new();
-    for i in 1..n {
-        let hello: Vec<Gpid> = workers.clone();
-        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
-    }
-    master.init_team(&workers);
+    let (sys, mut master) = paper_team(n, Arc::new(NullRunner));
     for _ in 0..4 {
         master.parallel(0, &[]);
     }
@@ -864,5 +848,168 @@ fn join_aggregate_that_beats_the_fork_is_kept_for_the_join() {
         sys.stats().snapshot().reduce_relays > 0,
         "the reduce tree ran"
     );
+    master.shutdown();
+}
+
+/// An `n`-rank team on the paper models, the virtual clock and the
+/// default (treed) collectives, running `runner`'s regions.
+fn paper_team(n: usize, runner: Arc<dyn RegionRunner>) -> (Arc<DsmSystem>, MasterCtl) {
+    use nowmp_net::CostModel;
+    use nowmp_util::Clock;
+
+    let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
+    let net = Network::with_clock(n, 1, model, cost, Clock::new_virtual());
+    let cfg = DsmConfig {
+        call_timeout: Duration::from_secs(20),
+        ..DsmConfig::default_4k()
+    };
+    let sys = DsmSystem::new(net, cfg, runner);
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..n {
+        let hello: Vec<Gpid> = workers.clone();
+        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
+    }
+    master.init_team(&workers);
+    (sys, master)
+}
+
+/// Region `b` meets at `b` barriers back to back and touches nothing.
+struct Barriers;
+
+impl RegionRunner for Barriers {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        for _ in 0..region {
+            ctx.barrier();
+        }
+    }
+}
+
+/// A barrier arrival is a join's: it travels up the reduce shape,
+/// whose parents differ from the release shape's. So a rank released
+/// early can land its next barrier's arrival at a reduce parent still
+/// waiting for the last release; the parent's release wait must leave
+/// it in the control buffer for its next collection.
+#[test]
+fn a_barrier_arrival_that_beats_the_release_is_kept_for_the_next_collection() {
+    use nowmp_net::CostModel;
+    use nowmp_tmk::tree::{fork_costs, reduce_costs, Shapes};
+
+    let (n, barriers, regions) = (32, 6, 3);
+    let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
+    // Premise, from the shapes and the costs they are derived from: some
+    // reduce leaf is released, relays the release to its own release
+    // children, and lands its next arrival before its reduce parent is
+    // released.
+    let shapes = Shapes::for_team(n, &model, &cost);
+    let (gap, hop) = fork_costs(n, &model, &cost);
+    let released = shapes.release.informed(gap, hop);
+    let (_, arrive) = reduce_costs(n, &model, &cost);
+    let relayed = |c: usize| match shapes.release.children(c).len() {
+        0 => released[c],
+        kids => released[c] + cost.relay_time() + gap * kids as u32,
+    };
+    let early: Vec<(usize, usize)> = (1..n)
+        .filter(|&c| shapes.reduce.children(c).is_empty())
+        .map(|c| (c, shapes.reduce.parent(c)))
+        .filter(|&(c, a)| a != 0 && relayed(c) + arrive < released[a])
+        .collect();
+    assert!(
+        !early.is_empty(),
+        "the shapes must put some reduce leaf ahead of its parent's release"
+    );
+
+    let (sys, mut master) = paper_team(n, Arc::new(Barriers));
+    for _ in 0..regions {
+        master.parallel(barriers, &[]);
+    }
+    assert_eq!(
+        master.fork_no(),
+        regions,
+        "every region completed (early: {early:?})"
+    );
+    let stats = sys.stats().snapshot();
+    assert_eq!(stats.barrier_arrivals, regions * barriers as u64 * n as u64);
+    assert!(stats.reduce_relays > 0, "the reduce tree ran");
+    assert_eq!((stats.stale_dropped, stats.malformed_dropped), (0, 0));
+    master.shutdown();
+}
+
+/// The master's link takes in one arrival per root child of the reduce
+/// shape at every barrier, as at the join — not one per rank.
+#[test]
+fn a_barrier_takes_in_the_reduce_roots_children_at_the_master() {
+    use nowmp_net::CostModel;
+    use nowmp_tmk::tree::Shapes;
+
+    let (n, barriers) = (32, 5);
+    let shapes = Shapes::for_team(n, &NetModel::paper_1999(), &CostModel::paper_1999());
+    let fan_in = shapes.reduce.children(0).len() as u64;
+    assert!(fan_in < n as u64 - 1, "the reduce root aggregates");
+    let (sys, mut master) = paper_team(n, Arc::new(Barriers));
+    let mut taken_in = |region| {
+        let before = sys.net().stats();
+        master.parallel(region, &[]);
+        sys.net().stats().since(&before).links[0].msgs_in
+    };
+    assert_eq!(taken_in(0), fan_in, "the join alone");
+    assert_eq!(
+        taken_in(barriers),
+        (barriers as u64 + 1) * fan_in,
+        "{barriers} barriers and the join"
+    );
+    master.shutdown();
+}
+
+/// Control input any peer can send — a request or an arrival of
+/// another epoch, a request sent one-way — is dropped and counted by
+/// the worker's wait loop, which keeps serving its team.
+#[test]
+fn stale_or_one_way_control_input_is_dropped_at_the_worker() {
+    use nowmp_tmk::msg::{DirRle, Msg};
+    use nowmp_tmk::Vc;
+
+    let n = 300;
+    let (sys, mut master, workers) = bring_up(3, n);
+    let peer = sys.net().register(HostId(0));
+    let team = master.team();
+    // Epoch 0 is current: a `GcQuery` and a `JoinArrive` of epoch 1
+    // are stale, and a one-way `Commit` has nobody to acknowledge.
+    let stale = Msg::GcQuery { epoch: 1 }.to_bytes();
+    let _unanswered = peer.call_begin(workers[0], stale).unwrap();
+    let arrive = Msg::JoinArrive {
+        epoch: 1,
+        pid: 2,
+        vc: Vc::new(3),
+        records: vec![],
+        partials: vec![],
+    };
+    peer.send(workers[0], arrive.to_bytes()).unwrap();
+    let commit = Msg::Commit {
+        epoch: 0,
+        new_epoch: 1,
+        my_pid: 1,
+        dir: DirRle::from_vec(&[]),
+        drop_pages: vec![],
+        team,
+    };
+    peer.send(workers[0], commit.to_bytes()).unwrap();
+    let dropped = || {
+        let s = sys.stats().snapshot();
+        (s.stale_dropped, s.malformed_dropped)
+    };
+    for _ in 0..10_000 {
+        if dropped() == (2, 1) {
+            break;
+        }
+        sys.net().clock().sleep(Duration::from_millis(1));
+    }
+    assert_eq!(dropped(), (2, 1), "(stale, malformed)");
+    master.parallel(R_FILL, &[]);
+    let got = read_all(&mut master, "v", n);
+    for (i, x) in got.iter().enumerate() {
+        assert_eq!(*x, i as f64, "element {i}");
+    }
+    assert_eq!(master.epoch(), 0);
     master.shutdown();
 }

@@ -1,8 +1,9 @@
 //! ISSUE 6: equivalence of the tree join reduce with flat collection.
 //!
-//! The interior-aggregator protocol in `system::worker_join_reduce`
-//! merges child vector clocks with [`Vc::merge`] and appends child
-//! records deduplicated by `(pid, seq)`. Both operations are
+//! The interior-aggregator protocol in `TmkCtx::arrive` (every
+//! arrival, at a barrier or at the join) merges child vector clocks
+//! with [`Vc::merge`] and appends child records deduplicated by
+//! `(pid, seq)`. Both operations are
 //! commutative over the *set* of contributions, so the root must end
 //! up with exactly the flat-collection result no matter how members
 //! are grouped into subtrees or in which order aggregates arrive.
@@ -51,8 +52,8 @@ fn rec(n: usize, pid: Pid, seq: Seq, pages: Vec<u32>) -> Record {
     }
 }
 
-/// Mirror of the aggregation step in `worker_join_reduce` /
-/// `MasterCtl::parallel`: merge a child aggregate into an accumulator,
+/// Mirror of the aggregation step in `TmkCtx::arrive` /
+/// `TmkCtx::gather`: merge a child aggregate into an accumulator,
 /// deduplicating records by `(pid, seq)`.
 fn absorb(
     vc: &mut Vc,
@@ -234,7 +235,7 @@ proptest! {
 /// vanishes mid-join, its children detect the failed send and escalate
 /// to `dead`'s parent. Replaying that parent's coverage accounting
 /// (subtree ranges plus the ancestor-chain walk from
-/// `worker_join_reduce`), the parent must end up waiting on nothing —
+/// `system::collect_joins`), the parent must end up waiting on nothing —
 /// except `dead` itself when it was a leaf, whose arrival the adaptive
 /// layer restores by migrating the process.
 #[test]
