@@ -4,6 +4,8 @@
 //! process's *application thread* (faults, interval management,
 //! synchronization) and its *service thread* (serving pages, diffs,
 //! records and lock requests at any time — TreadMarks' SIGIO handler).
+//! It is the process's one lock: every request a peer makes is served
+//! under it, and the page table's shard locks are taken only inside it.
 //! All methods here are short, non-blocking state transitions; network
 //! I/O happens outside the lock, in the fault driver ([`crate::ctx`])
 //! and the orchestration layer ([`crate::system`]).
@@ -49,7 +51,6 @@ use crate::table::PageTable;
 use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -109,15 +110,6 @@ pub struct EarlyDiff {
     pub pushed: bool,
 }
 
-/// Encoded `DiffPush` messages the service thread has yet to send:
-/// `(destination, payload, diffs carried)`, in the order
-/// [`ProcCore::close_interval`] queued them. Behind a lock of its own
-/// (order: core mutex → outbox), so neither the service thread, which
-/// looks here after every burst, nor the application thread, which
-/// looks before it wakes the service thread, needs the core mutex to
-/// find it empty.
-pub type Outbox = Arc<Mutex<VecDeque<(Gpid, bytes::Bytes, u64)>>>;
-
 /// A queued lock waiter.
 pub enum LockWaiter {
     /// Remote requester (reply through the transport).
@@ -154,11 +146,9 @@ pub struct ProcCore {
     pub my_pid: Pid,
     /// Knowledge vector clock.
     pub vc: Vc,
-    /// Per-page metadata behind interleaved `Mutex` shards. `Arc`ed
-    /// so the service thread can reach it (for the shared-page serve
-    /// fast path) without taking the core mutex. Lock order is core
-    /// mutex → shard; see [`crate::table`] for the full discipline.
-    pub pages: Arc<PageTable>,
+    /// Per-page metadata behind interleaved `Mutex` shards, each taken
+    /// under the core mutex (see [`crate::table`]).
+    pub pages: PageTable,
     /// Every interval record known this epoch.
     pub records: RecordStore,
     /// Our own records not yet shipped to the master (drained at
@@ -181,8 +171,11 @@ pub struct ProcCore {
     /// [`Self::serve_page`] and [`Self::serve_diffs`]). Only grows
     /// inside an epoch (invariant W).
     pub readers: HashMap<PageId, Vec<Pid>>,
-    /// What [`Self::close_interval`] queued for the service thread.
-    pub outbox: Outbox,
+    /// Encoded `DiffPush` messages the service thread has yet to send:
+    /// `(destination, payload, diffs carried)`, in the order
+    /// [`Self::close_interval`] queued them. The service thread pops
+    /// one per turn of its loop and sends it after the core lock drops.
+    pub outbox: VecDeque<(Gpid, bytes::Bytes, u64)>,
     /// Reader side: every diff that reaches us, until
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
     /// a fault or a page collection.
@@ -208,7 +201,7 @@ impl ProcCore {
             team: Team::new(0, vec![gpid]),
             my_pid: 0,
             vc: Vc::new(1),
-            pages: Arc::new(PageTable::new()),
+            pages: PageTable::new(),
             records: RecordStore::new(),
             unsent: Vec::new(),
             diffs: HashMap::new(),
@@ -218,7 +211,7 @@ impl ProcCore {
             registry: Registry::new(),
             default_owner,
             readers: HashMap::new(),
-            outbox: Arc::default(),
+            outbox: VecDeque::new(),
             early: HashMap::new(),
             push_after: HashMap::new(),
             early_cv: None,
@@ -737,7 +730,6 @@ impl ProcCore {
         per_reader.sort_by_key(|&(r, _)| (r as usize + n - me) % n);
         let epoch = self.epoch();
         let mut encoded: Vec<(Vec<PageId>, bytes::Bytes)> = Vec::new();
-        let mut outbox = self.outbox.lock();
         for (r, diffs) in per_reader {
             let pages: Vec<PageId> = diffs.iter().map(|d| d.0).collect();
             let payload = match encoded.iter().find(|(p, _)| *p == pages) {
@@ -748,7 +740,8 @@ impl ProcCore {
                     bytes
                 }
             };
-            outbox.push_back((self.team.gpid(r), payload, pages.len() as u64));
+            self.outbox
+                .push_back((self.team.gpid(r), payload, pages.len() as u64));
         }
     }
 
@@ -1094,11 +1087,6 @@ impl ProcCore {
         drop_pages: &[PageId],
     ) {
         assert_eq!(team.epoch, new_epoch, "team/epoch mismatch in commit");
-        // The rewrite below passes through inconsistent intermediate
-        // states; hold the service fast path down until it completes
-        // (the guard borrows a local clone so `&mut self` stays free).
-        let table = Arc::clone(&self.pages);
-        let _frozen = table.freeze();
         self.ensure_pages(dir.len());
         for &p in drop_pages {
             self.pages.guard(p).data = None;
@@ -1107,7 +1095,6 @@ impl ProcCore {
         self.pages.for_each(|i, meta| {
             crate::table::reset_meta(meta, nprocs, dir.get(i as usize).copied());
         });
-        self.pages.set_epoch(new_epoch);
         self.diffs.clear();
         self.consistency_bytes = 0;
         self.records.clear();
@@ -1125,7 +1112,7 @@ impl ProcCore {
         let unapplied_pushes = self.early.values().flatten().filter(|e| e.pushed).count();
         DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
         self.readers.clear();
-        self.outbox.lock().clear();
+        self.outbox.clear();
         self.early.clear();
         self.push_after.clear();
         DsmStats::bump(&self.stats.gcs);
@@ -1810,9 +1797,9 @@ mod tests {
         }
         let rec = c.close_interval().unwrap();
         assert_eq!(rec.pages, vec![0, 1, 2]);
-        assert!(!c.outbox.lock().is_empty());
+        assert!(!c.outbox.is_empty());
         // (reader - me) mod n: ranks 2, 3, 0 — gpids 3, 4, 1.
-        let outbox = c.outbox.lock().clone();
+        let outbox = &c.outbox;
         let dsts: Vec<Gpid> = outbox.iter().map(|m| m.0).collect();
         assert_eq!(dsts, vec![Gpid(3), Gpid(4), Gpid(1)]);
         let carried: Vec<u64> = outbox.iter().map(|m| m.2).collect();
@@ -1832,22 +1819,22 @@ mod tests {
 
         // Invariant W: the next close pushes the same pages to the same
         // readers without anyone asking again.
-        c.outbox.lock().clear();
+        c.outbox.clear();
         let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
             panic!()
         };
         buf.store(1, 99);
         c.close_interval().unwrap();
-        assert_eq!(c.outbox.lock().len(), 3);
+        assert_eq!(c.outbox.len(), 3);
 
         // A close that writes only unread pages queues nothing.
-        c.outbox.lock().clear();
+        c.outbox.clear();
         let AccessPlan::Ready { buf, .. } = c.plan_access(2, true) else {
             panic!()
         };
         buf.store(1, 5);
         c.close_interval().unwrap();
-        assert!(c.outbox.lock().is_empty());
+        assert!(c.outbox.is_empty());
     }
 
     #[test]
@@ -2014,11 +2001,7 @@ mod tests {
         }
         assert_eq!(r.expected_absent(0), Some((1, 2)));
         // W: the close queued it for the reader.
-        let (dst, payload, _) = w
-            .outbox
-            .lock()
-            .pop_front()
-            .expect("the close queued a push");
+        let (dst, payload, _) = w.outbox.pop_front().expect("the close queued a push");
         assert_eq!(dst, r.gpid);
         let Msg::DiffPush { epoch, diffs } = Msg::from_wire(&payload).unwrap() else {
             panic!("outbox holds DiffPush messages")
@@ -2070,10 +2053,10 @@ mod tests {
         c.close_interval().unwrap();
         c.acknowledged(1, [3], 0);
         c.deposit_push(0, Gpid(2), vec![(3, 1, Arc::new(word(0, 1)))]);
-        assert!(!c.outbox.lock().is_empty() && !c.early.is_empty() && !c.push_after.is_empty());
+        assert!(!c.outbox.is_empty() && !c.early.is_empty() && !c.push_after.is_empty());
         c.gc_commit(1, Team::new(1, vec![Gpid(1), Gpid(2)]), 0, &[Gpid(1)], &[]);
         assert!(c.readers.is_empty(), "subscriptions die with the epoch");
-        assert!(c.outbox.lock().is_empty());
+        assert!(c.outbox.is_empty());
         assert!(c.early.is_empty() && c.push_after.is_empty());
         assert_eq!(c.consistency_bytes, 0);
         assert_eq!(c.stats.snapshot().push_wasted, 1, "stored, never applied");

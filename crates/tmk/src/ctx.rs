@@ -24,7 +24,7 @@ use crate::records::Record;
 use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
 use crate::system::{charge_relay, collect_joins, relay_adopting, relay_onward, send_to, Partials};
-use crate::tree::ShapeBook;
+use crate::tree::{ShapeBook, Shapes};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
@@ -104,15 +104,22 @@ impl CtrlBuf {
 }
 
 /// A team member's link to the team-wide collectives: the control
-/// buffer arrival aggregates and barrier releases arrive through, and
+/// buffer every control message reaches the process through (arrival
+/// aggregates, barrier releases, and what its wait loop serves), and
 /// the system's collective shapes. Only processes a
 /// [`crate::system::DsmSystem`] started have one.
-#[derive(Clone)]
 pub struct TeamLink {
-    /// The process's control buffer, shared with its wait loop.
-    pub(crate) ctrl: Arc<Mutex<CtrlBuf>>,
+    /// The process's control buffer, owned by its one application
+    /// thread.
+    pub(crate) ctrl: CtrlBuf,
     /// The system's shapes, per team size.
     pub(crate) shapes: Arc<ShapeBook>,
+}
+
+/// A team member's `link`: a free function, so a collection can hold
+/// its control buffer beside borrows of the context's other fields.
+fn link_of(link: &mut Option<TeamLink>) -> &mut TeamLink {
+    link.as_mut().expect("a team member has a team link")
 }
 
 /// A cached page-access grant: buffer plus write permission.
@@ -218,9 +225,6 @@ pub struct TmkCtx {
     /// Where a fault parks while a diff its writer is pushing (rule R)
     /// is still on the wire; the core notifies it on every deposit.
     early_cv: Arc<ClockCondvar>,
-    /// The core's push outbox, to see whether a close queued anything
-    /// without taking the core mutex again.
-    outbox: crate::core::Outbox,
     /// This rank's `reduction` partial, handed to the region's join
     /// ([`Self::hand_to_join`]) and taken by it.
     partial: Option<f64>,
@@ -242,7 +246,7 @@ impl TmkCtx {
         link: Option<TeamLink>,
     ) -> Self {
         let early_cv = Arc::new(ClockCondvar::new(endpoint.clock()));
-        let (stats, cfg, epoch, team, my_pid, outbox) = {
+        let (stats, cfg, epoch, team, my_pid) = {
             let mut c = core.lock();
             c.early_cv = Some(Arc::clone(&early_cv));
             (
@@ -251,7 +255,6 @@ impl TmkCtx {
                 c.epoch(),
                 c.team.clone(),
                 c.my_pid,
-                Arc::clone(&c.outbox),
             )
         };
         let spp = cfg.slots_per_page();
@@ -271,7 +274,6 @@ impl TmkCtx {
             iter_cost: Duration::ZERO,
             subscribe: false,
             early_cv,
-            outbox,
             partial: None,
             join_partials: Vec::new(),
             floor: Vc::new(0),
@@ -728,7 +730,7 @@ impl TmkCtx {
     /// is small and on the critical path, so it reserves the wire ahead
     /// of the bulk.
     pub fn wake_pusher(&self) {
-        if !self.outbox.lock().is_empty() {
+        if !self.core.lock().outbox.is_empty() {
             self.endpoint.wake();
         }
     }
@@ -775,14 +777,17 @@ impl TmkCtx {
             c.close_interval();
             (c.vc.clone(), c.drain_unsent())
         };
-        let link = self.team_link();
-        let shape = &link.shapes.get(self.nprocs()).reduce;
+        let shapes = self.shapes();
+        let shape = &shapes.reduce;
         let (pid, my) = (self.my_pid, self.my_pid as usize);
         // `drain_unsent` can hand us records authored by *other* pids
         // (lock transfers), so dedup child aggregates against them.
         let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
         let endpoint = &self.endpoint;
-        let absorb = |_from, child_vc: Vc, child_recs: Vec<Record>| {
+        let mut partials = Partials::default();
+        partials.add(pid, partial.into_iter().collect());
+        let absorb = |from, child_vc: Vc, child_recs: Vec<Record>, part| {
+            partials.add(from, part);
             vc.merge(&child_vc);
             for r in child_recs {
                 if seen.insert((r.pid, r.seq)) {
@@ -792,10 +797,9 @@ impl TmkCtx {
             // One inbound stack traversal per absorbed aggregate.
             charge_relay(endpoint);
         };
-        let mut partials = Partials::default();
-        partials.add(pid, partial.into_iter().collect());
         let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
-        collect_joins(&link.ctrl, shape, my, epoch, timeout, &mut partials, absorb);
+        let ctrl = &mut link_of(&mut self.link).ctrl;
+        collect_joins(ctrl, shape, my, epoch, timeout, &self.stats, absorb);
         let bytes = Msg::JoinArrive {
             epoch,
             pid,
@@ -831,19 +835,20 @@ impl TmkCtx {
             c.drain_unsent(); // the next fork or release distributes them
         }
         self.wake_pusher();
-        let link = self.team_link();
-        let reduce = &link.shapes.get(self.nprocs()).reduce;
+        let shapes = self.shapes();
         let mut partials = Partials::default();
         partials.add(0, partial.into_iter().collect());
         let core = &self.core;
-        let absorb = |from, vc: Vc, records: Vec<Record>| {
+        let absorb = |from, vc: Vc, records: Vec<Record>, part| {
+            partials.add(from, part);
             let mut c = core.lock();
             c.apply_records(&records);
             c.vc.merge(&vc);
-            heard(from, vc);
+            heard(from as usize, vc);
         };
         let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
-        collect_joins(&link.ctrl, reduce, 0, epoch, timeout, &mut partials, absorb);
+        let ctrl = &mut link_of(&mut self.link).ctrl;
+        collect_joins(ctrl, &shapes.reduce, 0, epoch, timeout, &self.stats, absorb);
         partials.in_pid_order()
     }
 
@@ -873,27 +878,31 @@ impl TmkCtx {
         self.sync_reset();
     }
 
-    /// Our link to the team's collectives.
-    fn team_link(&self) -> TeamLink {
-        self.link.clone().expect("a team member has a team link")
+    /// The collective shapes of our team's size.
+    fn shapes(&mut self) -> Arc<Shapes> {
+        let n = self.nprocs();
+        link_of(&mut self.link).shapes.get(n)
+    }
+
+    /// Our control buffer: every control message reaches this process
+    /// through it, in its wait loop or in a collective.
+    pub(crate) fn ctrl(&mut self) -> &mut CtrlBuf {
+        &mut link_of(&mut self.link).ctrl
     }
 
     /// A slave's half of the barrier after its arrival: wait for the
     /// release, relay it to our release subtree, apply it.
     fn await_release(&mut self) {
-        let link = self.team_link();
-        let c = link
-            .ctrl
-            .lock()
-            .recv_where(self.cfg.call_timeout, |c| {
-                matches!(&c.msg, Msg::BarrierRelease { .. })
-            })
+        let (timeout, shapes) = (self.cfg.call_timeout, self.shapes());
+        let c = self
+            .ctrl()
+            .recv_where(timeout, |c| matches!(&c.msg, Msg::BarrierRelease { .. }))
             .expect("barrier release lost");
         // Relay the verbatim payload to our subtree *before* applying:
         // the subtree's release latency is the critical path.
         relay_onward(
             &self.endpoint,
-            &link.shapes.get(self.team.nprocs()).release,
+            &shapes.release,
             self.my_pid,
             &self.stats.release_relays,
             send_to(&self.endpoint, &self.team, c.raw.clone()),
@@ -909,7 +918,7 @@ impl TmkCtx {
         // A lower bound on every rank's clock: exact for a rank whose
         // arrival came alone (every rank, on the star), the floor for
         // one aggregated with others.
-        let shapes = self.team_link().shapes.get(self.nprocs());
+        let shapes = self.shapes();
         let mut arrived = vec![self.floor.clone(); self.nprocs()];
         self.gather(None, |from, vc| {
             if shapes.reduce.subtree_size(from) == 1 {
@@ -1090,7 +1099,6 @@ mod tests {
                 let ctrl = Ctrl {
                     msg,
                     raw: bytes::Bytes::new(),
-                    src: Gpid(1),
                     replier: None,
                 };
                 tx.send(ctrl).unwrap();

@@ -2,8 +2,9 @@
 //!
 //! Every process runs one service thread that owns the endpoint's
 //! receive side. Protocol requests (pages, diffs, records, locks) are
-//! answered inline, under short critical sections on the shared
-//! [`ProcCore`]; *control* messages (forks, joins, GC steps, adaptation
+//! answered inline, each under the shared [`ProcCore`]'s one mutex, so
+//! serving a peer and the application thread's own accesses never
+//! overlap; *control* messages (forks, joins, GC steps, adaptation
 //! commits) are forwarded to the application thread through the control
 //! channel, preserving their [`nowmp_net::Replier`] so the application
 //! thread can acknowledge them when it is ready.
@@ -20,7 +21,7 @@ use crate::core::{LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::stats::DsmStats;
 use crate::types::Epoch;
-use nowmp_net::{Endpoint, Gpid, Replier};
+use nowmp_net::{Endpoint, Replier};
 use nowmp_util::wire::Wire;
 use nowmp_util::MailboxSender;
 use parking_lot::Mutex;
@@ -34,8 +35,6 @@ pub struct Ctrl {
     /// this verbatim (`Fork`/`JoinInit` payloads are
     /// receiver-independent), avoiding a re-encode per hop.
     pub raw: bytes::Bytes,
-    /// The sender.
-    pub src: Gpid,
     /// Reply handle when the sender awaits an acknowledgement.
     pub replier: Option<Replier>,
 }
@@ -59,21 +58,14 @@ pub fn service_loop(
     core: Arc<Mutex<ProcCore>>,
     ctrl_tx: MailboxSender<Ctrl>,
 ) {
-    // The page table, the push outbox and the configuration outlive
-    // every epoch; grabbing them once up front lets the steady-state
-    // `PageReq` path below serve from a shard lock, and the loop find
-    // nothing to push, without ever touching the core mutex.
-    let (table, outbox, stats, cfg) = {
+    // The counters and the configuration outlive every epoch: taken
+    // once, so a drop is counted and a reply encoded without the lock.
+    let (stats, cfg) = {
         let c = core.lock();
-        (
-            Arc::clone(&c.pages),
-            Arc::clone(&c.outbox),
-            Arc::clone(&c.stats),
-            c.cfg.clone(),
-        )
+        (Arc::clone(&c.stats), c.cfg.clone())
     };
     let serve = |inc| {
-        if let Err(dropped) = serve_one(inc, &core, &table, &cfg, &ctrl_tx) {
+        if let Err(dropped) = serve_one(inc, &core, &cfg, &ctrl_tx) {
             dropped.count(&stats);
         }
     };
@@ -97,7 +89,9 @@ pub fn service_loop(
         // leaves a message that is still on the wire alone, so our
         // outbound link does not idle while the next push could go.)
         loop {
-            let Some((dst, payload, diffs)) = outbox.lock().pop_front() else {
+            // The core guard drops at the end of this statement, before
+            // the send.
+            let Some((dst, payload, diffs)) = core.lock().outbox.pop_front() else {
                 break;
             };
             // Counted before the send, so a reader can never book a
@@ -150,7 +144,6 @@ fn this_epoch(epoch: Epoch, ours: Epoch) -> Result<(), Dropped> {
 fn serve_one(
     inc: nowmp_net::Incoming,
     core: &Arc<Mutex<ProcCore>>,
-    table: &crate::table::PageTable,
     cfg: &DsmConfig,
     ctrl_tx: &MailboxSender<Ctrl>,
 ) -> Result<(), Dropped> {
@@ -162,7 +155,6 @@ fn serve_one(
         let _ = ctrl_tx.send(Ctrl {
             msg,
             raw: inc.payload,
-            src: inc.src,
             replier: inc.replier,
         });
         return Ok(());
@@ -179,26 +171,11 @@ fn serve_one(
             subscribe,
         } => {
             let replier = inc.replier.ok_or(Dropped::Malformed)?;
-            // Steady-state fast path: an already-shared page with a
-            // local copy serves from its shard lock alone, concurrent
-            // with whatever the application thread is doing to *other*
-            // pages under the core mutex. Transitions (exclusive →
-            // shared, zero-page conjuring, redirects), subscriptions and
-            // requests of another epoch fall back to the core-locked
-            // slow path.
-            let fast = if subscribe {
-                None
-            } else {
-                table.serve_shared_fast(page, epoch)
-            };
-            let rep = match fast {
-                Some(rep) => rep,
-                None => {
-                    let mut c = core.lock();
-                    this_epoch(epoch, c.epoch())?;
-                    let subscriber = c.subscriber(subscribe, epoch, inc.src);
-                    c.serve_page(page, subscriber)
-                }
+            let rep = {
+                let mut c = core.lock();
+                this_epoch(epoch, c.epoch())?;
+                let subscriber = c.subscriber(subscribe, epoch, inc.src);
+                c.serve_page(page, subscriber)
             };
             replier.reply(rep.encode(cfg));
         }
@@ -269,7 +246,7 @@ mod tests {
     use super::*;
     use crate::config::DsmConfig;
     use crate::stats::DsmStats;
-    use nowmp_net::{HostId, NetModel, Network};
+    use nowmp_net::{Gpid, HostId, NetModel, Network};
 
     fn spawn_proc(
         net: &Network,
@@ -341,17 +318,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_page_served_while_core_mutex_is_held() {
-        // The whole point of the sharded page table: a PageReq for an
-        // already-shared page is answered from its shard lock even
-        // while the application thread sits inside a long core-mutex
-        // critical section.
+    fn a_page_request_waits_for_the_core_lock() {
+        // One lock per process: a PageReq, even for an already-shared
+        // page with a copy, is served under the core mutex, so it waits
+        // while the application thread sits inside a critical section.
         let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
 
         // Materialize + write page 0 on A, then serve once so it is
-        // shared (the exclusive→shared transition needs the core).
+        // shared with a copy.
         {
             let mut c = core_a.lock();
             let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
@@ -360,9 +336,17 @@ mod tests {
             buf.store(0, 77);
             let _ = c.serve_page(0, None);
         }
-        // One round trip proves A's service loop is up (it snapshots
-        // the table handle at startup, under a brief core lock).
-        let _ = ep_b.call(gpid_a, page_req(0, false)).unwrap();
+        let words_of = |rep: &[u8]| match Msg::from_wire(rep).unwrap() {
+            Msg::PageRep {
+                words, redirect, ..
+            } => {
+                assert!(redirect.is_none());
+                words
+            }
+            other => panic!("expected PageRep, got {other:?}"),
+        };
+        let before = words_of(&ep_b.call(gpid_a, page_req(0, false)).unwrap());
+        assert_eq!(before[0], 77);
 
         // Now hold A's core mutex hostage and fetch again.
         let hostage = core_a.lock();
@@ -373,20 +357,13 @@ mod tests {
             flag.store(true, std::sync::atomic::Ordering::SeqCst);
             rep
         });
-        let fast = nowmp_util::wait_for(std::time::Duration::from_secs(5), || {
+        let answered = nowmp_util::wait_for(std::time::Duration::from_millis(100), || {
             done.load(std::sync::atomic::Ordering::SeqCst)
         });
         drop(hostage);
         let rep = fetch.join().unwrap();
-        assert!(fast, "PageReq for a shared page blocked on the core mutex");
-        let Msg::PageRep {
-            words, redirect, ..
-        } = Msg::from_wire(&rep).unwrap()
-        else {
-            panic!()
-        };
-        assert!(redirect.is_none());
-        assert_eq!(words[0], 77);
+        assert!(!answered, "a PageReq was answered under a held core mutex");
+        assert_eq!(words_of(&rep), before, "answered with the same words");
     }
 
     #[test]
@@ -394,8 +371,7 @@ mod tests {
         let net = Network::new(2, NetModel::disabled());
         let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
         let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
-        // A shared page with a copy: the shard-lock fast path would
-        // serve it, and could not subscribe.
+        // A shared page with a copy.
         {
             let mut c = core_a.lock();
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
@@ -606,7 +582,6 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(5))
             .unwrap();
         assert!(matches!(ctrl.msg, Msg::ReadyJoin { .. }));
-        assert_eq!(ctrl.src, gpid_b);
         assert!(ctrl.replier.is_none());
     }
 

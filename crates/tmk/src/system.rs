@@ -94,10 +94,11 @@ impl DsmSystem {
         })
     }
 
-    /// What a process's context needs for team-wide collectives.
-    fn link(&self, ctrl: &Arc<Mutex<CtrlBuf>>) -> TeamLink {
+    /// What a process's context needs for team-wide collectives: the
+    /// control buffer over `ctrl_rx`, and the shapes.
+    fn link(&self, ctrl_rx: MailboxReceiver<Ctrl>) -> TeamLink {
         TeamLink {
-            ctrl: Arc::clone(ctrl),
+            ctrl: CtrlBuf::new(ctrl_rx),
             shapes: Arc::clone(&self.shapes),
         }
     }
@@ -137,11 +138,10 @@ impl DsmSystem {
         )));
         self.cores.lock().insert(gpid, Arc::clone(&core));
         let ctrl_rx = self.spawn_service(&endpoint, &core);
-        let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx)));
         let ctx = TmkCtx::new(
             Arc::clone(&core),
             Arc::clone(&endpoint),
-            Some(self.link(&ctrl)),
+            Some(self.link(ctrl_rx)),
         );
         let spp = self.cfg.slots_per_page();
         // The calling thread *is* the master process's application
@@ -153,14 +153,12 @@ impl DsmSystem {
             sys: Arc::clone(self),
             endpoint,
             core,
-            ctrl,
             ctx,
             allocator: Allocator::new(spp),
             fork_no: 0,
             last_fork_vc: Vc::new(1),
             sent_reg_ver: 0,
             dir: Vec::new(),
-            call_timeout: self.cfg.call_timeout,
             _clock_participant: clock_participant,
         }
     }
@@ -327,10 +325,11 @@ pub(crate) fn relay_onward(
 
 /// Collect the `JoinArrive` aggregates of rank `my`'s subtree in the
 /// reduce `shape` (all of it but `my`), handing each one's sender rank,
-/// clock and records to `absorb` and keeping its `reduction` partials
-/// in `partials`, keyed by the sender: the one loop that collects
-/// arrivals, at a barrier and at the join, at the master and at every
-/// interior rank ([`TmkCtx::arrive`]). The sender pid of an aggregate
+/// clock, records and `reduction` partials to `absorb`: the one loop
+/// that collects arrivals, at a barrier and at the join, at the master
+/// and at every interior rank ([`TmkCtx::arrive`]). An arrival of
+/// another epoch than `epoch` is dropped and counted in `stats`
+/// ([`DsmStats::stale_dropped`]). The sender pid of an aggregate
 /// identifies the contiguous rank range it covers
 /// ([`Shape::subtree_size`]), so coverage needs no extra wire fields.
 ///
@@ -341,31 +340,31 @@ pub(crate) fn relay_onward(
 /// vanished members themselves resolve through the ordinary grace-timer
 /// / urgent-migration path, as on the fork side).
 pub(crate) fn collect_joins(
-    ctrl: &Mutex<CtrlBuf>,
+    ctrl: &mut CtrlBuf,
     shape: &Shape,
     my: usize,
     epoch: Epoch,
     timeout: Duration,
-    partials: &mut Partials,
-    mut absorb: impl FnMut(usize, Vc, Vec<Record>),
+    stats: &DsmStats,
+    mut absorb: impl FnMut(Pid, Vc, Vec<Record>, Vec<f64>),
 ) {
     let mut remaining: HashSet<usize> = (my + 1..my + shape.subtree_size(my)).collect();
     while !remaining.is_empty() {
         let c = ctrl
-            .lock()
-            .recv_where(
-                timeout,
-                |c| matches!(&c.msg, Msg::JoinArrive { epoch: e, .. } if *e == epoch),
-            )
+            .recv_where(timeout, |c| matches!(&c.msg, Msg::JoinArrive { .. }))
             .expect("arrival aggregate lost");
         if let Msg::JoinArrive {
+            epoch: e,
             pid,
             vc,
             records,
-            partials: part,
-            ..
+            partials,
         } = c.msg
         {
+            if e != epoch {
+                Dropped::Stale.count(stats);
+                continue;
+            }
             let from = pid as usize;
             for r in from..from + shape.subtree_size(from) {
                 remaining.remove(&r);
@@ -381,8 +380,7 @@ pub(crate) fn collect_joins(
                 }
                 a = shape.parent(a);
             }
-            partials.add(pid, part);
-            absorb(from, vc, records);
+            absorb(pid, vc, records, partials);
         }
     }
 }
@@ -436,14 +434,13 @@ fn worker_main(
     }
     let _ = endpoint.send(master, Msg::ReadyJoin { gpid }.encode(cfg));
 
-    // Shared with our `TmkCtx`: the arrival aggregates of our reduce
-    // subtree and the barrier releases of a region are received off
-    // the same buffer this wait loop drains.
-    let ctrl = Arc::new(Mutex::new(CtrlBuf::new(ctrl_rx)));
+    // Our `TmkCtx` owns the control buffer this wait loop drains: the
+    // arrival aggregates of our reduce subtree and the barrier releases
+    // of a region are received off it too.
     let mut ctx = TmkCtx::new(
         Arc::clone(&core),
         Arc::clone(&endpoint),
-        Some(sys.link(&ctrl)),
+        Some(sys.link(ctrl_rx)),
     );
     let runner = Arc::clone(&sys.runner);
 
@@ -456,7 +453,7 @@ fn worker_main(
         // epoch no collection takes is dropped below. No deadline: the
         // master may compute for any time between two regions.
         let now = core.lock().epoch();
-        let c = match ctrl.lock().recv_where(
+        let c = match ctx.ctrl().recv_where(
             Duration::MAX,
             |c| !matches!(c.msg, Msg::JoinArrive { epoch, .. } if epoch == now),
         ) {
@@ -497,7 +494,6 @@ fn worker_main(
                         pc.vc = Vc::new(team.members.len());
                         pc.my_pid = my_pid;
                         pc.team = team.clone();
-                        pc.pages.set_epoch(team.epoch);
                         for (i, owner) in dirv.iter().enumerate() {
                             let mut meta = pc.pages.guard(i as PageId);
                             meta.owner = *owner;
@@ -600,7 +596,6 @@ pub struct MasterCtl {
     sys: Arc<DsmSystem>,
     endpoint: Arc<Endpoint>,
     core: Arc<Mutex<ProcCore>>,
-    ctrl: Arc<Mutex<CtrlBuf>>,
     ctx: TmkCtx,
     allocator: Allocator,
     fork_no: u64,
@@ -608,7 +603,6 @@ pub struct MasterCtl {
     sent_reg_ver: u32,
     /// Authoritative page directory (valid after each GC).
     dir: Vec<Gpid>,
-    call_timeout: Duration,
     /// Registers the master's application thread with the simulation
     /// clock for the lifetime of this handle.
     _clock_participant: nowmp_util::ParticipantGuard,
@@ -676,13 +670,12 @@ impl MasterCtl {
     /// initial team (epoch 0).
     pub fn init_team(&mut self, workers: &[Gpid]) {
         let mut pending: HashSet<Gpid> = workers.iter().copied().collect();
+        let timeout = self.sys.cfg.call_timeout;
         while !pending.is_empty() {
             let c = self
-                .ctrl
-                .lock()
-                .recv_where(self.call_timeout, |c| {
-                    matches!(c.msg, Msg::ReadyJoin { .. })
-                })
+                .ctx
+                .ctrl()
+                .recv_where(timeout, |c| matches!(c.msg, Msg::ReadyJoin { .. }))
                 .expect("worker never became ready");
             if let Msg::ReadyJoin { gpid } = c.msg {
                 pending.remove(&gpid);
@@ -697,7 +690,6 @@ impl MasterCtl {
             c.vc = Vc::new(team.nprocs());
             c.my_pid = 0;
             c.team = team.clone();
-            c.pages.set_epoch(team.epoch);
         }
         let (registry, alloc_slots) = {
             (
@@ -718,7 +710,7 @@ impl MasterCtl {
         // A call per root child of the fork shape; each acks once its
         // subtree is up.
         let shapes = self.sys.shapes.get(team.nprocs());
-        let call = call_acked(&self.endpoint, &team, &bytes, self.call_timeout);
+        let call = call_acked(&self.endpoint, &team, &bytes, timeout);
         relay_adopting(&shapes.fork, 0, call);
         self.last_fork_vc = Vc::new(team.nprocs());
         self.ctx.sync_reset();
@@ -794,8 +786,8 @@ impl MasterCtl {
     /// adaptation point to learn which spawned processes finished their
     /// connection setup.
     pub fn drain_ready_joins(&mut self) -> Vec<Gpid> {
-        self.ctrl
-            .lock()
+        self.ctx
+            .ctrl()
             .drain_where(|c| matches!(c.msg, Msg::ReadyJoin { .. }))
             .into_iter()
             .map(|c| match c.msg {
@@ -807,10 +799,11 @@ impl MasterCtl {
 
     /// Block until a specific spawned process announces readiness.
     pub fn wait_ready(&mut self, gpid: Gpid) {
-        self.ctrl
-            .lock()
+        let timeout = self.sys.cfg.call_timeout;
+        self.ctx
+            .ctrl()
             .recv_where(
-                self.call_timeout,
+                timeout,
                 |c| matches!(c.msg, Msg::ReadyJoin { gpid: g } if g == gpid),
             )
             .expect("spawned process never became ready");

@@ -1,16 +1,14 @@
 //! The sharded page table — fine-grained locking for per-page state.
 //!
-//! Historically `ProcCore` held `pages: Vec<PageMeta>` directly, so
-//! *every* page-state transition — an application-thread fault on page
-//! 7, a service-thread `PageReq` for page 900 — serialized on the one
-//! core mutex. This module moves the page metadata into a
-//! [`PageTable`]: a fixed set of [`Mutex`] shards, each owning an
-//! interleaved family of 8-page ranges, reachable through RAII
-//! [`PageGuard`]s. Touching distinct pages in distinct shards never
-//! contends, and the service thread can answer the most common request
-//! (a full-page fetch of an already-shared page) from the shard lock
-//! alone, without taking the core mutex at all (see
-//! [`PageTable::serve_shared_fast`]).
+//! `ProcCore` keeps its page metadata in a [`PageTable`]: a fixed set
+//! of [`Mutex`] shards, each owning an interleaved family of 8-page
+//! ranges, reachable through RAII [`PageGuard`]s. Inside a process
+//! every shard is taken under the core mutex, which serializes the
+//! application thread's faults and the service thread's requests; the
+//! shards stay because the table is also a structure of its own, driven
+//! from several threads at once by the `tmk.pagetable_*` harness lanes
+//! and `hotpath`'s contention and interval lanes, where touching
+//! distinct pages in distinct shards never contends.
 //!
 //! ## Layout
 //!
@@ -28,15 +26,13 @@
 //! * Never hold two [`PageGuard`]s at once — the protocol only ever
 //!   needs one page's state per transition, and a shard `Mutex` is
 //!   not reentrant.
-//! * Whole-table rewrites (GC commit) take a [`FreezeGuard`] first so
-//!   the lock-free service fast path stands down for the duration.
 
 use crate::page::PageMeta;
-use crate::types::{Epoch, PageId, Vc};
+use crate::types::{PageId, Vc};
 use nowmp_net::Gpid;
 use parking_lot::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Pages per contiguous range; ranges are dealt round-robin to shards.
 pub const RANGE: usize = 8;
@@ -70,16 +66,10 @@ pub struct PageTable {
     /// Serializes [`Self::ensure`] so concurrent growers cannot
     /// interleave their appends. Lock order: `grow` → shard.
     grow: Mutex<()>,
-    /// The protocol epoch this table's contents belong to — the
-    /// service fast path refuses requests from any other epoch.
-    epoch: AtomicU32,
-    /// Raised (via [`Self::freeze`]) around whole-table rewrites;
-    /// while set, the service fast path stands down.
-    frozen: AtomicBool,
 }
 
 impl PageTable {
-    /// An empty table at epoch 0.
+    /// An empty table.
     pub fn new() -> Self {
         PageTable {
             shards: (0..SHARDS)
@@ -93,8 +83,6 @@ impl PageTable {
             ndirty: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             grow: Mutex::new(()),
-            epoch: AtomicU32::new(0),
-            frozen: AtomicBool::new(false),
         }
     }
 
@@ -211,53 +199,6 @@ impl PageTable {
         });
         n
     }
-
-    /// Record the protocol epoch the table's contents now belong to.
-    pub fn set_epoch(&self, epoch: Epoch) {
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// Stand the service fast path down until the guard drops —
-    /// taken around whole-table rewrites (GC / adaptation commits)
-    /// whose intermediate states must not be served.
-    pub fn freeze(&self) -> FreezeGuard<'_> {
-        self.frozen.store(true, Ordering::SeqCst);
-        FreezeGuard { table: self }
-    }
-
-    /// Service-thread fast path: serve a full-page request from the
-    /// shard lock alone — no core mutex — when doing so needs no
-    /// core-state mutation. That is the steady-state case: the page is
-    /// already `shared` with a local copy, so serving is a pure read of
-    /// `(applied, data)`, both consistent under the shard lock (the
-    /// application thread's transitions hold the same lock).
-    ///
-    /// Returns `None` — caller falls back to the core-locked
-    /// [`crate::core::ProcCore::serve_page`] — when the table is
-    /// frozen, the request's epoch is stale, the page is unknown, or
-    /// the serve would transition state (exclusive page becoming
-    /// shared, zero-page materialization, ownership redirect).
-    pub fn serve_shared_fast(&self, page: PageId, epoch: Epoch) -> Option<crate::msg::Msg> {
-        if (page as usize) >= self.len() {
-            return None;
-        }
-        let meta = self.guard(page);
-        // Checked under the shard lock: a commit that froze the table
-        // before rewriting this shard is ordered before our acquire.
-        if self.frozen.load(Ordering::SeqCst) || self.epoch.load(Ordering::Acquire) != epoch {
-            return None;
-        }
-        if !meta.shared {
-            return None;
-        }
-        let data = meta.data.as_ref()?;
-        Some(crate::msg::Msg::PageRep {
-            applied: meta.applied.iter_nonzero().collect(),
-            words: data.snapshot(),
-            redirect: None,
-            push_after: None,
-        })
-    }
 }
 
 impl Default for PageTable {
@@ -305,18 +246,6 @@ impl DerefMut for PageGuard<'_> {
     }
 }
 
-/// RAII handle holding the service fast path down; see
-/// [`PageTable::freeze`].
-pub struct FreezeGuard<'a> {
-    table: &'a PageTable,
-}
-
-impl Drop for FreezeGuard<'_> {
-    fn drop(&mut self) {
-        self.table.frozen.store(false, Ordering::SeqCst);
-    }
-}
-
 /// Reset helper for GC / adaptation commits: wipe one page's
 /// consistency metadata for a new epoch of `nprocs` processes,
 /// optionally installing a new directory owner. Data (if any) is kept
@@ -341,7 +270,6 @@ pub fn reset_meta(m: &mut PageMeta, nprocs: usize, owner: Option<Gpid>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PageState;
     use std::sync::Arc;
 
     #[test]
@@ -403,39 +331,6 @@ mod tests {
         let mut count = 0;
         t.for_each(|_, _| count += 1);
         assert_eq!(count, 800, "every slot reachable exactly once");
-    }
-
-    #[test]
-    fn fast_serve_requires_shared_copy_and_epoch() {
-        let t = PageTable::new();
-        t.ensure(2, Gpid(1));
-        assert!(t.serve_shared_fast(0, 0).is_none(), "no data yet");
-        {
-            let mut g = t.guard(0);
-            g.data = Some(Arc::new(crate::page::PageBuf::new(8)));
-            g.state = PageState::Read;
-        }
-        assert!(t.serve_shared_fast(0, 0).is_none(), "exclusive: fallback");
-        t.guard(0).shared = true;
-        let rep = t.serve_shared_fast(0, 0).expect("shared page serves fast");
-        match rep {
-            crate::msg::Msg::PageRep {
-                words, redirect, ..
-            } => {
-                assert_eq!(words.len(), 8);
-                assert!(redirect.is_none());
-            }
-            other => panic!("expected PageRep, got {other:?}"),
-        }
-        assert!(t.serve_shared_fast(0, 1).is_none(), "stale epoch: fallback");
-        t.set_epoch(1);
-        assert!(t.serve_shared_fast(0, 1).is_some());
-        {
-            let _f = t.freeze();
-            assert!(t.serve_shared_fast(0, 1).is_none(), "frozen: fallback");
-        }
-        assert!(t.serve_shared_fast(0, 1).is_some(), "thawed again");
-        assert!(t.serve_shared_fast(9, 1).is_none(), "unknown page");
     }
 
     #[test]

@@ -1013,3 +1013,38 @@ fn stale_or_one_way_control_input_is_dropped_at_the_worker() {
     assert_eq!(master.epoch(), 0);
     master.shutdown();
 }
+
+/// An arrival of another epoch that reaches the master — which has no
+/// wait loop between regions — is dropped and counted by the next
+/// join's collection, which still completes.
+#[test]
+fn a_stale_arrival_at_the_master_is_dropped_and_counted() {
+    use nowmp_tmk::msg::Msg;
+    use nowmp_tmk::Vc;
+
+    let n = 300;
+    let (sys, mut master, _workers) = bring_up(3, n);
+    let peer = sys.net().register(HostId(0));
+    let arrive = Msg::JoinArrive {
+        epoch: 1,
+        pid: 2,
+        vc: Vc::new(3),
+        records: vec![],
+        partials: vec![],
+    };
+    for _ in 0..3 {
+        peer.send(master.gpid(), arrive.to_bytes()).unwrap();
+    }
+    // Served in arrival order: once this is answered, the master's
+    // service thread has forwarded all three arrivals to its buffer.
+    let hello = Msg::ConnHello { from: peer.gpid() }.to_bytes();
+    peer.call(master.gpid(), hello).unwrap();
+    master.parallel(R_FILL, &[]);
+    let got = read_all(&mut master, "v", n);
+    for (i, x) in got.iter().enumerate() {
+        assert_eq!(*x, i as f64, "element {i}");
+    }
+    let s = sys.stats().snapshot();
+    assert_eq!((s.stale_dropped, s.malformed_dropped), (3, 0));
+    master.shutdown();
+}
