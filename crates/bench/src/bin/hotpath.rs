@@ -26,9 +26,13 @@
 //!   shows it), while on a single-core runner the *server* starves —
 //!   barging workers win every futex race and remote page requests
 //!   sit unserved for whole scheduler rotations (serve ratio shows
-//!   it, ~10x here). The gate takes the max of the two: both are the
-//!   same pathology, one global lock coupling the fault path to the
-//!   service path, which the shard layout removes.
+//!   it, ~10x here). The gate takes the max of the two. The lane
+//!   compares two lock layouts as a micro-benchmark: inside a process
+//!   every request is served under the core mutex, and every shard is
+//!   taken under it, so no process runs the race it times. What it
+//!   still guards is the table as a concurrent structure — a change
+//!   that funnels disjoint pages onto one shard, or holds a shard
+//!   across a long operation, fails it.
 //! * **interval** — 4/8 threads of write-fault *dirty enrollment*
 //!   (the open interval's write-set bookkeeping) racing one closer
 //!   thread that cycles interval closes. Sharded variant: enrollment
@@ -44,8 +48,10 @@
 //!   first post-reset write until the close finishes. Raw throughput
 //!   ratios are scheduler-noisy on small runners (closes are rare
 //!   events), but this during-close window is the direct signal of
-//!   the coupling the shard layout removes, and it separates by an
-//!   order of magnitude on every core count.
+//!   the two layouts' difference, and it separates by an order of
+//!   magnitude on every core count. Like the contention lane it times
+//!   the structure, not a process: there every write fault and every
+//!   close runs under the core mutex.
 //!
 //! Emits a human table plus `BENCH_hotpath.json`; with `--smoke` the
 //! floors `CONTENTION_8T_MIN_RATIO`, `PIPELINE_MIN_PAGES_PER_SEC` and

@@ -30,7 +30,10 @@
 //!   lock that creates the diff and its record, one `DiffPush` per
 //!   reader. So every diff of p we close after acknowledging r's
 //!   subscription this epoch is pushed to r, and is queued before its
-//!   notice can leave us.
+//!   notice can leave us. The close holds it until the synchronization
+//!   message that follows is on the link, or until a `RecordsRep`
+//!   hands its notice out, whichever comes first; an aggregator may
+//!   let it go sooner, while it waits for its subtree.
 //! * **R** (reader expectation): a notice `(p, w, s)` with no stored
 //!   diff is *expected* iff w acknowledged a subscription to p this
 //!   epoch at a seq lower than s — by W it is on its way.
@@ -176,6 +179,22 @@ pub struct ProcCore {
     /// [`Self::close_interval`] queued them. The service thread pops
     /// one per turn of its loop and sends it after the core lock drops.
     pub outbox: VecDeque<(Gpid, bytes::Bytes, u64)>,
+    /// How many pushes at the back of the outbox are held: ones
+    /// [`Self::close_interval`] queued. They wait until the
+    /// synchronization message that follows the close is on the link
+    /// ([`Self::release_pushes`]), until a `RecordsRep` hands out the
+    /// close's notices, or until a commit; the service thread sends the
+    /// older ones ahead of them ([`Self::next_push`]).
+    pub pushes_held: usize,
+    /// How many pushes the last close queued.
+    pub close_pushes: usize,
+    /// While we wait for our reduce subtree at a join or a barrier: how
+    /// many aggregates we collect ([`Self::await_subtree`]).
+    pub subtree_due: Option<usize>,
+    /// Aggregates of our epoch the service thread has forwarded to the
+    /// application thread and no collection has taken yet
+    /// ([`Self::subtree_arrived`]).
+    pub subtree_in: usize,
     /// Reader side: every diff that reaches us, until
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
     /// a fault or a page collection.
@@ -212,6 +231,10 @@ impl ProcCore {
             default_owner,
             readers: HashMap::new(),
             outbox: VecDeque::new(),
+            pushes_held: 0,
+            close_pushes: 0,
+            subtree_due: None,
+            subtree_in: 0,
             early: HashMap::new(),
             push_after: HashMap::new(),
             early_cv: None,
@@ -634,11 +657,15 @@ impl ProcCore {
 
     /// Close the open interval: turn twins into diffs, emit the
     /// interval record, advance the clock — and queue the new diffs of
-    /// pages with readers for the service thread to push (invariant W;
-    /// the caller wakes it once its own synchronization message is on
-    /// the link, see [`crate::ctx::TmkCtx::wake_pusher`]). Returns the
-    /// record if any page was written.
+    /// pages with readers for the service thread to push (invariant W).
+    /// The close holds the pushes it queues, so none goes ahead of the
+    /// synchronization message that follows it; the caller releases
+    /// them once that message is on the link
+    /// ([`crate::ctx::TmkCtx::wake_pusher`]). Older pushes are not held:
+    /// their notices may be out, and whoever learnt one may be parked
+    /// on its push. Returns the record if any page was written.
     pub fn close_interval(&mut self) -> Option<Record> {
+        self.close_pushes = 0;
         if self.pages.dirty_count() == 0 {
             return None;
         }
@@ -704,7 +731,10 @@ impl ProcCore {
         };
         self.records.insert(rec.clone());
         self.unsent.push(rec.clone());
+        let queued = self.outbox.len();
         self.queue_pushes(seq, to_push);
+        self.close_pushes = self.outbox.len() - queued;
+        self.pushes_held += self.close_pushes;
         Some(rec)
     }
 
@@ -742,6 +772,66 @@ impl ProcCore {
             };
             self.outbox
                 .push_back((self.team.gpid(r), payload, pages.len() as u64));
+        }
+    }
+
+    /// Release the pushes a close held; whether the outbox has a push
+    /// to send.
+    pub fn release_pushes(&mut self) -> bool {
+        self.pushes_held = 0;
+        !self.outbox.is_empty()
+    }
+
+    /// We have closed and are about to collect `children` aggregates of
+    /// our reduce subtree. A leaf keeps its close's pushes held until
+    /// its arrival is on the link. An aggregator releases them, since
+    /// its link would idle while it waits; the aggregate that completes
+    /// its subtree holds what is left of them again, until its own
+    /// aggregate is on the link, which then queues behind the one push
+    /// on the wire at most ([`Self::subtree_arrived`]). If the subtree
+    /// is complete already, its pushes go first. Whether the outbox has
+    /// a push to send now.
+    pub fn await_subtree(&mut self, children: usize) -> bool {
+        if children == 0 {
+            return false;
+        }
+        if self.subtree_in < children {
+            self.subtree_due = Some(children);
+        }
+        self.release_pushes()
+    }
+
+    /// The service thread forwards an aggregate of `epoch` to the
+    /// application thread: if it completes the subtree a collection
+    /// waits for, the close's pushes still queued are held.
+    pub fn subtree_arrived(&mut self, epoch: Epoch) {
+        if epoch != self.epoch() {
+            return;
+        }
+        self.subtree_in += 1;
+        if self.subtree_due.is_some_and(|due| self.subtree_in >= due) {
+            self.hold_close_pushes();
+        }
+    }
+
+    /// A collection took `children` aggregates.
+    pub fn subtree_collected(&mut self, children: usize) {
+        self.subtree_due = None;
+        self.subtree_in = self.subtree_in.saturating_sub(children);
+    }
+
+    /// Hold what the last close queued and has not sent: the back of
+    /// the outbox.
+    fn hold_close_pushes(&mut self) {
+        self.pushes_held = self.close_pushes.min(self.outbox.len());
+    }
+
+    /// The next push to send, unless every queued one is held.
+    pub fn next_push(&mut self) -> Option<(Gpid, bytes::Bytes, u64)> {
+        if self.outbox.len() > self.pushes_held {
+            self.outbox.pop_front()
+        } else {
+            None
         }
     }
 
@@ -1113,6 +1203,10 @@ impl ProcCore {
         DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
         self.readers.clear();
         self.outbox.clear();
+        self.pushes_held = 0;
+        self.close_pushes = 0;
+        self.subtree_due = None;
+        self.subtree_in = 0;
         self.early.clear();
         self.push_after.clear();
         DsmStats::bump(&self.stats.gcs);
@@ -1835,6 +1929,75 @@ mod tests {
         buf.store(1, 5);
         c.close_interval().unwrap();
         assert!(c.outbox.is_empty());
+    }
+
+    #[test]
+    fn a_close_holds_only_the_pushes_it_queues() {
+        let mut c = team_core(2, 0);
+        c.readers.insert(0, vec![1]);
+        let close = |c: &mut ProcCore, v| {
+            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+                panic!()
+            };
+            buf.store(0, v);
+            c.close_interval().unwrap();
+        };
+        write_shared(&mut c, 0, 1);
+        c.close_interval().unwrap();
+        assert!(c.next_push().is_none(), "held until released");
+        assert!(c.release_pushes());
+        // A second close before the first push left: that push's notice
+        // may be out, so only the new one is held.
+        close(&mut c, 2);
+        let seq_of = |(_, payload, _): (Gpid, bytes::Bytes, u64)| match Msg::from_wire(&payload) {
+            Ok(Msg::DiffPush { diffs, .. }) => diffs[0].1,
+            other => panic!("expected DiffPush, got {other:?}"),
+        };
+        assert_eq!(c.next_push().map(seq_of), Some(1));
+        assert!(c.next_push().is_none());
+        assert!(c.release_pushes());
+        assert_eq!(c.next_push().map(seq_of), Some(2));
+        // A close that queues nothing holds nothing.
+        c.readers.clear();
+        close(&mut c, 3);
+        assert_eq!(c.pushes_held, 0);
+    }
+
+    #[test]
+    fn an_aggregator_pushes_while_its_subtree_is_out() {
+        let closed = |readers: Vec<Pid>| {
+            let mut c = team_core(4, 1);
+            c.readers.insert(0, readers);
+            write_shared(&mut c, 0, 1);
+            c.close_interval().unwrap();
+            c
+        };
+        let mut c = closed(vec![2, 3]);
+        assert_eq!(c.pushes_held, 2, "the close holds its pushes");
+        assert!(c.await_subtree(2), "two children out: the pushes go");
+        c.subtree_arrived(0);
+        assert!(c.next_push().is_some());
+        c.subtree_arrived(1); // another epoch's: not ours to count
+        assert_eq!(c.pushes_held, 0);
+        // The aggregate that completes the subtree holds what is left
+        // until ours is on the link.
+        c.subtree_arrived(0);
+        assert!(c.next_push().is_none());
+        c.subtree_collected(2);
+        assert!(c.release_pushes());
+        assert!(c.next_push().is_some());
+        assert_eq!(c.subtree_in, 0);
+
+        // A leaf keeps them held until its arrival is out.
+        let mut c = closed(vec![2]);
+        assert!(!c.await_subtree(0));
+        assert!(c.next_push().is_none());
+        // A subtree complete before we collect: nothing will arrive to
+        // hold them, and they go first.
+        let mut c = closed(vec![2]);
+        c.subtree_arrived(0);
+        assert!(c.await_subtree(1));
+        assert!(c.next_push().is_some());
     }
 
     #[test]

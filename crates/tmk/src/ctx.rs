@@ -723,14 +723,18 @@ impl TmkCtx {
         self.wake_pusher();
     }
 
-    /// Hand the pushes an interval close queued (if any) to the service
-    /// thread. Call it after every close, and *after* that
-    /// synchronization point's own message (a `JoinArrive`, a lock
-    /// release, the master's fork sends) is on the link: that message
-    /// is small and on the critical path, so it reserves the wire ahead
-    /// of the bulk.
+    /// Release the pushes the last interval close held
+    /// ([`ProcCore::release_pushes`]) and, if the outbox has a push,
+    /// wake the service thread to send it. Call it after every close, and
+    /// *after* that synchronization point's own message (a
+    /// `JoinArrive`, a lock release, the master's fork sends) is on the
+    /// link: that message is small and on the critical path, so it
+    /// reserves the wire ahead of the bulk. Until then the service
+    /// thread sends none of that close's pushes, however many bursts
+    /// it serves, except while an aggregator waits for its subtree
+    /// ([`ProcCore::await_subtree`]) or after a `RecordsReq` it answers.
     pub fn wake_pusher(&self) {
-        if !self.core.lock().outbox.is_empty() {
+        if self.core.lock().release_pushes() {
             self.endpoint.wake();
         }
     }
@@ -763,8 +767,10 @@ impl TmkCtx {
     /// `(pid, seq)`), and send **one** aggregate to our parent —
     /// escalating to the grandparent, and on up to the master, while
     /// the parent's endpoint is gone. Its `reduction` partials are ours
-    /// (`partial`), then our subtree's, in pid order. Then the close's
-    /// pushes start.
+    /// (`partial`), then our subtree's, in pid order. The close's pushes
+    /// go while some of our subtree is outstanding, and what is left of
+    /// them when the last aggregate arrives waits for ours
+    /// ([`ProcCore::await_subtree`]); a leaf's wait for its arrival.
     ///
     /// A child's aggregate can reach us before our own `Fork` or
     /// `BarrierRelease` does (the shapes differ): the wait loops leave
@@ -772,14 +778,19 @@ impl TmkCtx {
     /// data is buffered here only, never applied to our own core, so
     /// per-process DSM state is the flat collection's.
     fn arrive(&mut self, partial: Option<f64>) {
-        let (mut vc, mut records) = {
-            let mut c = self.core.lock();
-            c.close_interval();
-            (c.vc.clone(), c.drain_unsent())
-        };
         let shapes = self.shapes();
         let shape = &shapes.reduce;
         let (pid, my) = (self.my_pid, self.my_pid as usize);
+        let children = shape.children(my).len();
+        let (mut vc, mut records, push_now) = {
+            let mut c = self.core.lock();
+            c.close_interval();
+            let push_now = c.await_subtree(children);
+            (c.vc.clone(), c.drain_unsent(), push_now)
+        };
+        if push_now {
+            self.endpoint.wake();
+        }
         // `drain_unsent` can hand us records authored by *other* pids
         // (lock transfers), so dedup child aggregates against them.
         let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
@@ -800,6 +811,7 @@ impl TmkCtx {
         let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
         let ctrl = &mut link_of(&mut self.link).ctrl;
         collect_joins(ctrl, shape, my, epoch, timeout, &self.stats, absorb);
+        self.core.lock().subtree_collected(children);
         let bytes = Msg::JoinArrive {
             epoch,
             pid,
@@ -849,6 +861,9 @@ impl TmkCtx {
         let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
         let ctrl = &mut link_of(&mut self.link).ctrl;
         collect_joins(ctrl, &shapes.reduce, 0, epoch, timeout, &self.stats, absorb);
+        self.core
+            .lock()
+            .subtree_collected(shapes.reduce.children(0).len());
         partials.in_pid_order()
     }
 

@@ -14,7 +14,15 @@
 //! ([`ProcCore::close_interval`]) leave from here, one `DiffPush` per
 //! turn of the loop with the inbox drained in between, so the
 //! application thread stays free to relay the next fork and no request
-//! waits for more than one push.
+//! waits for more than one push. A close holds its pushes until the
+//! synchronization message that follows it is on the link
+//! ([`crate::ctx::TmkCtx::wake_pusher`]). An aggregator lets them go
+//! while it waits for its reduce subtree, and the aggregate that
+//! completes the subtree, counted here as it is forwarded, holds the
+//! rest ([`ProcCore::subtree_arrived`]): the aggregator's own
+//! aggregate then leaves ahead of them. A `RecordsReq` answered in the
+//! meantime releases them, since its reply may hand out the notices of
+//! the held close.
 
 use crate::config::DsmConfig;
 use crate::core::{LockGrant, LockWaiter, ProcCore};
@@ -78,11 +86,14 @@ pub fn service_loop(
             break;
         }
         burst.drain(..).for_each(serve);
-        // After every burst, not only after a wake: a `RecordsReq` we
-        // just answered may have handed out the notice of an interval
-        // whose close no wake has followed yet (an aggregator blocked
-        // on its subtree), and whoever learnt it may be parked on the
-        // push (`stress.rs::a_joined_aggregator_pushes_what_its_records_announce`).
+        // After every burst, but none a close still holds: a close's
+        // pushes wait for the synchronization message that follows it
+        // (an aggregator's last child's arrival wakes us, and its own
+        // aggregate must not queue behind its pushes). The
+        // application thread's wake releases them, and so does a
+        // `RecordsReq` we answer, whose reply may hand out the notice
+        // of a held close to a reader parked on the push
+        // (`stress.rs::a_joined_aggregator_pushes_what_its_records_announce`).
         // One push per turn, the inbox drained in between: a `DiffReq`,
         // a `LockReq` or a `Fork` waiting to be forwarded waits for at
         // most one push. (Only for what has *arrived*: `try_recv`
@@ -91,7 +102,7 @@ pub fn service_loop(
         loop {
             // The core guard drops at the end of this statement, before
             // the send.
-            let Some((dst, payload, diffs)) = core.lock().outbox.pop_front() else {
+            let Some((dst, payload, diffs)) = core.lock().next_push() else {
                 break;
             };
             // Counted before the send, so a reader can never book a
@@ -149,6 +160,9 @@ fn serve_one(
 ) -> Result<(), Dropped> {
     let msg = Msg::from_wire(&inc.payload).map_err(|_| Dropped::Malformed)?;
     if msg.is_control() {
+        if let Msg::JoinArrive { epoch, .. } = msg {
+            core.lock().subtree_arrived(epoch);
+        }
         // Forward to the application thread; if it has exited (post
         // Terminate), drop silently — late control traffic is
         // possible during teardown.
@@ -199,8 +213,11 @@ fn serve_one(
         Msg::RecordsReq { epoch, vc } => {
             let replier = inc.replier.ok_or(Dropped::Malformed)?;
             let rep = {
-                let c = core.lock();
+                let mut c = core.lock();
                 this_epoch(epoch, c.epoch())?;
+                // The reply may name a held close's interval; whoever
+                // asked may be parked on its push.
+                c.release_pushes();
                 c.serve_records(&vc)
             };
             replier.reply(rep.encode(cfg));
@@ -568,6 +585,97 @@ mod tests {
         // it (the envelope's sender), not the holder.
         let core = assert_stale_dropped(&[], Msg::LockRelease { epoch: 0, lock: 3 });
         assert!(lock_free(&core));
+    }
+
+    /// A writer (A, with its service thread) whose close queued one
+    /// `DiffPush` for a subscribed reader (B, a bare endpoint), and a
+    /// third endpoint (C) to send A requests. Returns A's context (its
+    /// application-thread side), B and C.
+    fn held_push() -> (crate::ctx::TmkCtx, Endpoint, Endpoint) {
+        let net = Network::new(3, NetModel::disabled());
+        let (ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, ep_c) = (net.register(HostId(1)), net.register(HostId(2)));
+        {
+            let mut c = core_a.lock();
+            c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
+            c.vc = crate::types::Vc::new(2);
+            let _ = c.plan_access(0, false);
+            let _ = c.serve_page(0, Some(1)); // B subscribes
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+                panic!()
+            };
+            buf.store(0, 9);
+            c.close_interval().unwrap();
+            assert_eq!(c.outbox.len(), 1, "the close queued B's push");
+        }
+        (crate::ctx::TmkCtx::new(core_a, ep_a, None), ep_b, ep_c)
+    }
+
+    /// Whether a `DiffPush` reaches `reader` within `within`.
+    fn pushed(reader: &Endpoint, within: std::time::Duration) -> bool {
+        nowmp_util::wait_for(within, || {
+            reader
+                .try_recv()
+                .is_some_and(|inc| matches!(Msg::from_wire(&inc.payload), Ok(Msg::DiffPush { .. })))
+        })
+    }
+
+    #[test]
+    fn a_held_push_waits_for_the_wake() {
+        let (ctx, reader, peer) = held_push();
+        // A burst of the service thread's: the request is answered, and
+        // the held push stays put.
+        let rep = peer.call(ctx.gpid(), page_req(0, false)).unwrap();
+        assert!(matches!(Msg::from_wire(&rep), Ok(Msg::PageRep { .. })));
+        let short = std::time::Duration::from_millis(100);
+        assert!(!pushed(&reader, short), "a burst released a held push");
+        ctx.wake_pusher();
+        assert!(pushed(&reader, std::time::Duration::from_secs(10)));
+        assert!(ctx.core().lock().outbox.is_empty());
+    }
+
+    #[test]
+    fn a_records_reply_releases_held_pushes() {
+        let (ctx, reader, peer) = held_push();
+        let rep = peer.call(ctx.gpid(), page_req(0, false)).unwrap();
+        assert!(matches!(Msg::from_wire(&rep), Ok(Msg::PageRep { .. })));
+        let short = std::time::Duration::from_millis(100);
+        assert!(!pushed(&reader, short), "a burst released a held push");
+        // The reply hands out the held close's notice: its push follows
+        // without a wake.
+        let req = Msg::RecordsReq {
+            epoch: 0,
+            vc: crate::types::Vc::new(2),
+        };
+        let rep = peer.call(ctx.gpid(), req.to_bytes()).unwrap();
+        let Ok(Msg::RecordsRep { records }) = Msg::from_wire(&rep) else {
+            panic!("expected RecordsRep")
+        };
+        assert_eq!(records.len(), 1);
+        assert!(pushed(&reader, std::time::Duration::from_secs(10)));
+    }
+
+    #[test]
+    fn the_aggregate_completing_a_subtree_holds_the_close_pushes() {
+        let (ctx, reader, peer) = held_push();
+        // One child outstanding: the close's push is released (and only
+        // waits for a burst to go).
+        assert!(ctx.core().lock().await_subtree(1));
+        let arrival = Msg::JoinArrive {
+            epoch: 0,
+            pid: 1,
+            vc: crate::types::Vc::new(2),
+            records: Vec::new(),
+            partials: Vec::new(),
+        };
+        peer.send(ctx.gpid(), arrival.to_bytes()).unwrap();
+        let short = std::time::Duration::from_millis(100);
+        assert!(
+            !pushed(&reader, short),
+            "the push went ahead of our aggregate"
+        );
+        ctx.wake_pusher();
+        assert!(pushed(&reader, std::time::Duration::from_secs(10)));
     }
 
     #[test]

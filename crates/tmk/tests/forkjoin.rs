@@ -854,11 +854,19 @@ fn join_aggregate_that_beats_the_fork_is_kept_for_the_join() {
 /// An `n`-rank team on the paper models, the virtual clock and the
 /// default (treed) collectives, running `runner`'s regions.
 fn paper_team(n: usize, runner: Arc<dyn RegionRunner>) -> (Arc<DsmSystem>, MasterCtl) {
+    paper_team_on(n, nowmp_util::Clock::new_virtual(), runner)
+}
+
+/// [`paper_team`] on `clock`, which `runner` may sleep on.
+fn paper_team_on(
+    n: usize,
+    clock: nowmp_util::Clock,
+    runner: Arc<dyn RegionRunner>,
+) -> (Arc<DsmSystem>, MasterCtl) {
     use nowmp_net::CostModel;
-    use nowmp_util::Clock;
 
     let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
-    let net = Network::with_clock(n, 1, model, cost, Clock::new_virtual());
+    let net = Network::with_clock(n, 1, model, cost, clock);
     let cfg = DsmConfig {
         call_timeout: Duration::from_secs(20),
         ..DsmConfig::default_4k()
@@ -872,6 +880,98 @@ fn paper_team(n: usize, runner: Arc<dyn RegionRunner>) -> (Arc<DsmSystem>, Maste
     }
     master.init_team(&workers);
     (sys, master)
+}
+
+/// The aggregate-ordering regions: in region 0 `writer` rewrites every
+/// word of `w` while `slow` (its reduce children) compute for `nap`; in
+/// region 1 `reader` reads a word of each page, so its region faults
+/// subscribe it to `writer`'s diffs.
+struct PushAhead {
+    clock: nowmp_util::Clock,
+    writer: usize,
+    slow: Vec<usize>,
+    reader: usize,
+    nap: Duration,
+}
+
+impl RegionRunner for PushAhead {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        let w = SharedF64Vec::lookup(ctx, "w");
+        let me = ctx.pid() as usize;
+        match region {
+            0 if me == self.writer => {
+                for i in 0..w.len() {
+                    let x = w.get(ctx, i);
+                    w.set(ctx, i, x + 1.0);
+                }
+            }
+            0 if self.slow.contains(&me) => self.clock.sleep(self.nap),
+            1 if me == self.reader => {
+                for i in (0..w.len()).step_by(512) {
+                    w.get(ctx, i);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// An interior reduce rank closes its interval, with pushes queued for a
+/// subscribed reader, long before its reduce children arrive. The
+/// pushes use its link while it waits, and none is left ahead of its
+/// own aggregate when the last child's arrives: the join ends a hop or
+/// two after the slowest child, not the pushes' wire time later (as it
+/// did when the pushes started on that arrival).
+#[test]
+fn an_aggregate_leaves_ahead_of_its_own_pushes() {
+    use nowmp_net::CostModel;
+    use nowmp_tmk::tree::Shapes;
+
+    let n = 8;
+    let (model, cost) = (NetModel::paper_1999(), CostModel::paper_1999());
+    // Premise, from the shape the team runs: an aggregator other than
+    // the master, and a reader outside its subtree and off its path.
+    let shapes = Shapes::for_team(n, &model, &cost);
+    let writer = (1..n)
+        .find(|&a| !shapes.reduce.children(a).is_empty())
+        .expect("the reduce shape has an interior rank");
+    let slow = shapes.reduce.children(writer).to_vec();
+    let reader = (1..n)
+        .find(|&r| r != writer && !slow.contains(&r))
+        .expect("a rank outside the aggregator's subtree");
+    let clock = nowmp_util::Clock::new_virtual();
+    let nap = Duration::from_millis(20);
+    let runner = PushAhead {
+        clock: clock.clone(),
+        writer,
+        slow,
+        reader,
+        nap,
+    };
+    let (sys, mut master) = paper_team_on(n, clock.clone(), Arc::new(runner));
+    master.alloc("w", 16 * 512, ElemKind::F64);
+    // Warm-up: the reader subscribes, and every later write is pushed.
+    for _ in 0..2 {
+        master.parallel(0, &[]);
+        master.parallel(1, &[]);
+    }
+    let before = sys.stats().snapshot();
+    let start = clock.now();
+    master.parallel(0, &[]);
+    let took = clock.now().saturating_since(start);
+    master.parallel(1, &[]); // waits for the push, so it is counted
+    let after = sys.stats().snapshot();
+    let pushed = after.push_bytes - before.push_bytes;
+    assert!(
+        pushed > 16 * 4096,
+        "the writer pushed its pages ({pushed} B)"
+    );
+    let wire = model.sender_time(pushed as usize);
+    assert!(
+        took < nap + wire,
+        "the join took {took:?}: the aggregate queued behind {wire:?} of pushes"
+    );
+    master.shutdown();
 }
 
 /// Region `b` meets at `b` barriers back to back and touches nothing.

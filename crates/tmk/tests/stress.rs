@@ -335,14 +335,14 @@ fn a_joined_aggregator_pushes_what_its_records_announce() {
     // Liveness of the push plane under the tree join reduce. After the
     // warm-up rank 3 *expects* rank 2's diffs of `y` (rule R) and parks
     // for the one the lock transfer told it about. That diff sits in
-    // rank 2's outbox, and rank 2's application thread — which wakes
-    // its service thread only once its own arrival is on the link — is
+    // rank 2's outbox, held by the close of rank 2's arrival until that
+    // arrival is on the link — and rank 2's application thread is
     // blocked collecting its subtree: rank 3. What keeps the two
-    // moving is that the service thread drains the outbox after *every*
-    // burst, so the `RecordsReq` that hands out the notice is followed
-    // by the push it announces. A service loop that pushed only when
-    // woken would deadlock here (and the fault path's guard would say
-    // so: "pushed diff lost: page .., writer pid 2, ..").
+    // moving is that a `RecordsRep` releases the held pushes, so the
+    // `RecordsReq` that hands out the notice is followed by the push it
+    // announces. A service loop that pushed only when woken would
+    // deadlock here (and the fault path's guard would say so: "pushed
+    // diff lost: page .., writer pid 2, ..").
     let clock = nowmp_util::Clock::new_virtual();
     let net = Network::with_clock(
         4,
