@@ -36,7 +36,9 @@ use nowmp_core::{ClusterConfig, EventKind, LogEntry};
 use nowmp_net::{CostModel, NetModel};
 use nowmp_omp::OmpSystem;
 use nowmp_tmk::DsmConfig;
-use nowmp_util::Clock;
+use nowmp_tmk::ProcLedger;
+use nowmp_util::{Cause, Clock};
+use parking_lot::Mutex;
 use std::fmt;
 
 /// Problem sizes: CI-sized (`--smoke`) or the full laptop-scale runs.
@@ -271,6 +273,72 @@ pub struct RunResult {
     pub log: Vec<LogEntry>,
     /// Verification error vs the serial reference.
     pub err: f64,
+    /// Each iteration's share of the clock's ledger, by process.
+    pub ledger: Vec<Vec<ProcLedger>>,
+}
+
+/// The runs [`measure`] made since [`breakdown`] last turned
+/// collection on: `(label, the loop's ledger by process)`. `None` while
+/// off.
+static BREAKDOWN: Mutex<Option<Vec<(String, Vec<ProcLedger>)>>> = Mutex::new(None);
+
+/// Start collecting every measured run's ledger (`paper --breakdown`),
+/// handing back what was collected since the last call; `on = false`
+/// stops.
+pub fn breakdown(on: bool) -> Vec<(String, Vec<ProcLedger>)> {
+    let mut b = BREAKDOWN.lock();
+    let taken = b.take().unwrap_or_default();
+    if on {
+        *b = Some(Vec::new());
+    }
+    taken
+}
+
+/// The summed ledger of `steps`, by process.
+fn ledger_total(steps: &[Vec<ProcLedger>]) -> Vec<ProcLedger> {
+    let mut total: Vec<ProcLedger> = Vec::new();
+    for p in steps.iter().flatten() {
+        match total.iter_mut().find(|t| t.gpid == p.gpid) {
+            Some(t) => {
+                for (r, v) in t.app.iter_mut().zip(p.app) {
+                    *r += v;
+                }
+                for (r, v) in t.svc.iter_mut().zip(p.svc) {
+                    *r += v;
+                }
+            }
+            None => total.push(*p),
+        }
+    }
+    total.sort_by_key(|p| p.gpid);
+    total
+}
+
+/// The `paper --breakdown` table of `runs` (as [`breakdown`] hands
+/// them back): per run, the virtual milliseconds a process's
+/// application thread spent in each cause over the timed steps, as a
+/// mean over processes — on a team that does not change, a row sums to
+/// the steps' simulated time — then the mean time its service thread
+/// held its outbound link.
+pub fn breakdown_table(title: &str, runs: &[(String, Vec<ProcLedger>)]) -> Table {
+    let rows = runs
+        .iter()
+        .map(|(label, procs)| {
+            let mean = |ns: u64| format!("{:.3}", ns as f64 / 1e6 / procs.len().max(1) as f64);
+            let mut row = vec![label.clone(), procs.len().to_string()];
+            for cause in Cause::ALL {
+                row.push(mean(procs.iter().map(|p| p.app(cause)).sum()));
+            }
+            row.push(mean(procs.iter().map(|p| p.svc(Cause::Transmit)).sum()));
+            row
+        })
+        .collect();
+    let causes: Vec<&str> = Cause::ALL.iter().map(|c| c.name()).collect();
+    Table::new(
+        title,
+        &format!("Run | Procs | {} | svc transmit", causes.join(" | ")),
+        rows,
+    )
 }
 
 /// Run `kernel` for `iters` iterations on a fresh system built from
@@ -295,13 +363,20 @@ pub fn measure(
     let clock = sys.clock().clone();
     let t0 = clock.now();
     let mut steps = Vec::with_capacity(iters);
+    let mut ledger = Vec::with_capacity(iters);
     for it in 0..iters {
         events(&mut sys, it);
         let step0 = clock.now();
+        let before = sys.ledger();
         kernel.step(&mut sys, it);
         steps.push((clock.elapsed_since(step0).as_secs_f64(), sys.nprocs()));
+        ledger.push(ProcLedger::since(&sys.ledger(), &before));
     }
     let secs = clock.elapsed_since(t0).as_secs_f64();
+    if let Some(runs) = BREAKDOWN.lock().as_mut() {
+        let label = format!("{} n={}", kernel.name(), sys.nprocs());
+        runs.push((label, ledger_total(&ledger)));
+    }
     let dsm = sys.dsm_stats().since(&dsm0);
     let net = sys.net_stats().since(&net0);
     let log = sys.log().entries();
@@ -323,6 +398,7 @@ pub fn measure(
         net,
         log,
         err,
+        ledger,
     }
 }
 

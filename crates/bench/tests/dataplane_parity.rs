@@ -227,7 +227,10 @@ fn steady_state_sends_no_requests() {
     // Request-reply until the first push arrived: NBF/16 1034-1063,
     // Jacobi/32 435. Acknowledged subscriptions: 757-785 and 286-308.
     // With NBF's energy riding the join instead of the scratch page
-    // (no barriers, no scratch diffs): 504-513.
+    // (no barriers, no scratch diffs): 504-513. With a cold fault
+    // asking every writer tied at the newest vcsum, one for the page and
+    // the rest for their diffs, so it is subscribed to all of them: NBF
+    // 328-330.
     assert!(nbf[0] <= 560, "NBF/16: {} messages in iteration 1", nbf[0]);
     assert!(
         jacobi[0] <= 340,

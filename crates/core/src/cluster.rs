@@ -591,6 +591,11 @@ impl Cluster {
         self.master.system().stats().snapshot()
     }
 
+    /// Every process's share of the clock's ledger, in gpid order.
+    pub fn ledger(&self) -> Vec<nowmp_tmk::ProcLedger> {
+        self.master.system().ledger()
+    }
+
     /// Network statistics.
     pub fn net_stats(&self) -> nowmp_net::StatsSnapshot {
         self.shared.net.stats()

@@ -23,7 +23,7 @@ use crate::stats::{LinkStats, NetStats, StatsSnapshot};
 use crate::{Gpid, HostId};
 use bytes::Bytes;
 use nowmp_util::mailbox::{mailbox, MailboxReceiver, MailboxSender, RecvTimeoutError};
-use nowmp_util::{Clock, Tick};
+use nowmp_util::{waiting_for, Cause, Clock, Tick};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -190,6 +190,7 @@ impl NetInner {
     /// past to an unrelated, far-off compute charge. Senders that ask at
     /// the same tick are served in the order they reach the book.
     fn occupy_link(&self, host: &HostRec, d: Duration) {
+        let _cause = waiting_for(Cause::Transmit);
         let done = {
             let mut free = host.outbound.lock();
             *free = (*free).max(self.clock.now()) + d;

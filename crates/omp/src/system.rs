@@ -232,6 +232,11 @@ impl OmpSystem {
         self.cluster.dsm_stats()
     }
 
+    /// Every process's share of the clock's ledger, in gpid order.
+    pub fn ledger(&self) -> Vec<nowmp_tmk::ProcLedger> {
+        self.cluster.ledger()
+    }
+
     /// Network counters.
     pub fn net_stats(&self) -> nowmp_net::StatsSnapshot {
         self.cluster.net_stats()

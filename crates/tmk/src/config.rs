@@ -131,7 +131,16 @@ impl CollectiveConfig {
 ///   `whole_if_smaller`, and the creator
 ///   sends the page instead of the chain when the page is smaller; at
 ///   a leave that moves the leaver's pages whole. Under `Demand` the
-///   chain moves, as in 1999.
+///   chain moves, as in 1999;
+/// * cold fetches spread (gated on [`pipeline`](Self::pipeline) too) —
+///   a fault on a page it holds no copy of asks one of the writers
+///   tied at the newest vcsum, picked by the faulting rank, instead of
+///   the same one for every reader (`ProcCore::holder`), and the other
+///   tied writers for their diffs in the same round;
+/// * fresh runs lent at once (gated on [`pipeline`](Self::pipeline)
+///   too) — a directory owner that lends a never-materialized page to
+///   a region's fault lends the fresh pages after it with it
+///   (`ProcCore::lend_fresh`).
 ///
 /// Under either plane a `Fork` or `BarrierRelease` carries write
 /// notices and never diffs: a reader fetches (or is pushed) the diffs

@@ -88,6 +88,10 @@ pub struct FetchPlan {
     pub diffs: Vec<(Gpid, Vec<(PageId, Seq)>)>,
 }
 
+/// The most pages a directory owner lends as zeros with one it serves
+/// ([`ProcCore::lend_fresh`]).
+pub const LEASE_PAGES: usize = 64;
+
 /// Where the diff behind an unapplied write notice will come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffSource {
@@ -324,20 +328,25 @@ impl ProcCore {
                     meta.state = PageState::Read;
                     drop(meta);
                     self.plan_access(page, want_write)
-                } else if meta.data.is_none() && meta.owner == me && meta.pending.is_empty() {
+                } else if meta.data.is_none()
+                    && (meta.owner == me || meta.lease)
+                    && meta.pending.is_empty()
+                {
                     // We are the directory owner of a page nobody has
-                    // materialized yet — and nobody has written it
-                    // either (no notices): conjure the zero page (the
-                    // backing store of a fresh allocation). With
-                    // notices present, the writer's copy is the truth
-                    // and we must fetch like anyone else.
+                    // materialized yet, or its owner lent it to us as
+                    // such — and nobody has written it either (no
+                    // notices): conjure the zero page (the backing
+                    // store of a fresh allocation). With notices
+                    // present, the writer's copy is the truth and we
+                    // must fetch like anyone else.
                     let buf = Arc::new(PageBuf::new(spp));
                     meta.data = Some(Arc::clone(&buf));
                     meta.state = PageState::Read;
                     // Exclusive until first served — but if we already
-                    // lent zeros to someone, copies exist out there and
-                    // our writes must be twinned and recorded.
-                    meta.shared = meta.zero_lent;
+                    // lent zeros to someone, or hold a lent page,
+                    // copies exist out there and our writes must be
+                    // twinned and recorded.
+                    meta.shared = meta.zero_lent || meta.lease;
                     drop(meta);
                     self.plan_access(page, want_write)
                 } else {
@@ -352,10 +361,25 @@ impl ProcCore {
     /// every run, and concurrent faults on one page do not all ask the
     /// same creator first. (A multi-page plan keeps the order it first
     /// saw each creator in; docs/DATAPLANE.md, lever 1, has both
-    /// measurements.)
+    /// measurements.) When the data plane pipelines, a page with no
+    /// copy also asks each other writer tied at the newest vcsum for
+    /// its diff there, in the same round as the page: the request
+    /// subscribes us to that writer, so the next interval's diffs are
+    /// pushed instead of asked for (docs/DATAPLANE.md, "Cold pages").
     fn plan_fault(&self, page: PageId, meta: &PageMeta) -> FetchPlan {
         let mut plan = FetchPlan::default();
         self.plan_page(page, meta, &mut plan);
+        if let [(_, holder)] = plan.fulls[..] {
+            if self.cfg.dataplane.pipeline() {
+                for (pid, seq) in self.newest_writers(meta) {
+                    let creator = self.team.gpid(pid);
+                    if creator != holder && self.diff_source(page, pid, seq) == DiffSource::Network
+                    {
+                        plan.diffs.push((creator, vec![(page, seq)]));
+                    }
+                }
+            }
+        }
         let (n, me) = (self.team.nprocs(), self.my_pid as usize);
         plan.diffs.sort_by_key(|(creator, _)| {
             self.team
@@ -387,13 +411,39 @@ impl ProcCore {
         }
     }
 
-    /// Who to ask for a page we hold no copy of: the newest writer we
-    /// know of, else the directory owner.
+    /// Who to ask for a page we hold no copy of: a writer at the newest
+    /// vcsum we know of, else the directory owner. Writers tied at the
+    /// newest vcsum cannot be causally ordered, so no tied writer's
+    /// copy covers another's and asking any of them leaves the same
+    /// diffs to fetch; when the data plane pipelines, our rank picks
+    /// one, so a page's cold readers spread over its newest writers
+    /// instead of all asking one ([`Self::plan_fault`] asks the others
+    /// for their diffs). The 1999 demand plane asks the last tied
+    /// writer in notice order, as TreadMarks did.
     fn holder(&self, meta: &PageMeta) -> Gpid {
-        meta.pending
+        let Some(newest) = meta.pending.iter().max_by_key(|w| w.vcsum) else {
+            return meta.owner;
+        };
+        if !self.cfg.dataplane.pipeline() {
+            return self.team.gpid(newest.pid);
+        }
+        let tied = self.newest_writers(meta);
+        self.team.gpid(tied[self.my_pid as usize % tied.len()].0)
+    }
+
+    /// The writers of `meta`'s notices tied at the newest vcsum, in pid
+    /// order, each with its seq there.
+    fn newest_writers(&self, meta: &PageMeta) -> Vec<(Pid, Seq)> {
+        let newest = meta.pending.iter().map(|w| w.vcsum).max();
+        let mut tied: Vec<(Pid, Seq)> = meta
+            .pending
             .iter()
-            .max_by_key(|w| w.vcsum)
-            .map_or(meta.owner, |w| self.team.gpid(w.pid))
+            .filter(|w| Some(w.vcsum) == newest)
+            .map(|w| (w.pid, w.seq))
+            .collect();
+        tied.sort_unstable();
+        tied.dedup();
+        tied
     }
 
     /// Install a page a creator served whole, in place of its diff
@@ -909,15 +959,57 @@ impl ProcCore {
     /// and the reply carries the acknowledgement.
     pub fn serve_page(&mut self, page: PageId, subscriber: Option<Pid>) -> crate::msg::Msg {
         let mut rep = self.page_rep(page);
+        let lent = self
+            .pages
+            .get(page)
+            .is_some_and(|m| m.data.is_none() && m.owner == self.gpid);
         if let crate::msg::Msg::PageRep {
             redirect: None,
             push_after,
+            fresh,
             ..
         } = &mut rep
         {
             *push_after = self.subscribe([page], subscriber);
+            if lent && push_after.is_some() && self.cfg.dataplane.pipeline() {
+                *fresh = self.lend_fresh(page);
+            }
         }
         rep
+    }
+
+    /// Lend, with the never-materialized `page`, the run of pages after
+    /// it that we own and that nobody has materialized or, as far as we
+    /// know, written: at most [`LEASE_PAGES`]. The requester makes them
+    /// locally instead of asking for each (a region's first touch of a
+    /// fresh allocation is one request per run, not per page); each is
+    /// marked lent, so a copy we make later records its writes.
+    fn lend_fresh(&mut self, page: PageId) -> u32 {
+        let mut fresh = 0;
+        while (fresh as usize) < LEASE_PAGES {
+            let Some(mut meta) = self.pages.get(page + 1 + fresh) else {
+                break;
+            };
+            if meta.owner != self.gpid || meta.data.is_some() || !meta.pending.is_empty() {
+                break;
+            }
+            meta.zero_lent = true;
+            fresh += 1;
+        }
+        fresh
+    }
+
+    /// Take the `fresh` pages after `page` that `owner` lent as zeros
+    /// with it ([`Self::lend_fresh`]): a later fault on one with no
+    /// notice makes it here.
+    pub fn take_lease(&mut self, page: PageId, fresh: u32, owner: Gpid) {
+        self.ensure_pages((page + fresh) as usize + 1);
+        for q in page + 1..=page + fresh {
+            let mut meta = self.pages.guard(q);
+            if meta.data.is_none() && meta.owner == owner {
+                meta.lease = true;
+            }
+        }
     }
 
     /// The page as [`Self::serve_page`] serves it, before any
@@ -945,6 +1037,7 @@ impl ProcCore {
                         words: vec![0; self.cfg.slots_per_page()],
                         redirect: None,
                         push_after: None,
+                        fresh: 0,
                     }
                 } else {
                     crate::msg::Msg::PageRep {
@@ -952,6 +1045,7 @@ impl ProcCore {
                         words: vec![],
                         redirect: Some(meta.owner),
                         push_after: None,
+                        fresh: 0,
                     }
                 }
             }
@@ -974,6 +1068,7 @@ impl ProcCore {
                             words: snap,
                             redirect: None,
                             push_after: None,
+                            fresh: 0,
                         };
                     }
                 }
@@ -986,6 +1081,7 @@ impl ProcCore {
                     words: data.snapshot(),
                     redirect: None,
                     push_after: None,
+                    fresh: 0,
                 }
             }
         }
@@ -1042,7 +1138,7 @@ impl ProcCore {
         for (&(page, _), d) in wants.iter().zip(found) {
             *chains.entry(page).or_default() += 8 + d.wire_bytes();
         }
-        let spp = self.slots_per_page();
+        let encoding = self.cfg.collectives.encoding();
         let mut whole = Vec::new();
         for (page, chain) in chains {
             let Some(mut meta) = self.pages.get(page) else {
@@ -1053,10 +1149,10 @@ impl ProcCore {
             let Some(data) = meta.data.as_ref().filter(|_| valid) else {
                 continue;
             };
-            if chain <= WholePage::wire_bytes(applied.len(), spp) {
+            let words = data.snapshot();
+            if chain <= WholePage::wire_bytes(applied.len(), &words, encoding) {
                 continue;
             }
-            let words = data.snapshot();
             meta.shared = true; // the asker keeps a copy
             whole.push(WholePage {
                 page,
@@ -1339,6 +1435,7 @@ mod tests {
             applied,
             redirect,
             push_after,
+            ..
         } = rep
         else {
             panic!()
@@ -1829,14 +1926,82 @@ mod tests {
 
     #[test]
     fn a_chain_smaller_than_its_page_is_served_as_the_chain() {
+        // A dense page, then two one-word diffs of it.
         let mut c = team_core(2, 0);
-        write_shared(&mut c, 0, 1);
-        c.close_interval().unwrap();
-        write_shared(&mut c, 0, 2);
-        c.close_interval().unwrap();
-        let (diffs, pages) = served(c.serve_diffs(&[(0, 1), (0, 2)], None, true));
-        assert_eq!(diffs, vec![(0, 1), (0, 2)], "two one-word diffs");
+        write_whole_page(&mut c, 0, 1);
+        for v in 2..=3 {
+            write_shared(&mut c, 0, v);
+            c.close_interval().unwrap();
+        }
+        let (diffs, pages) = served(c.serve_diffs(&[(0, 2), (0, 3)], None, true));
+        assert_eq!(diffs, vec![(0, 2), (0, 3)], "two one-word diffs");
         assert!(pages.is_empty());
+    }
+
+    #[test]
+    fn a_page_weighs_its_zero_runs() {
+        // One word of the page was ever written: in its zero-run form
+        // it weighs less than a chain of two diffs.
+        let mut c = team_core(2, 0);
+        for v in 1..=2 {
+            write_shared(&mut c, 0, v);
+            c.close_interval().unwrap();
+        }
+        let (diffs, pages) = served(c.serve_diffs(&[(0, 1), (0, 2)], None, true));
+        assert!(diffs.is_empty(), "the page replaces its chain");
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].words[0], 2);
+    }
+
+    #[test]
+    fn an_owner_lends_the_fresh_run_after_a_page_it_serves() {
+        let mut c = team_core(2, 0);
+        c.ensure_pages(8);
+        // We materialize page 5: the run lent with page 1 stops there.
+        let _ = c.plan_access(5, true);
+        let Msg::PageRep {
+            push_after, fresh, ..
+        } = c.serve_page(1, Some(1))
+        else {
+            panic!("a page reply")
+        };
+        assert!(push_after.is_some());
+        assert_eq!(fresh, 3, "pages 2, 3 and 4");
+        assert!((1..=4).all(|p| c.pages.guard(p).zero_lent));
+        assert!(!c.pages.guard(6).zero_lent);
+        // An unsubscribed request (the master's sequential phase, a
+        // collection) takes no lease.
+        let Msg::PageRep { fresh, .. } = c.serve_page(6, None) else {
+            panic!("a page reply")
+        };
+        assert_eq!(fresh, 0);
+        // Nor does the 1999 demand plane.
+        let mut c = team_core(2, 0);
+        c.cfg = c.cfg.clone().generation_1999();
+        c.ensure_pages(4);
+        let Msg::PageRep { fresh, .. } = c.serve_page(1, Some(1)) else {
+            panic!("a page reply")
+        };
+        assert_eq!(fresh, 0);
+    }
+
+    #[test]
+    fn a_lent_page_is_made_locally_and_records_its_writes() {
+        let mut c = team_core(2, 1);
+        let owner = c.team.gpid(0);
+        c.default_owner = owner;
+        c.take_lease(0, 2, owner);
+        // Page 1 has no notice: made here with no request, and shared,
+        // so its writes twin and reach the others as a diff.
+        let AccessPlan::Ready { writable, .. } = c.plan_access(1, true) else {
+            panic!("a lent page needs no request")
+        };
+        assert!(writable);
+        assert!(c.pages.guard(1).twin.is_some());
+        // Page 2 has a notice, and page 3 was not lent: both are asked.
+        notice(&mut c, 0, 1, 2);
+        assert!(matches!(c.plan_access(2, false), AccessPlan::Fetch(_)));
+        assert!(matches!(c.plan_access(3, false), AccessPlan::Fetch(_)));
     }
 
     #[test]

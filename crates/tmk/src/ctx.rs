@@ -28,8 +28,7 @@ use crate::tree::{ShapeBook, Shapes};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
-use nowmp_util::wire::Wire;
-use nowmp_util::{ClockCondvar, MailboxReceiver};
+use nowmp_util::{waiting_for, Cause, ClockCondvar, MailboxReceiver};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -168,7 +167,7 @@ pub(crate) fn call_all(
         let rep = call
             .and_then(|c| c.wait(cfg.call_timeout))
             .unwrap_or_else(|e| panic!("{}: call to {dst} failed: {e}", endpoint.gpid()));
-        (dst, decode(&rep, dst))
+        (dst, decode(&rep, dst, cfg))
     };
     let mut pending = Vec::with_capacity(calls.len());
     let mut replies = Vec::with_capacity(calls.len());
@@ -185,8 +184,8 @@ pub(crate) fn call_all(
 
 /// Decode a reply from `from`. A peer that answers with bytes no
 /// message decodes from is a protocol bug: fail loudly.
-pub(crate) fn decode(rep: &[u8], from: Gpid) -> Msg {
-    Msg::from_wire(rep).unwrap_or_else(|e| panic!("malformed reply from {from}: {e}"))
+pub(crate) fn decode(rep: &[u8], from: Gpid, cfg: &DsmConfig) -> Msg {
+    Msg::decode(rep, cfg).unwrap_or_else(|e| panic!("malformed reply from {from}: {e}"))
 }
 
 /// The application thread's DSM context.
@@ -471,6 +470,7 @@ impl TmkCtx {
     /// reply: a lost push is a protocol bug and fails as loudly as a
     /// lost reply does.
     fn await_expected(&self, page: PageId) {
+        let _cause = waiting_for(Cause::Push);
         let deadline = Instant::now() + self.cfg.call_timeout;
         let mut c = self.core.lock();
         while let Some((pid, seq)) = c.expected_absent(page) {
@@ -487,6 +487,7 @@ impl TmkCtx {
     /// Make every request of `plan` with one [`call_all`] and fold each
     /// reply into the core: a fault's fetch, and a page collection's.
     fn fetch(&self, plan: FetchPlan, whole_if_smaller: bool) {
+        let _cause = waiting_for(Cause::Fetch);
         let (calls, kinds): (Vec<_>, Vec<_>) = self
             .requests(plan, whole_if_smaller)
             .into_iter()
@@ -563,6 +564,7 @@ impl TmkCtx {
                     words,
                     redirect: None,
                     push_after,
+                    fresh,
                 },
             ) => {
                 let mut c = self.core.lock();
@@ -573,6 +575,9 @@ impl TmkCtx {
                     .unwrap_or(false);
                 if still_wanted {
                     c.install_page(page, &applied, words, from);
+                }
+                if fresh > 0 {
+                    c.take_lease(page, fresh, from);
                 }
                 if let (Some(after), Some(server)) = (push_after, c.team.pid_of(from)) {
                     c.acknowledged(server, [page], after);
@@ -647,6 +652,7 @@ impl TmkCtx {
     /// consistency: the grant tells us the previous holder; we fetch the
     /// interval records we lack from it and invalidate accordingly.
     pub fn lock(&mut self, lock: u32) {
+        let _cause = waiting_for(Cause::Lock);
         self.throttle();
         let mgr_pid = self.team.lock_manager(lock);
         let mgr_gpid = self.team.gpid(mgr_pid);
@@ -752,6 +758,7 @@ impl TmkCtx {
     /// master, the collection of every rank's, whose partials
     /// [`Self::take_join_partials`] then returns.
     pub(crate) fn join(&mut self) {
+        let _cause = waiting_for(Cause::Join);
         let partial = self.partial.take();
         if self.my_pid == 0 {
             self.join_partials = self.gather(partial, |_, _| {});
@@ -877,6 +884,7 @@ impl TmkCtx {
     /// the 1999 traffic. A `reduction` partial handed to the join
     /// ([`Self::hand_to_join`]) waits for the join.
     pub fn barrier(&mut self) {
+        let _cause = waiting_for(Cause::Barrier);
         self.throttle();
         DsmStats::bump(&self.stats.barrier_arrivals);
         if self.nprocs() == 1 {
@@ -992,6 +1000,7 @@ impl crate::mem::SharedMem for TmkCtx {
             .cost()
             .compute_time(self.iter_cost, iters, self.endpoint.host());
         if !d.is_zero() {
+            let _cause = waiting_for(Cause::Compute);
             self.endpoint.clock().sleep(d);
         }
     }
@@ -1003,6 +1012,7 @@ impl crate::mem::SharedMem for TmkCtx {
             .cost()
             .flops_charge(flops, self.endpoint.host());
         if !d.is_zero() {
+            let _cause = waiting_for(Cause::Compute);
             self.endpoint.clock().sleep(d);
         }
     }
@@ -1083,6 +1093,7 @@ mod tests {
     use crate::mem::SharedMem;
     use crate::stats::DsmStats as Stats;
     use nowmp_net::{HostId, NetModel, Network};
+    use nowmp_util::wire::Wire;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn make_ctx() -> TmkCtx {
@@ -1275,6 +1286,7 @@ mod tests {
                 words: vec![0; 8],
                 redirect: None,
                 push_after: Some(0),
+                fresh: 0,
             },
         );
         ctx.core().lock().deposit_push(
@@ -1508,6 +1520,7 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
+                fresh: 0,
             },
         );
         page_server(
@@ -1517,6 +1530,7 @@ mod tests {
                 words: vec![42; 8],
                 redirect: None,
                 push_after: None,
+                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1545,6 +1559,7 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
+                fresh: 0,
             },
         );
         page_server(
@@ -1554,6 +1569,7 @@ mod tests {
                 words: vec![],
                 redirect: Some(bg),
                 push_after: None,
+                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1575,6 +1591,7 @@ mod tests {
                 words: vec![],
                 redirect: Some(ctx.gpid()),
                 push_after: None,
+                fresh: 0,
             },
         );
         let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.read_u64(0)));
@@ -1601,6 +1618,7 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
+                fresh: 0,
             },
         );
         let holder = page_server(
@@ -1610,6 +1628,7 @@ mod tests {
                 words: vec![42; 8],
                 redirect: None,
                 push_after: None,
+                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);

@@ -64,7 +64,7 @@ pub use engine::{HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx};
 pub use mem::SharedMem;
 pub use msg::ElemKind;
 pub use shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
-pub use stats::{DsmSnapshot, DsmStats};
+pub use stats::{DsmSnapshot, DsmStats, ProcLedger};
 pub use system::{DsmSystem, GcOutcome, MasterCtl, MemoryImage, RegionRunner};
 pub use table::{PageGuard, PageTable};
 pub use types::{Addr, Epoch, PageId, Pid, Seq, Team, Vc};

@@ -215,10 +215,21 @@ pub struct WholePage {
 }
 
 impl WholePage {
-    /// Encoded size of a page of `words` words with `applied` clock
-    /// entries: what a creator weighs against the page's chain.
-    pub fn wire_bytes(applied: usize, words: usize) -> usize {
-        4 + (4 + 6 * applied) + (4 + 8 * words)
+    /// Encoded size, in `encoding`, of a page of `words` with `applied`
+    /// clock entries: what a creator weighs against the page's chain.
+    pub fn wire_bytes(applied: usize, words: &[u64], encoding: Encoding) -> usize {
+        let mut e = Enc::with_encoding(8 * words.len() + 8, encoding);
+        enc_page_words(words, &mut e);
+        4 + (4 + 6 * applied) + e.len()
+    }
+
+    /// Decode one, its words at most `max_words`.
+    fn dec_bounded(d: &mut Dec<'_>, max_words: usize) -> Result<Self, WireError> {
+        Ok(WholePage {
+            page: d.get_u32()?,
+            applied: dec_applied(d)?,
+            words: dec_page_words(d, max_words)?,
+        })
     }
 }
 
@@ -226,15 +237,61 @@ impl Wire for WholePage {
     fn enc(&self, e: &mut Enc) {
         e.put_u32(self.page);
         enc_applied(&self.applied, e);
-        e.put_u64_slice(&self.words);
+        enc_page_words(&self.words, e);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(WholePage {
-            page: d.get_u32()?,
-            applied: dec_applied(d)?,
-            words: d.get_u64_vec()?,
-        })
+        WholePage::dec_bounded(d, MAX_PAGE_WORDS)
     }
+}
+
+/// Marker bit in a page payload's count word ([`Msg::PageRep`],
+/// [`WholePage`]): the words follow in the zero-run form of
+/// [`nowmp_util::zrle::encode_runs`] instead of literally. The same
+/// idiom as the packed vector clock's marker, so a decoder reads
+/// either form.
+const WORDS_ZERO_RUNS: u32 = 0x8000_0000;
+
+/// The most words a page payload decodes to without a configuration
+/// to bound it ([`Msg::decode`] bounds it by the page size): a 512 KB
+/// page.
+const MAX_PAGE_WORDS: usize = 1 << 16;
+
+/// Encode a page's words behind their count. [`Encoding::Runs`] sends
+/// the zero-run form when it is smaller — a page its owner lends
+/// before anyone wrote it is 12 bytes, not 4 KB — and the literal form
+/// otherwise; [`Encoding::Flat`] always sends the literal form, the
+/// 1999 bytes.
+fn enc_page_words(words: &[u64], e: &mut Enc) {
+    if e.encoding() == Encoding::Runs {
+        let start = e.len();
+        e.put_u32(WORDS_ZERO_RUNS | words.len() as u32);
+        nowmp_util::zrle::encode_runs(words, e);
+        if e.len() - start < 4 + 8 * words.len() {
+            return;
+        }
+        e.truncate(start);
+    }
+    e.put_u64_slice(words);
+}
+
+/// Decode what [`enc_page_words`] wrote, in either form. A count above
+/// `max_words`, or runs that overrun or fall short of the count, is an
+/// error; nothing is allocated before the count is checked.
+fn dec_page_words(d: &mut Dec<'_>, max_words: usize) -> Result<Vec<u64>, WireError> {
+    let head = d.get_u32()?;
+    let n = (head & !WORDS_ZERO_RUNS) as usize;
+    if n > max_words {
+        return Err(WireError::BadLength {
+            what: "page words",
+            len: n,
+        });
+    }
+    if head & WORDS_ZERO_RUNS != 0 {
+        return nowmp_util::zrle::decode_runs(d, n);
+    }
+    let mut words = Vec::new();
+    d.get_u64_words_into(&mut words, n)?;
+    Ok(words)
 }
 
 /// Every message of the DSM + adaptation protocol.
@@ -338,6 +395,12 @@ pub enum Msg {
         /// unmarked request's reply and on a redirect, which
         /// subscribes nobody.
         push_after: Option<Seq>,
+        /// With a page its directory owner lends as zeros to a
+        /// subscribing request: how many of the pages after it the owner
+        /// lends with it, each owned by it and never materialized
+        /// anywhere (`PageMeta::lease`). A trailing `u32` after
+        /// `push_after`, absent when 0.
+        fresh: u32,
     },
     /// Diff reply: `(page, seq, diff)` triples.
     DiffRep {
@@ -543,6 +606,22 @@ fn dec_applied(d: &mut Dec<'_>) -> Result<Vec<(Pid, Seq)>, WireError> {
     Ok(applied)
 }
 
+/// Decode a `DiffRep`'s count-prefixed whole pages, each at most
+/// `max_words` words. Every page takes at least 12 bytes, so a count
+/// the buffer cannot hold is refused before anything is allocated.
+fn dec_whole_pages(d: &mut Dec<'_>, max_words: usize) -> Result<Vec<WholePage>, WireError> {
+    let n = d.get_u32()? as usize;
+    if n > d.remaining() / 12 {
+        return Err(WireError::BadLength {
+            what: "whole pages",
+            len: n,
+        });
+    }
+    (0..n)
+        .map(|_| WholePage::dec_bounded(d, max_words))
+        .collect()
+}
+
 /// The optional byte behind a `DiffReq`'s wants: bit 0 subscribes,
 /// bit 1 asks for whole pages. Absent when both are unset. A
 /// `PageReq` carries the same byte, with bit 0 only.
@@ -668,13 +747,17 @@ impl Wire for Msg {
                 words,
                 redirect,
                 push_after,
+                fresh,
             } => {
                 e.put_u8(PAGE_REP);
                 enc_applied(applied, e);
-                e.put_u64_slice(words);
+                enc_page_words(words, e);
                 redirect.enc(e);
                 if let Some(seq) = push_after {
                     e.put_u32(*seq);
+                    if *fresh > 0 {
+                        e.put_u32(*fresh);
+                    }
                 }
             }
             Msg::DiffRep {
@@ -797,6 +880,14 @@ impl Wire for Msg {
     }
 
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Msg::dec_bounded(d, MAX_PAGE_WORDS)
+    }
+}
+
+impl Msg {
+    /// Decode one message whose page payloads hold at most `max_words`
+    /// words.
+    fn dec_bounded(d: &mut Dec<'_>, max_words: usize) -> Result<Self, WireError> {
         use tags::*;
         let tag = d.get_u8()?;
         Ok(match tag {
@@ -848,13 +939,19 @@ impl Wire for Msg {
             ACK => Msg::Ack,
             PAGE_REP => {
                 let applied = dec_applied(d)?;
-                let words = d.get_u64_vec()?;
+                let words = dec_page_words(d, max_words)?;
                 let redirect = Option::<Gpid>::dec(d)?;
+                let push_after = dec_push_after(d)?;
+                let fresh = match push_after {
+                    Some(_) => dec_push_after(d)?.unwrap_or(0),
+                    None => 0,
+                };
                 Msg::PageRep {
                     applied,
                     words,
                     redirect,
-                    push_after: dec_push_after(d)?,
+                    push_after,
+                    fresh,
                 }
             }
             DIFF_REP => Msg::DiffRep {
@@ -862,7 +959,7 @@ impl Wire for Msg {
                 pages: if d.is_done() {
                     Vec::new()
                 } else {
-                    d.get_seq()?
+                    dec_whole_pages(d, max_words)?
                 },
                 push_after: dec_push_after(d)?,
             },
@@ -957,6 +1054,16 @@ impl Msg {
     /// goes through here.
     pub fn encode(&self, cfg: &DsmConfig) -> bytes::Bytes {
         self.to_bytes_compat(cfg.collectives.encoding())
+    }
+
+    /// Decode a whole message as a process of `cfg` receives it: a page
+    /// payload longer than `cfg`'s page is an error, as are trailing
+    /// bytes. Both wire forms decode under either generation.
+    pub fn decode(buf: &[u8], cfg: &DsmConfig) -> Result<Msg, WireError> {
+        let mut d = Dec::new(buf);
+        let msg = Msg::dec_bounded(&mut d, cfg.slots_per_page())?;
+        d.expect_done()?;
+        Ok(msg)
     }
 
     /// Encode to bytes in the compact wire forms (tests, and sizing a
@@ -1073,18 +1180,21 @@ mod tests {
                 words: vec![1, 2, 3],
                 redirect: None,
                 push_after: None,
+                fresh: 0,
             },
             Msg::PageRep {
                 applied: vec![(0, 2), (1, 4)],
                 words: vec![1, 2, 3],
                 redirect: None,
                 push_after: Some(4),
+                fresh: 0,
             },
             Msg::PageRep {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(Gpid(4)),
                 push_after: None,
+                fresh: 0,
             },
             Msg::DiffRep {
                 diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
@@ -1348,6 +1458,7 @@ mod tests {
         None::<Gpid>.enc(&mut legacy);
         let legacy = legacy.finish();
         let rep = |push_after| Msg::PageRep {
+            fresh: 0,
             applied: vec![(1, 4)],
             words: vec![7, 8],
             redirect: None,
@@ -1362,14 +1473,151 @@ mod tests {
 
     #[test]
     fn a_whole_page_weighs_what_it_encodes_to() {
-        let page = WholePage {
-            page: 4,
-            applied: vec![(0, 1), (3, 9)],
-            words: vec![1; 32],
+        let mut sparse = vec![0; 32];
+        sparse[9] = 5;
+        for words in [vec![1; 32], sparse, vec![0; 32]] {
+            let page = WholePage {
+                page: 4,
+                applied: vec![(0, 1), (3, 9)],
+                words,
+            };
+            for encoding in [Encoding::Flat, Encoding::Runs] {
+                let mut e = Enc::with_encoding(64, encoding);
+                page.enc(&mut e);
+                let weight = WholePage::wire_bytes(2, &page.words, encoding);
+                assert_eq!(e.finish().len(), weight, "{encoding:?} {:?}", page.words);
+            }
+        }
+        // The literal form weighs what it always did.
+        let dense = [1u64; 32];
+        assert_eq!(
+            WholePage::wire_bytes(2, &dense, Encoding::Flat),
+            4 + (4 + 6 * 2) + (4 + 8 * 32)
+        );
+        assert_eq!(
+            WholePage::wire_bytes(2, &dense, Encoding::Runs),
+            WholePage::wire_bytes(2, &dense, Encoding::Flat)
+        );
+    }
+
+    /// A page its directory owner lends before anyone wrote it.
+    fn lent_zero_page() -> Msg {
+        Msg::PageRep {
+            applied: vec![],
+            words: vec![0; DsmConfig::default_4k().slots_per_page()],
+            redirect: None,
+            push_after: None,
+            fresh: 0,
+        }
+    }
+
+    #[test]
+    fn a_lent_zero_page_is_small_in_runs_and_the_1999_bytes_in_flat() {
+        let rep = lent_zero_page();
+        let runs = rep.to_bytes_compat(Encoding::Runs);
+        assert!(runs.len() <= 32, "{} B", runs.len());
+        let mut legacy = Enc::with_encoding(64, Encoding::Flat);
+        legacy.put_u8(tags::PAGE_REP);
+        enc_applied(&[], &mut legacy);
+        legacy.put_u64_slice(&[0; 512]);
+        None::<Gpid>.enc(&mut legacy);
+        assert_eq!(
+            &rep.to_bytes_compat(Encoding::Flat)[..],
+            &legacy.finish()[..]
+        );
+        assert_eq!(Msg::from_wire(&runs).unwrap(), rep);
+    }
+
+    #[test]
+    fn a_bad_zero_run_payload_is_an_error() {
+        let cfg = DsmConfig::default_4k();
+        let good = lent_zero_page().to_bytes_compat(Encoding::Runs);
+        assert_eq!(Msg::decode(&good, &cfg).unwrap(), lent_zero_page());
+        // Truncated anywhere inside its runs.
+        for cut in 1..good.len() {
+            assert!(Msg::decode(&good[..cut], &cfg).is_err(), "cut at {cut}");
+        }
+        // A count above the page: refused before anything is sized by
+        // it, by the configured bound and by the wire's own.
+        let huge = |count: u32| {
+            let mut e = Enc::with_encoding(32, Encoding::Runs);
+            e.put_u8(tags::PAGE_REP);
+            enc_applied(&[], &mut e);
+            e.put_u32(WORDS_ZERO_RUNS | count);
+            e.put_u32(count);
+            e.put_u32(0);
+            None::<Gpid>.enc(&mut e);
+            e.finish()
         };
-        let mut e = Enc::with_encoding(64, Encoding::Runs);
-        page.enc(&mut e);
-        assert_eq!(e.finish().len(), WholePage::wire_bytes(2, 32));
+        let spp = cfg.slots_per_page() as u32;
+        assert!(Msg::decode(&huge(spp), &cfg).is_ok());
+        assert!(matches!(
+            Msg::decode(&huge(spp + 1), &cfg),
+            Err(WireError::BadLength {
+                what: "page words",
+                ..
+            })
+        ));
+        assert!(Msg::from_wire(&huge(0x7FFF_FFFF)).is_err());
+        // Runs that overrun their count.
+        let mut e = Enc::with_encoding(32, Encoding::Runs);
+        e.put_u8(tags::PAGE_REP);
+        enc_applied(&[], &mut e);
+        e.put_u32(WORDS_ZERO_RUNS | 4);
+        e.put_u32(5);
+        e.put_u32(0);
+        None::<Gpid>.enc(&mut e);
+        assert!(Msg::decode(&e.finish(), &cfg).is_err());
+        // A whole-page count the buffer cannot hold.
+        let mut e = Enc::with_encoding(32, Encoding::Runs);
+        e.put_u8(tags::DIFF_REP);
+        e.put_u32(0);
+        e.put_u32(u32::MAX);
+        assert!(Msg::decode(&e.finish(), &cfg).is_err());
+    }
+
+    proptest::proptest! {
+        /// Sparse and dense pages round-trip through both forms of a
+        /// `PageRep` and of a `DiffRep`'s whole page.
+        #[test]
+        fn prop_page_payloads_roundtrip_in_both_forms(
+            writes in proptest::collection::vec((0usize..64, 1u64..u64::MAX), 0..65),
+        ) {
+            // From all zeros (no writes) to dense (64 scattered ones).
+            let mut words = vec![0u64; 64];
+            for (i, v) in writes {
+                words[i] = v;
+            }
+            let cfg = DsmConfig {
+                page_size: 512,
+                ..DsmConfig::default_4k()
+            };
+            let msgs = [
+                Msg::PageRep {
+                    applied: vec![(1, 3)],
+                    words: words.clone(),
+                    redirect: None,
+                    push_after: Some(2),
+                    fresh: 0,
+                },
+                Msg::DiffRep {
+                    diffs: vec![],
+                    pages: vec![WholePage {
+                        page: 7,
+                        applied: vec![(0, 1)],
+                        words: words.clone(),
+                    }],
+                    push_after: None,
+                },
+            ];
+            for m in msgs {
+                let flat = m.to_bytes_compat(Encoding::Flat);
+                let runs = m.to_bytes_compat(Encoding::Runs);
+                proptest::prop_assert!(runs.len() <= flat.len());
+                proptest::prop_assert_eq!(&Msg::decode(&flat, &cfg).unwrap(), &m);
+                proptest::prop_assert_eq!(&Msg::decode(&runs, &cfg).unwrap(), &m);
+            }
+        }
     }
 
     #[test]

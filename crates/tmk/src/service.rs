@@ -30,7 +30,6 @@ use crate::msg::Msg;
 use crate::stats::DsmStats;
 use crate::types::Epoch;
 use nowmp_net::{Endpoint, Replier};
-use nowmp_util::wire::Wire;
 use nowmp_util::MailboxSender;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -158,7 +157,7 @@ fn serve_one(
     cfg: &DsmConfig,
     ctrl_tx: &MailboxSender<Ctrl>,
 ) -> Result<(), Dropped> {
-    let msg = Msg::from_wire(&inc.payload).map_err(|_| Dropped::Malformed)?;
+    let msg = Msg::decode(&inc.payload, cfg).map_err(|_| Dropped::Malformed)?;
     if msg.is_control() {
         if let Msg::JoinArrive { epoch, .. } = msg {
             core.lock().subtree_arrived(epoch);
@@ -264,6 +263,7 @@ mod tests {
     use crate::config::DsmConfig;
     use crate::stats::DsmStats;
     use nowmp_net::{Gpid, HostId, NetModel, Network};
+    use nowmp_util::wire::Wire;
 
     fn spawn_proc(
         net: &Network,
@@ -428,13 +428,16 @@ mod tests {
 
         fetch();
         assert_eq!(dropped(), 0, "a well-formed request is served");
-        // Garbage, a request without a reply handle, a reply kind, and
-        // an arrival under the retired barrier-arrival tag 14.
+        // Garbage, a request without a reply handle, a reply kind, an
+        // arrival under the retired barrier-arrival tag 14, and a page
+        // whose zero-run payload is cut short or counts more words
+        // than a page holds.
         let page_rep = Msg::PageRep {
             applied: Vec::new(),
             words: Vec::new(),
             redirect: None,
             push_after: None,
+            fresh: 0,
         };
         let mut retired = Msg::JoinArrive {
             epoch: 0,
@@ -446,17 +449,32 @@ mod tests {
         .to_bytes()
         .to_vec();
         retired[0] = 14;
+        let spp = core_a.lock().cfg.slots_per_page();
+        let zero_page = |words| {
+            Msg::PageRep {
+                applied: Vec::new(),
+                words,
+                redirect: None,
+                push_after: None,
+                fresh: 0,
+            }
+            .to_bytes()
+        };
+        let cut = zero_page(vec![0; spp]);
+        let cut = bytes::Bytes::from(cut[..cut.len() - 2].to_vec());
         for payload in [
             bytes::Bytes::from_static(&[0xFF]),
             page_req(0, false),
             page_rep.to_bytes(),
             retired.into(),
+            cut,
+            zero_page(vec![0; spp + 1]),
         ] {
             ep_b.send(gpid_a, payload).unwrap();
         }
-        // Served in arrival order, so this answer comes after all four.
+        // Served in arrival order, so this answer comes after all six.
         fetch();
-        assert_eq!(dropped(), 4);
+        assert_eq!(dropped(), 6);
     }
 
     #[test]

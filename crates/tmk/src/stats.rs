@@ -6,6 +6,8 @@
 //! by every process of a system (relaxed atomics — exact totals matter,
 //! per-event ordering does not).
 
+use nowmp_net::Gpid;
+use nowmp_util::{Cause, Ledger, CAUSES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -138,9 +140,126 @@ impl DsmStats {
     }
 }
 
+/// One process's share of its virtual clock's [`Ledger`]: where the
+/// virtual time of its application thread (`app-<gpid>`) and of its
+/// service thread (`svc-<gpid>`) went, by [`Cause`]. Each row set sums
+/// to its thread's virtual lifetime. A thread the process does not
+/// have (yet, or any more) reads all zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcLedger {
+    /// The process.
+    pub gpid: Gpid,
+    /// Its application thread's rows, in [`Cause::ALL`] order.
+    pub app: [u64; CAUSES],
+    /// Its service thread's rows.
+    pub svc: [u64; CAUSES],
+}
+
+impl ProcLedger {
+    /// Split a clock's ledgers ([`nowmp_util::Clock::ledger`]) by
+    /// process, in gpid order; threads of no process (a harness
+    /// thread, a grace timer) are left out.
+    pub fn split(ledgers: &[Ledger]) -> Vec<ProcLedger> {
+        let mut procs: Vec<ProcLedger> = Vec::new();
+        for l in ledgers {
+            let Some((role, gpid)) = l.name.split_once("-g") else {
+                continue;
+            };
+            let Ok(gpid) = gpid.parse().map(Gpid) else {
+                continue;
+            };
+            let at = match procs.binary_search_by_key(&gpid, |p| p.gpid) {
+                Ok(at) => at,
+                Err(at) => {
+                    procs.insert(
+                        at,
+                        ProcLedger {
+                            gpid,
+                            app: [0; CAUSES],
+                            svc: [0; CAUSES],
+                        },
+                    );
+                    at
+                }
+            };
+            let rows = match role {
+                "app" => &mut procs[at].app,
+                "svc" => &mut procs[at].svc,
+                _ => continue,
+            };
+            for (r, v) in rows.iter_mut().zip(l.rows) {
+                *r += v;
+            }
+        }
+        procs
+    }
+
+    /// The application thread's row of `cause`.
+    pub fn app(&self, cause: Cause) -> u64 {
+        self.app[cause as usize]
+    }
+
+    /// The service thread's row of `cause`.
+    pub fn svc(&self, cause: Cause) -> u64 {
+        self.svc[cause as usize]
+    }
+
+    /// What accrued after `earlier`, a split of the same clock; a
+    /// process `earlier` lacks counts from zero.
+    pub fn since(now: &[ProcLedger], earlier: &[ProcLedger]) -> Vec<ProcLedger> {
+        now.iter()
+            .map(|p| {
+                let mut d = *p;
+                if let Some(e) = earlier.iter().find(|e| e.gpid == p.gpid) {
+                    for (r, v) in d.app.iter_mut().zip(e.app) {
+                        *r -= v;
+                    }
+                    for (r, v) in d.svc.iter_mut().zip(e.svc) {
+                        *r -= v;
+                    }
+                }
+                d
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledgers_split_by_process_and_role() {
+        let ledger = |name: &str, rows: [u64; CAUSES]| Ledger {
+            name: name.into(),
+            born: 0,
+            end: rows.iter().sum(),
+            rows,
+        };
+        let mut fetch = [0; CAUSES];
+        fetch[Cause::Fetch as usize] = 5;
+        let mut link = [0; CAUSES];
+        link[Cause::Transmit as usize] = 7;
+        let split = ProcLedger::split(&[
+            ledger("svc-g3", link),
+            ledger("app-g3", fetch),
+            ledger("app-g1", fetch),
+            ledger("grace-g1", link),
+            ledger("main", link),
+        ]);
+        assert_eq!(split.len(), 2);
+        assert_eq!((split[0].gpid, split[1].gpid), (Gpid(1), Gpid(3)));
+        assert_eq!(split[0].app(Cause::Fetch), 5);
+        assert_eq!(split[0].svc, [0; CAUSES]);
+        assert_eq!(split[1].svc(Cause::Transmit), 7);
+        let mut both = fetch;
+        both[Cause::Transmit as usize] = 7;
+        let later = ProcLedger::split(&[ledger("app-g3", both), ledger("svc-g3", link)]);
+        let d = ProcLedger::since(&later, &split);
+        assert_eq!(d[0].app(Cause::Transmit), 7);
+        assert_eq!(d[0].app(Cause::Fetch), 0);
+        assert_eq!(d[0].svc, [0; CAUSES]);
+    }
 
     #[test]
     fn snapshot_and_since() {

@@ -21,11 +21,11 @@ use crate::page::Wn;
 use crate::records::Record;
 use crate::service::{service_loop, Ctrl, Dropped};
 use crate::shm::{Allocator, Registry};
-use crate::stats::DsmStats;
+use crate::stats::{DsmStats, ProcLedger};
 use crate::tree::{Shape, ShapeBook};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, HostId, NetError, Network};
-use nowmp_util::MailboxReceiver;
+use nowmp_util::{waiting_for, Cause, MailboxReceiver};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
@@ -113,6 +113,12 @@ impl DsmSystem {
         &self.stats
     }
 
+    /// Every process's share of the clock's ledger, in gpid order
+    /// ([`ProcLedger::split`]).
+    pub fn ledger(&self) -> Vec<ProcLedger> {
+        ProcLedger::split(&self.net.clock().ledger())
+    }
+
     /// The configuration.
     pub fn cfg(&self) -> &DsmConfig {
         &self.cfg
@@ -148,7 +154,7 @@ impl DsmSystem {
         // thread: register it so virtual time holds still while it
         // computes between forks (otherwise a pending grace timer could
         // fire "during" the master's zero-virtual-cost compute).
-        let clock_participant = self.net.clock().participant();
+        let clock_participant = self.net.clock().participant_as(format!("app-{gpid}"));
         MasterCtl {
             sys: Arc::clone(self),
             endpoint,
@@ -271,11 +277,15 @@ fn call_acked<'a>(
     endpoint: &'a Endpoint,
     team: &'a Team,
     bytes: &'a bytes::Bytes,
-    timeout: Duration,
+    cfg: &'a DsmConfig,
 ) -> impl FnMut(usize) -> bool + 'a {
-    move |child| match endpoint.call_deadline(team.gpid(child as Pid), bytes.clone(), timeout) {
+    move |child| match endpoint.call_deadline(
+        team.gpid(child as Pid),
+        bytes.clone(),
+        cfg.call_timeout,
+    ) {
         Ok(rep) => {
-            assert_eq!(decode(&rep, team.gpid(child as Pid)), Msg::Ack);
+            assert_eq!(decode(&rep, team.gpid(child as Pid), cfg), Msg::Ack);
             true
         }
         Err(NetError::Unknown(_)) => false,
@@ -453,6 +463,7 @@ fn worker_main(
         // epoch no collection takes is dropped below. No deadline: the
         // master may compute for any time between two regions.
         let now = core.lock().epoch();
+        let region_wait = waiting_for(Cause::Region);
         let c = match ctx.ctrl().recv_where(
             Duration::MAX,
             |c| !matches!(c.msg, Msg::JoinArrive { epoch, .. } if epoch == now),
@@ -460,6 +471,7 @@ fn worker_main(
             Ok(c) => c,
             Err(_) => break, // disconnected: system torn down
         };
+        drop(region_wait);
         let served = match c.msg {
             Msg::GcQuery { .. } | Msg::GcFetch { .. } | Msg::Commit { .. }
                 if c.replier.is_none() =>
@@ -510,7 +522,7 @@ fn worker_main(
                             &sys.shapes.get(team.nprocs()).fork,
                             my_pid,
                             &sys.stats.bcast_relays,
-                            call_acked(&endpoint, &team, &c.raw, timeout),
+                            call_acked(&endpoint, &team, &c.raw, cfg),
                         );
                     }
                     Ok(Some(Msg::Ack))
@@ -710,7 +722,7 @@ impl MasterCtl {
         // A call per root child of the fork shape; each acks once its
         // subtree is up.
         let shapes = self.sys.shapes.get(team.nprocs());
-        let call = call_acked(&self.endpoint, &team, &bytes, timeout);
+        let call = call_acked(&self.endpoint, &team, &bytes, &self.sys.cfg);
         relay_adopting(&shapes.fork, 0, call);
         self.last_fork_vc = Vc::new(team.nprocs());
         self.ctx.sync_reset();
@@ -799,6 +811,7 @@ impl MasterCtl {
 
     /// Block until a specific spawned process announces readiness.
     pub fn wait_ready(&mut self, gpid: Gpid) {
+        let _cause = waiting_for(Cause::Control);
         let timeout = self.sys.cfg.call_timeout;
         self.ctx
             .ctrl()
@@ -821,6 +834,7 @@ impl MasterCtl {
             (c.team.clone(), c.epoch())
         };
         self.ctx.wake_pusher();
+        let _cause = waiting_for(Cause::Fetch);
         let me = self.gpid();
         // Step 1: gather reports.
         let mut reports = vec![(me, self.core.lock().gc_report())];
@@ -875,6 +889,7 @@ impl MasterCtl {
     /// `new_members[0]` must be the master.
     pub fn commit_team(&mut self, new_members: Vec<Gpid>, outcome: &GcOutcome) {
         assert_eq!(new_members[0], self.gpid(), "master must stay pid 0");
+        let _cause = waiting_for(Cause::Control);
         let (old_team, epoch) = {
             let c = self.core.lock();
             (c.team.clone(), c.epoch())

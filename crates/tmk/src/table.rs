@@ -257,6 +257,7 @@ pub fn reset_meta(m: &mut PageMeta, nprocs: usize, owner: Option<Gpid>) {
     m.applied = Vc::new(nprocs);
     m.shared = true;
     m.zero_lent = false;
+    m.lease = false;
     if let Some(o) = owner {
         m.owner = o;
     }

@@ -1148,3 +1148,152 @@ fn a_stale_arrival_at_the_master_is_dropped_and_counted() {
     assert_eq!((s.stale_dropped, s.malformed_dropped), (3, 0));
     master.shutdown();
 }
+
+/// Cold-reader regions over one page of `w`: in region 0 the `writers`
+/// each write their own slice of it, in region 1 the `writers2` do the
+/// same, and in region 2 every other rank but the master reads the
+/// whole page into its own slot of `seen`.
+struct ColdReaders {
+    writers: Vec<usize>,
+    writers2: Vec<usize>,
+    seen: Arc<parking_lot::Mutex<Vec<(usize, Vec<u64>)>>>,
+}
+
+impl RegionRunner for ColdReaders {
+    fn run(&self, region: u32, ctx: &mut TmkCtx) {
+        let w = SharedF64Vec::lookup(ctx, "w");
+        let me = ctx.pid() as usize;
+        let writers = match region {
+            0 => &self.writers,
+            1 => &self.writers2,
+            _ => {
+                if me != 0 && !self.writers.contains(&me) && !self.writers2.contains(&me) {
+                    let words = (0..w.len()).map(|i| w.get(ctx, i).to_bits()).collect();
+                    self.seen.lock().push((me, words));
+                }
+                return;
+            }
+        };
+        if let Some(k) = writers.iter().position(|&r| r == me) {
+            let per = w.len() / writers.len();
+            for i in k * per..(k + 1) * per {
+                w.set(ctx, i, (1 + region as usize * 100 + i) as f64);
+            }
+        }
+    }
+}
+
+/// Run [`ColdReaders`] on `n` ranks (one page of 32 words, the current
+/// generation, virtual clock); returns, per reader rank, the rank that
+/// served it the page whole, what it read, and the ranks whose diffs of
+/// the page it subscribed to.
+fn cold_readers(
+    n: usize,
+    writers: Vec<usize>,
+    writers2: Vec<usize>,
+) -> Vec<(usize, usize, Vec<u64>, Vec<usize>)> {
+    use nowmp_net::CostModel;
+
+    let clock = nowmp_util::Clock::new_virtual();
+    let net = Network::with_clock(n, 1, NetModel::disabled(), CostModel::disabled(), clock);
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let runner = ColdReaders {
+        writers,
+        writers2,
+        seen: Arc::clone(&seen),
+    };
+    let sys = DsmSystem::new(net, DsmConfig::test_small(), Arc::new(runner));
+    let mut master = sys.start_master(HostId(0));
+    let mut workers = Vec::new();
+    for i in 1..n {
+        let hello: Vec<Gpid> = workers.clone();
+        workers.push(sys.spawn_worker(HostId(i as u16), master.gpid(), hello));
+    }
+    master.alloc("w", 32, ElemKind::F64);
+    master.init_team(&workers);
+    for region in 0..3 {
+        master.parallel(region, &[]);
+    }
+    let team = master.team();
+    let mut out: Vec<(usize, usize, Vec<u64>, Vec<usize>)> = seen
+        .lock()
+        .drain(..)
+        .map(|(rank, words)| {
+            let core = sys.core_of(team.gpid(rank as u16)).expect("a live rank");
+            let core = core.lock();
+            let served_by = core.pages.guard(0).owner;
+            let served_by = team.pid_of(served_by).expect("a team rank") as usize;
+            let subscribed = (0..n)
+                .filter(|&w| core.push_after.contains_key(&(0, w as u16)))
+                .collect();
+            (rank, served_by, words, subscribed)
+        })
+        .collect();
+    out.sort_by_key(|(rank, ..)| *rank);
+    let stats = sys.stats().snapshot();
+    assert_eq!((stats.stale_dropped, stats.malformed_dropped), (0, 0));
+    master.shutdown();
+    out
+}
+
+/// Two concurrent writers of one page: their intervals tie at the
+/// newest vcsum, so the four readers with no copy split their
+/// `PageReq`s between them by rank, and ask the other writer for its
+/// diff in the same round — every reader ends with the same page,
+/// subscribed to both writers.
+#[test]
+fn cold_readers_spread_over_the_newest_concurrent_writers() {
+    let read = cold_readers(7, vec![1, 2], vec![]);
+    let served: Vec<(usize, usize)> = read.iter().map(|(r, s, ..)| (*r, *s)).collect();
+    assert_eq!(
+        served,
+        vec![(3, 2), (4, 1), (5, 2), (6, 1)],
+        "readers split by rank over writers 1 and 2"
+    );
+    let expect: Vec<u64> = (0..32).map(|i| (1 + i) as f64).map(f64::to_bits).collect();
+    for (rank, _, words, subscribed) in &read {
+        assert_eq!(words, &expect, "rank {rank}");
+        assert_eq!(subscribed, &vec![1, 2], "rank {rank}");
+    }
+}
+
+/// Writers in causal order (region 1's writer wrote after region 0's
+/// fork-join): the newest writer's copy covers the older one, so every
+/// cold reader asks it alone.
+#[test]
+fn cold_readers_ask_the_newest_of_causally_ordered_writers() {
+    let read = cold_readers(6, vec![1], vec![2]);
+    assert_eq!(read.len(), 3);
+    let expect: Vec<u64> = (0..32)
+        .map(|i| (101 + i) as f64)
+        .map(f64::to_bits)
+        .collect();
+    for (rank, served_by, words, _) in &read {
+        assert_eq!(*served_by, 2, "rank {rank} asked the newest writer");
+        assert_eq!(words, &expect, "rank {rank}");
+    }
+}
+
+/// The clock's ledger closes on every thread of every process: over a
+/// region of barriers on the paper models, each application thread's
+/// and each service thread's rows add up, in integer nanoseconds, to
+/// the region's virtual time, and the barriers are booked as barriers.
+#[test]
+fn the_ledger_closes_on_every_thread_of_every_process() {
+    use nowmp_tmk::ProcLedger;
+    use nowmp_util::Cause;
+
+    let clock = nowmp_util::Clock::new_virtual();
+    let (sys, mut master) = paper_team_on(8, clock.clone(), Arc::new(Barriers));
+    let (t0, before) = (clock.now(), sys.ledger());
+    master.parallel(3, &[]);
+    let span = clock.now().as_nanos() - t0.as_nanos();
+    let region = ProcLedger::since(&sys.ledger(), &before);
+    assert_eq!(region.len(), 8, "one split per process");
+    for p in &region {
+        assert_eq!(p.app.iter().sum::<u64>(), span, "{p:?}");
+        assert_eq!(p.svc.iter().sum::<u64>(), span, "{p:?}");
+        assert!(p.app(Cause::Barrier) > 0, "{p:?}");
+    }
+    master.shutdown();
+}

@@ -55,9 +55,21 @@
 //! [`Clock::forced_advances`] and — only in release builds — steps to
 //! the earliest deadline; under `debug_assertions` it panics. Correct
 //! accounting never meets it.
+//!
+//! ## The ledger
+//!
+//! Every registered participant also keeps a [`Ledger`]: one row of
+//! virtual nanoseconds per [`Cause`]. A wait site names its cause with
+//! [`waiting_for`] (a fault's fetch, a barrier, a compute charge, the
+//! sender's share of a transmission); each blocked → running
+//! transition, written under the lock, adds the virtual time the wait
+//! lasted to that cause's row, and time that passes while the
+//! participant runs (an [`Clock::advance_to`] bridge) goes to
+//! [`Cause::Other`]. The rows therefore sum, in integer nanoseconds, to
+//! the participant's virtual lifetime. [`Clock::ledger`] reads them.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -116,6 +128,158 @@ impl std::fmt::Display for Tick {
 /// the [module docs](self)). It decides nothing on a correct run.
 const STALL_ADVANCE: Duration = Duration::from_millis(250);
 
+/// Why a participant waits: the [`Ledger`] row a wait's virtual time
+/// goes to. A wait site names it with [`waiting_for`]; a wait no site
+/// names is [`Cause::Other`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Cause {
+    /// The reply to a fault's or a collection's requests.
+    Fetch,
+    /// A fault parked on a diff its writer pushes.
+    Push,
+    /// An in-region barrier.
+    Barrier,
+    /// A region's join.
+    Join,
+    /// A lock grant.
+    Lock,
+    /// Any other control message (a joiner's readiness, teardown).
+    Control,
+    /// A worker between regions, waiting for its next fork or
+    /// adaptation step.
+    Region,
+    /// The sender's share of a transmission: its outbound link busy.
+    Transmit,
+    /// A compute charge.
+    Compute,
+    /// A wait no site names (a service thread's idle inbox), and time
+    /// that passes while the participant runs.
+    Other,
+}
+
+/// The number of [`Cause`]s: a [`Ledger`]'s row count.
+pub const CAUSES: usize = 10;
+
+impl Cause {
+    /// Every cause, in row order.
+    pub const ALL: [Cause; CAUSES] = [
+        Cause::Fetch,
+        Cause::Push,
+        Cause::Barrier,
+        Cause::Join,
+        Cause::Lock,
+        Cause::Control,
+        Cause::Region,
+        Cause::Transmit,
+        Cause::Compute,
+        Cause::Other,
+    ];
+
+    /// The row's name in tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Cause::Fetch => "fetch",
+            Cause::Push => "push",
+            Cause::Barrier => "barrier",
+            Cause::Join => "join",
+            Cause::Lock => "lock",
+            Cause::Control => "control",
+            Cause::Region => "region",
+            Cause::Transmit => "transmit",
+            Cause::Compute => "compute",
+            Cause::Other => "other",
+        }
+    }
+}
+
+thread_local! {
+    /// The cause this thread's next waits are booked to.
+    static CAUSE: Cell<Cause> = const { Cell::new(Cause::Other) };
+}
+
+/// Book the calling thread's waits to `cause` until the returned scope
+/// drops; the cause in force before comes back then. Scopes nest: an
+/// inner site (a transmission inside a fault) names its own cause.
+pub fn waiting_for(cause: Cause) -> CauseScope {
+    CauseScope {
+        prev: CAUSE.with(|c| c.replace(cause)),
+        _thread: std::marker::PhantomData,
+    }
+}
+
+/// A cause in force on this thread, from [`waiting_for`].
+#[must_use = "the cause holds only while the scope lives"]
+#[derive(Debug)]
+pub struct CauseScope {
+    prev: Cause,
+    /// Restored on the thread that set it.
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for CauseScope {
+    fn drop(&mut self) {
+        CAUSE.with(|c| c.set(self.prev));
+    }
+}
+
+/// One participant's virtual lifetime split by [`Cause`]
+/// ([`Clock::ledger`]). `rows` sums to `end - born` exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ledger {
+    /// The participant's thread name.
+    pub name: String,
+    /// Virtual nanoseconds at registration.
+    pub born: u64,
+    /// Virtual nanoseconds at deregistration, or at the snapshot.
+    pub end: u64,
+    /// Virtual nanoseconds per cause, indexed by [`Cause::ALL`] order.
+    pub rows: [u64; CAUSES],
+}
+
+impl Ledger {
+    /// The row of `cause`.
+    pub fn get(&self, cause: Cause) -> u64 {
+        self.rows[cause as usize]
+    }
+
+    /// The virtual lifetime the rows split.
+    pub fn lifetime(&self) -> u64 {
+        self.end - self.born
+    }
+}
+
+/// A participant's running account: the open interval since the last
+/// transition, and the cause it books to.
+#[derive(Debug)]
+struct Book {
+    born: u64,
+    since: u64,
+    cause: Cause,
+    rows: [u64; CAUSES],
+}
+
+impl Book {
+    /// Close the open interval at `now` and open the next, booked to
+    /// `next`.
+    fn turn(&mut self, now: u64, next: Cause) {
+        self.rows[self.cause as usize] += now - self.since;
+        self.since = now;
+        self.cause = next;
+    }
+
+    /// The ledger as of `now`, the open interval included.
+    fn read(&self, name: &str, now: u64) -> Ledger {
+        let mut rows = self.rows;
+        rows[self.cause as usize] += now - self.since;
+        Ledger {
+            name: name.to_owned(),
+            born: self.born,
+            end: now,
+            rows,
+        }
+    }
+}
+
 /// Ids for clocks, participants and wake channels (one namespace).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -146,10 +310,14 @@ pub(crate) struct Part {
     /// cleared when the guard drops, possibly on another thread, and
     /// then only tells the owner to forget its stale thread-local.
     registered: AtomicBool,
+    /// The ledger's running account. Touched under the clock lock
+    /// only, so its own lock is never contended.
+    book: Mutex<Book>,
 }
 
 impl Part {
-    fn new(name: String, registered: bool) -> Arc<Part> {
+    /// A participant born at virtual `now`, running.
+    fn new(name: String, registered: bool, now: u64) -> Arc<Part> {
         Arc::new(Part {
             chan: next_id(),
             name,
@@ -157,6 +325,12 @@ impl Part {
             woken: AtomicBool::new(false),
             blocked: AtomicBool::new(false),
             registered: AtomicBool::new(registered),
+            book: Mutex::new(Book {
+                born: now,
+                since: now,
+                cause: Cause::Other,
+                rows: [0; CAUSES],
+            }),
         })
     }
 
@@ -206,21 +380,30 @@ pub(crate) struct VState {
     registry: Vec<Arc<Part>>,
     /// Bumped on every transition; the watchdog's notion of progress.
     epoch: u64,
+    /// Virtual now, as `VirtualCore::now` holds it: the ledger's
+    /// timestamps, read under the lock.
+    now: u64,
+    /// The ledgers of deregistered participants, in order of leaving.
+    retired: Vec<Ledger>,
 }
 
 impl VState {
-    /// `me` can no longer run.
+    /// `me` can no longer run: its running interval closes, and the
+    /// wait books to the cause the calling thread (`me`'s own) names.
     fn block(&mut self, me: &Part) {
         let was = me.blocked.swap(true, Ordering::Relaxed);
         debug_assert!(!was, "clock wait inside a Clock::blocked scope");
+        me.book.lock().turn(self.now, CAUSE.with(Cell::get));
         self.running -= 1;
         self.epoch += 1;
     }
 
     /// `me` can run again (by its own account: a timeout, or the end of
-    /// an opaque [`Clock::blocked`] scope).
+    /// an opaque [`Clock::blocked`] scope): the wait's time goes to its
+    /// cause's row.
     fn unblock(&mut self, me: &Part) {
         me.blocked.store(false, Ordering::Relaxed);
+        me.book.lock().turn(self.now, Cause::Other);
         self.running += 1;
         self.epoch += 1;
     }
@@ -285,6 +468,7 @@ impl VState {
     fn step_to(&mut self, t: u64, now: &AtomicU64, wake: &mut Wake) {
         let t = t.max(now.load(Ordering::Relaxed));
         now.store(t, Ordering::Release);
+        self.now = t;
         self.epoch += 1;
         self.fire_due(t, wake);
     }
@@ -317,6 +501,8 @@ pub(crate) struct VirtualCore {
     now: AtomicU64,
     /// Times the watchdog reported a stall.
     forced: AtomicU64,
+    /// What the watchdog reported, in order.
+    stalls: Mutex<Vec<String>>,
     state: Mutex<VState>,
 }
 
@@ -326,6 +512,7 @@ impl VirtualCore {
             id: next_id(),
             now: AtomicU64::new(0),
             forced: AtomicU64::new(0),
+            stalls: Mutex::new(Vec::new()),
             state: Mutex::new(VState::default()),
         })
     }
@@ -374,9 +561,11 @@ impl VirtualCore {
         if let Some(me) = self.registered_here() {
             return wait(&me);
         }
-        let me = Part::new(String::new(), false);
+        let mut st = self.state.lock();
+        let me = Part::new(String::new(), false, st.now);
         me.bind_current_thread();
-        self.state.lock().running += 1;
+        st.running += 1;
+        drop(st);
         let r = wait(&me);
         self.transition(|st, wake| {
             st.running -= 1;
@@ -461,6 +650,7 @@ impl VirtualCore {
     fn stalled(&self, st: &mut VState, me: &Arc<Part>, wake: &mut Wake) -> String {
         self.forced.fetch_add(1, Ordering::Relaxed);
         let report = st.stall_report(self.now());
+        self.stalls.lock().push(report.clone());
         if cfg!(debug_assertions) {
             st.withdraw(me);
             st.unblock(me);
@@ -618,18 +808,23 @@ impl Clock {
     /// [`Clock::spawn`] already is one. A thread may hold registrations
     /// on several clocks.
     pub fn participant(&self) -> ParticipantGuard {
+        let t = std::thread::current();
+        match t.name() {
+            Some(n) => self.participant_as(n),
+            None => self.participant_as(format!("{:?}", t.id())),
+        }
+    }
+
+    /// [`Clock::participant`] under `name`, the name its [`Ledger`] and
+    /// the watchdog's reports give it, instead of the thread's.
+    pub fn participant_as(&self, name: impl Into<String>) -> ParticipantGuard {
         let Backend::Virtual(core) = &self.backend else {
             return ParticipantGuard { reg: None };
         };
         if core.registered_here().is_some() {
             return ParticipantGuard { reg: None };
         }
-        let t = std::thread::current();
-        let name = match t.name() {
-            Some(n) => n.to_owned(),
-            None => format!("{:?}", t.id()),
-        };
-        let guard = ParticipantGuard::admit(core, name, None);
+        let guard = ParticipantGuard::admit(core, name.into(), None);
         guard.bind();
         guard
     }
@@ -734,6 +929,31 @@ impl Clock {
         }
     }
 
+    /// The watchdog's reports on this clock, in order: each names the
+    /// participants that held time still. Empty on every correctly
+    /// accounted run, and always on the real backend.
+    pub fn stall_reports(&self) -> Vec<String> {
+        match &self.backend {
+            Backend::Real(_) => Vec::new(),
+            Backend::Virtual(core) => core.stalls.lock().clone(),
+        }
+    }
+
+    /// Every registered participant's [`Ledger`] as of now: those that
+    /// have deregistered, in order of leaving, then the live ones in
+    /// order of registration. Empty on the real backend.
+    pub fn ledger(&self) -> Vec<Ledger> {
+        let Backend::Virtual(core) = &self.backend else {
+            return Vec::new();
+        };
+        let st = core.state.lock();
+        let live = st
+            .registry
+            .iter()
+            .map(|p| p.book.lock().read(&p.name, st.now));
+        st.retired.iter().cloned().chain(live).collect()
+    }
+
     /// Raise virtual `now` to `target` (never backwards) and wake the
     /// sleepers due by then. This is the bridge an *event-driven* engine
     /// uses: a [`TaskScheduler`] owns the authoritative simulated time
@@ -802,8 +1022,8 @@ pub struct ParticipantGuard {
 impl ParticipantGuard {
     /// Put a new running participant on `core`'s books.
     fn admit(core: &Arc<VirtualCore>, name: String, exit: Option<Arc<Exit>>) -> Self {
-        let part = Part::new(name, true);
         let mut st = core.state.lock();
+        let part = Part::new(name, true, st.now);
         st.running += 1;
         st.epoch += 1;
         st.registry.push(Arc::clone(&part));
@@ -833,6 +1053,8 @@ impl Drop for ParticipantGuard {
         let _ = REGISTERED.try_with(|r| r.borrow_mut().retain(|(_, p)| !Arc::ptr_eq(p, &part)));
         core.transition(|st, wake| {
             st.registry.retain(|p| !Arc::ptr_eq(p, &part));
+            let ledger = part.book.lock().read(&part.name, st.now);
+            st.retired.push(ledger);
             if !part.blocked.load(Ordering::Relaxed) {
                 // Saturating: a drop must not panic, whatever the books say.
                 st.running = st.running.saturating_sub(1);
@@ -1304,12 +1526,85 @@ mod tests {
                 order.lock().push((label, c2.now()));
             }));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
+        // A debug build's watchdog panics in the sleeper: collect the
+        // joins first, so the checks below say whether it fired.
+        let joined: Vec<bool> = handles.into_iter().map(|h| h.join().is_ok()).collect();
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        let seen = order.lock().clone();
+        let named = c.stall_reports();
+        assert_eq!(
+            c.forced_advances(),
+            0,
+            "{profile} build: the 250 ms watchdog stepped time; observed (label, tick) order \
+             {seen:?}; the watchdog named {named:?}"
+        );
+        assert!(
+            joined.iter().all(|&ok| ok),
+            "a sleeper panicked: {joined:?}"
+        );
         let ms = |n| Tick::ZERO + Duration::from_millis(n);
-        assert_eq!(*order.lock(), vec![(0, ms(5)), (1, ms(10)), (2, ms(20))]);
-        assert_eq!(c.forced_advances(), 0);
+        assert_eq!(
+            seen,
+            vec![(0, ms(5)), (1, ms(10)), (2, ms(20))],
+            "{profile} build: observed (label, tick) order {seen:?}; the watchdog named {named:?}"
+        );
+    }
+
+    /// Every participant's rows close exactly on its virtual lifetime,
+    /// each wait booked to the cause its site named, and what the
+    /// participant computes between waits to nothing.
+    #[test]
+    fn ledger_rows_close_on_the_lifetime_by_cause() {
+        let c = Clock::new_virtual();
+        let (tx, rx) = crate::mailbox::<u32>(&c);
+        let c2 = c.clone();
+        let worker = c.spawn("worker", move || {
+            {
+                let _compute = waiting_for(Cause::Compute);
+                c2.sleep(Duration::from_micros(700));
+            }
+            let _fetch = waiting_for(Cause::Fetch);
+            rx.recv().unwrap();
+            {
+                let _link = waiting_for(Cause::Transmit);
+                c2.sleep(Duration::from_micros(30));
+            }
+            // The fetch scope is back in force.
+            c2.sleep(Duration::from_micros(5));
+        });
+        let c3 = c.clone();
+        let sender = c.spawn("sender", move || {
+            c3.sleep(Duration::from_micros(1000));
+            tx.send(7).unwrap();
+        });
+        worker.join().unwrap();
+        sender.join().unwrap();
+        let ledger = c.ledger();
+        let worker = ledger.iter().find(|l| l.name == "worker").unwrap();
+        assert_eq!(worker.get(Cause::Compute), 700_000);
+        assert_eq!(worker.get(Cause::Fetch), 300_000 + 5_000);
+        assert_eq!(worker.get(Cause::Transmit), 30_000);
+        assert_eq!(worker.lifetime(), 1_035_000);
+        let sender = ledger.iter().find(|l| l.name == "sender").unwrap();
+        assert_eq!(sender.get(Cause::Other), 1_000_000);
+        for l in &ledger {
+            assert_eq!(l.rows.iter().sum::<u64>(), l.lifetime(), "{l:?}");
+        }
+        // A live participant's snapshot closes at now.
+        let _me = c.participant_as("master");
+        {
+            let _barrier = waiting_for(Cause::Barrier);
+            c.sleep(Duration::from_micros(40));
+        }
+        let master = c.ledger().into_iter().find(|l| l.name == "master").unwrap();
+        assert_eq!(master.get(Cause::Barrier), 40_000);
+        assert_eq!(master.rows.iter().sum::<u64>(), master.lifetime());
+        assert_eq!(master.end, c.now().as_nanos());
+        assert!(Clock::real().ledger().is_empty());
     }
 
     /// One thread registered on two virtual clocks is blocked on the

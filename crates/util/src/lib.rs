@@ -38,7 +38,8 @@ pub mod wire;
 pub mod zrle;
 
 pub use clock::{
-    Alarm, Clock, ClockCondvar, JoinHandle, ParticipantGuard, TaskId, TaskScheduler, Tick,
+    waiting_for, Alarm, Cause, Clock, ClockCondvar, JoinHandle, Ledger, ParticipantGuard, TaskId,
+    TaskScheduler, Tick, CAUSES,
 };
 pub use crc::crc32;
 pub use mailbox::{mailbox, MailboxReceiver, MailboxSender};

@@ -27,8 +27,15 @@ use crate::wire::{Dec, Enc, WireError};
 /// runs near run boundaries. Literal payloads go out through the bulk
 /// [`Enc::put_u64_words`] path.
 pub fn encode_words(words: &[u64], e: &mut Enc) {
+    e.put_u32(words.len() as u32);
+    encode_runs(words, e);
+}
+
+/// The runs of [`encode_words`] without its `total_words` header: for
+/// a caller that writes the count itself (a page payload, whose count
+/// word carries a form marker).
+pub fn encode_runs(words: &[u64], e: &mut Enc) {
     let n = words.len();
-    e.put_u32(n as u32);
     let mut i = 0;
     while i < n {
         // Count zeros: wide skip (one OR-fold per 8 words — a couple
@@ -101,6 +108,13 @@ pub fn decode_words(d: &mut Dec<'_>) -> Result<Vec<u64>, WireError> {
             len: total,
         });
     }
+    decode_runs(d, total)
+}
+
+/// Decode the runs [`encode_runs`] wrote for `total` words. The output
+/// is allocated at `total`: a caller reading `total` off the wire
+/// bounds it first.
+pub fn decode_runs(d: &mut Dec<'_>, total: usize) -> Result<Vec<u64>, WireError> {
     let mut out = Vec::with_capacity(total);
     while out.len() < total {
         let zeros = d.get_u32()? as usize;
