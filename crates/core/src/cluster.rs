@@ -325,7 +325,13 @@ impl ClusterShared {
         let resident = self
             .sys
             .core_of(gpid)
-            .map(|c| c.lock().pages.count(|m| m.data.is_some()))
+            .map(|c| {
+                c.lock()
+                    .pages
+                    .iter()
+                    .filter(|(_, m)| m.data.is_some())
+                    .count()
+            })
             .unwrap_or(0);
         let image = migration_image_bytes(resident, self.sys.cfg().page_size);
         self.log.push(EventKind::UrgentMigrationStart {

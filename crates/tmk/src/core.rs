@@ -5,8 +5,8 @@
 //! synchronization) and its *service thread* (serving pages, diffs,
 //! records and lock requests at any time — TreadMarks' SIGIO handler).
 //! It is the process's one lock: every request a peer makes is served
-//! under it, and the page table's shard locks are taken only inside it.
-//! All methods here are short, non-blocking state transitions; network
+//! under it, and `ProcCore` itself is plain data with no lock inside
+//! (its page table is a [`Pages`]). All methods here are short, non-blocking state transitions; network
 //! I/O happens outside the lock, in the fault driver ([`crate::ctx`])
 //! and the orchestration layer ([`crate::system`]).
 //!
@@ -47,10 +47,11 @@ use crate::config::DsmConfig;
 use crate::diff::{Diff, DiffKey};
 use crate::msg::{PageApplied, WholePage};
 use crate::page::{PageBuf, PageMeta, PageState, Wn};
+use crate::push::{Push, PushGate};
 use crate::records::{Record, RecordStore};
 use crate::shm::Registry;
 use crate::stats::DsmStats;
-use crate::table::PageTable;
+use crate::table::Pages;
 use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
@@ -153,9 +154,8 @@ pub struct ProcCore {
     pub my_pid: Pid,
     /// Knowledge vector clock.
     pub vc: Vc,
-    /// Per-page metadata behind interleaved `Mutex` shards, each taken
-    /// under the core mutex (see [`crate::table`]).
-    pub pages: PageTable,
+    /// Per-page metadata and the open interval's write set.
+    pub pages: Pages,
     /// Every interval record known this epoch.
     pub records: RecordStore,
     /// Our own records not yet shipped to the master (drained at
@@ -178,27 +178,9 @@ pub struct ProcCore {
     /// [`Self::serve_page`] and [`Self::serve_diffs`]). Only grows
     /// inside an epoch (invariant W).
     pub readers: HashMap<PageId, Vec<Pid>>,
-    /// Encoded `DiffPush` messages the service thread has yet to send:
-    /// `(destination, payload, diffs carried)`, in the order
-    /// [`Self::close_interval`] queued them. The service thread pops
-    /// one per turn of its loop and sends it after the core lock drops.
-    pub outbox: VecDeque<(Gpid, bytes::Bytes, u64)>,
-    /// How many pushes at the back of the outbox are held: ones
-    /// [`Self::close_interval`] queued. They wait until the
-    /// synchronization message that follows the close is on the link
-    /// ([`Self::release_pushes`]), until a `RecordsRep` hands out the
-    /// close's notices, or until a commit; the service thread sends the
-    /// older ones ahead of them ([`Self::next_push`]).
-    pub pushes_held: usize,
-    /// How many pushes the last close queued.
-    pub close_pushes: usize,
-    /// While we wait for our reduce subtree at a join or a barrier: how
-    /// many aggregates we collect ([`Self::await_subtree`]).
-    pub subtree_due: Option<usize>,
-    /// Aggregates of our epoch the service thread has forwarded to the
-    /// application thread and no collection has taken yet
-    /// ([`Self::subtree_arrived`]).
-    pub subtree_in: usize,
+    /// The `DiffPush`es [`Self::close_interval`] queued that the
+    /// service thread has yet to send, and which of them are held.
+    pub push: PushGate,
     /// Reader side: every diff that reaches us, until
     /// [`Self::apply_diffs`] takes it — pushed by its writer, fetched by
     /// a fault or a page collection.
@@ -224,7 +206,7 @@ impl ProcCore {
             team: Team::new(0, vec![gpid]),
             my_pid: 0,
             vc: Vc::new(1),
-            pages: PageTable::new(),
+            pages: Pages::default(),
             records: RecordStore::new(),
             unsent: Vec::new(),
             diffs: HashMap::new(),
@@ -234,11 +216,7 @@ impl ProcCore {
             registry: Registry::new(),
             default_owner,
             readers: HashMap::new(),
-            outbox: VecDeque::new(),
-            pushes_held: 0,
-            close_pushes: 0,
-            subtree_due: None,
-            subtree_in: 0,
+            push: PushGate::default(),
             early: HashMap::new(),
             push_after: HashMap::new(),
             early_cv: None,
@@ -260,10 +238,6 @@ impl ProcCore {
         self.pages.ensure(n, self.default_owner);
     }
 
-    fn slots_per_page(&self) -> usize {
-        self.cfg.slots_per_page()
-    }
-
     // ------------------------------------------------------------------
     // Fault handling (application thread)
     // ------------------------------------------------------------------
@@ -274,9 +248,9 @@ impl ProcCore {
     /// collection uses too.
     pub fn plan_access(&mut self, page: PageId, want_write: bool) -> AccessPlan {
         self.ensure_pages(page as usize + 1);
-        let spp = self.slots_per_page();
+        let spp = self.cfg.slots_per_page();
         let me = self.gpid;
-        let mut meta = self.pages.guard(page);
+        let meta = &self.pages[page];
         match meta.state {
             PageState::Write => {
                 // A page we are writing can still have pending notices:
@@ -285,7 +259,7 @@ impl ProcCore {
                 // sharing — the multiple-writer case). Merge its diffs
                 // into our working copy before further access.
                 if !meta.unapplied().is_empty() {
-                    return AccessPlan::Fetch(self.plan_fault(page, &meta));
+                    return AccessPlan::Fetch(self.plan_fault(page, meta));
                 }
                 let buf = Arc::clone(meta.data.as_ref().expect("Write state implies data"));
                 AccessPlan::Ready {
@@ -303,15 +277,14 @@ impl ProcCore {
                 }
                 // Write fault on a valid page: twin unless exclusive.
                 DsmStats::bump(&self.stats.write_faults);
+                let meta = &mut self.pages[page];
                 let data = Arc::clone(meta.data.as_ref().expect("Read state implies data"));
                 if meta.shared {
                     meta.twin = Some(data.snapshot());
                     DsmStats::bump(&self.stats.twins_created);
                 }
                 meta.state = PageState::Write;
-                // Interval bookkeeping rides the shard lock the fault
-                // already holds — no core-level dirty list.
-                meta.mark_dirty();
+                self.pages.mark_dirty(page);
                 // NOTE: `applied[my_pid]` is NOT raised here. Open-interval
                 // writes are only attributed once the interval closes and
                 // becomes a record; raising early would let an unrecorded
@@ -325,8 +298,7 @@ impl ProcCore {
             PageState::Invalid => {
                 if meta.data.is_some() && meta.unapplied().is_empty() {
                     // A stale copy with nothing pending after all — promote.
-                    meta.state = PageState::Read;
-                    drop(meta);
+                    self.pages[page].state = PageState::Read;
                     self.plan_access(page, want_write)
                 } else if meta.data.is_none()
                     && (meta.owner == me || meta.lease)
@@ -339,6 +311,7 @@ impl ProcCore {
                     // store of a fresh allocation). With notices
                     // present, the writer's copy is the truth and we
                     // must fetch like anyone else.
+                    let meta = &mut self.pages[page];
                     let buf = Arc::new(PageBuf::new(spp));
                     meta.data = Some(Arc::clone(&buf));
                     meta.state = PageState::Read;
@@ -347,10 +320,9 @@ impl ProcCore {
                     // copies exist out there and our writes must be
                     // twinned and recorded.
                     meta.shared = meta.zero_lent || meta.lease;
-                    drop(meta);
                     self.plan_access(page, want_write)
                 } else {
-                    AccessPlan::Fetch(self.plan_fault(page, &meta))
+                    AccessPlan::Fetch(self.plan_fault(page, meta))
                 }
             }
         }
@@ -453,10 +425,8 @@ impl ProcCore {
     pub fn install_whole(&mut self, whole: WholePage, from: Gpid) {
         let mut served = Vc::default();
         whole.applied.iter().for_each(|&(p, s)| served.set(p, s));
-        let covers = {
-            let meta = self.pages.guard(whole.page);
-            meta.state == PageState::Invalid && served.dominates(&meta.applied)
-        };
+        let meta = &self.pages[whole.page];
+        let covers = meta.state == PageState::Invalid && served.dominates(&meta.applied);
         if covers {
             DsmStats::bump(&self.stats.gc_whole_pages);
             self.install_page(whole.page, &whole.applied, whole.words, from);
@@ -478,7 +448,7 @@ impl ProcCore {
             "page payload size mismatch"
         );
         DsmStats::bump(&self.stats.pages_fetched);
-        let mut meta = self.pages.guard(page);
+        let meta = &mut self.pages[page];
         meta.data = Some(Arc::new(PageBuf::from_words(&words)));
         let mut vc = Vc::default();
         for &(p, s) in applied {
@@ -517,7 +487,7 @@ impl ProcCore {
     /// page's whole unapplied set and one sort orders all of it.
     pub fn apply_diffs(&mut self, page: PageId) {
         self.ensure_pages(page as usize + 1);
-        let mut meta = self.pages.guard(page);
+        let meta = &mut self.pages[page];
         let mut batch: Vec<(Pid, Seq, Diff)> = Vec::new();
         if let Some(stored) = self.early.remove(&page) {
             let unapplied = meta.unapplied();
@@ -592,10 +562,10 @@ impl ProcCore {
                     .unapplied()
                     .iter()
                     .any(|wn| self.team.gpid(wn.pid) == self.gpid),
-                None => self.holder(&meta) == self.gpid,
+                None => self.holder(meta) == self.gpid,
             };
             if meta.state == PageState::Invalid && !ours {
-                self.plan_page(page, &meta, &mut plan);
+                self.plan_page(page, meta, &mut plan);
             }
         }
         plan
@@ -650,11 +620,9 @@ impl ProcCore {
     ) {
         for (page, seq, diff) in diffs {
             self.ensure_pages(page as usize + 1);
-            let useful = {
-                let meta = self.pages.guard(page);
-                seq > meta.applied.get(from)
-                    && (pushed || meta.pending.iter().any(|w| w.pid == from && w.seq == seq))
-            };
+            let meta = &self.pages[page];
+            let useful = seq > meta.applied.get(from)
+                && (pushed || meta.pending.iter().any(|w| w.pid == from && w.seq == seq));
             if !useful || self.diff_source(page, from, seq) == DiffSource::Stored {
                 if pushed {
                     DsmStats::bump(&self.stats.push_wasted);
@@ -707,28 +675,28 @@ impl ProcCore {
 
     /// Close the open interval: turn twins into diffs, emit the
     /// interval record, advance the clock — and queue the new diffs of
-    /// pages with readers for the service thread to push (invariant W).
-    /// The close holds the pushes it queues, so none goes ahead of the
-    /// synchronization message that follows it; the caller releases
-    /// them once that message is on the link
-    /// ([`crate::ctx::TmkCtx::wake_pusher`]). Older pushes are not held:
-    /// their notices may be out, and whoever learnt one may be parked
-    /// on its push. Returns the record if any page was written.
+    /// pages with readers for the service thread to push (invariant W),
+    /// held until the caller's synchronization message is on the link
+    /// ([`PushGate::hold_close`], [`crate::ctx::TmkCtx::wake_pusher`]).
+    /// Returns the record if any page was written.
     pub fn close_interval(&mut self) -> Option<Record> {
-        self.close_pushes = 0;
-        if self.pages.dirty_count() == 0 {
+        let (rec, pushes) = self.close_writes().unzip();
+        self.push.hold_close(pushes.unwrap_or_default());
+        rec
+    }
+
+    /// [`Self::close_interval`]'s record, and the pushes of its diffs.
+    fn close_writes(&mut self) -> Option<(Record, Vec<Push>)> {
+        let dirty = self.pages.drain_dirty();
+        if dirty.is_empty() {
             return None;
         }
         let seq = self.open_seq();
         let me = self.my_pid;
-        // The write set lives in the page-table shards (enrolled under
-        // the shard lock at fault time); take it back in one sweep.
-        let dirty = self.pages.drain_dirty();
         let mut rec_pages = Vec::with_capacity(dirty.len());
         let mut to_push: Vec<(PageId, Arc<Diff>)> = Vec::new();
         for page in dirty {
-            let mut meta = self.pages.guard(page);
-            meta.dirty = false;
+            let meta = &mut self.pages[page];
             // Write notices may have arrived *during* the interval (the
             // multiple-writer case keeps the page writable); a closing
             // page with unapplied notices is a stale copy, not a valid
@@ -781,20 +749,16 @@ impl ProcCore {
         };
         self.records.insert(rec.clone());
         self.unsent.push(rec.clone());
-        let queued = self.outbox.len();
-        self.queue_pushes(seq, to_push);
-        self.close_pushes = self.outbox.len() - queued;
-        self.pushes_held += self.close_pushes;
-        Some(rec)
+        Some((rec, self.encode_pushes(seq, to_push)))
     }
 
-    /// Queue one `DiffPush` per reader of the pages in `created` (the
-    /// diffs of interval `seq`), each carrying all of that reader's
-    /// pages. Readers go in `(reader - me) mod n` order, so when every
-    /// rank pushes to every other the exchange is a rotation and no
-    /// rank's inbound link is everyone's first target. Readers of the
-    /// same pages share one encoding.
-    fn queue_pushes(&mut self, seq: Seq, mut created: Vec<(PageId, Arc<Diff>)>) {
+    /// One `DiffPush` per reader of the pages in `created` (the diffs
+    /// of interval `seq`), each carrying all of that reader's pages.
+    /// Readers go in `(reader - me) mod n` order, so when every rank
+    /// pushes to every other the exchange is a rotation and no rank's
+    /// inbound link is everyone's first target. Readers of the same
+    /// pages share one encoding.
+    fn encode_pushes(&self, seq: Seq, mut created: Vec<(PageId, Arc<Diff>)>) -> Vec<Push> {
         created.sort_unstable_by_key(|&(page, _)| page);
         let mut per_reader: Vec<(Pid, Vec<(PageId, Seq, Arc<Diff>)>)> = Vec::new();
         for (page, diff) in created {
@@ -810,6 +774,7 @@ impl ProcCore {
         per_reader.sort_by_key(|&(r, _)| (r as usize + n - me) % n);
         let epoch = self.epoch();
         let mut encoded: Vec<(Vec<PageId>, bytes::Bytes)> = Vec::new();
+        let mut pushes = Vec::with_capacity(per_reader.len());
         for (r, diffs) in per_reader {
             let pages: Vec<PageId> = diffs.iter().map(|d| d.0).collect();
             let payload = match encoded.iter().find(|(p, _)| *p == pages) {
@@ -820,69 +785,9 @@ impl ProcCore {
                     bytes
                 }
             };
-            self.outbox
-                .push_back((self.team.gpid(r), payload, pages.len() as u64));
+            pushes.push((self.team.gpid(r), payload, pages.len() as u64));
         }
-    }
-
-    /// Release the pushes a close held; whether the outbox has a push
-    /// to send.
-    pub fn release_pushes(&mut self) -> bool {
-        self.pushes_held = 0;
-        !self.outbox.is_empty()
-    }
-
-    /// We have closed and are about to collect `children` aggregates of
-    /// our reduce subtree. A leaf keeps its close's pushes held until
-    /// its arrival is on the link. An aggregator releases them, since
-    /// its link would idle while it waits; the aggregate that completes
-    /// its subtree holds what is left of them again, until its own
-    /// aggregate is on the link, which then queues behind the one push
-    /// on the wire at most ([`Self::subtree_arrived`]). If the subtree
-    /// is complete already, its pushes go first. Whether the outbox has
-    /// a push to send now.
-    pub fn await_subtree(&mut self, children: usize) -> bool {
-        if children == 0 {
-            return false;
-        }
-        if self.subtree_in < children {
-            self.subtree_due = Some(children);
-        }
-        self.release_pushes()
-    }
-
-    /// The service thread forwards an aggregate of `epoch` to the
-    /// application thread: if it completes the subtree a collection
-    /// waits for, the close's pushes still queued are held.
-    pub fn subtree_arrived(&mut self, epoch: Epoch) {
-        if epoch != self.epoch() {
-            return;
-        }
-        self.subtree_in += 1;
-        if self.subtree_due.is_some_and(|due| self.subtree_in >= due) {
-            self.hold_close_pushes();
-        }
-    }
-
-    /// A collection took `children` aggregates.
-    pub fn subtree_collected(&mut self, children: usize) {
-        self.subtree_due = None;
-        self.subtree_in = self.subtree_in.saturating_sub(children);
-    }
-
-    /// Hold what the last close queued and has not sent: the back of
-    /// the outbox.
-    fn hold_close_pushes(&mut self) {
-        self.pushes_held = self.close_pushes.min(self.outbox.len());
-    }
-
-    /// The next push to send, unless every queued one is held.
-    pub fn next_push(&mut self) -> Option<(Gpid, bytes::Bytes, u64)> {
-        if self.outbox.len() > self.pushes_held {
-            self.outbox.pop_front()
-        } else {
-            None
-        }
+        pushes
     }
 
     /// Integrate received records: store, merge clocks, post write
@@ -897,7 +802,7 @@ impl ProcCore {
             let vcsum = rec.vcsum();
             for &page in &rec.pages {
                 self.ensure_pages(page as usize + 1);
-                let mut meta = self.pages.guard(page);
+                let meta = &mut self.pages[page];
                 let before = meta.pending.len();
                 meta.push_wn(Wn {
                     pid: rec.pid,
@@ -987,7 +892,7 @@ impl ProcCore {
     fn lend_fresh(&mut self, page: PageId) -> u32 {
         let mut fresh = 0;
         while (fresh as usize) < LEASE_PAGES {
-            let Some(mut meta) = self.pages.get(page + 1 + fresh) else {
+            let Some(meta) = self.pages.get_mut(page + 1 + fresh) else {
                 break;
             };
             if meta.owner != self.gpid || meta.data.is_some() || !meta.pending.is_empty() {
@@ -1005,7 +910,7 @@ impl ProcCore {
     pub fn take_lease(&mut self, page: PageId, fresh: u32, owner: Gpid) {
         self.ensure_pages((page + fresh) as usize + 1);
         for q in page + 1..=page + fresh {
-            let mut meta = self.pages.guard(q);
+            let meta = &mut self.pages[q];
             if meta.data.is_none() && meta.owner == owner {
                 meta.lease = true;
             }
@@ -1018,7 +923,7 @@ impl ProcCore {
         self.ensure_pages(page as usize + 1);
         let open_seq = self.open_seq();
         let me_pid = self.my_pid;
-        let mut meta = self.pages.guard(page);
+        let meta = &mut self.pages[page];
         match meta.data.clone() {
             None => {
                 if meta.owner == self.gpid {
@@ -1059,12 +964,13 @@ impl ProcCore {
                         let snap = data.snapshot();
                         meta.twin = Some(snap.clone());
                         DsmStats::bump(&self.stats.twins_created);
-                        meta.mark_dirty();
                         // `applied` holds closed knowledge only; the open
                         // interval's diff will carry post-snapshot writes.
                         debug_assert!(meta.applied.get(me_pid) < open_seq);
+                        let applied = meta.applied.iter_nonzero().collect();
+                        self.pages.mark_dirty(page);
                         return crate::msg::Msg::PageRep {
-                            applied: meta.applied.iter_nonzero().collect(),
+                            applied,
                             words: snap,
                             redirect: None,
                             push_after: None,
@@ -1133,7 +1039,7 @@ impl ProcCore {
     /// here outweighs the page, where our copy is valid with no
     /// unapplied notice. Every other page is served as its chain.
     /// `found[i]` is the diff `wants[i]` names.
-    fn whole_pages(&self, wants: &[(PageId, Seq)], found: &[Arc<Diff>]) -> Vec<WholePage> {
+    fn whole_pages(&mut self, wants: &[(PageId, Seq)], found: &[Arc<Diff>]) -> Vec<WholePage> {
         let mut chains: BTreeMap<PageId, usize> = BTreeMap::new();
         for (&(page, _), d) in wants.iter().zip(found) {
             *chains.entry(page).or_default() += 8 + d.wire_bytes();
@@ -1141,7 +1047,7 @@ impl ProcCore {
         let encoding = self.cfg.collectives.encoding();
         let mut whole = Vec::new();
         for (page, chain) in chains {
-            let Some(mut meta) = self.pages.get(page) else {
+            let Some(meta) = self.pages.get_mut(page) else {
                 continue;
             };
             let applied: Vec<(Pid, Seq)> = meta.applied.iter_nonzero().collect();
@@ -1235,16 +1141,14 @@ impl ProcCore {
 
     /// Report per-page applied clocks for every page we hold (GC step 1).
     pub fn gc_report(&self) -> Vec<PageApplied> {
-        let mut out = Vec::new();
-        self.pages.for_each(|page, m| {
-            if m.data.is_some() {
-                out.push(PageApplied {
-                    page,
-                    applied: m.applied.iter_nonzero().collect(),
-                });
-            }
-        });
-        out
+        self.pages
+            .iter()
+            .filter(|(_, m)| m.data.is_some())
+            .map(|(page, m)| PageApplied {
+                page,
+                applied: m.applied.iter_nonzero().collect(),
+            })
+            .collect()
     }
 
     /// Install GC fetch instructions: post the missing write notices so
@@ -1252,7 +1156,7 @@ impl ProcCore {
     pub fn gc_prepare_fetch(&mut self, wants: &[(PageId, Vec<Wn>)]) {
         for (page, wns) in wants {
             self.ensure_pages(*page as usize + 1);
-            let mut meta = self.pages.guard(*page);
+            let meta = &mut self.pages[*page];
             for wn in wns {
                 meta.push_wn(*wn);
             }
@@ -1275,19 +1179,17 @@ impl ProcCore {
         assert_eq!(team.epoch, new_epoch, "team/epoch mismatch in commit");
         self.ensure_pages(dir.len());
         for &p in drop_pages {
-            self.pages.guard(p).data = None;
+            self.pages[p].data = None;
         }
+        self.pages.drain_dirty();
         let nprocs = team.members.len();
-        self.pages.for_each(|i, meta| {
-            crate::table::reset_meta(meta, nprocs, dir.get(i as usize).copied());
-        });
+        for (i, meta) in self.pages.iter_mut() {
+            meta.reset(nprocs, dir.get(i as usize).copied());
+        }
         self.diffs.clear();
         self.consistency_bytes = 0;
         self.records.clear();
         self.unsent.clear();
-        // Shard dirty lists too — `reset_meta` above already dropped
-        // the per-page flags.
-        let _ = self.pages.drain_dirty();
         self.locks.clear();
         self.vc = Vc::new(team.members.len());
         self.team = team;
@@ -1298,11 +1200,7 @@ impl ProcCore {
         let unapplied_pushes = self.early.values().flatten().filter(|e| e.pushed).count();
         DsmStats::add(&self.stats.push_wasted, unapplied_pushes as u64);
         self.readers.clear();
-        self.outbox.clear();
-        self.pushes_held = 0;
-        self.close_pushes = 0;
-        self.subtree_due = None;
-        self.subtree_in = 0;
+        self.push = PushGate::default();
         self.early.clear();
         self.push_after.clear();
         DsmStats::bump(&self.stats.gcs);
@@ -1320,20 +1218,17 @@ impl ProcCore {
     /// Snapshot every locally-valid page (master-side checkpoint after
     /// it collected all pages).
     pub fn export_pages(&self) -> Vec<(PageId, Vec<u64>)> {
-        let mut out = Vec::new();
-        self.pages.for_each(|page, m| {
-            if let Some(d) = &m.data {
-                out.push((page, d.snapshot()));
-            }
-        });
-        out
+        self.pages
+            .iter()
+            .filter_map(|(page, m)| Some((page, m.data.as_ref()?.snapshot())))
+            .collect()
     }
 
     /// Import pages wholesale (recovery: the master owns everything).
     pub fn import_pages(&mut self, pages: &[(PageId, Vec<u64>)]) {
         for (p, words) in pages {
             self.ensure_pages(*p as usize + 1);
-            let mut meta = self.pages.guard(*p);
+            let meta = &mut self.pages[*p];
             meta.data = Some(Arc::new(PageBuf::from_words(words)));
             meta.state = PageState::Read;
             meta.applied = Vc::new(self.team.members.len());
@@ -1373,8 +1268,8 @@ mod tests {
             }
             other => panic!("expected Ready, got {other:?}"),
         }
-        assert_eq!(c.pages.guard(0).state, PageState::Read);
-        assert!(!c.pages.guard(0).shared, "untouched page stays exclusive");
+        assert_eq!(c.pages[0].state, PageState::Read);
+        assert!(!c.pages[0].shared, "untouched page stays exclusive");
     }
 
     #[test]
@@ -1385,11 +1280,8 @@ mod tests {
         };
         assert!(writable);
         buf.store(0, 7);
-        assert!(
-            c.pages.guard(0).twin.is_none(),
-            "exclusive pages never twin"
-        );
-        assert!(c.pages.guard(0).dirty);
+        assert!(c.pages[0].twin.is_none(), "exclusive pages never twin");
+        assert!(c.pages[0].dirty);
         // Closing the interval emits no record for exclusive pages.
         assert!(c.close_interval().is_none());
     }
@@ -1402,13 +1294,13 @@ mod tests {
         let _ = c.plan_access(0, false);
         let rep = c.serve_page(0, None);
         assert!(matches!(rep, Msg::PageRep { redirect: None, .. }));
-        assert!(c.pages.guard(0).shared);
+        assert!(c.pages[0].shared);
         // Now a write must twin.
         let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
             panic!()
         };
         buf.store(3, 99);
-        assert!(c.pages.guard(0).twin.is_some());
+        assert!(c.pages[0].twin.is_some());
         let rec = c
             .close_interval()
             .expect("dirty shared page yields a record");
@@ -1444,8 +1336,8 @@ mod tests {
         assert_eq!(push_after, None, "unmarked: no acknowledgement");
         assert_eq!(words[1], 5);
         assert!(applied.is_empty(), "no closed intervals yet");
-        assert!(c.pages.guard(0).twin.is_some(), "snapshot became the twin");
-        assert!(c.pages.guard(0).shared);
+        assert!(c.pages[0].twin.is_some(), "snapshot became the twin");
+        assert!(c.pages[0].shared);
         // Post-snapshot writes land in the eventual diff.
         buf.store(2, 6);
         let rec = c.close_interval().unwrap();
@@ -1476,7 +1368,7 @@ mod tests {
         let mut c = core();
         two_proc_team(&mut c, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).shared = true;
+        c.pages[0].shared = true;
         let mut vc = Vc::new(2);
         vc.set(1, 1);
         let rec = Record {
@@ -1486,11 +1378,8 @@ mod tests {
             pages: vec![0],
         };
         c.apply_records(&[rec]);
-        assert_eq!(c.pages.guard(0).state, PageState::Invalid);
-        assert!(
-            c.pages.guard(0).data.is_some(),
-            "stale copy kept for diffing"
-        );
+        assert_eq!(c.pages[0].state, PageState::Invalid);
+        assert!(c.pages[0].data.is_some(), "stale copy kept for diffing");
         assert_eq!(c.vc.get(1), 1);
         // Planning access now asks for diffs from gpid 2.
         match c.plan_access(0, false) {
@@ -1515,7 +1404,7 @@ mod tests {
             c.my_pid = 2;
             c.vc = Vc::new(4);
             let _ = c.plan_access(0, false);
-            c.pages.guard(0).shared = true;
+            c.pages[0].shared = true;
             for pid in [0, 1, 3] {
                 let mut vc = Vc::new(4);
                 vc.set(pid, 1);
@@ -1545,7 +1434,7 @@ mod tests {
         let mut c = core();
         two_proc_team(&mut c, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).shared = true;
+        c.pages[0].shared = true;
         let mut vc = Vc::new(2);
         vc.set(1, 1);
         c.apply_records(&[Record {
@@ -1557,10 +1446,10 @@ mod tests {
         let diff = Diff::create_from_words(&[0; 8], &[0, 42, 0, 0, 0, 0, 0, 0], 0);
         c.deposit(1, vec![(0, 1, diff)], false);
         c.apply_diffs(0);
-        assert_eq!(c.pages.guard(0).state, PageState::Read);
-        assert_eq!(c.pages.guard(0).data.as_ref().unwrap().load(1), 42);
-        assert_eq!(c.pages.guard(0).applied.get(1), 1);
-        assert!(c.pages.guard(0).pending.is_empty());
+        assert_eq!(c.pages[0].state, PageState::Read);
+        assert_eq!(c.pages[0].data.as_ref().unwrap().load(1), 42);
+        assert_eq!(c.pages[0].applied.get(1), 1);
+        assert!(c.pages[0].pending.is_empty());
     }
 
     #[test]
@@ -1588,11 +1477,7 @@ mod tests {
         ]);
         // Fetch a copy that only includes seq 1.
         c.install_page(3, &[(1, 1)], vec![0; 8], Gpid(2));
-        assert_eq!(
-            c.pages.guard(3).state,
-            PageState::Invalid,
-            "seq 2 still missing"
-        );
+        assert_eq!(c.pages[3].state, PageState::Invalid, "seq 2 still missing");
         match c.plan_access(3, false) {
             AccessPlan::Fetch(plan) => {
                 assert_eq!(plan.diffs[0].1, vec![(3, 2)]);
@@ -1721,9 +1606,9 @@ mod tests {
         assert!(c.records.is_empty());
         assert!(c.diffs.is_empty());
         assert_eq!(c.vc.len(), 3);
-        assert_eq!(c.pages.guard(0).state, PageState::Read);
-        assert!(c.pages.guard(0).twin.is_none());
-        assert_eq!(c.pages.guard(0).applied.sum(), 0);
+        assert_eq!(c.pages[0].state, PageState::Read);
+        assert!(c.pages[0].twin.is_none());
+        assert_eq!(c.pages[0].applied.sum(), 0);
     }
 
     #[test]
@@ -1733,9 +1618,9 @@ mod tests {
         let _ = c.plan_access(0, false);
         let new_team = Team::new(1, vec![Gpid(1), Gpid(2)]);
         c.gc_commit(1, new_team, 0, &[Gpid(2)], &[0]);
-        assert!(c.pages.guard(0).data.is_none());
-        assert_eq!(c.pages.guard(0).state, PageState::Invalid);
-        assert_eq!(c.pages.guard(0).owner, Gpid(2));
+        assert!(c.pages[0].data.is_none());
+        assert_eq!(c.pages[0].state, PageState::Invalid);
+        assert_eq!(c.pages[0].owner, Gpid(2));
     }
 
     #[test]
@@ -1858,7 +1743,7 @@ mod tests {
         assert_eq!(c.readers[&1], vec![1, 2]);
         // A redirect serves no page and subscribes nobody.
         c.ensure_pages(3);
-        c.pages.guard(2).owner = Gpid(3);
+        c.pages[2].owner = Gpid(3);
         let rep = c.serve_page(2, Some(1));
         assert!(matches!(
             rep,
@@ -1967,8 +1852,8 @@ mod tests {
         };
         assert!(push_after.is_some());
         assert_eq!(fresh, 3, "pages 2, 3 and 4");
-        assert!((1..=4).all(|p| c.pages.guard(p).zero_lent));
-        assert!(!c.pages.guard(6).zero_lent);
+        assert!((1..=4).all(|p| c.pages[p].zero_lent));
+        assert!(!c.pages[6].zero_lent);
         // An unsubscribed request (the master's sequential phase, a
         // collection) takes no lease.
         let Msg::PageRep { fresh, .. } = c.serve_page(6, None) else {
@@ -1997,7 +1882,7 @@ mod tests {
             panic!("a lent page needs no request")
         };
         assert!(writable);
-        assert!(c.pages.guard(1).twin.is_some());
+        assert!(c.pages[1].twin.is_some());
         // Page 2 has a notice, and page 3 was not lent: both are asked.
         notice(&mut c, 0, 1, 2);
         assert!(matches!(c.plan_access(2, false), AccessPlan::Fetch(_)));
@@ -2026,21 +1911,21 @@ mod tests {
         // Our stale copy applied rank 1's seq 1 and misses its 2..3.
         let mut c = team_core(2, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).applied.set(1, 1);
+        c.pages[0].applied.set(1, 1);
         for seq in 2..=3 {
             notice(&mut c, 1, seq, 0);
         }
         c.install_whole(whole(vec![(1, 3)]), Gpid(2));
-        assert_eq!(c.pages.guard(0).state, PageState::Read);
+        assert_eq!(c.pages[0].state, PageState::Read);
         assert_eq!(c.stats.snapshot().gc_whole_pages, 1);
         // A served copy that lacks what ours applied is dropped: the
         // fault then fetches the chain.
         let mut c = team_core(2, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).applied.set(1, 2);
+        c.pages[0].applied.set(1, 2);
         notice(&mut c, 1, 3, 0);
         c.install_whole(whole(vec![(0, 4)]), Gpid(2));
-        assert_eq!(c.pages.guard(0).state, PageState::Invalid);
+        assert_eq!(c.pages[0].state, PageState::Invalid);
         assert_eq!(c.stats.snapshot().gc_whole_pages, 0);
     }
 
@@ -2056,9 +1941,8 @@ mod tests {
         }
         let rec = c.close_interval().unwrap();
         assert_eq!(rec.pages, vec![0, 1, 2]);
-        assert!(!c.outbox.is_empty());
         // (reader - me) mod n: ranks 2, 3, 0 — gpids 3, 4, 1.
-        let outbox = &c.outbox;
+        let outbox = c.push.queued();
         let dsts: Vec<Gpid> = outbox.iter().map(|m| m.0).collect();
         assert_eq!(dsts, vec![Gpid(3), Gpid(4), Gpid(1)]);
         let carried: Vec<u64> = outbox.iter().map(|m| m.2).collect();
@@ -2078,22 +1962,22 @@ mod tests {
 
         // Invariant W: the next close pushes the same pages to the same
         // readers without anyone asking again.
-        c.outbox.clear();
+        c.push = PushGate::default();
         let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
             panic!()
         };
         buf.store(1, 99);
         c.close_interval().unwrap();
-        assert_eq!(c.outbox.len(), 3);
+        assert_eq!(c.push.queued().len(), 3);
 
         // A close that writes only unread pages queues nothing.
-        c.outbox.clear();
+        c.push = PushGate::default();
         let AccessPlan::Ready { buf, .. } = c.plan_access(2, true) else {
             panic!()
         };
         buf.store(1, 5);
         c.close_interval().unwrap();
-        assert!(c.outbox.is_empty());
+        assert!(c.push.queued().is_empty());
     }
 
     #[test]
@@ -2109,8 +1993,8 @@ mod tests {
         };
         write_shared(&mut c, 0, 1);
         c.close_interval().unwrap();
-        assert!(c.next_push().is_none(), "held until released");
-        assert!(c.release_pushes());
+        assert!(c.push.next_push().is_none(), "held until released");
+        assert!(c.push.release_pushes());
         // A second close before the first push left: that push's notice
         // may be out, so only the new one is held.
         close(&mut c, 2);
@@ -2118,14 +2002,14 @@ mod tests {
             Ok(Msg::DiffPush { diffs, .. }) => diffs[0].1,
             other => panic!("expected DiffPush, got {other:?}"),
         };
-        assert_eq!(c.next_push().map(seq_of), Some(1));
-        assert!(c.next_push().is_none());
-        assert!(c.release_pushes());
-        assert_eq!(c.next_push().map(seq_of), Some(2));
+        assert_eq!(c.push.next_push().map(seq_of), Some(1));
+        assert!(c.push.next_push().is_none());
+        assert!(c.push.release_pushes());
+        assert_eq!(c.push.next_push().map(seq_of), Some(2));
         // A close that queues nothing holds nothing.
         c.readers.clear();
         close(&mut c, 3);
-        assert_eq!(c.pushes_held, 0);
+        assert_eq!(c.push.held(), 0);
     }
 
     #[test]
@@ -2138,38 +2022,38 @@ mod tests {
             c
         };
         let mut c = closed(vec![2, 3]);
-        assert_eq!(c.pushes_held, 2, "the close holds its pushes");
-        assert!(c.await_subtree(2), "two children out: the pushes go");
-        c.subtree_arrived(0);
-        assert!(c.next_push().is_some());
-        c.subtree_arrived(1); // another epoch's: not ours to count
-        assert_eq!(c.pushes_held, 0);
+        assert_eq!(c.push.held(), 2, "the close holds its pushes");
+        assert!(c.push.await_subtree(2), "two children out: the pushes go");
+        c.push.subtree_arrived(0, 0).unwrap();
+        assert!(c.push.next_push().is_some());
+        assert_eq!(c.push.subtree_arrived(1, 0), Err(1), "another epoch's");
+        assert_eq!(c.push.held(), 0);
         // The aggregate that completes the subtree holds what is left
         // until ours is on the link.
-        c.subtree_arrived(0);
-        assert!(c.next_push().is_none());
-        c.subtree_collected(2);
-        assert!(c.release_pushes());
-        assert!(c.next_push().is_some());
-        assert_eq!(c.subtree_in, 0);
+        c.push.subtree_arrived(0, 0).unwrap();
+        assert!(c.push.next_push().is_none());
+        c.push.subtree_collected(2);
+        assert!(c.push.release_pushes());
+        assert!(c.push.next_push().is_some());
+        assert_eq!(c.push.subtree_in(), 0);
 
         // A leaf keeps them held until its arrival is out.
         let mut c = closed(vec![2]);
-        assert!(!c.await_subtree(0));
-        assert!(c.next_push().is_none());
+        assert!(!c.push.await_subtree(0));
+        assert!(c.push.next_push().is_none());
         // A subtree complete before we collect: nothing will arrive to
         // hold them, and they go first.
         let mut c = closed(vec![2]);
-        c.subtree_arrived(0);
-        assert!(c.await_subtree(1));
-        assert!(c.next_push().is_some());
+        c.push.subtree_arrived(0, 0).unwrap();
+        assert!(c.push.await_subtree(1));
+        assert!(c.push.next_push().is_some());
     }
 
     #[test]
     fn deposit_skips_what_is_covered_or_unasked() {
         let mut c = team_core(2, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).applied.set(1, 3);
+        c.pages[0].applied.set(1, 3);
         let push = |seqs: &[Seq]| -> Vec<(PageId, Seq, Arc<Diff>)> {
             seqs.iter()
                 .map(|&s| (0, s, Arc::new(word(0, s as u64))))
@@ -2209,7 +2093,7 @@ mod tests {
     fn rule_r_expects_only_seqs_above_the_first_pushed_one() {
         let mut c = team_core(2, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).shared = true;
+        c.pages[0].shared = true;
         // The writer acknowledged our subscription when its last
         // closed interval was 2, so its first push to us carries its
         // interval 3.
@@ -2270,11 +2154,10 @@ mod tests {
         // One batch: the fetched diff and the two stored ones.
         c.deposit(1, vec![(0, 2, word(2, 2))], false);
         c.apply_diffs(0);
-        let g = c.pages.guard(0);
+        let g = &c.pages[0];
         assert_eq!(g.state, PageState::Read);
         let data = g.data.as_ref().unwrap();
         assert_eq!((data.load(2), data.load(3), data.load(4)), (2, 3, 4));
-        drop(g);
         assert!(c.early.is_empty() && c.consistency_bytes == 0);
         let s = c.stats.snapshot();
         assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (2, 0, 3));
@@ -2329,7 +2212,8 @@ mod tests {
         }
         assert_eq!(r.expected_absent(0), Some((1, 2)));
         // W: the close queued it for the reader.
-        let (dst, payload, _) = w.outbox.pop_front().expect("the close queued a push");
+        assert!(w.push.release_pushes());
+        let (dst, payload, _) = w.push.next_push().expect("the close queued a push");
         assert_eq!(dst, r.gpid);
         let Msg::DiffPush { epoch, diffs } = Msg::from_wire(&payload).unwrap() else {
             panic!("outbox holds DiffPush messages")
@@ -2337,7 +2221,7 @@ mod tests {
         r.deposit_push(epoch, w.gpid, diffs);
         assert_eq!(r.expected_absent(0), None);
         r.apply_diffs(0);
-        assert_eq!(r.pages.guard(0).data.as_ref().unwrap().load(0), 6);
+        assert_eq!(r.pages[0].data.as_ref().unwrap().load(0), 6);
         assert_eq!(r.stats.snapshot().push_hits, 1);
     }
 
@@ -2348,7 +2232,7 @@ mod tests {
         // order must not decide the word.
         let mut c = team_core(3, 0);
         let _ = c.plan_access(0, false);
-        c.pages.guard(0).shared = true;
+        c.pages[0].shared = true;
         let mut vc1 = Vc::new(3);
         vc1.set(1, 1);
         let mut vc2 = vc1.clone();
@@ -2368,7 +2252,7 @@ mod tests {
         c.deposit(1, vec![(0, 1, word(0, 11))], false);
         assert_eq!(stored(&c, 0), vec![(1, 1), (2, 1)]);
         c.apply_diffs(0);
-        assert_eq!(c.pages.guard(0).data.as_ref().unwrap().load(0), 22);
+        assert_eq!(c.pages[0].data.as_ref().unwrap().load(0), 22);
         let s = c.stats.snapshot();
         assert_eq!((s.push_hits, s.push_wasted, s.diffs_fetched), (2, 0, 2));
     }
@@ -2381,10 +2265,10 @@ mod tests {
         c.close_interval().unwrap();
         c.acknowledged(1, [3], 0);
         c.deposit_push(0, Gpid(2), vec![(3, 1, Arc::new(word(0, 1)))]);
-        assert!(!c.outbox.is_empty() && !c.early.is_empty() && !c.push_after.is_empty());
+        assert!(!c.push.queued().is_empty() && !c.early.is_empty() && !c.push_after.is_empty());
         c.gc_commit(1, Team::new(1, vec![Gpid(1), Gpid(2)]), 0, &[Gpid(1)], &[]);
         assert!(c.readers.is_empty(), "subscriptions die with the epoch");
-        assert!(c.outbox.is_empty());
+        assert!(c.push.queued().is_empty() && c.push.held() == 0);
         assert!(c.early.is_empty() && c.push_after.is_empty());
         assert_eq!(c.consistency_bytes, 0);
         assert_eq!(c.stats.snapshot().push_wasted, 1, "stored, never applied");

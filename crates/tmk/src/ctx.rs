@@ -555,7 +555,7 @@ impl TmkCtx {
                 },
             ) => {
                 assert_ne!(next, self.gpid(), "page {page} redirect loop back to self");
-                self.core.lock().pages.guard(page).owner = next;
+                self.core.lock().pages[page].owner = next;
             }
             (
                 FetchKind::Full { page },
@@ -730,17 +730,14 @@ impl TmkCtx {
     }
 
     /// Release the pushes the last interval close held
-    /// ([`ProcCore::release_pushes`]) and, if the outbox has a push,
-    /// wake the service thread to send it. Call it after every close, and
-    /// *after* that synchronization point's own message (a
-    /// `JoinArrive`, a lock release, the master's fork sends) is on the
-    /// link: that message is small and on the critical path, so it
-    /// reserves the wire ahead of the bulk. Until then the service
-    /// thread sends none of that close's pushes, however many bursts
-    /// it serves, except while an aggregator waits for its subtree
-    /// ([`ProcCore::await_subtree`]) or after a `RecordsReq` it answers.
+    /// ([`crate::push::PushGate::release_pushes`]) and, if the outbox
+    /// has a push, wake the service thread to send it. Call it after
+    /// every close, and *after* that synchronization point's own message
+    /// (a `JoinArrive`, a lock release, the master's fork sends) is on
+    /// the link: that message is small and on the critical path, so it
+    /// reserves the wire ahead of the bulk.
     pub fn wake_pusher(&self) {
-        if self.core.lock().release_pushes() {
+        if self.core.lock().push.release_pushes() {
             self.endpoint.wake();
         }
     }
@@ -777,7 +774,8 @@ impl TmkCtx {
     /// (`partial`), then our subtree's, in pid order. The close's pushes
     /// go while some of our subtree is outstanding, and what is left of
     /// them when the last aggregate arrives waits for ours
-    /// ([`ProcCore::await_subtree`]); a leaf's wait for its arrival.
+    /// ([`crate::push::PushGate::await_subtree`]); a leaf's wait for
+    /// its arrival.
     ///
     /// A child's aggregate can reach us before our own `Fork` or
     /// `BarrierRelease` does (the shapes differ): the wait loops leave
@@ -792,7 +790,7 @@ impl TmkCtx {
         let (mut vc, mut records, push_now) = {
             let mut c = self.core.lock();
             c.close_interval();
-            let push_now = c.await_subtree(children);
+            let push_now = c.push.await_subtree(children);
             (c.vc.clone(), c.drain_unsent(), push_now)
         };
         if push_now {
@@ -818,7 +816,7 @@ impl TmkCtx {
         let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
         let ctrl = &mut link_of(&mut self.link).ctrl;
         collect_joins(ctrl, shape, my, epoch, timeout, &self.stats, absorb);
-        self.core.lock().subtree_collected(children);
+        self.core.lock().push.subtree_collected(children);
         let bytes = Msg::JoinArrive {
             epoch,
             pid,
@@ -870,6 +868,7 @@ impl TmkCtx {
         collect_joins(ctrl, &shapes.reduce, 0, epoch, timeout, &self.stats, absorb);
         self.core
             .lock()
+            .push
             .subtree_collected(shapes.reduce.children(0).len());
         partials.in_pid_order()
     }
@@ -1264,7 +1263,7 @@ mod tests {
         pc.team = Team::new(0, vec![gpid, writer]);
         pc.vc = Vc::new(2);
         let _ = pc.plan_access(0, false);
-        pc.pages.guard(0).shared = true;
+        pc.pages[0].shared = true;
         for seq in 1..=2 {
             let mut vc = Vc::new(2);
             vc.set(1, seq);
@@ -1500,8 +1499,8 @@ mod tests {
         {
             let mut pc = core.lock();
             pc.ensure_pages(1);
-            pc.pages.guard(0).owner = owner;
-            pc.pages.guard(0).shared = true;
+            pc.pages[0].owner = owner;
+            pc.pages[0].shared = true;
         }
         TmkCtx::new(core, ep, None)
     }
@@ -1539,7 +1538,7 @@ mod tests {
             42,
             "the value arrives through the redirect chain"
         );
-        let owner = ctx.core().lock().pages.guard(0).owner;
+        let owner = ctx.core().lock().pages[0].owner;
         assert_eq!(owner, cg, "install records the actual server as owner");
     }
 
@@ -1602,7 +1601,7 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("page 0 redirect loop back to self"), "{msg}");
         assert_eq!(asked.load(Ordering::SeqCst), 1, "asked once, not chased");
-        assert_eq!(ctx.core().lock().pages.guard(0).owner, bg);
+        assert_eq!(ctx.core().lock().pages[0].owner, bg);
     }
 
     #[test]
@@ -1637,7 +1636,7 @@ mod tests {
         let plan = ctx.core().lock().plan_pages(&[0]);
         assert_eq!(plan.fulls, vec![(0, bg)]);
         ctx.collect_pages(&[0]);
-        assert_eq!(ctx.core().lock().pages.guard(0).owner, cg);
+        assert_eq!(ctx.core().lock().pages[0].owner, cg);
         // ... so the demand fault behind it sends one `PageReq`,
         // straight to c, and the page is in.
         assert_eq!(

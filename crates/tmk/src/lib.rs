@@ -48,6 +48,7 @@ pub mod gc;
 pub mod mem;
 pub mod msg;
 pub mod page;
+pub mod push;
 pub mod records;
 pub mod service;
 pub mod shared;
@@ -66,5 +67,5 @@ pub use msg::ElemKind;
 pub use shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
 pub use stats::{DsmSnapshot, DsmStats, ProcLedger};
 pub use system::{DsmSystem, GcOutcome, MasterCtl, MemoryImage, RegionRunner};
-pub use table::{PageGuard, PageTable};
+pub use table::PageTable;
 pub use types::{Addr, Epoch, PageId, Pid, Seq, Team, Vc};

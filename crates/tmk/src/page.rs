@@ -197,6 +197,25 @@ impl PageMeta {
         let applied = &self.applied;
         self.pending.retain(|w| w.seq > applied.get(w.pid));
     }
+
+    /// Wipe the consistency metadata for a new epoch of `nprocs`
+    /// processes at a GC or adaptation commit, installing `owner` as the
+    /// directory owner when given. The data (if any) is kept and the
+    /// state re-derived from its presence.
+    pub fn reset(&mut self, nprocs: usize, owner: Option<Gpid>) {
+        let data = self.data.take();
+        *self = PageMeta {
+            state: if data.is_some() {
+                PageState::Read
+            } else {
+                PageState::Invalid
+            },
+            data,
+            applied: Vc::new(nprocs),
+            shared: true,
+            ..PageMeta::new(owner.unwrap_or(self.owner))
+        };
+    }
 }
 
 #[cfg(test)]

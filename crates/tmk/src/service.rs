@@ -10,19 +10,14 @@
 //! thread can acknowledge them when it is ready.
 //!
 //! The service thread is also the process's *push sender*: diffs that
-//! an interval close queued for subscribed readers
-//! ([`ProcCore::close_interval`]) leave from here, one `DiffPush` per
-//! turn of the loop with the inbox drained in between, so the
-//! application thread stays free to relay the next fork and no request
-//! waits for more than one push. A close holds its pushes until the
-//! synchronization message that follows it is on the link
-//! ([`crate::ctx::TmkCtx::wake_pusher`]). An aggregator lets them go
-//! while it waits for its reduce subtree, and the aggregate that
-//! completes the subtree, counted here as it is forwarded, holds the
-//! rest ([`ProcCore::subtree_arrived`]): the aggregator's own
-//! aggregate then leaves ahead of them. A `RecordsReq` answered in the
-//! meantime releases them, since its reply may hand out the notices of
-//! the held close.
+//! an interval close queued for subscribed readers leave from here, one
+//! `DiffPush` per turn of the loop with the inbox drained in between, so
+//! the application thread stays free to relay the next fork and no
+//! request waits for more than one push. What a close holds back, and
+//! until when, is the [push gate](crate::push)'s rule; the service
+//! thread counts the aggregates it forwards into it, and a `RecordsReq`
+//! it answers releases the held pushes, since its reply may hand out
+//! the notices of the held close.
 
 use crate::config::DsmConfig;
 use crate::core::{LockGrant, LockWaiter, ProcCore};
@@ -101,7 +96,7 @@ pub fn service_loop(
         loop {
             // The core guard drops at the end of this statement, before
             // the send.
-            let Some((dst, payload, diffs)) = core.lock().next_push() else {
+            let Some((dst, payload, diffs)) = core.lock().push.next_push() else {
                 break;
             };
             // Counted before the send, so a reader can never book a
@@ -160,7 +155,11 @@ fn serve_one(
     let msg = Msg::decode(&inc.payload, cfg).map_err(|_| Dropped::Malformed)?;
     if msg.is_control() {
         if let Msg::JoinArrive { epoch, .. } = msg {
-            core.lock().subtree_arrived(epoch);
+            let mut c = core.lock();
+            let ours = c.epoch();
+            // One of another epoch is dropped and counted where the
+            // collection meets it (`collect_joins`).
+            let _stale = c.push.subtree_arrived(epoch, ours);
         }
         // Forward to the application thread; if it has exited (post
         // Terminate), drop silently — late control traffic is
@@ -216,7 +215,7 @@ fn serve_one(
                 this_epoch(epoch, c.epoch())?;
                 // The reply may name a held close's interval; whoever
                 // asked may be parked on its push.
-                c.release_pushes();
+                c.push.release_pushes();
                 c.serve_records(&vc)
             };
             replier.reply(rep.encode(cfg));
@@ -330,8 +329,8 @@ mod tests {
         assert_eq!(words[2], 1234);
         // A's page is now shared and twinned (it was exclusive-dirty).
         let c = core_a.lock();
-        assert!(c.pages.guard(0).shared);
-        assert!(c.pages.guard(0).twin.is_some());
+        assert!(c.pages[0].shared);
+        assert!(c.pages[0].twin.is_some());
     }
 
     #[test]
@@ -624,7 +623,7 @@ mod tests {
             };
             buf.store(0, 9);
             c.close_interval().unwrap();
-            assert_eq!(c.outbox.len(), 1, "the close queued B's push");
+            assert_eq!(c.push.queued().len(), 1, "the close queued B's push");
         }
         (crate::ctx::TmkCtx::new(core_a, ep_a, None), ep_b, ep_c)
     }
@@ -649,7 +648,7 @@ mod tests {
         assert!(!pushed(&reader, short), "a burst released a held push");
         ctx.wake_pusher();
         assert!(pushed(&reader, std::time::Duration::from_secs(10)));
-        assert!(ctx.core().lock().outbox.is_empty());
+        assert!(ctx.core().lock().push.queued().is_empty());
     }
 
     #[test]
@@ -678,7 +677,7 @@ mod tests {
         let (ctx, reader, peer) = held_push();
         // One child outstanding: the close's push is released (and only
         // waits for a burst to go).
-        assert!(ctx.core().lock().await_subtree(1));
+        assert!(ctx.core().lock().push.await_subtree(1));
         let arrival = Msg::JoinArrive {
             epoch: 0,
             pid: 1,

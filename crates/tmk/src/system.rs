@@ -506,8 +506,7 @@ fn worker_main(
                         pc.vc = Vc::new(team.members.len());
                         pc.my_pid = my_pid;
                         pc.team = team.clone();
-                        for (i, owner) in dirv.iter().enumerate() {
-                            let mut meta = pc.pages.guard(i as PageId);
+                        for ((_, meta), owner) in pc.pages.iter_mut().zip(&dirv) {
                             meta.owner = *owner;
                             meta.shared = true;
                         }

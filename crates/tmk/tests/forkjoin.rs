@@ -1221,7 +1221,7 @@ fn cold_readers(
         .map(|(rank, words)| {
             let core = sys.core_of(team.gpid(rank as u16)).expect("a live rank");
             let core = core.lock();
-            let served_by = core.pages.guard(0).owner;
+            let served_by = core.pages[0].owner;
             let served_by = team.pid_of(served_by).expect("a team rank") as usize;
             let subscribed = (0..n)
                 .filter(|&w| core.push_after.contains_key(&(0, w as u16)))

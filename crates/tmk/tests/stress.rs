@@ -179,10 +179,10 @@ fn repeated_gc_under_load_preserves_state() {
         assert!(c.records.is_empty(), "records cleared");
         assert!(c.diffs.is_empty(), "diffs cleared");
         assert_eq!(c.consistency_bytes, 0);
-        c.pages.for_each(|i, m| {
+        for (i, m) in c.pages.iter() {
             assert!(m.twin.is_none(), "page {i} twin");
             assert!(m.pending.is_empty(), "page {i} pending");
-        });
+        }
     }
     master.shutdown();
 }

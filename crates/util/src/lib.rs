@@ -13,8 +13,8 @@
 //! * [`zrle`] — zero-run-length encoding used to compress shared-memory
 //!   pages in checkpoints and migration images (scientific arrays are
 //!   zero-dominated early in a run);
-//! * [`lock`] — `SpinLock`, a re-export of `parking_lot::Mutex` (the tmk
-//!   page-table shard lock), kept for the harness's `util.spinlock_*` lanes;
+//! * [`lock`] — `SpinLock`, a re-export of `parking_lot::Mutex`, kept
+//!   for the harness's `util.spinlock_*` lanes;
 //! * [`mod@mailbox`] — clock-bound channels, the one way simulation threads
 //!   hand each other messages;
 //! * [`timing`] — precise sleeping for the network cost emulation and a

@@ -1,4 +1,4 @@
-//! The page-table shard lock, named for the harness's `util.spinlock_*` lanes.
+//! `parking_lot::Mutex` under the name the harness's `util.spinlock_*` lanes use.
 
 pub use parking_lot::Mutex as SpinLock;
 
