@@ -16,7 +16,7 @@
 set -euo pipefail
 
 MAX_UNWRAP_EXPECT=54
-MAX_PANIC_UNREACHABLE=23
+MAX_PANIC_UNREACHABLE=22
 MAX_UNSAFE=0
 
 cd "$(dirname "$0")/../.."

@@ -6,9 +6,13 @@
 //! records and lock requests at any time — TreadMarks' SIGIO handler).
 //! It is the process's one lock: every request a peer makes is served
 //! under it, and `ProcCore` itself is plain data with no lock inside
-//! (its page table is a [`Pages`]). All methods here are short, non-blocking state transitions; network
-//! I/O happens outside the lock, in the fault driver ([`crate::ctx`])
-//! and the orchestration layer ([`crate::system`]).
+//! (its page table is a [`Pages`]).
+//!
+//! It owns every DSM-state transition, both halves of the fetch
+//! exchange included: requests and replies are [`Msg`] values, and a
+//! refused one is a value too ([`Rejected`], [`Dropped`]). Sending
+//! them, waiting, and the order of the steps belong to [`crate::ctx`],
+//! [`crate::service`] and [`crate::system`].
 //!
 //! ## Invariants
 //!
@@ -45,14 +49,14 @@
 
 use crate::config::DsmConfig;
 use crate::diff::{Diff, DiffKey};
-use crate::msg::{PageApplied, WholePage};
+use crate::msg::{Msg, PageApplied, RegEntry, WholePage};
 use crate::page::{PageBuf, PageMeta, PageState, Wn};
 use crate::push::{Push, PushGate};
 use crate::records::{Record, RecordStore};
 use crate::shm::Registry;
 use crate::stats::DsmStats;
 use crate::table::Pages;
-use crate::types::{Epoch, PageId, Pid, Seq, Team, Vc};
+use crate::types::{Addr, Epoch, PageId, Pid, Seq, Team, Vc};
 use nowmp_net::Gpid;
 use nowmp_util::ClockCondvar;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -68,12 +72,83 @@ pub enum AccessPlan {
         /// Whether writes may go through the cached entry.
         writable: bool,
     },
-    /// Make these requests, fold their replies in, and plan again: a
-    /// one-page [`FetchPlan`]. A page with no copy plans its full page;
-    /// a stale copy plans the diffs only the network can supply (none
-    /// when the early-diff store has, or expects, every one of them),
-    /// then applies the page's stored diffs with [`ProcCore::apply_diffs`].
-    Fetch(FetchPlan),
+    /// No copy: make these requests (its `PageReq` first),
+    /// [fold](ProcCore::fold) their replies in, and plan again.
+    Missing(Vec<Request>),
+    /// A stale copy: make these requests (none when every diff is
+    /// stored or expected), fold, wait for [`ProcCore::expected_absent`],
+    /// [`ProcCore::apply_diffs`], and plan again.
+    Stale(Vec<Request>),
+}
+
+/// One request of an exchange: its destination, the message, and what
+/// it expects back, which [`ProcCore::fold`] takes with the reply.
+pub type Request = (Gpid, Msg, Expect);
+
+/// What a [`Request`] expects back: opaque outside this module, so a
+/// reply is folded only as the kind its request asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expect(FetchKind);
+
+/// The reply kinds [`ProcCore::fold`] takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FetchKind {
+    /// A `PageRep` to a `PageReq` for this page.
+    Full(PageId),
+    /// A `DiffRep` to a `DiffReq` for diffs this rank created.
+    Diffs(Pid),
+    /// A `RecordsRep` to an acquire's `RecordsReq`.
+    Records,
+}
+
+/// Why [`ProcCore::fold`] refused a reply. The core is left unchanged.
+#[derive(Debug)]
+pub enum Rejected {
+    /// A `PageRep` redirecting the request for this page back to us:
+    /// aiming the owner hint at ourselves would make the next plan
+    /// conjure a zero page over real data.
+    RedirectToSelf(PageId),
+    /// A reply, from this sender, of another kind than the request
+    /// (in words) asks for.
+    Unexpected(&'static str, Gpid, Box<Msg>),
+}
+
+impl std::fmt::Display for Rejected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::RedirectToSelf(page) => write!(f, "page {page} redirect loop back to self"),
+            Rejected::Unexpected(asked, from, rep) => {
+                write!(f, "unexpected reply to {asked} from {from}: {rep:?}")
+            }
+        }
+    }
+}
+
+/// Why a message went unserved: by [`ProcCore::serve`], the service
+/// thread, or a worker's wait loop.
+#[derive(Debug)]
+pub enum Dropped {
+    /// Undecodable, a request without a reply handle, a reply kind, a
+    /// request for a diff we never created, or a control message the
+    /// wait loop cannot serve.
+    Malformed,
+    /// A request of another epoch than ours.
+    Stale,
+}
+
+impl Dropped {
+    /// Count the drop: in `malformed_dropped` or `stale_dropped`.
+    pub fn count(self, stats: &DsmStats) {
+        DsmStats::bump(match self {
+            Dropped::Malformed => &stats.malformed_dropped,
+            Dropped::Stale => &stats.stale_dropped,
+        });
+    }
+}
+
+/// A request of `epoch` is served only in that epoch (`ours`).
+pub(crate) fn this_epoch(epoch: Epoch, ours: Epoch) -> Result<(), Dropped> {
+    (epoch == ours).then_some(()).ok_or(Dropped::Stale)
 }
 
 /// The requests that bring a set of pages up to date, derived read-only
@@ -82,11 +157,11 @@ pub enum AccessPlan {
 /// page). A fault plans one page ([`ProcCore::plan_access`]), a page
 /// collection many ([`ProcCore::plan_pages`]).
 #[derive(Debug, Default)]
-pub struct FetchPlan {
+struct FetchPlan {
     /// Pages with no local copy: `(page, holder to ask)`.
-    pub fulls: Vec<(PageId, Gpid)>,
+    fulls: Vec<(PageId, Gpid)>,
     /// Stale pages: per-creator `(page, seq)` wants, in page order.
-    pub diffs: Vec<(Gpid, Vec<(PageId, Seq)>)>,
+    diffs: Vec<(Gpid, Vec<(PageId, Seq)>)>,
 }
 
 /// The most pages a directory owner lends as zeros with one it serves
@@ -195,6 +270,18 @@ pub struct ProcCore {
     pub early_cv: Option<Arc<ClockCondvar>>,
 }
 
+/// A `PageRep` with no acknowledgement and no lease
+/// ([`ProcCore::serve_page`] adds them).
+fn page_reply(applied: Vec<(Pid, Seq)>, words: Vec<u64>, redirect: Option<Gpid>) -> Msg {
+    Msg::PageRep {
+        applied,
+        words,
+        redirect,
+        push_after: None,
+        fresh: 0,
+    }
+}
+
 impl ProcCore {
     /// Fresh state for a process joining (or founding) a system whose
     /// master is `default_owner`.
@@ -229,7 +316,7 @@ impl ProcCore {
     }
 
     /// The open interval's sequence number.
-    pub fn open_seq(&self) -> Seq {
+    fn open_seq(&self) -> Seq {
         self.vc.get(self.my_pid) + 1
     }
 
@@ -245,8 +332,10 @@ impl ProcCore {
     /// Decide how to obtain access to `page`; performs the local-only
     /// transitions (twin creation, exclusive materialization) inline,
     /// and plans the rest with [`Self::plan_page`], the planner a page
-    /// collection uses too.
-    pub fn plan_access(&mut self, page: PageId, want_write: bool) -> AccessPlan {
+    /// collection uses too. The requests are `subscribe`-marked when
+    /// the fault is a region body's on a pipelining data plane
+    /// ([`crate::ctx::TmkCtx`] decides).
+    pub fn plan_access(&mut self, page: PageId, want_write: bool, subscribe: bool) -> AccessPlan {
         self.ensure_pages(page as usize + 1);
         let spp = self.cfg.slots_per_page();
         let me = self.gpid;
@@ -259,7 +348,7 @@ impl ProcCore {
                 // sharing — the multiple-writer case). Merge its diffs
                 // into our working copy before further access.
                 if !meta.unapplied().is_empty() {
-                    return AccessPlan::Fetch(self.plan_fault(page, meta));
+                    return self.fault_requests(page, meta, subscribe);
                 }
                 let buf = Arc::clone(meta.data.as_ref().expect("Write state implies data"));
                 AccessPlan::Ready {
@@ -299,7 +388,7 @@ impl ProcCore {
                 if meta.data.is_some() && meta.unapplied().is_empty() {
                     // A stale copy with nothing pending after all — promote.
                     self.pages[page].state = PageState::Read;
-                    self.plan_access(page, want_write)
+                    self.plan_access(page, want_write, subscribe)
                 } else if meta.data.is_none()
                     && (meta.owner == me || meta.lease)
                     && meta.pending.is_empty()
@@ -320,11 +409,21 @@ impl ProcCore {
                     // copies exist out there and our writes must be
                     // twinned and recorded.
                     meta.shared = meta.zero_lent || meta.lease;
-                    self.plan_access(page, want_write)
+                    self.plan_access(page, want_write, subscribe)
                 } else {
-                    AccessPlan::Fetch(self.plan_fault(page, meta))
+                    self.fault_requests(page, meta, subscribe)
                 }
             }
+        }
+    }
+
+    /// A fault's requests for `page`: [`Self::plan_fault`]'s plan as
+    /// messages, for a page with no copy or a stale one.
+    fn fault_requests(&self, page: PageId, meta: &PageMeta, subscribe: bool) -> AccessPlan {
+        let requests = self.requests(self.plan_fault(page, meta), subscribe, false);
+        match meta.data {
+            None => AccessPlan::Missing(requests),
+            Some(_) => AccessPlan::Stale(requests),
         }
     }
 
@@ -422,7 +521,7 @@ impl ProcCore {
     /// chain, over our stale copy — if the served clock covers everything the copy has applied, so
     /// nothing the copy holds is lost. Otherwise it is dropped and the
     /// fault that follows fetches the page's chain.
-    pub fn install_whole(&mut self, whole: WholePage, from: Gpid) {
+    fn install_whole(&mut self, whole: WholePage, from: Gpid) {
         let mut served = Vc::default();
         whole.applied.iter().for_each(|&(p, s)| served.set(p, s));
         let meta = &self.pages[whole.page];
@@ -434,13 +533,7 @@ impl ProcCore {
     }
 
     /// Install a fetched full page.
-    pub fn install_page(
-        &mut self,
-        page: PageId,
-        applied: &[(Pid, Seq)],
-        words: Vec<u64>,
-        from: Gpid,
-    ) {
+    fn install_page(&mut self, page: PageId, applied: &[(Pid, Seq)], words: Vec<u64>, from: Gpid) {
         self.ensure_pages(page as usize + 1);
         assert_eq!(
             words.len(),
@@ -550,8 +643,9 @@ impl ProcCore {
     /// our own to apply, a page whose holder is us (the zero page we
     /// own included) — are skipped, and so are notices the early-diff
     /// store already covers or expects: the plan only covers requests a
-    /// demand fault would also have made.
-    pub fn plan_pages(&self, pages: &[PageId]) -> FetchPlan {
+    /// demand fault would also have made. Its `DiffReq`s ask
+    /// `whole_if_smaller` where they name a chain ([`Self::requests`]).
+    pub fn plan_pages(&self, pages: &[PageId], subscribe: bool) -> Vec<Request> {
         let mut plan = FetchPlan::default();
         for &page in pages {
             let Some(meta) = self.pages.get(page) else {
@@ -568,7 +662,131 @@ impl ProcCore {
                 self.plan_page(page, meta, &mut plan);
             }
         }
-        plan
+        self.requests(plan, subscribe, true)
+    }
+
+    /// The requests of `plan`, in order, each with what it expects
+    /// back: one `PageReq` per full page, then one `DiffReq` per
+    /// creator, all of our epoch. Every one is `subscribe`-marked when
+    /// asked; when `whole_if_smaller` is set (a page collection), a
+    /// `DiffReq` is `whole_if_smaller`-marked if it asks for two or more
+    /// diffs of one page (a one-diff chain is no longer than its page,
+    /// give or take run headers). A creator that left the team is
+    /// skipped; the demand path re-plans.
+    fn requests(&self, plan: FetchPlan, subscribe: bool, whole_if_smaller: bool) -> Vec<Request> {
+        let epoch = self.epoch();
+        let fulls = plan.fulls.into_iter().map(|(page, holder)| {
+            let msg = Msg::PageReq {
+                epoch,
+                page,
+                subscribe,
+            };
+            (holder, msg, Expect(FetchKind::Full(page)))
+        });
+        let diffs = plan.diffs.into_iter().filter_map(|(creator, wants)| {
+            let pid = self.team.pid_of(creator)?;
+            // A page's wants are adjacent (`Self::plan_page`).
+            let chain = wants.windows(2).any(|w| w[0].0 == w[1].0);
+            let msg = Msg::DiffReq {
+                epoch,
+                wants,
+                subscribe,
+                whole_if_smaller: whole_if_smaller && chain,
+            };
+            Some((creator, msg, Expect(FetchKind::Diffs(pid))))
+        });
+        fulls.chain(diffs).collect()
+    }
+
+    /// The request an acquire makes of the lock's previous holder
+    /// `prev`: the records our clock lacks. None when there was no
+    /// holder, or it was us.
+    pub fn plan_acquire(&self, prev: Option<Gpid>) -> Option<Request> {
+        let prev = prev.filter(|&p| p != self.gpid)?;
+        let msg = Msg::RecordsReq {
+            epoch: self.epoch(),
+            vc: self.vc.clone(),
+        };
+        Some((prev, msg, Expect(FetchKind::Records)))
+    }
+
+    /// Fold `reply`, from `from`, to a request that expects `expect` —
+    /// the one place a page, diff or records reply lands: install a
+    /// missing page and the fresh run lent with it, re-aim the owner
+    /// hint at a redirect's target (the fault re-plans), deposit diffs
+    /// into the early-diff store (the fault applies them from there),
+    /// install pages served whole instead of a chain, or apply an
+    /// acquire's records (which merges no clock). A reply's `push_after`
+    /// acknowledges every page its request named: rule R reads it. A
+    /// redirect back to us, or a reply of another kind than `expect` or
+    /// carrying a page of another size than ours, is rejected, and the
+    /// core is left unchanged.
+    pub fn fold(&mut self, expect: Expect, from: Gpid, reply: Msg) -> Result<(), Rejected> {
+        let spp = self.cfg.slots_per_page();
+        match (expect.0, reply) {
+            (
+                FetchKind::Full(page),
+                Msg::PageRep {
+                    redirect: Some(next),
+                    ..
+                },
+            ) => {
+                if next == self.gpid {
+                    return Err(Rejected::RedirectToSelf(page));
+                }
+                self.pages[page].owner = next;
+            }
+            (
+                FetchKind::Full(page),
+                Msg::PageRep {
+                    applied,
+                    words,
+                    redirect: None,
+                    push_after,
+                    fresh,
+                },
+            ) if words.len() == spp => {
+                let still_wanted = self
+                    .pages
+                    .get(page)
+                    .is_some_and(|m| m.data.is_none() && m.state == PageState::Invalid);
+                if still_wanted {
+                    self.install_page(page, &applied, words, from);
+                }
+                if fresh > 0 {
+                    self.take_lease(page, fresh, from);
+                }
+                if let (Some(after), Some(server)) = (push_after, self.team.pid_of(from)) {
+                    self.acknowledged(server, [page], after);
+                }
+            }
+            (
+                FetchKind::Diffs(creator),
+                Msg::DiffRep {
+                    diffs,
+                    pages,
+                    push_after,
+                },
+            ) if pages.iter().all(|w| w.words.len() == spp) => {
+                if let Some(after) = push_after {
+                    let named = diffs.iter().map(|d| d.0);
+                    self.acknowledged(creator, named.chain(pages.iter().map(|w| w.page)), after);
+                }
+                for whole in pages {
+                    self.install_whole(whole, from);
+                }
+                self.deposit(creator, diffs, false);
+            }
+            (FetchKind::Records, Msg::RecordsRep { records }) => self.apply_records(&records),
+            (kind, reply) => {
+                let asked = match kind {
+                    FetchKind::Records => "RecordsReq",
+                    _ => "a page or diff request",
+                };
+                return Err(Rejected::Unexpected(asked, from, Box::new(reply)));
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -577,7 +795,7 @@ impl ProcCore {
 
     /// Rule R, and the store lookup in front of it: where the diff
     /// behind the unapplied notice `(page, pid, seq)` will come from.
-    pub fn diff_source(&self, page: PageId, pid: Pid, seq: Seq) -> DiffSource {
+    fn diff_source(&self, page: PageId, pid: Pid, seq: Seq) -> DiffSource {
         let stored = self
             .early
             .get(&page)
@@ -612,7 +830,7 @@ impl ProcCore {
     /// first copy wins), and — unless `pushed`, whose notices may still
     /// be on their way — what matches no pending notice (no fault
     /// would take it, so it would sit here for the rest of the epoch).
-    pub fn deposit(
+    fn deposit(
         &mut self,
         from: Pid,
         diffs: impl IntoIterator<Item = (PageId, Seq, Diff)>,
@@ -662,7 +880,7 @@ impl ProcCore {
     /// `pages`: it pushes us every diff of them it closes after `after`
     /// this epoch (W). The lowest acknowledgement stands, as a reader
     /// set never shrinks inside an epoch.
-    pub fn acknowledged(&mut self, from: Pid, pages: impl IntoIterator<Item = PageId>, after: Seq) {
+    fn acknowledged(&mut self, from: Pid, pages: impl IntoIterator<Item = PageId>, after: Seq) {
         for page in pages {
             let a = self.push_after.entry((page, from)).or_insert(after);
             *a = (*a).min(after);
@@ -780,7 +998,7 @@ impl ProcCore {
             let payload = match encoded.iter().find(|(p, _)| *p == pages) {
                 Some((_, bytes)) => bytes.clone(),
                 None => {
-                    let bytes = crate::msg::Msg::DiffPush { epoch, diffs }.encode(&self.cfg);
+                    let bytes = Msg::DiffPush { epoch, diffs }.encode(&self.cfg);
                     encoded.push((pages.clone(), bytes.clone()));
                     bytes
                 }
@@ -792,7 +1010,7 @@ impl ProcCore {
 
     /// Integrate received records: store, merge clocks, post write
     /// notices, invalidate affected pages.
-    pub fn apply_records(&mut self, recs: &[Record]) {
+    fn apply_records(&mut self, recs: &[Record]) {
         for rec in recs {
             if !self.records.insert(rec.clone()) {
                 continue;
@@ -809,20 +1027,29 @@ impl ProcCore {
                     seq: rec.seq,
                     vcsum,
                 });
-                if meta.pending.len() > before && meta.state != PageState::Write {
-                    // Invalidate; the copy (if any) becomes stale. A page
-                    // we are currently writing stays writable — the
-                    // multiple-writer protocol merges via diffs.
-                    if meta.state == PageState::Read {
-                        meta.state = PageState::Invalid;
-                    }
+                // Invalidate; the copy (if any) becomes stale. A page we
+                // are currently writing stays writable — the
+                // multiple-writer protocol merges via diffs.
+                if meta.pending.len() > before && meta.state == PageState::Read {
+                    meta.state = PageState::Invalid;
                 }
             }
         }
     }
 
-    /// Drain our unsent records (join/barrier arrival payload).
-    pub fn drain_unsent(&mut self) -> Vec<Record> {
+    /// Take in the knowledge a `Fork`, a `BarrierRelease` or an
+    /// arrival aggregate carries: its records, then its clock.
+    pub fn learn(&mut self, vc: &Vc, records: &[Record]) {
+        self.apply_records(records);
+        self.vc.merge(vc);
+    }
+
+    /// Close the open interval at a join or barrier
+    /// ([`Self::close_interval`]) and take our records not yet shipped:
+    /// an arrival's payload. (The master drops them: its next fork or
+    /// release hands out its record store.)
+    pub fn close_and_drain(&mut self) -> Vec<Record> {
+        self.close_interval();
         std::mem::take(&mut self.unsent)
     }
 
@@ -830,10 +1057,50 @@ impl ProcCore {
     // Serving (service thread)
     // ------------------------------------------------------------------
 
+    /// Answer `req`, a peer's `PageReq`, `DiffReq` or `RecordsReq` sent
+    /// by `src`: the reply, or why it is dropped. A request of another
+    /// epoch than ours is [`Dropped::Stale`]; a `DiffReq` naming a diff
+    /// we never created, and every other message, is
+    /// [`Dropped::Malformed`]. A marked page or diff request subscribes
+    /// its sender ([`Self::subscriber`]); a `RecordsReq` releases the
+    /// pushes a close holds, since its reply may hand out their notices
+    /// to a reader parked on them.
+    pub fn serve(&mut self, src: Gpid, req: &Msg) -> Result<Msg, Dropped> {
+        match *req {
+            Msg::PageReq {
+                epoch,
+                page,
+                subscribe,
+            } => {
+                this_epoch(epoch, self.epoch())?;
+                let subscriber = self.subscriber(subscribe, epoch, src);
+                Ok(self.serve_page(page, subscriber))
+            }
+            Msg::DiffReq {
+                epoch,
+                ref wants,
+                subscribe,
+                whole_if_smaller,
+            } => {
+                this_epoch(epoch, self.epoch())?;
+                let subscriber = self.subscriber(subscribe, epoch, src);
+                self.serve_diffs(wants, subscriber, whole_if_smaller)
+                    .ok_or(Dropped::Malformed)
+            }
+            Msg::RecordsReq { epoch, ref vc } => {
+                this_epoch(epoch, self.epoch())?;
+                self.push.release_pushes();
+                let records = self.records.newer_than(vc);
+                Ok(Msg::RecordsRep { records })
+            }
+            _ => Err(Dropped::Malformed),
+        }
+    }
+
     /// The rank a request from `src` in `epoch` subscribes: none
     /// unless it is `subscribe`-marked, of our epoch (in another, its
     /// pid would name a member of another team) and from a member.
-    pub fn subscriber(&self, subscribe: bool, epoch: Epoch, src: Gpid) -> Option<Pid> {
+    fn subscriber(&self, subscribe: bool, epoch: Epoch, src: Gpid) -> Option<Pid> {
         self.team
             .pid_of(src)
             .filter(|_| subscribe && epoch == self.epoch())
@@ -862,13 +1129,13 @@ impl ProcCore {
     /// names its rank as `subscriber` ([`Self::subscriber`]): unless we
     /// redirect it, it enters the page's [reader set](Self::readers)
     /// and the reply carries the acknowledgement.
-    pub fn serve_page(&mut self, page: PageId, subscriber: Option<Pid>) -> crate::msg::Msg {
+    fn serve_page(&mut self, page: PageId, subscriber: Option<Pid>) -> Msg {
         let mut rep = self.page_rep(page);
         let lent = self
             .pages
             .get(page)
             .is_some_and(|m| m.data.is_none() && m.owner == self.gpid);
-        if let crate::msg::Msg::PageRep {
+        if let Msg::PageRep {
             redirect: None,
             push_after,
             fresh,
@@ -907,7 +1174,7 @@ impl ProcCore {
     /// Take the `fresh` pages after `page` that `owner` lent as zeros
     /// with it ([`Self::lend_fresh`]): a later fault on one with no
     /// notice makes it here.
-    pub fn take_lease(&mut self, page: PageId, fresh: u32, owner: Gpid) {
+    fn take_lease(&mut self, page: PageId, fresh: u32, owner: Gpid) {
         self.ensure_pages((page + fresh) as usize + 1);
         for q in page + 1..=page + fresh {
             let meta = &mut self.pages[q];
@@ -919,7 +1186,7 @@ impl ProcCore {
 
     /// The page as [`Self::serve_page`] serves it, before any
     /// subscription.
-    fn page_rep(&mut self, page: PageId) -> crate::msg::Msg {
+    fn page_rep(&mut self, page: PageId) -> Msg {
         self.ensure_pages(page as usize + 1);
         let open_seq = self.open_seq();
         let me_pid = self.my_pid;
@@ -937,21 +1204,9 @@ impl ProcCore {
                     // any this-epoch writes live in the writers' diffs,
                     // which the requester fetches via its write notices.
                     meta.zero_lent = true;
-                    crate::msg::Msg::PageRep {
-                        applied: vec![],
-                        words: vec![0; self.cfg.slots_per_page()],
-                        redirect: None,
-                        push_after: None,
-                        fresh: 0,
-                    }
+                    page_reply(vec![], vec![0; self.cfg.slots_per_page()], None)
                 } else {
-                    crate::msg::Msg::PageRep {
-                        applied: vec![],
-                        words: vec![],
-                        redirect: Some(meta.owner),
-                        push_after: None,
-                        fresh: 0,
-                    }
+                    page_reply(vec![], vec![], Some(meta.owner))
                 }
             }
             Some(data) => {
@@ -969,26 +1224,14 @@ impl ProcCore {
                         debug_assert!(meta.applied.get(me_pid) < open_seq);
                         let applied = meta.applied.iter_nonzero().collect();
                         self.pages.mark_dirty(page);
-                        return crate::msg::Msg::PageRep {
-                            applied,
-                            words: snap,
-                            redirect: None,
-                            push_after: None,
-                            fresh: 0,
-                        };
+                        return page_reply(applied, snap, None);
                     }
                 }
                 debug_assert!(
                     meta.state != PageState::Write || meta.applied.get(me_pid) < open_seq,
                     "open-interval writes must not be attributed before close"
                 );
-                crate::msg::Msg::PageRep {
-                    applied: meta.applied.iter_nonzero().collect(),
-                    words: data.snapshot(),
-                    redirect: None,
-                    push_after: None,
-                    fresh: 0,
-                }
+                page_reply(meta.applied.iter_nonzero().collect(), data.snapshot(), None)
             }
         }
     }
@@ -1006,12 +1249,12 @@ impl ProcCore {
     /// `None` when a want names a diff we never created: nothing is
     /// served, shared or subscribed, and the service thread drops the
     /// request as malformed.
-    pub fn serve_diffs(
+    fn serve_diffs(
         &mut self,
         wants: &[(PageId, Seq)],
         subscriber: Option<Pid>,
         whole_if_smaller: bool,
-    ) -> Option<crate::msg::Msg> {
+    ) -> Option<Msg> {
         let found: Vec<Arc<Diff>> = wants
             .iter()
             .map(|&(page, seq)| self.diffs.get(&DiffKey { page, seq }).cloned())
@@ -1028,7 +1271,7 @@ impl ProcCore {
             .filter(|((page, _), _)| !pages.iter().any(|w| w.page == *page))
             .map(|(&(page, seq), d)| (page, seq, d.as_ref().clone()))
             .collect();
-        Some(crate::msg::Msg::DiffRep {
+        Some(Msg::DiffRep {
             diffs,
             pages,
             push_after,
@@ -1067,13 +1310,6 @@ impl ProcCore {
             });
         }
         whole
-    }
-
-    /// Serve a records request (lock-transfer consistency data).
-    pub fn serve_records(&self, vc: &Vc) -> crate::msg::Msg {
-        crate::msg::Msg::RecordsRep {
-            records: self.records.newer_than(vc),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1191,9 +1427,7 @@ impl ProcCore {
         self.records.clear();
         self.unsent.clear();
         self.locks.clear();
-        self.vc = Vc::new(team.members.len());
-        self.team = team;
-        self.my_pid = my_pid;
+        self.seat(team, my_pid);
         // Everything the push plane keys by pid or seq is per-epoch
         // state the commit just wiped; what the store still holds was
         // pushed for nothing.
@@ -1204,6 +1438,49 @@ impl ProcCore {
         self.early.clear();
         self.push_after.clear();
         DsmStats::bump(&self.stats.gcs);
+    }
+
+    /// Seat us at rank `my_pid` of `team` with a fresh clock: what
+    /// founding a team, joining one and a commit share.
+    fn seat(&mut self, team: Team, my_pid: Pid) {
+        self.vc = Vc::new(team.nprocs());
+        self.team = team;
+        self.my_pid = my_pid;
+    }
+
+    /// At the master: found `team`, epoch 0, with us at rank 0.
+    pub fn found_team(&mut self, team: Team) {
+        self.seat(team, 0);
+    }
+
+    /// At a joiner: take the seat at `my_pid` of the `team` a
+    /// `JoinInit` installs, with its page directory `dir` and the
+    /// master's full `registry` (`alloc_slots` allocated). Every page
+    /// is taken as shared: copies of it may be out there.
+    pub fn join_team(
+        &mut self,
+        team: Team,
+        my_pid: Pid,
+        dir: &[Gpid],
+        registry: &[RegEntry],
+        alloc_slots: Addr,
+    ) {
+        self.registry = Registry::new();
+        self.merge_registry(registry, alloc_slots);
+        self.ensure_pages(dir.len());
+        self.seat(team, my_pid);
+        for ((_, meta), owner) in self.pages.iter_mut().zip(dir) {
+            meta.owner = *owner;
+            meta.shared = true;
+        }
+    }
+
+    /// Merge a `Fork`'s registry delta, and cover the `alloc_slots` the
+    /// master has allocated.
+    pub fn merge_registry(&mut self, delta: &[RegEntry], alloc_slots: Addr) {
+        self.registry.merge(delta);
+        let spp = self.cfg.slots_per_page();
+        self.ensure_pages((alloc_slots as usize).div_ceil(spp));
     }
 
     /// Does stored consistency data exceed the GC threshold?
@@ -1224,8 +1501,16 @@ impl ProcCore {
             .collect()
     }
 
-    /// Import pages wholesale (recovery: the master owns everything).
-    pub fn import_pages(&mut self, pages: &[(PageId, Vec<u64>)]) {
+    /// Restore a checkpoint image into a fresh master (recovery): its
+    /// `registry`, its `alloc_slots` and its `pages`, every one ours.
+    pub fn import_image(
+        &mut self,
+        registry: &[RegEntry],
+        alloc_slots: Addr,
+        pages: &[(PageId, Vec<u64>)],
+    ) {
+        self.registry = Registry::new();
+        self.merge_registry(registry, alloc_slots);
         for (p, words) in pages {
             self.ensure_pages(*p as usize + 1);
             let meta = &mut self.pages[*p];
@@ -1252,6 +1537,28 @@ mod tests {
         ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1))
     }
 
+    /// What `requests` ask of whom, read back off the messages.
+    fn asked(requests: &[Request]) -> FetchPlan {
+        let mut plan = FetchPlan::default();
+        for (dst, msg, _) in requests {
+            match msg {
+                Msg::PageReq { page, .. } => plan.fulls.push((*page, *dst)),
+                Msg::DiffReq { wants, .. } => plan.diffs.push((*dst, wants.clone())),
+                other => panic!("not a fetch request: {other:?}"),
+            }
+        }
+        plan
+    }
+
+    /// A fault's requests read back ([`asked`]), or the plan itself when
+    /// it needs none.
+    fn fetch_plan(plan: AccessPlan) -> Result<FetchPlan, AccessPlan> {
+        match plan {
+            AccessPlan::Missing(requests) | AccessPlan::Stale(requests) => Ok(asked(&requests)),
+            ready => Err(ready),
+        }
+    }
+
     fn two_proc_team(c: &mut ProcCore, my_pid: Pid) {
         c.team = Team::new(0, vec![Gpid(1), Gpid(2)]);
         c.my_pid = my_pid;
@@ -1261,7 +1568,7 @@ mod tests {
     #[test]
     fn owner_materializes_zero_page() {
         let mut c = core();
-        match c.plan_access(0, false) {
+        match c.plan_access(0, false, false) {
             AccessPlan::Ready { buf, writable } => {
                 assert!(!writable);
                 assert_eq!(buf.load(0), 0);
@@ -1275,7 +1582,7 @@ mod tests {
     #[test]
     fn exclusive_write_skips_twin() {
         let mut c = core();
-        let AccessPlan::Ready { buf, writable } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { buf, writable } = c.plan_access(0, true, false) else {
             panic!("expected Ready");
         };
         assert!(writable);
@@ -1291,12 +1598,12 @@ mod tests {
         let mut c = core();
         two_proc_team(&mut c, 0);
         // Materialize, then pretend proc 2 fetched it.
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         let rep = c.serve_page(0, None);
         assert!(matches!(rep, Msg::PageRep { redirect: None, .. }));
         assert!(c.pages[0].shared);
         // Now a write must twin.
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
             panic!()
         };
         buf.store(3, 99);
@@ -1316,7 +1623,7 @@ mod tests {
     #[test]
     fn serve_exclusive_dirty_page_installs_twin() {
         let mut c = core();
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
             panic!()
         };
         buf.store(1, 5);
@@ -1350,9 +1657,9 @@ mod tests {
     fn empty_diff_suppressed() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         let _ = c.serve_page(0, None); // shared now
-        let AccessPlan::Ready { .. } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { .. } = c.plan_access(0, true, false) else {
             panic!()
         };
         // No write actually performed.
@@ -1367,7 +1674,7 @@ mod tests {
     fn apply_records_invalidates() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].shared = true;
         let mut vc = Vc::new(2);
         vc.set(1, 1);
@@ -1382,8 +1689,8 @@ mod tests {
         assert!(c.pages[0].data.is_some(), "stale copy kept for diffing");
         assert_eq!(c.vc.get(1), 1);
         // Planning access now asks for diffs from gpid 2.
-        match c.plan_access(0, false) {
-            AccessPlan::Fetch(plan) => {
+        match fetch_plan(c.plan_access(0, false, false)) {
+            Ok(plan) => {
                 assert!(plan.fulls.is_empty());
                 assert_eq!(plan.diffs, vec![(Gpid(2), vec![(0, 1)])]);
             }
@@ -1403,7 +1710,7 @@ mod tests {
             c.team = Team::new(0, vec![Gpid(7), Gpid(5), Gpid(1), Gpid(3)]);
             c.my_pid = 2;
             c.vc = Vc::new(4);
-            let _ = c.plan_access(0, false);
+            let _ = c.plan_access(0, false, false);
             c.pages[0].shared = true;
             for pid in [0, 1, 3] {
                 let mut vc = Vc::new(4);
@@ -1415,12 +1722,12 @@ mod tests {
                     pages: vec![0],
                 }]);
             }
-            let AccessPlan::Fetch(plan) = c.plan_access(0, false) else {
+            let Ok(plan) = fetch_plan(c.plan_access(0, false, false)) else {
                 panic!("expected a diff fetch");
             };
             let expect: Vec<_> = [3, 7, 5].map(|g| (Gpid(g), vec![(0, 1)])).into();
             assert_eq!(plan.diffs, expect);
-            let mut collection = c.plan_pages(&[0]).diffs;
+            let mut collection = asked(&c.plan_pages(&[0], false)).diffs;
             assert_eq!(collection, [7, 5, 3].map(|g| (Gpid(g), vec![(0, 1)])));
             collection.sort_unstable();
             let mut fault = plan.diffs;
@@ -1433,7 +1740,7 @@ mod tests {
     fn apply_diffs_repairs_stale_copy() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].shared = true;
         let mut vc = Vc::new(2);
         vc.set(1, 1);
@@ -1478,8 +1785,8 @@ mod tests {
         // Fetch a copy that only includes seq 1.
         c.install_page(3, &[(1, 1)], vec![0; 8], Gpid(2));
         assert_eq!(c.pages[3].state, PageState::Invalid, "seq 2 still missing");
-        match c.plan_access(3, false) {
-            AccessPlan::Fetch(plan) => {
+        match fetch_plan(c.plan_access(3, false, false)) {
+            Ok(plan) => {
                 assert_eq!(plan.diffs[0].1, vec![(3, 2)]);
             }
             other => panic!("expected a diff fetch, got {other:?}"),
@@ -1500,15 +1807,15 @@ mod tests {
             vc,
             pages: vec![5],
         }]);
-        match c.plan_access(5, false) {
-            AccessPlan::Fetch(plan) => {
+        match fetch_plan(c.plan_access(5, false, false)) {
+            Ok(plan) => {
                 assert_eq!(plan.fulls, vec![(5, Gpid(1))]);
                 assert!(plan.diffs.is_empty());
             }
             other => panic!("expected a full fetch, got {other:?}"),
         }
         // One planner: a collection asks the same holder.
-        assert_eq!(c.plan_pages(&[5]).fulls, vec![(5, Gpid(1))]);
+        assert_eq!(asked(&c.plan_pages(&[5], false)).fulls, vec![(5, Gpid(1))]);
     }
 
     #[test]
@@ -1588,9 +1895,9 @@ mod tests {
     fn gc_commit_resets_everything() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         let _ = c.serve_page(0, None);
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
             panic!()
         };
         buf.store(0, 1);
@@ -1615,7 +1922,7 @@ mod tests {
     fn gc_commit_drops_incomplete() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         let new_team = Team::new(1, vec![Gpid(1), Gpid(2)]);
         c.gc_commit(1, new_team, 0, &[Gpid(2)], &[0]);
         assert!(c.pages[0].data.is_none());
@@ -1627,7 +1934,7 @@ mod tests {
     fn gc_report_lists_held_pages() {
         let mut c = core();
         two_proc_team(&mut c, 0);
-        let _ = c.plan_access(2, false);
+        let _ = c.plan_access(2, false, false);
         let report = c.gc_report();
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].page, 2);
@@ -1636,14 +1943,14 @@ mod tests {
     #[test]
     fn export_import_roundtrip() {
         let mut c = core();
-        let AccessPlan::Ready { buf, .. } = c.plan_access(1, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(1, true, false) else {
             panic!()
         };
         buf.store(0, 77);
         let pages = c.export_pages();
         let mut c2 = core();
-        c2.import_pages(&pages);
-        let AccessPlan::Ready { buf, .. } = c2.plan_access(1, false) else {
+        c2.import_image(&[], 0, &pages);
+        let AccessPlan::Ready { buf, .. } = c2.plan_access(1, false, false) else {
             panic!()
         };
         assert_eq!(buf.load(0), 77);
@@ -1666,9 +1973,9 @@ mod tests {
     /// Store `v` into slot 0 of `page` (made shared first, so the write
     /// twins) in the open interval.
     fn write_shared(c: &mut ProcCore, page: PageId, v: u64) {
-        let _ = c.plan_access(page, false);
+        let _ = c.plan_access(page, false, false);
         let _ = c.serve_page(page, None);
-        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true, false) else {
             panic!("owned page must be writable")
         };
         buf.store(0, v);
@@ -1776,7 +2083,7 @@ mod tests {
     /// twins) and close the interval: one full-page diff.
     fn write_whole_page(c: &mut ProcCore, page: PageId, v: u64) {
         write_shared(c, page, v);
-        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(page, true, false) else {
             panic!("owned page must be writable")
         };
         (0..c.cfg.slots_per_page()).for_each(|i| buf.store(i, v));
@@ -1843,7 +2150,7 @@ mod tests {
         let mut c = team_core(2, 0);
         c.ensure_pages(8);
         // We materialize page 5: the run lent with page 1 stops there.
-        let _ = c.plan_access(5, true);
+        let _ = c.plan_access(5, true, false);
         let Msg::PageRep {
             push_after, fresh, ..
         } = c.serve_page(1, Some(1))
@@ -1878,15 +2185,15 @@ mod tests {
         c.take_lease(0, 2, owner);
         // Page 1 has no notice: made here with no request, and shared,
         // so its writes twin and reach the others as a diff.
-        let AccessPlan::Ready { writable, .. } = c.plan_access(1, true) else {
+        let AccessPlan::Ready { writable, .. } = c.plan_access(1, true, false) else {
             panic!("a lent page needs no request")
         };
         assert!(writable);
         assert!(c.pages[1].twin.is_some());
         // Page 2 has a notice, and page 3 was not lent: both are asked.
         notice(&mut c, 0, 1, 2);
-        assert!(matches!(c.plan_access(2, false), AccessPlan::Fetch(_)));
-        assert!(matches!(c.plan_access(3, false), AccessPlan::Fetch(_)));
+        assert!(fetch_plan(c.plan_access(2, false, false)).is_ok());
+        assert!(fetch_plan(c.plan_access(3, false, false)).is_ok());
     }
 
     #[test]
@@ -1910,7 +2217,7 @@ mod tests {
         };
         // Our stale copy applied rank 1's seq 1 and misses its 2..3.
         let mut c = team_core(2, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].applied.set(1, 1);
         for seq in 2..=3 {
             notice(&mut c, 1, seq, 0);
@@ -1921,7 +2228,7 @@ mod tests {
         // A served copy that lacks what ours applied is dropped: the
         // fault then fetches the chain.
         let mut c = team_core(2, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].applied.set(1, 2);
         notice(&mut c, 1, 3, 0);
         c.install_whole(whole(vec![(0, 4)]), Gpid(2));
@@ -1963,7 +2270,7 @@ mod tests {
         // Invariant W: the next close pushes the same pages to the same
         // readers without anyone asking again.
         c.push = PushGate::default();
-        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
             panic!()
         };
         buf.store(1, 99);
@@ -1972,7 +2279,7 @@ mod tests {
 
         // A close that writes only unread pages queues nothing.
         c.push = PushGate::default();
-        let AccessPlan::Ready { buf, .. } = c.plan_access(2, true) else {
+        let AccessPlan::Ready { buf, .. } = c.plan_access(2, true, false) else {
             panic!()
         };
         buf.store(1, 5);
@@ -1985,7 +2292,7 @@ mod tests {
         let mut c = team_core(2, 0);
         c.readers.insert(0, vec![1]);
         let close = |c: &mut ProcCore, v| {
-            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(0, v);
@@ -2052,7 +2359,7 @@ mod tests {
     #[test]
     fn deposit_skips_what_is_covered_or_unasked() {
         let mut c = team_core(2, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].applied.set(1, 3);
         let push = |seqs: &[Seq]| -> Vec<(PageId, Seq, Arc<Diff>)> {
             seqs.iter()
@@ -2092,7 +2399,7 @@ mod tests {
     #[test]
     fn rule_r_expects_only_seqs_above_the_first_pushed_one() {
         let mut c = team_core(2, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].shared = true;
         // The writer acknowledged our subscription when its last
         // closed interval was 2, so its first push to us carries its
@@ -2139,13 +2446,16 @@ mod tests {
         for seq in 2..=4 {
             notice(&mut c, 1, seq, 0);
         }
-        match c.plan_access(0, false) {
-            AccessPlan::Fetch(plan) => {
+        match fetch_plan(c.plan_access(0, false, false)) {
+            Ok(plan) => {
                 assert_eq!(plan.diffs, vec![(Gpid(2), vec![(0, 2)])]);
             }
             other => panic!("expected a diff fetch, got {other:?}"),
         }
-        assert_eq!(c.plan_pages(&[0]).diffs, vec![(Gpid(2), vec![(0, 2)])]);
+        assert_eq!(
+            asked(&c.plan_pages(&[0], false)).diffs,
+            vec![(Gpid(2), vec![(0, 2)])]
+        );
         assert_eq!(c.expected_absent(0), Some((1, 4)));
         c.deposit_push(0, Gpid(2), vec![(0, 4, Arc::new(word(4, 4)))]);
         assert_eq!(c.diff_source(0, 1, 4), DiffSource::Stored);
@@ -2165,11 +2475,11 @@ mod tests {
         // With every notice stored or expected nothing is left to ask
         // for.
         notice(&mut c, 1, 5, 0);
-        match c.plan_access(0, false) {
-            AccessPlan::Fetch(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
+        match fetch_plan(c.plan_access(0, false, false)) {
+            Ok(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
             other => panic!("expected an empty fetch, got {other:?}"),
         }
-        let plan = c.plan_pages(&[0]);
+        let plan = asked(&c.plan_pages(&[0], false));
         assert!(plan.fulls.is_empty() && plan.diffs.is_empty());
     }
 
@@ -2183,7 +2493,7 @@ mod tests {
         // page whole with a marked `PageReq`.
         let mut r = team_core(2, 0);
         r.default_owner = w.gpid;
-        let AccessPlan::Fetch(plan) = r.plan_access(0, false) else {
+        let Ok(plan) = fetch_plan(r.plan_access(0, false, false)) else {
             panic!("no copy yet")
         };
         assert_eq!(plan.fulls, vec![(0, w.gpid)]);
@@ -2206,8 +2516,8 @@ mod tests {
         let rec = w.close_interval().unwrap();
         r.apply_records(&[rec]);
         assert_eq!(r.diff_source(0, 1, 2), DiffSource::Expected);
-        match r.plan_access(0, false) {
-            AccessPlan::Fetch(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
+        match fetch_plan(r.plan_access(0, false, false)) {
+            Ok(plan) => assert!(plan.fulls.is_empty() && plan.diffs.is_empty()),
             other => panic!("expected an empty fetch, got {other:?}"),
         }
         assert_eq!(r.expected_absent(0), Some((1, 2)));
@@ -2231,7 +2541,7 @@ mod tests {
         // arrived early; rank 1's is fetched by the fault. Arrival
         // order must not decide the word.
         let mut c = team_core(3, 0);
-        let _ = c.plan_access(0, false);
+        let _ = c.plan_access(0, false, false);
         c.pages[0].shared = true;
         let mut vc1 = Vc::new(3);
         vc1.set(1, 1);
@@ -2292,5 +2602,318 @@ mod tests {
         assert!(!c.gc_due());
         c.consistency_bytes = 11;
         assert!(c.gc_due());
+    }
+
+    // --- the asker's requests ---------------------------------------------
+
+    #[test]
+    fn a_page_collection_marks_only_chains_of_two_or_more_diffs() {
+        let c = core();
+        let marked = |wants: Vec<(PageId, Seq)>, whole| {
+            let plan = FetchPlan {
+                fulls: vec![],
+                diffs: vec![(c.gpid, wants)],
+            };
+            match &c.requests(plan, false, whole)[..] {
+                [(
+                    _,
+                    Msg::DiffReq {
+                        whole_if_smaller, ..
+                    },
+                    _,
+                )] => *whole_if_smaller,
+                other => panic!("expected one DiffReq, got {} requests", other.len()),
+            }
+        };
+        // One diff per page: unmarked, as a fault asks it.
+        assert!(!marked(vec![(3, 1), (4, 1)], true));
+        // Page 4's chain of two: marked, in a page collection only.
+        assert!(marked(vec![(3, 1), (4, 1), (4, 2)], true));
+        assert!(!marked(vec![(3, 1), (4, 1), (4, 2)], false));
+    }
+
+    #[test]
+    fn a_region_marks_its_page_and_diff_requests_alike() {
+        let c = core();
+        let marks = |subscribe| -> Vec<bool> {
+            let plan = FetchPlan {
+                fulls: vec![(2, c.gpid)],
+                diffs: vec![(c.gpid, vec![(3, 1)])],
+            };
+            c.requests(plan, subscribe, false)
+                .into_iter()
+                .map(|(_, msg, _)| match msg {
+                    Msg::PageReq { subscribe, .. } | Msg::DiffReq { subscribe, .. } => subscribe,
+                    other => panic!("not a page or diff request: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(marks(false), vec![false, false], "outside a region");
+        assert_eq!(marks(true), vec![true, true], "inside one");
+    }
+
+    // --- a rejected reply leaves the core unchanged ------------------------
+
+    /// What a rejected fold must not touch: every page's owner hint and
+    /// lease, the early-diff store, and the acknowledgements.
+    fn exchange_state(
+        c: &ProcCore,
+    ) -> (
+        Vec<(Gpid, bool)>,
+        Vec<(PageId, Pid, Seq)>,
+        Vec<(PageId, Pid, Seq)>,
+    ) {
+        let hints = c.pages.iter().map(|(_, m)| (m.owner, m.lease)).collect();
+        let mut early: Vec<_> = c
+            .early
+            .iter()
+            .flat_map(|(&p, v)| v.iter().map(move |e| (p, e.pid, e.seq)))
+            .collect();
+        early.sort_unstable();
+        let mut acks: Vec<_> = c.push_after.iter().map(|(&(p, w), &s)| (p, w, s)).collect();
+        acks.sort_unstable();
+        (hints, early, acks)
+    }
+
+    #[test]
+    fn a_rejected_reply_leaves_the_core_unchanged() {
+        // Rank 2 of 3, whose pages rank 0 owns.
+        let mut c = team_core(3, 2);
+        c.default_owner = Gpid(1);
+        let page_rep = |push_after, fresh| Msg::PageRep {
+            applied: vec![],
+            words: vec![0; 8],
+            redirect: None,
+            push_after,
+            fresh,
+        };
+        // Page 1 came from rank 0 with an acknowledgement and a lease of
+        // pages 2 and 3; rank 1 then wrote it, so it is stale.
+        let AccessPlan::Missing(requests) = c.plan_access(1, false, true) else {
+            panic!("no copy yet")
+        };
+        let (from, _, expect) = requests[0].clone();
+        c.fold(expect, from, page_rep(Some(0), 2)).unwrap();
+        notice(&mut c, 1, 1, 1);
+        let AccessPlan::Stale(requests) = c.plan_access(1, false, false) else {
+            panic!("a stale copy")
+        };
+        let [(Gpid(2), Msg::DiffReq { .. }, diffs)] = requests[..] else {
+            panic!("one DiffReq to rank 1, got {requests:?}")
+        };
+        let AccessPlan::Missing(requests) = c.plan_access(0, false, false) else {
+            panic!("no copy yet")
+        };
+        let [(Gpid(1), Msg::PageReq { .. }, full)] = requests[..] else {
+            panic!("one PageReq to rank 0, got {requests:?}")
+        };
+        c.deposit_push(0, Gpid(2), vec![(4, 1, Arc::new(word(0, 1)))]);
+        let before = exchange_state(&c);
+        assert!(before.0[2].1 && !before.1.is_empty() && !before.2.is_empty());
+
+        let ourselves = Msg::PageRep {
+            applied: vec![],
+            words: vec![],
+            redirect: Some(c.gpid),
+            push_after: None,
+            fresh: 0,
+        };
+        let rejected = c.fold(full, Gpid(1), ourselves).unwrap_err();
+        assert!(matches!(rejected, Rejected::RedirectToSelf(0)));
+        assert_eq!(rejected.to_string(), "page 0 redirect loop back to self");
+        assert_eq!(exchange_state(&c), before);
+
+        let rejected = c.fold(full, Gpid(1), Msg::Ack).unwrap_err();
+        assert!(matches!(rejected, Rejected::Unexpected(..)), "{rejected}");
+        assert_eq!(exchange_state(&c), before);
+
+        let rejected = c.fold(diffs, Gpid(2), page_rep(Some(0), 5)).unwrap_err();
+        assert!(matches!(rejected, Rejected::Unexpected(..)), "{rejected}");
+        assert_eq!(exchange_state(&c), before);
+        assert_eq!(c.pages[1].state, PageState::Invalid);
+
+        // A page of another size than ours, alone or served whole in
+        // place of a chain, is refused before anything lands.
+        let short = Msg::PageRep {
+            applied: vec![],
+            words: vec![0; 7],
+            redirect: None,
+            push_after: Some(0),
+            fresh: 5,
+        };
+        assert!(c.fold(full, Gpid(1), short).is_err());
+        let short = Msg::DiffRep {
+            diffs: vec![(1, 1, word(0, 1))],
+            pages: vec![WholePage {
+                page: 1,
+                applied: vec![(1, 1)],
+                words: vec![0; 7],
+            }],
+            push_after: Some(0),
+        };
+        assert!(c.fold(diffs, Gpid(2), short).is_err());
+        assert_eq!(exchange_state(&c), before);
+        assert!(c.pages[0].data.is_none() && c.pages[1].state == PageState::Invalid);
+
+        // An acquire asks the previous holder alone, and takes records.
+        assert!(c.plan_acquire(None).is_none() && c.plan_acquire(Some(c.gpid)).is_none());
+        let (to, _, records) = c.plan_acquire(Some(Gpid(2))).unwrap();
+        assert_eq!(to, Gpid(2));
+        let rejected = c.fold(records, Gpid(2), page_rep(None, 0)).unwrap_err();
+        assert!(rejected
+            .to_string()
+            .starts_with("unexpected reply to RecordsReq"));
+        assert_eq!(exchange_state(&c), before);
+    }
+
+    // --- a threadless exchange: three cores, every message on the wire -----
+
+    /// Three cores of one team (gpids 1–3, ranks 0–2), driven by the
+    /// test alone: no thread, clock or network. Every request and reply
+    /// is encoded and decoded as the wire carries it, and served by its
+    /// destination's [`ProcCore::serve`].
+    struct Trio {
+        cores: Vec<ProcCore>,
+        /// Every request made, as `(asker, server)`.
+        log: Vec<(Gpid, Gpid)>,
+    }
+
+    impl Trio {
+        /// The team founded at rank 0 and joined at ranks 1 and 2, with
+        /// `hint` as rank 2's directory entry for every page (rank 1's
+        /// and rank 0's name rank 0).
+        fn new(cfg: &DsmConfig, pages: usize, hint: impl Fn(PageId) -> Gpid) -> Self {
+            let team = Team::new(0, vec![Gpid(1), Gpid(2), Gpid(3)]);
+            let mut cores: Vec<ProcCore> = (1..=3)
+                .map(|g| ProcCore::new(cfg.clone(), Gpid(g), DsmStats::new_shared(), Gpid(1)))
+                .collect();
+            cores[0].found_team(team.clone());
+            let dir = vec![Gpid(1); pages];
+            cores[1].join_team(team.clone(), 1, &dir, &[], 0);
+            let dir: Vec<Gpid> = (0..pages as PageId).map(hint).collect();
+            cores[2].join_team(team, 2, &dir, &[], 0);
+            Trio {
+                cores,
+                log: Vec::new(),
+            }
+        }
+
+        fn on_the_wire(&self, msg: &Msg) -> Msg {
+            let cfg = &self.cores[0].cfg;
+            Msg::decode(&msg.encode(cfg), cfg).expect("a message decodes as sent")
+        }
+
+        /// Make `requests` of rank `me`, in order: each served at its
+        /// destination and its reply folded in.
+        fn exchange(&mut self, me: usize, requests: Vec<Request>) {
+            for (to, msg, expect) in requests {
+                let asker = self.cores[me].gpid;
+                self.log.push((asker, to));
+                let req = self.on_the_wire(&msg);
+                let server = to.0 as usize - 1;
+                let rep = self.cores[server].serve(asker, &req).expect("served");
+                let rep = self.on_the_wire(&rep);
+                self.cores[me].fold(expect, to, rep).expect("folded");
+            }
+        }
+
+        /// Rank `me`'s access to `page`, driven to completion as the
+        /// fault driver's loop drives it.
+        fn access(&mut self, me: usize, page: PageId, write: bool) -> Arc<PageBuf> {
+            for _ in 0..4 {
+                match self.cores[me].plan_access(page, write, false) {
+                    AccessPlan::Ready { buf, .. } => return buf,
+                    AccessPlan::Missing(requests) => self.exchange(me, requests),
+                    AccessPlan::Stale(requests) => {
+                        self.exchange(me, requests);
+                        assert_eq!(
+                            self.cores[me].expected_absent(page),
+                            None,
+                            "nothing is pushed"
+                        );
+                        self.cores[me].apply_diffs(page);
+                    }
+                }
+            }
+            panic!("rank {me}: page {page} is not accessible after four rounds")
+        }
+
+        /// Rank `me` closes its interval and its knowledge reaches the
+        /// others, as a barrier hands it out.
+        fn release(&mut self, me: usize) {
+            let records = self.cores[me].close_and_drain();
+            let vc = self.cores[me].vc.clone();
+            for (i, c) in self.cores.iter_mut().enumerate() {
+                if i != me {
+                    c.learn(&vc, &records);
+                }
+            }
+        }
+
+        fn words(&self, rank: usize, page: PageId) -> Vec<u64> {
+            let data = self.cores[rank].pages[page].data.as_ref();
+            data.expect("a copy").snapshot()
+        }
+    }
+
+    #[test]
+    fn three_cores_exchange_pages_and_diffs_without_a_thread() {
+        use crate::config::DataPlaneConfig;
+        // Page A: rank 1 writes it. R: rank 0 writes it unrecorded, and
+        // rank 2's hint names rank 1, which has no copy. S: ranks 0 and
+        // 1 write different words of it. C: rank 1 writes it whole,
+        // twice.
+        let (a, r, s, c) = (0, 1, 2, 3);
+        for base in [DsmConfig::default(), DsmConfig::default().generation_1999()] {
+            for plane in [DataPlaneConfig::Overlap, DataPlaneConfig::Demand] {
+                let cfg = base.clone().with_dataplane(plane);
+                let spp = cfg.slots_per_page();
+                let mut t = Trio::new(&cfg, 4, |p| if p == r { Gpid(2) } else { Gpid(1) });
+                t.access(0, r, true).store(3, 33);
+                t.release(0);
+                // Ranks 1 and 2 take copies of S and C, rank 0 of S.
+                for (rank, page) in [(2, s), (2, c), (1, s), (1, c), (0, s)] {
+                    t.access(rank, page, false);
+                }
+                let a_buf = t.access(1, a, true);
+                (0..4).for_each(|i| a_buf.store(i, 100 + i as u64));
+                t.access(1, s, true).store(1, 8);
+                t.access(0, s, true).store(0, 7);
+                let c_buf = t.access(1, c, true);
+                (0..spp).for_each(|i| c_buf.store(i, 10));
+                (0..3).for_each(|rank| t.release(rank));
+                let c_buf = t.access(1, c, true);
+                (0..spp).for_each(|i| c_buf.store(i, 20 + i as u64));
+                t.release(1);
+
+                // Cold, from the newest writer.
+                t.log.clear();
+                t.access(2, a, false);
+                assert_eq!(t.log, [(Gpid(3), Gpid(2))], "{cfg:?}");
+                assert_eq!(t.words(2, a), t.words(1, a));
+                // Cold, through a redirect from a non-holder.
+                t.log.clear();
+                t.access(2, r, false);
+                assert_eq!(t.log, [(Gpid(3), Gpid(2)), (Gpid(3), Gpid(1))]);
+                assert_eq!(t.words(2, r), t.words(0, r));
+                // Stale, with a diff from each of two writers.
+                t.log.clear();
+                t.access(2, s, false);
+                assert_eq!(t.log, [(Gpid(3), Gpid(1)), (Gpid(3), Gpid(2))]);
+                let mut want = vec![0; spp];
+                (want[0], want[1]) = (7, 8);
+                assert_eq!(t.words(2, s), want);
+                // A collection asks for C's chain of two, which comes whole.
+                t.log.clear();
+                let requests = t.cores[2].plan_pages(&[c], false);
+                t.exchange(2, requests);
+                assert_eq!(t.log, [(Gpid(3), Gpid(2))]);
+                assert_eq!(t.cores[2].stats.snapshot().gc_whole_pages, 1);
+                let ready = t.cores[2].plan_access(c, false, false);
+                assert!(matches!(ready, AccessPlan::Ready { .. }), "{ready:?}");
+                assert_eq!(t.words(2, c), t.words(1, c));
+                assert_eq!(t.words(2, c)[5], 25);
+            }
+        }
     }
 }

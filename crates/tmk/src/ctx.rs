@@ -10,6 +10,11 @@
 //!   side);
 //! * interval bookkeeping at releases.
 //!
+//! The context sequences the steps and moves the bytes; the
+//! [`ProcCore`] decides. A fault sends the requests the core plans with
+//! one [`call_all`], hands each reply to [`ProcCore::fold`] and plans
+//! again, bounded by `MAX_REDIRECTS` and parked on expected pushes.
+//!
 //! One `TmkCtx` exists per process application thread. A team
 //! member's context also carries its control-message buffer, so every
 //! rank can aggregate its reduce subtree's arrivals, and the master can
@@ -17,7 +22,7 @@
 //! parallel region.
 
 use crate::config::DsmConfig;
-use crate::core::{AccessPlan, FetchPlan, LockWaiter, ProcCore};
+use crate::core::{AccessPlan, Expect, LockWaiter, ProcCore, Request};
 use crate::msg::Msg;
 use crate::page::PageBuf;
 use crate::records::Record;
@@ -25,7 +30,7 @@ use crate::service::{deliver_grant, Ctrl};
 use crate::stats::DsmStats;
 use crate::system::{charge_relay, collect_joins, relay_adopting, relay_onward, send_to, Partials};
 use crate::tree::{ShapeBook, Shapes};
-use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
+use crate::types::{Addr, PageId, Pid, Team, Vc};
 use nowmp_net::{Endpoint, Gpid, NetError, PendingCall};
 use nowmp_util::mailbox::RecvTimeoutError;
 use nowmp_util::{waiting_for, Cause, ClockCondvar, MailboxReceiver};
@@ -133,20 +138,6 @@ pub struct CacheEnt {
 /// owner.
 const MAX_REDIRECTS: usize = 6;
 
-/// What one request of a [`FetchPlan`] expects back.
-enum FetchKind {
-    /// A `PageReq` for a single page.
-    Full {
-        /// The page asked for.
-        page: PageId,
-    },
-    /// A `DiffReq` whose diffs were created by this team rank.
-    Diffs {
-        /// Creator's rank (diff application attributes by pid).
-        creator: Pid,
-    },
-}
-
 /// Make the requests `calls`, `(destination, request)` in order, and
 /// run `local`, the caller's own share of the step: the one way this
 /// crate makes a blocking request. When the data plane pipelines
@@ -196,7 +187,6 @@ pub struct TmkCtx {
     cache: Vec<Option<CacheEnt>>,
     /// Cached copies of slowly-changing core fields (refreshed at sync
     /// points) so the fast path takes no lock.
-    epoch: Epoch,
     team: Team,
     my_pid: Pid,
     slots_per_page: usize,
@@ -245,13 +235,12 @@ impl TmkCtx {
         link: Option<TeamLink>,
     ) -> Self {
         let early_cv = Arc::new(ClockCondvar::new(endpoint.clock()));
-        let (stats, cfg, epoch, team, my_pid) = {
+        let (stats, cfg, team, my_pid) = {
             let mut c = core.lock();
             c.early_cv = Some(Arc::clone(&early_cv));
             (
                 Arc::clone(&c.stats),
                 c.cfg.clone(),
-                c.epoch(),
                 c.team.clone(),
                 c.my_pid,
             )
@@ -262,7 +251,6 @@ impl TmkCtx {
             endpoint,
             stats,
             cache: Vec::new(),
-            epoch,
             team,
             my_pid,
             slots_per_page: spp,
@@ -394,7 +382,6 @@ impl TmkCtx {
     pub fn sync_reset(&mut self) {
         self.cache.iter_mut().for_each(|e| *e = None);
         let c = self.core.lock();
-        self.epoch = c.epoch();
         if self.team != c.team {
             self.team = c.team.clone();
         }
@@ -440,26 +427,25 @@ impl TmkCtx {
         // land in the early-diff store and apply from there.
         let mut full_fetches = 0;
         loop {
-            let plan = self.core.lock().plan_access(page, write);
-            let plan = match plan {
+            let plan = self.core.lock().plan_access(page, write, self.subscribe);
+            match plan {
                 AccessPlan::Ready { buf, writable } => {
                     self.cache[page as usize] = Some(CacheEnt { buf, writable });
                     return;
                 }
-                AccessPlan::Fetch(plan) => plan,
-            };
-            let stale = plan.fulls.is_empty();
-            if !stale {
-                full_fetches += 1;
-                assert!(
-                    full_fetches <= MAX_REDIRECTS,
-                    "page {page}: too many ownership redirects"
-                );
-            }
-            self.fetch(plan, false);
-            if stale {
-                self.await_expected(page);
-                self.core.lock().apply_diffs(page);
+                AccessPlan::Missing(requests) => {
+                    full_fetches += 1;
+                    assert!(
+                        full_fetches <= MAX_REDIRECTS,
+                        "page {page}: too many ownership redirects"
+                    );
+                    self.fetch(requests);
+                }
+                AccessPlan::Stale(requests) => {
+                    self.fetch(requests);
+                    self.await_expected(page);
+                    self.core.lock().apply_diffs(page);
+                }
             }
         }
     }
@@ -484,127 +470,25 @@ impl TmkCtx {
         }
     }
 
-    /// Make every request of `plan` with one [`call_all`] and fold each
-    /// reply into the core: a fault's fetch, and a page collection's.
-    fn fetch(&self, plan: FetchPlan, whole_if_smaller: bool) {
+    /// Make every request of a fault's or a page collection's plan with
+    /// one [`call_all`] and fold each reply into the core.
+    fn fetch(&self, requests: Vec<Request>) {
         let _cause = waiting_for(Cause::Fetch);
-        let (calls, kinds): (Vec<_>, Vec<_>) = self
-            .requests(plan, whole_if_smaller)
+        let (calls, expects): (Vec<_>, Vec<_>) = requests
             .into_iter()
-            .map(|(dst, msg, kind)| ((dst, msg), kind))
+            .map(|(dst, msg, expect)| ((dst, msg), expect))
             .unzip();
         let replies = call_all(&self.endpoint, &self.cfg, calls, || {});
-        for ((from, rep), kind) in replies.into_iter().zip(kinds) {
-            self.fold(kind, from, rep);
+        for ((from, rep), expect) in replies.into_iter().zip(expects) {
+            self.fold(expect, from, rep);
         }
     }
 
-    /// The requests of `plan`, in order, each with what it expects
-    /// back: one `PageReq` per full page, then one `DiffReq` per
-    /// creator. Inside a region body ([`Self::in_region`]) every one is
-    /// `subscribe`-marked; when `whole_if_smaller` is set (a page
-    /// collection), a `DiffReq` is `whole_if_smaller`-marked if it asks
-    /// for two or more diffs of one page (a one-diff chain is no longer
-    /// than its page, give or take run headers). A creator that left
-    /// the team is skipped; the demand path re-plans.
-    fn requests(&self, plan: FetchPlan, whole_if_smaller: bool) -> Vec<(Gpid, Msg, FetchKind)> {
-        let (epoch, subscribe) = (self.epoch, self.subscribe);
-        let fulls = plan.fulls.into_iter().map(|(page, holder)| {
-            (
-                holder,
-                Msg::PageReq {
-                    epoch,
-                    page,
-                    subscribe,
-                },
-                FetchKind::Full { page },
-            )
-        });
-        let diffs = plan.diffs.into_iter().filter_map(|(creator, wants)| {
-            let pid = self.team.pid_of(creator)?;
-            // A page's wants are adjacent (`ProcCore::plan_page`).
-            let chain = wants.windows(2).any(|w| w[0].0 == w[1].0);
-            let msg = Msg::DiffReq {
-                epoch,
-                wants,
-                subscribe,
-                whole_if_smaller: whole_if_smaller && chain,
-            };
-            Some((creator, msg, FetchKind::Diffs { creator: pid }))
-        });
-        fulls.chain(diffs).collect()
-    }
-
-    /// Fold `msg`, the reply from `from` to a request of `kind`, into
-    /// the core — the one place a page or diff reply lands: install a
-    /// full page that is still missing, re-aim the page's owner hint at
-    /// a redirect's target (the fault re-plans; never at ourselves, or
-    /// the next plan would conjure a zero page over real data), or
-    /// deposit diffs into the early-diff store, where the fault applies
-    /// the page's whole unapplied set as one causally sorted batch — and
-    /// install the pages a creator served whole instead of a chain. A
-    /// reply's acknowledgement (`push_after`) is recorded for every page
-    /// its request named: rule R reads it.
-    fn fold(&self, kind: FetchKind, from: Gpid, msg: Msg) {
-        match (kind, msg) {
-            (
-                FetchKind::Full { page },
-                Msg::PageRep {
-                    redirect: Some(next),
-                    ..
-                },
-            ) => {
-                assert_ne!(next, self.gpid(), "page {page} redirect loop back to self");
-                self.core.lock().pages[page].owner = next;
-            }
-            (
-                FetchKind::Full { page },
-                Msg::PageRep {
-                    applied,
-                    words,
-                    redirect: None,
-                    push_after,
-                    fresh,
-                },
-            ) => {
-                let mut c = self.core.lock();
-                let still_wanted = c
-                    .pages
-                    .get(page)
-                    .map(|m| m.data.is_none() && m.state == crate::page::PageState::Invalid)
-                    .unwrap_or(false);
-                if still_wanted {
-                    c.install_page(page, &applied, words, from);
-                }
-                if fresh > 0 {
-                    c.take_lease(page, fresh, from);
-                }
-                if let (Some(after), Some(server)) = (push_after, c.team.pid_of(from)) {
-                    c.acknowledged(server, [page], after);
-                }
-            }
-            (
-                FetchKind::Diffs { creator },
-                Msg::DiffRep {
-                    diffs,
-                    pages,
-                    push_after,
-                },
-            ) => {
-                let mut c = self.core.lock();
-                if let Some(after) = push_after {
-                    let named = diffs.iter().map(|d| d.0);
-                    c.acknowledged(creator, named.chain(pages.iter().map(|w| w.page)), after);
-                }
-                for whole in pages {
-                    c.install_whole(whole, from);
-                }
-                c.deposit(creator, diffs, false);
-            }
-            (_, other) => {
-                panic!("unexpected reply to a page or diff request from {from}: {other:?}")
-            }
-        }
+    /// [`ProcCore::fold`] a reply in. A rejected one is a protocol
+    /// failure, and fails loudly.
+    fn fold(&self, expect: Expect, from: Gpid, rep: Msg) {
+        let folded = self.core.lock().fold(expect, from, rep);
+        folded.unwrap_or_else(|rejected| panic!("{rejected}"));
     }
 
     /// Bring every page of `pages` to a valid copy: the same end state
@@ -628,8 +512,8 @@ impl TmkCtx {
     /// chain.
     pub fn collect_pages(&mut self, pages: &[PageId]) {
         if self.cfg.dataplane.pipeline() {
-            let plan = self.core.lock().plan_pages(pages);
-            self.fetch(plan, true);
+            let requests = self.core.lock().plan_pages(pages, self.subscribe);
+            self.fetch(requests);
         }
         for &p in pages {
             self.ensure_page(p, false);
@@ -671,7 +555,7 @@ impl TmkCtx {
             match self.call(
                 mgr_gpid,
                 Msg::LockReq {
-                    epoch: self.epoch,
+                    epoch: self.team.epoch,
                     lock,
                 },
             ) {
@@ -679,22 +563,10 @@ impl TmkCtx {
                 other => panic!("unexpected reply to LockReq: {other:?}"),
             }
         };
-        if let Some(prev) = prev {
-            if prev != self.gpid() {
-                let vc = self.core.lock().vc.clone();
-                match self.call(
-                    prev,
-                    Msg::RecordsReq {
-                        epoch: self.epoch,
-                        vc,
-                    },
-                ) {
-                    Msg::RecordsRep { records } => {
-                        self.core.lock().apply_records(&records);
-                    }
-                    other => panic!("unexpected reply to RecordsReq: {other:?}"),
-                }
-            }
+        let records = self.core.lock().plan_acquire(prev);
+        if let Some((prev, msg, expect)) = records {
+            let rep = self.call(prev, msg);
+            self.fold(expect, prev, rep);
         }
         DsmStats::bump(&self.stats.lock_acquires);
         self.sync_reset();
@@ -703,10 +575,7 @@ impl TmkCtx {
     /// Release distributed lock `lock`: close our interval (making our
     /// writes forwardable) and notify the manager.
     pub fn unlock(&mut self, lock: u32) {
-        {
-            let mut c = self.core.lock();
-            c.close_interval();
-        }
+        self.core.lock().close_interval();
         // Releasing downgraded Write pages; cached writable entries are stale.
         self.sync_reset();
         let mgr_pid = self.team.lock_manager(lock);
@@ -719,7 +588,7 @@ impl TmkCtx {
                 .send(
                     mgr_gpid,
                     Msg::LockRelease {
-                        epoch: self.epoch,
+                        epoch: self.team.epoch,
                         lock,
                     }
                     .encode(&self.cfg),
@@ -789,14 +658,14 @@ impl TmkCtx {
         let children = shape.children(my).len();
         let (mut vc, mut records, push_now) = {
             let mut c = self.core.lock();
-            c.close_interval();
+            let records = c.close_and_drain();
             let push_now = c.push.await_subtree(children);
-            (c.vc.clone(), c.drain_unsent(), push_now)
+            (c.vc.clone(), records, push_now)
         };
         if push_now {
             self.endpoint.wake();
         }
-        // `drain_unsent` can hand us records authored by *other* pids
+        // `close_and_drain` can hand us records authored by *other* pids
         // (lock transfers), so dedup child aggregates against them.
         let mut seen: HashSet<(Pid, u32)> = records.iter().map(|r| (r.pid, r.seq)).collect();
         let endpoint = &self.endpoint;
@@ -813,7 +682,7 @@ impl TmkCtx {
             // One inbound stack traversal per absorbed aggregate.
             charge_relay(endpoint);
         };
-        let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
+        let (epoch, timeout) = (self.team.epoch, self.cfg.call_timeout);
         let ctrl = &mut link_of(&mut self.link).ctrl;
         collect_joins(ctrl, shape, my, epoch, timeout, &self.stats, absorb);
         self.core.lock().push.subtree_collected(children);
@@ -846,11 +715,8 @@ impl TmkCtx {
     /// arrived, so its pushes start first. Returns the team's
     /// `reduction` partials in pid order, ours (`partial`) first.
     fn gather(&mut self, partial: Option<f64>, mut heard: impl FnMut(usize, Vc)) -> Vec<f64> {
-        {
-            let mut c = self.core.lock();
-            c.close_interval();
-            c.drain_unsent(); // the next fork or release distributes them
-        }
+        // The next fork or release hands out our records.
+        self.core.lock().close_and_drain();
         self.wake_pusher();
         let shapes = self.shapes();
         let mut partials = Partials::default();
@@ -858,12 +724,10 @@ impl TmkCtx {
         let core = &self.core;
         let absorb = |from, vc: Vc, records: Vec<Record>, part| {
             partials.add(from, part);
-            let mut c = core.lock();
-            c.apply_records(&records);
-            c.vc.merge(&vc);
+            core.lock().learn(&vc, &records);
             heard(from as usize, vc);
         };
-        let (epoch, timeout) = (self.epoch, self.cfg.call_timeout);
+        let (epoch, timeout) = (self.team.epoch, self.cfg.call_timeout);
         let ctrl = &mut link_of(&mut self.link).ctrl;
         collect_joins(ctrl, &shapes.reduce, 0, epoch, timeout, &self.stats, absorb);
         self.core
@@ -930,9 +794,7 @@ impl TmkCtx {
             send_to(&self.endpoint, &self.team, c.raw.clone()),
         );
         if let Msg::BarrierRelease { vc, records } = c.msg {
-            let mut core = self.core.lock();
-            core.apply_records(&records);
-            core.vc.merge(&vc);
+            self.core.lock().learn(&vc, &records);
         }
     }
 
@@ -1260,40 +1122,48 @@ mod tests {
             Stats::new_shared(),
             gpid,
         );
-        pc.team = Team::new(0, vec![gpid, writer]);
-        pc.vc = Vc::new(2);
-        let _ = pc.plan_access(0, false);
-        pc.pages[0].shared = true;
+        pc.found_team(Team::new(0, vec![gpid, writer]));
         for seq in 1..=2 {
             let mut vc = Vc::new(2);
             vc.set(1, seq);
-            pc.apply_records(&[Record {
+            let rec = Record {
                 pid: 1,
                 seq,
-                vc,
+                vc: vc.clone(),
                 pages: vec![0],
-            }]);
+            };
+            pc.learn(&vc, &[rec]);
         }
-        let ctx = TmkCtx::new(Arc::new(Mutex::new(pc)), ep, None);
-        // Our copy is in, so the reply installs nothing: it only
-        // acknowledges.
-        ctx.fold(
-            FetchKind::Full { page: 0 },
-            writer,
-            Msg::PageRep {
-                applied: vec![],
-                words: vec![0; 8],
-                redirect: None,
-                push_after: Some(0),
-                fresh: 0,
+        // The region fault's `PageReq` goes to the writer, whose reply
+        // brings the page as it was before both intervals and
+        // acknowledges the subscription.
+        let AccessPlan::Missing(requests) = pc.plan_access(0, false, true) else {
+            panic!("no copy yet")
+        };
+        let [(
+            dst,
+            Msg::PageReq {
+                subscribe: true, ..
             },
-        );
-        ctx.core().lock().deposit_push(
+            expect,
+        )] = &requests[..]
+        else {
+            panic!("one marked PageReq, got {requests:?}")
+        };
+        let rep = Msg::PageRep {
+            applied: vec![],
+            words: vec![0; 8],
+            redirect: None,
+            push_after: Some(0),
+            fresh: 0,
+        };
+        pc.fold(*expect, *dst, rep).unwrap();
+        pc.deposit_push(
             0,
             writer,
             vec![(0, 1, Arc::new(crate::diff::Diff::of_run(1, &[11])))],
         );
-        (ctx, writer)
+        (TmkCtx::new(Arc::new(Mutex::new(pc)), ep, None), writer)
     }
 
     #[test]
@@ -1431,55 +1301,6 @@ mod tests {
             }
         });
         asked
-    }
-
-    #[test]
-    fn a_page_collection_marks_only_chains_of_two_or_more_diffs() {
-        let ctx = make_ctx();
-        let me = ctx.gpid();
-        let marked = |wants: Vec<(PageId, u32)>, whole| {
-            let plan = FetchPlan {
-                fulls: vec![],
-                diffs: vec![(me, wants)],
-            };
-            match &ctx.requests(plan, whole)[..] {
-                [(
-                    _,
-                    Msg::DiffReq {
-                        whole_if_smaller, ..
-                    },
-                    _,
-                )] => *whole_if_smaller,
-                other => panic!("expected one DiffReq, got {} requests", other.len()),
-            }
-        };
-        // One diff per page: unmarked, as a fault asks it.
-        assert!(!marked(vec![(3, 1), (4, 1)], true));
-        // Page 4's chain of two: marked, in a page collection only.
-        assert!(marked(vec![(3, 1), (4, 1), (4, 2)], true));
-        assert!(!marked(vec![(3, 1), (4, 1), (4, 2)], false));
-    }
-
-    #[test]
-    fn a_region_marks_its_page_and_diff_requests_alike() {
-        let mut ctx = make_ctx();
-        let me = ctx.gpid();
-        let marks = |ctx: &TmkCtx| -> Vec<bool> {
-            let plan = FetchPlan {
-                fulls: vec![(2, me)],
-                diffs: vec![(me, vec![(3, 1)])],
-            };
-            ctx.requests(plan, false)
-                .into_iter()
-                .map(|(_, msg, _)| match msg {
-                    Msg::PageReq { subscribe, .. } | Msg::DiffReq { subscribe, .. } => subscribe,
-                    other => panic!("not a page or diff request: {other:?}"),
-                })
-                .collect()
-        };
-        assert_eq!(marks(&ctx), vec![false, false], "outside a region");
-        ctx.subscribe = true;
-        assert_eq!(marks(&ctx), vec![true, true], "inside one");
     }
 
     /// A ctx on host 0 of `net` whose page 0 carries a (possibly stale)
@@ -1633,8 +1454,11 @@ mod tests {
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
         // The collection's batched plan asks the stale hint, and the
         // one fold re-aims it at the redirect's target ...
-        let plan = ctx.core().lock().plan_pages(&[0]);
-        assert_eq!(plan.fulls, vec![(0, bg)]);
+        let requests = ctx.core().lock().plan_pages(&[0], false);
+        assert!(matches!(
+            &requests[..],
+            [(to, Msg::PageReq { page: 0, .. }, _)] if *to == bg
+        ));
         ctx.collect_pages(&[0]);
         assert_eq!(ctx.core().lock().pages[0].owner, cg);
         // ... so the demand fault behind it sends one `PageReq`,

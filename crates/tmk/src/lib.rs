@@ -21,6 +21,12 @@
 //!            └────── nowmp-net simulated switched Ethernet ─────┘
 //! ```
 //!
+//! `ProcCore` owns every DSM-state transition and does no I/O: it
+//! builds the requests (`plan_access`, `plan_pages`, `plan_acquire`),
+//! lands the replies (`fold`), answers peers (`serve`) and installs
+//! knowledge and teams (`learn`, `join_team`, `gc_commit`). `TmkCtx`,
+//! the service thread and `system` sequence the steps and move bytes.
+//!
 //! Per-word atomic page storage substitutes for mmap/SIGSEGV access
 //! detection: the fast path is a software page-table
 //! check; the slow path is the LRC protocol.

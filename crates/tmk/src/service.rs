@@ -9,6 +9,12 @@
 //! channel, preserving their [`nowmp_net::Replier`] so the application
 //! thread can acknowledge them when it is ready.
 //!
+//! What a page, diff or records request is answered with — the epoch
+//! check, the subscription, the reply — is [`ProcCore::serve`]'s; this
+//! thread decodes, holds the reply handle, sends and counts what goes
+//! unserved. Lock requests stay here, since a queued one keeps its
+//! [`Replier`] until the grant.
+//!
 //! The service thread is also the process's *push sender*: diffs that
 //! an interval close queued for subscribed readers leave from here, one
 //! `DiffPush` per turn of the loop with the inbox drained in between, so
@@ -20,10 +26,9 @@
 //! the notices of the held close.
 
 use crate::config::DsmConfig;
-use crate::core::{LockGrant, LockWaiter, ProcCore};
+use crate::core::{this_epoch, Dropped, LockGrant, LockWaiter, ProcCore};
 use crate::msg::Msg;
 use crate::stats::DsmStats;
-use crate::types::Epoch;
 use nowmp_net::{Endpoint, Replier};
 use nowmp_util::MailboxSender;
 use parking_lot::Mutex;
@@ -112,35 +117,6 @@ pub fn service_loop(
     }
 }
 
-/// Why a message went unserved, here or in a worker's wait loop.
-pub(crate) enum Dropped {
-    /// Undecodable, a request without a reply handle, a reply kind, a
-    /// request for a diff we never created, or a control message the
-    /// wait loop cannot serve.
-    Malformed,
-    /// A request of another epoch than ours.
-    Stale,
-}
-
-impl Dropped {
-    /// Count the drop: in `malformed_dropped` or `stale_dropped`.
-    pub(crate) fn count(self, stats: &DsmStats) {
-        DsmStats::bump(match self {
-            Dropped::Malformed => &stats.malformed_dropped,
-            Dropped::Stale => &stats.stale_dropped,
-        });
-    }
-}
-
-/// A request of `epoch` is served only in that epoch (`ours`).
-fn this_epoch(epoch: Epoch, ours: Epoch) -> Result<(), Dropped> {
-    if epoch == ours {
-        Ok(())
-    } else {
-        Err(Dropped::Stale)
-    }
-}
-
 /// Handle one incoming message (request answered inline, control
 /// forwarded to the application thread). An `Err` says why it cannot
 /// be served: the caller drops and counts it. A release of a lock its
@@ -177,49 +153,14 @@ fn serve_one(
                 r.reply(Msg::Ack.encode(cfg));
             }
         }
-        Msg::PageReq {
-            epoch,
-            page,
-            subscribe,
-        } => {
+        Msg::PageReq { .. } | Msg::DiffReq { .. } | Msg::RecordsReq { .. } => {
             let replier = inc.replier.ok_or(Dropped::Malformed)?;
-            let rep = {
-                let mut c = core.lock();
-                this_epoch(epoch, c.epoch())?;
-                let subscriber = c.subscriber(subscribe, epoch, inc.src);
-                c.serve_page(page, subscriber)
-            };
-            replier.reply(rep.encode(cfg));
-        }
-        Msg::DiffReq {
-            epoch,
-            wants,
-            subscribe,
-            whole_if_smaller,
-        } => {
-            let replier = inc.replier.ok_or(Dropped::Malformed)?;
-            let rep = {
-                let mut c = core.lock();
-                this_epoch(epoch, c.epoch())?;
-                let subscriber = c.subscriber(subscribe, epoch, inc.src);
-                c.serve_diffs(&wants, subscriber, whole_if_smaller)
-                    .ok_or(Dropped::Malformed)?
-            };
+            // The core guard drops at the end of this statement, so the
+            // reply is encoded and sent without it.
+            let rep = core.lock().serve(inc.src, &msg)?;
             replier.reply(rep.encode(cfg));
         }
         Msg::DiffPush { epoch, diffs } => core.lock().deposit_push(epoch, inc.src, diffs),
-        Msg::RecordsReq { epoch, vc } => {
-            let replier = inc.replier.ok_or(Dropped::Malformed)?;
-            let rep = {
-                let mut c = core.lock();
-                this_epoch(epoch, c.epoch())?;
-                // The reply may name a held close's interval; whoever
-                // asked may be parked on its push.
-                c.push.release_pushes();
-                c.serve_records(&vc)
-            };
-            replier.reply(rep.encode(cfg));
-        }
         Msg::LockReq { epoch, lock } => {
             let replier = inc.replier.ok_or(Dropped::Malformed)?;
             let grant = {
@@ -303,6 +244,18 @@ mod tests {
         .to_bytes()
     }
 
+    /// Serve page 0 in `c` the way a `PageReq` from `src` is served:
+    /// the page is shared from then on, and a marked one subscribes `src`.
+    fn serve_page0(c: &mut ProcCore, src: Gpid, subscribe: bool) {
+        let req = Msg::PageReq {
+            epoch: 0,
+            page: 0,
+            subscribe,
+        };
+        c.serve(src, &req)
+            .expect("a page request of our epoch is served");
+    }
+
     #[test]
     fn page_request_served_while_idle() {
         let net = Network::new(2, NetModel::disabled());
@@ -312,7 +265,7 @@ mod tests {
         // A materializes and writes a page locally.
         {
             let mut c = core_a.lock();
-            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(2, 1234);
@@ -346,11 +299,11 @@ mod tests {
         // shared with a copy.
         {
             let mut c = core_a.lock();
-            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(0, 77);
-            let _ = c.serve_page(0, None);
+            serve_page0(&mut c, Gpid(99), false);
         }
         let words_of = |rep: &[u8]| match Msg::from_wire(rep).unwrap() {
             Msg::PageRep {
@@ -392,8 +345,8 @@ mod tests {
             let mut c = core_a.lock();
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
             c.vc = crate::types::Vc::new(2);
-            let _ = c.plan_access(0, false);
-            let _ = c.serve_page(0, None);
+            let _ = c.plan_access(0, false, false);
+            serve_page0(&mut c, Gpid(99), false);
         }
         let ack = |subscribe| {
             let rep = ep_b.call(gpid_a, page_req(0, subscribe)).unwrap();
@@ -487,9 +440,9 @@ mod tests {
             let mut c = core_a.lock();
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
             c.vc = crate::types::Vc::new(2);
-            let _ = c.plan_access(0, false);
-            let _ = c.serve_page(0, None); // shared, so the write twins
-            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let _ = c.plan_access(0, false, false);
+            serve_page0(&mut c, Gpid(99), false); // shared, so the write twins
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(0, 9);
@@ -616,9 +569,9 @@ mod tests {
             let mut c = core_a.lock();
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
             c.vc = crate::types::Vc::new(2);
-            let _ = c.plan_access(0, false);
-            let _ = c.serve_page(0, Some(1)); // B subscribes
-            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let _ = c.plan_access(0, false, false);
+            serve_page0(&mut c, ep_b.gpid(), true); // B subscribes
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(0, 9);
@@ -759,9 +712,9 @@ mod tests {
             let mut c = core_a.lock();
             c.team = crate::types::Team::new(0, vec![gpid_a, ep_b.gpid()]);
             c.vc = crate::types::Vc::new(2);
-            let _ = c.plan_access(0, false);
-            let _ = c.serve_page(0, None); // shared
-            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let _ = c.plan_access(0, false, false);
+            serve_page0(&mut c, Gpid(99), false); // shared
+            let crate::core::AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!()
             };
             buf.store(0, 9);

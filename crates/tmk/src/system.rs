@@ -13,14 +13,14 @@
 //!   procedure (what SUIF emits from each OpenMP parallel construct).
 
 use crate::config::DsmConfig;
-use crate::core::ProcCore;
+use crate::core::{Dropped, ProcCore};
 use crate::ctx::{call_all, decode, CtrlBuf, TeamLink, TmkCtx};
 use crate::gc::{compute_gc_plan, page_writes, GcPlan};
 use crate::msg::{DirRle, Msg, RegEntry};
 use crate::page::Wn;
 use crate::records::Record;
-use crate::service::{service_loop, Ctrl, Dropped};
-use crate::shm::{Allocator, Registry};
+use crate::service::{service_loop, Ctrl};
+use crate::shm::Allocator;
 use crate::stats::{DsmStats, ProcLedger};
 use crate::tree::{Shape, ShapeBook};
 use crate::types::{Addr, Epoch, PageId, Pid, Team, Vc};
@@ -496,21 +496,9 @@ fn worker_main(
                 relay,
             } => match team.pid_of(gpid) {
                 Some(my_pid) if team.epoch == epoch => {
-                    {
-                        let mut pc = core.lock();
-                        pc.registry = Registry::new();
-                        pc.registry.merge(&registry);
-                        let dirv = dir.to_vec();
-                        let spp = pc.cfg.slots_per_page();
-                        pc.ensure_pages(dirv.len().max((alloc_slots as usize).div_ceil(spp)));
-                        pc.vc = Vc::new(team.members.len());
-                        pc.my_pid = my_pid;
-                        pc.team = team.clone();
-                        for ((_, meta), owner) in pc.pages.iter_mut().zip(&dirv) {
-                            meta.owner = *owner;
-                            meta.shared = true;
-                        }
-                    }
+                    let dir = dir.to_vec();
+                    core.lock()
+                        .join_team(team.clone(), my_pid, &dir, &registry, alloc_slots);
                     ctx.sync_reset();
                     // Team formation: install first, then bring our
                     // whole subtree up; our own ack means "subtree
@@ -549,11 +537,8 @@ fn worker_main(
                 );
                 {
                     let mut pc = core.lock();
-                    pc.registry.merge(&registry_delta);
-                    let spp = pc.cfg.slots_per_page();
-                    pc.ensure_pages((alloc_slots as usize).div_ceil(spp));
-                    pc.apply_records(&records);
-                    pc.vc.merge(&vc);
+                    pc.merge_registry(&registry_delta, alloc_slots);
+                    pc.learn(&vc, &records);
                 }
                 ctx.sync_reset();
                 ctx.set_params(params);
@@ -696,18 +681,9 @@ impl MasterCtl {
         members.extend_from_slice(workers);
         let team = Team::new(0, members);
         self.dir = vec![self.gpid(); self.allocator.allocated_pages()];
-        {
-            let mut c = self.core.lock();
-            c.vc = Vc::new(team.nprocs());
-            c.my_pid = 0;
-            c.team = team.clone();
-        }
-        let (registry, alloc_slots) = {
-            (
-                self.core.lock().registry.full(),
-                self.allocator.allocated_slots(),
-            )
-        };
+        self.core.lock().found_team(team.clone());
+        let registry = self.core.lock().registry.full();
+        let alloc_slots = self.allocator.allocated_slots();
         self.sent_reg_ver = registry.iter().map(|e| e.ver).max().unwrap_or(0);
         let bytes = Msg::JoinInit {
             epoch: 0,
@@ -736,8 +712,7 @@ impl MasterCtl {
         self.ctx.throttle();
         let (team, epoch) = {
             let mut c = self.core.lock();
-            c.close_interval();
-            c.drain_unsent(); // distributed via fork records below
+            c.close_and_drain(); // distributed via fork records below
             (c.team.clone(), c.epoch())
         };
         let (vc, records, reg_delta, alloc_slots) = {
@@ -828,8 +803,7 @@ impl MasterCtl {
     pub fn run_gc(&mut self, avoid: &HashSet<Gpid>) -> GcOutcome {
         let (team, epoch) = {
             let mut c = self.core.lock();
-            c.close_interval();
-            c.drain_unsent();
+            c.close_and_drain();
             (c.team.clone(), c.epoch())
         };
         self.ctx.wake_pusher();
@@ -899,12 +873,8 @@ impl MasterCtl {
         let empty: Vec<PageId> = Vec::new();
 
         let old_set: HashSet<Gpid> = old_team.members.iter().copied().collect();
-        let (registry, alloc_slots) = {
-            (
-                self.core.lock().registry.full(),
-                self.allocator.allocated_slots(),
-            )
-        };
+        let registry = self.core.lock().registry.full();
+        let alloc_slots = self.allocator.allocated_slots();
         let mut calls = Vec::with_capacity(new_members.len());
         // Survivors: in both teams (skip ourselves).
         for &g in &new_members {
@@ -985,14 +955,9 @@ impl MasterCtl {
 
     /// Restore a memory image into a *fresh* master (recovery).
     pub fn import_image(&mut self, image: &MemoryImage) {
-        {
-            let mut c = self.core.lock();
-            c.registry = Registry::new();
-            c.registry.merge(&image.registry);
-            let spp = c.cfg.slots_per_page();
-            c.ensure_pages((image.alloc_slots as usize).div_ceil(spp));
-            c.import_pages(&image.pages);
-        }
+        self.core
+            .lock()
+            .import_image(&image.registry, image.alloc_slots, &image.pages);
         self.allocator.restore(image.alloc_slots);
         self.fork_no = image.fork_no;
         self.sent_reg_ver = 0;

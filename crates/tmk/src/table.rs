@@ -216,7 +216,7 @@ mod tests {
         };
         let mut c = ProcCore::new(cfg, Gpid(1), DsmStats::new_shared(), Gpid(1));
         let write = |c: &mut ProcCore, v| {
-            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true) else {
+            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
                 panic!("the owner's page is at hand")
             };
             buf.store(0, v);
