@@ -269,23 +269,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gauss_moves_pages_not_diffs() {
-        // Table 1's signature for Gauss: pivot rows travel as full
-        // pages (readers never held them); diff count stays 0.
+    /// Gauss 32 on 4 ranks of `cfg`: the pages fetched, those of them
+    /// served whole in place of a diff chain, and the diffs fetched, by
+    /// the run, before verification traffic.
+    fn gauss_traffic(cfg: ClusterConfig) -> (u64, u64, u64) {
         let g = Gauss::new(32);
         let program = crate::build_program(&[&g]);
-        let mut sys = nowmp_omp::OmpSystem::new(ClusterConfig::test(5, 4), program);
+        let mut sys = nowmp_omp::OmpSystem::new(cfg, program);
         g.setup(&mut sys);
         for it in 0..g.default_iters() {
             g.step(&mut sys, it);
         }
-        let s = sys.dsm_stats(); // snapshot BEFORE verification traffic
-        assert!(s.pages_fetched > 0, "pivot rows must travel");
-        assert_eq!(s.diffs_fetched, 0, "Gauss moves no diffs (Table 1)");
+        let s = sys.dsm_stats();
         let err = g.verify(&mut sys, g.default_iters());
         assert_eq!(err, 0.0);
         sys.shutdown();
+        (s.pages_fetched, s.gc_whole_pages, s.diffs_fetched)
+    }
+
+    #[test]
+    fn gauss_moves_pages_not_diffs() {
+        // Table 1's signature for Gauss, on the 1999 protocol: pivot
+        // rows travel as full pages (readers never held them); diff
+        // count stays 0.
+        let (pages, _, diffs) = gauss_traffic(ClusterConfig::test(5, 4).generation_1999());
+        assert!(pages > 0, "pivot rows must travel");
+        assert_eq!(diffs, 0, "Gauss moves no diffs (Table 1)");
+        // The current generation makes a page allocated this epoch from
+        // zeros and its writer's diffs: no page is asked for whole. A
+        // pivot row written once travels as its diff, and one written
+        // in several steps comes whole only where the page is smaller
+        // than its chain.
+        let (pages, in_place_of_a_chain, diffs) = gauss_traffic(ClusterConfig::test(5, 4));
+        assert_eq!(pages, in_place_of_a_chain, "no page is asked for whole");
+        assert!(diffs > 0, "pivot rows travel as diffs");
     }
 
     #[test]

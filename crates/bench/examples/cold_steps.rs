@@ -1,8 +1,10 @@
 //! Where a cold start's simulated time goes: NBF (2 048 atoms × 16
 //! partners, the `nbf16_current` size) on 16 hosts of the current
 //! generation, paper models, adaptive off. Prints each step's
-//! simulated time, then step 0's split by process from the virtual
-//! clock's ledger (docs/DATAPLANE.md, "Cold pages").
+//! simulated time, step 0's split by process from the virtual clock's
+//! ledger, and what each host sent in step 0, from the network's
+//! per-link counters (docs/DATAPLANE.md, "Cold pages"). Panics unless
+//! NBF verifies.
 //!
 //! `cargo run --release -p nowmp-bench --example cold_steps`
 
@@ -15,12 +17,13 @@ fn main() {
     let (hosts, iters) = (16, 4);
     let kernel = Nbf::new(2048, 16);
     let cfg = bench_cfg_for(&kernel, DsmConfig::default_4k(), hosts, hosts);
+    let mut net = Vec::new();
     let run = measure(
         &kernel,
         cfg.with_adaptive(false),
         iters,
         false,
-        |_, _| {},
+        |sys, _| net.push(sys.net_stats()),
         true,
     );
     assert_eq!(run.err, 0.0, "NBF verifies");
@@ -60,6 +63,24 @@ fn main() {
         Table::new(
             "Step 0 by rank: application thread ms per cause, then service thread ms on its link",
             &format!("Rank | {} | svc transmit", names.join(" | ")),
+            rows,
+        )
+    );
+    let step0 = net[1].since(&net[0]);
+    let rows = step0
+        .links
+        .iter()
+        .enumerate()
+        .map(|(host, l)| {
+            let kb = format!("{:.1}", l.bytes_out as f64 / 1e3);
+            vec![host.to_string(), kb, l.msgs_out.to_string()]
+        })
+        .collect();
+    println!(
+        "{}",
+        Table::new(
+            "Step 0 by host: what its link sent",
+            "Host | KB out | msgs out",
             rows,
         )
     );

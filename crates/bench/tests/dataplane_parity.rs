@@ -14,7 +14,7 @@ use nowmp_apps::Kernel;
 use nowmp_bench::shape;
 use nowmp_core::{ClusterConfig, LeaveSel};
 use nowmp_net::NetModel;
-use nowmp_omp::OmpSystem;
+use nowmp_omp::{OmpSystem, Params};
 use nowmp_tmk::{DataPlaneConfig, DsmConfig};
 use nowmp_util::Clock;
 use std::time::Duration;
@@ -248,6 +248,41 @@ fn steady_state_sends_no_requests() {
         "Jacobi/32: {} messages in iteration 2",
         jacobi[1]
     );
+}
+
+#[test]
+fn the_cold_step_spreads_over_every_writer() {
+    // NBF's arrays are allocated after the team is founded, so in step
+    // 0's first region a rank's fault on a partner's position page
+    // makes it from zeros and asks every writer its notices name for
+    // its diff: no page moves whole, and each host serves what it
+    // wrote. When such a page came whole from one of its newest
+    // writers, the master sent 3 KB in that region and rank 1 101 KB.
+    let kernel = nowmp_apps::nbf::Nbf::new(2048, 16);
+    let c = costed_cfg(&kernel, 16, DataPlaneConfig::overlap()).with_adaptive(false);
+    let mut sys = OmpSystem::new(c, nowmp_apps::build_program(&[&kernel]));
+    kernel.setup(&mut sys);
+    let (net0, dsm0) = (sys.net_stats(), sys.dsm_stats());
+    // `Nbf::step`'s two regions, the first one measured.
+    let n = kernel.atoms as u64;
+    let forces = Params::new().u64(n).u64(kernel.partners as u64).build();
+    sys.parallel("nbf_forces", &forces);
+    let (net, dsm) = (sys.net_stats().since(&net0), sys.dsm_stats().since(&dsm0));
+    sys.parallel("nbf_update", &Params::new().u64(n).f64(kernel.dt).build());
+    kernel.step(&mut sys, 1);
+    assert_eq!(kernel.verify(&mut sys, 2), 0.0);
+    sys.shutdown();
+    assert_eq!(dsm.pages_fetched, 0, "a cold fault fetched a page whole");
+    let out: Vec<u64> = net.links.iter().map(|l| l.bytes_out).collect();
+    assert_eq!(out.len(), 16);
+    let mean = out.iter().sum::<u64>() as f64 / out.len() as f64;
+    for (host, &bytes) in out.iter().enumerate() {
+        assert!(
+            (bytes as f64 - mean).abs() <= 0.1 * mean,
+            "host {host} sent {bytes} B, the mean {mean:.0} B: {out:?}"
+        );
+    }
+    eprintln!("NBF/16, step 0's nbf_forces: bytes out by host {out:?}");
 }
 
 /// Six Jacobi iterations on 4 ranks with a checkpoint at the start of

@@ -132,15 +132,20 @@ impl CollectiveConfig {
 ///   sends the page instead of the chain when the page is smaller; at
 ///   a leave that moves the leaver's pages whole. Under `Demand` the
 ///   chain moves, as in 1999;
+/// * fresh pages made where they fault (gated on
+///   [`pipeline`](Self::pipeline) too) — in a team of two or more, a
+///   page allocated since the team was installed is zeros plus its
+///   writers' diffs: a fault with no copy makes the zero page and asks
+///   only the writers its notices name for their diffs, in one round,
+///   and asks nothing when it holds no notice (`ProcCore::made_here`).
+///   Its owner makes it the same way, shared, so every write to it
+///   leaves a notice;
 /// * cold fetches spread (gated on [`pipeline`](Self::pipeline) too) —
-///   a fault on a page it holds no copy of asks one of the writers
-///   tied at the newest vcsum, picked by the faulting rank, instead of
-///   the same one for every reader (`ProcCore::holder`), and the other
-///   tied writers for their diffs in the same round;
-/// * fresh runs lent at once (gated on [`pipeline`](Self::pipeline)
-///   too) — a directory owner that lends a never-materialized page to
-///   a region's fault lends the fresh pages after it with it
-///   (`ProcCore::lend_fresh`).
+///   a fault on a page allocated before the last commit that it holds
+///   no copy of asks one of the writers tied at the newest vcsum,
+///   picked by the faulting rank, instead of the same one for every
+///   reader (`ProcCore::holder`), and the other tied writers for their
+///   diffs in the same round.
 ///
 /// Under either plane a `Fork` or `BarrierRelease` carries write
 /// notices and never diffs: a reader fetches (or is pushed) the diffs

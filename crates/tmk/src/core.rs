@@ -23,6 +23,10 @@
 //! * Writes to exclusive (never-served) pages are untwinned and
 //!   unrecorded, but every copy ever served includes them — so they are
 //!   present in *all* copies, which keeps GC sound.
+//! * **F** (fresh pages): on a pipelining data plane, in a team of two
+//!   or more, no page allocated since the team was installed is ever
+//!   exclusive, so every write to one leaves a notice, and zeros plus
+//!   the diffs its notices name is the page ([`ProcCore::plan_access`]).
 //! * Stored diffs are immutable once created, and every one is created
 //!   when its interval closes.
 //! * **W** (writer push): a rank enters a page's reader set only by a
@@ -164,10 +168,6 @@ struct FetchPlan {
     diffs: Vec<(Gpid, Vec<(PageId, Seq)>)>,
 }
 
-/// The most pages a directory owner lends as zeros with one it serves
-/// ([`ProcCore::lend_fresh`]).
-pub const LEASE_PAGES: usize = 64;
-
 /// Where the diff behind an unapplied write notice will come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffSource {
@@ -268,17 +268,20 @@ pub struct ProcCore {
     /// Wakes a fault parked on an expected diff; installed by the
     /// application thread's [`crate::ctx::TmkCtx`], the only waiter.
     pub early_cv: Option<Arc<ClockCondvar>>,
+    /// The first page allocated in this epoch: the length of the
+    /// directory that installed the team ([`Self::seat`]), the same at
+    /// every member. See [`Self::made_here`].
+    fresh_from: PageId,
 }
 
-/// A `PageRep` with no acknowledgement and no lease
-/// ([`ProcCore::serve_page`] adds them).
+/// A `PageRep` with no acknowledgement ([`ProcCore::serve_page`] adds
+/// it).
 fn page_reply(applied: Vec<(Pid, Seq)>, words: Vec<u64>, redirect: Option<Gpid>) -> Msg {
     Msg::PageRep {
         applied,
         words,
         redirect,
         push_after: None,
-        fresh: 0,
     }
 }
 
@@ -307,6 +310,7 @@ impl ProcCore {
             early: HashMap::new(),
             push_after: HashMap::new(),
             early_cv: None,
+            fresh_from: 0,
         }
     }
 
@@ -330,9 +334,10 @@ impl ProcCore {
     // ------------------------------------------------------------------
 
     /// Decide how to obtain access to `page`; performs the local-only
-    /// transitions (twin creation, exclusive materialization) inline,
-    /// and plans the rest with [`Self::plan_page`], the planner a page
-    /// collection uses too. The requests are `subscribe`-marked when
+    /// transitions (twin creation, the zero page of an owner or of a
+    /// page it makes here, `made_here`) inline, and plans the rest
+    /// with [`Self::plan_page`], the planner a page collection uses
+    /// too. The requests are `subscribe`-marked when
     /// the fault is a region body's on a pipelining data plane
     /// ([`crate::ctx::TmkCtx`] decides).
     pub fn plan_access(&mut self, page: PageId, want_write: bool, subscribe: bool) -> AccessPlan {
@@ -389,15 +394,23 @@ impl ProcCore {
                     // A stale copy with nothing pending after all — promote.
                     self.pages[page].state = PageState::Read;
                     self.plan_access(page, want_write, subscribe)
-                } else if meta.data.is_none()
-                    && (meta.owner == me || meta.lease)
-                    && meta.pending.is_empty()
-                {
+                } else if meta.data.is_none() && self.made_here(page) {
+                    // Allocated this epoch, so every write to it left a
+                    // notice: it is zeros plus the diffs its notices
+                    // name. Shared, so our own writes twin.
+                    let meta = &mut self.pages[page];
+                    meta.data = Some(Arc::new(PageBuf::new(spp)));
+                    meta.shared = true;
+                    if meta.unapplied().is_empty() {
+                        return self.plan_access(page, want_write, subscribe);
+                    }
+                    let plan = self.plan_fault(page, &self.pages[page]);
+                    AccessPlan::Stale(self.requests(plan, subscribe, true))
+                } else if meta.data.is_none() && meta.owner == me && meta.pending.is_empty() {
                     // We are the directory owner of a page nobody has
-                    // materialized yet, or its owner lent it to us as
-                    // such — and nobody has written it either (no
-                    // notices): conjure the zero page (the backing
-                    // store of a fresh allocation). With notices
+                    // materialized yet, and nobody has written it
+                    // either (no notices): conjure the zero page (the
+                    // backing store of an allocation). With notices
                     // present, the writer's copy is the truth and we
                     // must fetch like anyone else.
                     let meta = &mut self.pages[page];
@@ -405,10 +418,9 @@ impl ProcCore {
                     meta.data = Some(Arc::clone(&buf));
                     meta.state = PageState::Read;
                     // Exclusive until first served — but if we already
-                    // lent zeros to someone, or hold a lent page,
-                    // copies exist out there and our writes must be
-                    // twinned and recorded.
-                    meta.shared = meta.zero_lent || meta.lease;
+                    // lent zeros to someone, copies exist out there and
+                    // our writes must be twinned and recorded.
+                    meta.shared = meta.zero_lent;
                     self.plan_access(page, want_write, subscribe)
                 } else {
                     self.fault_requests(page, meta, subscribe)
@@ -482,8 +494,27 @@ impl ProcCore {
         }
     }
 
-    /// Who to ask for a page we hold no copy of: a writer at the newest
-    /// vcsum we know of, else the directory owner. Writers tied at the
+    /// Whether a fault on `page` with no copy makes it here: the zero
+    /// page, then the diffs of the writers its notices name, asked in
+    /// one round (`whole_if_smaller` for a chain), and nothing asked
+    /// when it holds no notice. Sound for a page allocated this epoch
+    /// (at or past `fresh_from`) in a team of two or more on a
+    /// pipelining data plane, because there nobody holds it
+    /// exclusively — its owner makes it here too, shared — so every
+    /// write to it left a notice. A one-process team keeps the
+    /// owner's exclusive page, whose writes cost no twin; the commit
+    /// that grows the team moves `fresh_from` past it. The 1999 demand
+    /// plane fetches every page whole from its [`Self::holder`], as
+    /// TreadMarks did.
+    fn made_here(&self, page: PageId) -> bool {
+        page >= self.fresh_from && self.team.nprocs() >= 2 && self.cfg.dataplane.pipeline()
+    }
+
+    /// Who to ask for a page we hold no copy of and do not
+    /// [make here](Self::made_here) (one allocated before the last
+    /// commit, or any on the 1999 plane, or a page collection's): a
+    /// writer at the newest vcsum we know of, else the directory
+    /// owner. Writers tied at the
     /// newest vcsum cannot be causally ordered, so no tied writer's
     /// copy covers another's and asking any of them leaves the same
     /// diffs to fetch; when the data plane pipelines, our rank picks
@@ -712,7 +743,7 @@ impl ProcCore {
 
     /// Fold `reply`, from `from`, to a request that expects `expect` —
     /// the one place a page, diff or records reply lands: install a
-    /// missing page and the fresh run lent with it, re-aim the owner
+    /// missing page, re-aim the owner
     /// hint at a redirect's target (the fault re-plans), deposit diffs
     /// into the early-diff store (the fault applies them from there),
     /// install pages served whole instead of a chain, or apply an
@@ -743,7 +774,6 @@ impl ProcCore {
                     words,
                     redirect: None,
                     push_after,
-                    fresh,
                 },
             ) if words.len() == spp => {
                 let still_wanted = self
@@ -752,9 +782,6 @@ impl ProcCore {
                     .is_some_and(|m| m.data.is_none() && m.state == PageState::Invalid);
                 if still_wanted {
                     self.install_page(page, &applied, words, from);
-                }
-                if fresh > 0 {
-                    self.take_lease(page, fresh, from);
                 }
                 if let (Some(after), Some(server)) = (push_after, self.team.pid_of(from)) {
                     self.acknowledged(server, [page], after);
@@ -1131,57 +1158,15 @@ impl ProcCore {
     /// and the reply carries the acknowledgement.
     fn serve_page(&mut self, page: PageId, subscriber: Option<Pid>) -> Msg {
         let mut rep = self.page_rep(page);
-        let lent = self
-            .pages
-            .get(page)
-            .is_some_and(|m| m.data.is_none() && m.owner == self.gpid);
         if let Msg::PageRep {
             redirect: None,
             push_after,
-            fresh,
             ..
         } = &mut rep
         {
             *push_after = self.subscribe([page], subscriber);
-            if lent && push_after.is_some() && self.cfg.dataplane.pipeline() {
-                *fresh = self.lend_fresh(page);
-            }
         }
         rep
-    }
-
-    /// Lend, with the never-materialized `page`, the run of pages after
-    /// it that we own and that nobody has materialized or, as far as we
-    /// know, written: at most [`LEASE_PAGES`]. The requester makes them
-    /// locally instead of asking for each (a region's first touch of a
-    /// fresh allocation is one request per run, not per page); each is
-    /// marked lent, so a copy we make later records its writes.
-    fn lend_fresh(&mut self, page: PageId) -> u32 {
-        let mut fresh = 0;
-        while (fresh as usize) < LEASE_PAGES {
-            let Some(meta) = self.pages.get_mut(page + 1 + fresh) else {
-                break;
-            };
-            if meta.owner != self.gpid || meta.data.is_some() || !meta.pending.is_empty() {
-                break;
-            }
-            meta.zero_lent = true;
-            fresh += 1;
-        }
-        fresh
-    }
-
-    /// Take the `fresh` pages after `page` that `owner` lent as zeros
-    /// with it ([`Self::lend_fresh`]): a later fault on one with no
-    /// notice makes it here.
-    fn take_lease(&mut self, page: PageId, fresh: u32, owner: Gpid) {
-        self.ensure_pages((page + fresh) as usize + 1);
-        for q in page + 1..=page + fresh {
-            let meta = &mut self.pages[q];
-            if meta.data.is_none() && meta.owner == owner {
-                meta.lease = true;
-            }
-        }
     }
 
     /// The page as [`Self::serve_page`] serves it, before any
@@ -1427,7 +1412,7 @@ impl ProcCore {
         self.records.clear();
         self.unsent.clear();
         self.locks.clear();
-        self.seat(team, my_pid);
+        self.seat(team, my_pid, dir);
         // Everything the push plane keys by pid or seq is per-epoch
         // state the commit just wiped; what the store still holds was
         // pushed for nothing.
@@ -1440,17 +1425,22 @@ impl ProcCore {
         DsmStats::bump(&self.stats.gcs);
     }
 
-    /// Seat us at rank `my_pid` of `team` with a fresh clock: what
-    /// founding a team, joining one and a commit share.
-    fn seat(&mut self, team: Team, my_pid: Pid) {
+    /// Seat us at rank `my_pid` of `team` with a fresh clock, under
+    /// the page directory `dir` that installs it: what founding a
+    /// team, joining one and a commit share. `dir` covers every page
+    /// allocated so far, so the pages past it are this epoch's
+    /// ([`Self::made_here`]).
+    fn seat(&mut self, team: Team, my_pid: Pid, dir: &[Gpid]) {
         self.vc = Vc::new(team.nprocs());
         self.team = team;
         self.my_pid = my_pid;
+        self.fresh_from = dir.len() as PageId;
     }
 
-    /// At the master: found `team`, epoch 0, with us at rank 0.
-    pub fn found_team(&mut self, team: Team) {
-        self.seat(team, 0);
+    /// At the master: found `team`, epoch 0, with us at rank 0, under
+    /// the page directory `dir` the `JoinInit` hands the workers.
+    pub fn found_team(&mut self, team: Team, dir: &[Gpid]) {
+        self.seat(team, 0, dir);
     }
 
     /// At a joiner: take the seat at `my_pid` of the `team` a
@@ -1468,7 +1458,7 @@ impl ProcCore {
         self.registry = Registry::new();
         self.merge_registry(registry, alloc_slots);
         self.ensure_pages(dir.len());
-        self.seat(team, my_pid);
+        self.seat(team, my_pid, dir);
         for ((_, meta), owner) in self.pages.iter_mut().zip(dir) {
             meta.owner = *owner;
             meta.shared = true;
@@ -1799,6 +1789,7 @@ mod tests {
         two_proc_team(&mut c, 1); // we are pid 1; gpid(pid 0) == Gpid(1)
         c.my_pid = 1;
         c.gpid = Gpid(2);
+        c.fresh_from = 6; // page 5 was allocated before the last commit
         let mut vc = Vc::new(2);
         vc.set(0, 3);
         c.apply_records(&[Record {
@@ -2146,57 +2137,6 @@ mod tests {
     }
 
     #[test]
-    fn an_owner_lends_the_fresh_run_after_a_page_it_serves() {
-        let mut c = team_core(2, 0);
-        c.ensure_pages(8);
-        // We materialize page 5: the run lent with page 1 stops there.
-        let _ = c.plan_access(5, true, false);
-        let Msg::PageRep {
-            push_after, fresh, ..
-        } = c.serve_page(1, Some(1))
-        else {
-            panic!("a page reply")
-        };
-        assert!(push_after.is_some());
-        assert_eq!(fresh, 3, "pages 2, 3 and 4");
-        assert!((1..=4).all(|p| c.pages[p].zero_lent));
-        assert!(!c.pages[6].zero_lent);
-        // An unsubscribed request (the master's sequential phase, a
-        // collection) takes no lease.
-        let Msg::PageRep { fresh, .. } = c.serve_page(6, None) else {
-            panic!("a page reply")
-        };
-        assert_eq!(fresh, 0);
-        // Nor does the 1999 demand plane.
-        let mut c = team_core(2, 0);
-        c.cfg = c.cfg.clone().generation_1999();
-        c.ensure_pages(4);
-        let Msg::PageRep { fresh, .. } = c.serve_page(1, Some(1)) else {
-            panic!("a page reply")
-        };
-        assert_eq!(fresh, 0);
-    }
-
-    #[test]
-    fn a_lent_page_is_made_locally_and_records_its_writes() {
-        let mut c = team_core(2, 1);
-        let owner = c.team.gpid(0);
-        c.default_owner = owner;
-        c.take_lease(0, 2, owner);
-        // Page 1 has no notice: made here with no request, and shared,
-        // so its writes twin and reach the others as a diff.
-        let AccessPlan::Ready { writable, .. } = c.plan_access(1, true, false) else {
-            panic!("a lent page needs no request")
-        };
-        assert!(writable);
-        assert!(c.pages[1].twin.is_some());
-        // Page 2 has a notice, and page 3 was not lent: both are asked.
-        notice(&mut c, 0, 1, 2);
-        assert!(fetch_plan(c.plan_access(2, false, false)).is_ok());
-        assert!(fetch_plan(c.plan_access(3, false, false)).is_ok());
-    }
-
-    #[test]
     fn a_copy_with_an_unapplied_notice_is_never_served_whole() {
         let mut c = team_core(2, 0);
         for v in 1..=3 {
@@ -2493,6 +2433,7 @@ mod tests {
         // page whole with a marked `PageReq`.
         let mut r = team_core(2, 0);
         r.default_owner = w.gpid;
+        r.fresh_from = 1; // page 0 was allocated before the last commit
         let Ok(plan) = fetch_plan(r.plan_access(0, false, false)) else {
             panic!("no copy yet")
         };
@@ -2655,7 +2596,7 @@ mod tests {
     // --- a rejected reply leaves the core unchanged ------------------------
 
     /// What a rejected fold must not touch: every page's owner hint and
-    /// lease, the early-diff store, and the acknowledgements.
+    /// copy, the early-diff store, and the acknowledgements.
     fn exchange_state(
         c: &ProcCore,
     ) -> (
@@ -2663,7 +2604,11 @@ mod tests {
         Vec<(PageId, Pid, Seq)>,
         Vec<(PageId, Pid, Seq)>,
     ) {
-        let hints = c.pages.iter().map(|(_, m)| (m.owner, m.lease)).collect();
+        let hints = c
+            .pages
+            .iter()
+            .map(|(_, m)| (m.owner, m.data.is_some()))
+            .collect();
         let mut early: Vec<_> = c
             .early
             .iter()
@@ -2677,23 +2622,24 @@ mod tests {
 
     #[test]
     fn a_rejected_reply_leaves_the_core_unchanged() {
-        // Rank 2 of 3, whose pages rank 0 owns.
+        // Rank 2 of 3, whose pages, all allocated before the last
+        // commit, rank 0 owns.
         let mut c = team_core(3, 2);
         c.default_owner = Gpid(1);
-        let page_rep = |push_after, fresh| Msg::PageRep {
+        c.fresh_from = 8;
+        let page_rep = |push_after| Msg::PageRep {
             applied: vec![],
             words: vec![0; 8],
             redirect: None,
             push_after,
-            fresh,
         };
-        // Page 1 came from rank 0 with an acknowledgement and a lease of
-        // pages 2 and 3; rank 1 then wrote it, so it is stale.
+        // Page 1 came from rank 0 with an acknowledgement; rank 1 then
+        // wrote it, so it is stale.
         let AccessPlan::Missing(requests) = c.plan_access(1, false, true) else {
             panic!("no copy yet")
         };
         let (from, _, expect) = requests[0].clone();
-        c.fold(expect, from, page_rep(Some(0), 2)).unwrap();
+        c.fold(expect, from, page_rep(Some(0))).unwrap();
         notice(&mut c, 1, 1, 1);
         let AccessPlan::Stale(requests) = c.plan_access(1, false, false) else {
             panic!("a stale copy")
@@ -2709,14 +2655,13 @@ mod tests {
         };
         c.deposit_push(0, Gpid(2), vec![(4, 1, Arc::new(word(0, 1)))]);
         let before = exchange_state(&c);
-        assert!(before.0[2].1 && !before.1.is_empty() && !before.2.is_empty());
+        assert!(before.0[1].1 && !before.1.is_empty() && !before.2.is_empty());
 
         let ourselves = Msg::PageRep {
             applied: vec![],
             words: vec![],
             redirect: Some(c.gpid),
             push_after: None,
-            fresh: 0,
         };
         let rejected = c.fold(full, Gpid(1), ourselves).unwrap_err();
         assert!(matches!(rejected, Rejected::RedirectToSelf(0)));
@@ -2727,7 +2672,7 @@ mod tests {
         assert!(matches!(rejected, Rejected::Unexpected(..)), "{rejected}");
         assert_eq!(exchange_state(&c), before);
 
-        let rejected = c.fold(diffs, Gpid(2), page_rep(Some(0), 5)).unwrap_err();
+        let rejected = c.fold(diffs, Gpid(2), page_rep(Some(0))).unwrap_err();
         assert!(matches!(rejected, Rejected::Unexpected(..)), "{rejected}");
         assert_eq!(exchange_state(&c), before);
         assert_eq!(c.pages[1].state, PageState::Invalid);
@@ -2739,7 +2684,6 @@ mod tests {
             words: vec![0; 7],
             redirect: None,
             push_after: Some(0),
-            fresh: 5,
         };
         assert!(c.fold(full, Gpid(1), short).is_err());
         let short = Msg::DiffRep {
@@ -2759,7 +2703,7 @@ mod tests {
         assert!(c.plan_acquire(None).is_none() && c.plan_acquire(Some(c.gpid)).is_none());
         let (to, _, records) = c.plan_acquire(Some(Gpid(2))).unwrap();
         assert_eq!(to, Gpid(2));
-        let rejected = c.fold(records, Gpid(2), page_rep(None, 0)).unwrap_err();
+        let rejected = c.fold(records, Gpid(2), page_rep(None)).unwrap_err();
         assert!(rejected
             .to_string()
             .starts_with("unexpected reply to RecordsReq"));
@@ -2779,16 +2723,17 @@ mod tests {
     }
 
     impl Trio {
-        /// The team founded at rank 0 and joined at ranks 1 and 2, with
-        /// `hint` as rank 2's directory entry for every page (rank 1's
-        /// and rank 0's name rank 0).
+        /// The team founded at rank 0 and joined at ranks 1 and 2 under
+        /// a directory of `pages` pages, so those were allocated before
+        /// it and the ones after it since. `hint` is rank 2's directory
+        /// entry for every page (rank 1's and rank 0's name rank 0).
         fn new(cfg: &DsmConfig, pages: usize, hint: impl Fn(PageId) -> Gpid) -> Self {
             let team = Team::new(0, vec![Gpid(1), Gpid(2), Gpid(3)]);
             let mut cores: Vec<ProcCore> = (1..=3)
                 .map(|g| ProcCore::new(cfg.clone(), Gpid(g), DsmStats::new_shared(), Gpid(1)))
                 .collect();
-            cores[0].found_team(team.clone());
             let dir = vec![Gpid(1); pages];
+            cores[0].found_team(team.clone(), &dir);
             cores[1].join_team(team.clone(), 1, &dir, &[], 0);
             let dir: Vec<Gpid> = (0..pages as PageId).map(hint).collect();
             cores[2].join_team(team, 2, &dir, &[], 0);
@@ -2914,6 +2859,131 @@ mod tests {
                 assert_eq!(t.words(2, c), t.words(1, c));
                 assert_eq!(t.words(2, c)[5], 25);
             }
+        }
+    }
+
+    #[test]
+    fn a_page_allocated_this_epoch_is_zeros_plus_its_writers_diffs() {
+        use crate::config::DataPlaneConfig;
+        // Founding, joining and a commit under one directory of three
+        // pages: every member takes page 3 on as this epoch's.
+        let team = |epoch| Team::new(epoch, vec![Gpid(1), Gpid(2), Gpid(3)]);
+        let dir = vec![Gpid(1); 3];
+        let new = |cfg: DsmConfig, g| ProcCore::new(cfg, Gpid(g), DsmStats::new_shared(), Gpid(1));
+        let mut cores: Vec<ProcCore> = (1..=3).map(|g| new(DsmConfig::default(), g)).collect();
+        cores[0].found_team(team(0), &dir);
+        cores[1].join_team(team(0), 1, &dir, &[], 0);
+        cores[2].gc_commit(1, team(1), 2, &dir, &[]);
+        for c in &cores {
+            assert_eq!(c.fresh_from, 3);
+            assert!(!c.made_here(2) && c.made_here(3));
+        }
+        // Only in a team of two or more, and not on the 1999 pin.
+        let mut alone = new(DsmConfig::default(), 1);
+        alone.found_team(Team::new(0, vec![Gpid(1)]), &[]);
+        cores[2].cfg = DsmConfig::default().generation_1999();
+        assert!(!alone.made_here(0) && !cores[2].made_here(3));
+
+        // In a team of two, the owner's write to a fresh page records a
+        // notice; on the 1999 pin it stays exclusive and records none.
+        for (cfg, recorded) in [
+            (DsmConfig::default(), Some(vec![0])),
+            (DsmConfig::default().generation_1999(), None),
+        ] {
+            let mut c = new(cfg, 1);
+            c.found_team(Team::new(0, vec![Gpid(1), Gpid(2)]), &[]);
+            let AccessPlan::Ready { buf, .. } = c.plan_access(0, true, false) else {
+                panic!("the owner makes its page with no request")
+            };
+            buf.store(0, 5);
+            assert_eq!(c.close_interval().map(|r| r.pages), recorded);
+        }
+
+        // Page 1 was allocated before the team, 2–5 since. Ranks 0 and
+        // 1 write different words of page 2, rank 1 writes page 3
+        // whole twice and page 1 once; page 4 is never written.
+        for plane in [DataPlaneConfig::Overlap, DataPlaneConfig::Demand] {
+            let cfg = DsmConfig::default().with_dataplane(plane);
+            let spp = cfg.slots_per_page();
+            let (old, shared, chain, untouched) = (1, 2, 3, 4);
+            let mut t = Trio::new(&cfg, 2, |_| Gpid(1));
+            t.access(0, shared, true).store(0, 7);
+            t.access(1, shared, true).store(1, 8);
+            // Both first touches were made where they ran.
+            let pipelines = plane.pipeline();
+            assert_eq!(t.log.is_empty(), pipelines, "{plane:?}: {:?}", t.log);
+            t.access(1, old, true).store(2, 9);
+            for v in [10, 20] {
+                let c_buf = t.access(1, chain, true);
+                (0..spp).for_each(|i| c_buf.store(i, v + i as u64));
+                (0..3).for_each(|rank| t.release(rank));
+            }
+
+            let reader = &mut t.cores[2];
+            let AccessPlan::Stale(requests) = reader.plan_access(shared, false, true) else {
+                assert!(!pipelines, "a fresh page is made here");
+                continue;
+            };
+            // The writers its notices name, each for its diff, marked.
+            let asked: Vec<_> = requests
+                .iter()
+                .map(|(to, msg, _)| match msg {
+                    Msg::DiffReq {
+                        wants, subscribe, ..
+                    } => (*to, wants.clone(), *subscribe),
+                    other => panic!("a fresh page asks for diffs only, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                asked,
+                [
+                    (Gpid(1), vec![(shared, 1)], true),
+                    (Gpid(2), vec![(shared, 1)], true)
+                ]
+            );
+            t.exchange(2, requests);
+            t.cores[2].apply_diffs(shared);
+            let mut want = vec![0; spp];
+            (want[0], want[1]) = (7, 8);
+            assert_eq!(t.words(2, shared), want);
+
+            // A chain is asked `whole_if_smaller`, and comes whole.
+            let AccessPlan::Stale(requests) = t.cores[2].plan_access(chain, false, false) else {
+                panic!("rank 1's chain is asked for")
+            };
+            let [(
+                Gpid(2),
+                Msg::DiffReq {
+                    whole_if_smaller: true,
+                    ..
+                },
+                _,
+            )] = requests[..]
+            else {
+                panic!("one marked DiffReq to rank 1, got {requests:?}")
+            };
+            t.exchange(2, requests);
+            assert_eq!(t.cores[2].stats.snapshot().gc_whole_pages, 1);
+            t.access(2, chain, false);
+            assert_eq!(t.words(2, chain), t.words(1, chain));
+
+            // No notice, no request.
+            t.log.clear();
+            assert!(t
+                .access(2, untouched, false)
+                .snapshot()
+                .iter()
+                .all(|&w| w == 0));
+            assert!(t.log.is_empty());
+            // A page allocated before the team is fetched whole from its
+            // writer.
+            let Ok(plan) = fetch_plan(t.cores[2].plan_access(old, false, false)) else {
+                panic!("no copy yet")
+            };
+            assert_eq!((plan.fulls, plan.diffs), (vec![(old, Gpid(2))], vec![]));
+            t.access(2, old, false);
+            assert_eq!(t.words(2, old)[2], 9);
+            assert_eq!(t.cores[2].stats.snapshot().pages_fetched, 2);
         }
     }
 }

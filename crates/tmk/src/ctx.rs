@@ -1122,7 +1122,9 @@ mod tests {
             Stats::new_shared(),
             gpid,
         );
-        pc.found_team(Team::new(0, vec![gpid, writer]));
+        // Page 0 was allocated before the team was founded, so a fault
+        // with no copy fetches it whole.
+        pc.found_team(Team::new(0, vec![gpid, writer]), &[gpid]);
         for seq in 1..=2 {
             let mut vc = Vc::new(2);
             vc.set(1, seq);
@@ -1155,7 +1157,6 @@ mod tests {
             words: vec![0; 8],
             redirect: None,
             push_after: Some(0),
-            fresh: 0,
         };
         pc.fold(*expect, *dst, rep).unwrap();
         pc.deposit_push(
@@ -1340,7 +1341,6 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
-                fresh: 0,
             },
         );
         page_server(
@@ -1350,7 +1350,6 @@ mod tests {
                 words: vec![42; 8],
                 redirect: None,
                 push_after: None,
-                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1379,7 +1378,6 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
-                fresh: 0,
             },
         );
         page_server(
@@ -1389,7 +1387,6 @@ mod tests {
                 words: vec![],
                 redirect: Some(bg),
                 push_after: None,
-                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);
@@ -1411,7 +1408,6 @@ mod tests {
                 words: vec![],
                 redirect: Some(ctx.gpid()),
                 push_after: None,
-                fresh: 0,
             },
         );
         let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.read_u64(0)));
@@ -1438,7 +1434,6 @@ mod tests {
                 words: vec![],
                 redirect: Some(cg),
                 push_after: None,
-                fresh: 0,
             },
         );
         let holder = page_server(
@@ -1448,7 +1443,6 @@ mod tests {
                 words: vec![42; 8],
                 redirect: None,
                 push_after: None,
-                fresh: 0,
             },
         );
         let mut ctx = make_ctx_with_owner_hint(&net, bg);

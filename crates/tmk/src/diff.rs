@@ -269,6 +269,15 @@ impl Wire for Diff {
         }
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Self::dec_bounded(d, usize::MAX)
+    }
+}
+
+impl Diff {
+    /// Decode one diff of a page of `slots` words: a run that reaches
+    /// past the page is an error, so no diff a peer sends can address
+    /// a word the page does not have.
+    pub(crate) fn dec_bounded(d: &mut Dec<'_>, slots: usize) -> Result<Self, WireError> {
         let n = d.get_u32()? as usize;
         if n > d.remaining().saturating_add(1) {
             return Err(WireError::BadLength {
@@ -285,6 +294,13 @@ impl Wire for Diff {
         for i in 0..n {
             let start = d.get_u32()?;
             let len = d.get_u32()? as usize;
+            let end = start as usize + len;
+            if end > slots {
+                return Err(WireError::BadLength {
+                    what: "diff run end",
+                    len: end,
+                });
+            }
             buf[i] = desc(start, len as u32);
             d.get_u64_words_into(&mut buf, len)?;
         }

@@ -395,12 +395,6 @@ pub enum Msg {
         /// unmarked request's reply and on a redirect, which
         /// subscribes nobody.
         push_after: Option<Seq>,
-        /// With a page its directory owner lends as zeros to a
-        /// subscribing request: how many of the pages after it the owner
-        /// lends with it, each owned by it and never materialized
-        /// anywhere (`PageMeta::lease`). A trailing `u32` after
-        /// `push_after`, absent when 0.
-        fresh: u32,
     },
     /// Diff reply: `(page, seq, diff)` triples.
     DiffRep {
@@ -639,10 +633,12 @@ fn enc_diffs<D: std::borrow::Borrow<Diff>>(diffs: &[(PageId, Seq, D)], e: &mut E
     }
 }
 
-/// Decode what [`enc_diffs`] wrote, wrapping each diff with `own`.
+/// Decode what [`enc_diffs`] wrote, each diff of a page of at most
+/// `max_words` words, wrapping each with `own`.
 fn dec_diffs<D>(
     d: &mut Dec<'_>,
     what: &'static str,
+    max_words: usize,
     own: impl Fn(Diff) -> D,
 ) -> Result<Vec<(PageId, Seq, D)>, WireError> {
     let n = d.get_u32()? as usize;
@@ -651,7 +647,11 @@ fn dec_diffs<D>(
     }
     let mut diffs = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        diffs.push((d.get_u32()?, d.get_u32()?, own(Diff::dec(d)?)));
+        diffs.push((
+            d.get_u32()?,
+            d.get_u32()?,
+            own(Diff::dec_bounded(d, max_words)?),
+        ));
     }
     Ok(diffs)
 }
@@ -747,7 +747,6 @@ impl Wire for Msg {
                 words,
                 redirect,
                 push_after,
-                fresh,
             } => {
                 e.put_u8(PAGE_REP);
                 enc_applied(applied, e);
@@ -755,9 +754,6 @@ impl Wire for Msg {
                 redirect.enc(e);
                 if let Some(seq) = push_after {
                     e.put_u32(*seq);
-                    if *fresh > 0 {
-                        e.put_u32(*fresh);
-                    }
                 }
             }
             Msg::DiffRep {
@@ -934,28 +930,17 @@ impl Msg {
             },
             DIFF_PUSH => Msg::DiffPush {
                 epoch: d.get_u32()?,
-                diffs: dec_diffs(d, "DiffPush", Arc::new)?,
+                diffs: dec_diffs(d, "DiffPush", max_words, Arc::new)?,
             },
             ACK => Msg::Ack,
-            PAGE_REP => {
-                let applied = dec_applied(d)?;
-                let words = dec_page_words(d, max_words)?;
-                let redirect = Option::<Gpid>::dec(d)?;
-                let push_after = dec_push_after(d)?;
-                let fresh = match push_after {
-                    Some(_) => dec_push_after(d)?.unwrap_or(0),
-                    None => 0,
-                };
-                Msg::PageRep {
-                    applied,
-                    words,
-                    redirect,
-                    push_after,
-                    fresh,
-                }
-            }
+            PAGE_REP => Msg::PageRep {
+                applied: dec_applied(d)?,
+                words: dec_page_words(d, max_words)?,
+                redirect: Option::<Gpid>::dec(d)?,
+                push_after: dec_push_after(d)?,
+            },
             DIFF_REP => Msg::DiffRep {
-                diffs: dec_diffs(d, "DiffRep", |diff| diff)?,
+                diffs: dec_diffs(d, "DiffRep", max_words, |diff| diff)?,
                 pages: if d.is_done() {
                     Vec::new()
                 } else {
@@ -1057,8 +1042,8 @@ impl Msg {
     }
 
     /// Decode a whole message as a process of `cfg` receives it: a page
-    /// payload longer than `cfg`'s page is an error, as are trailing
-    /// bytes. Both wire forms decode under either generation.
+    /// payload longer than `cfg`'s page is an error, as are a diff run
+    /// that reaches past it and trailing bytes. Both wire forms decode under either generation.
     pub fn decode(buf: &[u8], cfg: &DsmConfig) -> Result<Msg, WireError> {
         let mut d = Dec::new(buf);
         let msg = Msg::dec_bounded(&mut d, cfg.slots_per_page())?;
@@ -1180,21 +1165,18 @@ mod tests {
                 words: vec![1, 2, 3],
                 redirect: None,
                 push_after: None,
-                fresh: 0,
             },
             Msg::PageRep {
                 applied: vec![(0, 2), (1, 4)],
                 words: vec![1, 2, 3],
                 redirect: None,
                 push_after: Some(4),
-                fresh: 0,
             },
             Msg::PageRep {
                 applied: vec![],
                 words: vec![],
                 redirect: Some(Gpid(4)),
                 push_after: None,
-                fresh: 0,
             },
             Msg::DiffRep {
                 diffs: vec![(7, 2, Diff::of_run(1, &[42]))],
@@ -1458,7 +1440,6 @@ mod tests {
         None::<Gpid>.enc(&mut legacy);
         let legacy = legacy.finish();
         let rep = |push_after| Msg::PageRep {
-            fresh: 0,
             applied: vec![(1, 4)],
             words: vec![7, 8],
             redirect: None,
@@ -1507,7 +1488,6 @@ mod tests {
             words: vec![0; DsmConfig::default_4k().slots_per_page()],
             redirect: None,
             push_after: None,
-            fresh: 0,
         }
     }
 
@@ -1576,6 +1556,47 @@ mod tests {
         assert!(Msg::decode(&e.finish(), &cfg).is_err());
     }
 
+    #[test]
+    fn a_diff_run_past_the_page_is_an_error() {
+        let cfg = DsmConfig::default_4k();
+        let spp = cfg.slots_per_page() as u32;
+        let diffs = |start: u32, len: usize| vec![(3, 1, Diff::of_run(start, &vec![7; len]))];
+        for (start, len, fits) in [
+            (spp - 2, 2, true),
+            (spp - 2, 3, false),
+            (spp + 92, 1, false),
+        ] {
+            let rep = Msg::DiffRep {
+                diffs: diffs(start, len),
+                pages: vec![],
+                push_after: None,
+            };
+            let push = Msg::DiffPush {
+                epoch: 0,
+                diffs: diffs(start, len)
+                    .into_iter()
+                    .map(|(p, s, d)| (p, s, Arc::new(d)))
+                    .collect(),
+            };
+            for msg in [rep, push] {
+                let got = Msg::decode(&msg.encode(&cfg), &cfg);
+                match fits {
+                    true => assert_eq!(got.unwrap(), msg),
+                    false => assert!(
+                        matches!(
+                            got,
+                            Err(WireError::BadLength {
+                                what: "diff run end",
+                                ..
+                            })
+                        ),
+                        "{start}+{len}: {got:?}"
+                    ),
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Sparse and dense pages round-trip through both forms of a
         /// `PageRep` and of a `DiffRep`'s whole page.
@@ -1598,7 +1619,6 @@ mod tests {
                     words: words.clone(),
                     redirect: None,
                     push_after: Some(2),
-                    fresh: 0,
                 },
                 Msg::DiffRep {
                     diffs: vec![],

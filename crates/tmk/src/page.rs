@@ -144,11 +144,6 @@ pub struct PageMeta {
     /// We served this never-materialized page as zeros without keeping
     /// a copy; a later local materialization must not be exclusive.
     pub zero_lent: bool,
-    /// Its owner lent it to us as zeros, never materialized anywhere,
-    /// together with a page we asked for ([`crate::msg::Msg::PageRep`]'s
-    /// `fresh`): until the next commit we make it locally, with no
-    /// request, as its owner would.
-    pub lease: bool,
 }
 
 impl PageMeta {
@@ -164,7 +159,6 @@ impl PageMeta {
             shared: false,
             dirty: false,
             zero_lent: false,
-            lease: false,
         }
     }
 

@@ -389,7 +389,6 @@ mod tests {
             words: Vec::new(),
             redirect: None,
             push_after: None,
-            fresh: 0,
         };
         let mut retired = Msg::JoinArrive {
             epoch: 0,
@@ -408,7 +407,6 @@ mod tests {
                 words,
                 redirect: None,
                 push_after: None,
-                fresh: 0,
             }
             .to_bytes()
         };
@@ -427,6 +425,48 @@ mod tests {
         // Served in arrival order, so this answer comes after all six.
         fetch();
         assert_eq!(dropped(), 6);
+    }
+
+    #[test]
+    fn a_diff_run_past_the_page_is_dropped_and_counted() {
+        use crate::records::Record;
+        use crate::types::{Team, Vc};
+        let net = Network::new(2, NetModel::disabled());
+        let (_ep_a, core_a, _rx_a, gpid_a) = spawn_proc(&net, 0);
+        let (ep_b, _core_b, _rx_b, _g) = spawn_proc(&net, 1);
+        // A holds a copy of page 0 (8 words) that lacks B's interval 1.
+        {
+            let mut c = core_a.lock();
+            c.team = Team::new(0, vec![gpid_a, ep_b.gpid()]);
+            c.vc = Vc::new(2);
+            let _ = c.plan_access(0, false, false);
+            let mut vc = Vc::new(2);
+            vc.set(1, 1);
+            let rec = Record {
+                pid: 1,
+                seq: 1,
+                vc: vc.clone(),
+                pages: vec![0],
+            };
+            c.learn(&vc, &[rec]);
+        }
+        // B pushes that interval's diff, naming word 100 of the page.
+        let diff = Arc::new(crate::diff::Diff::of_run(100, &[7]));
+        let push = Msg::DiffPush {
+            epoch: 0,
+            diffs: vec![(0, 1, diff)],
+        };
+        ep_b.send(gpid_a, push.to_bytes()).unwrap();
+        // Served in arrival order, so this answer comes after the push.
+        let timeout = std::time::Duration::from_secs(10);
+        ep_b.call_deadline(gpid_a, page_req(0, false), timeout)
+            .unwrap();
+        // Nothing was deposited, so applying the page's diffs writes no
+        // word past it: the page stays stale.
+        let mut c = core_a.lock();
+        c.apply_diffs(0);
+        assert_eq!(c.pages[0].state, crate::page::PageState::Invalid);
+        assert_eq!(c.stats.snapshot().malformed_dropped, 1);
     }
 
     #[test]

@@ -81,9 +81,10 @@ counters! {
     /// Always 0; kept because the `benchmark/` harness reads it (the
     /// pages a leave completes count in `gc_fetch_pages`).
     leave_pages_moved,
-    /// Pages a creator served whole to a page collection (a GC
-    /// completion) because its diff chain was larger (installed by the
-    /// fetcher).
+    /// Pages a creator served whole because their diff chain was
+    /// larger, to a page collection (a GC completion) or to a
+    /// current-generation fault on a page allocated this epoch
+    /// (installed by the fetcher; counted in `pages_fetched` too).
     gc_whole_pages,
     /// Always 0; kept because the `benchmark/` harness reads it.
     prefetch_issued,

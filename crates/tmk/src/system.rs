@@ -681,7 +681,7 @@ impl MasterCtl {
         members.extend_from_slice(workers);
         let team = Team::new(0, members);
         self.dir = vec![self.gpid(); self.allocator.allocated_pages()];
-        self.core.lock().found_team(team.clone());
+        self.core.lock().found_team(team.clone(), &self.dir);
         let registry = self.core.lock().registry.full();
         let alloc_slots = self.allocator.allocated_slots();
         self.sent_reg_ver = registry.iter().map(|e| e.ver).max().unwrap_or(0);

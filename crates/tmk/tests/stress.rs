@@ -229,16 +229,12 @@ proptest! {
         words in proptest::collection::vec(any::<u64>(), 0..64),
         redirect in proptest::option::of(any::<u32>()),
         push_after in proptest::option::of(any::<u32>()),
-        fresh in 0u32..4,
     ) {
-        // A lease rides only with an acknowledgement.
-        let fresh = if push_after.is_some() { fresh } else { 0 };
         let m = Msg::PageRep {
             applied,
             words,
             redirect: redirect.map(Gpid),
             push_after,
-            fresh,
         };
         let b = m.to_bytes();
         prop_assert_eq!(Msg::from_wire(&b).unwrap(), m);
