@@ -651,15 +651,20 @@ impl Cluster {
 
     /// Enable or disable adaptivity (the OpenMP dynamic-adjustment
     /// switch, §4.4). While disabled, adapt events queue but never take
-    /// effect.
+    /// effect; a garbage collection still runs when one is due.
     pub fn set_adaptive(&mut self, on: bool) {
         self.cfg.adaptive = on;
     }
 
     /// Process pending adapt events (the paper's adaptation point,
-    /// between `Tmk_join` and the next `Tmk_fork`).
+    /// between `Tmk_join` and the next `Tmk_fork`). With the switch off
+    /// the events stay queued, but a due collection runs anyway: diffs
+    /// pile up at their writers whether or not the team may change.
     pub fn adaptation_point(&mut self) {
         if !self.cfg.adaptive {
+            if self.master.gc_due() {
+                self.collect_garbage();
+            }
             return;
         }
         // Joins whose processes have announced readiness.
@@ -720,13 +725,19 @@ impl Cluster {
         (bytes, self.clock().elapsed_since(t0))
     }
 
+    /// Garbage-collect with the team unchanged: a new epoch, every
+    /// stored diff and write notice freed.
+    fn collect_garbage(&mut self) {
+        let outcome = self.master.run_gc(&HashSet::new());
+        let members = self.master.team().members.clone();
+        self.master.commit_team(members, &outcome);
+    }
+
     /// Write a checkpoint immediately (the caller is at an adaptation
     /// point by construction — between `parallel` calls).
     pub fn checkpoint_now(&mut self) {
         // GC first, as §4.3 prescribes.
-        let outcome = self.master.run_gc(&HashSet::new());
-        let members = self.master.team().members.clone();
-        self.master.commit_team(members, &outcome);
+        self.collect_garbage();
         let (bytes, took) = self.write_image();
         let fork_no = self.master.fork_no();
         self.shared

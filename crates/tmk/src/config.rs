@@ -190,9 +190,13 @@ impl DataPlaneConfig {
 pub struct DsmConfig {
     /// Page size in bytes (power of two, ≥ 64; paper/TreadMarks: 4096).
     pub page_size: usize,
-    /// Bytes of stored diff data that trigger a garbage collection at
-    /// the next adaptation point (TreadMarks GCs when consistency
-    /// memory is exhausted).
+    /// Diff bytes any one process may store before a garbage collection
+    /// runs at the next fork, whether or not the OpenMP dynamic switch
+    /// lets the team change (TreadMarks collects when any processor's
+    /// consistency memory runs low). The budget is per process: the
+    /// master counts its own diffs exactly and bounds every other
+    /// rank's from the write notices it holds, one page per notice, so
+    /// a rank writing sparse diffs is collected early.
     pub gc_diff_threshold: usize,
     /// Deadline for any single protocol request (turns protocol
     /// deadlocks into errors instead of hangs).

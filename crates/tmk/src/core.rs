@@ -1473,9 +1473,19 @@ impl ProcCore {
         self.ensure_pages((alloc_slots as usize).div_ceil(spp));
     }
 
-    /// Does stored consistency data exceed the GC threshold?
+    /// Does any rank's stored diff data exceed the GC threshold?
+    /// TreadMarks collects when any processor runs low. Ours is counted
+    /// exactly; every other rank's is bounded by the write notices we
+    /// hold, which at the master, after a join, are all of this epoch's:
+    /// each page a record names is one diff stored at its writer, at
+    /// most a page long (a sparse diff counts whole).
     pub fn gc_due(&self) -> bool {
-        self.consistency_bytes > self.cfg.gc_diff_threshold
+        let budget = self.cfg.gc_diff_threshold;
+        let mut notice_bytes = vec![0; self.team.nprocs()];
+        for rec in self.records.all().iter().filter(|r| r.pid != self.my_pid) {
+            notice_bytes[rec.pid as usize] += rec.pages.len() * self.cfg.page_size;
+        }
+        self.consistency_bytes > budget || notice_bytes.iter().any(|&b| b > budget)
     }
 
     // ------------------------------------------------------------------
@@ -2543,6 +2553,37 @@ mod tests {
         assert!(!c.gc_due());
         c.consistency_bytes = 11;
         assert!(c.gc_due());
+    }
+
+    #[test]
+    fn a_workers_notices_trigger_the_masters_gc() {
+        // A master that stores no diff of its own learns that rank 1
+        // wrote one page more than the budget holds, over two
+        // intervals: each named page is a diff stored at rank 1.
+        let mut c = team_core(2, 0);
+        let page = c.cfg.page_size;
+        c.cfg.gc_diff_threshold = 4 * page;
+        let rec = |seq: Seq, pages: Vec<PageId>| {
+            let mut vc = Vc::new(2);
+            vc.set(1, seq);
+            Record {
+                pid: 1,
+                seq,
+                vc,
+                pages,
+            }
+        };
+        c.learn(&Vc::new(2), &[rec(1, vec![0, 1, 2])]);
+        assert!(!c.gc_due(), "3 pages of notices fit a 4-page budget");
+        // A record learned twice counts once.
+        c.learn(&Vc::new(2), &[rec(1, vec![0, 1, 2])]);
+        assert!(!c.gc_due());
+        c.learn(&Vc::new(2), &[rec(2, vec![3, 4])]);
+        assert_eq!(c.consistency_bytes, 0, "the master made no diff");
+        assert!(c.gc_due(), "5 pages of rank 1's diffs pass the budget");
+        let dir = vec![Gpid(1); 5];
+        c.gc_commit(1, Team::new(1, vec![Gpid(1), Gpid(2)]), 0, &dir, &[]);
+        assert!(!c.gc_due(), "the commit frees every diff it counted");
     }
 
     // --- the asker's requests ---------------------------------------------

@@ -832,7 +832,11 @@ impl Clock {
     /// Start a named thread that is a running participant of this clock
     /// from this call on — virtual time cannot slip past it between
     /// `spawn` and the moment the OS first runs it — until `f` returns.
-    /// A plain named thread on the real backend.
+    /// A plain named thread on the real backend. Only a caller that is
+    /// itself a participant holds time *between* two spawns: otherwise
+    /// the first child to wait can step time before the next exists.
+    /// Register first ([`Clock::participant`]) to start several at one
+    /// tick.
     pub fn spawn<R, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<R>
     where
         F: FnOnce() -> R + Send + 'static,
@@ -1514,9 +1518,12 @@ mod tests {
     fn concurrent_virtual_sleepers_wake_in_deadline_order() {
         let c = Clock::new_virtual();
         let order = Arc::new(Mutex::new(Vec::new()));
-        // Spawned before any of them sleeps, so all three are on the
-        // books from the start: the earliest sleeper cannot advance on
-        // its own past a sibling that has not run yet.
+        // All three are on the books before any of them can advance
+        // time: this thread is a running participant until it parks in
+        // the first join, so a sleeper that sleeps before its siblings
+        // are spawned cannot step past them (see
+        // `a_participant_parent_holds_time_across_its_spawns`).
+        let _me = c.participant();
         let mut handles = Vec::new();
         for (label, ms) in [(2u32, 20u64), (0, 5), (1, 10)] {
             let c2 = c.clone();
@@ -1554,12 +1561,45 @@ mod tests {
         );
     }
 
+    /// A spawn admits the child, but only a parent on the books holds
+    /// time between two spawns: had this thread not registered, the
+    /// first sleeper's park would leave nobody running and step time to
+    /// its 20 ms deadline before the second sleeper existed.
+    #[test]
+    fn a_participant_parent_holds_time_across_its_spawns() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let sleeper = |ms| {
+            let c2 = c.clone();
+            c.spawn(format!("sleeper-{ms}"), move || {
+                c2.sleep(Duration::from_millis(ms));
+                c2.now()
+            })
+        };
+        let late = sleeper(20);
+        let core = c.virtual_core().expect("virtual");
+        // Until the sleeper is parked on its deadline, or time has
+        // stepped past it.
+        while core.lock().deadlines.is_empty() && c.now() == Tick::ZERO {
+            std::thread::yield_now();
+        }
+        assert_eq!(c.now(), Tick::ZERO, "the parent holds time");
+        let early = sleeper(5);
+        let ms = |n| Tick::ZERO + Duration::from_millis(n);
+        assert_eq!(early.join().unwrap(), ms(5));
+        assert_eq!(late.join().unwrap(), ms(20));
+        assert_eq!(c.forced_advances(), 0);
+    }
+
     /// Every participant's rows close exactly on its virtual lifetime,
     /// each wait booked to the cause its site named, and what the
     /// participant computes between waits to nothing.
     #[test]
     fn ledger_rows_close_on_the_lifetime_by_cause() {
         let c = Clock::new_virtual();
+        // On the books before the spawns, so the worker's first sleep
+        // cannot run time past the sender's birth.
+        let _me = c.participant_as("master");
         let (tx, rx) = crate::mailbox::<u32>(&c);
         let c2 = c.clone();
         let worker = c.spawn("worker", move || {
@@ -1595,7 +1635,6 @@ mod tests {
             assert_eq!(l.rows.iter().sum::<u64>(), l.lifetime(), "{l:?}");
         }
         // A live participant's snapshot closes at now.
-        let _me = c.participant_as("master");
         {
             let _barrier = waiting_for(Cause::Barrier);
             c.sleep(Duration::from_micros(40));
