@@ -15,7 +15,7 @@
 # `vendor/`, tests included.
 set -euo pipefail
 
-MAX_UNWRAP_EXPECT=54
+MAX_UNWRAP_EXPECT=52
 MAX_PANIC_UNREACHABLE=22
 MAX_UNSAFE=0
 

@@ -37,7 +37,8 @@
 //!   the bottleneck".
 //!
 //! Messages are reliable and in-order (clock-bound
-//! [`mod@nowmp_util::mailbox`]es over std's channel). The paper's
+//! [`mod@nowmp_util::mailbox`]es, each message handed out at its
+//! arrival tick). The paper's
 //! UDP transport implements request/reply reliability one layer up; we
 //! collapse that into the simulated transport.
 

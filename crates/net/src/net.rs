@@ -15,7 +15,8 @@
 //!   time — senders sharing a workstation (a process's application and
 //!   service threads, or two multiplexed processes) go back to back,
 //!   each sleeping exactly to the end of its slot — and the receiver
-//!   honors the propagation latency.
+//!   honors the propagation latency: a message is queued in the
+//!   receiver's mailbox due at its admission tick, and handed out then.
 
 use crate::cost::CostModel;
 use crate::model::NetModel;
@@ -55,19 +56,12 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A message as delivered to a service loop.
-pub struct Packet {
-    /// Sender's process id.
-    pub src: Gpid,
-    /// Encoded payload.
-    pub payload: Bytes,
+/// A message in a mailbox, due at its arrival tick.
+struct Packet {
+    src: Gpid,
+    payload: Bytes,
     /// Present iff the sender awaits a reply.
-    pub reply: Option<MailboxSender<Packet>>,
-    /// Earliest delivery time on the network clock, under emulation.
-    deliver_at: Option<Tick>,
-    /// An [`Endpoint::wake`] token: carries nothing and never left the
-    /// host.
-    wake: bool,
+    reply: Option<MailboxSender<Packet>>,
 }
 
 /// An incoming message plus the means to answer it.
@@ -94,23 +88,9 @@ impl Replier {
     /// The reply travels straight to the waiting caller's channel, not
     /// the requester's mailbox.
     pub fn reply(self, payload: Bytes) {
-        self.reply_checked(payload);
-    }
-
-    /// The gpid that will receive the reply.
-    pub fn requester(&self) -> Gpid {
-        self.to
-    }
-
-    /// Answer the request; returns `false` if the requester vanished.
-    pub fn reply_checked(self, payload: Bytes) -> bool {
-        self.net.transmit(
-            self.from,
-            &self.from_host,
-            self.to,
-            payload,
-            Route::Reply(&self.tx),
-        )
+        let route = Route::Reply(&self.tx);
+        self.net
+            .transmit(self.from, &self.from_host, self.to, payload, route);
     }
 }
 
@@ -146,16 +126,19 @@ impl HostRec {
     /// `n - 1` small messages converging on the master each pay it in
     /// turn, the root's few aggregates carrying the same bytes pay it
     /// once each.
-    fn receive_at(&self, candidate: Tick, occ: Duration) -> Tick {
+    ///
+    /// `enqueue` puts the message in its mailbox, due at that slot's
+    /// end, inside the same critical section: messages reach a mailbox
+    /// in the order the port admitted them.
+    fn receive_at<R>(&self, candidate: Tick, occ: Duration, enqueue: impl FnOnce(Tick) -> R) -> R {
         let mut free = self.inbound.lock();
         let start = (*free).max(Tick::from_nanos(
             candidate
                 .as_nanos()
                 .saturating_sub(occ.as_nanos().min(u64::MAX as u128) as u64),
         ));
-        let done = start + occ;
-        *free = done;
-        done
+        *free = start + occ;
+        enqueue(*free)
     }
 }
 
@@ -239,15 +222,6 @@ impl NetInner {
             return false;
         };
 
-        // Queue on the inbound wire of the destination's current host.
-        let deliver_at = (!self.model.is_free()).then(|| {
-            let candidate = self.clock.now() + self.model.latency();
-            match &dst_rec {
-                Some(h) => h.receive_at(candidate, self.model.receive_time(payload.len())),
-                None => candidate,
-            }
-        });
-
         // The push column first: a snapshot reads it after the totals,
         // so a push it half sees is never more in the push column than
         // in the totals.
@@ -260,13 +234,21 @@ impl NetInner {
         }
         self.stats.record_msg(bytes);
 
-        tx.send(Packet {
+        // Queue on the inbound wire of the destination's current host.
+        let occ = self.model.receive_time(payload.len());
+        let pkt = Packet {
             src,
             payload,
             reply,
-            deliver_at,
-            wake: false,
-        })
+        };
+        if self.model.is_free() {
+            return tx.send(pkt).is_ok();
+        }
+        let candidate = self.clock.now() + self.model.latency();
+        match &dst_rec {
+            Some(h) => h.receive_at(candidate, occ, |at| tx.send_at(pkt, at)),
+            None => tx.send_at(pkt, candidate),
+        }
         .is_ok()
     }
 }
@@ -383,7 +365,7 @@ impl Network {
             net: Arc::clone(&self.inner),
             gpid,
             host: host_cell,
-            inbox: Mutex::new((None, rx)),
+            inbox: rx,
         }
     }
 
@@ -452,12 +434,8 @@ pub struct Endpoint {
     net: Arc<NetInner>,
     gpid: Gpid,
     host: Arc<AtomicU16>,
-    /// The head of the inbox when [`Self::try_recv`] took it off the
-    /// mailbox and found it still on the wire (every receive call looks
-    /// there first, so arrival order holds), then the mailbox itself.
-    /// The lock makes the single-consumer mailbox shareable: the
-    /// service thread receives while the application thread sends.
-    inbox: Mutex<(Option<Packet>, MailboxReceiver<Packet>)>,
+    /// Each message due at its arrival tick, in arrival order.
+    inbox: MailboxReceiver<Packet>,
 }
 
 /// Default deadline for [`Endpoint::call`]; long enough for any emulated
@@ -544,43 +522,25 @@ impl Endpoint {
         {
             return Err(NetError::Unknown(dst));
         }
-        Ok(PendingCall {
-            clock: self.net.clock.clone(),
-            dst,
-            rx,
-        })
+        Ok(PendingCall { dst, rx })
     }
 
-    /// Loopback wake: put an empty local token into this endpoint's own
-    /// mailbox, so a thread blocked in [`Self::recv_burst`] returns and
-    /// looks at whatever its owner queued for it off the wire. The token
-    /// never touches a link: no reservation, no [`NetStats`] entry, no
-    /// virtual time. Only `recv_burst` reports it (by returning, maybe
-    /// with nothing appended); the other receive calls skip it. A no-op
-    /// once the endpoint is unregistered.
+    /// Loopback wake: raise this endpoint's wake flag, so a thread
+    /// blocked in [`Self::recv_burst`] returns at this tick and looks at
+    /// whatever its owner queued for it off the wire. A wake is no
+    /// message: no link, no [`NetStats`] entry, no virtual time, and
+    /// the other receive calls never report it. A no-op once the
+    /// endpoint is unregistered.
     pub fn wake(&self) {
-        let tx = match self.net.endpoints.read().get(&self.gpid.0) {
-            Some(rec) => rec.tx.clone(),
-            None => return,
-        };
-        let _ = tx.send(Packet {
-            src: self.gpid,
-            payload: Bytes::new(),
-            reply: None,
-            deliver_at: None,
-            wake: true,
-        });
+        if let Some(rec) = self.net.endpoints.read().get(&self.gpid.0) {
+            rec.tx.wake();
+        }
     }
 
-    /// Turn a packet into a delivered message (sleeping to its modeled
-    /// delivery time); `None` for a wake token.
-    fn unpack(&self, pkt: Packet) -> Option<Incoming> {
-        if pkt.wake {
-            return None;
-        }
-        if let Some(at) = pkt.deliver_at {
-            self.net.clock.sleep_until(at);
-        }
+    /// Turn a packet into a delivered message.
+    fn unpack(&self, pkt: Packet) -> Incoming {
+        // The Replier keeps the raw reply sender: answering goes through
+        // the full transmit path for accounting, then down that channel.
         let replier = pkt.reply.map(|tx| Replier {
             net: Arc::clone(&self.net),
             from: self.gpid,
@@ -588,107 +548,59 @@ impl Endpoint {
             to: pkt.src,
             tx,
         });
-        // The Replier keeps the raw reply sender: answering goes through
-        // the full transmit path for accounting, then down that channel.
-        Some(Incoming {
+        Incoming {
             src: pkt.src,
             payload: pkt.payload,
             replier,
-        })
-    }
-
-    /// The next packet in arrival order, blocking for it (`limit`: a
-    /// real-time guard). `Ok(None)` when the guard ran out.
-    fn next_packet(&self, limit: Option<Duration>) -> Result<Option<Packet>, NetError> {
-        let (on_wire, rx) = &mut *self.inbox.lock();
-        if let Some(pkt) = on_wire.take() {
-            return Ok(Some(pkt));
-        }
-        let got = match limit {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(left) => rx.recv_timeout(left),
-        };
-        match got {
-            Ok(pkt) => Ok(Some(pkt)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected(self.gpid)),
         }
     }
 
-    /// Blocking receive; `Err` means the network shut down.
+    /// Blocking receive, at the message's arrival tick; `Err` means the
+    /// network shut down.
     pub fn recv(&self) -> Result<Incoming, NetError> {
-        loop {
-            let pkt = self.next_packet(None)?.expect("no guard, no timeout");
-            if let Some(inc) = self.unpack(pkt) {
-                return Ok(inc);
-            }
+        match self.inbox.recv() {
+            Ok(pkt) => Ok(self.unpack(pkt)),
+            Err(_) => Err(NetError::Disconnected(self.gpid)),
         }
     }
 
-    /// Receive with a (real-time) deadline.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Incoming>, NetError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            let Some(pkt) = self.next_packet(Some(left))? else {
-                return Ok(None);
-            };
-            if let Some(inc) = self.unpack(pkt) {
-                return Ok(Some(inc));
-            }
-        }
-    }
-
-    /// Non-blocking receive, in modeled time too: a message that is
-    /// queued but whose delivery time is still in the future has not
-    /// arrived, and is left at the head of the inbox. (A caller with
-    /// something better to do than wait for it — the service thread
-    /// between two pushes — must not sleep through its own link time.)
+    /// Non-blocking receive, in modeled time too: a message still on
+    /// the wire has not arrived, and is left at the head of the inbox.
+    /// (A caller with something better to do than wait for it — the
+    /// service thread between two pushes — must not sleep through its
+    /// own link time.)
     pub fn try_recv(&self) -> Option<Incoming> {
-        loop {
-            let pkt = self.queued_packet()?;
-            if pkt.deliver_at.is_some_and(|at| self.net.clock.now() < at) {
-                self.inbox.lock().0 = Some(pkt);
-                return None;
-            }
-            if let Some(inc) = self.unpack(pkt) {
-                return Some(inc);
-            }
-        }
+        self.inbox.try_recv().ok().map(|pkt| self.unpack(pkt))
     }
 
-    /// The next packet in arrival order if one is queued, delivered
-    /// or not. Never blocks.
-    fn queued_packet(&self) -> Option<Packet> {
-        let (on_wire, rx) = &mut *self.inbox.lock();
-        on_wire.take().or_else(|| rx.try_recv().ok())
-    }
-
-    /// Block until something arrives — a message or a [`Self::wake`]
-    /// token — then drain already-queued messages, up to `max` in all.
+    /// Block until a message arrives or a [`Self::wake`] is raised, then
+    /// drain the messages that have arrived too, up to `max` in all.
     /// One sleep/wakeup (and, in the service loop, one pass over the
     /// dispatch) amortizes over a whole burst instead of paying per
     /// message. Returns the number of messages appended to `out` (0
-    /// when only a wake arrived); `Err` means the network shut down
-    /// (nothing appended).
+    /// when only a wake ended the wait); `Err` means the network shut
+    /// down (nothing appended).
     pub fn recv_burst(&self, max: usize, out: &mut Vec<Incoming>) -> Result<usize, NetError> {
-        let mut next = self.next_packet(None)?;
-        let mut n = 0;
-        while let Some(pkt) = next {
-            if let Some(inc) = self.unpack(pkt) {
-                out.push(inc);
-                n += 1;
-            }
-            next = if n < max { self.queued_packet() } else { None };
-        }
-        Ok(n)
+        let first = self
+            .inbox
+            .recv_or_wake()
+            .map_err(|_| NetError::Disconnected(self.gpid))?;
+        let before = out.len();
+        let arrived = std::iter::from_fn(|| self.inbox.try_recv().ok());
+        out.extend(
+            first
+                .into_iter()
+                .chain(arrived)
+                .take(max)
+                .map(|p| self.unpack(p)),
+        );
+        Ok(out.len() - before)
     }
 }
 
 /// A request in flight, created by [`Endpoint::call_begin`]. Dropping
 /// it abandons the reply, which then goes nowhere and holds nothing.
 pub struct PendingCall {
-    clock: Clock,
     dst: Gpid,
     rx: MailboxReceiver<Packet>,
 }
@@ -703,18 +615,15 @@ impl std::fmt::Debug for PendingCall {
 
 impl PendingCall {
     /// Block for the reply — the gather half of
-    /// [`Endpoint::call_deadline`]: the wait is clock-visible, the
-    /// timeout is a *real-time* deadlock guard under both backends, and
-    /// wire delivery time is slept to on arrival.
+    /// [`Endpoint::call_deadline`]: a clock-visible wait to the reply's
+    /// arrival tick; the timeout is a *real-time* deadlock guard under
+    /// both backends while no reply is on its way.
     pub fn wait(self, timeout: Duration) -> Result<Bytes, NetError> {
-        let pkt = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout(self.dst),
-            RecvTimeoutError::Disconnected => NetError::Disconnected(self.dst),
-        })?;
-        if let Some(at) = pkt.deliver_at {
-            self.clock.sleep_until(at);
+        match self.rx.recv_timeout(timeout) {
+            Ok(pkt) => Ok(pkt.payload),
+            Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout(self.dst)),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected(self.dst)),
         }
-        Ok(pkt.payload)
     }
 }
 
@@ -976,14 +885,6 @@ mod edge_tests {
     use crate::model::NetModel;
 
     #[test]
-    fn recv_timeout_returns_none_when_quiet() {
-        let net = Network::new(1, NetModel::disabled());
-        let ep = net.register(HostId(0));
-        let got = ep.recv_timeout(Duration::from_millis(20)).unwrap();
-        assert!(got.is_none());
-    }
-
-    #[test]
     fn try_recv_nonblocking() {
         let net = Network::new(2, NetModel::disabled());
         let a = net.register(HostId(0));
@@ -1039,10 +940,9 @@ mod edge_tests {
         assert_eq!(burst[0].payload[0], 4);
     }
 
-    #[test]
-    fn wake_reaches_recv_burst_and_nothing_else() {
-        // Under the paper's wire model on a virtual clock, where a real
-        // message would move counters, link books and time.
+    /// Two endpoints on the paper's wire, on a virtual clock, where a
+    /// real message moves counters, link books and time.
+    fn paper_pair() -> (Clock, Network, Endpoint, Endpoint) {
         let clock = Clock::new_virtual();
         let net = Network::with_clock(
             2,
@@ -1051,8 +951,13 @@ mod edge_tests {
             CostModel::disabled(),
             clock.clone(),
         );
-        let a = net.register(HostId(0));
-        let b = net.register(HostId(1));
+        let (a, b) = (net.register(HostId(0)), net.register(HostId(1)));
+        (clock, net, a, b)
+    }
+
+    #[test]
+    fn wake_reaches_recv_burst_and_nothing_else() {
+        let (clock, net, a, b) = paper_pair();
         b.wake();
         let mut burst = Vec::new();
         assert_eq!(
@@ -1064,22 +969,52 @@ mod edge_tests {
         let s = net.stats();
         assert_eq!((s.total_msgs, s.total_bytes, s.max_link_bytes()), (0, 0, 0));
         assert_eq!(clock.now(), Tick::ZERO, "a wake costs no virtual time");
-        // A wake queued among messages: the messages come out, in
-        // order, and the token is nobody's message.
+        // A wake raised among messages is nobody's message: it ends one
+        // burst, and the messages come out in order after it.
         a.send(b.gpid(), Bytes::from_static(b"1")).unwrap();
         b.wake();
         a.send(b.gpid(), Bytes::from_static(b"2")).unwrap();
-        assert_eq!(b.recv_burst(4, &mut burst), Ok(2));
+        assert_eq!(b.recv_burst(4, &mut burst), Ok(0));
+        while burst.len() < 2 {
+            b.recv_burst(4, &mut burst).unwrap();
+        }
         assert_eq!(
             (&burst[0].payload[..], &burst[1].payload[..]),
             (&b"1"[..], &b"2"[..])
         );
         assert_eq!(net.stats().total_msgs, 2);
+        // Neither `try_recv` nor `recv` reports a raised wake.
         b.wake();
         assert!(b.try_recv().is_none(), "only recv_burst reports a wake");
+        a.send(b.gpid(), Bytes::from_static(b"3")).unwrap();
+        assert_eq!(&b.recv().unwrap().payload[..], b"3");
+        assert_eq!(b.recv_burst(4, &mut burst), Ok(0), "the flag is still up");
         // After unregistering there is no mailbox to wake.
         net.unregister(b.gpid());
         b.wake();
+        assert_eq!(clock.forced_advances(), 0);
+    }
+
+    /// A wake does not wait behind a message still on the wire: the
+    /// burst it ends returns at the wake's own tick, and the message
+    /// arrives at its admission tick after it.
+    #[test]
+    fn a_wake_is_seen_at_its_tick_ahead_of_a_message_on_the_wire() {
+        let (clock, net, a, b) = paper_pair();
+        a.send(b.gpid(), Bytes::from(vec![7u8; 4096])).unwrap();
+        let sent = clock.now();
+        b.wake();
+        let mut burst = Vec::new();
+        assert_eq!(b.recv_burst(4, &mut burst), Ok(0));
+        assert_eq!(clock.now(), sent, "woken at the wake's tick");
+        assert!(b.try_recv().is_none(), "the message is still on the wire");
+        assert_eq!(b.recv_burst(4, &mut burst), Ok(1));
+        assert_eq!(burst[0].payload.len(), 4096);
+        assert_eq!(
+            clock.now(),
+            sent + net.model().latency(),
+            "admitted at once"
+        );
         assert_eq!(clock.forced_advances(), 0);
     }
 
@@ -1132,5 +1067,43 @@ mod edge_tests {
             let got = b.recv().unwrap();
             assert_eq!(got.payload[..], i.to_le_bytes());
         }
+
+        // On the paper's wire: the first of two sends lands in a
+        // congested inbound book, the receiver is relabelled to an idle
+        // host, and the second, admitted there at once, still arrives
+        // after the first.
+        let clock = Clock::new_virtual();
+        let _me = clock.participant();
+        let net = Network::with_clock(
+            6,
+            1,
+            NetModel::paper_1999(),
+            CostModel::disabled(),
+            clock.clone(),
+        );
+        let (a, b) = (net.register(HostId(0)), net.register(HostId(1)));
+        let jammed = net.register(HostId(1));
+        let jam: Vec<_> = (3..6u16)
+            .map(|h| {
+                let (ep, dst) = (net.register(HostId(h)), jammed.gpid());
+                clock.spawn(format!("jam-{h}"), move || {
+                    ep.send(dst, Bytes::from(vec![0u8; 16 << 10])).unwrap()
+                })
+            })
+            .collect();
+        for j in jam {
+            j.join().unwrap();
+        }
+        a.send(b.gpid(), Bytes::from_static(b"first")).unwrap();
+        net.relabel(b.gpid(), HostId(2)).unwrap();
+        a.send(b.gpid(), Bytes::from_static(b"second")).unwrap();
+        let second_alone = clock.now() + net.model().latency();
+        assert_eq!(&b.recv().unwrap().payload[..], b"first");
+        assert!(
+            clock.now() > second_alone,
+            "the first queued behind the jam"
+        );
+        assert_eq!(&b.recv().unwrap().payload[..], b"second");
+        assert_eq!(clock.forced_advances(), 0);
     }
 }

@@ -79,8 +79,9 @@ pub fn service_loop(
     let mut burst: Vec<nowmp_net::Incoming> = Vec::with_capacity(SERVICE_BURST);
     loop {
         burst.clear();
-        // Returns on a message or on the application thread's loopback
-        // wake (pushes queued; the burst may then be empty).
+        // Returns on a message's arrival or at the tick the application
+        // thread raises its loopback wake (pushes queued; the burst may
+        // then be empty).
         if endpoint.recv_burst(SERVICE_BURST, &mut burst).is_err() {
             break;
         }
@@ -96,8 +97,9 @@ pub fn service_loop(
         // One push per turn, the inbox drained in between: a `DiffReq`,
         // a `LockReq` or a `Fork` waiting to be forwarded waits for at
         // most one push. (Only for what has *arrived*: `try_recv`
-        // leaves a message that is still on the wire alone, so our
-        // outbound link does not idle while the next push could go.)
+        // hands out a message at its arrival tick and leaves one still
+        // on the wire queued, so our outbound link does not idle while
+        // the next push could go.)
         loop {
             // The core guard drops at the end of this statement, before
             // the send.

@@ -21,9 +21,10 @@
 //!   waiter blocks on a deadline; the thread whose own blocking makes
 //!   the simulation quiescent advances time and marks every sleeper
 //!   due at the new instant runnable.
-//! * [`Mailbox`](mod@crate::mailbox) — a `send` marks a receiver parked on
-//!   *that mailbox* runnable; a message whose reader waits elsewhere
-//!   holds nothing.
+//! * [`Mailbox`](mod@crate::mailbox) — a receiver parks on *that
+//!   mailbox*, with its head's arrival tick armed as a deadline; a send
+//!   to the empty queue or a wake marks it runnable, and a message
+//!   whose reader waits elsewhere holds nothing.
 //! * [`ClockCondvar`] — `notify_*` marks the waiters it wakes runnable
 //!   (the migration freeze gate, a fault waiting for a pushed diff).
 //! * [`Clock::spawn`] / [`JoinHandle::join`] — the child is a running
@@ -290,7 +291,7 @@ fn next_id() -> u64 {
 /// One participant of one virtual clock: a (thread, clock) pair, or a
 /// spawned thread that has not started yet.
 #[derive(Debug)]
-pub(crate) struct Part {
+struct Part {
     /// The wake channel this participant's own sleeps park on.
     chan: u64,
     /// For the watchdog's report.
@@ -347,7 +348,7 @@ thread_local! {
 
 /// How long a [`VirtualCore::park`] may last in real time.
 #[derive(Clone, Copy)]
-pub(crate) enum Limit {
+enum Limit {
     /// Until woken.
     Forever,
     /// A real-time deadlock guard: give up at this instant.
@@ -358,11 +359,11 @@ pub(crate) enum Limit {
 }
 
 /// Participants made runnable under the lock, to unpark after it.
-pub(crate) type Wake = Vec<Arc<Part>>;
+type Wake = Vec<Arc<Part>>;
 
 /// The books of one virtual time source (all under one lock).
 #[derive(Debug, Default)]
-pub(crate) struct VState {
+struct VState {
     /// Pending deadlines, `(tick, arm order) -> wake channel`: sleepers
     /// (their private channel) and armed alarms.
     deadlines: BTreeMap<(u64, u64), u64>,
@@ -416,16 +417,8 @@ impl VState {
         wake.push(p);
     }
 
-    /// Wake the longest-parked participant of `chan`, if any.
-    pub(crate) fn wake_one(&mut self, chan: u64, wake: &mut Wake) {
-        if let Some(i) = self.parked.iter().position(|(c, _)| *c == chan) {
-            let (_, p) = self.parked.remove(i);
-            self.make_runnable(p, wake);
-        }
-    }
-
     /// Wake everyone parked on `chan`.
-    pub(crate) fn wake_all(&mut self, chan: u64, wake: &mut Wake) {
+    fn wake_all(&mut self, chan: u64, wake: &mut Wake) {
         let mut i = 0;
         while i < self.parked.len() {
             if self.parked[i].0 == chan {
@@ -435,6 +428,21 @@ impl VState {
                 i += 1;
             }
         }
+    }
+
+    /// Pend a deadline at `tick` that wakes `chan`; returns its key for
+    /// [`Self::disarm`]. Same-tick deadlines fire in arm order.
+    fn arm(&mut self, tick: u64, chan: u64) -> (u64, u64) {
+        let key = (tick, self.seq);
+        self.seq += 1;
+        self.deadlines.insert(key, chan);
+        key
+    }
+
+    /// Withdraw a deadline (a no-op once it has fired), so the clock is
+    /// never advanced to a wait nobody is left in.
+    fn disarm(&mut self, key: (u64, u64)) {
+        self.deadlines.remove(&key);
     }
 
     /// Take `me` off the wait list (a wait it is abandoning).
@@ -493,7 +501,7 @@ impl VState {
 }
 
 #[derive(Debug)]
-pub(crate) struct VirtualCore {
+struct VirtualCore {
     id: u64,
     /// Virtual now, in nanoseconds. Written under `state`'s lock
     /// (`Release`) and read without it (`Acquire`): a running
@@ -521,18 +529,13 @@ impl VirtualCore {
         self.now.load(Ordering::Acquire)
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, VState> {
+    fn lock(&self) -> MutexGuard<'_, VState> {
         self.state.lock()
-    }
-
-    /// A fresh wake channel.
-    pub(crate) fn new_chan(&self) -> u64 {
-        next_id()
     }
 
     /// Change the books under the lock, then unpark whoever the change
     /// made runnable.
-    pub(crate) fn transition<R>(&self, f: impl FnOnce(&mut VState, &mut Wake) -> R) -> R {
+    fn transition<R>(&self, f: impl FnOnce(&mut VState, &mut Wake) -> R) -> R {
         let mut wake = Wake::new();
         let r = f(&mut self.state.lock(), &mut wake);
         unpark(wake, None);
@@ -557,7 +560,7 @@ impl VirtualCore {
     /// Run a clock-visible wait as the calling thread's participant on
     /// this clock; an unregistered thread is admitted as a transient
     /// participant for the duration.
-    pub(crate) fn with_me<R>(&self, wait: impl FnOnce(&Arc<Part>) -> R) -> R {
+    fn with_me<R>(&self, wait: impl FnOnce(&Arc<Part>) -> R) -> R {
         if let Some(me) = self.registered_here() {
             return wait(&me);
         }
@@ -579,7 +582,7 @@ impl VirtualCore {
     /// runs once `me` is on the books as parked and the clock lock is
     /// released (a condition wait drops its mutex there). Returns
     /// `false` if `limit` ran out first; `me` is running either way.
-    pub(crate) fn park(
+    fn park(
         &self,
         mut st: MutexGuard<'_, VState>,
         me: &Arc<Part>,
@@ -670,9 +673,7 @@ impl VirtualCore {
             if self.now() >= deadline {
                 return;
             }
-            let key = (deadline, st.seq);
-            st.seq += 1;
-            st.deadlines.insert(key, me.chan);
+            st.arm(deadline, me.chan);
             self.park(st, me, me.chan, Limit::Watchdog, || ());
         });
     }
@@ -756,7 +757,7 @@ impl Clock {
 
     /// The virtual backend's books, for the clock-bound wait primitives
     /// of this crate.
-    pub(crate) fn virtual_core(&self) -> Option<&Arc<VirtualCore>> {
+    fn virtual_core(&self) -> Option<&Arc<VirtualCore>> {
         match &self.backend {
             Backend::Real(_) => None,
             Backend::Virtual(core) => Some(core),
@@ -848,7 +849,7 @@ impl Clock {
             Backend::Real(_) => (builder.spawn(f), None),
             Backend::Virtual(core) => {
                 let exit = Arc::new(Exit {
-                    chan: core.new_chan(),
+                    chan: next_id(),
                     done: AtomicBool::new(false),
                 });
                 // Created by the parent, moved into the child.
@@ -979,12 +980,8 @@ impl Clock {
     pub fn alarm(&self, after: Duration) -> Alarm {
         let deadline = self.now() + after;
         let slot = self.virtual_core().map(|core| {
-            let chan = core.new_chan();
-            let mut st = core.state.lock();
-            let key = (deadline.0, st.seq);
-            st.seq += 1;
-            st.deadlines.insert(key, chan);
-            (key, chan)
+            let chan = next_id();
+            (core.lock().arm(deadline.0, chan), chan)
         });
         Alarm {
             inner: Arc::new(AlarmInner {
@@ -1105,7 +1102,9 @@ impl<R> JoinHandle<R> {
 #[derive(Debug)]
 pub struct ClockCondvar {
     real: Condvar,
-    gate: Option<(Arc<VirtualCore>, u64)>,
+    clock: Clock,
+    /// Where waiters park on a virtual clock.
+    chan: u64,
 }
 
 impl ClockCondvar {
@@ -1113,9 +1112,8 @@ impl ClockCondvar {
     pub fn new(clock: &Clock) -> Self {
         ClockCondvar {
             real: Condvar::new(),
-            gate: clock
-                .virtual_core()
-                .map(|core| (Arc::clone(core), core.new_chan())),
+            clock: clock.clone(),
+            chan: next_id(),
         }
     }
 
@@ -1126,14 +1124,39 @@ impl ClockCondvar {
         mutex: &'a Mutex<T>,
         mut guard: MutexGuard<'a, T>,
     ) -> MutexGuard<'a, T> {
-        let Some((core, chan)) = &self.gate else {
+        let Some(core) = self.clock.virtual_core() else {
             self.real.wait(&mut guard);
             return guard;
         };
         core.with_me(|me| {
             // On the books as parked before the mutex is released, so a
             // notifier that changes the condition next finds us.
-            core.park(core.lock(), me, *chan, Limit::Forever, move || drop(guard));
+            core.park(core.lock(), me, self.chan, Limit::Forever, move || {
+                drop(guard)
+            });
+        });
+        mutex.lock()
+    }
+
+    /// [`Self::wait`] that also ends at `tick`, a tick after now, on the
+    /// clock. On a virtual clock the deadline is pending while the
+    /// waiter parks and withdrawn when the wait ends.
+    pub(crate) fn wait_until<'a, T>(
+        &self,
+        mutex: &'a Mutex<T>,
+        mut guard: MutexGuard<'a, T>,
+        tick: Tick,
+    ) -> MutexGuard<'a, T> {
+        let Some(core) = self.clock.virtual_core() else {
+            self.real
+                .wait_for(&mut guard, tick.saturating_since(self.clock.now()));
+            return guard;
+        };
+        core.with_me(|me| {
+            let mut st = core.lock();
+            let key = st.arm(tick.0, self.chan);
+            core.park(st, me, self.chan, Limit::Watchdog, move || drop(guard));
+            core.lock().disarm(key);
         });
         mutex.lock()
     }
@@ -1148,7 +1171,7 @@ impl ClockCondvar {
         mut guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, bool) {
-        let Some((core, chan)) = &self.gate else {
+        let Some(core) = self.clock.virtual_core() else {
             let timed_out = self.real.wait_for(&mut guard, timeout).timed_out();
             return (guard, !timed_out);
         };
@@ -1157,27 +1180,15 @@ impl ClockCondvar {
             None => Limit::Forever,
         };
         let notified =
-            core.with_me(|me| core.park(core.lock(), me, *chan, limit, move || drop(guard)));
+            core.with_me(|me| core.park(core.lock(), me, self.chan, limit, move || drop(guard)));
         (mutex.lock(), notified)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        match &self.gate {
-            None => {
-                self.real.notify_one();
-            }
-            Some((core, chan)) => core.transition(|st, wake| st.wake_one(*chan, wake)),
-        }
     }
 
     /// Wake every waiter.
     pub fn notify_all(&self) {
-        match &self.gate {
-            None => {
-                self.real.notify_all();
-            }
-            Some((core, chan)) => core.transition(|st, wake| st.wake_all(*chan, wake)),
+        match self.clock.virtual_core() {
+            None => self.real.notify_all(),
+            Some(core) => core.transition(|st, wake| st.wake_all(self.chan, wake)),
         }
     }
 }
@@ -1197,7 +1208,7 @@ impl Drop for AlarmInner {
     fn drop(&mut self) {
         // An alarm nobody is left to wait on must not be advanced to.
         if let (Some(core), Some((key, _))) = (self.clock.virtual_core(), self.slot) {
-            core.state.lock().deadlines.remove(&key);
+            core.lock().disarm(key);
         }
     }
 }
@@ -1271,7 +1282,7 @@ impl Alarm {
             Backend::Virtual(core) => {
                 let (key, chan) = inner.slot.expect("virtual alarms hold a slot");
                 core.transition(|st, wake| {
-                    st.deadlines.remove(&key);
+                    st.disarm(key);
                     st.wake_all(chan, wake);
                 });
             }

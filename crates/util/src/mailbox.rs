@@ -1,70 +1,105 @@
 //! Clock-bound channels: the one way simulation threads hand each other
 //! messages.
 //!
-//! A mailbox is std's `mpsc` channel plus, on a virtual [`Clock`], the
-//! clock's bookkeeping for its single receiver:
-//!
-//! * a receiver that finds the mailbox empty parks *on that mailbox*,
-//!   visibly blocked;
-//! * a `send` enqueues and — under the clock lock, before it unparks
-//!   anyone — marks a receiver parked on the mailbox runnable, so the
-//!   reader counts as running from the moment of the send, not from
-//!   whenever it wakes up;
-//! * a message whose reader is busy or waits elsewhere just sits in the
-//!   queue: it holds nothing, and is found by the next `recv`;
-//! * dropping the last sender wakes the receiver the same way, to see
-//!   the disconnect.
-//!
-//! On the real clock every call passes straight through to std's channel.
+//! A mailbox is a FIFO queue and a [`ClockCondvar`]. Each entry falls
+//! due at a tick of the mailbox's [`Clock`] — [`MailboxSender::send`]'s
+//! at once, [`MailboxSender::send_at`]'s at its arrival tick — and
+//! never before the entry ahead of it, so each sender's order holds. A
+//! receive hands out the head once it is due, parking once on the
+//! clock until then (the head's tick armed as a deadline) or, on an
+//! empty queue, until a send. A message whose reader is busy or waits
+//! elsewhere holds nothing. [`MailboxSender::wake`] raises a flag, never
+//! an entry: [`MailboxReceiver::recv_or_wake`] sees it at the tick it is
+//! raised, ahead of entries still on their way. Dropping the last sender
+//! wakes the receiver to see the disconnect.
 
-use crate::clock::{Clock, Limit, VirtualCore};
-use std::sync::mpsc::{self, Receiver, Sender};
+use crate::clock::{Clock, ClockCondvar, Tick};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
 
-/// The virtual clock's handle on one mailbox.
-#[derive(Clone)]
-struct Gate {
-    core: Arc<VirtualCore>,
-    /// Where the receiver parks.
-    chan: u64,
+/// What both halves share.
+struct Shared<T> {
+    queue: Mutex<Queue<T>>,
+    cv: ClockCondvar,
+    clock: Clock,
+}
+
+struct Queue<T> {
+    /// `(due tick in nanoseconds, message)` in arrival order.
+    entries: VecDeque<(u64, T)>,
+    /// A wake raised and not yet seen.
+    woken: bool,
+    /// Every sender has dropped.
+    disconnected: bool,
+    /// The receiver has dropped.
+    closed: bool,
+}
+
+/// How one receive ended.
+enum Got<T> {
+    Msg(T),
+    Woken,
+    Timeout,
+    Disconnected,
 }
 
 /// An unbounded mailbox, for a long-lived queue (an endpoint's inbox, a
 /// control channel) and a single message (a reply, a lock grant) alike.
 pub fn mailbox<T>(clock: &Clock) -> (MailboxSender<T>, MailboxReceiver<T>) {
-    let (tx, rx) = mpsc::channel();
-    let gate = clock.virtual_core().map(|core| Gate {
-        core: Arc::clone(core),
-        chan: core.new_chan(),
+    let shared = Arc::new(Shared {
+        queue: Mutex::new(Queue {
+            entries: VecDeque::new(),
+            woken: false,
+            disconnected: false,
+            closed: false,
+        }),
+        cv: ClockCondvar::new(clock),
+        clock: clock.clone(),
     });
-    (
-        MailboxSender {
-            half: Arc::new(SendHalf {
-                tx: Some(tx),
-                gate: gate.clone(),
-            }),
-        },
-        MailboxReceiver { rx, gate },
-    )
+    let half = Arc::new(SendHalf(Arc::clone(&shared)));
+    (MailboxSender { half }, MailboxReceiver { shared })
 }
 
-struct SendHalf<T> {
-    /// `Some` until drop.
-    tx: Option<Sender<T>>,
-    gate: Option<Gate>,
+impl<T> Shared<T> {
+    /// Change the queue, and wake the receiver if `f` says it waits for
+    /// the change.
+    fn update<R>(&self, f: impl FnOnce(&mut Queue<T>) -> (R, bool)) -> R {
+        let (r, wake) = f(&mut self.queue.lock());
+        if wake {
+            self.cv.notify_all();
+        }
+        r
+    }
+
+    /// How a receive can end now: with a due head (a raised wake is
+    /// lowered too when `wakeable`), the wake, or the disconnect.
+    fn ready(&self, q: &mut Queue<T>, wakeable: bool) -> Option<Got<T>> {
+        let woken = wakeable && std::mem::take(&mut q.woken);
+        match q.entries.front() {
+            // Due at zero (a `send` with nothing ahead): no clock read.
+            Some(&(due, _)) if due == 0 || due <= self.clock.now().as_nanos() => {
+                q.entries.pop_front().map(|(_, msg)| Got::Msg(msg))
+            }
+            _ if woken => Some(Got::Woken),
+            None if q.disconnected => Some(Got::Disconnected),
+            _ => None,
+        }
+    }
 }
+
+/// Shared by a mailbox's senders; its drop is the disconnect.
+struct SendHalf<T>(Arc<Shared<T>>);
 
 impl<T> Drop for SendHalf<T> {
     fn drop(&mut self) {
-        // Disconnect first and outside the clock lock: this may free
-        // the queue and, with it, messages that own other senders.
-        drop(self.tx.take());
-        if let Some(g) = &self.gate {
-            g.core.transition(|st, wake| st.wake_all(g.chan, wake));
-        }
+        self.0.update(|q| {
+            q.disconnected = true;
+            ((), true)
+        });
     }
 }
 
@@ -83,76 +118,114 @@ impl<T> Clone for MailboxSender<T> {
 }
 
 impl<T> MailboxSender<T> {
-    /// Enqueue `msg`; errors when the receiver is gone.
+    /// Enqueue `msg`, due at once (or with the entry ahead of it);
+    /// errors when the receiver is gone.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        let tx = self.half.tx.as_ref().expect("sender present until drop");
-        match &self.half.gate {
-            None => tx.send(msg),
-            Some(g) => g.core.transition(|st, wake| {
-                let sent = tx.send(msg);
-                if sent.is_ok() {
-                    st.wake_one(g.chan, wake);
-                }
-                sent
-            }),
-        }
+        self.send_at(msg, Tick::ZERO)
+    }
+
+    /// Enqueue `msg`, due at `at` or with the entry ahead of it,
+    /// whichever is later; errors when the receiver is gone.
+    pub fn send_at(&self, msg: T, at: Tick) -> Result<(), SendError<T>> {
+        self.half.0.update(|q| {
+            if q.closed {
+                return (Err(SendError(msg)), false);
+            }
+            let ahead = q.entries.back().map(|&(due, _)| due);
+            q.entries
+                .push_back((ahead.unwrap_or(0).max(at.as_nanos()), msg));
+            (Ok(()), ahead.is_none())
+        })
+    }
+
+    /// Raise the receiver's wake flag (one flag: a second wake before
+    /// the first is seen adds nothing).
+    pub fn wake(&self) {
+        // A flag already up has woken the receiver.
+        self.half
+            .0
+            .update(|q| ((), !std::mem::replace(&mut q.woken, true)));
     }
 }
 
-/// The receiving half of a mailbox (single consumer: std's `Receiver`
-/// makes it `!Sync`).
+/// The receiving half of a mailbox. Every call below is one receive
+/// path: it hands out the head once it is due.
 pub struct MailboxReceiver<T> {
-    rx: Receiver<T>,
-    gate: Option<Gate>,
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> Drop for MailboxReceiver<T> {
+    fn drop(&mut self) {
+        let left = {
+            let mut q = self.shared.queue.lock();
+            q.closed = true;
+            std::mem::take(&mut q.entries)
+        };
+        // Outside the lock: a message may own senders whose drop wakes
+        // their own receivers.
+        drop(left);
+    }
 }
 
 impl<T> MailboxReceiver<T> {
-    /// Block until a message arrives; errors once the mailbox is empty
+    /// Block until a message is due; errors once the mailbox is empty
     /// and every sender is gone.
     pub fn recv(&self) -> Result<T, RecvError> {
-        match &self.gate {
-            None => self.rx.recv(),
-            Some(g) => self.recv_parked(g, Limit::Forever).map_err(|_| RecvError),
+        match self.receive(None, false) {
+            Got::Msg(msg) => Ok(msg),
+            _ => Err(RecvError),
         }
     }
 
     /// [`Self::recv`] with a *real-time* deadlock guard (on both
-    /// clocks): simulated time has no say in when it expires.
+    /// clocks) that runs while the mailbox is empty: simulated time has
+    /// no say in when it expires, and a message on its way is waited
+    /// for.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        match &self.gate {
-            None => self.rx.recv_timeout(timeout),
-            Some(g) => {
-                let limit = match Instant::now().checked_add(timeout) {
-                    Some(deadline) => Limit::Until(deadline),
-                    None => Limit::Forever,
-                };
-                self.recv_parked(g, limit)
-            }
+        match self.receive(Instant::now().checked_add(timeout), false) {
+            Got::Msg(msg) => Ok(msg),
+            Got::Timeout => Err(RecvTimeoutError::Timeout),
+            _ => Err(RecvTimeoutError::Disconnected),
         }
     }
 
-    /// Take a message if one is queued. Never blocks.
+    /// [`Self::recv`] that also returns `Ok(None)` on a
+    /// [`MailboxSender::wake`]. Either way the wake flag is lowered.
+    pub fn recv_or_wake(&self) -> Result<Option<T>, RecvError> {
+        match self.receive(None, true) {
+            Got::Msg(msg) => Ok(Some(msg)),
+            Got::Woken => Ok(None),
+            _ => Err(RecvError),
+        }
+    }
+
+    /// Take the head if it is due. Never blocks.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.rx.try_recv()
+        match self.shared.ready(&mut self.shared.queue.lock(), false) {
+            Some(Got::Msg(msg)) => Ok(msg),
+            Some(_) => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
     }
 
-    fn recv_parked(&self, g: &Gate, limit: Limit) -> Result<T, RecvTimeoutError> {
-        if let Ok(msg) = self.rx.try_recv() {
-            return Ok(msg);
+    /// The one receive path: wait until [`Shared::ready`] says how it
+    /// ends, or `guard` (real time) passes with the queue empty.
+    fn receive(&self, guard: Option<Instant>, wakeable: bool) -> Got<T> {
+        let Shared { queue, cv, .. } = &*self.shared;
+        let mut q = queue.lock();
+        loop {
+            if let Some(got) = self.shared.ready(&mut q, wakeable) {
+                return got;
+            }
+            q = match (q.entries.front(), guard) {
+                (Some(&(due, _)), _) => cv.wait_until(queue, q, Tick::from_nanos(due)),
+                (None, None) => cv.wait(queue, q),
+                (None, Some(g)) => match g.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => cv.wait_timeout(queue, q, left).0,
+                    _ => return Got::Timeout,
+                },
+            };
         }
-        g.core.with_me(|me| loop {
-            // Senders enqueue under this lock: either the message is
-            // visible now, or the sender will find us parked.
-            let st = g.core.lock();
-            match self.rx.try_recv() {
-                Ok(msg) => return Ok(msg),
-                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {}
-            }
-            if !g.core.park(st, me, g.chan, limit, || ()) {
-                return Err(RecvTimeoutError::Timeout);
-            }
-        })
     }
 }
 
@@ -297,6 +370,75 @@ mod tests {
             assert_eq!(c.now(), Tick::ZERO + 11 * MS);
             assert_eq!(c.forced_advances(), 0);
         }
+    }
+
+    /// Each entry falls due at its tick, never before the entry ahead
+    /// of it; a receive parks once, to the head's tick.
+    #[test]
+    fn entries_fall_due_in_arrival_order() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let (tx, rx) = mailbox::<u32>(&c);
+        tx.send_at(1, Tick::ZERO + 5 * MS).unwrap();
+        tx.send_at(2, Tick::ZERO + 2 * MS).unwrap(); // due with the head
+        tx.send(3).unwrap();
+        tx.send_at(4, Tick::ZERO + 9 * MS).unwrap();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "nothing due yet");
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(c.now(), Tick::ZERO + 5 * MS);
+        assert_eq!((rx.try_recv(), rx.try_recv()), (Ok(2), Ok(3)));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        // The real-time guard runs out only on an empty mailbox: an
+        // entry on its way is waited for.
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(4));
+        assert_eq!(c.now(), Tick::ZERO + 9 * MS);
+        assert_eq!(c.forced_advances(), 0);
+    }
+
+    #[test]
+    fn real_clock_hands_an_entry_out_at_its_tick() {
+        let c = Clock::real();
+        let (tx, rx) = mailbox::<u32>(&c);
+        let due = c.now() + 5 * MS;
+        tx.send_at(1, due).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.recv(), Ok(1));
+        assert!(c.now() >= due);
+        assert_eq!(rx.try_recv(), Ok(2));
+    }
+
+    /// A wake ends a wait on an entry still on its way at the wake's own
+    /// tick and disarms the entry's deadline, so an idle clock has
+    /// nothing to advance to; the entry still arrives at its tick.
+    #[test]
+    fn a_wake_is_seen_at_its_tick_ahead_of_an_entry_on_its_way() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let (tx, rx) = mailbox::<u32>(&c);
+        tx.send_at(1, Tick::ZERO + 10 * MS).unwrap();
+        let c2 = c.clone();
+        let reader = c.spawn("reader", move || {
+            let got = rx.recv_or_wake();
+            (got, c2.now(), rx)
+        });
+        c.sleep(MS);
+        tx.wake();
+        let (got, at, rx) = reader.join().unwrap();
+        assert_eq!((got, at), (Ok(None), Tick::ZERO + MS));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "still on its way");
+        // Quiescent with no deadline pending: time stays put.
+        c.blocked(|| ());
+        assert_eq!(c.now(), Tick::ZERO + MS);
+        // The flag was lowered; the entry arrives at its tick.
+        assert_eq!(rx.recv_or_wake(), Ok(Some(1)));
+        assert_eq!(c.now(), Tick::ZERO + 10 * MS);
+        // A wake is never a message: `recv` and `try_recv` pass it by.
+        tx.wake();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(2).unwrap();
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(c.forced_advances(), 0);
     }
 
     #[test]
