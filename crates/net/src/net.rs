@@ -14,9 +14,12 @@
 //!   sender reserves its host's outbound wire for the serialization
 //!   time — senders sharing a workstation (a process's application and
 //!   service threads, or two multiplexed processes) go back to back,
-//!   each sleeping exactly to the end of its slot — and the receiver
+//!   each waiting exactly to the end of its slot — and the receiver
 //!   honors the propagation latency: a message is queued in the
 //!   receiver's mailbox due at its admission tick, and handed out then.
+//!   Slots asked for at one tick are booked in sender order once the
+//!   tick is quiescent ([`admit`]), so the host scheduler never decides
+//!   who goes first.
 
 use crate::cost::CostModel;
 use crate::model::NetModel;
@@ -28,8 +31,9 @@ use nowmp_util::{waiting_for, Cause, Clock, Tick};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Errors surfaced by the transport.
@@ -127,10 +131,10 @@ impl HostRec {
     /// turn, the root's few aggregates carrying the same bytes pay it
     /// once each.
     ///
-    /// `enqueue` puts the message in its mailbox, due at that slot's
-    /// end, inside the same critical section: messages reach a mailbox
-    /// in the order the port admitted them.
-    fn receive_at<R>(&self, candidate: Tick, occ: Duration, enqueue: impl FnOnce(Tick) -> R) -> R {
+    /// Only [`admit`] calls it, which queues the message in its
+    /// mailbox due at the slot's end before it admits the next one, so
+    /// messages reach a mailbox in the order the port admitted them.
+    fn receive_at(&self, candidate: Tick, occ: Duration) -> Tick {
         let mut free = self.inbound.lock();
         let start = (*free).max(Tick::from_nanos(
             candidate
@@ -138,7 +142,7 @@ impl HostRec {
                 .saturating_sub(occ.as_nanos().min(u64::MAX as u128) as u64),
         ));
         *free = start + occ;
-        enqueue(*free)
+        *free
     }
 }
 
@@ -155,6 +159,72 @@ struct NetInner {
     hosts: RwLock<Vec<Arc<HostRec>>>,
     endpoints: RwLock<HashMap<u32, EndpointRec>>,
     next_gpid: AtomicU32,
+    /// The link reservations asked for at this tick, waiting for
+    /// [`admit`].
+    booked: Arc<Mutex<Vec<Booked>>>,
+}
+
+/// A reservation, and who asked for it: a process (0 for a migration
+/// stream) and the thread sending for it (its application and service
+/// threads share its gpid).
+type Booked = ((u32, Thread), Booking);
+
+/// A reservation on one link.
+enum Booking {
+    /// `d` on `host`'s outbound wire from `from`; the slot's end goes
+    /// in `done` (nanoseconds).
+    Wire {
+        host: Arc<HostRec>,
+        from: Tick,
+        d: Duration,
+        done: Arc<AtomicU64>,
+    },
+    /// A message's `occ` at its destination's port, from `candidate`
+    /// (the send tick plus the latency) at the earliest.
+    Port {
+        port: Option<Arc<HostRec>>,
+        candidate: Tick,
+        occ: Duration,
+        tx: MailboxSender<Packet>,
+        pkt: Packet,
+    },
+}
+
+/// Book one tick's reservations in sender order — by process, then by
+/// thread name — not in the order the tick's threads happened to run; a
+/// thread's own keep their order. A wire slot's end is left for its
+/// sender, and a message is queued in its mailbox due at the end of its
+/// port slot. Runs once the tick is quiescent
+/// ([`Clock::at_quiescence`]), holding `booked` so that a later tick's
+/// bookings wait for it.
+fn admit(booked: &Mutex<Vec<Booked>>) {
+    let mut booked = booked.lock();
+    booked.sort_by(|((a, at), _), ((b, bt), _)| (a, at.name()).cmp(&(b, bt.name())));
+    for (_, booking) in booked.drain(..) {
+        match booking {
+            Booking::Wire {
+                host,
+                from,
+                d,
+                done,
+            } => {
+                let mut free = host.outbound.lock();
+                *free = (*free).max(from) + d;
+                done.store(free.as_nanos(), Ordering::Release);
+            }
+            Booking::Port {
+                port,
+                candidate,
+                occ,
+                tx,
+                pkt,
+            } => {
+                let at = port.map_or(candidate, |h| h.receive_at(candidate, occ));
+                // A receiver that has gone drops what was sent to it.
+                let _ = tx.send_at(pkt, at);
+            }
+        }
+    }
 }
 
 impl NetInner {
@@ -162,24 +232,50 @@ impl NetInner {
         Arc::clone(&self.hosts.read()[id.0 as usize])
     }
 
-    /// Charge `d` of wire occupancy on `host`'s outbound link, returning
-    /// once the transmission has left it.
+    /// Charge `d` of wire occupancy on `host`'s outbound link for
+    /// `src`, returning once the transmission has left it.
     ///
     /// The link is a reservation book, not a lock: a sender takes the
-    /// slot `[max(free, now), +d)` and sleeps once, to the slot's end.
+    /// slot `[max(free, now), +d)` and sleeps to the slot's end.
     /// Back-to-back senders leave no idle wire between them, and the
     /// wait is an ordinary clock deadline — a waiter is never a
     /// deadline-less blocked participant the virtual clock could leap
     /// past to an unrelated, far-off compute charge. Senders that ask at
-    /// the same tick are served in the order they reach the book.
-    fn occupy_link(&self, host: &HostRec, d: Duration) {
+    /// the same tick are served in `src` order ([`admit`]), so a sender
+    /// sleeps first to the end its slot has if nobody goes ahead of it
+    /// — [`admit`] has run by then, the tick being over — and then to
+    /// the end it got, once more only if somebody did.
+    fn occupy_link(&self, src: Gpid, host: &Arc<HostRec>, d: Duration) {
         let _cause = waiting_for(Cause::Transmit);
-        let done = {
-            let mut free = host.outbound.lock();
-            *free = (*free).max(self.clock.now()) + d;
-            *free
+        let from = self.clock.now();
+        let earliest = (*host.outbound.lock()).max(from) + d;
+        let done = Arc::new(AtomicU64::new(0));
+        self.book(
+            src,
+            Booking::Wire {
+                host: Arc::clone(host),
+                from,
+                d,
+                done: Arc::clone(&done),
+            },
+        );
+        self.clock.sleep_until(earliest);
+        self.clock
+            .sleep_until(Tick::from_nanos(done.load(Ordering::Acquire)));
+    }
+
+    /// Add a reservation to this tick's book, and have the first one
+    /// of the tick [`admit`] them all once the tick is quiescent.
+    fn book(&self, src: Gpid, booking: Booking) {
+        let first = {
+            let mut booked = self.booked.lock();
+            booked.push(((src.0, std::thread::current()), booking));
+            booked.len() == 1
         };
-        self.clock.sleep_until(done);
+        if first {
+            let booked = Arc::clone(&self.booked);
+            self.clock.at_quiescence(move || admit(&booked));
+        }
     }
 
     /// The one transmit path: accounting, plus the wire's delays when
@@ -190,7 +286,7 @@ impl NetInner {
     fn transmit(
         &self,
         src: Gpid,
-        src_host: &HostRec,
+        src_host: &Arc<HostRec>,
         dst: Gpid,
         payload: Bytes,
         route: Route<'_>,
@@ -206,19 +302,19 @@ impl NetInner {
         // contend, as they would on one physical wire.
         let occupancy = self.model.sender_time(payload.len());
         if !occupancy.is_zero() {
-            self.occupy_link(src_host, occupancy);
+            self.occupy_link(src, src_host, occupancy);
         }
 
         // Resolve destination *after* serialization (a migrating peer may
         // have re-labeled meanwhile; the switch forwards to its port).
-        let (mailbox, dst_rec) = match self.endpoints.read().get(&dst.0) {
+        let (mailbox, port) = match self.endpoints.read().get(&dst.0) {
             Some(rec) => (
                 via.is_none().then(|| rec.tx.clone()),
                 Some(self.host(HostId(rec.host.load(Ordering::Acquire)))),
             ),
             None => (None, None),
         };
-        let Some(tx) = via.or(mailbox.as_ref()) else {
+        let Some(tx) = via.cloned().or(mailbox) else {
             return false;
         };
 
@@ -229,12 +325,13 @@ impl NetInner {
             self.stats.record_push(bytes);
         }
         src_host.link_stats.record_out(bytes);
-        if let Some(h) = &dst_rec {
+        if let Some(h) = &port {
             h.link_stats.record_in(bytes);
         }
         self.stats.record_msg(bytes);
 
-        // Queue on the inbound wire of the destination's current host.
+        // Queue on the inbound wire of the destination's current host,
+        // once every message of this tick is in.
         let occ = self.model.receive_time(payload.len());
         let pkt = Packet {
             src,
@@ -245,11 +342,17 @@ impl NetInner {
             return tx.send(pkt).is_ok();
         }
         let candidate = self.clock.now() + self.model.latency();
-        match &dst_rec {
-            Some(h) => h.receive_at(candidate, occ, |at| tx.send_at(pkt, at)),
-            None => tx.send_at(pkt, candidate),
-        }
-        .is_ok()
+        self.book(
+            src,
+            Booking::Port {
+                port,
+                candidate,
+                occ,
+                tx,
+                pkt,
+            },
+        );
+        true
     }
 }
 
@@ -300,6 +403,7 @@ impl Network {
                 hosts: RwLock::new(Vec::new()),
                 endpoints: RwLock::new(HashMap::new()),
                 next_gpid: AtomicU32::new(1),
+                booked: Arc::default(),
             }),
         };
         for _ in 0..hosts {
@@ -413,7 +517,7 @@ impl Network {
         dst.link_stats.record_in(bytes as u64);
         self.inner.stats.record_msg(bytes as u64);
         if !d.is_zero() {
-            self.inner.occupy_link(&src, d);
+            self.inner.occupy_link(Gpid(0), &src, d);
         }
         d
     }
@@ -1016,6 +1120,39 @@ mod edge_tests {
             "admitted at once"
         );
         assert_eq!(clock.forced_advances(), 0);
+    }
+
+    /// Senders that book a link at the same tick are served in gpid
+    /// order, whatever order their threads run in. Here the highest gpid
+    /// reaches the books first in real time (time holds still while its
+    /// sender runs): senders 0 and 1 share host 1's wire, so 0 goes
+    /// first; 0's message then meets 2's at the port at the same tick,
+    /// and 0's is admitted first; 1's comes last.
+    #[test]
+    fn same_tick_senders_are_served_in_gpid_order() {
+        for _ in 0..5 {
+            let clock = Clock::new_virtual();
+            let _me = clock.participant();
+            let model = NetModel::paper_1999();
+            let net = Network::with_clock(3, 1, model, CostModel::disabled(), clock.clone());
+            let dst = net.register(HostId(0));
+            let senders = [1, 1, 2].map(|h| net.register(HostId(h)));
+            let gpids = senders.each_ref().map(Endpoint::gpid);
+            let threads: Vec<_> = (0u64..)
+                .zip(senders)
+                .map(|(i, ep)| {
+                    let to = dst.gpid();
+                    clock.spawn(format!("sender-{i}"), move || {
+                        std::thread::sleep(Duration::from_millis(2 * (3 - i)));
+                        ep.send(to, Bytes::from(vec![0; 1024])).unwrap();
+                    })
+                })
+                .collect();
+            let order: Vec<Gpid> = (0..3).map(|_| dst.recv().unwrap().src).collect();
+            assert_eq!(order, [gpids[0], gpids[2], gpids[1]]);
+            threads.into_iter().for_each(|t| t.join().unwrap());
+            assert_eq!(clock.forced_advances(), 0);
+        }
     }
 
     #[test]

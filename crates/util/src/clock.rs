@@ -36,6 +36,9 @@
 //!   no one — registration is what keeps a pending 3 s grace timer from
 //!   firing while the master is between two forks. A thread may be
 //!   registered on several clocks at once; its state is kept per clock.
+//! * [`Clock::at_quiescence`] — work the thread whose blocking makes
+//!   the simulation quiescent runs before it moves time, holding time
+//!   still meanwhile: it sees every thread's doings at the tick.
 //!
 //! Threads that never register are invisible while running: the clock
 //! may advance underneath a long computation on such a thread. That is
@@ -76,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::timing::precise_sleep;
+use crate::timing::{precise_sleep, SPIN_SLACK};
 
 /// A point on a [`Clock`]'s timeline: nanoseconds since clock creation.
 ///
@@ -358,8 +361,23 @@ enum Limit {
     Watchdog,
 }
 
-/// Participants made runnable under the lock, to unpark after it.
-type Wake = Vec<Arc<Part>>;
+/// What a transition leaves to do after the lock: participants it
+/// made runnable, to unpark, and end-of-tick work it took, to run.
+#[derive(Default)]
+struct Wake {
+    parts: Vec<Arc<Part>>,
+    work: Deferred,
+}
+
+/// [`Clock::at_quiescence`] work, in the order it was deferred.
+#[derive(Default)]
+struct Deferred(Vec<Box<dyn FnOnce() + Send>>);
+
+impl std::fmt::Debug for Deferred {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} deferred", self.0.len())
+    }
+}
 
 /// The books of one virtual time source (all under one lock).
 #[derive(Debug, Default)]
@@ -373,6 +391,8 @@ struct VState {
     running: usize,
     /// Opaque-wait pins ([`Clock::msg_sent`]). Time moves only at zero.
     pins: usize,
+    /// End-of-tick work; time moves only once it has run.
+    deferred: Deferred,
     /// Who is parked on which wake channel, in arrival order. A flat
     /// list scanned by channel, like xv6's `wakeup`: it holds at most
     /// one entry per simulation thread.
@@ -414,7 +434,7 @@ impl VState {
     fn make_runnable(&mut self, p: Arc<Part>, wake: &mut Wake) {
         self.unblock(&p);
         p.woken.store(true, Ordering::Release);
-        wake.push(p);
+        wake.parts.push(p);
     }
 
     /// Wake everyone parked on `chan`.
@@ -461,10 +481,18 @@ impl VState {
         }
     }
 
-    /// The quiescence rule: while nobody can run, step to the earliest
-    /// pending deadline and fire it.
+    /// The quiescence rule: while nobody can run, run the tick's
+    /// deferred work, else step to the earliest pending deadline and
+    /// fire it.
     fn try_advance(&mut self, now: &AtomicU64, wake: &mut Wake) {
         while self.running == 0 && self.pins == 0 {
+            if !self.deferred.0.is_empty() {
+                // Run after the lock, holding time still meanwhile.
+                self.running += 1;
+                self.epoch += 1;
+                wake.work.0.append(&mut self.deferred.0);
+                return;
+            }
             let Some((&(t, _), _)) = self.deadlines.first_key_value() else {
                 return;
             };
@@ -536,9 +564,9 @@ impl VirtualCore {
     /// Change the books under the lock, then unpark whoever the change
     /// made runnable.
     fn transition<R>(&self, f: impl FnOnce(&mut VState, &mut Wake) -> R) -> R {
-        let mut wake = Wake::new();
+        let mut wake = Wake::default();
         let r = f(&mut self.state.lock(), &mut wake);
-        unpark(wake, None);
+        self.unpark(wake, None);
         r
     }
 
@@ -592,13 +620,13 @@ impl VirtualCore {
     ) -> bool {
         me.woken.store(false, Ordering::Relaxed);
         st.parked.push((chan, Arc::clone(me)));
-        let mut wake = Wake::new();
+        let mut wake = Wake::default();
         st.block(me);
         st.try_advance(&self.now, &mut wake);
         let mut seen = st.epoch;
         drop(st);
         unlocked();
-        unpark(wake, Some(me));
+        self.unpark(wake, Some(me));
         if me.woken.load(Ordering::Acquire) {
             return true; // our own blocking fired our own deadline
         }
@@ -625,13 +653,13 @@ impl VirtualCore {
                 return true;
             }
             if matches!(limit, Limit::Watchdog) && quiet_since.elapsed() >= STALL_ADVANCE {
-                let mut wake = Wake::new();
+                let mut wake = Wake::default();
                 let mut st = self.state.lock();
                 let stall = (st.epoch == seen && !me.woken.load(Ordering::Acquire))
                     .then(|| self.stalled(&mut st, me, &mut wake));
                 seen = st.epoch;
                 drop(st);
-                unpark(wake, Some(me));
+                self.unpark(wake, Some(me));
                 if let Some(report) = stall {
                     if cfg!(debug_assertions) {
                         panic!("{report}");
@@ -677,17 +705,26 @@ impl VirtualCore {
             self.park(st, me, me.chan, Limit::Watchdog, || ());
         });
     }
-}
 
-/// Unpark the participants a transition made runnable (`me`, if among
-/// them, is the caller and needs no unpark).
-fn unpark(wake: Wake, me: Option<&Arc<Part>>) {
-    for p in wake {
-        if me.is_some_and(|me| Arc::ptr_eq(me, &p)) {
-            continue;
+    /// After a transition: unpark the participants it made runnable
+    /// (`me`, if among them, is the caller and needs no unpark), then
+    /// run the end-of-tick work it took and give back the time it held.
+    fn unpark(&self, wake: Wake, me: Option<&Arc<Part>>) {
+        for p in wake.parts {
+            if me.is_some_and(|me| Arc::ptr_eq(me, &p)) {
+                continue;
+            }
+            if let Some(t) = p.thread.get() {
+                t.unpark();
+            }
         }
-        if let Some(t) = p.thread.get() {
-            t.unpark();
+        if !wake.work.0.is_empty() {
+            wake.work.0.into_iter().for_each(|work| work());
+            self.transition(|st, wake| {
+                st.running -= 1;
+                st.epoch += 1;
+                st.try_advance(&self.now, wake);
+            });
         }
     }
 }
@@ -865,6 +902,23 @@ impl Clock {
             inner: inner.expect("spawn simulation thread"),
             exit,
         }
+    }
+
+    /// Run `f` once no participant can run at the current tick, before
+    /// time moves on: end-of-tick work that must see everything the
+    /// tick's threads did, whatever order they ran in (the network
+    /// admits a tick's messages to each port in sender order). Works
+    /// deferred at one tick run in the order they were deferred, on the
+    /// thread whose blocking made the tick quiescent. On the real
+    /// backend `f` runs at once.
+    pub fn at_quiescence(&self, f: impl FnOnce() + Send + 'static) {
+        let Backend::Virtual(core) = &self.backend else {
+            return f();
+        };
+        core.transition(|st, wake| {
+            st.deferred.0.push(Box::new(f));
+            st.try_advance(&core.now, wake);
+        });
     }
 
     /// Run `f` — an external wait the clock cannot see into (a foreign
@@ -1138,9 +1192,16 @@ impl ClockCondvar {
         mutex.lock()
     }
 
+    /// Now, on the condition variable's clock.
+    pub(crate) fn now(&self) -> Tick {
+        self.clock.now()
+    }
+
     /// [`Self::wait`] that also ends at `tick`, a tick after now, on the
     /// clock. On a virtual clock the deadline is pending while the
-    /// waiter parks and withdrawn when the wait ends.
+    /// waiter parks and withdrawn when the wait ends; on the real clock
+    /// the last `SPIN_SLACK` is spun with the mutex released, and a
+    /// notify during it is seen when it ends.
     pub(crate) fn wait_until<'a, T>(
         &self,
         mutex: &'a Mutex<T>,
@@ -1148,9 +1209,18 @@ impl ClockCondvar {
         tick: Tick,
     ) -> MutexGuard<'a, T> {
         let Some(core) = self.clock.virtual_core() else {
-            self.real
-                .wait_for(&mut guard, tick.saturating_since(self.clock.now()));
-            return guard;
+            // Sleep on the condition variable to within the spin slack,
+            // then spin the rest with the mutex released, as
+            // `precise_sleep` does: a timed wait alone ends late by the
+            // OS timer slack.
+            let left = tick.saturating_since(self.clock.now());
+            if left > SPIN_SLACK {
+                self.real.wait_for(&mut guard, left - SPIN_SLACK);
+                return guard;
+            }
+            drop(guard);
+            precise_sleep(left);
+            return mutex.lock();
         };
         core.with_me(|me| {
             let mut st = core.lock();
@@ -1600,6 +1670,35 @@ mod tests {
         assert_eq!(early.join().unwrap(), ms(5));
         assert_eq!(late.join().unwrap(), ms(20));
         assert_eq!(c.forced_advances(), 0);
+    }
+
+    /// Deferred work runs once nobody can run at its tick, before time
+    /// moves on; on the real clock it runs at once.
+    #[test]
+    fn deferred_work_runs_when_its_tick_is_quiescent() {
+        let c = Clock::new_virtual();
+        let _me = c.participant();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let note = |who: &'static str| {
+            let (c, seen) = (c.clone(), Arc::clone(&seen));
+            move || seen.lock().push((who, c.now()))
+        };
+        let (c2, other_done) = (c.clone(), note("other"));
+        let other = c.spawn("other", move || {
+            c2.sleep(Duration::from_millis(1));
+            other_done();
+        });
+        c.at_quiescence(note("work"));
+        assert!(seen.lock().is_empty(), "this thread can still run");
+        c.sleep(Duration::from_millis(2));
+        other.join().unwrap();
+        let ms = |n| Tick::ZERO + Duration::from_millis(n);
+        assert_eq!(*seen.lock(), [("work", ms(0)), ("other", ms(1))]);
+        assert_eq!(c.forced_advances(), 0);
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        Clock::real().at_quiescence(move || flag.store(true, Ordering::Relaxed));
+        assert!(ran.load(Ordering::Relaxed));
     }
 
     /// Every participant's rows close exactly on its virtual lifetime,

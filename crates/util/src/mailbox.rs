@@ -25,7 +25,6 @@ pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
 struct Shared<T> {
     queue: Mutex<Queue<T>>,
     cv: ClockCondvar,
-    clock: Clock,
 }
 
 struct Queue<T> {
@@ -58,7 +57,6 @@ pub fn mailbox<T>(clock: &Clock) -> (MailboxSender<T>, MailboxReceiver<T>) {
             closed: false,
         }),
         cv: ClockCondvar::new(clock),
-        clock: clock.clone(),
     });
     let half = Arc::new(SendHalf(Arc::clone(&shared)));
     (MailboxSender { half }, MailboxReceiver { shared })
@@ -81,7 +79,7 @@ impl<T> Shared<T> {
         let woken = wakeable && std::mem::take(&mut q.woken);
         match q.entries.front() {
             // Due at zero (a `send` with nothing ahead): no clock read.
-            Some(&(due, _)) if due == 0 || due <= self.clock.now().as_nanos() => {
+            Some(&(due, _)) if due == 0 || due <= self.cv.now().as_nanos() => {
                 q.entries.pop_front().map(|(_, msg)| Got::Msg(msg))
             }
             _ if woken => Some(Got::Woken),
@@ -395,17 +393,26 @@ mod tests {
         assert_eq!(c.forced_advances(), 0);
     }
 
+    /// On the real clock an entry is handed out at its tick, not late by
+    /// the OS timer slack: the wait spins its last stretch.
     #[test]
     fn real_clock_hands_an_entry_out_at_its_tick() {
         let c = Clock::real();
         let (tx, rx) = mailbox::<u32>(&c);
-        let due = c.now() + 5 * MS;
-        tx.send_at(1, due).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        assert_eq!(rx.recv(), Ok(1));
-        assert!(c.now() >= due);
-        assert_eq!(rx.try_recv(), Ok(2));
+        // Lateness is load-sensitive: bound the best of several.
+        let mut best = Duration::MAX;
+        for _ in 0..10 {
+            let due = c.now() + MS;
+            tx.send_at(1, due).unwrap();
+            tx.send(2).unwrap();
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            assert_eq!(rx.recv(), Ok(1));
+            let at = c.now();
+            assert!(at >= due);
+            best = best.min(at.saturating_since(due));
+            assert_eq!(rx.try_recv(), Ok(2));
+        }
+        assert!(best < Duration::from_micros(30), "{best:?} late at best");
     }
 
     /// A wake ends a wait on an entry still on its way at the wake's own

@@ -8,6 +8,10 @@
 
 use std::time::{Duration, Instant};
 
+/// The last stretch of a precise wait, spun rather than slept: more
+/// than the OS timer slack.
+pub(crate) const SPIN_SLACK: Duration = Duration::from_micros(150);
+
 /// Sleep for `d` with microsecond-ish precision (hybrid sleep + spin).
 ///
 /// For durations above ~200 µs the bulk is a real `thread::sleep` (leaving
@@ -18,8 +22,6 @@ pub fn precise_sleep(d: Duration) {
         return;
     }
     let deadline = Instant::now() + d;
-    // Leave ~150 us of spin slack; sleep the rest.
-    const SPIN_SLACK: Duration = Duration::from_micros(150);
     if d > SPIN_SLACK {
         std::thread::sleep(d - SPIN_SLACK);
     }
